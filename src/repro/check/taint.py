@@ -88,6 +88,8 @@ SIM_TRAIN_ROOTS = (
 #: their transitive inputs feed content-addressed digests
 PURITY_ROOT_NAMES = frozenset({
     "stable_digest", "_json_default", "describe_workload",
+    "canonical_json", "sha256_hex",
+    "digest", "rollup_digest", "results_digest",
 })
 
 #: the class whose generator must stay isolated from policy code

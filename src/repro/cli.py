@@ -177,6 +177,23 @@ def _emit_report(
     print(f"wrote report to {path}")
 
 
+def _write_artifacts(args: argparse.Namespace, title: str,
+                     manifest: dict | None = None, **report_inputs) -> None:
+    """Post-run step of a run subcommand: ``--manifest``, then ``--report``.
+
+    ``manifest`` holds the :meth:`RunManifest.create` fields (``None``
+    when the run wrote its own); ``report_inputs`` are
+    :func:`_emit_report` keywords.
+    """
+    if args.manifest and manifest is not None:
+        from repro.obs.manifest import RunManifest
+
+        RunManifest.create(seed=args.seed, **manifest).write(args.manifest)
+    if args.report:
+        _emit_report(args.report, title, manifest_path=args.manifest,
+                     **report_inputs)
+
+
 # -- subcommand implementations ------------------------------------------------
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
@@ -204,10 +221,11 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
 def _cmd_reproduce_body(args: argparse.Namespace) -> int:
     import importlib
 
+    manifest = None
     if args.experiment == "all":
         from repro.experiments.runner import combined_report, run_all
 
-        reports = run_all(
+        reports = run_all(  # writes --manifest itself, one entry per report
             scale=args.scale,
             seed=args.seed,
             full_size_overhead=not args.scaled_overhead,
@@ -215,42 +233,28 @@ def _cmd_reproduce_body(args: argparse.Namespace) -> int:
             manifest_path=args.manifest,
         )
         text = combined_report(reports, args.scale)
-        if args.out:
-            Path(args.out).write_text(text + "\n")
-        print(text)
-        if args.report:
-            _emit_report(args.report, "reproduce all",
-                         manifest_path=args.manifest)
-        return 0
-
-    module = importlib.import_module(f"repro.experiments.{args.experiment}")
-    if args.experiment in ("table1",):
-        result = module.run()
-    elif args.experiment in ("table3",):
-        result = module.run()
-    elif args.experiment == "overhead":
-        result = module.run(full_size=not args.scaled_overhead)
-    elif args.experiment == "faultsweep":
-        result = module.run(args.scale, seed=args.seed,
-                            faults=parse_faults(args.faults))
     else:
-        result = module.run(args.scale, seed=args.seed)
-    text = module.report(result)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    if args.manifest:
-        from repro.obs.manifest import RunManifest
-
-        RunManifest.create(
+        module = importlib.import_module(
+            f"repro.experiments.{args.experiment}")
+        if args.experiment in ("table1", "table3"):
+            result = module.run()
+        elif args.experiment == "overhead":
+            result = module.run(full_size=not args.scaled_overhead)
+        elif args.experiment == "faultsweep":
+            result = module.run(args.scale, seed=args.seed,
+                                faults=parse_faults(args.faults))
+        else:
+            result = module.run(args.scale, seed=args.seed)
+        text = module.report(result)
+        manifest = dict(
             kind="reproduce",
-            seed=args.seed,
             config={"experiment": args.experiment, "scale": args.scale},
             summary={"report_chars": len(text)},
-        ).write(args.manifest)
+        )
+    if args.out:
+        Path(args.out).write_text(text + "\n")
     print(text)
-    if args.report:
-        _emit_report(args.report, f"reproduce {args.experiment}",
-                     manifest_path=args.manifest)
+    _write_artifacts(args, f"reproduce {args.experiment}", manifest)
     return 0
 
 
@@ -269,7 +273,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_metrics(name: str, result) -> None:
+def _print_metrics(name: str, result):
+    """Print the headline metrics of a run; returns the ``RunMetrics``."""
     from repro.sim.metrics import RunMetrics
 
     m = RunMetrics.from_result(result)
@@ -281,6 +286,7 @@ def _print_metrics(name: str, result) -> None:
     print(f"  avg slowdown    {m.avg_slowdown:.2f}")
     print(f"  utilization     {m.utilization:.3f}")
     print(f"  makespan        {m.makespan / 3600:.2f} h")
+    return m
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -302,38 +308,25 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     finally:
         if live is not None:
             live.close()
-    _print_metrics(policy.name, result)
+    metrics = _print_metrics(policy.name, result).as_dict()
     _print_resilience(result)
-    if args.manifest:
-        from repro.obs.manifest import RunManifest
-        from repro.sim.metrics import RunMetrics
-
-        summary = RunMetrics.from_result(result).as_dict()
-        if result.resilience is not None:
-            summary["resilience"] = result.resilience.as_dict()
-        RunManifest.create(
-            kind="simulate",
-            seed=args.seed,
-            config={
-                "trace": args.trace,
-                "nodes": args.nodes,
-                "policy": args.policy,
-                "objective": args.objective,
-                "procs_per_node": args.procs_per_node,
-                "max_jobs": args.max_jobs,
-                "faults": faults.as_dict() if faults is not None else None,
-            },
-            summary=summary,
-        ).write(args.manifest)
-    if args.report:
-        from repro.sim.metrics import RunMetrics
-
-        _emit_report(
-            args.report, f"simulate {args.policy}",
-            manifest_path=args.manifest,
-            metrics=RunMetrics.from_result(result).as_dict(),
-            trace_path=args.trace_out,
-        )
+    summary = dict(metrics)
+    if result.resilience is not None:
+        summary["resilience"] = result.resilience.as_dict()
+    _write_artifacts(
+        args, f"simulate {args.policy}",
+        dict(kind="simulate", summary=summary, config={
+            "trace": args.trace,
+            "nodes": args.nodes,
+            "policy": args.policy,
+            "objective": args.objective,
+            "procs_per_node": args.procs_per_node,
+            "max_jobs": args.max_jobs,
+            "faults": faults.as_dict() if faults is not None else None,
+        }),
+        metrics=metrics,
+        trace_path=args.trace_out,
+    )
     return 0
 
 
@@ -341,6 +334,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     from repro.core.config import DRASConfig
     from repro.core.persistence import save_agent
     from repro.experiments.common import make_agent
+    from repro.obs.manifest import describe_workload
     from repro.rl.curriculum import train_with_curriculum
     from repro.rl.trainer import TrainingHistory
     from repro.workload import CoriModel, ThetaModel
@@ -417,45 +411,34 @@ def cmd_train(args: argparse.Namespace) -> int:
     converged = history.converged_at()
     print(f"converged at episode: {converged if converged is not None else 'never'}")
     print(f"checkpoint written to {args.out}")
-    if args.manifest:
-        from repro.obs.manifest import RunManifest, describe_workload
-
-        RunManifest.create(
-            kind="train",
-            seed=args.seed,
-            config={
-                "system": args.system,
-                "agent": args.agent,
-                "nodes": args.nodes,
-                "window": args.window,
-                "train_jobs": args.train_jobs,
-                "curriculum": {
-                    "sampled": args.sampled,
-                    "real": args.real,
-                    "synthetic": args.synthetic,
-                    "jobs_per_set": args.jobs_per_set,
-                },
-                "checkpoint": args.out,
-                "faults": faults.as_dict() if faults is not None else None,
-                "resume": args.resume,
-                "resumable_checkpoint": str(checkpoint_path)
-                if checkpoint_path else None,
+    _write_artifacts(
+        args, f"train {args.agent} ({args.system})",
+        dict(kind="train", workload=describe_workload(model), config={
+            "system": args.system,
+            "agent": args.agent,
+            "nodes": args.nodes,
+            "window": args.window,
+            "train_jobs": args.train_jobs,
+            "curriculum": {
+                "sampled": args.sampled,
+                "real": args.real,
+                "synthetic": args.synthetic,
+                "jobs_per_set": args.jobs_per_set,
             },
-            workload=describe_workload(model),
-            summary={
-                "episodes": len(history.episodes),
-                "validation_first": float(curve[0]),
-                "validation_last": float(curve[-1]),
-                "validation_best": float(curve.max()),
-                "converged_at": converged,
-            },
-        ).write(args.manifest)
-    if args.report:
-        _emit_report(
-            args.report, f"train {args.agent} ({args.system})",
-            manifest_path=args.manifest,
-            telemetry_path=telemetry_path,
-        )
+            "checkpoint": args.out,
+            "faults": faults.as_dict() if faults is not None else None,
+            "resume": args.resume,
+            "resumable_checkpoint": str(checkpoint_path)
+            if checkpoint_path else None,
+        }, summary={
+            "episodes": len(history.episodes),
+            "validation_first": float(curve[0]),
+            "validation_last": float(curve[-1]),
+            "validation_best": float(curve.max()),
+            "converged_at": converged,
+        }),
+        telemetry_path=telemetry_path,
+    )
     return 0
 
 
@@ -501,6 +484,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _project_root(path: str) -> Path:
+    """The project directory a ``repro check`` path names (a file's parent)."""
+    root = Path(path)
+    return root.parent if root.is_file() else root
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     """The ``repro check`` driver.
 
@@ -544,16 +533,17 @@ def cmd_check(args: argparse.Namespace) -> int:
         from repro.check import hotness as _hotness
         os.environ[_hotness.BASELINE_ENV] = args.profile_baseline
 
-    if args.effects_report:
-        from repro.check import effects as _effects
+    if args.effects_report or args.hotness:
         from repro.check.project import ProjectModel
-        root = Path(args.paths[0])
-        if root.is_file():
-            root = root.parent
+        root = _project_root(args.paths[0])
         if not root.is_dir():
             print(f"project root is not a directory: {root}", file=sys.stderr)
             return 2
-        model = _effects.effects_for_project(ProjectModel.load(root))
+        project = ProjectModel.load(root)
+
+    if args.effects_report:
+        from repro.check import effects as _effects
+        model = _effects.effects_for_project(project)
         doc = _effects.effects_report(model)
         Path(args.effects_report).write_text(
             json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -566,14 +556,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
     if args.hotness:
         from repro.check import hotness as _hotness
-        from repro.check.project import ProjectModel
-        root = Path(args.paths[0])
-        if root.is_file():
-            root = root.parent
-        if not root.is_dir():
-            print(f"project root is not a directory: {root}", file=sys.stderr)
-            return 2
-        ranking = _hotness.hotness_for_project(ProjectModel.load(root))
+        ranking = _hotness.hotness_for_project(project)
         if ranking is None:
             print("no profile baseline found; run "
                   "`repro bench --emit-profile profile_baseline.json` first "
@@ -587,10 +570,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         violations = lint_paths(args.paths, config)
         if args.strict:
             for path in args.paths:
-                root = Path(path)
-                if root.is_file():
-                    root = root.parent
-                violations.extend(analyze_project(root, config))
+                violations.extend(analyze_project(_project_root(path), config))
             violations.sort(key=lambda v: (str(v.path), v.line, v.col, v.rule_id))
     except FileNotFoundError as exc:
         print(str(exc), file=sys.stderr)
@@ -828,6 +808,24 @@ def _add_live_args(p: argparse.ArgumentParser) -> None:
                         "'repro live summarize')")
 
 
+def _add_artifact_args(p: argparse.ArgumentParser, *flags: str,
+                       faults_help: str = "", report_note: str = "") -> None:
+    """Attach the shared ``--faults``/``--manifest``/``--report`` flags.
+
+    ``flags`` names which to add, in ``--help`` order; only the fault
+    spec's meaning (and a ``--report`` suffix) differs per subcommand.
+    """
+    helps = {
+        "--faults": faults_help,
+        "--manifest": "write a run manifest (JSON provenance record)",
+        "--report": ("also write a self-contained HTML run report"
+                     + report_note),
+    }
+    for flag in flags:
+        p.add_argument(flag, help=helps[flag],
+                       metavar="SPEC" if flag == "--faults" else "PATH")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -843,13 +841,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="also write the report to this file")
     p.add_argument("--scaled-overhead", action="store_true",
                    help="overhead experiment: use a scaled network")
-    p.add_argument("--faults", metavar="SPEC",
-                   help="fault-process override for the faultsweep "
-                        "experiment, e.g. mtbf=5000,mttr=1800,seed=1")
-    p.add_argument("--manifest", metavar="PATH",
-                   help="write a run manifest (JSON provenance record)")
-    p.add_argument("--report", metavar="PATH",
-                   help="also write a self-contained HTML run report")
+    _add_artifact_args(
+        p, "--faults", "--manifest", "--report",
+        faults_help="fault-process override for the faultsweep "
+                    "experiment, e.g. mtbf=5000,mttr=1800,seed=1")
     _add_live_args(p)
     p.set_defaults(func=cmd_reproduce)
 
@@ -884,9 +879,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", action="append", metavar="KEY=VALUE",
                    help="kind-specific knob (JSON value or string); "
                         "repeatable, e.g. --param 'mtbf_grid=[0,2000]'")
-    p.add_argument("--faults", metavar="SPEC",
-                   help="fault-process override for faultsweep sweeps, "
-                        "e.g. mtbf=5000,mttr=1800,seed=1")
+    _add_artifact_args(
+        p, "--faults",
+        faults_help="fault-process override for faultsweep sweeps, "
+                    "e.g. mtbf=5000,mttr=1800,seed=1")
     p.add_argument("--out", help="also write the rendered report here")
     _add_live_args(p)
     p.set_defaults(func=cmd_sweep)
@@ -910,17 +906,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--procs-per-node", type=int, default=1)
     p.add_argument("--max-jobs", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--faults", metavar="SPEC",
-                   help="inject seeded faults, e.g. "
-                        "mtbf=5000,mttr=1800,seed=1,requeue=requeue-front "
-                        "(keys: mtbf mttr seed blade_size blade_prob "
-                        "job_kill_mtbf requeue min_repair max_requeues)")
-    p.add_argument("--manifest", metavar="PATH",
-                   help="write a run manifest (JSON provenance record)")
+    _add_artifact_args(
+        p, "--faults", "--manifest",
+        faults_help="inject seeded faults, e.g. "
+                    "mtbf=5000,mttr=1800,seed=1,requeue=requeue-front "
+                    "(keys: mtbf mttr seed blade_size blade_prob "
+                    "job_kill_mtbf requeue min_repair max_requeues)")
     p.add_argument("--trace-out", metavar="PATH",
                    help="write a structured JSONL event trace of the run")
-    p.add_argument("--report", metavar="PATH",
-                   help="also write a self-contained HTML run report")
+    _add_artifact_args(p, "--report")
     _add_live_args(p)
     p.set_defaults(func=cmd_simulate)
 
@@ -936,10 +930,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs-per-set", type=int, default=250)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--faults", metavar="SPEC",
-                   help="train under seeded fault injection, e.g. "
-                        "mtbf=5000,mttr=1800,seed=1 (the fault seed is "
-                        "offset per episode; validation uses the base seed)")
+    _add_artifact_args(
+        p, "--faults",
+        faults_help="train under seeded fault injection, e.g. "
+                    "mtbf=5000,mttr=1800,seed=1 (the fault seed is "
+                    "offset per episode; validation uses the base seed)")
     p.add_argument("--checkpoint", metavar="PATH",
                    help="write a crash-safe resumable training checkpoint "
                         "after every --checkpoint-every episodes")
@@ -950,15 +945,14 @@ def build_parser() -> argparse.ArgumentParser:
                         "checkpoint (other flags must match the original "
                         "run; keeps checkpointing to the same file unless "
                         "--checkpoint overrides it)")
-    p.add_argument("--manifest", metavar="PATH",
-                   help="write a run manifest (JSON provenance record)")
+    _add_artifact_args(p, "--manifest")
     p.add_argument("--telemetry", metavar="PATH",
                    help="write per-episode JSONL training telemetry "
                         "(repro.telemetry/v1)")
-    p.add_argument("--report", metavar="PATH",
-                   help="also write a self-contained HTML run report "
-                        "(records telemetry to a sidecar if --telemetry "
-                        "is not given)")
+    _add_artifact_args(
+        p, "--report",
+        report_note=" (records telemetry to a sidecar if --telemetry "
+                    "is not given)")
     _add_live_args(p)
     p.set_defaults(func=cmd_train)
 
@@ -1028,8 +1022,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="instead of the suites, run the deterministic "
                         "profiling workload and write the hotness "
                         "baseline JSON for `repro check --strict`")
-    p.add_argument("--report", metavar="PATH",
-                   help="also write a self-contained HTML run report")
+    _add_artifact_args(p, "--report")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser(

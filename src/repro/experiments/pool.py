@@ -55,11 +55,18 @@ import traceback
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _conn_wait
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, TextIO
+from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
 from repro.obs import live as _live
+from repro.obs.jsonl import (
+    JsonlWriter,
+    atomic_write_text,
+    canonical_json,
+    read_jsonl,
+    sha256_hex,
+)
 from repro.obs.manifest import RunManifest
 
 #: schema tag of sweep stores (spec file, shard lines)
@@ -162,9 +169,7 @@ class SweepSpec:
 
     def digest(self) -> str:
         """SHA-256 of the canonical identity JSON."""
-        return hashlib.sha256(
-            _canonical(self.identity()).encode("utf-8")
-        ).hexdigest()
+        return sha256_hex(self.identity())
 
 
 def _jsonable_params(params: Mapping[str, Any]) -> dict[str, Any]:
@@ -180,14 +185,9 @@ def _json_fallback(value: Any) -> Any:
     raise TypeError(f"sweep params must be JSON-able, got {type(value)!r}")
 
 
-def _canonical(doc: Any) -> str:
-    """Canonical compact JSON: the byte form every digest hashes."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
 def cell_key(cell: Mapping[str, Any]) -> str:
     """Canonical string identity of one cell's parameter dict."""
-    return _canonical(cell)
+    return canonical_json(cell)
 
 
 def derive_cell_seed(sweep_seed: int, key: str) -> int:
@@ -329,7 +329,7 @@ class StoreScan:
     shards: int
 
 
-class ShardWriter:
+class ShardWriter(JsonlWriter):
     """Append-only JSONL shard: one header, one flushed line per record.
 
     ``flush()`` after every record pushes the line into the kernel, so
@@ -339,27 +339,15 @@ class ShardWriter:
 
     def __init__(self, path: "str | os.PathLike[str]", sweep_digest: str,
                  source: str) -> None:
-        self.path = os.fspath(path)
         self.source = source
-        self._fh: TextIO | None = open(self.path, "w", encoding="utf-8")
-        self._write({"type": "meta", "schema": SWEEP_SCHEMA,
-                     "sweep": sweep_digest, "source": source})
-
-    def _write(self, record: Mapping[str, Any]) -> None:
-        if self._fh is None:
-            raise SweepError(f"shard {self.path} is closed")
-        self._fh.write(json.dumps(record, sort_keys=True) + "\n")
-        self._fh.flush()
+        super().__init__(path, SWEEP_SCHEMA,
+                         {"sweep": sweep_digest, "source": source})
 
     def append(self, record: Mapping[str, Any]) -> None:
         """Durably append one cell/quarantine record."""
-        self._write(record)
-
-    def close(self) -> None:
-        """Close the shard file (idempotent)."""
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        if self.closed:
+            raise SweepError(f"shard {self.path} is closed")
+        self.write(record)
 
 
 class SweepStore:
@@ -433,11 +421,8 @@ class SweepStore:
                     f"store {self.root} holds shards but no spec.json; "
                     "refusing to guess — use a fresh --store directory"
                 )
-            tmp = self.spec_path.with_suffix(".json.tmp")
-            tmp.write_text(json.dumps(spec.identity(), indent=2,
-                                      sort_keys=True) + "\n",
-                           encoding="utf-8")
-            os.replace(tmp, self.spec_path)
+            atomic_write_text(self.spec_path, json.dumps(
+                spec.identity(), indent=2, sort_keys=True) + "\n")
 
     def generation(self) -> int:
         """1 + the highest generation number any existing shard carries."""
@@ -481,32 +466,25 @@ class SweepStore:
         shards = 0
         for path in self.shard_paths():
             shards += 1
-            with open(path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        doc = json.loads(line)
-                    except ValueError:
-                        skipped += 1
-                        continue
-                    if not isinstance(doc, dict) or doc.get("type") == "meta":
-                        continue
-                    key = doc.get("key")
-                    kind = doc.get("type")
-                    if not isinstance(key, str) or kind not in (
-                            "cell", "quarantine"):
-                        skipped += 1
-                        continue
-                    normalised = normalise_record(doc)
-                    bucket = completed if kind == "cell" else quarantined
-                    previous = bucket.get(key)
-                    if previous is None:
-                        bucket[key] = normalised
-                    elif previous != normalised:
-                        conflicts.setdefault(key, set()).update(
-                            (_canonical(previous), _canonical(normalised)))
+            docs, damaged = read_jsonl(path)
+            skipped += len(damaged)
+            for doc in docs:
+                key = doc.get("key")
+                kind = doc.get("type")
+                if kind == "meta":
+                    continue
+                if not isinstance(key, str) or kind not in (
+                        "cell", "quarantine"):
+                    skipped += 1
+                    continue
+                normalised = normalise_record(doc)
+                bucket = completed if kind == "cell" else quarantined
+                previous = bucket.get(key)
+                if previous is None:
+                    bucket[key] = normalised
+                elif previous != normalised:
+                    conflicts.setdefault(key, set()).update(
+                        (canonical_json(previous), canonical_json(normalised)))
         conflict_rows = [
             {"key": key, "records": sorted(variants)}
             for key, variants in sorted(conflicts.items())
@@ -573,7 +551,7 @@ def merge_store(store: "SweepStore | str | os.PathLike[str]",
 
 def rollup_digest(rollup: Mapping[str, Any]) -> str:
     """SHA-256 over the rollup's canonical JSON bytes."""
-    return hashlib.sha256(_canonical(rollup).encode("utf-8")).hexdigest()
+    return sha256_hex(rollup)
 
 
 #: the per-record fields :func:`results_digest` hashes — what a cell
@@ -596,19 +574,16 @@ def results_digest(rollup: Mapping[str, Any]) -> str:
     def strip(record: Mapping[str, Any]) -> dict[str, Any]:
         return {k: record[k] for k in RESULT_FIELDS if k in record}
 
-    doc = {
+    return sha256_hex({
         "cells": [strip(r) for r in rollup.get("cells", ())],
         "quarantined": [strip(r) for r in rollup.get("quarantined", ())],
-    }
-    return hashlib.sha256(_canonical(doc).encode("utf-8")).hexdigest()
+    })
 
 
 def write_rollup(store: SweepStore, rollup: Mapping[str, Any]) -> Path:
     """Atomically write ``rollup.json`` (tmp + rename); returns the path."""
-    tmp = store.rollup_path.with_suffix(".json.tmp")
-    tmp.write_text(json.dumps(rollup, indent=2, sort_keys=True) + "\n",
-                   encoding="utf-8")
-    os.replace(tmp, store.rollup_path)
+    atomic_write_text(store.rollup_path,
+                      json.dumps(rollup, indent=2, sort_keys=True) + "\n")
     return store.rollup_path
 
 

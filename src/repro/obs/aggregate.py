@@ -21,10 +21,11 @@ of argument order or filesystem enumeration order.
 
 from __future__ import annotations
 
-import json
+import math
 import os
 from typing import Any, Iterable, Mapping
 
+from repro.obs.jsonl import read_jsonl
 from repro.obs.live import LIVE_SCHEMA
 
 #: schema tag stamped on the merged rollup document
@@ -41,52 +42,51 @@ def read_snapshots(path: "str | os.PathLike[str]") -> dict[str, Any]:
     ``kill -9`` — are counted in ``skipped`` and dropped.
     """
     path = os.fspath(path)
-    records: list[dict[str, Any]] = []
-    skipped = 0
-    source: str | None = None
-    schema: str | None = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                doc = json.loads(line)
-            except ValueError:
-                skipped += 1
-                continue
-            if not isinstance(doc, dict):
-                skipped += 1
-                continue
-            if doc.get("type") == "meta":
-                schema = doc.get("schema", schema)
-                source = doc.get("source", source)
-                continue
-            records.append(doc)
-    if source is None:
-        source = os.path.basename(path)
-    return {"path": path, "source": source, "schema": schema,
-            "records": records, "skipped": skipped}
+    docs, damaged = read_jsonl(path)
+    header = {key: value for doc in docs if doc.get("type") == "meta"
+              for key, value in doc.items()}
+    source = header.get("source")
+    return {"path": path,
+            "source": source if source is not None else os.path.basename(path),
+            "schema": header.get("schema"),
+            "records": [doc for doc in docs if doc.get("type") != "meta"],
+            "skipped": len(damaged)}
 
 
-def _snapshot_rows(shard: Mapping[str, Any]) -> list[dict[str, Any]]:
-    """Normalise one shard's records into live-snapshot rows.
+def _orders(value: Any) -> bool:
+    """Whether an ordering field (``seq``/``episode``) is a finite number."""
+    return isinstance(value, (int, float)) and math.isfinite(value)
+
+
+def _snapshot_rows(
+    shard: Mapping[str, Any],
+) -> tuple[list[dict[str, Any]], int]:
+    """Normalise one shard's records into ``(live-snapshot rows, invalid)``.
 
     ``repro.live/v1`` snapshot records pass through; telemetry
     ``episode`` records map onto ``kind="train"`` rows (``seq`` from
     the episode index) so both shard species merge under one scheme.
+    A well-formed line that cannot be ordered — its ``seq`` (or the
+    ``episode`` it derives from) is not a finite number — is corrupt
+    data, not a crash: it is dropped and counted in ``invalid``.
     """
     rows: list[dict[str, Any]] = []
+    invalid = 0
     for record in shard["records"]:
         rtype = record.get("type")
-        if rtype == "snapshot" or record.get("schema") == LIVE_SCHEMA:
-            rows.append(dict(record))
-        elif rtype == "episode":
-            row = dict(record)
+        row = dict(record)
+        if rtype == "episode":
+            episode = record.get("episode", 0)
             row.setdefault("kind", "train")
-            row.setdefault("seq", int(record.get("episode", 0)) + 1)
+            row.setdefault("seq",
+                           int(episode) + 1 if _orders(episode) else None)
+        elif rtype != "snapshot" and record.get("schema") != LIVE_SCHEMA:
+            continue
+        if _orders(row.get("seq", 0)):
             rows.append(row)
-    return rows
+        else:
+            invalid += 1
+    return rows, invalid
 
 
 _NUMERIC_SUMMARY_FIELDS = (
@@ -110,10 +110,10 @@ def merge_shards(paths: Iterable["str | os.PathLike[str]"]) -> dict[str, Any]:
     shards = [read_snapshots(p) for p in paths]
     shards.sort(key=lambda s: (os.path.basename(s["path"]), s["path"]))
     kinds: dict[str, dict[str, Any]] = {}
-    total_skipped = 0
     for shard in shards:
-        total_skipped += shard["skipped"]
-        for row in _snapshot_rows(shard):
+        rows, invalid = _snapshot_rows(shard)
+        shard["skipped"] += invalid
+        for row in rows:
             kind = str(row.get("kind", "?"))
             bucket = kinds.setdefault(kind, {"snapshots": 0, "sources": {},
                                              "fields": {}})
@@ -156,7 +156,7 @@ def merge_shards(paths: Iterable["str | os.PathLike[str]"]) -> dict[str, Any]:
                     "source": s["source"], "schema": s["schema"],
                     "records": len(s["records"]), "skipped": s["skipped"]}
                    for s in shards],
-        "skipped": total_skipped,
+        "skipped": sum(s["skipped"] for s in shards),
         "kinds": rollup_kinds,
     }
 

@@ -31,6 +31,7 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.obs.manifest import VOLATILE_FIELDS, RunManifest
+from repro.obs.metrics import nearest_rank
 from repro.obs.trace import Span, build_span_tree, read_trace
 
 
@@ -122,14 +123,6 @@ class Histogram:
         }
 
 
-def _percentile(ordered: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile of an already-sorted sequence."""
-    if not ordered:
-        return 0.0
-    rank = max(0, min(len(ordered) - 1, math.ceil(q * len(ordered)) - 1))
-    return ordered[rank]
-
-
 def latency_histogram(values: Iterable[float], bins: int = 12) -> Histogram:
     """Log-spaced histogram of positive latency samples.
 
@@ -146,9 +139,9 @@ def latency_histogram(values: Iterable[float], bins: int = 12) -> Histogram:
     mean = sum(ordered) / len(ordered)
     stats = dict(
         n=len(ordered), min=lo, max=hi, mean=mean,
-        p50=_percentile(ordered, 0.50),
-        p90=_percentile(ordered, 0.90),
-        p99=_percentile(ordered, 0.99),
+        p50=ordered[nearest_rank(0.50, len(ordered)) - 1],
+        p90=ordered[nearest_rank(0.90, len(ordered)) - 1],
+        p99=ordered[nearest_rank(0.99, len(ordered)) - 1],
     )
     pos_lo = max(lo, 1e-9)
     pos_hi = max(hi, pos_lo)

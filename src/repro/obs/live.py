@@ -42,6 +42,7 @@ import threading
 import time
 from typing import Any, Mapping, TextIO
 
+from repro.obs.jsonl import JsonlWriter
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.promtext import render_prometheus
 
@@ -297,7 +298,7 @@ class ConnectionSink:
             pass
 
 
-class SnapshotWriter:
+class SnapshotWriter(JsonlWriter):
     """Appends snapshots to a JSONL shard (``repro.live/v1``).
 
     The first line is a ``meta`` header naming the schema, the shard's
@@ -311,33 +312,18 @@ class SnapshotWriter:
 
     def __init__(self, path: "str | os.PathLike[str]",
                  source: str | None = None) -> None:
-        self.path = os.fspath(path)
         self.source = source if source is not None else f"pid{os.getpid()}"
-        self._fh: TextIO | None = open(self.path, "w", encoding="utf-8")
         # sink-confined wall-clock stamp: lets humans correlate shards
         # from different hosts; nothing downstream feeds it back into
         # a simulation
         unix = time.time()  # repro: noqa[wall-clock, sim-wall-clock]
-        self._write_line({"type": "meta", "schema": LIVE_SCHEMA,
-                          "source": self.source, "unix": unix})
-
-    def _write_line(self, record: Mapping[str, Any]) -> None:
-        if self._fh is None:
-            return
-        self._fh.write(json.dumps(record, sort_keys=True) + "\n")
-        self._fh.flush()
+        super().__init__(path, LIVE_SCHEMA,
+                         {"source": self.source, "unix": unix})
 
     def on_snapshot(self, record: Mapping[str, Any]) -> None:
-        """Append one snapshot record to the shard."""
-        row = {"type": "snapshot", "source": self.source}
-        row.update(record)
-        self._write_line(row)
-
-    def close(self) -> None:
-        """Close the shard file (idempotent)."""
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        """Append one snapshot record to the shard (no-op once closed)."""
+        if not self.closed:
+            self.write({"type": "snapshot", "source": self.source, **record})
 
 
 class LiveServer:

@@ -15,13 +15,14 @@ mismatch always means the *inputs* changed.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import subprocess
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
+
+from repro.obs.jsonl import atomic_write_text, sha256_hex
 
 #: schema tag stamped into every manifest
 MANIFEST_SCHEMA = "repro.manifest/v1"
@@ -180,16 +181,14 @@ class RunManifest:
         Two runs of the same code on the same inputs produce the same
         digest even though their timestamps differ.
         """
-        doc = {k: v for k, v in self.as_dict().items() if k not in VOLATILE_FIELDS}
-        canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return sha256_hex({k: v for k, v in self.as_dict().items()
+                           if k not in VOLATILE_FIELDS})
 
     def write(self, path: str | Path) -> Path:
-        """Write the manifest as pretty-printed JSON; returns the path."""
-        path = Path(path)
-        path.write_text(json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n",
-                        encoding="utf-8")
-        return path
+        """Atomically write pretty-printed manifest JSON; returns the path."""
+        atomic_write_text(
+            path, json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n")
+        return Path(path)
 
     @staticmethod
     def read(path: str | Path) -> "RunManifest":

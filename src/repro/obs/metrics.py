@@ -77,6 +77,15 @@ def _hist_representative(index: int) -> float:
     return math.sqrt(TIMER_HIST_EDGES[index - 1] * TIMER_HIST_EDGES[index])
 
 
+def nearest_rank(q: float, n: int) -> int:
+    """1-based nearest rank of quantile ``q`` among ``n`` samples.
+
+    ``ceil(q * n)`` clamped into ``[1, n]``: the one rank rule behind
+    binned (:meth:`Timer.quantile`) and exact (``obs.analyze``) percentiles.
+    """
+    return max(1, min(n, math.ceil(q * n)))
+
+
 class Counter:
     """A monotonically increasing count."""
 
@@ -176,7 +185,7 @@ class Timer:
         total = sum(self.bins)
         if total == 0:
             return 0.0
-        rank = max(1, min(total, math.ceil(q * total)))
+        rank = nearest_rank(q, total)
         seen = 0
         for index, bin_count in enumerate(self.bins):
             seen += bin_count

@@ -52,10 +52,11 @@ import atexit
 import json
 import os
 import time
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, IO, Iterable
+
+from repro.obs.jsonl import read_jsonl
 
 #: schema tag stamped into the first record of every trace file
 TRACE_SCHEMA = "repro.trace/v1"
@@ -531,38 +532,7 @@ def read_trace(path: str | Path, strict: bool = True) -> list[dict[str, Any]]:
     records are skipped with a :class:`TraceWarning` naming the line,
     so analysis still works on the surviving records.
     """
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                if strict:
-                    raise ValueError(
-                        f"{path}:{line_no}: invalid trace line"
-                    ) from exc
-                warnings.warn(
-                    f"{path}:{line_no}: skipping malformed trace line",
-                    TraceWarning,
-                    stacklevel=2,
-                )
-                continue
-            if not isinstance(record, dict):
-                if strict:
-                    raise ValueError(
-                        f"{path}:{line_no}: trace record is not an object"
-                    )
-                warnings.warn(
-                    f"{path}:{line_no}: skipping non-object trace record",
-                    TraceWarning,
-                    stacklevel=2,
-                )
-                continue
-            records.append(record)
-    return records
+    return read_jsonl(path, strict=strict, warn=TraceWarning)[0]
 
 
 def build_span_tree(records: Iterable[dict[str, Any]]) -> list[Span]:

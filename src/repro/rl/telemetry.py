@@ -26,13 +26,12 @@ training runs regularly brush against them early on.
 
 from __future__ import annotations
 
-import json
 import math
-import warnings
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.check.sanitize import SanitizerError, sanitizer_enabled
+from repro.obs.jsonl import JsonlWriter, read_jsonl
 
 #: schema tag stamped on the meta line of every telemetry file
 TELEMETRY_SCHEMA = "repro.telemetry/v1"
@@ -47,13 +46,17 @@ class TelemetryWarning(UserWarning):
     """Warning category for skipped lines in lenient telemetry reads."""
 
 
-class TelemetryWriter:
+class TelemetryWriter(JsonlWriter):
     """Appends one JSON line per training episode to a file.
 
     The first line is a ``meta`` record carrying the schema tag; each
     call to :meth:`write_episode` appends an ``episode`` record and
-    flushes, so the file is readable mid-run and after a crash.  Use as
-    a context manager, or call :meth:`close` explicitly::
+    flushes, so the file is readable mid-run and after a crash (the
+    shared contract: :mod:`repro.obs.jsonl`).  ``resume_at`` is the
+    checkpoint-resume path: records written after that checkpointed
+    byte offset belong to lost episodes and are dropped before
+    appending continues.  Use as a context manager, or call
+    :meth:`close` explicitly::
 
         with TelemetryWriter("run.telemetry.jsonl") as telemetry:
             trainer = Trainer(agent, 256, telemetry=telemetry)
@@ -62,54 +65,16 @@ class TelemetryWriter:
 
     def __init__(self, path: str | Path, meta: Mapping[str, Any] | None = None,
                  resume_at: int | None = None):
+        super().__init__(path, TELEMETRY_SCHEMA, meta, resume_at)
         self.path = Path(path)
-        self._closed = False
         self.n_written = 0
-        if resume_at is not None and self.path.exists():
-            # checkpoint resume: drop any records written after the
-            # checkpointed byte offset (they belong to lost episodes),
-            # then continue appending — no second meta header
-            fh = self.path.open("r+", encoding="utf-8")
-            fh.truncate(resume_at)
-            fh.seek(0, 2)  # to end-of-file after the truncation
-            self._fh = fh
-            return
-        self._fh = self.path.open("w", encoding="utf-8")
-        header: dict[str, Any] = {"type": "meta", "schema": TELEMETRY_SCHEMA}
-        if meta:
-            header.update(meta)
-        self._write_line(header)
-
-    def _write_line(self, record: Mapping[str, Any]) -> None:
-        self._fh.write(json.dumps(record, sort_keys=True,
-                                  allow_nan=True) + "\n")
-        self._fh.flush()
 
     def write_episode(self, record: Mapping[str, Any]) -> None:
         """Append one episode record (``type`` is stamped here)."""
-        if self._closed:
+        if self.closed:
             raise ValueError("telemetry writer is closed")
-        doc = dict(record)
-        doc["type"] = "episode"
-        self._write_line(doc)
+        self.write({**record, "type": "episode"})
         self.n_written += 1
-
-    def offset(self) -> int:
-        """Current byte offset of the file (for checkpoint resume)."""
-        self._fh.flush()
-        return self._fh.tell()
-
-    def close(self) -> None:
-        """Flush and close the underlying file (idempotent)."""
-        if not self._closed:
-            self._closed = True
-            self._fh.close()
-
-    def __enter__(self) -> "TelemetryWriter":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
 
 def read_telemetry(
@@ -124,36 +89,7 @@ def read_telemetry(
     :class:`TelemetryWarning`; with ``strict=True`` they raise
     ``ValueError``.
     """
-    records: list[dict[str, Any]] = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                if strict:
-                    raise ValueError(
-                        f"{path}:{lineno}: invalid JSON: {exc}"
-                    ) from exc
-                warnings.warn(
-                    f"{path}:{lineno}: skipping invalid JSON line",
-                    TelemetryWarning, stacklevel=2,
-                )
-                continue
-            if not isinstance(record, dict):
-                if strict:
-                    raise ValueError(
-                        f"{path}:{lineno}: expected an object, "
-                        f"got {type(record).__name__}"
-                    )
-                warnings.warn(
-                    f"{path}:{lineno}: skipping non-object record",
-                    TelemetryWarning, stacklevel=2,
-                )
-                continue
-            records.append(record)
-    return records
+    return read_jsonl(path, strict=strict, warn=TelemetryWarning)[0]
 
 
 def episode_records(

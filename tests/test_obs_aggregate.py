@@ -103,6 +103,30 @@ class TestMergeShards:
         assert train["last"]["t0"]["episode"] == 1   # seq derives from episode
         assert train["fields"]["train_reward"] == {"min": -1.5, "max": -1.0}
 
+    def test_non_numeric_seq_is_skipped_not_fatal(self, tmp_path):
+        path = tmp_path / "a.jsonl"
+        _write_shard(path, "a0", [("sim", {"done": 1, "total": 4})])
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write('{"type":"snapshot","kind":"sim","seq":"x","done":9}\n')
+        rollup = merge_shards([path])
+        assert rollup["skipped"] == 1
+        assert rollup["shards"][0]["skipped"] == 1
+        sim = rollup["kinds"]["sim"]
+        assert sim["snapshots"] == 1 and sim["last"]["a0"]["done"] == 1
+
+    def test_null_episode_is_skipped_not_fatal(self, tmp_path):
+        path = tmp_path / "telemetry.jsonl"
+        lines = [{"type": "meta", "schema": "repro.telemetry/v1",
+                  "source": "t0"},
+                 {"type": "episode", "episode": 0, "train_reward": -1.5},
+                 {"type": "episode", "episode": None, "train_reward": 9.0}]
+        path.write_text("".join(json.dumps(l) + "\n" for l in lines))
+        rollup = merge_shards([path])
+        assert rollup["skipped"] == rollup["shards"][0]["skipped"] == 1
+        train = rollup["kinds"]["train"]
+        assert train["snapshots"] == 1
+        assert train["fields"]["train_reward"] == {"min": -1.5, "max": -1.5}
+
     def test_format_rollup_smoke(self, tmp_path):
         a, b = self._two_shards(tmp_path)
         text = format_rollup(merge_shards([a, b]))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -59,6 +60,21 @@ class TestWriterReader:
         writer.close()  # idempotent
         with pytest.raises(ValueError, match="closed"):
             writer.write_episode({})
+
+    def test_resume_past_eof_loses_no_episode(self, tmp_path):
+        # an OS crash can leave the flushed log shorter than the offset
+        # the fsynced checkpoint recorded
+        path = tmp_path / "t.jsonl"
+        with TelemetryWriter(path) as writer:
+            writer.write_episode({"episode": 0})
+        size = path.stat().st_size
+        with TelemetryWriter(path, resume_at=size + 50) as writer:
+            writer.write_episode({"episode": 1})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            records = read_telemetry(path)
+        assert [r["episode"] for r in episode_records(records)] == [0, 1]
+        assert b"\x00" not in path.read_bytes()
 
     def test_lenient_read_skips_garbage(self, tmp_path):
         path = tmp_path / "t.jsonl"
