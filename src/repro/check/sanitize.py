@@ -21,6 +21,11 @@ Checked invariants
   ``used + free + down == total``, allocation table sizes match the
   busy-node count, and the set of job ids on nodes equals the
   allocation table;
+* **release index** — after the same mutations: the cluster's
+  release-time index, expanded to one time per node, equals the release
+  times recomputed from the per-node arrays (mask, gather, sort — the
+  definition the index replaced), and its sizes sum to the nodes that
+  are not free;
 * **event-time monotonicity** — ``Engine.run`` never moves the clock
   backwards;
 * **metric sanity** — per-job wait and turnaround are non-negative when
@@ -42,6 +47,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.sim.cluster import Cluster
 
 _TRUTHY_OFF = ("", "0", "false", "no", "off")
+
+#: ``Cluster._job_of`` value of a free node (``repro.sim.cluster``
+#: imports this module, so it is mirrored here instead of imported)
+_FREE = -1
 
 #: test/CLI override: None = follow the environment variable
 _FORCED: bool | None = None
@@ -80,13 +89,21 @@ def check_node_conservation(cluster: "Cluster", context: str = "") -> None:
     """``used + free + down == total`` and the allocation table matches.
 
     Without faults ``down`` is zero, reducing to the classic
-    ``used + free == total`` conservation law.
+    ``used + free == total`` conservation law.  ``used`` and ``down``
+    are recounted from the per-node array, so the cluster's cached
+    free/down counts are cross-checked rather than trusted.
     """
     total = cluster.num_nodes
     free = cluster.available_nodes
-    used = cluster.used_nodes
-    down = cluster.down_nodes
+    used = int(np.count_nonzero(cluster._job_of >= 0))
+    down = int(np.count_nonzero(cluster.down_mask))
     where = f" after {context}" if context else ""
+    if down != cluster.down_nodes:
+        _fail(
+            "node-conservation",
+            f"{down} nodes are marked down but the cached down count is "
+            f"{cluster.down_nodes}{where}",
+        )
     if used + free + down != total:
         _fail(
             "node-conservation",
@@ -108,6 +125,40 @@ def check_node_conservation(cluster: "Cluster", context: str = "") -> None:
             f"jobs on nodes {sorted(on_nodes)} != allocation table "
             f"{sorted(in_table)}{where}",
         )
+
+
+def check_release_index(cluster: "Cluster", context: str = "") -> None:
+    """The release-time index agrees with the per-node arrays.
+
+    The oracle is the definition the index replaced: mask the non-free
+    nodes, gather their estimated available times, sort.
+    """
+    where = f" after {context}" if context else ""
+    group_times, group_sizes = cluster.release_groups(-np.inf)  # unclipped
+    indexed = int(group_sizes.sum())
+    unavailable = cluster.num_nodes - cluster.available_nodes
+    if indexed != unavailable:
+        _fail(
+            "release-index",
+            f"index groups cover {indexed} nodes but {unavailable} nodes "
+            f"are busy or down{where}",
+        )
+    busy = cluster._job_of != _FREE
+    times = cluster._avail_at[busy]
+    times.sort()
+    expanded = np.repeat(group_times, group_sizes)
+    if not np.array_equal(expanded, times):
+        _fail(
+            "release-index",
+            f"index expands to {expanded.size} release times that differ "
+            f"from the {times.size} recomputed from the per-node arrays{where}",
+        )
+
+
+def check_cluster(cluster: "Cluster", context: str = "") -> None:
+    """Every cluster invariant; the hook ``Cluster`` runs per mutation."""
+    check_node_conservation(cluster, context)
+    check_release_index(cluster, context)
 
 
 def check_monotonic_time(previous: float, now: float) -> None:

@@ -340,6 +340,48 @@ def bench_conservative_profile(
     )
 
 
+def bench_cluster_release_query(
+    seed: int = 0,
+    quick: bool = False,
+    rng: np.random.Generator | None = None,
+) -> BenchResult:
+    """EASY reservation query + node-pool update, up to paper scale.
+
+    One "event" is one ``reservation_point`` for a blocked half-machine
+    job followed by one ``allocate`` / ``release`` pair — a scheduling
+    instance's traffic on the cluster's release-time index — on loaded
+    64-, 4,360- (Theta) and 12,076-node (Cori) clusters.  The headline
+    rate pools the three sizes; ``extra`` carries each size's own.
+    """
+    from repro.sim.job import Job
+
+    rng = _suite_rng(seed, rng)
+    sizes = (64, 4360, 12076)
+    reps = 200 if quick else 5_000
+    filler = Job(size=4, walltime=3600.0, runtime=600.0, submit_time=0.0,
+                 job_id=3_000_000)
+    wall = 0.0
+    by_nodes = {}
+    for num_nodes in sizes:
+        cluster, _, blocked = _loaded_cluster(num_nodes, rng)
+        t0 = time.perf_counter()
+        for _ in range(reps):
+            cluster.reservation_point(blocked.size, 0.0)
+            cluster.allocate(filler, 0.0)
+            cluster.release(filler)
+        elapsed = time.perf_counter() - t0
+        wall += elapsed
+        by_nodes[str(num_nodes)] = reps / elapsed if elapsed > 0 else 0.0
+    return BenchResult(
+        name="cluster-release-query",
+        reps=reps * len(sizes),
+        wall_s=wall,
+        rate_key="events_per_s",
+        rate=reps * len(sizes) / wall if wall > 0 else 0.0,
+        extra={"num_nodes": list(sizes), "events_per_s_by_nodes": by_nodes},
+    )
+
+
 # -- NN benchmarks -------------------------------------------------------------
 
 #: minibatch of the per-decision NN benchmarks (the DRAS window shape)
@@ -498,6 +540,7 @@ SIM_BENCHES: tuple[Callable[..., BenchResult], ...] = (
     bench_engine_faulted,
     bench_backfill,
     bench_conservative_profile,
+    bench_cluster_release_query,
 )
 
 NN_BENCHES: tuple[Callable[..., BenchResult], ...] = (

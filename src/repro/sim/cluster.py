@@ -13,6 +13,14 @@ node is neither free nor occupied by a job; its ``_avail_at`` entry
 holds the expected repair time, so the EASY shadow-time machinery and
 the RL node-state encoding treat it exactly like a busy node that
 frees at the repair — no policy needs fault-specific code.
+
+Release-time index: EASY reserves for the blocked head job at every
+scheduling instance, so "when are ``size`` nodes expected to be free?"
+is asked far more often than the node pool changes.  The cluster keeps
+one entry ``(est_release, n_nodes, key)`` per *release group* — a
+running job or a down node — sorted by ``est_release`` and updated by
+every mutator, so the queries are a cumulative-size lookup plus a
+binary search instead of a mask, gather and sort over every busy node.
 """
 
 from __future__ import annotations
@@ -33,8 +41,21 @@ class Cluster:
     lowest-indexed free nodes, which matches the level of detail of the
     paper's simulator.
 
-    ``sanitize`` activates node-conservation checks after every
-    allocate/release (``None`` follows the ``REPRO_SANITIZE`` env var).
+    Release-time index.  ``_rel_times`` / ``_rel_sizes`` / ``_rel_keys``
+    hold, in their first ``_rel_n`` slots, one entry per release group:
+    the time its nodes are expected to come free (unclipped: a job
+    running past its estimate keeps a time in the past), how many nodes
+    that is, and who holds them.  Invariant, re-established by every
+    mutator: entries are sorted by ``est_release`` (ties in insertion
+    order); sizes sum to the busy plus down nodes, i.e.
+    ``num_nodes - available_nodes``; a key is a job id (``>= 0``, one
+    entry of ``job.size`` nodes per running job) or a down-node token
+    (``-1 - node``, one single-node entry per down node, freeing at the
+    expected repair).  All release-time queries read this index only.
+
+    ``sanitize`` activates node-conservation and release-index checks
+    after every mutation (``None`` follows the ``REPRO_SANITIZE`` env
+    var).
     """
 
     def __init__(self, num_nodes: int, sanitize: bool | None = None) -> None:
@@ -55,6 +76,18 @@ class Cluster:
         #: The node-conservation sanitizer recomputes used/down counts,
         #: so ``used + free + down == total`` cross-checks this cache.
         self._free_count = self.num_nodes
+        #: cached count of down nodes, maintained by fail/repair/reset
+        #: and cross-checked the same way
+        self._down_count = 0
+        #: release-time index (see the class docstring); a group holds
+        #: at least one node, so ``num_nodes`` slots always suffice
+        self._rel_times = np.zeros(self.num_nodes, dtype=np.float64)
+        self._rel_sizes = np.zeros(self.num_nodes, dtype=np.int64)
+        self._rel_keys = np.zeros(self.num_nodes, dtype=np.int64)
+        self._rel_n = 0
+        #: running sum of ``_rel_sizes[:_rel_n]``, dropped by every
+        #: index mutation and rebuilt by the next query
+        self._rel_cum: np.ndarray | None = None
         #: running node-seconds of *actual* useful work accumulated by
         #: finished jobs, used by utilization accounting.
         self._used_node_seconds = 0.0
@@ -85,12 +118,12 @@ class Cluster:
         Down nodes are neither used nor available; without faults this
         equals ``num_nodes - available_nodes`` as before.
         """
-        return int(np.count_nonzero(self._job_of >= 0))
+        return self.num_nodes - self._free_count - self._down_count
 
     @property
     def down_nodes(self) -> int:
         """Number of currently failed (down) nodes."""
-        return int(np.count_nonzero(self._job_of == _DOWN))
+        return self._down_count
 
     @property
     def up_nodes(self) -> int:
@@ -100,7 +133,7 @@ class Cluster:
         utilization, state normalization) under faults; it equals
         ``num_nodes`` whenever no fault model is active.
         """
-        return self.num_nodes - self.down_nodes
+        return self.num_nodes - self._down_count
 
     @property
     def down_mask(self) -> np.ndarray:
@@ -145,18 +178,88 @@ class Cluster:
         state[~free, 1] = np.maximum(remaining[~free], 0.0)
         return state
 
+    # -- release-time index ------------------------------------------------
+    def _index_add(self, when: float, size: int, key: int) -> None:
+        """Insert the group ``(when, size, key)``, after any equal times."""
+        n = self._rel_n
+        times, sizes, keys = self._rel_times, self._rel_sizes, self._rel_keys
+        pos = int(times[:n].searchsorted(when, side="right"))
+        if pos < n:
+            times[pos + 1:n + 1] = times[pos:n]
+            sizes[pos + 1:n + 1] = sizes[pos:n]
+            keys[pos + 1:n + 1] = keys[pos:n]
+        times[pos] = when
+        sizes[pos] = size
+        keys[pos] = key
+        self._rel_n = n + 1
+        self._rel_cum = None
+
+    def _index_remove(self, when: float, key: int) -> None:
+        """Delete the group ``key``, which was inserted at time ``when``."""
+        n = self._rel_n
+        times, sizes, keys = self._rel_times, self._rel_sizes, self._rel_keys
+        pos = int(times[:n].searchsorted(when, side="left"))
+        if keys[pos] != key:
+            # tied release times: the group is somewhere in the run
+            end = int(times[:n].searchsorted(when, side="right"))
+            pos += int(np.flatnonzero(keys[pos:end] == key)[0])
+        if pos < n - 1:
+            times[pos:n - 1] = times[pos + 1:n]
+            sizes[pos:n - 1] = sizes[pos + 1:n]
+            keys[pos:n - 1] = keys[pos + 1:n]
+        self._rel_n = n - 1
+        self._rel_cum = None
+
+    def _cumulative(self) -> np.ndarray:
+        """Nodes released by each group and all groups before it."""
+        if self._rel_cum is None:
+            self._rel_cum = self._rel_sizes[:self._rel_n].cumsum()
+        return self._rel_cum
+
+    def _released_by(self, when: float) -> int:
+        """Nodes of all groups with ``est_release <= when``."""
+        times = self._rel_times[:self._rel_n]
+        upto = int(times.searchsorted(when, side="right"))
+        return int(self._cumulative()[upto - 1]) if upto else 0
+
+    def _shadow(self, size: int, now: float) -> float:
+        """:meth:`shadow_time` proper, shared with :meth:`reservation_point`.
+
+        The public queries never call one another, so a tracer that
+        wraps them from outside counts each query once.
+        """
+        if size > self.num_nodes:
+            raise ValueError(
+                f"job size {size} exceeds cluster size {self.num_nodes}"
+            )
+        needed = size - self._free_count
+        if needed <= 0:
+            return now
+        # the group whose release first brings the running total to
+        # ``needed``; clipping to ``now`` preserves the sort order
+        group = int(self._cumulative().searchsorted(needed, side="left"))
+        return float(max(self._rel_times[group], now))
+
+    def release_groups(self, now: float) -> tuple[np.ndarray, np.ndarray]:
+        """``(times, sizes)`` of the release groups, times ascending.
+
+        One entry per running job and per down node: ``sizes[i]`` nodes
+        are expected to come free at ``times[i]`` (>= ``now``; equal
+        times are not merged).  Both arrays are copies.
+        """
+        n = self._rel_n
+        return np.maximum(self._rel_times[:n], now), self._rel_sizes[:n].copy()
+
     def estimated_release_times(self, now: float) -> np.ndarray:
         """Sorted estimated release times of busy nodes (>= ``now``).
 
         This is the input to the EASY shadow-time computation: assuming
         every running job occupies its nodes until its walltime estimate
         (and every down node until its expected repair), when does each
-        unavailable node come free?
+        unavailable node come free?  It is the index expanded to one
+        element per node.
         """
-        busy = self._job_of != _FREE
-        times = np.maximum(self._avail_at[busy], now)
-        times.sort()
-        return times
+        return np.repeat(*self.release_groups(now))
 
     def shadow_time(self, size: int, now: float) -> float:
         """Earliest time at which ``size`` nodes are expected to be free.
@@ -165,50 +268,32 @@ class Cluster:
         in which case the actual availability is sooner).  Returns
         ``now`` when the job already fits.
         """
-        if size > self.num_nodes:
-            raise ValueError(
-                f"job size {size} exceeds cluster size {self.num_nodes}"
-            )
-        free = self.available_nodes
-        if size <= free:
-            return now
-        releases = self.estimated_release_times(now)
-        # After the k-th busy node releases, free + k + 1 nodes are free.
-        needed = size - free
-        return float(releases[needed - 1])
+        return self._shadow(size, now)
 
     def free_nodes_at(self, when: float, now: float) -> int:
         """Expected number of free nodes at time ``when`` (``when >= now``)."""
-        releases = self.estimated_release_times(now)
-        return self.available_nodes + int(np.searchsorted(releases, when, side="right"))
+        if when < now:
+            # every release is clipped to ``now``, so none precedes it
+            return self._free_count
+        return self._free_count + self._released_by(when)
 
     def reservation_point(self, size: int, now: float) -> tuple[float, int]:
-        """``(shadow_time, free_nodes_at(shadow_time))`` in one pass.
+        """``(shadow_time, free_nodes_at(shadow_time))`` in one call.
 
-        Equivalent to calling :meth:`shadow_time` then
-        :meth:`free_nodes_at` at that shadow, but sorts the estimated
-        release times once instead of twice — this pair is computed for
-        the queue head on every EASY-backfill scheduler pass.
+        This pair is computed for the queue head on every EASY-backfill
+        scheduler pass.  The shadow is never before ``now``, so every
+        group with ``est_release <= shadow`` has released by then.
         """
-        if size > self.num_nodes:
-            raise ValueError(
-                f"job size {size} exceeds cluster size {self.num_nodes}"
-            )
-        free = self._free_count
-        releases = self.estimated_release_times(now)
-        if size <= free:
-            shadow = now
-        else:
-            shadow = float(releases[size - free - 1])
-        free_at = free + int(np.searchsorted(releases, shadow, side="right"))
-        return shadow, free_at
+        shadow = self._shadow(size, now)
+        return shadow, self._free_count + self._released_by(shadow)
 
     # -- allocation -------------------------------------------------------------
     def allocate(self, job: Job, now: float) -> np.ndarray:
         """Assign the lowest-indexed free nodes to ``job``.
 
         Returns the allocated node indices.  Raises if the job does not
-        fit or is already running.
+        fit or is already running.  The job becomes one release group
+        of ``job.size`` nodes at ``now + job.walltime``.
         """
         if job.job_id in self._alloc:
             raise RuntimeError(f"job {job.job_id} already allocated")
@@ -218,26 +303,34 @@ class Cluster:
                 f"job {job.job_id} needs {job.size} nodes, only {free_idx.size} free"
             )
         chosen = free_idx[: job.size]
+        est_release = now + job.walltime
         self._job_of[chosen] = job.job_id
-        self._avail_at[chosen] = now + job.walltime
+        self._avail_at[chosen] = est_release
         self._alloc[job.job_id] = chosen
         self._free_count -= job.size
+        self._index_add(est_release, job.size, job.job_id)
         if self.sanitize_active:
-            _san.check_node_conservation(self, f"allocate(job {job.job_id})")
+            _san.check_cluster(self, f"allocate(job {job.job_id})")
         return chosen.copy()
 
-    def release(self, job: Job) -> None:
-        """Free the nodes held by ``job`` and account its useful work."""
+    def _deallocate(self, job_id: int) -> np.ndarray:
+        """Free a running job's nodes and drop its release group."""
         try:
-            nodes = self._alloc.pop(job.job_id)
+            nodes = self._alloc.pop(job_id)
         except KeyError:
-            raise RuntimeError(f"job {job.job_id} is not allocated") from None
+            raise RuntimeError(f"job {job_id} is not allocated") from None
+        self._index_remove(float(self._avail_at[nodes[0]]), job_id)
         self._job_of[nodes] = _FREE
         self._avail_at[nodes] = 0.0
         self._free_count += len(nodes)
+        return nodes
+
+    def release(self, job: Job) -> None:
+        """Free the nodes held by ``job`` and account its useful work."""
+        self._deallocate(job.job_id)
         self._used_node_seconds += job.node_seconds
         if self.sanitize_active:
-            _san.check_node_conservation(self, f"release(job {job.job_id})")
+            _san.check_cluster(self, f"release(job {job.job_id})")
 
     def release_killed(self, job: Job, now: float) -> np.ndarray:
         """Free the nodes of a fault-killed job; its work is wasted.
@@ -247,17 +340,11 @@ class Cluster:
         Returns the node indices the job held (so the caller can take a
         failed subset down).
         """
-        try:
-            nodes = self._alloc.pop(job.job_id)
-        except KeyError:
-            raise RuntimeError(f"job {job.job_id} is not allocated") from None
-        self._job_of[nodes] = _FREE
-        self._avail_at[nodes] = 0.0
-        self._free_count += len(nodes)
+        nodes = self._deallocate(job.job_id)
         if job.start_time is not None:
             self._wasted_node_seconds += job.size * max(0.0, now - job.start_time)
         if self.sanitize_active:
-            _san.check_node_conservation(self, f"release_killed(job {job.job_id})")
+            _san.check_cluster(self, f"release_killed(job {job.job_id})")
         return nodes.copy()
 
     # -- faults -----------------------------------------------------------------
@@ -270,7 +357,8 @@ class Cluster:
         blade down with independent repairs).  Callers must evacuate
         occupying jobs first (the engine kills them via
         :meth:`release_killed`); failing an occupied or already-down
-        node is a programming error and raises.
+        node is a programming error and raises.  Each node becomes its
+        own one-node release group at its expected repair time.
         """
         idx = np.asarray(nodes, dtype=np.int64)
         if idx.size == 0:
@@ -289,13 +377,19 @@ class Cluster:
         self._job_of[idx] = _DOWN
         self._avail_at[idx] = expected_up_at
         self._free_count -= int(idx.size)
-        for node in idx:
-            self._down_since[int(node)] = now
+        self._down_count += int(idx.size)
+        for node, up_at in zip(idx.tolist(), self._avail_at[idx].tolist()):
+            self._down_since[node] = now
+            self._index_add(up_at, 1, -1 - node)
         if self.sanitize_active:
-            _san.check_node_conservation(self, f"fail_nodes({idx.tolist()})")
+            _san.check_cluster(self, f"fail_nodes({idx.tolist()})")
 
     def repair_nodes(self, nodes: np.ndarray | list[int], now: float) -> None:
-        """Bring down ``nodes`` back up, closing their downtime intervals."""
+        """Bring down ``nodes`` back up, closing their downtime intervals.
+
+        Their release groups go with them, whether the repair comes
+        before or after the expected time.
+        """
         idx = np.asarray(nodes, dtype=np.int64)
         if idx.size == 0:
             return
@@ -305,14 +399,16 @@ class Cluster:
             raise RuntimeError(
                 f"cannot repair node(s) {bad.tolist()} that are not down"
             )
+        for node, up_at in zip(idx.tolist(), self._avail_at[idx].tolist()):
+            since = self._down_since.pop(node)
+            self._lost_node_seconds += max(0.0, now - since)
+            self._index_remove(up_at, -1 - node)
         self._job_of[idx] = _FREE
         self._avail_at[idx] = 0.0
         self._free_count += int(idx.size)
-        for node in idx:
-            since = self._down_since.pop(int(node))
-            self._lost_node_seconds += max(0.0, now - since)
+        self._down_count -= int(idx.size)
         if self.sanitize_active:
-            _san.check_node_conservation(self, f"repair_nodes({idx.tolist()})")
+            _san.check_cluster(self, f"repair_nodes({idx.tolist()})")
 
     # -- utilization accounting ----------------------------------------------
     def used_node_seconds(self, running_jobs: dict[int, Job] | None = None,
@@ -349,11 +445,17 @@ class Cluster:
         return total
 
     def reset(self) -> None:
-        """Return the cluster to the all-idle, all-up initial state."""
+        """Return the cluster to the all-idle, all-up initial state.
+
+        The release-time index empties with it.
+        """
         self._job_of.fill(_FREE)
         self._avail_at.fill(0.0)
         self._alloc.clear()
         self._free_count = self.num_nodes
+        self._down_count = 0
+        self._rel_n = 0
+        self._rel_cum = None
         self._used_node_seconds = 0.0
         self._wasted_node_seconds = 0.0
         self._lost_node_seconds = 0.0

@@ -53,14 +53,14 @@ class ResourceProfile:
     @classmethod
     def from_cluster(cls, cluster: Cluster, now: float) -> "ResourceProfile":
         """Profile induced by running jobs' walltime estimates."""
-        releases = cluster.estimated_release_times(now)
+        group_times, group_sizes = cluster.release_groups(now)
         times = [now]
         free = [cluster.available_nodes]
-        for t in np.unique(releases):
-            count = int(np.sum(releases == t))
-            t = float(max(t, now))
-            # exact merge of identical breakpoints (np.unique output);
-            # a tolerance would wrongly fuse distinct release times
+        # one pass over the time-sorted groups (one per running job or
+        # down node), already clipped to ``now``
+        for t, count in zip(group_times.tolist(), group_sizes.tolist()):
+            # exact merge of identical breakpoints (stored release
+            # times); a tolerance would wrongly fuse distinct ones
             if t == times[-1]:  # repro: noqa[float-time-eq]
                 free[-1] += count
             else:

@@ -91,6 +91,36 @@ class TestClusterInvariants:
         with pytest.raises(SanitizerError, match="node-conservation"):
             cluster.release(job)
 
+    @pytest.mark.parametrize("column, delta", [
+        ("_rel_times", 1.0),   # a group that releases at the wrong time
+        ("_rel_sizes", -1),    # a group that covers the wrong node count
+    ])
+    def test_corrupt_release_index_raises(self, column, delta):
+        cluster = Cluster(8, sanitize=True)
+        cluster.allocate(make_job(1, size=4), 0.0)
+        cluster.allocate(make_job(2, size=2), 5.0)
+        getattr(cluster, column)[0] += delta  # behind the mutators' back
+        with pytest.raises(SanitizerError, match="release-index"):
+            cluster.allocate(make_job(3, size=1), 6.0)
+
+    def test_stale_down_count_raises(self):
+        cluster = Cluster(8, sanitize=True)
+        cluster.fail_nodes([0, 1], 0.0, 50.0)
+        cluster._down_count -= 1
+        with pytest.raises(SanitizerError, match="cached down count"):
+            cluster.allocate(make_job(1, size=1), 1.0)
+
+    def test_faulted_sequence_passes_the_oracle(self):
+        cluster = Cluster(8, sanitize=True)
+        job = make_job(1, size=3)
+        cluster.allocate(job, 0.0)
+        cluster.fail_nodes([5, 6, 7], 1.0, np.array([40.0, 40.0, 9.0]))
+        cluster.release_killed(job, 2.0)
+        cluster.repair_nodes([7, 5], 30.0)   # one late, one early
+        cluster.reset()
+        sanitize.check_cluster(cluster, "reset")
+        assert cluster.estimated_release_times(0.0).size == 0
+
     def test_clean_allocate_release_passes(self, sanitizer_on):
         cluster = Cluster(8)
         job = make_job(1, size=8)

@@ -120,6 +120,38 @@ class TestShadowTime:
         assert cluster.free_nodes_at(200.0, now=0.0) == 8
 
 
+class TestReleaseIndex:
+    def test_one_group_per_job_and_per_down_node(self, cluster):
+        cluster.allocate(make_job(size=3, walltime=100.0), now=0.0)
+        cluster.allocate(make_job(size=2, walltime=40.0), now=10.0)
+        cluster.fail_nodes([6, 7], 10.0, np.array([70.0, 50.0]))
+        times, sizes = cluster.release_groups(now=20.0)
+        assert times.tolist() == [50.0, 50.0, 70.0, 100.0]
+        assert sizes.tolist() == [2, 1, 1, 3]
+        assert sizes.sum() == cluster.num_nodes - cluster.available_nodes
+        assert cluster.estimated_release_times(20.0).tolist() == [
+            50.0, 50.0, 50.0, 70.0, 100.0, 100.0, 100.0]
+        assert (cluster.used_nodes, cluster.down_nodes, cluster.up_nodes) \
+            == (5, 2, 6)
+
+    def test_tied_group_removed_by_key(self, cluster):
+        jobs = [make_job(size=size, walltime=100.0) for size in (1, 2, 3)]
+        for job in jobs:
+            cluster.allocate(job, now=0.0)
+        cluster.release(jobs[1])  # neither first nor last of the tie
+        assert cluster.release_groups(0.0)[1].tolist() == [1, 3]
+        cluster.release(jobs[2])
+        assert cluster.release_groups(0.0)[1].tolist() == [1]
+
+    def test_overrun_job_releases_now(self, cluster):
+        cluster.allocate(make_job(size=6, walltime=10.0), now=0.0)
+        # past its estimate the job is expected to free "now" ...
+        assert cluster.shadow_time(8, now=25.0) == 25.0
+        assert cluster.reservation_point(8, now=25.0) == (25.0, 8)
+        # ... and not a moment before
+        assert cluster.free_nodes_at(20.0, now=25.0) == 2
+
+
 class TestAccounting:
     def test_used_node_seconds_after_release(self, cluster):
         job = make_job(size=4, walltime=100.0, runtime=60.0)

@@ -56,6 +56,7 @@ class TestQuickBench:
             "engine-throughput-faulted",
             "backfill-plan",
             "conservative-profile",
+            "cluster-release-query",
         ]
         for entry in doc["benchmarks"]:
             assert entry["events_per_s"] > 0

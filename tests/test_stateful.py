@@ -17,28 +17,37 @@ from hypothesis.stateful import (
 )
 
 from repro.sim.cluster import Cluster
-from repro.sim.job import Job, JobState
+from repro.sim.job import ExecMode, Job, JobState
 from repro.sim.queue import WaitQueue
 
 NODES = 16
 
 
 class ClusterMachine(RuleBasedStateMachine):
-    """Random allocate/release sequences against a 16-node cluster."""
+    """Random allocate/release/fail/repair sequences on a 16-node cluster.
+
+    Walltimes and repair delays come from a few round values so that
+    groups tie on their release time, and the clock moves in steps that
+    carry it past estimates and expected repairs.
+    """
+
+    WALLTIMES = st.sampled_from([5.0, 10.0, 10.0, 40.0, 160.0])
 
     def __init__(self) -> None:
         super().__init__()
-        self.cluster = Cluster(NODES)
+        self.cluster = Cluster(NODES, sanitize=True)
         self.running: dict[int, Job] = {}
+        self.down: set[int] = set()
         self.clock = 0.0
 
-    @rule(size=st.integers(1, NODES), walltime=st.floats(1.0, 1000.0))
+    @rule(size=st.integers(1, NODES), walltime=WALLTIMES)
     def allocate(self, size: int, walltime: float) -> None:
         job = Job(size=size, walltime=walltime, runtime=walltime,
                   submit_time=self.clock)
         if size <= self.cluster.available_nodes:
             nodes = self.cluster.allocate(job, self.clock)
             assert len(nodes) == size
+            job.mark_started(self.clock, ExecMode.READY)
             self.running[job.job_id] = job
         else:
             try:
@@ -55,7 +64,53 @@ class ClusterMachine(RuleBasedStateMachine):
         job = self.running.pop(job_id)
         self.cluster.release(job)
 
-    @rule(dt=st.floats(0.1, 100.0))
+    @precondition(lambda self: self.running)
+    @rule(data=st.data())
+    def release_killed(self, data) -> None:
+        job_id = data.draw(st.sampled_from(sorted(self.running)))
+        job = self.running.pop(job_id)
+        held = self.cluster.nodes_of(job_id)
+        nodes = self.cluster.release_killed(job, self.clock)
+        assert sorted(nodes) == sorted(held)
+
+    def _free_nodes(self) -> list[int]:
+        return np.flatnonzero(self.cluster._job_of == -1).tolist()
+
+    @precondition(lambda self: self.cluster.available_nodes > 0)
+    @rule(data=st.data(), delay=WALLTIMES)
+    def fail_scalar(self, data, delay: float) -> None:
+        nodes = data.draw(st.lists(st.sampled_from(self._free_nodes()),
+                                   min_size=1, max_size=4, unique=True))
+        self.cluster.fail_nodes(nodes, self.clock, self.clock + delay)
+        self.down.update(nodes)
+
+    @precondition(lambda self: self.cluster.available_nodes > 0)
+    @rule(data=st.data())
+    def fail_per_node(self, data) -> None:
+        nodes = data.draw(st.lists(st.sampled_from(self._free_nodes()),
+                                   min_size=1, max_size=4, unique=True))
+        delays = data.draw(st.lists(self.WALLTIMES, min_size=len(nodes),
+                                    max_size=len(nodes)))
+        self.cluster.fail_nodes(nodes, self.clock,
+                                self.clock + np.asarray(delays))
+        self.down.update(nodes)
+
+    @precondition(lambda self: self.down)
+    @rule(data=st.data())
+    def repair(self, data) -> None:
+        """Early or late: ``advance`` may have passed the expected repair."""
+        nodes = data.draw(st.lists(st.sampled_from(sorted(self.down)),
+                                   min_size=1, unique=True))
+        self.cluster.repair_nodes(nodes, self.clock)
+        self.down.difference_update(nodes)
+
+    @rule()
+    def reset(self) -> None:
+        self.cluster.reset()
+        self.running.clear()
+        self.down.clear()
+
+    @rule(dt=st.sampled_from([0.5, 5.0, 10.0, 100.0]))
     def advance(self, dt: float) -> None:
         self.clock += dt
 
@@ -63,8 +118,11 @@ class ClusterMachine(RuleBasedStateMachine):
     def accounting_consistent(self) -> None:
         used = sum(j.size for j in self.running.values())
         assert self.cluster.used_nodes == used
-        assert self.cluster.available_nodes == NODES - used
+        assert self.cluster.down_nodes == len(self.down)
+        assert self.cluster.up_nodes == NODES - len(self.down)
+        assert self.cluster.available_nodes == NODES - used - len(self.down)
         assert set(self.cluster.running_job_ids) == set(self.running)
+        assert set(np.flatnonzero(self.cluster.down_mask)) == self.down
 
     @invariant()
     def node_state_consistent(self) -> None:
@@ -72,6 +130,37 @@ class ClusterMachine(RuleBasedStateMachine):
         assert int(state[:, 0].sum()) == self.cluster.available_nodes
         # busy nodes expose non-negative availability horizons
         assert (state[:, 1] >= 0).all()
+
+    @invariant()
+    def queries_match_brute_force(self) -> None:
+        """All four release-time queries against the per-node arrays."""
+        cluster, now = self.cluster, self.clock
+        free = cluster.available_nodes
+        # the reference: mask the non-free nodes, gather, clip, sort
+        releases = np.sort(np.maximum(
+            cluster._avail_at[cluster._job_of != -1], now))
+        got = cluster.estimated_release_times(now)
+        assert got.dtype == releases.dtype
+        assert np.array_equal(got, releases)
+
+        def free_at(when: float) -> int:
+            return free + int(np.count_nonzero(releases <= when))
+
+        for size in range(1, NODES + 1):   # covers size <= free as well
+            shadow = now if size <= free else float(releases[size - free - 1])
+            assert cluster.shadow_time(size, now) == shadow
+            assert cluster.reservation_point(size, now) == (shadow,
+                                                            free_at(shadow))
+        probes = {now - 1.0, now, now + 7.5, now + 1e6, *releases.tolist()}
+        for when in probes:                # includes when < now and ties
+            assert cluster.free_nodes_at(when, now) == free_at(when)
+        for query in (cluster.shadow_time, cluster.reservation_point):
+            try:
+                query(NODES + 1, now)
+            except ValueError:
+                pass
+            else:
+                raise AssertionError("size > num_nodes accepted")
 
 
 class WaitQueueMachine(RuleBasedStateMachine):
