@@ -33,7 +33,10 @@ Checked invariants
 * **scheduling-view integrity** — no double-start, and a reservation is
   never created for a running job or in the past;
 * **NN numerics** — every forward/backward tensor and every Adam update
-  is finite (no NaN/Inf), with shape preservation across updates.
+  is finite (no NaN/Inf), with shape preservation across updates;
+* **shared forward** — ``Network.forward(x, shared=)`` equals the plain
+  forward over the materialised ``[B, k + N, 2]`` input (the definition
+  the factored first layer replaced) to 1e-9.
 """
 
 from __future__ import annotations
@@ -242,6 +245,24 @@ def check_finite(name: str, array: np.ndarray) -> None:
         f"{name} contains {nans} NaN / {infs} Inf entries "
         f"(shape {arr.shape})",
     )
+
+
+#: ``shared-forward`` bound: absolute, scaled by ``max |out|`` above 1.
+#: The two paths differ by float reassociation only (~1e-16 observed).
+SHARED_FORWARD_TOL = 1e-9
+
+
+def check_shared_forward(factored: np.ndarray, plain: np.ndarray) -> None:
+    """Fail if the two-input forward drifted from the plain forward."""
+    worst = float(np.max(np.abs(factored - plain)))
+    scale = max(1.0, float(np.max(np.abs(plain))))
+    if not worst <= SHARED_FORWARD_TOL * scale:
+        _fail(
+            "shared-forward",
+            f"forward(x, shared=) differs from the forward over the "
+            f"concatenated input by {worst:.3e} (shape {plain.shape}, "
+            f"bound {SHARED_FORWARD_TOL * scale:.1e})",
+        )
 
 
 def check_same_shape(name: str, before: tuple[int, ...], after: tuple[int, ...]) -> None:

@@ -24,10 +24,12 @@ code under analysis** (no NumPy, no ``repro.nn``):
    literals in ``repro/experiments/table3.py`` (**RPR302**),
 4. it re-derives the *batched* shape contract — the symbolic batch
    dimension ``B`` must survive every layer so the network maps
-   ``[B, rows, 2] -> [B, outputs]`` for every Table III cell — and
-   verifies the DRAS agents route all inference through the batched
-   ``score_window`` entry point rather than ad-hoc
-   ``network.forward`` calls (**RPR303**).
+   ``[B, rows, 2] -> [B, outputs]`` for every Table III cell, and the
+   two-input form DQL window scoring uses (``[B, k, 2]`` job rows plus
+   one shared ``[N, 2]`` node matrix, ``k + N == rows``) must reach the
+   same ``[B, outputs]`` — and verifies the DRAS agents route all
+   inference through the batched ``score_window`` entry point rather
+   than ad-hoc ``network.forward`` calls (**RPR303**).
 
 The Cori-DQL cell of Table III is internally inconsistent (DESIGN.md
 §4), so RPR302 checks that cell against the formula only, never against
@@ -58,6 +60,10 @@ TABLE3_MODULE = "repro.experiments.table3"
 
 #: the symbolic batch dimension carried through the abstract tensors
 BATCH_DIM = "B"
+
+#: rows of one job block (§III-A): the per-sample ``k`` of the two-input
+#: ``forward(x, shared=)`` DQL window scoring calls
+JOB_BLOCK_ROWS = 2
 
 #: agent modules whose inference must route through ``score_window``
 AGENT_MODULES = ("repro.core.dras_pg", "repro.core.dras_dql")
@@ -230,12 +236,8 @@ def _param_count_formula(cls: ast.ClassDef, dims: dict[str, int]) -> int | None:
     return None
 
 
-def static_table3_configs(project: ProjectModel) -> dict[str, dict[str, int]] | None:
-    """The four Table III ``{rows, hidden1, hidden2, outputs}`` dicts.
-
-    Returns ``None`` when ``repro.core.config`` is not in the project or
-    its structure defeated static evaluation.
-    """
+def _system_envs(project: ProjectModel) -> dict[str, dict[str, float]] | None:
+    """``DRASConfig`` field values of the ``theta()`` / ``cori()`` presets."""
     info = project.module(CONFIG_MODULE)
     if info is None:
         return None
@@ -243,13 +245,27 @@ def static_table3_configs(project: ProjectModel) -> dict[str, dict[str, int]] | 
     if config_cls is None:
         return None
     defaults = _dataclass_defaults(config_cls)
-    out: dict[str, dict[str, int]] = {}
-    for system, method in (("theta", "theta"), ("cori", "cori")):
-        kwargs = _preset_kwargs(config_cls, method)
+    out: dict[str, dict[str, float]] = {}
+    for system in ("theta", "cori"):
+        kwargs = _preset_kwargs(config_cls, system)
         if kwargs is None:
             return None
-        env = dict(defaults)
-        env.update(kwargs)
+        out[system] = {**defaults, **kwargs}
+    return out
+
+
+def static_table3_configs(project: ProjectModel) -> dict[str, dict[str, int]] | None:
+    """The four Table III ``{rows, hidden1, hidden2, outputs}`` dicts.
+
+    Returns ``None`` when ``repro.core.config`` is not in the project or
+    its structure defeated static evaluation.
+    """
+    envs = _system_envs(project)
+    if envs is None:
+        return None
+    config_cls = _class_body(project.module(CONFIG_MODULE), "DRASConfig")
+    out: dict[str, dict[str, int]] = {}
+    for system, env in envs.items():
         for cell, prop in ((f"{system}-pg", "pg_dims"), (f"{system}-dql", "dql_dims")):
             dims = _property_dims(config_cls, prop, env)
             if dims is None:
@@ -322,12 +338,17 @@ def _network_layer_calls(info: ModuleInfo) -> list[ast.Call] | None:
 
 
 def interpret_network(
-    project: ProjectModel, name: str, dims: dict[str, int]
+    project: ProjectModel, name: str, dims: dict[str, int],
+    split: tuple[int, int] | None = None,
 ) -> NetworkSummary | None:
     """Abstractly run one Table III configuration through the builder.
 
     The input is the abstract tensor ``[B, rows, 2]``; each layer either
     transforms it per the documented semantics or records a finding.
+    With ``split=(k, N)`` the input is the two-input form of
+    ``Network.forward(x, shared=)`` — ``[B, k, 2]`` per-sample rows plus
+    one batch-less ``[N, 2]`` — whose pieces the first ``Dense`` joins,
+    so its input width must equal ``k + N``.
     Returns ``None`` when ``repro.nn.network`` is not in the project.
     """
     info = project.module(NETWORK_MODULE)
@@ -345,6 +366,12 @@ def interpret_network(
     # abstract input: [B, rows, 2] — the batch axis stays symbolic so
     # RPR303 can prove every layer preserves it unchanged
     shape: tuple = (BATCH_DIM, dims.get("rows"), 2)
+    #: rows of the batch-less shared piece until the first Dense joins it
+    shared_rows = None
+    if split is not None:
+        shape = (BATCH_DIM, split[0], 2)
+        shared_rows = split[1]
+        name = f"{name}, split {split[0]} + {split[1]}"
     total = 0
     for call in calls:
         kind = call.func.id if isinstance(call.func, ast.Name) else "?"
@@ -371,6 +398,9 @@ def interpret_network(
                 return summary
             layer.in_width, layer.out_width, layer.bias = int(in_w), int(out_w), bias
             width = shape[-1] if shape else None
+            if shared_rows is not None and isinstance(width, int):
+                # y_head @ W[:k] + y_shared @ W[k:] broadcasts over B
+                width, shared_rows = width + shared_rows, None
             if len(shape) != 2:
                 summary.findings.append(
                     f"line {call.lineno}: Dense expects a 2-D input but "
@@ -560,7 +590,8 @@ class BatchedShapeRule(ProjectRule):
     rationale = (
         "batched scoring is the hot path: the network must map "
         "[B, rows, 2] -> [B, outputs] with the batch axis untouched by "
-        "every layer, and the agents must funnel all inference through "
+        "every layer (also from DQL's two-input [B, 2, 2] + [N, 2] "
+        "form), and the agents must funnel all inference through "
         "the batched score_window entry point so no single-sample "
         "network path can reappear"
     )
@@ -571,11 +602,17 @@ class BatchedShapeRule(ProjectRule):
         yield from self._check_agents(project)
 
     def _check_network(self, project: ProjectModel) -> Iterator[ProjectFinding]:
-        """Assert ``[B, rows, 2] -> [B, outputs]`` for every Table III cell."""
+        """Assert ``[B, rows, 2] -> [B, outputs]`` for every Table III cell.
+
+        The DQL cells are interpreted a second time in the two-input
+        form their window scoring runs: ``[B, 2, 2]`` job blocks plus
+        the shared ``[num_nodes, 2]`` node matrix.
+        """
         if project.module(NETWORK_MODULE) is None:
             return
         configs = static_table3_configs(project)
-        if configs is None:
+        envs = _system_envs(project)
+        if configs is None or envs is None:
             return  # RPR301 already reports the extraction failure
         path, lineno = _network_anchor(project)
         for cell, dims in configs.items():
@@ -604,6 +641,14 @@ class BatchedShapeRule(ProjectRule):
                     f"{format_shape(summary.output_shape)}, expected "
                     f"{format_shape(expected)}"
                 ))
+            system, _, variant = cell.partition("-")
+            if variant == "dql" and "num_nodes" in envs[system]:
+                # past the first Dense the two forms are one network, so
+                # joining the pieces is all the two-input form adds
+                split = (JOB_BLOCK_ROWS, int(envs[system]["num_nodes"]))
+                two_input = interpret_network(project, cell, dims, split)
+                for message in two_input.findings:
+                    yield ProjectFinding(path, lineno, 0, message)
 
     def _check_agents(self, project: ProjectModel) -> Iterator[ProjectFinding]:
         """Every agent ``forward`` call must sit in score_window/update."""

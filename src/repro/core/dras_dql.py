@@ -3,8 +3,11 @@
 The network processes *one job at a time*: input ``[2 + N, 2]`` (one
 job block plus all node rows), output a single neuron — the expected
 Q-value of scheduling that job now.  The same network scores every job
-in the window; the agent normally takes the job with the highest
-Q-value, but with probability ε it explores a random job instead.
+in the window against the same node rows, so a decision passes the job
+blocks and the node matrix separately and the first dense layer
+multiplies the node block once.  The agent normally takes the job with
+the highest Q-value, but with probability ε it explores a random job
+instead.
 ε starts at 1.0 and decays by 0.995 per parameter update (§III-B).
 
 Learning minimizes the TD error between the *old value*
@@ -62,30 +65,34 @@ class DRASDQL(HierarchicalAgent):
         self.last_update_batch = 0
 
     # -- Q evaluation --------------------------------------------------------
-    def score_window(self, x: np.ndarray) -> np.ndarray:
-        """Q-values for a batch of per-job observations.
+    def score_window(self, x: np.ndarray, shared: np.ndarray) -> np.ndarray:
+        """Q-values for a batch of candidate jobs against one node state.
 
-        ``x`` is a ``[B, 2 + N, 2]`` observation matrix (one row per
-        candidate job, e.g. from
-        :meth:`~repro.core.state.StateEncoder.encode_jobs_batch`); one
+        ``x`` is the ``[B, 2, 2]`` stack of job blocks and ``shared``
+        the ``[N, 2]`` node matrix they are all scored against (the
+        pair :meth:`~repro.core.state.StateEncoder.encode_jobs_batch`
+        returns) — the ``[2 + N, 2]`` per-job input of §III-B with the
+        node rows, identical for every candidate, passed once.  One
         network forward scores all ``B`` candidates and returns the
         ``[B]`` Q-vector.  This is the single inference entry point —
-        the whole window is scored per decision, and serving can stack
-        candidates from many concurrent requests into one call.
+        the whole window is scored per decision.
         """
         if x.ndim != 3:
-            raise ValueError(f"score_window expects [B, rows, 2], got {x.shape}")
-        return self.network.forward(x)[:, 0]
+            raise ValueError(f"score_window expects [B, 2, 2], got {x.shape}")
+        return self.network.forward(x, shared=shared)[:, 0]
 
-    def q_values(self, window: list[Job], view: SchedulingView) -> tuple[np.ndarray, np.ndarray]:
-        """Q-values of every job in the window: ``(batch_inputs, q)``."""
-        batch = self.encoder.encode_jobs_batch(window, view.cluster, view.now)
-        return batch, self.score_window(batch)
+    def q_values(
+        self, window: list[Job], view: SchedulingView
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Q-values of every job in the window: ``(heads, nodes, q)``."""
+        heads, nodes = self.encoder.encode_jobs_batch(
+            window, view.cluster, view.now)
+        return heads, nodes, self.score_window(heads, nodes)
 
     # -- HierarchicalAgent interface -------------------------------------------
     def select(self, window: list[Job], view: SchedulingView, level: int) -> Job:
         """ε-greedy pick: best Q-value, or a random job with prob. ε."""
-        batch, q = self.q_values(window, view)
+        heads, nodes, q = self.q_values(window, view)
         if self.learning:
             # Bootstrap the previous transition with max_a Q(s_{k+1}, a).
             if self._pending and self._pending[-1].next_max_q is None \
@@ -95,7 +102,9 @@ class DRASDQL(HierarchicalAgent):
             action = (
                 int(self.rng.integers(len(window))) if explore else int(np.argmax(q))
             )
-            self._pending.append(_QTransition(x=batch[action]))
+            # only the chosen job's [2 + N, 2] input is ever materialised
+            self._pending.append(
+                _QTransition(x=np.concatenate([heads[action], nodes])))
         else:
             action = int(np.argmax(q))
         return window[action]

@@ -9,7 +9,8 @@ Each node is a ``[1, 2]`` row: a binary availability flag and, for busy
 nodes, the difference between the node's estimated available time and
 the current time.  Job blocks and node rows concatenate into a
 fixed-size matrix — ``[2W + N, 2]`` for the level networks (W jobs) and
-``[2 + N, 2]`` for the DQL per-job network.
+``[2 + N, 2]`` for the DQL per-job network (scored as ``B`` job blocks
+plus one shared ``[N, 2]`` node matrix, see ``encode_jobs_batch``).
 
 The paper feeds raw values; raw seconds and node counts differ by
 orders of magnitude, so (like any practical implementation) we
@@ -97,9 +98,8 @@ class StateEncoder:
 
     def node_rows(self, cluster: Cluster, now: float) -> np.ndarray:
         """The ``[N, 2]`` node-state matrix."""
-        state = cluster.node_state(now)
+        state = cluster.node_state(now)  # freshly allocated per call
         if self.normalize:
-            state = state.copy()
             state[:, 1] /= self.time_scale
         return state
 
@@ -167,18 +167,19 @@ class StateEncoder:
 
     def encode_jobs_batch(
         self, jobs: Sequence[Job], cluster: Cluster, now: float
-    ) -> np.ndarray:
-        """Stack :meth:`encode_job` for many jobs: ``[len(jobs), 2+N, 2]``.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """DQL-style input for many jobs: ``(heads [B, 2, 2], nodes [N, 2])``.
 
-        The node rows are identical across the batch, so they are
-        computed once and broadcast.
+        ``concat(heads[i], nodes)`` is :meth:`encode_job` of ``jobs[i]``.
+        The node rows are one snapshot of the same cluster at the same
+        instant, identical for every job, so they are returned once
+        rather than copied into each row of a ``[B, 2 + N, 2]`` batch;
+        ``Network.forward(heads, shared=nodes)`` scores the pair.
         """
         if not jobs:
             raise ValueError("empty job batch")
-        batch = np.empty((len(jobs), self.dql_rows, 2), dtype=np.float64)
-        nodes = self.node_rows(cluster, now)
+        heads = np.empty((len(jobs), 2, 2), dtype=np.float64)
         capacity = cluster.up_nodes
         for i, job in enumerate(jobs):
-            batch[i, :2] = self.job_block(job, now, capacity)
-            batch[i, 2:] = nodes
-        return batch
+            heads[i] = self.job_block(job, now, capacity)
+        return heads, self.node_rows(cluster, now)

@@ -4,8 +4,9 @@ The paper reports, on a personal computer, less than 1 s per DRAS-PG
 parameter update and less than 2 s per DRAS-DQL update; production
 scheduling must decide within 15-30 s.  This experiment times, on the
 *full-size Theta networks*, (a) one decision — a forward pass over a
-full window — and (b) one parameter update, and checks them against the
-real-time budget.
+full window (for DRAS-DQL: ``W`` job blocks scored against the one node
+state they share, as ``DRASDQL.select`` does) — and (b) one parameter
+update, and checks them against the real-time budget.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 
 from repro.analysis.tables import format_table
 from repro.core.config import DRASConfig
+from repro.core.dras_dql import DRASDQL
 from repro.nn.losses import mse_loss, policy_gradient_loss
 from repro.nn.network import build_dras_network
 from repro.nn.optim import Adam
@@ -76,14 +78,17 @@ def measure_pg(config: DRASConfig, batch: int = 10, repeats: int = 3) -> Overhea
 def measure_dql(config: DRASConfig, batch: int = 10, repeats: int = 3) -> OverheadResult:
     dims = config.dql_dims
     rng = np.random.default_rng(0)
-    net = build_dras_network(dims.rows, dims.hidden1, dims.hidden2, dims.outputs, rng=rng)
+    agent = DRASDQL(config)
+    net = agent.network
     opt = Adam(net.parameters(), lr=config.learning_rate)
-    # one decision = scoring every job in the window
-    x_window = rng.random((config.window, dims.rows, 2))
+    # one decision = what DRASDQL.select runs: every job block of a full
+    # window scored against the one node snapshot they share
+    heads = rng.random((config.window, 2, 2))
+    nodes = rng.random((config.num_nodes, 2))
     xb = rng.random((batch, dims.rows, 2))
     targets = rng.normal(size=(batch, 1))
 
-    decision = _time(lambda: net.forward(x_window), repeats)
+    decision = _time(lambda: agent.score_window(heads, nodes), repeats)
 
     def update() -> None:
         net.zero_grad()

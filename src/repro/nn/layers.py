@@ -137,6 +137,35 @@ class Dense(Layer):
             y += self.bias.value
         return y
 
+    def forward_shared(self, head: np.ndarray, shared: np.ndarray) -> np.ndarray:
+        """:meth:`forward` for inputs whose trailing columns are common.
+
+        Every sample's input is ``concat(head[b], shared)`` — ``head``
+        is ``[B, k]``, ``shared`` is ``[in - k]`` — so the product
+        splits into ``head @ W[:k] + shared @ W[k:]``: the shared block
+        is multiplied once (one GEMV) instead of once per sample, and
+        its ``[out]`` result broadcasts over ``B``.  Row slices of the
+        C-ordered weight are contiguous views, so nothing is copied.
+        Same function as :meth:`forward` on the concatenated input up
+        to float reassociation.  Inference only: the backward cache is
+        cleared, so a following :meth:`backward` raises rather than
+        differentiating a stale minibatch.
+        """
+        weight = self.weight.value
+        k = head.shape[-1]
+        if head.ndim != 2 or shared.ndim != 1 \
+                or k + shared.shape[0] != weight.shape[0]:
+            raise ValueError(
+                f"Dense expects [B, k] + [{weight.shape[0]} - k], "
+                f"got {head.shape} + {shared.shape}"
+            )
+        self._x = None
+        y = head @ weight[:k]
+        y += shared @ weight[k:]
+        if self.bias is not None:
+            y += self.bias.value
+        return y
+
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         """Accumulate batch-summed grads; returns ``[B, in]`` input grads."""
         if self._x is None:

@@ -26,35 +26,95 @@ class Network:
             raise ValueError("a network needs at least one layer")
         self.layers = layers
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Run ``x`` through every layer; returns the final activation."""
+    def forward(self, x: np.ndarray,
+                shared: np.ndarray | None = None) -> np.ndarray:
+        """Run ``x`` through every layer; returns the final activation.
+
+        With ``shared`` — an ``[N, 2]`` block of input rows common to
+        the whole batch — ``x`` is ``[B, k, 2]`` and holds only the
+        rows that differ per sample; the result equals a forward over
+        ``[B, k + N, 2]`` with ``shared`` appended to every sample (up
+        to float reassociation), but the first dense layer multiplies
+        the shared block once instead of ``B`` times
+        (:meth:`Dense.forward_shared`).  The network must start
+        ``Conv1x2 -> Dense`` with ``k + N`` equal to that layer's
+        ``in_features``.  This form is inference only: a ``backward``
+        after it raises.
+        """
         prof = _profile.global_profiler()
         if prof is not None:
             with prof.scope("nn.forward"):
-                return self._instrumented_forward(x)
-        return self._instrumented_forward(x)
+                return self._instrumented_forward(x, shared)
+        return self._instrumented_forward(x, shared)
 
-    def _instrumented_forward(self, x: np.ndarray) -> np.ndarray:
+    def _instrumented_forward(self, x: np.ndarray,
+                              shared: np.ndarray | None) -> np.ndarray:
         tracer = _trace.global_tracer()
         if tracer is None:
-            return self._forward(x)
+            return self._forward(x, shared)
         # the tuple serialises to the same JSON array as a list would
         with tracer.span("nn.forward", layers=len(self.layers),
                          shape=x.shape):
-            return self._forward(x)
+            return self._forward(x, shared)
 
-    def _forward(self, x: np.ndarray) -> np.ndarray:
-        if _san.sanitizer_enabled():
+    def _forward(self, x: np.ndarray,
+                 shared: np.ndarray | None = None) -> np.ndarray:
+        sanitize = _san.sanitizer_enabled()
+        if sanitize:
             _san.check_finite("network input", x)
-            for i, layer in enumerate(self.layers):
+        rest = self.layers
+        if shared is not None:
+            heads, x = x, self._shared_stem(x, shared, sanitize)
+            rest = rest[2:]
+        if sanitize:
+            for i, layer in enumerate(rest, len(self.layers) - len(rest)):
                 x = layer.forward(x)
                 _san.check_finite(
                     f"forward output of layer {i} ({type(layer).__name__})", x
                 )
+            if shared is not None:
+                self._check_against_plain(heads, shared, x)
             return x
-        for layer in self.layers:
+        for layer in rest:
             x = layer.forward(x)
         return x
+
+    def _shared_stem(self, x: np.ndarray, shared: np.ndarray,
+                     sanitize: bool) -> np.ndarray:
+        """``Conv1x2 -> Dense`` over per-sample rows ``x`` plus ``shared``."""
+        if len(self.layers) < 2 or not isinstance(self.layers[0], Conv1x2) \
+                or not isinstance(self.layers[1], Dense):
+            raise ValueError(
+                "forward(x, shared=) needs a network starting Conv1x2 -> Dense"
+            )
+        conv, dense = self.layers[0], self.layers[1]
+        if shared.ndim != 2:
+            raise ValueError(f"shared expects [N, 2], got {shared.shape}")
+        if sanitize:
+            _san.check_finite("shared network input", shared)
+        head = conv.forward(x)
+        common = conv.forward(shared[None])[0]
+        conv._x = None  # inference only, as in Dense.forward_shared
+        y = dense.forward_shared(head, common)
+        if sanitize:
+            _san.check_finite("forward output of layer 0 (Conv1x2)", head)
+            _san.check_finite(
+                "forward output of layer 0 (Conv1x2) on the shared rows",
+                common,
+            )
+            _san.check_finite("forward output of layer 1 (Dense)", y)
+        return y
+
+    def _check_against_plain(self, x: np.ndarray, shared: np.ndarray,
+                             out: np.ndarray) -> None:
+        """Sanitizer oracle: ``out`` against the materialised plain forward."""
+        full = np.concatenate(
+            [x, np.broadcast_to(shared, (len(x),) + shared.shape)], axis=1
+        )
+        plain = self._forward(full)
+        # the oracle pass refilled the caches the shared stem cleared
+        self.layers[0]._x = self.layers[1]._x = None
+        _san.check_shared_forward(out, plain)
 
     __call__ = forward
 

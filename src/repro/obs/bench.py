@@ -458,6 +458,50 @@ def bench_nn_forward_batched(
     )
 
 
+def bench_nn_forward_shared(
+    seed: int = 0,
+    quick: bool = False,
+    rng: np.random.Generator | None = None,
+) -> BenchResult:
+    """DRAS-DQL decisions per second at Theta size (4,362 -> 4,000 -> 1,000 -> 1).
+
+    One "step" is one ``forward(heads, shared=nodes)``: 14 candidate
+    job blocks (the mean window of the paper-scale ``theta_dql_decide``
+    workload) scored against the one ``[4360, 2]`` node matrix they
+    share — what ``DRASDQL.select`` runs per decision.  The only NN
+    bench at Table III dimensions: the first layer is one memory-bound
+    GEMV over the 140 MB weight block, which the mid-size network of
+    the other benches (1 MB, cache-resident) cannot show.
+    """
+    from repro.core.config import DRASConfig
+    from repro.nn.network import build_dras_network
+
+    rng = _suite_rng(seed, rng)
+    config = DRASConfig.theta()
+    dims = config.dql_dims
+    net = build_dras_network(dims.rows, dims.hidden1, dims.hidden2,
+                             dims.outputs, rng=rng)
+    batch = 14
+    heads = rng.normal(size=(batch, 2, 2))
+    nodes = rng.normal(size=(config.num_nodes, 2))
+    reps = 3 if quick else 30
+    t0 = time.perf_counter()
+    for _ in range(reps):
+        net.forward(heads, shared=nodes)
+    wall = time.perf_counter() - t0
+    return BenchResult(
+        name="nn-forward-shared",
+        reps=reps,
+        wall_s=wall,
+        rate_key="steps_per_s",
+        rate=reps / wall if wall > 0 else 0.0,
+        extra={"rows": dims.rows, "hidden1": dims.hidden1,
+               "hidden2": dims.hidden2, "outputs": dims.outputs,
+               "batch": batch, "shared_rows": config.num_nodes,
+               "rate_unit": "decisions"},
+    )
+
+
 def _train_step_result(name: str, batch: int, reps: int,
                        rng: np.random.Generator) -> BenchResult:
     """Time the vectorized train step; the rate is in sample-steps/s.
@@ -546,6 +590,7 @@ SIM_BENCHES: tuple[Callable[..., BenchResult], ...] = (
 NN_BENCHES: tuple[Callable[..., BenchResult], ...] = (
     bench_nn_forward,
     bench_nn_forward_batched,
+    bench_nn_forward_shared,
     bench_nn_train_step,
     bench_nn_train_step_batched,
 )

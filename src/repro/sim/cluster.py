@@ -171,11 +171,12 @@ class Cluster:
         0 for free nodes.  A down node reads as busy until its expected
         repair time.
         """
-        free = self._job_of == _FREE
-        state = np.zeros((self.num_nodes, 2), dtype=np.float64)
-        state[:, 0] = free.astype(np.float64)
-        remaining = self._avail_at - now
-        state[~free, 1] = np.maximum(remaining[~free], 0.0)
+        busy = self._job_of != _FREE
+        remaining = np.where(
+            busy, np.maximum(self._avail_at - now, 0.0), 0.0)
+        state = np.empty((self.num_nodes, 2), dtype=np.float64)
+        state[:, 0] = ~busy
+        state[:, 1] = remaining
         return state
 
     # -- release-time index ------------------------------------------------

@@ -47,8 +47,9 @@ class TestScheduling:
         engine = Engine(Cluster(8), agent, [])
         view = SchedulingView(engine)
         jobs = [make_job(size=1), make_job(size=2)]
-        batch, q = agent.q_values(jobs, view)
-        assert batch.shape == (2, agent.encoder.dql_rows, 2)
+        heads, nodes, q = agent.q_values(jobs, view)
+        assert heads.shape == (2, 2, 2)
+        assert nodes.shape == (agent.encoder.dql_rows - 2, 2)
         assert q.shape == (2,)
 
 

@@ -66,6 +66,7 @@ class TestQuickBench:
         doc = run_suite("nn", seed=0, quick=True)
         names = [e["name"] for e in doc["benchmarks"]]
         assert names == ["nn-forward", "nn-forward-batched",
+                         "nn-forward-shared",
                          "nn-train-step", "nn-train-step-batched"]
         assert all(e["steps_per_s"] > 0 for e in doc["benchmarks"])
 

@@ -249,12 +249,41 @@ class TestShapesRules:
         assert all(layer.out_shape[0] == "B" for layer in summary.layers)
         assert shapes.format_shape(summary.output_shape) == "[B, 50]"
 
+    def test_two_input_form_derived(self):
+        """[B, 2, 2] + [N, 2] reaches [B, 1] for both Table III DQL cells."""
+        project = ProjectModel.load(SRC, package="repro")
+        configs = shapes.static_table3_configs(project)
+        for cell, nodes in (("theta-dql", 4360), ("cori-dql", 12076)):
+            summary = shapes.interpret_network(
+                project, cell, configs[cell],
+                split=(shapes.JOB_BLOCK_ROWS, nodes))
+            assert summary.findings == []
+            assert summary.layers[0].in_shape == ("B", 2, 2)
+            assert summary.layers[1].out_shape == ("B", configs[cell]["hidden1"])
+            assert summary.output_shape == ("B", 1)
+        # one node row short: the first Dense cannot join the pieces
+        short = shapes.interpret_network(
+            project, "theta-dql", configs["theta-dql"], split=(2, 4359))
+        assert any("split 2 + 4359" in m for m in short.findings)
+
+    def test_two_input_mismatch_is_caught(self, mutated_src):
+        """DQL rows that are not job block + nodes trip RPR303."""
+        config = mutated_src / "core" / "config.py"
+        config.write_text(config.read_text().replace(
+            "rows=2 + self.num_nodes,", "rows=4 + self.num_nodes,",
+        ))
+        messages = [v.message for v in
+                    analyze_project(mutated_src, package="repro")
+                    if v.rule_id == "RPR303"]
+        assert any("split 2 + 4360" in m for m in messages)
+        assert any("split 2 + 12076" in m for m in messages)
+
     def test_unrouted_forward_is_caught(self, mutated_src):
         """A network.forward outside score_window/update trips RPR303."""
         dql = mutated_src / "core" / "dras_dql.py"
         dql.write_text(dql.read_text().replace(
-            "return batch, self.score_window(batch)",
-            "return batch, self.network.forward(batch)[:, 0]",
+            "return heads, nodes, self.score_window(heads, nodes)",
+            "return heads, nodes, self.network.forward(heads, nodes)[:, 0]",
         ))
         violations = analyze_project(mutated_src, package="repro")
         assert "RPR303" in rule_ids(violations)

@@ -98,11 +98,14 @@ class TestJobEncoding:
 
     def test_batch_matches_single(self, encoder, cluster):
         jobs = [make_job(size=1), make_job(size=3, priority=1)]
-        batch = encoder.encode_jobs_batch(jobs, cluster, now=5.0)
-        assert batch.shape == (2, 10, 2)
+        heads, nodes = encoder.encode_jobs_batch(jobs, cluster, now=5.0)
+        assert heads.shape == (2, 2, 2)
+        # the node rows come back once, not copied per job
+        assert nodes.shape == (8, 2)
         for i, job in enumerate(jobs):
             single = encoder.encode_job(job, cluster, now=5.0)
-            assert np.allclose(batch[i], single)
+            assert np.array_equal(heads[i], single[:2])
+            assert np.array_equal(nodes, single[2:])
 
     def test_empty_batch_rejected(self, encoder, cluster):
         with pytest.raises(ValueError, match="empty"):
