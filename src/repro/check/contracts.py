@@ -1,7 +1,7 @@
 """RPR4xx — API-contract rules for schedulers, observers and spans.
 
 The simulator dispatches to schedulers and observers dynamically
-(``getattr(obs, "on_start", None)``), so a misspelt hook or a drifted
+(hooks are looked up by name), so a misspelt hook or a drifted
 signature fails *silently*: the engine simply never calls it.  These
 rules pin the three duck-typed contracts down statically:
 
@@ -12,11 +12,14 @@ rules pin the three duck-typed contracts down statically:
 * **RPR402** ``lifecycle-hook`` — ``on_simulation_start`` /
   ``on_simulation_end`` overrides keep the ``(self, engine)`` shape the
   engine calls them with.
-* **RPR403** ``observer-hook`` — any class defining ``on_start`` /
-  ``on_finish`` / ``on_instance`` matches the
-  :class:`repro.sim.engine.Observer` protocol exactly
-  (``(self, job, now)`` / ``(self, view, started)``), since the engine
-  invokes whatever attribute happens to exist.
+* **RPR403** ``observer-hook`` — any class defining a hook of the
+  :class:`repro.sim.observers.Observer` protocol (:data:`OBSERVER_HOOKS`:
+  ``on_start(self, job, now)``, ``on_instance(self, view, started)``,
+  ``on_reserve(self, job, now, reservation)``, ...) matches its
+  signature exactly, since the engine invokes whatever attribute
+  happens to exist; a method named ``on_*`` that is *not* a hook
+  there is flagged too when the class implements a real hook
+  beside it (a misspelt hook is never called).
 * **RPR404** ``span-registry`` — every string-literal span/event name
   passed to ``.span(...)`` / ``.begin(...)`` / ``.event(...)`` is in
   :data:`SPAN_NAMES`, the documented registry (docs/observability.md);
@@ -41,11 +44,20 @@ from repro.check.project import (
 
 BASE_SCHEDULER = "repro.schedulers.base.BaseScheduler"
 
-#: observer hooks dispatched via ``getattr`` by the engine
+#: observer hooks the engine resolves by name, once per run
 OBSERVER_HOOKS: dict[str, tuple[str, ...]] = {
-    "on_start": ("self", "job", "now"),
+    "on_run_begin": ("self", "engine"),
+    "on_run_end": ("self", "engine", "completed"),
+    "on_instance_begin": ("self", "now", "n_events"),
+    "on_abandon": ("self", "job", "now", "parent"),
     "on_finish": ("self", "job", "now"),
     "on_kill": ("self", "job", "now"),
+    "on_node_fail": ("self", "now", "nodes", "killed"),
+    "on_node_repair": ("self", "now", "node"),
+    "on_schedule_begin": ("self", "view"),
+    "on_start": ("self", "job", "now"),
+    "on_reserve": ("self", "job", "now", "reservation"),
+    "on_schedule_end": ("self", "view"),
     "on_instance": ("self", "view", "started"),
 }
 
@@ -200,21 +212,27 @@ class ObserverHookRule(ProjectRule):
     id = "RPR403"
     slug = "observer-hook"
     rationale = (
-        "observers are dispatched via getattr, so a hook with the wrong "
-        "shape is either never called or explodes with TypeError at the "
-        "first event"
+        "observer hooks are resolved by name, so a hook with the wrong "
+        "name or shape is either never called or explodes with TypeError "
+        "at the first event"
     )
 
     def check(self, project: ProjectModel) -> Iterator[ProjectFinding]:
         """Check every class that defines an observer hook."""
         for info, node in project.iter_classes():
-            for stmt in node.body:
-                if not isinstance(stmt, ast.FunctionDef):
-                    continue
+            methods = [stmt for stmt in node.body
+                       if isinstance(stmt, ast.FunctionDef)]
+            is_observer = any(m.name in OBSERVER_HOOKS for m in methods)
+            for stmt in methods:
                 expected = OBSERVER_HOOKS.get(stmt.name)
-                if expected is None:
+                if expected is not None:
+                    error = signature_error(stmt, expected)
+                elif is_observer and stmt.name.startswith("on_") \
+                        and stmt.name not in LIFECYCLE_HOOKS:
+                    error = ("is not a hook of the Observer protocol "
+                             "(misspelt?); the engine never calls it")
+                else:
                     continue
-                error = signature_error(stmt, expected)
                 if error is not None:
                     yield ProjectFinding(info.path, stmt.lineno, stmt.col_offset,
                                          f"{node.name}.{stmt.name}: {error}")

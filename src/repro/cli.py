@@ -50,6 +50,7 @@ env var) — see ``docs/observability.md``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -102,22 +103,28 @@ def parse_faults(spec: str | None):
     return FaultConfig.from_spec(spec)
 
 
-def _make_live_bus(args: argparse.Namespace):
-    """``--live [PORT]`` / ``--live-record PATH`` → a LiveBus or None.
+@contextlib.contextmanager
+def _live_session(args: argparse.Namespace, install: bool = False):
+    """``--live [PORT]`` / ``--live-record PATH`` → a LiveBus for the block.
 
     ``--live`` with no value shows the terminal progress/ETA line;
     ``--live PORT`` additionally serves ``/metrics`` + ``/status`` on
     ``127.0.0.1:PORT``; ``--live-record PATH`` appends every snapshot
     to a JSONL shard (mergeable with ``repro live summarize``).  With
-    neither flag, returns ``None`` so components fall back to the
+    neither flag, yields ``None`` so components fall back to the
     ``REPRO_LIVE`` process-global bus.
+
+    ``install`` also makes the bus process-global for the block, so
+    every simulation the command runs internally publishes to it.  The
+    bus is closed (and uninstalled) on the way out, whatever happened.
     """
     from repro.obs import live as _live
 
     spec = getattr(args, "live", None)
     record = getattr(args, "live_record", None)
     if spec is None and record is None:
-        return None
+        yield None
+        return
     bus = _live.live_from_spec(spec if spec is not None else "1")
     server = getattr(bus, "server", None)
     if server is not None:
@@ -126,7 +133,14 @@ def _make_live_bus(args: argparse.Namespace):
     if record is not None:
         bus.attach(_live.SnapshotWriter(record))
         print(f"live: recording snapshots to {record}", file=sys.stderr)
-    return bus
+    if install:
+        _live.set_global_live_bus(bus)
+    try:
+        yield bus
+    finally:
+        if install:
+            _live.set_global_live_bus(None)
+        bus.close()
 
 
 def _print_resilience(result) -> None:
@@ -205,17 +219,8 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     # the live bus is installed process-globally so every simulation an
     # experiment runs internally publishes to it (the faultsweep also
     # publishes its own per-cell "sweep" snapshots)
-    live = _make_live_bus(args)
-    if live is not None:
-        from repro.obs.live import set_global_live_bus
-
-        set_global_live_bus(live)
-        try:
-            return _cmd_reproduce_body(args)
-        finally:
-            set_global_live_bus(None)
-            live.close()
-    return _cmd_reproduce_body(args)
+    with _live_session(args, install=True):
+        return _cmd_reproduce_body(args)
 
 
 def _cmd_reproduce_body(args: argparse.Namespace) -> int:
@@ -300,14 +305,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return 1
     policy = make_policy(args.policy, objective=args.objective, seed=args.seed)
     faults = parse_faults(args.faults)
-    live = _make_live_bus(args)
-    try:
+    with _live_session(args) as live:
         result = run_simulation(args.nodes, policy, jobs,
                                 trace=args.trace_out, faults=faults,
                                 live=live)
-    finally:
-        if live is not None:
-            live.close()
     metrics = _print_metrics(policy.name, result).as_dict()
     _print_resilience(result)
     summary = dict(metrics)
@@ -383,23 +384,21 @@ def cmd_train(args: argparse.Namespace) -> int:
                   "seed": args.seed},
             resume_at=resume_offset,
         )
-    live = _make_live_bus(args)
     try:
-        history = train_with_curriculum(
-            agent, model, base, validation, rng,
-            n_sampled=args.sampled, n_real=args.real,
-            n_synthetic=args.synthetic,
-            jobs_per_set=args.jobs_per_set,
-            telemetry=telemetry,
-            faults=faults,
-            checkpoint_path=checkpoint_path,
-            checkpoint_every=args.checkpoint_every,
-            history=history,
-            live=live,
-        )
+        with _live_session(args) as live:
+            history = train_with_curriculum(
+                agent, model, base, validation, rng,
+                n_sampled=args.sampled, n_real=args.real,
+                n_synthetic=args.synthetic,
+                jobs_per_set=args.jobs_per_set,
+                telemetry=telemetry,
+                faults=faults,
+                checkpoint_path=checkpoint_path,
+                checkpoint_every=args.checkpoint_every,
+                history=history,
+                live=live,
+            )
     finally:
-        if live is not None:
-            live.close()
         if telemetry is not None:
             telemetry.close()
             print(f"wrote {telemetry.n_written} telemetry records "
@@ -701,28 +700,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"bad sweep spec: {exc}", file=sys.stderr)
         return 2
 
-    live = _make_live_bus(args)
-    if live is not None:
-        from repro.obs.live import set_global_live_bus
-
-        set_global_live_bus(live)
     try:
-        result = pool.run_sweep(
-            spec,
-            args.store,
-            workers=args.workers,
-            resume=args.resume,
-            live=live,
-        )
+        with _live_session(args, install=True) as live:
+            result = pool.run_sweep(
+                spec,
+                args.store,
+                workers=args.workers,
+                resume=args.resume,
+                live=live,
+            )
     except pool.SweepError as exc:
         print(f"sweep failed: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if live is not None:
-            from repro.obs.live import set_global_live_bus
-
-            set_global_live_bus(None)
-            live.close()
 
     text = _render_sweep_report(args.kind, spec, result)
     if text:

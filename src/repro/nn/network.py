@@ -6,7 +6,6 @@ import numpy as np
 
 from repro.check import sanitize as _san
 from repro.nn.layers import Conv1x2, Dense, Layer, LeakyReLU, Parameter
-from repro.obs import profile as _profile
 from repro.obs import trace as _trace
 
 
@@ -41,19 +40,8 @@ class Network:
         ``in_features``.  This form is inference only: a ``backward``
         after it raises.
         """
-        prof = _profile.global_profiler()
-        if prof is not None:
-            with prof.scope("nn.forward"):
-                return self._instrumented_forward(x, shared)
-        return self._instrumented_forward(x, shared)
-
-    def _instrumented_forward(self, x: np.ndarray,
-                              shared: np.ndarray | None) -> np.ndarray:
-        tracer = _trace.global_tracer()
-        if tracer is None:
-            return self._forward(x, shared)
         # the tuple serialises to the same JSON array as a list would
-        with tracer.span("nn.forward", layers=len(self.layers),
+        with _trace.span("nn.forward", layers=len(self.layers),
                          shape=x.shape):
             return self._forward(x, shared)
 
@@ -120,17 +108,7 @@ class Network:
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         """Backpropagate ``grad_out``; returns the input gradient."""
-        prof = _profile.global_profiler()
-        if prof is not None:
-            with prof.scope("nn.backward"):
-                return self._instrumented_backward(grad_out)
-        return self._instrumented_backward(grad_out)
-
-    def _instrumented_backward(self, grad_out: np.ndarray) -> np.ndarray:
-        tracer = _trace.global_tracer()
-        if tracer is None:
-            return self._backward(grad_out)
-        with tracer.span("nn.backward", layers=len(self.layers)):
+        with _trace.span("nn.backward", layers=len(self.layers)):
             return self._backward(grad_out)
 
     def _backward(self, grad_out: np.ndarray) -> np.ndarray:

@@ -6,7 +6,6 @@ import numpy as np
 
 from repro.check import sanitize as _san
 from repro.nn.layers import Parameter
-from repro.obs import profile as _profile
 from repro.obs import trace as _trace
 
 
@@ -93,17 +92,7 @@ class Adam(Optimizer):
 
     def step(self) -> None:
         """Apply one Adam update to every parameter (in place)."""
-        prof = _profile.global_profiler()
-        if prof is not None:
-            with prof.scope("nn.adam_step"):
-                return self._instrumented_step()
-        return self._instrumented_step()
-
-    def _instrumented_step(self) -> None:
-        tracer = _trace.global_tracer()
-        if tracer is None:
-            return self._step()
-        with tracer.span("nn.adam_step", t=self._t + 1,
+        with _trace.span("nn.adam_step", t=self._t + 1,
                          params=len(self.params)):
             return self._step()
 

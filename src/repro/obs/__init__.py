@@ -11,7 +11,9 @@ run is bit-identical to an uninstrumented one (the layer only ever
   ``REPRO_TRACE=/path/to/trace.jsonl`` or per-engine with
   ``Engine(trace=...)``.  The engine emits scheduler-decision spans and
   allocate/release/backfill events; the NN stack emits
-  forward/backward/optimizer-step spans.  Traces survive crashes: the
+  forward/backward/optimizer-step spans through
+  :func:`~repro.obs.trace.span`, which also enters the profiler scope
+  of the same name.  Traces survive crashes: the
   buffered tail is flushed on engine exit and at interpreter exit.
 * :mod:`repro.obs.profile` — a deterministic hierarchical wall-time
   profiler (call counts + cumulative/self seconds per scope path).
@@ -71,6 +73,7 @@ from repro.obs.trace import (
     global_tracer,
     read_trace,
     set_global_tracer,
+    span,
 )
 
 __all__ = [
@@ -102,6 +105,7 @@ __all__ = [
     "rollup_spans",
     "set_global_profiler",
     "set_global_tracer",
+    "span",
     "summarize_trace",
     "utilization_timeline",
     "write_report",

@@ -52,10 +52,12 @@ import atexit
 import json
 import os
 import time
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, IO, Iterable
+from typing import Any, ContextManager, IO, Iterable, Iterator
 
+from repro.obs import profile as _profile
 from repro.obs.jsonl import read_jsonl
 
 #: schema tag stamped into the first record of every trace file
@@ -471,6 +473,35 @@ def set_global_tracer(tracer: "Tracer | None") -> "Tracer | None":
     if tracer is not None:
         _register_atexit_flush()
     return previous
+
+
+# -- one span for the globally-instrumented sites ------------------------------
+
+#: shared by every dark :func:`span` (stateless, so reentrant)
+_DARK = nullcontext()
+
+
+@contextmanager
+def _scoped_span(scope: ContextManager, traced: ContextManager) -> Iterator[None]:
+    with scope, traced:
+        yield
+
+
+def span(name: str, scope: bool = True, **fields: Any) -> ContextManager:
+    """Enter ``name`` on the process-global profiler and tracer.
+
+    The instrumentation idiom of the NN stack and the trainer in one
+    place: a profiler scope (skipped with ``scope=False``) around a
+    tracer span carrying ``fields``, each only if its global is
+    active.  With both off the result is one shared null context.
+    """
+    tracer = global_tracer()
+    profiler = _profile.global_profiler() if scope else None
+    if profiler is None:
+        return _DARK if tracer is None else tracer.span(name, **fields)
+    if tracer is None:
+        return profiler.scope(name)
+    return _scoped_span(profiler.scope(name), tracer.span(name, **fields))
 
 
 # -- reading traces back -------------------------------------------------------

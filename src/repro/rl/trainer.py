@@ -245,13 +245,9 @@ class Trainer:
             observers=[meter],
             faults=self._episode_faults(episode),
         )
-        tracer = _trace.global_tracer()
-        with self.metrics.timer("train.episode_s").time():
-            if tracer is None:
-                result = engine.run()
-            else:
-                with tracer.span("train.episode", jobs=len(jobset)):
-                    result = engine.run()
+        with self.metrics.timer("train.episode_s").time(), \
+                _trace.span("train.episode", scope=False, jobs=len(jobset)):
+            result = engine.run()
         self.metrics.counter("train.episodes").inc()
         if self.telemetry is not None:
             gauge = engine.metrics.gauge("engine.queue_depth")
@@ -278,14 +274,10 @@ class Trainer:
             observers=[meter],
             faults=self.faults,
         )
-        tracer = _trace.global_tracer()
-        with self.metrics.timer("train.validate_s").time():
-            if tracer is None:
-                engine.run()
-            else:
-                with tracer.span("train.validate",
-                                 jobs=len(self.validation_jobs)):
-                    engine.run()
+        with self.metrics.timer("train.validate_s").time(), \
+                _trace.span("train.validate", scope=False,
+                            jobs=len(self.validation_jobs)):
+            engine.run()
         self.metrics.counter("train.validations").inc()
         self.agent.learning = was_learning
         return meter.total

@@ -39,14 +39,12 @@ from repro.sim.events import Event, EventKind, EventQueue
 from repro.sim.queue import WaitQueue
 from repro.sim.backfill import BackfillPlanner, Reservation
 from repro.sim.faults import FaultConfig, FaultInjector, ResilienceMetrics
-from repro.sim.engine import Action, ActionKind, Engine, SchedulingView, SimulationResult
+from repro.sim.engine import Engine, SchedulingView, SimulationResult
 from repro.sim.metrics import MetricsRecorder, RunMetrics
 from repro.sim.observers import EventLog, QueueDepthRecorder, UtilizationTimeline
 from repro.sim.profile import ResourceProfile
 
 __all__ = [
-    "Action",
-    "ActionKind",
     "BackfillPlanner",
     "Cluster",
     "Engine",

@@ -22,59 +22,32 @@ Execution-mode attribution follows section III-B:
 
 from __future__ import annotations
 
-import enum
-import time
 from time import perf_counter as _perf_counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Protocol, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Protocol, Sequence
 
 import numpy as np
 
 from repro.check import sanitize as _san
-from repro.obs import live as _live
-from repro.obs import profile as _profile
-from repro.obs import trace as _trace
+from repro.obs.live import LIVE_SIM_EVERY
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.backfill import BackfillPlanner, Reservation
 from repro.sim.cluster import Cluster
 from repro.sim.events import Event, EventKind, EventQueue
 from repro.sim.faults import FaultConfig, FaultInjector, ResilienceMetrics
 from repro.sim.job import ExecMode, Job, JobState
+from repro.sim.observers import HOOKS, Observer, channel_observers
 from repro.sim.queue import WaitQueue
+
+if TYPE_CHECKING:
+    from repro.obs.live import LiveBus
+    from repro.obs.profile import Profiler
+    from repro.obs.trace import Tracer
 
 
 class SimulationError(RuntimeError):
     """Raised when the simulation cannot make progress."""
-
-
-class ActionKind(enum.Enum):
-    """What a recorded scheduling action did: start or reserve a job."""
-
-    START = "start"
-    RESERVE = "reserve"
-
-
-@dataclass(frozen=True, slots=True)
-class Action:
-    """A record of one scheduling action (kept for observers/analysis)."""
-
-    kind: ActionKind
-    job_id: int
-    time: float
-    mode: ExecMode | None = None
-
-
-class Observer(Protocol):
-    """Callbacks fired by the engine.  All methods are optional."""
-
-    def on_start(self, job: Job, now: float) -> None: ...
-
-    def on_finish(self, job: Job, now: float) -> None: ...
-
-    def on_kill(self, job: Job, now: float) -> None: ...
-
-    def on_instance(self, view: "SchedulingView", started: Sequence[Job]) -> None: ...
 
 
 class SchedulingView:
@@ -117,6 +90,17 @@ class SchedulingView:
     def window(self, size: int) -> list[Job]:
         """The ``size`` oldest eligible jobs."""
         return self._engine.queue.window(size)
+
+    @property
+    def queue_depth(self) -> int:
+        """How many jobs are eligible right now (O(1), no copy)."""
+        return len(self._engine.queue)
+
+    @property
+    def held_count(self) -> int:
+        """How many submitted jobs still wait on dependencies (O(1))."""
+        queue = self._engine.queue
+        return queue.total_pending - len(queue)
 
     @property
     def reservation(self) -> Reservation | None:
@@ -207,16 +191,9 @@ class SchedulingView:
         job.ever_reserved = True
         self._reservation = reservation
         self._reserved_job = job
-        if self._engine._record_actions:
-            self._engine._actions.append(
-                Action(ActionKind.RESERVE, job.job_id, self.now))
         self._engine._m_reservations.value += 1
-        if self._engine._run_tracer is not None:
-            self._engine._run_tracer.event(
-                "engine.backfill_reserve", t=self.now, job=job.job_id,
-                size=job.size, shadow_time=reservation.shadow_time,
-                extra_nodes=reservation.extra_nodes,
-            )
+        for handler in self._engine._on_reserve:
+            handler(job, self.now, reservation)
         return reservation
 
 
@@ -242,7 +219,6 @@ class SimulationResult:
     first_submit: float
     num_instances: int
     num_nodes: int
-    actions: list[Action] = field(default_factory=list)
     #: fault-impact summary; ``None`` when no fault model was active
     resilience: ResilienceMetrics | None = None
 
@@ -270,23 +246,24 @@ class Engine:
     jobs:
         The jobset to replay.  Jobs must be in the ``PENDING`` state.
     observers:
-        Optional metric recorders / reward meters.
+        Optional :class:`Observer` subscribers (metric recorders, reward
+        meters, an :class:`~repro.sim.observers.EventLog`).
     max_time:
         Optional simulation-time horizon; events beyond it are dropped
         and still-running jobs are left unfinished in the result.
-    record_actions:
-        Keep a full action log in the result (off by default to bound
-        memory on long runs).
     sanitize:
         Activate the runtime invariant checks of
         :mod:`repro.check.sanitize` for this engine and its cluster.
         ``None`` (the default) follows the ``REPRO_SANITIZE`` env var.
     trace:
         Structured-event tracing (:mod:`repro.obs.trace`).  Pass a
-        :class:`~repro.obs.trace.Tracer`, or a path to create one.
-        ``None`` (the default) follows the process-global tracer
-        (``REPRO_TRACE=path`` env var).  Tracing is observe-only: a
-        traced run is bit-identical to an untraced one.
+        :class:`~repro.obs.trace.Tracer` (flushed when a run ends; the
+        caller closes it), or a path: each :meth:`run` then opens the
+        file afresh and closes it when the run ends, so it always holds
+        exactly the latest run.  ``None`` (the default) follows the
+        process-global tracer (``REPRO_TRACE=path`` env var).  Tracing
+        is observe-only: a traced run is bit-identical to an untraced
+        one.
     profile:
         Hierarchical wall-time profiling (:mod:`repro.obs.profile`).
         Pass a :class:`~repro.obs.profile.Profiler`; ``None`` (the
@@ -296,11 +273,11 @@ class Engine:
     live:
         In-flight snapshot publishing (:mod:`repro.obs.live`).  Pass a
         :class:`~repro.obs.live.LiveBus`; ``None`` (the default)
-        follows the process-global bus (``REPRO_LIVE`` env var).  The
-        engine publishes a ``kind="sim"`` snapshot every
-        ``live_every`` processed events plus a final one at
-        completion.  Publishing is observe-only: a live-enabled run is
-        bit-identical to a dark one.
+        follows the process-global bus (``REPRO_LIVE`` env var).  A
+        ``kind="sim"`` snapshot is published every ``live_every``
+        processed events plus a final one at completion.  Publishing
+        is observe-only: a live-enabled run is bit-identical to a dark
+        one.
     live_every:
         Event-count publish cadence for ``live`` (default
         :data:`~repro.obs.live.LIVE_SIM_EVERY`).  A count — never a
@@ -318,6 +295,11 @@ class Engine:
     max_wall_s:
         Runaway guard: raise :class:`SimulationError` once the run has
         consumed this much wall-clock time.  ``None`` disables it.
+
+    ``trace`` / ``profile`` / ``live`` (or their process-globals) each
+    append one subscriber from :mod:`repro.sim.observers` after
+    ``observers`` at the top of :meth:`run`; the loop itself only ever
+    speaks the :class:`Observer` protocol.
     """
 
     def __init__(
@@ -327,12 +309,11 @@ class Engine:
         jobs: Iterable[Job],
         observers: Sequence[Observer] = (),
         max_time: float | None = None,
-        record_actions: bool = False,
         sanitize: bool | None = None,
-        trace: "_trace.Tracer | str | Path | None" = None,
-        profile: "_profile.Profiler | None" = None,
-        live: "_live.LiveBus | None" = None,
-        live_every: int = _live.LIVE_SIM_EVERY,
+        trace: "Tracer | str | Path | None" = None,
+        profile: "Profiler | None" = None,
+        live: "LiveBus | None" = None,
+        live_every: int = LIVE_SIM_EVERY,
         faults: FaultConfig | None = None,
         max_events: int | None = None,
         max_wall_s: float | None = None,
@@ -342,11 +323,9 @@ class Engine:
         if sanitize is not None:
             # an explicit engine flag governs its cluster too
             cluster._sanitize = sanitize
-        if isinstance(trace, (str, Path)):
-            trace = _trace.Tracer(trace)
-        self._trace_flag = trace
-        self._profile_flag = profile
-        self._live_flag = live
+        self._trace = trace
+        self._profile = profile
+        self._live = live
         if live_every <= 0:
             raise ValueError(f"live_every must be positive, got {live_every}")
         self.live_every = live_every
@@ -375,8 +354,9 @@ class Engine:
         #: jobs not yet FINISHED or FAILED; run loop termination under
         #: recurring fault events (which never drain the event queue)
         self._jobs_remaining = 0
-        self._record_actions = record_actions
-        self._actions: list[Action] = []
+        #: why the job being delivered to ``on_kill`` died:
+        #: ``"node_fail"`` or ``"job_kill"``
+        self.kill_cause = ""
         #: always-on run statistics (cheap int/float updates only)
         self.metrics = MetricsRegistry()
         self._m_submits = self.metrics.counter("engine.events_submit")
@@ -389,10 +369,6 @@ class Engine:
         self._m_kills = self.metrics.counter("engine.jobs_killed")
         self._m_queue_depth = self.metrics.gauge("engine.queue_depth")
         self._m_schedule = self.metrics.timer("engine.schedule_s")
-        #: tracer resolved at the top of :meth:`run` (None when off)
-        self._run_tracer: "_trace.Tracer | None" = None
-        #: profiler resolved at the top of :meth:`run` (None when off)
-        self._run_prof: "_profile.Profiler | None" = None
         #: sanitize decision pinned for the duration of :meth:`run`
         #: (None outside a run: fall through to flag/env resolution)
         self._run_sanitize: bool | None = None
@@ -411,6 +387,19 @@ class Engine:
             if job.job_id in self._jobs:
                 raise ValueError(f"duplicate job id {job.job_id}")
             self._jobs[job.job_id] = job
+        # so a hand-made SchedulingView outside run() still notifies
+        self._bind(self.observers)
+
+    def _bind(self, subscribers: Sequence[Observer]) -> None:
+        """Resolve every hook to its tuple of bound handlers.
+
+        ``self._on_start`` and friends: one attribute per hook, holding
+        the handlers of the subscribers that implement it, in order.
+        """
+        for hook in HOOKS:
+            setattr(self, "_" + hook, tuple(
+                getattr(sub, hook) for sub in subscribers
+                if hasattr(sub, hook)))
 
     @property
     def sanitize_active(self) -> bool:
@@ -420,52 +409,6 @@ class Engine:
         if self._sanitize_flag is not None:
             return self._sanitize_flag
         return _san.sanitizer_enabled()
-
-    @property
-    def tracer(self) -> "_trace.Tracer | None":
-        """The tracer this engine writes to (explicit, else global)."""
-        if self._trace_flag is not None:
-            return self._trace_flag
-        return _trace.global_tracer()
-
-    @property
-    def profiler(self) -> "_profile.Profiler | None":
-        """The profiler this engine records into (explicit, else global)."""
-        if self._profile_flag is not None:
-            return self._profile_flag
-        return _profile.global_profiler()
-
-    @property
-    def live_bus(self) -> "_live.LiveBus | None":
-        """The live bus this engine publishes to (explicit, else global)."""
-        if self._live_flag is not None:
-            return self._live_flag
-        return _live.global_live_bus()
-
-    def _publish_live(self, live: "_live.LiveBus", events_seen: int,
-                      final: bool) -> None:
-        """Publish one ``kind="sim"`` snapshot of the run's state."""
-        cluster = self.cluster
-        free = cluster.available_nodes
-        fields: dict[str, Any] = {
-            "t": self.now,
-            "events": events_seen,
-            "instances": self.num_instances,
-            "queue_depth": len(self.queue),
-            "running": len(self._running),
-            "free_nodes": free,
-            "num_nodes": cluster.num_nodes,
-            "utilization": (cluster.num_nodes - free) / cluster.num_nodes,
-            "done": len(self._jobs) - self._jobs_remaining,
-            "total": len(self._jobs),
-        }
-        if self.injector is not None:
-            counters = self.injector.counters
-            fields["faults"] = counters.node_failures
-            fields["requeues"] = counters.requeues
-        if final:
-            fields["final"] = True
-        live.publish("sim", fields)
 
     # -- internal hooks used by the view ----------------------------------------
     def _start_job(self, job: Job, mode: ExecMode) -> None:
@@ -478,19 +421,9 @@ class Engine:
         self._finish_events[job.job_id] = self.events.push(
             self.now + job.runtime, EventKind.FINISH, job.job_id
         )
-        if self._record_actions:
-            self._actions.append(Action(ActionKind.START, job.job_id,
-                                        self.now, mode))
         self._m_starts.value += 1
-        if self._run_tracer is not None:
-            self._run_tracer.event(
-                "engine.allocate", t=self.now, job=job.job_id,
-                size=job.size, mode=mode.value,
-            )
-        for obs in self.observers:
-            handler = getattr(obs, "on_start", None)
-            if handler is not None:
-                handler(job, self.now)
+        for handler in self._on_start:
+            handler(job, self.now)
 
     def _finish_job(self, job: Job) -> None:
         self.cluster.release(job)
@@ -499,19 +432,23 @@ class Engine:
         self._finish_events.pop(job.job_id, None)
         self._jobs_remaining -= 1
         self.queue.notify_finished(job)
-        if self._run_tracer is not None:
-            self._run_tracer.event(
-                "engine.release", t=self.now, job=job.job_id, size=job.size,
-            )
-        for obs in self.observers:
-            handler = getattr(obs, "on_finish", None)
-            if handler is not None:
-                handler(job, self.now)
+        for handler in self._on_finish:
+            handler(job, self.now)
 
     @property
-    def running_jobs(self) -> dict[int, Job]:
-        """Snapshot of currently running jobs, keyed by job id."""
-        return dict(self._running)
+    def num_running(self) -> int:
+        """How many jobs are running right now (O(1), no copy)."""
+        return len(self._running)
+
+    @property
+    def num_jobs(self) -> int:
+        """How many jobs the replayed jobset holds."""
+        return len(self._jobs)
+
+    @property
+    def num_done(self) -> int:
+        """How many jobs are FINISHED or FAILED so far."""
+        return len(self._jobs) - self._jobs_remaining
 
     # -- fault handling ----------------------------------------------------------
     def _kill_job(self, job: Job, cause: str) -> None:
@@ -538,21 +475,11 @@ class Engine:
                 doomed.mark_abandoned()
                 inj.counters.abandons += 1
                 self._jobs_remaining -= 1
-                if self._run_tracer is not None:
-                    self._run_tracer.event(
-                        "engine.job_abandon", t=self.now,
-                        job=doomed.job_id, parent=job.job_id,
-                    )
-        if self._run_tracer is not None:
-            self._run_tracer.event(
-                "engine.job_kill", t=self.now, job=job.job_id,
-                cause=cause, requeued=requeue,
-                wasted=job.wasted_node_seconds,
-            )
-        for obs in self.observers:
-            handler = getattr(obs, "on_kill", None)
-            if handler is not None:
-                handler(job, self.now)
+                for handler in self._on_abandon:
+                    handler(doomed, self.now, job.job_id)
+        self.kill_cause = cause
+        for handler in self._on_kill:
+            handler(job, self.now)
 
     def _handle_node_fail(self) -> None:
         """One failure event: pick victims, evacuate, mark down, reschedule."""
@@ -566,20 +493,18 @@ class Engine:
         for job_id in killed:
             self._kill_job(self._jobs[job_id], cause="node_fail")
         inj.counters.node_failures += 1
-        n_victims = int(victims.size)
+        nodes = victims.tolist()
+        n_victims = len(nodes)
         if n_victims:
             # one vectorized down-transition for the whole blade; the
             # repair events keep per-victim push order (stable seq ids)
             up_ats = self.now + np.asarray(repairs[:n_victims], dtype=np.float64)
             self.cluster.fail_nodes(victims, self.now, up_ats)
-            for node, up_at in zip(victims.tolist(), up_ats.tolist()):
+            for node, up_at in zip(nodes, up_ats.tolist()):
                 self.events.push(up_at, EventKind.NODE_REPAIR, node=node)
             inj.counters.nodes_failed += n_victims
-        if self._run_tracer is not None:
-            self._run_tracer.event(
-                "engine.node_fail", t=self.now, nodes=victims.tolist(),
-                killed=killed,
-            )
+        for handler in self._on_node_fail:
+            handler(self.now, nodes, killed)
         self.events.push(self.now + inj.next_failure_gap(), EventKind.NODE_FAIL)
 
     def _handle_node_repair(self, event: Event) -> None:
@@ -589,10 +514,8 @@ class Engine:
         self.cluster.repair_nodes([event.node], self.now)
         inj.counters.node_repairs += 1
         self._m_node_repairs.value += 1
-        if self._run_tracer is not None:
-            self._run_tracer.event(
-                "engine.node_repair", t=self.now, node=event.node,
-            )
+        for handler in self._on_node_repair:
+            handler(self.now, event.node)
 
     def _handle_job_kill(self) -> None:
         """One job-kill fault: abort a uniformly-chosen running job."""
@@ -612,7 +535,6 @@ class Engine:
         self.events.clear()
         self.now = 0.0
         self.num_instances = 0
-        self._actions = []
         self._finish_events = {}
         self._jobs_remaining = len(self._jobs)
 
@@ -640,16 +562,11 @@ class Engine:
         # pin for the run: the per-start/per-reserve hooks consult the
         # property, and resolving the env var each time is measurable
         self._run_sanitize = sanitize_active
-        tracer = self.tracer
-        self._run_tracer = tracer
-        prof = self.profiler
-        self._run_prof = prof
-        live = self.live_bus
-        live_every = self.live_every
-        live_pending = 0
-        if live is not None:
-            live.register_metrics("engine", self.metrics)
-        prof_depth = prof.open_depth if prof is not None else 0
+        # the one seam: the channels join the caller's observers as
+        # ordinary subscribers, and every hook's handlers resolve here
+        self._bind([*self.observers, *channel_observers(
+            self._trace, self._profile, self._live, self.live_every)])
+        on_instance_begin = self._on_instance_begin
         # share (not duplicate) the per-instance instruments with the
         # scheduler's registry, so the hot loop records each sample once
         sched_metrics = getattr(self.scheduler, "metrics", None)
@@ -671,9 +588,10 @@ class Engine:
             cluster._sanitize = sanitize_active
         events_seen = 0
         wall_start = _perf_counter() if max_wall_s is not None else 0.0
+        completed = False
         try:
-            if prof is not None:
-                prof.push("engine.run")
+            for handler in self._on_run_begin:
+                handler(self)
             while events and self._jobs_remaining > 0:
                 if max_time is not None \
                         and events.peek().time > max_time:
@@ -694,11 +612,8 @@ class Engine:
                 if sanitize_active:
                     _san.check_monotonic_time(self.now, batch[0].time)
                 self.now = batch[0].time
-                if prof is not None:
-                    prof.push("engine.instance")
-                if tracer is not None:
-                    span = tracer.begin("engine.instance", t=self.now,
-                                        batch=len(batch))
+                for handler in on_instance_begin:
+                    handler(self.now, len(batch))
                 for event in batch:
                     kind = event.kind
                     if kind is EventKind.FINISH:
@@ -714,9 +629,8 @@ class Engine:
                             self._jobs_remaining -= 1
                             if self.injector is not None:
                                 self.injector.counters.abandons += 1
-                            if tracer is not None:
-                                tracer.event("engine.job_abandon", t=self.now,
-                                             job=job.job_id, parent=-1)
+                            for handler in self._on_abandon:
+                                handler(job, self.now, -1)
                     elif kind is EventKind.NODE_REPAIR:
                         self._handle_node_repair(event)
                     elif kind is EventKind.NODE_FAIL:
@@ -724,20 +638,7 @@ class Engine:
                     else:  # EventKind.JOB_KILL
                         self._handle_job_kill()
                 self._run_instance()
-                if tracer is not None:
-                    tracer.end(span)
-                if prof is not None:
-                    prof.pop()
-                if live is not None:
-                    # event-count cadence (never a wall-clock timer): the
-                    # snapshot sequence is a pure function of the run
-                    live_pending += len(batch)
-                    if live_pending >= live_every:
-                        live_pending = 0
-                        self._publish_live(live, events_seen, final=False)
-
-            if live is not None:
-                self._publish_live(live, events_seen, final=True)
+            completed = True
 
             if len(self.queue) > 0 and not self._running:
                 stuck = [j.job_id for j in self.queue.waiting]
@@ -746,17 +647,17 @@ class Engine:
                     "idle cluster; the policy failed to start any runnable job"
                 )
         finally:
-            # durability: never lose the buffered trace tail, and never
-            # leak open profile scopes, even when the policy raises
             if pin_cluster_sanitize:
                 cluster._sanitize = None
-            if prof is not None:
-                prof.pop_to(prof_depth)
-            if tracer is not None:
-                tracer.flush()
-            self._run_tracer = None
-            self._run_prof = None
             self._run_sanitize = None
+            # durability: subscribers flush buffered tails and unwind
+            # open scopes here, even when the policy raised
+            for handler in self._on_run_end:
+                handler(self, completed)
+            # the channel subscribers lived for this run only; some hold
+            # the engine, and that cycle would keep the whole run (jobs,
+            # cluster arrays) alive until the garbage collector finds it
+            self._bind(self.observers)
 
         hook = getattr(self.scheduler, "on_simulation_end", None)
         if hook is not None:
@@ -772,7 +673,6 @@ class Engine:
             first_submit=first_submit,
             num_instances=self.num_instances,
             num_nodes=self.cluster.num_nodes,
-            actions=self._actions,
             resilience=resilience,
         )
 
@@ -820,56 +720,33 @@ class Engine:
             gauge.max = depth
         gauge.samples += 1
         view = SchedulingView(self)
-        timer = self._m_schedule
-        prof = self._run_prof
-        if prof is not None:
-            prof.push("engine.schedule")
+        for handler in self._on_schedule_begin:
+            handler(view)
         t0 = _perf_counter()
         self.scheduler.schedule(view)
         sample = _perf_counter() - t0
-        if prof is not None:
-            prof.pop()
+        for handler in self._on_schedule_end:
+            handler(view)
         # one method call per *instance* (not per event): cheap enough,
         # and it keeps the EMA + histogram update logic in one place
-        timer.observe(sample)
-        for obs in self.observers:
-            handler = getattr(obs, "on_instance", None)
-            if handler is not None:
-                handler(view, view.started)
+        self._m_schedule.observe(sample)
+        for handler in self._on_instance:
+            handler(view, view.started)
 
 
 def run_simulation(
     num_nodes: int,
     scheduler: Scheduler,
     jobs: Iterable[Job],
-    observers: Sequence[Observer] = (),
-    max_time: float | None = None,
-    record_actions: bool = False,
+    *,
     sanitize: bool | None = None,
-    trace: "_trace.Tracer | str | Path | None" = None,
-    profile: "_profile.Profiler | None" = None,
-    live: "_live.LiveBus | None" = None,
-    live_every: int = _live.LIVE_SIM_EVERY,
-    faults: FaultConfig | None = None,
-    max_events: int | None = None,
-    max_wall_s: float | None = None,
+    **engine_options: Any,
 ) -> SimulationResult:
-    """Convenience wrapper: build a cluster + engine and run it."""
+    """Convenience wrapper: build a cluster + engine and run it.
+
+    ``sanitize`` governs both; every other keyword (``observers``,
+    ``trace``, ``faults``, ...) is an :class:`Engine` parameter.
+    """
     cluster = Cluster(num_nodes, sanitize=sanitize)
-    engine = Engine(
-        cluster,
-        scheduler,
-        jobs,
-        observers=observers,
-        max_time=max_time,
-        record_actions=record_actions,
-        sanitize=sanitize,
-        trace=trace,
-        profile=profile,
-        live=live,
-        live_every=live_every,
-        faults=faults,
-        max_events=max_events,
-        max_wall_s=max_wall_s,
-    )
-    return engine.run()
+    return Engine(cluster, scheduler, jobs, sanitize=sanitize,
+                  **engine_options).run()

@@ -6,6 +6,7 @@ from repro.schedulers.fcfs import FCFSEasy
 from repro.sim.cluster import Cluster
 from repro.sim.engine import Engine, SimulationError, run_simulation
 from repro.sim.job import ExecMode, Job, JobState
+from repro.sim.observers import EventLog
 from tests.conftest import make_job
 
 
@@ -158,10 +159,18 @@ class TestEngineControls:
             run_simulation(4, DoNothing(), [job])
 
     def test_action_recording(self):
-        job = make_job(size=1, walltime=10.0)
-        result = run_fcfs(4, [job], record_actions=True)
-        assert len(result.actions) == 1
-        assert result.actions[0].job_id == job.job_id
+        """The action log is an observer: every start and reservation."""
+        log = EventLog()
+        wide = make_job(size=4, walltime=10.0)
+        blocked = make_job(size=4, walltime=10.0)
+        run_fcfs(4, [wide, blocked], observers=[log])
+        actions = [(e.kind, e.job_id, e.time, e.mode) for e in log.events
+                   if e.kind in ("start", "reserve")]
+        assert actions == [
+            ("start", wide.job_id, 0.0, "ready"),
+            ("reserve", blocked.job_id, 0.0, None),
+            ("start", blocked.job_id, 10.0, "reserved"),
+        ]
 
 
 class TestViewValidation:

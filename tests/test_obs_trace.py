@@ -122,6 +122,101 @@ class TestGlobalTracer:
         assert global_tracer() is previous
 
 
+class TestGlobalSpan:
+    """``repro.obs.span``: the one helper the NN stack and trainer use."""
+
+    @pytest.fixture
+    def globals_(self):
+        from repro.obs.profile import Profiler, set_global_profiler
+
+        sink = io.StringIO()
+        tracer, profiler = Tracer(sink, buffer_lines=1), Profiler()
+        state = {"tracer": tracer, "profiler": profiler, "sink": sink}
+        prev_tracer = set_global_tracer(None)
+        prev_profiler = set_global_profiler(None)
+        try:
+            yield state
+        finally:
+            set_global_tracer(prev_tracer)
+            set_global_profiler(prev_profiler)
+
+    def _records(self, sink):
+        return [json.loads(l) for l in sink.getvalue().splitlines()][1:]
+
+    def test_dark_is_one_shared_null_context(self, globals_):
+        from repro.obs import span
+
+        first, second = span("nn.forward", layers=3), span("nn.backward")
+        assert first is second
+        with first:
+            with second:     # reentrant
+                pass
+
+    def test_tracer_only(self, globals_):
+        from repro.obs import span
+
+        set_global_tracer(globals_["tracer"])
+        with span("nn.forward", layers=3, shape=(1, 2)):
+            pass
+        begin, end = self._records(globals_["sink"])
+        assert (begin["type"], begin["name"], begin["layers"],
+                begin["shape"]) == ("begin", "nn.forward", 3, [1, 2])
+        assert end == {"type": "end", "sid": begin["sid"], "wall": end["wall"]}
+        assert globals_["profiler"].roots == []
+
+    def test_profiler_only(self, globals_):
+        from repro.obs import span
+        from repro.obs.profile import set_global_profiler
+
+        set_global_profiler(globals_["profiler"])
+        with span("nn.adam_step", t=1):
+            pass
+        (root,) = globals_["profiler"].roots
+        assert (root.name, root.calls) == ("nn.adam_step", 1)
+        assert self._records(globals_["sink"]) == []
+
+    def test_scope_encloses_span_and_unwinds_on_error(self, globals_):
+        from repro.obs import span
+        from repro.obs.profile import set_global_profiler
+
+        tracer, profiler = globals_["tracer"], globals_["profiler"]
+        set_global_tracer(tracer)
+        set_global_profiler(profiler)
+        with pytest.raises(RuntimeError):
+            with span("nn.backward", layers=2):
+                # inside: the scope is open and so is the span
+                assert profiler.open_depth == 1
+                assert [r["type"] for r in self._records(globals_["sink"])] \
+                    == ["begin"]
+                raise RuntimeError("boom")
+        assert profiler.open_depth == 0
+        assert [r["type"] for r in self._records(globals_["sink"])] \
+            == ["begin", "end"]
+
+    def test_scope_false_skips_the_profiler(self, globals_):
+        from repro.obs import span
+        from repro.obs.profile import set_global_profiler
+
+        set_global_tracer(globals_["tracer"])
+        set_global_profiler(globals_["profiler"])
+        with span("train.episode", scope=False, jobs=4):
+            pass
+        assert globals_["profiler"].roots == []
+        assert self._records(globals_["sink"])[0]["jobs"] == 4
+
+    def test_instrumented_sites_kept_their_names(self):
+        """The perf harness wraps these class attributes from outside."""
+        from repro.nn.network import Network
+        from repro.nn.optim import Adam
+
+        assert Network.__call__ is Network.forward
+        for owner, gone in ((Network, "_instrumented_forward"),
+                            (Network, "_instrumented_backward"),
+                            (Adam, "_instrumented_step")):
+            assert not hasattr(owner, gone)
+        assert callable(Network.backward) and callable(Adam.step)
+
+
 class TestEngineTracing:
     def test_traced_run_bit_identical(self, tmp_path):
         """Tracing must not perturb the simulation in any way."""

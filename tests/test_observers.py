@@ -106,3 +106,59 @@ class TestEventLog:
         run_simulation(4, FCFSEasy(), _jobs(), observers=[log])
         times = [e.time for e in log.events]
         assert times == sorted(times)
+
+    def test_reservations_recorded(self):
+        """The log is the action log: reservations sit between the starts."""
+        log = EventLog()
+        jobs = _jobs()
+        run_simulation(4, FCFSEasy(), jobs, observers=[log])
+        reserves = [e for e in log.events if e.kind == "reserve"]
+        assert reserves, "whole-system jobs arriving 10 s apart must block"
+        assert all(e.mode is None and e.size == 4 for e in reserves)
+        # a reserved job is reserved before it starts, never after
+        first_reserve = {}
+        for e in reserves:
+            first_reserve.setdefault(e.job_id, e.time)
+        starts = {e.job_id: e.time for e in log.starts()}
+        assert all(t <= starts[job_id] for job_id, t in first_reserve.items())
+
+
+class TestViewReads:
+    def test_depth_recorder_never_copies_the_queue(self, monkeypatch):
+        """``queue_depth`` / ``held_count`` are O(1): no ``waiting`` copy."""
+        from repro.sim.queue import WaitQueue
+
+        copies = []
+        original = WaitQueue.waiting.fget
+        monkeypatch.setattr(
+            WaitQueue, "waiting",
+            property(lambda self: copies.append(1) or original(self)))
+
+        class Quiet(FCFSEasy):
+            """FCFS that reads the queue through the no-copy window."""
+
+            def schedule(self, view):
+                while True:
+                    head = view.window(1)
+                    if not head or head[0].size > view.free_nodes:
+                        return
+                    view.start(head[0])
+
+        rec = QueueDepthRecorder()
+        run_simulation(4, Quiet(), _jobs(), observers=[rec])
+        assert copies == []
+        assert rec.max_depth == 3
+
+    def test_view_counts_match_the_queue(self):
+        seen = []
+
+        class Probe:
+            def on_instance(self, view, started):
+                seen.append((view.queue_depth, len(view.waiting()),
+                             view.held_count))
+
+        parent = make_job(size=1, walltime=50.0, submit=0.0, job_id=1)
+        child = make_job(size=1, walltime=10.0, submit=0.0, deps=(1,), job_id=2)
+        run_simulation(4, FCFSEasy(), [parent, child], observers=[Probe()])
+        assert all(depth == copied for depth, copied, _ in seen)
+        assert [held for _, _, held in seen] == [1, 0, 0]

@@ -366,9 +366,46 @@ class TestContractRules:
         violations = analyze_project(mutated_src, package="repro")
         assert "RPR403" in rule_ids(violations)
 
+    def test_new_observer_hook_drift(self, mutated_src):
+        observers = mutated_src / "sim" / "observers.py"
+        observers.write_text(observers.read_text().replace(
+            "def on_node_repair(self, now: float, node: int) -> None:",
+            "def on_node_repair(self, node: int, now: float) -> None:",
+        ))
+        violations = analyze_project(mutated_src, package="repro")
+        assert any(v.rule_id == "RPR403" and "on_node_repair" in v.message
+                   for v in violations)
+
+    def test_misspelt_observer_hook(self, tmp_path):
+        root = write_tree(tmp_path / "pkg", {
+            "pkg/__init__.py": "",
+            "pkg/obs.py": """\
+                \"\"\"A hook the engine will never call.\"\"\"
+
+                class Log:
+                    \"\"\"Observer with one real and one misspelt hook.\"\"\"
+
+                    def on_start(self, job, now):
+                        \"\"\"A real hook.\"\"\"
+
+                    def on_reserved(self, job, now, reservation):
+                        \"\"\"Should be on_reserve.\"\"\"
+
+                class Sink:
+                    \"\"\"Not an observer: other on_* names are its own.\"\"\"
+
+                    def on_snapshot(self, record):
+                        \"\"\"A live-bus sink method.\"\"\"
+                """,
+        })
+        violations = analyze_project(root / "pkg")
+        assert [(v.rule_id, "on_reserved" in v.message, "misspelt" in v.message)
+                for v in violations] == [("RPR403", True, True)]
+
     def test_undocumented_span_name(self, mutated_src):
-        engine = mutated_src / "sim" / "engine.py"
-        engine.write_text(engine.read_text().replace(
+        # the engine.* record names live with the trace subscriber
+        observers = mutated_src / "sim" / "observers.py"
+        observers.write_text(observers.read_text().replace(
             '"engine.release"', '"engine.free"',
         ))
         violations = analyze_project(mutated_src, package="repro")
