@@ -30,8 +30,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.check import LintConfig, analyze_project, lint_paths  # noqa: E402
-from repro.check.project import project_rules  # noqa: E402
+from repro.check import RULES, lint_paths  # noqa: E402
 from repro.check.report import (  # noqa: E402
     baseline_key,
     diff_baseline,
@@ -43,12 +42,18 @@ SOURCE_ROOT = REPO_ROOT / "src" / "repro"
 BASELINE_PATH = REPO_ROOT / "check_baseline.json"
 
 #: rule IDs the ratchet *requires* to be registered.  A refactor that
-#: silently drops a rule family would otherwise pass the gate with the
-#: dropped rules checking nothing; growing the families here is part
-#: of adding one.
+#: silently drops a rule would otherwise pass the gate with the
+#: dropped rule checking nothing; adding or retiring a rule means
+#: editing this set.
 EXPECTED_RULE_IDS = frozenset({
-    # RPR5xx profile-guided performance
-    "RPR501", "RPR502", "RPR503", "RPR504", "RPR505", "RPR506", "RPR507",
+    # RPR1xx determinism & correctness (per file)
+    "RPR101", "RPR102", "RPR103", "RPR104", "RPR105", "RPR106", "RPR107",
+    # RPR2xx units of measure
+    "RPR201", "RPR202", "RPR203",
+    # RPR3xx static NN verification
+    "RPR301", "RPR302", "RPR303",
+    # RPR4xx API contracts
+    "RPR401", "RPR402", "RPR403", "RPR404",
     # RPR6xx determinism taint (effect inference)
     "RPR601", "RPR602", "RPR603", "RPR604", "RPR605", "RPR606", "RPR607",
     "RPR608",
@@ -57,17 +62,8 @@ EXPECTED_RULE_IDS = frozenset({
 
 def missing_rules() -> list[str]:
     """Expected rule IDs that failed to register (empty when healthy)."""
-    registered = {rule.id for rule in project_rules()}
+    registered = {rule.id for rule in RULES.values()}
     return sorted(EXPECTED_RULE_IDS - registered)
-
-
-def current_findings():
-    """Strict findings (per-file + whole-program) over ``src/repro``."""
-    config = LintConfig()
-    violations = lint_paths([SOURCE_ROOT], config)
-    violations.extend(analyze_project(SOURCE_ROOT, config))
-    violations.sort(key=lambda v: (str(v.path), v.line, v.col, v.rule_id))
-    return violations
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -95,7 +91,7 @@ def main(argv: list[str] | None = None) -> int:
         print(str(exc), file=sys.stderr)
         return 2
 
-    violations = current_findings()
+    violations = lint_paths([SOURCE_ROOT], strict=True)
     new, stale = diff_baseline(violations, baseline)
 
     if new:

@@ -1,93 +1,69 @@
 """Correctness tooling for the reproduction: static analysis + sanitizer.
 
-Three layers, all in service of bit-reproducible simulation and
+Two layers, both in service of bit-reproducible simulation and
 numerically sane training:
 
-* :mod:`repro.check.lint` — an AST-based per-file linter with a
-  pluggable rule registry (:mod:`repro.check.rules`).  It flags the
-  regressions that historically break RL-scheduling reproducibility:
-  global-RNG usage, wall-clock reads, mutable default arguments, exact
-  float comparisons on simulation timestamps, and swallowed exceptions.
-* :mod:`repro.check.project` — a whole-program model (import graph,
-  cross-module symbol resolution, class hierarchy) powering the
-  project-level rule families: units-of-measure checking
+* **Static analysis** — one rule framework (:mod:`repro.check.rules`:
+  the ``Rule`` base, the ``RULES`` registry, the raw ``Finding``) and
+  one driver (:mod:`repro.check.lint`) over pure-:mod:`ast` module and
+  project models (:mod:`repro.check.project`).  Per-file rules
+  (RPR1xx) flag the regressions that historically break RL-scheduling
+  reproducibility: global-RNG usage, wall-clock reads, mutable default
+  arguments, exact float comparisons on simulation timestamps,
+  swallowed exceptions, float accumulation in set order.
+  Whole-program rules see import graph, cross-module symbol resolution
+  and class hierarchy: units-of-measure checking
   (:mod:`repro.check.units`, RPR2xx), static NN shape/parameter
   verification (:mod:`repro.check.shapes`, RPR3xx), API-contract
-  rules (:mod:`repro.check.contracts`, RPR4xx), profile-guided
-  performance rules (:mod:`repro.check.perf`, RPR5xx — built on the
-  intraprocedural CFG/dataflow engine of :mod:`repro.check.flow` and
-  the call-graph hotness model of :mod:`repro.check.hotness`) and
-  determinism-taint rules (:mod:`repro.check.taint`, RPR6xx — built on
-  the interprocedural effect inference of :mod:`repro.check.effects`).
+  rules (:mod:`repro.check.contracts`, RPR4xx) and determinism-taint
+  rules (:mod:`repro.check.taint`, RPR6xx — built on the
+  interprocedural effect inference of :mod:`repro.check.effects` over
+  the static call graph of :mod:`repro.check.callgraph`).
   Run everything with ``python -m repro check --strict [paths...]``.
+  Performance questions are not lint's to answer: they are measured,
+  at paper scale, by ``benchmarks/perf/``.
 * :mod:`repro.check.sanitize` — runtime assertion hooks enabled via the
   ``REPRO_SANITIZE=1`` environment variable or ``Engine(sanitize=True)``,
   verifying node conservation, event-time monotonicity, metric
   non-negativity and NaN/Inf-free network math while a run executes.
 
-The sanitizer names are re-exported lazily (PEP 562): the static
-analysis layers are pure-stdlib and must stay importable in
-environments without NumPy, which :mod:`repro.check.sanitize` needs.
+Every name is re-exported lazily (PEP 562).  The simulator imports
+this package on every start to reach :mod:`repro.check.sanitize` and
+must not pay for loading the analyzers; the static layer is
+pure-stdlib and must stay importable in environments without NumPy,
+which the sanitizer needs.
 """
 
 from __future__ import annotations
 
+from importlib import import_module
 from typing import Any
 
-from repro.check.effects import (
-    Effect,
-    EffectModel,
-    compute_effects,
-    effects_for_project,
-    effects_report,
-)
-from repro.check.flow import FunctionFlow, build_cfg, loop_depths
-from repro.check.hotness import Hotness, compute_hotness, hotness_for_project
-from repro.check.lint import LintConfig, Violation, lint_paths, lint_source
-from repro.check.project import (
-    PROJECT_RULES,
-    ProjectRule,
-    analyze_project,
-    project_rules,
-    register_project,
-)
-from repro.check.rules import RULES, Rule, register
+#: public name -> submodule it is read from (``RULES`` through the
+#: driver, whose import registers every rule family)
+_EXPORTS = {
+    "Effect": "effects",
+    "EffectModel": "effects",
+    "compute_effects": "effects",
+    "effects_for_project": "effects",
+    "effects_report": "effects",
+    "LintConfig": "lint",
+    "RULES": "lint",
+    "Violation": "lint",
+    "analyze_project": "lint",
+    "lint_paths": "lint",
+    "lint_source": "lint",
+    "Rule": "rules",
+    "register": "rules",
+    "SanitizerError": "sanitize",
+    "sanitizer_enabled": "sanitize",
+}
 
-__all__ = [
-    "Effect",
-    "EffectModel",
-    "FunctionFlow",
-    "Hotness",
-    "LintConfig",
-    "PROJECT_RULES",
-    "ProjectRule",
-    "RULES",
-    "Rule",
-    "SanitizerError",
-    "Violation",
-    "analyze_project",
-    "build_cfg",
-    "compute_effects",
-    "compute_hotness",
-    "effects_for_project",
-    "effects_report",
-    "hotness_for_project",
-    "lint_paths",
-    "lint_source",
-    "loop_depths",
-    "project_rules",
-    "register",
-    "register_project",
-    "sanitizer_enabled",
-]
-
-_SANITIZE_NAMES = ("SanitizerError", "sanitizer_enabled")
+__all__ = sorted(_EXPORTS)
 
 
 def __getattr__(name: str) -> Any:
-    """Lazily re-export the NumPy-dependent sanitizer names (PEP 562)."""
-    if name in _SANITIZE_NAMES:
-        from repro.check import sanitize
-
-        return getattr(sanitize, name)
+    """Resolve a public name from its submodule on first use (PEP 562)."""
+    if name in _EXPORTS:
+        return getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -34,13 +34,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.check.project import (
-    ModuleInfo,
-    ProjectFinding,
-    ProjectModel,
-    ProjectRule,
-    register_project,
-)
+from repro.check.project import ModuleInfo, ProjectModel
+from repro.check.rules import Finding, Rule, register
 
 BASE_SCHEDULER = "repro.schedulers.base.BaseScheduler"
 
@@ -143,8 +138,8 @@ def _find_method(
     return None
 
 
-@register_project
-class SchedulerOverrideRule(ProjectRule):
+@register
+class SchedulerOverrideRule(Rule):
     """Every BaseScheduler subclass implements ``schedule(self, view)``."""
 
     id = "RPR401"
@@ -155,7 +150,7 @@ class SchedulerOverrideRule(ProjectRule):
         "fails mid-simulation"
     )
 
-    def check(self, project: ProjectModel) -> Iterator[ProjectFinding]:
+    def check(self, project: ProjectModel) -> Iterator[Finding]:
         """Walk the scheduler hierarchy, checking each concrete class."""
         if project.class_def(BASE_SCHEDULER) is None:
             return
@@ -167,7 +162,7 @@ class SchedulerOverrideRule(ProjectRule):
             found = _find_method(project, qualname, "schedule",
                                  stop_at=BASE_SCHEDULER)
             if found is None:
-                yield ProjectFinding(info.path, node.lineno, node.col_offset, (
+                yield Finding(info.path, node.lineno, node.col_offset, (
                     f"{node.name} subclasses BaseScheduler but neither it nor "
                     "an intermediate base implements schedule(self, view)"
                 ))
@@ -175,12 +170,12 @@ class SchedulerOverrideRule(ProjectRule):
             fn_info, fn = found
             error = signature_error(fn, ("self", "view"))
             if error is not None:
-                yield ProjectFinding(fn_info.path, fn.lineno, fn.col_offset,
-                                     f"{node.name}.schedule: {error}")
+                yield Finding(fn_info.path, fn.lineno, fn.col_offset,
+                              f"{node.name}.schedule: {error}")
 
 
-@register_project
-class LifecycleHookRule(ProjectRule):
+@register
+class LifecycleHookRule(Rule):
     """``on_simulation_start``/``_end`` overrides keep ``(self, engine)``."""
 
     id = "RPR402"
@@ -190,7 +185,7 @@ class LifecycleHookRule(ProjectRule):
         "only argument; a drifted override raises TypeError mid-run"
     )
 
-    def check(self, project: ProjectModel) -> Iterator[ProjectFinding]:
+    def check(self, project: ProjectModel) -> Iterator[Finding]:
         """Check every class that defines a lifecycle hook."""
         for info, node in project.iter_classes():
             for stmt in node.body:
@@ -201,12 +196,12 @@ class LifecycleHookRule(ProjectRule):
                     continue
                 error = signature_error(stmt, expected)
                 if error is not None:
-                    yield ProjectFinding(info.path, stmt.lineno, stmt.col_offset,
-                                         f"{node.name}.{stmt.name}: {error}")
+                    yield Finding(info.path, stmt.lineno, stmt.col_offset,
+                                  f"{node.name}.{stmt.name}: {error}")
 
 
-@register_project
-class ObserverHookRule(ProjectRule):
+@register
+class ObserverHookRule(Rule):
     """Observer hook definitions match the engine's dispatch signature."""
 
     id = "RPR403"
@@ -217,7 +212,7 @@ class ObserverHookRule(ProjectRule):
         "at the first event"
     )
 
-    def check(self, project: ProjectModel) -> Iterator[ProjectFinding]:
+    def check(self, project: ProjectModel) -> Iterator[Finding]:
         """Check every class that defines an observer hook."""
         for info, node in project.iter_classes():
             methods = [stmt for stmt in node.body
@@ -234,12 +229,12 @@ class ObserverHookRule(ProjectRule):
                 else:
                     continue
                 if error is not None:
-                    yield ProjectFinding(info.path, stmt.lineno, stmt.col_offset,
-                                         f"{node.name}.{stmt.name}: {error}")
+                    yield Finding(info.path, stmt.lineno, stmt.col_offset,
+                                  f"{node.name}.{stmt.name}: {error}")
 
 
-@register_project
-class SpanRegistryRule(ProjectRule):
+@register
+class SpanRegistryRule(Rule):
     """Literal span/event names must come from the documented registry."""
 
     id = "RPR404"
@@ -249,7 +244,7 @@ class SpanRegistryRule(ProjectRule):
         "names; an undocumented name silently falls out of every report"
     )
 
-    def check(self, project: ProjectModel) -> Iterator[ProjectFinding]:
+    def check(self, project: ProjectModel) -> Iterator[Finding]:
         """Scan every ``.span/.begin/.event`` call with a literal name."""
         for info in project.modules.values():
             for node in ast.walk(info.tree):
@@ -264,7 +259,7 @@ class SpanRegistryRule(ProjectRule):
                     continue
                 name = node.args[0].value
                 if name not in SPAN_NAMES:
-                    yield ProjectFinding(
+                    yield Finding(
                         info.path, node.lineno, node.col_offset, (
                             f"span name {name!r} is not in the documented "
                             "registry (repro.check.contracts.SPAN_NAMES / "

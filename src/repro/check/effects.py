@@ -17,7 +17,7 @@ whether it mutates module-global state.  This module infers those
    generator, or the ambient global state (``global-numpy`` /
    ``global-stdlib`` / an ``unseeded-construct``).
 2. **Summaries** propagate bottom-up over the static call graph of
-   :mod:`repro.check.hotness` with fixpoint iteration, so recursion and
+   :mod:`repro.check.callgraph` with fixpoint iteration, so recursion and
    mutually recursive cycles converge (the effect domain is a finite
    powerset; union is monotone).  ``functools.partial(f, ...)`` adds an
    edge to ``f`` — the one higher-order pattern the sweep runner uses.
@@ -35,7 +35,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 
-from repro.check.hotness import (
+from repro.check.callgraph import (
     CallGraph,
     FunctionInfo,
     build_call_graph,
@@ -448,8 +448,8 @@ _CACHE_ATTR = "_effects_cache"
 def effects_for_project(project: ProjectModel) -> EffectModel:
     """Compute (and cache on the project) the effect model.
 
-    Unlike the hotness model this needs no external baseline — effect
-    inference is purely structural, so it works on any tree.
+    Effect inference is purely structural — it needs no input besides
+    the tree — so it works on any project.
     """
     cached = getattr(project, _CACHE_ATTR, None)
     if cached is not None:

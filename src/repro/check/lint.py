@@ -1,4 +1,10 @@
-"""The lint engine: file walking, suppression comments, reporting.
+"""The check driver: selection, file walking, suppressions, reporting.
+
+One driver runs every registered rule (:data:`repro.check.rules.RULES`),
+per-file and whole-program alike: it decides which rules run, hands
+each its modules or project, drops findings that fall outside the
+rule's scopes, inside an excluded file or under a suppression comment,
+and returns the rest as sorted :class:`Violation` records.
 
 Suppression syntax (checked per physical line, flake8-style):
 
@@ -15,17 +21,16 @@ the linter cannot check that, but reviewers can.
 
 from __future__ import annotations
 
-import ast
-import re
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from repro.check.rules import RULES, FileContext, Rule
-
-_NOQA = re.compile(
-    r"#\s*repro:\s*noqa(?P<file>-file)?\s*(?:\[(?P<rules>[^\]]*)\])?",
-)
+# the rule families register themselves on import: RPR1xx lives next to
+# the framework in ``rules``, the rest in the sibling modules below
+from repro.check import contracts, shapes, taint, units  # noqa: F401
+from repro.check.project import ModuleInfo, ProjectModel
+from repro.check.rules import RULES, Rule
 
 
 @dataclass(frozen=True)
@@ -66,17 +71,21 @@ class LintConfig:
     #: path fragments never linted at all
     exclude: tuple[str, ...] = ("check/rules.py", "check/lint.py")
 
-    def rules(self) -> list[Rule]:
-        """The registered rules this configuration selects, sorted."""
-        chosen = []
-        for slug, rule in sorted(RULES.items()):
-            if self.select is not None and slug not in self.select \
-                    and rule.id not in self.select:
-                continue
-            if slug in self.ignore or rule.id in self.ignore:
-                continue
-            chosen.append(rule)
-        return chosen
+    def rules(self, default: Iterable[Rule]) -> list[Rule]:
+        """The rules this configuration runs, sorted by slug.
+
+        ``select`` names rules outright, per-file or whole-program
+        alike; with nothing selected the caller's ``default`` set runs.
+        ``ignore`` is subtracted either way.
+        """
+        if self.select is not None:
+            default = (r for r in RULES.values()
+                       if r.slug in self.select or r.id in self.select)
+        return sorted(
+            (r for r in default
+             if r.slug not in self.ignore and r.id not in self.ignore),
+            key=lambda r: r.slug,
+        )
 
     def with_overrides(
         self,
@@ -91,77 +100,90 @@ class LintConfig:
         )
 
 
-class _Suppressions:
-    """Per-file suppression table parsed from ``# repro: noqa`` comments."""
-
-    def __init__(self, source: str) -> None:
-        self.file_all = False
-        self.file_rules: set[str] = set()
-        self.line_all: set[int] = set()
-        self.line_rules: dict[int, set[str]] = {}
-        for lineno, text in enumerate(source.splitlines(), start=1):
-            m = _NOQA.search(text)
-            if m is None:
-                continue
-            rules = {
-                r.strip() for r in (m.group("rules") or "").split(",") if r.strip()
-            }
-            if m.group("file"):
-                if rules:
-                    self.file_rules |= rules
-                else:
-                    self.file_all = True
-            elif rules:
-                self.line_rules.setdefault(lineno, set()).update(rules)
-            else:
-                self.line_all.add(lineno)
-
-    def suppressed(self, line: int, rule: Rule) -> bool:
-        keys = {rule.slug, rule.id}
-        if self.file_all or (self.file_rules & keys):
-            return True
-        if line in self.line_all:
-            return True
-        return bool(self.line_rules.get(line, set()) & keys)
+def _path_matches(path: str, fragments: Iterable[str]) -> bool:
+    """True when the posix ``path`` contains any of ``fragments``."""
+    return any(path.endswith(fragment) or f"/{fragment}" in f"/{path}"
+               for fragment in fragments)
 
 
-def _rule_applies(rule: Rule, config: LintConfig, ctx: FileContext) -> bool:
+def _excluded(path: str, config: LintConfig) -> bool:
+    return any(path.endswith(fragment) for fragment in config.exclude)
+
+
+def _rule_applies(rule: Rule, config: LintConfig, path: str) -> bool:
     whitelist = config.whitelists.get(rule.slug) or config.whitelists.get(rule.id)
-    if whitelist and ctx.path_matches(whitelist):
+    if whitelist and _path_matches(path, whitelist):
         return False
     scopes = config.scopes.get(rule.slug, rule.default_scopes)
-    if scopes is not None and not ctx.path_matches(scopes):
+    if scopes is not None and not _path_matches(path, scopes):
         return False
     return True
+
+
+def _order(violation: Violation) -> tuple[str, int, int, str]:
+    return (violation.path, violation.line, violation.col, violation.rule_id)
+
+
+def _run(
+    rules: Sequence[Rule],
+    config: LintConfig,
+    linted: Sequence[ModuleInfo],
+    projects: Iterable[ProjectModel] = (),
+) -> list[Violation]:
+    """Run ``rules``: per-file ones over ``linted``, the rest per project.
+
+    Every finding passes the same gate — its file is not excluded, the
+    rule applies to its path, no suppression covers its line — and the
+    survivors come back in ``(path, line, col, rule id)`` order.
+    """
+    projects = list(projects)
+    modules = {info.path: info for project in projects
+               for info in project.modules.values()}
+    modules.update((info.path, info) for info in linted)
+    violations: list[Violation] = []
+    for rule in rules:
+        if rule.whole_program:
+            findings = chain.from_iterable(map(rule.check, projects))
+        else:
+            findings = chain.from_iterable(map(rule.check_module, linted))
+        for finding in findings:
+            if _excluded(finding.path, config) \
+                    or not _rule_applies(rule, config, finding.path):
+                continue
+            info = modules.get(finding.path)
+            if info is not None and info.suppressions.suppressed(
+                    finding.line, rule.slug, rule.id):
+                continue
+            violations.append(Violation(
+                finding.path, finding.line, finding.col,
+                rule.id, rule.slug, finding.message,
+            ))
+    violations.sort(key=_order)
+    return violations
+
+
+def _per_file_rules() -> Iterator[Rule]:
+    return (r for r in RULES.values() if not r.whole_program)
+
+
+def _syntax_error(path: str, exc: SyntaxError) -> Violation:
+    return Violation(
+        path, exc.lineno or 1, (exc.offset or 1) - 1, "RPR000",
+        "syntax-error", f"file does not parse: {exc.msg}",
+    )
 
 
 def lint_source(
     source: str, path: str = "<string>", config: LintConfig | None = None
 ) -> list[Violation]:
-    """Lint one module's source text."""
+    """Lint one module's source text (per-file rules: there is no project)."""
     config = config or LintConfig()
+    path = path.replace("\\", "/")
     try:
-        tree = ast.parse(source, filename=path)
+        info = ModuleInfo.parse(Path(path).stem, path, source)
     except SyntaxError as exc:
-        return [Violation(
-            path, exc.lineno or 1, (exc.offset or 1) - 1, "RPR000",
-            "syntax-error", f"file does not parse: {exc.msg}",
-        )]
-    ctx = FileContext(path, source, tree)
-    suppressions = _Suppressions(source)
-    violations: list[Violation] = []
-    for rule in config.rules():
-        if not _rule_applies(rule, config, ctx):
-            continue
-        for finding in rule.check(tree, ctx):
-            if suppressions.suppressed(finding.line, rule):
-                continue
-            violations.append(Violation(
-                ctx.path, finding.line, finding.col,
-                rule.id, rule.slug, finding.message,
-            ))
-    violations.sort(key=lambda v: (v.line, v.col, v.rule_id))
-    return violations
+        return [_syntax_error(path, exc)]
+    return _run(config.rules(_per_file_rules()), config, [info])
 
 
 def iter_python_files(paths: Sequence[str | Path]) -> Iterator[Path]:
@@ -181,20 +203,72 @@ def iter_python_files(paths: Sequence[str | Path]) -> Iterator[Path]:
                 yield candidate
 
 
+def project_root(path: str | Path) -> Path:
+    """The project directory a checked path names (a file's parent)."""
+    root = Path(path)
+    return root.parent if root.is_file() else root
+
+
 def lint_paths(
-    paths: Sequence[str | Path], config: LintConfig | None = None
+    paths: Sequence[str | Path],
+    config: LintConfig | None = None,
+    strict: bool = False,
 ) -> list[Violation]:
-    """Lint every ``.py`` file under ``paths``; missing paths error."""
+    """Check every ``.py`` file under ``paths``; missing paths error.
+
+    Per-file rules see exactly the named files.  Whole-program rules —
+    part of the default selection only under ``strict``, but run
+    whenever ``config.select`` names one — see the project each path
+    names (a directory, or a file's parent), each distinct project
+    once, and every file is read and parsed once.
+    """
     config = config or LintConfig()
     for raw in paths:
         if not Path(raw).exists():
             raise FileNotFoundError(f"lint target does not exist: {raw}")
-    violations: list[Violation] = []
+    rules = config.rules(RULES.values() if strict else _per_file_rules())
+    projects: dict[Path, ProjectModel] = {}
+    if any(rule.whole_program for rule in rules):
+        for raw in paths:
+            root = project_root(raw)
+            if root.resolve() not in projects:
+                projects[root.resolve()] = ProjectModel.load(root)
+    parsed = {info.path: info for project in projects.values()
+              for info in project.modules.values()}
+    unparsable: list[Violation] = []
+    linted: list[ModuleInfo] = []
     for file in iter_python_files(paths):
         posix = file.as_posix()
-        if any(posix.endswith(fragment) for fragment in config.exclude):
+        if _excluded(posix, config):
             continue
-        violations.extend(
-            lint_source(file.read_text(encoding="utf-8"), posix, config)
-        )
-    return violations
+        info = parsed.get(posix)
+        if info is None:
+            try:
+                info = ModuleInfo.parse(
+                    file.stem, posix, file.read_text(encoding="utf-8"))
+            except SyntaxError as exc:
+                unparsable.append(_syntax_error(posix, exc))
+                continue
+        linted.append(info)
+    return sorted(unparsable + _run(rules, config, linted, projects.values()),
+                  key=_order)
+
+
+def analyze_project(
+    root: str | Path,
+    config: LintConfig | None = None,
+    package: str | None = None,
+) -> list[Violation]:
+    """Run the whole-program rules over one package tree.
+
+    ``config.select`` may also name per-file rules, which then run over
+    every module of the tree.  Findings honour the same per-line /
+    per-file ``# repro: noqa`` suppressions, keyed by the rule's slug
+    or id.
+    """
+    if not Path(root).is_dir():
+        raise FileNotFoundError(f"project root is not a directory: {root}")
+    config = config or LintConfig()
+    project = ProjectModel.load(root, package=package)
+    rules = config.rules(r for r in RULES.values() if r.whole_program)
+    return _run(rules, config, list(project.modules.values()), [project])

@@ -12,31 +12,63 @@ cross-module structure on top:
   rule can ask for every transitive subclass of
   ``repro.schedulers.base.BaseScheduler``.
 
-Whole-program rules subclass :class:`ProjectRule` and are registered in
-:data:`PROJECT_RULES` via :func:`register_project` — the project-level
-mirror of the per-file registry in :mod:`repro.check.rules`.  They run
-through :func:`analyze_project`, which shares the per-file
-``# repro: noqa`` suppression machinery with the per-file linter.
+Rules (:class:`repro.check.rules.Rule`) receive one :class:`ModuleInfo`
+per file or the whole :class:`ProjectModel`; the driver in
+:mod:`repro.check.lint` filters their findings through each module's
+``# repro: noqa`` :class:`Suppressions` table.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from repro.check.lint import LintConfig, Violation, _Suppressions
+_NOQA = re.compile(
+    r"#\s*repro:\s*noqa(?P<file>-file)?\s*(?:\[(?P<rules>[^\]]*)\])?",
+)
 
 
-@dataclass(frozen=True)
-class ProjectFinding:
-    """One raw whole-program rule hit, pinned to a file location."""
+class Suppressions:
+    """Per-file suppression table parsed from ``# repro: noqa`` comments."""
 
-    path: str
-    line: int
-    col: int
-    message: str
+    def __init__(self, source: str) -> None:
+        self.file_all = False
+        self.file_rules: set[str] = set()
+        self.line_all: set[int] = set()
+        self.line_rules: dict[int, set[str]] = {}
+        for lineno, text in enumerate(source.splitlines(), start=1):
+            m = _NOQA.search(text)
+            if m is None:
+                continue
+            rules = {
+                r.strip() for r in (m.group("rules") or "").split(",") if r.strip()
+            }
+            if m.group("file"):
+                if rules:
+                    self.file_rules |= rules
+                else:
+                    self.file_all = True
+            elif rules:
+                self.line_rules.setdefault(lineno, set()).update(rules)
+            else:
+                self.line_all.add(lineno)
+
+    def suppressed(self, line: int, *names: str) -> bool:
+        """Is a finding on ``line`` suppressed under any of ``names``?
+
+        ``names`` are the slugs/ids a suppression may be keyed by —
+        normally one rule's ``(slug, id)`` pair.
+        """
+        keys = set(names)
+        if self.file_all or (self.file_rules & keys):
+            return True
+        if line in self.line_all:
+            return True
+        return bool(self.line_rules.get(line, set()) & keys)
 
 
 @dataclass
@@ -55,12 +87,25 @@ class ModuleInfo:
     functions: dict[str, ast.FunctionDef] = field(default_factory=dict)
     classes: dict[str, ast.ClassDef] = field(default_factory=dict)
 
+    @classmethod
+    def parse(cls, name: str, path: str, source: str) -> "ModuleInfo":
+        """Parse ``source`` into a module record (raises ``SyntaxError``)."""
+        info = cls(name=name, path=path, source=source,
+                   tree=ast.parse(source, filename=path))
+        _collect_namespace(info)
+        return info
+
     @property
     def package(self) -> str:
         """Dotted package containing this module."""
         if self.path.endswith("__init__.py"):
             return self.name
         return self.name.rpartition(".")[0]
+
+    @cached_property
+    def suppressions(self) -> Suppressions:
+        """This module's ``# repro: noqa`` table (scanned on first use)."""
+        return Suppressions(self.source)
 
 
 def _collect_namespace(info: ModuleInfo) -> None:
@@ -100,12 +145,7 @@ def _collect_namespace(info: ModuleInfo) -> None:
 class ProjectModel:
     """Cross-module view of one parsed package tree."""
 
-    def __init__(self, modules: Iterable[ModuleInfo],
-                 root: str | Path | None = None) -> None:
-        #: package directory the model was loaded from (None for
-        #: synthetic models); used to discover sibling analysis inputs
-        #: such as the profile baseline of :mod:`repro.check.hotness`
-        self.root: Path | None = Path(root) if root is not None else None
+    def __init__(self, modules: Iterable[ModuleInfo]) -> None:
         self.modules: dict[str, ModuleInfo] = {m.name: m for m in modules}
         self._class_index: dict[str, tuple[ModuleInfo, ast.ClassDef]] = {}
         self._subclass_edges: dict[str, set[str]] = {}
@@ -131,24 +171,17 @@ class ProjectModel:
         package = package or root.name
         modules = []
         for path in sorted(root.rglob("*.py")):
-            try:
-                source = path.read_text(encoding="utf-8")
-                tree = ast.parse(source, filename=str(path))
-            except (SyntaxError, UnicodeDecodeError):
-                continue
             rel = path.relative_to(root)
             parts = [package] + list(rel.parts[:-1])
             if rel.name != "__init__.py":
                 parts.append(rel.stem)
-            info = ModuleInfo(
-                name=".".join(parts),
-                path=path.as_posix(),
-                source=source,
-                tree=tree,
-            )
-            _collect_namespace(info)
-            modules.append(info)
-        return cls(modules, root=root)
+            try:
+                modules.append(ModuleInfo.parse(
+                    ".".join(parts), path.as_posix(),
+                    path.read_text(encoding="utf-8")))
+            except (SyntaxError, UnicodeDecodeError):
+                continue
+        return cls(modules)
 
     # -- symbol resolution -------------------------------------------------
     def module(self, dotted: str) -> ModuleInfo | None:
@@ -265,88 +298,3 @@ class ProjectModel:
             if name and name != dotted:
                 out.add(name)
         return out
-
-
-class ProjectRule:
-    """Base class for whole-program rules (mirror of per-file ``Rule``)."""
-
-    id: str = ""
-    slug: str = ""
-    rationale: str = ""
-
-    def check(self, project: ProjectModel) -> Iterator[ProjectFinding]:
-        """Yield findings for the whole project."""
-        raise NotImplementedError
-
-
-PROJECT_RULES: dict[str, ProjectRule] = {}
-
-
-def register_project(cls: type[ProjectRule]) -> type[ProjectRule]:
-    """Class decorator adding a whole-program rule to the registry."""
-    rule = cls()
-    if not rule.id or not rule.slug:
-        raise ValueError(f"rule {cls.__name__} must define id and slug")
-    if rule.slug in PROJECT_RULES or any(
-        r.id == rule.id for r in PROJECT_RULES.values()
-    ):
-        raise ValueError(f"duplicate project rule {rule.id}/{rule.slug}")
-    PROJECT_RULES[rule.slug] = rule
-    return cls
-
-
-def _load_rule_modules() -> None:
-    # the concrete rule families live in sibling modules that import
-    # this one; importing them lazily avoids a cycle at module load
-    from repro.check import contracts, perf, shapes, taint, units  # noqa: F401
-
-
-def project_rules(config: LintConfig | None = None) -> list[ProjectRule]:
-    """The registered whole-program rules selected by ``config``."""
-    _load_rule_modules()
-    config = config or LintConfig()
-    chosen = []
-    for slug, rule in sorted(PROJECT_RULES.items()):
-        if config.select is not None and slug not in config.select \
-                and rule.id not in config.select:
-            continue
-        if slug in config.ignore or rule.id in config.ignore:
-            continue
-        chosen.append(rule)
-    return chosen
-
-
-def analyze_project(
-    root: str | Path,
-    config: LintConfig | None = None,
-    package: str | None = None,
-) -> list[Violation]:
-    """Run every registered whole-program rule over one package tree.
-
-    Findings honour the same per-line / per-file ``# repro: noqa``
-    suppressions as the per-file linter, keyed by the project rule's
-    slug or id.
-    """
-    if not Path(root).is_dir():
-        raise FileNotFoundError(f"project root is not a directory: {root}")
-    project = ProjectModel.load(root, package=package)
-    suppressions = {
-        info.path: _Suppressions(info.source) for info in project.modules.values()
-    }
-    path_to_module = {info.path: info for info in project.modules.values()}
-    violations: list[Violation] = []
-    for rule in project_rules(config):
-        for finding in rule.check(project):
-            table = suppressions.get(finding.path)
-            if table is not None and table.suppressed(finding.line, rule):
-                continue
-            if finding.path in path_to_module:
-                posix = finding.path
-                if any(posix.endswith(frag) for frag in (config or LintConfig()).exclude):
-                    continue
-            violations.append(Violation(
-                finding.path, finding.line, finding.col,
-                rule.id, rule.slug, finding.message,
-            ))
-    violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule_id))
-    return violations

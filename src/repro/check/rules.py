@@ -1,7 +1,7 @@
-"""Lint rules for the determinism/correctness linter.
+"""The rule framework, and the per-file determinism rules (RPR1xx).
 
-Each rule inspects one parsed module and yields raw findings.  Rules are
-registered in :data:`RULES` via the :func:`register` decorator, so
+Every rule of every family subclasses :class:`Rule` and lands in the
+one registry, :data:`RULES`, via the :func:`register` decorator, so
 downstream code (and tests) can add project-specific rules without
 touching the engine:
 
@@ -13,8 +13,16 @@ touching the engine:
         slug = "no-print"
         rationale = "use logging"
 
-        def check(self, tree, ctx):
+        def check_module(self, info):
             ...
+
+A rule is **per-file** when it implements :meth:`Rule.check_module`
+(one :class:`~repro.check.project.ModuleInfo` at a time) and
+**whole-program** when it overrides :meth:`Rule.check` (the whole
+:class:`~repro.check.project.ProjectModel`); the driver derives the
+kind from the class.  Either way it yields raw :class:`Finding`
+records — selection, scopes, suppressions and ordering belong to the
+driver in :mod:`repro.check.lint`.
 
 A rule may restrict itself to parts of the tree (``default_scopes``) —
 path fragments matched against the file's posix path.  ``None`` means
@@ -27,7 +35,9 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
+
+from repro.check.project import ModuleInfo, ProjectModel
 
 #: numpy.random attributes that are part of the *seeded Generator* API
 #: and therefore allowed everywhere.
@@ -61,8 +71,9 @@ MUTABLE_CTORS = frozenset({"list", "dict", "set", "defaultdict", "OrderedDict"})
 
 @dataclass(frozen=True)
 class Finding:
-    """One raw rule hit inside a single file."""
+    """One raw rule hit, pinned to a file location."""
 
+    path: str
     line: int
     col: int
     message: str
@@ -127,8 +138,20 @@ class Imports:
         return False
 
 
+_ALIASES_ATTR = "_rule_aliases"
+
+
+def _aliases(info: ModuleInfo) -> Imports:
+    """``info``'s alias tables, built once and cached on the module."""
+    cached = getattr(info, _ALIASES_ATTR, None)
+    if cached is None:
+        cached = Imports(info.tree)
+        setattr(info, _ALIASES_ATTR, cached)
+    return cached
+
+
 class Rule:
-    """Base class: subclass, set the metadata, implement :meth:`check`."""
+    """Base class: set the metadata, implement one of the two checks."""
 
     id: str = ""
     slug: str = ""
@@ -136,26 +159,23 @@ class Rule:
     #: path fragments this rule is restricted to by default (None = all)
     default_scopes: tuple[str, ...] | None = None
 
-    def check(self, tree: ast.Module, ctx: "FileContext") -> Iterator[Finding]:
-        """Yield findings for one parsed file."""
-        raise NotImplementedError
+    def check_module(self, info: ModuleInfo) -> Iterator[Finding]:
+        """Yield findings for one parsed file (per-file rules)."""
+        return iter(())
 
+    def check(self, project: ProjectModel) -> Iterator[Finding]:
+        """Yield findings for the whole project.
 
-class FileContext:
-    """Per-file information handed to every rule."""
+        Whole-program rules override this; the default runs
+        :meth:`check_module` over every module.
+        """
+        for info in project.modules.values():
+            yield from self.check_module(info)
 
-    def __init__(self, path: str, source: str, tree: ast.Module) -> None:
-        self.path = path.replace("\\", "/")
-        self.source = source
-        self.tree = tree
-        self.imports = Imports(tree)
-
-    def path_matches(self, fragments: Iterable[str]) -> bool:
-        """True when this file's path contains any of ``fragments``."""
-        for fragment in fragments:
-            if self.path.endswith(fragment) or f"/{fragment}" in f"/{self.path}":
-                return True
-        return False
+    @property
+    def whole_program(self) -> bool:
+        """True when the class overrides :meth:`check`."""
+        return type(self).check is not Rule.check
 
 
 RULES: dict[str, Rule] = {}
@@ -184,14 +204,14 @@ class GlobalRngRule(Rule):
     )
     default_scopes = ("sim/", "core/", "schedulers/", "workload/", "rl/", "nn/")
 
-    def check(self, tree: ast.Module, ctx: FileContext) -> Iterator[Finding]:
+    def check_module(self, info: ModuleInfo) -> Iterator[Finding]:
         """Flag numpy global-RNG calls on the legacy interface."""
-        imp = ctx.imports
-        for node in ast.walk(tree):
+        imp = _aliases(info)
+        for node in ast.walk(info.tree):
             if isinstance(node, ast.Attribute):
                 if imp.is_numpy_random(node.value) and node.attr not in ALLOWED_NP_RANDOM:
                     yield Finding(
-                        node.lineno, node.col_offset,
+                        info.path, node.lineno, node.col_offset,
                         f"global numpy RNG call np.random.{node.attr}; "
                         "thread a seeded np.random.Generator instead",
                     )
@@ -201,14 +221,14 @@ class GlobalRngRule(Rule):
                     and node.attr in GLOBAL_STDLIB_RANDOM
                 ):
                     yield Finding(
-                        node.lineno, node.col_offset,
+                        info.path, node.lineno, node.col_offset,
                         f"global stdlib RNG call random.{node.attr}; "
                         "use an explicit random.Random(seed) instance",
                     )
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 if node.id in imp.banned_rng_names:
                     yield Finding(
-                        node.lineno, node.col_offset,
+                        info.path, node.lineno, node.col_offset,
                         f"global RNG function {node.id!r} imported at module "
                         "level; thread a seeded generator instead",
                     )
@@ -226,10 +246,10 @@ class UnseededRngRule(Rule):
     )
     default_scopes = None
 
-    def check(self, tree: ast.Module, ctx: FileContext) -> Iterator[Finding]:
+    def check_module(self, info: ModuleInfo) -> Iterator[Finding]:
         """Flag default_rng()/seed-less RNG construction."""
-        imp = ctx.imports
-        for node in ast.walk(tree):
+        imp = _aliases(info)
+        for node in ast.walk(info.tree):
             if not isinstance(node, ast.Call) or node.args or node.keywords:
                 continue
             fn = node.func
@@ -240,7 +260,7 @@ class UnseededRngRule(Rule):
             ) or (isinstance(fn, ast.Name) and fn.id in imp.unseeded_ctor_names)
             if unseeded:
                 yield Finding(
-                    node.lineno, node.col_offset,
+                    info.path, node.lineno, node.col_offset,
                     "default_rng() without a seed is non-deterministic; pass "
                     "an explicit seed or accept a Generator from the caller",
                 )
@@ -258,10 +278,10 @@ class WallClockRule(Rule):
     )
     default_scopes = None
 
-    def check(self, tree: ast.Module, ctx: FileContext) -> Iterator[Finding]:
+    def check_module(self, info: ModuleInfo) -> Iterator[Finding]:
         """Flag wall-clock reads inside simulation/NN code."""
-        imp = ctx.imports
-        for node in ast.walk(tree):
+        imp = _aliases(info)
+        for node in ast.walk(info.tree):
             if isinstance(node, ast.Attribute):
                 base = node.value
                 if (
@@ -270,7 +290,7 @@ class WallClockRule(Rule):
                     and node.attr in WALL_CLOCK_TIME_ATTRS
                 ):
                     yield Finding(
-                        node.lineno, node.col_offset,
+                        info.path, node.lineno, node.col_offset,
                         f"wall-clock read time.{node.attr}; use the engine "
                         "clock for simulation time or time.perf_counter() "
                         "for durations",
@@ -284,14 +304,14 @@ class WallClockRule(Rule):
                         and base.value.id in imp.datetime_mod)
                 ):
                     yield Finding(
-                        node.lineno, node.col_offset,
+                        info.path, node.lineno, node.col_offset,
                         f"wall-clock read datetime …{node.attr}(); "
                         "simulation code must not observe the host date",
                     )
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 if node.id in imp.banned_clock_names:
                     yield Finding(
-                        node.lineno, node.col_offset,
+                        info.path, node.lineno, node.col_offset,
                         f"wall-clock function {node.id!r} imported from time; "
                         "use time.perf_counter() for durations",
                     )
@@ -309,9 +329,9 @@ class MutableDefaultRule(Rule):
     )
     default_scopes = None
 
-    def check(self, tree: ast.Module, ctx: FileContext) -> Iterator[Finding]:
+    def check_module(self, info: ModuleInfo) -> Iterator[Finding]:
         """Flag mutable default argument values."""
-        for node in ast.walk(tree):
+        for node in ast.walk(info.tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 continue
             defaults = list(node.args.defaults)
@@ -327,7 +347,7 @@ class MutableDefaultRule(Rule):
                     bad = False
                 if bad:
                     yield Finding(
-                        default.lineno, default.col_offset,
+                        info.path, default.lineno, default.col_offset,
                         "mutable default argument is shared across calls; "
                         "use None and construct inside the function",
                     )
@@ -367,9 +387,9 @@ class FloatTimeEqRule(Rule):
                 return True
         return False
 
-    def check(self, tree: ast.Module, ctx: FileContext) -> Iterator[Finding]:
+    def check_module(self, info: ModuleInfo) -> Iterator[Finding]:
         """Flag exact float equality on time-like operands."""
-        for node in ast.walk(tree):
+        for node in ast.walk(info.tree):
             if not isinstance(node, ast.Compare):
                 continue
             operands = [node.left] + list(node.comparators)
@@ -382,7 +402,7 @@ class FloatTimeEqRule(Rule):
                     continue
                 if self._time_like(left) or self._time_like(right):
                     yield Finding(
-                        node.lineno, node.col_offset,
+                        info.path, node.lineno, node.col_offset,
                         "exact ==/!= on a simulation timestamp; use ordering "
                         "or math.isclose, or suppress if both sides are "
                         "copies of one stored value",
@@ -402,14 +422,14 @@ class BareExceptRule(Rule):
     )
     default_scopes = None
 
-    def check(self, tree: ast.Module, ctx: FileContext) -> Iterator[Finding]:
+    def check_module(self, info: ModuleInfo) -> Iterator[Finding]:
         """Flag bare/overbroad except handlers that swallow errors."""
-        for node in ast.walk(tree):
+        for node in ast.walk(info.tree):
             if not isinstance(node, ast.ExceptHandler):
                 continue
             if node.type is None:
                 yield Finding(
-                    node.lineno, node.col_offset,
+                    info.path, node.lineno, node.col_offset,
                     "bare `except:` catches SystemExit/KeyboardInterrupt too; "
                     "name the exception types",
                 )
@@ -426,7 +446,62 @@ class BareExceptRule(Rule):
             )
             if broad and swallowed:
                 yield Finding(
-                    node.lineno, node.col_offset,
+                    info.path, node.lineno, node.col_offset,
                     "broad exception swallowed with `pass`; at minimum log "
                     "or re-raise so simulation corruption cannot go unseen",
+                )
+
+
+def _is_set_expr(node: ast.expr) -> bool:
+    if isinstance(node, (ast.Set, ast.SetComp)):
+        return True
+    if isinstance(node, ast.Call):
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in ("set", "frozenset"):
+            return True
+        if isinstance(func, ast.Attribute) and func.attr in (
+                "intersection", "union", "difference",
+                "symmetric_difference"):
+            return True
+    return False
+
+
+@register
+class FloatAccumOrderRule(Rule):
+    """Order-sensitive float accumulation over unordered sets."""
+
+    id = "RPR107"
+    slug = "float-accum-order"
+    rationale = (
+        "Summing floats while iterating a set depends on hash order, so "
+        "results are not bit-identical across runs or after vectorization; "
+        "accumulate over a sorted or insertion-ordered container."
+    )
+    default_scopes = None
+
+    _ACCUM_OPS = (ast.Add, ast.Sub, ast.Mult)
+
+    def check_module(self, info: ModuleInfo) -> Iterator[Finding]:
+        """Flag ``+=``-style accumulation and ``sum()`` over set iteration."""
+        for node in ast.walk(info.tree):
+            if isinstance(node, (ast.For, ast.AsyncFor)) \
+                    and _is_set_expr(node.iter):
+                for sub in ast.walk(node):
+                    if isinstance(sub, ast.AugAssign) \
+                            and isinstance(sub.op, self._ACCUM_OPS):
+                        yield Finding(
+                            info.path, sub.lineno, sub.col_offset,
+                            "float accumulation over unordered set "
+                            "iteration",
+                        )
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name)
+                  and node.func.id == "sum" and node.args
+                  and isinstance(node.args[0],
+                                 (ast.GeneratorExp, ast.ListComp))
+                  and node.args[0].generators
+                  and _is_set_expr(node.args[0].generators[0].iter)):
+                yield Finding(
+                    info.path, node.lineno, node.col_offset,
+                    "sum() over unordered set iteration",
                 )

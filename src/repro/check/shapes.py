@@ -46,13 +46,8 @@ import ast
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.check.project import (
-    ModuleInfo,
-    ProjectFinding,
-    ProjectModel,
-    ProjectRule,
-    register_project,
-)
+from repro.check.project import ModuleInfo, ProjectModel
+from repro.check.rules import Finding, Rule, register
 
 CONFIG_MODULE = "repro.core.config"
 NETWORK_MODULE = "repro.nn.network"
@@ -465,8 +460,8 @@ def _network_anchor(project: ProjectModel) -> tuple[str, int]:
     return info.path, builder.lineno if builder is not None else 1
 
 
-@register_project
-class LayerShapeRule(ProjectRule):
+@register
+class LayerShapeRule(Rule):
     """Inter-layer shape compatibility of ``build_dras_network``."""
 
     id = "RPR301"
@@ -477,7 +472,7 @@ class LayerShapeRule(ProjectRule):
         "statically for every Table III configuration"
     )
 
-    def check(self, project: ProjectModel) -> Iterator[ProjectFinding]:
+    def check(self, project: ProjectModel) -> Iterator[Finding]:
         """Interpret every Table III config; report shape breaks."""
         if project.module(NETWORK_MODULE) is None:
             return
@@ -485,7 +480,7 @@ class LayerShapeRule(ProjectRule):
         path, lineno = _network_anchor(project)
         if configs is None:
             if project.module(CONFIG_MODULE) is not None:
-                yield ProjectFinding(path, lineno, 0, (
+                yield Finding(path, lineno, 0, (
                     "could not statically evaluate the Table III "
                     "configurations from repro.core.config"
                 ))
@@ -498,11 +493,11 @@ class LayerShapeRule(ProjectRule):
             for message in summary.findings:
                 if message not in seen:
                     seen.add(message)
-                    yield ProjectFinding(path, lineno, 0, message)
+                    yield Finding(path, lineno, 0, message)
 
 
-@register_project
-class ParamCountRule(ProjectRule):
+@register
+class ParamCountRule(Rule):
     """Table III parameter counts, proved from the AST alone."""
 
     id = "RPR302"
@@ -512,7 +507,7 @@ class ParamCountRule(ProjectRule):
         "code as written, not just for the code as last tested"
     )
 
-    def check(self, project: ProjectModel) -> Iterator[ProjectFinding]:
+    def check(self, project: ProjectModel) -> Iterator[Finding]:
         """Compare layer-derived totals to the formula and the paper."""
         if project.module(NETWORK_MODULE) is None or \
                 project.module(CONFIG_MODULE) is None:
@@ -529,7 +524,7 @@ class ParamCountRule(ProjectRule):
                 continue  # shape findings already reported by RPR301
             derived = summary.param_total
             if formula is not None and formula.get(cell) not in (None, derived):
-                yield ProjectFinding(path, lineno, 0, (
+                yield Finding(path, lineno, 0, (
                     f"{cell}: layer-derived parameter count {derived:,} "
                     f"disagrees with NetworkDims.param_count = "
                     f"{formula[cell]:,}"
@@ -540,7 +535,7 @@ class ParamCountRule(ProjectRule):
                 and cell in paper
                 and paper[cell] != derived
             ):
-                yield ProjectFinding(path, lineno, 0, (
+                yield Finding(path, lineno, 0, (
                     f"{cell}: layer-derived parameter count {derived:,} "
                     f"disagrees with Table III's {paper[cell]:,}"
                 ))
@@ -581,8 +576,8 @@ def _has_score_window(info: ModuleInfo) -> bool:
     return False
 
 
-@register_project
-class BatchedShapeRule(ProjectRule):
+@register
+class BatchedShapeRule(Rule):
     """The batched inference contract, proved from the AST alone."""
 
     id = "RPR303"
@@ -596,12 +591,12 @@ class BatchedShapeRule(ProjectRule):
         "network path can reappear"
     )
 
-    def check(self, project: ProjectModel) -> Iterator[ProjectFinding]:
+    def check(self, project: ProjectModel) -> Iterator[Finding]:
         """Re-derive batched shapes; audit agent forward call sites."""
         yield from self._check_network(project)
         yield from self._check_agents(project)
 
-    def _check_network(self, project: ProjectModel) -> Iterator[ProjectFinding]:
+    def _check_network(self, project: ProjectModel) -> Iterator[Finding]:
         """Assert ``[B, rows, 2] -> [B, outputs]`` for every Table III cell.
 
         The DQL cells are interpreted a second time in the two-input
@@ -623,7 +618,7 @@ class BatchedShapeRule(ProjectRule):
                 if layer.out_shape is not None and (
                     not layer.out_shape or layer.out_shape[0] != BATCH_DIM
                 ):
-                    yield ProjectFinding(path, layer.lineno, 0, (
+                    yield Finding(path, layer.lineno, 0, (
                         f"{cell}: {layer.kind} does not preserve the "
                         f"symbolic batch dimension "
                         f"({format_shape(layer.in_shape)} -> "
@@ -635,7 +630,7 @@ class BatchedShapeRule(ProjectRule):
                 and dims.get("outputs") is not None
                 and summary.output_shape != expected
             ):
-                yield ProjectFinding(path, lineno, 0, (
+                yield Finding(path, lineno, 0, (
                     f"{cell}: network maps "
                     f"{format_shape((BATCH_DIM, dims.get('rows'), 2))} to "
                     f"{format_shape(summary.output_shape)}, expected "
@@ -648,16 +643,16 @@ class BatchedShapeRule(ProjectRule):
                 split = (JOB_BLOCK_ROWS, int(envs[system]["num_nodes"]))
                 two_input = interpret_network(project, cell, dims, split)
                 for message in two_input.findings:
-                    yield ProjectFinding(path, lineno, 0, message)
+                    yield Finding(path, lineno, 0, message)
 
-    def _check_agents(self, project: ProjectModel) -> Iterator[ProjectFinding]:
+    def _check_agents(self, project: ProjectModel) -> Iterator[Finding]:
         """Every agent ``forward`` call must sit in score_window/update."""
         for dotted in AGENT_MODULES:
             info = project.module(dotted)
             if info is None:
                 continue  # not applicable on scratch trees
             if not _has_score_window(info):
-                yield ProjectFinding(info.path, 1, 0, (
+                yield Finding(info.path, 1, 0, (
                     f"{dotted} defines no batched score_window entry "
                     "point; batched inference has no single place to "
                     "route through"
@@ -665,7 +660,7 @@ class BatchedShapeRule(ProjectRule):
             for lineno, func in _forward_call_sites(info):
                 if func not in FORWARD_CALLERS:
                     where = f"in {func}()" if func else "at module level"
-                    yield ProjectFinding(info.path, lineno, 0, (
+                    yield Finding(info.path, lineno, 0, (
                         f"network.forward called {where}; route "
                         "inference through the batched score_window "
                         "entry point (or the batched update step)"

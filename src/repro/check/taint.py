@@ -1,8 +1,8 @@
 """RPR6xx: determinism-taint rules over inferred effect signatures.
 
-Where RPR1xx–RPR4xx look at one expression and RPR5xx at one hot
-function, this family asks *interprocedural* questions: what can an
-entry point reach, transitively, through the static call graph?  The
+Where RPR1xx–RPR4xx look at one expression, this family asks
+*interprocedural* questions: what can an entry point reach,
+transitively, through the static call graph?  The
 answers underwrite the platform's headline reproducibility guarantees
 at check time instead of run time:
 
@@ -43,16 +43,17 @@ at check time instead of run time:
 
 Findings are pinned at the *origin* of the offending effect (the line
 to fix or suppress), with the reachable entry point named in the
-message.  All rules run only under ``repro check --strict`` and share
-the ``# repro: noqa[slug]`` mechanism and the ratchet baseline.
+message.  All rules are whole-program — part of the default selection
+only under ``repro check --strict`` — and share the
+``# repro: noqa[slug]`` mechanism and the ratchet baseline.
 """
 
 from __future__ import annotations
 
 import ast
-from types import SimpleNamespace
 from typing import Iterable, Iterator
 
+from repro.check.callgraph import schedule_roots
 from repro.check.effects import (
     AMBIENT_RNG_DETAILS,
     KIND_CLOCK,
@@ -65,15 +66,8 @@ from repro.check.effects import (
     EffectModel,
     effects_for_project,
 )
-from repro.check.hotness import SCHEDULE_ANCHOR, _resolve_anchor
-from repro.check.lint import _Suppressions
-from repro.check.project import (
-    ModuleInfo,
-    ProjectFinding,
-    ProjectModel,
-    ProjectRule,
-    register_project,
-)
+from repro.check.project import ModuleInfo, ProjectModel
+from repro.check.rules import Finding, Rule, register
 
 #: fully-qualified simulate/train entry points (filtered to those the
 #: project actually defines, so scratch trees opt in by defining them)
@@ -99,13 +93,13 @@ FAULT_INJECTOR_CLASS = "FaultInjector"
 def _sim_train_roots(model: EffectModel, project: ProjectModel) -> list[str]:
     """Entry points whose transitive behaviour must be seed-determined."""
     roots = [r for r in SIM_TRAIN_ROOTS if r in model.index]
-    roots.extend(_resolve_anchor(project, model.index, SCHEDULE_ANCHOR))
+    roots.extend(schedule_roots(project, model.index))
     return sorted(set(roots))
 
 
 def _scheduler_roots(model: EffectModel, project: ProjectModel) -> list[str]:
     """``schedule`` methods of every scheduler — the decision code."""
-    return _resolve_anchor(project, model.index, SCHEDULE_ANCHOR)
+    return schedule_roots(project, model.index)
 
 
 def _reachable_effects(
@@ -126,8 +120,8 @@ def _reachable_effects(
         yield first_root[effect], effect
 
 
-@register_project
-class AmbientRngPathRule(ProjectRule):
+@register
+class AmbientRngPathRule(Rule):
     """Ambient randomness reachable from a simulate/train entry point."""
 
     id = "RPR601"
@@ -138,14 +132,14 @@ class AmbientRngPathRule(ProjectRule):
         "from its config; thread a seeded np.random.Generator instead."
     )
 
-    def check(self, project: ProjectModel) -> Iterator[ProjectFinding]:
+    def check(self, project: ProjectModel) -> Iterator[Finding]:
         """Yield ambient-RNG effects on seed-determined paths."""
         model = effects_for_project(project)
         roots = _sim_train_roots(model, project)
         for root, effect in _reachable_effects(model, roots):
             if effect.kind != KIND_RNG or effect.detail not in AMBIENT_RNG_DETAILS:
                 continue
-            yield ProjectFinding(
+            yield Finding(
                 effect.path, effect.line, effect.col,
                 f"ambient randomness ({effect.detail}) in {effect.origin} "
                 f"is reachable from entry point {root}; derive it from an "
@@ -153,8 +147,8 @@ class AmbientRngPathRule(ProjectRule):
             )
 
 
-@register_project
-class FaultRngIsolationRule(ProjectRule):
+@register
+class FaultRngIsolationRule(Rule):
     """Scheduler decision code consuming the fault injector's RNG."""
 
     id = "RPR602"
@@ -166,7 +160,7 @@ class FaultRngIsolationRule(ProjectRule):
         "strike, invalidating cross-scheduler comparisons."
     )
 
-    def check(self, project: ProjectModel) -> Iterator[ProjectFinding]:
+    def check(self, project: ProjectModel) -> Iterator[Finding]:
         """Yield fault-RNG consumptions reachable from scheduler code."""
         model = effects_for_project(project)
         roots = _scheduler_roots(model, project)
@@ -178,7 +172,7 @@ class FaultRngIsolationRule(ProjectRule):
             owner = effect.detail[len("attr:"):].rsplit(".", 1)[0]
             if owner.rsplit(".", 1)[-1] != FAULT_INJECTOR_CLASS:
                 continue
-            yield ProjectFinding(
+            yield Finding(
                 effect.path, effect.line, effect.col,
                 f"scheduler entry point {root} reaches {effect.origin}, "
                 f"which consumes {effect.detail[5:]} — the failure stream "
@@ -186,8 +180,8 @@ class FaultRngIsolationRule(ProjectRule):
             )
 
 
-@register_project
-class ImpureDigestInputRule(ProjectRule):
+@register
+class ImpureDigestInputRule(Rule):
     """Side effects beneath digest/manifest/trace serialization."""
 
     id = "RPR603"
@@ -200,7 +194,7 @@ class ImpureDigestInputRule(ProjectRule):
 
     _IMPURE_KINDS = (KIND_RNG, KIND_CLOCK, KIND_ENV, KIND_IO)
 
-    def check(self, project: ProjectModel) -> Iterator[ProjectFinding]:
+    def check(self, project: ProjectModel) -> Iterator[Finding]:
         """Yield impure effects beneath purity roots."""
         model = effects_for_project(project)
         roots = [q for q in model.index
@@ -208,15 +202,15 @@ class ImpureDigestInputRule(ProjectRule):
         for root, effect in _reachable_effects(model, roots):
             if effect.kind not in self._IMPURE_KINDS:
                 continue
-            yield ProjectFinding(
+            yield Finding(
                 effect.path, effect.line, effect.col,
                 f"{effect.kind} effect ({effect.detail}) in {effect.origin} "
                 f"taints purity root {root}; digest inputs must be pure",
             )
 
 
-@register_project
-class SimWallClockRule(ProjectRule):
+@register
+class SimWallClockRule(Rule):
     """Wall-clock reads on simulate/train paths."""
 
     id = "RPR605"
@@ -227,7 +221,7 @@ class SimWallClockRule(ProjectRule):
         "and monotonic counters for durations."
     )
 
-    def check(self, project: ProjectModel) -> Iterator[ProjectFinding]:
+    def check(self, project: ProjectModel) -> Iterator[Finding]:
         """Yield wall-clock effects on seed-determined paths."""
         model = effects_for_project(project)
         roots = _sim_train_roots(model, project)
@@ -235,15 +229,15 @@ class SimWallClockRule(ProjectRule):
             if effect.kind not in (KIND_CLOCK,) \
                     or effect.detail not in WALL_CLOCK_DETAILS:
                 continue
-            yield ProjectFinding(
+            yield Finding(
                 effect.path, effect.line, effect.col,
                 f"wall-clock read {effect.detail} in {effect.origin} is "
                 f"reachable from entry point {root}",
             )
 
 
-@register_project
-class AmbientEnvReadRule(ProjectRule):
+@register
+class AmbientEnvReadRule(Rule):
     """``os.environ`` consultation on simulate/train paths."""
 
     id = "RPR606"
@@ -254,14 +248,14 @@ class AmbientEnvReadRule(ProjectRule):
         "or suppress at sanctioned observability feature gates."
     )
 
-    def check(self, project: ProjectModel) -> Iterator[ProjectFinding]:
+    def check(self, project: ProjectModel) -> Iterator[Finding]:
         """Yield environment reads/writes on seed-determined paths."""
         model = effects_for_project(project)
         roots = _sim_train_roots(model, project)
         for root, effect in _reachable_effects(model, roots):
             if effect.kind != KIND_ENV:
                 continue
-            yield ProjectFinding(
+            yield Finding(
                 effect.path, effect.line, effect.col,
                 f"environment access ({effect.detail}) in {effect.origin} "
                 f"is reachable from entry point {root}",
@@ -301,8 +295,8 @@ def _sink_classes(project: ProjectModel, module: str) -> frozenset[str]:
     return frozenset(sinks)
 
 
-@register_project
-class LiveClockConfinementRule(ProjectRule):
+@register
+class LiveClockConfinementRule(Rule):
     """Wall-clock reads outside sink classes in the live-telemetry module."""
 
     id = "RPR607"
@@ -314,7 +308,7 @@ class LiveClockConfinementRule(ProjectRule):
         "the calendar into a run."
     )
 
-    def check(self, project: ProjectModel) -> Iterator[ProjectFinding]:
+    def check(self, project: ProjectModel) -> Iterator[Finding]:
         """Yield wall-clock effects of non-sink live-module functions."""
         model = effects_for_project(project)
         for module in _live_modules(project):
@@ -335,7 +329,7 @@ class LiveClockConfinementRule(ProjectRule):
                     if effect in flagged:
                         continue
                     flagged.add(effect)
-                    yield ProjectFinding(
+                    yield Finding(
                         effect.path, effect.line, effect.col,
                         f"wall-clock read {effect.detail} in "
                         f"{effect.origin} is reachable from non-sink "
@@ -383,8 +377,8 @@ def _pool_worker_roots(model: EffectModel,
     )
 
 
-@register_project
-class PoolWorkerHermeticRule(ProjectRule):
+@register
+class PoolWorkerHermeticRule(Rule):
     """Ambient state reachable from a sweep-pool worker entry point."""
 
     id = "RPR608"
@@ -397,14 +391,13 @@ class PoolWorkerHermeticRule(ProjectRule):
         "rollup contract."
     )
 
-    def check(self, project: ProjectModel) -> Iterator[ProjectFinding]:
+    def check(self, project: ProjectModel) -> Iterator[Finding]:
         """Yield ambient-state effects reachable from worker entry points."""
         model = effects_for_project(project)
         roots = _pool_worker_roots(model, project)
         if not roots:
             return
-        tables = {info.path: _Suppressions(info.source)
-                  for info in project.modules.values()}
+        modules = {info.path: info for info in project.modules.values()}
         for root, effect in _reachable_effects(model, roots):
             if effect.kind == KIND_RNG:
                 if effect.detail not in AMBIENT_RNG_DETAILS:
@@ -418,14 +411,11 @@ class PoolWorkerHermeticRule(ProjectRule):
                 what = f"environment access ({effect.detail})"
             else:
                 continue
-            table = tables.get(effect.path)
-            if table is not None and any(
-                table.suppressed(effect.line,
-                                 SimpleNamespace(slug=slug, id=slug))
-                for slug in _SANCTIONED_BASE_SLUGS[effect.kind]
-            ):
+            info = modules.get(effect.path)
+            if info is not None and info.suppressions.suppressed(
+                    effect.line, *_SANCTIONED_BASE_SLUGS[effect.kind]):
                 continue
-            yield ProjectFinding(
+            yield Finding(
                 effect.path, effect.line, effect.col,
                 f"{what} in {effect.origin} is reachable from pool worker "
                 f"entry point {root}; sweep workers must consume only the "
@@ -510,8 +500,8 @@ def _unpicklable_reason(project: ProjectModel, info: ModuleInfo,
     return None
 
 
-@register_project
-class UnpicklableCaptureRule(ProjectRule):
+@register
+class UnpicklableCaptureRule(Rule):
     """Unpicklable state captured by checkpoint-crossing objects."""
 
     id = "RPR604"
@@ -524,7 +514,7 @@ class UnpicklableCaptureRule(ProjectRule):
         "fork/pickle time."
     )
 
-    def check(self, project: ProjectModel) -> Iterator[ProjectFinding]:
+    def check(self, project: ProjectModel) -> Iterator[Finding]:
         """Yield unpicklable instance-attribute captures."""
         model = effects_for_project(project)
         closure: set[str] = set()
@@ -563,7 +553,7 @@ class UnpicklableCaptureRule(ProjectRule):
                         if (isinstance(target, ast.Attribute)
                                 and isinstance(target.value, ast.Name)
                                 and target.value.id == "self"):
-                            yield ProjectFinding(
+                            yield Finding(
                                 info.path, node.lineno, node.col_offset,
                                 f"{cls_qual}.{target.attr} captures {reason}; "
                                 "instances cross checkpoint/multiprocessing "

@@ -41,13 +41,8 @@ import ast
 import re
 from typing import Iterator
 
-from repro.check.project import (
-    ModuleInfo,
-    ProjectFinding,
-    ProjectModel,
-    ProjectRule,
-    register_project,
-)
+from repro.check.project import ModuleInfo, ProjectModel
+from repro.check.rules import Finding, Rule, register
 
 #: the only module allowed to define the canonical conversion constants
 UNITS_MODULE_SUFFIX = "workload/units.py"
@@ -149,7 +144,7 @@ class _UnitChecker:
         self.project = project
         self.info = info
         self.annotations = _line_annotations(info.source)
-        self.findings: list[ProjectFinding] = []
+        self.findings: list[Finding] = []
 
     # -- conversion factors ------------------------------------------------
     def conv_kind(self, node: ast.expr) -> str | None:
@@ -181,7 +176,7 @@ class _UnitChecker:
 
     # -- reporting ---------------------------------------------------------
     def _report(self, node: ast.AST, message: str) -> None:
-        self.findings.append(ProjectFinding(
+        self.findings.append(Finding(
             self.info.path, getattr(node, "lineno", 1),
             getattr(node, "col_offset", 0), message,
         ))
@@ -523,14 +518,14 @@ class _UnitChecker:
             for name in [n for t in stmt.targets for n in self._target_names(t)]:
                 env.pop(name, None)
 
-    def run(self) -> list[ProjectFinding]:
+    def run(self) -> list[Finding]:
         """Check the whole module and return its findings."""
         self.process_scope(self.info.tree.body, {})
         return self.findings
 
 
-@register_project
-class UnitMixRule(ProjectRule):
+@register
+class UnitMixRule(Rule):
     """Additive/comparison mixes between different inferred dimensions."""
 
     id = "RPR201"
@@ -540,7 +535,7 @@ class UnitMixRule(ProjectRule):
         "scheduling metrics; convert via repro.workload.units constants"
     )
 
-    def check(self, project: ProjectModel) -> Iterator[ProjectFinding]:
+    def check(self, project: ProjectModel) -> Iterator[Finding]:
         """Run the dimension checker over every module, keeping mixes."""
         for info in project.modules.values():
             for finding in _UnitChecker(project, info).run():
@@ -548,8 +543,8 @@ class UnitMixRule(ProjectRule):
                     yield finding
 
 
-@register_project
-class UnitAssignRule(ProjectRule):
+@register
+class UnitAssignRule(Rule):
     """Cross-dimension assignments / keyword passing without conversion."""
 
     id = "RPR202"
@@ -559,7 +554,7 @@ class UnitAssignRule(ProjectRule):
         "an *_hours keyword) hides a missing conversion at every later use"
     )
 
-    def check(self, project: ProjectModel) -> Iterator[ProjectFinding]:
+    def check(self, project: ProjectModel) -> Iterator[Finding]:
         """Run the dimension checker over every module, keeping assigns."""
         for info in project.modules.values():
             for finding in _UnitChecker(project, info).run():
@@ -567,8 +562,8 @@ class UnitAssignRule(ProjectRule):
                     yield finding
 
 
-@register_project
-class UnitConstantRule(ProjectRule):
+@register
+class UnitConstantRule(Rule):
     """Unit conversion constants must come from ``repro.workload.units``."""
 
     id = "RPR203"
@@ -578,7 +573,7 @@ class UnitConstantRule(ProjectRule):
         "workload package historically; one blessed module keeps them aligned"
     )
 
-    def check(self, project: ProjectModel) -> Iterator[ProjectFinding]:
+    def check(self, project: ProjectModel) -> Iterator[Finding]:
         """Flag top-level (re)definitions of the canonical constants."""
         for info in project.modules.values():
             if info.path.endswith(UNITS_MODULE_SUFFIX):
@@ -594,7 +589,7 @@ class UnitConstantRule(ProjectRule):
                         target.id in UNIT_CONSTANT_NAMES
                         or target.id in _CONV_NAMES
                     ):
-                        yield ProjectFinding(
+                        yield Finding(
                             info.path, stmt.lineno, stmt.col_offset,
                             f"redefinition of unit constant {target.id!r}; "
                             "import it from repro.workload.units instead",

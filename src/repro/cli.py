@@ -52,7 +52,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -483,12 +482,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _project_root(path: str) -> Path:
-    """The project directory a ``repro check`` path names (a file's parent)."""
-    root = Path(path)
-    return root.parent if root.is_file() else root
-
-
 def cmd_check(args: argparse.Namespace) -> int:
     """The ``repro check`` driver.
 
@@ -496,53 +489,37 @@ def cmd_check(args: argparse.Namespace) -> int:
     2 — usage/configuration error (unknown rule, missing path, bad
     baseline file).
     """
-    from repro.check import RULES, LintConfig, analyze_project, lint_paths
+    from repro.check import RULES, LintConfig, lint_paths
     from repro.check import report as _report
-    from repro.check.project import PROJECT_RULES, project_rules
-
-    project_rules()  # populate PROJECT_RULES for --list-rules / validation
 
     if args.list_rules:
-        catalogue = [
-            (r.id, slug,
-             ", ".join(r.default_scopes) if r.default_scopes else "all files",
-             r.rationale)
-            for slug, r in RULES.items()
-        ]
-        if args.strict:
-            catalogue += [(r.id, slug, "whole program", r.rationale)
-                          for slug, r in PROJECT_RULES.items()]
-        for rule_id, slug, scopes, rationale in sorted(catalogue):
-            print(f"{rule_id} [{slug}] ({scopes})")
-            print(f"    {rationale}")
+        for rule in sorted(RULES.values(), key=lambda r: r.id):
+            if rule.whole_program:
+                if not args.strict:
+                    continue
+                scopes = "whole program"
+            else:
+                scopes = ", ".join(rule.default_scopes or ("all files",))
+            print(f"{rule.id} [{rule.slug}] ({scopes})")
+            print(f"    {rule.rationale}")
         return 0
 
-    known = {slug for slug in RULES} | {r.id for r in RULES.values()}
-    known |= {slug for slug in PROJECT_RULES}
-    known |= {r.id for r in PROJECT_RULES.values()}
+    known = set(RULES) | {r.id for r in RULES.values()}
     unknown = [r for r in (args.select or []) + (args.ignore or []) if r not in known]
     if unknown:
         print(f"unknown rule(s): {', '.join(unknown)}; see --list-rules",
               file=sys.stderr)
         return 2
 
-    if args.profile_baseline:
-        # route the hotness machinery at an explicit baseline (the
-        # env var is how rules discover it without plumbing)
-        from repro.check import hotness as _hotness
-        os.environ[_hotness.BASELINE_ENV] = args.profile_baseline
-
-    if args.effects_report or args.hotness:
+    if args.effects_report:
+        from repro.check import effects as _effects
+        from repro.check.lint import project_root
         from repro.check.project import ProjectModel
-        root = _project_root(args.paths[0])
+        root = project_root(args.paths[0])
         if not root.is_dir():
             print(f"project root is not a directory: {root}", file=sys.stderr)
             return 2
-        project = ProjectModel.load(root)
-
-    if args.effects_report:
-        from repro.check import effects as _effects
-        model = _effects.effects_for_project(project)
+        model = _effects.effects_for_project(ProjectModel.load(root))
         doc = _effects.effects_report(model)
         Path(args.effects_report).write_text(
             json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -553,24 +530,9 @@ def cmd_check(args: argparse.Namespace) -> int:
                   f"{args.effects_report}", file=sys.stderr)
         return 0
 
-    if args.hotness:
-        from repro.check import hotness as _hotness
-        ranking = _hotness.hotness_for_project(project)
-        if ranking is None:
-            print("no profile baseline found; run "
-                  "`repro bench --emit-profile profile_baseline.json` first "
-                  "or pass --profile-baseline", file=sys.stderr)
-            return 2
-        print(_hotness.format_ranking(ranking))
-        return 0
-
     config = LintConfig().with_overrides(select=args.select, ignore=args.ignore)
     try:
-        violations = lint_paths(args.paths, config)
-        if args.strict:
-            for path in args.paths:
-                violations.extend(analyze_project(_project_root(path), config))
-            violations.sort(key=lambda v: (str(v.path), v.line, v.col, v.rule_id))
+        violations = lint_paths(args.paths, config, strict=args.strict)
     except FileNotFoundError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -585,7 +547,6 @@ def cmd_check(args: argparse.Namespace) -> int:
 
     if args.sarif:
         rules = [(r.id, slug, r.rationale) for slug, r in RULES.items()]
-        rules += [(r.id, slug, r.rationale) for slug, r in PROJECT_RULES.items()]
         Path(args.sarif).write_text(
             json.dumps(_report.to_sarif(violations, rules), indent=2) + "\n",
             encoding="utf-8",
@@ -612,14 +573,6 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     from repro.obs.bench import write_bench_files
-
-    if args.emit_profile:
-        from repro.obs.bench import write_profile_baseline
-        path = write_profile_baseline(
-            args.emit_profile, seed=args.seed, quick=args.quick,
-        )
-        print(f"wrote {path}")
-        return 0
 
     paths = write_bench_files(
         out_dir=args.out_dir,
@@ -970,19 +923,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict", action="store_true",
                    help="also run the whole-program rules (RPR2xx units, "
                         "RPR3xx NN shapes/params, RPR4xx API contracts, "
-                        "RPR5xx profile-guided performance, RPR6xx "
-                        "determinism taint)")
-    p.add_argument("--hotness", action="store_true",
-                   help="print the profile-guided hotness ranking of the "
-                        "first path's project and exit")
+                        "RPR6xx determinism taint)")
     p.add_argument("--effects-report", metavar="PATH",
                    help="write the inferred per-function effect signatures "
                         "(RNG/clock/env/IO/global-mutation) of the first "
                         "path's project as JSON to PATH and exit")
-    p.add_argument("--profile-baseline", metavar="PATH",
-                   help="profiler baseline JSON anchoring the RPR5xx "
-                        "hotness model (default: profile_baseline.json "
-                        "discovered near the project root)")
     p.add_argument("--json", action="store_true",
                    help="emit findings as a JSON document on stdout")
     p.add_argument("--sarif", metavar="PATH",
@@ -1007,10 +952,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="directory for BENCH_*.json (default: current dir)")
     p.add_argument("--only", choices=("sim", "nn"), default=None,
                    help="run a single suite instead of both")
-    p.add_argument("--emit-profile", metavar="PATH",
-                   help="instead of the suites, run the deterministic "
-                        "profiling workload and write the hotness "
-                        "baseline JSON for `repro check --strict`")
     _add_artifact_args(p, "--report")
     p.set_defaults(func=cmd_bench)
 

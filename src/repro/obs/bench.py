@@ -662,93 +662,6 @@ def write_bench_files(
     return paths
 
 
-# -- profiler baseline ---------------------------------------------------------
-
-def profile_workload(seed: int = 0, quick: bool = False):
-    """Run the bench workloads under one profiler and return it.
-
-    Covers both anchor families of :mod:`repro.check.hotness`: the
-    engine scopes (``engine.run``/``engine.instance``/
-    ``engine.schedule``) via an explicit per-engine profiler, and the
-    NN scopes (``nn.forward``/``nn.backward``/``nn.adam_step``), which
-    only record through the process-global profiler hook.  Scope names
-    and call counts are deterministic for a given seed and workload;
-    only the wall timings vary by machine.
-    """
-    from repro.nn.optim import Adam
-    from repro.obs.profile import Profiler, set_global_profiler
-    from repro.schedulers.fcfs import FCFSEasy
-    from repro.sim.engine import run_simulation
-
-    prof = Profiler()
-    num_nodes = 64
-    n_jobs = 300 if quick else 2000
-    # single seeded generator for the whole workload; _theta_jobs
-    # consumes first, so the engine jobset (and with it every anchor
-    # call count) is bit-identical to pre-threading baselines
-    rng = np.random.default_rng(seed)
-    jobs = _theta_jobs(num_nodes, n_jobs, rng)
-    run_simulation(num_nodes, FCFSEasy(),
-                   [j.copy_fresh() for j in jobs], profile=prof)
-
-    net, x, _ = _bench_network(rng)
-    optimizer = Adam(net.parameters(), lr=1e-3)
-    steps = 4 if quick else 30
-    previous = set_global_profiler(prof)
-    try:
-        for _ in range(steps):
-            out = net.forward(x)
-            grad = np.ones_like(out) / out.size
-            net.zero_grad()
-            net.backward(grad)
-            optimizer.step()
-    finally:
-        set_global_profiler(previous)
-    return prof
-
-
-def write_profile_baseline(
-    path: str | Path = "profile_baseline.json",
-    seed: int = 0,
-    quick: bool = False,
-) -> Path:
-    """Write the deterministic profiler baseline for the hotness ranker.
-
-    The document (schema ``repro.profile-baseline/v1``) records every
-    profiler scope's call count plus informational wall timings.  The
-    RPR5xx hotness model keys off the *call counts only*, so a baseline
-    regenerated on any machine ranks functions identically.  Keep it in
-    sync with ``BENCH_sim.json`` via ``scripts/refresh_perf_baselines.py``.
-    """
-    from repro.check.hotness import PROFILE_BASELINE_SCHEMA, SCOPE_ANCHORS
-
-    prof = profile_workload(seed=seed, quick=quick)
-    scopes = [
-        {"name": entry.name, "calls": entry.calls,
-         "cum_s": entry.cum_s, "self_s": entry.self_s}
-        for entry in sorted(prof.flat(), key=lambda e: e.name)
-    ]
-    doc = {
-        "schema": PROFILE_BASELINE_SCHEMA,
-        "seed": seed,
-        "quick": quick,
-        # provenance stamp: the anchor-scope set this baseline was
-        # generated for; RPR507 flags the baseline as stale when the
-        # checker's SCOPE_ANCHORS move away from it
-        "anchor_scopes": sorted(SCOPE_ANCHORS),
-        "git_sha": git_sha(),
-        "workload": {"num_nodes": 64, "n_jobs": 300 if quick else 2000,
-                     "policy": "fcfs", "nn_steps": 4 if quick else 30},
-        "note": ("hotness ranking uses the deterministic 'calls' counts; "
-                 "wall seconds are informational and machine-dependent"),
-        "scopes": scopes,
-    }
-    path = Path(path)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-    return path
-
-
 def validate_bench_doc(doc: dict[str, Any]) -> list[str]:
     """Schema-check one BENCH document; returns a list of problems.
 

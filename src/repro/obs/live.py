@@ -95,7 +95,7 @@ class LiveBus:
         """The registered component registries, keyed by tag."""
         # deliberate copy: read from the HTTP server thread while a run
         # mutates the original; called per scrape, not per event
-        return dict(self._registries)  # repro: noqa[hot-rebuild]
+        return dict(self._registries)
 
     def publish(self, kind: str, fields: Mapping[str, Any]) -> dict[str, Any]:
         """Stamp and fan out one snapshot; returns the stamped record.
@@ -118,7 +118,7 @@ class LiveBus:
             # deliberate copy: fan out after dropping the lock, so a slow
             # sink cannot block a concurrent /metrics scrape; runs once
             # per snapshot (thousands of events), not per event
-            sinks = list(self._sinks)  # repro: noqa[hot-rebuild]
+            sinks = list(self._sinks)
         for sink in sinks:
             try:
                 sink.on_snapshot(record)
@@ -133,7 +133,7 @@ class LiveBus:
         with self._lock:
             # deliberate copy: handed to the HTTP server thread; called
             # per scrape, not per event
-            return dict(self._last)  # repro: noqa[hot-rebuild]
+            return dict(self._last)
 
     def derived(self) -> dict[str, float]:
         """Derived per-kind scalars: rate, progress fraction, ETA.

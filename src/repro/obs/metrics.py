@@ -307,14 +307,14 @@ class MetricsRegistry:
                 # summary dicts are built once per snapshot() call (end
                 # of run / scrape), not per observation — the hot-path
                 # cost of an instrument is its inc/set/observe
-                out[name] = {  # repro: noqa[hot-loop-alloc]
+                out[name] = {
                     "value": instrument.value,
                     "min": instrument.min if instrument.samples else None,
                     "max": instrument.max if instrument.samples else None,
                     "samples": instrument.samples,
                 }
             elif isinstance(instrument, Timer):
-                out[name] = {  # repro: noqa[hot-loop-alloc]
+                out[name] = {
                     "count": instrument.count,
                     "total_s": instrument.total,
                     "mean_s": instrument.mean,
@@ -325,7 +325,7 @@ class MetricsRegistry:
                     "p99_s": instrument.p99,
                     # deliberate copy: the caller gets a stable list
                     # while the timer keeps observing
-                    "hist_counts": list(instrument.bins),  # repro: noqa[hot-loop-alloc, hot-rebuild]
+                    "hist_counts": list(instrument.bins),
                 }
         return out
 

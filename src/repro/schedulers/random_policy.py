@@ -33,7 +33,7 @@ class RandomScheduler(BaseScheduler):
             free = view.free_nodes
             # recomputing the runnable set after every start is the
             # algorithm: each start changes ``free``
-            runnable = [j for j in view.waiting() if j.size <= free]  # repro: noqa[hot-loop-alloc]
+            runnable = [j for j in view.waiting() if j.size <= free]
             if not runnable:
                 return
             choice = runnable[int(self._rng.integers(len(runnable)))]

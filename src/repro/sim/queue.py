@@ -96,10 +96,10 @@ class WaitQueue:
         # the per-round rebuilds below run only when a job is abandoned
         # by a fault (rare by construction), never per event
         while True:
-            newly = [j for j in self._held if self._deps_dead(j)]  # repro: noqa[hot-loop-alloc]
+            newly = [j for j in self._held if self._deps_dead(j)]
             if not newly:
                 break
-            self._held = [j for j in self._held if not self._deps_dead(j)]  # repro: noqa[hot-loop-alloc]
+            self._held = [j for j in self._held if not self._deps_dead(j)]
             for j in newly:
                 self._dead.add(j.job_id)
             doomed.extend(newly)
@@ -145,7 +145,7 @@ class WaitQueue:
         """All eligible jobs in arrival order (a copy)."""
         # the copy is the safety contract: policies iterate this while
         # starting jobs, which mutates the underlying queue
-        return list(self._waiting)  # repro: noqa[hot-rebuild]
+        return list(self._waiting)
 
     @property
     def held(self) -> list[Job]:

@@ -212,6 +212,56 @@ class TestBareExceptRule:
         assert lint(src) == []
 
 
+class TestFloatAccumOrderRule:
+    """RPR107 — was RPR506, parked behind the hotness gate until PR 17."""
+
+    def test_augmented_accumulation_over_set_flagged(self):
+        src = """
+        def accumulate(values):
+            total = 0.0
+            for v in set(values):
+                total += v
+            return total
+        """
+        found = lint(src)
+        assert slugs(found) == ["float-accum-order"]
+        assert found[0].rule_id == "RPR107"
+        assert found[0].message == \
+            "float accumulation over unordered set iteration"
+        assert found[0].line == 5
+
+    def test_sum_over_set_iteration_flagged(self):
+        src = """
+        def total_mass(a, b):
+            return sum(x.mass for x in a.intersection(b))
+        """
+        found = lint(src)
+        assert slugs(found) == ["float-accum-order"]
+        assert found[0].message == "sum() over unordered set iteration"
+
+    def test_cold_function_outside_any_package_flagged(self):
+        # no profiler anchor, no call path from Engine.run, not even a
+        # sim/ path: the old hotness gate would have hidden this
+        src = """
+        def report_footer(sizes):
+            area = 1.0
+            for s in {float(x) for x in sizes}:
+                area *= s
+            return area
+        """
+        assert slugs(lint(src, path="tools/report.py")) == ["float-accum-order"]
+
+    def test_ordered_iteration_allowed(self):
+        src = """
+        def accumulate(values):
+            total = 0.0
+            for v in sorted(set(values)):
+                total += v
+            return total + sum(x for x in values)
+        """
+        assert lint(src) == []
+
+
 class TestSuppressions:
     SRC = "import time\nstamp = time.time()  {comment}\n"
 
@@ -292,10 +342,10 @@ class TestEngine:
             slug = "no-todo"
             rationale = "test rule"
 
-            def check(self, tree, ctx):
-                for lineno, line in enumerate(ctx.source.splitlines(), start=1):
+            def check_module(self, info):
+                for lineno, line in enumerate(info.source.splitlines(), start=1):
                     if "TODO" in line:
-                        yield Finding(lineno, 0, "unresolved TODO")
+                        yield Finding(info.path, lineno, 0, "unresolved TODO")
 
         register(TodoRule)
         try:
@@ -343,4 +393,4 @@ class TestCheckCli:
         assert main(["check", "--list-rules"]) == 0
         out = capsys.readouterr().out
         for rule in RULES.values():
-            assert rule.id in out
+            assert (rule.id in out) is not rule.whole_program

@@ -1,5 +1,8 @@
 """Unit tests for the runtime sanitizer (repro.check.sanitize)."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -59,6 +62,26 @@ class TestActivation:
         assert not Cluster(4, sanitize=False).sanitize_active
         monkeypatch.delenv("REPRO_SANITIZE")
         assert Cluster(4, sanitize=True).sanitize_active
+
+
+class TestImportWeight:
+    def test_engine_import_loads_no_analyzer(self):
+        """The runtime reaches ``check.sanitize`` without the static layer.
+
+        Every CLI start and spawned sweep worker imports the engine;
+        the analyzers (lint driver, rule families, effect inference)
+        are only for ``repro check``.
+        """
+        code = (
+            "import sys, repro.sim.engine, repro.check\n"
+            "assert repro.check.sanitizer_enabled() in (True, False)\n"
+            "print(sorted(m for m in sys.modules"
+            " if m.startswith('repro.check.')))\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code],
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "['repro.check.sanitize']"
 
 
 class TestClusterInvariants:

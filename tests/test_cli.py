@@ -163,6 +163,51 @@ class TestCheck:
         assert rc == 1
         assert "RPR201" in capsys.readouterr().out
 
+    def _unit_constant_pkg(self, tmp_path):
+        """Two clean-looking files, one redefining a canonical constant."""
+        pkg = tmp_path / "pkg"
+        pkg.mkdir()
+        (pkg / "a.py").write_text('"""A."""\nSECONDS_PER_HOUR = 3600\n')
+        (pkg / "b.py").write_text('"""B."""\nX = 1\n')
+        return pkg
+
+    @pytest.mark.parametrize("targets", [("a.py", "b.py"), ("", "a.py")])
+    def test_project_findings_reported_once_per_root(
+            self, tmp_path, capsys, targets):
+        pkg = self._unit_constant_pkg(tmp_path)
+        rc = main(["check", "--strict", *(str(pkg / t) for t in targets)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out.count("RPR203") == 1
+        assert "1 violation(s)" in captured.err
+
+    @pytest.mark.parametrize("name", ["RPR203", "unit-constant"])
+    def test_select_runs_a_whole_program_rule_without_strict(
+            self, tmp_path, capsys, name):
+        pkg = self._unit_constant_pkg(tmp_path)
+        rc = main(["check", "--select", name, str(pkg)])
+        assert rc == 1
+        assert "RPR203" in capsys.readouterr().out
+        # an explicit selection is exact: nothing else rides along
+        (pkg / "b.py").write_text('"""B."""\n\n\ndef f(xs=[]):\n    return xs\n')
+        assert main(["check", "--select", name, str(pkg / "b.py")]) == 1
+        assert "RPR104" not in capsys.readouterr().out
+
+    def test_strict_parses_each_file_once(self, tmp_path, capsys, monkeypatch):
+        import ast
+
+        pkg = self._unit_constant_pkg(tmp_path)
+        parsed = []
+        real_parse = ast.parse
+
+        def counting_parse(source, filename="<unknown>", *args, **kwargs):
+            parsed.append(filename)
+            return real_parse(source, filename, *args, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        assert main(["check", "--strict", str(pkg)]) == 1
+        assert sorted(parsed) == [str(pkg / "a.py"), str(pkg / "b.py")]
+
     def test_json_output(self, tmp_path, capsys):
         import json as _json
 

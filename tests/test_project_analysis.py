@@ -10,6 +10,7 @@ seconds↔hours mix-up and the NumPy-free Table III proof.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import shutil
 import subprocess
@@ -321,7 +322,8 @@ class TestShapesRules:
             pkg.__path__ = [{str(SRC)!r}]
             sys.modules["repro"] = pkg
 
-            from repro.check.project import ProjectModel, analyze_project
+            from repro.check import analyze_project
+            from repro.check.project import ProjectModel
             from repro.check import shapes
 
             project = ProjectModel.load({str(SRC)!r}, package="repro")
@@ -512,3 +514,19 @@ class TestStrictGateAndRatchet:
         )
         assert result.returncode == 0, result.stdout + result.stderr
         assert "ratchet OK" in result.stdout
+
+    def test_ratchet_names_a_rule_missing_from_the_registry(
+            self, monkeypatch, capsys):
+        from repro.check import RULES
+
+        spec = importlib.util.spec_from_file_location(
+            "check_ratchet", REPO / "scripts" / "check_ratchet.py")
+        check_ratchet = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(check_ratchet)
+        assert check_ratchet.EXPECTED_RULE_IDS == {
+            rule.id for rule in RULES.values()}
+        # a per-file rule: exactly the family the old guard did not list
+        monkeypatch.delitem(RULES, "mutable-default")
+        assert check_ratchet.main([]) == 2
+        err = capsys.readouterr().err
+        assert "RPR104" in err and "not registered" in err
