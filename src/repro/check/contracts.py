@@ -240,7 +240,7 @@ class SpanRegistryRule(Rule):
     id = "RPR404"
     slug = "span-registry"
     rationale = (
-        "trace analysis (repro.obs.analyze, the bench harness) keys on span "
+        "trace analysis (repro.obs.analyze, repro.obs.report) keys on span "
         "names; an undocumented name silently falls out of every report"
     )
 

@@ -283,18 +283,3 @@ class ProjectModel:
         for info in self.modules.values():
             for node in info.classes.values():
                 yield info, node
-
-    # -- import graph ------------------------------------------------------
-    def imported_modules(self, dotted: str) -> set[str]:
-        """Project modules the module ``dotted`` imports (direct only)."""
-        info = self.modules.get(dotted)
-        if info is None:
-            return set()
-        out = set()
-        for target in info.imports.values():
-            name = target
-            while name and name not in self.modules:
-                name = name.rpartition(".")[0]
-            if name and name != dotted:
-                out.add(name)
-        return out

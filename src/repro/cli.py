@@ -17,11 +17,8 @@ Commands
 ``check``
     Run the determinism/correctness linter (:mod:`repro.check`) over
     source paths and report violations.
-``bench``
-    Run the perf-benchmark harness (:mod:`repro.obs.bench`) and write
-    ``BENCH_sim.json`` / ``BENCH_nn.json`` regression baselines.
 ``report``
-    Stitch run artifacts (manifest, telemetry, trace, bench, profile)
+    Stitch run artifacts (manifest, telemetry, trace, profile)
     into one self-contained HTML report (:mod:`repro.obs.report`).
 ``trace``
     Trace-file utilities; ``trace summarize <path>`` prints span
@@ -165,7 +162,6 @@ def _emit_report(
     metrics: dict | None = None,
     telemetry_path: str | None = None,
     trace_path: str | None = None,
-    bench_paths: tuple = (),
     profile_path: str | None = None,
 ) -> None:
     """Load whatever artifacts exist and write the HTML report."""
@@ -184,7 +180,6 @@ def _emit_report(
         telemetry=(episode_records(read_telemetry(telemetry_path))
                    if telemetry_path else None),
         trace=summarize_trace(trace_path) if trace_path else None,
-        bench=[load(p) for p in bench_paths] or None,
         profile=load(profile_path) if profile_path else None,
     )
     print(f"wrote report to {path}")
@@ -571,26 +566,6 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.obs.bench import write_bench_files
-
-    paths = write_bench_files(
-        out_dir=args.out_dir,
-        seed=args.seed,
-        quick=args.quick,
-        only=args.only,
-        progress=lambda msg: print(f"  {msg}"),
-    )
-    for path in paths:
-        print(f"wrote {path}")
-    if args.report:
-        _emit_report(
-            args.report, "bench baselines",
-            bench_paths=tuple(str(p) for p in paths),
-        )
-    return 0
-
-
 def cmd_report(args: argparse.Namespace) -> int:
     """The ``repro report`` driver: stitch artifacts into one HTML file."""
     try:
@@ -600,7 +575,6 @@ def cmd_report(args: argparse.Namespace) -> int:
             manifest_path=args.manifest,
             telemetry_path=args.telemetry,
             trace_path=args.trace,
-            bench_paths=tuple(args.bench or ()),
             profile_path=args.profile,
         )
     except (OSError, ValueError, json.JSONDecodeError) as exc:
@@ -942,20 +916,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser(
-        "bench", help="run the perf benchmarks and write BENCH_*.json"
-    )
-    p.add_argument("--quick", action="store_true",
-                   help="small reps for smoke testing (not comparable to "
-                        "full-run baselines)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-dir", default=".",
-                   help="directory for BENCH_*.json (default: current dir)")
-    p.add_argument("--only", choices=("sim", "nn"), default=None,
-                   help="run a single suite instead of both")
-    _add_artifact_args(p, "--report")
-    p.set_defaults(func=cmd_bench)
-
-    p = sub.add_parser(
         "report",
         help="stitch run artifacts into one self-contained HTML report",
     )
@@ -968,8 +928,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="training telemetry JSONL (repro.telemetry/v1)")
     p.add_argument("--trace", metavar="PATH",
                    help="event trace JSONL (repro.trace/v1)")
-    p.add_argument("--bench", action="append", metavar="PATH",
-                   help="bench baseline JSON (repeatable)")
     p.add_argument("--profile", metavar="PATH",
                    help="profiler output JSON (repro.profile/v1)")
     p.set_defaults(func=cmd_report)

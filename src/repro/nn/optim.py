@@ -74,7 +74,7 @@ class Adam(Optimizer):
         self.grad_clip = grad_clip
         #: when True, :attr:`last_grad_norm` is refreshed on every step
         #: (the global pre-clip gradient L2 norm); off by default so the
-        #: bench hot path pays nothing for telemetry it does not use
+        #: training hot path pays nothing for telemetry it does not use
         self.track_grad_norm = False
         #: global L2 norm of the gradient at the most recent tracked
         #: step (NaN until :attr:`track_grad_norm` sees a step)

@@ -34,11 +34,10 @@ run is bit-identical to an uninstrumented one (the layer only ever
 * :mod:`repro.obs.report` — a dependency-free self-contained HTML run
   report (inline SVG charts) behind ``python -m repro report`` and the
   ``--report`` flag of the run commands.
-* :mod:`repro.obs.bench` — the perf-benchmark harness behind
-  ``python -m repro bench``, writing ``BENCH_sim.json`` /
-  ``BENCH_nn.json`` regression baselines.
 
-See ``docs/observability.md`` and ``docs/benchmarks.md`` for usage.
+See ``docs/observability.md`` for usage; what each instrument costs is
+measured by the ``obs.*.overhead_ratio`` metrics of ``BENCHMARK.json``
+(``docs/benchmarks.md``).
 """
 
 from __future__ import annotations

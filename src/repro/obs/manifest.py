@@ -1,7 +1,7 @@
 """Run manifests: what produced this result file, exactly.
 
 A :class:`RunManifest` is a small JSON document capturing everything
-needed to re-run (or distrust) an experiment or benchmark: the run
+needed to re-run (or distrust) an experiment or training run: the run
 kind, the seed, the git commit, the configuration knobs, the
 workload-model parameters and a summary-metrics block.
 
@@ -98,13 +98,13 @@ def _jsonable(value: Any) -> Any:
 
 @dataclass(frozen=True)
 class RunManifest:
-    """Provenance record of one experiment/benchmark/training run.
+    """Provenance record of one experiment/simulation/training run.
 
     Parameters
     ----------
     kind:
-        What produced this manifest (``"bench"``, ``"simulate"``,
-        ``"train"``, ``"reproduce"``, ...).
+        What produced this manifest (``"simulate"``, ``"train"``,
+        ``"reproduce"``, ``"sweep-cell"``).
     seed:
         The run's root seed (``None`` when the run takes no seed).
     git_sha:

@@ -3,8 +3,8 @@
 A :class:`MetricsRegistry` is a flat namespace of named instruments.
 Instruments are plain Python objects with ``__slots__`` and integer /
 float arithmetic only — cheap enough to leave enabled permanently in
-the simulator hot loop (the engine-throughput benchmark in
-``BENCH_sim.json`` measures them as part of the baseline).
+the simulator hot loop (``events_per_s`` on the ``theta_easy`` /
+``cori_easy`` workloads of ``BENCHMARK.json`` is measured with them on).
 
 Instruments never feed back into simulation state; they are
 observe-only, so runs with and without consumers reading them are

@@ -3,7 +3,7 @@
 A :class:`Profiler` accumulates an in-memory tree of named scopes —
 one :class:`ProfileNode` per distinct call path — counting entries and
 summing ``time.perf_counter()`` wall time.  The instrumented sites are
-the ones the bench harness fights over:
+the ones ``benchmarks/perf/`` attributes wall time to:
 
 * ``engine.run`` / ``engine.instance`` / ``engine.schedule`` — the
   event loop, one scope per simulated timestamp, and the policy call

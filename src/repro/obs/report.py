@@ -1,12 +1,12 @@
 """Self-contained HTML run reports (inline SVG, zero dependencies).
 
 One call stitches every observability artifact a run leaves behind —
-manifest, summary metrics, training telemetry, bench baselines and
+manifest, summary metrics, training telemetry, profiler output and
 trace analytics — into a single HTML file with no external assets:
 styles are an inline ``<style>`` block, charts are inline SVG, and the
 file opens offline in any browser.  ``python -m repro report`` is the
-CLI front-end; ``--report`` on ``reproduce``/``simulate``/``train``/
-``bench`` emits one automatically.
+CLI front-end; ``--report`` on ``reproduce``/``simulate``/``train``
+emits one automatically.
 
 Chart discipline (kept deliberately boring so the data is the only
 loud thing on the page): 2px lines, thin bars with rounded data-ends
@@ -322,7 +322,7 @@ def svg_histogram(hist: Histogram, x_fmt: Callable[[float], str] | None = None) 
 
 
 def svg_hbar(rows: Sequence[tuple[str, float]], value_fmt: Callable[[float], str] | None = None) -> str:
-    """Horizontal single-series bars (profiler hot paths, bench deltas).
+    """Horizontal single-series bars (profiler hot paths).
 
     One row per ``(label, value)``: name in ink on the left, a thin
     rounded-end bar, the value labelled at the tip in a text token."""
@@ -586,28 +586,6 @@ def _profile_section(profile: Mapping[str, Any]) -> str:
     )
 
 
-def _bench_section(docs: Sequence[Mapping[str, Any]]) -> str:
-    cards = []
-    for doc in docs:
-        entries = doc.get("entries") or {}
-        if not isinstance(entries, Mapping) or not entries:
-            continue
-        rows = []
-        for name in sorted(entries):
-            entry = entries[name]
-            if isinstance(entry, Mapping):
-                rows.append(
-                    (name, entry.get("metric", ""), entry.get("value"),
-                     entry.get("unit", ""))
-                )
-        title = str(doc.get("suite", doc.get("schema", "bench")))
-        cards.append(_card(
-            f"Bench: {title}", "",
-            table=_table(["case", "metric", "value", "unit"], rows),
-        ))
-    return f'<div class="grid">{"".join(cards)}</div>' if cards else ""
-
-
 def _manifest_section(manifest: Mapping[str, Any]) -> str:
     def flat(value: Any, prefix: str, out: list[tuple[str, Any]]) -> None:
         if isinstance(value, Mapping):
@@ -633,7 +611,6 @@ def render_report(
     metrics: Mapping[str, Any] | None = None,
     telemetry: Sequence[Mapping[str, Any]] | None = None,
     trace: TraceSummary | None = None,
-    bench: Sequence[Mapping[str, Any]] | None = None,
     profile: Mapping[str, Any] | None = None,
 ) -> str:
     """Assemble the self-contained HTML report from plain artifacts.
@@ -641,8 +618,8 @@ def render_report(
     Every argument is optional; sections for absent artifacts are
     omitted entirely.  ``telemetry`` takes episode records (see
     :func:`repro.rl.telemetry.episode_records`), ``trace`` a
-    :class:`~repro.obs.analyze.TraceSummary`, ``bench`` parsed bench
-    documents, ``profile`` a profiler ``as_dict()`` document.
+    :class:`~repro.obs.analyze.TraceSummary`, ``profile`` a profiler
+    ``as_dict()`` document.
     Returns the full HTML text (write with :func:`write_report`).
     """
     digest = ""
@@ -655,7 +632,6 @@ def render_report(
         _section("Trace analytics",
                  _trace_section(trace) if trace is not None else ""),
         _section("Profile", _profile_section(profile) if profile else ""),
-        _section("Benchmarks", _bench_section(list(bench or []))),
         _section("Manifest",
                  _manifest_section(manifest) if manifest else ""),
     ]

@@ -1,8 +1,39 @@
 """End-to-end tests for the command-line interface."""
 
+import pathlib
+import shlex
+
 import pytest
 
-from repro.cli import main, make_policy
+from repro.cli import build_parser, main, make_policy
+
+
+def _readme_commands():
+    """The ``python -m repro …`` lines of README.md's "Command line" block."""
+    readme = pathlib.Path(__file__).parent.parent / "README.md"
+    block = readme.read_text(encoding="utf-8").split("## Command line")[1]
+    block = block.split("\n## ")[0]
+    return [line for line in block.splitlines()
+            if line.startswith("python -m repro ")]
+
+
+class TestParser:
+    @pytest.mark.parametrize("line", _readme_commands(),
+                             ids=lambda line: line.split()[3])
+    def test_readme_command_parses(self, line):
+        build_parser().parse_args(shlex.split(line, comments=True)[3:])
+
+    def test_readme_advertises_commands(self):
+        assert _readme_commands()  # else the case above is vacuous
+
+    @pytest.mark.parametrize("argv", [
+        ["bench"],
+        ["report", "--out", "x.html", "--bench", "y.json"],
+    ])
+    def test_retired_bench_surface_rejected(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
 
 
 class TestMakePolicy:

@@ -5,6 +5,7 @@ in ``__all__`` actually resolves, the version is set, and every example
 script at least compiles against the current API.
 """
 
+import ast
 import importlib
 import pathlib
 import py_compile
@@ -14,8 +15,11 @@ import pytest
 PACKAGES = (
     "repro",
     "repro.analysis",
+    "repro.check",
     "repro.core",
+    "repro.experiments",
     "repro.nn",
+    "repro.obs",
     "repro.rl",
     "repro.schedulers",
     "repro.sim",
@@ -47,6 +51,34 @@ class TestExports:
         exec("from repro import *", namespace)  # noqa: S102 - deliberate
         assert "DRASPG" in namespace
         assert "run_simulation" in namespace
+
+
+class TestLayering:
+    def test_obs_is_a_leaf(self):
+        """``repro.obs`` imports no other ``repro`` package, at any depth.
+
+        The hot layers import it, so an upward edge — even a lazy,
+        function-level one — is a cycle waiting to happen.
+        """
+        obs_dir = pathlib.Path(__file__).parent.parent / "src/repro/obs"
+        upward = []
+        for path in sorted(obs_dir.glob("**/*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    targets = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    # src/repro imports absolutely everywhere; a relative
+                    # import would dodge this check, so it counts as upward
+                    targets = [node.module if node.level == 0 else "repro.<relative>"]
+                else:
+                    continue
+                upward += [
+                    f"{path.name}:{node.lineno} imports {target}"
+                    for target in targets
+                    if target.split(".")[0] == "repro"
+                    and target.split(".")[:2] != ["repro", "obs"]
+                ]
+        assert not upward, upward
 
 
 class TestExamples:
