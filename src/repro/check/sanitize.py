@@ -34,9 +34,15 @@ Checked invariants
   never created for a running job or in the past;
 * **NN numerics** — every forward/backward tensor and every Adam update
   is finite (no NaN/Inf), with shape preservation across updates;
+* **NN dtype purity** — every layer output, every backward gradient and
+  every array an Adam update touches has the network's dtype, and no
+  scalar entering the update would widen it (one promoted activation
+  turns every later ``x @ W`` into an up-cast of the whole weight
+  block);
 * **shared forward** — ``Network.forward(x, shared=)`` equals the plain
   forward over the materialised ``[B, k + N, 2]`` input (the definition
-  the factored first layer replaced) to 1e-9.
+  the factored first layer replaced) to a bound scaled by the
+  network dtype's machine epsilon.
 """
 
 from __future__ import annotations
@@ -247,21 +253,38 @@ def check_finite(name: str, array: np.ndarray) -> None:
     )
 
 
-#: ``shared-forward`` bound: absolute, scaled by ``max |out|`` above 1.
-#: The two paths differ by float reassociation only (~1e-16 observed).
-SHARED_FORWARD_TOL = 1e-9
+def check_dtype(name: str, value, dtype: np.dtype) -> None:
+    """Raise unless ``value`` keeps arithmetic in ``dtype``.
+
+    An array must have exactly ``dtype``; a scalar must not widen it
+    when the two are combined (a Python float never does, a NumPy
+    scalar of a wider type does under NEP 50 promotion).
+    """
+    got = (value.dtype if isinstance(value, np.ndarray)
+           else np.result_type(dtype, value))
+    if got != dtype:
+        _fail("nn-dtype", f"{name} is {got}, expected {dtype}")
+
+
+#: ``shared-forward`` bound in units of the output dtype's machine
+#: epsilon: absolute, scaled by ``max |out|`` above 1 — 2.3e-13 for a
+#: float64 network, 1.2e-4 for a float32 one.  The two paths differ by
+#: float reassociation only: ~2 eps observed in either dtype over
+#: Theta's 4,362-row dot products, while a wrong slice moves O(0.1).
+SHARED_FORWARD_EPS = 1024
 
 
 def check_shared_forward(factored: np.ndarray, plain: np.ndarray) -> None:
     """Fail if the two-input forward drifted from the plain forward."""
     worst = float(np.max(np.abs(factored - plain)))
     scale = max(1.0, float(np.max(np.abs(plain))))
-    if not worst <= SHARED_FORWARD_TOL * scale:
+    bound = SHARED_FORWARD_EPS * float(np.finfo(plain.dtype).eps) * scale
+    if not worst <= bound:
         _fail(
             "shared-forward",
             f"forward(x, shared=) differs from the forward over the "
             f"concatenated input by {worst:.3e} (shape {plain.shape}, "
-            f"bound {SHARED_FORWARD_TOL * scale:.1e})",
+            f"{plain.dtype} bound {bound:.1e})",
         )
 
 

@@ -5,7 +5,9 @@
 the optimizer moments, the PG baseline statistics and the DQL
 exploration rate.  These helpers serialize the complete agent state to
 a single ``.npz`` with a JSON metadata record, and rebuild the agent
-from scratch on load.
+from scratch on load.  Weights and Adam moments are stored in the
+network's dtype and cast to the rebuilt network's on load, so a
+checkpoint written by a float64 network loads by rounding.
 
 Durability contract
 -------------------
@@ -99,10 +101,12 @@ def restore_agent(meta: dict, data) -> object:
         {k[len("net."):]: data[k] for k in data.files if k.startswith("net.")}
     )
     opt = agent.optimizer
-    n_params = len(opt.params)
-    for i in range(n_params):
-        opt._m[i] = data[f"adam.m.{i}"].copy()
-        opt._v[i] = data[f"adam.v.{i}"].copy()
+    for i, p in enumerate(opt.params):
+        # the parameter's dtype, not the file's: mixed moments would
+        # make every later step compute wide and round back (each
+        # read of ``data`` is a fresh array, so no copy when it matches)
+        opt._m[i] = data[f"adam.m.{i}"].astype(p.value.dtype, copy=False)
+        opt._v[i] = data[f"adam.v.{i}"].astype(p.value.dtype, copy=False)
     opt._t = int(data["adam.t"][0])
     if kind in ("pg", "decima"):
         agent.core.baseline._sums = data["baseline.sums"].copy()

@@ -199,7 +199,7 @@ def fresh_trained_agent(kind: str, system: str, scale_name: str, seed: int = 0):
     _, history = trained_agent(kind, system, scale_name, seed)
     setup = system_setup(system, scale_name, seed)
     agent = make_agent(kind, setup.config)
-    agent.load_state_dict(history.snapshots[-1])
+    agent.load_state_dict(history.last)
     return agent
 
 

@@ -44,10 +44,11 @@ def run(instantiate: bool = False) -> list[NetworkReport]:
     """Build the Table III rows.
 
     ``instantiate=True`` additionally materializes each network and
-    counts its parameters directly; the Cori networks hold ~160M
-    float64 weights (~1.3 GB each), so the default trusts the analytic
-    count, which the test suite separately verifies to equal the
-    instantiated count across architectures.
+    counts its parameters directly; the Cori networks hold ~162M
+    float32 weights (~0.65 GB each, and 1.5x that while the largest
+    layer is still in the float64 it was drawn in), so the default
+    trusts the analytic count, which the test suite separately verifies
+    to equal the instantiated count across architectures.
     """
     rows = []
     rng = np.random.default_rng(0)

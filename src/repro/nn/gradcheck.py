@@ -3,6 +3,10 @@
 Hand-written backward passes are the classic source of silent RL bugs;
 these helpers verify every analytic gradient against central finite
 differences.  Used heavily by the test suite.
+
+The 1e-6 perturbations are below single-precision resolution (float32
+epsilon is 1.2e-7 *relative*), so both helpers need float64 values:
+build the network under test with ``dtype=np.float64``.
 """
 
 from __future__ import annotations
@@ -14,14 +18,24 @@ import numpy as np
 from repro.nn.network import Network
 
 
+def _require_float64(what: str, dtype: np.dtype) -> None:
+    if dtype != np.float64:
+        raise ValueError(
+            f"finite differences need a float64 {what}, got {dtype}: "
+            "the perturbation is below its resolution"
+        )
+
+
 def numeric_gradient(
     f: Callable[[], float], value: np.ndarray, eps: float = 1e-6
 ) -> np.ndarray:
     """Central-difference gradient of scalar ``f()`` w.r.t. ``value``.
 
     ``value`` is perturbed in place entry by entry; ``f`` must read it
-    afresh on each call.
+    afresh on each call.  Raises ``ValueError`` unless ``value`` is
+    float64.
     """
+    _require_float64("value", value.dtype)
     grad = np.zeros_like(value)
     flat = value.ravel()
     gflat = grad.ravel()
@@ -50,8 +64,10 @@ def check_gradients(
     ``loss_fn`` maps the network output to ``(loss, dloss/doutput)``.
     A random subsample of ``max_entries`` entries per parameter keeps
     the check fast on large layers.  Returns the worst absolute error
-    and raises ``AssertionError`` when tolerances are exceeded.
+    and raises ``AssertionError`` when tolerances are exceeded, or
+    ``ValueError`` when ``network`` is not float64.
     """
+    _require_float64("network", network.dtype)
     rng = rng or np.random.default_rng(0)
 
     def full_loss() -> float:

@@ -13,14 +13,24 @@ import numpy as np
 
 
 class Parameter:
-    """A trainable tensor with its gradient accumulator."""
+    """A trainable tensor with its gradient accumulator.
+
+    Holds ``value`` in the dtype it is given: layers draw their initial
+    values in NumPy's default precision and the
+    :class:`~repro.nn.network.Network` that owns them rounds value and
+    gradient to its own dtype.
+    """
 
     __slots__ = ("name", "value", "grad")
 
     def __init__(self, name: str, value: np.ndarray) -> None:
         self.name = name
-        self.value = np.asarray(value, dtype=np.float64)
-        self.grad = np.zeros_like(self.value)
+        self.value = np.asarray(value)
+        # np.zeros, not zeros_like: calloc'd pages stay uncommitted
+        # until a backward writes them (zeros_like fills eagerly), so
+        # the gradient the owning Network discards when it rounds the
+        # value, and that of a network that only infers, cost nothing
+        self.grad = np.zeros(self.value.shape, self.value.dtype)
 
     @property
     def size(self) -> int:
@@ -204,7 +214,11 @@ class LeakyReLU(Layer):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Elementwise ``max(x, alpha*x)`` over any batched shape."""
-        self._factor = np.where(x > 0, 1.0, self.alpha)
+        # typed scalars: ``np.where(x > 0, 1.0, alpha)`` is double
+        # precision whatever ``x`` is, and would promote every layer
+        # after this one
+        scalar = x.dtype.type
+        self._factor = np.where(x > 0, scalar(1.0), scalar(self.alpha))
         return x * self._factor
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:

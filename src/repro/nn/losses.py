@@ -3,6 +3,11 @@
 DRAS-PG needs a *masked* softmax over the window (invalid actions are
 masked out and the valid probabilities rescaled, §III-B) and the
 REINFORCE gradient; DRAS-DQL needs a mean-squared TD error.
+
+The heads compute in float64 whatever the network's dtype: a ``[B, W]``
+array costs nothing, the softmax keeps its headroom, and
+:meth:`Network.backward <repro.nn.network.Network.backward>` casts the
+returned gradient back at its boundary.
 """
 
 from __future__ import annotations

@@ -12,18 +12,36 @@ from repro.obs import trace as _trace
 class Network:
     """A simple sequential network.
 
+    ``dtype`` is the precision of the whole network, decided here and
+    nowhere else: every parameter of ``layers`` is rounded to it once
+    (the layers draw their initial values in NumPy's default precision,
+    so a network starts at most one rounding away from its wider twin
+    built from the same generator), ``forward`` / ``backward`` cast
+    their argument to it, and everything sized from a parameter —
+    gradients, backward scratch, optimizer state, state dicts — follows
+    by ``zeros_like`` / ``empty_like``.  The default is single
+    precision, the paper's (TensorFlow's); a wider network is for
+    oracles such as :mod:`repro.nn.gradcheck`.
+
     With the sanitizer active (``REPRO_SANITIZE=1``) every tensor
-    flowing through ``forward``/``backward`` is checked for NaN/Inf, so
-    numerical corruption is caught at the layer that produced it.  With
+    flowing through ``forward``/``backward`` is checked for NaN/Inf and
+    for having the network's dtype, so numerical corruption and silent
+    promotion are caught at the layer that produced them.  With
     a global tracer active (``REPRO_TRACE=path``) each forward/backward
     pass is recorded as a ``nn.forward`` / ``nn.backward`` span; neither
     hook changes any computed value.
     """
 
-    def __init__(self, layers: list[Layer]) -> None:
+    def __init__(self, layers: list[Layer],
+                 dtype: np.dtype | type = np.float32) -> None:
         if not layers:
             raise ValueError("a network needs at least one layer")
         self.layers = layers
+        self.dtype = np.dtype(dtype)
+        for p in self.parameters():
+            if p.value.dtype != self.dtype:
+                p.value = p.value.astype(self.dtype)
+                p.grad = np.zeros(p.value.shape, self.dtype)
 
     def forward(self, x: np.ndarray,
                 shared: np.ndarray | None = None) -> np.ndarray:
@@ -43,6 +61,9 @@ class Network:
         # the tuple serialises to the same JSON array as a list would
         with _trace.span("nn.forward", layers=len(self.layers),
                          shape=x.shape):
+            x = np.asarray(x, dtype=self.dtype)
+            if shared is not None:
+                shared = np.asarray(shared, dtype=self.dtype)
             return self._forward(x, shared)
 
     def _forward(self, x: np.ndarray,
@@ -57,7 +78,7 @@ class Network:
         if sanitize:
             for i, layer in enumerate(rest, len(self.layers) - len(rest)):
                 x = layer.forward(x)
-                _san.check_finite(
+                self._check_tensor(
                     f"forward output of layer {i} ({type(layer).__name__})", x
                 )
             if shared is not None:
@@ -85,13 +106,18 @@ class Network:
         conv._x = None  # inference only, as in Dense.forward_shared
         y = dense.forward_shared(head, common)
         if sanitize:
-            _san.check_finite("forward output of layer 0 (Conv1x2)", head)
-            _san.check_finite(
+            self._check_tensor("forward output of layer 0 (Conv1x2)", head)
+            self._check_tensor(
                 "forward output of layer 0 (Conv1x2) on the shared rows",
                 common,
             )
-            _san.check_finite("forward output of layer 1 (Dense)", y)
+            self._check_tensor("forward output of layer 1 (Dense)", y)
         return y
+
+    def _check_tensor(self, name: str, array: np.ndarray) -> None:
+        """Sanitizer: a tensor a layer produced is finite and not promoted."""
+        _san.check_finite(name, array)
+        _san.check_dtype(name, array, self.dtype)
 
     def _check_against_plain(self, x: np.ndarray, shared: np.ndarray,
                              out: np.ndarray) -> None:
@@ -109,7 +135,7 @@ class Network:
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         """Backpropagate ``grad_out``; returns the input gradient."""
         with _trace.span("nn.backward", layers=len(self.layers)):
-            return self._backward(grad_out)
+            return self._backward(np.asarray(grad_out, dtype=self.dtype))
 
     def _backward(self, grad_out: np.ndarray) -> np.ndarray:
         if _san.sanitizer_enabled():
@@ -117,7 +143,7 @@ class Network:
             for i, layer in zip(range(len(self.layers) - 1, -1, -1),
                                 reversed(self.layers)):
                 grad_out = layer.backward(grad_out)
-                _san.check_finite(
+                self._check_tensor(
                     f"backward gradient of layer {i} ({type(layer).__name__})",
                     grad_out,
                 )
@@ -144,7 +170,11 @@ class Network:
         }
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        """Copy values from :meth:`state_dict` output; keys must match."""
+        """Copy values from :meth:`state_dict` output; keys must match.
+
+        Values are cast to each parameter's dtype, so a state saved by
+        a wider network loads by rounding.
+        """
         own = {
             f"{i}.{p.name}": p
             for i, layer in enumerate(self.layers)
@@ -157,12 +187,12 @@ class Network:
                 f"state dict mismatch: missing={sorted(missing)}, extra={sorted(extra)}"
             )
         for key, param in own.items():
-            value = np.asarray(state[key], dtype=np.float64)
+            value = np.array(state[key], dtype=param.value.dtype)
             if value.shape != param.value.shape:
                 raise ValueError(
                     f"shape mismatch for {key}: {value.shape} vs {param.value.shape}"
                 )
-            param.value = value.copy()
+            param.value = value
 
     def copy(self) -> "Network":
         """A structural deep copy (used for per-episode model snapshots)."""
@@ -184,6 +214,7 @@ def build_dras_network(
     outputs: int,
     rng: np.random.Generator | None = None,
     leaky_alpha: float = 0.01,
+    dtype: np.dtype | type = np.float32,
 ) -> Network:
     """The paper's five-layer DRAS network (§III-B, Table III).
 
@@ -192,7 +223,7 @@ def build_dras_network(
 
     For Theta DRAS-PG: ``rows=4460, hidden1=4000, hidden2=1000,
     outputs=50`` giving 21,890,053 trainable parameters, matching
-    Table III exactly.
+    Table III exactly.  ``dtype`` is the :class:`Network`'s.
     """
     rng = rng or np.random.default_rng(0)
     return Network(
@@ -203,7 +234,8 @@ def build_dras_network(
             Dense(hidden1, hidden2, bias=False, rng=rng, name="fc2"),
             LeakyReLU(leaky_alpha),
             Dense(hidden2, outputs, bias=True, rng=rng, name="out"),
-        ]
+        ],
+        dtype=dtype,
     )
 
 

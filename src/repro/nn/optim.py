@@ -18,7 +18,9 @@ class Optimizer:
         if not params:
             raise ValueError("no parameters to optimize")
         self.params = params
-        self.lr = lr
+        # a plain float: a NumPy scalar of a wider type would widen
+        # every product it enters
+        self.lr = float(lr)
 
     def step(self) -> None:
         """Apply one update to every parameter from its current grad."""
@@ -99,12 +101,31 @@ class Adam(Optimizer):
     def _scratch_for(self, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
         """Reusable scratch views matching ``shape`` (no per-step allocs)."""
         if self._scratch is None:
-            size = max(p.value.size for p in self.params)
-            self._scratch = (np.empty(size), np.empty(size), np.empty(size))
+            largest = max((p.value for p in self.params), key=np.size)
+            self._scratch = tuple(
+                np.empty(largest.size, largest.dtype) for _ in range(3))
         n = 1
         for dim in shape:
             n *= dim
         return tuple(buf[:n].reshape(shape) for buf in self._scratch)
+
+    def _check_dtypes(self) -> None:
+        """Sanitizer: nothing the update combines would widen a parameter.
+
+        Every pass of :meth:`_step` writes in place, so a wider operand
+        never shows in a result's dtype — it only makes the pass
+        compute wide and round back.  Hence the operands are checked.
+        """
+        scalars = {"lr": self.lr, "eps": self.eps, "beta1": self.beta1,
+                   "beta2": self.beta2, "grad_clip": self.grad_clip or 0.0}
+        for p, m, v in zip(self.params, self._m, self._v):
+            arrays = {"gradient": p.grad, "first moment": m,
+                      "second moment": v}
+            for i, scratch in enumerate(self._scratch_for(p.grad.shape)):
+                arrays[f"scratch {i}"] = scratch
+            for what, operand in {**arrays, **scalars}.items():
+                _san.check_dtype(f"{what} of {p.name} (Adam step {self._t})",
+                                 operand, p.value.dtype)
 
     def _step(self) -> None:
         """The fused in-place Adam update.
@@ -119,6 +140,8 @@ class Adam(Optimizer):
         """
         self._t += 1
         sanitize = _san.sanitizer_enabled()
+        if sanitize:
+            self._check_dtypes()
         track = self.track_grad_norm
         sq_norm_sum = 0.0
         grad_clip = self.grad_clip

@@ -25,7 +25,9 @@ def load_network(network: Network, path: str | Path) -> Network:
     """Load parameter values saved by :func:`save_network` into ``network``.
 
     The network must already have the right architecture; shapes are
-    validated.  Returns the same network for chaining.
+    validated.  The file holds the saving network's dtype; values are
+    cast to the loading network's, so a wider file loads by rounding.
+    Returns the same network for chaining.
     """
     with np.load(Path(path)) as data:
         network.load_state_dict({k: data[k] for k in data.files})

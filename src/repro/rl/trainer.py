@@ -5,7 +5,9 @@ episode replays one jobset from an all-idle initial state, parameters
 update every ten scheduling instances, and the trainer takes a snapshot
 of the model after every episode.  An unseen validation jobset measures
 progress; the convergence monitor declares convergence when the
-validation reward plateaus.
+validation reward plateaus.  Only the latest and the best-validating
+snapshot stay in memory; a per-episode record on disk is
+``checkpoint_path``'s job.
 """
 
 from __future__ import annotations
@@ -44,17 +46,33 @@ class EpisodeStats:
 
 @dataclass
 class TrainingHistory:
-    """Episode statistics plus model snapshots."""
+    """Episode statistics plus the two model snapshots worth keeping.
+
+    Memory is constant in the number of episodes: :attr:`last` is the
+    state dict after the most recent episode and :attr:`best` the one
+    after episode :meth:`best_episode` (the same dict while the latest
+    episode is the best).  Both are ``None`` until :meth:`record` sees
+    an episode — so after a checkpoint resume ``best`` stays ``None``
+    while an episode from before the resume still holds the record.
+    """
 
     episodes: list[EpisodeStats] = field(default_factory=list)
-    snapshots: list[dict[str, np.ndarray]] = field(default_factory=list)
+    last: dict[str, np.ndarray] | None = None
+    best: dict[str, np.ndarray] | None = None
+
+    def record(self, stats: EpisodeStats, state: dict[str, np.ndarray]) -> None:
+        """Append one finished episode and the model state it left."""
+        self.episodes.append(stats)
+        self.last = state
+        if self.best_episode() == len(self.episodes) - 1:
+            self.best = state
 
     @property
     def validation_curve(self) -> np.ndarray:
         return np.array([e.validation_reward for e in self.episodes])
 
     def best_episode(self) -> int:
-        """Index of the snapshot with the highest validation reward."""
+        """Index of the episode with the highest validation reward."""
         if not self.episodes:
             raise ValueError("no episodes recorded")
         return int(np.argmax(self.validation_curve))
@@ -122,21 +140,17 @@ class Trainer:
         agent,
         num_nodes: int,
         validation_jobs: list[Job] | None = None,
-        snapshot_every: int = 1,
         telemetry: "_telemetry.TelemetryWriter | str | Path | None" = None,
         checkpoint_path: str | Path | None = None,
         checkpoint_every: int = 1,
         faults: FaultConfig | None = None,
         live: "_live.LiveBus | None" = None,
     ) -> None:
-        if snapshot_every <= 0:
-            raise ValueError("snapshot_every must be positive")
         if checkpoint_every <= 0:
             raise ValueError("checkpoint_every must be positive")
         self.agent = agent
         self.num_nodes = num_nodes
         self.validation_jobs = validation_jobs
-        self.snapshot_every = snapshot_every
         self.checkpoint_path = (
             Path(checkpoint_path) if checkpoint_path is not None else None
         )
@@ -312,7 +326,7 @@ class Trainer:
             train_reward = self.run_episode(jobset, episode=episode)
             val_reward = self.validate()
             updates = getattr(self.agent, "updates_done", 0)
-            history.episodes.append(
+            history.record(
                 EpisodeStats(
                     episode=episode,
                     phase=phase,
@@ -320,14 +334,13 @@ class Trainer:
                     train_reward=train_reward,
                     validation_reward=val_reward,
                     updates_done=updates,
-                )
+                ),
+                self.agent.state_dict(),
             )
             if self.telemetry is not None:
                 self._emit_telemetry(history.episodes[-1])
             if live is not None:
                 self._publish_live(live, history.episodes[-1], len(jobsets))
-            if episode % self.snapshot_every == 0:
-                history.snapshots.append(self.agent.state_dict())
             if self.checkpoint_path is not None \
                     and (episode + 1) % self.checkpoint_every == 0:
                 self._write_checkpoint(history)

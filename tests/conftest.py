@@ -2,11 +2,37 @@
 
 from __future__ import annotations
 
+import functools
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from repro.core import decima, dras_dql, dras_pg
+from repro.nn.network import build_dras_network
 from repro.sim.cluster import Cluster
 from repro.sim.job import Job
+
+
+def float64_agent(agent_cls, config, **kwargs):
+    """``agent_cls(config)`` with a float64 network: the oracle twin.
+
+    Agents build their network in the paper's float32.  Goldens pinned
+    before that, and any comparison tighter than float32 rounding, need
+    the twin the same generator draws *without* the rounding (it leaves
+    the generator at the same position, so action sampling continues
+    identically).  Precision has no knob on ``DRASConfig`` or the agent
+    constructors, so the builder name each agent module resolves is
+    swapped for the duration of the constructor — the optimizer and
+    every buffer then follow the network.  A bare network needs no
+    helper: pass ``dtype=np.float64`` to ``Network`` /
+    ``build_dras_network``.
+    """
+    wide = functools.partial(build_dras_network, dtype=np.float64)
+    with mock.patch.object(dras_pg, "build_dras_network", wide), \
+            mock.patch.object(dras_dql, "build_dras_network", wide), \
+            mock.patch.object(decima, "build_dras_network", wide):
+        return agent_cls(config, **kwargs)
 
 
 def make_job(

@@ -8,6 +8,7 @@ import pytest
 
 from repro.check import sanitize
 from repro.check.sanitize import SanitizerError
+from repro.nn.layers import LeakyReLU
 from repro.nn.network import build_dras_network
 from repro.nn.optim import Adam
 from repro.schedulers import FCFSEasy
@@ -243,6 +244,101 @@ class TestNetworkInvariants:
         out = net.forward(np.ones((2, 4, 2)))
         grad = net.backward(np.ones_like(out))
         assert np.isfinite(grad).all()
+
+
+#: NumPy < 2 promotes by value: there a float64 *scalar* does not widen
+#: a float32 array, so the scalar mutants are not mutants
+NEP50 = np.result_type(np.float32, np.float64(1.0)) == np.float64
+needs_nep50 = pytest.mark.skipif(
+    not NEP50, reason="legacy promotion: a float64 scalar does not widen")
+
+
+class TestDtypePurity:
+    """``nn-dtype``: nothing in a float32 network computes in float64.
+
+    The mutants are the NEP 50 traps: a Python-float ``np.where`` and a
+    NumPy float64 scalar each turn one float32 tensor — and then every
+    ``x @ W`` after it — into float64 without changing any shape.
+    """
+
+    def make_net(self):
+        return build_dras_network(4, 8, 6, 3, rng=np.random.default_rng(0))
+
+    def test_clean_float32_and_float64_networks_pass(self, sanitizer_on):
+        for dtype in (np.float32, np.float64):
+            net = build_dras_network(4, 8, 6, 3, dtype=dtype)
+            out = net.forward(np.ones((2, 4, 2)))
+            grad = net.backward(np.ones((2, 3)))
+            assert out.dtype == grad.dtype == dtype
+            Adam(net.parameters(), lr=0.001).step()
+
+    def test_untyped_where_in_leaky_relu_raises(self, sanitizer_on,
+                                                monkeypatch):
+        """Restoring ``np.where(x > 0, 1.0, alpha)`` names the layer."""
+        def promoting(self, x):
+            self._factor = np.where(x > 0, 1.0, self.alpha)
+            return x * self._factor
+
+        monkeypatch.setattr(LeakyReLU, "forward", promoting)
+        with pytest.raises(SanitizerError,
+                           match=r"nn-dtype.*layer 2 \(LeakyReLU\) is float64"):
+            self.make_net().forward(np.ones((1, 4, 2)))
+
+    def test_promoted_gradient_names_the_layer(self, sanitizer_on,
+                                               monkeypatch):
+        def promoting(self, grad_out):
+            return grad_out * np.ones(1) * self._factor
+
+        monkeypatch.setattr(LeakyReLU, "backward", promoting)
+        net = self.make_net()
+        out = net.forward(np.ones((1, 4, 2)))
+        with pytest.raises(SanitizerError,
+                           match=r"nn-dtype.*backward gradient of layer 4"):
+            net.backward(np.ones_like(out))
+
+    def test_promotion_is_silent_when_disabled(self, sanitizer_off,
+                                               monkeypatch):
+        monkeypatch.setattr(
+            LeakyReLU, "forward",
+            lambda self, x: x * np.where(x > 0, 1.0, self.alpha))
+        assert self.make_net().forward(np.ones((1, 4, 2))).dtype == np.float64
+
+    @needs_nep50
+    def test_float64_learning_rate_in_adam_raises(self, sanitizer_on):
+        """An in-place update hides a wide scalar from every result dtype."""
+        net = self.make_net()
+        opt = Adam(net.parameters(), lr=np.float64(0.001))
+        opt.step()  # the constructor made it a Python float
+        opt.lr = np.float64(0.001)
+        with pytest.raises(SanitizerError,
+                           match="nn-dtype.*lr of conv.weight"):
+            opt.step()
+
+    def test_mixed_adam_state_raises(self, sanitizer_on):
+        net = self.make_net()
+        opt = Adam(net.parameters(), lr=0.001)
+        opt._m[1] = opt._m[1].astype(np.float64)
+        with pytest.raises(SanitizerError,
+                           match="nn-dtype.*first moment of conv.bias"):
+            opt.step()
+        opt._m[1] = opt._m[1].astype(np.float32)
+        net.parameters()[2].grad = np.zeros((4, 8))
+        with pytest.raises(SanitizerError,
+                           match="nn-dtype.*gradient of fc1.weight"):
+            opt.step()
+
+    def test_scalar_rule(self):
+        f32 = np.dtype(np.float32)
+        sanitize.check_dtype("x", 0.5, f32)               # Python float: weak
+        sanitize.check_dtype("x", np.float32(0.5), f32)
+        sanitize.check_dtype("x", np.float64(0.5), np.dtype(np.float64))
+        with pytest.raises(SanitizerError, match="x is float64"):
+            sanitize.check_dtype("x", np.ones(2), f32)
+
+    @needs_nep50
+    def test_wide_numpy_scalar_widens(self):
+        with pytest.raises(SanitizerError, match="x is float64"):
+            sanitize.check_dtype("x", np.float64(0.5), np.dtype(np.float32))
 
 
 class TestAdamInvariants:

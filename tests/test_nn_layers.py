@@ -23,6 +23,12 @@ class TestParameter:
     def test_size(self):
         assert Parameter("w", np.ones((4, 5))).size == 20
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_keeps_the_dtype_it_is_given(self, dtype):
+        """Precision is the owning Network's decision, not Parameter's."""
+        p = Parameter("w", np.ones(3, dtype=dtype))
+        assert p.value.dtype == p.grad.dtype == dtype
+
 
 class TestConv1x2:
     def test_forward_known_values(self, rng):
@@ -51,7 +57,7 @@ class TestConv1x2:
             Conv1x2(rng=rng).backward(np.ones((1, 2)))
 
     def test_gradcheck(self, rng):
-        net = Network([Conv1x2(rng=rng)])
+        net = Network([Conv1x2(rng=rng)], dtype=np.float64)
         x = rng.normal(size=(3, 5, 2))
 
         def loss(out):
@@ -90,7 +96,7 @@ class TestDense:
         assert y[0, 0] == pytest.approx(15.0)
 
     def test_gradcheck_with_bias(self, rng):
-        net = Network([Dense(4, 3, rng=rng)])
+        net = Network([Dense(4, 3, rng=rng)], dtype=np.float64)
         x = rng.normal(size=(5, 4))
 
         def loss(out):
@@ -99,7 +105,7 @@ class TestDense:
         check_gradients(net, x, loss)
 
     def test_gradcheck_without_bias(self, rng):
-        net = Network([Dense(4, 3, bias=False, rng=rng)])
+        net = Network([Dense(4, 3, bias=False, rng=rng)], dtype=np.float64)
         x = rng.normal(size=(5, 4))
 
         def loss(out):
@@ -129,13 +135,22 @@ class TestLeakyReLU:
     def test_no_parameters(self):
         assert LeakyReLU().parameters() == []
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_slope_factor_follows_the_input_dtype(self, dtype):
+        """``np.where(x > 0, 1.0, alpha)`` would be float64 for any x."""
+        layer = LeakyReLU(alpha=0.1)
+        x = np.array([[-1.0, 2.0]], dtype=dtype)
+        assert layer.forward(x).dtype == dtype
+        assert layer.backward(np.ones_like(x)).dtype == dtype
+
 
 class TestStackedGradcheck:
     def test_full_dras_stack(self, rng):
         """Gradient-check the exact DRAS layer composition (small dims)."""
         from repro.nn.network import build_dras_network
 
-        net = build_dras_network(rows=6, hidden1=5, hidden2=4, outputs=3, rng=rng)
+        net = build_dras_network(rows=6, hidden1=5, hidden2=4, outputs=3,
+                                 rng=rng, dtype=np.float64)
         x = rng.normal(size=(2, 6, 2))
 
         def loss(out):

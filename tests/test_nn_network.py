@@ -128,3 +128,101 @@ class TestSerialize:
         other = build_dras_network(7, 5, 4, 3, rng=rng)
         with pytest.raises(ValueError):
             load_network(other, path)
+
+
+class TestPrecision:
+    """Precision is decided once, by ``Network``; everything else follows."""
+
+    def twins(self, seed=3):
+        rng32, rng64 = np.random.default_rng(seed), np.random.default_rng(seed)
+        return (build_dras_network(6, 5, 4, 3, rng=rng32), rng32,
+                build_dras_network(6, 5, 4, 3, rng=rng64, dtype=np.float64),
+                rng64)
+
+    def test_default_is_the_papers_float32(self, rng):
+        net = build_dras_network(6, 5, 4, 3, rng=rng)
+        assert net.dtype == np.float32
+        for p in net.parameters():
+            assert p.value.dtype == p.grad.dtype == np.float32
+        assert Network([Dense(3, 2, rng=rng)]).dtype == np.float32
+
+    def test_float32_network_is_the_rounded_float64_twin(self):
+        """Same draws, one rounding apart, generator left in the same place."""
+        narrow, rng32, wide, rng64 = self.twins()
+        for a, b in zip(narrow.parameters(), wide.parameters()):
+            assert b.value.dtype == b.grad.dtype == np.float64
+            assert np.array_equal(a.value, b.value.astype(np.float32))
+        assert rng32.bit_generator.state == rng64.bit_generator.state
+
+    def test_boundary_casts_and_layers_keep_the_dtype(self, rng):
+        net = build_dras_network(6, 5, 4, 3, rng=rng)
+        x = rng.normal(size=(2, 6, 2))          # float64, as the encoder's
+        seen = x.copy()
+        out = net.forward(x)
+        grad_in = net.backward(np.ones((2, 3)))  # float64, as the losses'
+        assert out.dtype == grad_in.dtype == np.float32
+        assert np.array_equal(x, seen) and x.dtype == np.float64
+        for layer in net.layers:
+            for attr in ("_x", "_factor", "_gw_scratch"):
+                if hasattr(layer, attr):
+                    assert getattr(layer, attr).dtype == np.float32, attr
+
+    def test_matching_input_is_not_copied(self, rng):
+        net = build_dras_network(6, 5, 4, 3, rng=rng)
+        x = rng.normal(size=(2, 6, 2)).astype(np.float32)
+        net.forward(x)
+        assert net.layers[0]._x is x
+
+    def test_shared_forward_casts_both_pieces(self, rng):
+        net = build_dras_network(6, 5, 4, 1, rng=rng)
+        out = net.forward(rng.normal(size=(3, 2, 2)),
+                          shared=rng.normal(size=(4, 2)))
+        assert out.dtype == np.float32
+
+    def test_state_dict_follows_and_loading_rounds(self, tmp_path):
+        narrow, _, wide, _ = self.twins()
+        assert {v.dtype for v in narrow.state_dict().values()} \
+            == {np.dtype(np.float32)}
+        wide.parameters()[2].value += 1e-3      # no longer the init twin
+        narrow.load_state_dict(wide.state_dict())
+        for a, b in zip(narrow.parameters(), wide.parameters()):
+            assert a.value.dtype == a.grad.dtype == np.float32
+            assert np.array_equal(a.value, b.value.astype(np.float32))
+        # through a file: the .npz holds the saver's dtype
+        save_network(wide, tmp_path / "wide.npz")
+        other = build_dras_network(6, 5, 4, 3)
+        load_network(other, tmp_path / "wide.npz")
+        assert all(np.array_equal(a.value, b.value)
+                   for a, b in zip(other.parameters(), narrow.parameters()))
+        save_network(narrow, tmp_path / "narrow.npz")
+        with np.load(tmp_path / "narrow.npz") as data:
+            assert {data[k].dtype for k in data.files} == {np.dtype(np.float32)}
+
+    def test_copy_and_optimizer_state_follow(self, rng):
+        from repro.nn.optim import SGD, Adam
+
+        for dtype in (np.float32, np.float64):
+            net = build_dras_network(6, 5, 4, 3, rng=rng, dtype=dtype)
+            assert net.copy().dtype == dtype
+            assert net.copy().parameters()[0].value.dtype == dtype
+            net.forward(rng.normal(size=(2, 6, 2)))
+            net.backward(np.ones((2, 3)))
+            opt = Adam(net.parameters())
+            opt.step()
+            assert {a.dtype for a in [*opt._m, *opt._v, *opt._scratch]} \
+                == {np.dtype(dtype)}
+            SGD(net.parameters(), momentum=0.5).step()
+            assert {p.value.dtype for p in net.parameters()} == {np.dtype(dtype)}
+
+    def test_float64_is_named_only_where_something_needs_it(self):
+        """``gradcheck`` (finite differences) and ``losses`` (a [B, W] head).
+
+        Anywhere else under ``repro/nn`` a hard-coded width would be a
+        second place that decides precision.
+        """
+        import pathlib
+
+        nn_dir = pathlib.Path(__file__).parent.parent / "src/repro/nn"
+        naming = {path.name for path in nn_dir.glob("*.py")
+                  if "float64" in path.read_text(encoding="utf-8")}
+        assert naming == {"gradcheck.py", "losses.py"}

@@ -3,8 +3,9 @@
 The benchmark suite runs at a reduced scale for speed; these tests
 verify the *paper-size* Theta configuration — 4,360 nodes, the
 21.9M-parameter network — actually instantiates and schedules
-end-to-end.  (The Cori networks hold ~160M float64 parameters; with
-Adam state that is ~5 GB, so only their dimensions are checked.)
+end-to-end, in the paper's float32: 87.6 MB of weights.  (The Cori
+networks hold ~162M parameters; weights plus Adam moments are ~1.9 GB
+even in float32, so only their dimensions are checked.)
 """
 
 import numpy as np
@@ -27,11 +28,14 @@ def theta_agent():
 class TestFullSizeTheta:
     def test_network_size(self, theta_agent):
         assert count_parameters(theta_agent.network) == 21_890_053
+        assert sum(p.value.nbytes for p in theta_agent.network.parameters()) \
+            == 4 * 21_890_053
 
     def test_forward_pass_shape(self, theta_agent):
         x = np.random.default_rng(0).random((1, 4460, 2))
         logits = theta_agent.network.forward(x)
         assert logits.shape == (1, 50)
+        assert logits.dtype == np.float32
         assert np.isfinite(logits).all()
 
     def test_schedules_real_sized_jobs(self, theta_agent):
@@ -58,6 +62,14 @@ class TestFullSizeTheta:
         after = fc1.value[:4, :4]
         assert theta_agent.updates_done > 0
         assert not np.allclose(before, after)
+        # every buffer the update touched followed the network's dtype
+        opt = theta_agent.optimizer
+        touched = [a for p in opt.params for a in (p.value, p.grad)]
+        touched += [*opt._m, *opt._v, *opt._scratch]
+        touched += [layer._gw_scratch for layer in theta_agent.network.layers
+                    if getattr(layer, "_gw_scratch", None) is not None]
+        assert len(touched) == 4 * len(opt.params) + 3 + 3
+        assert {a.dtype for a in touched} == {np.dtype(np.float32)}
 
 
 class TestFullSizeWorkload:

@@ -9,7 +9,7 @@ from repro.core.dras_dql import DRASDQL
 from repro.core.dras_pg import DRASPG
 from repro.core.persistence import load_agent, save_agent
 from repro.sim.engine import run_simulation
-from tests.conftest import make_job
+from tests.conftest import float64_agent, make_job
 
 
 def small_config(**overrides):
@@ -92,6 +92,58 @@ class TestResumedTrainingEquivalence:
             return [j.start_time for j in jobs]
 
         assert run_frozen(agent) == run_frozen(restored)
+
+
+@pytest.mark.parametrize("cls", [DRASPG, DRASDQL, DecimaPG])
+class TestPrecision:
+    """Checkpoints hold the network's dtype and load into the loader's."""
+
+    def test_float32_roundtrip_is_bit_exact(self, cls, tmp_path):
+        agent = train_a_little(cls(small_config()))
+        save_agent(agent, tmp_path / "a.npz")
+        restored = load_agent(tmp_path / "a.npz")
+        saved, loaded = agent.state_dict(), restored.state_dict()
+        for key, value in saved.items():
+            assert value.dtype == loaded[key].dtype == np.float32
+            assert np.array_equal(value, loaded[key]), key
+        before, after = agent.optimizer, restored.optimizer
+        for old, new in zip(before._m + before._v, after._m + after._v):
+            assert new.dtype == np.float32 and np.array_equal(old, new)
+
+    def test_float64_checkpoint_loads_by_rounding(self, cls, tmp_path,
+                                                  monkeypatch):
+        """A file from before float32 never leaves float64 moments behind.
+
+        ``restore_agent`` used to install the file's arrays as they
+        were, so every later Adam step ran float32 weights against
+        float64 moments.
+        """
+        wide = train_a_little(float64_agent(cls, small_config()))
+        save_agent(wide, tmp_path / "wide.npz")
+        with np.load(tmp_path / "wide.npz") as data:
+            assert data["net.1.fc1.weight"].dtype == np.float64
+            assert data["adam.m.0"].dtype == np.float64
+        restored = load_agent(tmp_path / "wide.npz")
+        for key, value in wide.state_dict().items():
+            assert np.array_equal(restored.state_dict()[key],
+                                  value.astype(np.float32)), key
+        opt = restored.optimizer
+        for old, new in zip(wide.optimizer._m + wide.optimizer._v,
+                            opt._m + opt._v):
+            assert new.dtype == np.float32
+            assert np.array_equal(new, old.astype(np.float32))
+        # and it trains on, pure, from there
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        train_a_little(restored.train())
+        assert restored.optimizer._t > wide.optimizer._t
+
+    def test_file_is_about_half_the_float64_size(self, cls, tmp_path):
+        config = small_config(num_nodes=64, hidden1=64, hidden2=32)
+        save_agent(cls(config), tmp_path / "narrow.npz")
+        save_agent(float64_agent(cls, config), tmp_path / "wide.npz")
+        ratio = (tmp_path / "narrow.npz").stat().st_size \
+            / (tmp_path / "wide.npz").stat().st_size
+        assert 0.5 <= ratio < 0.6  # zip headers and metadata do not shrink
 
 
 class TestErrors:

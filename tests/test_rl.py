@@ -29,6 +29,14 @@ def tiny_jobs(n=8, size=4, walltime=50.0):
             for i in range(n)]
 
 
+def contended_jobs(seed, n=16):
+    """Mixed sizes arriving faster than they drain: the order matters."""
+    rng = np.random.default_rng(seed)
+    return [make_job(size=int(rng.integers(1, 13)),
+                     walltime=float(rng.integers(20, 200)), submit=float(i))
+            for i in range(n)]
+
+
 class TestRewardMeter:
     def test_counts_instances(self):
         meter = RewardMeter(CapabilityReward())
@@ -118,18 +126,44 @@ class TestTrainer:
         history = trainer.train([("a", tiny_jobs()), ("b", tiny_jobs())])
         assert len(history.episodes) == 2
         assert [e.phase for e in history.episodes] == ["a", "b"]
-        assert len(history.snapshots) == 2
+        assert history.last is not None and history.best is not None
 
-    def test_snapshot_every(self):
+    def test_history_holds_last_and_best_state_only(self):
+        """Memory is constant in episodes: two state dicts, not one each.
+
+        Every ``state_dict()`` the trainer takes is kept alive here, so
+        the history's two can be identified among them: ``last`` is the
+        final one and ``best`` the one taken after the episode that
+        ``best_episode()`` names.
+        """
         agent = DRASPG(small_config())
-        trainer = Trainer(agent, 16, validation_jobs=tiny_jobs(4),
-                          snapshot_every=2)
-        history = trainer.train([("p", tiny_jobs()) for _ in range(4)])
-        assert len(history.snapshots) == 2
+        taken = []
+        state_dict = agent.state_dict
 
-    def test_invalid_snapshot_every(self):
-        with pytest.raises(ValueError):
-            Trainer(DRASPG(small_config()), 16, snapshot_every=0)
+        def recording():
+            taken.append(state_dict())
+            return taken[-1]
+
+        agent.state_dict = recording
+        trainer = Trainer(agent, 16, validation_jobs=contended_jobs(42))
+        history = trainer.train(
+            [("p", contended_jobs(seed)) for seed in range(6)])
+        assert len(taken) == 6
+        best = int(np.argmax(history.validation_curve))
+        assert 0 < best < 5, "the recipe should peak mid-run"
+        assert history.last is taken[-1]
+        assert history.best is taken[best]
+        held = [v for v in vars(history).values() if isinstance(v, dict)]
+        assert len(held) <= 2
+        assert not hasattr(trainer, "snapshot_every")
+
+    def test_best_stays_unset_while_a_pre_resume_episode_leads(self):
+        history = TrainingHistory(
+            episodes=[EpisodeStats(0, "p", 10, 0.0, 5.0, 1)])
+        history.record(EpisodeStats(1, "p", 10, 0.0, 1.0, 2), {"w": 1})
+        assert history.last == {"w": 1} and history.best is None
+        history.record(EpisodeStats(2, "p", 10, 0.0, 9.0, 3), {"w": 2})
+        assert history.last is history.best
 
 
 class TestCurriculumTraining:
