@@ -26,6 +26,9 @@ Checked invariants
   times recomputed from the per-node arrays (mask, gather, sort — the
   definition the index replaced), and its sizes sum to the nodes that
   are not free;
+* **queue index** — after every ``WaitQueue`` mutator: the size census
+  and its minimum, the arrival keys, and the dependents map with every
+  held job's open-dependency count equal their recomputed definitions;
 * **event-time monotonicity** — ``Engine.run`` never moves the clock
   backwards;
 * **metric sanity** — per-job wait and turnaround are non-negative when
@@ -48,12 +51,15 @@ Checked invariants
 from __future__ import annotations
 
 import os
+from collections import Counter
+from math import inf
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.sim.cluster import Cluster
+    from repro.sim.queue import WaitQueue
 
 _TRUTHY_OFF = ("", "0", "false", "no", "off")
 
@@ -168,6 +174,38 @@ def check_cluster(cluster: "Cluster", context: str = "") -> None:
     """Every cluster invariant; the hook ``Cluster`` runs per mutation."""
     check_node_conservation(cluster, context)
     check_release_index(cluster, context)
+
+
+def check_queue_index(queue: "WaitQueue", context: str = "") -> None:
+    """The wait queue's three indexes agree with its plain lists.
+
+    The oracle is what the indexes replaced: count sizes down the waiting
+    list, number it, test held jobs' dependencies against the finished set.
+    """
+    where = f" after {context}" if context else ""
+    ids = [job.job_id for job in queue._waiting]
+    keys = queue._keys
+    census = Counter(job.size for job in queue._waiting)
+    open_count: dict[int, int] = {}
+    dependents: dict[int, list[int]] = {}
+    for job_id, job in queue._held.items():
+        open_deps = set(job.dependencies) - queue._finished
+        open_count[job_id] = len(open_deps)
+        for dep in open_deps:
+            dependents.setdefault(dep, []).append(job_id)
+    blocked = {dep: [job.job_id for job in jobs]
+               for dep, jobs in queue._dependents.items()}
+    for name, indexed, recomputed in (
+        ("size census", (queue._census, queue.min_size),
+         (census, min(census, default=inf))),
+        ("arrival keys", (len(keys), keys, queue._key_of),
+         (len(ids), sorted(set(keys)), dict(zip(ids, keys)))),
+        ("dependents map", (queue._open, blocked), (open_count, dependents)),
+    ):
+        if indexed != recomputed:
+            _fail("queue-index",
+                  f"{name} {indexed} differs from {recomputed}, recomputed "
+                  f"from the waiting and held jobs{where}")
 
 
 def check_monotonic_time(previous: float, now: float) -> None:

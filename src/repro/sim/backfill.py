@@ -96,8 +96,8 @@ class BackfillPlanner:
         :meth:`candidates` builds for free-choice policies.
         """
         # `allows` inlined as in :meth:`candidates`, short-circuiting on
-        # the first hit; ~100 jobs are scanned per call at scale, so the
-        # per-job method call is measurable
+        # the first hit; at Theta scale a call is offered ~1,140 jobs and
+        # tests ~330 of them, so the per-job method call is measurable
         free = self._cluster.available_nodes
         reserved_id = reservation.job_id
         cutoff = reservation.shadow_time + 1e-9

@@ -121,8 +121,12 @@ class SchedulingView:
         """Waiting jobs that may legally backfill the active reservation."""
         if self._reservation is None:
             raise SimulationError("backfill_candidates requires a reservation")
-        jobs = self.waiting() if pool is None else pool
-        return self._engine.planner.candidates(jobs, self._reservation, self.now)
+        engine = self._engine
+        if pool is None:
+            if engine.cluster.available_nodes < engine.queue.min_size:
+                return []  # no waiting job fits: nothing to scan for
+            pool = engine.queue.waiting
+        return engine.planner.candidates(pool, self._reservation, engine.now)
 
     def backfill_first(self, pool: list[Job] | None = None) -> Job | None:
         """The first legal backfill candidate, or ``None``.
@@ -133,11 +137,14 @@ class SchedulingView:
         """
         if self._reservation is None:
             raise SimulationError("backfill_first requires a reservation")
-        # the live list is safe here: first_candidate only scans, and
-        # the scan completes before the caller can start anything
-        jobs = self._engine.queue.peek_waiting() if pool is None else pool
-        return self._engine.planner.first_candidate(
-            jobs, self._reservation, self.now)
+        engine = self._engine
+        if pool is None:
+            if engine.cluster.available_nodes < engine.queue.min_size:
+                return None  # no waiting job fits: nothing to scan for
+            # the live list is safe here: first_candidate only scans, and
+            # the scan completes before the caller can start anything
+            pool = engine.queue.peek_waiting()
+        return engine.planner.first_candidate(pool, self._reservation, engine.now)
 
     # -- actions ----------------------------------------------------------------
     def start(self, job: Job, mode: ExecMode | None = None) -> Job:
@@ -331,6 +338,7 @@ class Engine:
         self.live_every = live_every
         self.scheduler = scheduler
         self.queue = WaitQueue()
+        self.queue._sanitize = sanitize
         self.planner = BackfillPlanner(cluster)
         self.events = EventQueue()
         self.observers = list(observers)
@@ -561,7 +569,7 @@ class Engine:
         sanitize_active = self.sanitize_active
         # pin for the run: the per-start/per-reserve hooks consult the
         # property, and resolving the env var each time is measurable
-        self._run_sanitize = sanitize_active
+        self._run_sanitize = self.queue._sanitize = sanitize_active
         # the one seam: the channels join the caller's observers as
         # ordinary subscribers, and every hook's handlers resolve here
         self._bind([*self.observers, *channel_observers(
@@ -650,6 +658,7 @@ class Engine:
             if pin_cluster_sanitize:
                 cluster._sanitize = None
             self._run_sanitize = None
+            self.queue._sanitize = self._sanitize_flag
             # durability: subscribers flush buffered tails and unwind
             # open scopes here, even when the policy raised
             for handler in self._on_run_end:

@@ -8,10 +8,18 @@ The *window* at the front of the queue is the mechanism DRAS uses to
 alleviate starvation: only the ``W`` oldest eligible jobs are visible to
 the level-1 network, giving older jobs structurally higher priority
 (paper section III-B).
+
+Every mutator maintains three indexes beside the arrival-ordered list
+(``WaitQueue.__init__``); with the sanitizer active it also ends by
+recomputing them (:func:`repro.check.sanitize.check_queue_index`).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from math import inf
+
+from repro.check import sanitize as _san
 from repro.sim.job import Job, JobState
 
 
@@ -21,13 +29,51 @@ class WaitQueue:
     def __init__(self) -> None:
         #: eligible jobs in arrival order
         self._waiting: list[Job] = []
-        #: submitted jobs blocked on dependencies
-        self._held: list[Job] = []
+        #: submitted jobs blocked on dependencies, by id in submit order
+        self._held: dict[int, Job] = {}
         #: ids of all finished jobs, for dependency resolution
         self._finished: set[int] = set()
         #: ids of jobs lost to faults (FAILED); their dependents can
         #: never become eligible
         self._dead: set[int] = set()
+        #: size census: waiting jobs per size, and the smallest size
+        #: (``inf`` when nothing waits), so ``free_nodes < min_size``
+        #: says in O(1) that no waiting job fits; read-only for callers
+        self._census: dict[int, int] = {}
+        self.min_size: float = inf
+        #: arrival keys: strictly ascending, parallel to ``_waiting``,
+        #: so removal bisects instead of scanning; ``_key_of`` maps a
+        #: waiting job's id to its key
+        self._keys: list[int] = []
+        self._key_of: dict[int, int] = {}
+        #: dependents map: unfinished dependency id -> the held jobs it
+        #: blocks, so a completion touches only its own dependents;
+        #: ``_open`` counts a held job's distinct unfinished dependencies
+        #: (one that never finishes never releases)
+        self._dependents: dict[int, list[Job]] = {}
+        self._open: dict[int, int] = {}
+        #: whether mutators run the ``queue-index`` check; the engine
+        #: pins it for a run, ``None`` follows ``REPRO_SANITIZE``
+        self._sanitize: bool | None = None
+
+    def _check(self, op: str, job: Job) -> None:
+        """The sanitizer hook every mutator ends with."""
+        active = self._sanitize
+        if _san.sanitizer_enabled() if active is None else active:
+            _san.check_queue_index(self, f"{op}(job {job.job_id})")
+
+    def _enqueue(self, job: Job, front: bool = False) -> None:
+        """Make ``job`` eligible, at the tail or (``front``) the head."""
+        keys = self._keys
+        at = 0 if front else len(keys)
+        key = (keys[0] - 1 if front else keys[-1] + 1) if keys else 0
+        keys.insert(at, key)
+        self._waiting.insert(at, job)
+        self._key_of[job.job_id] = key
+        size = job.size
+        self._census[size] = self._census.get(size, 0) + 1
+        if size < self.min_size:
+            self.min_size = size
 
     # -- submission / release ---------------------------------------------
     def submit(self, job: Job) -> bool:
@@ -39,15 +85,21 @@ class WaitQueue:
         """
         if job.state not in (JobState.PENDING,):
             raise RuntimeError(f"job {job.job_id} resubmitted (state {job.state})")
-        if self._deps_dead(job):
+        open_deps = set(job.dependencies)
+        if not open_deps.isdisjoint(self._dead):
             self._dead.add(job.job_id)
             return False
-        if self._deps_met(job):
-            job.state = JobState.WAITING
-            self._waiting.append(job)
-        else:
+        open_deps -= self._finished
+        if open_deps:
             job.state = JobState.HELD
-            self._held.append(job)
+            self._held[job.job_id] = job
+            self._open[job.job_id] = len(open_deps)
+            for dep in open_deps:
+                self._dependents.setdefault(dep, []).append(job)
+        else:
+            job.state = JobState.WAITING
+            self._enqueue(job)
+        self._check("submit", job)
         return True
 
     def requeue(self, job: Job, front: bool) -> None:
@@ -61,10 +113,8 @@ class WaitQueue:
             raise RuntimeError(
                 f"job {job.job_id} cannot be requeued from state {job.state}"
             )
-        if front:
-            self._waiting.insert(0, job)
-        else:
-            self._waiting.append(job)
+        self._enqueue(job, front)
+        self._check("requeue", job)
 
     def notify_finished(self, job: Job) -> None:
         """Record a completion and release any dependents it unblocks.
@@ -73,14 +123,20 @@ class WaitQueue:
         remains sorted by effective arrival.
         """
         self._finished.add(job.job_id)
-        released = [j for j in self._held if self._deps_met(j)]
-        if not released:
+        dependents = self._dependents.pop(job.job_id, None)
+        if dependents is None:
             return
-        self._held = [j for j in self._held if not self._deps_met(j)]
+        released = []
+        for j in dependents:
+            self._open[j.job_id] -= 1
+            if not self._open[j.job_id]:
+                del self._open[j.job_id], self._held[j.job_id]
+                released.append(j)
         released.sort(key=lambda j: (j.submit_time, j.job_id))
         for j in released:
             j.state = JobState.WAITING
-            self._waiting.append(j)
+            self._enqueue(j)
+        self._check("notify_finished", job)
 
     def notify_failed(self, job: Job) -> list[Job]:
         """Record a fault-abandoned job and cascade to doomed dependents.
@@ -93,37 +149,51 @@ class WaitQueue:
         """
         self._dead.add(job.job_id)
         doomed: list[Job] = []
-        # the per-round rebuilds below run only when a job is abandoned
-        # by a fault (rare by construction), never per event
-        while True:
-            newly = [j for j in self._held if self._deps_dead(j)]
-            if not newly:
-                break
-            self._held = [j for j in self._held if not self._deps_dead(j)]
-            for j in newly:
+        # every dead id, not only this one: a job ``submit`` refused is
+        # dead too, and what was already held on it goes with the next
+        # cascade.  Runs per fault-abandoned job (rare), never per event.
+        frontier = [dep for dep in self._dead if dep in self._dependents]
+        while frontier:
+            for j in self._dependents.pop(frontier.pop(), ()):
+                del self._open[j.job_id], self._held[j.job_id]
+                for dep in set(j.dependencies):
+                    others = self._dependents.get(dep)
+                    if others is not None:
+                        others[:] = [o for o in others if o is not j]
+                        if not others:
+                            del self._dependents[dep]
                 self._dead.add(j.job_id)
-            doomed.extend(newly)
+                doomed.append(j)
+                if j.job_id in self._dependents:
+                    frontier.append(j.job_id)
         doomed.sort(key=lambda j: (j.submit_time, j.job_id))
+        self._check("notify_failed", job)
         return doomed
 
-    def _deps_met(self, job: Job) -> bool:
-        return all(dep in self._finished for dep in job.dependencies)
-
-    def _deps_dead(self, job: Job) -> bool:
-        return any(dep in self._dead for dep in job.dependencies)
-
     # -- scheduling access ---------------------------------------------------
+    def _index_of(self, job: Job) -> int:
+        """Position of ``job`` (this very object) in the queue, or -1."""
+        key = self._key_of.get(job.job_id)
+        if key is None:
+            return -1
+        i = bisect_left(self._keys, key)
+        return i if self._waiting[i] is job else -1
+
     def remove(self, job: Job) -> None:
         """Remove a job that has been selected to start."""
-        # identity scan: ``list.remove`` would compare dataclass fields
-        # pairwise down the queue, and the engine only ever removes the
-        # exact object it was handed
-        waiting = self._waiting
-        for i, queued in enumerate(waiting):
-            if queued is job:
-                del waiting[i]
-                return
-        raise RuntimeError(f"job {job.job_id} is not waiting")
+        i = self._index_of(job)
+        if i < 0:
+            raise RuntimeError(f"job {job.job_id} is not waiting")
+        del self._waiting[i], self._keys[i], self._key_of[job.job_id]
+        size = job.size
+        left = self._census[size] - 1
+        if left:
+            self._census[size] = left
+        else:
+            del self._census[size]
+            if size == self.min_size:
+                self.min_size = min(self._census, default=inf)
+        self._check("remove", job)
 
     def window(self, size: int) -> list[Job]:
         """The ``size`` oldest eligible jobs (the paper's window)."""
@@ -150,7 +220,7 @@ class WaitQueue:
     @property
     def held(self) -> list[Job]:
         """Jobs whose dependencies are not yet satisfied (a copy)."""
-        return list(self._held)
+        return list(self._held.values())
 
     def __len__(self) -> int:
         return len(self._waiting)
@@ -161,11 +231,12 @@ class WaitQueue:
         return len(self._waiting) + len(self._held)
 
     def __contains__(self, job: Job) -> bool:
-        return job in self._waiting
+        return self._index_of(job) >= 0
 
     def clear(self) -> None:
         """Drop all queued, held, finished, and failed bookkeeping."""
-        self._waiting.clear()
-        self._held.clear()
-        self._finished.clear()
-        self._dead.clear()
+        for part in (self._waiting, self._held, self._finished, self._dead,
+                     self._census, self._keys, self._key_of,
+                     self._dependents, self._open):
+            part.clear()
+        self.min_size = inf

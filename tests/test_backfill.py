@@ -1,9 +1,13 @@
 """Unit tests for EASY-backfilling machinery."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from repro.schedulers import FCFSEasy
 from repro.sim.backfill import BackfillPlanner, Reservation
 from repro.sim.cluster import Cluster
+from repro.sim.engine import Engine, SchedulingView
 from tests.conftest import make_job
 
 
@@ -83,3 +87,50 @@ class TestCandidates:
         res = planner.reserve(make_job(size=6), now=0.0)
         jobs = [make_job(size=5, walltime=10.0)]  # wider than 2 free nodes
         assert planner.candidates(jobs, res, now=0.0) == []
+
+
+class TestViewShortcut:
+    """``SchedulingView.backfill_*`` against the planner's full scan.
+
+    With ``pool=None`` the view answers from the queue's size census
+    when no waiting job fits the free nodes; whatever it answers must be
+    what scanning the whole queue would have.
+    """
+
+    NODES = 12
+    job_shapes = st.lists(
+        st.tuples(st.integers(1, NODES), st.sampled_from([5.0, 50.0, 500.0])),
+        max_size=8)
+
+    @settings(max_examples=200, deadline=None)
+    @given(running=job_shapes, queued=job_shapes, data=st.data())
+    def test_matches_brute_force(self, running, queued, data):
+        cluster = Cluster(self.NODES)
+        waiting = [make_job(size=size, walltime=walltime)
+                   for size, walltime in queued]
+        engine = Engine(cluster, FCFSEasy(), waiting)
+        for size, walltime in running:
+            if size <= cluster.available_nodes:
+                cluster.allocate(make_job(size=size, walltime=walltime), 0.0)
+        for job in waiting:
+            engine.queue.submit(job)
+        engine.now = 1.0
+        # any blocked job may hold the reservation: the smallest waiting
+        # job, the only one, or one deep in the queue
+        blocked = [j for j in waiting if j.size > cluster.available_nodes]
+        assume(blocked)
+        reserved = data.draw(st.sampled_from(blocked))
+        view = SchedulingView(engine)
+        reservation = view.reserve(reserved)
+
+        expected = [j for j in waiting if j is not reserved
+                    and reservation.allows(j, 1.0, cluster.available_nodes)]
+        scanned = engine.planner.candidates(
+            engine.queue.waiting, reservation, 1.0)
+        assert scanned == expected
+        assert view.backfill_candidates() == expected
+        assert view.backfill_first() is (expected[0] if expected else None)
+        # an explicit pool is scanned as given
+        assert view.backfill_candidates(pool=waiting[::-1]) == expected[::-1]
+        assert view.backfill_first(pool=waiting[::-1]) is (
+            expected[-1] if expected else None)

@@ -14,9 +14,10 @@ from repro.nn.optim import Adam
 from repro.schedulers import FCFSEasy
 from repro.sim.backfill import Reservation
 from repro.sim.cluster import Cluster
-from repro.sim.engine import SimulationResult, run_simulation
+from repro.sim.engine import Engine, SimulationResult, run_simulation
 from repro.sim.job import ExecMode, Job, JobState
 from repro.sim.metrics import RunMetrics
+from repro.sim.queue import WaitQueue
 from repro.workload import ThetaModel
 
 
@@ -153,6 +154,72 @@ class TestClusterInvariants:
         job.mark_finished(100.0)
         cluster.release(job)
         assert cluster.available_nodes == 8
+
+
+class TestQueueIndex:
+    def queue(self):
+        """Two waiting jobs, and one job held on an unfinished parent."""
+        queue = WaitQueue()
+        queue._sanitize = True
+        queue.submit(make_job(1, size=4))
+        queue.submit(make_job(2, size=2))
+        held = make_job(3, size=1)
+        held.dependencies = (1, 1, 99)
+        queue.submit(held)
+        return queue
+
+    #: one way to break each index behind the mutators' back
+    CORRUPTIONS = {
+        "census_entry_lost": lambda q: q._census.pop(4),
+        "census_minimum_stale": lambda q: setattr(q, "min_size", 1),
+        "keys_out_of_order": lambda q: q._keys.reverse(),
+        "key_of_another_job": lambda q: q._key_of.update({1: q._key_of[2]}),
+        "open_dependencies_miscounted": lambda q: q._open.update({3: 3}),
+        "dependent_lost": lambda q: q._dependents.pop(99),
+    }
+
+    @pytest.mark.parametrize("corrupt", CORRUPTIONS.values(), ids=CORRUPTIONS)
+    def test_corrupt_index_raises(self, corrupt):
+        queue = self.queue()
+        corrupt(queue)
+        with pytest.raises(SanitizerError, match="queue-index"):
+            queue.submit(make_job(4))
+
+    def test_corruption_silent_when_disabled(self):
+        queue = self.queue()
+        queue._sanitize = False
+        queue._census[4] += 1
+        queue.submit(make_job(4))  # no error
+
+    def test_env_var_activates_queue_checks(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        queue = WaitQueue()
+        job = make_job(1)
+        queue.submit(job)
+        queue._census[job.size] += 1
+        with pytest.raises(SanitizerError, match="queue-index"):
+            queue.remove(job)
+
+    def test_every_mutator_passes_the_oracle(self):
+        queue = self.queue()
+        first, second = queue.waiting
+        queue.remove(first)
+        queue.notify_finished(first)   # job 3 stays held on 99
+        queue.requeue(first, front=True)
+        queue.remove(second)
+        queue.requeue(second, front=False)
+        held = queue.held
+        assert queue.notify_failed(make_job(99)) == held and queue.held == []
+        assert (queue.waiting, queue.min_size) == ([first, second], 2)
+        queue.clear()
+        sanitize.check_queue_index(queue, "clear")
+
+    def test_engine_flag_governs_its_queue(self, sanitizer_off):
+        jobs = [make_job(1, size=4), make_job(2, size=4, submit=1.0)]
+        engine = Engine(Cluster(4), FCFSEasy(), jobs, sanitize=True)
+        assert engine.queue._sanitize is True
+        engine.run()
+        assert engine.queue._sanitize is True
 
 
 class TestCheckFunctions:

@@ -91,6 +91,79 @@ class TestFullSizeWorkload:
         assert 0.3 < m.utilization <= 1.0
 
 
+class TestIndexedQueueAtScale:
+    """Counting (clock-free) guard on what the event loop looks at.
+
+    Theta's smallest job is 128 nodes, so under a surge most backfill
+    passes find fewer free nodes than any waiting job needs, and most
+    completions release nobody: neither may cost a walk down the queue.
+    """
+
+    def test_no_scan_that_cannot_hit_no_unrelated_dependency_test(
+            self, monkeypatch):
+        from repro.schedulers import FCFSEasy
+        from repro.sim.backfill import BackfillPlanner
+        from repro.sim.engine import SchedulingView
+        from repro.sim.queue import WaitQueue
+
+        class WatchedDeps(tuple):
+            """Dependencies that record when the queue reads them."""
+
+            def __iter__(self):
+                parent = finishing[-1]
+                if parent is not None and parent.job_id not in tuple(self):
+                    unrelated.append((parent.job_id, tuple(self)))
+                reads.append(parent)
+                return super().__iter__()
+
+        jobs = ThetaModel.paper().generate(
+            1200, np.random.default_rng(3), load_factor=100.0)
+        for job in jobs:
+            job.dependencies = WatchedDeps(job.dependencies)
+        finishing = [None]     # job whose notify_finished is running
+        reads: list = []       # one entry per read of a dependency tuple
+        unrelated: list = []   # reads a completion made of a stranger's
+        passes = {"asked": 0, "scanned": 0, "held_max": 0}
+
+        backfill_first = SchedulingView.backfill_first
+        first_candidate = BackfillPlanner.first_candidate
+        notify_finished = WaitQueue.notify_finished
+
+        def counted_backfill_first(view, pool=None):
+            passes["asked"] += 1
+            return backfill_first(view, pool)
+
+        def guarded_first_candidate(planner, jobs, reservation, now):
+            passes["scanned"] += 1
+            free = planner._cluster.available_nodes
+            assert any(job.size <= free for job in jobs), \
+                f"scan entered with {free} free nodes and nothing that fits"
+            return first_candidate(planner, jobs, reservation, now)
+
+        def watched_notify_finished(queue, job):
+            passes["held_max"] = max(passes["held_max"], len(queue.held))
+            finishing.append(job)
+            try:
+                notify_finished(queue, job)
+            finally:
+                finishing.pop()
+
+        monkeypatch.setattr(SchedulingView, "backfill_first",
+                            counted_backfill_first)
+        monkeypatch.setattr(BackfillPlanner, "first_candidate",
+                            guarded_first_candidate)
+        monkeypatch.setattr(WaitQueue, "notify_finished",
+                            watched_notify_finished)
+        result = run_simulation(4360, FCFSEasy(), jobs)
+
+        assert all(j.state is JobState.FINISHED for j in result.jobs)
+        # the trace exercises both mechanisms ...
+        assert passes["held_max"] >= 5
+        assert 0 < passes["scanned"] < passes["asked"] / 2
+        # ... and a completion reads no dependencies but its dependents'
+        assert reads and not unrelated
+
+
 class TestCoriDimensions:
     def test_cori_config_dims_only(self):
         cfg = DRASConfig.cori()

@@ -6,6 +6,8 @@ invariants after every step — the kind of bookkeeping bugs (leaked
 nodes, double releases, lost jobs) that unit tests rarely reach.
 """
 
+import copy
+
 import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -164,66 +166,138 @@ class ClusterMachine(RuleBasedStateMachine):
 
 
 class WaitQueueMachine(RuleBasedStateMachine):
-    """Random submit/start/finish sequences with dependencies."""
+    """Random queue histories against a plain-list model of the queue.
+
+    The model is the definition the indexes replaced: an ordered list of
+    waiting jobs, a list of held ones, and the finished / failed id sets
+    every held job's dependencies are re-tested against.  Sizes come
+    from a small range so size classes fill, empty and tie; submit
+    times repeat so releases tie-break on the job id; dependencies may
+    be absent, several, repeated, or name a job that does not exist.
+    The queue runs its own ``queue-index`` check after every mutator.
+    """
+
+    #: ids no job ever gets: a dependency on one never finishes
+    UNKNOWN = st.integers(10**9, 10**9 + 3)
 
     def __init__(self) -> None:
         super().__init__()
         self.queue = WaitQueue()
-        self.waiting: set[int] = set()
-        self.held: set[int] = set()
+        self.queue._sanitize = True
+        self.waiting: list[Job] = []
+        self.held: list[Job] = []
+        self.running: list[Job] = []
         self.finished: set[int] = set()
-        self.all_jobs: dict[int, Job] = {}
-        self._t = 0.0
+        self.dead: set[int] = set()
+        self.known: list[int] = []
+        self.clock = 0.0
 
-    @rule(with_dep=st.booleans(), data=st.data())
-    def submit(self, with_dep: bool, data) -> None:
-        deps: tuple[int, ...] = ()
-        if with_dep and self.all_jobs:
-            parent = data.draw(st.sampled_from(sorted(self.all_jobs)))
-            deps = (parent,)
-        self._t += 1.0
-        job = Job(size=1, walltime=10.0, runtime=10.0,
-                  submit_time=self._t, dependencies=deps)
-        self.queue.submit(job)
-        self.all_jobs[job.job_id] = job
-        if set(deps) <= self.finished:
-            self.waiting.add(job.job_id)
+    def draw_from(self, data, jobs: list[Job]) -> Job:
+        return jobs[data.draw(st.integers(0, len(jobs) - 1))]
+
+    @rule(size=st.integers(1, 6), tick=st.sampled_from([0.0, 0.0, 1.0]),
+          n_deps=st.sampled_from([0, 0, 1, 2, 3]), data=st.data())
+    def submit(self, size: int, tick: float, n_deps: int, data) -> None:
+        dep = self.UNKNOWN
+        if self.known:
+            dep = st.one_of(st.sampled_from(self.known), dep)
+        deps = tuple(data.draw(st.lists(dep, min_size=n_deps, max_size=n_deps)))
+        self.clock += tick
+        job = Job(size=size, walltime=10.0, runtime=10.0,
+                  submit_time=self.clock, dependencies=deps)
+        self.known.append(job.job_id)
+        accepted = self.queue.submit(job)
+        assert accepted == self.dead.isdisjoint(deps)
+        if not accepted:
+            assert job.state is JobState.PENDING
+            self.dead.add(job.job_id)
+        elif set(deps) <= self.finished:
+            self.waiting.append(job)
         else:
-            self.held.add(job.job_id)
+            self.held.append(job)
 
     @precondition(lambda self: self.waiting)
     @rule(data=st.data())
-    def start_and_finish(self, data) -> None:
-        job_id = data.draw(st.sampled_from(sorted(self.waiting)))
-        job = self.all_jobs[job_id]
+    def start(self, data) -> None:
+        job = self.draw_from(data, self.waiting)
         self.queue.remove(job)
-        self.waiting.discard(job_id)
+        self.waiting = [j for j in self.waiting if j is not job]
+        job.state = JobState.RUNNING
+        self.running.append(job)
+
+    @precondition(lambda self: self.running)
+    @rule(data=st.data())
+    def finish(self, data) -> None:
+        job = self.draw_from(data, self.running)
+        self.running.remove(job)
         job.state = JobState.FINISHED
-        self.finished.add(job_id)
+        self.finished.add(job.job_id)
         self.queue.notify_finished(job)
-        # releases propagate to dependents whose parents all finished
-        released = {
-            jid for jid in self.held
-            if set(self.all_jobs[jid].dependencies) <= self.finished
-        }
-        self.held -= released
-        self.waiting |= released
+        released = [j for j in self.held
+                    if set(j.dependencies) <= self.finished]
+        self.held = [j for j in self.held if j not in released]
+        self.waiting += sorted(released,
+                               key=lambda j: (j.submit_time, j.job_id))
+        assert all(j.state is JobState.WAITING for j in released)
+
+    @precondition(lambda self: self.running)
+    @rule(front=st.booleans(), data=st.data())
+    def kill_and_requeue(self, front: bool, data) -> None:
+        job = self.draw_from(data, self.running)
+        self.running.remove(job)
+        job.state = JobState.WAITING
+        self.queue.requeue(job, front=front)
+        if front:
+            self.waiting.insert(0, job)
+        else:
+            self.waiting.append(job)
+
+    @precondition(lambda self: self.running)
+    @rule(data=st.data())
+    def kill_and_abandon(self, data) -> None:
+        job = self.draw_from(data, self.running)
+        self.running.remove(job)
+        job.state = JobState.FAILED
+        self.dead.add(job.job_id)
+        doomed = self.queue.notify_failed(job)
+        expected: list[Job] = []
+        while True:
+            newly = [j for j in self.held
+                     if not self.dead.isdisjoint(j.dependencies)]
+            if not newly:
+                break
+            self.held = [j for j in self.held if j not in newly]
+            self.dead.update(j.job_id for j in newly)
+            expected += newly
+        expected.sort(key=lambda j: (j.submit_time, j.job_id))
+        assert same_objects(doomed, expected)
 
     @invariant()
-    def partitions_match(self) -> None:
-        assert {j.job_id for j in self.queue.waiting} == self.waiting
-        assert {j.job_id for j in self.queue.held} == self.held
-        assert self.queue.total_pending == len(self.waiting) + len(self.held)
+    def queue_is_the_model(self) -> None:
+        queue = self.queue
+        assert same_objects(queue.waiting, self.waiting)
+        assert same_objects(queue.peek_waiting(), self.waiting)
+        assert same_objects(queue.held, self.held)
+        assert len(queue) == len(self.waiting)
+        assert queue.total_pending == len(self.waiting) + len(self.held)
+        assert queue.min_size == min((j.size for j in self.waiting),
+                                     default=float("inf"))
+        for k in (1, 3, len(self.waiting) + 1):
+            assert same_objects(queue.window(k), self.waiting[:k])
 
     @invariant()
-    def waiting_sorted_by_arrival(self) -> None:
-        submits = [j.submit_time for j in self.queue.waiting]
-        # arrival order is preserved for jobs that were never held;
-        # released jobs are appended, so the list is not globally sorted —
-        # but the *window* must always be a prefix
-        window = self.queue.window(3)
-        assert window == self.queue.waiting[:3]
-        del submits
+    def membership_is_by_identity(self) -> None:
+        for job in self.waiting:
+            assert job in self.queue
+            assert copy.copy(job) not in self.queue
+        for job in self.held + self.running:
+            assert job not in self.queue
+
+
+def same_objects(got: list[Job], expected: list[Job]) -> bool:
+    """The very same job objects, in the same order."""
+    return len(got) == len(expected) and all(
+        a is b for a, b in zip(got, expected))
 
 
 TestClusterMachine = ClusterMachine.TestCase
