@@ -55,7 +55,6 @@ def test_pg_update_latency(benchmark, theta_pg):
     advantages = rng.normal(size=10)
 
     def update():
-        net.zero_grad()
         logits = net.forward(x)
         _, grad = policy_gradient_loss(logits, masks, actions, advantages)
         net.backward(grad)
@@ -81,7 +80,6 @@ def test_dql_update_latency(benchmark, theta_dql):
     targets = rng.normal(size=(10, 1))
 
     def update():
-        net.zero_grad()
         q = net.forward(x)
         _, grad = mse_loss(q, targets)
         net.backward(grad)

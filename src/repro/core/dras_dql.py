@@ -146,7 +146,6 @@ class DRASDQL(HierarchicalAgent):
         targets = np.array(
             [t.reward + gamma * t.next_max_q for t in ready]
         ).reshape(-1, 1)
-        self.network.zero_grad()
         q = self.network.forward(x)
         loss, grad = mse_loss(q, targets)
         self.network.backward(grad)

@@ -198,7 +198,6 @@ class PGCore:
         masks = np.stack([t.mask for t in batch])
         actions = np.array([t.action for t in batch])
 
-        self.network.zero_grad()
         logits = self.network.forward(x)
         loss, grad = policy_gradient_loss(
             logits, masks, actions, advantages, entropy_coef=self.entropy_coef

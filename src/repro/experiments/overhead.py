@@ -61,7 +61,6 @@ def measure_pg(config: DRASConfig, batch: int = 10, repeats: int = 3) -> Overhea
     decision = _time(lambda: net.forward(x1), repeats)
 
     def update() -> None:
-        net.zero_grad()
         logits = net.forward(xb)
         _, grad = policy_gradient_loss(logits, masks, actions, advantages)
         net.backward(grad)
@@ -91,7 +90,6 @@ def measure_dql(config: DRASConfig, batch: int = 10, repeats: int = 3) -> Overhe
     decision = _time(lambda: agent.score_window(heads, nodes), repeats)
 
     def update() -> None:
-        net.zero_grad()
         q = net.forward(xb)
         _, grad = mse_loss(q, targets)
         net.backward(grad)

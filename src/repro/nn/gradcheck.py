@@ -73,7 +73,6 @@ def check_gradients(
     def full_loss() -> float:
         return loss_fn(network.forward(x))[0]
 
-    network.zero_grad()
     out = network.forward(x)
     _, grad_out = loss_fn(out)
     network.backward(grad_out)

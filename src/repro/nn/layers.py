@@ -13,12 +13,14 @@ import numpy as np
 
 
 class Parameter:
-    """A trainable tensor with its gradient accumulator.
+    """A trainable tensor and the gradient of the most recent backward.
 
     Holds ``value`` in the dtype it is given: layers draw their initial
     values in NumPy's default precision and the
     :class:`~repro.nn.network.Network` that owns them rounds value and
-    gradient to its own dtype.
+    gradient to its own dtype.  ``grad`` is *written* by each
+    ``backward``, never added to: there is nothing to reset between
+    updates, and summing over several backwards is the caller's job.
     """
 
     __slots__ = ("name", "value", "grad")
@@ -37,10 +39,6 @@ class Parameter:
         """Number of scalar elements in the tensor."""
         return self.value.size
 
-    def zero_grad(self) -> None:
-        """Reset the gradient accumulator to zero in place."""
-        self.grad.fill(0.0)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Parameter({self.name!r}, shape={self.value.shape})"
 
@@ -53,7 +51,7 @@ class Layer:
         raise NotImplementedError
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        """Accumulate parameter grads; return grads w.r.t. the input."""
+        """Write parameter grads; return grads w.r.t. the input."""
         raise NotImplementedError
 
     def parameters(self) -> list[Parameter]:
@@ -90,13 +88,13 @@ class Conv1x2(Layer):
         return y
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        """Accumulate filter/bias grads; returns ``[B, rows, 2]`` input grads."""
+        """Write filter/bias grads; returns ``[B, rows, 2]`` input grads."""
         if self._x is None:
             raise RuntimeError("backward called before forward")
         x = self._x
         # grad_out: [B, rows]
-        self.weight.grad += np.einsum("br,brk->k", grad_out, x)
-        self.bias.grad += np.array([grad_out.sum()])
+        self.weight.grad[...] = np.einsum("br,brk->k", grad_out, x)
+        self.bias.grad[...] = grad_out.sum()
         return grad_out[..., None] * self.weight.value
 
     def parameters(self) -> list[Parameter]:
@@ -128,12 +126,6 @@ class Dense(Layer):
         )
         self.bias = Parameter(f"{name}.bias", np.zeros(out_features)) if bias else None
         self._x: np.ndarray | None = None
-        # scratch for the weight-gradient matmul; allocated lazily on
-        # the first backward so forward-only (inference) networks never
-        # pay for it.  Writing the matmul into a reused buffer instead
-        # of a fresh temporary keeps large layers (>1 MB) off the
-        # allocator's mmap path in the training loop.
-        self._gw_scratch: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """One matmul for the whole batch: ``[B, in] -> [B, out]``."""
@@ -177,15 +169,18 @@ class Dense(Layer):
         return y
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        """Accumulate batch-summed grads; returns ``[B, in]`` input grads."""
+        """Write batch-summed grads; returns ``[B, in]`` input grads.
+
+        The weight-gradient matmul lands in ``weight.grad`` itself, so
+        a backward makes one pass over it and needs no temporary of
+        its size; its pages are first touched here, which is why a
+        network that only infers never commits them.
+        """
         if self._x is None:
             raise RuntimeError("backward called before forward")
-        if self._gw_scratch is None:
-            self._gw_scratch = np.empty_like(self.weight.value)
-        np.matmul(self._x.T, grad_out, out=self._gw_scratch)
-        self.weight.grad += self._gw_scratch
+        np.matmul(self._x.T, grad_out, out=self.weight.grad)
         if self.bias is not None:
-            self.bias.grad += grad_out.sum(axis=0)
+            np.sum(grad_out, axis=0, out=self.bias.grad)
         return grad_out @ self.weight.value.T
 
     def parameters(self) -> list[Parameter]:

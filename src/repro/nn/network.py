@@ -18,10 +18,10 @@ class Network:
     so a network starts at most one rounding away from its wider twin
     built from the same generator), ``forward`` / ``backward`` cast
     their argument to it, and everything sized from a parameter —
-    gradients, backward scratch, optimizer state, state dicts — follows
-    by ``zeros_like`` / ``empty_like``.  The default is single
-    precision, the paper's (TensorFlow's); a wider network is for
-    oracles such as :mod:`repro.nn.gradcheck`.
+    gradients, optimizer moments, state dicts — follows by
+    ``zeros_like``.  The default is single precision, the paper's
+    (TensorFlow's); a wider network is for oracles such as
+    :mod:`repro.nn.gradcheck`.
 
     With the sanitizer active (``REPRO_SANITIZE=1``) every tensor
     flowing through ``forward``/``backward`` is checked for NaN/Inf and
@@ -40,8 +40,11 @@ class Network:
         self.dtype = np.dtype(dtype)
         for p in self.parameters():
             if p.value.dtype != self.dtype:
-                p.value = p.value.astype(self.dtype)
+                # gradient first, so the rounded value lands in the wide
+                # gradient's freed block, not on top of the heap where a
+                # rebuilt network needs an exact fit (docs/nn.md)
                 p.grad = np.zeros(p.value.shape, self.dtype)
+                p.value = p.value.astype(self.dtype)
 
     def forward(self, x: np.ndarray,
                 shared: np.ndarray | None = None) -> np.ndarray:
@@ -156,11 +159,6 @@ class Network:
         """All trainable tensors in layer order."""
         return [p for layer in self.layers for p in layer.parameters()]
 
-    def zero_grad(self) -> None:
-        """Reset every parameter's gradient accumulator."""
-        for p in self.parameters():
-            p.zero_grad()
-
     def state_dict(self) -> dict[str, np.ndarray]:
         """Parameter values keyed by position-qualified names."""
         return {
@@ -173,7 +171,8 @@ class Network:
         """Copy values from :meth:`state_dict` output; keys must match.
 
         Values are cast to each parameter's dtype, so a state saved by
-        a wider network loads by rounding.
+        a wider network loads by rounding, and laid out C-contiguous,
+        as the optimizer's flat views need them.
         """
         own = {
             f"{i}.{p.name}": p
@@ -187,24 +186,12 @@ class Network:
                 f"state dict mismatch: missing={sorted(missing)}, extra={sorted(extra)}"
             )
         for key, param in own.items():
-            value = np.array(state[key], dtype=param.value.dtype)
+            value = np.array(state[key], dtype=param.value.dtype, order="C")
             if value.shape != param.value.shape:
                 raise ValueError(
                     f"shape mismatch for {key}: {value.shape} vs {param.value.shape}"
                 )
             param.value = value
-
-    def copy(self) -> "Network":
-        """A structural deep copy (used for per-episode model snapshots)."""
-        import copy as _copy
-
-        clone = _copy.deepcopy(self)
-        for layer in clone.layers:
-            # drop forward caches and backward scratch
-            for attr in ("_x", "_factor", "_gw_scratch"):
-                if hasattr(layer, attr):
-                    setattr(layer, attr, None)
-        return clone
 
 
 def build_dras_network(

@@ -423,6 +423,44 @@ class TestAdamInvariants:
         net.backward(np.ones((2, 3)))
         opt.step()
 
+    def trained_once(self):
+        net = build_dras_network(4, 8, 6, 3, rng=np.random.default_rng(0))
+        opt = Adam(net.parameters(), lr=0.001)
+        net.forward(np.ones((2, 4, 2)))
+        net.backward(np.ones((2, 3)))
+        opt.step()
+        return net, opt
+
+    def test_step_without_backward_is_named(self, sanitizer_on):
+        """A step consumes its gradient: the next one needs a backward."""
+        net, opt = self.trained_once()
+        assert all(np.isnan(p.grad).all() for p in net.parameters())
+        with pytest.raises(SanitizerError,
+                           match=r"gradient of conv.weight \(Adam step 2\)"):
+            opt.step()
+
+    def test_backward_that_skips_a_parameter_is_named(self, sanitizer_on):
+        net, opt = self.trained_once()
+        fc2 = net.layers[3]
+        fc2.backward = lambda grad_out: grad_out @ fc2.weight.value.T
+        net.forward(np.ones((2, 4, 2)))
+        net.backward(np.ones((2, 3)))
+        with pytest.raises(SanitizerError,
+                           match=r"gradient of fc2.weight \(Adam step 2\)"):
+            opt.step()
+
+    def test_stale_gradient_is_silent_when_disabled(self, sanitizer_off):
+        net, opt = self.trained_once()
+        assert all(np.isfinite(p.grad).all() for p in net.parameters())
+        opt.step()
+
+    def test_wide_block_scratch_raises(self, sanitizer_on):
+        net, opt = self.trained_once()
+        opt._scratch = tuple(np.zeros(a.shape) for a in opt._scratch)
+        with pytest.raises(SanitizerError,
+                           match="nn-dtype.*scratch 0 of conv.weight"):
+            opt.step()
+
     def test_shape_check(self):
         sanitize.check_same_shape("w", (2, 3), (2, 3))
         with pytest.raises(SanitizerError, match="changed shape"):

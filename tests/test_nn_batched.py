@@ -74,23 +74,25 @@ class TestBatchedForward:
         np.testing.assert_allclose(batched, looped, rtol=0, atol=1e-12)
 
     def test_backward_batch_sums_sample_grads(self):
-        """Batched backward accumulates the sum of per-sample grads."""
+        """Batched backward writes the sum of per-sample grads."""
         rng = np.random.default_rng(2)
         x = rng.normal(size=(6, ROWS, 2))
         grad_out = rng.normal(size=(6, OUT))
         net_a, net_b = small_network(7), small_network(7)
 
-        net_a.zero_grad()
         net_a.forward(x)
         net_a.backward(grad_out)
 
-        net_b.zero_grad()
+        # a backward writes, so the summing happens here
+        summed = [np.zeros_like(p.grad) for p in net_b.parameters()]
         for i in range(6):
             net_b.forward(x[i : i + 1])
             net_b.backward(grad_out[i : i + 1])
+            for total, p in zip(summed, net_b.parameters()):
+                total += p.grad
 
-        for pa, pb in zip(net_a.parameters(), net_b.parameters()):
-            np.testing.assert_allclose(pa.grad, pb.grad,
+        for pa, total in zip(net_a.parameters(), summed):
+            np.testing.assert_allclose(pa.grad, total,
                                        rtol=1e-9, atol=1e-12)
 
 
@@ -251,18 +253,21 @@ class TestAdamBatchEquivalence:
         opt_a = Adam(net_a.parameters(), lr=1e-3)
         opt_b = Adam(net_b.parameters(), lr=1e-3)
 
-        net_a.zero_grad()
         _, grad = mse_loss(net_a.forward(x), target)
         net_a.backward(grad)
         opt_a.step()
 
-        net_b.zero_grad()
+        summed = [np.zeros_like(p.grad) for p in net_b.parameters()]
         for i in range(6):
             out = net_b.forward(x[i : i + 1])
-            # the same batch loss, sliced per sample: grads accumulate
-            # to the batched total before the single Adam step
+            # the same batch loss, sliced per sample: the test sums the
+            # written grads to the batched total before the single step
             diff = out - target[i : i + 1]
             net_b.backward((2.0 / target.size) * diff)
+            for total, p in zip(summed, net_b.parameters()):
+                total += p.grad
+        for total, p in zip(summed, net_b.parameters()):
+            p.grad[...] = total
         opt_b.step()
 
         for pa, pb in zip(net_a.parameters(), net_b.parameters()):

@@ -14,12 +14,6 @@ class TestParameter:
         assert p.grad.shape == (2, 3)
         assert np.all(p.grad == 0)
 
-    def test_zero_grad(self):
-        p = Parameter("w", np.ones(3))
-        p.grad += 5.0
-        p.zero_grad()
-        assert np.all(p.grad == 0)
-
     def test_size(self):
         assert Parameter("w", np.ones((4, 5))).size == 20
 

@@ -23,21 +23,21 @@ class TestNetwork:
         x = rng.normal(size=(1, 3))
         assert np.allclose(net(x), net.forward(x))
 
-    def test_zero_grad(self, rng):
-        net = Network([Dense(3, 2, rng=rng)])
-        x = rng.normal(size=(4, 3))
+    def test_backward_writes_the_latest_gradient(self, rng):
+        """``grad`` is the most recent backward's, not a running sum."""
+        net = build_dras_network(6, 5, 4, 3, rng=rng)
+        x = rng.normal(size=(4, 6, 2))
         net.forward(x)
-        net.backward(np.ones((4, 2)))
-        assert any(np.any(p.grad != 0) for p in net.parameters())
-        net.zero_grad()
+        net.backward(np.ones((4, 3)))
+        first = [p.grad.copy() for p in net.parameters()]
+        assert all(np.any(g != 0) for g in first)
+        net.forward(x)
+        net.backward(np.ones((4, 3)))
+        for p, g in zip(net.parameters(), first):
+            assert np.array_equal(p.grad, g)
+        net.forward(x)
+        net.backward(np.zeros((4, 3)))
         assert all(np.all(p.grad == 0) for p in net.parameters())
-
-    def test_copy_independent(self, rng):
-        net = Network([Dense(3, 2, rng=rng)])
-        clone = net.copy()
-        clone.parameters()[0].value += 100.0
-        assert not np.allclose(net.parameters()[0].value,
-                               clone.parameters()[0].value)
 
 
 class TestBuildDRASNetwork:
@@ -163,9 +163,11 @@ class TestPrecision:
         assert out.dtype == grad_in.dtype == np.float32
         assert np.array_equal(x, seen) and x.dtype == np.float64
         for layer in net.layers:
-            for attr in ("_x", "_factor", "_gw_scratch"):
-                if hasattr(layer, attr):
-                    assert getattr(layer, attr).dtype == np.float32, attr
+            held = {attr: v for attr, v in vars(layer).items()
+                    if isinstance(v, np.ndarray)}
+            # the cached activations, and no buffer of a backward's own
+            assert set(held) <= {"_x", "_factor"}
+            assert {v.dtype for v in held.values()} <= {np.dtype(np.float32)}
 
     def test_matching_input_is_not_copied(self, rng):
         net = build_dras_network(6, 5, 4, 3, rng=rng)
@@ -198,13 +200,11 @@ class TestPrecision:
         with np.load(tmp_path / "narrow.npz") as data:
             assert {data[k].dtype for k in data.files} == {np.dtype(np.float32)}
 
-    def test_copy_and_optimizer_state_follow(self, rng):
+    def test_optimizer_state_follows(self, rng):
         from repro.nn.optim import SGD, Adam
 
         for dtype in (np.float32, np.float64):
             net = build_dras_network(6, 5, 4, 3, rng=rng, dtype=dtype)
-            assert net.copy().dtype == dtype
-            assert net.copy().parameters()[0].value.dtype == dtype
             net.forward(rng.normal(size=(2, 6, 2)))
             net.backward(np.ones((2, 3)))
             opt = Adam(net.parameters())
@@ -226,3 +226,13 @@ class TestPrecision:
         naming = {path.name for path in nn_dir.glob("*.py")
                   if "float64" in path.read_text(encoding="utf-8")}
         assert naming == {"gradcheck.py", "losses.py"}
+
+    def test_gradient_reset_and_backward_scratch_are_gone(self):
+        """Gradients are written: nothing resets them, nothing stages them."""
+        import pathlib
+
+        src = pathlib.Path(__file__).parent.parent / "src/repro"
+        for path in sorted(src.rglob("*.py")):
+            text = path.read_text(encoding="utf-8")
+            assert "zero_grad" not in text, path
+            assert "_gw_scratch" not in text, path

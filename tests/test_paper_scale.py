@@ -62,14 +62,22 @@ class TestFullSizeTheta:
         after = fc1.value[:4, :4]
         assert theta_agent.updates_done > 0
         assert not np.allclose(before, after)
-        # every buffer the update touched followed the network's dtype
+        # every buffer the update touched followed the network's dtype,
+        # and the only parameter-sized ones are value, grad, m and v
         opt = theta_agent.optimizer
-        touched = [a for p in opt.params for a in (p.value, p.grad)]
-        touched += [*opt._m, *opt._v, *opt._scratch]
-        touched += [layer._gw_scratch for layer in theta_agent.network.layers
-                    if getattr(layer, "_gw_scratch", None) is not None]
-        assert len(touched) == 4 * len(opt.params) + 3 + 3
-        assert {a.dtype for a in touched} == {np.dtype(np.float32)}
+        per_param = [a for p in opt.params for a in (p.value, p.grad)]
+        per_param += [*opt._m, *opt._v]
+        held = list(per_param)
+        for owner in (opt, *theta_agent.network.layers):
+            assert not hasattr(owner, "_gw_scratch")
+            for v in vars(owner).values():
+                held += [a for a in (v if isinstance(v, (list, tuple)) else [v])
+                         if isinstance(a, np.ndarray)]
+        assert {a.dtype for a in held} == {np.dtype(np.float32)}
+        assert all(a.flags.c_contiguous for a in per_param)
+        assert sum(a.nbytes for a in opt._scratch) <= 2**20
+        owned = {id(a) for a in per_param}
+        assert all(id(a) in owned for a in held if a.nbytes > 2**20)
 
 
 class TestFullSizeWorkload:

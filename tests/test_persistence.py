@@ -53,6 +53,13 @@ class TestRoundTrip:
         assert restored.optimizer._t > 0  # training actually stepped Adam
         for m1, m2 in zip(agent.optimizer._m, restored.optimizer._m):
             assert np.allclose(m1, m2)
+        # Adam sweeps flat views: what a restore installs must allow them
+        opt = restored.optimizer
+        installed = [*opt._m, *opt._v]
+        installed += [a for p in opt.params for a in (p.value, p.grad)]
+        assert all(a.flags.c_contiguous for a in installed)
+        train_a_little(restored)
+        assert opt._t > agent.optimizer._t
 
 
 class TestKindSpecificState:
