@@ -66,11 +66,11 @@ def agent_arrays(agent) -> dict[str, np.ndarray]:
     arrays: dict[str, np.ndarray] = {
         f"net.{k}": v for k, v in agent.network.state_dict().items()
     }
-    opt = agent.optimizer
-    for i, (m, v) in enumerate(zip(opt._m, opt._v)):
+    adam = agent.optimizer.state_dict()
+    for i, (m, v) in enumerate(zip(adam["m"], adam["v"])):
         arrays[f"adam.m.{i}"] = m
         arrays[f"adam.v.{i}"] = v
-    arrays["adam.t"] = np.array([opt._t], dtype=np.int64)
+    arrays["adam.t"] = np.array([adam["t"]], dtype=np.int64)
     if kind in ("pg", "decima"):
         arrays["baseline.sums"] = agent.core.baseline._sums
         arrays["baseline.counts"] = agent.core.baseline._counts
@@ -101,13 +101,11 @@ def restore_agent(meta: dict, data) -> object:
         {k[len("net."):]: data[k] for k in data.files if k.startswith("net.")}
     )
     opt = agent.optimizer
-    for i, p in enumerate(opt.params):
-        # the parameter's dtype, not the file's: mixed moments would
-        # make every later step compute wide and round back (each
-        # read of ``data`` is a fresh array, so no copy when it matches)
-        opt._m[i] = data[f"adam.m.{i}"].astype(p.value.dtype, copy=False)
-        opt._v[i] = data[f"adam.v.{i}"].astype(p.value.dtype, copy=False)
-    opt._t = int(data["adam.t"][0])
+    ids = range(len(opt.params))
+    # generators: an .npz member is decompressed when read, none at t = 0
+    opt.load_state_dict({"t": data["adam.t"][0],
+                         "m": (data[f"adam.m.{i}"] for i in ids),
+                         "v": (data[f"adam.v.{i}"] for i in ids)})
     if kind in ("pg", "decima"):
         agent.core.baseline._sums = data["baseline.sums"].copy()
         agent.core.baseline._counts = data["baseline.counts"].copy()

@@ -45,10 +45,10 @@ def run(instantiate: bool = False) -> list[NetworkReport]:
 
     ``instantiate=True`` additionally materializes each network and
     counts its parameters directly; the Cori networks hold ~162M
-    float32 weights (~0.65 GB each, and 1.5x that while the largest
-    layer is still in the float64 it was drawn in), so the default
-    trusts the analytic count, which the test suite separately verifies
-    to equal the instantiated count across architectures.
+    float32 weights (~0.65 GB each, and nothing beside them: a weight
+    is drawn straight into float32), so the default trusts the analytic
+    count, which the test suite separately verifies to equal the
+    instantiated count, Cori DRAS-PG's included.
     """
     rows = []
     rng = np.random.default_rng(0)

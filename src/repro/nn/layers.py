@@ -11,16 +11,20 @@ from __future__ import annotations
 
 import numpy as np
 
+#: Elements per ``rng.normal`` call of :class:`Dense`'s weight draw: each
+#: block is rounded into the weight as it is stored (512 KiB of draws live).
+_DRAW_BLOCK = 65536
+
 
 class Parameter:
     """A trainable tensor and the gradient of the most recent backward.
 
-    Holds ``value`` in the dtype it is given: layers draw their initial
-    values in NumPy's default precision and the
-    :class:`~repro.nn.network.Network` that owns them rounds value and
-    gradient to its own dtype.  ``grad`` is *written* by each
-    ``backward``, never added to: there is nothing to reset between
-    updates, and summing over several backwards is the caller's job.
+    Holds ``value`` in the dtype it is given; the owning
+    :class:`~repro.nn.network.Network` rounds one that disagrees with
+    its own.  ``grad`` is ``None`` until a ``backward`` writes it (a
+    network that only infers never owns one), and is *written*, never
+    added to: there is nothing to reset between updates, and summing
+    over several backwards is the caller's job.
     """
 
     __slots__ = ("name", "value", "grad")
@@ -28,16 +32,18 @@ class Parameter:
     def __init__(self, name: str, value: np.ndarray) -> None:
         self.name = name
         self.value = np.asarray(value)
-        # np.zeros, not zeros_like: calloc'd pages stay uncommitted
-        # until a backward writes them (zeros_like fills eagerly), so
-        # the gradient the owning Network discards when it rounds the
-        # value, and that of a network that only infers, cost nothing
-        self.grad = np.zeros(self.value.shape, self.value.dtype)
+        self.grad: np.ndarray | None = None
 
     @property
     def size(self) -> int:
         """Number of scalar elements in the tensor."""
         return self.value.size
+
+    def grad_buffer(self) -> np.ndarray:
+        """``grad`` for a backward to write whole; uninitialised when new."""
+        if self.grad is None:
+            self.grad = np.empty(self.value.shape, self.value.dtype)
+        return self.grad
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Parameter({self.name!r}, shape={self.value.shape})"
@@ -93,8 +99,8 @@ class Conv1x2(Layer):
             raise RuntimeError("backward called before forward")
         x = self._x
         # grad_out: [B, rows]
-        self.weight.grad[...] = np.einsum("br,brk->k", grad_out, x)
-        self.bias.grad[...] = grad_out.sum()
+        self.weight.grad_buffer()[...] = np.einsum("br,brk->k", grad_out, x)
+        self.bias.grad_buffer()[...] = grad_out.sum()
         return grad_out[..., None] * self.weight.value
 
     def parameters(self) -> list[Parameter]:
@@ -116,15 +122,21 @@ class Dense(Layer):
         bias: bool = True,
         rng: np.random.Generator | None = None,
         name: str = "dense",
+        dtype: np.dtype | type | None = None,
     ) -> None:
         if in_features <= 0 or out_features <= 0:
             raise ValueError("in_features and out_features must be positive")
         rng = rng or np.random.default_rng(0)
         scale = np.sqrt(2.0 / in_features)  # He init for leaky-ReLU nets
-        self.weight = Parameter(
-            f"{name}.weight", rng.normal(0.0, scale, size=(in_features, out_features))
-        )
-        self.bias = Parameter(f"{name}.bias", np.zeros(out_features)) if bias else None
+        # a draw fills C-ordered output element by element, so row blocks in
+        # order are the single (in_features, out_features) draw, bit for bit
+        weight = np.empty((in_features, out_features), dtype)
+        rows = max(1, _DRAW_BLOCK // out_features)
+        for lo in range(0, in_features, rows):
+            block = weight[lo:lo + rows]
+            block[...] = rng.normal(0.0, scale, size=block.shape)
+        self.weight = Parameter(f"{name}.weight", weight)
+        self.bias = Parameter(f"{name}.bias", np.zeros(out_features, dtype)) if bias else None
         self._x: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -173,14 +185,13 @@ class Dense(Layer):
 
         The weight-gradient matmul lands in ``weight.grad`` itself, so
         a backward makes one pass over it and needs no temporary of
-        its size; its pages are first touched here, which is why a
-        network that only infers never commits them.
+        its size; the first backward is what allocates it.
         """
         if self._x is None:
             raise RuntimeError("backward called before forward")
-        np.matmul(self._x.T, grad_out, out=self.weight.grad)
+        np.matmul(self._x.T, grad_out, out=self.weight.grad_buffer())
         if self.bias is not None:
-            np.sum(grad_out, axis=0, out=self.bias.grad)
+            np.sum(grad_out, axis=0, out=self.bias.grad_buffer())
         return grad_out @ self.weight.value.T
 
     def parameters(self) -> list[Parameter]:

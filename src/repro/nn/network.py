@@ -13,15 +13,15 @@ class Network:
     """A simple sequential network.
 
     ``dtype`` is the precision of the whole network, decided here and
-    nowhere else: every parameter of ``layers`` is rounded to it once
-    (the layers draw their initial values in NumPy's default precision,
-    so a network starts at most one rounding away from its wider twin
-    built from the same generator), ``forward`` / ``backward`` cast
-    their argument to it, and everything sized from a parameter —
-    gradients, optimizer moments, state dicts — follows by
-    ``zeros_like``.  The default is single precision, the paper's
-    (TensorFlow's); a wider network is for oracles such as
-    :mod:`repro.nn.gradcheck`.
+    nowhere else: every parameter of ``layers`` that disagrees is
+    rounded to it once (a layer draws in NumPy's default precision and
+    rounds as it stores, so a network starts at most one rounding away
+    from its wider twin built from the same generator), ``forward`` /
+    ``backward`` cast their argument to it, and everything sized from a
+    parameter — the gradient a backward allocates, the moments an
+    optimizer's first step allocates, state dicts — takes the value's
+    dtype.  The default is single precision, the paper's (TensorFlow's);
+    a wider network is for oracles such as :mod:`repro.nn.gradcheck`.
 
     With the sanitizer active (``REPRO_SANITIZE=1``) every tensor
     flowing through ``forward``/``backward`` is checked for NaN/Inf and
@@ -40,10 +40,6 @@ class Network:
         self.dtype = np.dtype(dtype)
         for p in self.parameters():
             if p.value.dtype != self.dtype:
-                # gradient first, so the rounded value lands in the wide
-                # gradient's freed block, not on top of the heap where a
-                # rebuilt network needs an exact fit (docs/nn.md)
-                p.grad = np.zeros(p.value.shape, self.dtype)
                 p.value = p.value.astype(self.dtype)
 
     def forward(self, x: np.ndarray,
@@ -216,11 +212,11 @@ def build_dras_network(
     return Network(
         [
             Conv1x2(rng=rng),
-            Dense(rows, hidden1, bias=False, rng=rng, name="fc1"),
+            Dense(rows, hidden1, bias=False, rng=rng, name="fc1", dtype=dtype),
             LeakyReLU(leaky_alpha),
-            Dense(hidden1, hidden2, bias=False, rng=rng, name="fc2"),
+            Dense(hidden1, hidden2, bias=False, rng=rng, name="fc2", dtype=dtype),
             LeakyReLU(leaky_alpha),
-            Dense(hidden2, outputs, bias=True, rng=rng, name="out"),
+            Dense(hidden2, outputs, bias=True, rng=rng, name="out", dtype=dtype),
         ],
         dtype=dtype,
     )

@@ -93,14 +93,42 @@ class Adam(Optimizer):
         #: global L2 norm of the gradient at the most recent tracked
         #: step (NaN until :attr:`track_grad_norm` sees a step)
         self.last_grad_norm = float("nan")
-        self._m = [np.zeros_like(p.value) for p in params]
-        self._v = [np.zeros_like(p.value) for p in params]
+        # moments: made by the first step, so a frozen agent holds none
+        self._m: list[np.ndarray] | None = None
+        self._v: list[np.ndarray] | None = None
         self._t = 0
         # Block-sized scratch for the sweep in :meth:`_step`: every
         # temporary of the update lives in these three arrays, whatever
         # the size of the parameter being updated.
         dtype = params[0].value.dtype
         self._scratch = tuple(np.empty(_BLOCK, dtype) for _ in range(3))
+
+    def _zeros(self) -> list[np.ndarray]:
+        return [np.zeros(p.value.shape, p.value.dtype) for p in self.params]
+
+    def state_dict(self) -> dict:
+        """Step count ``t`` and the moment lists ``m``, ``v``, one per parameter.
+
+        The live arrays, not copies; a never-stepped optimizer reports
+        zeros without keeping them.
+        """
+        return {"t": self._t, "m": self._m or self._zeros(),
+                "v": self._v or self._zeros()}
+
+    def load_state_dict(self, state: dict) -> None:
+        """Install :meth:`state_dict` output; ``t = 0`` allocates nothing.
+
+        ``m`` / ``v`` may be any iterables, read one array at a time; each
+        is copied into its parameter's dtype (mixed moments would make every
+        later step compute wide and round back), laid out C-contiguous.
+        """
+        self._t = int(state["t"])
+        self._m = self._v = None
+        if self._t:
+            self._m, self._v = (
+                [np.array(a, dtype=p.value.dtype, order="C")
+                 for p, a in zip(self.params, state[k], strict=True)]
+                for k in "mv")
 
     def step(self) -> None:
         """Apply one Adam update to every parameter (in place)."""
@@ -143,6 +171,12 @@ class Adam(Optimizer):
         the whole gradient (which also keeps the clip scale the very
         float a per-parameter implementation computes).
         """
+        for p in self.params:
+            if p.grad is None:
+                raise ValueError(f"gradient of {p.name} is None at Adam step "
+                                 f"{self._t + 1}: no backward has written it")
+        if self._m is None:
+            self._m, self._v = self._zeros(), self._zeros()
         self._t += 1
         sanitize = _san.sanitizer_enabled()
         if sanitize:

@@ -375,6 +375,8 @@ class TestDtypePurity:
         """An in-place update hides a wide scalar from every result dtype."""
         net = self.make_net()
         opt = Adam(net.parameters(), lr=np.float64(0.001))
+        net.forward(np.ones((1, 4, 2)))
+        net.backward(np.ones((1, 3)))
         opt.step()  # the constructor made it a Python float
         opt.lr = np.float64(0.001)
         with pytest.raises(SanitizerError,
@@ -384,6 +386,9 @@ class TestDtypePurity:
     def test_mixed_adam_state_raises(self, sanitizer_on):
         net = self.make_net()
         opt = Adam(net.parameters(), lr=0.001)
+        net.forward(np.ones((1, 4, 2)))
+        net.backward(np.ones((1, 3)))
+        opt.step()  # the moments exist from the first step
         opt._m[1] = opt._m[1].astype(np.float64)
         with pytest.raises(SanitizerError,
                            match="nn-dtype.*first moment of conv.bias"):
@@ -412,6 +417,8 @@ class TestAdamInvariants:
     def test_nan_gradient_raises(self, sanitizer_on):
         net = build_dras_network(4, 8, 6, 3, rng=np.random.default_rng(0))
         opt = Adam(net.parameters(), lr=0.001)
+        net.forward(np.ones((2, 4, 2)))
+        net.backward(np.ones((2, 3)))
         net.parameters()[0].grad[:] = np.nan
         with pytest.raises(SanitizerError, match="gradient of conv.weight"):
             opt.step()
@@ -448,6 +455,35 @@ class TestAdamInvariants:
         with pytest.raises(SanitizerError,
                            match=r"gradient of fc2.weight \(Adam step 2\)"):
             opt.step()
+
+    @pytest.mark.parametrize("active", ["sanitizer_on", "sanitizer_off"])
+    def test_step_with_no_backward_behind_it_is_refused(self, active, request):
+        """The *missing* gradient: always refused, and ``t`` stays put."""
+        request.getfixturevalue(active)
+        net = build_dras_network(4, 8, 6, 3, rng=np.random.default_rng(0))
+        opt = Adam(net.parameters(), lr=0.001)
+        before = net.state_dict()
+        with pytest.raises(ValueError, match=r"gradient of conv.weight is "
+                                             r"None at Adam step 1"):
+            opt.step()
+        assert opt.state_dict()["t"] == 0 and opt._m is None
+        assert all(np.array_equal(v, before[k])
+                   for k, v in net.state_dict().items())
+
+    def test_first_backward_that_skips_a_parameter_is_refused(
+            self, sanitizer_off):
+        net = build_dras_network(4, 8, 6, 3, rng=np.random.default_rng(0))
+        opt = Adam(net.parameters(), lr=0.001)
+        fc2 = net.layers[3]
+        fc2.backward = lambda grad_out: grad_out @ fc2.weight.value.T
+        before = net.state_dict()
+        net.forward(np.ones((2, 4, 2)))
+        net.backward(np.ones((2, 3)))
+        with pytest.raises(ValueError, match="gradient of fc2.weight is None"):
+            opt.step()
+        # refused before any parameter moved, not halfway down the list
+        assert all(np.array_equal(v, before[k])
+                   for k, v in net.state_dict().items())
 
     def test_stale_gradient_is_silent_when_disabled(self, sanitizer_off):
         net, opt = self.trained_once()

@@ -84,7 +84,7 @@ class TestBatchedForward:
         net_a.backward(grad_out)
 
         # a backward writes, so the summing happens here
-        summed = [np.zeros_like(p.grad) for p in net_b.parameters()]
+        summed = [np.zeros_like(p.value) for p in net_b.parameters()]
         for i in range(6):
             net_b.forward(x[i : i + 1])
             net_b.backward(grad_out[i : i + 1])
@@ -257,7 +257,7 @@ class TestAdamBatchEquivalence:
         net_a.backward(grad)
         opt_a.step()
 
-        summed = [np.zeros_like(p.grad) for p in net_b.parameters()]
+        summed = [np.zeros_like(p.value) for p in net_b.parameters()]
         for i in range(6):
             out = net_b.forward(x[i : i + 1])
             # the same batch loss, sliced per sample: the test sums the

@@ -2,17 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nn.gradcheck import check_gradients
-from repro.nn.layers import Conv1x2, Dense, LeakyReLU, Parameter
+from repro.nn.layers import _DRAW_BLOCK, Conv1x2, Dense, LeakyReLU, Parameter
 from repro.nn.network import Network
 
 
 class TestParameter:
-    def test_grad_initialized_to_zero(self):
-        p = Parameter("w", np.ones((2, 3)))
-        assert p.grad.shape == (2, 3)
-        assert np.all(p.grad == 0)
+    def test_grad_is_none_until_something_writes_it(self):
+        p = Parameter("w", np.ones((2, 3), dtype=np.float32).T)
+        assert p.grad is None
+        buf = p.grad_buffer()
+        assert buf is p.grad is p.grad_buffer()
+        assert buf.shape == (3, 2) and buf.dtype == np.float32
+        assert buf.flags.c_contiguous  # whatever the value's layout
 
     def test_size(self):
         assert Parameter("w", np.ones((4, 5))).size == 20
@@ -21,7 +26,7 @@ class TestParameter:
     def test_keeps_the_dtype_it_is_given(self, dtype):
         """Precision is the owning Network's decision, not Parameter's."""
         p = Parameter("w", np.ones(3, dtype=dtype))
-        assert p.value.dtype == p.grad.dtype == dtype
+        assert p.value.dtype == p.grad_buffer().dtype == dtype
 
 
 class TestConv1x2:
@@ -106,6 +111,59 @@ class TestDense:
             return float(np.sum(out**2)), 2 * out
 
         check_gradients(net, x, loss)
+
+
+def single_draw(in_features, out_features, dtype, seed):
+    """The weight as one ``rng.normal`` call rounded whole, and its generator."""
+    rng = np.random.default_rng(seed)
+    scale = np.sqrt(2.0 / in_features)
+    wide = rng.normal(0.0, scale, size=(in_features, out_features))
+    return wide.astype(dtype), rng
+
+
+def assert_blocked_draw_is_the_single_draw(in_features, out_features, dtype,
+                                           seed):
+    rng = np.random.default_rng(seed)
+    layer = Dense(in_features, out_features, rng=rng, dtype=dtype)
+    expected, after = single_draw(in_features, out_features, dtype, seed)
+    weight = layer.weight.value
+    assert weight.dtype == expected.dtype and weight.flags.c_contiguous
+    assert layer.bias.value.dtype == weight.dtype
+    assert np.array_equal(weight, expected)
+    assert rng.bit_generator.state == after.bit_generator.state
+    assert rng.random() == after.random()
+
+
+def draw_edge_shapes():
+    """``(in_features, out_features)`` straddling the draw's row blocks.
+
+    ``rows = _DRAW_BLOCK // out_features`` per call: one row, one row
+    either side of a block, two blocks and a remainder, and rows as long
+    as a block or longer (one row per call).
+    """
+    for out in (1, 7, 256, 4000):
+        rows = _DRAW_BLOCK // out
+        for in_features in (1, rows - 1, rows, rows + 1, 2 * rows + 3):
+            if in_features * out <= 4 * _DRAW_BLOCK:
+                yield in_features, out
+    yield from [(1, _DRAW_BLOCK + 1), (3, _DRAW_BLOCK + 5), (2, _DRAW_BLOCK)]
+
+
+class TestDenseDraw:
+    """Row blocks rounded as they are stored == one draw rounded whole."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(shape=st.sampled_from(sorted(set(draw_edge_shapes()))),
+           dtype=st.sampled_from([np.float32, None]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_blocked_draw_equals_single_draw(self, shape, dtype, seed):
+        assert_blocked_draw_is_the_single_draw(*shape, dtype, seed)
+
+    def test_theta_fc1(self):
+        assert_blocked_draw_is_the_single_draw(4460, 4000, np.float32, 0)
+
+    def test_default_dtype_is_numpys(self, rng):
+        assert Dense(3, 2, rng=rng).weight.value.dtype == np.ones(1).dtype
 
 
 class TestLeakyReLU:

@@ -142,6 +142,9 @@ class TestPrecision:
     def test_default_is_the_papers_float32(self, rng):
         net = build_dras_network(6, 5, 4, 3, rng=rng)
         assert net.dtype == np.float32
+        assert all(p.grad is None for p in net.parameters())
+        net.forward(np.ones((1, 6, 2)))
+        net.backward(np.ones((1, 3)))
         for p in net.parameters():
             assert p.value.dtype == p.grad.dtype == np.float32
         assert Network([Dense(3, 2, rng=rng)]).dtype == np.float32
@@ -149,10 +152,12 @@ class TestPrecision:
     def test_float32_network_is_the_rounded_float64_twin(self):
         """Same draws, one rounding apart, generator left in the same place."""
         narrow, rng32, wide, rng64 = self.twins()
+        assert rng32.bit_generator.state == rng64.bit_generator.state
+        wide.forward(np.ones((1, 6, 2)))
+        wide.backward(np.ones((1, 3)))
         for a, b in zip(narrow.parameters(), wide.parameters()):
             assert b.value.dtype == b.grad.dtype == np.float64
             assert np.array_equal(a.value, b.value.astype(np.float32))
-        assert rng32.bit_generator.state == rng64.bit_generator.state
 
     def test_boundary_casts_and_layers_keep_the_dtype(self, rng):
         net = build_dras_network(6, 5, 4, 3, rng=rng)
@@ -187,6 +192,8 @@ class TestPrecision:
             == {np.dtype(np.float32)}
         wide.parameters()[2].value += 1e-3      # no longer the init twin
         narrow.load_state_dict(wide.state_dict())
+        narrow.forward(np.ones((1, 6, 2)))
+        narrow.backward(np.ones((1, 3)))
         for a, b in zip(narrow.parameters(), wide.parameters()):
             assert a.value.dtype == a.grad.dtype == np.float32
             assert np.array_equal(a.value, b.value.astype(np.float32))

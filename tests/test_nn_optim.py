@@ -12,7 +12,7 @@ from repro.nn.optim import _BLOCK, SGD, Adam
 
 def quadratic_step(param: Parameter) -> float:
     """Set grad of f(x) = ||x||^2 and return the loss."""
-    param.grad[...] = 2 * param.value
+    param.grad_buffer()[...] = 2 * param.value
     return float(np.sum(param.value**2))
 
 
@@ -29,7 +29,7 @@ class TestSGD:
     def test_known_update(self):
         p = Parameter("x", np.array([1.0]))
         opt = SGD([p], lr=0.5)
-        p.grad += 2.0
+        p.grad_buffer()[...] = 2.0
         opt.step()
         assert p.value[0] == pytest.approx(0.0)
 
@@ -68,14 +68,15 @@ class TestAdam:
         for scale in (1e-3, 1.0, 1e3):
             p = Parameter("x", np.array([1.0]))
             opt = Adam([p], lr=0.01)
-            p.grad += scale
+            p.grad_buffer()[...] = scale
             opt.step()
             assert abs(1.0 - p.value[0]) == pytest.approx(0.01, rel=1e-4)
 
     def test_grad_clip_bounds_internal_moment(self):
         p = Parameter("x", np.array([0.0, 0.0]))
         opt = Adam([p], lr=0.1, grad_clip=1.0)
-        p.grad += np.array([300.0, 400.0])  # norm 500 -> rescaled to norm 1
+        # norm 500 -> rescaled to norm 1
+        p.grad_buffer()[...] = [300.0, 400.0]
         opt.step()
         # the first moment reflects the clipped gradient: (1-beta1)*g_clipped
         m_norm = float(np.linalg.norm(opt._m[0]))
@@ -148,7 +149,7 @@ class TestAdamAgainstTextbook:
             grads = [(rng.normal(size=x.shape) * (rng.random(x.shape) > 0.3)
                       ).astype(dtype) for x in values]
             for p, g in zip(params, grads):
-                p.grad[...] = g
+                p.grad_buffer()[...] = g
             opt.step()
             norm = textbook_adam(values, grads, m, v, t, lr=0.01, clip=clip)
             assert opt.last_grad_norm == norm
@@ -178,16 +179,21 @@ class TestFlatViewGuard:
     def test_transposed_value(self):
         p = Parameter("w", np.ones((3, 4)).T)
         assert not p.value.flags.c_contiguous
+        p.grad_buffer().fill(1.0)
         self.step_raises(p, Adam([p]))
 
     def test_strided_value(self):
         p = Parameter("w", np.ones(10)[::2])
+        p.grad_buffer().fill(1.0)
         self.step_raises(p, Adam([p]))
 
     @pytest.mark.parametrize("which", ["grad", "m", "v"])
     def test_strided_gradient_or_moment(self, which):
         p = Parameter("w", np.ones((4, 3)))
         opt = Adam([p])
+        p.grad_buffer().fill(1.0)
+        opt.step()  # the moments exist from the first step
+        p.grad.fill(1.0)  # a sanitized step poisons what it consumed
         strided = np.ones((3, 4)).T
         if which == "grad":
             p.grad = strided
@@ -210,3 +216,75 @@ class TestFlatViewGuard:
         opt.step()
         assert all(np.any(p.value != b)
                    for p, b in zip(net.parameters(), before))
+
+
+class TestAdamStateDict:
+    """The seam ``core.persistence`` saves and restores through."""
+
+    def stepped(self, dtype=np.float32, steps=2):
+        rng = np.random.default_rng(5)
+        params = [Parameter("a", rng.normal(size=(4, 3)).astype(dtype)),
+                  Parameter("b", rng.normal(size=7).astype(dtype))]
+        opt = Adam(params, lr=0.01)
+        for _ in range(steps):
+            for p in params:
+                p.grad_buffer()[...] = rng.normal(size=p.value.shape)
+            opt.step()
+        return params, opt
+
+    def test_never_stepped_reports_zeros_and_keeps_none(self):
+        params, opt = self.stepped(steps=0)
+        state = opt.state_dict()
+        assert state["t"] == 0 and opt._m is None and opt._v is None
+        for p, m, v in zip(params, state["m"], state["v"]):
+            assert m.shape == v.shape == p.value.shape
+            assert m.dtype == v.dtype == np.float32
+            assert not m.any() and not v.any() and m is not v
+        opt.load_state_dict(state)
+        assert opt._m is None and opt._v is None
+
+    def test_moments_exist_from_the_first_step(self):
+        params, opt = self.stepped(steps=1)
+        for p, m, v in zip(params, opt._m, opt._v):
+            assert m.shape == v.shape == p.value.shape
+            assert m.dtype == v.dtype == p.value.dtype
+            assert m.flags.c_contiguous and v.flags.c_contiguous
+        state = opt.state_dict()
+        assert state["t"] == 1
+        assert all(a is b for a, b in zip(state["m"] + state["v"],
+                                          opt._m + opt._v))
+
+    def test_round_trip_continues_bit_for_bit_and_shares_nothing(self):
+        params, opt = self.stepped()
+        twins = [Parameter(p.name, p.value.copy()) for p in params]
+        twin = Adam(twins, lr=0.01)
+        twin.load_state_dict(opt.state_dict())
+        assert not any(np.shares_memory(a, b) for a, b in
+                       zip(opt._m + opt._v, twin._m + twin._v))
+        for p, q in zip(params, twins):
+            p.grad_buffer()[...] = q.grad_buffer()[...] = 0.25
+        opt.step()
+        twin.step()
+        assert twin.state_dict()["t"] == 3
+        for a, b in zip([p.value for p in params] + opt._m + opt._v,
+                        [q.value for q in twins] + twin._m + twin._v):
+            assert np.array_equal(a, b)
+
+    def test_load_casts_lays_out_and_reads_lazily(self):
+        wide_params, wide = self.stepped(np.float64)
+        params, opt = self.stepped(steps=0)
+        state = wide.state_dict()
+        opt.load_state_dict({
+            "t": np.int64(state["t"]),
+            "m": (np.asfortranarray(m) for m in state["m"]),
+            "v": iter(state["v"]),
+        })
+        for new, old in zip(opt._m + opt._v, state["m"] + state["v"]):
+            assert new.dtype == np.float32 and new.flags.c_contiguous
+            assert np.array_equal(new, old.astype(np.float32))
+
+    def test_a_short_moment_list_is_refused(self):
+        _, opt = self.stepped()
+        state = opt.state_dict()
+        with pytest.raises(ValueError):
+            opt.load_state_dict({**state, "v": state["v"][:1]})

@@ -1,17 +1,26 @@
 """Full-scale (paper-size) configuration smoke tests.
 
 The benchmark suite runs at a reduced scale for speed; these tests
-verify the *paper-size* Theta configuration — 4,360 nodes, the
-21.9M-parameter network — actually instantiates and schedules
-end-to-end, in the paper's float32: 87.6 MB of weights.  (The Cori
-networks hold ~162M parameters; weights plus Adam moments are ~1.9 GB
-even in float32, so only their dimensions are checked.)
+verify the *paper-size* configurations actually instantiate and
+schedule end-to-end, in the paper's float32: Theta — 4,360 nodes, the
+21.9M-parameter network, 87.6 MB of weights — through a frozen and a
+learning episode, and Cori's 162M-parameter DRAS-PG (0.65 GB of
+weights, which is all a frozen agent holds) through one forward — that
+one only under ``REPRO_SANITIZE=1``, i.e. in CI's ``faulted`` job: it
+takes ~5 s, which tier-1 does not have.  Footprint is asserted by
+counting arrays and traced bytes, never by RSS or the clock.
 """
+
+import copy
+import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro.check.sanitize import sanitizer_enabled
 from repro.core.config import DRASConfig
+from repro.core.dras_dql import DRASDQL
 from repro.core.dras_pg import DRASPG
 from repro.nn.network import count_parameters
 from repro.sim.engine import run_simulation
@@ -19,10 +28,84 @@ from repro.sim.job import JobState
 from repro.workload.models import ThetaModel
 from tests.conftest import make_job
 
+MIB = 2**20
+
+
+def traced_peak(fn):
+    """``fn()`` and the most bytes it held at once (NumPy reports its
+    buffers to ``tracemalloc``), over what was held when it started."""
+    already = tracemalloc.is_tracing()
+    if not already:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not already:
+            tracemalloc.stop()
+
+
+def build_pins(agent):
+    """sha256 prefix over the initial weights, and the generator's next draw."""
+    digest = hashlib.sha256()
+    for p in agent.network.parameters():
+        digest.update(p.value)  # the buffer itself: no 71 MB copy
+    return digest.hexdigest()[:16], copy.deepcopy(agent.rng).random()
+
+
+def large_arrays(agent):
+    """The role of every array over 1 MiB the network and optimizer hold.
+
+    Walks the parameters, the optimizer and the layers; every array met
+    on the way, large or not, must be float32, and every value, gradient
+    and moment C-contiguous.
+    """
+    opt = agent.optimizer
+    roles = {}
+    for i, p in enumerate(opt.params):
+        per_param = {"value": p.value, "grad": p.grad,
+                     "m": opt._m and opt._m[i], "v": opt._v and opt._v[i]}
+        for role, a in per_param.items():
+            if a is not None:
+                assert a.flags.c_contiguous, (role, p.name)
+                roles[id(a)] = f"{role} {p.name}"
+    held = {}
+    for owner in (opt, *agent.network.layers):
+        for v in vars(owner).values():
+            for a in (v if isinstance(v, (list, tuple)) else [v]):
+                if isinstance(a, np.ndarray):
+                    held[id(a)] = a
+    held.update((id(a), a) for p in opt.params for a in (p.value, p.grad)
+                if a is not None)
+    assert {a.dtype for a in held.values()} == {np.dtype(np.float32)}
+    return sorted(roles.get(i, "unowned") for i, a in held.items()
+                  if a.nbytes > MIB)
+
+
+#: the weight matrices over 1 MiB (``out.weight`` is 200 KB)
+MATRICES = ("fc1.weight", "fc2.weight")
+
 
 @pytest.fixture(scope="module")
-def theta_agent():
-    return DRASPG(DRASConfig.theta(seed=0))
+def theta_build():
+    """One Theta DRAS-PG and the traced peak of building it."""
+    return traced_peak(lambda: DRASPG(DRASConfig.theta(seed=0)))
+
+
+@pytest.fixture(scope="module")
+def theta_agent(theta_build):
+    return theta_build[0]
+
+
+def short_episode(agent):
+    """A short full-scale episode: 4,360 nodes, 128..4096-node jobs."""
+    jobs = [
+        make_job(size=s, walltime=3600.0, submit=float(i * 60))
+        for i, s in enumerate((128, 4096, 512, 2048, 256, 1024, 128, 128))
+    ]
+    return run_simulation(4360, agent, jobs)
 
 
 class TestFullSizeTheta:
@@ -30,6 +113,16 @@ class TestFullSizeTheta:
         assert count_parameters(theta_agent.network) == 21_890_053
         assert sum(p.value.nbytes for p in theta_agent.network.parameters()) \
             == 4 * 21_890_053
+
+    def test_build_is_pinned_and_peaks_at_the_weights(self, theta_build):
+        """Weights are born float32: no wide draw, gradient or moment."""
+        agent, peak = theta_build
+        assert peak <= 4 * 21_890_053 + 16 * MIB
+        assert build_pins(agent) == ("5a21bb572300ecc7", 0.07848698741232618)
+
+    def test_dql_build_is_pinned(self):
+        agent = DRASDQL(DRASConfig.theta(seed=0))
+        assert build_pins(agent) == ("a3c11560af8a8de3", 0.5080082660541502)
 
     def test_forward_pass_shape(self, theta_agent):
         x = np.random.default_rng(0).random((1, 4460, 2))
@@ -39,14 +132,19 @@ class TestFullSizeTheta:
         assert np.isfinite(logits).all()
 
     def test_schedules_real_sized_jobs(self, theta_agent):
-        """A short full-scale episode: 4,360 nodes, 128..4096-node jobs."""
         theta_agent.eval(online_learning=False)
-        jobs = [
-            make_job(size=s, walltime=3600.0, submit=float(i * 60))
-            for i, s in enumerate((128, 4096, 512, 2048, 256, 1024, 128, 128))
-        ]
-        result = run_simulation(4360, theta_agent, jobs)
+        result = short_episode(theta_agent)
         assert all(j.state is JobState.FINISHED for j in result.jobs)
+
+    def test_frozen_agent_holds_only_its_weights(self, theta_agent):
+        """Deciding allocates nothing parameter-sized — sanitized or not."""
+        theta_agent.eval(online_learning=False)
+        _, peak = traced_peak(lambda: short_episode(theta_agent))
+        assert peak < 16 * MIB
+        assert large_arrays(theta_agent) == [f"value {m}" for m in MATRICES]
+        assert all(p.grad is None for p in theta_agent.network.parameters())
+        opt = theta_agent.optimizer
+        assert opt._m is None and opt._v is None
 
     def test_learning_step_full_size(self, theta_agent):
         """One online-learning episode updates the 21.9M parameters."""
@@ -62,22 +160,39 @@ class TestFullSizeTheta:
         after = fc1.value[:4, :4]
         assert theta_agent.updates_done > 0
         assert not np.allclose(before, after)
-        # every buffer the update touched followed the network's dtype,
-        # and the only parameter-sized ones are value, grad, m and v
-        opt = theta_agent.optimizer
-        per_param = [a for p in opt.params for a in (p.value, p.grad)]
-        per_param += [*opt._m, *opt._v]
-        held = list(per_param)
-        for owner in (opt, *theta_agent.network.layers):
-            assert not hasattr(owner, "_gw_scratch")
-            for v in vars(owner).values():
-                held += [a for a in (v if isinstance(v, (list, tuple)) else [v])
-                         if isinstance(a, np.ndarray)]
-        assert {a.dtype for a in held} == {np.dtype(np.float32)}
-        assert all(a.flags.c_contiguous for a in per_param)
-        assert sum(a.nbytes for a in opt._scratch) <= 2**20
-        owned = {id(a) for a in per_param}
-        assert all(id(a) in owned for a in held if a.nbytes > 2**20)
+        # the only parameter-sized buffers the update left behind are
+        # value, grad, m and v, all in the network's dtype
+        assert large_arrays(theta_agent) == sorted(
+            f"{role} {m}" for role in ("value", "grad", "m", "v")
+            for m in MATRICES)
+        assert sum(a.nbytes for a in theta_agent.optimizer._scratch) <= MIB
+
+
+class TestCoriDimensions:
+    def test_cori_config_dims_only(self):
+        cfg = DRASConfig.cori()
+        assert cfg.pg_dims.rows == 12176
+        assert cfg.pg_dims.param_count == 161_960_053
+
+
+@pytest.mark.skipif(
+    not sanitizer_enabled(),
+    reason="builds 0.65 GB in ~5 s, over tier-1's time budget: CI's "
+           "`faulted` job (REPRO_SANITIZE=1) is where it runs")
+class TestFullSizeCori:
+    def test_frozen_cori_pg_builds_and_infers(self):
+        """Table III's larger network, built: 0.65 GB and nothing else."""
+        (agent, logits), peak = traced_peak(self.build_and_infer)
+        assert count_parameters(agent.network) == 161_960_053
+        assert peak <= 4 * 161_960_053 + 16 * MIB
+        assert logits.shape == (1, 50) and logits.dtype == np.float32
+        assert np.isfinite(logits).all()
+
+    @staticmethod
+    def build_and_infer():
+        agent = DRASPG(DRASConfig.cori(seed=0))
+        x = np.random.default_rng(0).random((1, 12176, 2))
+        return agent, agent.network.forward(x)
 
 
 class TestFullSizeWorkload:
@@ -170,12 +285,3 @@ class TestIndexedQueueAtScale:
         assert 0 < passes["scanned"] < passes["asked"] / 2
         # ... and a completion reads no dependencies but its dependents'
         assert reads and not unrelated
-
-
-class TestCoriDimensions:
-    def test_cori_config_dims_only(self):
-        cfg = DRASConfig.cori()
-        assert cfg.pg_dims.rows == 12176
-        assert cfg.pg_dims.param_count == 161_960_053
-        # ~1.3 GB of weights plus 3x that in grads/Adam state: checked
-        # analytically, not instantiated

@@ -55,11 +55,31 @@ class TestRoundTrip:
             assert np.allclose(m1, m2)
         # Adam sweeps flat views: what a restore installs must allow them
         opt = restored.optimizer
-        installed = [*opt._m, *opt._v]
-        installed += [a for p in opt.params for a in (p.value, p.grad)]
+        installed = [*opt._m, *opt._v, *(p.value for p in opt.params)]
         assert all(a.flags.c_contiguous for a in installed)
+        # a restore installs no gradient: the next backward makes it
+        assert all(p.grad is None for p in opt.params)
         train_a_little(restored)
         assert opt._t > agent.optimizer._t
+
+    def test_untrained_agent_roundtrips_to_no_moments(self, cls, kind,
+                                                      tmp_path):
+        """Zeros are written for a never-stepped optimizer, and not kept."""
+        agent = cls(small_config())
+        save_agent(agent, tmp_path / "agent.npz")
+        assert agent.optimizer._m is None and agent.optimizer._v is None
+        with np.load(tmp_path / "agent.npz") as data:
+            assert data["adam.t"][0] == 0
+            for i, p in enumerate(agent.optimizer.params):
+                for k in "mv":
+                    moment = data[f"adam.{k}.{i}"]
+                    assert moment.shape == p.value.shape
+                    assert moment.dtype == np.float32 and not moment.any()
+        restored = load_agent(tmp_path / "agent.npz")
+        opt = restored.optimizer
+        assert opt._m is None and opt._v is None
+        train_a_little(restored)
+        assert opt._t > 0 and len(opt._m) == len(opt._v) == len(opt.params)
 
 
 class TestKindSpecificState:
