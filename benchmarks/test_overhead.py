@@ -2,8 +2,10 @@
 
 The paper reports <1 s per DRAS-PG update and <2 s per DRAS-DQL update
 on a quad-core PC, against a 15-30 s real-time scheduling budget.  Here
-pytest-benchmark times the actual forward pass (one decision) and the
-actual forward+backward+Adam step (one parameter update) of the
+pytest-benchmark times one decision as the agents make it
+(``PGCore.policy`` / ``DRASDQL.q_values`` over a full window against a
+Theta cluster 90% busy: ``overhead.decision_states``) and the actual
+forward+backward+Adam step (one parameter update) of the
 21.9M/21.4M-parameter Theta networks.
 """
 
@@ -12,6 +14,8 @@ import pytest
 from conftest import save_report
 
 from repro.core.config import DRASConfig
+from repro.core.dras_dql import DRASDQL
+from repro.core.dras_pg import DRASPG
 from repro.experiments import overhead
 from repro.nn.losses import mse_loss, policy_gradient_loss
 from repro.nn.network import build_dras_network
@@ -38,10 +42,16 @@ def theta_dql():
     return cfg, dims, net, Adam(net.parameters(), lr=cfg.learning_rate)
 
 
-def test_pg_decision_latency(benchmark, theta_pg):
-    _, dims, net, _ = theta_pg
-    x = np.random.default_rng(1).random((1, dims.rows, 2))
-    benchmark(net.forward, x)
+@pytest.fixture(scope="module")
+def theta_decision():
+    cfg = DRASConfig.theta()
+    window, (typical, _) = overhead.decision_states(cfg)
+    return cfg, window, typical
+
+
+def test_pg_decision_latency(benchmark, theta_decision):
+    cfg, window, state = theta_decision
+    benchmark(DRASPG(cfg).core.policy, window, state)
     # one decision must fit the 15 s production budget with huge margin
     assert benchmark.stats["mean"] < overhead.REALTIME_BUDGET_S
 
@@ -65,11 +75,10 @@ def test_pg_update_latency(benchmark, theta_pg):
     assert benchmark.stats["mean"] < 2.0
 
 
-def test_dql_decision_latency(benchmark, theta_dql):
-    cfg, dims, net, _ = theta_dql
+def test_dql_decision_latency(benchmark, theta_decision):
+    cfg, window, state = theta_decision
     # one decision scores all W=50 window jobs
-    x = np.random.default_rng(1).random((cfg.window, dims.rows, 2))
-    benchmark(net.forward, x)
+    benchmark(DRASDQL(cfg).q_values, window, state)
     assert benchmark.stats["mean"] < overhead.REALTIME_BUDGET_S
 
 

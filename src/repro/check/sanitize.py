@@ -44,8 +44,11 @@ Checked invariants
   block);
 * **shared forward** — ``Network.forward(x, shared=)`` equals the plain
   forward over the materialised ``[B, k + N, 2]`` input (the definition
-  the factored first layer replaced) to a bound scaled by the
-  network dtype's machine epsilon.
+  the factored first layer replaced: every node row multiplied, no
+  group sum, no cache) to a bound scaled by the network dtype's machine
+  epsilon — which is also what catches a weight written in place
+  without its ``version`` counted, the one thing the cached sums
+  cannot see.
 """
 
 from __future__ import annotations
@@ -308,7 +311,8 @@ def check_dtype(name: str, value, dtype: np.dtype) -> None:
 #: epsilon: absolute, scaled by ``max |out|`` above 1 — 2.3e-13 for a
 #: float64 network, 1.2e-4 for a float32 one.  The two paths differ by
 #: float reassociation only: ~2 eps observed in either dtype over
-#: Theta's 4,362-row dot products, while a wrong slice moves O(0.1).
+#: Theta's 4,362-row dot products (per node or summed by group), while
+#: a wrong slice or a stale sum moves O(0.1).
 SHARED_FORWARD_EPS = 1024
 
 

@@ -25,11 +25,12 @@ code under analysis** (no NumPy, no ``repro.nn``):
 4. it re-derives the *batched* shape contract — the symbolic batch
    dimension ``B`` must survive every layer so the network maps
    ``[B, rows, 2] -> [B, outputs]`` for every Table III cell, and the
-   two-input form DQL window scoring uses (``[B, k, 2]`` job rows plus
-   one shared ``[N, 2]`` node matrix, ``k + N == rows``) must reach the
-   same ``[B, outputs]`` — and verifies the DRAS agents route all
-   inference through the batched ``score_window`` entry point rather
-   than ad-hoc ``network.forward`` calls (**RPR303**).
+   two-input form window scoring uses (``[B, k, 2]`` job rows plus the
+   ``N`` node rows the batch shares, ``k + N == rows``; ``k = 2`` for
+   DQL, ``2W`` for PG) must reach the same ``[B, outputs]`` — and
+   verifies the DRAS agents route all inference through the batched
+   ``score_window`` entry point rather than ad-hoc ``network.forward``
+   calls (**RPR303**).
 
 The Cori-DQL cell of Table III is internally inconsistent (DESIGN.md
 §4), so RPR302 checks that cell against the formula only, never against
@@ -57,7 +58,8 @@ TABLE3_MODULE = "repro.experiments.table3"
 BATCH_DIM = "B"
 
 #: rows of one job block (§III-A): the per-sample ``k`` of the two-input
-#: ``forward(x, shared=)`` DQL window scoring calls
+#: ``forward(x, shared=)`` DQL window scoring calls; PG passes one block
+#: per window slot
 JOB_BLOCK_ROWS = 2
 
 #: agent modules whose inference must route through ``score_window``
@@ -585,8 +587,9 @@ class BatchedShapeRule(Rule):
     rationale = (
         "batched scoring is the hot path: the network must map "
         "[B, rows, 2] -> [B, outputs] with the batch axis untouched by "
-        "every layer (also from DQL's two-input [B, 2, 2] + [N, 2] "
-        "form), and the agents must funnel all inference through "
+        "every layer (also from the two-input form window scoring runs: "
+        "[B, 2, 2] job rows for DQL, [B, 2W, 2] for PG, plus N node "
+        "rows), and the agents must funnel all inference through "
         "the batched score_window entry point so no single-sample "
         "network path can reappear"
     )
@@ -599,9 +602,10 @@ class BatchedShapeRule(Rule):
     def _check_network(self, project: ProjectModel) -> Iterator[Finding]:
         """Assert ``[B, rows, 2] -> [B, outputs]`` for every Table III cell.
 
-        The DQL cells are interpreted a second time in the two-input
-        form their window scoring runs: ``[B, 2, 2]`` job blocks plus
-        the shared ``[num_nodes, 2]`` node matrix.
+        Every cell is interpreted a second time in the two-input form
+        its window scoring runs: ``[B, 2, 2]`` job blocks (DQL) or
+        ``[B, 2 * window, 2]`` window rows (PG) plus the ``num_nodes``
+        node rows the batch shares.
         """
         if project.module(NETWORK_MODULE) is None:
             return
@@ -637,10 +641,12 @@ class BatchedShapeRule(Rule):
                     f"{format_shape(expected)}"
                 ))
             system, _, variant = cell.partition("-")
-            if variant == "dql" and "num_nodes" in envs[system]:
+            env = envs[system]
+            if "num_nodes" in env and "window" in env:
                 # past the first Dense the two forms are one network, so
                 # joining the pieces is all the two-input form adds
-                split = (JOB_BLOCK_ROWS, int(envs[system]["num_nodes"]))
+                blocks = 1 if variant == "dql" else int(env["window"])
+                split = (JOB_BLOCK_ROWS * blocks, int(env["num_nodes"]))
                 two_input = interpret_network(project, cell, dims, split)
                 for message in two_input.findings:
                     yield Finding(path, lineno, 0, message)

@@ -4,10 +4,10 @@ The network processes *one job at a time*: input ``[2 + N, 2]`` (one
 job block plus all node rows), output a single neuron — the expected
 Q-value of scheduling that job now.  The same network scores every job
 in the window against the same node rows, so a decision passes the job
-blocks and the node matrix separately and the first dense layer
-multiplies the node block once.  The agent normally takes the job with
-the highest Q-value, but with probability ε it explores a random job
-instead.
+blocks and the node rows — one row for all nodes of a large job —
+separately and the first dense layer multiplies one cached weight-row
+sum per such job.  The agent normally takes the job with the highest Q-value, but with probability
+ε it explores a random job instead.
 ε starts at 1.0 and decays by 0.995 per parameter update (§III-B).
 
 Learning minimizes the TD error between the *old value*
@@ -27,6 +27,7 @@ import numpy as np
 from repro.core.agent import HierarchicalAgent
 from repro.core.config import DRASConfig
 from repro.core.rewards import RewardFunction
+from repro.core.state import NodeGroups
 from repro.nn.losses import mse_loss
 from repro.nn.network import build_dras_network
 from repro.nn.optim import Adam
@@ -65,17 +66,17 @@ class DRASDQL(HierarchicalAgent):
         self.last_update_batch = 0
 
     # -- Q evaluation --------------------------------------------------------
-    def score_window(self, x: np.ndarray, shared: np.ndarray) -> np.ndarray:
+    def score_window(self, x: np.ndarray, shared: NodeGroups) -> np.ndarray:
         """Q-values for a batch of candidate jobs against one node state.
 
         ``x`` is the ``[B, 2, 2]`` stack of job blocks and ``shared``
-        the ``[N, 2]`` node matrix they are all scored against (the
-        pair :meth:`~repro.core.state.StateEncoder.encode_jobs_batch`
+        the node state they are all scored against (the pair
+        :meth:`~repro.core.state.StateEncoder.encode_jobs_batch`
         returns) — the ``[2 + N, 2]`` per-job input of §III-B with the
-        node rows, identical for every candidate, passed once.  One
-        network forward scores all ``B`` candidates and returns the
-        ``[B]`` Q-vector.  This is the single inference entry point —
-        the whole window is scored per decision.
+        node rows, identical for every candidate, passed once and by
+        group.  One network forward scores all ``B`` candidates and
+        returns the ``[B]`` Q-vector.  This is the single inference
+        entry point — the whole window is scored per decision.
         """
         if x.ndim != 3:
             raise ValueError(f"score_window expects [B, 2, 2], got {x.shape}")
@@ -83,7 +84,7 @@ class DRASDQL(HierarchicalAgent):
 
     def q_values(
         self, window: list[Job], view: SchedulingView
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, NodeGroups, np.ndarray]:
         """Q-values of every job in the window: ``(heads, nodes, q)``."""
         heads, nodes = self.encoder.encode_jobs_batch(
             window, view.cluster, view.now)
@@ -103,8 +104,8 @@ class DRASDQL(HierarchicalAgent):
                 int(self.rng.integers(len(window))) if explore else int(np.argmax(q))
             )
             # only the chosen job's [2 + N, 2] input is ever materialised
-            self._pending.append(
-                _QTransition(x=np.concatenate([heads[action], nodes])))
+            self._pending.append(_QTransition(x=np.concatenate(
+                [heads[action], nodes.expand(self.config.num_nodes)])))
         else:
             action = int(np.argmax(q))
         return window[action]

@@ -9,8 +9,10 @@ Each node is a ``[1, 2]`` row: a binary availability flag and, for busy
 nodes, the difference between the node's estimated available time and
 the current time.  Job blocks and node rows concatenate into a
 fixed-size matrix — ``[2W + N, 2]`` for the level networks (W jobs) and
-``[2 + N, 2]`` for the DQL per-job network (scored as ``B`` job blocks
-plus one shared ``[N, 2]`` node matrix, see ``encode_jobs_batch``).
+``[2 + N, 2]`` for the DQL per-job network.  Every node of a running
+job has the same row, so a decision is scored from the job blocks plus
+the node rows *by group* (:class:`NodeGroups`); the full matrix is
+built only for a transition an agent records to train on.
 
 The paper feeds raw values; raw seconds and node counts differ by
 orders of magnitude, so (like any practical implementation) we
@@ -20,12 +22,41 @@ for the paper-literal encoding.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from repro.nn import layers as _layers
 from repro.sim.cluster import Cluster
 from repro.sim.job import Job
+
+
+class NodeGroups(NamedTuple):
+    """The ``[N, 2]`` node rows, one row for all nodes of a large job.
+
+    What ``Network.forward(x, shared=)`` takes: the node state of one
+    cluster at one instant
+    (:meth:`~repro.sim.cluster.Cluster.node_groups`), with a group for
+    each allocation large enough for the first dense layer to keep a
+    weight-row sum for (``repro.nn.layers.MIN_GROUP_ROWS``).
+    """
+
+    #: ``[1 + G + S, 2]``: the free row, one row per entry of ``nodes``,
+    #: one row per entry of ``lone``
+    rows: np.ndarray
+    #: node indices of each large allocation; the array object itself
+    #: identifies the allocation and must not be written
+    nodes: tuple[np.ndarray, ...]
+    #: ``[S]`` indices of the other busy nodes and of the down nodes
+    lone: np.ndarray
+
+    def expand(self, num_nodes: int) -> np.ndarray:
+        """The ``[N, 2]`` matrix of :meth:`StateEncoder.node_rows`, bit for bit."""
+        row_of = np.zeros(num_nodes, dtype=np.intp)  # 0: the free row
+        for g, nodes in enumerate(self.nodes, 1):
+            row_of[nodes] = g
+        row_of[self.lone] = np.arange(1 + len(self.nodes), len(self.rows))
+        return self.rows[row_of]
 
 
 class StateEncoder:
@@ -103,6 +134,13 @@ class StateEncoder:
             state[:, 1] /= self.time_scale
         return state
 
+    def node_groups(self, cluster: Cluster, now: float) -> NodeGroups:
+        """:meth:`node_rows` by allocation; ``expand`` gives it back."""
+        state, allocations, lone = cluster.node_groups(now, _layers.MIN_GROUP_ROWS)
+        if self.normalize:
+            state[:, 1] /= self.time_scale
+        return NodeGroups(state, tuple(allocations), lone)
+
     # -- full encodings ----------------------------------------------------------
     def encode_window(
         self, jobs: Sequence[Job], cluster: Cluster, now: float
@@ -128,35 +166,32 @@ class StateEncoder:
 
     def encode_windows(
         self, windows: Sequence[Sequence[Job]], cluster: Cluster, now: float
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Stack :meth:`encode_window` for many windows: batch-first.
+    ) -> tuple[np.ndarray, np.ndarray, NodeGroups]:
+        """PG-style input for many windows, node rows passed once.
 
-        Returns ``([B, 2W + N, 2] observations, [B, W] validity masks)``
-        for ``B = len(windows)`` — the obs matrix a batched
-        ``score_window`` consumes in one forward pass.  The node rows
-        are identical across the batch (one snapshot of the same
-        cluster at the same instant), so they are computed once and
-        broadcast.  A single decision is the ``B = 1`` case; agents
-        route every window scoring through this batched encoding rather
-        than reshaping per decision.
+        Returns ``(heads [B, 2W, 2], masks [B, W], groups)`` for
+        ``B = len(windows)``: ``concat(heads[b], groups.expand(N))`` and
+        ``masks[b]`` are :meth:`encode_window` of ``windows[b]``.  The
+        node state is one snapshot of the same cluster at the same
+        instant, identical across the batch;
+        ``Network.forward(heads, shared=groups)`` scores the pair.  A
+        single decision is the ``B = 1`` case.
         """
         if not windows:
             raise ValueError("empty window batch")
         window = self.window
-        x = np.zeros((len(windows), self.pg_rows, 2), dtype=np.float64)
+        heads = np.zeros((len(windows), 2 * window, 2), dtype=np.float64)
         mask = np.zeros((len(windows), window), dtype=bool)
         capacity = cluster.up_nodes
-        nodes = self.node_rows(cluster, now)
         for b, jobs in enumerate(windows):
             if len(jobs) > window:
                 raise ValueError(
                     f"{len(jobs)} jobs exceed the window size {window}"
                 )
             for i, job in enumerate(jobs):
-                x[b, 2 * i : 2 * i + 2] = self.job_block(job, now, capacity)
+                heads[b, 2 * i : 2 * i + 2] = self.job_block(job, now, capacity)
                 mask[b, i] = True
-            x[b, 2 * window :] = nodes
-        return x, mask
+        return heads, mask, self.node_groups(cluster, now)
 
     def encode_job(self, job: Job, cluster: Cluster, now: float) -> np.ndarray:
         """DQL-style input for one job: ``[2 + N, 2]``."""
@@ -167,14 +202,15 @@ class StateEncoder:
 
     def encode_jobs_batch(
         self, jobs: Sequence[Job], cluster: Cluster, now: float
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """DQL-style input for many jobs: ``(heads [B, 2, 2], nodes [N, 2])``.
+    ) -> tuple[np.ndarray, NodeGroups]:
+        """DQL-style input for many jobs: ``(heads [B, 2, 2], groups)``.
 
-        ``concat(heads[i], nodes)`` is :meth:`encode_job` of ``jobs[i]``.
-        The node rows are one snapshot of the same cluster at the same
-        instant, identical for every job, so they are returned once
-        rather than copied into each row of a ``[B, 2 + N, 2]`` batch;
-        ``Network.forward(heads, shared=nodes)`` scores the pair.
+        ``concat(heads[i], groups.expand(N))`` is :meth:`encode_job` of
+        ``jobs[i]``.  The node state is one snapshot of the same cluster
+        at the same instant, identical for every job, so it is returned
+        once, by group, rather than copied into each row of a
+        ``[B, 2 + N, 2]`` batch; ``Network.forward(heads, shared=groups)``
+        scores the pair.
         """
         if not jobs:
             raise ValueError("empty job batch")
@@ -182,4 +218,4 @@ class StateEncoder:
         capacity = cluster.up_nodes
         for i, job in enumerate(jobs):
             heads[i] = self.job_block(job, now, capacity)
-        return heads, self.node_rows(cluster, now)
+        return heads, self.node_groups(cluster, now)

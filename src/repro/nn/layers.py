@@ -11,9 +11,19 @@ from __future__ import annotations
 
 import numpy as np
 
-#: Elements per ``rng.normal`` call of :class:`Dense`'s weight draw: each
-#: block is rounded into the weight as it is stored (512 KiB of draws live).
-_DRAW_BLOCK = 65536
+#: Elements per row block of a :class:`Dense` weight.  The draw makes one
+#: ``rng.normal`` call per block, each rounded into the weight as it is
+#: stored (512 KiB of draws live); a group sum adds a block's rows in the
+#: weight's precision and the blocks in double.
+_ROW_BLOCK = 65536
+
+#: Fewest rows a group of :meth:`Dense.forward_shared` may have.  Groups
+#: are disjoint, so their float64 sums stay within 1/8 of the bytes of
+#: the float32 rows they sum.  Frozen DRAS-PG episodes, ms at 2 / 8 / 16 /
+#: 32 / 128 / no grouping: 64 nodes 149 / 140 / 133 / 131 / 134 / 133;
+#: 256 nodes 166 / 162 / 156 / 157 / 147 / 148; 1,024 nodes (jobs from 30
+#: nodes up) 223 / 217 / 217 / 330 / 336 / 319.  Theta's smallest is 128.
+MIN_GROUP_ROWS = 16
 
 
 class Parameter:
@@ -24,15 +34,18 @@ class Parameter:
     its own.  ``grad`` is ``None`` until a ``backward`` writes it (a
     network that only infers never owns one), and is *written*, never
     added to: there is nothing to reset between updates, and summing
-    over several backwards is the caller's job.
+    over several backwards is the caller's job.  ``version`` counts the
+    writes of ``value``: a writer (an optimizer step, a state load) adds
+    one, and what is derived from the value checks it.
     """
 
-    __slots__ = ("name", "value", "grad")
+    __slots__ = ("name", "value", "grad", "version")
 
     def __init__(self, name: str, value: np.ndarray) -> None:
         self.name = name
         self.value = np.asarray(value)
         self.grad: np.ndarray | None = None
+        self.version = 0
 
     @property
     def size(self) -> int:
@@ -131,13 +144,16 @@ class Dense(Layer):
         # a draw fills C-ordered output element by element, so row blocks in
         # order are the single (in_features, out_features) draw, bit for bit
         weight = np.empty((in_features, out_features), dtype)
-        rows = max(1, _DRAW_BLOCK // out_features)
+        rows = max(1, _ROW_BLOCK // out_features)
         for lo in range(0, in_features, rows):
             block = weight[lo:lo + rows]
             block[...] = rng.normal(0.0, scale, size=block.shape)
         self.weight = Parameter(f"{name}.weight", weight)
         self.bias = Parameter(f"{name}.bias", np.zeros(out_features, dtype)) if bias else None
         self._x: np.ndarray | None = None
+        # forward_shared's sums at _stamp: id(group) -> (group, sum); None: all
+        self._sums: dict[int | None, tuple[np.ndarray | None, np.ndarray]] = {}
+        self._stamp: tuple[int, int] | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """One matmul for the whole batch: ``[B, in] -> [B, out]``."""
@@ -151,34 +167,98 @@ class Dense(Layer):
             y += self.bias.value
         return y
 
-    def forward_shared(self, head: np.ndarray, shared: np.ndarray) -> np.ndarray:
+    def forward_shared(self, head: np.ndarray, y: np.ndarray,
+                       groups: tuple[np.ndarray, ...],
+                       lone: np.ndarray) -> np.ndarray:
         """:meth:`forward` for inputs whose trailing columns are common.
 
-        Every sample's input is ``concat(head[b], shared)`` — ``head``
-        is ``[B, k]``, ``shared`` is ``[in - k]`` — so the product
-        splits into ``head @ W[:k] + shared @ W[k:]``: the shared block
-        is multiplied once (one GEMV) instead of once per sample, and
-        its ``[out]`` result broadcasts over ``B``.  Row slices of the
-        C-ordered weight are contiguous views, so nothing is copied.
-        Same function as :meth:`forward` on the concatenated input up
-        to float reassociation.  Inference only: the backward cache is
-        cleared, so a following :meth:`backward` raises rather than
+        Every sample's input is ``concat(head[b], common)`` — ``head``
+        is ``[B, k]``, ``common`` is ``[in - k]`` and given by group:
+        ``y[1 + g]`` at ``groups[g]``, ``y[1 + G + s]`` at ``lone[s]``,
+        ``y[0]`` everywhere else.  The product splits into
+        ``head @ W[:k] + common @ W[k:]``, and the second term into
+
+            ``y[0]·S_all + Σ_g (y[1 + g] − y[0])·S_g + residual``
+
+        with ``S_g`` the sum of the weight rows of group ``g`` and
+        ``S_all`` of all ``in - k``: one ``[out]`` row per group in
+        place of one per node.  The sums are cached here, keyed by the
+        group's index array (the object: the cache holds it, so nothing
+        else can take its identity, and a hit is checked to be it),
+        dropped when a call no longer names the group, and all dropped
+        when ``weight.version`` or ``k`` is not the one they were built
+        at.  A group has ``MIN_GROUP_ROWS`` nodes or more (which bounds
+        the cache); whatever is smaller comes in ``lone``, whose nodes
+        form the residual ``Σ_s (y[1 + G + s] − y[0])·W[k + lone[s]]``:
+        skipped when empty, else a product over the gathered rows or,
+        when that moves more bytes (a gathered row is read, written and
+        read again), one GEMV over ``W[k:]``.  Same function as
+        :meth:`forward` on the concatenated input up to float
+        reassociation.  Inference only: the backward cache is cleared,
+        so a following :meth:`backward` raises rather than
         differentiating a stale minibatch.
         """
         weight = self.weight.value
         k = head.shape[-1]
-        if head.ndim != 2 or shared.ndim != 1 \
-                or k + shared.shape[0] != weight.shape[0]:
+        n = weight.shape[0] - k
+        if head.ndim != 2 or y.shape != (1 + len(groups) + lone.size,) or n <= 0:
             raise ValueError(
-                f"Dense expects [B, k] + [{weight.shape[0]} - k], "
-                f"got {head.shape} + {shared.shape}"
-            )
+                f"Dense expects [B, k] + the rows of {len(groups)} groups and "
+                f"{lone.size} of {weight.shape[0]} - k nodes, got {head.shape} + {y.shape}")
         self._x = None
-        y = head @ weight[:k]
-        y += shared @ weight[k:]
+        stamp = (self.weight.version, k)
+        old = self._sums if self._stamp == stamp else {}
+        total = old.get(None) or (None, self._row_sum(np.arange(k, k + n)))
+        kept, sums = {None: total}, []
+        for g, nodes in enumerate(groups):
+            entry = old.get(id(nodes))
+            # a copied or unpickled cache is keyed by another object's id
+            if entry is None or entry[0] is not nodes:
+                if nodes.size < MIN_GROUP_ROWS or not 0 <= nodes.min() <= nodes.max() < n:
+                    raise ValueError(
+                        f"group {g} is not {MIN_GROUP_ROWS} or more of the nodes 0..{n - 1}")
+                entry = (nodes, self._row_sum(k + nodes))
+            kept[id(nodes)] = entry
+            sums.append(entry[1])
+        self._stamp, self._sums = stamp, kept
+        # in double the differences of two float32 are exact
+        free = float(y[0])
+        delta = y[1:].astype(np.float64) - free
+        common = free * total[1]
+        if sums:
+            common += delta[:len(sums)] @ np.array(sums)
+        out = head @ weight[:k]
+        out += common.astype(out.dtype)
+        if 0 < 3 * lone.size < n:
+            out += delta[len(sums):].astype(out.dtype) @ weight[k + lone]
+        elif lone.size:
+            apart = np.zeros(n, dtype=out.dtype)
+            apart[lone] = delta[len(sums):]
+            out += apart @ weight[k:]
         if self.bias is not None:
-            y += self.bias.value
-        return y
+            out += self.bias.value
+        return out
+
+    def _row_sum(self, rows: np.ndarray) -> np.ndarray:
+        """Sum of the weight rows ``rows``, in double precision.
+
+        Taken run by run of consecutive rows — a slice, where a gather
+        would copy — and within a run block by block: a block's rows
+        add up in the weight's precision, the blocks in double.  A
+        4,360-row float32 sum is off by 1e-5, enough to flip a near-tied
+        argmax; blocks of 16 rows hold it to 5e-7, twice the rounding
+        of a float32 result, at the float32 sum's speed (a float64
+        ``sum(axis=0)`` casts through a buffer: 2.5x slower).
+        """
+        weight = self.weight.value
+        step = max(1, _ROW_BLOCK // weight.shape[1])
+        out = np.zeros(weight.shape[1], dtype=np.float64)
+        cuts = np.flatnonzero(np.diff(rows) != 1) + 1
+        for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), rows.size]):
+            first, last = int(rows[lo]), int(rows[hi - 1]) + 1
+            for at in range(first, last, step):
+                out += weight[at:min(at + step, last)].sum(axis=0)
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         """Write batch-summed grads; returns ``[B, in]`` input grads.

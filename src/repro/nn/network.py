@@ -41,32 +41,31 @@ class Network:
         for p in self.parameters():
             if p.value.dtype != self.dtype:
                 p.value = p.value.astype(self.dtype)
+                p.version += 1
 
-    def forward(self, x: np.ndarray,
-                shared: np.ndarray | None = None) -> np.ndarray:
+    def forward(self, x: np.ndarray, shared=None) -> np.ndarray:
         """Run ``x`` through every layer; returns the final activation.
 
-        With ``shared`` — an ``[N, 2]`` block of input rows common to
-        the whole batch — ``x`` is ``[B, k, 2]`` and holds only the
+        With ``shared`` — the ``N`` input rows common to the whole
+        batch, by group, as a :class:`repro.core.state.NodeGroups` holds
+        them: ``rows`` (of a node in no group, of each group, of each
+        lone node), ``nodes``, ``lone``, and ``expand(N)`` giving the
+        ``[N, 2]`` block — ``x`` is ``[B, k, 2]`` and holds only the
         rows that differ per sample; the result equals a forward over
-        ``[B, k + N, 2]`` with ``shared`` appended to every sample (up
+        ``[B, k + N, 2]`` with the block appended to every sample (up
         to float reassociation), but the first dense layer multiplies
-        the shared block once instead of ``B`` times
-        (:meth:`Dense.forward_shared`).  The network must start
-        ``Conv1x2 -> Dense`` with ``k + N`` equal to that layer's
-        ``in_features``.  This form is inference only: a ``backward``
-        after it raises.
+        one cached weight-row sum per group instead of ``N`` rows ``B``
+        times (:meth:`Dense.forward_shared`, which owns the cache).
+        The network must start ``Conv1x2 -> Dense``; ``N`` is that
+        layer's ``in_features - k``.  This form is inference only: a
+        ``backward`` after it raises.
         """
         # the tuple serialises to the same JSON array as a list would
         with _trace.span("nn.forward", layers=len(self.layers),
                          shape=x.shape):
-            x = np.asarray(x, dtype=self.dtype)
-            if shared is not None:
-                shared = np.asarray(shared, dtype=self.dtype)
-            return self._forward(x, shared)
+            return self._forward(np.asarray(x, dtype=self.dtype), shared)
 
-    def _forward(self, x: np.ndarray,
-                 shared: np.ndarray | None = None) -> np.ndarray:
+    def _forward(self, x: np.ndarray, shared=None) -> np.ndarray:
         sanitize = _san.sanitizer_enabled()
         if sanitize:
             _san.check_finite("network input", x)
@@ -87,7 +86,7 @@ class Network:
             x = layer.forward(x)
         return x
 
-    def _shared_stem(self, x: np.ndarray, shared: np.ndarray,
+    def _shared_stem(self, x: np.ndarray, shared,
                      sanitize: bool) -> np.ndarray:
         """``Conv1x2 -> Dense`` over per-sample rows ``x`` plus ``shared``."""
         if len(self.layers) < 2 or not isinstance(self.layers[0], Conv1x2) \
@@ -96,14 +95,15 @@ class Network:
                 "forward(x, shared=) needs a network starting Conv1x2 -> Dense"
             )
         conv, dense = self.layers[0], self.layers[1]
-        if shared.ndim != 2:
-            raise ValueError(f"shared expects [N, 2], got {shared.shape}")
+        rows = np.asarray(shared.rows, dtype=self.dtype)
+        if rows.ndim != 2:
+            raise ValueError(f"shared rows expect [1 + G + S, 2], got {rows.shape}")
         if sanitize:
-            _san.check_finite("shared network input", shared)
+            _san.check_finite("shared network input", rows)
         head = conv.forward(x)
-        common = conv.forward(shared[None])[0]
+        common = conv.forward(rows[None])[0]
         conv._x = None  # inference only, as in Dense.forward_shared
-        y = dense.forward_shared(head, common)
+        y = dense.forward_shared(head, common, shared.nodes, shared.lone)
         if sanitize:
             self._check_tensor("forward output of layer 0 (Conv1x2)", head)
             self._check_tensor(
@@ -118,11 +118,13 @@ class Network:
         _san.check_finite(name, array)
         _san.check_dtype(name, array, self.dtype)
 
-    def _check_against_plain(self, x: np.ndarray, shared: np.ndarray,
+    def _check_against_plain(self, x: np.ndarray, shared,
                              out: np.ndarray) -> None:
         """Sanitizer oracle: ``out`` against the materialised plain forward."""
+        block = np.asarray(shared.expand(
+            self.layers[1].weight.value.shape[0] - x.shape[1]), self.dtype)
         full = np.concatenate(
-            [x, np.broadcast_to(shared, (len(x),) + shared.shape)], axis=1
+            [x, np.broadcast_to(block, (len(x),) + block.shape)], axis=1
         )
         plain = self._forward(full)
         # the oracle pass refilled the caches the shared stem cleared
@@ -188,6 +190,7 @@ class Network:
                     f"shape mismatch for {key}: {value.shape} vs {param.value.shape}"
                 )
             param.value = value
+            param.version += 1
 
 
 def build_dras_network(

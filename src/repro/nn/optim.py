@@ -65,6 +65,7 @@ class SGD(Optimizer):
                 p.value -= self.lr * v
             else:
                 p.value -= self.lr * p.grad
+            p.version += 1
 
 
 class Adam(Optimizer):
@@ -227,6 +228,7 @@ class Adam(Optimizer):
                 t2 += self.eps
                 t1 /= t2
                 flat_p[lo:lo + _BLOCK] -= t1
+            p.version += 1
             if sanitize:
                 _san.check_same_shape(p.name, shape_before, p.value.shape)
                 _san.check_finite(f"value of {p.name} (Adam step {self._t})", p.value)

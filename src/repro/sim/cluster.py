@@ -179,6 +179,40 @@ class Cluster:
         state[:, 1] = remaining
         return state
 
+    def node_groups(
+        self, now: float, min_size: int
+    ) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+        """:meth:`node_state` with one row per large allocation.
+
+        Returns ``(state, allocations, lone)``.  ``state`` is
+        ``[1 + G + S, 2]``: the free row ``[1, 0]``, then the row every
+        node of ``allocations[g]`` has, then the row of node
+        ``lone[s]``; a node in neither is free.  ``allocations`` are the
+        node-index arrays of the running jobs of ``min_size`` nodes or
+        more — the arrays :meth:`allocate` stored, each a fresh object
+        that is never written, so *which array* names the allocation (a
+        killed job that restarts elsewhere under its old id is a new
+        one).  Read-only: callers must not write them.  ``lone`` lists
+        every other busy node and every down node, one row each.
+        """
+        allocations = [nodes for nodes in self._alloc.values()
+                       if nodes.size >= min_size]
+        if len(allocations) == self._rel_n:  # every release group is one
+            lone = np.empty(0, dtype=np.intp)
+        else:
+            alone = self._job_of != _FREE
+            for nodes in allocations:
+                alone[nodes] = False
+            lone = np.flatnonzero(alone)
+        of_rows = lone
+        if allocations:
+            of_rows = np.concatenate(
+                [[nodes[0] for nodes in allocations], lone])
+        state = np.zeros((1 + of_rows.size, 2), dtype=np.float64)
+        state[0, 0] = 1.0
+        np.maximum(self._avail_at[of_rows] - now, 0.0, out=state[1:, 1])
+        return state, allocations, lone
+
     # -- release-time index ------------------------------------------------
     def _index_add(self, when: float, size: int, key: int) -> None:
         """Insert the group ``(when, size, key)``, after any equal times."""

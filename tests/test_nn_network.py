@@ -181,10 +181,17 @@ class TestPrecision:
         assert net.layers[0]._x is x
 
     def test_shared_forward_casts_both_pieces(self, rng):
-        net = build_dras_network(6, 5, 4, 1, rng=rng)
-        out = net.forward(rng.normal(size=(3, 2, 2)),
-                          shared=rng.normal(size=(4, 2)))
+        """float64 in (the encoder's), float32 out; only the sums are wide."""
+        from repro.core.state import NodeGroups
+
+        net = build_dras_network(2 + 48, 5, 4, 1, rng=rng)
+        shared = NodeGroups(rng.normal(size=(3, 2)), (np.arange(4, 36),),
+                            np.array([40]))
+        out = net.forward(rng.normal(size=(3, 2, 2)), shared=shared)
         assert out.dtype == np.float32
+        sums = net.layers[1]._sums
+        assert len(sums) == 2   # of the 48 shared rows, and of the group's 32
+        assert {s.dtype for _, s in sums.values()} == {np.dtype(np.float64)}
 
     def test_state_dict_follows_and_loading_rounds(self, tmp_path):
         narrow, _, wide, _ = self.twins()
@@ -222,7 +229,8 @@ class TestPrecision:
             assert {p.value.dtype for p in net.parameters()} == {np.dtype(dtype)}
 
     def test_float64_is_named_only_where_something_needs_it(self):
-        """``gradcheck`` (finite differences) and ``losses`` (a [B, W] head).
+        """``gradcheck`` (finite differences), ``losses`` (a [B, W] head)
+        and ``layers`` (a group sum adds thousands of weight rows).
 
         Anywhere else under ``repro/nn`` a hard-coded width would be a
         second place that decides precision.
@@ -232,7 +240,7 @@ class TestPrecision:
         nn_dir = pathlib.Path(__file__).parent.parent / "src/repro/nn"
         naming = {path.name for path in nn_dir.glob("*.py")
                   if "float64" in path.read_text(encoding="utf-8")}
-        assert naming == {"gradcheck.py", "losses.py"}
+        assert naming == {"gradcheck.py", "layers.py", "losses.py"}
 
     def test_gradient_reset_and_backward_scratch_are_gone(self):
         """Gradients are written: nothing resets them, nothing stages them."""

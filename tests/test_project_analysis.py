@@ -251,33 +251,40 @@ class TestShapesRules:
         assert shapes.format_shape(summary.output_shape) == "[B, 50]"
 
     def test_two_input_form_derived(self):
-        """[B, 2, 2] + [N, 2] reaches [B, 1] for both Table III DQL cells."""
+        """[B, k, 2] + N node rows reaches [B, outputs] for all four cells."""
         project = ProjectModel.load(SRC, package="repro")
         configs = shapes.static_table3_configs(project)
-        for cell, nodes in (("theta-dql", 4360), ("cori-dql", 12076)):
+        for cell, k, nodes in (("theta-dql", 2, 4360), ("cori-dql", 2, 12076),
+                               ("theta-pg", 100, 4360), ("cori-pg", 100, 12076)):
             summary = shapes.interpret_network(
-                project, cell, configs[cell],
-                split=(shapes.JOB_BLOCK_ROWS, nodes))
+                project, cell, configs[cell], split=(k, nodes))
             assert summary.findings == []
-            assert summary.layers[0].in_shape == ("B", 2, 2)
+            assert summary.layers[0].in_shape == ("B", k, 2)
             assert summary.layers[1].out_shape == ("B", configs[cell]["hidden1"])
-            assert summary.output_shape == ("B", 1)
+            assert summary.output_shape == ("B", configs[cell]["outputs"])
         # one node row short: the first Dense cannot join the pieces
         short = shapes.interpret_network(
             project, "theta-dql", configs["theta-dql"], split=(2, 4359))
         assert any("split 2 + 4359" in m for m in short.findings)
 
     def test_two_input_mismatch_is_caught(self, mutated_src):
-        """DQL rows that are not job block + nodes trip RPR303."""
+        """Rows that are not job blocks + nodes trip RPR303, DQL and PG.
+
+        One mutated tree carries both mutants: each cell's finding names
+        its own split, so neither can stand in for the other.
+        """
         config = mutated_src / "core" / "config.py"
         config.write_text(config.read_text().replace(
             "rows=2 + self.num_nodes,", "rows=4 + self.num_nodes,",
+        ).replace(
+            "rows=2 * self.window + self.num_nodes,",
+            "rows=2 * self.window + self.num_nodes + 1,",
         ))
         messages = [v.message for v in
                     analyze_project(mutated_src, package="repro")
                     if v.rule_id == "RPR303"]
-        assert any("split 2 + 4360" in m for m in messages)
-        assert any("split 2 + 12076" in m for m in messages)
+        for split in ("2 + 4360", "2 + 12076", "100 + 4360", "100 + 12076"):
+            assert any(f"split {split}" in m for m in messages), split
 
     def test_unrouted_forward_is_caught(self, mutated_src):
         """A network.forward outside score_window/update trips RPR303."""

@@ -3,7 +3,10 @@
 These drive the cluster and wait queue through long random
 allocate/release and submit/finish sequences, checking the class
 invariants after every step — the kind of bookkeeping bugs (leaked
-nodes, double releases, lost jobs) that unit tests rarely reach.
+nodes, double releases, lost jobs) that unit tests rarely reach.  The
+cluster machine also scores every state it reaches through
+``Network.forward(x, shared=)``: the grouped node snapshot and the
+weight-row sums cached per allocation against the plain forward.
 """
 
 import copy
@@ -18,20 +21,36 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.check import sanitize
+from repro.core.state import StateEncoder
+from repro.nn import layers
+from repro.nn.network import build_dras_network
 from repro.sim.cluster import Cluster
 from repro.sim.job import ExecMode, Job, JobState
 from repro.sim.queue import WaitQueue
+from tests.conftest import with_node_rows
 
-NODES = 16
+NODES = 40
+WINDOW = 4
 
 
 class ClusterMachine(RuleBasedStateMachine):
-    """Random allocate/release/fail/repair sequences on a 16-node cluster.
+    """Random allocate/release/fail/repair sequences on a 40-node cluster.
 
     Walltimes and repair delays come from a few round values so that
     groups tie on their release time, and the clock moves in steps that
-    carry it past estimates and expected repairs.
+    carry it past estimates and expected repairs.  A killed job may be
+    restarted later — the same ``Job``, the same id, whatever nodes are
+    lowest then.  Two small DRAS networks (a DQL-style head of 2 rows, a
+    PG-style one of ``2W``) score every state, with ``GROUP`` nodes
+    enough for a group so that cached groups, jobs too small for one and
+    down nodes all occur.  The networks may look away for some steps
+    (``blink``), as an agent does that is not asked at every event: what
+    they cached must not be served to a later allocation that merely
+    resembles the old one.
     """
+
+    GROUP = 2
 
     WALLTIMES = st.sampled_from([5.0, 10.0, 10.0, 40.0, 160.0])
 
@@ -39,8 +58,21 @@ class ClusterMachine(RuleBasedStateMachine):
         super().__init__()
         self.cluster = Cluster(NODES, sanitize=True)
         self.running: dict[int, Job] = {}
+        self.killed: list[Job] = []
         self.down: set[int] = set()
         self.clock = 0.0
+        self.encoder = StateEncoder(NODES, WINDOW, time_scale=100.0)
+        rng = np.random.default_rng(0)
+        #: head rows k -> (network over k + NODES rows, a batch of heads)
+        self.scored = {
+            k: (build_dras_network(k + NODES, 8, 4, WINDOW, rng=rng),
+                rng.normal(size=(3, k, 2)))
+            for k in (2, 2 * WINDOW)}
+        self.watching = True
+        self.shipped_group, layers.MIN_GROUP_ROWS = layers.MIN_GROUP_ROWS, self.GROUP
+
+    def teardown(self) -> None:
+        layers.MIN_GROUP_ROWS = self.shipped_group
 
     @rule(size=st.integers(1, NODES), walltime=WALLTIMES)
     def allocate(self, size: int, walltime: float) -> None:
@@ -67,13 +99,28 @@ class ClusterMachine(RuleBasedStateMachine):
         self.cluster.release(job)
 
     @precondition(lambda self: self.running)
-    @rule(data=st.data())
-    def release_killed(self, data) -> None:
+    @rule(data=st.data(), requeue=st.booleans())
+    def release_killed(self, data, requeue: bool) -> None:
         job_id = data.draw(st.sampled_from(sorted(self.running)))
         job = self.running.pop(job_id)
         held = self.cluster.nodes_of(job_id)
         nodes = self.cluster.release_killed(job, self.clock)
         assert sorted(nodes) == sorted(held)
+        job.mark_killed(self.clock, requeue=requeue)
+        if requeue:
+            self.killed.append(job)
+
+    @precondition(lambda self: any(
+        j.size <= self.cluster.available_nodes for j in self.killed))
+    @rule(data=st.data())
+    def restart(self, data) -> None:
+        """A requeued job runs again: its old id, the nodes free now."""
+        job = data.draw(st.sampled_from(
+            [j for j in self.killed if j.size <= self.cluster.available_nodes]))
+        self.killed.remove(job)
+        self.cluster.allocate(job, self.clock)
+        job.mark_started(self.clock, ExecMode.READY)
+        self.running[job.job_id] = job
 
     def _free_nodes(self) -> list[int]:
         return np.flatnonzero(self.cluster._job_of == -1).tolist()
@@ -110,11 +157,16 @@ class ClusterMachine(RuleBasedStateMachine):
     def reset(self) -> None:
         self.cluster.reset()
         self.running.clear()
+        self.killed.clear()
         self.down.clear()
 
     @rule(dt=st.sampled_from([0.5, 5.0, 10.0, 100.0]))
     def advance(self, dt: float) -> None:
         self.clock += dt
+
+    @rule()
+    def blink(self) -> None:
+        self.watching = not self.watching
 
     @invariant()
     def accounting_consistent(self) -> None:
@@ -132,6 +184,27 @@ class ClusterMachine(RuleBasedStateMachine):
         assert int(state[:, 0].sum()) == self.cluster.available_nodes
         # busy nodes expose non-negative availability horizons
         assert (state[:, 1] >= 0).all()
+
+    @invariant()
+    def grouped_forward_is_the_plain_one(self) -> None:
+        """The snapshot expands to the node rows; scoring it is scoring them.
+
+        And the sums a layer keeps are of the allocations the cluster
+        holds now, within the bound on their number.
+        """
+        groups = self.encoder.node_groups(self.cluster, self.clock)
+        block = self.encoder.node_rows(self.cluster, self.clock)
+        assert np.array_equal(groups.expand(NODES), block)
+        assert [len(nodes) for nodes in groups.nodes] \
+            == [j.size for j in self.running.values() if j.size >= self.GROUP]
+        live = {id(nodes) for nodes in groups.nodes}
+        for k, (net, heads) in self.scored.items() if self.watching else ():
+            sanitize.check_shared_forward(
+                net.forward(heads, shared=groups),
+                net.forward(with_node_rows(heads, block)))
+            fc1 = net.layers[1]
+            assert set(fc1._sums) - {None} == live
+            assert len(fc1._sums) <= 1 + NODES // self.GROUP
 
     @invariant()
     def queries_match_brute_force(self) -> None:
