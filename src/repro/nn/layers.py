@@ -14,15 +14,15 @@ import numpy as np
 #: Elements per row block of a :class:`Dense` weight.  The draw makes one
 #: ``rng.normal`` call per block, each rounded into the weight as it is
 #: stored (512 KiB of draws live); a group sum adds a block's rows in the
-#: weight's precision and the blocks in double.
+#: weight's precision, kept per weight version, and the blocks in double.
 _ROW_BLOCK = 65536
 
 #: Fewest rows a group of :meth:`Dense.forward_shared` may have.  Groups
 #: are disjoint, so their float64 sums stay within 1/8 of the bytes of
 #: the float32 rows they sum.  Frozen DRAS-PG episodes, ms at 2 / 8 / 16 /
-#: 32 / 128 / no grouping: 64 nodes 149 / 140 / 133 / 131 / 134 / 133;
-#: 256 nodes 166 / 162 / 156 / 157 / 147 / 148; 1,024 nodes (jobs from 30
-#: nodes up) 223 / 217 / 217 / 330 / 336 / 319.  Theta's smallest is 128.
+#: 32 / 128 / no grouping: 64 nodes 126 / 124 / 115 / 111 / 114 / 115;
+#: 256 nodes 160 / 145 / 146 / 141 / 136 / 135; 1,024 nodes (jobs from 30
+#: nodes up) 199 / 189 / 201 / 303 / 296 / 296.  Theta's smallest is 128.
 MIN_GROUP_ROWS = 16
 
 
@@ -151,7 +151,9 @@ class Dense(Layer):
         self.weight = Parameter(f"{name}.weight", weight)
         self.bias = Parameter(f"{name}.bias", np.zeros(out_features, dtype)) if bias else None
         self._x: np.ndarray | None = None
-        # forward_shared's sums at _stamp: id(group) -> (group, sum); None: all
+        # forward_shared's state at _stamp = (weight.version, k): the block
+        # sums of W[k:], and id(group) -> (group, sum); None: all rows
+        self._blocks: np.ndarray | None = None
         self._sums: dict[int | None, tuple[np.ndarray | None, np.ndarray]] = {}
         self._stamp: tuple[int, int] | None = None
 
@@ -185,14 +187,16 @@ class Dense(Layer):
         place of one per node.  The sums are cached here, keyed by the
         group's index array (the object: the cache holds it, so nothing
         else can take its identity, and a hit is checked to be it),
-        dropped when a call no longer names the group, and all dropped
+        dropped when a call no longer names the group, and all dropped,
+        with the block table they are read from (:meth:`_row_sum`),
         when ``weight.version`` or ``k`` is not the one they were built
-        at.  A group has ``MIN_GROUP_ROWS`` nodes or more (which bounds
-        the cache); whatever is smaller comes in ``lone``, whose nodes
-        form the residual ``Σ_s (y[1 + G + s] − y[0])·W[k + lone[s]]``:
-        skipped when empty, else a product over the gathered rows or,
-        when that moves more bytes (a gathered row is read, written and
-        read again), one GEMV over ``W[k:]``.  Same function as
+        at.  A group is ``MIN_GROUP_ROWS`` or more increasing nodes
+        (which bounds the cache); whatever is smaller comes in
+        ``lone``, whose nodes form the residual
+        ``Σ_s (y[1 + G + s] − y[0])·W[k + lone[s]]``: skipped when
+        empty, else a product over the gathered rows or, when that
+        moves more bytes (a gathered row is read, written and read
+        again), one GEMV over ``W[k:]``.  Same function as
         :meth:`forward` on the concatenated input up to float
         reassociation.  Inference only: the backward cache is cleared,
         so a following :meth:`backward` raises rather than
@@ -207,24 +211,31 @@ class Dense(Layer):
                 f"{lone.size} of {weight.shape[0]} - k nodes, got {head.shape} + {y.shape}")
         self._x = None
         stamp = (self.weight.version, k)
-        old = self._sums if self._stamp == stamp else {}
-        total = old.get(None) or (None, self._row_sum(np.arange(k, k + n)))
-        kept, sums = {None: total}, []
+        if self._stamp != stamp:
+            step = max(1, _ROW_BLOCK // weight.shape[1])
+            self._blocks = np.empty((n // step, weight.shape[1]), weight.dtype)
+            for j, block in enumerate(self._blocks):
+                weight[k + j * step:k + (j + 1) * step].sum(axis=0, out=block)
+            self._stamp = stamp
+            self._sums = {None: (None, self._row_sum(np.arange(n), k))}
+        old = self._sums
+        kept, sums = {None: old[None]}, []
         for g, nodes in enumerate(groups):
             entry = old.get(id(nodes))
             # a copied or unpickled cache is keyed by another object's id
             if entry is None or entry[0] is not nodes:
-                if nodes.size < MIN_GROUP_ROWS or not 0 <= nodes.min() <= nodes.max() < n:
-                    raise ValueError(
-                        f"group {g} is not {MIN_GROUP_ROWS} or more of the nodes 0..{n - 1}")
-                entry = (nodes, self._row_sum(k + nodes))
+                if nodes.size < MIN_GROUP_ROWS or not (
+                        0 <= nodes[0] and nodes[-1] < n and np.all(nodes[1:] > nodes[:-1])):
+                    raise ValueError(f"group {g} is not {MIN_GROUP_ROWS} or more "
+                                     f"increasing nodes of 0..{n - 1}")
+                entry = (nodes, self._row_sum(nodes, k))
             kept[id(nodes)] = entry
             sums.append(entry[1])
-        self._stamp, self._sums = stamp, kept
+        self._sums = kept
         # in double the differences of two float32 are exact
         free = float(y[0])
         delta = y[1:].astype(np.float64) - free
-        common = free * total[1]
+        common = free * kept[None][1]
         if sums:
             common += delta[:len(sums)] @ np.array(sums)
         out = head @ weight[:k]
@@ -239,25 +250,39 @@ class Dense(Layer):
             out += self.bias.value
         return out
 
-    def _row_sum(self, rows: np.ndarray) -> np.ndarray:
-        """Sum of the weight rows ``rows``, in double precision.
+    def _row_sum(self, nodes: np.ndarray, k: int) -> np.ndarray:
+        """Sum of the weight rows ``k + nodes``, in double precision.
 
-        Taken run by run of consecutive rows — a slice, where a gather
-        would copy — and within a run block by block: a block's rows
-        add up in the weight's precision, the blocks in double.  A
-        4,360-row float32 sum is off by 1e-5, enough to flip a near-tied
-        argmax; blocks of 16 rows hold it to 5e-7, twice the rounding
-        of a float32 result, at the float32 sum's speed (a float64
-        ``sum(axis=0)`` casts through a buffer: 2.5x slower).
+        ``_blocks`` row ``j`` is the sum of the rows ``[j·step, (j +
+        1)·step)`` of ``W[k:]`` (``step = _ROW_BLOCK // out``) in the
+        weight's precision, one per whole block.  Each run of
+        consecutive nodes adds in double, in order, its rows before its
+        first whole block, the table rows of its whole blocks and its
+        rows after the last: at most ``2·step − 2`` weight rows read,
+        not the run's.  A run that starts on a block edge therefore
+        adds exactly the blocks it adds when summed from its own first
+        row: the sum of all rows is every table row in order, then the
+        short last block.  A 4,360-row float32 sum is off by 1e-5,
+        enough to flip a near-tied argmax; blocks of 16 rows hold it to
+        5e-7, twice the rounding of a float32 result, at the float32
+        sum's speed (a float64 ``sum(axis=0)`` casts through a buffer:
+        2.5x slower).
         """
-        weight = self.weight.value
-        step = max(1, _ROW_BLOCK // weight.shape[1])
-        out = np.zeros(weight.shape[1], dtype=np.float64)
-        cuts = np.flatnonzero(np.diff(rows) != 1) + 1
-        for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), rows.size]):
-            first, last = int(rows[lo]), int(rows[hi - 1]) + 1
-            for at in range(first, last, step):
-                out += weight[at:min(at + step, last)].sum(axis=0)
+        rows, blocks = self.weight.value[k:], self._blocks
+        step = max(1, _ROW_BLOCK // rows.shape[1])
+        out = np.zeros(rows.shape[1], dtype=np.float64)
+        cuts = np.flatnonzero(np.diff(nodes) != 1) + 1
+        for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), nodes.size]):
+            first, last = int(nodes[lo]), int(nodes[hi - 1]) + 1
+            a, b = -(-first // step), last // step     # the run's whole blocks
+            head = min(a * step, last)
+            tail = max(b * step, head)
+            if first < head:
+                out += rows[first:head].sum(axis=0)
+            for block in blocks[a:b]:
+                out += block
+            if tail < last:
+                out += rows[tail:last].sum(axis=0)
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:

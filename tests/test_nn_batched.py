@@ -29,6 +29,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.check import sanitize
 from repro.check.sanitize import SanitizerError
@@ -122,6 +124,52 @@ def grouped(rng, n: int, sizes=(3, 2), lone: int = 2) -> NodeGroups:
     return NodeGroups(rows, nodes, np.sort(order[cuts[-1]:cuts[-1] + lone]))
 
 
+#: a first layer this wide sums its rows in blocks of 16, as Theta's does
+STEP = 16
+WIDE = layers._ROW_BLOCK // STEP
+
+
+def row_sum_per_run(weight, rows):
+    """Sum of ``weight[rows]`` the way ``Dense._row_sum`` took it before
+    the block table: each run of consecutive rows block by block from
+    its own first row.  The oracle the table reproduces bit for bit on
+    the grid."""
+    step = max(1, layers._ROW_BLOCK // weight.shape[1])
+    out = np.zeros(weight.shape[1], dtype=np.float64)
+    cuts = np.flatnonzero(np.diff(rows) != 1) + 1
+    for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), rows.size]):
+        first, last = int(rows[lo]), int(rows[hi - 1]) + 1
+        for at in range(first, last, step):
+            out += weight[at:min(at + step, last)].sum(axis=0)
+    return out
+
+
+def block_table(weight, k):
+    """What ``Dense._blocks`` holds for ``weight`` at ``k`` head rows."""
+    step = max(1, layers._ROW_BLOCK // weight.shape[1])
+    return np.array([weight[at:at + step].sum(axis=0)
+                     for at in range(k, len(weight) - step + 1, step)])
+
+
+def runs_of(nodes):
+    """``nodes`` cut into runs of consecutive values."""
+    return np.split(nodes, np.flatnonzero(np.diff(nodes) != 1) + 1)
+
+
+@st.composite
+def node_sets(draw, n):
+    """Sorted nodes of ``0..n-1``: the union of a few runs, each from a
+    block edge or not, shorter than a block or not, or to the end."""
+    nodes = set()
+    for _ in range(draw(st.integers(1, 4))):
+        start = draw(st.integers(0, (n - 1) // STEP)) * STEP \
+            + draw(st.one_of(st.just(0), st.integers(0, STEP - 1)))
+        length = draw(st.one_of(st.integers(1, STEP - 1),
+                                st.integers(STEP, 3 * STEP), st.just(n)))
+        nodes.update(range(min(start, n - 1), min(start + length, n)))
+    return np.array(sorted(nodes))
+
+
 @pytest.fixture
 def pairs_are_groups(monkeypatch):
     """Let two nodes be a group, so that a 12-row network has some."""
@@ -209,6 +257,8 @@ class TestSharedForward:
         ([8, 9, 10], [], ValueError),       # a group past the last node
         ([4], [], ValueError),              # a group below MIN_GROUP_ROWS
         ([4, 5], [10], IndexError),         # a lone node past the last
+        ([5, 4], [], ValueError),           # a group out of order
+        ([4, 4], [], ValueError),           # a node twice in a group
     ])
     def test_nodes_outside_the_network_rejected(self, nodes, lone, error):
         shared = NodeGroups(np.zeros((2 + len(lone), 2)), (np.array(nodes),),
@@ -257,59 +307,87 @@ class TestSharedForward:
         assert np.array_equal(net.forward(x, shared=shared), dark)
 
     def test_sanitizer_catches_wrong_slice(self, monkeypatch):
-        """A sum that skips a row of every run trips ``shared-forward``."""
-        whole = Dense._row_sum
-        monkeypatch.setattr(Dense, "_row_sum",
-                            lambda self, rows: whole(self, rows[1:]))
-        net = small_network()
+        """A group sum that reads one table row off by a block trips
+        ``shared-forward``; dark, nothing checks it."""
         rng = np.random.default_rng(14)
-        x, shared = rng.normal(size=(5, 2, 2)), grouped(rng, ROWS - 2)
+        net = build_dras_network(2 + 62, WIDE, H2, 1, rng=rng, dtype=np.float64)
+        x = rng.normal(size=(5, 2, 2))
+
+        def snapshot():     # new arrays: every group sum is built again
+            return NodeGroups(np.array([[1.0, 0.0], [0.0, 0.3], [0.0, 0.7]]),
+                              (np.arange(16, 40), np.arange(44, 62)), np.arange(0))
+
         monkeypatch.setattr(sanitize, "_FORCED", False)
-        net.forward(x, shared=shared)  # dark: nothing checks it
+        net.forward(x, shared=snapshot())
+        blocks = net.layers[1]._blocks
+        blocks[1] = blocks[2]               # row 1 holds block 2's sum
+        net.forward(x, shared=snapshot())
         monkeypatch.setattr(sanitize, "_FORCED", True)
-        net.layers[1].weight.version += 1   # the dark pass cached the bad sum
         with pytest.raises(SanitizerError, match="shared-forward"):
-            net.forward(x, shared=shared)
+            net.forward(x, shared=snapshot())
 
     @pytest.mark.parametrize("writer", ["adam", "load_state_dict"])
     def test_result_follows_the_weights(self, writer, monkeypatch):
-        """Both writers of a weight drop the sums cached from the old one.
+        """Both writers of a weight drop the block table and the sums read
+        from it, and so does a call at another ``k``.
 
-        The mutant that writes without counting keeps serving them: dark
-        it returns the stale scores, sanitized it raises.
+        The mutants — a write without counting, a table stamped on the
+        version alone — keep serving the old ones: dark they return
+        stale scores, sanitized they raise.
         """
         monkeypatch.setattr(sanitize, "_FORCED", False)
         rng = np.random.default_rng(15)
-        net = build_dras_network(2 + 62, H1, H2, 1, rng=rng, dtype=np.float64)
+        net = build_dras_network(2 + 62, WIDE, H2, 1, rng=rng, dtype=np.float64)
+        fc1 = net.layers[1]
         x, shared = rng.normal(size=(5, 2, 2)), grouped(rng, 62, sizes=(30, 20))
-        full = materialise(x, shared, 62)
+        x8, shared8 = rng.normal(size=(5, 8, 2)), grouped(rng, 56, sizes=(30, 20))
         opt = Adam(net.parameters(), lr=0.1)
 
         def write():
             if writer == "adam":
-                net.backward(np.ones_like(net.forward(full)))
+                net.backward(np.ones_like(net.forward(materialise(x, shared, 62))))
                 opt.step()
             else:
                 net.load_state_dict(
                     {k: v + 0.1 for k, v in net.state_dict().items()})
 
-        before = net.forward(x, shared=shared)
-        assert len(net.layers[1]._sums) == 3
+        def off_plain(x, shared):
+            """Scores of ``shared=`` and how far they are from the plain ones."""
+            k = x.shape[1]
+            out = net.forward(x, shared=shared)
+            return out, np.max(np.abs(out - net.forward(materialise(x, shared, 64 - k))))
+
+        def table_is_of_the_weight(k):
+            return np.array_equal(fc1._blocks, block_table(fc1.weight.value, k))
+
+        def served_stale(x, shared):
+            """Dark: scores off the plain ones, read from an old table;
+            sanitized: a raise."""
+            _, off = off_plain(x, shared)
+            assert off > 1e-3 and not table_is_of_the_weight(x.shape[1])
+            monkeypatch.setattr(sanitize, "_FORCED", True)
+            with pytest.raises(SanitizerError, match="shared-forward"):
+                net.forward(x, shared=shared)
+            monkeypatch.setattr(sanitize, "_FORCED", False)
+
+        before, _ = off_plain(x, shared)
+        assert len(fc1._sums) == 3 and table_is_of_the_weight(2)
         write()
-        after = net.forward(x, shared=shared)
+        after, off = off_plain(x, shared)
         assert np.max(np.abs(after - before)) > 1e-3
-        np.testing.assert_allclose(after, net.forward(full), rtol=0,
-                                   atol=reassociation_atol(np.float64))
-        # the mutant: the same write with the count put back
-        fc1 = net.layers[1].weight
-        version = fc1.version
+        assert off <= reassociation_atol(np.float64) and table_is_of_the_weight(2)
+        _, off = off_plain(x8, shared8)   # another k, the same weight
+        assert off <= reassociation_atol(np.float64) and table_is_of_the_weight(8)
+        # the mutants: a table stamped on the version alone (built at
+        # k = 2, asked at k = 8), and a write with the count put back
+        net.forward(x, shared=shared)
+        fc1._stamp = (fc1.weight.version, 8)
+        served_stale(x8, shared8)
+        net.forward(x, shared=shared)
+        version = fc1.weight.version
         write()
-        fc1.version = version
-        stale = net.forward(x, shared=shared)
-        assert np.max(np.abs(stale - net.forward(full))) > 1e-3
-        monkeypatch.setattr(sanitize, "_FORCED", True)
-        with pytest.raises(SanitizerError, match="shared-forward"):
-            net.forward(x, shared=shared)
+        fc1.weight.version = version
+        served_stale(x, shared)
 
     def test_one_span_with_the_head_shape(self, tmp_path):
         """Traced and profiled, a shared forward is still one ``nn.forward``."""
@@ -332,6 +410,38 @@ class TestSharedForward:
         assert spans[0]["shape"] == [5, 2, 2]
         flat = {e.name: e for e in profiler.flat()}
         assert flat["nn.forward"].calls == 1
+
+
+class TestBlockTable:
+    """``Dense._row_sum`` reads whole blocks from ``_blocks``: against
+    exact sums, and bit for bit against the per-run sum on the grid."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.sampled_from([2, 2 * TestSharedForward.WINDOW]),
+           n=st.integers(2 * STEP + 1, 5 * STEP), data=st.data(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_table_sum_against_exact_and_per_run(self, k, n, data, seed):
+        fc1 = Dense(k + n, WIDE, bias=False, rng=np.random.default_rng(seed),
+                    dtype=np.float32)
+        fc1.forward_shared(np.zeros((1, k), np.float32), np.ones(1, np.float32),
+                           (), np.arange(0))
+        weight = fc1.weight.value
+        assert np.array_equal(fc1._blocks, block_table(weight, k))
+        assert np.array_equal(fc1._sums[None][1],
+                              row_sum_per_run(weight, np.arange(k, k + n)))
+        nodes = data.draw(node_sets(n))
+        got = fc1._row_sum(nodes, k)
+        exact = weight[k + nodes].astype(np.float64).sum(axis=0)
+        np.testing.assert_allclose(
+            got, exact, rtol=0,
+            atol=reassociation_atol(np.float32) * max(1.0, np.max(np.abs(exact))))
+        runs = runs_of(nodes)
+        if all(run[0] % STEP == 0 for run in runs):
+            assert np.array_equal(got, row_sum_per_run(weight, k + nodes))
+        for run in runs:
+            if run[0] % STEP == 0:
+                assert np.array_equal(fc1._row_sum(run, k),
+                                      row_sum_per_run(weight, k + run))
 
 
 class TestGradcheckParity:

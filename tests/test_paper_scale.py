@@ -60,10 +60,16 @@ def large_arrays(agent):
 
     Walks the parameters, the optimizer and the layers; every array met
     on the way, large or not, must be float32, and every value, gradient
-    and moment C-contiguous.
+    and moment C-contiguous.  A layer's block table (``Dense._blocks``,
+    which shared forwards read the first layer's row sums from) is
+    ``blocks``, and holds at most 1/16 of the bytes of its weight.
     """
     opt = agent.optimizer
     roles = {}
+    for layer in agent.network.layers:
+        if getattr(layer, "_blocks", None) is not None:
+            assert layer._blocks.nbytes <= layer.weight.value.nbytes // 16
+            roles[id(layer._blocks)] = f"blocks {layer.weight.name}"
     for i, p in enumerate(opt.params):
         per_param = {"value": p.value, "grad": p.grad,
                      "m": opt._m and opt._m[i], "v": opt._v and opt._v[i]}
@@ -141,7 +147,8 @@ class TestFullSizeTheta:
         theta_agent.eval(online_learning=False)
         _, peak = traced_peak(lambda: short_episode(theta_agent))
         assert peak < 16 * MIB
-        assert large_arrays(theta_agent) == [f"value {m}" for m in MATRICES]
+        assert large_arrays(theta_agent) == sorted(
+            ["blocks fc1.weight", *(f"value {m}" for m in MATRICES)])
         assert all(p.grad is None for p in theta_agent.network.parameters())
         opt = theta_agent.optimizer
         assert opt._m is None and opt._v is None
@@ -161,10 +168,11 @@ class TestFullSizeTheta:
         assert theta_agent.updates_done > 0
         assert not np.allclose(before, after)
         # the only parameter-sized buffers the update left behind are
-        # value, grad, m and v, all in the network's dtype
+        # value, grad, m and v, all in the network's dtype (and fc1's
+        # block table, 1/16 of it)
         assert large_arrays(theta_agent) == sorted(
-            f"{role} {m}" for role in ("value", "grad", "m", "v")
-            for m in MATRICES)
+            ["blocks fc1.weight", *(f"{role} {m}" for m in MATRICES
+                                    for role in ("value", "grad", "m", "v"))])
         assert sum(a.nbytes for a in theta_agent.optimizer._scratch) <= MIB
 
 

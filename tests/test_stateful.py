@@ -190,7 +190,8 @@ class ClusterMachine(RuleBasedStateMachine):
         """The snapshot expands to the node rows; scoring it is scoring them.
 
         And the sums a layer keeps are of the allocations the cluster
-        holds now, within the bound on their number.
+        holds now, within the bound on their number, and its block table
+        within 1/16 of the weight.
         """
         groups = self.encoder.node_groups(self.cluster, self.clock)
         block = self.encoder.node_rows(self.cluster, self.clock)
@@ -205,6 +206,7 @@ class ClusterMachine(RuleBasedStateMachine):
             fc1 = net.layers[1]
             assert set(fc1._sums) - {None} == live
             assert len(fc1._sums) <= 1 + NODES // self.GROUP
+            assert fc1._blocks.nbytes <= fc1.weight.value.nbytes // 16
 
     @invariant()
     def queries_match_brute_force(self) -> None:
