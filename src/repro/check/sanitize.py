@@ -18,9 +18,9 @@ fail loud and early instead of producing a silently-corrupt trajectory.
 Checked invariants
 ------------------
 * **node conservation** — after every allocate/release/fail/repair:
-  ``used + free + down == total``, allocation table sizes match the
-  busy-node count, and the set of job ids on nodes equals the
-  allocation table;
+  ``used + free + down == total``, and every allocation owns its data
+  (no view pinning a free list), is strictly increasing and names only
+  nodes marked with its job, together covering every busy node;
 * **release index** — after the same mutations: the cluster's
   release-time index, expanded to one time per node, equals the release
   times recomputed from the per-node arrays (mask, gather, sort — the
@@ -109,7 +109,8 @@ def check_node_conservation(cluster: "Cluster", context: str = "") -> None:
     Without faults ``down`` is zero, reducing to the classic
     ``used + free == total`` conservation law.  ``used`` and ``down``
     are recounted from the per-node array, so the cluster's cached
-    free/down counts are cross-checked rather than trusted.
+    free/down counts are cross-checked rather than trusted.  Each
+    allocation is checked on its own (``O(N + busy)`` in all).
     """
     total = cluster.num_nodes
     free = cluster.available_nodes
@@ -128,20 +129,29 @@ def check_node_conservation(cluster: "Cluster", context: str = "") -> None:
             f"used ({used}) + free ({free}) + down ({down}) != "
             f"total ({total}){where}",
         )
-    allocated = sum(len(nodes) for nodes in cluster._alloc.values())
-    if allocated != used:
+    # every allocation at once, each node tagged with the job holding it:
+    # one NumPy pass over the busy nodes, not a few calls per job
+    table = cluster._alloc
+    views = [job_id for job_id, nodes in table.items() if nodes.base is not None]
+    held = np.concatenate([np.empty(0, np.int64), *table.values()])
+    owner = np.repeat(
+        np.fromiter(table, np.int64, len(table)),
+        np.fromiter((nodes.size for nodes in table.values()), np.int64, len(table)))
+    unordered = owner[1:][(owner[1:] == owner[:-1]) & (held[1:] <= held[:-1])]
+    misplaced = owner[cluster._job_of[held] != owner]
+    for jobs, problem in ((views, "is a view that keeps another array alive"),
+                          (unordered, "is not strictly increasing"),
+                          (misplaced, "holds nodes marked with another job")):
+        if len(jobs):
+            _fail("node-conservation",
+                  f"the allocation of job {jobs[0]} {problem}{where}")
+    # allocations are disjoint (each node names its job) and non-empty, so
+    # covering ``used`` nodes means covering every busy node
+    if held.size != used:
         _fail(
             "node-conservation",
-            f"allocation table covers {allocated} nodes but {used} nodes "
+            f"allocation table covers {held.size} nodes but {used} nodes "
             f"are marked busy{where}",
-        )
-    on_nodes = {int(j) for j in cluster._job_of if j >= 0}
-    in_table = set(cluster._alloc.keys())
-    if on_nodes != in_table:
-        _fail(
-            "node-conservation",
-            f"jobs on nodes {sorted(on_nodes)} != allocation table "
-            f"{sorted(in_table)}{where}",
         )
 
 

@@ -41,6 +41,13 @@ class Cluster:
     lowest-indexed free nodes, which matches the level of detail of the
     paper's simulator.
 
+    Allocation table.  ``_alloc`` maps each running job to its node
+    indices: a fresh object owning exactly the job's nodes (``base`` is
+    ``None``, ``job.size`` elements, strictly increasing), never a view
+    of the free list it was cut from and never written, so a running job
+    costs ``8 * job.size`` bytes and nothing else.  The node-conservation
+    sanitizer checks each entry.
+
     Release-time index.  ``_rel_times`` / ``_rel_sizes`` / ``_rel_keys``
     hold, in their first ``_rel_n`` slots, one entry per release group:
     the time its nodes are expected to come free (unclipped: a job
@@ -190,9 +197,10 @@ class Cluster:
         ``lone[s]``; a node in neither is free.  ``allocations`` are the
         node-index arrays of the running jobs of ``min_size`` nodes or
         more — the arrays :meth:`allocate` stored, each a fresh object
-        that is never written, so *which array* names the allocation (a
-        killed job that restarts elsewhere under its old id is a new
-        one).  Read-only: callers must not write them.  ``lone`` lists
+        owning exactly the job's nodes and never written, so *which
+        array* names the allocation (a killed job that restarts
+        elsewhere under its old id is a new one).  Read-only: callers
+        must not write them.  ``lone`` lists
         every other busy node and every down node, one row each.
         """
         allocations = [nodes for nodes in self._alloc.values()
@@ -337,7 +345,9 @@ class Cluster:
             raise RuntimeError(
                 f"job {job.job_id} needs {job.size} nodes, only {free_idx.size} free"
             )
-        chosen = free_idx[: job.size]
+        # a copy: a slice would keep the whole free list alive while the
+        # job runs
+        chosen = free_idx[: job.size].copy()
         est_release = now + job.walltime
         self._job_of[chosen] = job.job_id
         self._avail_at[chosen] = est_release

@@ -64,6 +64,12 @@ def with_node_rows(heads: np.ndarray, block: np.ndarray) -> np.ndarray:
         [heads, np.broadcast_to(block, (len(heads),) + block.shape)], axis=1)
 
 
+def alloc_bytes(cluster: Cluster) -> int:
+    """Bytes the allocation table keeps alive: a view counts its base."""
+    return sum((nodes if nodes.base is None else nodes.base).nbytes
+               for nodes in cluster._alloc.values())
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)

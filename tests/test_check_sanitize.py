@@ -41,6 +41,25 @@ def make_job(job_id, size=2, submit=0.0, runtime=100.0):
                runtime=runtime, submit_time=submit)
 
 
+class SlicedCluster(Cluster):
+    """A mutant whose allocation table holds slices of the free list.
+
+    Same nodes, same counts, same release index: only the stored arrays
+    are views, each keeping the whole free list it was cut from alive.
+    """
+
+    def allocate(self, job, now):
+        chosen = np.flatnonzero(self._job_of == -1)[:job.size]
+        self._job_of[chosen] = job.job_id
+        self._avail_at[chosen] = now + job.walltime
+        self._alloc[job.job_id] = chosen
+        self._free_count -= job.size
+        self._index_add(now + job.walltime, job.size, job.job_id)
+        if self.sanitize_active:
+            sanitize.check_cluster(self, f"allocate(job {job.job_id})")
+        return chosen.copy()
+
+
 class TestActivation:
     def test_env_var_enables(self, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "1")
@@ -115,6 +134,32 @@ class TestClusterInvariants:
         # conservation sum trips before the allocation-table check
         with pytest.raises(SanitizerError, match="node-conservation"):
             cluster.release(job)
+
+    def test_allocation_sliced_from_the_free_list_raises(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        with pytest.raises(SanitizerError, match="job 1 is a view"):
+            SlicedCluster(8).allocate(make_job(1, size=3), 0.0)
+
+    def test_allocation_sliced_from_the_free_list_silent_when_disabled(
+            self, sanitizer_off):
+        cluster = SlicedCluster(8)
+        first = make_job(1, size=3)
+        cluster.allocate(first, 0.0)
+        cluster.allocate(make_job(2, size=2), 1.0)
+        cluster.release(first)
+        assert cluster._alloc[2].base is not None   # no error, still a view
+
+    @pytest.mark.parametrize("tamper, problem", [
+        (lambda nodes: nodes[::-1].copy(), "not strictly increasing"),
+        (lambda nodes: nodes + 4, "marked with another job"),
+    ])
+    def test_misshapen_allocation_raises(self, tamper, problem):
+        cluster = Cluster(8, sanitize=True)
+        cluster.allocate(make_job(1, size=3), 0.0)
+        cluster.allocate(make_job(2, size=2), 0.0)
+        cluster._alloc[1] = tamper(cluster._alloc[1])
+        with pytest.raises(SanitizerError, match=f"job 1 .*{problem}"):
+            cluster.allocate(make_job(3, size=1), 1.0)
 
     @pytest.mark.parametrize("column, delta", [
         ("_rel_times", 1.0),   # a group that releases at the wrong time

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.sim.cluster import Cluster
-from tests.conftest import make_job
+from tests.conftest import alloc_bytes, make_job
 
 
 class TestBasics:
@@ -63,6 +63,29 @@ class TestAllocation:
         cluster.release(a)
         b = make_job(size=8)
         assert len(cluster.allocate(b, now=1.0)) == 8
+
+    def test_table_memory_is_linear_in_busy_nodes(self):
+        """A capacity fill: each running job keeps only its own nodes.
+
+        A slice of the free list would keep the whole list alive, and
+        filling N nodes one at a time would then hold N²/2 entries.
+        """
+        n = 2048
+        cluster = Cluster(n)
+        jobs = [make_job(size=1) for _ in range(2 * n)]
+
+        def allocate(job):
+            cluster.allocate(job, now=0.0)
+            assert alloc_bytes(cluster) == 8 * cluster.used_nodes
+
+        for job in jobs[:n]:
+            allocate(job)
+        for job in jobs[:n:2]:
+            cluster.release(job)
+            assert alloc_bytes(cluster) == 8 * cluster.used_nodes
+        for job in jobs[n:n + n // 2]:
+            allocate(job)
+        assert cluster.available_nodes == 0
 
 
 class TestNodeState:

@@ -7,8 +7,10 @@ schedule end-to-end, in the paper's float32: Theta — 4,360 nodes, the
 learning episode, and Cori's 162M-parameter DRAS-PG (0.65 GB of
 weights, which is all a frozen agent holds) through one forward — that
 one only under ``REPRO_SANITIZE=1``, i.e. in CI's ``faulted`` job: it
-takes ~5 s, which tier-1 does not have.  Footprint is asserted by
-counting arrays and traced bytes, never by RSS or the clock.
+takes ~5 s, which tier-1 does not have.  A Cori-sized fill of
+one-node jobs runs the other way round: dark only, since the sanitizer
+checks the whole cluster after each of its 24k mutations.  Footprint is
+asserted by counting arrays and traced bytes, never by RSS or the clock.
 """
 
 import copy
@@ -220,6 +222,27 @@ class TestFullSizeWorkload:
         m = RunMetrics.from_result(result)
         assert m.num_jobs == 800
         assert 0.3 < m.utilization <= 1.0
+
+    @pytest.mark.skipif(
+        sanitizer_enabled(),
+        reason="the sanitizer's cluster checks are O(N) per mutation: "
+               "24k of them on 12,076 nodes")
+    def test_cori_fill_memory_is_linear_in_busy_nodes(self):
+        """Cori's 12,076 nodes filled by one-node jobs within 3 s.
+
+        Each running job holds its own node index and nothing else; one
+        that kept the free list it was cut from alive would make the
+        fill hold N²/2 indices, a traced peak of 564 MiB.
+        """
+        from repro.schedulers import FCFSEasy
+
+        n = 12_076
+        jobs = [make_job(size=1, walltime=600.0, submit=3.0 * i / n)
+                for i in range(n)]
+        result, peak = traced_peak(
+            lambda: run_simulation(n, FCFSEasy(), jobs))
+        assert all(j.state is JobState.FINISHED for j in result.jobs)
+        assert peak <= 16 * MIB
 
 
 class TestIndexedQueueAtScale:

@@ -183,6 +183,10 @@ class TestNodeGroups:
         groups = agrees(cluster, 4.0)
         assert id(old) not in fc1._sums
         assert {id(nodes) for nodes in groups.nodes} == set(fc1._sums) - {None}
+        # each allocation owns its nodes: neither pins a free list
+        new = cluster._alloc[victim.job_id]
+        assert any(nodes is new for nodes in groups.nodes)
+        assert old.base is None and new.base is None
 
     def test_down_node_is_its_own_group_until_repaired(self, scored):
         """Repaired before and after the expected time; late, it reads 0."""

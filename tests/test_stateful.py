@@ -28,7 +28,7 @@ from repro.nn.network import build_dras_network
 from repro.sim.cluster import Cluster
 from repro.sim.job import ExecMode, Job, JobState
 from repro.sim.queue import WaitQueue
-from tests.conftest import with_node_rows
+from tests.conftest import alloc_bytes, with_node_rows
 
 NODES = 40
 WINDOW = 4
@@ -177,6 +177,8 @@ class ClusterMachine(RuleBasedStateMachine):
         assert self.cluster.available_nodes == NODES - used - len(self.down)
         assert set(self.cluster.running_job_ids) == set(self.running)
         assert set(np.flatnonzero(self.cluster.down_mask)) == self.down
+        # each running job keeps its own nodes alive, not a free list
+        assert alloc_bytes(self.cluster) == 8 * used
 
     @invariant()
     def node_state_consistent(self) -> None:
