@@ -48,10 +48,6 @@ BASELINE_PATH = REPO_ROOT / "check_baseline.json"
 EXPECTED_RULE_IDS = frozenset({
     # RPR1xx determinism & correctness (per file)
     "RPR101", "RPR102", "RPR103", "RPR104", "RPR105", "RPR106", "RPR107",
-    # RPR2xx units of measure
-    "RPR201", "RPR202", "RPR203",
-    # RPR3xx static NN verification
-    "RPR301", "RPR302", "RPR303",
     # RPR4xx API contracts
     "RPR401", "RPR402", "RPR403", "RPR404",
     # RPR6xx determinism taint (effect inference)

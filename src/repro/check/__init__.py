@@ -12,16 +12,18 @@ numerically sane training:
   arguments, exact float comparisons on simulation timestamps,
   swallowed exceptions, float accumulation in set order.
   Whole-program rules see import graph, cross-module symbol resolution
-  and class hierarchy: units-of-measure checking
-  (:mod:`repro.check.units`, RPR2xx), static NN shape/parameter
-  verification (:mod:`repro.check.shapes`, RPR3xx), API-contract
-  rules (:mod:`repro.check.contracts`, RPR4xx) and determinism-taint
-  rules (:mod:`repro.check.taint`, RPR6xx — built on the
-  interprocedural effect inference of :mod:`repro.check.effects` over
-  the static call graph of :mod:`repro.check.callgraph`).
+  and class hierarchy: API-contract rules
+  (:mod:`repro.check.contracts`, RPR4xx) and determinism-taint rules
+  (:mod:`repro.check.taint`, RPR6xx — built on the interprocedural
+  effect inference of :mod:`repro.check.effects` over the static call
+  graph of :mod:`repro.check.callgraph`).
   Run everything with ``python -m repro check --strict [paths...]``.
-  Performance questions are not lint's to answer: they are measured,
-  at paper scale, by ``benchmarks/perf/``.
+  A static rule earns its place only by guarding an invariant no
+  runtime test already does: unit constants, Table III parameter
+  counts and the batched network shapes are asserted by the test
+  suite on the built objects.  Performance questions are not lint's to
+  answer either: they are measured, at paper scale, by
+  ``benchmarks/perf/``.
 * :mod:`repro.check.sanitize` — runtime assertion hooks enabled via the
   ``REPRO_SANITIZE=1`` environment variable or ``Engine(sanitize=True)``,
   verifying node conservation, event-time monotonicity, metric

@@ -25,8 +25,9 @@ rules pin the three duck-typed contracts down statically:
   :data:`SPAN_NAMES`, the documented registry (docs/observability.md);
   ad-hoc names fragment trace analysis tooling.
 
-Like the RPR3xx rules, these are anchored to the real project layout
-and yield nothing when the anchor classes are absent (scratch trees).
+RPR401 is anchored to the real project layout and yields nothing when
+``BaseScheduler`` is absent (scratch trees); the other three check
+whatever classes and calls a tree has.
 """
 
 from __future__ import annotations

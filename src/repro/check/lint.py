@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, Sequence
 
 # the rule families register themselves on import: RPR1xx lives next to
 # the framework in ``rules``, the rest in the sibling modules below
-from repro.check import contracts, shapes, taint, units  # noqa: F401
+from repro.check import contracts, taint  # noqa: F401
 from repro.check.project import ModuleInfo, ProjectModel
 from repro.check.rules import RULES, Rule
 

@@ -895,9 +895,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ignore", action="append", metavar="RULE",
                    help="skip these rules (slug or id; repeatable)")
     p.add_argument("--strict", action="store_true",
-                   help="also run the whole-program rules (RPR2xx units, "
-                        "RPR3xx NN shapes/params, RPR4xx API contracts, "
-                        "RPR6xx determinism taint)")
+                   help="also run the whole-program rules (RPR4xx API "
+                        "contracts, RPR6xx determinism taint)")
     p.add_argument("--effects-report", metavar="PATH",
                    help="write the inferred per-function effect signatures "
                         "(RNG/clock/env/IO/global-mutation) of the first "

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.schedulers import FCFSEasy
 from repro.sim.backfill import BackfillPlanner, Reservation
 from repro.sim.cluster import Cluster
-from repro.sim.engine import Engine, SchedulingView
+from repro.sim.engine import Engine, SchedulingView, run_simulation
 from tests.conftest import make_job
 
 
@@ -87,6 +87,29 @@ class TestCandidates:
         res = planner.reserve(make_job(size=6), now=0.0)
         jobs = [make_job(size=5, walltime=10.0)]  # wider than 2 free nodes
         assert planner.candidates(jobs, res, now=0.0) == []
+
+
+class TestEasyGuarantee:
+    """EASY's promise: a backfill never delays the reserved job."""
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "Reservation.extra_nodes stays frozen for the whole scheduling "
+        "instance: both 2-node backfills spend the same 2 extra nodes and "
+        "the 8-node job, reserved for t=100, starts at t=1002"))
+    def test_reserved_job_starts_by_its_shadow_time(self):
+        shadows: dict[int, float] = {}
+
+        class FirstPromise:
+            def on_reserve(self, job, now, reservation):
+                shadows.setdefault(job.job_id, reservation.shadow_time)
+
+        wide = make_job(size=8, walltime=50.0, submit=1.0)
+        jobs = [make_job(size=6, walltime=100.0, submit=0.0), wide,
+                make_job(size=2, walltime=1000.0, submit=2.0),
+                make_job(size=2, walltime=1000.0, submit=2.0)]
+        run_simulation(10, FCFSEasy(), jobs, observers=[FirstPromise()])
+        assert shadows[wide.job_id] == 100.0
+        assert wide.start_time <= shadows[wide.job_id]
 
 
 class TestViewShortcut:

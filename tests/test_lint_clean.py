@@ -4,14 +4,14 @@ Any new violation of a registered rule under ``src/repro`` fails this
 test — the per-file determinism rules (RPR1xx: global-RNG usage,
 wall-clock reads, mutable defaults, float timestamp equality, swallowed
 exceptions, set-order float accumulation) and, in the strict run, the
-whole-program families (RPR2xx units, RPR3xx NN shapes/parameters,
-RPR4xx API contracts, RPR6xx determinism taint).  Suppress intentional
-exceptions in place with ``# repro: noqa[rule]`` plus a justification
-comment.
+whole-program families (RPR4xx API contracts, RPR6xx determinism
+taint).  Suppress intentional exceptions in place with
+``# repro: noqa[rule]`` plus a justification comment.
 
 The file also pins the shape of the checker itself: one rule registry
 that the documentation, ``--list-rules`` and every suppression comment
-agree with, and no trace of the retired profile-guided perf lint.
+agree with, and no trace of the retired profile-guided perf lint or
+of the retired units (RPR2xx) and NN-shape (RPR3xx) analyzers.
 """
 
 import importlib.util
@@ -78,6 +78,12 @@ def test_documented_catalogue_is_the_registry(capsys):
 
 @pytest.mark.parametrize("module", ["flow", "perf", "hotness"])
 def test_retired_perf_lint_modules_are_gone(module):
+    assert importlib.util.find_spec(f"repro.check.{module}") is None
+
+
+@pytest.mark.parametrize("module", ["units", "shapes"])
+def test_retired_analyzer_modules_are_gone(module):
+    """Unit constants and Table III shapes are asserted at runtime instead."""
     assert importlib.util.find_spec(f"repro.check.{module}") is None
 
 

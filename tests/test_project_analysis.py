@@ -1,11 +1,11 @@
 """Tests for the whole-program analyzer (``repro.check`` v2).
 
-Covers the project model, the three project-rule families (RPR2xx
-units-of-measure, RPR3xx static NN verification, RPR4xx API contracts),
-the report/baseline machinery and the ratchet script.  The mutation
-tests copy ``src/repro`` into a tmp tree, seed one realistic bug and
-assert the analyzer catches it — including the acceptance-criteria
-seconds↔hours mix-up and the NumPy-free Table III proof.
+Covers the project model, the RPR4xx API-contract rules, the
+report/baseline machinery, the ratchet script and the NumPy-free
+promise of the static layer.  The mutation tests copy ``src/repro``
+into a tmp tree, seed one realistic bug and assert the analyzer
+catches it.  (RPR6xx has its own files: ``test_check_effects.py``,
+``test_check_callgraph.py``.)
 """
 
 from __future__ import annotations
@@ -24,17 +24,31 @@ from repro.check import LintConfig, analyze_project
 from repro.check.lint import Violation
 from repro.check.project import ProjectModel
 from repro.check import report as chk_report
-from repro.check import shapes
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"
 
-TABLE3_EXPECTED = {
-    "theta-pg": 21_890_053,
-    "theta-dql": 21_449_004,
-    "cori-pg": 161_960_053,
-    # cori-dql is checked against the formula, not the (inconsistent) paper
-    "cori-dql": 160_784_004,
+#: a scratch package whose one finding is RPR403's misspelt hook
+MISSPELT_HOOK_TREE = {
+    "pkg/__init__.py": "",
+    "pkg/obs.py": """\
+        \"\"\"A hook the engine will never call.\"\"\"
+
+        class Log:
+            \"\"\"Observer with one real and one misspelt hook.\"\"\"
+
+            def on_start(self, job, now):
+                \"\"\"A real hook.\"\"\"
+
+            def on_reserved(self, job, now, reservation):
+                \"\"\"Should be on_reserve.\"\"\"
+
+        class Sink:
+            \"\"\"Not an observer: other on_* names are its own.\"\"\"
+
+            def on_snapshot(self, record):
+                \"\"\"A live-bus sink method.\"\"\"
+        """,
 }
 
 
@@ -95,258 +109,6 @@ class TestProjectModel:
         assert "repro.core.agent.HierarchicalAgent" in subs
 
 
-class TestUnitsRules:
-    def test_seeded_seconds_hours_mixup_is_caught(self, tmp_path):
-        """Acceptance criterion: a seconds↔hours bug in a scratch module."""
-        root = write_tree(tmp_path / "scratch", {
-            "scratch/__init__.py": "",
-            "scratch/bug.py": """\
-                \"\"\"Scratch module with a seeded unit bug.\"\"\"
-
-                def total_delay(wait_seconds: float, limit_hours: float) -> float:
-                    \"\"\"Seeded bug: adds seconds to hours.\"\"\"
-                    return wait_seconds + limit_hours
-                """,
-        })
-        violations = analyze_project(root / "scratch")
-        assert "RPR201" in rule_ids(violations)
-        [v] = [v for v in violations if v.rule_id == "RPR201"]
-        assert "seconds" in v.message and "hours" in v.message
-
-    def test_unconverted_assignment_and_conversion(self, tmp_path):
-        root = write_tree(tmp_path / "scratch", {
-            "scratch/__init__.py": "",
-            "scratch/assign.py": """\
-                \"\"\"Assignments with and without conversion.\"\"\"
-
-                def bad(total_wait_seconds: float) -> float:
-                    \"\"\"Missing the /3600.\"\"\"
-                    wait_hours = total_wait_seconds
-                    return wait_hours
-
-                def good(total_wait_seconds: float) -> float:
-                    \"\"\"Proper conversion is not flagged.\"\"\"
-                    wait_hours = total_wait_seconds / 3600.0
-                    return wait_hours
-                """,
-        })
-        violations = analyze_project(root / "scratch")
-        assert [v.rule_id for v in violations] == ["RPR202"]
-        assert violations[0].line == 5
-
-    def test_aliased_conversion_constant_resolves(self, tmp_path):
-        root = write_tree(tmp_path / "scratch", {
-            "scratch/__init__.py": "",
-            "scratch/units_mod.py": "\"\"\"Local units.\"\"\"\nSPH = 3600.0\n",
-            "scratch/use.py": """\
-                \"\"\"Conversion through an imported alias.\"\"\"
-                from scratch.units_mod import SPH
-
-                def to_hours(run_seconds: float) -> float:
-                    \"\"\"Seconds -> hours through the alias.\"\"\"
-                    run_hours = run_seconds / SPH
-                    return run_hours
-                """,
-        })
-        violations = analyze_project(root / "scratch")
-        assert violations == []
-
-    def test_unit_annotation_overrides_name(self, tmp_path):
-        root = write_tree(tmp_path / "scratch", {
-            "scratch/__init__.py": "",
-            "scratch/anno.py": """\
-                \"\"\"Annotation declares the target dimension.\"\"\"
-
-                def f(span_seconds: float) -> float:
-                    \"\"\"`budget` is declared as seconds via annotation.\"\"\"
-                    budget = span_seconds  # repro: unit[seconds]
-                    return budget + span_seconds
-                """,
-        })
-        assert analyze_project(root / "scratch") == []
-
-    def test_constant_redefinition_flagged(self, tmp_path):
-        root = write_tree(tmp_path / "scratch", {
-            "scratch/__init__.py": "",
-            "scratch/dup.py": "\"\"\"Dup.\"\"\"\nSECONDS_PER_HOUR = 3600.0\n",
-        })
-        violations = analyze_project(root / "scratch")
-        assert [v.rule_id for v in violations] == ["RPR203"]
-
-    def test_noqa_suppresses_project_findings(self, tmp_path):
-        root = write_tree(tmp_path / "scratch", {
-            "scratch/__init__.py": "",
-            "scratch/sup.py": """\
-                \"\"\"Suppressed mix.\"\"\"
-
-                def f(a_seconds: float, b_hours: float) -> float:
-                    \"\"\"Intentional; suppressed in place.\"\"\"
-                    return a_seconds + b_hours  # repro: noqa[unit-mix]
-                """,
-        })
-        assert analyze_project(root / "scratch") == []
-
-    def test_select_ignore_filtering(self, tmp_path):
-        root = write_tree(tmp_path / "scratch", {
-            "scratch/__init__.py": "",
-            "scratch/dup.py": "\"\"\"Dup.\"\"\"\nSECONDS_PER_HOUR = 3600.0\n",
-        })
-        config = LintConfig().with_overrides(ignore=["unit-constant"])
-        assert analyze_project(root / "scratch", config) == []
-        config = LintConfig().with_overrides(select=["RPR201"])
-        assert analyze_project(root / "scratch", config) == []
-
-
-class TestShapesRules:
-    def test_static_table3_counts_match_paper(self):
-        project = ProjectModel.load(SRC, package="repro")
-        assert shapes.static_table3_counts(project) == TABLE3_EXPECTED
-
-    def test_shape_break_is_caught(self, mutated_src):
-        network = mutated_src / "nn" / "network.py"
-        network.write_text(network.read_text().replace(
-            "Dense(hidden1, hidden2, bias=False",
-            "Dense(hidden2, hidden1, bias=False",
-        ))
-        violations = analyze_project(mutated_src, package="repro")
-        assert "RPR301" in rule_ids(violations)
-        assert any("does not match" in v.message for v in violations)
-
-    def test_param_count_drift_is_caught(self, mutated_src):
-        config = mutated_src / "core" / "config.py"
-        config.write_text(config.read_text().replace(
-            "hidden1=4000,", "hidden1=4096,",
-        ))
-        violations = analyze_project(mutated_src, package="repro")
-        assert "RPR302" in rule_ids(violations)
-        assert any("21,890,053" in v.message for v in violations)
-
-    def test_missing_bias_changes_count(self, mutated_src):
-        network = mutated_src / "nn" / "network.py"
-        network.write_text(network.read_text().replace(
-            "Dense(hidden2, outputs, bias=True",
-            "Dense(hidden2, outputs, bias=False",
-        ))
-        violations = analyze_project(mutated_src, package="repro")
-        assert "RPR302" in rule_ids(violations)
-
-    def test_rules_inapplicable_on_scratch_trees(self, tmp_path):
-        root = write_tree(tmp_path / "scratch", {
-            "scratch/__init__.py": "",
-            "scratch/mod.py": "\"\"\"Nothing NN-ish here.\"\"\"\nX = 1\n",
-        })
-        assert analyze_project(root / "scratch") == []
-
-    def test_batched_shapes_derived(self):
-        """RPR303's interpreter carries the symbolic batch dim end to end."""
-        project = ProjectModel.load(SRC, package="repro")
-        configs = shapes.static_table3_configs(project)
-        summary = shapes.interpret_network(project, "theta-pg",
-                                           configs["theta-pg"])
-        assert summary.findings == []
-        assert summary.layers[0].in_shape == ("B", 4460, 2)
-        assert summary.layers[0].out_shape == ("B", 4460)
-        assert summary.output_shape == ("B", 50)
-        assert all(layer.out_shape[0] == "B" for layer in summary.layers)
-        assert shapes.format_shape(summary.output_shape) == "[B, 50]"
-
-    def test_two_input_form_derived(self):
-        """[B, k, 2] + N node rows reaches [B, outputs] for all four cells."""
-        project = ProjectModel.load(SRC, package="repro")
-        configs = shapes.static_table3_configs(project)
-        for cell, k, nodes in (("theta-dql", 2, 4360), ("cori-dql", 2, 12076),
-                               ("theta-pg", 100, 4360), ("cori-pg", 100, 12076)):
-            summary = shapes.interpret_network(
-                project, cell, configs[cell], split=(k, nodes))
-            assert summary.findings == []
-            assert summary.layers[0].in_shape == ("B", k, 2)
-            assert summary.layers[1].out_shape == ("B", configs[cell]["hidden1"])
-            assert summary.output_shape == ("B", configs[cell]["outputs"])
-        # one node row short: the first Dense cannot join the pieces
-        short = shapes.interpret_network(
-            project, "theta-dql", configs["theta-dql"], split=(2, 4359))
-        assert any("split 2 + 4359" in m for m in short.findings)
-
-    def test_two_input_mismatch_is_caught(self, mutated_src):
-        """Rows that are not job blocks + nodes trip RPR303, DQL and PG.
-
-        One mutated tree carries both mutants: each cell's finding names
-        its own split, so neither can stand in for the other.
-        """
-        config = mutated_src / "core" / "config.py"
-        config.write_text(config.read_text().replace(
-            "rows=2 + self.num_nodes,", "rows=4 + self.num_nodes,",
-        ).replace(
-            "rows=2 * self.window + self.num_nodes,",
-            "rows=2 * self.window + self.num_nodes + 1,",
-        ))
-        messages = [v.message for v in
-                    analyze_project(mutated_src, package="repro")
-                    if v.rule_id == "RPR303"]
-        for split in ("2 + 4360", "2 + 12076", "100 + 4360", "100 + 12076"):
-            assert any(f"split {split}" in m for m in messages), split
-
-    def test_unrouted_forward_is_caught(self, mutated_src):
-        """A network.forward outside score_window/update trips RPR303."""
-        dql = mutated_src / "core" / "dras_dql.py"
-        dql.write_text(dql.read_text().replace(
-            "return heads, nodes, self.score_window(heads, nodes)",
-            "return heads, nodes, self.network.forward(heads, nodes)[:, 0]",
-        ))
-        violations = analyze_project(mutated_src, package="repro")
-        assert "RPR303" in rule_ids(violations)
-        assert any("score_window" in v.message for v in violations)
-
-    def test_missing_score_window_is_caught(self, mutated_src):
-        """Renaming the batched entry point away trips RPR303 twice."""
-        pg = mutated_src / "core" / "dras_pg.py"
-        pg.write_text(pg.read_text().replace(
-            "def score_window", "def score_batch",
-        ).replace("self.score_window(", "self.score_batch("))
-        violations = analyze_project(mutated_src, package="repro")
-        messages = [v.message for v in violations
-                    if v.rule_id == "RPR303"]
-        assert any("defines no batched score_window" in m for m in messages)
-        assert any("forward called in score_batch()" in m for m in messages)
-
-    def test_numpy_free_proof(self, tmp_path):
-        """RPR3xx verifies 21,890,053 params with NumPy import-blocked."""
-        script = tmp_path / "proof.py"
-        script.write_text(textwrap.dedent(f"""\
-            import sys, types
-
-            class NumpyBlocker:
-                def find_spec(self, name, path=None, target=None):
-                    if name == "numpy" or name.startswith("numpy."):
-                        raise ImportError("numpy is blocked in this proof")
-                    return None
-
-            sys.meta_path.insert(0, NumpyBlocker())
-            sys.path.insert(0, {str(REPO / 'src')!r})
-            # a stub package so repro/__init__.py (which needs numpy)
-            # never executes; submodule imports resolve via __path__
-            pkg = types.ModuleType("repro")
-            pkg.__path__ = [{str(SRC)!r}]
-            sys.modules["repro"] = pkg
-
-            from repro.check import analyze_project
-            from repro.check.project import ProjectModel
-            from repro.check import shapes
-
-            project = ProjectModel.load({str(SRC)!r}, package="repro")
-            counts = shapes.static_table3_counts(project)
-            assert counts["theta-pg"] == 21_890_053, counts
-            violations = analyze_project({str(SRC)!r})
-            assert "numpy" not in sys.modules
-            print("verified", counts["theta-pg"], len(violations))
-            """), encoding="utf-8")
-        result = subprocess.run(
-            [sys.executable, str(script)], capture_output=True, text=True,
-        )
-        assert result.returncode == 0, result.stderr
-        assert "verified 21890053" in result.stdout
-
-
 class TestContractRules:
     def test_schedule_signature_drift(self, mutated_src):
         sched = mutated_src / "schedulers" / "binpacking.py"
@@ -386,30 +148,26 @@ class TestContractRules:
                    for v in violations)
 
     def test_misspelt_observer_hook(self, tmp_path):
-        root = write_tree(tmp_path / "pkg", {
-            "pkg/__init__.py": "",
-            "pkg/obs.py": """\
-                \"\"\"A hook the engine will never call.\"\"\"
-
-                class Log:
-                    \"\"\"Observer with one real and one misspelt hook.\"\"\"
-
-                    def on_start(self, job, now):
-                        \"\"\"A real hook.\"\"\"
-
-                    def on_reserved(self, job, now, reservation):
-                        \"\"\"Should be on_reserve.\"\"\"
-
-                class Sink:
-                    \"\"\"Not an observer: other on_* names are its own.\"\"\"
-
-                    def on_snapshot(self, record):
-                        \"\"\"A live-bus sink method.\"\"\"
-                """,
-        })
+        root = write_tree(tmp_path / "pkg", MISSPELT_HOOK_TREE)
         violations = analyze_project(root / "pkg")
         assert [(v.rule_id, "on_reserved" in v.message, "misspelt" in v.message)
                 for v in violations] == [("RPR403", True, True)]
+
+    def test_noqa_suppresses_project_findings(self, tmp_path):
+        files = dict(MISSPELT_HOOK_TREE)
+        files["pkg/obs.py"] = files["pkg/obs.py"].replace(
+            "reservation):", "reservation):  # repro: noqa[observer-hook]")
+        root = write_tree(tmp_path / "pkg", files)
+        assert analyze_project(root / "pkg") == []
+
+    def test_select_ignore_filtering(self, tmp_path):
+        root = write_tree(tmp_path / "pkg", MISSPELT_HOOK_TREE) / "pkg"
+        config = LintConfig().with_overrides(ignore=["observer-hook"])
+        assert analyze_project(root, config) == []
+        config = LintConfig().with_overrides(select=["RPR404"])
+        assert analyze_project(root, config) == []
+        config = LintConfig().with_overrides(select=["RPR403"])
+        assert rule_ids(analyze_project(root, config)) == {"RPR403"}
 
     def test_undocumented_span_name(self, mutated_src):
         # the engine.* record names live with the trace subscriber
@@ -440,19 +198,19 @@ class TestContractRules:
 class TestReportAndBaseline:
     def _violations(self) -> list[Violation]:
         return [
-            Violation("a.py", 3, 0, "RPR201", "unit-mix", "m1"),
-            Violation("a.py", 9, 4, "RPR201", "unit-mix", "m1"),
+            Violation("a.py", 3, 0, "RPR403", "observer-hook", "m1"),
+            Violation("a.py", 9, 4, "RPR403", "observer-hook", "m1"),
             Violation("b.py", 1, 0, "RPR404", "span-registry", "m2"),
         ]
 
     def test_json_document(self):
         doc = json.loads(chk_report.to_json(self._violations(), ["src"], True))
         assert doc["count"] == 3 and doc["strict"] is True
-        assert doc["findings"][0]["rule"] == "RPR201"
+        assert doc["findings"][0]["rule"] == "RPR403"
 
     def test_sarif_document(self):
         sarif = chk_report.to_sarif(
-            self._violations(), [("RPR201", "unit-mix", "why")],
+            self._violations(), [("RPR403", "observer-hook", "why")],
         )
         assert sarif["version"] == "2.1.0"
         results = sarif["runs"][0]["results"]
@@ -471,7 +229,7 @@ class TestReportAndBaseline:
         new, stale = chk_report.diff_baseline(moved, baseline)
         assert new == [] and not stale
         # one extra finding is new; one fixed finding is stale
-        extra = vs + [Violation("c.py", 1, 0, "RPR202", "unit-assign", "m3")]
+        extra = vs + [Violation("c.py", 1, 0, "RPR402", "lifecycle-hook", "m3")]
         new, _ = chk_report.diff_baseline(extra, baseline)
         assert [v.path for v in new] == ["c.py"]
         _, stale = chk_report.diff_baseline(vs[:-1], baseline)
@@ -501,18 +259,55 @@ class TestCanonicalUnits:
         assert fig3._DAY is units.SECONDS_PER_DAY
 
     def test_no_other_module_defines_the_constants(self):
-        """RPR203 guards the dedup: src/repro has exactly one definition."""
+        """Each constant of ``repro.workload.units`` has one definition."""
+        from repro.workload import units
+
+        names = sorted(name for name in vars(units) if name.isupper())
+        assert names == sorted(units.__all__)
         project = ProjectModel.load(SRC, package="repro")
-        defining = [
-            info.name for info in project.modules.values()
-            if "SECONDS_PER_HOUR" in info.constants
-        ]
-        assert defining == ["repro.workload.units"]
+        defining = {
+            name: [info.name for info in project.modules.values()
+                   if name in info.constants]
+            for name in names
+        }
+        assert defining == {name: ["repro.workload.units"] for name in names}
 
 
 class TestStrictGateAndRatchet:
     def test_shipped_tree_is_strict_clean(self):
         assert analyze_project(SRC) == []
+
+    def test_numpy_free_proof(self, tmp_path):
+        """The whole-program analysis runs with NumPy import-blocked."""
+        script = tmp_path / "proof.py"
+        script.write_text(textwrap.dedent(f"""\
+            import sys, types
+
+            class NumpyBlocker:
+                def find_spec(self, name, path=None, target=None):
+                    if name == "numpy" or name.startswith("numpy."):
+                        raise ImportError("numpy is blocked in this proof")
+                    return None
+
+            sys.meta_path.insert(0, NumpyBlocker())
+            sys.path.insert(0, {str(REPO / 'src')!r})
+            # a stub package so repro/__init__.py (which needs numpy)
+            # never executes; submodule imports resolve via __path__
+            pkg = types.ModuleType("repro")
+            pkg.__path__ = [{str(SRC)!r}]
+            sys.modules["repro"] = pkg
+
+            from repro.check import analyze_project
+
+            violations = analyze_project({str(SRC)!r})
+            assert "numpy" not in sys.modules
+            print("analyzed", len(violations))
+            """), encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, str(script)], capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "analyzed 0" in result.stdout
 
     def test_ratchet_script_passes_on_repo(self):
         result = subprocess.run(
