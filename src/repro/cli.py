@@ -657,22 +657,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def _render_sweep_report(kind: str, spec, result) -> str:
     """Render a completed sweep's rollup with the kind's reporter."""
-    from repro.experiments import pool
+    from repro.experiments import faultsweep, pool, runner
 
     if kind == "faultsweep":
-        from repro.experiments import faultsweep
-
         return faultsweep.report(faultsweep.result_from_rollup(result.rollup))
     if kind == "experiments":
-        from repro.experiments.runner import (
-            combined_report,
-            reports_from_rollup,
-        )
-
-        reports, failures = reports_from_rollup(result.rollup)
+        reports, failures = runner.reports_from_rollup(result.rollup)
         expected = [cell["exp"] for cell in pool.expand_cells(spec)]
-        return combined_report(reports, spec.scale,
-                               expected=expected, failures=failures)
+        return runner.combined_report(reports, spec.scale,
+                                      expected=expected, failures=failures)
     return ""
 
 

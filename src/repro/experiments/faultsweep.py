@@ -23,10 +23,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.analysis.tables import format_table
-from repro.experiments.common import system_setup
+from repro.experiments.common import SystemSetup, system_setup
 from repro.obs import live as _live
 from repro.schedulers import BinPacking, ConservativeBackfill, FCFSEasy, sjf
-from repro.sim.engine import run_simulation
+from repro.sim.engine import Scheduler, run_simulation
 from repro.sim.faults import FaultConfig, ResilienceMetrics
 from repro.sim.metrics import RunMetrics
 
@@ -44,8 +44,7 @@ BASE_FAULTS = FaultConfig(mttr=1_800.0, seed=0, requeue="requeue-front")
 #: sweep worker forever (0 disables the guard)
 CELL_MAX_WALL_S = 600.0
 
-#: scheduler factories by column name (dict literal so the effect
-#: analysis can resolve pool-worker dispatch through it)
+#: scheduler factories by column name, in report order
 POLICY_FACTORIES: dict[str, Any] = {
     "FCFS": FCFSEasy,
     "BinPacking": BinPacking,
@@ -74,8 +73,26 @@ class FaultSweepResult:
     cells: tuple[FaultCell, ...]
 
 
-def _policies() -> list:
-    return [FCFSEasy(), BinPacking(), sjf(), ConservativeBackfill()]
+def _simulate(setup: SystemSetup, policy: Scheduler, base: FaultConfig,
+              mtbf: float, max_wall_s: float) -> FaultCell:
+    """Replay the setup's validation trace under ``policy`` at one MTBF.
+
+    ``max_wall_s`` is the engine's wall-clock budget (0 disables it).
+    """
+    cfg = dataclasses.replace(base, mtbf=mtbf)
+    result = run_simulation(
+        setup.model.num_nodes,
+        policy,
+        [j.copy_fresh() for j in setup.validation_trace],
+        faults=cfg if cfg.active else None,
+        max_wall_s=max_wall_s if max_wall_s > 0 else None,
+    )
+    return FaultCell(
+        policy=policy.name,
+        mtbf=mtbf,
+        metrics=RunMetrics.from_result(result),
+        resilience=result.resilience,
+    )
 
 
 def run(
@@ -99,28 +116,14 @@ def run(
     base = faults if faults is not None else BASE_FAULTS
     base = dataclasses.replace(base, seed=base.seed + seed)
     setup = system_setup("theta", scale, seed)
-    trace = setup.validation_trace
     if live is None:
         live = _live.global_live_bus()
-    policies = _policies()
+    policies = [factory() for factory in POLICY_FACTORIES.values()]
     total = len(policies) * len(MTBF_GRID)
     cells = []
     for policy in policies:
         for mtbf in MTBF_GRID:
-            cfg = dataclasses.replace(base, mtbf=mtbf)
-            result = run_simulation(
-                setup.model.num_nodes,
-                policy,
-                [j.copy_fresh() for j in trace],
-                faults=cfg if cfg.active else None,
-                max_wall_s=max_wall_s if max_wall_s > 0 else None,
-            )
-            cell = FaultCell(
-                policy=policy.name,
-                mtbf=mtbf,
-                metrics=RunMetrics.from_result(result),
-                resilience=result.resilience,
-            )
+            cell = _simulate(setup, policy, base, mtbf, max_wall_s)
             cells.append(cell)
             if live is not None:
                 r = cell.resilience
@@ -141,7 +144,7 @@ def run(
     return FaultSweepResult(
         system="theta",
         num_nodes=setup.model.num_nodes,
-        num_jobs=len(trace),
+        num_jobs=len(setup.validation_trace),
         cells=tuple(cells),
     )
 
@@ -222,27 +225,18 @@ def run_sweep_cell(spec: "SweepSpec", cell: Mapping[str, Any],
     base = dataclasses.replace(base, seed=base.seed + spec.seed)
     max_wall_s = float(params.get("max_wall_s", CELL_MAX_WALL_S))
     setup = system_setup("theta", spec.scale, spec.seed)
-    trace = setup.validation_trace
-    policy = POLICY_FACTORIES[cell["policy"]]()
-    cfg = dataclasses.replace(base, mtbf=float(cell["mtbf"]))
-    result = run_simulation(
-        setup.model.num_nodes,
-        policy,
-        [j.copy_fresh() for j in trace],
-        faults=cfg if cfg.active else None,
-        max_wall_s=max_wall_s if max_wall_s > 0 else None,
-    )
-    metrics = RunMetrics.from_result(result)
-    resilience = result.resilience
+    result = _simulate(setup, POLICY_FACTORIES[cell["policy"]](), base,
+                       float(cell["mtbf"]), max_wall_s)
     return {
-        "policy": policy.name,
-        "mtbf": float(cell["mtbf"]),
+        "policy": result.policy,
+        "mtbf": result.mtbf,
         "system": "theta",
         "num_nodes": setup.model.num_nodes,
-        "num_jobs": len(trace),
+        "num_jobs": len(setup.validation_trace),
         "max_wall_s": max_wall_s,
-        "metrics": metrics.as_dict(),
-        "resilience": resilience.as_dict() if resilience else None,
+        "metrics": result.metrics.as_dict(),
+        "resilience": (result.resilience.as_dict() if result.resilience
+                       else None),
     }
 
 

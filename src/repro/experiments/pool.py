@@ -34,12 +34,15 @@ regardless of how (or how often) the sweep was executed.  The static
 proof that worker entry points consume only derived-seed RNGs and no
 ambient state is taint rule RPR608 (``pool-worker-hermetic``).
 
-The built-in sweep kinds are ``faultsweep`` (schedulers x MTBF grid,
-:mod:`repro.experiments.faultsweep`), ``experiments`` (the paper's
-table/figure matrix, :mod:`repro.experiments.runner`) and ``selftest``
-(deterministic payload cells with injectable crash/hang/failure, used
-by the test suite and the CI smoke job).  ``register_sweep_kind`` adds
-more.  The CLI front end is ``repro sweep``.
+The sweep kinds are the fixed set :data:`SWEEP_KINDS`: ``experiments``
+(the paper's table/figure matrix, :mod:`repro.experiments.runner`),
+``faultsweep`` (schedulers x MTBF grid,
+:mod:`repro.experiments.faultsweep`) and ``selftest`` (deterministic
+payload cells with injectable crash/hang/failure, used by the test
+suite and the CI smoke job).  :func:`expand_cells` and
+:func:`_execute_cell` dispatch on the kind's name with plain calls, so
+RPR608 follows a worker into every kind's cell code.  The CLI front end
+is ``repro sweep``.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import signal
@@ -59,6 +63,7 @@ from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
+from repro.experiments import faultsweep, runner
 from repro.obs import live as _live
 from repro.obs.jsonl import (
     JsonlWriter,
@@ -74,6 +79,10 @@ SWEEP_SCHEMA = "repro.sweep/v1"
 
 #: schema tag of the merged rollup document
 ROLLUP_SCHEMA = "repro.sweep-rollup/v1"
+
+#: the sweep kinds, dispatched by name in :func:`expand_cells` and
+#: :func:`_execute_cell`
+SWEEP_KINDS = ("experiments", "faultsweep", "selftest")
 
 #: default bounded-retry budget: one initial attempt plus two retries
 DEFAULT_RETRIES = 2
@@ -105,8 +114,7 @@ class SweepSpec:
     Parameters
     ----------
     kind:
-        Registered sweep kind (``faultsweep``, ``experiments``,
-        ``selftest``, ...).
+        One of :data:`SWEEP_KINDS`.
     scale:
         Experiment scale forwarded to the kind (``tiny`` | ``default``
         | ``paper``).
@@ -144,17 +152,18 @@ class SweepSpec:
     backoff_s: float = DEFAULT_BACKOFF_S
 
     def __post_init__(self) -> None:
-        if self.kind not in _EXPANDERS:
+        if self.kind not in SWEEP_KINDS:
             raise SweepError(
                 f"unknown sweep kind {self.kind!r}; "
-                f"available: {', '.join(sorted(_EXPANDERS))}"
+                f"available: {', '.join(SWEEP_KINDS)}"
             )
-        if self.timeout_s < 0:
-            raise SweepError(f"timeout_s must be >= 0, got {self.timeout_s}")
         if self.retries < 0:
             raise SweepError(f"retries must be >= 0, got {self.retries}")
-        if self.backoff_s < 0:
-            raise SweepError(f"backoff_s must be >= 0, got {self.backoff_s}")
+        for name in ("timeout_s", "backoff_s"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise SweepError(f"{name} must be finite and >= 0, "
+                                 f"got {value}")
 
     def identity(self) -> dict[str, Any]:
         """The JSON identity document hashed into :meth:`digest`."""
@@ -202,33 +211,7 @@ def derive_cell_seed(sweep_seed: int, key: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-# -- sweep-kind registry -------------------------------------------------------
-
-def _faultsweep_cells(spec: SweepSpec) -> list[dict[str, Any]]:
-    from repro.experiments import faultsweep
-
-    return faultsweep.sweep_cells(spec)
-
-
-def _faultsweep_run_cell(spec: SweepSpec, cell: Mapping[str, Any],
-                         derived_seed: int, attempt: int) -> dict[str, Any]:
-    from repro.experiments import faultsweep
-
-    return faultsweep.run_sweep_cell(spec, cell, derived_seed, attempt)
-
-
-def _experiments_cells(spec: SweepSpec) -> list[dict[str, Any]]:
-    from repro.experiments import runner
-
-    return runner.sweep_cells(spec)
-
-
-def _experiments_run_cell(spec: SweepSpec, cell: Mapping[str, Any],
-                          derived_seed: int, attempt: int) -> dict[str, Any]:
-    from repro.experiments import runner
-
-    return runner.run_sweep_cell(spec, cell, derived_seed, attempt)
-
+# -- sweep kinds ---------------------------------------------------------------
 
 def _selftest_cells(spec: SweepSpec) -> list[dict[str, Any]]:
     n = int(spec.params.get("cells", 8))
@@ -267,43 +250,14 @@ def _selftest_run_cell(spec: SweepSpec, cell: Mapping[str, Any],
             "total": round(float(sum(values)), 12)}
 
 
-#: cell-list builders per sweep kind (dict literal: the static effect
-#: analysis resolves registry dispatch through it)
-_EXPANDERS: dict[str, Callable[[SweepSpec], list[dict[str, Any]]]] = {
-    "faultsweep": _faultsweep_cells,
-    "experiments": _experiments_cells,
-    "selftest": _selftest_cells,
-}
-
-#: cell runners per sweep kind, signature (spec, cell, derived_seed,
-#: attempt) -> JSON-able summary dict
-_RUNNERS: dict[str, Callable[..., dict[str, Any]]] = {
-    "faultsweep": _faultsweep_run_cell,
-    "experiments": _experiments_run_cell,
-    "selftest": _selftest_run_cell,
-}
-
-
-def register_sweep_kind(
-    name: str,
-    expand: Callable[[SweepSpec], list[dict[str, Any]]],
-    run_cell: Callable[..., dict[str, Any]],
-) -> None:
-    """Register a sweep kind (``expand`` + ``run_cell``) under ``name``.
-
-    With the default ``fork`` start method the registration is visible
-    to workers automatically; under ``spawn`` the registering module
-    must be importable (and import-time-registered) in the child.
-    """
-    if name in _EXPANDERS:
-        raise SweepError(f"sweep kind {name!r} already registered")
-    _EXPANDERS[name] = expand
-    _RUNNERS[name] = run_cell
-
-
 def expand_cells(spec: SweepSpec) -> list[dict[str, Any]]:
     """The spec's cell list, in canonical (definition) order."""
-    cells = _EXPANDERS[spec.kind](spec)
+    if spec.kind == "experiments":
+        cells = runner.sweep_cells(spec)
+    elif spec.kind == "faultsweep":
+        cells = faultsweep.sweep_cells(spec)
+    else:
+        cells = _selftest_cells(spec)
     keys = [cell_key(c) for c in cells]
     if len(set(keys)) != len(keys):
         raise SweepError(f"sweep {spec.kind!r} expanded to duplicate cells")
@@ -598,7 +552,13 @@ def _execute_cell(spec: SweepSpec, cell: Mapping[str, Any],
     rule RPR608 proves nothing reachable from here consumes ambient
     RNG state, the wall clock, or the process environment.
     """
-    summary = _RUNNERS[spec.kind](spec, dict(cell), derived_seed, attempt)
+    cell = dict(cell)
+    if spec.kind == "experiments":
+        summary = runner.run_sweep_cell(spec, cell, derived_seed, attempt)
+    elif spec.kind == "faultsweep":
+        summary = faultsweep.run_sweep_cell(spec, cell, derived_seed, attempt)
+    else:
+        summary = _selftest_run_cell(spec, cell, derived_seed, attempt)
     manifest = cell_manifest(spec, cell, derived_seed, summary)
     return {
         "type": "cell",
@@ -656,11 +616,32 @@ def _live_fields(cell: Mapping[str, Any],
     return fields
 
 
+def _attempt(spec: SweepSpec, writer: ShardWriter, label: str,
+             cell: Mapping[str, Any], derived_seed: int,
+             attempt: int) -> tuple:
+    """Run one cell attempt; durably append a success to ``writer``.
+
+    Returns the outcome as the wire message a worker sends its parent:
+    ``("done", live fields)`` or ``("failed", error type, message,
+    traceback)``.  The parent settles both the same way whether the
+    attempt ran in a worker or inline.
+    """
+    try:
+        record = _execute_cell(spec, cell, derived_seed, attempt)
+    except Exception as exc:
+        return ("failed", type(exc).__name__, str(exc),
+                traceback.format_exc())
+    record["worker"] = label
+    record["attempt"] = attempt
+    writer.append(record)
+    return ("done", _live_fields(cell, record["summary"]))
+
+
 # -- worker process ------------------------------------------------------------
 
 def _worker_main(conn: Any, spec: SweepSpec,
                  shard_path: "str | os.PathLike[str]", label: str) -> None:
-    """Worker loop: recv task, run cell, append shard record, report.
+    """Worker loop: recv task, run an :func:`_attempt`, send its outcome.
 
     First resets the process-global observability state inherited
     across ``fork`` (progress sinks, tracer/profiler file handles must
@@ -700,21 +681,10 @@ def _worker_main(conn: Any, spec: SweepSpec,
                 "worker": label, "cell": index, "attempt": attempt,
                 **_live_fields(cell, None),
             })
+            outcome = _attempt(spec, writer, label, cell, derived_seed,
+                               attempt)
             try:
-                record = _execute_cell(spec, cell, derived_seed, attempt)
-            except Exception as exc:
-                try:
-                    conn.send(("failed", index, type(exc).__name__,
-                               str(exc), traceback.format_exc()))
-                except (OSError, ValueError):
-                    break
-                continue
-            record["worker"] = label
-            record["attempt"] = attempt
-            writer.append(record)
-            try:
-                conn.send(("done", index, record["digest"],
-                           _live_fields(cell, record["summary"])))
+                conn.send(outcome)
             except (OSError, ValueError):
                 break
     finally:
@@ -748,8 +718,8 @@ class SweepResult:
 
 
 @dataclass
-class _Attempt:
-    """Parent-side state of one pending cell attempt."""
+class _Task:
+    """Parent-side state of one unsettled cell and its next attempt."""
 
     index: int
     key: str
@@ -779,7 +749,7 @@ class _Worker:
         )
         self.process.start()
         child_conn.close()
-        self.running: _Attempt | None = None
+        self.running: _Task | None = None
         self.deadline: float | None = None
 
     def kill(self) -> None:
@@ -799,13 +769,7 @@ class _Worker:
         except (OSError, ValueError):
             pass
         self.process.join(timeout=5.0)
-        if self.process.is_alive():
-            self.process.kill()
-            self.process.join(timeout=5.0)
-        try:
-            self.conn.close()
-        except OSError:
-            pass
+        self.kill()
 
 
 def run_sweep(
@@ -814,7 +778,6 @@ def run_sweep(
     workers: int = 0,
     resume: bool = False,
     live: "_live.LiveBus | None" = None,
-    start_method: str | None = None,
 ) -> SweepResult:
     """Run (or resume) a sweep; returns the merged, digested outcome.
 
@@ -844,21 +807,54 @@ def run_sweep(
     if resume:
         done_keys = set(store.scan().completed) & set(keys)
     pending = [
-        _Attempt(index=i, key=keys[i], cell=dict(cells[i]),
-                 derived_seed=derive_cell_seed(spec.seed, keys[i]))
+        _Task(index=i, key=keys[i], cell=dict(cells[i]),
+              derived_seed=derive_cell_seed(spec.seed, keys[i]))
         for i in range(total) if keys[i] not in done_keys
     ]
     if live is None:
         live = _live.global_live_bus()
     generation = store.generation()
     quarantined: dict[str, str] = {}
-    if pending:
-        if workers == 0:
-            _run_inline(spec, store, generation, pending, len(done_keys),
-                        total, quarantined, live)
+    queue = list(pending)  # unsettled tasks waiting for their next attempt
+    resolved = len(done_keys)
+
+    def settle(task: _Task, outcome: tuple) -> None:
+        """Count and publish a success, re-queue a failure with backoff,
+        or quarantine it into ``shard`` once its attempts are spent."""
+        nonlocal resolved
+        if outcome[0] == "failed" and task.attempt <= spec.retries:
+            task.eligible_at = time.perf_counter() + _backoff_s(
+                spec, task.attempt)
+            task.attempt += 1
+            queue.append(task)
+            return
+        if outcome[0] == "done":
+            fields = outcome[1]
         else:
-            _run_parallel(spec, store, generation, pending, len(done_keys),
-                          total, quarantined, live, workers, start_method)
+            _, error_type, error, tb = outcome
+            shard.append(_quarantine_record(
+                spec, task.cell, task.derived_seed, error_type, error, tb,
+                attempts=task.attempt))
+            quarantined[task.key] = f"{error_type}: {error}"
+            fields = _live_fields(task.cell, None)
+        resolved += 1
+        _publish_sweep(live, done=resolved, total=total,
+                       quarantined=len(quarantined), fields=fields,
+                       final=resolved == total)
+
+    if pending:
+        # inline, successes and quarantines share the one shard; with
+        # workers, each worker writes its own and quarantines go here
+        shard = store.open_shard(generation, "parent" if workers else "w0",
+                                 spec.digest())
+        try:
+            if workers == 0:
+                _run_inline(spec, shard, queue, settle)
+            else:
+                _run_parallel(spec, store, generation, queue, settle,
+                              workers, live)
+        finally:
+            shard.close()
     rollup = merge_store(store, total=total)
     rollup_path = write_rollup(store, rollup)
     return SweepResult(
@@ -895,63 +891,27 @@ def _backoff_s(spec: SweepSpec, attempt: int) -> float:
     return min(spec.backoff_s * (2.0 ** (attempt - 1)), MAX_BACKOFF_S)
 
 
-def _run_inline(spec: SweepSpec, store: SweepStore, generation: int,
-                pending: list[_Attempt], already_done: int, total: int,
-                quarantined: dict[str, str],
-                live: "_live.LiveBus | None") -> None:
-    """The serial reference path: run every pending cell in-process."""
-    writer = store.open_shard(generation, "w0", spec.digest())
-    resolved = already_done
-    try:
-        for task in pending:
-            record = None
-            failure: tuple[str, str, str] | None = None
-            while True:
-                try:
-                    record = _execute_cell(spec, task.cell,
-                                           task.derived_seed, task.attempt)
-                    break
-                except Exception as exc:
-                    failure = (type(exc).__name__, str(exc),
-                               traceback.format_exc())
-                    if task.attempt > spec.retries:
-                        break
-                    delay = _backoff_s(spec, task.attempt)
-                    task.attempt += 1
-                    if delay:
-                        time.sleep(delay)
-            resolved += 1
-            if record is not None:
-                record["worker"] = "w0"
-                record["attempt"] = task.attempt
-                writer.append(record)
-                fields = _live_fields(task.cell, record["summary"])
-            else:
-                error_type, error, tb = failure  # type: ignore[misc]
-                writer.append(_quarantine_record(
-                    spec, task.cell, task.derived_seed, error_type, error,
-                    tb, attempts=task.attempt))
-                quarantined[task.key] = f"{error_type}: {error}"
-                fields = _live_fields(task.cell, None)
-            _publish_sweep(live, done=resolved, total=total,
-                           quarantined=len(quarantined), fields=fields,
-                           final=resolved == total)
-    finally:
-        writer.close()
+def _run_inline(spec: SweepSpec, shard: ShardWriter, queue: list[_Task],
+                settle: Callable[[_Task, tuple], None]) -> None:
+    """The serial reference path: every attempt runs in this process."""
+    while queue:
+        queue.sort(key=lambda t: (t.eligible_at, t.index))
+        task = queue.pop(0)
+        delay = task.eligible_at - time.perf_counter()
+        if delay > 0:
+            time.sleep(delay)
+        settle(task, _attempt(spec, shard, "w0", task.cell,
+                              task.derived_seed, task.attempt))
 
 
 def _run_parallel(spec: SweepSpec, store: SweepStore, generation: int,
-                  pending: list[_Attempt], already_done: int, total: int,
-                  quarantined: dict[str, str],
-                  live: "_live.LiveBus | None", workers: int,
-                  start_method: str | None) -> None:
-    """The process-pool path: dispatch, watch, retry, quarantine."""
-    if start_method is None:
-        start_method = ("fork" if "fork" in
-                        multiprocessing.get_all_start_methods() else "spawn")
-    ctx = multiprocessing.get_context(start_method)
-    workers = min(workers, len(pending))
-    parent_writer = store.open_shard(generation, "parent", spec.digest())
+                  queue: list[_Task], settle: Callable[[_Task, tuple], None],
+                  workers: int, live: "_live.LiveBus | None") -> None:
+    """The process-pool path: dispatch attempts, watch workers, settle."""
+    ctx = multiprocessing.get_context(
+        "fork" if "fork" in multiprocessing.get_all_start_methods()
+        else "spawn")
+    workers = min(workers, len(queue))
     spawn_seq = [0] * workers
 
     def spawn(slot: int) -> _Worker:
@@ -961,44 +921,24 @@ def _run_parallel(spec: SweepSpec, store: SweepStore, generation: int,
         return worker
 
     pool: dict[int, _Worker] = {}
+
+    def replace(slot: int) -> None:
+        """Respawn the worker in ``slot`` after a kill/crash."""
+        if queue or any(w.running is not None for w in pool.values()):
+            pool[slot] = spawn(slot)
+        else:
+            del pool[slot]
+
+    def kill_and_settle(worker: _Worker, error_type: str, error: str) -> None:
+        """Kill a worker, fail its in-flight attempt, respawn the slot."""
+        worker.kill()
+        task, worker.running, worker.deadline = worker.running, None, None
+        settle(task, ("failed", error_type, error, ""))
+        replace(worker.slot)
+
     try:
         for slot in range(workers):
             pool[slot] = spawn(slot)
-        queue = list(pending)  # waiting attempts (never in-flight)
-        resolved = already_done
-
-        def fail_attempt(worker: _Worker, error_type: str, error: str,
-                         tb: str) -> None:
-            """Retry or quarantine the worker's in-flight attempt."""
-            nonlocal resolved
-            task = worker.running
-            worker.running = None
-            worker.deadline = None
-            if task is None:
-                return
-            if task.attempt > spec.retries:
-                parent_writer.append(_quarantine_record(
-                    spec, task.cell, task.derived_seed, error_type, error,
-                    tb, attempts=task.attempt))
-                quarantined[task.key] = f"{error_type}: {error}"
-                resolved += 1
-                _publish_sweep(live, done=resolved, total=total,
-                               quarantined=len(quarantined),
-                               fields=_live_fields(task.cell, None),
-                               final=resolved == total)
-            else:
-                delay = _backoff_s(spec, task.attempt)
-                task.attempt += 1
-                task.eligible_at = time.perf_counter() + delay
-                queue.append(task)
-
-        def replace(slot: int) -> None:
-            """Respawn the worker in ``slot`` after a kill/crash."""
-            if queue or any(w.running is not None for w in pool.values()):
-                pool[slot] = spawn(slot)
-            else:
-                del pool[slot]
-
         while queue or any(w.running is not None for w in pool.values()):
             now = time.perf_counter()
             # dispatch eligible attempts to idle workers, cell order first
@@ -1041,40 +981,26 @@ def _run_parallel(spec: SweepSpec, store: SweepStore, generation: int,
                     message = conn.recv()
                 except (EOFError, OSError):
                     # the worker crashed (segfault, OOM, injected kill)
-                    exitcode = worker.process.exitcode
-                    worker.kill()
-                    fail_attempt(
+                    kill_and_settle(
                         worker, "WorkerCrash",
-                        f"worker exited with code {exitcode} mid-cell", "")
-                    replace(worker.slot)
+                        f"worker exited with code {worker.process.exitcode} "
+                        "mid-cell")
                     continue
                 if message[0] == "live":
                     _forward_live(live, worker.slot, message[1])
                     continue
-                if message[0] == "done":
-                    _, _index, _digest, fields = message
-                    task = worker.running
-                    worker.running = None
-                    worker.deadline = None
-                    resolved += 1
-                    _publish_sweep(live, done=resolved, total=total,
-                                   quarantined=len(quarantined),
-                                   fields=fields, final=resolved == total)
-                elif message[0] == "failed":
-                    _, _index, error_type, error, tb = message
-                    fail_attempt(worker, error_type, error, tb)
+                task, worker.running, worker.deadline = (
+                    worker.running, None, None)
+                settle(task, message)
             # reap attempts that blew their wall-clock budget
             now = time.perf_counter()
-            for slot, worker in list(pool.items()):
+            for worker in list(pool.values()):
                 if worker.deadline is not None and now > worker.deadline:
-                    worker.kill()
-                    fail_attempt(
+                    kill_and_settle(
                         worker, "CellTimeout",
                         f"cell exceeded the per-attempt wall-clock budget "
-                        f"({spec.timeout_s:g}s)", "")
-                    replace(slot)
+                        f"({spec.timeout_s:g}s)")
     finally:
-        parent_writer.close()
         for worker in pool.values():
             worker.stop()
 

@@ -844,6 +844,22 @@ class TestRealTree:
                      and fi.cls not in sinks]
         assert len(non_sinks) >= 5
 
+    def test_pool_worker_hermeticity_is_not_vacuous(self, model_and_project):
+        """The RPR608 proof reaches the code sweep workers really run.
+
+        Every kind's cell runner, and the simulator beneath them, is
+        reachable from the worker entry point — so an ambient draw
+        anywhere in cell code is a finding, not a blind spot.
+        """
+        model, _ = model_and_project
+        reached = model.reachable("repro.experiments.pool._execute_cell")
+        assert {
+            "repro.experiments.faultsweep.run_sweep_cell",
+            "repro.experiments.runner.run_sweep_cell",
+            "repro.experiments.pool._selftest_run_cell",
+            "repro.sim.engine.run_simulation",
+        } <= set(reached)
+
     def test_known_rng_attributes_are_discovered(self, model_and_project):
         model, _ = model_and_project
         assert "_rng" in model.rng_attrs["repro.sim.faults.FaultInjector"]

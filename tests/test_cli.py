@@ -536,6 +536,15 @@ class TestSweepCLI:
         assert rc == 2
         assert "bad sweep spec" in capsys.readouterr().err
 
+    def test_nan_timeout_exits_two(self, tmp_path, capsys):
+        # a NaN never equals itself, so a store stamped with it could
+        # never be resumed
+        rc = main(["sweep", "selftest", "--store", str(tmp_path / "s"),
+                   "--timeout", "nan"])
+        assert rc == 2
+        assert "bad sweep spec" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
     def test_faults_rejected_for_non_faultsweep(self, tmp_path, capsys):
         rc = main(["sweep", "selftest", "--store", str(tmp_path / "s"),
                    "--faults", "mtbf=2000,seed=0"])

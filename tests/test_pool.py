@@ -45,7 +45,9 @@ class TestSweepSpec:
             pool.SweepSpec(kind="nope")
 
     @pytest.mark.parametrize("field,value", [
-        ("timeout_s", -1.0), ("retries", -1), ("backoff_s", -0.5)])
+        ("timeout_s", -1.0), ("retries", -1), ("backoff_s", -0.5),
+        ("timeout_s", float("nan")), ("timeout_s", float("inf")),
+        ("backoff_s", float("nan")), ("backoff_s", float("inf"))])
     def test_negative_knobs_rejected(self, field, value):
         with pytest.raises(pool.SweepError):
             pool.SweepSpec(kind="selftest", **{field: value})
@@ -70,23 +72,11 @@ class TestExpand:
         cells = pool.expand_cells(selftest_spec())
         assert cells == [{"i": i} for i in range(6)]
 
-    def test_duplicate_cells_rejected(self):
-        pool.register_sweep_kind(
-            "dup-kind-test",
-            lambda spec: [{"i": 1}, {"i": 1}],
-            lambda spec, cell, seed, attempt: {},
-        )
-        try:
-            with pytest.raises(pool.SweepError, match="duplicate"):
-                pool.expand_cells(pool.SweepSpec(kind="dup-kind-test"))
-        finally:
-            del pool._EXPANDERS["dup-kind-test"]
-            del pool._RUNNERS["dup-kind-test"]
-
-    def test_reregistration_rejected(self):
-        with pytest.raises(pool.SweepError, match="already registered"):
-            pool.register_sweep_kind(
-                "selftest", lambda s: [], lambda s, c, d, a: {})
+    def test_duplicate_cells_rejected(self, monkeypatch):
+        monkeypatch.setattr(pool, "_selftest_cells",
+                            lambda spec: [{"i": 1}, {"i": 1}])
+        with pytest.raises(pool.SweepError, match="duplicate"):
+            pool.expand_cells(selftest_spec())
 
 
 class TestParity:
@@ -158,9 +148,10 @@ class TestRetryAndQuarantine:
         assert serial.digest == par.digest
         assert serial.completed == 2
 
-    def test_attempt_budget_is_one_plus_retries(self, tmp_path):
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_attempt_budget_is_one_plus_retries(self, tmp_path, workers):
         spec = selftest_spec(params={"cells": 1, "fail": [0]}, retries=3)
-        result = pool.run_sweep(spec, tmp_path / "b", workers=0)
+        result = pool.run_sweep(spec, tmp_path / "b", workers=workers)
         scan = pool.SweepStore(tmp_path / "b").scan()
         [key] = scan.quarantined
         # the shard (not the rollup) keeps the volatile attempt count
