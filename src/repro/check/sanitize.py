@@ -20,14 +20,16 @@ Checked invariants
 * **node conservation** — after every allocate/release/fail/repair:
   ``used + free + down == total``, and every allocation owns its data
   (no view pinning a free list), is strictly increasing and names only
-  nodes marked with its job, together covering every busy node;
+  nodes marked with its job, together covering every busy node; and the
+  free list is exactly the nodes marked free, ascending;
 * **release index** — after the same mutations: the cluster's
   release-time index, expanded to one time per node, equals the release
   times recomputed from the per-node arrays (mask, gather, sort — the
   definition the index replaced), and its sizes sum to the nodes that
   are not free;
 * **queue index** — after every ``WaitQueue`` mutator: the size census
-  and its minimum, the arrival keys, and the dependents map with every
+  and its minimum, the arrival keys, the size/walltime arrays the
+  backfill scan reads, and the dependents map with every
   held job's open-dependency count equal their recomputed definitions;
 * **event-time monotonicity** — ``Engine.run`` never moves the clock
   backwards;
@@ -153,6 +155,9 @@ def check_node_conservation(cluster: "Cluster", context: str = "") -> None:
             f"allocation table covers {held.size} nodes but {used} nodes "
             f"are marked busy{where}",
         )
+    if not np.array_equal(cluster._free, np.flatnonzero(cluster._job_of == _FREE)):
+        _fail("node-conservation", f"the free list of {cluster._free.size} "
+              f"nodes is not the nodes marked free{where}")
 
 
 def check_release_index(cluster: "Cluster", context: str = "") -> None:
@@ -190,10 +195,11 @@ def check_cluster(cluster: "Cluster", context: str = "") -> None:
 
 
 def check_queue_index(queue: "WaitQueue", context: str = "") -> None:
-    """The wait queue's three indexes agree with its plain lists.
+    """The wait queue's four indexes agree with its plain lists.
 
     The oracle is what the indexes replaced: count sizes down the waiting
-    list, number it, test held jobs' dependencies against the finished set.
+    list, number it, read each waiting job's size and walltime, test held
+    jobs' dependencies against the finished set.
     """
     where = f" after {context}" if context else ""
     ids = [job.job_id for job in queue._waiting]
@@ -213,6 +219,10 @@ def check_queue_index(queue: "WaitQueue", context: str = "") -> None:
          (census, min(census, default=inf))),
         ("arrival keys", (len(keys), keys, queue._key_of),
          (len(ids), sorted(set(keys)), dict(zip(ids, keys)))),
+        ("size/walltime arrays",
+         (queue._sizes.tolist(), queue._walltimes.tolist()),
+         ([job.size for job in queue._waiting],
+          [job.walltime for job in queue._waiting])),
         ("dependents map", (queue._open, blocked), (open_count, dependents)),
     ):
         if indexed != recomputed:

@@ -60,6 +60,13 @@ class Cluster:
     (``-1 - node``, one single-node entry per down node, freeing at the
     expected repair).  All release-time queries read this index only.
 
+    Free list.  ``_free`` holds the indices of the free, up nodes in
+    ascending order, i.e. ``np.flatnonzero(_job_of == -1)``.  A start
+    takes its first ``job.size`` entries and keeps the rest; a release
+    merges the job's nodes back (two sorted runs: one timsort merge).
+    Faults and :meth:`reset` rebuild it.  Its length is
+    :attr:`available_nodes`.
+
     ``sanitize`` activates node-conservation and release-index checks
     after every mutation (``None`` follows the ``REPRO_SANITIZE`` env
     var).
@@ -75,16 +82,13 @@ class Cluster:
         #: estimated available time of each node (0 when free); for a
         #: down node this is the expected repair time
         self._avail_at = np.zeros(self.num_nodes, dtype=np.float64)
+        #: free list (see the class docstring)
+        self._free = np.flatnonzero(self._job_of == _FREE)
         #: job id -> allocated node indices
         self._alloc: dict[int, np.ndarray] = {}
-        #: cached count of free nodes, maintained by every mutation of
-        #: ``_job_of`` (``available_nodes`` is read on every scheduler
-        #: pass; recounting the array there dominated small-run cost).
-        #: The node-conservation sanitizer recomputes used/down counts,
-        #: so ``used + free + down == total`` cross-checks this cache.
-        self._free_count = self.num_nodes
-        #: cached count of down nodes, maintained by fail/repair/reset
-        #: and cross-checked the same way
+        #: cached count of down nodes, maintained by fail/repair/reset;
+        #: the node-conservation sanitizer recomputes used/down counts,
+        #: so ``used + free + down == total`` cross-checks it
         self._down_count = 0
         #: release-time index (see the class docstring); a group holds
         #: at least one node, so ``num_nodes`` slots always suffice
@@ -116,7 +120,7 @@ class Cluster:
     @property
     def available_nodes(self) -> int:
         """Number of currently free (up and unoccupied) nodes."""
-        return self._free_count
+        return len(self._free)
 
     @property
     def used_nodes(self) -> int:
@@ -125,7 +129,7 @@ class Cluster:
         Down nodes are neither used nor available; without faults this
         equals ``num_nodes - available_nodes`` as before.
         """
-        return self.num_nodes - self._free_count - self._down_count
+        return self.num_nodes - len(self._free) - self._down_count
 
     @property
     def down_nodes(self) -> int:
@@ -275,7 +279,7 @@ class Cluster:
             raise ValueError(
                 f"job size {size} exceeds cluster size {self.num_nodes}"
             )
-        needed = size - self._free_count
+        needed = size - len(self._free)
         if needed <= 0:
             return now
         # the group whose release first brings the running total to
@@ -317,8 +321,8 @@ class Cluster:
         """Expected number of free nodes at time ``when`` (``when >= now``)."""
         if when < now:
             # every release is clipped to ``now``, so none precedes it
-            return self._free_count
-        return self._free_count + self._released_by(when)
+            return len(self._free)
+        return len(self._free) + self._released_by(when)
 
     def reservation_point(self, size: int, now: float) -> tuple[float, int]:
         """``(shadow_time, free_nodes_at(shadow_time))`` in one call.
@@ -328,7 +332,7 @@ class Cluster:
         group with ``est_release <= shadow`` has released by then.
         """
         shadow = self._shadow(size, now)
-        return shadow, self._free_count + self._released_by(shadow)
+        return shadow, len(self._free) + self._released_by(shadow)
 
     # -- allocation -------------------------------------------------------------
     def allocate(self, job: Job, now: float) -> np.ndarray:
@@ -340,19 +344,19 @@ class Cluster:
         """
         if job.job_id in self._alloc:
             raise RuntimeError(f"job {job.job_id} already allocated")
-        free_idx = np.flatnonzero(self._job_of == _FREE)
-        if job.size > free_idx.size:
+        free = self._free
+        if job.size > free.size:
             raise RuntimeError(
-                f"job {job.job_id} needs {job.size} nodes, only {free_idx.size} free"
+                f"job {job.job_id} needs {job.size} nodes, only {free.size} free"
             )
         # a copy: a slice would keep the whole free list alive while the
         # job runs
-        chosen = free_idx[: job.size].copy()
+        chosen = free[: job.size].copy()
+        self._free = free[job.size:]
         est_release = now + job.walltime
         self._job_of[chosen] = job.job_id
         self._avail_at[chosen] = est_release
         self._alloc[job.job_id] = chosen
-        self._free_count -= job.size
         self._index_add(est_release, job.size, job.job_id)
         if self.sanitize_active:
             _san.check_cluster(self, f"allocate(job {job.job_id})")
@@ -367,7 +371,10 @@ class Cluster:
         self._index_remove(float(self._avail_at[nodes[0]]), job_id)
         self._job_of[nodes] = _FREE
         self._avail_at[nodes] = 0.0
-        self._free_count += len(nodes)
+        # both runs are ascending and disjoint: timsort merges them
+        free = np.concatenate((self._free, nodes))
+        free.sort(kind="stable")
+        self._free = free
         return nodes
 
     def release(self, job: Job) -> None:
@@ -421,7 +428,7 @@ class Cluster:
             )
         self._job_of[idx] = _DOWN
         self._avail_at[idx] = expected_up_at
-        self._free_count -= int(idx.size)
+        self._free = np.flatnonzero(self._job_of == _FREE)
         self._down_count += int(idx.size)
         for node, up_at in zip(idx.tolist(), self._avail_at[idx].tolist()):
             self._down_since[node] = now
@@ -450,7 +457,7 @@ class Cluster:
             self._index_remove(up_at, -1 - node)
         self._job_of[idx] = _FREE
         self._avail_at[idx] = 0.0
-        self._free_count += int(idx.size)
+        self._free = np.flatnonzero(self._job_of == _FREE)
         self._down_count -= int(idx.size)
         if self.sanitize_active:
             _san.check_cluster(self, f"repair_nodes({idx.tolist()})")
@@ -496,8 +503,8 @@ class Cluster:
         """
         self._job_of.fill(_FREE)
         self._avail_at.fill(0.0)
+        self._free = np.flatnonzero(self._job_of == _FREE)
         self._alloc.clear()
-        self._free_count = self.num_nodes
         self._down_count = 0
         self._rel_n = 0
         self._rel_cum = None

@@ -339,7 +339,7 @@ class Engine:
         self.scheduler = scheduler
         self.queue = WaitQueue()
         self.queue._sanitize = sanitize
-        self.planner = BackfillPlanner(cluster)
+        self.planner = BackfillPlanner(cluster, self.queue)
         self.events = EventQueue()
         self.observers = list(observers)
         self.max_time = max_time

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
+from math import isfinite
 
 
 class JobState(enum.Enum):
@@ -88,6 +89,9 @@ class Job:
     wasted_node_seconds: float = field(default=0.0, compare=False)
 
     def __post_init__(self) -> None:
+        for name in ("walltime", "runtime", "submit_time"):  # NaN passes `<= 0`
+            if not isfinite(value := getattr(self, name)):
+                raise ValueError(f"job {self.job_id}: {name} must be finite, got {value}")
         if self.size <= 0:
             raise ValueError(f"job {self.job_id}: size must be positive, got {self.size}")
         if self.walltime <= 0:

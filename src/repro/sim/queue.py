@@ -9,13 +9,14 @@ alleviate starvation: only the ``W`` oldest eligible jobs are visible to
 the level-1 network, giving older jobs structurally higher priority
 (paper section III-B).
 
-Every mutator maintains three indexes beside the arrival-ordered list
+Every mutator maintains four indexes beside the arrival-ordered list
 (``WaitQueue.__init__``); with the sanitizer active it also ends by
 recomputing them (:func:`repro.check.sanitize.check_queue_index`).
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from math import inf
 
@@ -46,6 +47,12 @@ class WaitQueue:
         #: waiting job's id to its key
         self._keys: list[int] = []
         self._key_of: dict[int, int] = {}
+        #: each waiting job's size and walltime, parallel to
+        #: ``_waiting``, for the backfill scan to test as arrays
+        #: (``np.frombuffer``); ``array`` inserts and deletes are C
+        #: memmoves, where NumPy arrays would need a slice shift
+        self._sizes = array("q")
+        self._walltimes = array("d")
         #: dependents map: unfinished dependency id -> the held jobs it
         #: blocks, so a completion touches only its own dependents;
         #: ``_open`` counts a held job's distinct unfinished dependencies
@@ -71,6 +78,8 @@ class WaitQueue:
         self._waiting.insert(at, job)
         self._key_of[job.job_id] = key
         size = job.size
+        self._sizes.insert(at, size)
+        self._walltimes.insert(at, job.walltime)
         self._census[size] = self._census.get(size, 0) + 1
         if size < self.min_size:
             self.min_size = size
@@ -185,6 +194,7 @@ class WaitQueue:
         if i < 0:
             raise RuntimeError(f"job {job.job_id} is not waiting")
         del self._waiting[i], self._keys[i], self._key_of[job.job_id]
+        del self._sizes[i], self._walltimes[i]
         size = job.size
         left = self._census[size] - 1
         if left:
@@ -239,4 +249,5 @@ class WaitQueue:
                      self._census, self._keys, self._key_of,
                      self._dependents, self._open):
             part.clear()
+        del self._sizes[:], self._walltimes[:]
         self.min_size = inf

@@ -1,13 +1,15 @@
 """Unit tests for EASY-backfilling machinery."""
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.schedulers import FCFSEasy
-from repro.sim.backfill import BackfillPlanner, Reservation
+from repro.sim.backfill import _HEAD, BackfillPlanner, Reservation
 from repro.sim.cluster import Cluster
 from repro.sim.engine import Engine, SchedulingView, run_simulation
+from repro.sim.queue import WaitQueue
 from tests.conftest import make_job
 
 
@@ -110,6 +112,125 @@ class TestEasyGuarantee:
         run_simulation(10, FCFSEasy(), jobs, observers=[FirstPromise()])
         assert shadows[wide.job_id] == 100.0
         assert wide.start_time <= shadows[wide.job_id]
+
+
+class TestArrayScan:
+    """``first_candidate`` on the live queue against the list loop.
+
+    Past its head the planner tests the queue's size/walltime arrays;
+    the answer must be the very job the loop over a copy of the list
+    (no array path) and ``Reservation.allows`` pick.
+    """
+
+    NODES = 16
+    #: how each job reaches the queue: the mutators the arrays follow
+    #: ("started" leaves from wherever it stands once the queue is built)
+    ROUTES = ("submit", "held", "front", "back", "dropped", "started")
+
+    def cluster_with(self, free):
+        """A cluster with ``free`` of its nodes free."""
+        cluster = Cluster(self.NODES)
+        cluster.allocate(make_job(size=self.NODES - free), 0.0)
+        return cluster
+
+    def test_reserved_job_first_past_the_head(self):
+        queue = WaitQueue()
+        for _ in range(_HEAD):
+            queue.submit(make_job(size=self.NODES))
+        reserved, hit = make_job(size=1), make_job(size=1)
+        queue.submit(reserved)
+        queue.submit(hit)
+        reservation = Reservation(job_id=reserved.job_id, size=self.NODES,
+                                  shadow_time=0.0, extra_nodes=1)
+        planner = BackfillPlanner(self.cluster_with(free=1), queue)
+        assert planner.first_candidate(
+            queue.peek_waiting(), reservation, 0.0) is hit
+
+    def test_cutoff_is_inclusive_past_the_head(self):
+        cutoff = 50.0 + 1e-9
+        queue = WaitQueue()
+        for _ in range(_HEAD):
+            queue.submit(make_job(size=self.NODES))
+        late = make_job(size=2, walltime=np.nextafter(cutoff, np.inf))
+        on_time = make_job(size=2, walltime=cutoff)   # 0 + it == cutoff
+        queue.submit(late)
+        queue.submit(on_time)
+        reservation = Reservation(job_id=-1, size=self.NODES,
+                                  shadow_time=50.0, extra_nodes=1)
+        planner = BackfillPlanner(self.cluster_with(free=2), queue)
+        assert planner.first_candidate(
+            queue.peek_waiting(), reservation, 0.0) is on_time
+
+    @settings(max_examples=400, deadline=None)
+    @given(length=st.sampled_from([0, 1, _HEAD - 1, _HEAD, _HEAD + 1,
+                                   _HEAD + 2, 2 * _HEAD, 3 * _HEAD]),
+           wide=st.sampled_from([0, _HEAD // 2, _HEAD - 1, _HEAD, _HEAD + 1,
+                                 2 * _HEAD]),
+           narrow=st.sampled_from([0.05, 0.3, 1.0]),
+           now=st.sampled_from([0.0, 0.1, 7.0, 12345.678]),
+           ahead=st.sampled_from([0.0, 0.3, 50.0]),
+           free=st.integers(0, NODES - 1),
+           extra=st.integers(0, NODES),    # above or below ``free``
+           reserve=st.sampled_from(["first fit", "any", "absent"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_list_loop_and_allows(self, length, wide, narrow, now,
+                                          ahead, free, extra, reserve, seed):
+        rng = np.random.default_rng(seed)
+        shadow = now + ahead
+        edge = shadow + 1e-9 - now   # ``now + edge`` is the cutoff
+        # half of them on or next to the cutoff
+        walltimes = [edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf),
+                     edge, 1.0, 1e5]
+        # narrow sizes straddle both size tests
+        sizes = [size for size in (1, free, free + 1, extra, extra + 1,
+                                   int(rng.integers(1, self.NODES)))
+                 if 1 <= size < self.NODES]
+        queue = WaitQueue()
+        parent = make_job()
+        started = []
+        kept = 0   # jobs that will still wait at the end: ``length`` of them
+        while kept < length:
+            route = self.ROUTES[rng.integers(len(self.ROUTES))]
+            # a full-width job never fits: the first ``wide`` jobs, and
+            # all that jump to the front, push the first hit past the head
+            size = (int(rng.choice(sizes))
+                    if kept >= wide and route != "front"
+                    and rng.random() < narrow else self.NODES)
+            job = make_job(size=size, walltime=float(rng.choice(walltimes)),
+                           deps=(parent.job_id,) if route == "held" else ())
+            queue.submit(job)
+            if route in ("front", "back", "dropped"):
+                queue.remove(job)
+                if route != "dropped":
+                    queue.requeue(job, front=route == "front")
+            elif route == "started":
+                started.append(job)
+            kept += route not in ("dropped", "started")
+        queue.notify_finished(parent)   # the held jobs join the tail
+        for job in started:
+            queue.remove(job)
+        live = queue.peek_waiting()
+        assert len(live) == length
+        reservation = Reservation(job_id=-1, size=self.NODES,
+                                  shadow_time=shadow, extra_nodes=extra)
+        fitting = [j for j in live if reservation.allows(j, now, free)]
+        # the reserved job: the one the scan would otherwise return, any
+        # waiting job, or one that is not in the queue
+        reserved = parent
+        if reserve == "first fit" and fitting:
+            reserved = fitting[0]
+        elif reserve == "any" and live:
+            reserved = live[rng.integers(len(live))]
+        reservation = Reservation(job_id=reserved.job_id, size=self.NODES,
+                                  shadow_time=shadow, extra_nodes=extra)
+        cluster = self.cluster_with(free)
+
+        expected = next((j for j in fitting if j is not reserved), None)
+        scanned = BackfillPlanner(cluster, queue).first_candidate(
+            live, reservation, now)
+        looped = BackfillPlanner(cluster).first_candidate(
+            list(live), reservation, now)
+        assert scanned is looped is expected
 
 
 class TestViewShortcut:

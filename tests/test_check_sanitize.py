@@ -49,11 +49,11 @@ class SlicedCluster(Cluster):
     """
 
     def allocate(self, job, now):
-        chosen = np.flatnonzero(self._job_of == -1)[:job.size]
+        chosen = self._free[:job.size]
+        self._free = self._free[job.size:]
         self._job_of[chosen] = job.job_id
         self._avail_at[chosen] = now + job.walltime
         self._alloc[job.job_id] = chosen
-        self._free_count -= job.size
         self._index_add(now + job.walltime, job.size, job.job_id)
         if self.sanitize_active:
             sanitize.check_cluster(self, f"allocate(job {job.job_id})")
@@ -173,6 +173,15 @@ class TestClusterInvariants:
         with pytest.raises(SanitizerError, match="release-index"):
             cluster.allocate(make_job(3, size=1), 6.0)
 
+    def test_stale_free_list_raises(self):
+        cluster = Cluster(8, sanitize=True)
+        first = make_job(1, size=3)
+        cluster.allocate(first, 0.0)
+        cluster.allocate(make_job(2, size=2), 0.0)
+        cluster._free[0] = 4   # one entry names a node of job 2
+        with pytest.raises(SanitizerError, match="free list"):
+            cluster.release(first)
+
     def test_stale_down_count_raises(self):
         cluster = Cluster(8, sanitize=True)
         cluster.fail_nodes([0, 1], 0.0, 50.0)
@@ -219,6 +228,9 @@ class TestQueueIndex:
         "census_minimum_stale": lambda q: setattr(q, "min_size", 1),
         "keys_out_of_order": lambda q: q._keys.reverse(),
         "key_of_another_job": lambda q: q._key_of.update({1: q._key_of[2]}),
+        "size_entry_wrong": lambda q: q._sizes.__setitem__(1, 3),
+        # a waiting job's estimate edited in place: the array is stale
+        "walltime_mutated": lambda q: setattr(q._waiting[0], "walltime", 1.0),
         "open_dependencies_miscounted": lambda q: q._open.update({3: 3}),
         "dependent_lost": lambda q: q._dependents.pop(99),
     }

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.cluster import Cluster
 from tests.conftest import alloc_bytes, make_job
@@ -86,6 +88,47 @@ class TestAllocation:
         for job in jobs[n:n + n // 2]:
             allocate(job)
         assert cluster.available_nodes == 0
+
+
+class TestFreeList:
+    """The kept free list against its definition, the free-marked nodes."""
+
+    NODES = 12
+    OPS = ("allocate", "release", "release_killed", "fail_nodes",
+           "repair_nodes", "reset")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(OPS), st.integers(1, NODES),
+                              st.integers(0, 1000)), max_size=40))
+    def test_matches_flatnonzero_definition(self, ops):
+        cluster = Cluster(self.NODES)
+        running = []
+        for now, (op, size, pick) in enumerate(ops):
+            definition = np.flatnonzero(cluster._job_of == -1)
+            if op == "allocate" and size <= definition.size:
+                job = make_job(size=size, walltime=50.0 + pick)
+                nodes = cluster.allocate(job, float(now))
+                assert np.array_equal(nodes, definition[:size])
+                running.append(job)
+            elif op in ("release", "release_killed") and running:
+                job = running.pop(pick % len(running))
+                if op == "release":
+                    cluster.release(job)
+                else:
+                    cluster.release_killed(job, float(now))
+            elif op == "fail_nodes" and definition.size:
+                # every ``size``-th free node from a drawn offset
+                victims = definition[pick % definition.size::size]
+                cluster.fail_nodes(victims, float(now), now + 30.0)
+            elif op == "repair_nodes" and cluster.down_nodes:
+                down = np.flatnonzero(cluster.down_mask)
+                cluster.repair_nodes(down[pick % down.size::size], float(now))
+            elif op == "reset":
+                cluster.reset()
+                running.clear()
+            assert np.array_equal(cluster._free,
+                                  np.flatnonzero(cluster._job_of == -1))
+            assert cluster._free.size == cluster.available_nodes
 
 
 class TestNodeState:

@@ -1,5 +1,7 @@
 """Unit tests for the rigid-job model."""
 
+from math import inf, nan
+
 import pytest
 
 from repro.sim.job import ExecMode, Job, JobState
@@ -30,6 +32,14 @@ class TestValidation:
     def test_rejects_bad_priority(self):
         with pytest.raises(ValueError, match="priority"):
             make_job(priority=2)
+
+    @pytest.mark.parametrize("value", [nan, inf, -inf])
+    @pytest.mark.parametrize("field", ["walltime", "runtime", "submit_time"])
+    def test_rejects_non_finite_times(self, field, value):
+        # NaN passes every ``<= 0`` / ``< 0`` guard
+        times = dict(size=2, walltime=10.0, runtime=5.0, submit_time=0.0)
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            Job(**{**times, field: value})
 
     def test_runtime_clamped_to_walltime(self):
         # the scheduler kills jobs exceeding their estimate

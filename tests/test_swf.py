@@ -108,6 +108,24 @@ class TestLenientRead:
         assert report.skipped_records == 1
         assert report.n_malformed == 0
 
+    @pytest.mark.parametrize("fields", [
+        dict(submit="nan"),
+        dict(run_time="nan"),
+        dict(run_time="inf"),
+        dict(requested_time="inf"),
+    ])
+    def test_non_finite_time_is_malformed(self, tmp_path, fields):
+        path = tmp_path / "t.swf"
+        path.write_text(_swf_line(job_id=1, **fields) + "\n"
+                        + _swf_line(job_id=2) + "\n")
+        with pytest.warns(SWFWarning, match="1 malformed"):
+            jobs, report = read_swf_report(path, strict=False)
+        assert [j.job_id for j in jobs] == [2]
+        assert [lineno for lineno, _ in report.malformed] == [1]
+        assert "must be finite" in report.malformed[0][1]
+        with pytest.raises(ValueError, match=r"t\.swf:1: .*must be finite"):
+            read_swf(path)
+
     def test_strict_mode_still_raises_via_report_api(self, tmp_path):
         path = tmp_path / "t.swf"
         path.write_text("broken\n")
