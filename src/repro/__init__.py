@@ -46,7 +46,6 @@ from repro.sim import (
     ExecMode,
     Job,
     JobState,
-    MetricsRecorder,
     RunMetrics,
 )
 from repro.sim.engine import run_simulation
@@ -78,7 +77,6 @@ __all__ = [
     "Job",
     "JobState",
     "KnapsackOptimization",
-    "MetricsRecorder",
     "NetworkDims",
     "RandomScheduler",
     "RunMetrics",

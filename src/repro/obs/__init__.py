@@ -43,15 +43,12 @@ measured by the ``obs.*.overhead_ratio`` metrics of ``BENCHMARK.json``
 from __future__ import annotations
 
 from repro.obs.analyze import (
-    Histogram,
     ManifestDiff,
     SpanRollup,
     TraceSummary,
     decision_latencies,
     diff_manifests,
     format_trace_summary,
-    latency_histogram,
-    mean_utilization,
     rollup_spans,
     summarize_trace,
     utilization_timeline,
@@ -78,7 +75,6 @@ from repro.obs.trace import (
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "ManifestDiff",
     "MetricsRegistry",
     "Profiler",
@@ -97,8 +93,6 @@ __all__ = [
     "git_sha",
     "global_profiler",
     "global_tracer",
-    "latency_histogram",
-    "mean_utilization",
     "read_trace",
     "render_report",
     "rollup_spans",

@@ -6,11 +6,14 @@ module answers *where did the time go* and *what changed*:
 
 * :func:`rollup_spans` — per-span-name time rollups (count, cumulative
   and exclusive wall time) over a span forest;
-* :func:`decision_latencies` / :func:`latency_histogram` — scheduler
-  decision-latency distribution from ``engine.instance`` spans;
-* :func:`utilization_timeline` — node-occupancy step series
-  reconstructed from ``engine.allocate``/``engine.release`` events (in
-  simulated time, so it is exact and machine-independent);
+* :func:`decision_latencies` — scheduler decision latencies from
+  ``engine.instance`` spans, which :func:`summarize_trace` bins into a
+  :class:`~repro.obs.metrics.Timer`;
+* :class:`UtilizationTimeline` — the one node-occupancy step function:
+  an engine observer, and what :func:`utilization_timeline` replays a
+  trace's ``engine.allocate`` / ``engine.release`` / ``engine.job_kill``
+  events into (in simulated time, so it is exact and
+  machine-independent);
 * :func:`diff_manifests` — field-level diff of two run manifests for
   regression triage (volatile fields excluded);
 * :func:`summarize_trace` / :func:`format_trace_summary` — one-call
@@ -25,13 +28,15 @@ work on traces from crashed runs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from types import SimpleNamespace
+from typing import Any, Iterable, Mapping
+
+import numpy as np
 
 from repro.obs.manifest import VOLATILE_FIELDS, RunManifest
-from repro.obs.metrics import nearest_rank
+from repro.obs.metrics import Timer, nearest_rank
 from repro.obs.trace import Span, build_span_tree, read_trace
 
 
@@ -92,72 +97,7 @@ def rollup_spans(roots: Iterable[Span]) -> list[SpanRollup]:
     )
 
 
-# -- latency histograms --------------------------------------------------------
-
-@dataclass(frozen=True)
-class Histogram:
-    """A histogram plus the summary order statistics of its samples."""
-
-    edges: tuple[float, ...]       #: ``len(counts) + 1`` bin boundaries
-    counts: tuple[int, ...]
-    n: int
-    min: float
-    max: float
-    mean: float
-    p50: float
-    p90: float
-    p99: float
-
-    def as_dict(self) -> dict[str, Any]:
-        """The histogram as a JSON-ready dict."""
-        return {
-            "edges": list(self.edges),
-            "counts": list(self.counts),
-            "n": self.n,
-            "min": self.min,
-            "max": self.max,
-            "mean": self.mean,
-            "p50": self.p50,
-            "p90": self.p90,
-            "p99": self.p99,
-        }
-
-
-def latency_histogram(values: Iterable[float], bins: int = 12) -> Histogram:
-    """Log-spaced histogram of positive latency samples.
-
-    Zero/negative samples are clamped into the smallest bin.  With no
-    samples (or a degenerate single value) the histogram collapses to
-    one bin so downstream rendering never divides by zero.
-    """
-    if bins <= 0:
-        raise ValueError("bins must be positive")
-    ordered = sorted(float(v) for v in values)
-    if not ordered:
-        return Histogram((0.0, 1.0), (0,), 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    lo, hi = ordered[0], ordered[-1]
-    mean = sum(ordered) / len(ordered)
-    stats = dict(
-        n=len(ordered), min=lo, max=hi, mean=mean,
-        p50=ordered[nearest_rank(0.50, len(ordered)) - 1],
-        p90=ordered[nearest_rank(0.90, len(ordered)) - 1],
-        p99=ordered[nearest_rank(0.99, len(ordered)) - 1],
-    )
-    pos_lo = max(lo, 1e-9)
-    pos_hi = max(hi, pos_lo)
-    if pos_hi <= pos_lo * (1.0 + 1e-12):
-        return Histogram((pos_lo, pos_hi * 1.0000001), (len(ordered),), **stats)
-    log_lo, log_hi = math.log(pos_lo), math.log(pos_hi)
-    edges = tuple(
-        math.exp(log_lo + (log_hi - log_lo) * i / bins) for i in range(bins + 1)
-    )
-    counts = [0] * bins
-    for v in ordered:
-        x = max(v, pos_lo)
-        i = int((math.log(x) - log_lo) / (log_hi - log_lo) * bins)
-        counts[min(max(i, 0), bins - 1)] += 1
-    return Histogram(edges, tuple(counts), **stats)
-
+# -- decision latencies --------------------------------------------------------
 
 def decision_latencies(roots: Iterable[Span]) -> list[float]:
     """Closed ``engine.instance`` span durations, in record order."""
@@ -171,54 +111,108 @@ def decision_latencies(roots: Iterable[Span]) -> list[float]:
 
 # -- utilization timeline ------------------------------------------------------
 
+class UtilizationTimeline:
+    """Piecewise-constant node-occupancy timeline.
+
+    Records a ``(time, used_nodes)`` step whenever occupancy changes,
+    enabling exact time-weighted utilization over any interval.
+    """
+
+    def __init__(self, num_nodes: int) -> None:
+        if num_nodes <= 0:
+            raise ValueError("num_nodes must be positive")
+        self.num_nodes = num_nodes
+        self._times: list[float] = [0.0]
+        self._used: list[int] = [0]
+
+    def _record(self, now: float, used: int) -> None:
+        if now < self._times[-1]:
+            raise ValueError("time went backwards")
+        # same engine-clock float observed twice, never recomputed
+        if now == self._times[-1]:  # repro: noqa[float-time-eq]
+            self._used[-1] = used
+        else:
+            self._times.append(now)
+            self._used.append(used)
+
+    def on_start(self, job: Any, now: float) -> None:
+        """Observer hook: occupancy step up by ``job.size``."""
+        self._record(now, self._used[-1] + job.size)
+
+    def on_finish(self, job: Any, now: float) -> None:
+        """Observer hook: occupancy step down by ``job.size``."""
+        self._record(now, self._used[-1] - job.size)
+
+    def on_kill(self, job: Any, now: float) -> None:
+        """Observer hook: a fault kill also releases the job's nodes."""
+        self._record(now, self._used[-1] - job.size)
+
+    def utilization_between(self, t0: float, t1: float) -> float:
+        """Exact time-weighted utilization over ``[t0, t1]``."""
+        if t1 <= t0:
+            raise ValueError("need t1 > t0")
+        times = np.asarray(self._times)
+        used = np.asarray(self._used, dtype=np.float64)
+        # integrate the step function over [t0, t1]
+        edges = np.concatenate([[t0], times[(times > t0) & (times < t1)], [t1]])
+        # value on each sub-interval = last step at or before its left edge
+        idx = np.searchsorted(times, edges[:-1], side="right") - 1
+        idx = np.clip(idx, 0, used.size - 1)
+        integral = float(np.sum(used[idx] * np.diff(edges)))
+        return integral / (self.num_nodes * (t1 - t0))
+
+    def steps(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(times, used_nodes)`` breakpoints of the step function."""
+        return np.asarray(self._times), np.asarray(self._used, dtype=np.int64)
+
+
 def utilization_timeline(
     records: Iterable[Mapping[str, Any]],
 ) -> list[tuple[float, int]]:
-    """Busy-node step series from allocate/release events.
+    """Replay a trace's occupancy events into :class:`UtilizationTimeline`.
 
-    Returns ``(t, busy_nodes)`` points in simulated time — one per
-    engine timestamp at which occupancy changed.  A healthy complete
-    run ends at 0 busy nodes; a truncated trace ends wherever the
-    record stream stops (still useful for post-mortem).
+    ``engine.allocate`` / ``engine.release`` / ``engine.job_kill`` drive
+    the observer's ``on_start`` / ``on_finish`` / ``on_kill``.  A kill
+    record carries no size: it frees what the job's latest allocate
+    took.  Returns ``(t, busy_nodes)`` points in simulated time from the
+    first occupancy change on — the observer's steps minus its
+    ``(0.0, 0)`` origin.  A healthy complete run ends at 0 busy nodes; a
+    truncated trace ends wherever the record stream stops.  The clock
+    going back starts the next run of a trace several runs wrote; their
+    series are concatenated.
     """
-    busy = 0
-    timeline: list[tuple[float, int]] = []
+    sizes: dict[Any, int] = {}
+    runs: list[tuple[float, UtilizationTimeline]] = []   # (first t, replay)
+    last = 0.0
     for record in records:
         if not isinstance(record, Mapping) or record.get("type") != "event":
             continue
-        name = record.get("name")
-        size = record.get("size")
-        t = record.get("t")
-        if not isinstance(size, (int, float)) or not isinstance(t, (int, float)):
+        name, t, job = record.get("name"), record.get("t"), record.get("job")
+        size = sizes.get(job) if name == "engine.job_kill" else record.get("size")
+        if not isinstance(size, (int, float)) or not isinstance(t, (int, float)) \
+                or t < 0:
             continue
         if name == "engine.allocate":
-            busy += int(size)
+            sizes[job] = int(size)
+            hook = "on_start"
         elif name == "engine.release":
-            busy -= int(size)
+            hook = "on_finish"
+        elif name == "engine.job_kill":
+            hook = "on_kill"
         else:
             continue
-        if timeline and timeline[-1][0] == t:
-            timeline[-1] = (float(t), busy)
-        else:
-            timeline.append((float(t), busy))
-    return timeline
-
-
-def mean_utilization(
-    timeline: Sequence[tuple[float, int]], num_nodes: int
-) -> float:
-    """Time-weighted mean occupancy fraction of a step series."""
-    if num_nodes <= 0:
-        raise ValueError("num_nodes must be positive")
-    if len(timeline) < 2:
-        return 0.0
-    node_seconds = 0.0
-    for (t0, busy), (t1, _) in zip(timeline, timeline[1:]):
-        node_seconds += busy * (t1 - t0)
-    span = timeline[-1][0] - timeline[0][0]
-    if span <= 0:
-        return 0.0
-    return node_seconds / (num_nodes * span)
+        if not runs or t < last:
+            # a trace does not record the machine size, which only
+            # scales utilization_between; the replay reads steps()
+            runs.append((float(t), UtilizationTimeline(1)))
+        last = float(t)
+        getattr(runs[-1][1], hook)(SimpleNamespace(size=int(size)), last)
+    return [
+        (t, used)
+        for first, replay in runs
+        for t, used in zip(*(a.tolist() for a in replay.steps()))
+        if t >= first
+    ]
 
 
 # -- manifest diffing ----------------------------------------------------------
@@ -297,10 +291,18 @@ class TraceSummary:
     n_events: int
     event_counts: dict[str, int] = field(default_factory=dict)
     rollups: list[SpanRollup] = field(default_factory=list)
-    decision_histogram: Histogram | None = None
+    #: every decision latency, observed into a timer's fixed bins
+    decision_histogram: Timer = field(default_factory=Timer)
+    #: the same samples ascending, for exact order statistics
+    decision_latencies: list[float] = field(default_factory=list)
     sim_time_span: tuple[float, float] | None = None
     timeline: list[tuple[float, int]] = field(default_factory=list)
     peak_busy_nodes: int = 0
+
+    def decision_latency(self, q: float) -> float:
+        """Exact nearest-rank ``q``-quantile of the decision latencies."""
+        ordered = self.decision_latencies
+        return ordered[nearest_rank(q, len(ordered)) - 1]
 
 
 def summarize_trace(path: str | Path) -> TraceSummary:
@@ -320,6 +322,9 @@ def summarize_trace(path: str | Path) -> TraceSummary:
         if isinstance(t, (int, float)):
             sim_times.append(float(t))
     latencies = decision_latencies(roots)
+    histogram = Timer()
+    for seconds in latencies:
+        histogram.observe(seconds)
     timeline = utilization_timeline(records)
     return TraceSummary(
         path=str(path),
@@ -329,7 +334,8 @@ def summarize_trace(path: str | Path) -> TraceSummary:
         n_events=sum(event_counts.values()),
         event_counts=dict(sorted(event_counts.items())),
         rollups=rollups,
-        decision_histogram=latency_histogram(latencies) if latencies else None,
+        decision_histogram=histogram,
+        decision_latencies=sorted(latencies),
         sim_time_span=(min(sim_times), max(sim_times)) if sim_times else None,
         timeline=timeline,
         peak_busy_nodes=max((busy for _, busy in timeline), default=0),
@@ -367,10 +373,12 @@ def format_trace_summary(summary: TraceSummary, top: int = 10) -> str:
         )
         lines.append(f"  events: {joined}")
     hist = summary.decision_histogram
-    if hist is not None and hist.n:
+    if hist.count:
+        p50, p90, p99, longest = (summary.decision_latency(q)
+                                  for q in (0.50, 0.90, 0.99, 1.0))
         lines.append(
-            f"  decision latency: n={hist.n} mean={1e3 * hist.mean:.3f} ms "
-            f"p50={1e3 * hist.p50:.3f} p90={1e3 * hist.p90:.3f} "
-            f"p99={1e3 * hist.p99:.3f} max={1e3 * hist.max:.3f}"
+            f"  decision latency: n={hist.count} mean={1e3 * hist.mean:.3f} ms "
+            f"p50={1e3 * p50:.3f} p90={1e3 * p90:.3f} "
+            f"p99={1e3 * p99:.3f} max={1e3 * longest:.3f}"
         )
     return "\n".join(lines)

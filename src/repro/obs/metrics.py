@@ -33,13 +33,13 @@ from typing import Any
 
 # -- fixed log-binned duration histogram ---------------------------------------
 #
-# The same log-spaced binning scheme as
-# :func:`repro.obs.analyze.latency_histogram`, but with *data-independent*
-# edges so a streaming update is deterministic and order-independent:
-# 4 bins per decade from 1 microsecond to 100 seconds, plus an underflow
-# bin (<= 1e-6 s, including zero/negative samples) and an overflow bin
-# (> 1e2 s).   34 integer counts per timer, updated with one ``log10``
-# and one list index per observation.
+# The repo's one duration binning: live timers, ``repro trace summarize``
+# and the HTML report's latency chart all bin here.  The edges are
+# *data-independent*, so a streaming update is deterministic and
+# order-independent: 4 bins per decade from 1 microsecond to 100 seconds,
+# plus an underflow bin (<= 1e-6 s, including zero/negative samples) and
+# an overflow bin (> 1e2 s).   34 integer counts per timer, updated with
+# one ``log10`` and one list index per observation.
 
 #: interior bin boundaries (``TIMER_HIST_EDGES[i-1], TIMER_HIST_EDGES[i]``
 #: bound interior bin ``i``; bin 0 is underflow, bin -1 overflow)

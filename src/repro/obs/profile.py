@@ -40,7 +40,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter as _perf_counter
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterator
 
 #: schema tag stamped into every profile JSON document
 PROFILE_SCHEMA = "repro.profile/v1"
@@ -324,17 +324,3 @@ def set_global_profiler(profiler: "Profiler | None") -> "Profiler | None":
     _GLOBAL_LOADED = True
     return previous
 
-
-def merge_flat(entries: Iterable[FlatEntry]) -> list[FlatEntry]:
-    """Merge flat entries (e.g. from several profilers) by scope name."""
-    calls: dict[str, int] = {}
-    cum: dict[str, float] = {}
-    self_s: dict[str, float] = {}
-    for e in entries:
-        calls[e.name] = calls.get(e.name, 0) + e.calls
-        cum[e.name] = cum.get(e.name, 0.0) + e.cum_s
-        self_s[e.name] = self_s.get(e.name, 0.0) + e.self_s
-    return sorted(
-        (FlatEntry(n, calls[n], cum[n], self_s[n]) for n in calls),
-        key=lambda e: (-e.self_s, e.name),
-    )

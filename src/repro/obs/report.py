@@ -27,7 +27,8 @@ from html import escape
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from repro.obs.analyze import Histogram, TraceSummary
+from repro.obs.analyze import TraceSummary
+from repro.obs.metrics import TIMER_HIST_EDGES, Timer
 
 #: a series is ``(label, [(x, y), ...])``; non-finite y's break the line
 Series = tuple[str, Sequence[tuple[float, float]]]
@@ -255,17 +256,23 @@ def svg_line_chart(
     return "".join(parts)
 
 
-def svg_histogram(hist: Histogram, x_fmt: Callable[[float], str] | None = None) -> str:
-    """Vertical bars for one :class:`~repro.obs.analyze.Histogram`.
+def svg_histogram(timer: Timer, x_fmt: Callable[[float], str] | None = None) -> str:
+    """Vertical bars for the occupied bins of one :class:`~repro.obs.metrics.Timer`.
 
-    Single-series: bars in slot 1 with rounded data-ends, square at the
-    baseline, a 2px surface gap between neighbours.  Bin ranges and
-    counts ride native tooltips (and the caller's table twin)."""
+    The bars run from the first to the last non-empty bin.  Single-series:
+    bars in slot 1 with rounded data-ends, square at the baseline, a 2px
+    surface gap between neighbours.  Bin ranges and counts ride native
+    tooltips (and the caller's table twin)."""
     x_fmt = x_fmt or _fmt
-    if hist.n == 0 or len(hist.counts) == 0:
+    occupied = [i for i, count in enumerate(timer.bins) if count]
+    if not occupied:
         return ""
-    n_bins = len(hist.counts)
-    top = max(hist.counts)
+    lo, hi = occupied[0], occupied[-1] + 1
+    counts = timer.bins[lo:hi]
+    # bin i spans edges[i] .. edges[i + 1]: underflow from 0, overflow to inf
+    edges = ((0.0,) + TIMER_HIST_EDGES + (math.inf,))[lo:hi + 1]
+    n_bins = len(counts)
+    top = max(counts)
     yticks = [t for t in _nice_ticks(0, top, 4) if t == int(t)]
     y_hi = max(float(top), yticks[-1] if yticks else 1.0)
     sy = _scale(0.0, y_hi, _H - _MB, _MT)
@@ -288,10 +295,9 @@ def svg_histogram(hist: Histogram, x_fmt: Callable[[float], str] | None = None) 
         f'<line x1="{_ML}" y1="{base}" x2="{_W - _MR}" y2="{base}" '
         'stroke="var(--axis)" stroke-width="1"/>'
     )
-    for i, count in enumerate(hist.counts):
+    for i, count in enumerate(counts):
         x = _ML + i * slot_w + (slot_w - bar_w) / 2
-        lo, hi = hist.edges[i], hist.edges[i + 1]
-        tip = f"{x_fmt(lo)} – {x_fmt(hi)}: {count}"
+        tip = f"{x_fmt(edges[i])} – {x_fmt(edges[i + 1])}: {count}"
         if count > 0:
             y = sy(float(count))
             h = base - y
@@ -311,7 +317,7 @@ def svg_histogram(hist: Histogram, x_fmt: Callable[[float], str] | None = None) 
     for frac in (0.0, 0.5, 1.0):
         i = frac * n_bins
         x = _ML + i * slot_w
-        edge = hist.edges[int(round(i))]
+        edge = edges[int(round(i))]
         anchor = "start" if frac == 0.0 else "end" if frac == 1.0 else "middle"
         parts.append(
             f'<text x="{x:.1f}" y="{base + 16}" text-anchor="{anchor}" '
@@ -526,17 +532,16 @@ def _trace_section(summary: TraceSummary) -> str:
             ),
         ))
     hist = summary.decision_histogram
-    if hist is not None and hist.n:
+    if hist.count:
         cards.append(_card(
             "Scheduler decision latency",
             svg_histogram(hist, x_fmt=_seconds_fmt),
             table=_table(
                 ["stat", "value"],
-                [("n", hist.n), ("mean", _seconds_fmt(hist.mean)),
-                 ("p50", _seconds_fmt(hist.p50)),
-                 ("p90", _seconds_fmt(hist.p90)),
-                 ("p99", _seconds_fmt(hist.p99)),
-                 ("max", _seconds_fmt(hist.max))],
+                [("n", hist.count), ("mean", _seconds_fmt(hist.mean))]
+                + [(stat, _seconds_fmt(summary.decision_latency(q)))
+                   for stat, q in (("p50", 0.50), ("p90", 0.90),
+                                   ("p99", 0.99), ("max", 1.0))],
             ),
         ))
     if len(summary.timeline) > 1:

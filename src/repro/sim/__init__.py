@@ -40,8 +40,9 @@ from repro.sim.queue import WaitQueue
 from repro.sim.backfill import BackfillPlanner, Reservation
 from repro.sim.faults import FaultConfig, FaultInjector, ResilienceMetrics
 from repro.sim.engine import Engine, SchedulingView, SimulationResult
-from repro.sim.metrics import MetricsRecorder, RunMetrics
-from repro.sim.observers import EventLog, QueueDepthRecorder, UtilizationTimeline
+from repro.sim.metrics import RunMetrics
+from repro.sim.observers import EventLog, QueueDepthRecorder
+from repro.obs.analyze import UtilizationTimeline
 from repro.sim.profile import ResourceProfile
 
 __all__ = [
@@ -57,7 +58,6 @@ __all__ = [
     "FaultInjector",
     "Job",
     "JobState",
-    "MetricsRecorder",
     "QueueDepthRecorder",
     "Reservation",
     "ResilienceMetrics",

@@ -9,10 +9,12 @@ Four well-established metrics are measured:
 * **system utilization** — used node-hours of useful work over total
   elapsed node-hours.
 
-:class:`RunMetrics` summarizes a finished :class:`SimulationResult`.
-:class:`MetricsRecorder` is an engine observer that additionally tracks
-the time-weighted node occupancy, giving an exact utilization integral
-independent of job bookkeeping.
+:class:`RunMetrics` summarizes a finished :class:`SimulationResult`;
+its utilization is job bookkeeping over the arrival span.  The exact
+time-weighted occupancy over any interval is the engine observer
+:class:`~repro.obs.analyze.UtilizationTimeline`
+(``utilization_between``), which ``repro trace summarize`` also replays
+from a trace.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.check import sanitize as _san
-from repro.sim.engine import SchedulingView, SimulationResult
+from repro.sim.engine import SimulationResult
 from repro.sim.job import ExecMode, Job, JobState
 
 SECONDS_PER_WEEK = 7 * 24 * 3600.0
@@ -210,62 +212,3 @@ def weekly_series(jobs: list[Job], origin: float = 0.0) -> dict[str, np.ndarray]
         "avg_wait": avg_wait,
     }
 
-
-class MetricsRecorder:
-    """Engine observer integrating node occupancy over time.
-
-    Keeps the exact time-weighted utilization
-    ``integral(used_nodes dt) / (N * elapsed)`` plus the instantaneous
-    utilization samples taken at every scheduling instance, which the
-    capability reward function (Eq. 1) also uses.
-    """
-
-    def __init__(self, num_nodes: int) -> None:
-        self.num_nodes = num_nodes
-        self._last_time: float | None = None
-        self._last_used = 0
-        self._node_seconds = 0.0
-        self.instance_utilizations: list[float] = []
-
-    def _advance(self, now: float, used: int) -> None:
-        if self._last_time is not None and now > self._last_time:
-            self._node_seconds += self._last_used * (now - self._last_time)
-        elif self._last_time is None:
-            pass
-        self._last_time = now
-        self._last_used = used
-
-    def on_start(self, job: Job, now: float) -> None:
-        """Observer hook: integrate occupancy up to ``now``, then add."""
-        # occupancy changes *after* the start; integrate up to now first
-        self._advance(now, self._last_used)
-        self._last_used += job.size
-
-    def on_finish(self, job: Job, now: float) -> None:
-        """Observer hook: integrate occupancy up to ``now``, then subtract."""
-        self._advance(now, self._last_used)
-        self._last_used -= job.size
-
-    def on_kill(self, job: Job, now: float) -> None:
-        """Observer hook: a fault kill frees the job's nodes like a finish."""
-        self._advance(now, self._last_used)
-        self._last_used -= job.size
-
-    def on_instance(self, view: SchedulingView, started) -> None:
-        """Observer hook: sample utilization at each scheduling instance."""
-        self.instance_utilizations.append(
-            view.cluster.used_nodes / view.cluster.num_nodes
-        )
-
-    def occupancy_node_seconds(self, until: float | None = None) -> float:
-        """Node-seconds of occupancy integrated so far (or up to ``until``)."""
-        total = self._node_seconds
-        if until is not None and self._last_time is not None and until > self._last_time:
-            total += self._last_used * (until - self._last_time)
-        return total
-
-    def utilization(self, elapsed: float) -> float:
-        """Time-weighted occupancy utilization over ``elapsed`` seconds."""
-        if elapsed <= 0:
-            return 0.0
-        return self.occupancy_node_seconds() / (self.num_nodes * elapsed)

@@ -12,8 +12,9 @@ its hooks (all optional).  The engine knows no other way to be watched.
   ``trace`` / ``profile`` / ``live`` settings and the ``REPRO_TRACE`` /
   ``REPRO_PROFILE`` / ``REPRO_LIVE`` process-globals.
 * The *recorders* capture the time series that the experiments and
-  ad-hoc analyses need: queue depth, node occupancy, and a structured
-  event log.
+  ad-hoc analyses need: queue depth and a structured event log.  Node
+  occupancy is :class:`~repro.obs.analyze.UtilizationTimeline`, which
+  also replays a trace.
 """
 
 from __future__ import annotations
@@ -334,61 +335,6 @@ class QueueDepthRecorder:
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """``(times, depths)`` as numpy arrays, for plotting."""
         return np.asarray(self.times), np.asarray(self.depths, dtype=np.int64)
-
-
-class UtilizationTimeline:
-    """Piecewise-constant node-occupancy timeline.
-
-    Records a ``(time, used_nodes)`` step whenever occupancy changes,
-    enabling exact time-weighted utilization over any interval.
-    """
-
-    def __init__(self, num_nodes: int) -> None:
-        if num_nodes <= 0:
-            raise ValueError("num_nodes must be positive")
-        self.num_nodes = num_nodes
-        self._times: list[float] = [0.0]
-        self._used: list[int] = [0]
-
-    def _record(self, now: float, used: int) -> None:
-        if now < self._times[-1]:
-            raise ValueError("time went backwards")
-        # same engine-clock float observed twice, never recomputed
-        if now == self._times[-1]:  # repro: noqa[float-time-eq]
-            self._used[-1] = used
-        else:
-            self._times.append(now)
-            self._used.append(used)
-
-    def on_start(self, job: Job, now: float) -> None:
-        """Observer hook: occupancy step up by ``job.size``."""
-        self._record(now, self._used[-1] + job.size)
-
-    def on_finish(self, job: Job, now: float) -> None:
-        """Observer hook: occupancy step down by ``job.size``."""
-        self._record(now, self._used[-1] - job.size)
-
-    def on_kill(self, job: Job, now: float) -> None:
-        """Observer hook: a fault kill also releases the job's nodes."""
-        self._record(now, self._used[-1] - job.size)
-
-    def utilization_between(self, t0: float, t1: float) -> float:
-        """Exact time-weighted utilization over ``[t0, t1]``."""
-        if t1 <= t0:
-            raise ValueError("need t1 > t0")
-        times = np.asarray(self._times)
-        used = np.asarray(self._used, dtype=np.float64)
-        # integrate the step function over [t0, t1]
-        edges = np.concatenate([[t0], times[(times > t0) & (times < t1)], [t1]])
-        # value on each sub-interval = last step at or before its left edge
-        idx = np.searchsorted(times, edges[:-1], side="right") - 1
-        idx = np.clip(idx, 0, used.size - 1)
-        integral = float(np.sum(used[idx] * np.diff(edges)))
-        return integral / (self.num_nodes * (t1 - t0))
-
-    def steps(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(times, used_nodes)`` breakpoints of the step function."""
-        return np.asarray(self._times), np.asarray(self._used, dtype=np.int64)
 
 
 @dataclass(frozen=True)

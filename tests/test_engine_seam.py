@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.obs.analyze import UtilizationTimeline
 from repro.obs.live import LiveBus
 from repro.obs.profile import Profiler
 from repro.obs.trace import Tracer, read_trace
@@ -25,8 +26,7 @@ from repro.sim.cluster import Cluster
 from repro.sim.engine import Engine, run_simulation
 from repro.sim.faults import FaultConfig, FaultInjector
 from repro.sim.job import JobState, reset_job_id_counter
-from repro.sim.metrics import MetricsRecorder
-from repro.sim.observers import EventLog, QueueDepthRecorder, UtilizationTimeline
+from repro.sim.observers import EventLog, QueueDepthRecorder
 from repro.workload.models import ThetaModel
 from tests.conftest import make_job
 
@@ -318,9 +318,8 @@ class TestHookOrder:
                 OnlyReserve.seen += 1
 
         depth, log = QueueDepthRecorder(), EventLog()
-        timeline, collector = UtilizationTimeline(4), MetricsRecorder(4)
-        engine = scripted_engine(
-            [OnlyReserve(), depth, log, timeline, collector])
+        timeline = UtilizationTimeline(4)
+        engine = scripted_engine([OnlyReserve(), depth, log, timeline])
         result = engine.run()
         assert OnlyReserve.seen == 4
         assert len(depth.depths) == result.num_instances
@@ -330,9 +329,11 @@ class TestHookOrder:
             ("reserve", 3), ("start", 3), ("reserve", 2), ("kill", 3),
             ("reserve", 2), ("finish", 1), ("start", 2), ("finish", 2),
         ]
-        assert timeline.steps()[1].tolist()[-1] == 0
-        assert len(collector.instance_utilizations) == result.num_instances
-        assert collector.occupancy_node_seconds() == 3 * 100 + 30 + 20 + 400
+        times, used = timeline.steps()
+        assert used.tolist()[-1] == 0
+        end = float(times[-1])
+        assert timeline.utilization_between(0.0, end) * 4 * end == \
+            pytest.approx(3 * 100 + 30 + 20 + 400)
 
 
 # -- structure: the loop speaks only the Observer protocol ---------------------

@@ -12,6 +12,7 @@ from repro.core.config import DRASConfig
 from repro.core.decima import DecimaPG
 from repro.core.dras_dql import DRASDQL
 from repro.core.dras_pg import DRASPG
+from repro.obs.analyze import UtilizationTimeline
 from repro.schedulers import (
     BinPacking,
     ConservativeBackfill,
@@ -23,7 +24,6 @@ from repro.schedulers import (
 from repro.sim.engine import run_simulation
 from repro.sim.job import ExecMode, JobState
 from repro.sim.metrics import RunMetrics
-from repro.sim.observers import UtilizationTimeline
 from repro.workload.models import ThetaModel
 
 NODES = 64

@@ -1,4 +1,4 @@
-"""Unit tests for metrics (RunMetrics, ModeBreakdown, series, recorder)."""
+"""Unit tests for metrics (RunMetrics, ModeBreakdown, series)."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from repro.schedulers.fcfs import FCFSEasy
 from repro.sim.engine import run_simulation
 from repro.sim.job import ExecMode, JobState
 from repro.sim.metrics import (
-    MetricsRecorder,
     ModeBreakdown,
     RunMetrics,
     wait_by_size_category,
@@ -16,8 +15,8 @@ from repro.sim.metrics import (
 from tests.conftest import make_job
 
 
-def _run(jobs, nodes=4, observers=()):
-    return run_simulation(nodes, FCFSEasy(), jobs, observers=observers)
+def _run(jobs, nodes=4):
+    return run_simulation(nodes, FCFSEasy(), jobs)
 
 
 class TestRunMetrics:
@@ -116,23 +115,3 @@ class TestGroupings:
         series = weekly_series([])
         assert series["week"].size == 0
 
-
-class TestMetricsRecorder:
-    def test_occupancy_integral_matches_job_work(self):
-        recorder = MetricsRecorder(num_nodes=4)
-        a = make_job(size=2, walltime=100.0, submit=0.0)
-        b = make_job(size=2, walltime=50.0, submit=10.0)
-        result = _run([a, b], observers=[recorder])
-        expected = a.node_seconds + b.node_seconds
-        assert recorder.occupancy_node_seconds() == pytest.approx(expected)
-        util = recorder.utilization(result.elapsed)
-        assert 0.0 < util <= 1.0
-
-    def test_instance_utilization_samples(self):
-        recorder = MetricsRecorder(num_nodes=4)
-        _run([make_job(size=4, walltime=10.0)], observers=[recorder])
-        assert recorder.instance_utilizations
-        assert all(0.0 <= u <= 1.0 for u in recorder.instance_utilizations)
-
-    def test_zero_elapsed(self):
-        assert MetricsRecorder(4).utilization(0.0) == 0.0

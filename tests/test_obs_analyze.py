@@ -1,29 +1,45 @@
 """Trace analytics: rollups, histograms, timelines, manifest diffs."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.obs.analyze import (
-    Histogram,
+    UtilizationTimeline,
     diff_manifests,
     decision_latencies,
     format_trace_summary,
-    latency_histogram,
-    mean_utilization,
     rollup_spans,
     summarize_trace,
     utilization_timeline,
 )
 from repro.obs.manifest import RunManifest
+from repro.obs.metrics import nearest_rank
 from repro.obs.trace import Tracer, build_span_tree, read_trace
 from repro.schedulers.fcfs import FCFSEasy
 from repro.sim.engine import run_simulation
+from repro.sim.faults import FaultConfig
 from repro.workload.models import ThetaModel
 
 
 def _jobs(n=120, nodes=32, seed=0):
     model = ThetaModel.scaled(nodes)
     return model.generate(n, np.random.default_rng(seed))
+
+
+def _latency_trace(tmp_path, durations):
+    """A trace of one closed ``engine.instance`` span per duration."""
+    path = tmp_path / "latency.jsonl"
+    records = [{"type": "meta", "schema": "repro.trace/v1"}]
+    for sid, seconds in enumerate(durations, start=1):
+        records += [
+            {"type": "begin", "name": "engine.instance", "sid": sid,
+             "pid": None, "wall": 0.0, "t": float(sid), "batch": 1},
+            {"type": "end", "sid": sid, "wall": seconds},
+        ]
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return path
 
 
 def _trace_roots(tmp_path, build):
@@ -62,32 +78,33 @@ class TestRollups:
 
 
 class TestLatencyHistogram:
-    def test_empty_and_degenerate(self):
-        empty = latency_histogram([])
-        assert empty.n == 0 and sum(empty.counts) == 0
-        single = latency_histogram([0.25] * 5)
-        assert single.n == 5 and sum(single.counts) == 5
-        assert single.p50 == 0.25 and single.max == 0.25
+    def test_empty_and_degenerate(self, tmp_path):
+        empty = summarize_trace(_latency_trace(tmp_path, []))
+        assert empty.decision_histogram.count == 0
+        assert "decision latency" not in format_trace_summary(empty)
+        single = summarize_trace(_latency_trace(tmp_path, [0.25] * 5))
+        assert sum(single.decision_histogram.bins) == 5
+        assert sum(1 for c in single.decision_histogram.bins if c) == 1
+        assert single.decision_latency(0.50) == 0.25
+        assert single.decision_latency(1.0) == 0.25
 
-    def test_counts_and_percentiles(self):
+    def test_counts_and_percentiles(self, tmp_path):
         values = [0.001 * (i + 1) for i in range(100)]
-        hist = latency_histogram(values, bins=10)
-        assert hist.n == 100 and sum(hist.counts) == 100
-        assert hist.min == pytest.approx(0.001)
-        assert hist.max == pytest.approx(0.100)
-        assert hist.p50 == pytest.approx(0.050)
-        assert hist.p99 == pytest.approx(0.099)
-        assert len(hist.edges) == len(hist.counts) + 1
-        # log-spaced edges are strictly increasing
-        assert all(a < b for a, b in zip(hist.edges, hist.edges[1:]))
-
-    def test_bins_validation(self):
-        with pytest.raises(ValueError, match="bins"):
-            latency_histogram([1.0], bins=0)
-
-    def test_as_dict_round_trip(self):
-        doc = latency_histogram([0.1, 0.2, 0.3]).as_dict()
-        assert doc["n"] == 3 and len(doc["edges"]) == len(doc["counts"]) + 1
+        summary = summarize_trace(_latency_trace(tmp_path, values))
+        hist = summary.decision_histogram
+        assert hist.count == 100 and sum(hist.bins) == 100
+        assert hist.mean == pytest.approx(0.0505)
+        assert summary.decision_latencies == values
+        assert summary.decision_latency(0.50) == pytest.approx(0.050)
+        assert summary.decision_latency(0.99) == pytest.approx(0.099)
+        assert summary.decision_latency(1.0) == pytest.approx(0.100)
+        # the binned estimate is within one quarter-decade bin of the exact
+        for q in (0.50, 0.90, 0.99):
+            ratio = hist.quantile(q) / summary.decision_latency(q)
+            assert 10 ** -0.25 <= ratio <= 10 ** 0.25
+        text = format_trace_summary(summary)
+        assert "n=100 mean=50.500 ms p50=50.000 p90=90.000 p99=99.000 " \
+            "max=100.000" in text
 
     def test_decision_latencies_from_engine_trace(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -101,31 +118,60 @@ class TestLatencyHistogram:
 class TestUtilizationTimeline:
     def test_step_series_from_events(self):
         records = [
-            {"type": "event", "name": "engine.allocate", "t": 0.0, "size": 4},
-            {"type": "event", "name": "engine.allocate", "t": 0.0, "size": 2},
-            {"type": "event", "name": "engine.release", "t": 10.0, "size": 4},
-            {"type": "event", "name": "engine.release", "t": 30.0, "size": 2},
+            {"type": "event", "name": "engine.allocate", "t": 0.0, "job": 1,
+             "size": 4},
+            {"type": "event", "name": "engine.allocate", "t": 0.0, "job": 2,
+             "size": 2},
+            {"type": "event", "name": "engine.release", "t": 10.0, "job": 1,
+             "size": 4},
             {"type": "event", "name": "unrelated", "t": 5.0, "size": 99},
+            # a kill carries no size: it frees the job's latest allocation
+            {"type": "event", "name": "engine.job_kill", "t": 20.0, "job": 2},
+            {"type": "event", "name": "engine.allocate", "t": 25.0, "job": 2,
+             "size": 2},
+            {"type": "event", "name": "engine.release", "t": 30.0, "job": 2,
+             "size": 2},
             "garbage",
         ]
         timeline = utilization_timeline(records)
         # simultaneous events collapse to one point per timestamp
-        assert timeline == [(0.0, 6), (10.0, 2), (30.0, 0)]
-        # 6 nodes for 10s + 2 nodes for 20s over 8 nodes * 30s
-        assert mean_utilization(timeline, 8) == pytest.approx(100.0 / 240.0)
+        assert timeline == [(0.0, 6), (10.0, 2), (20.0, 0), (25.0, 2),
+                            (30.0, 0)]
 
     def test_engine_trace_ends_drained(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        run_simulation(32, FCFSEasy(), _jobs(), trace=path)
-        timeline = utilization_timeline(read_trace(path))
-        assert timeline[-1][1] == 0  # all nodes released at the end
-        assert max(busy for _, busy in timeline) <= 32
-        assert min(busy for _, busy in timeline) >= 0
+        """The replay is the engine-side observer, kills included."""
+        faults = FaultConfig(mtbf=20000.0, mttr=1800.0,
+                             job_kill_mtbf=30000.0, seed=1)
+        for nodes, n, run_faults in ((32, 120, None), (64, 300, faults)):
+            path = tmp_path / f"t{nodes}.jsonl"
+            observer = UtilizationTimeline(nodes)
+            result = run_simulation(nodes, FCFSEasy(), _jobs(n, nodes),
+                                    trace=path, observers=[observer],
+                                    faults=run_faults)
+            timeline = utilization_timeline(read_trace(path))
+            steps = list(zip(*(a.tolist() for a in observer.steps())))
+            assert steps[0] == (0.0, 0) and timeline == steps[1:]
+            assert timeline[-1][1] == 0  # all nodes released at the end
+            assert max(busy for _, busy in timeline) <= nodes
+            assert min(busy for _, busy in timeline) >= 0
+        # the faulted run did kill jobs and fail nodes
+        assert result.resilience.jobs_killed > 0
+        assert result.resilience.node_failures > 0
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="num_nodes"):
-            mean_utilization([(0.0, 1), (1.0, 0)], 0)
-        assert mean_utilization([], 4) == 0.0
+        def event(name, t, job, size=None):
+            return {"type": "event", "name": name, "t": t, "job": job,
+                    "size": size}
+
+        assert utilization_timeline([]) == []
+        # a kill whose allocation the trace never saw, or a negative
+        # time, is skipped
+        assert utilization_timeline([event("engine.job_kill", 1.0, 9),
+                                     event("engine.allocate", -1.0, 9, 2)]) == []
+        # the clock going back starts the next run of a multi-run trace
+        run = [event("engine.allocate", 5.0, 1, 2),
+               event("engine.release", 9.0, 1, 2)]
+        assert utilization_timeline(run + run) == [(5.0, 2), (9.0, 0)] * 2
 
 
 class TestManifestDiff:
@@ -163,7 +209,13 @@ class TestSummarize:
         result = run_simulation(32, FCFSEasy(), _jobs(), trace=path)
         summary = summarize_trace(path)
         assert summary.n_unclosed == 0
-        assert summary.decision_histogram.n == result.num_instances
+        hist = summary.decision_histogram
+        assert hist.count == sum(hist.bins) == result.num_instances
+        latencies = sorted(decision_latencies(build_span_tree(read_trace(path))))
+        assert summary.decision_latencies == latencies
+        for q in (0.50, 0.99, 1.0):
+            exact = latencies[nearest_rank(q, len(latencies)) - 1]
+            assert summary.decision_latency(q) == exact
         assert summary.event_counts["engine.allocate"] == len(
             result.finished_jobs)
         assert summary.peak_busy_nodes <= 32

@@ -12,10 +12,8 @@ from repro.nn.network import build_dras_network
 from repro.nn.optim import Adam
 from repro.obs.profile import (
     PROFILE_SCHEMA,
-    FlatEntry,
     Profiler,
     global_profiler,
-    merge_flat,
     set_global_profiler,
 )
 from repro.schedulers.fcfs import FCFSEasy
@@ -124,14 +122,6 @@ class TestProfilerTree:
         doc = json.loads(out.read_text())
         assert doc["schema"] == PROFILE_SCHEMA
         assert doc["roots"][0]["calls"] == 1
-
-    def test_merge_flat(self):
-        a = FlatEntry("x", 2, 1.0, 0.5)
-        b = FlatEntry("x", 3, 2.0, 1.5)
-        c = FlatEntry("y", 1, 9.0, 0.1)
-        (x, y) = merge_flat([a, b, c])
-        assert (x.name, x.calls, x.cum_s, x.self_s) == ("x", 5, 3.0, 2.0)
-        assert y.name == "y"
 
 
 class TestEngineProfiling:

@@ -6,7 +6,8 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from repro.obs.analyze import latency_histogram, summarize_trace
+from repro.obs.analyze import summarize_trace
+from repro.obs.metrics import Timer
 from repro.obs.report import (
     render_report,
     svg_hbar,
@@ -55,10 +56,18 @@ class TestCharts:
         assert svg_line_chart([("x", [(0.0, float("nan"))])]) == ""
 
     def test_histogram_chart(self):
-        hist = latency_histogram([0.001 * (i + 1) for i in range(50)])
-        svg = svg_histogram(hist)
+        timer = Timer()
+        for i in range(50):
+            timer.observe(0.001 * (i + 1))
+        svg = svg_histogram(timer)
         _assert_well_formed(svg)
-        assert svg_histogram(latency_histogram([])) == ""
+        # 1..50 ms: the occupied bins, 10**-3 .. 10**-1.25 s, are seven
+        assert svg.count("<rect") == 7
+        assert svg_histogram(Timer()) == ""
+        # the underflow and overflow bins draw with open-ended edges
+        for seconds in (0.0, 1e3):
+            timer.observe(seconds)
+        _assert_well_formed(svg_histogram(timer))
 
     def test_hbar_chart_escapes_labels(self):
         svg = svg_hbar([("engine.run", 3.0), ("<evil> & co", 1.0)])

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.obs.analyze import UtilizationTimeline
 from repro.schedulers import FCFSEasy
 from repro.sim.engine import run_simulation
-from repro.sim.observers import EventLog, QueueDepthRecorder, UtilizationTimeline
+from repro.sim.observers import EventLog, QueueDepthRecorder
 from tests.conftest import make_job
 
 

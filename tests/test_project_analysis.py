@@ -129,10 +129,10 @@ class TestContractRules:
         assert "RPR402" in rule_ids(violations)
 
     def test_observer_hook_drift(self, mutated_src):
-        metrics = mutated_src / "sim" / "metrics.py"
-        metrics.write_text(metrics.read_text().replace(
-            "def on_finish(self, job: Job, now: float) -> None:",
-            "def on_finish(self, job: Job) -> None:",
+        analyze = mutated_src / "obs" / "analyze.py"
+        analyze.write_text(analyze.read_text().replace(
+            "def on_finish(self, job: Any, now: float) -> None:",
+            "def on_finish(self, job: Any) -> None:",
         ))
         violations = analyze_project(mutated_src, package="repro")
         assert "RPR403" in rule_ids(violations)
