@@ -37,11 +37,10 @@ workload parameters, summary metrics) alongside their output, and
 accepts ``--telemetry PATH`` for per-episode JSONL training records.
 They also accept ``--faults SPEC`` to run under seeded fault injection
 (:mod:`repro.sim.faults`; ``reproduce`` only for the ``faultsweep``
-experiment) — see ``docs/resilience.md`` — and ``--live [PORT]`` /
+experiment) — see ``docs/resilience.md`` — and ``--live`` /
 ``--live-record PATH`` for an in-flight view of the run (a terminal
-progress/ETA line, optional ``/metrics`` + ``/status`` HTTP endpoints,
-snapshot shards; :mod:`repro.obs.live`, also via the ``REPRO_LIVE``
-env var) — see ``docs/observability.md``.
+progress/ETA line, snapshot shards; :mod:`repro.obs.live`, also via
+the ``REPRO_LIVE`` env var) — see ``docs/observability.md``.
 """
 
 from __future__ import annotations
@@ -101,14 +100,12 @@ def parse_faults(spec: str | None):
 
 @contextlib.contextmanager
 def _live_session(args: argparse.Namespace, install: bool = False):
-    """``--live [PORT]`` / ``--live-record PATH`` → a LiveBus for the block.
+    """``--live`` / ``--live-record PATH`` → a LiveBus for the block.
 
-    ``--live`` with no value shows the terminal progress/ETA line;
-    ``--live PORT`` additionally serves ``/metrics`` + ``/status`` on
-    ``127.0.0.1:PORT``; ``--live-record PATH`` appends every snapshot
-    to a JSONL shard (mergeable with ``repro live summarize``).  With
-    neither flag, yields ``None`` so components fall back to the
-    ``REPRO_LIVE`` process-global bus.
+    Either flag shows the terminal progress/ETA line; ``--live-record
+    PATH`` also appends every snapshot to a JSONL shard (mergeable with
+    ``repro live summarize``).  With neither flag, yields ``None`` so
+    components fall back to the ``REPRO_LIVE`` process-global bus.
 
     ``install`` also makes the bus process-global for the block, so
     every simulation the command runs internally publishes to it.  The
@@ -116,16 +113,12 @@ def _live_session(args: argparse.Namespace, install: bool = False):
     """
     from repro.obs import live as _live
 
-    spec = getattr(args, "live", None)
     record = getattr(args, "live_record", None)
-    if spec is None and record is None:
+    if not getattr(args, "live", False) and record is None:
         yield None
         return
-    bus = _live.live_from_spec(spec if spec is not None else "1")
-    server = getattr(bus, "server", None)
-    if server is not None:
-        print(f"live: serving /metrics and /status on "
-              f"http://127.0.0.1:{server.port}", file=sys.stderr)
+    bus = _live.LiveBus()
+    bus.attach(_live.ProgressSink())
     if record is not None:
         bus.attach(_live.SnapshotWriter(record))
         print(f"live: recording snapshots to {record}", file=sys.stderr)
@@ -707,10 +700,9 @@ def cmd_live(args: argparse.Namespace) -> int:
 
 def _add_live_args(p: argparse.ArgumentParser) -> None:
     """Attach the shared ``--live`` / ``--live-record`` flags."""
-    p.add_argument("--live", nargs="?", const="1", metavar="PORT",
-                   help="show a live progress/ETA line; with a PORT, also "
-                        "serve /metrics (Prometheus text) and /status "
-                        "(JSON) on 127.0.0.1:PORT while the run executes")
+    p.add_argument("--live", action="store_true",
+                   help="show a live progress/ETA line while the run "
+                        "executes")
     p.add_argument("--live-record", metavar="PATH",
                    help="append every live snapshot to a JSONL shard "
                         "(repro.live/v1; merge shards with "

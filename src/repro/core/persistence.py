@@ -11,8 +11,10 @@ checkpoint written by a float64 network loads by rounding.
 
 Durability contract
 -------------------
-Writes are *atomic*: the archive is assembled in a same-directory
-temporary file, fsynced, and moved into place with :func:`os.replace`,
+Writes are *atomic*: ``np.savez`` streams the archive into
+:func:`repro.obs.jsonl.atomic_write`'s same-directory temporary file
+(an open file object, so the string API's ``.npz`` suffix never
+applies), which is fsynced and moved into place with :func:`os.replace`,
 so a crash mid-save can never leave a half-written file under the final
 name.  Loads fail *loudly*: any truncated, corrupted or non-checkpoint
 file raises :class:`CheckpointError` with an actionable message instead
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import zipfile
 from pathlib import Path
 
@@ -33,6 +34,7 @@ from repro.core.config import DRASConfig
 from repro.core.decima import DecimaPG
 from repro.core.dras_dql import DRASDQL
 from repro.core.dras_pg import DRASPG
+from repro.obs.jsonl import atomic_write
 
 FORMAT_VERSION = 1
 
@@ -114,29 +116,6 @@ def restore_agent(meta: dict, data) -> object:
     return agent
 
 
-def atomic_savez(path: str | Path, arrays: dict[str, np.ndarray]) -> None:
-    """Write an ``.npz`` atomically (tmp file + fsync + ``os.replace``).
-
-    ``np.savez`` is handed an open file object so the archive lands at
-    the exact temporary path (the convenience string API appends
-    ``.npz``), then the finished file replaces the target in one atomic
-    rename.  A crash at any point leaves either the old file or the new
-    one, never a torn hybrid.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            np.savez(fh, **arrays)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    finally:
-        if tmp.exists():
-            tmp.unlink()
-
-
 def load_npz_checkpoint(path: str | Path):
     """Open an ``.npz`` checkpoint, translating corruption to loud errors.
 
@@ -169,7 +148,8 @@ def save_agent(agent, path: str | Path) -> None:
     meta = agent_meta(agent)
     arrays = agent_arrays(agent)
     arrays["__meta__"] = np.array(json.dumps(meta))
-    atomic_savez(path, arrays)
+    with atomic_write(path, binary=True) as fh:
+        np.savez(fh, **arrays)
 
 
 def load_agent(path: str | Path):

@@ -67,7 +67,7 @@ from repro.experiments import faultsweep, runner
 from repro.obs import live as _live
 from repro.obs.jsonl import (
     JsonlWriter,
-    atomic_write_text,
+    atomic_write,
     canonical_json,
     read_jsonl,
     sha256_hex,
@@ -375,8 +375,9 @@ class SweepStore:
                     f"store {self.root} holds shards but no spec.json; "
                     "refusing to guess — use a fresh --store directory"
                 )
-            atomic_write_text(self.spec_path, json.dumps(
-                spec.identity(), indent=2, sort_keys=True) + "\n")
+            with atomic_write(self.spec_path) as fh:
+                fh.write(json.dumps(spec.identity(), indent=2,
+                                    sort_keys=True) + "\n")
 
     def generation(self) -> int:
         """1 + the highest generation number any existing shard carries."""
@@ -535,9 +536,9 @@ def results_digest(rollup: Mapping[str, Any]) -> str:
 
 
 def write_rollup(store: SweepStore, rollup: Mapping[str, Any]) -> Path:
-    """Atomically write ``rollup.json`` (tmp + rename); returns the path."""
-    atomic_write_text(store.rollup_path,
-                      json.dumps(rollup, indent=2, sort_keys=True) + "\n")
+    """Atomically write ``rollup.json`` (:func:`atomic_write`); returns it."""
+    with atomic_write(store.rollup_path) as fh:
+        fh.write(json.dumps(rollup, indent=2, sort_keys=True) + "\n")
     return store.rollup_path
 
 
@@ -1010,9 +1011,10 @@ def _forward_live(live: "_live.LiveBus | None", slot: int,
     """Republish one worker snapshot on the parent bus.
 
     The worker's kind is suffixed with its slot (``sim`` from worker 1
-    becomes ``sim_w1``) so ``/status`` shows each worker's last
-    snapshot side by side while the aggregate ``sweep`` kind keeps the
-    overall done/total/ETA view.
+    becomes ``sim_w1``) so a ``--live-record`` shard, merged by
+    ``repro live summarize``, keeps each worker's snapshots apart while
+    the aggregate ``sweep`` kind keeps the overall done/total/ETA view.
+    Runs on the parent's own thread, between its ``recv`` calls.
     """
     if live is None:
         return

@@ -6,18 +6,18 @@ sorted-key JSON object per line behind a ``meta`` header, flushed per
 record so a killed writer leaves at most one torn final line
 (:class:`JsonlWriter`); one scanner that classifies damage
 (:func:`read_jsonl`); the canonical form every content digest hashes
-(:func:`canonical_json` / :func:`sha256_hex`); and whole-document
-writes that are old or new, never half-written
-(:func:`atomic_write_text`).
+(:func:`canonical_json` / :func:`sha256_hex`); and whole-file writes
+that are old or new, never half-written (:func:`atomic_write`).
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
 import warnings
-from typing import Any, Mapping
+from typing import IO, Any, Iterator, Mapping
 
 
 def canonical_json(doc: Any) -> str:
@@ -30,16 +30,32 @@ def sha256_hex(doc: Any) -> str:
     return hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()
 
 
-def atomic_write_text(path: "str | os.PathLike[str]", text: str) -> None:
-    """Write ``text`` via ``<path>.tmp`` + ``os.replace``.
+@contextlib.contextmanager
+def atomic_write(path: "str | os.PathLike[str]",
+                 binary: bool = False) -> Iterator[IO[Any]]:
+    """Yield ``<path>.tmp`` open for writing; on success it becomes ``path``.
 
-    A kill mid-write leaves the previous file (or none) in place.
+    The caller fills the file object (text, UTF-8; or bytes with
+    ``binary=True`` — an ``np.savez`` streams straight into it).  On a
+    clean exit the file is flushed, fsynced and ``os.replace``-d over
+    ``path``, so a kill or an OS crash leaves the old file or the new
+    one, never a torn hybrid.  If the fill raises, the tmp file is
+    removed and ``path`` is untouched.  Missing parent directories are
+    created.
     """
     path = os.fspath(path)
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    try:
+        with open(tmp, "wb" if binary else "w",
+                  encoding=None if binary else "utf-8") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 class JsonlWriter:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from repro.obs.jsonl import atomic_write_text, sha256_hex
+from repro.obs.jsonl import atomic_write, sha256_hex
 
 #: schema tag stamped into every manifest
 MANIFEST_SCHEMA = "repro.manifest/v1"
@@ -186,8 +186,9 @@ class RunManifest:
 
     def write(self, path: str | Path) -> Path:
         """Atomically write pretty-printed manifest JSON; returns the path."""
-        atomic_write_text(
-            path, json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n")
+        with atomic_write(path) as fh:
+            fh.write(json.dumps(self.as_dict(), indent=2, sort_keys=True)
+                     + "\n")
         return Path(path)
 
     @staticmethod

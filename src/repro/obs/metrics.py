@@ -285,10 +285,6 @@ class MetricsRegistry:
             raise TypeError(f"not an instrument: {type(instrument).__name__}")
         self._instruments[name] = instrument
 
-    def names(self) -> list[str]:
-        """All registered instrument names, sorted."""
-        return sorted(self._instruments)
-
     def snapshot(self) -> dict[str, Any]:
         """Summarize every instrument as plain JSON-friendly values.
 
@@ -305,7 +301,7 @@ class MetricsRegistry:
                 out[name] = instrument.value
             elif isinstance(instrument, Gauge):
                 # summary dicts are built once per snapshot() call (end
-                # of run / scrape), not per observation — the hot-path
+                # of run), not per observation — the hot-path
                 # cost of an instrument is its inc/set/observe
                 out[name] = {
                     "value": instrument.value,

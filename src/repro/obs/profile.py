@@ -42,6 +42,8 @@ from pathlib import Path
 from time import perf_counter as _perf_counter
 from typing import Any, Iterator
 
+from repro.obs.jsonl import atomic_write
+
 #: schema tag stamped into every profile JSON document
 PROFILE_SCHEMA = "repro.profile/v1"
 
@@ -247,13 +249,11 @@ class Profiler:
         self._stack.clear()
 
     def write_json(self, path: str | Path) -> Path:
-        """Write the profile document as pretty-printed JSON."""
-        path = Path(path)
-        path.write_text(
-            json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        return path
+        """Atomically write the profile document as pretty-printed JSON."""
+        with atomic_write(path) as fh:
+            fh.write(json.dumps(self.as_dict(), indent=2, sort_keys=True)
+                     + "\n")
+        return Path(path)
 
 
 class _ProfileScope:

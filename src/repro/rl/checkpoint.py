@@ -14,7 +14,7 @@ needed to continue *bit-identically*:
   telemetry tails instead of duplicating episodes;
 * the fault config active during training, for manifest round-trips.
 
-Writes go through :func:`repro.core.persistence.atomic_savez`
+Writes go through :func:`repro.obs.jsonl.atomic_write`
 (tmp file + fsync + ``os.replace``): a SIGKILL mid-save leaves the
 previous checkpoint intact.  An interrupted run resumed from its latest
 checkpoint reaches the same final validation score as an uninterrupted
@@ -43,6 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core import persistence as _persist
+from repro.obs.jsonl import atomic_write
 from repro.sim.faults import FaultConfig
 
 CHECKPOINT_VERSION = 1
@@ -86,7 +87,8 @@ def save_checkpoint(
     }
     arrays = _persist.agent_arrays(agent)
     arrays["__meta__"] = np.array(json.dumps(meta))
-    _persist.atomic_savez(path, arrays)
+    with atomic_write(path, binary=True) as fh:
+        np.savez(fh, **arrays)
 
 
 def load_checkpoint(path: str | Path) -> LoadedCheckpoint:

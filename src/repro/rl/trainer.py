@@ -319,8 +319,6 @@ class Trainer:
                 f"{len(jobsets)} jobsets were supplied"
             )
         live = self.live_bus
-        if live is not None:
-            live.register_metrics("trainer", self.metrics)
         for phase, jobset in jobsets[done:]:
             episode = len(history.episodes)
             train_reward = self.run_episode(jobset, episode=episode)

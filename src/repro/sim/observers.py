@@ -236,9 +236,8 @@ class LiveObserver:
         self._pending = 0
 
     def on_run_begin(self, engine: "Engine") -> None:
-        """Expose the engine's registry on ``/metrics`` and ``/status``."""
+        """Remember the engine the snapshots read."""
         self._engine = engine
-        self.bus.register_metrics("engine", engine.metrics)
 
     def on_instance_begin(self, now: float, n_events: int) -> None:
         """Count the batch towards the cadence."""

@@ -833,7 +833,7 @@ class TestRealTree:
         model, project = model_and_project
         assert _live_modules(project) == ["repro.obs.live"]
         sinks = _sink_classes(project, "repro.obs.live")
-        assert {"ProgressSink", "SnapshotWriter", "LiveServer"} <= sinks
+        assert {"ProgressSink", "SnapshotWriter"} <= sinks
         assert "LiveBus" not in sinks
         # the subject of the rule exists: a sink really reads time.time
         stamp = details(model, "repro.obs.live.SnapshotWriter.__init__")

@@ -29,6 +29,7 @@ class TestParser:
     @pytest.mark.parametrize("argv", [
         ["bench"],
         ["report", "--out", "x.html", "--bench", "y.json"],
+        ["simulate", "t.swf", "--live", "9099"],
     ])
     def test_retired_bench_surface_rejected(self, argv):
         with pytest.raises(SystemExit) as exc:

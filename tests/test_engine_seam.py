@@ -345,7 +345,7 @@ class TestEngineSpeaksOneProtocol:
         # Profiler
         "push", "pop", "pop_to", "scope",
         # LiveBus
-        "publish", "register_metrics",
+        "publish",
         # the process-global lookups
         "global_tracer", "global_profiler", "global_live_bus",
     }

@@ -21,7 +21,7 @@ from repro.experiments import pool
 from repro.obs.aggregate import read_snapshots
 from repro.obs.jsonl import (
     JsonlWriter,
-    atomic_write_text,
+    atomic_write,
     canonical_json,
     read_jsonl,
     sha256_hex,
@@ -320,8 +320,8 @@ class TestDigestAndAtomicWrite:
 
     def test_atomic_write_replaces_and_leaves_no_tmp(self, tmp_path):
         path = tmp_path / "doc.json"
-        atomic_write_text(path, "old\n")
-        atomic_write_text(path, "new\n")
+        _write(path, "old\n")
+        _write(path, "new\n")
         assert path.read_text(encoding="utf-8") == "new\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["doc.json"]
 
@@ -344,7 +344,37 @@ class TestDigestAndAtomicWrite:
 
     def test_failed_write_keeps_the_previous_document(self, tmp_path):
         path = tmp_path / "doc.json"
-        atomic_write_text(path, "old\n")
+        _write(path, "old\n")
         with pytest.raises(TypeError):
-            atomic_write_text(path, b"not text")  # type: ignore[arg-type]
+            _write(path, b"not text")  # type: ignore[arg-type]
         assert path.read_text(encoding="utf-8") == "old\n"
+
+    def test_failed_fill_leaves_the_old_file_and_no_tmp(self, tmp_path):
+        path = tmp_path / "doc.json"
+        _write(path, "old\n")
+        with pytest.raises(RuntimeError, match="mid-fill"):
+            with atomic_write(path) as fh:
+                fh.write("half of the new")
+                raise RuntimeError("mid-fill")
+        assert path.read_text(encoding="utf-8") == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["doc.json"]
+
+    def test_manifest_write_is_fsynced_before_the_rename(self, tmp_path,
+                                                         monkeypatch):
+        from repro.obs import jsonl
+        from repro.obs.manifest import RunManifest
+
+        calls = []
+        real_fsync, real_replace = jsonl.os.fsync, jsonl.os.replace
+        monkeypatch.setattr(jsonl.os, "fsync", lambda fd: (
+            calls.append("fsync"), real_fsync(fd)))
+        monkeypatch.setattr(jsonl.os, "replace", lambda src, dst: (
+            calls.append("replace"), real_replace(src, dst)))
+        RunManifest.create(kind="t", timestamp=False, sha="-").write(
+            tmp_path / "manifest.json")
+        assert calls == ["fsync", "replace"]
+
+
+def _write(path: Path, text: str) -> None:
+    with atomic_write(path) as fh:
+        fh.write(text)

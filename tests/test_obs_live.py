@@ -1,9 +1,7 @@
-"""Live telemetry bus: stamping, sinks, derived rates, HTTP exposition."""
+"""Live telemetry bus: stamping, sinks, spec parsing, publishers."""
 
 import io
 import json
-import urllib.error
-import urllib.request
 
 import numpy as np
 import pytest
@@ -12,15 +10,12 @@ from repro.obs import live as live_mod
 from repro.obs.live import (
     LIVE_SCHEMA,
     LiveBus,
-    LiveServer,
     ProgressSink,
     SnapshotWriter,
     global_live_bus,
     live_from_spec,
     set_global_live_bus,
 )
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.promtext import lint_prometheus
 from repro.schedulers.fcfs import FCFSEasy
 from repro.sim.cluster import Cluster
 from repro.sim.engine import Engine, run_simulation
@@ -57,32 +52,6 @@ class TestLiveBus:
         assert r3["seq"] == 1                      # independent counter
         assert r1["wall"] <= r2["wall"]
 
-    def test_snapshots_returns_latest_per_kind(self):
-        bus = LiveBus()
-        bus.publish("sim", {"done": 1})
-        last = bus.publish("sim", {"done": 2})
-        assert bus.snapshots() == {"sim": last}
-
-    def test_derived_rate_progress_and_eta(self):
-        bus = LiveBus()
-        r1 = bus.publish("sim", {"done": 10, "total": 100, "events": 1000})
-        r2 = bus.publish("sim", {"done": 30, "total": 100, "events": 5000})
-        elapsed = r2["wall"] - r1["wall"]
-        assert elapsed > 0
-        d = bus.derived()
-        assert d["live_sim_progress"] == pytest.approx(0.3)
-        rate = d["live_sim_rate"]
-        assert rate == pytest.approx(20 / elapsed)
-        assert d["live_sim_events_per_s"] == pytest.approx(4000 / elapsed)
-        assert d["live_sim_eta_s"] == pytest.approx(70 / rate)
-
-    def test_derived_needs_two_snapshots_for_a_rate(self):
-        bus = LiveBus()
-        bus.publish("sim", {"done": 5, "total": 10})
-        d = bus.derived()
-        assert d["live_sim_progress"] == pytest.approx(0.5)
-        assert "live_sim_rate" not in d and "live_sim_eta_s" not in d
-
     def test_broken_sink_is_detached_not_fatal(self):
         class Exploding:
             calls = 0
@@ -115,12 +84,6 @@ class TestLiveBus:
         bus.publish("sim", {"done": 1})
         assert sink.records == []            # detached by close()
 
-    def test_registries_exposed_by_tag(self):
-        bus = LiveBus()
-        reg = MetricsRegistry()
-        bus.register_metrics("engine", reg)
-        assert bus.registries() == {"engine": reg}
-
 
 class TestProgressSink:
     def _record(self, **fields):
@@ -130,8 +93,11 @@ class TestProgressSink:
 
     def test_format_line_fields_progress_and_eta(self):
         sink = ProgressSink(io.StringIO())
-        sink.on_snapshot(self._record(t=100.0, events=500, queue_depth=3,
-                                      done=20, total=80))
+        first = self._record(t=100.0, events=500, queue_depth=3,
+                             done=20, total=80)
+        sink.on_snapshot(first)
+        # one snapshot gives no rate, so no ETA
+        assert sink.format_line(first).endswith("done 20/80 (25%)")
         line = sink.format_line(self._record(seq=2, wall=10.0, t=900.0,
                                              events=4500, queue_depth=7,
                                              done=40, total=80))
@@ -200,60 +166,6 @@ class TestSnapshotWriter:
         assert len(path.read_text().splitlines()) == 1
 
 
-class TestLiveServer:
-    @pytest.fixture()
-    def served(self):
-        bus = LiveBus()
-        reg = MetricsRegistry()
-        reg.counter("engine.events").inc(7)
-        reg.timer("engine.schedule_s").observe(0.01)
-        bus.register_metrics("engine", reg)
-        bus.publish("sim", {"done": 10, "total": 40, "events": 100})
-        bus.publish("sim", {"done": 20, "total": 40, "events": 200})
-        server = LiveServer(bus, port=0).start()
-        yield bus, server
-        server.close()
-
-    def _get(self, server, path):
-        with urllib.request.urlopen(
-                f"http://127.0.0.1:{server.port}{path}", timeout=5) as resp:
-            return resp.status, resp.headers, resp.read().decode("utf-8")
-
-    def test_metrics_page_is_valid_prometheus(self, served):
-        _, server = served
-        status, headers, body = self._get(server, "/metrics")
-        assert status == 200
-        assert headers["Content-Type"].startswith("text/plain; version=0.0.4")
-        assert lint_prometheus(body) == []
-        assert "repro_engine_engine_events 7" in body
-        assert "repro_live_sim_progress 0.5" in body
-
-    def test_status_reports_snapshots_derived_and_metrics(self, served):
-        bus, server = served
-        status, headers, body = self._get(server, "/status")
-        assert status == 200
-        assert headers["Content-Type"].startswith("application/json")
-        doc = json.loads(body)
-        assert doc["schema"] == LIVE_SCHEMA
-        assert doc["snapshots"]["sim"]["done"] == 20
-        assert doc["derived"]["live_sim_progress"] == pytest.approx(0.5)
-        assert doc["metrics"]["engine"]["engine.events"] == 7
-
-    def test_unknown_path_is_404(self, served):
-        _, server = served
-        with pytest.raises(urllib.error.HTTPError) as err:
-            self._get(server, "/nope")
-        assert err.value.code == 404
-
-    def test_close_releases_the_socket(self, served):
-        _, server = served
-        port = server.port
-        server.close()
-        with pytest.raises(urllib.error.URLError):
-            urllib.request.urlopen(
-                f"http://127.0.0.1:{port}/metrics", timeout=1)
-
-
 class TestLiveFromSpec:
     @pytest.mark.parametrize("spec", ["", "0", "off", "  off  "])
     def test_disabled_specs(self, spec):
@@ -263,27 +175,14 @@ class TestLiveFromSpec:
     def test_progress_specs(self, spec):
         bus = live_from_spec(spec, stream=io.StringIO())
         assert isinstance(bus._sinks[0], ProgressSink)
-        assert bus.server is None
         bus.close()
 
-    def test_port_spec_starts_a_server(self):
-        bus = live_from_spec("0", stream=io.StringIO())
-        assert bus is None
-        bus = live_from_spec(str(_free_port()), stream=io.StringIO())
-        try:
-            assert bus.server is not None
-            kinds = {type(s) for s in bus._sinks}
-            assert ProgressSink in kinds and LiveServer in kinds
-            with urllib.request.urlopen(
-                    f"http://127.0.0.1:{bus.server.port}/status",
-                    timeout=5) as resp:
-                assert resp.status == 200
-        finally:
-            bus.close()
-
-    def test_invalid_port_rejected(self):
-        with pytest.raises(ValueError, match="invalid live port"):
-            live_from_spec("70000")
+    @pytest.mark.parametrize("spec", ["9099", "70000", " 2 "])
+    def test_port_spec_rejected(self, spec, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValueError, match="HTTP view was removed"):
+            live_from_spec(spec, stream=io.StringIO())
+        assert list(tmp_path.iterdir()) == []   # no shard named after it
 
     def test_path_spec_attaches_a_snapshot_writer(self, tmp_path):
         path = tmp_path / "shard.jsonl"
@@ -312,6 +211,11 @@ class TestGlobalBus:
         assert global_live_bus() is bus      # cached, env not re-read
         bus.close()
 
+    def test_env_port_spec_rejected(self, fresh_global):
+        fresh_global.setenv("REPRO_LIVE", "9099")
+        with pytest.raises(ValueError, match="HTTP view was removed"):
+            global_live_bus()
+
     def test_set_global_returns_previous_and_blocks_env(self, fresh_global):
         fresh_global.setenv("REPRO_LIVE", "progress")
         mine = LiveBus()
@@ -319,14 +223,6 @@ class TestGlobalBus:
         assert global_live_bus() is mine
         assert set_global_live_bus(None) is mine
         assert global_live_bus() is None     # env is NOT re-read
-
-
-def _free_port():
-    import socket
-
-    with socket.socket() as sock:
-        sock.bind(("127.0.0.1", 0))
-        return sock.getsockname()[1]
 
 
 class TestEngineIntegration:
@@ -343,7 +239,6 @@ class TestEngineIntegration:
         assert final["done"] == final["total"] == 120
         assert {"t", "events", "queue_depth", "running",
                 "utilization"} <= set(final)
-        assert "engine" in bus.registries()
 
     def test_live_run_is_bit_identical_to_dark(self):
         jobs = _jobs()
@@ -383,4 +278,3 @@ class TestTrainerIntegration:
         assert [r["episode"] for r in sink.records] == [0, 1]
         assert sink.records[0]["done"] == 1 and sink.records[0]["total"] == 2
         assert sink.records[-1].get("final") is True
-        assert "trainer" in bus.registries()

@@ -149,7 +149,7 @@ class TestRegistry:
         reg = MetricsRegistry()
         reg.counter("c").inc()
         reg.reset()
-        assert reg.names() == []
+        assert reg.snapshot() == {}
 
 
 class TestWiredRegistries:

@@ -237,7 +237,7 @@ class TestDurability:
 
     def test_overwrite_preserves_old_on_save_failure(self, tmp_path):
         """A failed re-save must leave the previous checkpoint readable."""
-        from repro.core import persistence
+        from repro.obs.jsonl import atomic_write
 
         path = tmp_path / "a.npz"
         agent = DRASPG(small_config())
@@ -250,6 +250,8 @@ class TestDurability:
 
         bad = {"x": Boom()}
         with pytest.raises(RuntimeError, match="boom"):
-            persistence.atomic_savez(path, bad)
+            with atomic_write(path, binary=True) as fh:
+                np.savez(fh, **bad)
         assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.npz"]
         load_agent(path)  # still a valid checkpoint
