@@ -7,7 +7,7 @@ run is bit-identical to an uninstrumented one (the layer only ever
 *observes* — it never touches simulation or RNG state).
 
 * :mod:`repro.obs.trace` — a near-zero-overhead structured event tracer
-  writing JSONL spans/counters/events.  Activate globally with
+  writing JSONL spans and events.  Activate globally with
   ``REPRO_TRACE=/path/to/trace.jsonl`` or per-engine with
   ``Engine(trace=...)``.  The engine emits scheduler-decision spans and
   allocate/release/backfill events; the NN stack emits
@@ -28,9 +28,10 @@ run is bit-identical to an uninstrumented one (the layer only ever
   records what produced a result file: seed, git SHA, configuration,
   workload-model parameters and summary metrics.  Manifests with the
   same inputs are identical minus timestamps.
-* :mod:`repro.obs.analyze` — post-run trace analytics: span-time
-  rollups, scheduler decision-latency histograms, node-utilization
-  timeline reconstruction and manifest diffing.
+* :mod:`repro.obs.analyze` — post-run trace analytics: the span
+  forest folded into a profile tree, scheduler decision-latency
+  histograms, node-utilization timeline reconstruction and manifest
+  diffing.
 * :mod:`repro.obs.report` — a dependency-free self-contained HTML run
   report (inline SVG charts) behind ``python -m repro report`` and the
   ``--report`` flag of the run commands.
@@ -44,12 +45,10 @@ from __future__ import annotations
 
 from repro.obs.analyze import (
     ManifestDiff,
-    SpanRollup,
     TraceSummary,
     decision_latencies,
     diff_manifests,
     format_trace_summary,
-    rollup_spans,
     summarize_trace,
     utilization_timeline,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "Profiler",
     "RunManifest",
     "Span",
-    "SpanRollup",
     "Timer",
     "TraceSummary",
     "TraceWarning",
@@ -95,7 +93,6 @@ __all__ = [
     "global_tracer",
     "read_trace",
     "render_report",
-    "rollup_spans",
     "set_global_profiler",
     "set_global_tracer",
     "span",

@@ -1,11 +1,13 @@
-"""Trace analytics: rollups, latency histograms, timelines, diffs.
+"""Trace analytics: span profiles, latency histograms, timelines, diffs.
 
 The consumption half of the tracer (:mod:`repro.obs.trace`): where
 ``read_trace``/``build_span_tree`` reconstruct *what happened*, this
 module answers *where did the time go* and *what changed*:
 
-* :func:`rollup_spans` — per-span-name time rollups (count, cumulative
-  and exclusive wall time) over a span forest;
+* :func:`summarize_trace` folds the span forest into a
+  :class:`~repro.obs.profile.Profiler` tree (:meth:`Profiler.fold
+  <repro.obs.profile.Profiler.fold>`), so a trace's span table is the
+  profile table: calls, cumulative and exclusive wall time per name;
 * :func:`decision_latencies` — scheduler decision latencies from
   ``engine.instance`` spans, which :func:`summarize_trace` bins into a
   :class:`~repro.obs.metrics.Timer`;
@@ -37,64 +39,8 @@ import numpy as np
 
 from repro.obs.manifest import VOLATILE_FIELDS, RunManifest
 from repro.obs.metrics import Timer, nearest_rank
+from repro.obs.profile import Profiler
 from repro.obs.trace import Span, build_span_tree, read_trace
-
-
-# -- span rollups --------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SpanRollup:
-    """Aggregate wall-time statistics of one span name.
-
-    ``total_s`` is cumulative (includes child spans); ``self_s``
-    excludes closed child spans.  ``unclosed`` counts spans the trace
-    never ended — a crashed or truncated run.
-    """
-
-    name: str
-    count: int
-    total_s: float
-    self_s: float
-    unclosed: int
-
-    @property
-    def mean_s(self) -> float:
-        """Mean cumulative seconds per closed span."""
-        closed = self.count - self.unclosed
-        return self.total_s / closed if closed > 0 else 0.0
-
-
-def rollup_spans(roots: Iterable[Span]) -> list[SpanRollup]:
-    """Per-span-name rollup over a span forest, longest total first."""
-    count: dict[str, int] = {}
-    total: dict[str, float] = {}
-    self_s: dict[str, float] = {}
-    unclosed: dict[str, int] = {}
-    for root in roots:
-        for span in root.walk():
-            count[span.name] = count.get(span.name, 0) + 1
-            if span.wall_end is None:
-                unclosed[span.name] = unclosed.get(span.name, 0) + 1
-                continue
-            child_time = sum(c.duration for c in span.children
-                             if c.wall_end is not None)
-            total[span.name] = total.get(span.name, 0.0) + span.duration
-            self_s[span.name] = self_s.get(span.name, 0.0) + (
-                span.duration - child_time
-            )
-    return sorted(
-        (
-            SpanRollup(
-                name=name,
-                count=count[name],
-                total_s=total.get(name, 0.0),
-                self_s=self_s.get(name, 0.0),
-                unclosed=unclosed.get(name, 0),
-            )
-            for name in count
-        ),
-        key=lambda r: (-r.total_s, r.name),
-    )
 
 
 # -- decision latencies --------------------------------------------------------
@@ -290,7 +236,8 @@ class TraceSummary:
     n_unclosed: int
     n_events: int
     event_counts: dict[str, int] = field(default_factory=dict)
-    rollups: list[SpanRollup] = field(default_factory=list)
+    #: the span forest folded into one profile tree
+    profile: Profiler = field(default_factory=Profiler)
     #: every decision latency, observed into a timer's fixed bins
     decision_histogram: Timer = field(default_factory=Timer)
     #: the same samples ascending, for exact order statistics
@@ -309,9 +256,7 @@ def summarize_trace(path: str | Path) -> TraceSummary:
     """Parse (leniently) and summarize one JSONL trace file."""
     records = read_trace(path, strict=False)
     roots = build_span_tree(records)
-    rollups = rollup_spans(roots)
-    n_spans = sum(r.count for r in rollups)
-    n_unclosed = sum(r.unclosed for r in rollups)
+    spans = [span for root in roots for span in root.walk()]
     event_counts: dict[str, int] = {}
     sim_times: list[float] = []
     for record in records:
@@ -329,11 +274,11 @@ def summarize_trace(path: str | Path) -> TraceSummary:
     return TraceSummary(
         path=str(path),
         n_records=len(records),
-        n_spans=n_spans,
-        n_unclosed=n_unclosed,
+        n_spans=len(spans),
+        n_unclosed=sum(span.wall_end is None for span in spans),
         n_events=sum(event_counts.values()),
         event_counts=dict(sorted(event_counts.items())),
-        rollups=rollups,
+        profile=Profiler().fold(roots),
         decision_histogram=histogram,
         decision_latencies=sorted(latencies),
         sim_time_span=(min(sim_times), max(sim_times)) if sim_times else None,
@@ -357,16 +302,9 @@ def format_trace_summary(summary: TraceSummary, top: int = 10) -> str:
         )
     if summary.peak_busy_nodes:
         lines.append(f"  peak busy nodes {summary.peak_busy_nodes}")
-    if summary.rollups:
-        lines.append(
-            f"  {'span':<24} {'count':>8} {'total s':>10} "
-            f"{'self s':>10} {'mean ms':>9}"
-        )
-        for r in summary.rollups[:top]:
-            lines.append(
-                f"  {r.name:<24} {r.count:>8,d} {r.total_s:>10.4f} "
-                f"{r.self_s:>10.4f} {1e3 * r.mean_s:>9.4f}"
-            )
+    if summary.n_spans:
+        lines += ["  " + row
+                  for row in summary.profile.format_table(top).splitlines()]
     if summary.event_counts:
         joined = ", ".join(
             f"{name} x{n}" for name, n in summary.event_counts.items()

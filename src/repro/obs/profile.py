@@ -9,7 +9,12 @@ the ones ``benchmarks/perf/`` attributes wall time to:
   event loop, one scope per simulated timestamp, and the policy call
   inside it (:mod:`repro.sim.engine`);
 * ``nn.forward`` / ``nn.backward`` / ``nn.adam_step`` — the NN stack
-  (:mod:`repro.nn.network`, :mod:`repro.nn.optim`).
+  (:mod:`repro.nn.network`, :mod:`repro.nn.optim`);
+* ``train.episode`` / ``train.validate`` — each trainer engine run, with
+  its ``engine.run`` beneath (:mod:`repro.rl.trainer`).
+
+:meth:`Profiler.fold` builds the same tree from a trace's spans, so
+``repro trace summarize`` and a live profile share one table.
 
 The contract mirrors the tracer (:mod:`repro.obs.trace`): when no
 profiler is active every instrumented site costs a single ``None``
@@ -40,9 +45,12 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter as _perf_counter
-from typing import Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from repro.obs.jsonl import atomic_write
+
+if TYPE_CHECKING:
+    from repro.obs.trace import Tracer
 
 #: schema tag stamped into every profile JSON document
 PROFILE_SCHEMA = "repro.profile/v1"
@@ -152,9 +160,31 @@ class Profiler:
         node, t0 = self._stack.pop()
         node.total_s += _perf_counter() - t0
 
-    def scope(self, name: str) -> "_ProfileScope":
+    def scope(self, name: str) -> Scope:
         """Context manager timing a ``with`` block as scope ``name``."""
-        return _ProfileScope(self, name)
+        return Scope(name, {}, profiler=self)
+
+    def fold(self, spans: Iterable[Any]) -> "Profiler":
+        """Add recorded spans (a :class:`~repro.obs.trace.Span` forest).
+
+        Each span is one call at its path, timed by its recorded
+        ``wall_begin`` / ``wall_end``.  A span the trace never closed is a
+        call lasting as long as its closed children: zero for a leaf, and
+        never any self time.  Returns ``self``.
+        """
+        def add(parent: ProfileNode, span: Any) -> float:
+            node = parent.children.get(span.name)
+            if node is None:
+                node = parent.children[span.name] = ProfileNode(span.name)
+            node.calls += 1
+            inner = sum(add(node, child) for child in span.children)
+            seconds = inner if span.wall_end is None else span.duration
+            node.total_s += seconds
+            return seconds
+
+        for span in spans:
+            add(self._root, span)
+        return self
 
     @property
     def open_depth(self) -> int:
@@ -243,11 +273,6 @@ class Profiler:
         return "\n".join(lines)
 
     # -- lifecycle ---------------------------------------------------------
-    def reset(self) -> None:
-        """Drop the accumulated tree (open scopes are abandoned)."""
-        self._root = ProfileNode("<root>")
-        self._stack.clear()
-
     def write_json(self, path: str | Path) -> Path:
         """Atomically write the profile document as pretty-printed JSON."""
         with atomic_write(path) as fh:
@@ -256,21 +281,38 @@ class Profiler:
         return Path(path)
 
 
-class _ProfileScope:
-    """Context manager returned by :meth:`Profiler.scope`."""
+class Scope:
+    """One ``with`` block timed on a profiler, traced on a tracer, or both.
 
-    __slots__ = ("_profiler", "_name")
+    What :meth:`Profiler.scope`, :meth:`repro.obs.trace.Tracer.span` and
+    :func:`repro.obs.trace.span` return.  Entering pushes the profiler
+    scope, then opens the tracer span carrying ``fields``; leaving closes
+    them in reverse order, also when the block raised.
+    """
 
-    def __init__(self, profiler: Profiler, name: str) -> None:
-        self._profiler = profiler
+    __slots__ = ("_name", "_fields", "_profiler", "_tracer", "_sid")
+
+    def __init__(self, name: str, fields: dict[str, Any],
+                 profiler: Profiler | None = None,
+                 tracer: "Tracer | None" = None) -> None:
         self._name = name
+        self._fields = fields
+        self._profiler = profiler
+        self._tracer = tracer
+        self._sid = -1
 
-    def __enter__(self) -> "_ProfileScope":
-        self._profiler.push(self._name)
+    def __enter__(self) -> "Scope":
+        if self._profiler is not None:
+            self._profiler.push(self._name)
+        if self._tracer is not None:
+            self._sid = self._tracer.begin(self._name, **self._fields)
         return self
 
     def __exit__(self, *exc_info: object) -> None:
-        self._profiler.pop()
+        if self._tracer is not None:
+            self._tracer.end(self._sid)
+        if self._profiler is not None:
+            self._profiler.pop()
 
 
 # -- global (environment-driven) profiler --------------------------------------

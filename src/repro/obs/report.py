@@ -516,21 +516,27 @@ def _telemetry_section(episodes: Sequence[Mapping[str, Any]]) -> str:
     return banner + f'<div class="grid">{"".join(c for c in cards if c)}</div>'
 
 
+def _flat_card(title: str, profile: Mapping[str, Any]) -> str:
+    """Hot-path bars plus the flat table of a profiler ``as_dict()``."""
+    rows = [
+        (e.get("name", "?"), e.get("calls", 0), e.get("cum_s", 0.0),
+         e.get("self_s", 0.0), 1e3 * float(e.get("mean_s", 0.0)))
+        for e in profile.get("flat") or []
+        if isinstance(e, Mapping)
+    ]
+    if not rows:
+        return ""
+    chart = svg_hbar(
+        [(str(name), float(self_s)) for name, _, _, self_s, _ in rows[:8]],
+        value_fmt=_seconds_fmt,
+    )
+    return _card(title, chart, table=_table(
+        ["scope", "calls", "cum s", "self s", "mean ms"], rows))
+
+
 def _trace_section(summary: TraceSummary) -> str:
-    cards = []
-    if summary.rollups:
-        cards.append(_card(
-            "Span time rollup (self seconds)",
-            svg_hbar(
-                [(r.name, r.self_s) for r in summary.rollups[:8]],
-                value_fmt=_seconds_fmt,
-            ),
-            table=_table(
-                ["span", "count", "total s", "self s", "mean ms", "unclosed"],
-                [(r.name, r.count, r.total_s, r.self_s, 1e3 * r.mean_s,
-                  r.unclosed) for r in summary.rollups],
-            ),
-        ))
+    cards = [_flat_card("Span time (self seconds)",
+                        summary.profile.as_dict())]
     hist = summary.decision_histogram
     if hist.count:
         cards.append(_card(
@@ -568,27 +574,8 @@ def _trace_section(summary: TraceSummary) -> str:
 
 
 def _profile_section(profile: Mapping[str, Any]) -> str:
-    flat = profile.get("flat") or []
-    rows = [
-        (e.get("name", "?"), e.get("calls", 0), e.get("cum_s", 0.0),
-         e.get("self_s", 0.0), 1e3 * float(e.get("mean_s", 0.0)))
-        for e in flat
-        if isinstance(e, Mapping)
-    ]
-    if not rows:
-        return ""
-    chart = svg_hbar(
-        [(str(name), float(self_s)) for name, _, _, self_s, _ in rows[:8]],
-        value_fmt=_seconds_fmt,
-    )
-    table = _table(
-        ["scope", "calls", "cum s", "self s", "mean ms"], rows
-    )
-    return (
-        '<div class="grid">'
-        + _card("Profiler hot paths (self seconds)", chart, table=table)
-        + "</div>"
-    )
+    card = _flat_card("Profiler hot paths (self seconds)", profile)
+    return f'<div class="grid">{card}</div>' if card else ""
 
 
 def _manifest_section(manifest: Mapping[str, Any]) -> str:

@@ -1,7 +1,7 @@
 """Structured JSONL event tracer for the simulator and NN stack.
 
 One :class:`Tracer` writes one JSON object per line to a sink file.
-Three record families exist:
+Two record families exist:
 
 * **spans** — ``begin``/``end`` record pairs with a span id (``sid``)
   and parent id (``pid``), forming a tree.  The engine opens one span
@@ -9,15 +9,14 @@ Three record families exist:
   backward and optimizer steps.
 * **events** — instantaneous points (job start, node release, a
   reservation) attributed to the enclosing span via ``pid``.
-* **counters** — named numeric samples for ad-hoc time series.
 
 Every record carries a ``wall`` field (``time.perf_counter()``, a
 duration-only monotonic clock — never the host date) so span durations
 can be recovered; simulator records additionally carry the engine clock
 in a ``t`` field.
 
-Serialization is a hot path (the ``engine-throughput-traced``
-benchmark measures it): records whose values are plain scalars are
+Serialization is a hot path (the ``theta_easy_traced`` benchmark
+workload measures it): records whose values are plain scalars are
 rendered by a specialized formatter that produces byte-identical
 output to ``json.dumps`` (same separators, same float ``repr``, same
 string escaping via a memo of ``json.dumps``-escaped fragments); any
@@ -25,7 +24,8 @@ record with a non-scalar value falls back to a shared
 :class:`json.JSONEncoder`.  Either way the line is rendered *at emit
 time* — field values are captured immediately, so callers may mutate
 them afterwards — and buffered lines are written out in one batched
-``write`` per :meth:`Tracer.flush`.
+``write`` per :meth:`Tracer.flush`, which runs every
+:data:`BUFFER_LINES` records and on :meth:`Tracer.close`.
 
 Activation mirrors the PR 1 sanitizer contract:
 
@@ -52,16 +52,20 @@ import atexit
 import json
 import os
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, ContextManager, IO, Iterable, Iterator
+from typing import Any, ContextManager, IO, Iterable
 
 from repro.obs import profile as _profile
 from repro.obs.jsonl import read_jsonl
 
 #: schema tag stamped into the first record of every trace file
 TRACE_SCHEMA = "repro.trace/v1"
+
+#: records buffered before a :meth:`Tracer.flush` writes them out, so
+#: the per-record cost is rendering one string plus a list append
+BUFFER_LINES = 256
 
 
 def _json_default(value: Any) -> Any:
@@ -123,33 +127,9 @@ def _value_fragment(value: Any) -> str | None:
     return None
 
 
-def _append_fields(parts: list[str], fields: dict[str, Any]) -> bool:
-    """Append rendered ``"key": value`` fragments; False on a miss.
-
-    A miss (any non-scalar value) leaves ``parts`` partially extended —
-    the caller abandons it and re-renders the whole record through the
-    fallback encoder, so no partial output can ever escape.
-    """
-    for key, value in fields.items():
-        fragment = _value_fragment(value)
-        if fragment is None:
-            return False
-        parts.append(_str_fragment(key) + ": " + fragment)
-    return True
-
-
 #: fixed record fields; a caller field colliding with one of these must
 #: take the dict/fallback path to keep ``dict.update`` override semantics
-_BASE_KEYS = frozenset({"type", "name", "sid", "pid", "wall", "value"})
-
-
-def _render_record(record: dict[str, Any]) -> str:
-    """Serialize a whole record dict (fast path, fallback on misses)."""
-    parts: list[str] = []
-    if _append_fields(parts, record):
-        return "{" + ", ".join(parts) + "}"
-    return _FALLBACK_ENCODE(record)
-
+_BASE_KEYS = frozenset({"type", "name", "sid", "pid", "wall"})
 
 # Record *shapes* — (record type, name, field-key tuple) — are
 # low-cardinality: one per instrumentation call site.  Each shape's
@@ -165,107 +145,109 @@ _TEMPLATES: dict[tuple, "str | bool"] = {}
 _TEMPLATES_MAX = 4096
 
 
-def _shape_template(rtype: str, name: str, fields: dict[str, Any],
-                    head: str) -> "str | bool":
-    """The cached template for this record shape, compiling on a miss.
+def _compile_template(key: tuple, head: str) -> "str | bool":
+    """Compile (and cache) the template of the record shape ``key``.
 
-    ``head`` carries the fixed slots between ``name`` and the fields
-    (pid/wall, plus the ``sid``/``value`` slots where the record type
-    has them).  Returns ``False`` for a shape that must always take the
-    fallback encoder (a field colliding with a base key).
+    ``key`` is ``(record type, name, *field keys)``; ``head`` carries the
+    fixed slots between ``name`` and the fields (:data:`_BEGIN_HEAD` or
+    :data:`_EVENT_HEAD`).  Returns ``False`` for a shape that must always
+    take the fallback encoder (a field colliding with a base key).
     """
-    key = (rtype, name, *fields)
-    template = _TEMPLATES.get(key)
-    if template is None:
-        if _BASE_KEYS.isdisjoint(fields):
-            parts = ['"type": "' + rtype + '"',
-                     '"name": ' + _str_fragment(name).replace("%", "%%"),
-                     head]
-            for field_key in fields:
-                parts.append(_str_fragment(field_key).replace("%", "%%")
-                             + ": %s")
-            template = "{" + ", ".join(parts) + "}"
-        else:
-            template = False
-        if len(_TEMPLATES) < _TEMPLATES_MAX:
-            _TEMPLATES[key] = template
+    rtype, name, *fields = key
+    if _BASE_KEYS.isdisjoint(fields):
+        parts = ['"type": "' + rtype + '"',
+                 '"name": ' + _str_fragment(name).replace("%", "%%"),
+                 head]
+        for field_key in fields:
+            parts.append(_str_fragment(field_key).replace("%", "%%")
+                         + ": %s")
+        template: "str | bool" = "{" + ", ".join(parts) + "}"
+    else:
+        template = False
+    if len(_TEMPLATES) < _TEMPLATES_MAX:
+        _TEMPLATES[key] = template
     return template
+
+
+#: the fixed slots of a ``begin`` / ``event`` record
+_BEGIN_HEAD = '"sid": %d, "pid": %s, "wall": %r'
+_EVENT_HEAD = '"pid": %s, "wall": %r'
 
 
 class Tracer:
     """Appends structured records to a JSONL sink.
 
-    Parameters
-    ----------
-    sink:
-        Path (opened for writing, truncating) or an open text file-like
-        object (not closed by :meth:`close`).
-    buffer_lines:
-        Records are buffered and flushed to the sink every this many
-        lines (and on :meth:`close`/:meth:`flush`), keeping the per-record
-        cost to rendering one string plus a list append.
+    ``sink`` is a path (opened for writing, truncating) or an open text
+    file-like object (not closed by :meth:`close`).  Records are buffered
+    and written out every :data:`BUFFER_LINES` lines and on
+    :meth:`flush` / :meth:`close`.
     """
 
-    __slots__ = ("_fh", "_owns_fh", "_buffer", "_buffer_lines",
-                 "_next_sid", "_stack", "_closed")
+    __slots__ = ("_fh", "_owns_fh", "_buffer", "_next_sid", "_stack",
+                 "_closed")
 
-    def __init__(self, sink: str | Path | IO[str], buffer_lines: int = 256) -> None:
-        if buffer_lines <= 0:
-            raise ValueError("buffer_lines must be positive")
+    def __init__(self, sink: str | Path | IO[str]) -> None:
         if isinstance(sink, (str, Path)):
             self._fh: IO[str] = open(sink, "w", encoding="utf-8")
             self._owns_fh = True
         else:
             self._fh = sink
             self._owns_fh = False
-        self._buffer: list[str] = []
-        self._buffer_lines = buffer_lines
+        self._buffer = [_FALLBACK_ENCODE({"type": "meta",
+                                          "schema": TRACE_SCHEMA})]
         self._next_sid = 1
         self._stack: list[int] = []
         self._closed = False
-        self._write({"type": "meta", "schema": TRACE_SCHEMA})
 
     # -- record emission ---------------------------------------------------
-    def _write(self, record: dict[str, Any]) -> None:
-        self._buffer.append(_render_record(record))
-        if len(self._buffer) >= self._buffer_lines:
+    def _emit(self, name: str, fields: dict[str, Any],
+              sid: int | None = None) -> None:
+        """Render one record and buffer it: a span's ``begin`` when
+        ``sid`` is given, else an ``event``.
+
+        The shape's template renders the line when every field is a
+        scalar; anything else takes the fallback encoder.
+        """
+        stack = self._stack
+        pid = stack[-1] if stack else None
+        wall = time.perf_counter()
+        slot = "null" if pid is None else pid
+        if sid is None:
+            rtype, head, values = "event", _EVENT_HEAD, [slot, wall]
+        else:
+            rtype, head, values = "begin", _BEGIN_HEAD, [sid, slot, wall]
+        line: str | None = None
+        if name.__class__ is str:
+            key = (rtype, name, *fields)
+            template = _TEMPLATES.get(key)
+            if template is None:
+                template = _compile_template(key, head)
+            if template is not False:
+                for value in fields.values():
+                    fragment = _value_fragment(value)
+                    if fragment is None:
+                        break
+                    values.append(fragment)
+                else:
+                    line = template % tuple(values)
+        if line is None:
+            record: dict[str, Any] = {"type": rtype, "name": name,
+                                      "sid": sid, "pid": pid, "wall": wall}
+            if sid is None:
+                del record["sid"]
+            record.update(fields)
+            line = _FALLBACK_ENCODE(record)
+        buffer = self._buffer
+        buffer.append(line)
+        if len(buffer) >= BUFFER_LINES:
             self.flush()
 
     def begin(self, name: str, **fields: Any) -> int:
         """Open a span; returns its id.  Close it with :meth:`end`."""
         sid = self._next_sid
         self._next_sid += 1
-        stack = self._stack
-        pid = stack[-1] if stack else None
-        wall = time.perf_counter()
-        line: str | None = None
-        if name.__class__ is str:
-            template = _shape_template(
-                "begin", name, fields, '"sid": %d, "pid": %s, "wall": %r')
-            if template is not False:
-                values: list[Any] = [sid, "null" if pid is None else pid,
-                                     wall]
-                complete = True
-                for value in fields.values():
-                    fragment = _value_fragment(value)
-                    if fragment is None:
-                        complete = False
-                        break
-                    values.append(fragment)
-                if complete:
-                    line = template % tuple(values)
-        if line is None:
-            record: dict[str, Any] = {
-                "type": "begin", "name": name, "sid": sid,
-                "pid": pid, "wall": wall,
-            }
-            record.update(fields)
-            line = _FALLBACK_ENCODE(record)
-        buffer = self._buffer
-        buffer.append(line)
-        if len(buffer) >= self._buffer_lines:
-            self.flush()
-        stack.append(sid)
+        self._emit(name, fields, sid)
+        self._stack.append(sid)
         return sid
 
     def end(self, sid: int) -> None:
@@ -280,78 +262,16 @@ class Tracer:
         buffer = self._buffer
         buffer.append('{"type": "end", "sid": %d, "wall": %r}'
                       % (sid, time.perf_counter()))
-        if len(buffer) >= self._buffer_lines:
+        if len(buffer) >= BUFFER_LINES:
             self.flush()
 
-    def span(self, name: str, **fields: Any) -> "_SpanContext":
+    def span(self, name: str, **fields: Any) -> _profile.Scope:
         """Context manager opening a span around a ``with`` block."""
-        return _SpanContext(self, name, fields)
+        return _profile.Scope(name, fields, tracer=self)
 
     def event(self, name: str, **fields: Any) -> None:
         """Record an instantaneous event inside the current span."""
-        stack = self._stack
-        pid = stack[-1] if stack else None
-        wall = time.perf_counter()
-        line: str | None = None
-        if name.__class__ is str:
-            template = _shape_template(
-                "event", name, fields, '"pid": %s, "wall": %r')
-            if template is not False:
-                values: list[Any] = ["null" if pid is None else pid, wall]
-                complete = True
-                for value in fields.values():
-                    fragment = _value_fragment(value)
-                    if fragment is None:
-                        complete = False
-                        break
-                    values.append(fragment)
-                if complete:
-                    line = template % tuple(values)
-        if line is None:
-            record: dict[str, Any] = {
-                "type": "event", "name": name, "pid": pid, "wall": wall,
-            }
-            record.update(fields)
-            line = _FALLBACK_ENCODE(record)
-        buffer = self._buffer
-        buffer.append(line)
-        if len(buffer) >= self._buffer_lines:
-            self.flush()
-
-    def counter(self, name: str, value: float, **fields: Any) -> None:
-        """Record a named numeric sample."""
-        stack = self._stack
-        pid = stack[-1] if stack else None
-        wall = time.perf_counter()
-        line: str | None = None
-        value_fragment = _value_fragment(value)
-        if value_fragment is not None and name.__class__ is str:
-            template = _shape_template(
-                "counter", name, fields,
-                '"value": %s, "pid": %s, "wall": %r')
-            if template is not False:
-                values: list[Any] = [value_fragment,
-                                     "null" if pid is None else pid, wall]
-                complete = True
-                for extra in fields.values():
-                    fragment = _value_fragment(extra)
-                    if fragment is None:
-                        complete = False
-                        break
-                    values.append(fragment)
-                if complete:
-                    line = template % tuple(values)
-        if line is None:
-            record: dict[str, Any] = {
-                "type": "counter", "name": name, "value": value,
-                "pid": pid, "wall": wall,
-            }
-            record.update(fields)
-            line = _FALLBACK_ENCODE(record)
-        buffer = self._buffer
-        buffer.append(line)
-        if len(buffer) >= self._buffer_lines:
-            self.flush()
+        self._emit(name, fields)
 
     # -- lifecycle ----------------------------------------------------------
     def flush(self) -> None:
@@ -387,25 +307,6 @@ class Tracer:
         the buffered tail, whatever exception unwinds through it.
         """
         self.close()
-
-
-class _SpanContext:
-    """Context manager returned by :meth:`Tracer.span`."""
-
-    __slots__ = ("_tracer", "_name", "_fields", "_sid")
-
-    def __init__(self, tracer: Tracer, name: str, fields: dict[str, Any]) -> None:
-        self._tracer = tracer
-        self._name = name
-        self._fields = fields
-        self._sid = -1
-
-    def __enter__(self) -> "_SpanContext":
-        self._sid = self._tracer.begin(self._name, **self._fields)
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self._tracer.end(self._sid)
 
 
 # -- global (environment-driven) tracer ---------------------------------------
@@ -481,27 +382,19 @@ def set_global_tracer(tracer: "Tracer | None") -> "Tracer | None":
 _DARK = nullcontext()
 
 
-@contextmanager
-def _scoped_span(scope: ContextManager, traced: ContextManager) -> Iterator[None]:
-    with scope, traced:
-        yield
-
-
-def span(name: str, scope: bool = True, **fields: Any) -> ContextManager:
+def span(name: str, **fields: Any) -> ContextManager:
     """Enter ``name`` on the process-global profiler and tracer.
 
     The instrumentation idiom of the NN stack and the trainer in one
-    place: a profiler scope (skipped with ``scope=False``) around a
-    tracer span carrying ``fields``, each only if its global is
-    active.  With both off the result is one shared null context.
+    place: a profiler scope around a tracer span carrying ``fields``,
+    each only if its global is active.  With both off the result is one
+    shared null context.
     """
     tracer = global_tracer()
-    profiler = _profile.global_profiler() if scope else None
-    if profiler is None:
-        return _DARK if tracer is None else tracer.span(name, **fields)
-    if tracer is None:
-        return profiler.scope(name)
-    return _scoped_span(profiler.scope(name), tracer.span(name, **fields))
+    profiler = _profile.global_profiler()
+    if tracer is None and profiler is None:
+        return _DARK
+    return _profile.Scope(name, fields, profiler, tracer)
 
 
 # -- reading traces back -------------------------------------------------------
@@ -519,8 +412,8 @@ class Span:
     wall_begin, wall_end:
         ``perf_counter`` readings; ``wall_end`` is ``None`` for spans the
         trace never closed (e.g. a crashed run).
-    children, events, counters:
-        Nested spans and the event/counter records attributed to this span.
+    children, events:
+        Nested spans and the event records attributed to this span.
     """
 
     name: str
@@ -531,7 +424,6 @@ class Span:
     wall_end: float | None = None
     children: list["Span"] = field(default_factory=list)
     events: list[dict[str, Any]] = field(default_factory=list)
-    counters: list[dict[str, Any]] = field(default_factory=list)
 
     @property
     def duration(self) -> float:
@@ -569,9 +461,9 @@ def read_trace(path: str | Path, strict: bool = True) -> list[dict[str, Any]]:
 def build_span_tree(records: Iterable[dict[str, Any]]) -> list[Span]:
     """Reconstruct the span forest of a parsed trace.
 
-    Returns the root spans (those with no parent).  Events and counters
-    are attached to their enclosing span; records emitted outside any
-    span are dropped (they have no tree position).
+    Returns the root spans (those with no parent).  Events are attached
+    to their enclosing span; events emitted outside any span, and
+    records of any other type, are dropped (they have no tree position).
 
     Post-mortem hardened: malformed records — a ``begin`` without a
     span id, an ``end`` for an unknown span, records that are not
@@ -607,12 +499,9 @@ def build_span_tree(records: Iterable[dict[str, Any]]) -> list[Span]:
             span = spans.get(sid) if isinstance(sid, int) else None
             if span is not None:
                 span.wall_end = record.get("wall")
-        elif rtype in ("event", "counter"):
+        elif rtype == "event":
             pid = record.get("pid")
             span = spans.get(pid) if pid is not None else None
             if span is not None:
-                if rtype == "event":
-                    span.events.append(record)
-                else:
-                    span.counters.append(record)
+                span.events.append(record)
     return roots

@@ -260,7 +260,7 @@ class Trainer:
             faults=self._episode_faults(episode),
         )
         with self.metrics.timer("train.episode_s").time(), \
-                _trace.span("train.episode", scope=False, jobs=len(jobset)):
+                _trace.span("train.episode", jobs=len(jobset)):
             result = engine.run()
         self.metrics.counter("train.episodes").inc()
         if self.telemetry is not None:
@@ -289,7 +289,7 @@ class Trainer:
             faults=self.faults,
         )
         with self.metrics.timer("train.validate_s").time(), \
-                _trace.span("train.validate", scope=False,
+                _trace.span("train.validate",
                             jobs=len(self.validation_jobs)):
             engine.run()
         self.metrics.counter("train.validations").inc()

@@ -447,7 +447,7 @@ class TestOwnedTraceSink:
 
     def test_caller_supplied_tracer_is_flushed_not_closed(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        tracer = Tracer(path, buffer_lines=10_000)
+        tracer = Tracer(path)
         result = run_simulation(4, FCFSEasy(), _small_jobs(), trace=tracer)
         flushed = read_trace(path)
         assert sum(r.get("name") == "engine.instance" and r["type"] == "begin"

@@ -1,4 +1,4 @@
-"""Trace analytics: rollups, histograms, timelines, manifest diffs."""
+"""Trace analytics: span profiles, histograms, timelines, manifest diffs."""
 
 import json
 
@@ -10,12 +10,12 @@ from repro.obs.analyze import (
     diff_manifests,
     decision_latencies,
     format_trace_summary,
-    rollup_spans,
     summarize_trace,
     utilization_timeline,
 )
 from repro.obs.manifest import RunManifest
 from repro.obs.metrics import nearest_rank
+from repro.obs.profile import Profiler
 from repro.obs.trace import Tracer, build_span_tree, read_trace
 from repro.schedulers.fcfs import FCFSEasy
 from repro.sim.engine import run_simulation
@@ -50,6 +50,8 @@ def _trace_roots(tmp_path, build):
 
 
 class TestRollups:
+    """A trace's span table is the profile fold of its span forest."""
+
     def test_rollup_counts_and_nesting(self, tmp_path):
         def build(tr):
             for _ in range(3):
@@ -57,24 +59,41 @@ class TestRollups:
                     with tr.span("inner"):
                         pass
 
-        rollups = rollup_spans(_trace_roots(tmp_path, build))
-        by_name = {r.name: r for r in rollups}
-        assert by_name["outer"].count == 3
-        assert by_name["inner"].count == 3
-        assert by_name["outer"].unclosed == 0
+        profile = Profiler().fold(_trace_roots(tmp_path, build))
+        (outer,) = profile.roots
+        (inner,) = outer.children.values()
+        assert (outer.name, outer.calls) == ("outer", 3)
+        assert (inner.name, inner.calls) == ("inner", 3)
+        flat = {e.name: e for e in profile.flat()}
         # self time excludes the nested child
-        assert by_name["outer"].self_s <= by_name["outer"].total_s
-        assert by_name["outer"].mean_s == pytest.approx(
-            by_name["outer"].total_s / 3)
+        assert 0.0 <= flat["outer"].self_s <= flat["outer"].cum_s
+        assert flat["outer"].self_s == pytest.approx(
+            outer.total_s - inner.total_s)
+        assert flat["outer"].mean_s == pytest.approx(outer.total_s / 3)
 
     def test_unclosed_spans_counted_not_timed(self, tmp_path):
         path = tmp_path / "t.jsonl"
         tr = Tracer(path)
         tr.begin("crashed")
         tr.close()
-        (rollup,) = rollup_spans(build_span_tree(read_trace(path)))
-        assert rollup.count == 1 and rollup.unclosed == 1
-        assert rollup.total_s == 0.0 and rollup.mean_s == 0.0
+        summary = summarize_trace(path)
+        assert summary.n_spans == summary.n_unclosed == 1
+        (entry,) = summary.profile.flat()
+        assert (entry.name, entry.calls) == ("crashed", 1)
+        assert entry.cum_s == entry.self_s == entry.mean_s == 0.0
+        # an unclosed parent lasts as long as its closed children
+        records = [
+            {"type": "begin", "name": "run", "sid": 1, "pid": None,
+             "wall": 0.0},
+            {"type": "begin", "name": "step", "sid": 2, "pid": 1,
+             "wall": 1.0},
+            {"type": "end", "sid": 2, "wall": 3.0},
+        ]
+        flat = {e.name: e for e in
+                Profiler().fold(build_span_tree(records)).flat()}
+        assert (flat["run"].calls, flat["run"].cum_s,
+                flat["run"].self_s) == (1, 2.0, 0.0)
+        assert (flat["step"].cum_s, flat["step"].self_s) == (2.0, 2.0)
 
 
 class TestLatencyHistogram:

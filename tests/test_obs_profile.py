@@ -108,12 +108,6 @@ class TestProfilerTree:
         table = prof.format_table()
         assert "engine.instance" in table and "self %" in table
 
-    def test_reset_drops_tree(self):
-        prof = Profiler()
-        prof.push("x")
-        prof.reset()
-        assert prof.roots == [] and prof.open_depth == 0
-
     def test_write_json_round_trip(self, tmp_path):
         prof = Profiler()
         with prof.scope("a"):

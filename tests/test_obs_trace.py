@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.obs.profile import Profiler, set_global_profiler
 from repro.obs.trace import (
+    BUFFER_LINES,
     TRACE_SCHEMA,
     Tracer,
     TraceWarning,
@@ -46,7 +48,7 @@ class TestTracerEmission:
             outer = tr.begin("outer", t=1.0)
             tr.event("boom", job=7)
             with tr.span("inner", depth=2):
-                tr.counter("queue", 3)
+                pass
             tr.end(outer)
             tr.event("orphan")  # outside any span: dropped by the builder
 
@@ -62,7 +64,6 @@ class TestTracerEmission:
         inner = root.children[0]
         assert inner.pid == root.sid
         assert inner.fields == {"depth": 2}
-        assert [c["value"] for c in inner.counters] == [3]
         assert [s.name for s in root.walk()] == ["outer", "inner"]
 
     def test_end_must_match_innermost(self):
@@ -74,7 +75,7 @@ class TestTracerEmission:
 
     def test_file_like_sink_not_closed(self):
         sink = io.StringIO()
-        with Tracer(sink, buffer_lines=1) as tr:
+        with Tracer(sink) as tr:
             tr.event("x")
         assert not sink.closed
         lines = [json.loads(l) for l in sink.getvalue().splitlines()]
@@ -82,11 +83,18 @@ class TestTracerEmission:
 
     def test_buffering_flushes_on_threshold(self):
         sink = io.StringIO()
-        tr = Tracer(sink, buffer_lines=4)
+        tr = Tracer(sink)
         assert sink.getvalue() == ""  # meta still buffered
-        for _ in range(3):
+        for _ in range(BUFFER_LINES - 2):
             tr.event("e")
-        assert len(sink.getvalue().splitlines()) == 4
+        assert sink.getvalue() == ""
+        tr.event("e")
+        assert len(sink.getvalue().splitlines()) == BUFFER_LINES
+        tr.event("e")
+        tr.flush()
+        assert len(sink.getvalue().splitlines()) == BUFFER_LINES + 1
+        tr.close()
+        assert not sink.closed
 
     def test_numpy_fields_serialized(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -127,10 +135,8 @@ class TestGlobalSpan:
 
     @pytest.fixture
     def globals_(self):
-        from repro.obs.profile import Profiler, set_global_profiler
-
         sink = io.StringIO()
-        tracer, profiler = Tracer(sink, buffer_lines=1), Profiler()
+        tracer, profiler = Tracer(sink), Profiler()
         state = {"tracer": tracer, "profiler": profiler, "sink": sink}
         prev_tracer = set_global_tracer(None)
         prev_profiler = set_global_profiler(None)
@@ -140,8 +146,10 @@ class TestGlobalSpan:
             set_global_tracer(prev_tracer)
             set_global_profiler(prev_profiler)
 
-    def _records(self, sink):
-        return [json.loads(l) for l in sink.getvalue().splitlines()][1:]
+    def _records(self, globals_):
+        globals_["tracer"].flush()
+        lines = globals_["sink"].getvalue().splitlines()
+        return [json.loads(l) for l in lines][1:]
 
     def test_dark_is_one_shared_null_context(self, globals_):
         from repro.obs import span
@@ -158,7 +166,7 @@ class TestGlobalSpan:
         set_global_tracer(globals_["tracer"])
         with span("nn.forward", layers=3, shape=(1, 2)):
             pass
-        begin, end = self._records(globals_["sink"])
+        begin, end = self._records(globals_)
         assert (begin["type"], begin["name"], begin["layers"],
                 begin["shape"]) == ("begin", "nn.forward", 3, [1, 2])
         assert end == {"type": "end", "sid": begin["sid"], "wall": end["wall"]}
@@ -166,18 +174,16 @@ class TestGlobalSpan:
 
     def test_profiler_only(self, globals_):
         from repro.obs import span
-        from repro.obs.profile import set_global_profiler
 
         set_global_profiler(globals_["profiler"])
         with span("nn.adam_step", t=1):
             pass
         (root,) = globals_["profiler"].roots
         assert (root.name, root.calls) == ("nn.adam_step", 1)
-        assert self._records(globals_["sink"]) == []
+        assert self._records(globals_) == []
 
     def test_scope_encloses_span_and_unwinds_on_error(self, globals_):
         from repro.obs import span
-        from repro.obs.profile import set_global_profiler
 
         tracer, profiler = globals_["tracer"], globals_["profiler"]
         set_global_tracer(tracer)
@@ -186,23 +192,12 @@ class TestGlobalSpan:
             with span("nn.backward", layers=2):
                 # inside: the scope is open and so is the span
                 assert profiler.open_depth == 1
-                assert [r["type"] for r in self._records(globals_["sink"])] \
+                assert [r["type"] for r in self._records(globals_)] \
                     == ["begin"]
                 raise RuntimeError("boom")
         assert profiler.open_depth == 0
-        assert [r["type"] for r in self._records(globals_["sink"])] \
+        assert [r["type"] for r in self._records(globals_)] \
             == ["begin", "end"]
-
-    def test_scope_false_skips_the_profiler(self, globals_):
-        from repro.obs import span
-        from repro.obs.profile import set_global_profiler
-
-        set_global_tracer(globals_["tracer"])
-        set_global_profiler(globals_["profiler"])
-        with span("train.episode", scope=False, jobs=4):
-            pass
-        assert globals_["profiler"].roots == []
-        assert self._records(globals_["sink"])[0]["jobs"] == 4
 
     def test_instrumented_sites_kept_their_names(self):
         """The perf harness wraps these class attributes from outside."""
@@ -215,6 +210,58 @@ class TestGlobalSpan:
                             (Adam, "_instrumented_step")):
             assert not hasattr(owner, gone)
         assert callable(Network.backward) and callable(Adam.step)
+
+
+class TestTrainerSinks:
+    """A short ``Trainer.train`` with the global tracer and profiler on."""
+
+    @pytest.fixture(scope="class")
+    def sinks(self, tmp_path_factory):
+        from repro.core.config import DRASConfig
+        from repro.core.dras_pg import DRASPG
+        from repro.rl.trainer import Trainer
+
+        nodes = 16
+        model = ThetaModel.scaled(nodes)
+        rng = np.random.default_rng(0)
+        jobsets = [("sampled", model.generate(30, rng)) for _ in range(2)]
+        config = DRASConfig.scaled(nodes, window=4, seed=0,
+                                   time_scale=ThetaModel.MAX_RUNTIME)
+        trainer = Trainer(DRASPG(config), nodes,
+                          validation_jobs=model.generate(30, rng))
+        path = tmp_path_factory.mktemp("train") / "t.jsonl"
+        tracer, profiler = Tracer(path), Profiler()
+        prev_tracer = set_global_tracer(tracer)
+        prev_profiler = set_global_profiler(profiler)
+        try:
+            trainer.train(jobsets)
+        finally:
+            set_global_tracer(prev_tracer)
+            set_global_profiler(prev_profiler)
+            tracer.close()
+        return build_span_tree(read_trace(path)), profiler
+
+    def test_train_scopes_are_profile_roots(self, sinks):
+        _, profiler = sinks
+        assert profiler.open_depth == 0
+        roots = {root.name: root for root in profiler.roots}
+        assert set(roots) == {"train.episode", "train.validate"}
+        for root in roots.values():
+            assert root.calls == 2
+            assert "engine.run" in root.children
+            assert root.children["engine.run"].calls == 2
+
+    def test_trace_fold_agrees_with_live_profile(self, sinks):
+        """The two sinks see the same spans: equal calls per shared name."""
+        roots, profiler = sinks
+        folded = {e.name: e.calls for e in Profiler().fold(roots).flat()}
+        live = {e.name: e.calls for e in profiler.flat()}
+        shared = folded.keys() & live.keys()
+        assert shared == {"train.episode", "train.validate",
+                          "engine.instance", "nn.forward", "nn.backward",
+                          "nn.adam_step"}
+        assert {name: folded[name] for name in shared} \
+            == {name: live[name] for name in shared}
 
 
 class TestEngineTracing:
@@ -253,7 +300,7 @@ class TestTraceDurability:
         """The ``with`` block persists the buffered tail when it raises."""
         path = tmp_path / "t.jsonl"
         with pytest.raises(RuntimeError):
-            with Tracer(path, buffer_lines=10_000) as tr:
+            with Tracer(path) as tr:
                 tr.begin("doomed")
                 tr.event("last_words", n=1)
                 raise RuntimeError("boom")
@@ -318,6 +365,8 @@ class TestLenientParsing:
             {"type": "end", "sid": "x", "wall": 1.0},     # bogus sid type
             {"type": "event", "name": "e", "pid": 1},
             {"type": "event", "name": "orphan", "pid": 42},
+            # a record family older traces carry: parsed past, not kept
+            {"type": "counter", "name": "queue", "value": 3, "pid": 1},
             "not a dict",
             {"type": "end", "sid": 1, "wall": 2.0},
         ]
