@@ -19,11 +19,10 @@ run is bit-identical to an uninstrumented one (the layer only ever
   profiler (call counts + cumulative/self seconds per scope path).
   Activate globally with ``REPRO_PROFILE=/path/to/profile.json`` or
   per-engine with ``Engine(profile=...)``.
-* :mod:`repro.obs.metrics` — lightweight always-on counters, gauges and
-  wall-clock timers (with EMA smoothing) grouped in a
-  :class:`~repro.obs.metrics.MetricsRegistry`, exposed from
-  :class:`~repro.sim.engine.Engine`, :class:`~repro.rl.trainer.Trainer`
-  and every scheduler.
+* :mod:`repro.obs.metrics` — the fixed log-binned duration histogram
+  (:class:`~repro.obs.metrics.Timer`) that trace summaries and reports
+  bin latencies into, and the engine's two event counters
+  (:class:`~repro.obs.metrics.MetricsRegistry`, ``Engine.metrics``).
 * :mod:`repro.obs.manifest` — :class:`~repro.obs.manifest.RunManifest`
   records what produced a result file: seed, git SHA, configuration,
   workload-model parameters and summary metrics.  Manifests with the
@@ -53,7 +52,7 @@ from repro.obs.analyze import (
     utilization_timeline,
 )
 from repro.obs.manifest import RunManifest, describe_workload, git_sha
-from repro.obs.metrics import Counter, Gauge, MetricsRegistry, Timer
+from repro.obs.metrics import Counter, MetricsRegistry, Timer
 from repro.obs.profile import (
     Profiler,
     global_profiler,
@@ -73,7 +72,6 @@ from repro.obs.trace import (
 
 __all__ = [
     "Counter",
-    "Gauge",
     "ManifestDiff",
     "MetricsRegistry",
     "Profiler",

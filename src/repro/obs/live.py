@@ -43,7 +43,7 @@ from repro.obs.jsonl import JsonlWriter
 #: schema tag stamped on every snapshot record and shard header
 LIVE_SCHEMA = "repro.live/v1"
 
-#: default publish cadence of the simulation engine, in events
+#: publish cadence of the simulation engine, in processed events
 LIVE_SIM_EVERY = 2000
 
 

@@ -15,18 +15,18 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
+from time import perf_counter as _perf_counter
 from typing import Any
 
 import numpy as np
 
 from repro.obs import live as _live
 from repro.obs import trace as _trace
-from repro.obs.metrics import MetricsRegistry
 from repro.rl import checkpoint as _checkpoint
 from repro.rl import telemetry as _telemetry
 from repro.rl.meter import RewardMeter
 from repro.sim.cluster import Cluster
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, SchedulingView
 from repro.sim.faults import FaultConfig
 from repro.sim.job import Job
 from repro.sim.metrics import RunMetrics
@@ -94,6 +94,29 @@ class TrainingHistory:
         return None
 
 
+class _QueueLoad:
+    """Observer: the wait-queue depth each scheduling instance opens with.
+
+    ``last`` is the latest sample; ``min`` / ``max`` are ``None`` until
+    the first instance.
+    """
+
+    __slots__ = ("last", "min", "max")
+
+    def __init__(self) -> None:
+        self.last = 0
+        self.min: int | None = None
+        self.max: int | None = None
+
+    def on_schedule_begin(self, view: SchedulingView) -> None:
+        """Sample the depth the policy is about to see."""
+        depth = self.last = view.queue_depth
+        if self.min is None or depth < self.min:
+            self.min = depth
+        if self.max is None or depth > self.max:
+            self.max = depth
+
+
 class Trainer:
     """Trains a DRAS (or Decima) agent over a sequence of jobsets.
 
@@ -110,10 +133,12 @@ class Trainer:
     telemetry:
         Per-episode JSONL telemetry (:mod:`repro.rl.telemetry`).  Pass
         a :class:`~repro.rl.telemetry.TelemetryWriter` or a path to
-        create one.  When set, the trainer enables the agent's cheap
+        create one.  When set, the trainer writes one ``episode``
+        record per episode with anomaly flags attached.  With telemetry
+        or a live bus bound, the trainer enables the agent's cheap
         learning-signal collectors (gradient-norm tracking on the
-        optimizer, policy-entropy capture on the PG core) and writes
-        one ``episode`` record per episode with anomaly flags attached.
+        optimizer, policy-entropy capture on the PG core) and samples
+        each training episode's queue depth and utilization.
     checkpoint_path:
         When set, a crash-safe resumable checkpoint
         (:mod:`repro.rl.checkpoint`) is written atomically after every
@@ -157,15 +182,14 @@ class Trainer:
         self.checkpoint_every = checkpoint_every
         self.faults = faults
         self._live_flag = live
-        #: always-on training statistics (episode counts, phase timers)
-        self.metrics = MetricsRegistry()
         if isinstance(telemetry, (str, Path)):
             telemetry = _telemetry.TelemetryWriter(telemetry)
-        #: per-episode telemetry writer (None disables all collection)
+        #: per-episode telemetry writer (None: no records are written)
         self.telemetry = telemetry
         self._telemetry_history: list[dict[str, Any]] = []
         self._episode_load: dict[str, Any] = {}
-        if telemetry is not None:
+        self._episode_wall_s = 0.0
+        if self._observed:
             self._enable_agent_stats()
 
     @property
@@ -174,6 +198,11 @@ class Trainer:
         if self._live_flag is not None:
             return self._live_flag
         return _live.global_live_bus()
+
+    @property
+    def _observed(self) -> bool:
+        """Whether anything reads the per-episode learning and load stats."""
+        return self.telemetry is not None or self.live_bus is not None
 
     def _publish_live(self, live: "_live.LiveBus", stats: EpisodeStats,
                       total: int) -> None:
@@ -252,24 +281,24 @@ class Trainer:
         """One training episode; returns the total collected reward."""
         self.agent.train()
         meter = RewardMeter(self.agent.reward_fn)
+        load = _QueueLoad() if self._observed else None
         engine = Engine(
             Cluster(self.num_nodes),
             self.agent,
             [j.copy_fresh() for j in jobset],
-            observers=[meter],
+            observers=[meter] if load is None else [meter, load],
             faults=self._episode_faults(episode),
         )
-        with self.metrics.timer("train.episode_s").time(), \
-                _trace.span("train.episode", jobs=len(jobset)):
+        start = _perf_counter()
+        with _trace.span("train.episode", jobs=len(jobset)):
             result = engine.run()
-        self.metrics.counter("train.episodes").inc()
-        if self.telemetry is not None:
-            gauge = engine.metrics.gauge("engine.queue_depth")
+        self._episode_wall_s = _perf_counter() - start
+        if load is not None:
             self._episode_load = {
                 "instances": engine.num_instances,
-                "queue_depth_last": gauge.value,
-                "queue_depth_min": gauge.min if gauge.samples else None,
-                "queue_depth_max": gauge.max if gauge.samples else None,
+                "queue_depth_last": load.last,
+                "queue_depth_min": load.min,
+                "queue_depth_max": load.max,
                 "utilization": RunMetrics.from_result(result).utilization,
             }
         return meter.total
@@ -288,11 +317,8 @@ class Trainer:
             observers=[meter],
             faults=self.faults,
         )
-        with self.metrics.timer("train.validate_s").time(), \
-                _trace.span("train.validate",
-                            jobs=len(self.validation_jobs)):
+        with _trace.span("train.validate", jobs=len(self.validation_jobs)):
             engine.run()
-        self.metrics.counter("train.validations").inc()
         self.agent.learning = was_learning
         return meter.total
 
@@ -359,7 +385,6 @@ class Trainer:
             telemetry_offset=offset,
             faults=self.faults,
         )
-        self.metrics.counter("train.checkpoints").inc()
         tracer = _trace.global_tracer()
         if tracer is not None:
             tracer.event("train.checkpoint",
@@ -381,7 +406,7 @@ class Trainer:
             "train_reward": stats.train_reward,
             "validation_reward": stats.validation_reward,
             "updates_done": stats.updates_done,
-            "episode_wall_s": self.metrics.timer("train.episode_s").last,
+            "episode_wall_s": self._episode_wall_s,
         }
         record.update(self._agent_learning_stats())
         record.update(self._episode_load)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import SchedulingView
 
 
@@ -11,39 +10,13 @@ class BaseScheduler:
 
     Subclasses implement :meth:`schedule`; the engine calls it once per
     scheduling instance with a :class:`~repro.sim.engine.SchedulingView`
-    through which the policy takes its actions.
-
-    Every policy exposes a lazily-created :class:`MetricsRegistry` as
-    :attr:`metrics`.  At the start of each run the engine aliases its
-    own ``schedule_s`` timer and ``instances`` counter into this
-    registry (so after a run they reflect the most recent engine);
-    subclasses may record their own instruments (e.g. backfill hit
-    rates) into the same registry.
+    through which the policy takes its actions.  A policy keeps no run
+    statistics of its own: counts and timings per instance come from
+    the engine's observers (:mod:`repro.sim.observers`, the profiler).
     """
 
     #: human-readable policy name, used in experiment reports
     name: str = "base"
-
-    @property
-    def metrics(self) -> MetricsRegistry:
-        """Per-policy metrics registry (created on first access)."""
-        registry = getattr(self, "_metrics", None)
-        if registry is None:
-            registry = MetricsRegistry()
-            self._metrics = registry
-        return registry
-
-    def reset_metrics(self) -> None:
-        """Zero this policy's instruments in place (names stay bound).
-
-        Call between runs or training phases when per-phase numbers
-        must not leak into the next report.  Aliased engine instruments
-        (``schedule_s``, ``instances``) are zeroed too; the engine that
-        shared them sees the same zeroed objects.
-        """
-        registry = getattr(self, "_metrics", None)
-        if registry is not None:
-            registry.reset_values()
 
     def schedule(self, view: SchedulingView) -> None:
         """Take scheduling actions for one instance via ``view``.

@@ -30,7 +30,6 @@ from typing import TYPE_CHECKING, Any, Iterable, Protocol, Sequence
 import numpy as np
 
 from repro.check import sanitize as _san
-from repro.obs.live import LIVE_SIM_EVERY
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.backfill import BackfillPlanner, Reservation
 from repro.sim.cluster import Cluster
@@ -198,7 +197,6 @@ class SchedulingView:
         job.ever_reserved = True
         self._reservation = reservation
         self._reserved_job = job
-        self._engine._m_reservations.value += 1
         for handler in self._engine._on_reserve:
             handler(job, self.now, reservation)
         return reservation
@@ -281,15 +279,11 @@ class Engine:
         In-flight snapshot publishing (:mod:`repro.obs.live`).  Pass a
         :class:`~repro.obs.live.LiveBus`; ``None`` (the default)
         follows the process-global bus (``REPRO_LIVE`` env var).  A
-        ``kind="sim"`` snapshot is published every ``live_every``
-        processed events plus a final one at completion.  Publishing
-        is observe-only: a live-enabled run is bit-identical to a dark
-        one.
-    live_every:
-        Event-count publish cadence for ``live`` (default
-        :data:`~repro.obs.live.LIVE_SIM_EVERY`).  A count — never a
-        wall-clock timer — so the set of published snapshots is a pure
-        function of the run.
+        ``kind="sim"`` snapshot is published every
+        :data:`~repro.obs.live.LIVE_SIM_EVERY` processed events (a
+        count, never a wall-clock timer) plus a final one at
+        completion.  Publishing is observe-only: a live-enabled run is
+        bit-identical to a dark one.
     faults:
         Optional :class:`~repro.sim.faults.FaultConfig` activating the
         seeded fault model (node failures/repairs, job kills, requeue).
@@ -320,7 +314,6 @@ class Engine:
         trace: "Tracer | str | Path | None" = None,
         profile: "Profiler | None" = None,
         live: "LiveBus | None" = None,
-        live_every: int = LIVE_SIM_EVERY,
         faults: FaultConfig | None = None,
         max_events: int | None = None,
         max_wall_s: float | None = None,
@@ -333,9 +326,6 @@ class Engine:
         self._trace = trace
         self._profile = profile
         self._live = live
-        if live_every <= 0:
-            raise ValueError(f"live_every must be positive, got {live_every}")
-        self.live_every = live_every
         self.scheduler = scheduler
         self.queue = WaitQueue()
         self.queue._sanitize = sanitize
@@ -365,18 +355,10 @@ class Engine:
         #: why the job being delivered to ``on_kill`` died:
         #: ``"node_fail"`` or ``"job_kill"``
         self.kill_cause = ""
-        #: always-on run statistics (cheap int/float updates only)
+        #: SUBMIT / FINISH events processed, summed over every run
         self.metrics = MetricsRegistry()
         self._m_submits = self.metrics.counter("engine.events_submit")
         self._m_finishes = self.metrics.counter("engine.events_finish")
-        self._m_instances = self.metrics.counter("engine.instances")
-        self._m_starts = self.metrics.counter("engine.jobs_started")
-        self._m_reservations = self.metrics.counter("engine.reservations")
-        self._m_node_fails = self.metrics.counter("engine.events_node_fail")
-        self._m_node_repairs = self.metrics.counter("engine.events_node_repair")
-        self._m_kills = self.metrics.counter("engine.jobs_killed")
-        self._m_queue_depth = self.metrics.gauge("engine.queue_depth")
-        self._m_schedule = self.metrics.timer("engine.schedule_s")
         #: sanitize decision pinned for the duration of :meth:`run`
         #: (None outside a run: fall through to flag/env resolution)
         self._run_sanitize: bool | None = None
@@ -429,7 +411,6 @@ class Engine:
         self._finish_events[job.job_id] = self.events.push(
             self.now + job.runtime, EventKind.FINISH, job.job_id
         )
-        self._m_starts.value += 1
         for handler in self._on_start:
             handler(job, self.now)
 
@@ -472,7 +453,6 @@ class Engine:
         )
         job.mark_killed(self.now, requeue=requeue)
         inj.counters.jobs_killed += 1
-        self._m_kills.value += 1
         if requeue:
             self.queue.requeue(job, front=cfg.requeue == "requeue-front")
             inj.counters.requeues += 1
@@ -493,7 +473,6 @@ class Engine:
         """One failure event: pick victims, evacuate, mark down, reschedule."""
         inj = self.injector
         assert inj is not None
-        self._m_node_fails.value += 1
         n_nodes, repairs = inj.sample_failure()
         up = np.flatnonzero(~self.cluster.down_mask)
         victims = inj.choose_failed_nodes(up, n_nodes)
@@ -521,7 +500,6 @@ class Engine:
         assert inj is not None
         self.cluster.repair_nodes([event.node], self.now)
         inj.counters.node_repairs += 1
-        self._m_node_repairs.value += 1
         for handler in self._on_node_repair:
             handler(self.now, event.node)
 
@@ -573,14 +551,8 @@ class Engine:
         # the one seam: the channels join the caller's observers as
         # ordinary subscribers, and every hook's handlers resolve here
         self._bind([*self.observers, *channel_observers(
-            self._trace, self._profile, self._live, self.live_every)])
+            self._trace, self._profile, self._live)])
         on_instance_begin = self._on_instance_begin
-        # share (not duplicate) the per-instance instruments with the
-        # scheduler's registry, so the hot loop records each sample once
-        sched_metrics = getattr(self.scheduler, "metrics", None)
-        if isinstance(sched_metrics, MetricsRegistry):
-            sched_metrics.alias("schedule_s", self._m_schedule)
-            sched_metrics.alias("instances", self._m_instances)
         # loop-invariant reads hoisted out of the event loop (each is
         # consulted once or more per batch)
         events = self.events
@@ -717,28 +689,12 @@ class Engine:
     def _run_instance(self) -> None:
         """Invoke the policy once (one scheduling instance)."""
         self.num_instances += 1
-        self._m_instances.value += 1
-        # instrument updates are inlined (no method calls): this runs
-        # once per scheduling instance and dominates metric overhead
-        depth = len(self.queue)
-        gauge = self._m_queue_depth
-        gauge.value = depth
-        if depth < gauge.min:
-            gauge.min = depth
-        if depth > gauge.max:
-            gauge.max = depth
-        gauge.samples += 1
         view = SchedulingView(self)
         for handler in self._on_schedule_begin:
             handler(view)
-        t0 = _perf_counter()
         self.scheduler.schedule(view)
-        sample = _perf_counter() - t0
         for handler in self._on_schedule_end:
             handler(view)
-        # one method call per *instance* (not per event): cheap enough,
-        # and it keeps the EMA + histogram update logic in one place
-        self._m_schedule.observe(sample)
         for handler in self._on_instance:
             handler(view, view.started)
 

@@ -291,19 +291,21 @@ def channel_observers(
     trace: "_trace.Tracer | str | Path | None",
     profile: "_profile.Profiler | None",
     live: "_live.LiveBus | None",
-    live_every: int,
 ) -> list[Any]:
     """The subscribers for one run's trace / profile / live settings.
 
     Each explicit setting wins over its process-global (``REPRO_TRACE``
     / ``REPRO_PROFILE`` / ``REPRO_LIVE``); a channel that is off either
     way contributes nothing.  The profiler goes first so its scopes
-    enclose the other subscribers' work.
+    enclose the other subscribers' work.  The live subscriber publishes
+    every :data:`~repro.obs.live.LIVE_SIM_EVERY` events, read here at
+    call time.
     """
     channels = (
         _channel(ProfileObserver, profile, _profile.global_profiler),
         _channel(TraceObserver, trace, _trace.global_tracer),
-        _channel(LiveObserver, live, _live.global_live_bus, live_every),
+        _channel(LiveObserver, live, _live.global_live_bus,
+                 _live.LIVE_SIM_EVERY),
     )
     return [channel for channel in channels if channel is not None]
 

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.obs import live as live_mod
 from repro.obs.analyze import UtilizationTimeline
 from repro.obs.live import LiveBus
 from repro.obs.profile import Profiler
@@ -78,10 +79,12 @@ class TestInstrumentedGoldens:
         prof = Profiler()
         bus = LiveBus()
         sink = bus.attach(SnapshotSink())
-        lit = run_simulation(
-            64, FCFSEasy(), golden_jobs(), faults=GOLDEN_FAULTS,
-            trace=path, profile=prof, live=bus, live_every=50, sanitize=True,
-        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(live_mod, "LIVE_SIM_EVERY", 50)
+            lit = run_simulation(
+                64, FCFSEasy(), golden_jobs(), faults=GOLDEN_FAULTS,
+                trace=path, profile=prof, live=bus, sanitize=True,
+            )
         dark = run_simulation(64, FCFSEasy(), golden_jobs(),
                               faults=GOLDEN_FAULTS, sanitize=False)
         return lit, dark, read_trace(path), sink.records, prof
@@ -358,7 +361,7 @@ class TestEngineSpeaksOneProtocol:
         literals = [n.value for n in ast.walk(tree)
                     if isinstance(n, ast.Constant) and isinstance(n.value, str)
                     and n.value.startswith("engine.")]
-        # the always-on MetricsRegistry instruments stay (engine state)
+        # the two event counters stay (engine state)
         registry_names = [
             n.args[0].value for n in ast.walk(tree)
             if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)

@@ -1,5 +1,6 @@
 """Trace analytics: span profiles, histograms, timelines, manifest diffs."""
 
+import itertools
 import json
 
 import numpy as np
@@ -14,7 +15,7 @@ from repro.obs.analyze import (
     utilization_timeline,
 )
 from repro.obs.manifest import RunManifest
-from repro.obs.metrics import nearest_rank
+from repro.obs.metrics import TIMER_HIST_EDGES, nearest_rank
 from repro.obs.profile import Profiler
 from repro.obs.trace import Tracer, build_span_tree, read_trace
 from repro.schedulers.fcfs import FCFSEasy
@@ -117,10 +118,14 @@ class TestLatencyHistogram:
         assert summary.decision_latency(0.50) == pytest.approx(0.050)
         assert summary.decision_latency(0.99) == pytest.approx(0.099)
         assert summary.decision_latency(1.0) == pytest.approx(0.100)
-        # the binned estimate is within one quarter-decade bin of the exact
+        # the exact quantile lies in the bin where the counts reach its rank
         for q in (0.50, 0.90, 0.99):
-            ratio = hist.quantile(q) / summary.decision_latency(q)
-            assert 10 ** -0.25 <= ratio <= 10 ** 0.25
+            rank = nearest_rank(q, hist.count)
+            index = next(i for i, seen in
+                         enumerate(itertools.accumulate(hist.bins))
+                         if seen >= rank)
+            assert TIMER_HIST_EDGES[index - 1] <= summary.decision_latency(q) \
+                < TIMER_HIST_EDGES[index]
         text = format_trace_summary(summary)
         assert "n=100 mean=50.500 ms p50=50.000 p90=90.000 p99=99.000 " \
             "max=100.000" in text

@@ -17,8 +17,7 @@ from repro.obs.live import (
     set_global_live_bus,
 )
 from repro.schedulers.fcfs import FCFSEasy
-from repro.sim.cluster import Cluster
-from repro.sim.engine import Engine, run_simulation
+from repro.sim.engine import run_simulation
 from repro.workload.models import ThetaModel
 
 
@@ -226,10 +225,11 @@ class TestGlobalBus:
 
 
 class TestEngineIntegration:
-    def test_engine_publishes_on_event_cadence(self):
+    def test_engine_publishes_on_event_cadence(self, monkeypatch):
+        monkeypatch.setattr(live_mod, "LIVE_SIM_EVERY", 100)
         bus = LiveBus()
         sink = bus.attach(Collector())
-        run_simulation(32, FCFSEasy(), _jobs(), live=bus, live_every=100)
+        run_simulation(32, FCFSEasy(), _jobs(), live=bus)
         assert len(sink.records) >= 2
         assert all(r["kind"] == "sim" for r in sink.records)
         seqs = [r["seq"] for r in sink.records]
@@ -240,23 +240,20 @@ class TestEngineIntegration:
         assert {"t", "events", "queue_depth", "running",
                 "utilization"} <= set(final)
 
-    def test_live_run_is_bit_identical_to_dark(self):
+    def test_live_run_is_bit_identical_to_dark(self, monkeypatch):
+        monkeypatch.setattr(live_mod, "LIVE_SIM_EVERY", 50)
         jobs = _jobs()
         dark = run_simulation(32, FCFSEasy(), [j.copy_fresh() for j in jobs])
         bus = LiveBus()
         bus.attach(Collector())
         watched = run_simulation(32, FCFSEasy(),
                                  [j.copy_fresh() for j in jobs],
-                                 live=bus, live_every=50)
+                                 live=bus)
         for a, b in zip(dark.jobs, watched.jobs):
             assert (a.start_time, a.end_time, a.mode) == (
                 b.start_time, b.end_time, b.mode)
         assert dark.makespan == watched.makespan
         assert dark.num_instances == watched.num_instances
-
-    def test_live_every_must_be_positive(self):
-        with pytest.raises(ValueError, match="live_every"):
-            Engine(Cluster(8), FCFSEasy(), _jobs(8, 8), live_every=0)
 
 
 class TestTrainerIntegration:

@@ -139,6 +139,7 @@ class TestTrainerIntegration:
         assert 0.0 <= first["utilization"] <= 1.0
         assert first["queue_depth_max"] >= first["queue_depth_min"] >= 0
         assert first["instances"] > 0
+        assert first["episode_wall_s"] > 0.0
         assert first["anomalies"] == []
 
     def test_telemetry_enables_agent_collectors(self, tmp_path):
@@ -230,3 +231,61 @@ class TestTrainerIntegration:
         assert [r["episode"] for r in episodes] == [0, 1]
         for line in path.read_text().splitlines():
             json.loads(line)  # every line parses
+
+    def test_queue_depth_fields_are_the_depths_schedule_begin_sees(
+            self, tmp_path, monkeypatch):
+        """``queue_depth_last/min/max`` are the depths each scheduling
+        instance of the same episode opens with."""
+        import repro.rl.trainer as trainer_mod
+
+        seen = []
+
+        class Depths:
+            def on_schedule_begin(self, view):
+                seen[-1].append(view.queue_depth)
+
+        real_engine = trainer_mod.Engine
+
+        def engine(*args, observers=(), **kwargs):
+            seen.append([])
+            return real_engine(*args, observers=[*observers, Depths()],
+                               **kwargs)
+
+        monkeypatch.setattr(trainer_mod, "Engine", engine)
+        path = tmp_path / "t.jsonl"
+        Trainer(_agent(), NODES, telemetry=path).train(_jobsets())
+        episodes = episode_records(read_telemetry(path))
+        assert len(seen) == len(episodes) == 2     # no validation engine
+        for record, depths in zip(episodes, seen):
+            assert record["instances"] == len(depths)
+            assert max(depths) > min(depths)
+            assert (record["queue_depth_last"], record["queue_depth_min"],
+                    record["queue_depth_max"]) == (
+                depths[-1], min(depths), max(depths))
+
+    def test_live_bus_alone_publishes_learning_and_load_stats(self):
+        """Without telemetry, a bound live bus still turns the learning
+        and load collectors on, and training stays bit-identical."""
+        from repro.obs.live import LiveBus
+
+        class Sink:
+            def __init__(self):
+                self.records = []
+
+            def on_snapshot(self, record):
+                self.records.append(dict(record))
+
+        bus = LiveBus()
+        sink = bus.attach(Sink())
+        watched = _agent()
+        Trainer(watched, NODES, live=bus).train(_jobsets())
+        dark = _agent()
+        Trainer(dark, NODES).train(_jobsets())
+        assert [r["kind"] for r in sink.records] == ["train", "train"]
+        for record in sink.records:
+            assert math.isfinite(record["grad_norm"])
+            assert math.isfinite(record["entropy"])
+            assert record["queue_depth"] >= 0
+            assert 0.0 <= record["utilization"] <= 1.0
+        for key, value in dark.state_dict().items():
+            np.testing.assert_array_equal(value, watched.state_dict()[key])
