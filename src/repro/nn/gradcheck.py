@@ -62,8 +62,11 @@ def check_gradients(
     """Compare analytic and numeric parameter gradients.
 
     ``loss_fn`` maps the network output to ``(loss, dloss/doutput)``.
-    A random subsample of ``max_entries`` entries per parameter keeps
-    the check fast on large layers.  Returns the worst absolute error
+    Each parameter is perturbed in a private copy of its value, which
+    the parameter keeps (same bits, one ``version`` on), so a snapshot
+    taken before the check is left as it was.  A random subsample of
+    ``max_entries`` entries per parameter keeps the check fast on large
+    layers.  Returns the worst absolute error
     and raises ``AssertionError`` when tolerances are exceeded, or
     ``ValueError`` when ``network`` is not float64.
     """
@@ -79,6 +82,10 @@ def check_gradients(
 
     worst = 0.0
     for param in network.parameters():
+        # perturb a private copy: the value may be lent read-only to a
+        # snapshot (Network.state_dict), which must keep its bytes
+        param.value = param.value.copy()
+        param.version += 1
         flat = param.value.ravel()
         analytic = param.grad.ravel()
         n = flat.size

@@ -2,7 +2,8 @@
 
 Each layer caches what its backward pass needs during ``forward`` and
 exposes its trainable tensors as :class:`Parameter` objects, which an
-optimizer updates in place.  Shapes follow the DRAS conventions:
+optimizer updates in place, or into a fresh array when a snapshot holds
+the old one.  Shapes follow the DRAS conventions:
 network input is ``[B, rows, 2]``; after the 1x2 convolution the
 representation is ``[B, rows]``; dense layers map ``[B, in] -> [B, out]``.
 """
@@ -36,7 +37,9 @@ class Parameter:
     added to: there is nothing to reset between updates, and summing
     over several backwards is the caller's job.  ``version`` counts the
     writes of ``value``: a writer (an optimizer step, a state load) adds
-    one, and what is derived from the value checks it.
+    one, and what is derived from the value checks it.  A read-only
+    ``value`` is lent to a snapshot: writers rebind ``value`` to a new
+    array instead of writing into it.
     """
 
     __slots__ = ("name", "value", "grad", "version")
@@ -310,30 +313,35 @@ class Dense(Layer):
 class LeakyReLU(Layer):
     """Leaky rectifier activation (§III-B).
 
-    Forward and backward are expressed as one elementwise multiply by a
-    cached slope factor (1 where ``x > 0``, ``alpha`` elsewhere) — the
-    same values as the branchy ``where(x > 0, x, alpha*x)`` form
-    (multiplying by 1.0 is exact in IEEE 754), in fewer passes over the
-    batch.
+    Forward is ``max(x, alpha*x)``: one multiply and one branch-free
+    maximum, the same bits as the branchy ``where(x > 0, x, alpha*x)``
+    for ``0 < alpha <= 1`` on every input, signed zeros, infinities,
+    NaN and subnormals included (``alpha = 0`` would make ``+inf``
+    NaN).  The input is cached, and ``backward`` builds the slope (1
+    where ``x > 0``, ``alpha`` elsewhere) from it, so only training
+    pays for the slope.
     """
 
     def __init__(self, alpha: float = 0.01) -> None:
-        if alpha < 0:
-            raise ValueError("alpha must be >= 0")
+        if not 0 < alpha <= 1:
+            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
         self.alpha = alpha
-        self._factor: np.ndarray | None = None
+        self._x: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Elementwise ``max(x, alpha*x)`` over any batched shape."""
-        # typed scalars: ``np.where(x > 0, 1.0, alpha)`` is double
-        # precision whatever ``x`` is, and would promote every layer
-        # after this one
-        scalar = x.dtype.type
-        self._factor = np.where(x > 0, scalar(1.0), scalar(self.alpha))
-        return x * self._factor
+        self._x = x
+        # alpha in x's precision, the value the slope factor holds
+        y = x * x.dtype.type(self.alpha)
+        return np.maximum(x, y, out=y)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        """Scale gradients by the cached slope factor."""
-        if self._factor is None:
+        """Scale gradients by the slope at the cached input."""
+        if self._x is None:
             raise RuntimeError("backward called before forward")
-        return grad_out * self._factor
+        # typed scalars: ``np.where(x > 0, 1.0, alpha)`` is double
+        # precision whatever ``x`` is, and would promote every layer
+        # before this one
+        scalar = self._x.dtype.type
+        return grad_out * np.where(self._x > 0, scalar(1.0),
+                                   scalar(self.alpha))

@@ -158,12 +158,21 @@ class Network:
         return [p for layer in self.layers for p in layer.parameters()]
 
     def state_dict(self) -> dict[str, np.ndarray]:
-        """Parameter values keyed by position-qualified names."""
-        return {
-            f"{i}.{p.name}": p.value.copy()
-            for i, layer in enumerate(self.layers)
-            for p in layer.parameters()
-        }
+        """Parameter values keyed by position-qualified names.
+
+        The live arrays, lent read-only rather than copied: a snapshot
+        is a version of the weights, not a copy of them.  Nobody can
+        write into one (NumPy raises), and an optimizer step that meets
+        a read-only value writes a fresh array and rebinds the
+        parameter, so the snapshot keeps the bytes it was taken with
+        and the copy is paid only when the weights next change.
+        """
+        state = {}
+        for i, layer in enumerate(self.layers):
+            for p in layer.parameters():
+                p.value.flags.writeable = False
+                state[f"{i}.{p.name}"] = p.value
+        return state
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
         """Copy values from :meth:`state_dict` output; keys must match.

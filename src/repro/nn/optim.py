@@ -1,4 +1,10 @@
-"""Optimizers updating :class:`~repro.nn.layers.Parameter` in place."""
+"""Optimizers updating :class:`~repro.nn.layers.Parameter` values.
+
+A step writes each value in place unless it is read-only — lent to a
+snapshot by :meth:`~repro.nn.network.Network.state_dict` — in which
+case the step writes a fresh array and rebinds the parameter to it, so
+the snapshot keeps the bytes it was taken with.
+"""
 
 from __future__ import annotations
 
@@ -15,6 +21,12 @@ from repro.obs import trace as _trace
 #: 75 / 81 ms at 8k / 16k / 32k / 64k / 128k elements — a plateau, so
 #: this is a constant, not a knob.
 _BLOCK = 32768
+
+
+def _destination(p: Parameter) -> np.ndarray:
+    """Where a step writes ``p``'s new value: the value itself, or a
+    fresh array of its layout when the value is a snapshot's."""
+    return p.value if p.value.flags.writeable else np.empty_like(p.value)
 
 
 def _flat(array: np.ndarray, name: str) -> np.ndarray:
@@ -57,14 +69,15 @@ class SGD(Optimizer):
         self._velocity = [np.zeros_like(p.value) for p in params]
 
     def step(self) -> None:
-        """One (momentum-)SGD update: ``p -= lr * v`` in place."""
+        """One (momentum-)SGD update: ``p -= lr * v``."""
         for p, v in zip(self.params, self._velocity):
+            direction = p.grad
             if self.momentum:
                 v *= self.momentum
                 v += p.grad
-                p.value -= self.lr * v
-            else:
-                p.value -= self.lr * p.grad
+                direction = v
+            p.value = np.subtract(p.value, self.lr * direction,
+                                  out=_destination(p))
             p.version += 1
 
 
@@ -132,7 +145,7 @@ class Adam(Optimizer):
                 for k in "mv")
 
     def step(self) -> None:
-        """Apply one Adam update to every parameter (in place)."""
+        """Apply one Adam update to every parameter."""
         with _trace.span("nn.adam_step", t=self._t + 1,
                          params=len(self.params)):
             return self._step()
@@ -155,7 +168,7 @@ class Adam(Optimizer):
                                  operand, p.value.dtype)
 
     def _step(self) -> None:
-        """The in-place Adam update, one cache-sized block at a time.
+        """The Adam update, one cache-sized block at a time.
 
         Mathematically (and bit-for-bit) identical to the textbook
         sequence ``m = β1·m + (1-β1)·g``, ``v = β2·v + (1-β2)·g²``,
@@ -170,7 +183,11 @@ class Adam(Optimizer):
         the exception: it must be known before the first block is
         scaled, so it stays one separate ``np.linalg.norm`` pass over
         the whole gradient (which also keeps the clip scale the very
-        float a per-parameter implementation computes).
+        float a per-parameter implementation computes).  The last pass
+        writes into the value itself, or into a fresh array the
+        parameter is rebound to when the value is a snapshot's
+        (read-only): the same subtract on the same operands, so the
+        bits do not depend on which.
         """
         for p in self.params:
             if p.grad is None:
@@ -201,8 +218,9 @@ class Adam(Optimizer):
                 if grad_clip is not None and norm > grad_clip:
                     scale = grad_clip / norm
             shape_before = p.value.shape
-            flat_g, flat_m, flat_v, flat_p = (
-                _flat(a, p.name) for a in (g, m, v, p.value))
+            new = _destination(p)
+            flat_g, flat_m, flat_v, flat_p, flat_new = (
+                _flat(a, p.name) for a in (g, m, v, p.value, new))
             for lo in range(0, flat_p.size, _BLOCK):
                 gb = flat_g[lo:lo + _BLOCK]
                 mb = flat_m[lo:lo + _BLOCK]
@@ -227,7 +245,9 @@ class Adam(Optimizer):
                 np.sqrt(t2, out=t2)
                 t2 += self.eps
                 t1 /= t2
-                flat_p[lo:lo + _BLOCK] -= t1
+                np.subtract(flat_p[lo:lo + _BLOCK], t1,
+                            out=flat_new[lo:lo + _BLOCK])
+            p.value = new
             p.version += 1
             if sanitize:
                 _san.check_same_shape(p.name, shape_before, p.value.shape)

@@ -2,7 +2,8 @@
 
 Training takes a model snapshot after every episode (§III-C); these
 helpers persist a :class:`~repro.nn.network.Network` state dict to a
-single ``.npz`` file.
+single ``.npz`` file.  Saving writes the live weights, which
+``state_dict()`` lends read-only: nothing parameter-sized is copied.
 """
 
 from __future__ import annotations

@@ -5,8 +5,9 @@ episode replays one jobset from an all-idle initial state, parameters
 update every ten scheduling instances, and the trainer takes a snapshot
 of the model after every episode.  An unseen validation jobset measures
 progress; the convergence monitor declares convergence when the
-validation reward plateaus.  Only the latest and the best-validating
-snapshot stay in memory; a per-episode record on disk is
+validation reward plateaus.  Only the latest snapshot stays in memory,
+and it is the live weights lent read-only, not a copy: the next
+optimizer step writes fresh ones.  A per-episode record on disk is
 ``checkpoint_path``'s job.
 """
 
@@ -46,26 +47,23 @@ class EpisodeStats:
 
 @dataclass
 class TrainingHistory:
-    """Episode statistics plus the two model snapshots worth keeping.
+    """Episode statistics plus the model snapshot after the latest one.
 
     Memory is constant in the number of episodes: :attr:`last` is the
-    state dict after the most recent episode and :attr:`best` the one
-    after episode :meth:`best_episode` (the same dict while the latest
-    episode is the best).  Both are ``None`` until :meth:`record` sees
-    an episode — so after a checkpoint resume ``best`` stays ``None``
-    while an episode from before the resume still holds the record.
+    state dict after the most recent episode (``None`` until
+    :meth:`record` sees one), a version of the weights lent read-only
+    (:meth:`~repro.nn.network.Network.state_dict`), not a copy.
+    :meth:`best_episode` names the best-validating episode; its weights
+    are not kept — each kept snapshot pins one weight version.
     """
 
     episodes: list[EpisodeStats] = field(default_factory=list)
     last: dict[str, np.ndarray] | None = None
-    best: dict[str, np.ndarray] | None = None
 
     def record(self, stats: EpisodeStats, state: dict[str, np.ndarray]) -> None:
         """Append one finished episode and the model state it left."""
         self.episodes.append(stats)
         self.last = state
-        if self.best_episode() == len(self.episodes) - 1:
-            self.best = state
 
     @property
     def validation_curve(self) -> np.ndarray:

@@ -400,8 +400,8 @@ class TestDtypePurity:
                                                 monkeypatch):
         """Restoring ``np.where(x > 0, 1.0, alpha)`` names the layer."""
         def promoting(self, x):
-            self._factor = np.where(x > 0, 1.0, self.alpha)
-            return x * self._factor
+            self._x = x
+            return x * np.where(x > 0, 1.0, self.alpha)
 
         monkeypatch.setattr(LeakyReLU, "forward", promoting)
         with pytest.raises(SanitizerError,
@@ -411,7 +411,8 @@ class TestDtypePurity:
     def test_promoted_gradient_names_the_layer(self, sanitizer_on,
                                                monkeypatch):
         def promoting(self, grad_out):
-            return grad_out * np.ones(1) * self._factor
+            """The slope built from untyped scalars: float64 for any x."""
+            return grad_out * np.where(self._x > 0, 1.0, self.alpha)
 
         monkeypatch.setattr(LeakyReLU, "backward", promoting)
         net = self.make_net()

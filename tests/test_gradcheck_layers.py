@@ -67,6 +67,28 @@ class TestParameterGradients:
         assert worst < 1e-3
 
 
+class TestAfterASnapshot:
+    def test_snapshot_keeps_its_bytes(self):
+        """The check perturbs private copies, never a lent (read-only) value."""
+        rng = np.random.default_rng(12)
+        net = build_dras_network(rows=6, hidden1=5, hidden2=4, outputs=2,
+                                 rng=rng, dtype=np.float64)
+        snapshot = net.state_dict()
+        kept = {k: v.copy() for k, v in snapshot.items()}
+        versions = [p.version for p in net.parameters()]
+        x = rng.normal(size=(2, 6, 2))
+        assert check_gradients(net, x, quadratic_loss, rng=rng) < 1e-3
+        for key, lent in snapshot.items():
+            assert not lent.flags.writeable
+            assert np.array_equal(lent, kept[key])
+        after = net.state_dict()
+        for (key, value), p, version in zip(after.items(), net.parameters(),
+                                            versions):
+            assert value is not snapshot[key]
+            assert np.array_equal(value, kept[key])
+            assert p.version == version + 1
+
+
 class TestInputGradients:
     @pytest.mark.parametrize("alpha", [0.01, 0.2])
     def test_leaky_relu_input_gradient(self, alpha):

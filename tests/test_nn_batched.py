@@ -389,6 +389,29 @@ class TestSharedForward:
         fc1.weight.version = version
         served_stale(x, shared)
 
+    def test_step_after_a_snapshot_rebuilds_the_table(self, monkeypatch):
+        """A step after ``state_dict()`` rebinds fc1's weight to a fresh
+        array: the table and sums follow the new version, and the
+        frozen two-input forward still equals the plain one."""
+        monkeypatch.setattr(sanitize, "_FORCED", False)
+        rng = np.random.default_rng(16)
+        net = build_dras_network(2 + 62, WIDE, H2, 1, rng=rng, dtype=np.float64)
+        fc1 = net.layers[1]
+        x, shared = rng.normal(size=(5, 2, 2)), grouped(rng, 62, sizes=(30, 20))
+        before = net.forward(x, shared=shared)
+        snapshot = net.state_dict()
+        lent = snapshot["1.fc1.weight"].copy()
+        net.backward(np.ones_like(net.forward(materialise(x, shared, 62))))
+        Adam(net.parameters(), lr=0.1).step()
+        assert fc1.weight.value is not snapshot["1.fc1.weight"]
+        assert np.array_equal(snapshot["1.fc1.weight"], lent)
+        after = net.forward(x, shared=shared)
+        assert np.max(np.abs(after - before)) > 1e-3
+        np.testing.assert_allclose(
+            after, net.forward(materialise(x, shared, 62)), rtol=0,
+            atol=reassociation_atol(np.float64))
+        assert np.array_equal(fc1._blocks, block_table(fc1.weight.value, 2))
+
     def test_one_span_with_the_head_shape(self, tmp_path):
         """Traced and profiled, a shared forward is still one ``nn.forward``."""
         net = small_network()

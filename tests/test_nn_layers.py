@@ -177,6 +177,33 @@ class TestLeakyReLU:
         with pytest.raises(ValueError):
             LeakyReLU(alpha=-0.1)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.5])
+    def test_rejects_alpha_outside_zero_one(self, alpha):
+        """``max(x, 0*x)`` is NaN at ``+inf``; above 1 it is not leaky."""
+        with pytest.raises(ValueError, match="alpha"):
+            LeakyReLU(alpha=alpha)
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.2, 1.0])
+    @pytest.mark.parametrize("dtype,bits", [(np.float32, np.uint32),
+                                            (np.float64, np.uint64)])
+    def test_max_form_is_the_slope_form_bit_for_bit(self, alpha, dtype,
+                                                    bits):
+        """``max(x, alpha*x)`` against ``x * where(x > 0, 1, alpha)``."""
+        fi = np.finfo(dtype)
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                   fi.smallest_subnormal, -fi.smallest_subnormal,
+                   fi.tiny, -fi.tiny, fi.max, -fi.max]
+        rng = np.random.default_rng(3)
+        x = np.concatenate([np.array(special, dtype),
+                            rng.normal(size=36).astype(dtype)]).reshape(3, 16)
+        slope = np.where(x > 0, dtype(1.0), dtype(alpha))
+        layer = LeakyReLU(alpha)
+        assert np.array_equal(layer.forward(x).view(bits),
+                              (x * slope).view(bits))
+        g = rng.normal(size=x.shape).astype(dtype)
+        assert np.array_equal(layer.backward(g).view(bits),
+                              (g * slope).view(bits))
+
     def test_backward(self):
         layer = LeakyReLU(alpha=0.1)
         x = np.array([[-1.0, 2.0]])

@@ -96,13 +96,35 @@ class TestStateDict:
 
     def test_load_copies_values(self, rng):
         net = build_dras_network(6, 5, 4, 3, rng=rng)
-        state = net.state_dict()
+        state = {k: v.copy() for k, v in net.state_dict().items()}
         net.load_state_dict(state)
         state[next(iter(state))] += 1.0
         # mutating the source dict must not leak into the network
         assert not np.allclose(
             net.state_dict()[next(iter(state))], state[next(iter(state))]
         )
+
+    def test_snapshot_lends_the_live_values_read_only(self, rng):
+        net = build_dras_network(6, 5, 4, 3, rng=rng)
+        state = net.state_dict()
+        assert all(a is p.value for a, p in zip(state.values(),
+                                                net.parameters()))
+        for a in state.values():
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a += 1.0
+
+    def test_load_of_a_snapshot_installs_a_writeable_copy(self, rng):
+        net = build_dras_network(6, 5, 4, 3, rng=rng)
+        state = net.state_dict()
+        versions = [p.version for p in net.parameters()]
+        net.load_state_dict(state)
+        for (key, lent), p, version in zip(state.items(), net.parameters(),
+                                            versions):
+            assert p.value is not lent and np.array_equal(p.value, lent)
+            assert p.value.flags.writeable and p.value.flags.c_contiguous
+            assert p.version == version + 1
+        assert not any(a.flags.writeable for a in state.values())
 
 
 class TestSerialize:

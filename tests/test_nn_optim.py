@@ -10,6 +10,23 @@ from repro.nn.network import build_dras_network
 from repro.nn.optim import _BLOCK, SGD, Adam
 
 
+def lend(params: list[Parameter]) -> list[np.ndarray]:
+    """A snapshot of ``params`` as ``Network.state_dict`` takes one: the
+    live values, made read-only."""
+    for p in params:
+        p.value.flags.writeable = False
+    return [p.value for p in params]
+
+
+def assert_stepped_past(params, snapshot, kept, versions):
+    """After a step: the snapshot holds its bytes, each value is fresh."""
+    for p, lent, before, version in zip(params, snapshot, kept, versions):
+        assert np.array_equal(lent, before) and not lent.flags.writeable
+        assert p.value is not lent and p.value.base is None
+        assert p.value.flags.writeable and p.value.flags.c_contiguous
+        assert p.version > version
+
+
 def quadratic_step(param: Parameter) -> float:
     """Set grad of f(x) = ||x||^2 and return the loss."""
     param.grad_buffer()[...] = 2 * param.value
@@ -43,6 +60,26 @@ class TestSGD:
             return abs(p.value[0])
 
         assert run(0.9) < run(0.0)
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    def test_step_after_a_snapshot_writes_a_fresh_value(self, momentum):
+        """Bit-equal to the in-place run; the snapshot keeps its bytes."""
+        rng = np.random.default_rng(4)
+        start = rng.normal(size=(5, 3)).astype(np.float32)
+        p, ref = Parameter("x", start.copy()), Parameter("x", start.copy())
+        opt, ref_opt = (SGD([q], lr=0.1, momentum=momentum) for q in (p, ref))
+        for step in range(3):
+            g = rng.normal(size=start.shape).astype(np.float32)
+            for q in (p, ref):
+                q.grad_buffer()[...] = g
+            if step == 1:
+                snapshot = lend([p])
+                kept, versions = [snapshot[0].copy()], [p.version]
+            opt.step()
+            ref_opt.step()
+            assert np.array_equal(p.value, ref.value)
+            if step == 1:
+                assert_stepped_past([p], snapshot, kept, versions)
 
     def test_validation(self):
         p = Parameter("x", np.ones(1))
@@ -123,7 +160,8 @@ EDGE_SHAPES = [(1,), (_BLOCK - 1,), (_BLOCK,), (_BLOCK + 1,),
 
 
 class TestAdamAgainstTextbook:
-    """The blocked in-place sweep is the textbook update, bit for bit."""
+    """The blocked sweep is the textbook update, bit for bit, whether it
+    writes in place or, after a snapshot, into a fresh value."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -132,10 +170,12 @@ class TestAdamAgainstTextbook:
         # gradients have norm ~ sqrt(size): 1e-3 always clips, 1e6 never
         clip=st.sampled_from([None, 1e-3, 1e6]),
         steps=st.integers(3, 5),
+        # the step a snapshot is taken before (1: before any moment exists)
+        lent_at=st.integers(1, 3),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_trajectory_is_bit_identical(self, shapes, dtype, clip, steps,
-                                         seed):
+                                         lent_at, seed):
         rng = np.random.default_rng(seed)
         params = [Parameter(f"p{i}", rng.normal(size=shape).astype(dtype))
                   for i, shape in enumerate(shapes)]
@@ -150,9 +190,19 @@ class TestAdamAgainstTextbook:
                       ).astype(dtype) for x in values]
             for p, g in zip(params, grads):
                 p.grad_buffer()[...] = g
+            if t == lent_at:
+                snapshot = lend(params)
+                kept = [a.copy() for a in snapshot]
+                versions = [p.version for p in params]
             opt.step()
             norm = textbook_adam(values, grads, m, v, t, lr=0.01, clip=clip)
             assert opt.last_grad_norm == norm
+            if t == lent_at:
+                assert_stepped_past(params, snapshot, kept, versions)
+                for p, x, om, ov, tm, tv in zip(params, values, opt._m,
+                                                opt._v, m, v):
+                    assert np.array_equal(p.value, x)
+                    assert np.array_equal(om, tm) and np.array_equal(ov, tv)
             # the draws do clip at 1e-3 (unless all zero) and never at 1e6
             assert norm == 0.0 or 1e-3 < norm < 1e6
         for p, om, ov, x, tm, tv in zip(params, opt._m, opt._v, values, m, v):

@@ -178,6 +178,38 @@ class TestFullSizeTheta:
         assert sum(a.nbytes for a in theta_agent.optimizer._scratch) <= MIB
 
 
+class TestTrainingFootprint:
+    def test_two_episodes_hold_one_snapshot_version(self):
+        """A snapshot is a version of the weights, not a copy of them.
+
+        Two episodes of ``Trainer.train`` on an agent whose weights are
+        all that is large (8.2 MiB; fc2 is 2048 x 1024): value, gradient,
+        ``m`` and ``v``, plus the version the first episode's snapshot
+        pins while the next step writes the new one — five units.  A
+        ``state_dict()`` that copied would hold six at the second
+        snapshot: the kept one and the new copy.
+        """
+        from repro.rl.trainer import Trainer
+
+        def jobs(seed):
+            rng = np.random.default_rng(seed)
+            return [make_job(size=int(rng.integers(1, 13)),
+                             walltime=float(rng.integers(20, 200)),
+                             submit=float(5 * i)) for i in range(16)]
+
+        def build_and_train():
+            agent = DRASPG(DRASConfig(
+                num_nodes=16, window=4, hidden1=2048, hidden2=1024, seed=0,
+                objective="capability", time_scale=1000.0))
+            Trainer(agent, 16).train([("p", jobs(0)), ("p", jobs(1))])
+            return agent
+
+        agent, peak = traced_peak(build_and_train)
+        unit = sum(p.value.nbytes for p in agent.network.parameters())
+        assert agent.updates_done > 1
+        assert peak <= 5.5 * unit
+
+
 class TestCoriDimensions:
     def test_cori_config_dims_only(self):
         cfg = DRASConfig.cori()

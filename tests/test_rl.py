@@ -126,15 +126,15 @@ class TestTrainer:
         history = trainer.train([("a", tiny_jobs()), ("b", tiny_jobs())])
         assert len(history.episodes) == 2
         assert [e.phase for e in history.episodes] == ["a", "b"]
-        assert history.last is not None and history.best is not None
+        assert history.last is not None
 
-    def test_history_holds_last_and_best_state_only(self):
-        """Memory is constant in episodes: two state dicts, not one each.
+    def test_history_holds_the_last_state_only(self):
+        """Memory is constant in episodes: one state dict, not one each.
 
         Every ``state_dict()`` the trainer takes is kept alive here, so
-        the history's two can be identified among them: ``last`` is the
-        final one and ``best`` the one taken after the episode that
-        ``best_episode()`` names.
+        the history's can be identified among them: ``last`` is the
+        final one.  ``best_episode()`` still names the best-validating
+        episode, but no snapshot of it is kept.
         """
         agent = DRASPG(small_config())
         taken = []
@@ -151,19 +151,12 @@ class TestTrainer:
         assert len(taken) == 6
         best = int(np.argmax(history.validation_curve))
         assert 0 < best < 5, "the recipe should peak mid-run"
+        assert history.best_episode() == best
         assert history.last is taken[-1]
-        assert history.best is taken[best]
         held = [v for v in vars(history).values() if isinstance(v, dict)]
-        assert len(held) <= 2
+        assert held == [history.last]
+        assert not hasattr(history, "best")
         assert not hasattr(trainer, "snapshot_every")
-
-    def test_best_stays_unset_while_a_pre_resume_episode_leads(self):
-        history = TrainingHistory(
-            episodes=[EpisodeStats(0, "p", 10, 0.0, 5.0, 1)])
-        history.record(EpisodeStats(1, "p", 10, 0.0, 1.0, 2), {"w": 1})
-        assert history.last == {"w": 1} and history.best is None
-        history.record(EpisodeStats(2, "p", 10, 0.0, 9.0, 3), {"w": 2})
-        assert history.last is history.best
 
 
 class TestCurriculumTraining:
