@@ -50,9 +50,6 @@ EXPECTED_RULE_IDS = frozenset({
     "RPR101", "RPR102", "RPR103", "RPR104", "RPR105", "RPR106", "RPR107",
     # RPR4xx API contracts
     "RPR401", "RPR402", "RPR403", "RPR404",
-    # RPR6xx determinism taint (effect inference)
-    "RPR601", "RPR602", "RPR603", "RPR604", "RPR605", "RPR606", "RPR607",
-    "RPR608",
 })
 
 

@@ -12,18 +12,17 @@ numerically sane training:
   arguments, exact float comparisons on simulation timestamps,
   swallowed exceptions, float accumulation in set order.
   Whole-program rules see import graph, cross-module symbol resolution
-  and class hierarchy: API-contract rules
-  (:mod:`repro.check.contracts`, RPR4xx) and determinism-taint rules
-  (:mod:`repro.check.taint`, RPR6xx — built on the interprocedural
-  effect inference of :mod:`repro.check.effects` over the static call
-  graph of :mod:`repro.check.callgraph`).
+  and class hierarchy: the API-contract rules
+  (:mod:`repro.check.contracts`, RPR4xx).
   Run everything with ``python -m repro check --strict [paths...]``.
   A static rule earns its place only by guarding an invariant no
   runtime test already does: unit constants, Table III parameter
   counts and the batched network shapes are asserted by the test
   suite on the built objects.  Performance questions are not lint's to
   answer either: they are measured, at paper scale, by
-  ``benchmarks/perf/``.
+  ``benchmarks/perf/``.  Nor is determinism: that a run's outputs
+  depend only on its seed and config is checked by running it, in
+  ``tests/test_ambient_perturbation.py``.
 * :mod:`repro.check.sanitize` — runtime assertion hooks enabled via the
   ``REPRO_SANITIZE=1`` environment variable or ``Engine(sanitize=True)``,
   verifying node conservation, event-time monotonicity, metric
@@ -44,11 +43,6 @@ from typing import Any
 #: public name -> submodule it is read from (``RULES`` through the
 #: driver, whose import registers every rule family)
 _EXPORTS = {
-    "Effect": "effects",
-    "EffectModel": "effects",
-    "compute_effects": "effects",
-    "effects_for_project": "effects",
-    "effects_report": "effects",
     "LintConfig": "lint",
     "RULES": "lint",
     "Violation": "lint",

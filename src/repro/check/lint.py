@@ -27,8 +27,8 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 # the rule families register themselves on import: RPR1xx lives next to
-# the framework in ``rules``, the rest in the sibling modules below
-from repro.check import contracts, taint  # noqa: F401
+# the framework in ``rules``, RPR4xx in ``contracts``
+from repro.check import contracts  # noqa: F401
 from repro.check.project import ModuleInfo, ProjectModel
 from repro.check.rules import RULES, Rule
 
@@ -203,12 +203,6 @@ def iter_python_files(paths: Sequence[str | Path]) -> Iterator[Path]:
                 yield candidate
 
 
-def project_root(path: str | Path) -> Path:
-    """The project directory a checked path names (a file's parent)."""
-    root = Path(path)
-    return root.parent if root.is_file() else root
-
-
 def lint_paths(
     paths: Sequence[str | Path],
     config: LintConfig | None = None,
@@ -229,8 +223,8 @@ def lint_paths(
     rules = config.rules(RULES.values() if strict else _per_file_rules())
     projects: dict[Path, ProjectModel] = {}
     if any(rule.whole_program for rule in rules):
-        for raw in paths:
-            root = project_root(raw)
+        for raw in map(Path, paths):
+            root = raw.parent if raw.is_file() else raw
             if root.resolve() not in projects:
                 projects[root.resolve()] = ProjectModel.load(root)
     parsed = {info.path: info for project in projects.values()

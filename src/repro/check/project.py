@@ -184,10 +184,6 @@ class ProjectModel:
         return cls(modules)
 
     # -- symbol resolution -------------------------------------------------
-    def module(self, dotted: str) -> ModuleInfo | None:
-        """The module with dotted name ``dotted`` (None if not in project)."""
-        return self.modules.get(dotted)
-
     def resolve(
         self, dotted: str, _depth: int = 0
     ) -> tuple[ModuleInfo, ast.AST] | None:
@@ -214,20 +210,6 @@ class ProjectModel:
                 return None
             # peel one more trailing component (nested attribute access)
             module_name, _, symbol = module_name.rpartition(".")
-        return None
-
-    def resolve_local(
-        self, info: ModuleInfo, name: str
-    ) -> tuple[ModuleInfo, ast.AST] | None:
-        """Resolve a bare name as seen from inside ``info``."""
-        if name in info.classes:
-            return info, info.classes[name]
-        if name in info.functions:
-            return info, info.functions[name]
-        if name in info.constants:
-            return info, info.constants[name]
-        if name in info.imports:
-            return self.resolve(info.imports[name])
         return None
 
     def qualify(self, info: ModuleInfo, node: ast.expr) -> str | None:

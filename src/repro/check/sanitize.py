@@ -87,7 +87,7 @@ def sanitizer_enabled() -> bool:
     # sanctioned observability gate: toggles extra *assertions*, never
     # results — a sanitized and an unsanitized run produce identical
     # traces, so the env read cannot break run-from-config determinism
-    return os.environ.get(  # repro: noqa[ambient-env-read]
+    return os.environ.get(
         "REPRO_SANITIZE", "").strip().lower() not in _TRUTHY_OFF
 
 

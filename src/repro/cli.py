@@ -499,25 +499,6 @@ def cmd_check(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
 
-    if args.effects_report:
-        from repro.check import effects as _effects
-        from repro.check.lint import project_root
-        from repro.check.project import ProjectModel
-        root = project_root(args.paths[0])
-        if not root.is_dir():
-            print(f"project root is not a directory: {root}", file=sys.stderr)
-            return 2
-        model = _effects.effects_for_project(ProjectModel.load(root))
-        doc = _effects.effects_report(model)
-        Path(args.effects_report).write_text(
-            json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        if not args.quiet:
-            impure = len(doc["functions"])
-            print(f"wrote effect signatures for {doc['functions_total']} "
-                  f"functions ({impure} with effects) to "
-                  f"{args.effects_report}", file=sys.stderr)
-        return 0
-
     config = LintConfig().with_overrides(select=args.select, ignore=args.ignore)
     try:
         violations = lint_paths(args.paths, config, strict=args.strict)
@@ -881,11 +862,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip these rules (slug or id; repeatable)")
     p.add_argument("--strict", action="store_true",
                    help="also run the whole-program rules (RPR4xx API "
-                        "contracts, RPR6xx determinism taint)")
-    p.add_argument("--effects-report", metavar="PATH",
-                   help="write the inferred per-function effect signatures "
-                        "(RNG/clock/env/IO/global-mutation) of the first "
-                        "path's project as JSON to PATH and exit")
+                        "contracts)")
     p.add_argument("--json", action="store_true",
                    help="emit findings as a JSON document on stdout")
     p.add_argument("--sarif", metavar="PATH",

@@ -30,9 +30,11 @@ merged rollup is canonical JSON over the *sorted* cell set, so::
 
     same sweep spec  =>  byte-identical rollup
 
-regardless of how (or how often) the sweep was executed.  The static
-proof that worker entry points consume only derived-seed RNGs and no
-ambient state is taint rule RPR608 (``pool-worker-hermetic``).
+regardless of how (or how often) the sweep was executed.  That worker
+entry points consume only derived-seed RNGs and no ambient state is
+checked by running one: ``tests/test_ambient_perturbation.py`` runs a
+cell on a pool worker under a perturbed global RNG, clock, hash seed
+and environment and compares ``results_digest``.
 
 The sweep kinds are the fixed set :data:`SWEEP_KINDS`: ``experiments``
 (the paper's table/figure matrix, :mod:`repro.experiments.runner`),
@@ -40,9 +42,8 @@ The sweep kinds are the fixed set :data:`SWEEP_KINDS`: ``experiments``
 :mod:`repro.experiments.faultsweep`) and ``selftest`` (deterministic
 payload cells with injectable crash/hang/failure, used by the test
 suite and the CI smoke job).  :func:`expand_cells` and
-:func:`_execute_cell` dispatch on the kind's name with plain calls, so
-RPR608 follows a worker into every kind's cell code.  The CLI front end
-is ``repro sweep``.
+:func:`_execute_cell` dispatch on the kind's name with plain calls.
+The CLI front end is ``repro sweep``.
 """
 
 from __future__ import annotations
@@ -549,9 +550,11 @@ def _execute_cell(spec: SweepSpec, cell: Mapping[str, Any],
     """Run one cell attempt and build its durable shard record.
 
     This is the pool's worker-side entry point into experiment code
-    (with :func:`_worker_main` around it in the parallel path): taint
-    rule RPR608 proves nothing reachable from here consumes ambient
-    RNG state, the wall clock, or the process environment.
+    (with :func:`_worker_main` around it in the parallel path).
+    Nothing reachable from here may consume ambient RNG state, the
+    wall clock, or the process environment;
+    ``tests/test_ambient_perturbation.py`` perturbs all three around a
+    pool worker and compares the cell's ``results_digest``.
     """
     cell = dict(cell)
     if spec.kind == "experiments":

@@ -20,10 +20,11 @@ The bus fans each snapshot out to attached sinks:
 * :class:`ConnectionSink` — a sweep worker's link to the pool parent,
   which republishes the records on its own bus.
 
-Clock discipline (checked by taint rule RPR607): publishers and the
-bus itself touch only ``time.perf_counter``; the one true wall-clock
-read (``time.time`` for the shard header timestamp) lives inside the
-sink, behind a justified ``noqa``.
+Clock discipline (checked by rule RPR103, which flags every wall-clock
+read here): publishers and the bus itself touch only
+``time.perf_counter``; the one true wall-clock read (``time.time`` for
+the shard header timestamp) lives inside the sink, behind a justified
+``noqa``.
 
 Activate globally with ``REPRO_LIVE`` (``1`` → progress line; any
 other value → a snapshot shard at that path) or per-run with
@@ -235,7 +236,7 @@ class SnapshotWriter(JsonlWriter):
 
     The first line is a ``meta`` header naming the schema, the shard's
     ``source`` label and the one wall-clock timestamp of the file (the
-    sink is where wall-clock reads are allowed; rule RPR607).  Every
+    sink is where wall-clock reads are allowed; rule RPR103).  Every
     snapshot is one sorted-key JSON line, flushed immediately — a
     process killed mid-run leaves a parseable prefix (at worst one
     truncated final line, which the lenient reader in
@@ -248,7 +249,7 @@ class SnapshotWriter(JsonlWriter):
         # sink-confined wall-clock stamp: lets humans correlate shards
         # from different hosts; nothing downstream feeds it back into
         # a simulation
-        unix = time.time()  # repro: noqa[wall-clock, sim-wall-clock]
+        unix = time.time()  # repro: noqa[wall-clock]
         super().__init__(path, LIVE_SCHEMA,
                          {"source": self.source, "unix": unix})
 
@@ -309,7 +310,7 @@ def global_live_bus() -> LiveBus | None:
         _GLOBAL_LOADED = True
         # sanctioned observability gate: selects whether the run is
         # *watched*; run behaviour and outputs are unchanged by REPRO_LIVE
-        spec = os.environ.get("REPRO_LIVE", "").strip()  # repro: noqa[ambient-env-read]
+        spec = os.environ.get("REPRO_LIVE", "").strip()
         if spec:
             _GLOBAL = live_from_spec(spec)
     return _GLOBAL

@@ -344,7 +344,7 @@ def global_profiler() -> "Profiler | None":
         _GLOBAL_LOADED = True
         # sanctioned observability gate: enables timing collection only;
         # simulation results are identical with and without REPRO_PROFILE
-        path = os.environ.get("REPRO_PROFILE", "").strip()  # repro: noqa[ambient-env-read]
+        path = os.environ.get("REPRO_PROFILE", "").strip()
         if path:
             _GLOBAL = Profiler()
             atexit.register(_write_global_profile, _GLOBAL, path)

@@ -352,7 +352,7 @@ def global_tracer() -> "Tracer | None":
         _GLOBAL_LOADED = True
         # sanctioned observability gate: selects whether a trace is
         # *written*; the traced run's behaviour is unchanged by REPRO_TRACE
-        path = os.environ.get("REPRO_TRACE", "").strip()  # repro: noqa[ambient-env-read]
+        path = os.environ.get("REPRO_TRACE", "").strip()
         if path:
             _GLOBAL = Tracer(path)
             _register_atexit_flush()

@@ -27,10 +27,8 @@ the :data:`repro.core.persistence._KINDS` registry,
 episode records) crosses serialization — and, for the multiprocessing
 sweep runner, fork — boundaries, so none may capture open file
 handles, locks, lambdas or generator iterators in instance
-attributes.  RPR604 (``unpicklable-capture``,
-:mod:`repro.check.taint`) enforces this statically over the whole
-closure of classes reachable from this module;
-``tests/test_pickle_safety.py`` round-trips the real objects.
+attributes.  ``tests/test_pickle_safety.py`` round-trips the real
+objects, and with them every object they hold.
 """
 
 from __future__ import annotations

@@ -21,11 +21,14 @@ class BaseScheduler:
     def schedule(self, view: SchedulingView) -> None:
         """Take scheduling actions for one instance via ``view``.
 
-        Determinism contract (statically enforced by the RPR6xx taint
-        rules): any randomness here must come from a generator derived
-        from an explicit seed (RPR601), and no code reachable from
-        ``schedule`` may consume the fault injector's private RNG
-        (RPR602) — the failure stream stays policy-independent.
+        Determinism contract: any randomness here must come from a
+        generator derived from an explicit seed
+        (``tests/test_ambient_perturbation.py`` runs a seeded Random
+        simulation under a perturbed global RNG, clock and hash seed
+        and compares digests), and no code reachable from ``schedule``
+        may consume the fault injector's private RNG — the failure
+        stream stays policy-independent
+        (``tests/test_faults.py::TestDeterminism::test_faults_independent_of_policy_decisions``).
         """
         raise NotImplementedError
 

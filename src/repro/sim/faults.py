@@ -259,10 +259,10 @@ class FaultInjector:
     bookkeeping only, never by scheduler decision code, so the (time,
     nodes) failure stream is policy-independent by construction —
     swapping schedulers cannot perturb when or where faults strike.
-    This is *statically enforced*: RPR602 (``fault-rng-isolation``,
-    :mod:`repro.check.taint`) fails ``repro check --strict`` if any
-    ``schedule`` method can reach a ``_rng`` consumption through the
-    call graph.
+    ``tests/test_faults.py::TestDeterminism::test_faults_independent_of_policy_decisions``
+    checks it by running: FCFS, BinPacking, Random and DRAS-PG must all
+    see the same (time, nodes) failure stream, and the last two draw
+    from their own generators on every decision.
     """
 
     def __init__(self, config: FaultConfig) -> None:

@@ -287,7 +287,7 @@ class TestCheck:
         rc = main(["check", "--strict", "--list-rules"])
         assert rc == 0
         strict = capsys.readouterr().out
-        for rule_id in ("RPR101", "RPR401", "RPR404", "RPR601", "RPR608"):
+        for rule_id in ("RPR101", "RPR401", "RPR404"):
             assert rule_id in strict
         assert "RPR2" not in strict and "RPR3" not in strict
 
@@ -463,48 +463,6 @@ class TestLiveCLI:
         capsys.readouterr()
         assert RunManifest.read(dark).stable_digest() == \
             RunManifest.read(live).stable_digest()
-
-
-class TestEffectsReportCLI:
-    """``repro check --effects-report``: the effect-signature artifact."""
-
-    def _pkg(self, tmp_path):
-        pkg = tmp_path / "pkg"
-        pkg.mkdir()
-        (pkg / "__init__.py").write_text('"""Pkg."""\n')
-        (pkg / "mod.py").write_text(
-            '"""Mod."""\n\nimport time\n\n\ndef stamped():\n'
-            '    """Read the clock."""\n    return time.time()\n'
-        )
-        return pkg
-
-    def test_writes_signature_document(self, tmp_path, capsys):
-        import json as _json
-
-        out = tmp_path / "effects.json"
-        rc = main(["check", "--effects-report", str(out), str(self._pkg(tmp_path))])
-        assert rc == 0
-        assert "wrote effect signatures" in capsys.readouterr().err
-        doc = _json.loads(out.read_text())
-        assert doc["schema"] == "repro.effects/v1"
-        assert doc["functions_total"] == 1
-        [(qual, effects)] = doc["functions"].items()
-        assert qual.endswith(".stamped")
-        assert effects[0]["detail"] == "time.time"
-
-    def test_quiet_suppresses_summary(self, tmp_path, capsys):
-        out = tmp_path / "effects.json"
-        rc = main(["check", "-q", "--effects-report", str(out),
-                   str(self._pkg(tmp_path))])
-        assert rc == 0
-        assert capsys.readouterr().err == ""
-        assert out.exists()
-
-    def test_missing_root_exits_two(self, tmp_path, capsys):
-        rc = main(["check", "--effects-report", str(tmp_path / "o.json"),
-                   str(tmp_path / "nowhere")])
-        assert rc == 2
-        assert "not a directory" in capsys.readouterr().err
 
 
 class TestSweepCLI:

@@ -14,6 +14,9 @@ import numpy as np
 import pytest
 
 from repro.cli import POLICIES, make_policy
+from repro.core import DRASPG
+from repro.core.config import DRASConfig
+from repro.schedulers import FCFSEasy
 from repro.sim.cluster import Cluster
 from repro.sim.engine import run_simulation
 from repro.sim.faults import FaultConfig, FaultInjector
@@ -203,28 +206,37 @@ class TestDeterminism:
             results.append(result.resilience.as_dict())
         assert results[0] != results[1]
 
-    def test_faults_independent_of_policy_decisions(self, tmp_path):
-        """Different policies see the identical failure schedule.
+    @staticmethod
+    def _failure_schedule(policy, path):
+        """The (time, failed nodes) stream a faulted run under ``policy`` saw."""
+        run_simulation(64, policy, [j.copy_fresh() for j in theta_trace()],
+                       trace=str(path), faults=FAULTS)
+        return [(r["t"], tuple(r["nodes"])) for r in _normalized_trace(path)
+                if r.get("name") == "engine.node_fail"]
+
+    @pytest.mark.parametrize("policy", ["fcfs", "binpacking", "random",
+                                        "dras-pg"])
+    def test_faults_independent_of_policy_decisions(self, policy, tmp_path):
+        """Every policy sees the failure schedule an FCFS run sees.
 
         Makespans differ, so the *number* of failures consumed differs;
         but the sequence of (time, failed nodes) pairs must be a shared
-        prefix — the injector stream never depends on policy decisions.
+        prefix of the FCFS run's — the injector stream never depends on
+        policy decisions (for ``fcfs`` itself this is run-to-run
+        determinism).  Random and DRAS-PG draw from their own
+        generators on every decision, so a policy that reached the
+        injector's generator would shift the stream here.
         """
-        schedules = []
-        jobs = theta_trace()
-        for policy in ("fcfs", "binpacking"):
-            trace_path = tmp_path / f"{policy}.jsonl"
-            run_simulation(64, make_policy(policy),
-                           [j.copy_fresh() for j in jobs],
-                           trace=str(trace_path), faults=FAULTS)
-            schedules.append([
-                (r["t"], tuple(r["nodes"]))
-                for r in _normalized_trace(trace_path)
-                if r.get("name") == "engine.node_fail"
-            ])
-        n = min(len(schedules[0]), len(schedules[1]))
+        if policy == "dras-pg":
+            scheduler = DRASPG(DRASConfig(num_nodes=64, window=10,
+                                          hidden1=32, hidden2=16))
+        else:
+            scheduler = make_policy(policy)
+        seen = self._failure_schedule(scheduler, tmp_path / "run.jsonl")
+        reference = self._failure_schedule(FCFSEasy(), tmp_path / "ref.jsonl")
+        n = min(len(seen), len(reference))
         assert n >= 10
-        assert schedules[0][:n] == schedules[1][:n]
+        assert seen[:n] == reference[:n]
 
 
 class TestAllSchedulersUnderFaults:

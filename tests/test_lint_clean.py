@@ -4,14 +4,16 @@ Any new violation of a registered rule under ``src/repro`` fails this
 test — the per-file determinism rules (RPR1xx: global-RNG usage,
 wall-clock reads, mutable defaults, float timestamp equality, swallowed
 exceptions, set-order float accumulation) and, in the strict run, the
-whole-program families (RPR4xx API contracts, RPR6xx determinism
-taint).  Suppress intentional exceptions in place with
-``# repro: noqa[rule]`` plus a justification comment.
+whole-program RPR4xx API contracts.  Suppress intentional exceptions
+in place with ``# repro: noqa[rule]`` plus a justification comment.
 
 The file also pins the shape of the checker itself: one rule registry
 that the documentation, ``--list-rules`` and every suppression comment
-agree with, and no trace of the retired profile-guided perf lint or
-of the retired units (RPR2xx) and NN-shape (RPR3xx) analyzers.
+agree with, and no trace of the retired profile-guided perf lint, of
+the retired units (RPR2xx) and NN-shape (RPR3xx) analyzers, or of the
+retired RPR6xx determinism-taint engine, whose invariants
+``test_ambient_perturbation.py``, ``test_faults.py`` and
+``test_pickle_safety.py`` check by running the code.
 """
 
 import importlib.util
@@ -85,6 +87,13 @@ def test_retired_perf_lint_modules_are_gone(module):
 def test_retired_analyzer_modules_are_gone(module):
     """Unit constants and Table III shapes are asserted at runtime instead."""
     assert importlib.util.find_spec(f"repro.check.{module}") is None
+
+
+@pytest.mark.parametrize("module", ["taint", "effects", "callgraph"])
+def test_retired_taint_engine_modules_are_gone(module):
+    """Determinism is checked by running it (test_ambient_perturbation.py)."""
+    assert importlib.util.find_spec(f"repro.check.{module}") is None
+    assert not any(rule.id.startswith("RPR6") for rule in RULES.values())
 
 
 def test_one_rule_framework_in_src():

@@ -1,9 +1,8 @@
 """Runtime pickle round-trips of every checkpoint-crossing object type.
 
-RPR604 (``unpicklable-capture``) *statically* proves that no class
-reachable from :mod:`repro.rl.checkpoint` captures an open file
-handle, lock, lambda or live iterator.  These tests are the runtime
-half of that acceptance property: every object type the checkpoint
+No class reachable from :mod:`repro.rl.checkpoint` may capture an
+open file handle, lock, lambda or live iterator.  These tests are
+that guard, checked by running it: every object type the checkpoint
 module names — the three agents of the
 :data:`repro.core.persistence._KINDS` registry,
 :class:`~repro.sim.faults.FaultConfig`,

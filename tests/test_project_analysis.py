@@ -4,8 +4,8 @@ Covers the project model, the RPR4xx API-contract rules, the
 report/baseline machinery, the ratchet script and the NumPy-free
 promise of the static layer.  The mutation tests copy ``src/repro``
 into a tmp tree, seed one realistic bug and assert the analyzer
-catches it.  (RPR6xx has its own files: ``test_check_effects.py``,
-``test_check_callgraph.py``.)
+catches it.  Determinism is not analysed statically; it is checked by
+running it, in ``test_ambient_perturbation.py``.
 """
 
 from __future__ import annotations
@@ -82,12 +82,11 @@ class TestProjectModel:
             "pkg/relative.py": "from .consts import LIMIT\n",
         })
         project = ProjectModel.load(root / "pkg", package="pkg")
-        use = project.module("pkg.use")
-        assert use is not None
+        use = project.modules["pkg.use"]
         assert use.imports["CAP"] == "pkg.consts.LIMIT"
         resolved = project.resolve("pkg.consts.LIMIT")
         assert resolved is not None and resolved[0].name == "pkg.consts"
-        rel = project.module("pkg.relative")
+        rel = project.modules["pkg.relative"]
         assert rel.imports["LIMIT"] == "pkg.consts.LIMIT"
 
     def test_subclass_hierarchy(self, tmp_path):
