@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Ratchet gate for the repro.check static analyzer.
 
-Compares the current strict findings over ``src/repro`` against the
+Compares the current findings over ``src/repro`` against the
 committed baseline (``check_baseline.json`` at the repo root) and
 enforces the one-way ratchet:
 
@@ -48,8 +48,6 @@ BASELINE_PATH = REPO_ROOT / "check_baseline.json"
 EXPECTED_RULE_IDS = frozenset({
     # RPR1xx determinism & correctness (per file)
     "RPR101", "RPR102", "RPR103", "RPR104", "RPR105", "RPR106", "RPR107",
-    # RPR4xx API contracts
-    "RPR401", "RPR402", "RPR403", "RPR404",
 })
 
 
@@ -84,7 +82,7 @@ def main(argv: list[str] | None = None) -> int:
         print(str(exc), file=sys.stderr)
         return 2
 
-    violations = lint_paths([SOURCE_ROOT], strict=True)
+    violations = lint_paths([SOURCE_ROOT])
     new, stale = diff_baseline(violations, baseline)
 
     if new:

@@ -4,17 +4,14 @@ Two layers, both in service of bit-reproducible simulation and
 numerically sane training:
 
 * **Static analysis** — one rule framework (:mod:`repro.check.rules`:
-  the ``Rule`` base, the ``RULES`` registry, the raw ``Finding``) and
-  one driver (:mod:`repro.check.lint`) over pure-:mod:`ast` module and
-  project models (:mod:`repro.check.project`).  Per-file rules
-  (RPR1xx) flag the regressions that historically break RL-scheduling
-  reproducibility: global-RNG usage, wall-clock reads, mutable default
-  arguments, exact float comparisons on simulation timestamps,
-  swallowed exceptions, float accumulation in set order.
-  Whole-program rules see import graph, cross-module symbol resolution
-  and class hierarchy: the API-contract rules
-  (:mod:`repro.check.contracts`, RPR4xx).
-  Run everything with ``python -m repro check --strict [paths...]``.
+  the ``Rule`` base, the ``RULES`` registry, the raw ``Finding``, the
+  pure-:mod:`ast` ``ModuleInfo`` a rule reads) and one driver
+  (:mod:`repro.check.lint`).  The per-file rules (RPR1xx) flag the
+  regressions that historically break RL-scheduling reproducibility:
+  global-RNG usage, wall-clock reads, mutable default arguments, exact
+  float comparisons on simulation timestamps, swallowed exceptions,
+  float accumulation in set order.
+  Run them with ``python -m repro check [paths...]``.
   A static rule earns its place only by guarding an invariant no
   runtime test already does: unit constants, Table III parameter
   counts and the batched network shapes are asserted by the test
@@ -22,7 +19,12 @@ numerically sane training:
   answer either: they are measured, at paper scale, by
   ``benchmarks/perf/``.  Nor is determinism: that a run's outputs
   depend only on its seed and config is checked by running it, in
-  ``tests/test_ambient_perturbation.py``.
+  ``tests/test_ambient_perturbation.py``.  Nor are the API contracts
+  the engine calls by name: a drifted ``schedule`` or lifecycle
+  signature raises ``TypeError`` on the engine's first call, the engine
+  refuses a subscriber with a misspelt observer hook, and a test holds
+  the emitted trace record names equal to
+  :data:`repro.obs.trace.SPAN_NAMES`.
 * :mod:`repro.check.sanitize` — runtime assertion hooks enabled via the
   ``REPRO_SANITIZE=1`` environment variable or ``Engine(sanitize=True)``,
   verifying node conservation, event-time monotonicity, metric
@@ -46,7 +48,6 @@ _EXPORTS = {
     "LintConfig": "lint",
     "RULES": "lint",
     "Violation": "lint",
-    "analyze_project": "lint",
     "lint_paths": "lint",
     "lint_source": "lint",
     "Rule": "rules",

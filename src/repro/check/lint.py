@@ -1,10 +1,10 @@
 """The check driver: selection, file walking, suppressions, reporting.
 
-One driver runs every registered rule (:data:`repro.check.rules.RULES`),
-per-file and whole-program alike: it decides which rules run, hands
-each its modules or project, drops findings that fall outside the
-rule's scopes, inside an excluded file or under a suppression comment,
-and returns the rest as sorted :class:`Violation` records.
+One driver runs every registered rule (:data:`repro.check.rules.RULES`)
+over each file: it decides which rules run, hands each the parsed
+modules its scopes admit, drops findings inside an excluded file or
+under a suppression comment, and returns the rest as sorted
+:class:`Violation` records.
 
 Suppression syntax (checked per physical line, flake8-style):
 
@@ -21,16 +21,55 @@ the linter cannot check that, but reviewers can.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, replace
-from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-# the rule families register themselves on import: RPR1xx lives next to
-# the framework in ``rules``, RPR4xx in ``contracts``
-from repro.check import contracts  # noqa: F401
-from repro.check.project import ModuleInfo, ProjectModel
-from repro.check.rules import RULES, Rule
+from repro.check.rules import RULES, ModuleInfo, Rule
+
+_NOQA = re.compile(
+    r"#\s*repro:\s*noqa(?P<file>-file)?\s*(?:\[(?P<rules>[^\]]*)\])?",
+)
+
+
+class Suppressions:
+    """Per-file suppression table parsed from ``# repro: noqa`` comments."""
+
+    def __init__(self, source: str) -> None:
+        self.file_all = False
+        self.file_rules: set[str] = set()
+        self.line_all: set[int] = set()
+        self.line_rules: dict[int, set[str]] = {}
+        for lineno, text in enumerate(source.splitlines(), start=1):
+            m = _NOQA.search(text)
+            if m is None:
+                continue
+            rules = {
+                r.strip() for r in (m.group("rules") or "").split(",") if r.strip()
+            }
+            if m.group("file"):
+                if rules:
+                    self.file_rules |= rules
+                else:
+                    self.file_all = True
+            elif rules:
+                self.line_rules.setdefault(lineno, set()).update(rules)
+            else:
+                self.line_all.add(lineno)
+
+    def suppressed(self, line: int, *names: str) -> bool:
+        """Is a finding on ``line`` suppressed under any of ``names``?
+
+        ``names`` are the slugs/ids a suppression may be keyed by —
+        normally one rule's ``(slug, id)`` pair.
+        """
+        keys = set(names)
+        if self.file_all or (self.file_rules & keys):
+            return True
+        if line in self.line_all:
+            return True
+        return bool(self.line_rules.get(line, set()) & keys)
 
 
 @dataclass(frozen=True)
@@ -71,18 +110,18 @@ class LintConfig:
     #: path fragments never linted at all
     exclude: tuple[str, ...] = ("check/rules.py", "check/lint.py")
 
-    def rules(self, default: Iterable[Rule]) -> list[Rule]:
+    def rules(self) -> list[Rule]:
         """The rules this configuration runs, sorted by slug.
 
-        ``select`` names rules outright, per-file or whole-program
-        alike; with nothing selected the caller's ``default`` set runs.
-        ``ignore`` is subtracted either way.
+        ``select`` names rules outright; with nothing selected every
+        registered rule runs.  ``ignore`` is subtracted either way.
         """
+        chosen: Iterable[Rule] = RULES.values()
         if self.select is not None:
-            default = (r for r in RULES.values()
-                       if r.slug in self.select or r.id in self.select)
+            chosen = (r for r in chosen
+                      if r.slug in self.select or r.id in self.select)
         return sorted(
-            (r for r in default
+            (r for r in chosen
              if r.slug not in self.ignore and r.id not in self.ignore),
             key=lambda r: r.slug,
         )
@@ -125,45 +164,33 @@ def _order(violation: Violation) -> tuple[str, int, int, str]:
 
 
 def _run(
-    rules: Sequence[Rule],
-    config: LintConfig,
-    linted: Sequence[ModuleInfo],
-    projects: Iterable[ProjectModel] = (),
+    rules: Sequence[Rule], config: LintConfig, modules: Sequence[ModuleInfo],
 ) -> list[Violation]:
-    """Run ``rules``: per-file ones over ``linted``, the rest per project.
+    """Run each of ``rules`` over every module whose path it applies to.
 
-    Every finding passes the same gate — its file is not excluded, the
-    rule applies to its path, no suppression covers its line — and the
-    survivors come back in ``(path, line, col, rule id)`` order.
+    Excluded files are skipped and a finding under a suppression
+    comment is dropped; the survivors come back in ``(path, line, col,
+    rule id)`` order.
     """
-    projects = list(projects)
-    modules = {info.path: info for project in projects
-               for info in project.modules.values()}
-    modules.update((info.path, info) for info in linted)
     violations: list[Violation] = []
-    for rule in rules:
-        if rule.whole_program:
-            findings = chain.from_iterable(map(rule.check, projects))
-        else:
-            findings = chain.from_iterable(map(rule.check_module, linted))
-        for finding in findings:
-            if _excluded(finding.path, config) \
-                    or not _rule_applies(rule, config, finding.path):
+    for info in modules:
+        if _excluded(info.path, config):
+            continue
+        noqa: Suppressions | None = None
+        for rule in rules:
+            if not _rule_applies(rule, config, info.path):
                 continue
-            info = modules.get(finding.path)
-            if info is not None and info.suppressions.suppressed(
-                    finding.line, rule.slug, rule.id):
-                continue
-            violations.append(Violation(
-                finding.path, finding.line, finding.col,
-                rule.id, rule.slug, finding.message,
-            ))
+            for finding in rule.check_module(info):
+                if noqa is None:
+                    noqa = Suppressions(info.source)
+                if noqa.suppressed(finding.line, rule.slug, rule.id):
+                    continue
+                violations.append(Violation(
+                    finding.path, finding.line, finding.col,
+                    rule.id, rule.slug, finding.message,
+                ))
     violations.sort(key=_order)
     return violations
-
-
-def _per_file_rules() -> Iterator[Rule]:
-    return (r for r in RULES.values() if not r.whole_program)
 
 
 def _syntax_error(path: str, exc: SyntaxError) -> Violation:
@@ -176,14 +203,14 @@ def _syntax_error(path: str, exc: SyntaxError) -> Violation:
 def lint_source(
     source: str, path: str = "<string>", config: LintConfig | None = None
 ) -> list[Violation]:
-    """Lint one module's source text (per-file rules: there is no project)."""
+    """Lint one module's source text."""
     config = config or LintConfig()
     path = path.replace("\\", "/")
     try:
-        info = ModuleInfo.parse(Path(path).stem, path, source)
+        info = ModuleInfo.parse(path, source)
     except SyntaxError as exc:
         return [_syntax_error(path, exc)]
-    return _run(config.rules(_per_file_rules()), config, [info])
+    return _run(config.rules(), config, [info])
 
 
 def iter_python_files(paths: Sequence[str | Path]) -> Iterator[Path]:
@@ -204,65 +231,23 @@ def iter_python_files(paths: Sequence[str | Path]) -> Iterator[Path]:
 
 
 def lint_paths(
-    paths: Sequence[str | Path],
-    config: LintConfig | None = None,
-    strict: bool = False,
+    paths: Sequence[str | Path], config: LintConfig | None = None,
 ) -> list[Violation]:
-    """Check every ``.py`` file under ``paths``; missing paths error.
-
-    Per-file rules see exactly the named files.  Whole-program rules —
-    part of the default selection only under ``strict``, but run
-    whenever ``config.select`` names one — see the project each path
-    names (a directory, or a file's parent), each distinct project
-    once, and every file is read and parsed once.
-    """
+    """Check every ``.py`` file under ``paths``; missing paths error."""
     config = config or LintConfig()
     for raw in paths:
         if not Path(raw).exists():
             raise FileNotFoundError(f"lint target does not exist: {raw}")
-    rules = config.rules(RULES.values() if strict else _per_file_rules())
-    projects: dict[Path, ProjectModel] = {}
-    if any(rule.whole_program for rule in rules):
-        for raw in map(Path, paths):
-            root = raw.parent if raw.is_file() else raw
-            if root.resolve() not in projects:
-                projects[root.resolve()] = ProjectModel.load(root)
-    parsed = {info.path: info for project in projects.values()
-              for info in project.modules.values()}
     unparsable: list[Violation] = []
     linted: list[ModuleInfo] = []
     for file in iter_python_files(paths):
         posix = file.as_posix()
         if _excluded(posix, config):
             continue
-        info = parsed.get(posix)
-        if info is None:
-            try:
-                info = ModuleInfo.parse(
-                    file.stem, posix, file.read_text(encoding="utf-8"))
-            except SyntaxError as exc:
-                unparsable.append(_syntax_error(posix, exc))
-                continue
-        linted.append(info)
-    return sorted(unparsable + _run(rules, config, linted, projects.values()),
+        try:
+            linted.append(
+                ModuleInfo.parse(posix, file.read_text(encoding="utf-8")))
+        except SyntaxError as exc:
+            unparsable.append(_syntax_error(posix, exc))
+    return sorted(unparsable + _run(config.rules(), config, linted),
                   key=_order)
-
-
-def analyze_project(
-    root: str | Path,
-    config: LintConfig | None = None,
-    package: str | None = None,
-) -> list[Violation]:
-    """Run the whole-program rules over one package tree.
-
-    ``config.select`` may also name per-file rules, which then run over
-    every module of the tree.  Findings honour the same per-line /
-    per-file ``# repro: noqa`` suppressions, keyed by the rule's slug
-    or id.
-    """
-    if not Path(root).is_dir():
-        raise FileNotFoundError(f"project root is not a directory: {root}")
-    config = config or LintConfig()
-    project = ProjectModel.load(root, package=package)
-    rules = config.rules(r for r in RULES.values() if r.whole_program)
-    return _run(rules, config, list(project.modules.values()), [project])

@@ -43,14 +43,12 @@ def finding_dict(violation: Violation) -> dict:
     }
 
 
-def to_json(violations: Sequence[Violation], paths: Sequence[str],
-            strict: bool) -> str:
+def to_json(violations: Sequence[Violation], paths: Sequence[str]) -> str:
     """The ``--json`` document for one check run."""
     return json.dumps(
         {
             "version": 1,
             "tool": "repro.check",
-            "strict": strict,
             "paths": [str(p) for p in paths],
             "count": len(violations),
             "findings": [finding_dict(v) for v in violations],

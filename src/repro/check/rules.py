@@ -1,9 +1,9 @@
 """The rule framework, and the per-file determinism rules (RPR1xx).
 
-Every rule of every family subclasses :class:`Rule` and lands in the
-one registry, :data:`RULES`, via the :func:`register` decorator, so
-downstream code (and tests) can add project-specific rules without
-touching the engine:
+Every rule subclasses :class:`Rule` and lands in the one registry,
+:data:`RULES`, via the :func:`register` decorator, so downstream code
+(and tests) can add project-specific rules without touching the
+engine:
 
 .. code-block:: python
 
@@ -16,13 +16,10 @@ touching the engine:
         def check_module(self, info):
             ...
 
-A rule is **per-file** when it implements :meth:`Rule.check_module`
-(one :class:`~repro.check.project.ModuleInfo` at a time) and
-**whole-program** when it overrides :meth:`Rule.check` (the whole
-:class:`~repro.check.project.ProjectModel`); the driver derives the
-kind from the class.  Either way it yields raw :class:`Finding`
-records — selection, scopes, suppressions and ordering belong to the
-driver in :mod:`repro.check.lint`.
+A rule implements :meth:`Rule.check_module`: it reads one
+:class:`ModuleInfo` (a file's path, source and syntax tree) and yields
+raw :class:`Finding` records — selection, scopes, suppressions and
+ordering belong to the driver in :mod:`repro.check.lint`.
 
 A rule may restrict itself to parts of the tree (``default_scopes``) —
 path fragments matched against the file's posix path.  ``None`` means
@@ -35,9 +32,8 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
-
-from repro.check.project import ModuleInfo, ProjectModel
 
 #: numpy.random attributes that are part of the *seeded Generator* API
 #: and therefore allowed everywhere.
@@ -138,20 +134,27 @@ class Imports:
         return False
 
 
-_ALIASES_ATTR = "_rule_aliases"
+@dataclass
+class ModuleInfo:
+    """One parsed module: what a rule reads."""
 
+    path: str                 #: posix path the module was read from
+    source: str
+    tree: ast.Module
 
-def _aliases(info: ModuleInfo) -> Imports:
-    """``info``'s alias tables, built once and cached on the module."""
-    cached = getattr(info, _ALIASES_ATTR, None)
-    if cached is None:
-        cached = Imports(info.tree)
-        setattr(info, _ALIASES_ATTR, cached)
-    return cached
+    @classmethod
+    def parse(cls, path: str, source: str) -> "ModuleInfo":
+        """Parse ``source`` into a module record (raises ``SyntaxError``)."""
+        return cls(path, source, ast.parse(source, filename=path))
+
+    @cached_property
+    def imports(self) -> Imports:
+        """This module's alias tables, built on first use."""
+        return Imports(self.tree)
 
 
 class Rule:
-    """Base class: set the metadata, implement one of the two checks."""
+    """Base class: set the metadata, implement :meth:`check_module`."""
 
     id: str = ""
     slug: str = ""
@@ -160,22 +163,8 @@ class Rule:
     default_scopes: tuple[str, ...] | None = None
 
     def check_module(self, info: ModuleInfo) -> Iterator[Finding]:
-        """Yield findings for one parsed file (per-file rules)."""
+        """Yield findings for one parsed file."""
         return iter(())
-
-    def check(self, project: ProjectModel) -> Iterator[Finding]:
-        """Yield findings for the whole project.
-
-        Whole-program rules override this; the default runs
-        :meth:`check_module` over every module.
-        """
-        for info in project.modules.values():
-            yield from self.check_module(info)
-
-    @property
-    def whole_program(self) -> bool:
-        """True when the class overrides :meth:`check`."""
-        return type(self).check is not Rule.check
 
 
 RULES: dict[str, Rule] = {}
@@ -206,7 +195,7 @@ class GlobalRngRule(Rule):
 
     def check_module(self, info: ModuleInfo) -> Iterator[Finding]:
         """Flag numpy global-RNG calls on the legacy interface."""
-        imp = _aliases(info)
+        imp = info.imports
         for node in ast.walk(info.tree):
             if isinstance(node, ast.Attribute):
                 if imp.is_numpy_random(node.value) and node.attr not in ALLOWED_NP_RANDOM:
@@ -248,7 +237,7 @@ class UnseededRngRule(Rule):
 
     def check_module(self, info: ModuleInfo) -> Iterator[Finding]:
         """Flag default_rng()/seed-less RNG construction."""
-        imp = _aliases(info)
+        imp = info.imports
         for node in ast.walk(info.tree):
             if not isinstance(node, ast.Call) or node.args or node.keywords:
                 continue
@@ -280,7 +269,7 @@ class WallClockRule(Rule):
 
     def check_module(self, info: ModuleInfo) -> Iterator[Finding]:
         """Flag wall-clock reads inside simulation/NN code."""
-        imp = _aliases(info)
+        imp = info.imports
         for node in ast.walk(info.tree):
             if isinstance(node, ast.Attribute):
                 base = node.value

@@ -482,12 +482,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
     if args.list_rules:
         for rule in sorted(RULES.values(), key=lambda r: r.id):
-            if rule.whole_program:
-                if not args.strict:
-                    continue
-                scopes = "whole program"
-            else:
-                scopes = ", ".join(rule.default_scopes or ("all files",))
+            scopes = ", ".join(rule.default_scopes or ("all files",))
             print(f"{rule.id} [{rule.slug}] ({scopes})")
             print(f"    {rule.rationale}")
         return 0
@@ -501,7 +496,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
     config = LintConfig().with_overrides(select=args.select, ignore=args.ignore)
     try:
-        violations = lint_paths(args.paths, config, strict=args.strict)
+        violations = lint_paths(args.paths, config)
     except FileNotFoundError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -524,7 +519,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             print(f"wrote SARIF log to {args.sarif}", file=sys.stderr)
 
     if args.json:
-        sys.stdout.write(_report.to_json(violations, args.paths, args.strict))
+        sys.stdout.write(_report.to_json(violations, args.paths))
         return 1 if violations else 0
 
     for violation in violations:
@@ -535,8 +530,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         return 1
     if not args.quiet:
         checked = ", ".join(str(p) for p in args.paths)
-        mode = "strict whole-program" if args.strict else "determinism/correctness"
-        print(f"no {mode} violations in {checked}")
+        print(f"no determinism/correctness violations in {checked}")
     return 0
 
 
@@ -860,9 +854,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run only these rules (slug or id; repeatable)")
     p.add_argument("--ignore", action="append", metavar="RULE",
                    help="skip these rules (slug or id; repeatable)")
-    p.add_argument("--strict", action="store_true",
-                   help="also run the whole-program rules (RPR4xx API "
-                        "contracts)")
     p.add_argument("--json", action="store_true",
                    help="emit findings as a JSON document on stdout")
     p.add_argument("--sarif", metavar="PATH",

@@ -67,6 +67,27 @@ TRACE_SCHEMA = "repro.trace/v1"
 #: the per-record cost is rendering one string plus a list append
 BUFFER_LINES = 256
 
+#: every span / event name the code emits: the registry trace analysis
+#: keys on (docs/observability.md).  A traced, faulted simulation plus
+#: a traced training run emit exactly this set, no more and no less
+#: (``tests/test_engine_seam.py``)
+SPAN_NAMES = frozenset({
+    "engine.instance",
+    "engine.allocate",
+    "engine.release",
+    "engine.backfill_reserve",
+    "engine.node_fail",
+    "engine.node_repair",
+    "engine.job_kill",
+    "engine.job_abandon",
+    "nn.forward",
+    "nn.backward",
+    "nn.adam_step",
+    "train.episode",
+    "train.validate",
+    "train.checkpoint",
+})
+
 
 def _json_default(value: Any) -> Any:
     """Coerce numpy scalars and other non-JSON types to plain Python."""

@@ -36,7 +36,7 @@ from repro.sim.cluster import Cluster
 from repro.sim.events import Event, EventKind, EventQueue
 from repro.sim.faults import FaultConfig, FaultInjector, ResilienceMetrics
 from repro.sim.job import ExecMode, Job, JobState
-from repro.sim.observers import HOOKS, Observer, channel_observers
+from repro.sim.observers import HOOKS, Observer, channel_observers, stray_hooks
 from repro.sim.queue import WaitQueue
 
 if TYPE_CHECKING:
@@ -384,8 +384,17 @@ class Engine:
         """Resolve every hook to its tuple of bound handlers.
 
         ``self._on_start`` and friends: one attribute per hook, holding
-        the handlers of the subscribers that implement it, in order.
+        the handlers of the subscribers that implement it, in order.  A
+        subscriber with an ``on_*`` attribute that is no hook raises
+        ``TypeError``: the engine would never call it.
         """
+        for sub in subscribers:
+            stray = stray_hooks(type(sub))
+            if stray:
+                raise TypeError(
+                    f"{type(sub).__qualname__}.{stray[0]} is not a hook of "
+                    "the Observer protocol (misspelt?); the engine would "
+                    "never call it")
         for hook in HOOKS:
             setattr(self, "_" + hook, tuple(
                 getattr(sub, hook) for sub in subscribers

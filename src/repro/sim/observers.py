@@ -19,6 +19,7 @@ its hooks (all optional).  The engine knows no other way to be watched.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Protocol, Sequence
@@ -43,9 +44,11 @@ class Observer(Protocol):
     :mod:`repro.sim.observers` — implements a subset of these hooks.
     The engine resolves each hook to a tuple of bound handlers once per
     :meth:`Engine.run` and calls them in subscriber order; a hook no
-    subscriber implements costs a loop over an empty tuple.  Hooks
-    observe only: they must not mutate simulation state.  They are
-    declared in the order one scheduling instance fires them.
+    subscriber implements costs a loop over an empty tuple.  A
+    subscriber with any other ``on_*`` attribute (bar a scheduler's
+    ``on_simulation_start`` / ``_end``) is refused with ``TypeError``.
+    Hooks observe only: they must not mutate simulation state.  They
+    are declared in the order one scheduling instance fires them.
     """
 
     def on_run_begin(self, engine: "Engine") -> None:
@@ -98,6 +101,28 @@ class Observer(Protocol):
 #: every hook of the protocol, in declaration order; the engine resolves
 #: each to a tuple of bound handlers at the top of a run
 HOOKS = tuple(name for name in vars(Observer) if name.startswith("on_"))
+
+#: the ``on_*`` names a subscriber may define: the hooks, plus the
+#: scheduler lifecycle pair (one object may be a run's scheduler and
+#: one of its subscribers)
+_ON_NAMES = frozenset(HOOKS) | {"on_simulation_start", "on_simulation_end"}
+
+#: type -> its stray ``on_*`` names; weak, so it keeps no class alive
+_STRAY: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def stray_hooks(cls: type) -> tuple[str, ...]:
+    """``cls``'s ``on_*`` attributes that are not hooks (memoised per type).
+
+    The engine looks hooks up by name, so a misspelt one (``on_reserved``)
+    or one the protocol does not have would silently never be called.
+    """
+    stray = _STRAY.get(cls)
+    if stray is None:
+        stray = _STRAY[cls] = tuple(
+            name for name in dir(cls)
+            if name.startswith("on_") and name not in _ON_NAMES)
+    return stray
 
 
 class ProfileObserver:

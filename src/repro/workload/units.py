@@ -3,7 +3,7 @@
 Every quantity in the simulator is carried in **seconds** (SWF's native
 unit); reports convert to hours/days at the edge.  These constants are
 the only blessed definitions of the conversion factors — the test
-suite (``tests/test_project_analysis.py::TestCanonicalUnits``) fails
+suite (``tests/test_workload_stats.py::TestCanonicalUnits``) fails
 when any other module defines one of them, which is how three
 independent copies of ``SECONDS_PER_HOUR`` crept into the workload
 package historically.

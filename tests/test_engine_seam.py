@@ -17,11 +17,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core.config import DRASConfig
+from repro.core.dras_pg import DRASPG
 from repro.obs import live as live_mod
 from repro.obs.analyze import UtilizationTimeline
 from repro.obs.live import LiveBus
 from repro.obs.profile import Profiler
-from repro.obs.trace import Tracer, read_trace
+from repro.obs.trace import SPAN_NAMES, Tracer, read_trace, set_global_tracer
+from repro.rl.trainer import Trainer
 from repro.schedulers.fcfs import FCFSEasy
 from repro.sim.cluster import Cluster
 from repro.sim.engine import Engine, run_simulation
@@ -99,12 +102,29 @@ class TestInstrumentedGoldens:
     def test_scenario_exercises_every_record(self, runs):
         _, _, records, snapshots, _ = runs
         names = {r.get("name") for r in records}
-        assert names >= {
-            "engine.instance", "engine.allocate", "engine.release",
-            "engine.backfill_reserve", "engine.node_fail",
-            "engine.node_repair", "engine.job_kill", "engine.job_abandon",
-        }
+        assert names >= {n for n in SPAN_NAMES if n.startswith("engine.")}
         assert len(snapshots) > 3 and snapshots[-1].get("final") is True
+
+    def test_record_names_are_the_registry(self, runs, tmp_path):
+        """This run plus a traced training run (validation, checkpoint)
+        emit every registered name and nothing outside the registry."""
+        cfg = DRASConfig.scaled(32, window=4, hidden1=16, hidden2=8,
+                                time_scale=ThetaModel.MAX_RUNTIME, seed=0)
+        model = ThetaModel.scaled(32)
+        rng = np.random.default_rng(0)
+        jobset, validation = model.generate(20, rng), model.generate(20, rng)
+        path = tmp_path / "train.jsonl"
+        with Tracer(path) as tracer:
+            previous = set_global_tracer(tracer)
+            try:
+                Trainer(DRASPG(cfg), 32, validation_jobs=validation,
+                        checkpoint_path=tmp_path / "ckpt.npz",
+                        ).train([("phase", jobset)])
+            finally:
+                set_global_tracer(previous)
+        names = {r.get("name") for r in runs[2] + read_trace(path)
+                 if r["type"] in ("begin", "event")}
+        assert names == SPAN_NAMES
 
     def test_trace_record_sequence(self, runs):
         records = [{k: v for k, v in r.items() if k != "wall"}
@@ -225,11 +245,23 @@ def scripted_engine(observers, scheduler=None):
 
 class TestHookOrder:
     def test_recorder_implements_the_whole_protocol(self):
-        from repro.check.contracts import OBSERVER_HOOKS
         from repro.sim.observers import HOOKS
 
         implemented = {n for n in vars(Recorder) if n.startswith("on_")}
-        assert implemented == set(HOOKS) == set(OBSERVER_HOOKS)
+        assert implemented == set(HOOKS)
+
+    def test_misspelt_hook_is_refused_at_bind(self):
+        """The engine calls hooks by name: a misspelt one would never run."""
+        class Misspelt:
+            def on_start(self, job, now):
+                pass
+
+            def on_reserved(self, job, now, reservation):
+                pass
+
+        with pytest.raises(TypeError, match=r"Misspelt\.on_reserved"):
+            Engine(Cluster(4), FCFSEasy(), _small_jobs(),
+                   observers=[Misspelt()])
 
     def test_every_hook_in_order(self):
         rec = Recorder()
@@ -369,7 +401,6 @@ class TestEngineSpeaksOneProtocol:
             and n.args and isinstance(n.args[0], ast.Constant)
         ]
         assert sorted(literals) == sorted(registry_names)
-        from repro.check.contracts import SPAN_NAMES
         assert not set(literals) & SPAN_NAMES
 
     def test_no_channel_method_call(self, tree):
@@ -393,19 +424,6 @@ class TestEngineSpeaksOneProtocol:
             and not str(n.args[1].value).startswith("on_simulation_")
         ]
         assert lookups == []
-
-    def test_every_span_name_has_a_home_the_registry_scan_sees(self):
-        """RPR404 scans ``.begin/.event/.span`` literals: each ``engine.*``
-        registry name must appear at such a call in sim/observers.py."""
-        from repro.check.contracts import SPAN_NAMES
-        source = (ENGINE_SRC.parent / "observers.py").read_text(encoding="utf-8")
-        seen = {
-            n.args[0].value for n in ast.walk(ast.parse(source))
-            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
-            and n.func.attr in ("begin", "event", "span") and n.args
-            and isinstance(n.args[0], ast.Constant)
-        }
-        assert seen == {n for n in SPAN_NAMES if n.startswith("engine.")}
 
     def test_engine_is_visibly_shorter(self):
         assert len(ENGINE_SRC.read_text(encoding="utf-8").splitlines()) <= 775

@@ -1,5 +1,8 @@
 """Unit tests for trace statistics and model fitting."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -122,3 +125,37 @@ class TestSizeCategoryShares:
     def test_requires_categories(self):
         with pytest.raises(ValueError):
             size_category_shares([], [])
+
+
+class TestCanonicalUnits:
+    def test_single_source_of_truth(self):
+        """One blessed module defines the time-unit constants."""
+        from repro.workload import units
+        from repro.workload import generator, stats
+        from repro.experiments import fig3
+
+        assert units.SECONDS_PER_HOUR == 3600.0
+        assert units.SECONDS_PER_DAY == 86400.0
+        assert generator.SECONDS_PER_HOUR is units.SECONDS_PER_HOUR
+        assert stats._HOUR is units.SECONDS_PER_HOUR
+        assert fig3._DAY is units.SECONDS_PER_DAY
+
+    def test_no_other_module_defines_the_constants(self):
+        """Each constant of ``repro.workload.units`` has one definition."""
+        from repro.workload import units
+
+        names = sorted(name for name in vars(units) if name.isupper())
+        assert names == sorted(units.__all__)
+        src = Path(units.__file__).resolve().parents[1]
+        defining = {name: [] for name in names}
+        for path in sorted(src.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in tree.body:
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target] if isinstance(node, ast.AnnAssign)
+                           and node.value is not None else [])
+                for target in targets:
+                    if isinstance(target, ast.Name) and target.id in defining:
+                        defining[target.id].append(
+                            path.relative_to(src).as_posix())
+        assert defining == {name: ["workload/units.py"] for name in names}
