@@ -87,7 +87,7 @@ def check_gradients(
         param.value = param.value.copy()
         param.version += 1
         flat = param.value.ravel()
-        analytic = param.grad.ravel()
+        analytic = param.dense_grad().ravel()
         n = flat.size
         idx = np.arange(n) if n <= max_entries else rng.choice(
             n, size=max_entries, replace=False

@@ -35,7 +35,9 @@ class Parameter:
     its own.  ``grad`` is ``None`` until a ``backward`` writes it (a
     network that only infers never owns one), and is *written*, never
     added to: there is nothing to reset between updates, and summing
-    over several backwards is the caller's job.  ``version`` counts the
+    over several backwards is the caller's job.  A :class:`Dense`
+    weight's ``grad`` is the factor pair ``(x, d)`` standing for ``xᵀ @
+    d``; :meth:`dense_grad` multiplies it out.  ``version`` counts the
     writes of ``value``: a writer (an optimizer step, a state load) adds
     one, and what is derived from the value checks it.  A read-only
     ``value`` is lent to a snapshot: writers rebind ``value`` to a new
@@ -47,7 +49,7 @@ class Parameter:
     def __init__(self, name: str, value: np.ndarray) -> None:
         self.name = name
         self.value = np.asarray(value)
-        self.grad: np.ndarray | None = None
+        self.grad: np.ndarray | tuple[np.ndarray, np.ndarray] | None = None
         self.version = 0
 
     @property
@@ -57,8 +59,15 @@ class Parameter:
 
     def grad_buffer(self) -> np.ndarray:
         """``grad`` for a backward to write whole; uninitialised when new."""
-        if self.grad is None:
+        if not isinstance(self.grad, np.ndarray):
             self.grad = np.empty(self.value.shape, self.value.dtype)
+        return self.grad
+
+    def dense_grad(self) -> np.ndarray:
+        """``grad`` as one array of the value's shape: a pair multiplied out."""
+        if isinstance(self.grad, tuple):
+            x, d = self.grad
+            return x.T @ d
         return self.grad
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -291,13 +300,14 @@ class Dense(Layer):
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         """Write batch-summed grads; returns ``[B, in]`` input grads.
 
-        The weight-gradient matmul lands in ``weight.grad`` itself, so
-        a backward makes one pass over it and needs no temporary of
-        its size; the first backward is what allocates it.
+        The weight gradient ``xᵀ @ grad_out`` is kept as its factors
+        ``(x, grad_out)``: rank at most ``B``, so ``B·(in + out)``
+        elements where the product has ``in·out``, and the optimizer
+        forms it a block at a time where it is consumed.
         """
         if self._x is None:
             raise RuntimeError("backward called before forward")
-        np.matmul(self._x.T, grad_out, out=self.weight.grad_buffer())
+        self.weight.grad = (self._x, grad_out)
         if self.bias is not None:
             np.sum(grad_out, axis=0, out=self.bias.grad_buffer())
         return grad_out @ self.weight.value.T

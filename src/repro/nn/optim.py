@@ -8,6 +8,8 @@ the snapshot keeps the bytes it was taken with.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 from repro.check import sanitize as _san
@@ -36,6 +38,50 @@ def _flat(array: np.ndarray, name: str) -> np.ndarray:
             f"{name}: Adam updates through flat views and needs C-contiguous "
             f"value, grad and moments (strides {array.strides})")
     return array.reshape(-1)
+
+
+def _factors(grad) -> tuple[np.ndarray, ...]:
+    """The arrays a gradient is held in: itself, or a pair's two factors."""
+    return grad if isinstance(grad, tuple) else (grad,)
+
+
+def _norm(grad) -> float:
+    """Frobenius norm of a gradient.  A pair's, of ``xᵀ @ d``, comes from
+    the float64 Gram form ``Σ (x·xᵀ) ∘ (d·dᵀ)``: ``B²·(in + out)`` work
+    and no product; clamped at 0, where rounding can dip below."""
+    if not isinstance(grad, tuple):
+        return float(np.linalg.norm(grad))
+    x, d = (f.astype(np.float64) for f in grad)
+    return float(np.sqrt(max(0.0, np.sum((x @ x.T) * (d @ d.T)))))
+
+
+def _gradient_blocks(p: Parameter, into: np.ndarray
+                     ) -> Iterator[tuple[int, np.ndarray]]:
+    """``(offset, block)`` over ``p``'s flat gradient, ``_BLOCK`` elements
+    at most: slices of a dense gradient, or a pair's ``xᵀ @ d`` formed
+    block by block into ``into``.  A pair's blocks are ``_BLOCK // out``
+    whole rows, or column pieces of one row when two do not fit.  NumPy
+    multiplies a single row as a GEMV, whose bits differ from the GEMM's
+    on wide rows, so a lone row is formed with a neighbour and kept:
+    every block is the whole product's rows, bit for bit, unless the
+    weight has one row only (its whole product is a GEMV too)."""
+    if not isinstance(p.grad, tuple):
+        flat = _flat(p.grad, p.name)
+        for lo in range(0, flat.size, _BLOCK):
+            yield lo, flat[lo:lo + _BLOCK]
+        return
+    x, d = p.grad
+    n_in, n_out = p.value.shape
+    rows, cols = max(1, _BLOCK // n_out), min(n_out, _BLOCK // 2)
+    for r in range(0, n_in, rows):
+        end = min(r + rows, n_in)
+        a = max(0, min(r, n_in - 2))
+        b = max(end, min(a + 2, n_in))
+        for c in range(0, n_out, cols):
+            w = min(cols, n_out - c)
+            block = into[:(b - a) * w]
+            np.matmul(x[:, a:b].T, d[:, c:c + w], out=block.reshape(b - a, w))
+            yield r * n_out + c, block[(r - a) * w:(end - a) * w]
 
 
 class Optimizer:
@@ -71,10 +117,10 @@ class SGD(Optimizer):
     def step(self) -> None:
         """One (momentum-)SGD update: ``p -= lr * v``."""
         for p, v in zip(self.params, self._velocity):
-            direction = p.grad
+            direction = p.dense_grad()
             if self.momentum:
                 v *= self.momentum
-                v += p.grad
+                v += direction
                 direction = v
             p.value = np.subtract(p.value, self.lr * direction,
                                   out=_destination(p))
@@ -161,9 +207,10 @@ class Adam(Optimizer):
                    "beta2": self.beta2, "grad_clip": self.grad_clip or 0.0}
         scratch = {f"scratch {i}": buf for i, buf in enumerate(self._scratch)}
         for p, m, v in zip(self.params, self._m, self._v):
-            arrays = {"gradient": p.grad, "first moment": m,
-                      "second moment": v, **scratch}
-            for what, operand in {**arrays, **scalars}.items():
+            operands = [*(("gradient", g) for g in _factors(p.grad)),
+                        ("first moment", m), ("second moment", v),
+                        *scratch.items(), *scalars.items()]
+            for what, operand in operands:
                 _san.check_dtype(f"{what} of {p.name} (Adam step {self._t})",
                                  operand, p.value.dtype)
 
@@ -179,11 +226,13 @@ class Adam(Optimizer):
         trajectories are reproducible across this and the unfused
         form.  Running all fourteen passes over one ``_BLOCK`` of
         ``g``, ``m``, ``v``, ``p`` before moving to the next streams
-        each of the four through DRAM once per step.  The clip norm is
-        the exception: it must be known before the first block is
-        scaled, so it stays one separate ``np.linalg.norm`` pass over
-        the whole gradient (which also keeps the clip scale the very
-        float a per-parameter implementation computes).  The last pass
+        each of the four through DRAM once per step; a factor pair is
+        formed a block at a time (:func:`_gradient_blocks`).  The clip
+        norm must be known before the first block is scaled: one
+        ``np.linalg.norm`` pass over a dense gradient, a pair's float64
+        Gram form (:func:`_norm`), nearer the exact norm — so where the
+        clip fires, a pair may step in the last bits apart from its
+        formed product, and nowhere else.  The last pass
         writes into the value itself, or into a fresh array the
         parameter is rebound to when the value is a snapshot's
         (read-only): the same subtract on the same operands, so the
@@ -207,25 +256,24 @@ class Adam(Optimizer):
         bias2 = 1.0 - b2**self._t
         s1, s2, s3 = self._scratch
         for p, m, v in zip(self.params, self._m, self._v):
-            g = p.grad
             if sanitize:
-                _san.check_finite(f"gradient of {p.name} (Adam step {self._t})", g)
+                for g in _factors(p.grad):
+                    _san.check_finite(f"gradient of {p.name} (Adam step {self._t})", g)
             scale = None
             if track or grad_clip is not None:
-                norm = float(np.linalg.norm(g))
+                norm = _norm(p.grad)
                 if track:
                     sq_norm_sum += norm * norm
                 if grad_clip is not None and norm > grad_clip:
                     scale = grad_clip / norm
             shape_before = p.value.shape
             new = _destination(p)
-            flat_g, flat_m, flat_v, flat_p, flat_new = (
-                _flat(a, p.name) for a in (g, m, v, p.value, new))
-            for lo in range(0, flat_p.size, _BLOCK):
-                gb = flat_g[lo:lo + _BLOCK]
-                mb = flat_m[lo:lo + _BLOCK]
-                vb = flat_v[lo:lo + _BLOCK]
+            flat_m, flat_v, flat_p, flat_new = (
+                _flat(a, p.name) for a in (m, v, p.value, new))
+            for lo, gb in _gradient_blocks(p, s3):
                 n = gb.size
+                mb = flat_m[lo:lo + n]
+                vb = flat_v[lo:lo + n]
                 t1, t2 = s1[:n], s2[:n]
                 if scale is not None:
                     gb = np.multiply(gb, scale, out=s3[:n])
@@ -245,15 +293,14 @@ class Adam(Optimizer):
                 np.sqrt(t2, out=t2)
                 t2 += self.eps
                 t1 /= t2
-                np.subtract(flat_p[lo:lo + _BLOCK], t1,
-                            out=flat_new[lo:lo + _BLOCK])
+                np.subtract(flat_p[lo:lo + n], t1, out=flat_new[lo:lo + n])
             p.value = new
             p.version += 1
             if sanitize:
                 _san.check_same_shape(p.name, shape_before, p.value.shape)
                 _san.check_finite(f"value of {p.name} (Adam step {self._t})", p.value)
                 # a step consumes its gradient: one that no backward
-                # rewrites fails the next step's finite check
-                g.fill(np.nan)
+                # rewrites is missing at the next step, which refuses it
+                p.grad = None
         if track:
             self.last_grad_norm = float(np.sqrt(sq_norm_sum))

@@ -437,6 +437,8 @@ class TestDtypePurity:
         net.backward(np.ones((1, 3)))
         opt.step()  # the constructor made it a Python float
         opt.lr = np.float64(0.001)
+        net.forward(np.ones((1, 4, 2)))
+        net.backward(np.ones((1, 3)))
         with pytest.raises(SanitizerError,
                            match="nn-dtype.*lr of conv.weight"):
             opt.step()
@@ -448,11 +450,15 @@ class TestDtypePurity:
         net.backward(np.ones((1, 3)))
         opt.step()  # the moments exist from the first step
         opt._m[1] = opt._m[1].astype(np.float64)
+        net.forward(np.ones((1, 4, 2)))
+        net.backward(np.ones((1, 3)))
         with pytest.raises(SanitizerError,
                            match="nn-dtype.*first moment of conv.bias"):
             opt.step()
         opt._m[1] = opt._m[1].astype(np.float32)
-        net.parameters()[2].grad = np.zeros((4, 8))
+        fc1 = net.parameters()[2]
+        x, d = fc1.grad             # a factor pair: each factor is checked
+        fc1.grad = (x, d.astype(np.float64))
         with pytest.raises(SanitizerError,
                            match="nn-dtype.*gradient of fc1.weight"):
             opt.step()
@@ -481,6 +487,21 @@ class TestAdamInvariants:
         with pytest.raises(SanitizerError, match="gradient of conv.weight"):
             opt.step()
 
+    @pytest.mark.parametrize("factor", [0, 1])
+    def test_nan_in_a_factor_raises_and_names_the_parameter(self, factor,
+                                                            sanitizer_on):
+        net = build_dras_network(4, 8, 6, 3, rng=np.random.default_rng(0))
+        opt = Adam(net.parameters(), lr=0.001)
+        net.forward(np.ones((2, 4, 2)))
+        net.backward(np.ones((2, 3)))
+        fc2 = net.parameters()[3]
+        pair = [f.copy() for f in fc2.grad]
+        pair[factor][1, 2] = np.nan
+        fc2.grad = tuple(pair)
+        with pytest.raises(SanitizerError,
+                           match=r"gradient of fc2.weight \(Adam step 1\)"):
+            opt.step()
+
     def test_clean_step_passes(self, sanitizer_on):
         net = build_dras_network(4, 8, 6, 3, rng=np.random.default_rng(0))
         opt = Adam(net.parameters(), lr=0.001)
@@ -499,9 +520,27 @@ class TestAdamInvariants:
     def test_step_without_backward_is_named(self, sanitizer_on):
         """A step consumes its gradient: the next one needs a backward."""
         net, opt = self.trained_once()
-        assert all(np.isnan(p.grad).all() for p in net.parameters())
-        with pytest.raises(SanitizerError,
-                           match=r"gradient of conv.weight \(Adam step 2\)"):
+        assert all(p.grad is None for p in net.parameters())
+        with pytest.raises(ValueError, match=r"gradient of conv.weight is "
+                                             r"None at Adam step 2"):
+            opt.step()
+
+    def test_step_consumes_a_pair_without_writing_its_factors(
+            self, sanitizer_on):
+        """The factors alias the layer's input and the loss gradient."""
+        net = build_dras_network(4, 8, 6, 3, rng=np.random.default_rng(0))
+        fc1 = net.parameters()[2]
+        opt = Adam([fc1], lr=0.001)
+        net.forward(np.ones((2, 4, 2)))
+        net.backward(np.ones((2, 3)))
+        x, d = fc1.grad
+        kept = x.copy(), d.copy()
+        assert x is net.layers[1]._x
+        opt.step()
+        assert fc1.grad is None
+        assert np.array_equal(x, kept[0]) and np.array_equal(d, kept[1])
+        with pytest.raises(ValueError, match=r"gradient of fc1.weight is "
+                                             r"None at Adam step 2"):
             opt.step()
 
     def test_backward_that_skips_a_parameter_is_named(self, sanitizer_on):
@@ -510,8 +549,8 @@ class TestAdamInvariants:
         fc2.backward = lambda grad_out: grad_out @ fc2.weight.value.T
         net.forward(np.ones((2, 4, 2)))
         net.backward(np.ones((2, 3)))
-        with pytest.raises(SanitizerError,
-                           match=r"gradient of fc2.weight \(Adam step 2\)"):
+        with pytest.raises(ValueError, match=r"gradient of fc2.weight is "
+                                             r"None at Adam step 2"):
             opt.step()
 
     @pytest.mark.parametrize("active", ["sanitizer_on", "sanitizer_off"])
@@ -545,12 +584,15 @@ class TestAdamInvariants:
 
     def test_stale_gradient_is_silent_when_disabled(self, sanitizer_off):
         net, opt = self.trained_once()
-        assert all(np.isfinite(p.grad).all() for p in net.parameters())
+        assert all(np.isfinite(p.dense_grad()).all()
+                   for p in net.parameters())
         opt.step()
 
     def test_wide_block_scratch_raises(self, sanitizer_on):
         net, opt = self.trained_once()
         opt._scratch = tuple(np.zeros(a.shape) for a in opt._scratch)
+        net.forward(np.ones((2, 4, 2)))
+        net.backward(np.ones((2, 3)))
         with pytest.raises(SanitizerError,
                            match="nn-dtype.*scratch 0 of conv.weight"):
             opt.step()

@@ -96,10 +96,10 @@ class TestBatchedForward:
             net_b.forward(x[i : i + 1])
             net_b.backward(grad_out[i : i + 1])
             for total, p in zip(summed, net_b.parameters()):
-                total += p.grad
+                total += p.dense_grad()
 
         for pa, total in zip(net_a.parameters(), summed):
-            np.testing.assert_allclose(pa.grad, total,
+            np.testing.assert_allclose(pa.dense_grad(), total,
                                        rtol=1e-9, atol=1e-12)
 
 
@@ -520,9 +520,9 @@ class TestAdamBatchEquivalence:
             diff = out - target[i : i + 1]
             net_b.backward((2.0 / target.size) * diff)
             for total, p in zip(summed, net_b.parameters()):
-                total += p.grad
+                total += p.dense_grad()
         for total, p in zip(summed, net_b.parameters()):
-            p.grad[...] = total
+            p.grad = total
         opt_b.step()
 
         for pa, pb in zip(net_a.parameters(), net_b.parameters()):

@@ -29,15 +29,15 @@ class TestNetwork:
         x = rng.normal(size=(4, 6, 2))
         net.forward(x)
         net.backward(np.ones((4, 3)))
-        first = [p.grad.copy() for p in net.parameters()]
+        first = [p.dense_grad().copy() for p in net.parameters()]
         assert all(np.any(g != 0) for g in first)
         net.forward(x)
         net.backward(np.ones((4, 3)))
         for p, g in zip(net.parameters(), first):
-            assert np.array_equal(p.grad, g)
+            assert np.array_equal(p.dense_grad(), g)
         net.forward(x)
         net.backward(np.zeros((4, 3)))
-        assert all(np.all(p.grad == 0) for p in net.parameters())
+        assert all(np.all(p.dense_grad() == 0) for p in net.parameters())
 
 
 class TestBuildDRASNetwork:
@@ -168,7 +168,7 @@ class TestPrecision:
         net.forward(np.ones((1, 6, 2)))
         net.backward(np.ones((1, 3)))
         for p in net.parameters():
-            assert p.value.dtype == p.grad.dtype == np.float32
+            assert p.value.dtype == p.dense_grad().dtype == np.float32
         assert Network([Dense(3, 2, rng=rng)]).dtype == np.float32
 
     def test_float32_network_is_the_rounded_float64_twin(self):
@@ -178,7 +178,7 @@ class TestPrecision:
         wide.forward(np.ones((1, 6, 2)))
         wide.backward(np.ones((1, 3)))
         for a, b in zip(narrow.parameters(), wide.parameters()):
-            assert b.value.dtype == b.grad.dtype == np.float64
+            assert b.value.dtype == b.dense_grad().dtype == np.float64
             assert np.array_equal(a.value, b.value.astype(np.float32))
 
     def test_boundary_casts_and_layers_keep_the_dtype(self, rng):
@@ -224,7 +224,7 @@ class TestPrecision:
         narrow.forward(np.ones((1, 6, 2)))
         narrow.backward(np.ones((1, 3)))
         for a, b in zip(narrow.parameters(), wide.parameters()):
-            assert a.value.dtype == a.grad.dtype == np.float32
+            assert a.value.dtype == a.dense_grad().dtype == np.float32
             assert np.array_equal(a.value, b.value.astype(np.float32))
         # through a file: the .npz holds the saver's dtype
         save_network(wide, tmp_path / "wide.npz")
@@ -247,12 +247,14 @@ class TestPrecision:
             opt.step()
             assert {a.dtype for a in [*opt._m, *opt._v, *opt._scratch]} \
                 == {np.dtype(dtype)}
+            net.backward(np.ones((2, 3)))   # a sanitized step drops grads
             SGD(net.parameters(), momentum=0.5).step()
             assert {p.value.dtype for p in net.parameters()} == {np.dtype(dtype)}
 
     def test_float64_is_named_only_where_something_needs_it(self):
-        """``gradcheck`` (finite differences), ``losses`` (a [B, W] head)
-        and ``layers`` (a group sum adds thousands of weight rows).
+        """``gradcheck`` (finite differences), ``losses`` (a [B, W] head),
+        ``layers`` (a group sum adds thousands of weight rows) and
+        ``optim`` (a factored gradient's norm, from a [B, B] Gram form).
 
         Anywhere else under ``repro/nn`` a hard-coded width would be a
         second place that decides precision.
@@ -262,7 +264,7 @@ class TestPrecision:
         nn_dir = pathlib.Path(__file__).parent.parent / "src/repro/nn"
         naming = {path.name for path in nn_dir.glob("*.py")
                   if "float64" in path.read_text(encoding="utf-8")}
-        assert naming == {"gradcheck.py", "layers.py", "losses.py"}
+        assert naming == {"gradcheck.py", "layers.py", "losses.py", "optim.py"}
 
     def test_gradient_reset_and_backward_scratch_are_gone(self):
         """Gradients are written: nothing resets them, nothing stages them."""

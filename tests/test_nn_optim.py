@@ -217,6 +217,95 @@ class TestAdamAgainstTextbook:
         assert {a.dtype for a in opt._scratch} == {np.dtype(np.float32)}
 
 
+#: weights whose gradient is a factor pair: rows that do not divide the
+#: block (9,363 = 2 x 4,681 + 1: a lone last row), rows of which two do
+#: not fit in a block, and a row wider than the block
+PAIR_SHAPES = [(6, 3), (9363, 7), (3, _BLOCK // 2 + 9), (2, _BLOCK + 5)]
+
+
+class TestFactoredGradient:
+    """A pair ``(x, d)`` steps as its product ``x.T @ d`` would."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        shape=st.sampled_from(PAIR_SHAPES),
+        batch=st.sampled_from([1, 2, 9]),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        steps=st.integers(2, 4),
+        lent_at=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_trajectory_is_the_products_bit_for_bit(self, shape, batch, dtype,
+                                                    steps, lent_at, seed):
+        rng = np.random.default_rng(seed)
+        start = rng.normal(size=shape).astype(dtype)
+        pair, dense = Parameter("w", start.copy()), Parameter("w", start.copy())
+        opt, ref = Adam([pair], lr=0.01), Adam([dense], lr=0.01)
+        for t in range(1, steps + 1):
+            x = rng.normal(size=(batch, shape[0])).astype(dtype)
+            # some samples contribute nothing, as a masked loss gives
+            d = (rng.normal(size=(batch, shape[1]))
+                 * (rng.random((batch, 1)) > 0.3)).astype(dtype)
+            pair.grad, dense.grad = (x, d), x.T @ d
+            kept = x.copy(), d.copy()
+            if t == lent_at:
+                snapshot = lend([pair])
+                lent, versions = [snapshot[0].copy()], [pair.version]
+            opt.step()
+            ref.step()
+            # the factors alias a layer's input and a loss gradient
+            assert np.array_equal(x, kept[0]) and np.array_equal(d, kept[1])
+            if t == lent_at:
+                assert_stepped_past([pair], snapshot, lent, versions)
+            assert np.array_equal(pair.value, dense.value)
+        assert np.array_equal(opt._m[0], ref._m[0])
+        assert np.array_equal(opt._v[0], ref._v[0])
+        assert pair.value.dtype == opt._m[0].dtype == dtype
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [1, 9])
+    def test_clip_norm_is_the_exact_norm(self, dtype, batch):
+        """The Gram form's norm is the float64 Frobenius norm of the
+        product, within 1e-9; a float32 norm is off by ~1e-7."""
+        rng = np.random.default_rng(batch)
+        p = Parameter("w", rng.normal(size=(700, 300)).astype(dtype))
+        opt = Adam([p], lr=0.01, grad_clip=1.0)
+        opt.track_grad_norm = True
+        x, d = (rng.normal(size=(batch, n)).astype(dtype) for n in p.value.shape)
+        p.grad = (x, d)
+        opt.step()
+        exact = np.linalg.norm(x.astype(np.float64).T @ d.astype(np.float64))
+        assert exact > 10.0    # the clip fired
+        assert abs(opt.last_grad_norm - exact) <= 1e-9 * exact
+        # the first moment holds (1 - beta1) times the clipped gradient
+        assert np.linalg.norm(opt._m[0].astype(np.float64)) == pytest.approx(
+            0.1, rel=1e-5)
+
+    def test_cancelling_factors_have_a_tiny_norm_not_nan(self):
+        """Samples whose gradients cancel: the Gram sum rounds to -5e-13
+        here, and the norm is clamped to 0, not the square root of it."""
+        rng = np.random.default_rng(0)
+        row, d = rng.normal(size=(1, 50)), rng.normal(size=(1, 40))
+        p = Parameter("w", np.ones((50, 40)))
+        opt = Adam([p], lr=0.01, grad_clip=1.0)
+        opt.track_grad_norm = True
+        p.grad = (np.vstack([row, row, row]), np.vstack([d, -d / 3, -2 * d / 3]))
+        assert np.abs(p.dense_grad()).max() < 1e-15
+        opt.step()
+        assert opt.last_grad_norm == 0.0
+        assert np.isfinite(p.value).all()
+
+    def test_sgd_steps_on_the_product(self):
+        rng = np.random.default_rng(6)
+        x, d = rng.normal(size=(3, 5)), rng.normal(size=(3, 4))
+        pair, dense = Parameter("w", np.ones((5, 4))), Parameter("w", np.ones((5, 4)))
+        pair.grad, dense.grad = (x, d), x.T @ d
+        assert np.array_equal(pair.dense_grad(), dense.grad)
+        SGD([pair], lr=0.1, momentum=0.5).step()
+        SGD([dense], lr=0.1, momentum=0.5).step()
+        assert np.array_equal(pair.value, dense.value)
+
+
 class TestFlatViewGuard:
     """A flat *copy* would swallow the update; the sweep refuses to make one."""
 
@@ -243,7 +332,7 @@ class TestFlatViewGuard:
         opt = Adam([p])
         p.grad_buffer().fill(1.0)
         opt.step()  # the moments exist from the first step
-        p.grad.fill(1.0)  # a sanitized step poisons what it consumed
+        p.grad_buffer().fill(1.0)  # a sanitized step drops what it consumed
         strided = np.ones((3, 4)).T
         if which == "grad":
             p.grad = strided

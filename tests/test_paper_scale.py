@@ -61,10 +61,13 @@ def large_arrays(agent):
     """The role of every array over 1 MiB the network and optimizer hold.
 
     Walks the parameters, the optimizer and the layers; every array met
-    on the way, large or not, must be float32, and every value, gradient
-    and moment C-contiguous.  A layer's block table (``Dense._blocks``,
-    which shared forwards read the first layer's row sums from) is
-    ``blocks``, and holds at most 1/16 of the bytes of its weight.
+    on the way, large or not, must be float32, and every value, dense
+    gradient and moment C-contiguous.  A gradient kept as a factor pair
+    is walked factor by factor, and each factor, ``[B, in]`` or ``[B,
+    out]``, must stay under 1 MiB.  A layer's block table
+    (``Dense._blocks``, which shared forwards read the first layer's row
+    sums from) is ``blocks``, and holds at most 1/16 of the bytes of its
+    weight.
     """
     opt = agent.optimizer
     roles = {}
@@ -72,8 +75,12 @@ def large_arrays(agent):
         if getattr(layer, "_blocks", None) is not None:
             assert layer._blocks.nbytes <= layer.weight.value.nbytes // 16
             roles[id(layer._blocks)] = f"blocks {layer.weight.name}"
+    factors = [f for p in opt.params if isinstance(p.grad, tuple)
+               for f in p.grad]
+    assert all(f.nbytes < MIB for f in factors)
     for i, p in enumerate(opt.params):
-        per_param = {"value": p.value, "grad": p.grad,
+        dense = None if isinstance(p.grad, tuple) else p.grad
+        per_param = {"value": p.value, "grad": dense,
                      "m": opt._m and opt._m[i], "v": opt._v and opt._v[i]}
         for role, a in per_param.items():
             if a is not None:
@@ -85,8 +92,9 @@ def large_arrays(agent):
             for a in (v if isinstance(v, (list, tuple)) else [v]):
                 if isinstance(a, np.ndarray):
                     held[id(a)] = a
-    held.update((id(a), a) for p in opt.params for a in (p.value, p.grad)
-                if a is not None)
+    held.update((id(a), a) for a in (*(p.value for p in opt.params),
+                                     *(p.grad for p in opt.params), *factors)
+                if isinstance(a, np.ndarray))
     assert {a.dtype for a in held.values()} == {np.dtype(np.float32)}
     return sorted(roles.get(i, "unowned") for i, a in held.items()
                   if a.nbytes > MIB)
@@ -170,11 +178,11 @@ class TestFullSizeTheta:
         assert theta_agent.updates_done > 0
         assert not np.allclose(before, after)
         # the only parameter-sized buffers the update left behind are
-        # value, grad, m and v, all in the network's dtype (and fc1's
-        # block table, 1/16 of it)
+        # value, m and v, all in the network's dtype (and fc1's block
+        # table, 1/16 of it): the weights' gradients are factor pairs
         assert large_arrays(theta_agent) == sorted(
             ["blocks fc1.weight", *(f"{role} {m}" for m in MATRICES
-                                    for role in ("value", "grad", "m", "v"))])
+                                    for role in ("value", "m", "v"))])
         assert sum(a.nbytes for a in theta_agent.optimizer._scratch) <= MIB
 
 
@@ -183,11 +191,12 @@ class TestTrainingFootprint:
         """A snapshot is a version of the weights, not a copy of them.
 
         Two episodes of ``Trainer.train`` on an agent whose weights are
-        all that is large (8.2 MiB; fc2 is 2048 x 1024): value, gradient,
-        ``m`` and ``v``, plus the version the first episode's snapshot
-        pins while the next step writes the new one — five units.  A
-        ``state_dict()`` that copied would hold six at the second
-        snapshot: the kept one and the new copy.
+        all that is large (8.2 MiB; fc2 is 2048 x 1024): value, ``m`` and
+        ``v``, plus the version the first episode's snapshot pins while
+        the next step writes the new one — four units.  A weight's
+        gradient is a factor pair, never formed whole; a backward that
+        wrote it would make five, and a ``state_dict()`` that copied
+        would hold one more at the second snapshot.
         """
         from repro.rl.trainer import Trainer
 
@@ -207,7 +216,7 @@ class TestTrainingFootprint:
         agent, peak = traced_peak(build_and_train)
         unit = sum(p.value.nbytes for p in agent.network.parameters())
         assert agent.updates_done > 1
-        assert peak <= 5.5 * unit
+        assert peak <= 4.5 * unit
 
 
 class TestCoriDimensions:
