@@ -11,14 +11,14 @@ checkpoint written by a float64 network loads by rounding.
 
 Durability contract
 -------------------
-Writes are *atomic*: ``np.savez`` streams the archive into
-:func:`repro.obs.jsonl.atomic_write`'s same-directory temporary file
-(an open file object, so the string API's ``.npz`` suffix never
-applies), which is fsynced and moved into place with :func:`os.replace`,
-so a crash mid-save can never leave a half-written file under the final
-name.  Loads fail *loudly*: any truncated, corrupted or non-checkpoint
-file raises :class:`CheckpointError` with an actionable message instead
-of surfacing a bare ``zipfile``/``KeyError`` traceback.
+Writes are *atomic*: :func:`repro.nn.serialize.savez` streams the
+archive into :func:`repro.obs.jsonl.atomic_write`'s same-directory
+temporary file, which is fsynced and moved into place with
+:func:`os.replace`, so a crash mid-save can never leave a half-written
+file under the final name.  Loads fail *loudly*: any truncated,
+corrupted or non-checkpoint file raises :class:`CheckpointError` with
+an actionable message instead of surfacing a bare
+``zipfile``/``KeyError`` traceback.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from repro.core.config import DRASConfig
 from repro.core.decima import DecimaPG
 from repro.core.dras_dql import DRASDQL
 from repro.core.dras_pg import DRASPG
+from repro.nn.serialize import savez
 from repro.obs.jsonl import atomic_write
 
 FORMAT_VERSION = 1
@@ -63,10 +64,16 @@ def agent_meta(agent) -> dict:
 
 
 def agent_arrays(agent) -> dict[str, np.ndarray]:
-    """Every trainable array of an agent, keyed for the ``.npz``."""
+    """Every trainable array of an agent, keyed for the ``.npz``.
+
+    The live arrays, for a writer that is done with them before the
+    weights next change: unlike ``state_dict()``, nothing is lent
+    read-only, so the next optimizer step still updates in place.
+    """
     kind = _kind_of(agent)
     arrays: dict[str, np.ndarray] = {
-        f"net.{k}": v for k, v in agent.network.state_dict().items()
+        f"net.{k}": p.value
+        for k, p in agent.network.named_parameters().items()
     }
     adam = agent.optimizer.state_dict()
     for i, (m, v) in enumerate(zip(adam["m"], adam["v"])):
@@ -145,11 +152,15 @@ def save_agent(agent, path: str | Path) -> None:
     The write is atomic: a crash mid-save never corrupts an existing
     checkpoint at ``path``.
     """
-    meta = agent_meta(agent)
+    write_agent(path, agent, agent_meta(agent))
+
+
+def write_agent(path: str | Path, agent, meta: dict) -> None:
+    """Atomically write :func:`agent_arrays` plus the JSON ``meta`` record."""
     arrays = agent_arrays(agent)
     arrays["__meta__"] = np.array(json.dumps(meta))
     with atomic_write(path, binary=True) as fh:
-        np.savez(fh, **arrays)
+        savez(fh, arrays)
 
 
 def load_agent(path: str | Path):

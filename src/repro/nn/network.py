@@ -157,21 +157,35 @@ class Network:
         """All trainable tensors in layer order."""
         return [p for layer in self.layers for p in layer.parameters()]
 
+    def named_parameters(self) -> dict[str, Parameter]:
+        """Every parameter keyed by its position-qualified name.
+
+        The one place keys are formed (``"1.fc1.weight"``): state dicts,
+        :meth:`load_state_dict` and the disk writers all read it.
+        """
+        return {
+            f"{i}.{p.name}": p
+            for i, layer in enumerate(self.layers)
+            for p in layer.parameters()
+        }
+
     def state_dict(self) -> dict[str, np.ndarray]:
-        """Parameter values keyed by position-qualified names.
+        """Parameter values keyed by :meth:`named_parameters`' names.
 
         The live arrays, lent read-only rather than copied: a snapshot
         is a version of the weights, not a copy of them.  Nobody can
         write into one (NumPy raises), and an optimizer step that meets
         a read-only value writes a fresh array and rebinds the
         parameter, so the snapshot keeps the bytes it was taken with
-        and the copy is paid only when the weights next change.
+        and the copy is paid only when the weights next change.  A
+        reader that is done before the weights next change (a disk
+        writer) reads ``p.value`` through :meth:`named_parameters`
+        instead and lends nothing.
         """
         state = {}
-        for i, layer in enumerate(self.layers):
-            for p in layer.parameters():
-                p.value.flags.writeable = False
-                state[f"{i}.{p.name}"] = p.value
+        for key, p in self.named_parameters().items():
+            p.value.flags.writeable = False
+            state[key] = p.value
         return state
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
@@ -181,11 +195,7 @@ class Network:
         a wider network loads by rounding, and laid out C-contiguous,
         as the optimizer's flat views need them.
         """
-        own = {
-            f"{i}.{p.name}": p
-            for i, layer in enumerate(self.layers)
-            for p in layer.parameters()
-        }
+        own = self.named_parameters()
         if set(own) != set(state):
             missing = set(own) - set(state)
             extra = set(state) - set(own)

@@ -4,8 +4,8 @@
   scheduling reward of *any* policy, learned or heuristic, enabling the
   Fig 5 learning-curve comparison;
 * :class:`Trainer` — episodic training: one jobset per episode, a
-  model snapshot and a validation run after each episode, convergence
-  monitoring;
+  validation run (and, with ``checkpoint_path``, a checkpoint) after
+  each, convergence monitoring, and one model snapshot on return;
 * :mod:`repro.rl.curriculum` — the three-phase curriculum and the
   ordering comparison of Fig 4.
 """

@@ -41,7 +41,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.core import persistence as _persist
-from repro.obs.jsonl import atomic_write
 from repro.sim.faults import FaultConfig
 
 CHECKPOINT_VERSION = 1
@@ -83,10 +82,7 @@ def save_checkpoint(
         "telemetry_offset": int(telemetry_offset),
         "faults": faults.as_dict() if faults is not None else None,
     }
-    arrays = _persist.agent_arrays(agent)
-    arrays["__meta__"] = np.array(json.dumps(meta))
-    with atomic_write(path, binary=True) as fh:
-        np.savez(fh, **arrays)
+    _persist.write_agent(path, agent, meta)
 
 
 def load_checkpoint(path: str | Path) -> LoadedCheckpoint:

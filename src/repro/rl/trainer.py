@@ -1,14 +1,17 @@
-"""Episodic training with per-episode snapshots and validation.
+"""Episodic training with validation and a snapshot of the trained model.
 
 Training follows §III-C: the network parameters start random, each
 episode replays one jobset from an all-idle initial state, parameters
-update every ten scheduling instances, and the trainer takes a snapshot
-of the model after every episode.  An unseen validation jobset measures
-progress; the convergence monitor declares convergence when the
-validation reward plateaus.  Only the latest snapshot stays in memory,
-and it is the live weights lent read-only, not a copy: the next
-optimizer step writes fresh ones.  A per-episode record on disk is
-``checkpoint_path``'s job.
+update every ten scheduling instances, and the model is kept after
+every episode: here on disk, as a checkpoint after every
+``checkpoint_every``-th episode when ``checkpoint_path`` is set, written
+from the live weights without lending them.  An unseen validation
+jobset measures progress; the convergence monitor declares convergence
+when the validation reward plateaus.  In memory, ``history.last`` is
+set once, when ``train()`` returns (the final or the converged
+episode's weights): nothing reads it sooner, and taking none during
+the run lets every optimizer step update the weights in place.  A run
+that raises leaves ``history.last`` as it was.
 """
 
 from __future__ import annotations
@@ -47,23 +50,21 @@ class EpisodeStats:
 
 @dataclass
 class TrainingHistory:
-    """Episode statistics plus the model snapshot after the latest one.
+    """Episode statistics plus the model snapshot ``train()`` left.
 
     Memory is constant in the number of episodes: :attr:`last` is the
-    state dict after the most recent episode (``None`` until
-    :meth:`record` sees one), a version of the weights lent read-only
-    (:meth:`~repro.nn.network.Network.state_dict`), not a copy.
+    state dict taken when :meth:`Trainer.train` returns after completing
+    at least one episode (``None`` until then), a version of the
+    weights lent read-only (:meth:`~repro.nn.network.Network.state_dict`),
+    not a copy, so later online learning does not change it.  It is not
+    updated during a run, and a run that raises leaves it as it was;
+    the per-episode record is the trainer's ``checkpoint_path``.
     :meth:`best_episode` names the best-validating episode; its weights
     are not kept — each kept snapshot pins one weight version.
     """
 
     episodes: list[EpisodeStats] = field(default_factory=list)
     last: dict[str, np.ndarray] | None = None
-
-    def record(self, stats: EpisodeStats, state: dict[str, np.ndarray]) -> None:
-        """Append one finished episode and the model state it left."""
-        self.episodes.append(stats)
-        self.last = state
 
     @property
     def validation_curve(self) -> np.ndarray:
@@ -333,7 +334,8 @@ class Trainer:
         When ``history`` already holds ``k`` episodes (a checkpoint
         resume), the first ``k`` jobsets are skipped: they were
         completed by the interrupted run and their effects live in the
-        restored agent state.
+        restored agent state.  ``history.last`` is set on return, and
+        only if this call completed an episode.
         """
         history = history or TrainingHistory()
         done = len(history.episodes)
@@ -348,17 +350,14 @@ class Trainer:
             train_reward = self.run_episode(jobset, episode=episode)
             val_reward = self.validate()
             updates = getattr(self.agent, "updates_done", 0)
-            history.record(
-                EpisodeStats(
-                    episode=episode,
-                    phase=phase,
-                    num_jobs=len(jobset),
-                    train_reward=train_reward,
-                    validation_reward=val_reward,
-                    updates_done=updates,
-                ),
-                self.agent.state_dict(),
-            )
+            history.episodes.append(EpisodeStats(
+                episode=episode,
+                phase=phase,
+                num_jobs=len(jobset),
+                train_reward=train_reward,
+                validation_reward=val_reward,
+                updates_done=updates,
+            ))
             if self.telemetry is not None:
                 self._emit_telemetry(history.episodes[-1])
             if live is not None:
@@ -368,6 +367,8 @@ class Trainer:
                 self._write_checkpoint(history)
             if stop_on_convergence and history.converged_at(convergence_window):
                 break
+        if len(history.episodes) > done:
+            history.last = self.agent.state_dict()
         return history
 
     def _write_checkpoint(self, history: TrainingHistory) -> None:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.nn.layers import Dense, LeakyReLU
 from repro.nn.network import Network, build_dras_network, count_parameters
-from repro.nn.serialize import load_network, save_network
+from repro.nn.serialize import load_network, save_network, savez
 
 
 class TestNetwork:
@@ -150,6 +150,34 @@ class TestSerialize:
         other = build_dras_network(7, 5, 4, 3, rng=rng)
         with pytest.raises(ValueError):
             load_network(other, path)
+
+
+    def test_npz_suffix_is_appended_as_numpy_does(self, rng, tmp_path):
+        net = build_dras_network(6, 5, 4, 3, rng=rng)
+        save_network(net, tmp_path / "model")
+        assert (tmp_path / "model.npz").exists()
+
+    def test_savez_matches_numpy_member_for_member(self, tmp_path):
+        """Empty, 0-d text, Fortran-ordered, strided and integer arrays:
+        the same ``.npy`` members ``np.savez`` writes; object arrays
+        refused."""
+        import zipfile
+
+        arrays = {"empty": np.zeros((0, 3), np.float32),
+                  "meta": np.array('{"k": 1}'),
+                  "fortran": np.asfortranarray(np.arange(6.0).reshape(2, 3)),
+                  "strided": np.arange(12.0).reshape(3, 4)[:, ::2],
+                  "t": np.array([7], np.int64)}
+        savez(tmp_path / "ours.npz", arrays)
+        np.savez(tmp_path / "numpy.npz", **arrays)
+
+        def members(path):
+            with zipfile.ZipFile(path) as archive:
+                return {n: archive.read(n) for n in archive.namelist()}
+
+        assert members(tmp_path / "ours.npz") == members(tmp_path / "numpy.npz")
+        with pytest.raises(TypeError, match="obj"):
+            savez(tmp_path / "x.npz", {"obj": np.array([None])})
 
 
 class TestPrecision:

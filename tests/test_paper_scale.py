@@ -7,7 +7,8 @@ schedule end-to-end, in the paper's float32: Theta — 4,360 nodes, the
 learning episode, and Cori's 162M-parameter DRAS-PG (0.65 GB of
 weights, which is all a frozen agent holds) through one forward — that
 one only under ``REPRO_SANITIZE=1``, i.e. in CI's ``faulted`` job: it
-takes ~5 s, which tier-1 does not have.  A Cori-sized fill of
+takes ~5 s, which tier-1 does not have; so does two checkpointed
+episodes of full-size Theta training.  A Cori-sized fill of
 one-node jobs runs the other way round: dark only, since the sanitizer
 checks the whole cluster after each of its 24k mutations.  Footprint is
 asserted by counting arrays and traced bytes, never by RSS or the clock.
@@ -187,17 +188,17 @@ class TestFullSizeTheta:
 
 
 class TestTrainingFootprint:
-    def test_two_episodes_hold_one_snapshot_version(self):
-        """A snapshot is a version of the weights, not a copy of them.
+    """Two episodes of ``Trainer.train`` on an agent whose weights are
+    all that is large (8.2 MiB; fc2 is 2048 x 1024) hold three units:
+    value, ``m`` and ``v``.  A weight's gradient is a factor pair, never
+    formed whole (a backward that wrote it would make four); no snapshot
+    is taken before ``train()`` returns and a checkpoint lends nothing,
+    so every step updates in place (a per-episode ``state_dict()``, or
+    a writer that lent the weights, would make the next step write a
+    fresh version beside the pinned one: four)."""
 
-        Two episodes of ``Trainer.train`` on an agent whose weights are
-        all that is large (8.2 MiB; fc2 is 2048 x 1024): value, ``m`` and
-        ``v``, plus the version the first episode's snapshot pins while
-        the next step writes the new one — four units.  A weight's
-        gradient is a factor pair, never formed whole; a backward that
-        wrote it would make five, and a ``state_dict()`` that copied
-        would hold one more at the second snapshot.
-        """
+    @staticmethod
+    def train(**trainer_kw):
         from repro.rl.trainer import Trainer
 
         def jobs(seed):
@@ -210,13 +211,51 @@ class TestTrainingFootprint:
             agent = DRASPG(DRASConfig(
                 num_nodes=16, window=4, hidden1=2048, hidden2=1024, seed=0,
                 objective="capability", time_scale=1000.0))
-            Trainer(agent, 16).train([("p", jobs(0)), ("p", jobs(1))])
+            Trainer(agent, 16, **trainer_kw).train(
+                [("p", jobs(0)), ("p", jobs(1))])
             return agent
 
         agent, peak = traced_peak(build_and_train)
         unit = sum(p.value.nbytes for p in agent.network.parameters())
         assert agent.updates_done > 1
-        assert peak <= 4.5 * unit
+        return peak, unit
+
+    def test_two_episodes_hold_three_units(self):
+        peak, unit = self.train()
+        assert peak <= 3.5 * unit
+
+    def test_checkpointed_episodes_hold_three_units(self, tmp_path):
+        peak, unit = self.train(checkpoint_path=tmp_path / "ck.npz")
+        assert (tmp_path / "ck.npz").exists()
+        assert peak <= 3.5 * unit
+
+
+@pytest.mark.skipif(
+    not sanitizer_enabled(),
+    reason="two episodes on 87.6 MB of weights take ~3 s, over tier-1's "
+           "time budget: CI's `faulted` job (REPRO_SANITIZE=1) runs them")
+class TestFullSizeThetaTraining:
+    def test_checkpointed_training_holds_three_units(self, tmp_path):
+        """Table III's Theta DRAS-PG, two checkpointed episodes of
+        ``Trainer.train``: value, ``m`` and ``v`` (3 x 87.6 MB), and
+        nothing else parameter-sized."""
+        from repro.rl.trainer import Trainer
+
+        def jobs(seed):
+            # simultaneous arrivals: multi-job windows, real choices
+            return [make_job(size=1500 - seed, walltime=600.0,
+                             submit=float(i // 4)) for i in range(12)]
+
+        def build_and_train():
+            agent = DRASPG(DRASConfig.theta(seed=0))
+            Trainer(agent, 4360, checkpoint_path=tmp_path / "ck.npz").train(
+                [("p", jobs(0)), ("p", jobs(1))])
+            return agent
+
+        agent, peak = traced_peak(build_and_train)
+        assert agent.updates_done > 1
+        assert (tmp_path / "ck.npz").exists()
+        assert peak <= 3.5 * 4 * 21_890_053
 
 
 class TestCoriDimensions:

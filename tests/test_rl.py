@@ -128,15 +128,9 @@ class TestTrainer:
         assert [e.phase for e in history.episodes] == ["a", "b"]
         assert history.last is not None
 
-    def test_history_holds_the_last_state_only(self):
-        """Memory is constant in episodes: one state dict, not one each.
-
-        Every ``state_dict()`` the trainer takes is kept alive here, so
-        the history's can be identified among them: ``last`` is the
-        final one.  ``best_episode()`` still names the best-validating
-        episode, but no snapshot of it is kept.
-        """
-        agent = DRASPG(small_config())
+    @staticmethod
+    def _count_snapshots(agent):
+        """Keep every ``state_dict()`` the agent hands out, in order."""
         taken = []
         state_dict = agent.state_dict
 
@@ -145,18 +139,112 @@ class TestTrainer:
             return taken[-1]
 
         agent.state_dict = recording
+        return taken
+
+    @staticmethod
+    def _holds_the_weights(state, agent):
+        """``state`` is bit for bit the agent's current weights."""
+        live = agent.network.named_parameters()
+        assert set(state) == set(live)
+        for key, p in live.items():
+            assert state[key].dtype == p.value.dtype
+            assert state[key].tobytes() == p.value.tobytes()
+
+    def test_history_holds_the_last_state_only(self):
+        """Memory is constant in episodes: one state dict per ``train()``.
+
+        The trainer takes its one ``state_dict()`` when ``train()``
+        returns, so ``last`` is the final weights.  ``best_episode()``
+        still names the best-validating episode, but no snapshot of it
+        is kept.
+        """
+        agent = DRASPG(small_config())
+        taken = self._count_snapshots(agent)
         trainer = Trainer(agent, 16, validation_jobs=contended_jobs(42))
         history = trainer.train(
             [("p", contended_jobs(seed)) for seed in range(6)])
-        assert len(taken) == 6
+        assert len(history.episodes) == 6
+        assert len(taken) == 1
         best = int(np.argmax(history.validation_curve))
         assert 0 < best < 5, "the recipe should peak mid-run"
         assert history.best_episode() == best
         assert history.last is taken[-1]
+        self._holds_the_weights(history.last, agent)
         held = [v for v in vars(history).values() if isinstance(v, dict)]
         assert held == [history.last]
         assert not hasattr(history, "best")
+        assert not hasattr(history, "record")
         assert not hasattr(trainer, "snapshot_every")
+
+    def test_finished_history_keeps_its_snapshot(self):
+        """Resuming a history with no jobsets left runs nothing, takes
+        no snapshot and leaves ``last`` as it was."""
+        agent = DRASPG(small_config())
+        trainer = Trainer(agent, 16)
+        jobsets = [("p", contended_jobs(seed)) for seed in range(2)]
+        history = trainer.train(jobsets)
+        last = history.last
+        taken = self._count_snapshots(agent)
+        assert trainer.train(jobsets, history=history) is history
+        assert taken == []
+        assert history.last is last
+        self._holds_the_weights(last, agent)
+
+    def test_convergence_break_keeps_the_converged_weights(self):
+        """A ``stop_on_convergence`` break still takes the snapshot, of
+        the weights the converged episode left."""
+        agent = DRASPG(small_config())
+        taken = self._count_snapshots(agent)
+        # jobs that never queue: every validation scores the same
+        calm = [make_job(size=2, walltime=5.0, submit=float(10 * i))
+                for i in range(4)]
+        trainer = Trainer(agent, 16, validation_jobs=calm)
+        history = trainer.train(
+            [("p", contended_jobs(seed)) for seed in range(5)],
+            stop_on_convergence=True, convergence_window=2)
+        assert len(history.episodes) == 2
+        assert history.converged_at(2) == 1
+        assert agent.updates_done > 0
+        assert len(taken) == 1 and history.last is taken[0]
+        self._holds_the_weights(history.last, agent)
+
+    def test_disk_writers_lend_nothing(self, tmp_path):
+        """``save_agent``, a training checkpoint and ``save_network``
+        read the live weights without lending them: every value stays
+        writable (the next step updates in place), and the archives
+        hold what ``np.savez`` writes, member for member, byte for byte."""
+        import json
+        import zipfile
+
+        from repro.core.persistence import agent_arrays, agent_meta, save_agent
+        from repro.nn.serialize import save_network
+        from repro.rl.checkpoint import save_checkpoint
+
+        agent = DRASPG(small_config())
+        Trainer(agent, 16).run_episode(contended_jobs(0))
+        assert agent.updates_done > 0
+        params = agent.network.parameters()
+        assert all(p.value.flags.writeable for p in params)
+        save_agent(agent, tmp_path / "agent.npz")
+        save_checkpoint(tmp_path / "ck.npz", agent, [])
+        save_network(agent.network, tmp_path / "net.npz")
+        assert all(p.value.flags.writeable for p in params)
+
+        def members(path):
+            with zipfile.ZipFile(path) as archive:
+                return {n: archive.read(n) for n in archive.namelist()}
+
+        np.savez(tmp_path / "net_ref.npz", **agent.network.state_dict())
+        assert members(tmp_path / "net.npz") \
+            == members(tmp_path / "net_ref.npz")
+        np.savez(tmp_path / "agent_ref.npz", **agent_arrays(agent),
+                 __meta__=np.array(json.dumps(agent_meta(agent))))
+        reference = members(tmp_path / "agent_ref.npz")
+        assert members(tmp_path / "agent.npz") == reference
+        # a checkpoint's own metadata record differs; its arrays do not
+        held = members(tmp_path / "ck.npz")
+        del held["__meta__.npy"], reference["__meta__.npy"]
+        assert held == reference
 
 
 class TestCurriculumTraining:
