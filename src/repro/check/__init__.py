@@ -3,28 +3,25 @@
 Two layers, both in service of bit-reproducible simulation and
 numerically sane training:
 
-* **Static analysis** — one rule framework (:mod:`repro.check.rules`:
-  the ``Rule`` base, the ``RULES`` registry, the raw ``Finding``, the
-  pure-:mod:`ast` ``ModuleInfo`` a rule reads) and one driver
-  (:mod:`repro.check.lint`).  The per-file rules (RPR1xx) flag the
-  regressions that historically break RL-scheduling reproducibility:
-  global-RNG usage, wall-clock reads, mutable default arguments, exact
-  float comparisons on simulation timestamps, swallowed exceptions,
-  float accumulation in set order.
-  Run them with ``python -m repro check [paths...]``.
+* **Static analysis** — one list of rules and one driver
+  (:mod:`repro.check.lint`).  The rules (RPR104–RPR106) flag mutable
+  default arguments, exact float comparisons on simulation timestamps
+  and swallowed exceptions.  Run them with
+  ``python -m repro check [paths...]``.
   A static rule earns its place only by guarding an invariant no
   runtime test already does: unit constants, Table III parameter
   counts and the batched network shapes are asserted by the test
   suite on the built objects.  Performance questions are not lint's to
   answer either: they are measured, at paper scale, by
   ``benchmarks/perf/``.  Nor is determinism: that a run's outputs
-  depend only on its seed and config is checked by running it, in
-  ``tests/test_ambient_perturbation.py``.  Nor are the API contracts
-  the engine calls by name: a drifted ``schedule`` or lifecycle
-  signature raises ``TypeError`` on the engine's first call, the engine
-  refuses a subscriber with a misspelt observer hook, and a test holds
-  the emitted trace record names equal to
-  :data:`repro.obs.trace.SPAN_NAMES`.
+  depend only on its seed and config (no global or unseeded RNG, no
+  wall clock, no hash-order float sums) is checked by running it, in
+  ``tests/test_ambient_perturbation.py`` and the golden digests.  Nor
+  are the API contracts the engine calls by name: a drifted
+  ``schedule`` or lifecycle signature raises ``TypeError`` on the
+  engine's first call, the engine refuses a subscriber with a misspelt
+  observer hook, and a test holds the emitted trace record names equal
+  to :data:`repro.obs.trace.SPAN_NAMES`.
 * :mod:`repro.check.sanitize` — runtime assertion hooks enabled via the
   ``REPRO_SANITIZE=1`` environment variable or ``Engine(sanitize=True)``,
   verifying node conservation, event-time monotonicity, metric
@@ -32,7 +29,7 @@ numerically sane training:
 
 Every name is re-exported lazily (PEP 562).  The simulator imports
 this package on every start to reach :mod:`repro.check.sanitize` and
-must not pay for loading the analyzers; the static layer is
+must not pay for loading the linter; the static layer is
 pure-stdlib and must stay importable in environments without NumPy,
 which the sanitizer needs.
 """
@@ -42,16 +39,12 @@ from __future__ import annotations
 from importlib import import_module
 from typing import Any
 
-#: public name -> submodule it is read from (``RULES`` through the
-#: driver, whose import registers every rule family)
+#: public name -> submodule it is read from
 _EXPORTS = {
-    "LintConfig": "lint",
     "RULES": "lint",
     "Violation": "lint",
     "lint_paths": "lint",
     "lint_source": "lint",
-    "Rule": "rules",
-    "register": "rules",
     "SanitizerError": "sanitize",
     "sanitizer_enabled": "sanitize",
 }

@@ -473,64 +473,29 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     """The ``repro check`` driver.
 
-    Exit codes: 0 — clean (or every finding is baselined); 1 — findings;
-    2 — usage/configuration error (unknown rule, missing path, bad
-    baseline file).
+    Exit codes: 0 — clean; 1 — findings; 2 — a path does not exist.
     """
-    from repro.check import RULES, LintConfig, lint_paths
-    from repro.check import report as _report
+    from repro.check import RULES, lint_paths
 
     if args.list_rules:
-        for rule in sorted(RULES.values(), key=lambda r: r.id):
-            scopes = ", ".join(rule.default_scopes or ("all files",))
-            print(f"{rule.id} [{rule.slug}] ({scopes})")
+        for rule in RULES:
+            print(f"{rule.id} [{rule.slug}]")
             print(f"    {rule.rationale}")
         return 0
 
-    known = set(RULES) | {r.id for r in RULES.values()}
-    unknown = [r for r in (args.select or []) + (args.ignore or []) if r not in known]
-    if unknown:
-        print(f"unknown rule(s): {', '.join(unknown)}; see --list-rules",
-              file=sys.stderr)
-        return 2
-
-    config = LintConfig().with_overrides(select=args.select, ignore=args.ignore)
     try:
-        violations = lint_paths(args.paths, config)
+        violations = lint_paths(args.paths)
     except FileNotFoundError as exc:
         print(str(exc), file=sys.stderr)
         return 2
 
-    if args.baseline:
-        try:
-            baseline = _report.load_baseline(args.baseline)
-        except (OSError, ValueError) as exc:
-            print(f"cannot read baseline: {exc}", file=sys.stderr)
-            return 2
-        violations, _stale = _report.diff_baseline(violations, baseline)
-
-    if args.sarif:
-        rules = [(r.id, slug, r.rationale) for slug, r in RULES.items()]
-        Path(args.sarif).write_text(
-            json.dumps(_report.to_sarif(violations, rules), indent=2) + "\n",
-            encoding="utf-8",
-        )
-        if not args.quiet:
-            print(f"wrote SARIF log to {args.sarif}", file=sys.stderr)
-
-    if args.json:
-        sys.stdout.write(_report.to_json(violations, args.paths))
-        return 1 if violations else 0
-
     for violation in violations:
         print(violation.format())
     if violations:
-        suffix = " (beyond the baseline)" if args.baseline else ""
-        print(f"\n{len(violations)} violation(s) found{suffix}", file=sys.stderr)
+        print(f"\n{len(violations)} violation(s) found", file=sys.stderr)
         return 1
-    if not args.quiet:
-        checked = ", ".join(str(p) for p in args.paths)
-        print(f"no determinism/correctness violations in {checked}")
+    checked = ", ".join(str(p) for p in args.paths)
+    print(f"no determinism/correctness violations in {checked}")
     return 0
 
 
@@ -848,23 +813,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "check", help="run the determinism/correctness linter over source paths"
     )
-    p.add_argument("paths", nargs="*", default=["src/repro"],
+    p.add_argument("paths", nargs="*",
+                   default=[str(Path(__file__).resolve().parent)],
                    help="files or directories to lint (default: src/repro)")
-    p.add_argument("--select", action="append", metavar="RULE",
-                   help="run only these rules (slug or id; repeatable)")
-    p.add_argument("--ignore", action="append", metavar="RULE",
-                   help="skip these rules (slug or id; repeatable)")
-    p.add_argument("--json", action="store_true",
-                   help="emit findings as a JSON document on stdout")
-    p.add_argument("--sarif", metavar="PATH",
-                   help="also write a SARIF 2.1.0 log to PATH")
-    p.add_argument("--baseline", metavar="PATH",
-                   help="suppress findings recorded in this baseline file; "
-                        "only new findings fail (see scripts/check_ratchet.py)")
     p.add_argument("--list-rules", action="store_true",
                    help="print the rule catalogue and exit")
-    p.add_argument("-q", "--quiet", action="store_true",
-                   help="print nothing when the check passes")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser(

@@ -20,11 +20,9 @@ The bus fans each snapshot out to attached sinks:
 * :class:`ConnectionSink` — a sweep worker's link to the pool parent,
   which republishes the records on its own bus.
 
-Clock discipline (checked by rule RPR103, which flags every wall-clock
-read here): publishers and the bus itself touch only
+Clock discipline: publishers and the bus itself touch only
 ``time.perf_counter``; the one true wall-clock read (``time.time`` for
-the shard header timestamp) lives inside the sink, behind a justified
-``noqa``.
+the shard header timestamp) lives inside the sink.
 
 Activate globally with ``REPRO_LIVE`` (``1`` → progress line; any
 other value → a snapshot shard at that path) or per-run with
@@ -236,7 +234,7 @@ class SnapshotWriter(JsonlWriter):
 
     The first line is a ``meta`` header naming the schema, the shard's
     ``source`` label and the one wall-clock timestamp of the file (the
-    sink is where wall-clock reads are allowed; rule RPR103).  Every
+    sink is where wall-clock reads are allowed).  Every
     snapshot is one sorted-key JSON line, flushed immediately — a
     process killed mid-run leaves a parseable prefix (at worst one
     truncated final line, which the lenient reader in
@@ -249,7 +247,7 @@ class SnapshotWriter(JsonlWriter):
         # sink-confined wall-clock stamp: lets humans correlate shards
         # from different hosts; nothing downstream feeds it back into
         # a simulation
-        unix = time.time()  # repro: noqa[wall-clock]
+        unix = time.time()
         super().__init__(path, LIVE_SCHEMA,
                          {"source": self.source, "unix": unix})
 

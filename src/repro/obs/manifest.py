@@ -149,7 +149,7 @@ class RunManifest:
             # Provenance metadata only: the timestamp records *when* the
             # artifact was produced and never flows into simulation
             # state; VOLATILE_FIELDS excludes it from digests.
-            created: float | None = time.time()  # repro: noqa[wall-clock]
+            created: float | None = time.time()
         else:
             created = None
         return cls(
