@@ -15,10 +15,11 @@ Commands
 ``evaluate``
     Replay an SWF trace under a checkpointed agent.
 ``check``
-    Run the determinism/correctness linter (:mod:`repro.check`) over
-    source paths and report violations.
+    Lint source paths (:mod:`repro.check`) for mutable default
+    arguments, exact float comparisons on simulation timestamps and
+    swallowed exceptions (RPR104–RPR106), and report violations.
 ``report``
-    Stitch run artifacts (manifest, telemetry, trace, profile)
+    Stitch run artifacts (manifest, training log, trace, profile)
     into one self-contained HTML report (:mod:`repro.obs.report`).
 ``trace``
     Trace-file utilities; ``trace summarize <path>`` prints span
@@ -26,21 +27,23 @@ Commands
     (:mod:`repro.obs.analyze`).
 ``live``
     Live-snapshot shard utilities; ``live summarize <shards...>``
-    merges per-process ``repro.live/v1`` / ``repro.telemetry/v1``
-    JSONL shards into one deterministic rollup
+    merges per-process ``repro.live/v1`` JSONL shards (training logs
+    included) into one deterministic rollup
     (:mod:`repro.obs.aggregate`).
 
 ``reproduce``, ``simulate`` and ``train`` accept ``--manifest PATH`` to
 write a :class:`~repro.obs.manifest.RunManifest` (seed, git SHA, config,
 workload parameters, summary metrics) alongside their output, and
-``--report PATH`` to emit the HTML report directly; ``train`` also
-accepts ``--telemetry PATH`` for per-episode JSONL training records.
+``--report PATH`` to emit the HTML report directly.
 They also accept ``--faults SPEC`` to run under seeded fault injection
 (:mod:`repro.sim.faults`; ``reproduce`` only for the ``faultsweep``
 experiment) — see ``docs/resilience.md`` — and ``--live`` /
 ``--live-record PATH`` for an in-flight view of the run (a terminal
 progress/ETA line, snapshot shards; :mod:`repro.obs.live`, also via
-the ``REPRO_LIVE`` env var) — see ``docs/observability.md``.
+the ``REPRO_LIVE`` env var) — see ``docs/observability.md``.  For
+``train``, ``--live-record`` names the training log: one
+``kind="train"`` record per episode, cut back to the checkpoint on
+``--resume``.
 """
 
 from __future__ import annotations
@@ -99,13 +102,16 @@ def parse_faults(spec: str | None):
 
 
 @contextlib.contextmanager
-def _live_session(args: argparse.Namespace, install: bool = False):
+def _live_session(args: argparse.Namespace, install: bool = False,
+                  shard: bool = True):
     """``--live`` / ``--live-record PATH`` → a LiveBus for the block.
 
     Either flag shows the terminal progress/ETA line; ``--live-record
     PATH`` also appends every snapshot to a JSONL shard (mergeable with
-    ``repro live summarize``).  With neither flag, yields ``None`` so
-    components fall back to the ``REPRO_LIVE`` process-global bus.
+    ``repro live summarize``) unless ``shard`` is false (``train``
+    writes that shard itself, as its training log).  With neither
+    flag, yields ``None`` so components fall back to the
+    ``REPRO_LIVE`` process-global bus.
 
     ``install`` also makes the bus process-global for the block, so
     every simulation the command runs internally publishes to it.  The
@@ -119,7 +125,7 @@ def _live_session(args: argparse.Namespace, install: bool = False):
         return
     bus = _live.LiveBus()
     bus.attach(_live.ProgressSink())
-    if record is not None:
+    if record is not None and shard:
         bus.attach(_live.SnapshotWriter(record))
         print(f"live: recording snapshots to {record}", file=sys.stderr)
     if install:
@@ -158,9 +164,9 @@ def _emit_report(
     profile_path: str | None = None,
 ) -> None:
     """Load whatever artifacts exist and write the HTML report."""
+    from repro.obs.aggregate import read_snapshots
     from repro.obs.analyze import summarize_trace
     from repro.obs.report import write_report
-    from repro.rl.telemetry import episode_records, read_telemetry
 
     def load(path):
         return json.loads(Path(path).read_text(encoding="utf-8"))
@@ -170,7 +176,8 @@ def _emit_report(
         title=title,
         manifest=load(manifest_path) if manifest_path else None,
         metrics=metrics,
-        telemetry=(episode_records(read_telemetry(telemetry_path))
+        telemetry=([r for r in read_snapshots(telemetry_path)["records"]
+                    if r.get("kind") == "train"]
                    if telemetry_path else None),
         trace=summarize_trace(trace_path) if trace_path else None,
         profile=load(profile_path) if profile_path else None,
@@ -356,29 +363,25 @@ def cmd_train(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
     base = model.generate(args.train_jobs, rng)
     validation = model.generate(max(50, args.train_jobs // 5), rng)
-    # --report without an explicit --telemetry still records telemetry,
-    # into a sidecar next to the checkpoint
-    telemetry_path = args.telemetry
-    if telemetry_path is None and args.report:
-        telemetry_path = args.out + ".telemetry.jsonl"
-    telemetry = None
-    if telemetry_path is not None:
-        from repro.rl.telemetry import TelemetryWriter
+    # the training log: --live-record, else (for --report) a sidecar
+    # next to the saved agent
+    log_path = args.live_record
+    if log_path is None and args.report:
+        log_path = args.out + ".live.jsonl"
+    log = None
+    if log_path is not None:
+        from repro.obs.live import SnapshotWriter
 
-        telemetry = TelemetryWriter(
-            telemetry_path,
-            meta={"agent": args.agent, "system": args.system,
-                  "seed": args.seed},
-            resume_at=resume_offset,
-        )
+        log = SnapshotWriter(log_path, source="train",
+                             resume_at=resume_offset)
     try:
-        with _live_session(args) as live:
+        with _live_session(args, shard=False) as live:
             history = train_with_curriculum(
                 agent, model, base, validation, rng,
                 n_sampled=args.sampled, n_real=args.real,
                 n_synthetic=args.synthetic,
                 jobs_per_set=args.jobs_per_set,
-                telemetry=telemetry,
+                telemetry=log,
                 faults=faults,
                 checkpoint_path=checkpoint_path,
                 checkpoint_every=args.checkpoint_every,
@@ -386,10 +389,9 @@ def cmd_train(args: argparse.Namespace) -> int:
                 live=live,
             )
     finally:
-        if telemetry is not None:
-            telemetry.close()
-            print(f"wrote {telemetry.n_written} telemetry records "
-                  f"to {telemetry_path}")
+        if log is not None:
+            log.close()
+            print(f"wrote the training log to {log_path}")
     save_agent(agent, args.out)
     curve = history.validation_curve
     print(f"trained {len(history.episodes)} episodes; validation reward "
@@ -423,7 +425,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             "validation_best": float(curve.max()),
             "converged_at": converged,
         }),
-        telemetry_path=telemetry_path,
+        telemetry_path=log_path,
     )
     return 0
 
@@ -495,7 +497,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         print(f"\n{len(violations)} violation(s) found", file=sys.stderr)
         return 1
     checked = ", ".join(str(p) for p in args.paths)
-    print(f"no determinism/correctness violations in {checked}")
+    print(f"no RPR104-RPR106 violations in {checked}")
     return 0
 
 
@@ -638,7 +640,8 @@ def cmd_live(args: argparse.Namespace) -> int:
 
 # -- parser -----------------------------------------------------------------------
 
-def _add_live_args(p: argparse.ArgumentParser) -> None:
+def _add_live_args(p: argparse.ArgumentParser,
+                   record_note: str = "") -> None:
     """Attach the shared ``--live`` / ``--live-record`` flags."""
     p.add_argument("--live", action="store_true",
                    help="show a live progress/ETA line while the run "
@@ -646,7 +649,7 @@ def _add_live_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--live-record", metavar="PATH",
                    help="append every live snapshot to a JSONL shard "
                         "(repro.live/v1; merge shards with "
-                        "'repro live summarize')")
+                        "'repro live summarize')" + record_note)
 
 
 def _add_artifact_args(p: argparse.ArgumentParser, *flags: str,
@@ -786,15 +789,13 @@ def build_parser() -> argparse.ArgumentParser:
                         "checkpoint (other flags must match the original "
                         "run; keeps checkpointing to the same file unless "
                         "--checkpoint overrides it)")
-    _add_artifact_args(p, "--manifest")
-    p.add_argument("--telemetry", metavar="PATH",
-                   help="write per-episode JSONL training telemetry "
-                        "(repro.telemetry/v1)")
     _add_artifact_args(
-        p, "--report",
-        report_note=" (records telemetry to a sidecar if --telemetry "
-                    "is not given)")
-    _add_live_args(p)
+        p, "--manifest", "--report",
+        report_note=" (writes the training log to <out>.live.jsonl if "
+                    "--live-record is not given)")
+    _add_live_args(p, record_note=": the training log, one record per "
+                                  "episode, cut back to the checkpoint on "
+                                  "--resume")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser(
@@ -811,7 +812,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser(
-        "check", help="run the determinism/correctness linter over source paths"
+        "check", help="lint source paths for mutable defaults, float-time "
+                      "equality and swallowed exceptions (RPR104-RPR106)"
     )
     p.add_argument("paths", nargs="*",
                    default=[str(Path(__file__).resolve().parent)],
@@ -830,7 +832,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", metavar="PATH",
                    help="run manifest JSON (repro.manifest/v1)")
     p.add_argument("--telemetry", metavar="PATH",
-                   help="training telemetry JSONL (repro.telemetry/v1)")
+                   help="training log JSONL (repro.live/v1 train records)")
     p.add_argument("--trace", metavar="PATH",
                    help="event trace JSONL (repro.trace/v1)")
     p.add_argument("--profile", metavar="PATH",
@@ -852,10 +854,11 @@ def build_parser() -> argparse.ArgumentParser:
     live_sub = p.add_subparsers(dest="live_command", required=True)
     ps = live_sub.add_parser(
         "summarize",
-        help="merge per-process snapshot/telemetry shards into one rollup",
+        help="merge per-process snapshot shards into one rollup",
     )
     ps.add_argument("shards", nargs="+",
-                    help="JSONL shards (repro.live/v1 or repro.telemetry/v1)")
+                    help="JSONL shards (repro.live/v1, training logs "
+                         "included)")
     ps.add_argument("--json", action="store_true",
                     help="print the rollup as JSON instead of a summary")
     ps.add_argument("--out", metavar="PATH",

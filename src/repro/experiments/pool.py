@@ -284,25 +284,16 @@ class StoreScan:
     shards: int
 
 
-class ShardWriter(JsonlWriter):
-    """Append-only JSONL shard: one header, one flushed line per record.
+def _open_shard(path: "str | os.PathLike[str]", sweep_digest: str,
+                label: str) -> JsonlWriter:
+    """A sweep shard: one header, then one flushed line per record.
 
-    ``flush()`` after every record pushes the line into the kernel, so
-    a ``SIGKILL`` of the writing process (worker *or* parent) loses at
+    Flushing every record pushes the line into the kernel, so a
+    ``SIGKILL`` of the writing process (worker *or* parent) loses at
     most the line being written — which the lenient scanner skips.
     """
-
-    def __init__(self, path: "str | os.PathLike[str]", sweep_digest: str,
-                 source: str) -> None:
-        self.source = source
-        super().__init__(path, SWEEP_SCHEMA,
-                         {"sweep": sweep_digest, "source": source})
-
-    def append(self, record: Mapping[str, Any]) -> None:
-        """Durably append one cell/quarantine record."""
-        if self.closed:
-            raise SweepError(f"shard {self.path} is closed")
-        self.write(record)
+    return JsonlWriter(path, SWEEP_SCHEMA,
+                       {"sweep": sweep_digest, "source": label})
 
 
 class SweepStore:
@@ -396,12 +387,12 @@ class SweepStore:
         return self.shards_dir / f"g{generation:04d}.{label}.jsonl"
 
     def open_shard(self, generation: int, label: str,
-                   sweep_digest: str) -> ShardWriter:
+                   sweep_digest: str) -> JsonlWriter:
         """Open a fresh shard writer (fails if the file already exists)."""
         path = self.shard_path(generation, label)
         if path.exists():
             raise SweepError(f"shard {path} already exists")
-        return ShardWriter(path, sweep_digest, source=label)
+        return _open_shard(path, sweep_digest, label)
 
     def scan(self) -> StoreScan:
         """Leniently read every shard and fold records by cell key.
@@ -620,7 +611,7 @@ def _live_fields(cell: Mapping[str, Any],
     return fields
 
 
-def _attempt(spec: SweepSpec, writer: ShardWriter, label: str,
+def _attempt(spec: SweepSpec, writer: JsonlWriter, label: str,
              cell: Mapping[str, Any], derived_seed: int,
              attempt: int) -> tuple:
     """Run one cell attempt; durably append a success to ``writer``.
@@ -637,7 +628,7 @@ def _attempt(spec: SweepSpec, writer: ShardWriter, label: str,
                 traceback.format_exc())
     record["worker"] = label
     record["attempt"] = attempt
-    writer.append(record)
+    writer.write(record)
     return ("done", _live_fields(cell, record["summary"]))
 
 
@@ -667,7 +658,7 @@ def _worker_main(conn: Any, spec: SweepSpec,
     bus = _live.LiveBus()
     bus.attach(_live.ConnectionSink(conn))
     _live.set_global_live_bus(bus)
-    writer = ShardWriter(shard_path, spec.digest(), source=label)
+    writer = _open_shard(shard_path, spec.digest(), label)
     parent_pid = os.getppid()
     try:
         while True:
@@ -836,7 +827,7 @@ def run_sweep(
             fields = outcome[1]
         else:
             _, error_type, error, tb = outcome
-            shard.append(_quarantine_record(
+            shard.write(_quarantine_record(
                 spec, task.cell, task.derived_seed, error_type, error, tb,
                 attempts=task.attempt))
             quarantined[task.key] = f"{error_type}: {error}"
@@ -895,7 +886,7 @@ def _backoff_s(spec: SweepSpec, attempt: int) -> float:
     return min(spec.backoff_s * (2.0 ** (attempt - 1)), MAX_BACKOFF_S)
 
 
-def _run_inline(spec: SweepSpec, shard: ShardWriter, queue: list[_Task],
+def _run_inline(spec: SweepSpec, shard: JsonlWriter, queue: list[_Task],
                 settle: Callable[[_Task, tuple], None]) -> None:
     """The serial reference path: every attempt runs in this process."""
     while queue:

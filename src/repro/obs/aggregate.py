@@ -1,12 +1,12 @@
-"""Merge per-process live-snapshot / telemetry JSONL shards into one rollup.
+"""Merge per-process live-snapshot JSONL shards into one rollup.
 
 A multi-process experiment (a faultsweep fan-out, parallel seeds, a
-training run next to a simulation) leaves one JSONL shard per process:
-``repro.live/v1`` snapshot shards written by
-:class:`~repro.obs.live.SnapshotWriter` and ``repro.telemetry/v1``
-episode logs written by :class:`~repro.rl.telemetry.TelemetryWriter`.
-This module folds any mix of them into a single deterministic rollup
-(``repro live summarize`` on the CLI).
+training run next to a simulation) leaves one JSONL shard per process,
+each a ``repro.live/v1`` shard written by
+:class:`~repro.obs.live.SnapshotWriter` — a training log included: its
+per-episode records are ``kind="train"`` snapshots.  This module folds
+any set of them into a single deterministic rollup (``repro live
+summarize`` on the CLI).
 
 Reading is **lenient** by design: shards from killed processes may end
 in a truncated line, and that prefix is still data.  Unparseable lines
@@ -33,7 +33,7 @@ ROLLUP_SCHEMA = "repro.live-rollup/v1"
 
 
 def read_snapshots(path: "str | os.PathLike[str]") -> dict[str, Any]:
-    """Leniently read one JSONL shard (live snapshots or telemetry).
+    """Leniently read one ``repro.live/v1`` JSONL shard.
 
     Returns ``{"path", "source", "schema", "records", "skipped"}``.
     ``records`` holds every well-formed JSON-object line except the
@@ -54,36 +54,27 @@ def read_snapshots(path: "str | os.PathLike[str]") -> dict[str, Any]:
 
 
 def _orders(value: Any) -> bool:
-    """Whether an ordering field (``seq``/``episode``) is a finite number."""
+    """Whether an ordering field (``seq``) is a finite number."""
     return isinstance(value, (int, float)) and math.isfinite(value)
 
 
 def _snapshot_rows(
     shard: Mapping[str, Any],
 ) -> tuple[list[dict[str, Any]], int]:
-    """Normalise one shard's records into ``(live-snapshot rows, invalid)``.
+    """One shard's ``(snapshot rows, invalid)``.
 
-    ``repro.live/v1`` snapshot records pass through; telemetry
-    ``episode`` records map onto ``kind="train"`` rows (``seq`` from
-    the episode index) so both shard species merge under one scheme.
-    A well-formed line that cannot be ordered — its ``seq`` (or the
-    ``episode`` it derives from) is not a finite number — is corrupt
-    data, not a crash: it is dropped and counted in ``invalid``.
+    A well-formed line that cannot be ordered — its ``seq`` is not a
+    finite number — is corrupt data, not a crash: it is dropped and
+    counted in ``invalid``.
     """
     rows: list[dict[str, Any]] = []
     invalid = 0
     for record in shard["records"]:
-        rtype = record.get("type")
-        row = dict(record)
-        if rtype == "episode":
-            episode = record.get("episode", 0)
-            row.setdefault("kind", "train")
-            row.setdefault("seq",
-                           int(episode) + 1 if _orders(episode) else None)
-        elif rtype != "snapshot" and record.get("schema") != LIVE_SCHEMA:
+        if record.get("type") != "snapshot" \
+                and record.get("schema") != LIVE_SCHEMA:
             continue
-        if _orders(row.get("seq", 0)):
-            rows.append(row)
+        if _orders(record.get("seq", 0)):
+            rows.append(record)
         else:
             invalid += 1
     return rows, invalid
@@ -97,7 +88,7 @@ _NUMERIC_SUMMARY_FIELDS = (
 
 
 def merge_shards(paths: Iterable["str | os.PathLike[str]"]) -> dict[str, Any]:
-    """Fold snapshot/telemetry shards into one deterministic rollup.
+    """Fold snapshot shards into one deterministic rollup.
 
     The rollup carries, per snapshot ``kind`` (``sim``/``train``/…):
     the number of snapshots and contributing sources, the latest

@@ -1,4 +1,4 @@
-"""Live telemetry bus: in-flight snapshots, a progress/ETA line, shards.
+"""Live bus: in-flight snapshots, a progress/ETA line, shards.
 
 Long simulations and training runs are opaque while they execute: the
 tracer, profiler and manifest all land on disk *after* the run.  This
@@ -16,7 +16,9 @@ The bus fans each snapshot out to attached sinks:
 * :class:`SnapshotWriter` — an append-only JSONL shard
   (``repro.live/v1``), flushed per record so a ``kill -9`` mid-run
   still leaves a parseable prefix; merged across processes by
-  :mod:`repro.obs.aggregate` (``repro live summarize``).
+  :mod:`repro.obs.aggregate` (``repro live summarize``).  The training
+  log is the same species: :class:`~repro.rl.trainer.Trainer` appends
+  its per-episode ``train`` record to one directly, not through a bus.
 * :class:`ConnectionSink` — a sweep worker's link to the pool parent,
   which republishes the records on its own bus.
 
@@ -35,6 +37,7 @@ from __future__ import annotations
 import os
 import sys
 import time
+import warnings
 from typing import Any, Mapping, TextIO
 
 from repro.obs.jsonl import JsonlWriter
@@ -55,8 +58,8 @@ class LiveBus:
     ``"train"``, ``"sweep"``) and plain scalar fields; the bus stamps
     the schema, a per-kind sequence number and a monotonic
     ``perf_counter`` timestamp and hands the record to every attached
-    sink.  Sinks observe only — a sink that raises disables itself
-    rather than aborting the run.
+    sink.  Sinks observe only — a sink that raises is detached with a
+    ``RuntimeWarning`` rather than aborting the run.
     """
 
     def __init__(self) -> None:
@@ -80,7 +83,9 @@ class LiveBus:
 
         The stamp adds ``schema``, ``kind``, ``seq`` (per kind, from 1)
         and ``wall`` (monotonic ``perf_counter`` seconds — *not* the
-        host date).  ``fields`` should be flat JSON-friendly scalars;
+        host date).  ``fields`` should be flat JSON-friendly values
+        and win over the stamp (the trainer numbers its records
+        ``seq = episode + 1``, so a resumed run continues the count);
         by convention ``done``/``total`` drive progress and ETA.
         """
         seq = self._seq.get(kind, 0) + 1
@@ -93,10 +98,14 @@ class LiveBus:
         for sink in list(self._sinks):
             try:
                 sink.on_snapshot(record)
-            except Exception:
+            except Exception as exc:
                 # a broken sink must never kill the run it observes;
-                # drop it and keep publishing to the others
+                # drop it, say so once, keep publishing to the others
                 self.detach(sink)
+                warnings.warn(
+                    f"live: detached {type(sink).__name__} after "
+                    f"{type(exc).__name__}: {exc}", RuntimeWarning,
+                    stacklevel=2)
         return record
 
     def close(self) -> None:
@@ -238,23 +247,30 @@ class SnapshotWriter(JsonlWriter):
     snapshot is one sorted-key JSON line, flushed immediately — a
     process killed mid-run leaves a parseable prefix (at worst one
     truncated final line, which the lenient reader in
-    :mod:`repro.obs.aggregate` skips).
+    :mod:`repro.obs.aggregate` skips).  ``resume_at`` cuts an existing
+    shard back to a checkpointed byte offset and appends after it,
+    keeping its header (:class:`~repro.obs.jsonl.JsonlWriter`).
     """
 
     def __init__(self, path: "str | os.PathLike[str]",
-                 source: str | None = None) -> None:
+                 source: str | None = None,
+                 resume_at: int | None = None) -> None:
         self.source = source if source is not None else f"pid{os.getpid()}"
         # sink-confined wall-clock stamp: lets humans correlate shards
         # from different hosts; nothing downstream feeds it back into
         # a simulation
         unix = time.time()
         super().__init__(path, LIVE_SCHEMA,
-                         {"source": self.source, "unix": unix})
+                         {"source": self.source, "unix": unix}, resume_at)
+
+    def append(self, record: Mapping[str, Any]) -> None:
+        """Append one snapshot record (raises ``ValueError`` once closed)."""
+        self.write({"type": "snapshot", "source": self.source, **record})
 
     def on_snapshot(self, record: Mapping[str, Any]) -> None:
-        """Append one snapshot record to the shard (no-op once closed)."""
+        """Bus-sink form of :meth:`append`: a no-op once closed."""
         if not self.closed:
-            self.write({"type": "snapshot", "source": self.source, **record})
+            self.append(record)
 
 
 # -- building a bus from a CLI/env spec ----------------------------------------

@@ -1,7 +1,7 @@
 """Self-contained HTML run reports (inline SVG, zero dependencies).
 
 One call stitches every observability artifact a run leaves behind —
-manifest, summary metrics, training telemetry, profiler output and
+manifest, summary metrics, the training log, profiler output and
 trace analytics — into a single HTML file with no external assets:
 styles are an inline ``<style>`` block, charts are inline SVG, and the
 file opens offline in any browser.  ``python -m repro report`` is the
@@ -608,8 +608,9 @@ def render_report(
     """Assemble the self-contained HTML report from plain artifacts.
 
     Every argument is optional; sections for absent artifacts are
-    omitted entirely.  ``telemetry`` takes episode records (see
-    :func:`repro.rl.telemetry.episode_records`), ``trace`` a
+    omitted entirely.  ``telemetry`` takes the ``kind="train"``
+    records of a training log (:class:`~repro.rl.trainer.Trainer`),
+    ``trace`` a
     :class:`~repro.obs.analyze.TraceSummary`, ``profile`` a profiler
     ``as_dict()`` document.
     Returns the full HTML text (write with :func:`write_report`).
@@ -643,7 +644,12 @@ def render_report(
 
 
 def write_report(path: str | Path, **kwargs: Any) -> Path:
-    """Render and write the report; returns the output path."""
+    """Render and write the report; returns the output path.
+
+    ``kwargs`` are :func:`render_report`'s: ``telemetry`` takes the
+    ``train`` records of a training log, read back with
+    :func:`~repro.obs.aggregate.read_snapshots`.
+    """
     out = Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(render_report(**kwargs), encoding="utf-8")

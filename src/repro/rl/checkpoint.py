@@ -10,8 +10,9 @@ needed to continue *bit-identically*:
   after resume continues exactly where the interrupted run left off;
 * the episode history (one record per completed episode), which tells
   the trainer how many jobsets to skip on resume;
-* the telemetry byte offset, so a resumed run truncates half-written
-  telemetry tails instead of duplicating episodes;
+* the training log's byte offset (stored as ``telemetry_offset``), so
+  a resumed run cuts half-written log tails instead of duplicating
+  episodes;
 * the fault config active during training, for manifest round-trips.
 
 Writes go through :func:`repro.obs.jsonl.atomic_write`
@@ -52,7 +53,7 @@ class LoadedCheckpoint:
 
     agent: object               #: fully restored agent (incl. RNG stream)
     episodes: list[dict]        #: completed-episode records (JSON form)
-    telemetry_offset: int       #: byte offset of the telemetry file
+    telemetry_offset: int       #: byte offset of the training log
     faults: FaultConfig | None  #: fault config active during training
 
     @property

@@ -44,8 +44,8 @@ def train_with_curriculum(
 
     Defaults mirror the Theta setup of §IV-D (9 sampled + 9 real + 82
     synthetic jobsets); experiments scale the counts down via the
-    keyword arguments.  ``telemetry`` (a
-    :class:`~repro.rl.telemetry.TelemetryWriter` or path), ``faults``
+    keyword arguments.  ``telemetry`` (the training log: a
+    :class:`~repro.obs.live.SnapshotWriter` or path), ``faults``
     (a :class:`~repro.sim.faults.FaultConfig`), ``live`` (a
     :class:`~repro.obs.live.LiveBus`) and the checkpoint knobs
     are forwarded to the :class:`~repro.rl.trainer.Trainer`; ``history``

@@ -1,14 +1,12 @@
-"""Per-episode RL training telemetry (JSONL, schema ``repro.telemetry/v1``).
+"""Anomaly flags on the per-episode training record.
 
-Answers "is training healthy?" without re-running anything: every
-episode the :class:`~repro.rl.trainer.Trainer` appends one JSON record
-with the learning signals (loss, gradient norm, policy entropy,
-epsilon), the reward curve, and the simulator-side load statistics
-(queue depth, utilization).  Records are flushed as they are written,
-so a crashed training run leaves a readable file up to its last
-completed episode.
-
-Anomaly detection is split in two layers:
+The :class:`~repro.rl.trainer.Trainer` builds one ``kind="train"``
+record per episode — the learning signals (loss, gradient norm, policy
+entropy, epsilon), the reward curve and the simulator-side load
+statistics (queue depth, utilization) — publishes it on the live bus
+and appends it to the training log, a ``repro.live/v1`` shard
+(:class:`~repro.obs.live.SnapshotWriter`).  This module answers "is
+training healthy?" over those records, in two layers:
 
 * :func:`detect_anomalies` is pure — it flags suspicious episodes
   (``nan_grad``, ``reward_collapse``, ``utilization_drop``) from the
@@ -18,7 +16,7 @@ Anomaly detection is split in two layers:
   (non-finite learning signals) through the existing sanitizer
   machinery: under ``REPRO_SANITIZE=1`` it raises
   :class:`~repro.check.sanitize.SanitizerError` — after the record has
-  been written, so the evidence survives the crash.
+  been written to the training log, so the evidence survives the crash.
 
 The soft flags (reward collapse, utilization drop) never raise; real
 training runs regularly brush against them early on.
@@ -27,76 +25,14 @@ training runs regularly brush against them early on.
 from __future__ import annotations
 
 import math
-from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from repro.check.sanitize import SanitizerError, sanitizer_enabled
-from repro.obs.jsonl import JsonlWriter, read_jsonl
-
-#: schema tag stamped on the meta line of every telemetry file
-TELEMETRY_SCHEMA = "repro.telemetry/v1"
 
 #: anomaly flag names (the only values that appear in ``anomalies``)
 ANOMALY_NAN_GRAD = "nan_grad"
 ANOMALY_REWARD_COLLAPSE = "reward_collapse"
 ANOMALY_UTILIZATION_DROP = "utilization_drop"
-
-
-class TelemetryWarning(UserWarning):
-    """Warning category for skipped lines in lenient telemetry reads."""
-
-
-class TelemetryWriter(JsonlWriter):
-    """Appends one JSON line per training episode to a file.
-
-    The first line is a ``meta`` record carrying the schema tag; each
-    call to :meth:`write_episode` appends an ``episode`` record and
-    flushes, so the file is readable mid-run and after a crash (the
-    shared contract: :mod:`repro.obs.jsonl`).  ``resume_at`` is the
-    checkpoint-resume path: records written after that checkpointed
-    byte offset belong to lost episodes and are dropped before
-    appending continues.  Use as a context manager, or call
-    :meth:`close` explicitly::
-
-        with TelemetryWriter("run.telemetry.jsonl") as telemetry:
-            trainer = Trainer(agent, 256, telemetry=telemetry)
-            trainer.train(jobsets)
-    """
-
-    def __init__(self, path: str | Path, meta: Mapping[str, Any] | None = None,
-                 resume_at: int | None = None):
-        super().__init__(path, TELEMETRY_SCHEMA, meta, resume_at)
-        self.path = Path(path)
-        self.n_written = 0
-
-    def write_episode(self, record: Mapping[str, Any]) -> None:
-        """Append one episode record (``type`` is stamped here)."""
-        if self.closed:
-            raise ValueError("telemetry writer is closed")
-        self.write({**record, "type": "episode"})
-        self.n_written += 1
-
-
-def read_telemetry(
-    path: str | Path, strict: bool = False
-) -> list[dict[str, Any]]:
-    """Read a telemetry JSONL file back into a list of dicts.
-
-    JSON treats ``NaN``/``Infinity`` literals as an extension; the
-    reader accepts them (Python's parser does by default).  With
-    ``strict=False`` (the default — telemetry files from crashed runs
-    are a primary input) malformed lines are skipped with a
-    :class:`TelemetryWarning`; with ``strict=True`` they raise
-    ``ValueError``.
-    """
-    return read_jsonl(path, strict=strict, warn=TelemetryWarning)[0]
-
-
-def episode_records(
-    records: Iterable[Mapping[str, Any]],
-) -> list[dict[str, Any]]:
-    """The ``episode`` records of a telemetry document, in file order."""
-    return [dict(r) for r in records if r.get("type") == "episode"]
 
 
 def _finite(value: Any) -> bool:
@@ -160,7 +96,7 @@ def raise_hard_anomalies(
     every later parameter, so continuing silently is the worst outcome.
     Under ``REPRO_SANITIZE=1`` this raises
     :class:`~repro.check.sanitize.SanitizerError`; otherwise it is a
-    no-op (the flag is already durable in the telemetry file).  Soft
+    no-op (the flag is already durable in the training log).  Soft
     flags (reward collapse, utilization drop) never raise.
     """
     if ANOMALY_NAN_GRAD in flags and sanitizer_enabled():

@@ -130,12 +130,14 @@ class Trainer:
         The unseen jobset scored after every episode (§IV-D uses one
         held-out month).  Without it, validation rewards are NaN.
     telemetry:
-        Per-episode JSONL telemetry (:mod:`repro.rl.telemetry`).  Pass
-        a :class:`~repro.rl.telemetry.TelemetryWriter` or a path to
-        create one.  When set, the trainer writes one ``episode``
-        record per episode with anomaly flags attached.  With telemetry
-        or a live bus bound, the trainer enables the agent's cheap
-        learning-signal collectors (gradient-norm tracking on the
+        The training log: a :class:`~repro.obs.live.SnapshotWriter`,
+        or a path to create one with source ``"train"``.  The trainer
+        appends each episode's record (see ``live``) itself, so a
+        failed write raises out of :meth:`train`, a checkpoint stores
+        the log's byte offset, and a ``nan_grad`` record is on disk
+        before :func:`~repro.rl.telemetry.raise_hard_anomalies` raises.
+        With a log or a live bus bound, the trainer enables the agent's
+        cheap learning-signal collectors (gradient-norm tracking on the
         optimizer, policy-entropy capture on the PG core) and samples
         each training episode's queue depth and utilization.
     checkpoint_path:
@@ -153,10 +155,13 @@ class Trainer:
     live:
         In-flight snapshot publishing (:mod:`repro.obs.live`).  Pass a
         :class:`~repro.obs.live.LiveBus`; ``None`` (the default)
-        follows the process-global bus (``REPRO_LIVE`` env var).  The
-        trainer publishes one ``kind="train"`` snapshot per completed
-        episode — an event-count cadence, so a live-enabled run is
-        bit-identical to a dark one.
+        follows the process-global bus (``REPRO_LIVE`` env var).  After
+        each completed episode the trainer builds one record,
+        ``kind="train"`` with ``seq = episode + 1`` (its fields are
+        tabled in ``docs/observability.md``, "Training log"), publishes
+        it here and appends it to the ``telemetry`` log.  The cadence
+        is an event count, so an observed run is bit-identical to a
+        dark one.
     """
 
     def __init__(
@@ -164,7 +169,7 @@ class Trainer:
         agent,
         num_nodes: int,
         validation_jobs: list[Job] | None = None,
-        telemetry: "_telemetry.TelemetryWriter | str | Path | None" = None,
+        telemetry: "_live.SnapshotWriter | str | Path | None" = None,
         checkpoint_path: str | Path | None = None,
         checkpoint_every: int = 1,
         faults: FaultConfig | None = None,
@@ -182,10 +187,10 @@ class Trainer:
         self.faults = faults
         self._live_flag = live
         if isinstance(telemetry, (str, Path)):
-            telemetry = _telemetry.TelemetryWriter(telemetry)
-        #: per-episode telemetry writer (None: no records are written)
+            telemetry = _live.SnapshotWriter(telemetry, source="train")
+        #: the training log (None: no records are written)
         self.telemetry = telemetry
-        self._telemetry_history: list[dict[str, Any]] = []
+        self._records: list[dict[str, Any]] = []
         self._episode_load: dict[str, Any] = {}
         self._episode_wall_s = 0.0
         if self._observed:
@@ -202,28 +207,6 @@ class Trainer:
     def _observed(self) -> bool:
         """Whether anything reads the per-episode learning and load stats."""
         return self.telemetry is not None or self.live_bus is not None
-
-    def _publish_live(self, live: "_live.LiveBus", stats: EpisodeStats,
-                      total: int) -> None:
-        """Publish one ``kind="train"`` snapshot for a completed episode."""
-        fields: dict[str, Any] = {
-            "episode": stats.episode,
-            "phase": stats.phase,
-            "num_jobs": stats.num_jobs,
-            "train_reward": stats.train_reward,
-            "validation_reward": stats.validation_reward,
-            "updates_done": stats.updates_done,
-            "done": stats.episode + 1,
-            "total": total,
-        }
-        fields.update(self._agent_learning_stats())
-        for key in ("queue_depth_last", "utilization"):
-            value = self._episode_load.get(key)
-            if value is not None:
-                fields[key.replace("_last", "")] = value
-        if stats.episode + 1 >= total:
-            fields["final"] = True
-        live.publish("train", fields)
 
     def _enable_agent_stats(self) -> None:
         """Turn on the agent-side learning-signal collectors."""
@@ -295,7 +278,7 @@ class Trainer:
         if load is not None:
             self._episode_load = {
                 "instances": engine.num_instances,
-                "queue_depth_last": load.last,
+                "queue_depth": load.last,
                 "queue_depth_min": load.min,
                 "queue_depth_max": load.max,
                 "utilization": RunMetrics.from_result(result).utilization,
@@ -358,10 +341,8 @@ class Trainer:
                 validation_reward=val_reward,
                 updates_done=updates,
             ))
-            if self.telemetry is not None:
-                self._emit_telemetry(history.episodes[-1])
-            if live is not None:
-                self._publish_live(live, history.episodes[-1], len(jobsets))
+            if live is not None or self.telemetry is not None:
+                self._record_episode(live, history.episodes[-1], len(jobsets))
             if self.checkpoint_path is not None \
                     and (episode + 1) % self.checkpoint_every == 0:
                 self._write_checkpoint(history)
@@ -390,15 +371,21 @@ class Trainer:
                          episode=len(history.episodes) - 1,
                          path=str(self.checkpoint_path))
 
-    def _emit_telemetry(self, stats: EpisodeStats) -> None:
-        """Write one episode record; escalate hard anomalies afterwards.
+    def _record_episode(self, live: "_live.LiveBus | None",
+                        stats: EpisodeStats, total: int) -> None:
+        """Build one episode's record; publish it, log it, escalate.
 
-        The record is written (and flushed) *before*
+        The record is flushed to the log *before*
         :func:`~repro.rl.telemetry.raise_hard_anomalies` runs, so when a
         non-finite learning signal aborts training under
         ``REPRO_SANITIZE=1`` the evidence is already on disk.
         """
+        done = stats.episode + 1
         record: dict[str, Any] = {
+            "schema": _live.LIVE_SCHEMA,
+            "kind": "train",
+            "seq": done,
+            "wall": _perf_counter(),
             "episode": stats.episode,
             "phase": stats.phase,
             "num_jobs": stats.num_jobs,
@@ -406,11 +393,18 @@ class Trainer:
             "validation_reward": stats.validation_reward,
             "updates_done": stats.updates_done,
             "episode_wall_s": self._episode_wall_s,
+            "done": done,
+            "total": total,
         }
+        if done >= total:
+            record["final"] = True
         record.update(self._agent_learning_stats())
         record.update(self._episode_load)
-        flags = _telemetry.detect_anomalies(record, self._telemetry_history)
+        flags = _telemetry.detect_anomalies(record, self._records)
         record["anomalies"] = flags
-        self.telemetry.write_episode(record)
-        self._telemetry_history.append(record)
-        _telemetry.raise_hard_anomalies(flags, record)
+        self._records.append(record)
+        if live is not None:
+            live.publish("train", record)
+        if self.telemetry is not None:
+            self.telemetry.append(record)
+            _telemetry.raise_hard_anomalies(flags, record)

@@ -192,7 +192,7 @@ class TestCheckCli:
         target = tmp_path / "clean.py"
         target.write_text("import numpy as np\nrng = np.random.default_rng(0)\n")
         assert main(["check", str(target)]) == 0
-        assert "no determinism" in capsys.readouterr().out
+        assert "no RPR104-RPR106 violations" in capsys.readouterr().out
 
     def test_check_violation_exits_nonzero(self, tmp_path, capsys):
         target = tmp_path / "sim_bad.py"

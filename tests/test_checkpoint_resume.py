@@ -21,6 +21,7 @@ import pytest
 from repro.core.config import DRASConfig
 from repro.core.dras_pg import DRASPG
 from repro.core.persistence import CheckpointError
+from repro.obs.aggregate import merge_shards
 from repro.rl.checkpoint import (
     episode_stats_from_json,
     load_checkpoint,
@@ -120,7 +121,7 @@ sys.path.insert(0, {src!r})
 from repro.core.config import DRASConfig
 from repro.core.dras_pg import DRASPG
 from repro.rl.checkpoint import episode_stats_from_json, load_checkpoint
-from repro.rl.telemetry import TelemetryWriter
+from repro.obs.live import SnapshotWriter
 from repro.rl.trainer import Trainer, TrainingHistory
 from repro.sim.faults import FaultConfig
 from repro.workload import ThetaModel
@@ -168,8 +169,8 @@ def main():
         history = TrainingHistory(
             episodes=episode_stats_from_json(loaded.episodes)
         )
-        writer = TelemetryWriter(telemetry,
-                                 resume_at=loaded.telemetry_offset)
+        writer = SnapshotWriter(telemetry, source="train",
+                                resume_at=loaded.telemetry_offset)
         trainer = Trainer(loaded.agent, NODES, validation_jobs=validation,
                           faults=loaded.faults, telemetry=writer,
                           checkpoint_path=ckpt)
@@ -234,8 +235,12 @@ class TestSigkillResume:
         records = [json.loads(line)
                    for line in telemetry.read_text().splitlines()]
         metas = [r for r in records if r.get("type") == "meta"]
-        episodes = [r["episode"] for r in records
-                    if r.get("type") == "episode"]
+        rows = [r for r in records if r.get("kind") == "train"]
         assert len(metas) == 1
-        assert episodes == sorted(set(episodes))
-        assert episodes[-1] == 5  # all six episodes present exactly once
+        # all six episodes, each exactly once, numbered on from the cut
+        assert [r["episode"] for r in rows] == list(range(6))
+        assert all(r["seq"] == r["episode"] + 1 for r in rows)
+        train = merge_shards([telemetry])["kinds"]["train"]
+        assert train["sources"] == ["train"]
+        assert train["last"]["train"]["episode"] == 5
+        assert (train["done"], train["total"]) == (6, 6)

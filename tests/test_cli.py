@@ -166,7 +166,7 @@ class TestCheck:
     def test_clean_exits_zero(self, tmp_path, capsys):
         rc = main(["check", str(self._clean_file(tmp_path))])
         assert rc == 0
-        assert "no determinism/correctness violations" in capsys.readouterr().out
+        assert "no RPR104-RPR106 violations" in capsys.readouterr().out
 
     def test_findings_exit_one(self, tmp_path, capsys):
         rc = main(["check", str(self._dirty_file(tmp_path))])
@@ -277,12 +277,13 @@ class TestReportAndTrace:
                    "--report", str(report)])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "telemetry records" in out
-        sidecar = tmp_path / "agent.npz.telemetry.jsonl"
-        assert sidecar.exists()
-        from repro.rl.telemetry import episode_records, read_telemetry
-        episodes = episode_records(read_telemetry(sidecar))
-        assert episodes and all("grad_norm" in r for r in episodes)
+        sidecar = tmp_path / "agent.npz.live.jsonl"
+        assert f"wrote the training log to {sidecar}" in out
+        from repro.obs.aggregate import read_snapshots
+        episodes = read_snapshots(sidecar)["records"]
+        assert [r["seq"] for r in episodes] == [1, 2, 3]
+        assert all(r["kind"] == "train" and "grad_norm" in r
+                   for r in episodes)
         assert "Training telemetry" in report.read_text()
 
 
@@ -338,6 +339,33 @@ class TestLiveCLI:
         rc = main(["live", "summarize", str(shard), "--out", str(out)])
         assert rc == 0
         assert _json.loads(out.read_text())["kinds"]["sim"]["snapshots"] >= 1
+
+    def test_train_live_record_is_the_resumable_training_log(
+            self, tmp_path, capsys):
+        log, ckpt = tmp_path / "live.jsonl", tmp_path / "ck.npz"
+        train = ["train", "--nodes", "32", "--window", "4",
+                 "--train-jobs", "100", "--sampled", "1", "--real", "1",
+                 "--jobs-per-set", "50", "--out", str(tmp_path / "tr.npz"),
+                 "--live-record", str(log)]
+        assert main(train + ["--synthetic", "1",
+                             "--checkpoint", str(ckpt)]) == 0
+        assert main(train + ["--synthetic", "2", "--resume", str(ckpt)]) == 0
+        capsys.readouterr()
+        import json as _json
+
+        rows = [_json.loads(line) for line in log.read_text().splitlines()]
+        assert [r["type"] for r in rows].count("meta") == 1
+        train_rows = [r for r in rows if r.get("kind") == "train"]
+        assert [(r["episode"], r["seq"]) for r in train_rows] == [
+            (0, 1), (1, 2), (2, 3), (3, 4)]
+        for row in train_rows:  # the one record: every field, one name
+            assert {"anomalies", "queue_depth", "queue_depth_min",
+                    "queue_depth_max", "utilization", "loss", "grad_norm",
+                    "episode_wall_s", "instances", "done",
+                    "total"} <= row.keys()
+        assert main(["live", "summarize", str(log)]) == 0
+        assert "[train] 4 snapshot(s) from 1 source(s), done 4/4" in \
+            capsys.readouterr().out
 
     def test_live_summarize_missing_shard_exits_2(self, tmp_path, capsys):
         rc = main(["live", "summarize", str(tmp_path / "nope.jsonl")])

@@ -91,16 +91,22 @@ class TestMergeShards:
         assert rollup["kinds"]["sweep"]["done"] == 1
 
     def test_telemetry_episode_shards_merge_as_train(self, tmp_path):
-        path = tmp_path / "telemetry.jsonl"
-        lines = [{"type": "meta", "schema": "repro.telemetry/v1",
-                  "source": "t0"},
-                 {"type": "episode", "episode": 0, "train_reward": -1.5},
-                 {"type": "episode", "episode": 1, "train_reward": -1.0}]
-        path.write_text("".join(json.dumps(l) + "\n" for l in lines))
+        # a resumed training log: the trainer numbers its records
+        # seq = episode + 1, so the cut-and-continued log still merges
+        # to the final episode
+        path = tmp_path / "train.jsonl"
+        with SnapshotWriter(path, source="train") as log:
+            log.append({"kind": "train", "seq": 1, "episode": 0,
+                        "train_reward": -1.5, "done": 1, "total": 2})
+        with SnapshotWriter(path, source="train",
+                            resume_at=path.stat().st_size) as log:
+            log.append({"kind": "train", "seq": 2, "episode": 1,
+                        "train_reward": -1.0, "done": 2, "total": 2})
         rollup = merge_shards([path])
         train = rollup["kinds"]["train"]
-        assert train["snapshots"] == 2
-        assert train["last"]["t0"]["episode"] == 1   # seq derives from episode
+        assert train["snapshots"] == 2 and train["sources"] == ["train"]
+        assert train["last"]["train"]["episode"] == 1
+        assert (train["done"], train["total"]) == (2, 2)
         assert train["fields"]["train_reward"] == {"min": -1.5, "max": -1.0}
 
     def test_non_numeric_seq_is_skipped_not_fatal(self, tmp_path):
@@ -115,11 +121,12 @@ class TestMergeShards:
         assert sim["snapshots"] == 1 and sim["last"]["a0"]["done"] == 1
 
     def test_null_episode_is_skipped_not_fatal(self, tmp_path):
-        path = tmp_path / "telemetry.jsonl"
-        lines = [{"type": "meta", "schema": "repro.telemetry/v1",
-                  "source": "t0"},
-                 {"type": "episode", "episode": 0, "train_reward": -1.5},
-                 {"type": "episode", "episode": None, "train_reward": 9.0}]
+        path = tmp_path / "train.jsonl"
+        lines = [{"type": "meta", "schema": LIVE_SCHEMA, "source": "t0"},
+                 {"type": "snapshot", "kind": "train", "seq": 1,
+                  "episode": 0, "train_reward": -1.5},
+                 {"type": "snapshot", "kind": "train", "seq": None,
+                  "episode": None, "train_reward": 9.0}]
         path.write_text("".join(json.dumps(l) + "\n" for l in lines))
         rollup = merge_shards([path])
         assert rollup["skipped"] == rollup["shards"][0]["skipped"] == 1

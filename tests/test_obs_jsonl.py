@@ -1,10 +1,10 @@
 """Contract suite for the durable-log primitive (``repro.obs.jsonl``).
 
-One set of cases, parametrised over the four artifact species that
+One set of cases, parametrised over the three artifact species that
 write through (or, for the tracer, are read back through) the
-primitive: event traces, training telemetry, live-snapshot shards and
-sweep shards.  The goldens are the exact bytes the pre-primitive
-writers produced for the same inputs.
+primitive: event traces, live-snapshot shards (the training log
+included) and sweep shards.  The goldens are the exact bytes the
+pre-primitive writers produced for the same inputs.
 """
 
 from __future__ import annotations
@@ -28,12 +28,6 @@ from repro.obs.jsonl import (
 )
 from repro.obs.live import LIVE_SCHEMA, SnapshotWriter
 from repro.obs.trace import TRACE_SCHEMA, Tracer, TraceWarning, read_trace
-from repro.rl.telemetry import (
-    TELEMETRY_SCHEMA,
-    TelemetryWarning,
-    TelemetryWriter,
-    read_telemetry,
-)
 
 QUARANTINE = pool._quarantine_record(
     pool.SweepSpec(kind="selftest", seed=7, params={"cells": 2}),
@@ -48,13 +42,6 @@ def _write_trace(path: Path) -> Any:
     return tracer
 
 
-def _write_telemetry(path: Path) -> Any:
-    writer = TelemetryWriter(path, meta={"agent": "pg", "seed": 3})
-    writer.write_episode({"episode": 0, "loss": 0.5, "grad_norm": float("nan"),
-                          "anomalies": ["nan_grad"]})
-    return writer
-
-
 def _write_live(path: Path) -> Any:
     writer = SnapshotWriter(path, source="golden")
     writer.on_snapshot({"schema": LIVE_SCHEMA, "kind": "sim", "seq": 1,
@@ -63,8 +50,8 @@ def _write_live(path: Path) -> Any:
 
 
 def _write_sweep(path: Path) -> Any:
-    writer = pool.ShardWriter(path, "abc123", source="w0")
-    writer.append(QUARANTINE)
+    writer = pool.SweepStore(path.parent.parent).open_shard(1, "w0", "abc123")
+    writer.write(QUARANTINE)
     return writer
 
 
@@ -118,15 +105,6 @@ SPECIES = {
         '"job": 7, "nodes": 128}\n'
         '{"type": "end", "sid": 1, "wall": 1.5}\n',
         None, read_trace),
-    "telemetry": Species(
-        _write_telemetry, lambda w: w.write_episode({"episode": 1}),
-        _reader_with_warnings(read_telemetry, TelemetryWarning),
-        TELEMETRY_SCHEMA, 1,
-        '{"agent": "pg", "schema": "repro.telemetry/v1", "seed": 3, '
-        '"type": "meta"}\n'
-        '{"anomalies": ["nan_grad"], "episode": 0, "grad_norm": NaN, '
-        '"loss": 0.5, "type": "episode"}\n',
-        ValueError, read_telemetry),
     "live": Species(
         _write_live, lambda w: w.on_snapshot({"kind": "sim", "seq": 2}),
         _read_live, LIVE_SCHEMA, 1,
@@ -137,7 +115,7 @@ SPECIES = {
         '"type": "snapshot", "wall": 12.5}\n',
         None),
     "sweep": Species(
-        _write_sweep, lambda w: w.append(QUARANTINE),
+        _write_sweep, lambda w: w.write(QUARANTINE),
         _read_sweep, pool.SWEEP_SCHEMA, 1,
         '{"schema": "repro.sweep/v1", "source": "w0", "sweep": "abc123", '
         '"type": "meta"}\n'
@@ -145,7 +123,7 @@ SPECIES = {
         '"error": "boom", "error_tb": "tb", "error_type": "RuntimeError", '
         '"key": "{\\"i\\":1}", "schema": "repro.sweep/v1", '
         '"status": "quarantined", "type": "quarantine"}\n',
-        pool.SweepError),
+        ValueError),
 }
 
 
@@ -288,6 +266,24 @@ class TestJsonlWriter:
         assert log.closed
         with pytest.raises(ValueError, match="closed"):
             log.write({"n": 1})
+
+
+class TestLiveShardResume:
+    def test_resume_past_eof_loses_no_episode(self, tmp_path):
+        # an OS crash can leave the flushed training log shorter than
+        # the offset the fsynced checkpoint recorded
+        path = tmp_path / "train.jsonl"
+        with SnapshotWriter(path, source="train") as writer:
+            writer.append({"kind": "train", "seq": 1, "episode": 0})
+        size = path.stat().st_size
+        with SnapshotWriter(path, source="train",
+                            resume_at=size + 50) as writer:
+            writer.append({"kind": "train", "seq": 2, "episode": 1})
+        shard = read_snapshots(path)
+        assert shard["skipped"] == 0
+        assert [r["episode"] for r in shard["records"]] == [0, 1]
+        assert len(read_jsonl(path, strict=True)[0]) == 3  # one meta header
+        assert b"\x00" not in path.read_bytes()
 
 
 class TestReadJsonl:

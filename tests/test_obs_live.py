@@ -62,10 +62,14 @@ class TestLiveBus:
         bus = LiveBus()
         good = bus.attach(Collector())
         bus.attach(Exploding())
-        bus.publish("sim", {"done": 1})
-        bus.publish("sim", {"done": 2})
+        with pytest.warns(RuntimeWarning) as caught:
+            bus.publish("sim", {"done": 1})
+            bus.publish("sim", {"done": 2})
         assert Exploding.calls == 1          # dropped after the first raise
         assert len(good.records) == 2        # the healthy sink kept both
+        # one warning, naming the sink's type and its error
+        assert [str(w.message) for w in caught] == [
+            "live: detached Exploding after RuntimeError: boom"]
 
     def test_close_closes_sinks_and_detaches(self):
         class Unclosable:

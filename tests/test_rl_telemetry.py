@@ -1,8 +1,7 @@
-"""Training telemetry: records, anomaly flags, sanitizer escalation."""
+"""The training log: one record per episode, anomaly flags, escalation."""
 
 import json
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -10,17 +9,14 @@ import pytest
 from repro.check.sanitize import SanitizerError
 from repro.core.config import DRASConfig
 from repro.core.dras_pg import DRASPG
+from repro.obs.aggregate import read_snapshots
+from repro.obs.live import LIVE_SCHEMA, SnapshotWriter
 from repro.rl.telemetry import (
     ANOMALY_NAN_GRAD,
     ANOMALY_REWARD_COLLAPSE,
     ANOMALY_UTILIZATION_DROP,
-    TELEMETRY_SCHEMA,
-    TelemetryWarning,
-    TelemetryWriter,
     detect_anomalies,
-    episode_records,
     raise_hard_anomalies,
-    read_telemetry,
 )
 from repro.rl.trainer import Trainer
 from repro.workload.models import ThetaModel
@@ -41,50 +37,47 @@ def _jobsets(n_sets=2, jobs=30, seed=0):
     return [("sampled", model.generate(jobs, rng)) for _ in range(n_sets)]
 
 
+def _train_rows(path):
+    """The ``kind="train"`` records of a training log, in file order."""
+    return [r for r in read_snapshots(path)["records"]
+            if r.get("kind") == "train"]
+
+
 class TestWriterReader:
     def test_meta_line_and_round_trip(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        with TelemetryWriter(path, meta={"agent": "pg"}) as writer:
-            writer.write_episode({"episode": 0, "loss": 1.5})
-            writer.write_episode({"episode": 1, "loss": float("nan")})
-        records = read_telemetry(path)
-        assert records[0]["schema"] == TELEMETRY_SCHEMA
-        assert records[0]["agent"] == "pg"
-        episodes = episode_records(records)
-        assert [r["episode"] for r in episodes] == [0, 1]
-        assert math.isnan(episodes[1]["loss"])  # NaN survives the round trip
+        with SnapshotWriter(path, source="train") as writer:
+            writer.append({"kind": "train", "seq": 1, "loss": 1.5})
+            writer.append({"kind": "train", "seq": 2, "loss": float("nan")})
+        shard = read_snapshots(path)
+        assert shard["schema"] == LIVE_SCHEMA
+        assert shard["source"] == "train"
+        rows = _train_rows(path)
+        assert [r["seq"] for r in rows] == [1, 2]
+        assert math.isnan(rows[1]["loss"])  # NaN survives the round trip
 
     def test_write_after_close_rejected(self, tmp_path):
-        writer = TelemetryWriter(tmp_path / "t.jsonl")
+        """The trainer writes its log itself: a write that fails raises
+        out of ``train`` instead of being dropped like a bus sink's."""
+        writer = SnapshotWriter(tmp_path / "t.jsonl")
         writer.close()
-        writer.close()  # idempotent
         with pytest.raises(ValueError, match="closed"):
-            writer.write_episode({})
-
-    def test_resume_past_eof_loses_no_episode(self, tmp_path):
-        # an OS crash can leave the flushed log shorter than the offset
-        # the fsynced checkpoint recorded
-        path = tmp_path / "t.jsonl"
-        with TelemetryWriter(path) as writer:
-            writer.write_episode({"episode": 0})
-        size = path.stat().st_size
-        with TelemetryWriter(path, resume_at=size + 50) as writer:
-            writer.write_episode({"episode": 1})
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            records = read_telemetry(path)
-        assert [r["episode"] for r in episode_records(records)] == [0, 1]
-        assert b"\x00" not in path.read_bytes()
+            Trainer(_agent(), NODES, telemetry=writer).train(
+                _jobsets(n_sets=1))
 
     def test_lenient_read_skips_garbage(self, tmp_path):
+        from repro.cli import main
+
         path = tmp_path / "t.jsonl"
-        path.write_text('{"type": "meta"}\nnot json\n[1, 2]\n'
-                        '{"type": "episode", "episode": 0}\n')
-        with pytest.warns(TelemetryWarning):
-            records = read_telemetry(path)
-        assert len(records) == 2
-        with pytest.raises(ValueError, match="invalid JSON"):
-            read_telemetry(path, strict=True)
+        Trainer(_agent(), NODES, telemetry=path).train(_jobsets())
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write('not json\n[1, 2]\n{"kind": "train", "seq"')
+        assert read_snapshots(path)["skipped"] == 3
+        assert [r["episode"] for r in _train_rows(path)] == [0, 1]
+        html = tmp_path / "r.html"
+        assert main(["report", "--out", str(html),
+                     "--telemetry", str(path)]) == 0
+        assert "Training telemetry" in html.read_text(encoding="utf-8")
 
 
 class TestAnomalyDetection:
@@ -127,8 +120,11 @@ class TestTrainerIntegration:
         path = tmp_path / "train.jsonl"
         trainer = Trainer(_agent(), NODES, telemetry=path)
         trainer.train(_jobsets())
-        episodes = episode_records(read_telemetry(path))
+        episodes = _train_rows(path)
         assert len(episodes) == 2
+        assert [(r["seq"], r["done"], r["total"]) for r in episodes] == [
+            (1, 1, 2), (2, 2, 2)]
+        assert "final" not in episodes[0] and episodes[1]["final"] is True
         first = episodes[0]
         assert first["phase"] == "sampled"
         assert first["num_jobs"] == 30
@@ -137,7 +133,8 @@ class TestTrainerIntegration:
         assert math.isfinite(first["grad_norm"]) and first["grad_norm"] >= 0
         assert math.isfinite(first["entropy"]) and first["entropy"] >= 0
         assert 0.0 <= first["utilization"] <= 1.0
-        assert first["queue_depth_max"] >= first["queue_depth_min"] >= 0
+        assert first["queue_depth_max"] >= first["queue_depth"] \
+            >= first["queue_depth_min"] >= 0
         assert first["instances"] > 0
         assert first["episode_wall_s"] > 0.0
         assert first["anomalies"] == []
@@ -169,7 +166,7 @@ class TestTrainerIntegration:
 
     def test_seeded_nan_raises_through_sanitizer(self, tmp_path, monkeypatch):
         """A poisoned learning signal aborts under REPRO_SANITIZE=1 with
-        the evidence already durable in the telemetry file."""
+        the evidence already durable in the training log."""
         path = tmp_path / "train.jsonl"
         agent = _agent()
         trainer = Trainer(agent, NODES, telemetry=path)
@@ -186,7 +183,7 @@ class TestTrainerIntegration:
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         with pytest.raises(SanitizerError, match="non-finite"):
             trainer.train(_jobsets())
-        episodes = episode_records(read_telemetry(path))
+        episodes = _train_rows(path)
         assert episodes, "the flagged record must be durable"
         assert ANOMALY_NAN_GRAD in episodes[-1]["anomalies"]
 
@@ -206,7 +203,7 @@ class TestTrainerIntegration:
         monkeypatch.delenv("REPRO_SANITIZE", raising=False)
         history = trainer.train(_jobsets())
         assert len(history.episodes) == 2  # training ran to completion
-        episodes = episode_records(read_telemetry(path))
+        episodes = _train_rows(path)
         assert all(ANOMALY_NAN_GRAD in r["anomalies"] for r in episodes)
 
     def test_crashed_training_leaves_readable_telemetry(self, tmp_path):
@@ -227,14 +224,15 @@ class TestTrainerIntegration:
         with pytest.raises(RuntimeError, match="simulated crash"):
             trainer.train(jobsets)
         # no close() ever ran, yet both completed episodes are on disk
-        episodes = episode_records(read_telemetry(path))
+        episodes = _train_rows(path)
         assert [r["episode"] for r in episodes] == [0, 1]
         for line in path.read_text().splitlines():
             json.loads(line)  # every line parses
 
     def test_queue_depth_fields_are_the_depths_schedule_begin_sees(
             self, tmp_path, monkeypatch):
-        """``queue_depth_last/min/max`` are the depths each scheduling
+        """``queue_depth`` (the last) and ``queue_depth_min/max`` are the
+        depths each scheduling
         instance of the same episode opens with."""
         import repro.rl.trainer as trainer_mod
 
@@ -254,12 +252,12 @@ class TestTrainerIntegration:
         monkeypatch.setattr(trainer_mod, "Engine", engine)
         path = tmp_path / "t.jsonl"
         Trainer(_agent(), NODES, telemetry=path).train(_jobsets())
-        episodes = episode_records(read_telemetry(path))
+        episodes = _train_rows(path)
         assert len(seen) == len(episodes) == 2     # no validation engine
         for record, depths in zip(episodes, seen):
             assert record["instances"] == len(depths)
             assert max(depths) > min(depths)
-            assert (record["queue_depth_last"], record["queue_depth_min"],
+            assert (record["queue_depth"], record["queue_depth_min"],
                     record["queue_depth_max"]) == (
                 depths[-1], min(depths), max(depths))
 
@@ -289,3 +287,29 @@ class TestTrainerIntegration:
             assert 0.0 <= record["utilization"] <= 1.0
         for key, value in dark.state_dict().items():
             np.testing.assert_array_equal(value, watched.state_dict()[key])
+
+    def test_bus_and_log_carry_one_record(self, tmp_path):
+        """Each episode's record is built once: the log holds exactly
+        what the bus published, stamped ``kind="train"`` and
+        ``seq = episode + 1`` on both."""
+        from repro.obs.live import LiveBus
+
+        published = []
+
+        class Sink:
+            def on_snapshot(self, record):
+                published.append(dict(record))
+
+        bus = LiveBus()
+        bus.attach(Sink())
+        path = tmp_path / "t.jsonl"
+        Trainer(_agent(), NODES, telemetry=path, live=bus).train(_jobsets())
+        logged = _train_rows(path)
+        for row in logged:
+            assert row.pop("type") == "snapshot"
+            assert row.pop("source") == "train"
+        # compared as JSON text: validation_reward is NaN here
+        assert [json.dumps(r, sort_keys=True) for r in logged] == [
+            json.dumps(r, sort_keys=True) for r in published]
+        assert [(r["kind"], r["seq"], r["episode"]) for r in logged] == [
+            ("train", 1, 0), ("train", 2, 1)]
