@@ -15,7 +15,10 @@ Exercises the fault-tolerance and determinism contract of
    count; the merged ``rollup.json`` must be byte-identical to an
    uninterrupted serial run's.
 3. **Real-grid parity**: a tiny ``faultsweep`` grid run serially and
-   on 2 workers must produce byte-identical rollups.
+   on 2 workers must produce byte-identical rollups, and
+   ``repro reproduce faultsweep`` (the same sweep, inline) must print
+   byte for byte the report ``repro sweep faultsweep --workers 2``
+   renders.
 
 That a worker consumes no ambient RNG, wall-clock or environment state
 is checked in tier-1 by ``tests/test_ambient_perturbation.py``.
@@ -92,7 +95,7 @@ def check_injected_failures(tmp: Path) -> None:
         kind="selftest", scale="tiny", seed=7,
         params={"cells": 8, "crash_once": [2], "hang_once": [5],
                 "sleep_s": 0.02},
-        timeout_s=5.0, retries=2, backoff_s=0.0)
+        timeout_s=5.0, retries=2)
     clean = pool.SweepSpec(kind="selftest", scale="tiny", seed=7,
                            params={"cells": 8, "sleep_s": 0.02})
     r_inj = pool.run_sweep(injected, tmp / "injected", workers=2)
@@ -143,6 +146,17 @@ def check_faultsweep_parity(tmp: Path) -> None:
     assert serial.completed == serial.total == 2, serial.quarantined
     assert par.rollup_path.read_bytes() == serial.rollup_path.read_bytes()
     print(f"faultsweep grid serial == 2-worker: {serial.digest[:16]}…")
+
+    def stdout(*argv: str) -> str:
+        return subprocess.run(
+            [sys.executable, "-m", "repro", *argv, "--scale", "tiny"],
+            check=True, capture_output=True, text=True, env=ENV).stdout
+
+    inline = stdout("reproduce", "faultsweep")
+    swept = stdout("sweep", "faultsweep", "--workers", "2",
+                   "--store", str(tmp / "fs-cli"))
+    assert inline and inline == swept, "reproduce != 2-worker sweep report"
+    print("reproduce faultsweep == 2-worker sweep report, byte for byte")
 
 
 def main(tmp: Path) -> None:

@@ -3,7 +3,8 @@
 Commands
 --------
 ``reproduce``
-    Regenerate any of the paper's tables/figures and print the report.
+    Regenerate any of the paper's tables/figures and print the report:
+    the ``sweep`` of that experiment's cells, run inline.
 ``generate``
     Synthesize a Theta/Cori-like trace and write it as SWF.
 ``simulate``
@@ -52,6 +53,7 @@ import argparse
 import contextlib
 import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -205,56 +207,97 @@ def _write_artifacts(args: argparse.Namespace, title: str,
 # -- subcommand implementations ------------------------------------------------
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
+    """The ``repro reproduce`` driver: one experiment (or all) as an
+    inline sweep — ``pool.run_sweep`` on no workers into a temporary
+    store, rendered like ``repro sweep``; a failing cell is not retried.
+    """
+    import tempfile
+
+    from repro.experiments import pool, runner
+    from repro.obs import live as _live
+
     if args.faults and args.experiment != "faultsweep":
         print("--faults applies only to the faultsweep experiment",
               file=sys.stderr)
         return 2
+    kind = "experiments" if args.experiment == "all" else args.experiment
+    params: dict = {}
+    if args.experiment == "all":
+        params["only"] = list(runner.EXPERIMENT_IDS)
+    if args.experiment in ("all", "overhead"):
+        params["full_size_overhead"] = not args.scaled_overhead
+    if args.faults:
+        params["faults"] = args.faults
+    try:
+        spec = pool.SweepSpec(kind=kind, scale=args.scale, seed=args.seed,
+                              params=params, retries=0)
+        pool.expand_cells(spec)
+    except (pool.SweepError, ValueError) as exc:
+        print(f"bad sweep spec: {exc}", file=sys.stderr)
+        return 2
 
     # the live bus is installed process-globally so every simulation an
-    # experiment runs internally publishes to it (the faultsweep also
-    # publishes its own per-cell "sweep" snapshots)
-    with _live_session(args, install=True):
-        return _cmd_reproduce_body(args)
+    # experiment runs internally publishes to it
+    with _live_session(args, install=True) as live, \
+            tempfile.TemporaryDirectory(prefix="repro-reproduce-") as store:
+        bus = live or _live.global_live_bus() or _live.LiveBus()
+        clock = bus.attach(_ExperimentClock(kind))
+        try:
+            result = pool.run_sweep(spec, store, workers=0, live=bus)
+        finally:
+            bus.detach(clock)
+    text = _print_report(args, spec, result.rollup)
+    for key, reason in sorted(result.quarantined.items()):
+        print(f"reproduce: cell {key} failed: {reason}", file=sys.stderr)
+    _write_artifacts(
+        args, f"reproduce {args.experiment}",
+        dict(kind="reproduce",
+             config={"experiment": args.experiment, "scale": args.scale,
+                     "sweep": spec.identity()},
+             summary={"report_chars": len(text), "wall_s": clock.wall_s}))
+    return 1 if result.quarantined else 0
 
 
-def _cmd_reproduce_body(args: argparse.Namespace) -> int:
-    import importlib
+class _ExperimentClock:
+    """Live sink: one ``[<id>: done in <s> s]`` stderr line per experiment.
 
-    manifest = None
-    if args.experiment == "all":
-        from repro.experiments.runner import combined_report, run_all
+    An experiment ends with the ``sweep`` snapshot of a cell that names
+    it (``exp``), or — for a kind whose cells do not, the fault sweep —
+    with the final snapshot.  ``wall_s`` keeps the durations.
+    """
 
-        reports = run_all(  # writes --manifest itself, one entry per report
-            scale=args.scale,
-            seed=args.seed,
-            full_size_overhead=not args.scaled_overhead,
-            progress=lambda msg: print(f"  [{msg}]", file=sys.stderr),
-            manifest_path=args.manifest,
-        )
-        text = combined_report(reports, args.scale)
-    else:
-        module = importlib.import_module(
-            f"repro.experiments.{args.experiment}")
-        if args.experiment in ("table1", "table3"):
-            result = module.run()
-        elif args.experiment == "overhead":
-            result = module.run(full_size=not args.scaled_overhead)
-        elif args.experiment == "faultsweep":
-            result = module.run(args.scale, seed=args.seed,
-                                faults=parse_faults(args.faults))
-        else:
-            result = module.run(args.scale, seed=args.seed)
-        text = module.report(result)
-        manifest = dict(
-            kind="reproduce",
-            config={"experiment": args.experiment, "scale": args.scale},
-            summary={"report_chars": len(text)},
-        )
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    print(text)
-    _write_artifacts(args, f"reproduce {args.experiment}", manifest)
-    return 0
+    def __init__(self, kind: str) -> None:
+        self.kind = kind
+        self.wall_s: dict[str, float] = {}
+        self._since = time.perf_counter()
+        self._failed = 0
+
+    def on_snapshot(self, record) -> None:
+        """Time the experiment ``record`` finishes, if it finishes one."""
+        if record.get("kind") != "sweep":
+            return
+        exp = record.get("exp", self.kind if record.get("final") else None)
+        if exp is None:
+            return
+        self.wall_s[exp] = round(record["wall"] - self._since, 3)
+        self._since = record["wall"]
+        failed, self._failed = (record["quarantined"] > self._failed,
+                                record["quarantined"])
+        print(f"  [{exp}: {'failed after' if failed else 'done in'} "
+              f"{self.wall_s[exp]:.1f} s]", file=sys.stderr)
+
+
+def _print_report(args: argparse.Namespace, spec, rollup) -> str:
+    """Render a sweep's rollup with its kind's renderer; print it (and
+    write ``--out``) unless it is empty.  Returns the text."""
+    from repro.experiments import runner
+
+    text = runner.TABLE[spec.kind].render(spec, rollup)
+    if text:
+        if args.out:
+            Path(args.out).write_text(text + "\n", encoding="utf-8")
+        print(text)
+    return text
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -556,8 +599,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             params=params,
             timeout_s=args.timeout,
             retries=args.retries,
-            backoff_s=args.backoff,
         )
+        pool.expand_cells(spec)
     except (pool.SweepError, ValueError) as exc:
         print(f"bad sweep spec: {exc}", file=sys.stderr)
         return 2
@@ -575,11 +618,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"sweep failed: {exc}", file=sys.stderr)
         return 2
 
-    text = _render_sweep_report(args.kind, spec, result)
-    if text:
-        if args.out:
-            Path(args.out).write_text(text + "\n", encoding="utf-8")
-        print(text)
+    _print_report(args, spec, result.rollup)
     print(f"sweep: {result.completed}/{result.total} cells complete "
           f"({result.resumed} resumed, {len(result.quarantined)} "
           f"quarantined this run)", file=sys.stderr)
@@ -588,20 +627,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for key, reason in sorted(result.quarantined.items()):
         print(f"sweep: quarantined {key}: {reason}", file=sys.stderr)
     return 0 if result.completed == result.total else 3
-
-
-def _render_sweep_report(kind: str, spec, result) -> str:
-    """Render a completed sweep's rollup with the kind's reporter."""
-    from repro.experiments import faultsweep, pool, runner
-
-    if kind == "faultsweep":
-        return faultsweep.report(faultsweep.result_from_rollup(result.rollup))
-    if kind == "experiments":
-        reports, failures = runner.reports_from_rollup(result.rollup)
-        expected = [cell["exp"] for cell in pool.expand_cells(spec)]
-        return runner.combined_report(reports, spec.scale,
-                                      expected=expected, failures=failures)
-    return ""
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
@@ -717,9 +742,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--retries", type=int, default=2, metavar="N",
                    help="retry budget per cell before quarantine "
                         "(default 2)")
-    p.add_argument("--backoff", type=float, default=0.25, metavar="S",
-                   help="base of the capped exponential backoff between "
-                        "attempts (default 0.25)")
     p.add_argument("--param", action="append", metavar="KEY=VALUE",
                    help="kind-specific knob (JSON value or string); "
                         "repeatable, e.g. --param 'mtbf_grid=[0,2000]'")

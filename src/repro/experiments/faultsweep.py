@@ -23,10 +23,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.analysis.tables import format_table
-from repro.experiments.common import SystemSetup, system_setup
-from repro.obs import live as _live
+from repro.experiments.common import system_setup
 from repro.schedulers import BinPacking, ConservativeBackfill, FCFSEasy, sjf
-from repro.sim.engine import Scheduler, run_simulation
+from repro.sim.engine import run_simulation
 from repro.sim.faults import FaultConfig, ResilienceMetrics
 from repro.sim.metrics import RunMetrics
 
@@ -73,82 +72,6 @@ class FaultSweepResult:
     cells: tuple[FaultCell, ...]
 
 
-def _simulate(setup: SystemSetup, policy: Scheduler, base: FaultConfig,
-              mtbf: float, max_wall_s: float) -> FaultCell:
-    """Replay the setup's validation trace under ``policy`` at one MTBF.
-
-    ``max_wall_s`` is the engine's wall-clock budget (0 disables it).
-    """
-    cfg = dataclasses.replace(base, mtbf=mtbf)
-    result = run_simulation(
-        setup.model.num_nodes,
-        policy,
-        [j.copy_fresh() for j in setup.validation_trace],
-        faults=cfg if cfg.active else None,
-        max_wall_s=max_wall_s if max_wall_s > 0 else None,
-    )
-    return FaultCell(
-        policy=policy.name,
-        mtbf=mtbf,
-        metrics=RunMetrics.from_result(result),
-        resilience=result.resilience,
-    )
-
-
-def run(
-    scale: str = "default",
-    seed: int = 0,
-    faults: FaultConfig | None = None,
-    live: "_live.LiveBus | None" = None,
-    max_wall_s: float = CELL_MAX_WALL_S,
-) -> FaultSweepResult:
-    """Sweep every policy across the MTBF grid on one Theta trace.
-
-    ``faults`` overrides the base fault process (repair time, requeue
-    policy, kill rate, fault seed); the grid still replaces ``mtbf``
-    per cell so the sweep shape is preserved.  ``live`` (explicit, else
-    the ``REPRO_LIVE`` process-global bus) receives one ``kind="sweep"``
-    snapshot per completed (policy, MTBF) cell — progress, ETA and the
-    cell's headline numbers, while the sweep is still running.  Every
-    cell runs under a finite engine wall-clock budget (``max_wall_s``,
-    0 to disable) so one pathological grid point cannot hang the sweep.
-    """
-    base = faults if faults is not None else BASE_FAULTS
-    base = dataclasses.replace(base, seed=base.seed + seed)
-    setup = system_setup("theta", scale, seed)
-    if live is None:
-        live = _live.global_live_bus()
-    policies = [factory() for factory in POLICY_FACTORIES.values()]
-    total = len(policies) * len(MTBF_GRID)
-    cells = []
-    for policy in policies:
-        for mtbf in MTBF_GRID:
-            cell = _simulate(setup, policy, base, mtbf, max_wall_s)
-            cells.append(cell)
-            if live is not None:
-                r = cell.resilience
-                fields = {
-                    "cell": len(cells),
-                    "done": len(cells),
-                    "total": total,
-                    "policy": cell.policy,
-                    "mtbf": mtbf,
-                    "utilization": cell.metrics.utilization,
-                    "avg_wait_s": cell.metrics.avg_wait,
-                    "faults": r.node_failures if r else 0,
-                    "requeues": r.requeues if r else 0,
-                }
-                if len(cells) == total:
-                    fields["final"] = True
-                live.publish("sweep", fields)
-    return FaultSweepResult(
-        system="theta",
-        num_nodes=setup.model.num_nodes,
-        num_jobs=len(setup.validation_trace),
-        cells=tuple(cells),
-    )
-
-
 def report(result: FaultSweepResult) -> str:
     """Format the sweep as one table per policy."""
     blocks = []
@@ -184,14 +107,24 @@ def report(result: FaultSweepResult) -> str:
     return "\n\n".join(blocks)
 
 
-# -- parallel-sweep integration (repro.experiments.pool) -----------------------
+# -- the sweep's cells (run through repro.experiments.pool) --------------------
+
+def _base_faults(spec: "SweepSpec") -> FaultConfig:
+    """The sweep's fault process: ``params["faults"]`` (else
+    :data:`BASE_FAULTS`), its seed offset by the sweep seed."""
+    faults_spec = spec.params.get("faults")
+    base = (FaultConfig.from_spec(faults_spec) if faults_spec
+            else BASE_FAULTS)
+    return dataclasses.replace(base, seed=base.seed + spec.seed)
+
 
 def sweep_cells(spec: "SweepSpec") -> list[dict[str, Any]]:
     """Expand a faultsweep :class:`~repro.experiments.pool.SweepSpec`.
 
     ``spec.params`` knobs: ``policies`` (subset of
     :data:`POLICY_FACTORIES` names), ``mtbf_grid`` (replaces
-    :data:`MTBF_GRID`), ``faults`` (a ``FaultConfig`` spec string),
+    :data:`MTBF_GRID`), ``faults`` (a ``FaultConfig`` spec string,
+    parsed here so a malformed one fails before any cell runs),
     ``max_wall_s`` (per-cell engine budget, default
     :data:`CELL_MAX_WALL_S`).
     """
@@ -201,6 +134,7 @@ def sweep_cells(spec: "SweepSpec") -> list[dict[str, Any]]:
         raise ValueError(
             f"unknown faultsweep policies {unknown}; "
             f"available: {', '.join(POLICY_FACTORIES)}")
+    _base_faults(spec)
     grid = [float(m) for m in spec.params.get("mtbf_grid", MTBF_GRID)]
     return [{"policy": policy, "mtbf": mtbf}
             for policy in policies for mtbf in grid]
@@ -208,33 +142,37 @@ def sweep_cells(spec: "SweepSpec") -> list[dict[str, Any]]:
 
 def run_sweep_cell(spec: "SweepSpec", cell: Mapping[str, Any],
                    derived_seed: int, attempt: int) -> dict[str, Any]:
-    """Run one (policy, MTBF) cell for the pool orchestrator.
+    """Replay the validation trace under one (policy, MTBF) cell.
 
     The fault process is seeded from the *sweep*-level seed, not the
     per-cell ``derived_seed``: every policy column must replay the
     identical failure schedule so the comparison isolates the
-    scheduler's reaction (the serial :func:`run` has the same design).
-    ``derived_seed`` still reaches the cell manifest, keeping cell
-    identity deterministic either way.
+    scheduler's reaction.  ``derived_seed`` still reaches the cell
+    manifest, keeping cell identity deterministic either way.  The
+    engine runs under a finite wall-clock budget (``max_wall_s``, 0 to
+    disable) so one pathological grid point cannot hang the sweep.
     """
     del derived_seed, attempt  # deterministic cell; see docstring
-    params = spec.params
-    faults_spec = params.get("faults")
-    base = (FaultConfig.from_spec(faults_spec) if faults_spec
-            else BASE_FAULTS)
-    base = dataclasses.replace(base, seed=base.seed + spec.seed)
-    max_wall_s = float(params.get("max_wall_s", CELL_MAX_WALL_S))
+    mtbf = float(cell["mtbf"])
+    faults = dataclasses.replace(_base_faults(spec), mtbf=mtbf)
+    max_wall_s = float(spec.params.get("max_wall_s", CELL_MAX_WALL_S))
     setup = system_setup("theta", spec.scale, spec.seed)
-    result = _simulate(setup, POLICY_FACTORIES[cell["policy"]](), base,
-                       float(cell["mtbf"]), max_wall_s)
+    policy = POLICY_FACTORIES[cell["policy"]]()
+    result = run_simulation(
+        setup.model.num_nodes,
+        policy,
+        [j.copy_fresh() for j in setup.validation_trace],
+        faults=faults if faults.active else None,
+        max_wall_s=max_wall_s if max_wall_s > 0 else None,
+    )
     return {
-        "policy": result.policy,
-        "mtbf": result.mtbf,
+        "policy": policy.name,
+        "mtbf": mtbf,
         "system": "theta",
         "num_nodes": setup.model.num_nodes,
         "num_jobs": len(setup.validation_trace),
         "max_wall_s": max_wall_s,
-        "metrics": result.metrics.as_dict(),
+        "metrics": RunMetrics.from_result(result).as_dict(),
         "resilience": (result.resilience.as_dict() if result.resilience
                        else None),
     }

@@ -5,10 +5,9 @@ matrix, the faultsweep MTBF grids, parameter sensitivity studies —
 expands to a set of independent *cells*.  This module runs those cells
 on N worker processes and survives every failure mode we can inject:
 
-* **worker exceptions** are retried with bounded attempts and capped
-  exponential backoff, then *quarantined* (recorded with their
-  traceback) so the sweep completes with partial results instead of
-  aborting;
+* **worker exceptions** are retried at once, up to a bounded number
+  of attempts, then *quarantined* (recorded with their traceback) so
+  the sweep completes with partial results instead of aborting;
 * **hung cells** are killed by a parent-side per-cell wall-clock
   timeout (on top of the engine's own ``max_wall_s`` runaway guard)
   and retried like any other failure;
@@ -36,25 +35,22 @@ checked by running one: ``tests/test_ambient_perturbation.py`` runs a
 cell on a pool worker under a perturbed global RNG, clock, hash seed
 and environment and compares ``results_digest``.
 
-The sweep kinds are the fixed set :data:`SWEEP_KINDS`: ``experiments``
-(the paper's table/figure matrix, :mod:`repro.experiments.runner`),
-``faultsweep`` (schedulers x MTBF grid,
-:mod:`repro.experiments.faultsweep`) and ``selftest`` (deterministic
-payload cells with injectable crash/hang/failure, used by the test
-suite and the CI smoke job).  :func:`expand_cells` and
-:func:`_execute_cell` dispatch on the kind's name with plain calls.
-The CLI front end is ``repro sweep``.
+The sweep kinds are the rows of :data:`repro.experiments.runner.TABLE`:
+every paper experiment id (``fig6``, ``faultsweep``, …), ``experiments``
+(the whole table/figure matrix) and ``selftest`` (deterministic payload
+cells with injectable crash/hang/failure, used by the test suite and
+the CI smoke job).  :func:`expand_cells` and :func:`_execute_cell` look
+the kind up there.  The CLI front ends are ``repro sweep`` and
+``repro reproduce``, which is :func:`run_sweep` with ``workers=0``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import math
 import multiprocessing
 import os
-import signal
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -62,9 +58,7 @@ from multiprocessing.connection import wait as _conn_wait
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping
 
-import numpy as np
-
-from repro.experiments import faultsweep, runner
+from repro.experiments import runner
 from repro.obs import live as _live
 from repro.obs.jsonl import (
     JsonlWriter,
@@ -81,18 +75,8 @@ SWEEP_SCHEMA = "repro.sweep/v1"
 #: schema tag of the merged rollup document
 ROLLUP_SCHEMA = "repro.sweep-rollup/v1"
 
-#: the sweep kinds, dispatched by name in :func:`expand_cells` and
-#: :func:`_execute_cell`
-SWEEP_KINDS = ("experiments", "faultsweep", "selftest")
-
 #: default bounded-retry budget: one initial attempt plus two retries
 DEFAULT_RETRIES = 2
-
-#: default base of the capped exponential retry backoff, seconds
-DEFAULT_BACKOFF_S = 0.25
-
-#: cap on the exponential retry backoff, seconds
-MAX_BACKOFF_S = 30.0
 
 #: shard-record fields that legitimately differ between executions of
 #: the same sweep (which worker ran the cell, on which attempt) and are
@@ -115,7 +99,7 @@ class SweepSpec:
     Parameters
     ----------
     kind:
-        One of :data:`SWEEP_KINDS`.
+        A row of :data:`repro.experiments.runner.TABLE`.
     scale:
         Experiment scale forwarded to the kind (``tiny`` | ``default``
         | ``paper``).
@@ -131,15 +115,13 @@ class SweepSpec:
         still applies inside kinds that wire it).
     retries:
         Bounded retry budget: a cell gets ``1 + retries`` attempts
-        before it is quarantined.
-    backoff_s:
-        Base of the capped exponential backoff between attempts
-        (``backoff_s * 2**(attempt-1)``, capped at
-        :data:`MAX_BACKOFF_S`).  ``0`` retries immediately.
+        before it is quarantined.  A failed attempt is retried at
+        once: cells are local, deterministic computations, so waiting
+        does not help them recover.
 
-    ``retries`` and ``backoff_s`` are execution policy, not identity:
-    they never change what a *deterministic* cell produces, so they are
-    excluded from :meth:`identity` / :meth:`digest`.  ``timeout_s`` can
+    ``retries`` is execution policy, not identity: it never changes
+    what a *deterministic* cell produces, so it is excluded from
+    :meth:`identity` / :meth:`digest`.  ``timeout_s`` can
     change an outcome (a slow cell is quarantined instead of finishing)
     and is part of the identity.
     """
@@ -150,21 +132,18 @@ class SweepSpec:
     params: Mapping[str, Any] = field(default_factory=dict)
     timeout_s: float = 0.0
     retries: int = DEFAULT_RETRIES
-    backoff_s: float = DEFAULT_BACKOFF_S
 
     def __post_init__(self) -> None:
-        if self.kind not in SWEEP_KINDS:
+        if self.kind not in runner.TABLE:
             raise SweepError(
                 f"unknown sweep kind {self.kind!r}; "
-                f"available: {', '.join(SWEEP_KINDS)}"
+                f"available: {', '.join(runner.TABLE)}"
             )
         if self.retries < 0:
             raise SweepError(f"retries must be >= 0, got {self.retries}")
-        for name in ("timeout_s", "backoff_s"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise SweepError(f"{name} must be finite and >= 0, "
-                                 f"got {value}")
+        if not (math.isfinite(self.timeout_s) and self.timeout_s >= 0):
+            raise SweepError(f"timeout_s must be finite and >= 0, "
+                             f"got {self.timeout_s}")
 
     def identity(self) -> dict[str, Any]:
         """The JSON identity document hashed into :meth:`digest`."""
@@ -212,53 +191,13 @@ def derive_cell_seed(sweep_seed: int, key: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-# -- sweep kinds ---------------------------------------------------------------
-
-def _selftest_cells(spec: SweepSpec) -> list[dict[str, Any]]:
-    n = int(spec.params.get("cells", 8))
-    if n < 1:
-        raise SweepError(f"selftest needs at least one cell, got {n}")
-    return [{"i": i} for i in range(n)]
-
-
-def _selftest_run_cell(spec: SweepSpec, cell: Mapping[str, Any],
-                       derived_seed: int, attempt: int) -> dict[str, Any]:
-    """Deterministic payload cell with injectable failure modes.
-
-    ``params`` knobs: ``crash_once`` / ``hang_once`` — cell indices
-    whose *first* attempt SIGKILLs its worker / hangs until the parent
-    timeout kills it (both succeed on retry, so the rollup is identical
-    to an uninjected run); ``fail`` — indices that raise on every
-    attempt and end up quarantined; ``sleep_s`` — per-cell work
-    duration.  The payload is drawn from the derived-seed RNG, proving
-    seed derivation end to end.
-    """
-    params = spec.params
-    index = int(cell["i"])
-    if attempt == 1 and index in set(params.get("crash_once", ())):
-        os.kill(os.getpid(), signal.SIGKILL)
-    if attempt == 1 and index in set(params.get("hang_once", ())):
-        while True:  # parent-side timeout reaps this attempt
-            time.sleep(0.05)
-    if index in set(params.get("fail", ())):
-        raise RuntimeError(f"injected failure in cell {index}")
-    sleep_s = float(params.get("sleep_s", 0.0))
-    if sleep_s:
-        time.sleep(sleep_s)
-    rng = np.random.default_rng(derived_seed)
-    values = [round(float(v), 12) for v in rng.random(8)]
-    return {"i": index, "values": values,
-            "total": round(float(sum(values)), 12)}
-
-
 def expand_cells(spec: SweepSpec) -> list[dict[str, Any]]:
-    """The spec's cell list, in canonical (definition) order."""
-    if spec.kind == "experiments":
-        cells = runner.sweep_cells(spec)
-    elif spec.kind == "faultsweep":
-        cells = faultsweep.sweep_cells(spec)
-    else:
-        cells = _selftest_cells(spec)
+    """The spec's cell list, in canonical (definition) order.
+
+    Raises ``ValueError`` for a malformed kind-specific param (an
+    unknown policy or experiment id, a bad ``faults`` spec).
+    """
+    cells = runner.TABLE[spec.kind].cells(spec)
     keys = [cell_key(c) for c in cells]
     if len(set(keys)) != len(keys):
         raise SweepError(f"sweep {spec.kind!r} expanded to duplicate cells")
@@ -548,12 +487,8 @@ def _execute_cell(spec: SweepSpec, cell: Mapping[str, Any],
     pool worker and compares the cell's ``results_digest``.
     """
     cell = dict(cell)
-    if spec.kind == "experiments":
-        summary = runner.run_sweep_cell(spec, cell, derived_seed, attempt)
-    elif spec.kind == "faultsweep":
-        summary = faultsweep.run_sweep_cell(spec, cell, derived_seed, attempt)
-    else:
-        summary = _selftest_run_cell(spec, cell, derived_seed, attempt)
+    summary = runner.TABLE[spec.kind].run_cell(spec, cell, derived_seed,
+                                               attempt)
     manifest = cell_manifest(spec, cell, derived_seed, summary)
     return {
         "type": "cell",
@@ -721,7 +656,6 @@ class _Task:
     cell: dict[str, Any]
     derived_seed: int
     attempt: int = 1
-    eligible_at: float = 0.0
 
 
 class _Worker:
@@ -777,9 +711,9 @@ def run_sweep(
     """Run (or resume) a sweep; returns the merged, digested outcome.
 
     ``workers=0`` runs every cell inline in this process (the serial
-    reference path — no subprocesses, so crash/hang injection and the
-    parent-side timeout don't apply; the engine ``max_wall_s`` guard
-    inside cells still does).  ``workers>=1`` runs cells on that many
+    reference path and ``repro reproduce`` — no subprocesses, so
+    crash/hang injection and the parent-side timeout don't apply; the
+    engine ``max_wall_s`` guard inside cells still does).  ``workers>=1`` runs cells on that many
     worker processes with the full failure handling described in the
     module docstring.
 
@@ -794,8 +728,8 @@ def run_sweep(
         raise SweepError(f"workers must be >= 0, got {workers}")
     if not isinstance(store, SweepStore):
         store = SweepStore(store)
+    cells = expand_cells(spec)  # a malformed spec fails before the store
     store.initialise(spec, resume=resume)
-    cells = expand_cells(spec)
     keys = [cell_key(c) for c in cells]
     total = len(cells)
     done_keys: set[str] = set()
@@ -810,16 +744,16 @@ def run_sweep(
         live = _live.global_live_bus()
     generation = store.generation()
     quarantined: dict[str, str] = {}
-    queue = list(pending)  # unsettled tasks waiting for their next attempt
+    # unsettled tasks waiting for their next attempt, first in first out:
+    # a failed attempt goes to the back, behind cells not yet tried
+    queue = list(pending)
     resolved = len(done_keys)
 
     def settle(task: _Task, outcome: tuple) -> None:
-        """Count and publish a success, re-queue a failure with backoff,
-        or quarantine it into ``shard`` once its attempts are spent."""
+        """Count and publish a success, re-queue a failure, or
+        quarantine it into ``shard`` once its attempts are spent."""
         nonlocal resolved
         if outcome[0] == "failed" and task.attempt <= spec.retries:
-            task.eligible_at = time.perf_counter() + _backoff_s(
-                spec, task.attempt)
             task.attempt += 1
             queue.append(task)
             return
@@ -879,22 +813,11 @@ def _publish_sweep(live: "_live.LiveBus | None", *, done: int, total: int,
     live.publish("sweep", record)
 
 
-def _backoff_s(spec: SweepSpec, attempt: int) -> float:
-    """Capped exponential backoff before attempt ``attempt + 1``."""
-    if spec.backoff_s <= 0:
-        return 0.0
-    return min(spec.backoff_s * (2.0 ** (attempt - 1)), MAX_BACKOFF_S)
-
-
 def _run_inline(spec: SweepSpec, shard: JsonlWriter, queue: list[_Task],
                 settle: Callable[[_Task, tuple], None]) -> None:
     """The serial reference path: every attempt runs in this process."""
     while queue:
-        queue.sort(key=lambda t: (t.eligible_at, t.index))
         task = queue.pop(0)
-        delay = task.eligible_at - time.perf_counter()
-        if delay > 0:
-            time.sleep(delay)
         settle(task, _attempt(spec, shard, "w0", task.cell,
                               task.derived_seed, task.attempt))
 
@@ -936,13 +859,10 @@ def _run_parallel(spec: SweepSpec, store: SweepStore, generation: int,
             pool[slot] = spawn(slot)
         while queue or any(w.running is not None for w in pool.values()):
             now = time.perf_counter()
-            # dispatch eligible attempts to idle workers, cell order first
-            queue.sort(key=lambda t: (t.eligible_at, t.index))
+            # dispatch queued attempts to idle workers
             for worker in pool.values():
                 if worker.running is not None or not queue:
                     continue
-                if queue[0].eligible_at > now:
-                    break
                 task = queue.pop(0)
                 try:
                     worker.conn.send(("run", task.index, task.cell,
@@ -956,19 +876,15 @@ def _run_parallel(spec: SweepSpec, store: SweepStore, generation: int,
                 worker.running = task
                 worker.deadline = (now + spec.timeout_s
                                    if spec.timeout_s > 0 else None)
-            # wait for messages, the next deadline, or the next backoff
+            # wait for messages or the next deadline
             deadlines = [w.deadline for w in pool.values()
                          if w.deadline is not None]
-            wakeups = deadlines + [t.eligible_at for t in queue
-                                   if t.eligible_at > now]
             timeout = 0.25
-            if wakeups:
-                timeout = min(timeout, max(0.01, min(wakeups) - now))
+            if deadlines:
+                timeout = min(timeout, max(0.01, min(deadlines) - now))
             busy = [w for w in pool.values() if w.running is not None]
             ready = _conn_wait([w.conn for w in busy],
                                timeout=timeout) if busy else []
-            if not busy and timeout:
-                time.sleep(min(timeout, 0.05))
             by_conn = {w.conn: w for w in pool.values()}
             for conn in ready:
                 worker = by_conn[conn]

@@ -1,15 +1,29 @@
-"""Run-everything orchestrator.
+"""The experiment table: every sweep kind's cells, cell function, renderer.
 
-Regenerates every table and figure of the paper at one scale and
-assembles a combined report, in the paper's presentation order.  The
-CLI exposes this as ``python -m repro reproduce all``.
+Each of the paper's tables and figures, and the fault study, is one row
+of :data:`TABLE`, keyed by its experiment id.  Two rows are not paper
+artifacts: ``experiments`` (the whole matrix, one cell per experiment)
+and ``selftest`` (deterministic payload cells with injectable failures,
+used by the pool's tests and the CI smoke job).
+
+The table is the one dispatch site.  :mod:`repro.experiments.pool`
+expands and runs a sweep's cells through its row, and ``repro sweep``
+and ``repro reproduce`` both render a merged rollup with the row's
+renderer: ``reproduce <id>`` is ``pool.run_sweep`` of kind ``<id>`` on
+no worker processes, and ``reproduce all`` the same for
+``experiments``.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import os
+import signal
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Mapping
+
+import numpy as np
 
 if TYPE_CHECKING:
     from repro.experiments.pool import SweepSpec
@@ -33,105 +47,140 @@ from repro.experiments import (
 
 
 @dataclass(frozen=True)
-class ExperimentSpec:
-    """One runnable experiment: id, runner, reporter."""
+class Experiment:
+    """One row of :data:`TABLE`: how a sweep kind expands, runs, renders.
 
-    exp_id: str
-    run: Callable[..., object]
-    report: Callable[[object], str]
-    needs_scale: bool = True
-
-
-SPECS: tuple[ExperimentSpec, ...] = (
-    ExperimentSpec("table1", lambda **_: table1.run(), table1.report, False),
-    ExperimentSpec("table2", table2.run, table2.report),
-    ExperimentSpec("fig2", fig2.run, fig2.report),
-    ExperimentSpec("fig3", fig3.run, fig3.report),
-    ExperimentSpec("table3", lambda **_: table3.run(), table3.report, False),
-    ExperimentSpec("fig4", fig4.run, fig4.report),
-    ExperimentSpec("fig5", fig5.run, fig5.report),
-    ExperimentSpec("fig6", fig6.run, fig6.report),
-    ExperimentSpec("fig7", fig7.run, fig7.report),
-    ExperimentSpec("table4", table4.run, table4.report),
-    ExperimentSpec("fig8", fig8.run, fig8.report),
-    ExperimentSpec("fig9", fig9.run, fig9.report),
-    ExperimentSpec("faultsweep", faultsweep.run, faultsweep.report),
-    ExperimentSpec(
-        "overhead",
-        lambda full_size=True, **_: overhead.run(full_size=full_size),
-        overhead.report,
-        False,
-    ),
-)
-
-
-def run_one(
-    exp_id: str,
-    scale: str = "default",
-    seed: int = 0,
-    full_size_overhead: bool = True,
-) -> str:
-    """Run a single experiment by id and return its rendered report."""
-    by_id = {s.exp_id: s for s in SPECS}
-    if exp_id not in by_id:
-        raise ValueError(f"unknown experiment id: {exp_id!r}")
-    spec = by_id[exp_id]
-    if spec.needs_scale:
-        result = spec.run(scale, seed=seed)
-    elif exp_id == "overhead":
-        result = spec.run(full_size=full_size_overhead)
-    else:
-        result = spec.run()
-    return spec.report(result)
-
-
-def run_all(
-    scale: str = "default",
-    seed: int = 0,
-    only: tuple[str, ...] | None = None,
-    full_size_overhead: bool = True,
-    progress: Callable[[str], None] | None = None,
-    manifest_path: str | None = None,
-) -> dict[str, str]:
-    """Run every (or the selected) experiment; return rendered reports.
-
-    Experiments share cached traces and trained agents within the
-    process, so the full sweep costs little more than Fig 6 alone plus
-    the training-order study.
-
-    With ``manifest_path`` a :class:`~repro.obs.manifest.RunManifest` is
-    written there, recording the scale, seed, git SHA, selected
-    experiments and per-experiment wall durations.
+    ``cells(spec)`` lists the cell dicts in canonical order;
+    ``run_cell(spec, cell, derived_seed, attempt)`` runs one cell and
+    returns its JSON-able summary; ``render(spec, rollup)`` turns a
+    merged rollup into the printed report (empty for ``selftest``).
     """
-    selected = {s.exp_id: s for s in SPECS}
+
+    cells: Callable[["SweepSpec"], list[dict[str, Any]]]
+    run_cell: Callable[["SweepSpec", Mapping[str, Any], int, int],
+                       dict[str, Any]]
+    render: Callable[["SweepSpec", Mapping[str, Any]], str]
+
+
+def run_inline(spec: "SweepSpec") -> str:
+    """Run every cell of ``spec`` in this process; return its report.
+
+    The ``experiments`` kind's cell for one experiment: that
+    experiment's own cells through its own cell function, reduced by
+    its own renderer, with no store (a raising cell raises).
+    """
+    from repro.experiments.pool import cell_key, derive_cell_seed
+
+    row = TABLE[spec.kind]
+    records = []
+    for cell in row.cells(spec):
+        key = cell_key(cell)
+        summary = row.run_cell(spec, cell, derive_cell_seed(spec.seed, key), 1)
+        records.append({"key": key, "cell": cell, "summary": summary})
+    return row.render(spec, {"sweep": spec.identity(), "cells": records})
+
+
+# -- one paper table or figure: one cell holding its report --------------------
+
+def _report_row(report: Callable[["SweepSpec"], str]) -> Experiment:
+    """A row whose one cell runs an experiment and keeps its report.
+
+    Experiments are seeded from the sweep-level seed, not the per-cell
+    ``derived_seed``: their identity is the paper's matrix at one seed.
+    """
+    def run_cell(spec: "SweepSpec", cell: Mapping[str, Any],
+                 derived_seed: int, attempt: int) -> dict[str, Any]:
+        del cell, derived_seed, attempt  # deterministic cell; see docstring
+        return {"exp": spec.kind, "report": report(spec)}
+
+    return Experiment(cells=lambda spec: [{"exp": spec.kind}],
+                      run_cell=run_cell, render=_the_report)
+
+
+def _scaled(module: Any) -> Experiment:
+    """The row of an experiment module with ``run(scale, seed=)``."""
+    return _report_row(
+        lambda spec: module.report(module.run(spec.scale, seed=spec.seed)))
+
+
+def _the_report(spec: "SweepSpec", rollup: Mapping[str, Any]) -> str:
+    """The report a one-cell row's cell kept ("" if it failed)."""
+    del spec
+    cells = rollup.get("cells") or ()
+    return str(cells[0]["summary"]["report"]) if cells else ""
+
+
+def _render_faultsweep(spec: "SweepSpec", rollup: Mapping[str, Any]) -> str:
+    del spec
+    return faultsweep.report(faultsweep.result_from_rollup(rollup))
+
+
+# -- the whole matrix ----------------------------------------------------------
+
+#: experiments excluded from the ``experiments`` kind by default: the
+#: overhead study reports measured wall times, which would break the
+#: sweep's byte-identical-rollup contract (opt in with
+#: ``params={"only": [...]}``, as ``reproduce all`` does)
+NONDETERMINISTIC_EXPERIMENTS: tuple[str, ...] = ("overhead",)
+
+
+def sweep_cells(spec: "SweepSpec") -> list[dict[str, Any]]:
+    """Expand an ``experiments`` :class:`~repro.experiments.pool.SweepSpec`.
+
+    One cell per experiment id.  ``spec.params["only"]`` selects a
+    subset (and may opt nondeterministic experiments back in); the
+    default is every experiment except
+    :data:`NONDETERMINISTIC_EXPERIMENTS`.
+    """
+    only = spec.params.get("only")
     if only is not None:
-        unknown = set(only) - set(selected)
+        unknown = set(only) - set(EXPERIMENT_IDS)
         if unknown:
             raise ValueError(f"unknown experiment ids: {sorted(unknown)}")
-        selected = {k: v for k, v in selected.items() if k in only}
-    reports: dict[str, str] = {}
-    durations: dict[str, float] = {}
-    for exp_id in selected:
-        start = time.perf_counter()
-        reports[exp_id] = run_one(exp_id, scale, seed=seed,
-                                  full_size_overhead=full_size_overhead)
-        durations[exp_id] = round(time.perf_counter() - start, 3)
-        if progress is not None:
-            progress(f"{exp_id}: done in {durations[exp_id]:.1f} s")
-    if manifest_path is not None:
-        from repro.obs.manifest import RunManifest
+        ids = [exp_id for exp_id in EXPERIMENT_IDS if exp_id in set(only)]
+    else:
+        ids = [exp_id for exp_id in EXPERIMENT_IDS
+               if exp_id not in NONDETERMINISTIC_EXPERIMENTS]
+    return [{"exp": exp_id} for exp_id in ids]
 
-        RunManifest.create(
-            kind="reproduce",
-            seed=seed,
-            config={
-                "scale": scale,
-                "experiments": sorted(selected),
-                "full_size_overhead": full_size_overhead,
-            },
-            summary={"wall_s": durations},
-        ).write(manifest_path)
-    return reports
+
+def run_sweep_cell(spec: "SweepSpec", cell: Mapping[str, Any],
+                   derived_seed: int, attempt: int) -> dict[str, Any]:
+    """Run one experiment of the matrix: its own sweep, inline."""
+    del derived_seed, attempt  # each experiment seeds from spec.seed
+    exp_id = str(cell["exp"])
+    return {"exp": exp_id,
+            "report": run_inline(dataclasses.replace(spec, kind=exp_id))}
+
+
+def reports_from_rollup(
+    rollup: Mapping[str, Any],
+) -> "tuple[dict[str, str], dict[str, str]]":
+    """Split a merged ``experiments`` rollup into (reports, failures).
+
+    Feed both into :func:`combined_report` together with the expected
+    id list to render the full matrix with quarantined rows.
+    """
+    reports: dict[str, str] = {}
+    for record in rollup.get("cells", ()):
+        summary = record.get("summary") or {}
+        if "exp" in summary and "report" in summary:
+            reports[str(summary["exp"])] = str(summary["report"])
+    failures: dict[str, str] = {}
+    for record in rollup.get("quarantined", ()):
+        exp_id = (record.get("cell") or {}).get("exp")
+        if exp_id is not None:
+            failures[str(exp_id)] = str(
+                record.get("error_type", "unknown failure"))
+    reports = {k: reports[k] for k in EXPERIMENT_IDS if k in reports}
+    return reports, failures
+
+
+def _render_matrix(spec: "SweepSpec", rollup: Mapping[str, Any]) -> str:
+    reports, failures = reports_from_rollup(rollup)
+    expected = [cell["exp"] for cell in sweep_cells(spec)]
+    return combined_report(reports, spec.scale, expected=expected,
+                           failures=failures)
 
 
 def combined_report(
@@ -181,71 +230,72 @@ def combined_report(
     return "\n".join(blocks)
 
 
-# -- parallel-sweep integration (repro.experiments.pool) -----------------------
+# -- the pool's self-test ------------------------------------------------------
 
-#: experiments excluded from parallel sweeps by default: the overhead
-#: study reports measured wall times, which would break the sweep's
-#: byte-identical-rollup contract (opt in with params={"only": [...]})
-NONDETERMINISTIC_EXPERIMENTS: tuple[str, ...] = ("overhead",)
+def selftest_cells(spec: "SweepSpec") -> list[dict[str, Any]]:
+    """``params["cells"]`` (default 8) cells ``{"i": 0}``, ``{"i": 1}``, …"""
+    n = int(spec.params.get("cells", 8))
+    if n < 1:
+        raise ValueError(f"selftest needs at least one cell, got {n}")
+    return [{"i": i} for i in range(n)]
 
 
-def sweep_cells(spec: "SweepSpec") -> list[dict[str, Any]]:
-    """Expand an experiments :class:`~repro.experiments.pool.SweepSpec`.
+def run_selftest_cell(spec: "SweepSpec", cell: Mapping[str, Any],
+                      derived_seed: int, attempt: int) -> dict[str, Any]:
+    """Deterministic payload cell with injectable failure modes.
 
-    One cell per experiment id.  ``spec.params["only"]`` selects a
-    subset (and may opt nondeterministic experiments back in); the
-    default is every experiment except
-    :data:`NONDETERMINISTIC_EXPERIMENTS`.
+    ``params`` knobs: ``crash_once`` / ``hang_once`` — cell indices
+    whose *first* attempt SIGKILLs its worker / hangs until the parent
+    timeout kills it (both succeed on retry, so the rollup is identical
+    to an uninjected run); ``fail`` — indices that raise on every
+    attempt and end up quarantined; ``sleep_s`` — per-cell work
+    duration.  The payload is drawn from the derived-seed RNG, proving
+    seed derivation end to end.
     """
-    only = spec.params.get("only")
-    if only is not None:
-        known = {s.exp_id for s in SPECS}
-        unknown = set(only) - known
-        if unknown:
-            raise ValueError(f"unknown experiment ids: {sorted(unknown)}")
-        ids = [s.exp_id for s in SPECS if s.exp_id in set(only)]
-    else:
-        ids = [s.exp_id for s in SPECS
-               if s.exp_id not in NONDETERMINISTIC_EXPERIMENTS]
-    return [{"exp": exp_id} for exp_id in ids]
+    params = spec.params
+    index = int(cell["i"])
+    if attempt == 1 and index in set(params.get("crash_once", ())):
+        os.kill(os.getpid(), signal.SIGKILL)
+    if attempt == 1 and index in set(params.get("hang_once", ())):
+        while True:  # parent-side timeout reaps this attempt
+            time.sleep(0.05)
+    if index in set(params.get("fail", ())):
+        raise RuntimeError(f"injected failure in cell {index}")
+    sleep_s = float(params.get("sleep_s", 0.0))
+    if sleep_s:
+        time.sleep(sleep_s)
+    rng = np.random.default_rng(derived_seed)
+    values = [round(float(v), 12) for v in rng.random(8)]
+    return {"i": index, "values": values,
+            "total": round(float(sum(values)), 12)}
 
 
-def run_sweep_cell(spec: "SweepSpec", cell: Mapping[str, Any],
-                   derived_seed: int, attempt: int) -> dict[str, Any]:
-    """Run one experiment cell for the pool orchestrator.
+# -- the table -----------------------------------------------------------------
 
-    Experiments are seeded from the sweep-level seed (their identity is
-    the paper's figure/table matrix at one seed, matching the serial
-    ``reproduce all`` path), not the per-cell ``derived_seed``.
-    """
-    del derived_seed, attempt  # deterministic cell; see docstring
-    exp_id = str(cell["exp"])
-    report = run_one(
-        exp_id, spec.scale, seed=spec.seed,
-        full_size_overhead=bool(spec.params.get("full_size_overhead", True)),
-    )
-    return {"exp": exp_id, "report": report}
+#: every sweep kind by name: the paper's experiments in report order,
+#: then the whole matrix and the pool's self-test
+TABLE: dict[str, Experiment] = {
+    "table1": _report_row(lambda spec: table1.report(table1.run())),
+    "table2": _scaled(table2),
+    "fig2": _scaled(fig2),
+    "fig3": _scaled(fig3),
+    "table3": _report_row(lambda spec: table3.report(table3.run())),
+    "fig4": _scaled(fig4),
+    "fig5": _scaled(fig5),
+    "fig6": _scaled(fig6),
+    "fig7": _scaled(fig7),
+    "table4": _scaled(table4),
+    "fig8": _scaled(fig8),
+    "fig9": _scaled(fig9),
+    "faultsweep": Experiment(faultsweep.sweep_cells,
+                             faultsweep.run_sweep_cell, _render_faultsweep),
+    "overhead": _report_row(lambda spec: overhead.report(overhead.run(
+        full_size=bool(spec.params.get("full_size_overhead", True))))),
+    "experiments": Experiment(sweep_cells, run_sweep_cell, _render_matrix),
+    "selftest": Experiment(selftest_cells, run_selftest_cell,
+                           lambda spec, rollup: ""),
+}
 
-
-def reports_from_rollup(
-    rollup: Mapping[str, Any],
-) -> "tuple[dict[str, str], dict[str, str]]":
-    """Split a merged pool rollup into (reports, failure reasons).
-
-    Feed both into :func:`combined_report` together with the expected
-    id list to render the full matrix with quarantined rows.
-    """
-    reports: dict[str, str] = {}
-    for record in rollup.get("cells", ()):
-        summary = record.get("summary") or {}
-        if "exp" in summary and "report" in summary:
-            reports[str(summary["exp"])] = str(summary["report"])
-    failures: dict[str, str] = {}
-    for record in rollup.get("quarantined", ()):
-        exp_id = (record.get("cell") or {}).get("exp")
-        if exp_id is not None:
-            failures[str(exp_id)] = str(
-                record.get("error_type", "unknown failure"))
-    order = [s.exp_id for s in SPECS]
-    reports = {k: reports[k] for k in order if k in reports}
-    return reports, failures
+#: the experiment ids ``reproduce`` accepts, in report order
+EXPERIMENT_IDS: tuple[str, ...] = tuple(
+    k for k in TABLE if k not in ("experiments", "selftest"))

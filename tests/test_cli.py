@@ -212,6 +212,31 @@ class TestReproduce:
         with pytest.raises(SystemExit):
             main(["reproduce", "fig99"])
 
+    def test_malformed_faults_is_a_bad_spec(self, capsys):
+        rc = main(["reproduce", "faultsweep", "--scale", "tiny",
+                   "--faults", "bogus"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "bad sweep spec: bad --faults entry 'bogus': expected key=value"]
+
+    def test_raising_experiment_runs_once_and_exits_nonzero(
+            self, monkeypatch, capsys):
+        from repro.experiments import table1
+
+        calls = []
+
+        def boom():
+            calls.append(1)
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(table1, "run", boom)
+        rc = main(["reproduce", "table1"])
+        assert rc != 0
+        assert calls == [1]  # not retried
+        assert "RuntimeError: boom" in capsys.readouterr().err
+
 
 class TestReportAndTrace:
     def _simulated(self, tmp_path, capsys):
@@ -431,6 +456,15 @@ class TestSweepCLI:
                    "--faults", "mtbf=2000,seed=0"])
         assert rc == 2
         assert "faultsweep" in capsys.readouterr().err
+
+    def test_malformed_faults_writes_no_shard(self, tmp_path, capsys):
+        store = tmp_path / "s"
+        rc = main(["sweep", "faultsweep", "--scale", "tiny",
+                   "--store", str(store), "--faults", "bogus"])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "bad sweep spec: bad --faults entry 'bogus': expected key=value"]
+        assert not store.exists()
 
     def test_quarantined_cell_exits_three(self, tmp_path, capsys):
         store = tmp_path / "store"

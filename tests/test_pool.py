@@ -7,17 +7,18 @@ crash-resume test lives in ``test_pool_resume.py``; this module covers
 the orchestrator's in-process contracts.
 """
 
+import dataclasses
 import json
 
 import pytest
 
-from repro.experiments import faultsweep, pool
+from repro.experiments import faultsweep, pool, runner
 from repro.obs.live import LiveBus
 
 
 def selftest_spec(**overrides):
     defaults = dict(kind="selftest", scale="tiny", seed=11,
-                    params={"cells": 6}, backoff_s=0.0)
+                    params={"cells": 6})
     defaults.update(overrides)
     return pool.SweepSpec(**defaults)
 
@@ -45,16 +46,15 @@ class TestSweepSpec:
             pool.SweepSpec(kind="nope")
 
     @pytest.mark.parametrize("field,value", [
-        ("timeout_s", -1.0), ("retries", -1), ("backoff_s", -0.5),
-        ("timeout_s", float("nan")), ("timeout_s", float("inf")),
-        ("backoff_s", float("nan")), ("backoff_s", float("inf"))])
+        ("timeout_s", -1.0), ("retries", -1),
+        ("timeout_s", float("nan")), ("timeout_s", float("inf"))])
     def test_negative_knobs_rejected(self, field, value):
         with pytest.raises(pool.SweepError):
             pool.SweepSpec(kind="selftest", **{field: value})
 
     def test_identity_excludes_execution_policy(self):
-        a = selftest_spec(retries=0, backoff_s=0.0)
-        b = selftest_spec(retries=5, backoff_s=2.0)
+        a = selftest_spec(retries=0)
+        b = selftest_spec(retries=5)
         assert a.digest() == b.digest()
 
     def test_identity_includes_timeout(self):
@@ -73,8 +73,8 @@ class TestExpand:
         assert cells == [{"i": i} for i in range(6)]
 
     def test_duplicate_cells_rejected(self, monkeypatch):
-        monkeypatch.setattr(pool, "_selftest_cells",
-                            lambda spec: [{"i": 1}, {"i": 1}])
+        monkeypatch.setitem(runner.TABLE, "selftest", dataclasses.replace(
+            runner.TABLE["selftest"], cells=lambda spec: [{"i": 1}, {"i": 1}]))
         with pytest.raises(pool.SweepError, match="duplicate"):
             pool.expand_cells(selftest_spec())
 
@@ -253,18 +253,27 @@ class TestFaultsweepCells:
             assert record["manifest"]["summary"]["max_wall_s"] \
                 == faultsweep.CELL_MAX_WALL_S
 
-    def test_pool_matches_serial_faultsweep_numbers(self, tmp_path):
+    def test_pool_matches_serial_faultsweep_numbers(self, tmp_path, capsys):
+        from repro.cli import main
+
         spec = pool.SweepSpec(kind="faultsweep", scale="tiny", seed=0,
                               params=self.GRID)
         result = pool.run_sweep(spec, tmp_path / "fs", workers=2)
         rebuilt = faultsweep.result_from_rollup(result.rollup)
-        serial = faultsweep.run("tiny", seed=0)
-        by_cell = {(c.policy, c.mtbf): c for c in serial.cells}
         assert len(rebuilt.cells) == 2
-        for cell in rebuilt.cells:
-            ref = by_cell[(cell.policy, cell.mtbf)]
-            assert cell.metrics == ref.metrics
-            assert cell.resilience == ref.resilience
+        assert main(["reproduce", "faultsweep", "--scale", "tiny"]) == 0
+        serial = capsys.readouterr().out
+
+        def rows(text):
+            # one table row per line, cells stripped of column padding
+            return [[c.strip() for c in line.split("|")]
+                    for line in text.splitlines() if "|" in line]
+
+        # the FCFS table comes first: its MTBF-none and 2000 rows are
+        # the two pool cells
+        pooled = rows(faultsweep.report(rebuilt))
+        assert pooled[1:] == [row for row in rows(serial)[1:5]
+                              if row[0] in ("none", "2000")]
 
     def test_unknown_policy_rejected(self):
         spec = pool.SweepSpec(kind="faultsweep",

@@ -27,7 +27,7 @@ from repro.experiments import pool
 
 SPEC = pool.SweepSpec(kind="selftest", scale="tiny", seed=23,
                       params={{"cells": 10, "sleep_s": 0.05}},
-                      timeout_s=10.0, backoff_s=0.0)
+                      timeout_s=10.0)
 
 
 class KillParentAfter:

@@ -1,38 +1,70 @@
-"""Tests for the run-everything orchestrator."""
+"""Tests for the experiment table and ``reproduce all``'s path."""
+
+import json
 
 import pytest
 
-from repro.experiments.runner import SPECS, combined_report, run_all
+from repro.cli import EXPERIMENTS, main
+from repro.experiments import pool
+from repro.experiments.runner import (
+    EXPERIMENT_IDS,
+    combined_report,
+    reports_from_rollup,
+)
+
+
+def matrix(tmp_path, only):
+    """The reports of an ``experiments`` sweep of ``only`` at tiny."""
+    spec = pool.SweepSpec(kind="experiments", scale="tiny",
+                          params={"only": list(only)})
+    result = pool.run_sweep(spec, tmp_path / "store", workers=0)
+    reports, failures = reports_from_rollup(result.rollup)
+    assert not failures
+    return reports
 
 
 class TestRunAll:
-    def test_selected_subset(self):
-        reports = run_all(scale="tiny", only=("table1", "table3"))
+    """``reproduce all`` is an ``experiments`` sweep run inline."""
+
+    def test_selected_subset(self, tmp_path):
+        reports = matrix(tmp_path, ("table1", "table3"))
         assert set(reports) == {"table1", "table3"}
         assert "Table I" in reports["table1"]
         assert "21,890,053" in reports["table3"]
 
     def test_unknown_id_rejected(self):
+        spec = pool.SweepSpec(kind="experiments", params={"only": ["fig99"]})
         with pytest.raises(ValueError, match="unknown experiment"):
-            run_all(scale="tiny", only=("fig99",))
+            pool.expand_cells(spec)
 
-    def test_progress_callback(self):
-        messages = []
-        run_all(scale="tiny", only=("table1",), progress=messages.append)
+    def test_progress_callback(self, capsys):
+        assert main(["reproduce", "table1"]) == 0
+        messages = capsys.readouterr().err.splitlines()
         assert len(messages) == 1
-        assert messages[0].startswith("table1")
+        assert messages[0].strip().startswith("[table1")
 
     def test_spec_ids_unique_and_complete(self):
-        ids = [s.exp_id for s in SPECS]
+        ids = list(EXPERIMENT_IDS)
         assert len(ids) == len(set(ids))
-        assert set(ids) == {
+        assert set(ids) == set(EXPERIMENTS) == {
             "table1", "table2", "table3", "table4",
             "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
             "faultsweep", "overhead",
         }
 
-    def test_workload_experiments_at_tiny(self):
-        reports = run_all(scale="tiny", only=("table2", "fig2", "fig3"))
+    def test_workload_experiments_at_tiny(self, tmp_path, capsys):
+        # reproduce <id> prints, byte for byte, the block a 2-worker
+        # sweep of the matrix renders for <id>
+        only = ["table1", "table2", "fig2", "fig3", "table3"]  # report order
+        assert main(["sweep", "experiments", "--scale", "tiny",
+                     "--store", str(tmp_path / "store"), "--workers", "2",
+                     "--param", "only=" + json.dumps(only)]) == 0
+        swept = capsys.readouterr().out
+        reports = {}
+        for exp_id in only:
+            assert main(["reproduce", exp_id, "--scale", "tiny"]) == 0
+            reports[exp_id] = capsys.readouterr().out.removesuffix("\n")
+        assert swept == combined_report(reports, "tiny") + "\n"
         assert "Table II" in reports["table2"]
         assert "Fig 2" in reports["fig2"]
         assert "Fig 3" in reports["fig3"]
@@ -74,10 +106,8 @@ class TestCombinedReport:
 
 class TestCLIAll:
     def test_reproduce_all_subset_via_runner(self, capsys):
-        # the 'all' CLI path is exercised cheaply through the runner API;
-        # the full sweep is covered by the benchmark suite
-        from repro.cli import main
-
+        # the 'all' CLI path is the same inline sweep as one experiment's;
+        # the full matrix is covered by the benchmark suite
         rc = main(["reproduce", "table1"])
         assert rc == 0
         capsys.readouterr()
