@@ -4,11 +4,15 @@ The expensive pieces (workload generation, agent training, the
 seven-method evaluation) are cached per ``(scale, seed)`` inside one
 process so that the Fig 6 / Fig 7 / Fig 8 / Table IV benchmarks — which
 all analyze the same evaluation runs, exactly as the paper does — share
-the work.
+the work.  A trained agent is handed out as a copy: every caller gets
+the complete trained state (weights, Adam moments and step, PG
+baseline or DQL epsilon, RNG stream) to learn online on, and no caller
+changes what the next one gets.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -167,10 +171,9 @@ def make_agent(kind: str, config: DRASConfig):
 
 
 @lru_cache(maxsize=16)
-def trained_agent(
-    kind: str, system: str, scale_name: str, seed: int = 0
+def _train(
+    kind: str, system: str, scale_name: str, seed: int
 ) -> tuple[object, TrainingHistory]:
-    """Train one agent with the three-phase curriculum (cached)."""
     scale = get_scale(scale_name)
     setup = system_setup(system, scale_name, seed)
     agent = make_agent(kind, setup.config)
@@ -188,19 +191,15 @@ def trained_agent(
     return agent, history
 
 
-def fresh_trained_agent(kind: str, system: str, scale_name: str, seed: int = 0):
-    """A *new* agent loaded with the cached trained weights.
+def trained_agent(
+    kind: str, system: str, scale_name: str, seed: int = 0
+) -> tuple[object, TrainingHistory]:
+    """A private copy of one agent trained with the three-phase curriculum.
 
-    :func:`full_comparison` keeps online learning on during evaluation,
-    mutating the cached agent; experiments that need the
-    pristine post-training policy (e.g. Fig 9) rebuild from the last
-    training snapshot instead.
+    Training runs once per ``(kind, system, scale, seed)`` in a process;
+    each call returns a deep copy of that agent and its history.
     """
-    _, history = trained_agent(kind, system, scale_name, seed)
-    setup = system_setup(system, scale_name, seed)
-    agent = make_agent(kind, setup.config)
-    agent.load_state_dict(history.last)
-    return agent
+    return copy.deepcopy(_train(kind, system, scale_name, seed))
 
 
 def baseline_schedulers(objective: str, window: int = 100, seed: int = 0) -> list:
@@ -219,9 +218,10 @@ def full_comparison(
 ) -> dict[str, MethodResult]:
     """Evaluate all seven methods on the test trace (cached).
 
-    DRAS and Decima agents are trained first, then evaluated with
-    online learning enabled (the paper's deployment mode).  Returns
-    ``{method name: MethodResult}`` in the paper's method order.
+    DRAS and Decima agents are trained first, then a copy of each is
+    evaluated with online learning enabled (the paper's deployment
+    mode).  Returns ``{method name: MethodResult}`` in the paper's
+    method order.
     """
     setup = system_setup(system, scale_name, seed)
     methods: list = baseline_schedulers(setup.config.objective, seed=seed)

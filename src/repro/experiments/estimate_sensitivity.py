@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.analysis.comparison import evaluate_method
 from repro.analysis.tables import format_table
-from repro.experiments.common import fresh_trained_agent, get_scale, system_setup
+from repro.experiments.common import get_scale, system_setup, trained_agent
 from repro.schedulers import FCFSEasy
 
 #: mean multiplicative over-estimation factors swept (0 = perfect
@@ -39,7 +39,6 @@ class SensitivityRow:
 def run(scale: str = "default", seed: int = 0) -> list[SensitivityRow]:
     get_scale(scale)
     setup = system_setup("theta", scale, seed)
-    agent = fresh_trained_agent("pg", "theta", scale, seed)
 
     rows = []
     for factor in OVERESTIMATE_FACTORS:
@@ -47,6 +46,7 @@ def run(scale: str = "default", seed: int = 0) -> list[SensitivityRow]:
         model = replace(setup.model, runtimes=runtimes)
         trace = model.generate(len(setup.test_trace),
                                np.random.default_rng(seed + 13))
+        agent, _ = trained_agent("pg", "theta", scale, seed)
         metrics: dict[str, tuple[float, float, float]] = {}
         for scheduler in (FCFSEasy(), agent.eval(online_learning=True)):
             res = evaluate_method(scheduler, trace, model.num_nodes)

@@ -17,11 +17,7 @@ import numpy as np
 
 from repro.analysis.plots import line_chart
 from repro.analysis.tables import format_table
-from repro.experiments.common import (
-    fresh_trained_agent,
-    get_scale,
-    system_setup,
-)
+from repro.experiments.common import get_scale, system_setup, trained_agent
 from repro.schedulers import FCFSEasy, KnapsackOptimization
 from repro.sim.cluster import Cluster
 from repro.sim.engine import Engine
@@ -68,8 +64,8 @@ def run(scale: str = "default", seed: int = 0) -> AdaptationResult:
     methods = [
         FCFSEasy(),
         KnapsackOptimization(setup.config.objective),
-        fresh_trained_agent("pg", "theta", scale, seed).eval(online_learning=True),
-        fresh_trained_agent("dql", "theta", scale, seed).eval(online_learning=True),
+        trained_agent("pg", "theta", scale, seed)[0].eval(online_learning=True),
+        trained_agent("dql", "theta", scale, seed)[0].eval(online_learning=True),
     ]
 
     weekly_wait: dict[str, tuple[float, ...]] = {}

@@ -1,17 +1,15 @@
-"""Episodic training with validation and a snapshot of the trained model.
+"""Episodic training with validation and per-episode checkpoints.
 
 Training follows §III-C: the network parameters start random, each
 episode replays one jobset from an all-idle initial state, parameters
 update every ten scheduling instances, and the model is kept after
-every episode: here on disk, as a checkpoint after every
+every episode: on disk, as a checkpoint after every
 ``checkpoint_every``-th episode when ``checkpoint_path`` is set, written
 from the live weights without lending them.  An unseen validation
 jobset measures progress; the convergence monitor declares convergence
-when the validation reward plateaus.  In memory, ``history.last`` is
-set once, when ``train()`` returns (the final or the converged
-episode's weights): nothing reads it sooner, and taking none during
-the run lets every optimizer step update the weights in place.  A run
-that raises leaves ``history.last`` as it was.
+when the validation reward plateaus.  The trained model is the agent
+itself: ``train()`` takes no snapshot, so every optimizer step updates
+the weights in place.
 """
 
 from __future__ import annotations
@@ -50,21 +48,14 @@ class EpisodeStats:
 
 @dataclass
 class TrainingHistory:
-    """Episode statistics plus the model snapshot ``train()`` left.
+    """Episode statistics of a training run; no weights.
 
-    Memory is constant in the number of episodes: :attr:`last` is the
-    state dict taken when :meth:`Trainer.train` returns after completing
-    at least one episode (``None`` until then), a version of the
-    weights lent read-only (:meth:`~repro.nn.network.Network.state_dict`),
-    not a copy, so later online learning does not change it.  It is not
-    updated during a run, and a run that raises leaves it as it was;
-    the per-episode record is the trainer's ``checkpoint_path``.
-    :meth:`best_episode` names the best-validating episode; its weights
-    are not kept — each kept snapshot pins one weight version.
+    The trained weights are the agent's own, and the per-episode record
+    of them is the trainer's ``checkpoint_path``.  :meth:`best_episode`
+    names the best-validating episode; its weights are not kept.
     """
 
     episodes: list[EpisodeStats] = field(default_factory=list)
-    last: dict[str, np.ndarray] | None = None
 
     @property
     def validation_curve(self) -> np.ndarray:
@@ -317,8 +308,8 @@ class Trainer:
         When ``history`` already holds ``k`` episodes (a checkpoint
         resume), the first ``k`` jobsets are skipped: they were
         completed by the interrupted run and their effects live in the
-        restored agent state.  ``history.last`` is set on return, and
-        only if this call completed an episode.
+        restored agent state.  The trained model is the agent: no
+        snapshot is taken, on return or during the run.
         """
         history = history or TrainingHistory()
         done = len(history.episodes)
@@ -348,8 +339,6 @@ class Trainer:
                 self._write_checkpoint(history)
             if stop_on_convergence and history.converged_at(convergence_window):
                 break
-        if len(history.episodes) > done:
-            history.last = self.agent.state_dict()
         return history
 
     def _write_checkpoint(self, history: TrainingHistory) -> None:

@@ -1,6 +1,8 @@
 """Discrete-event machinery for the trace-driven simulator.
 
-A binary heap orders events by ``(time, priority, sequence)``.  The
+A binary heap orders events by ``(time, priority, sequence)``: it holds
+``(time, kind, seq, event)`` tuples, so ``heapq`` compares them in C and
+never reaches the event, since ``seq`` is unique.  The
 sequence number makes the ordering total and deterministic, which keeps
 whole simulations reproducible bit-for-bit — essential for RL training
 (same seed, same trajectory) and for regression tests.
@@ -40,16 +42,16 @@ class EventKind(enum.IntEnum):
 class Event:
     """One timestamped occurrence (job finish/submit, node fail/repair).
 
-    Ordering is ``(time, kind, seq)``: finishes sort before submits at
-    the same timestamp, and ``seq`` breaks remaining ties by insertion
-    order, keeping the heap deterministic.  ``job_id`` carries the
-    subject job for job events and ``node`` the subject node for node
-    events; the unused field stays ``-1``.  ``cancelled`` marks an
-    event as dead without removing it from the heap.
+    The queue orders events by ``(time, kind, seq)``: finishes sort
+    before submits at the same timestamp, and ``seq`` breaks remaining
+    ties by insertion order, keeping the heap deterministic.  ``job_id``
+    carries the subject job for job events and ``node`` the subject node
+    for node events; the unused field stays ``-1``.  ``cancelled``
+    marks an event as dead without removing it from the heap.
 
     A plain ``__slots__`` class rather than a dataclass: the heap holds
-    one instance per simulated event, so construction and ``__lt__``
-    are on the hottest path of the whole simulator.
+    one instance per simulated event, so construction is on the hottest
+    path of the whole simulator.
     """
 
     __slots__ = ("time", "kind", "seq", "job_id", "node", "cancelled")
@@ -64,19 +66,6 @@ class Event:
         self.node = node
         self.cancelled = cancelled
 
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:  # repro: noqa[float-time-eq]
-            return self.time < other.time
-        if self.kind != other.kind:
-            return self.kind < other.kind
-        return self.seq < other.seq
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Event):
-            return NotImplemented
-        return (self.time == other.time and self.kind == other.kind  # repro: noqa[float-time-eq]
-                and self.seq == other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Event(time={self.time!r}, kind={self.kind!r}, "
                 f"seq={self.seq!r}, job_id={self.job_id!r}, "
@@ -87,7 +76,7 @@ class EventQueue:
     """A deterministic min-heap of :class:`Event` objects."""
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, int, Event]] = []
         self._seq = itertools.count()
         self._live = 0
 
@@ -96,8 +85,10 @@ class EventQueue:
         """Schedule an event; returns the stored :class:`Event`."""
         if time < 0:
             raise ValueError(f"event time must be >= 0, got {time}")
-        event = Event(float(time), kind, next(self._seq), job_id, node)
-        heapq.heappush(self._heap, event)
+        time = float(time)
+        seq = next(self._seq)
+        event = Event(time, kind, seq, job_id, node)
+        heapq.heappush(self._heap, (time, kind, seq, event))
         self._live += 1
         return event
 
@@ -114,7 +105,7 @@ class EventQueue:
     def _prune(self) -> None:
         """Drop cancelled events from the top of the heap."""
         heap = self._heap
-        while heap and heap[0].cancelled:
+        while heap and heap[0][3].cancelled:
             heapq.heappop(heap)
 
     def pop(self) -> Event:
@@ -123,14 +114,14 @@ class EventQueue:
         if not self._heap:
             raise IndexError("pop from empty event queue")
         self._live -= 1
-        return heapq.heappop(self._heap)
+        return heapq.heappop(self._heap)[3]
 
     def peek(self) -> Event:
         """Return the earliest live event without removing it."""
         self._prune()
         if not self._heap:
             raise IndexError("peek at empty event queue")
-        return self._heap[0]
+        return self._heap[0][3]
 
     def pop_simultaneous(self) -> list[Event]:
         """Pop every live event sharing the earliest timestamp.
@@ -147,7 +138,7 @@ class EventQueue:
             self._prune()
             # stored-value equality: both sides are the same pushed
             # float, not recomputed arithmetic
-            if not self._heap or self._heap[0].time != first.time:  # repro: noqa[float-time-eq]
+            if not self._heap or self._heap[0][0] != first.time:  # repro: noqa[float-time-eq]
                 break
             batch.append(self.pop())
         return batch

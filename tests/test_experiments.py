@@ -10,6 +10,7 @@ import math
 
 import pytest
 
+from repro.core.persistence import agent_arrays
 from repro.experiments import (
     common,
     fig2,
@@ -29,6 +30,13 @@ from repro.experiments import (
 
 SCALE = "tiny"
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+
+
+def learning_state(agent):
+    """Everything online learning moves: each array a checkpoint keeps
+    (weights, Adam moments and step, baseline or epsilon), and the RNG."""
+    arrays = {k: v.tobytes() for k, v in agent_arrays(agent).items()}
+    return arrays, agent.rng.bit_generator.state
 
 
 class TestCommon:
@@ -62,10 +70,46 @@ class TestCommon:
         for res in results.values():
             assert res.metrics.num_jobs > 0
 
-    def test_fresh_trained_agent_is_new_object(self):
-        cached, _ = common.trained_agent("pg", "theta", SCALE, 0)
-        fresh = common.fresh_trained_agent("pg", "theta", SCALE, 0)
-        assert fresh is not cached
+    def test_trained_agent_is_a_private_copy(self):
+        first, history = common.trained_agent("pg", "theta", SCALE, 0)
+        second, again = common.trained_agent("pg", "theta", SCALE, 0)
+        assert first is not second and history is not again
+        assert learning_state(first) == learning_state(second)
+        assert history.validation_curve.tolist() \
+            == again.validation_curve.tolist()
+
+    def test_full_comparison_leaves_the_trained_agents_alone(self):
+        """Online evaluation learns on copies: the state ``trained_agent``
+        hands out afterwards is the one training left."""
+        def trained_states():
+            return [learning_state(common.trained_agent(kind, "theta", SCALE, 0)[0])
+                    for kind in ("decima", "pg", "dql")]
+
+        before = trained_states()
+        # uncached, so the evaluation runs here even if an earlier test
+        # already filled the cache
+        common.full_comparison.__wrapped__("theta", SCALE, 0)
+        assert trained_states() == before
+
+    def test_fig9_evaluates_the_trained_agents(self, monkeypatch):
+        """Fig 9's DRAS agents start from the complete trained state:
+        weights, Adam step and moments, DQL epsilon, RNG stream."""
+        seen = {}
+        engine = fig9.Engine
+
+        def recording(cluster, scheduler, jobs):
+            if hasattr(scheduler, "network"):
+                seen[scheduler.name] = learning_state(scheduler)
+            # the state is read before the run; a short one suffices
+            return engine(cluster, scheduler, jobs[:20])
+
+        monkeypatch.setattr(fig9, "Engine", recording)
+        fig9.run(SCALE)
+        dql, _ = common.trained_agent("dql", "theta", SCALE, 0)
+        assert dql.epsilon < 1.0 and dql.optimizer.state_dict()["t"] > 0
+        assert seen["DRAS-DQL"] == learning_state(dql)
+        pg, _ = common.trained_agent("pg", "theta", SCALE, 0)
+        assert seen["DRAS-PG"] == learning_state(pg)
 
 
 class TestStaticTables:

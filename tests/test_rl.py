@@ -126,7 +126,6 @@ class TestTrainer:
         history = trainer.train([("a", tiny_jobs()), ("b", tiny_jobs())])
         assert len(history.episodes) == 2
         assert [e.phase for e in history.episodes] == ["a", "b"]
-        assert history.last is not None
 
     @staticmethod
     def _count_snapshots(agent):
@@ -141,22 +140,12 @@ class TestTrainer:
         agent.state_dict = recording
         return taken
 
-    @staticmethod
-    def _holds_the_weights(state, agent):
-        """``state`` is bit for bit the agent's current weights."""
-        live = agent.network.named_parameters()
-        assert set(state) == set(live)
-        for key, p in live.items():
-            assert state[key].dtype == p.value.dtype
-            assert state[key].tobytes() == p.value.tobytes()
+    def test_train_takes_no_snapshot(self):
+        """Memory is constant in episodes: the history keeps statistics
+        only, and the trained weights are the agent's own, writable.
 
-    def test_history_holds_the_last_state_only(self):
-        """Memory is constant in episodes: one state dict per ``train()``.
-
-        The trainer takes its one ``state_dict()`` when ``train()``
-        returns, so ``last`` is the final weights.  ``best_episode()``
-        still names the best-validating episode, but no snapshot of it
-        is kept.
+        ``best_episode()`` still names the best-validating episode, but
+        no copy of its weights is kept.
         """
         agent = DRASPG(small_config())
         taken = self._count_snapshots(agent)
@@ -164,35 +153,34 @@ class TestTrainer:
         history = trainer.train(
             [("p", contended_jobs(seed)) for seed in range(6)])
         assert len(history.episodes) == 6
-        assert len(taken) == 1
+        assert taken == []
         best = int(np.argmax(history.validation_curve))
         assert 0 < best < 5, "the recipe should peak mid-run"
         assert history.best_episode() == best
-        assert history.last is taken[-1]
-        self._holds_the_weights(history.last, agent)
-        held = [v for v in vars(history).values() if isinstance(v, dict)]
-        assert held == [history.last]
-        assert not hasattr(history, "best")
-        assert not hasattr(history, "record")
+        assert list(vars(history)) == ["episodes"]
+        assert all(p.value.flags.writeable
+                   for p in agent.network.parameters())
         assert not hasattr(trainer, "snapshot_every")
 
-    def test_finished_history_keeps_its_snapshot(self):
-        """Resuming a history with no jobsets left runs nothing, takes
-        no snapshot and leaves ``last`` as it was."""
+    def test_finished_history_runs_nothing(self):
+        """Resuming a history with no jobsets left runs no episode and
+        leaves the agent's weights as they were."""
         agent = DRASPG(small_config())
         trainer = Trainer(agent, 16)
         jobsets = [("p", contended_jobs(seed)) for seed in range(2)]
         history = trainer.train(jobsets)
-        last = history.last
-        taken = self._count_snapshots(agent)
+        before = {k: v.copy() for k, v in agent.state_dict().items()}
+        updates = agent.updates_done
         assert trainer.train(jobsets, history=history) is history
-        assert taken == []
-        assert history.last is last
-        self._holds_the_weights(last, agent)
+        assert len(history.episodes) == 2
+        assert agent.updates_done == updates
+        after = agent.state_dict()
+        for key, value in before.items():
+            assert after[key].tobytes() == value.tobytes()
 
-    def test_convergence_break_keeps_the_converged_weights(self):
-        """A ``stop_on_convergence`` break still takes the snapshot, of
-        the weights the converged episode left."""
+    def test_convergence_break_stops_the_run(self):
+        """A ``stop_on_convergence`` break ends training at the
+        converged episode, taking no snapshot."""
         agent = DRASPG(small_config())
         taken = self._count_snapshots(agent)
         # jobs that never queue: every validation scores the same
@@ -205,8 +193,7 @@ class TestTrainer:
         assert len(history.episodes) == 2
         assert history.converged_at(2) == 1
         assert agent.updates_done > 0
-        assert len(taken) == 1 and history.last is taken[0]
-        self._holds_the_weights(history.last, agent)
+        assert taken == []
 
     def test_disk_writers_lend_nothing(self, tmp_path):
         """``save_agent``, a training checkpoint and ``save_network``
