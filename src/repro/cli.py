@@ -11,10 +11,12 @@ Commands
     Replay an SWF trace under a named policy and print the metrics.
 ``train``
     Train a DRAS/Decima agent with the three-phase curriculum and
-    checkpoint it; ``--checkpoint``/``--resume`` make the run
-    crash-safe (see :mod:`repro.rl.checkpoint`).
+    write its agent file (:func:`repro.core.persistence.save_agent`)
+    to ``--out``; ``--checkpoint`` writes the same kind of file after
+    every episode, and ``--resume`` continues from either.
 ``evaluate``
-    Replay an SWF trace under a checkpointed agent.
+    Replay an SWF trace under the agent of an agent file (an ``--out``
+    or a ``--checkpoint``).
 ``check``
     Lint source paths (:mod:`repro.check`) for mutable default
     arguments, exact float comparisons on simulation timestamps and
@@ -370,7 +372,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     from repro.core.config import DRASConfig
-    from repro.core.persistence import save_agent
+    from repro.core.persistence import (
+        CheckpointError,
+        load_checkpoint,
+        save_agent,
+    )
     from repro.experiments.common import make_agent
     from repro.obs.manifest import describe_workload
     from repro.rl.curriculum import train_with_curriculum
@@ -388,13 +394,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     history = None
     resume_offset = None
     if args.resume:
-        from repro.rl.checkpoint import episode_stats_from_json, load_checkpoint
-
-        loaded = load_checkpoint(args.resume)
+        try:
+            loaded = load_checkpoint(args.resume)
+        except CheckpointError as exc:
+            print(f"bad agent file: {exc}", file=sys.stderr)
+            return 2
         agent = loaded.agent
-        history = TrainingHistory(
-            episodes=episode_stats_from_json(loaded.episodes)
-        )
+        history = TrainingHistory.from_records(loaded.episodes)
         resume_offset = loaded.telemetry_offset
         if faults is None:
             faults = loaded.faults
@@ -431,11 +437,15 @@ def cmd_train(args: argparse.Namespace) -> int:
                 history=history,
                 live=live,
             )
+        # what --checkpoint holds after the last episode: the agent
+        # and its training record, so --resume takes this file too
+        save_agent(agent, args.out, history,
+                   telemetry_offset=log.offset() if log is not None else 0,
+                   faults=faults)
     finally:
         if log is not None:
             log.close()
             print(f"wrote the training log to {log_path}")
-    save_agent(agent, args.out)
     curve = history.validation_curve
     print(f"trained {len(history.episodes)} episodes; validation reward "
           f"{curve[0]:.1f} -> {curve[-1]:.1f} (best {curve.max():.1f})")
@@ -499,11 +509,15 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    from repro.core.persistence import load_agent
+    from repro.core.persistence import CheckpointError, load_agent
     from repro.sim.engine import run_simulation
     from repro.workload import read_swf
 
-    agent = load_agent(args.checkpoint)
+    try:
+        agent = load_agent(args.checkpoint)
+    except CheckpointError as exc:
+        print(f"bad agent file: {exc}", file=sys.stderr)
+        return 2
     agent.eval(online_learning=not args.frozen)
     jobs = read_swf(args.trace, procs_per_node=args.procs_per_node,
                     max_jobs=args.max_jobs)

@@ -1,13 +1,24 @@
-"""Full agent checkpointing.
+"""Agent files: the one on-disk form of a DRAS/Decima agent.
 
-:func:`repro.nn.save_network` persists weights only; resuming
-*training* (or redeploying an online-learning agent, §V-D) also needs
-the optimizer moments, the PG baseline statistics and the DQL
-exploration rate.  These helpers serialize the complete agent state to
-a single ``.npz`` with a JSON metadata record, and rebuild the agent
-from scratch on load.  Weights and Adam moments are stored in the
-network's dtype and cast to the rebuilt network's on load, so a
-checkpoint written by a float64 network loads by rounding.
+:func:`save_agent` writes everything the agent is, so that
+:func:`load_checkpoint` gives back the agent that was saved: it
+schedules, frozen or learning online (§V-D), exactly as the saved one
+would have.  One ``.npz`` holds
+
+* the agent's kind and config (the JSON ``__meta__`` record);
+* the weights and Adam ``t``/``m``/``v`` (arrays, in the network's
+  dtype, cast to the rebuilt network's on load, so a file written by a
+  float64 network loads by rounding);
+* the PG baseline statistics or the DQL exploration rate (arrays);
+* the RNG stream (``bit_generator.state``) and ``updates_done``
+  (``__meta__``);
+* the training record (``__meta__``): the completed episodes, the
+  training log's byte offset (``telemetry_offset``) and the fault
+  config.  A trainer's per-episode checkpoint and ``repro train
+  --out`` fill it; a plain :func:`save_agent` writes it empty.
+
+So ``repro evaluate`` takes a ``--checkpoint`` file and ``train
+--resume`` takes an ``--out`` file: there is one kind of agent file.
 
 Durability contract
 -------------------
@@ -15,10 +26,20 @@ Writes are *atomic*: :func:`repro.nn.serialize.savez` streams the
 archive into :func:`repro.obs.jsonl.atomic_write`'s same-directory
 temporary file, which is fsynced and moved into place with
 :func:`os.replace`, so a crash mid-save can never leave a half-written
-file under the final name.  Loads fail *loudly*: any truncated,
-corrupted or non-checkpoint file raises :class:`CheckpointError` with
-an actionable message instead of surfacing a bare
-``zipfile``/``KeyError`` traceback.
+file under the final name.  Loads fail *loudly*: a missing, truncated,
+corrupted or incomplete file raises :class:`CheckpointError` naming
+what is wrong, never a bare ``zipfile``/``KeyError`` traceback.  A file
+that does not hold the whole agent is refused, not completed from
+defaults: a rebuilt RNG stream or counter would be a different agent.
+
+Pickle-safety contract: every object type an agent file restores (the
+agents of the :data:`_KINDS` registry,
+:class:`~repro.sim.faults.FaultConfig`, :class:`LoadedCheckpoint`,
+episode records) crosses serialization — and, for the multiprocessing
+sweep runner, fork — boundaries, so none may capture open file
+handles, locks, lambdas or generator iterators in instance
+attributes.  ``tests/test_pickle_safety.py`` round-trips the real
+objects, and with them every object they hold.
 """
 
 from __future__ import annotations
@@ -26,6 +47,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import zipfile
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -36,14 +58,34 @@ from repro.core.dras_dql import DRASDQL
 from repro.core.dras_pg import DRASPG
 from repro.nn.serialize import savez
 from repro.obs.jsonl import atomic_write
+from repro.sim.faults import FaultConfig
 
 FORMAT_VERSION = 1
 
 _KINDS = {"pg": DRASPG, "dql": DRASDQL, "decima": DecimaPG}
 
+#: every ``__meta__`` key a file must carry to restore the whole agent
+_META_KEYS = ("format_version", "kind", "config", "rng_state",
+              "updates_done", "episodes", "telemetry_offset", "faults")
+
 
 class CheckpointError(ValueError):
-    """A checkpoint file is unreadable, truncated, or inconsistent."""
+    """An agent file is unreadable, truncated, or incomplete."""
+
+
+@dataclass
+class LoadedCheckpoint:
+    """Everything :func:`load_checkpoint` recovers from disk."""
+
+    agent: object               #: fully restored agent (incl. RNG stream)
+    episodes: list[dict] = field(default_factory=list)  #: training record
+    telemetry_offset: int = 0   #: byte offset of the training log
+    faults: FaultConfig | None = None  #: fault config active in training
+
+    @property
+    def episodes_done(self) -> int:
+        """Number of episodes completed before the file was written."""
+        return len(self.episodes)
 
 
 def _kind_of(agent) -> str:
@@ -51,16 +93,6 @@ def _kind_of(agent) -> str:
         if type(agent) is cls:
             return kind
     raise TypeError(f"unsupported agent type {type(agent).__name__}")
-
-
-def agent_meta(agent) -> dict:
-    """JSON-serialisable identity of an agent (kind, name, config)."""
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": _kind_of(agent),
-        "name": agent.name,
-        "config": dataclasses.asdict(agent.config),
-    }
 
 
 def agent_arrays(agent) -> dict[str, np.ndarray]:
@@ -88,11 +120,86 @@ def agent_arrays(agent) -> dict[str, np.ndarray]:
     return arrays
 
 
-def restore_agent(meta: dict, data) -> object:
-    """Rebuild an agent from :func:`agent_meta` + loaded arrays."""
-    if meta.get("format_version") != FORMAT_VERSION:
+def save_agent(agent, path: str | Path, history=None,
+               telemetry_offset: int = 0,
+               faults: FaultConfig | None = None) -> None:
+    """Atomically write the complete state of a DRAS/Decima agent.
+
+    ``history`` (a :class:`~repro.rl.trainer.TrainingHistory`),
+    ``telemetry_offset`` and ``faults`` are the training record a
+    resumed run continues from; without them the record is empty.  A
+    crash mid-save never corrupts an existing file at ``path``.
+    """
+    arrays = agent_arrays(agent)
+    episodes = history.episodes if history is not None else ()
+    arrays["__meta__"] = np.array(json.dumps({
+        "format_version": FORMAT_VERSION,
+        "kind": _kind_of(agent),
+        "config": dataclasses.asdict(agent.config),
+        # numpy ints coerced to JSON; the setter takes them back as is
+        "rng_state": agent.rng.bit_generator.state,
+        "updates_done": agent.updates_done,
+        "episodes": [dataclasses.asdict(e) for e in episodes],
+        "telemetry_offset": int(telemetry_offset),
+        "faults": faults.as_dict() if faults is not None else None,
+    }, default=int))
+    with atomic_write(path, binary=True) as fh:
+        savez(fh, arrays)
+
+
+def load_agent(path: str | Path):
+    """The agent :func:`save_agent` wrote to ``path`` (see
+    :func:`load_checkpoint`)."""
+    return load_checkpoint(path).agent
+
+
+def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
+    """Restore an agent file: the agent and its training record.
+
+    Raises :class:`CheckpointError` with an actionable message when the
+    file is missing, truncated, corrupted, or incomplete.
+    """
+    path = Path(path)
+    if not path.exists():
         raise CheckpointError(
-            f"unsupported checkpoint format {meta.get('format_version')!r} "
+            f"checkpoint {path} does not exist; check the path or start "
+            "from scratch"
+        )
+    try:
+        data = np.load(path, allow_pickle=False)
+    except (zipfile.BadZipFile, ValueError, EOFError, OSError) as exc:
+        raise CheckpointError(
+            f"checkpoint {path} is unreadable ({exc}); the file is likely "
+            "truncated or corrupted — restore it from a backup or fall "
+            "back to an earlier checkpoint"
+        ) from exc
+    try:
+        with data:
+            meta = json.loads(str(data["__meta__"]))
+            missing = [k for k in _META_KEYS if k not in meta]
+            if missing:
+                raise CheckpointError(
+                    f"checkpoint {path} is incomplete: it lacks "
+                    f"{', '.join(missing)}, and the agent is not "
+                    "restored without them"
+                )
+            return _restore(meta, data)
+    except CheckpointError:
+        raise
+    except (KeyError, TypeError, json.JSONDecodeError, ValueError,
+            EOFError, zipfile.BadZipFile, OSError) as exc:
+        raise CheckpointError(
+            f"checkpoint {path} is incomplete or corrupted ({exc}); "
+            "restore it from a backup or fall back to an earlier "
+            "checkpoint"
+        ) from exc
+
+
+def _restore(meta: dict, data) -> LoadedCheckpoint:
+    """Rebuild the agent and its record from ``__meta__`` + arrays."""
+    if meta["format_version"] != FORMAT_VERSION:
+        raise CheckpointError(
+            f"unsupported checkpoint format {meta['format_version']!r} "
             f"(this build reads version {FORMAT_VERSION}); re-save the "
             "agent with a matching version of the code"
         )
@@ -104,8 +211,7 @@ def restore_agent(meta: dict, data) -> object:
             f"unknown agent kind {kind!r}; expected one of "
             f"{sorted(_KINDS)}"
         ) from None
-    config = DRASConfig(**meta["config"])
-    agent = cls(config)
+    agent = cls(DRASConfig(**meta["config"]))
     agent.network.load_state_dict(
         {k[len("net."):]: data[k] for k in data.files if k.startswith("net.")}
     )
@@ -120,66 +226,12 @@ def restore_agent(meta: dict, data) -> object:
         agent.core.baseline._counts = data["baseline.counts"].copy()
     if kind == "dql":
         agent.epsilon = float(data["epsilon"][0])
-    return agent
-
-
-def load_npz_checkpoint(path: str | Path):
-    """Open an ``.npz`` checkpoint, translating corruption to loud errors.
-
-    Returns the ``NpzFile`` context manager.  Raises
-    :class:`CheckpointError` when the file is missing, truncated, or
-    not a valid archive.
-    """
-    path = Path(path)
-    if not path.exists():
-        raise CheckpointError(
-            f"checkpoint {path} does not exist; check the path or start "
-            "from scratch"
-        )
-    try:
-        return np.load(path, allow_pickle=False)
-    except (zipfile.BadZipFile, ValueError, EOFError, OSError) as exc:
-        raise CheckpointError(
-            f"checkpoint {path} is unreadable ({exc}); the file is likely "
-            "truncated or corrupted — restore it from a backup or fall "
-            "back to an earlier checkpoint"
-        ) from exc
-
-
-def save_agent(agent, path: str | Path) -> None:
-    """Write the complete trainable state of a DRAS/Decima agent.
-
-    The write is atomic: a crash mid-save never corrupts an existing
-    checkpoint at ``path``.
-    """
-    write_agent(path, agent, agent_meta(agent))
-
-
-def write_agent(path: str | Path, agent, meta: dict) -> None:
-    """Atomically write :func:`agent_arrays` plus the JSON ``meta`` record."""
-    arrays = agent_arrays(agent)
-    arrays["__meta__"] = np.array(json.dumps(meta))
-    with atomic_write(path, binary=True) as fh:
-        savez(fh, arrays)
-
-
-def load_agent(path: str | Path):
-    """Rebuild an agent (including optimizer/exploration state).
-
-    Raises :class:`CheckpointError` with an actionable message when the
-    file is missing, truncated, corrupted, or incomplete.
-    """
-    path = Path(path)
-    try:
-        with load_npz_checkpoint(path) as data:
-            meta = json.loads(str(data["__meta__"]))
-            return restore_agent(meta, data)
-    except CheckpointError:
-        raise
-    except (KeyError, json.JSONDecodeError, ValueError, EOFError,
-            zipfile.BadZipFile, OSError) as exc:
-        raise CheckpointError(
-            f"checkpoint {path} is incomplete or corrupted ({exc}); "
-            "restore it from a backup or fall back to an earlier "
-            "checkpoint"
-        ) from exc
+    agent.rng.bit_generator.state = meta["rng_state"]
+    agent.updates_done = int(meta["updates_done"])
+    faults = meta["faults"]
+    return LoadedCheckpoint(
+        agent=agent,
+        episodes=list(meta["episodes"]),
+        telemetry_offset=int(meta["telemetry_offset"]),
+        faults=FaultConfig.from_dict(faults) if faults is not None else None,
+    )

@@ -24,7 +24,6 @@ from repro.nn.losses import (
     policy_gradient_loss,
     sample_from_probs,
 )
-from repro.nn.serialize import load_network, save_network
 from repro.nn.gradcheck import numeric_gradient, check_gradients
 
 __all__ = [
@@ -39,11 +38,9 @@ __all__ = [
     "build_dras_network",
     "check_gradients",
     "count_parameters",
-    "load_network",
     "masked_softmax",
     "mse_loss",
     "numeric_gradient",
     "policy_gradient_loss",
     "sample_from_probs",
-    "save_network",
 ]

@@ -1,12 +1,10 @@
-"""Network checkpointing.
+"""The ``.npz`` writer agent files are written with.
 
-These helpers persist a :class:`~repro.nn.network.Network`'s weights
-to a single ``.npz`` file, keyed as
-:meth:`~repro.nn.network.Network.state_dict` keys them.  Saving reads
-the live weights and is done before they next change, so it neither
-lends them (unlike ``state_dict()``, it leaves every value writable,
-and the next optimizer step updates in place) nor copies them
-(:func:`savez` writes each array's own buffer).
+:func:`savez` writes live arrays, such as a network's weights, without
+lending them (unlike ``state_dict()``, it leaves every value writable,
+and the next optimizer step updates in place) or copying them (it
+writes each array's own buffer).  :mod:`repro.core.persistence` builds
+the one agent file on it.
 """
 
 from __future__ import annotations
@@ -16,8 +14,6 @@ from pathlib import Path
 from typing import IO
 
 import numpy as np
-
-from repro.nn.network import Network
 
 
 def savez(file: str | Path | IO[bytes], arrays: dict[str, np.ndarray]) -> None:
@@ -43,27 +39,3 @@ def savez(file: str | Path | IO[bytes], arrays: dict[str, np.ndarray]) -> None:
                 np.lib.format.write_array_header_1_0(member, header)
                 # a view of a contiguous array; non-contiguous ones copy
                 member.write(value.ravel(order).view(np.uint8))
-
-
-def save_network(network: Network, path: str | Path) -> None:
-    """Write all parameter values to ``path`` (``.npz`` is appended if
-    missing, as ``np.savez`` does)."""
-    path = Path(path)
-    if path.suffix != ".npz":
-        path = path.with_name(path.name + ".npz")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    params = network.named_parameters()
-    savez(path, {k: p.value for k, p in params.items()})
-
-
-def load_network(network: Network, path: str | Path) -> Network:
-    """Load parameter values saved by :func:`save_network` into ``network``.
-
-    The network must already have the right architecture; shapes are
-    validated.  The file holds the saving network's dtype; values are
-    cast to the loading network's, so a wider file loads by rounding.
-    Returns the same network for chaining.
-    """
-    with np.load(Path(path)) as data:
-        network.load_state_dict({k: data[k] for k in data.files})
-    return network

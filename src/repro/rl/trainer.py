@@ -22,9 +22,9 @@ from typing import Any
 
 import numpy as np
 
+from repro.core.persistence import save_agent
 from repro.obs import live as _live
 from repro.obs import trace as _trace
-from repro.rl import checkpoint as _checkpoint
 from repro.rl import telemetry as _telemetry
 from repro.rl.meter import RewardMeter
 from repro.sim.cluster import Cluster
@@ -56,6 +56,11 @@ class TrainingHistory:
     """
 
     episodes: list[EpisodeStats] = field(default_factory=list)
+
+    @classmethod
+    def from_records(cls, records: list[dict]) -> "TrainingHistory":
+        """The history an agent file's training record describes."""
+        return cls([EpisodeStats(**record) for record in records])
 
     @property
     def validation_curve(self) -> np.ndarray:
@@ -132,11 +137,14 @@ class Trainer:
         optimizer, policy-entropy capture on the PG core) and samples
         each training episode's queue depth and utilization.
     checkpoint_path:
-        When set, a crash-safe resumable checkpoint
-        (:mod:`repro.rl.checkpoint`) is written atomically after every
+        When set, the agent file (:func:`repro.core.persistence.save_agent`,
+        with this run's history, log offset and faults as its training
+        record) is written atomically after every
         ``checkpoint_every``-th completed episode.  Resume by loading
-        it and passing the restored agent + history back into
-        :meth:`train` (or ``train --resume`` on the CLI).
+        it (:func:`~repro.core.persistence.load_checkpoint`) and passing
+        the restored agent and :meth:`TrainingHistory.from_records` of
+        its episodes back into :meth:`train` (or ``train --resume`` on
+        the CLI); ``repro evaluate`` reads the same file.
     faults:
         Optional :class:`~repro.sim.faults.FaultConfig`: training
         episodes run under fault injection (the fault seed is offset by
@@ -347,13 +355,8 @@ class Trainer:
         offset = 0
         if self.telemetry is not None:
             offset = self.telemetry.offset()
-        _checkpoint.save_checkpoint(
-            self.checkpoint_path,
-            self.agent,
-            [dataclasses.asdict(e) for e in history.episodes],
-            telemetry_offset=offset,
-            faults=self.faults,
-        )
+        save_agent(self.agent, self.checkpoint_path, history,
+                   telemetry_offset=offset, faults=self.faults)
         tracer = _trace.global_tracer()
         if tracer is not None:
             tracer.event("train.checkpoint",

@@ -20,13 +20,12 @@ import pytest
 
 from repro.core.config import DRASConfig
 from repro.core.dras_pg import DRASPG
-from repro.core.persistence import CheckpointError
-from repro.obs.aggregate import merge_shards
-from repro.rl.checkpoint import (
-    episode_stats_from_json,
+from repro.core.persistence import (
+    CheckpointError,
     load_checkpoint,
-    save_checkpoint,
+    save_agent,
 )
+from repro.obs.aggregate import merge_shards
 from repro.rl.trainer import Trainer, TrainingHistory
 from repro.sim.faults import FaultConfig
 from repro.workload import ThetaModel
@@ -59,24 +58,22 @@ class TestInProcessResume:
         loaded = load_checkpoint(ckpt)
         assert loaded.episodes_done == 3
         assert loaded.faults == FAULTS
-        history = TrainingHistory(
-            episodes=episode_stats_from_json(loaded.episodes)
-        )
+        history = TrainingHistory.from_records(loaded.episodes)
         resumed = Trainer(loaded.agent, 32, validation_jobs=validation,
                           faults=loaded.faults).train(list(jobsets),
                                                       history=history)
 
-        assert [e.validation_reward for e in resumed.episodes] \
-            == [e.validation_reward for e in full.episodes]
-        assert [e.train_reward for e in resumed.episodes] \
-            == [e.train_reward for e in full.episodes]
+        # every field, updates_done included: the counter is restored
+        assert resumed.episodes == full.episodes
+        assert resumed.episodes[-1].updates_done > \
+            resumed.episodes[2].updates_done > 0
 
     def test_rng_stream_restored_exactly(self, tmp_path):
         cfg, jobsets, validation = small_setup()
         trainer = Trainer(DRASPG(cfg), 32, validation_jobs=validation)
         trainer.train(list(jobsets[:2]))
         ckpt = tmp_path / "c.npz"
-        save_checkpoint(ckpt, trainer.agent, episodes=[])
+        save_agent(trainer.agent, ckpt)
         expected = trainer.agent.rng.random(8).tolist()
         restored = load_checkpoint(ckpt)
         assert restored.agent.rng.random(8).tolist() == expected
@@ -101,7 +98,7 @@ class TestInProcessResume:
     def test_truncated_training_checkpoint_fails_loudly(self, tmp_path):
         cfg, _, _ = small_setup(episodes=1)
         ckpt = tmp_path / "c.npz"
-        save_checkpoint(ckpt, DRASPG(cfg), episodes=[])
+        save_agent(DRASPG(cfg), ckpt)
         blob = ckpt.read_bytes()
         ckpt.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(CheckpointError):
@@ -120,7 +117,7 @@ sys.path.insert(0, {src!r})
 
 from repro.core.config import DRASConfig
 from repro.core.dras_pg import DRASPG
-from repro.rl.checkpoint import episode_stats_from_json, load_checkpoint
+from repro.core.persistence import load_checkpoint
 from repro.obs.live import SnapshotWriter
 from repro.rl.trainer import Trainer, TrainingHistory
 from repro.sim.faults import FaultConfig
@@ -166,9 +163,7 @@ def main():
         raise SystemExit("victim was not killed")
     else:  # resume
         loaded = load_checkpoint(ckpt)
-        history = TrainingHistory(
-            episodes=episode_stats_from_json(loaded.episodes)
-        )
+        history = TrainingHistory.from_records(loaded.episodes)
         writer = SnapshotWriter(telemetry, source="train",
                                 resume_at=loaded.telemetry_offset)
         trainer = Trainer(loaded.agent, NODES, validation_jobs=validation,

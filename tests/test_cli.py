@@ -125,6 +125,48 @@ class TestTrainEvaluate:
         assert "DRAS-DQL" in out and "avg wait" in out
 
 
+    def test_out_and_checkpoint_are_one_kind_of_file(self, tmp_path,
+                                                    capsys):
+        """``--out`` and the last ``--checkpoint`` are the same file:
+        ``evaluate`` reads either, and ``--resume`` takes ``--out``."""
+        out, ckpt = tmp_path / "tr.npz", tmp_path / "ck.npz"
+        train = ["train", "--nodes", "16", "--window", "5",
+                 "--train-jobs", "40", "--sampled", "0", "--real", "1",
+                 "--jobs-per-set", "20", "--out", str(out)]
+        assert main(train + ["--synthetic", "1",
+                             "--checkpoint", str(ckpt)]) == 0
+        assert out.read_bytes() == ckpt.read_bytes()
+        trace = tmp_path / "e.swf"
+        main(["generate", "theta", "40", "--nodes", "16",
+              "--out", str(trace)])
+        capsys.readouterr()
+        reports = []
+        for path in (ckpt, out):
+            assert main(["evaluate", str(path), str(trace)]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+        assert main(train + ["--synthetic", "2", "--resume", str(out)]) == 0
+        assert "2 episodes already done" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["evaluate", "resume"])
+    def test_truncated_agent_file_exits_two(self, tmp_path, capsys,
+                                            command):
+        from repro.core.config import DRASConfig
+        from repro.core.dras_pg import DRASPG
+        from repro.core.persistence import save_agent
+
+        path = tmp_path / "a.npz"
+        save_agent(DRASPG(DRASConfig.scaled(16, window=5)), path)
+        path.write_bytes(path.read_bytes()[:-10])
+        argv = {"evaluate": ["evaluate", str(path), str(tmp_path / "e.swf")],
+                "resume": ["train", "--nodes", "16", "--window", "5",
+                           "--out", str(tmp_path / "o.npz"),
+                           "--resume", str(path)]}[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"bad agent file: checkpoint {path} ")
+        assert "Traceback" not in err and not (tmp_path / "o.npz").exists()
+
 class TestFit:
     def test_fit_roundtrip(self, tmp_path, capsys):
         trace = tmp_path / "real.swf"

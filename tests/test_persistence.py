@@ -1,4 +1,7 @@
-"""Unit tests for full-agent checkpointing."""
+"""Unit tests for the one agent file (``core.persistence``)."""
+
+import copy
+import json
 
 import numpy as np
 import pytest
@@ -7,7 +10,14 @@ from repro.core.config import DRASConfig
 from repro.core.decima import DecimaPG
 from repro.core.dras_dql import DRASDQL
 from repro.core.dras_pg import DRASPG
-from repro.core.persistence import load_agent, save_agent
+from repro.core.persistence import (
+    CheckpointError,
+    agent_arrays,
+    load_agent,
+    load_checkpoint,
+    save_agent,
+)
+from repro.rl.trainer import Trainer
 from repro.sim.engine import run_simulation
 from tests.conftest import float64_agent, make_job
 
@@ -104,21 +114,37 @@ class TestKindSpecificState:
 
 
 class TestResumedTrainingEquivalence:
-    def test_restored_agent_schedules_identically(self, tmp_path):
-        """A frozen restored agent reproduces the original's decisions."""
-        agent = train_a_little(DRASDQL(small_config()))
+    @pytest.mark.parametrize("online", [False, True],
+                             ids=["frozen", "online"])
+    @pytest.mark.parametrize("cls", [DRASPG, DRASDQL, DecimaPG],
+                             ids=["pg", "dql", "decima"])
+    def test_restored_agent_schedules_identically(self, cls, online,
+                                                  tmp_path):
+        """A loaded agent is the saved one: it schedules as a deep copy
+        of the saved agent does, frozen or learning online, and leaves
+        the same state behind."""
+        agent = train_a_little(cls(small_config(update_every=1)))
         path = tmp_path / "a.npz"
         save_agent(agent, path)
-        restored = load_agent(path)
+        twin, restored = copy.deepcopy(agent), load_agent(path)
 
-        def run_frozen(a):
-            a.eval(online_learning=False)
-            jobs = [make_job(size=s, walltime=20.0, submit=0.0)
-                    for s in (1, 2, 4, 2)]
+        def run(a):
+            a.eval(online_learning=online)
+            jobs = [make_job(size=s, walltime=20.0, submit=float(t))
+                    for t, s in enumerate((1, 2, 4, 2, 3, 1, 4, 2))]
             run_simulation(8, a, jobs)
             return [j.start_time for j in jobs]
 
-        assert run_frozen(agent) == run_frozen(restored)
+        assert run(restored) == run(twin)
+        assert restored.rng.bit_generator.state \
+            == twin.rng.bit_generator.state
+        assert restored.updates_done == twin.updates_done
+        assert getattr(restored, "epsilon", None) \
+            == getattr(twin, "epsilon", None)
+        held, kept = agent_arrays(restored), agent_arrays(twin)
+        assert held.keys() == kept.keys()
+        for key, value in kept.items():
+            assert np.array_equal(held[key], value), key
 
 
 @pytest.mark.parametrize("cls", [DRASPG, DRASDQL, DecimaPG])
@@ -141,7 +167,7 @@ class TestPrecision:
                                                   monkeypatch):
         """A file from before float32 never leaves float64 moments behind.
 
-        ``restore_agent`` used to install the file's arrays as they
+        The agent-file reader used to install the file's arrays as they
         were, so every later Adam step ran float32 weights against
         float64 moments.
         """
@@ -173,6 +199,16 @@ class TestPrecision:
         assert 0.5 <= ratio < 0.6  # zip headers and metadata do not shrink
 
 
+def rewrite_meta(path, edit):
+    """Rewrite an agent file with ``edit`` applied to its ``__meta__``."""
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    meta = json.loads(str(arrays["__meta__"]))
+    edit(meta, arrays)
+    arrays["__meta__"] = np.array(json.dumps(meta))
+    np.savez(path, **arrays)
+
+
 class TestErrors:
     def test_unsupported_type(self, tmp_path):
         from repro.schedulers import FCFSEasy
@@ -181,39 +217,36 @@ class TestErrors:
             save_agent(FCFSEasy(), tmp_path / "x.npz")
 
     def test_bad_format_version(self, tmp_path):
-        import json
-
-        import numpy as np
-
         path = tmp_path / "bad.npz"
-        np.savez(path, __meta__=np.array(json.dumps({"format_version": 99})))
+        save_agent(DRASPG(small_config()), path)
+        rewrite_meta(path, lambda meta, _: meta.update(format_version=99))
         with pytest.raises(ValueError, match="format"):
             load_agent(path)
 
 
 class TestDurability:
-    def test_missing_file_raises_checkpoint_error(self, tmp_path):
-        from repro.core.persistence import CheckpointError
+    """The one reader refuses every file it cannot fully restore."""
 
+    def test_missing_file_raises_checkpoint_error(self, tmp_path):
         with pytest.raises(CheckpointError, match="does not exist"):
             load_agent(tmp_path / "nope.npz")
 
     def test_truncated_file_raises_checkpoint_error(self, tmp_path):
         """A clipped checkpoint (simulated torn write) must fail loudly."""
-        from repro.core.persistence import CheckpointError
-
         path = tmp_path / "a.npz"
-        save_agent(DRASPG(small_config()), path)
+        jobs = [make_job(size=2, walltime=20.0, submit=float(i * 5))
+                for i in range(6)]
+        Trainer(DRASPG(small_config()), 8, checkpoint_path=path).train(
+            [("p", jobs)])
+        assert load_checkpoint(path).episodes_done == 1
         blob = path.read_bytes()
         for cut in (len(blob) // 2, len(blob) - 10, 3):
             path.write_bytes(blob[:cut])
             with pytest.raises(CheckpointError,
                                match="truncated or corrupted|incomplete"):
-                load_agent(path)
+                load_checkpoint(path)
 
     def test_garbage_file_raises_checkpoint_error(self, tmp_path):
-        from repro.core.persistence import CheckpointError
-
         path = tmp_path / "a.npz"
         path.write_bytes(b"this is not an npz archive at all")
         with pytest.raises(CheckpointError):
@@ -221,18 +254,32 @@ class TestDurability:
 
     def test_non_checkpoint_npz_raises_checkpoint_error(self, tmp_path):
         """A valid npz missing the checkpoint keys is rejected, not KeyError."""
-        from repro.core.persistence import CheckpointError
-
         path = tmp_path / "a.npz"
         np.savez(path, unrelated=np.zeros(3))
         with pytest.raises(CheckpointError, match="incomplete or corrupted"):
             load_agent(path)
 
-    def test_save_is_atomic_no_tmp_left_behind(self, tmp_path):
+    @pytest.mark.parametrize("member", [
+        "format_version", "kind", "config", "rng_state", "updates_done",
+        "episodes", "telemetry_offset", "faults", "adam.t",
+        "baseline.counts",
+    ])
+    def test_incomplete_file_names_what_is_missing(self, member, tmp_path):
+        """No part of the agent is rebuilt from defaults: a file without
+        it is refused by name."""
         path = tmp_path / "a.npz"
+        save_agent(train_a_little(DRASPG(small_config())), path)
+
+        rewrite_meta(path, lambda meta, arrays: (
+            meta if member in meta else arrays).pop(member))
+        with pytest.raises(CheckpointError, match=member):
+            load_checkpoint(path)
+
+    def test_save_is_atomic_no_tmp_left_behind(self, tmp_path):
+        path = tmp_path / "deep" / "dir" / "a.npz"   # parents are made
         save_agent(DRASPG(small_config()), path)
         assert path.exists()
-        leftovers = [p for p in tmp_path.iterdir() if p.name != "a.npz"]
+        leftovers = [p for p in path.parent.iterdir() if p.name != "a.npz"]
         assert leftovers == []
 
     def test_overwrite_preserves_old_on_save_failure(self, tmp_path):

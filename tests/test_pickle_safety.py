@@ -1,12 +1,12 @@
-"""Runtime pickle round-trips of every checkpoint-crossing object type.
+"""Runtime pickle round-trips of every object type an agent file restores.
 
-No class reachable from :mod:`repro.rl.checkpoint` may capture an
-open file handle, lock, lambda or live iterator.  These tests are
-that guard, checked by running it: every object type the checkpoint
-module names — the three agents of the
-:data:`repro.core.persistence._KINDS` registry,
+No class reachable from :mod:`repro.core.persistence`, the one module
+that reads and writes agent files, may capture an open file handle,
+lock, lambda or live iterator.  These tests are that guard, checked by
+running it: every object type the agent file restores — the three
+agents of the :data:`repro.core.persistence._KINDS` registry,
 :class:`~repro.sim.faults.FaultConfig`,
-:class:`~repro.rl.checkpoint.LoadedCheckpoint` and the episode
+:class:`~repro.core.persistence.LoadedCheckpoint` and the episode
 records — survives ``pickle.dumps``/``loads`` (the exact transport a
 ``multiprocessing`` sweep pool and fork-based workers rely on), with
 behaviour preserved across the boundary.
@@ -20,8 +20,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import DRASConfig
-from repro.core.persistence import _KINDS
-from repro.rl.checkpoint import LoadedCheckpoint
+from repro.core.persistence import _KINDS, LoadedCheckpoint
 from repro.rl.trainer import EpisodeStats
 from repro.sim.faults import FaultConfig
 

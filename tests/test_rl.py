@@ -196,42 +196,34 @@ class TestTrainer:
         assert taken == []
 
     def test_disk_writers_lend_nothing(self, tmp_path):
-        """``save_agent``, a training checkpoint and ``save_network``
+        """``save_agent`` and a training checkpoint, the one agent file,
         read the live weights without lending them: every value stays
-        writable (the next step updates in place), and the archives
-        hold what ``np.savez`` writes, member for member, byte for byte."""
-        import json
+        writable (the next step updates in place), and the file holds
+        what ``np.savez`` writes, member for member, byte for byte."""
         import zipfile
 
-        from repro.core.persistence import agent_arrays, agent_meta, save_agent
-        from repro.nn.serialize import save_network
-        from repro.rl.checkpoint import save_checkpoint
+        from repro.core.persistence import agent_arrays, save_agent
 
         agent = DRASPG(small_config())
-        Trainer(agent, 16).run_episode(contended_jobs(0))
+        history = Trainer(agent, 16, checkpoint_path=tmp_path / "ck.npz") \
+            .train([("p", contended_jobs(0))])
         assert agent.updates_done > 0
         params = agent.network.parameters()
         assert all(p.value.flags.writeable for p in params)
-        save_agent(agent, tmp_path / "agent.npz")
-        save_checkpoint(tmp_path / "ck.npz", agent, [])
-        save_network(agent.network, tmp_path / "net.npz")
+        save_agent(agent, tmp_path / "agent.npz", history)
         assert all(p.value.flags.writeable for p in params)
 
         def members(path):
             with zipfile.ZipFile(path) as archive:
                 return {n: archive.read(n) for n in archive.namelist()}
 
-        np.savez(tmp_path / "net_ref.npz", **agent.network.state_dict())
-        assert members(tmp_path / "net.npz") \
-            == members(tmp_path / "net_ref.npz")
+        with np.load(tmp_path / "agent.npz") as data:
+            meta = data["__meta__"]
         np.savez(tmp_path / "agent_ref.npz", **agent_arrays(agent),
-                 __meta__=np.array(json.dumps(agent_meta(agent))))
-        reference = members(tmp_path / "agent_ref.npz")
-        assert members(tmp_path / "agent.npz") == reference
-        # a checkpoint's own metadata record differs; its arrays do not
-        held = members(tmp_path / "ck.npz")
-        del held["__meta__.npy"], reference["__meta__.npy"]
-        assert held == reference
+                 __meta__=meta)
+        assert members(tmp_path / "agent.npz") \
+            == members(tmp_path / "agent_ref.npz") \
+            == members(tmp_path / "ck.npz")
 
 
 class TestCurriculumTraining:
