@@ -22,11 +22,12 @@ Checked invariants
   (no view pinning a free list), is strictly increasing and names only
   nodes marked with its job, together covering every busy node; and the
   free list is exactly the nodes marked free, ascending;
-* **release index** — after the same mutations: the cluster's
-  release-time index, expanded to one time per node, equals the release
-  times recomputed from the per-node arrays (mask, gather, sort — the
-  definition the index replaced), and its sizes sum to the nodes that
-  are not free;
+* **release index** — after the same mutations: every group of the
+  cluster's release-time index covers at least one node, the running
+  count ends at the nodes that are not free, and the index, expanded
+  to one time per node, equals the release times recomputed from the
+  per-node arrays (mask, gather, sort — the definition the index
+  replaced);
 * **queue index** — after every ``WaitQueue`` mutator: the size census
   and its minimum, the arrival keys, the size/walltime arrays the
   backfill scan reads, and the dependents map with every
@@ -36,7 +37,9 @@ Checked invariants
 * **metric sanity** — per-job wait and turnaround are non-negative when
   summarised by :class:`repro.sim.metrics.RunMetrics`;
 * **scheduling-view integrity** — no double-start, and a reservation is
-  never created for a running job or in the past;
+  never created for a running job or in the past, and its shadow time
+  and extra nodes are the ones the per-node arrays define (mask,
+  gather, clip, sort; count the releases by the shadow);
 * **NN numerics** — every forward/backward tensor and every Adam update
   is finite (no NaN/Inf), with shape preservation across updates;
 * **NN dtype purity** — every layer output, every backward gradient and
@@ -160,6 +163,17 @@ def check_node_conservation(cluster: "Cluster", context: str = "") -> None:
               f"nodes is not the nodes marked free{where}")
 
 
+def _release_times(cluster: "Cluster", now: float) -> np.ndarray:
+    """Release time of every busy or down node, clipped to ``now``, sorted.
+
+    Mask the non-free nodes, gather their estimated available times,
+    clip, sort: the definition the release-time index replaced.
+    """
+    times = np.maximum(cluster._avail_at[cluster._job_of != _FREE], now)
+    times.sort()
+    return times
+
+
 def check_release_index(cluster: "Cluster", context: str = "") -> None:
     """The release-time index agrees with the per-node arrays.
 
@@ -168,6 +182,13 @@ def check_release_index(cluster: "Cluster", context: str = "") -> None:
     """
     where = f" after {context}" if context else ""
     group_times, group_sizes = cluster.release_groups(-np.inf)  # unclipped
+    if group_sizes.size and group_sizes.min() < 1:
+        group = int(np.argmax(group_sizes < 1))
+        _fail(
+            "release-index",
+            f"index group {group} covers {int(group_sizes[group])} nodes, "
+            f"not at least one{where}",
+        )
     indexed = int(group_sizes.sum())
     unavailable = cluster.num_nodes - cluster.available_nodes
     if indexed != unavailable:
@@ -176,9 +197,7 @@ def check_release_index(cluster: "Cluster", context: str = "") -> None:
             f"index groups cover {indexed} nodes but {unavailable} nodes "
             f"are busy or down{where}",
         )
-    busy = cluster._job_of != _FREE
-    times = cluster._avail_at[busy]
-    times.sort()
+    times = _release_times(cluster, -np.inf)
     expanded = np.repeat(group_times, group_sizes)
     if not np.array_equal(expanded, times):
         _fail(
@@ -255,8 +274,17 @@ def check_job_start(job, now: float, already_running: Iterable[int]) -> None:
         )
 
 
-def check_reservation(job, reservation, now: float, running: Iterable[int]) -> None:
-    """Fail on reservations that violate backfill invariants."""
+def check_reservation(job, reservation, now: float, running: Iterable[int],
+                      cluster: "Cluster") -> None:
+    """Fail on reservations that violate backfill invariants.
+
+    Besides the job and the time, the reservation's shadow time and
+    extra nodes are checked against ``cluster``'s per-node arrays: the
+    shadow is the ``needed``-th release (``needed`` = size beyond the
+    free nodes), and the extra nodes are the free nodes plus every
+    release by the shadow, less the job.  The shadow is tested by
+    ordering (enough nodes by it, too few before it), never ``==``.
+    """
     if job.job_id in set(running):
         _fail(
             "reservation",
@@ -273,6 +301,26 @@ def check_reservation(job, reservation, now: float, running: Iterable[int]) -> N
             "reservation",
             f"reservation for job {job.job_id} has a shadow time in the "
             f"past ({reservation.shadow_time} < now={now})",
+        )
+    # the shadow is the earliest time by which ``job.size`` nodes are free:
+    # enough by it, too few strictly before it (unless it is ``now``)
+    releases = _release_times(cluster, now)
+    free = cluster.available_nodes
+
+    def free_by(when: float, side: str = "right") -> int:
+        return free + int(releases.searchsorted(when, side=side))
+
+    shadow, extra = reservation.shadow_time, reservation.extra_nodes
+    if (free_by(shadow) < job.size
+            or (shadow > now and free_by(shadow, "left") >= job.size)
+            or extra != max(0, free_by(shadow) - job.size)):
+        needed = job.size - free
+        expected = now if needed <= 0 else float(releases[needed - 1])
+        _fail(
+            "reservation",
+            f"reservation for job {job.job_id} has shadow time {shadow} and "
+            f"{extra} extra nodes; the per-node arrays give {expected} and "
+            f"{max(0, free_by(expected) - job.size)} (t={now})",
         )
 
 

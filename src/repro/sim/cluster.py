@@ -17,10 +17,10 @@ frees at the repair — no policy needs fault-specific code.
 Release-time index: EASY reserves for the blocked head job at every
 scheduling instance, so "when are ``size`` nodes expected to be free?"
 is asked far more often than the node pool changes.  The cluster keeps
-one entry ``(est_release, n_nodes, key)`` per *release group* — a
-running job or a down node — sorted by ``est_release`` and updated by
-every mutator, so the queries are a cumulative-size lookup plus a
-binary search instead of a mask, gather and sort over every busy node.
+one entry ``(est_release, running node count, key)`` per *release
+group* — a running job or a down node — sorted by ``est_release`` and
+updated by every mutator, so a query is a binary search or two instead
+of a mask, gather and sort over every busy node.
 """
 
 from __future__ import annotations
@@ -48,17 +48,22 @@ class Cluster:
     costs ``8 * job.size`` bytes and nothing else.  The node-conservation
     sanitizer checks each entry.
 
-    Release-time index.  ``_rel_times`` / ``_rel_sizes`` / ``_rel_keys``
+    Release-time index.  ``_rel_times`` / ``_rel_cum`` / ``_rel_keys``
     hold, in their first ``_rel_n`` slots, one entry per release group:
     the time its nodes are expected to come free (unclipped: a job
-    running past its estimate keeps a time in the past), how many nodes
-    that is, and who holds them.  Invariant, re-established by every
-    mutator: entries are sorted by ``est_release`` (ties in insertion
-    order); sizes sum to the busy plus down nodes, i.e.
-    ``num_nodes - available_nodes``; a key is a job id (``>= 0``, one
-    entry of ``job.size`` nodes per running job) or a down-node token
-    (``-1 - node``, one single-node entry per down node, freeing at the
-    expected repair).  All release-time queries read this index only.
+    running past its estimate keeps a time in the past), the running
+    count of nodes released by this group and every group before it,
+    and who holds the group.  A group's size is the step of the running
+    count.  Invariant, re-established by every mutator: entries are
+    sorted by ``est_release`` (ties in insertion order); the running
+    count rises by at least one node per group and ends at the busy
+    plus down nodes, i.e. ``num_nodes - available_nodes``; a key is a
+    job id (``>= 0``, one entry of ``job.size`` nodes per running job)
+    or a down-node token (``-1 - node``, one single-node entry per down
+    node, freeing at the expected repair).  An insert or delete shifts
+    the tail one slot and adds or subtracts the group's size over it,
+    so the running count is always current and no query sums anything.
+    All release-time queries read this index only.
 
     Free list.  ``_free`` holds the indices of the free, up nodes in
     ascending order, i.e. ``np.flatnonzero(_job_of == -1)``.  A start
@@ -93,12 +98,9 @@ class Cluster:
         #: release-time index (see the class docstring); a group holds
         #: at least one node, so ``num_nodes`` slots always suffice
         self._rel_times = np.zeros(self.num_nodes, dtype=np.float64)
-        self._rel_sizes = np.zeros(self.num_nodes, dtype=np.int64)
+        self._rel_cum = np.zeros(self.num_nodes, dtype=np.int64)
         self._rel_keys = np.zeros(self.num_nodes, dtype=np.int64)
         self._rel_n = 0
-        #: running sum of ``_rel_sizes[:_rel_n]``, dropped by every
-        #: index mutation and rebuilt by the next query
-        self._rel_cum: np.ndarray | None = None
         #: running node-seconds of *actual* useful work accumulated by
         #: finished jobs, used by utilization accounting.
         self._used_node_seconds = 0.0
@@ -227,75 +229,74 @@ class Cluster:
 
     # -- release-time index ------------------------------------------------
     def _index_add(self, when: float, size: int, key: int) -> None:
-        """Insert the group ``(when, size, key)``, after any equal times."""
+        """Insert the group ``(when, size, key)``, after any equal times.
+
+        The tail shifts one slot right and its running counts grow by
+        ``size``.
+        """
         n = self._rel_n
-        times, sizes, keys = self._rel_times, self._rel_sizes, self._rel_keys
+        times, cum, keys = self._rel_times, self._rel_cum, self._rel_keys
         pos = int(times[:n].searchsorted(when, side="right"))
         if pos < n:
             times[pos + 1:n + 1] = times[pos:n]
-            sizes[pos + 1:n + 1] = sizes[pos:n]
             keys[pos + 1:n + 1] = keys[pos:n]
+            cum[pos + 1:n + 1] = cum[pos:n]
+            cum[pos + 1:n + 1] += size
         times[pos] = when
-        sizes[pos] = size
+        cum[pos] = (cum[pos - 1] if pos else 0) + size
         keys[pos] = key
         self._rel_n = n + 1
-        self._rel_cum = None
 
     def _index_remove(self, when: float, key: int) -> None:
-        """Delete the group ``key``, which was inserted at time ``when``."""
+        """Delete the group ``key``, which was inserted at time ``when``.
+
+        The tail shifts one slot left and its running counts shrink by
+        the group's size.
+        """
         n = self._rel_n
-        times, sizes, keys = self._rel_times, self._rel_sizes, self._rel_keys
+        times, cum, keys = self._rel_times, self._rel_cum, self._rel_keys
         pos = int(times[:n].searchsorted(when, side="left"))
         if keys[pos] != key:
             # tied release times: the group is somewhere in the run
             end = int(times[:n].searchsorted(when, side="right"))
             pos += int(np.flatnonzero(keys[pos:end] == key)[0])
         if pos < n - 1:
+            size = cum[pos] - (cum[pos - 1] if pos else 0)
             times[pos:n - 1] = times[pos + 1:n]
-            sizes[pos:n - 1] = sizes[pos + 1:n]
             keys[pos:n - 1] = keys[pos + 1:n]
+            cum[pos:n - 1] = cum[pos + 1:n]
+            cum[pos:n - 1] -= size
         self._rel_n = n - 1
-        self._rel_cum = None
-
-    def _cumulative(self) -> np.ndarray:
-        """Nodes released by each group and all groups before it."""
-        if self._rel_cum is None:
-            self._rel_cum = self._rel_sizes[:self._rel_n].cumsum()
-        return self._rel_cum
 
     def _released_by(self, when: float) -> int:
         """Nodes of all groups with ``est_release <= when``."""
         times = self._rel_times[:self._rel_n]
         upto = int(times.searchsorted(when, side="right"))
-        return int(self._cumulative()[upto - 1]) if upto else 0
+        return self._rel_cum.item(upto - 1) if upto else 0
 
-    def _shadow(self, size: int, now: float) -> float:
-        """:meth:`shadow_time` proper, shared with :meth:`reservation_point`.
+    def _check_size(self, size: int) -> None:
+        """Refuse a job larger than the whole cluster.
 
-        The public queries never call one another, so a tracer that
-        wraps them from outside counts each query once.
+        Shared by :meth:`shadow_time` and :meth:`reservation_point`: the
+        public queries never call one another, so a tracer that wraps
+        them from outside counts each query once.
         """
         if size > self.num_nodes:
             raise ValueError(
                 f"job size {size} exceeds cluster size {self.num_nodes}"
             )
-        needed = size - len(self._free)
-        if needed <= 0:
-            return now
-        # the group whose release first brings the running total to
-        # ``needed``; clipping to ``now`` preserves the sort order
-        group = int(self._cumulative().searchsorted(needed, side="left"))
-        return float(max(self._rel_times[group], now))
 
     def release_groups(self, now: float) -> tuple[np.ndarray, np.ndarray]:
         """``(times, sizes)`` of the release groups, times ascending.
 
         One entry per running job and per down node: ``sizes[i]`` nodes
         are expected to come free at ``times[i]`` (>= ``now``; equal
-        times are not merged).  Both arrays are copies.
+        times are not merged).  Both arrays are copies; the sizes are
+        the steps of the running count.
         """
         n = self._rel_n
-        return np.maximum(self._rel_times[:n], now), self._rel_sizes[:n].copy()
+        return (np.maximum(self._rel_times[:n], now),
+                np.diff(self._rel_cum[:n], prepend=0))
 
     def estimated_release_times(self, now: float) -> np.ndarray:
         """Sorted estimated release times of busy nodes (>= ``now``).
@@ -315,7 +316,15 @@ class Cluster:
         in which case the actual availability is sooner).  Returns
         ``now`` when the job already fits.
         """
-        return self._shadow(size, now)
+        self._check_size(size)
+        needed = size - len(self._free)
+        if needed <= 0:
+            return now
+        # the group whose release first brings the running count to
+        # ``needed``; clipping to ``now`` preserves the sort order
+        cum = self._rel_cum[:self._rel_n]
+        group = int(cum.searchsorted(needed, side="left"))
+        return float(max(self._rel_times.item(group), now))
 
     def free_nodes_at(self, when: float, now: float) -> int:
         """Expected number of free nodes at time ``when`` (``when >= now``)."""
@@ -328,11 +337,24 @@ class Cluster:
         """``(shadow_time, free_nodes_at(shadow_time))`` in one call.
 
         This pair is computed for the queue head on every EASY-backfill
-        scheduler pass.  The shadow is never before ``now``, so every
-        group with ``est_release <= shadow`` has released by then.
+        scheduler pass.  One binary search over the running count finds
+        the shadow group.  When the next group releases after the
+        shadow, the running count at the shadow group is the answer;
+        when it does not (it is tied with the shadow group, or overdue
+        like it so both clip to ``now``), one more search over the times
+        finds the last group released by the shadow.
         """
-        shadow = self._shadow(size, now)
-        return shadow, len(self._free) + self._released_by(shadow)
+        self._check_size(size)
+        free = len(self._free)
+        needed = size - free
+        if needed <= 0:
+            return now, free + self._released_by(now)
+        n, times, cum = self._rel_n, self._rel_times, self._rel_cum
+        group = int(cum[:n].searchsorted(needed, side="left"))
+        shadow = float(max(times.item(group), now))
+        if group + 1 < n and times.item(group + 1) <= shadow:
+            return shadow, free + self._released_by(shadow)
+        return shadow, free + cum.item(group)
 
     # -- allocation -------------------------------------------------------------
     def allocate(self, job: Job, now: float) -> np.ndarray:
@@ -507,7 +529,6 @@ class Cluster:
         self._alloc.clear()
         self._down_count = 0
         self._rel_n = 0
-        self._rel_cum = None
         self._used_node_seconds = 0.0
         self._wasted_node_seconds = 0.0
         self._lost_node_seconds = 0.0

@@ -193,7 +193,8 @@ class SchedulingView:
         reservation = self._engine.planner.reserve(job, self.now)
         if self._engine.sanitize_active:
             _san.check_reservation(job, reservation, self.now,
-                                   self._engine._running)
+                                   self._engine._running,
+                                   self._engine.cluster)
         job.ever_reserved = True
         self._reservation = reservation
         self._reserved_job = job

@@ -163,7 +163,8 @@ class TestClusterInvariants:
 
     @pytest.mark.parametrize("column, delta", [
         ("_rel_times", 1.0),   # a group that releases at the wrong time
-        ("_rel_sizes", -1),    # a group that covers the wrong node count
+        ("_rel_cum", 1),       # an interior running count: total unchanged
+        ("_rel_cum", 3),       # above the next count: a group of -1 nodes
     ])
     def test_corrupt_release_index_raises(self, column, delta):
         cluster = Cluster(8, sanitize=True)
@@ -297,19 +298,66 @@ class TestCheckFunctions:
         with pytest.raises(SanitizerError, match="causality"):
             sanitize.check_job_start(job, 10.0, {})
 
+    @staticmethod
+    def busy_until_20():
+        cluster = Cluster(8)
+        cluster.allocate(make_job(1, size=8, runtime=10.0), 0.0)
+        return cluster
+
     def test_reservation_in_past(self):
         job = make_job(4, size=8)
+        cluster = self.busy_until_20()
         stale = Reservation(job_id=4, size=8, shadow_time=5.0, extra_nodes=0)
         with pytest.raises(SanitizerError, match="shadow time"):
-            sanitize.check_reservation(job, stale, now=10.0, running={})
+            sanitize.check_reservation(job, stale, now=10.0, running={},
+                                       cluster=cluster)
         ok = Reservation(job_id=4, size=8, shadow_time=20.0, extra_nodes=0)
-        sanitize.check_reservation(job, ok, now=10.0, running={})
+        sanitize.check_reservation(job, ok, now=10.0, running={},
+                                   cluster=cluster)
 
     def test_reservation_for_running_job(self):
         job = make_job(4, size=8)
         res = Reservation(job_id=4, size=8, shadow_time=20.0, extra_nodes=0)
         with pytest.raises(SanitizerError, match="already-running"):
-            sanitize.check_reservation(job, res, now=10.0, running={4: job})
+            sanitize.check_reservation(job, res, now=10.0, running={4: job},
+                                       cluster=self.busy_until_20())
+
+    @pytest.mark.parametrize("shadow, extra", [
+        (30.0, 0),   # later than the release that frees the nodes
+        (15.0, 0),   # before any release
+        (20.0, 1),   # the right time, one node too many to spare
+    ])
+    def test_reservation_off_its_definition(self, shadow, extra):
+        job = make_job(4, size=8)
+        res = Reservation(job_id=4, size=8, shadow_time=shadow,
+                          extra_nodes=extra)
+        with pytest.raises(SanitizerError, match="arrays give 20.0 and 0"):
+            sanitize.check_reservation(job, res, now=10.0, running={},
+                                       cluster=self.busy_until_20())
+
+    def test_reservation_missing_a_tied_group_raises(self, monkeypatch):
+        """A query that stops at the shadow group, not at its tie run's end.
+
+        Three one-node jobs release together; the blocked head needs two
+        of them, so the shadow group is the middle of the run and the
+        third group is one extra node.
+        """
+        def jobs():
+            return [make_job(i, size=1) for i in range(3)] + [
+                make_job(3, size=3)]
+
+        def stop_at_shadow_group(cluster, size, now):
+            times, sizes = cluster.release_groups(now)
+            count = sizes.cumsum()
+            group = int(count.searchsorted(size - cluster.available_nodes))
+            return float(times[group]), (cluster.available_nodes
+                                         + int(count[group]))
+
+        run_simulation(4, FCFSEasy(), jobs(), sanitize=True)
+        monkeypatch.setattr(Cluster, "reservation_point", stop_at_shadow_group)
+        with pytest.raises(SanitizerError, match="200.0 and 0 extra nodes; "
+                           "the per-node arrays give 200.0 and 1"):
+            run_simulation(4, FCFSEasy(), jobs(), sanitize=True)
 
 
 class TestMetricsInvariants:

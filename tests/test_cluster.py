@@ -217,6 +217,47 @@ class TestReleaseIndex:
         # ... and not a moment before
         assert cluster.free_nodes_at(20.0, now=25.0) == 2
 
+    @pytest.mark.parametrize("size, shadow_group", [
+        (5, 1),   # the shadow group is the first of the tie run
+        (6, 2),   # ... in its middle
+        (8, 3),   # ... its last
+    ])
+    def test_shadow_group_in_a_tie_run(self, cluster, size, shadow_group):
+        cluster.allocate(make_job(size=2, walltime=50.0), now=0.0)
+        for nodes in (1, 2, 1):
+            cluster.allocate(make_job(size=nodes, walltime=100.0), now=0.0)
+        times, sizes = cluster.release_groups(10.0)
+        assert times.tolist() == [50.0, 100.0, 100.0, 100.0]
+        needed = size - cluster.available_nodes
+        assert sizes.cumsum().searchsorted(needed) == shadow_group
+        # every group of the run releases at the shadow, not just its first
+        assert cluster.reservation_point(size, now=10.0) == (100.0, 8)
+        assert cluster.shadow_time(size, now=10.0) == 100.0
+        assert cluster.free_nodes_at(100.0, now=10.0) == 8
+
+    def test_blade_down_until_one_repair_time(self, cluster):
+        cluster.allocate(make_job(size=2, walltime=200.0), now=0.0)
+        cluster.fail_nodes([2, 3, 4, 5, 6], 0.0, 80.0)   # one scalar repair
+        times, sizes = cluster.release_groups(10.0)
+        assert times.tolist() == [80.0] * 5 + [200.0]
+        assert sizes.tolist() == [1] * 5 + [2]
+        # the second node of the blade is the shadow; all five come back
+        assert cluster.reservation_point(3, now=10.0) == (80.0, 6)
+        assert cluster.reservation_point(7, now=10.0) == (200.0, 8)
+
+    def test_overdue_shadow_group_releases_with_later_overdue_ones(
+            self, cluster):
+        cluster.allocate(make_job(size=3, walltime=10.0), now=0.0)
+        cluster.allocate(make_job(size=2, walltime=20.0), now=0.0)
+        cluster.allocate(make_job(size=2, walltime=100.0), now=0.0)
+        # both overrun jobs are expected to free "now": the shadow group
+        # (10.0) and the one after it (20.0) clip to the same instant
+        assert cluster.reservation_point(3, now=25.0) == (25.0, 6)
+        assert cluster.shadow_time(3, now=25.0) == 25.0
+        # the next group after the shadow releases later: read directly
+        assert cluster.reservation_point(3, now=15.0) == (15.0, 4)
+        assert cluster.reservation_point(7, now=25.0) == (100.0, 8)
+
 
 class TestAccounting:
     def test_used_node_seconds_after_release(self, cluster):
