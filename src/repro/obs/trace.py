@@ -16,16 +16,27 @@ can be recovered; simulator records additionally carry the engine clock
 in a ``t`` field.
 
 Serialization is a hot path (the ``theta_easy_traced`` benchmark
-workload measures it): records whose values are plain scalars are
-rendered by a specialized formatter that produces byte-identical
-output to ``json.dumps`` (same separators, same float ``repr``, same
-string escaping via a memo of ``json.dumps``-escaped fragments); any
-record with a non-scalar value falls back to a shared
-:class:`json.JSONEncoder`.  Either way the line is rendered *at emit
-time* — field values are captured immediately, so callers may mutate
-them afterwards — and buffered lines are written out in one batched
-``write`` per :meth:`Tracer.flush`, which runs every
-:data:`BUFFER_LINES` records and on :meth:`Tracer.close`.
+workload measures it), so records are rendered from compiled *record
+shapes*.  A shape — record type, name, field keys and the class of each
+value — is compiled once per tracer into a ``%``-format template (name
+and keys escaped, a ``%d`` slot per ``int``, a ``%s`` slot per ``float``
+or ``str``) and an emitter that takes the values positionally.  An
+emit is one exact-type gate (``int``, finite ``float``, ``str``) and
+one ``%``; a ``str`` goes in as its memoized ``json.dumps`` fragment
+and a ``float`` as its ``repr``, kept per field key so a clock value
+shared by consecutive records is rendered once.  A value that fails
+the gate — numpy scalars, bools, ``None``, lists, non-finite floats —
+sends the record to a shared :class:`json.JSONEncoder`.  Either way
+the line equals ``json.dumps`` of the record byte for byte.  Hot call
+sites bind their shapes up front (:meth:`Tracer.event_shape`,
+:meth:`Tracer.begin_shape`); :meth:`Tracer.event` and
+:meth:`Tracer.begin` look theirs up from the keyword fields.  The
+line is rendered *at emit time* — field values are captured
+immediately, so callers may mutate them afterwards — and buffered
+lines are written out in one batched ``write`` per
+:meth:`Tracer.flush`, which runs every :data:`BUFFER_LINES` records
+and on :meth:`Tracer.close`.  A closed tracer refuses records with
+:class:`ValueError`.
 
 Activation mirrors the PR 1 sanitizer contract:
 
@@ -49,13 +60,14 @@ Reading a trace back::
 from __future__ import annotations
 
 import atexit
+import itertools
 import json
 import os
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, ContextManager, IO, Iterable
+from typing import Any, Callable, ContextManager, IO, Iterable
 
 from repro.obs import profile as _profile
 from repro.obs.jsonl import read_jsonl
@@ -98,11 +110,11 @@ def _json_default(value: Any) -> Any:
     return str(value)
 
 
-# -- fast record serialization -------------------------------------------------
+# -- record shapes -------------------------------------------------------------
 #
 # One shared fallback encoder (building a JSONEncoder per record, as
 # ``json.dumps(..., default=...)`` does, is measurable at trace rates)
-# plus a scalar fast path that mirrors its output byte for byte.
+# plus compiled record shapes that mirror its output byte for byte.
 
 _FALLBACK_ENCODE = json.JSONEncoder(default=_json_default).encode
 
@@ -125,74 +137,38 @@ def _str_fragment(value: str) -> str:
     return fragment
 
 
-def _value_fragment(value: Any) -> str | None:
-    """Render one scalar exactly as ``json.dumps`` would, else ``None``.
-
-    Exact types only (subclasses fall back: ``json`` may treat them
-    differently); non-finite floats fall back so they keep the
-    ``NaN``/``Infinity`` spellings of the stock encoder.
-    """
-    cls = value.__class__
-    if cls is str:
-        return _str_fragment(value)
-    if cls is int:
-        return repr(value)
-    if cls is float:
-        return repr(value) if -_INF < value < _INF else None
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    return None
-
+#: the slot each value class fills: ``%d`` prints an ``int`` as
+#: ``json.dumps`` does; a finite ``float`` and a ``str`` go in as their
+#: ``json.dumps`` fragments (``repr`` and the string memo)
+_SLOTS = {int: "%d", float: "%s", str: "%s"}
 
 #: fixed record fields; a caller field colliding with one of these must
-#: take the dict/fallback path to keep ``dict.update`` override semantics
+#: take the fallback encoder to keep ``dict.update`` override semantics
 _BASE_KEYS = frozenset({"type", "name", "sid", "pid", "wall"})
 
-# Record *shapes* — (record type, name, field-key tuple) — are
-# low-cardinality: one per instrumentation call site.  Each shape's
-# skeleton is compiled once into a ``%``-format template ("%d" span id,
-# "%s" pid slot, "%r" wall, one "%s" per field value), so the per-record
-# work is a cache hit, one scalar fragment per field and a single
-# C-level format — the name/key escaping and base-key collision check
-# happen once per shape instead of once per record.  ``False`` marks a
-# shape that must always take the fallback encoder (non-string name or
-# a field colliding with a base key).
+#: the fixed slots of a ``begin`` / ``event`` record, after ``name``
+_HEADS = {"begin": '"sid": %d, "pid": %s, "wall": %r',
+          "event": '"pid": %s, "wall": %r'}
 
-_TEMPLATES: dict[tuple, "str | bool"] = {}
-_TEMPLATES_MAX = 4096
+#: record shapes one tracer keeps compiled; a shape is one per
+#: instrumentation call site, so this only caps pathological callers
+_SHAPES_MAX = 4096
 
 
-def _compile_template(key: tuple, head: str) -> "str | bool":
-    """Compile (and cache) the template of the record shape ``key``.
-
-    ``key`` is ``(record type, name, *field keys)``; ``head`` carries the
-    fixed slots between ``name`` and the fields (:data:`_BEGIN_HEAD` or
-    :data:`_EVENT_HEAD`).  Returns ``False`` for a shape that must always
-    take the fallback encoder (a field colliding with a base key).
-    """
-    rtype, name, *fields = key
-    if _BASE_KEYS.isdisjoint(fields):
-        parts = ['"type": "' + rtype + '"',
-                 '"name": ' + _str_fragment(name).replace("%", "%%"),
-                 head]
-        for field_key in fields:
-            parts.append(_str_fragment(field_key).replace("%", "%%")
-                         + ": %s")
-        template: "str | bool" = "{" + ", ".join(parts) + "}"
-    else:
-        template = False
-    if len(_TEMPLATES) < _TEMPLATES_MAX:
-        _TEMPLATES[key] = template
-    return template
-
-
-#: the fixed slots of a ``begin`` / ``event`` record
-_BEGIN_HEAD = '"sid": %d, "pid": %s, "wall": %r'
-_EVENT_HEAD = '"pid": %s, "wall": %r'
+def _compile_template(rtype: str, name: Any, keys: tuple[str, ...],
+                      types: tuple[type, ...]) -> str | None:
+    """The ``%``-template of one record shape, or ``None`` when its
+    records always take the fallback encoder (a non-string name, a key
+    colliding with a base field, a value type with no slot)."""
+    if (name.__class__ is not str or not _BASE_KEYS.isdisjoint(keys)
+            or not all(cls in _SLOTS for cls in types)):
+        return None
+    parts = ['"type": "' + rtype + '"',
+             '"name": ' + _str_fragment(name).replace("%", "%%"),
+             _HEADS[rtype]]
+    parts += [_str_fragment(key).replace("%", "%%") + ": " + _SLOTS[cls]
+              for key, cls in zip(keys, types)]
+    return "{" + ", ".join(parts) + "}"
 
 
 class Tracer:
@@ -201,11 +177,12 @@ class Tracer:
     ``sink`` is a path (opened for writing, truncating) or an open text
     file-like object (not closed by :meth:`close`).  Records are buffered
     and written out every :data:`BUFFER_LINES` lines and on
-    :meth:`flush` / :meth:`close`.
+    :meth:`flush` / :meth:`close`.  Emitting a record on a closed tracer
+    raises :class:`ValueError`.
     """
 
-    __slots__ = ("_fh", "_owns_fh", "_buffer", "_next_sid", "_stack",
-                 "_closed")
+    __slots__ = ("_fh", "_owns_fh", "_buffer", "_sids", "_stack",
+                 "_closed", "_shapes", "_floats")
 
     def __init__(self, sink: str | Path | IO[str]) -> None:
         if isinstance(sink, (str, Path)):
@@ -216,63 +193,112 @@ class Tracer:
             self._owns_fh = False
         self._buffer = [_FALLBACK_ENCODE({"type": "meta",
                                           "schema": TRACE_SCHEMA})]
-        self._next_sid = 1
+        self._sids = itertools.count(1)
         self._stack: list[int] = []
         self._closed = False
+        self._shapes: dict[tuple, Callable[..., Any]] = {}
+        #: field key -> [last float, its ``repr``]: the clock ``t`` of
+        #: one engine instance is rendered once for all its records
+        self._floats: dict[str, list] = {}
 
     # -- record emission ---------------------------------------------------
-    def _emit(self, name: str, fields: dict[str, Any],
-              sid: int | None = None) -> None:
-        """Render one record and buffer it: a span's ``begin`` when
-        ``sid`` is given, else an ``event``.
+    def _shape(self, rtype: str, name: Any, keys: tuple[str, ...],
+               types: tuple[type, ...]) -> Callable[..., Any]:
+        """The emitter of one record shape, compiled on first use."""
+        if name.__class__ is not str:  # possibly unhashable
+            return self._compile(rtype, name, keys, types)
+        shape = (rtype, name, keys, types)
+        emit = self._shapes.get(shape)
+        if emit is None:
+            emit = self._compile(rtype, name, keys, types)
+            if len(self._shapes) < _SHAPES_MAX:
+                self._shapes[shape] = emit
+        return emit
 
-        The shape's template renders the line when every field is a
-        scalar; anything else takes the fallback encoder.
+    def _compile(self, rtype: str, name: Any, keys: tuple[str, ...],
+                 types: tuple[type, ...]) -> Callable[..., Any]:
+        """Compile one record shape into its emitter on this tracer.
+
+        The emitter takes one value per key.  When every value's class
+        is exactly its slot's type (a ``float`` also finite) the line is
+        the shape's template filled by one ``%``; anything else — numpy
+        scalars, bools, ``None``, lists, non-finite floats — goes to the
+        fallback encoder.  A ``begin`` emitter opens the span and
+        returns its id.
         """
-        stack = self._stack
-        pid = stack[-1] if stack else None
-        wall = time.perf_counter()
-        slot = "null" if pid is None else pid
-        if sid is None:
-            rtype, head, values = "event", _EVENT_HEAD, [slot, wall]
-        else:
-            rtype, head, values = "begin", _BEGIN_HEAD, [sid, slot, wall]
-        line: str | None = None
-        if name.__class__ is str:
-            key = (rtype, name, *fields)
-            template = _TEMPLATES.get(key)
-            if template is None:
-                template = _compile_template(key, head)
-            if template is not False:
-                for value in fields.values():
-                    fragment = _value_fragment(value)
-                    if fragment is None:
-                        break
-                    values.append(fragment)
+        template = _compile_template(rtype, name, keys, types)
+        begin = rtype == "begin"
+        head = 3 if begin else 2    # sid?, pid, wall
+        floats = tuple((head + i, self._floats.setdefault(key, [None, ""]))
+                       for i, (key, cls) in enumerate(zip(keys, types))
+                       if cls is float)
+        strs = tuple(head + i for i, cls in enumerate(types) if cls is str)
+        buffer, stack, clock = self._buffer, self._stack, time.perf_counter
+        next_sid = self._sids.__next__
+
+        def emit(*values: Any) -> int | None:
+            if self._closed:
+                raise ValueError(f"record {name!r} emitted on a closed Tracer")
+            pid = stack[-1] if stack else "null"
+            sid = next_sid() if begin else None
+            args = ([sid, pid, clock(), *values] if begin
+                    else [pid, clock(), *values])
+            line = None
+            if template is not None and tuple(map(type, values)) == types:
+                for i, memo in floats:
+                    value = args[i]
+                    # equal floats share their bits, bar 0.0 == -0.0
+                    if value != memo[0] or not value:
+                        if not -_INF < value < _INF:
+                            break
+                        memo[0], memo[1] = value, repr(value)
+                    args[i] = memo[1]
                 else:
-                    line = template % tuple(values)
-        if line is None:
-            record: dict[str, Any] = {"type": rtype, "name": name,
-                                      "sid": sid, "pid": pid, "wall": wall}
-            if sid is None:
-                del record["sid"]
-            record.update(fields)
-            line = _FALLBACK_ENCODE(record)
-        buffer = self._buffer
-        buffer.append(line)
-        if len(buffer) >= BUFFER_LINES:
-            self.flush()
+                    for i in strs:
+                        args[i] = _str_fragment(args[i])
+                    line = template % tuple(args)
+            if line is None:
+                record = {"type": rtype, "name": name, "sid": sid,
+                          "pid": stack[-1] if stack else None,
+                          "wall": args[head - 1]}
+                if not begin:
+                    del record["sid"]
+                record.update(zip(keys, values))
+                line = _FALLBACK_ENCODE(record)
+            buffer.append(line)
+            if len(buffer) >= BUFFER_LINES:
+                self.flush()
+            if begin:
+                stack.append(sid)
+            return sid
+
+        return emit
+
+    def event_shape(self, name: str, /, **types: type) -> Callable[..., None]:
+        """Compile ``name``'s event records; returns their emitter.
+
+        ``types`` maps each field key, in record order, to the class of
+        its values (``int``, ``float`` or ``str``); the emitter takes one
+        positional value per key.  A value of any other class still
+        renders, through the fallback encoder.
+        """
+        return self._shape("event", name, tuple(types), tuple(types.values()))
+
+    def begin_shape(self, name: str, /, **types: type) -> Callable[..., int]:
+        """As :meth:`event_shape`, for ``name``'s spans: the emitter opens
+        one and returns its id (close it with :meth:`end`)."""
+        return self._shape("begin", name, tuple(types), tuple(types.values()))
 
     def begin(self, name: str, **fields: Any) -> int:
         """Open a span; returns its id.  Close it with :meth:`end`."""
-        sid = self._next_sid
-        self._next_sid += 1
-        self._emit(name, fields, sid)
-        self._stack.append(sid)
-        return sid
+        values = tuple(fields.values())
+        return self._shape("begin", name, tuple(fields),
+                           tuple(map(type, values)))(*values)
 
     def end(self, sid: int) -> None:
         """Close the span ``sid`` (must be the innermost open span)."""
+        if self._closed:
+            raise ValueError(f"span {sid} ended on a closed Tracer")
         stack = self._stack
         if not stack or stack[-1] != sid:
             raise ValueError(
@@ -292,7 +318,9 @@ class Tracer:
 
     def event(self, name: str, **fields: Any) -> None:
         """Record an instantaneous event inside the current span."""
-        self._emit(name, fields)
+        values = tuple(fields.values())
+        self._shape("event", name, tuple(fields),
+                    tuple(map(type, values)))(*values)
 
     # -- lifecycle ----------------------------------------------------------
     def flush(self) -> None:

@@ -170,13 +170,24 @@ class TraceObserver:
     here, closed when the run ends).
     """
 
-    __slots__ = ("tracer", "_owns", "_engine", "_span")
+    __slots__ = ("tracer", "_owns", "_engine", "_span", "_instance",
+                 "_allocate", "_release", "_reserve")
 
     def __init__(self, sink: "_trace.Tracer | str | Path") -> None:
         self._owns = not isinstance(sink, _trace.Tracer)
-        self.tracer = _trace.Tracer(sink) if self._owns else sink
+        self.tracer = tracer = _trace.Tracer(sink) if self._owns else sink
         self._engine: "Engine | None" = None
         self._span = -1
+        # the per-instance records, compiled once
+        self._instance = tracer.begin_shape("engine.instance", t=float,
+                                            batch=int)
+        self._allocate = tracer.event_shape("engine.allocate", t=float,
+                                            job=int, size=int, mode=str)
+        self._release = tracer.event_shape("engine.release", t=float,
+                                           job=int, size=int)
+        self._reserve = tracer.event_shape(
+            "engine.backfill_reserve", t=float, job=int, size=int,
+            shadow_time=float, extra_nodes=int)
 
     def on_run_begin(self, engine: "Engine") -> None:
         """Keep the engine: ``on_kill`` reads its ``kill_cause``."""
@@ -184,8 +195,7 @@ class TraceObserver:
 
     def on_instance_begin(self, now: float, n_events: int) -> None:
         """Open the instance span; the events below nest under it."""
-        self._span = self.tracer.begin("engine.instance", t=now,
-                                       batch=n_events)
+        self._span = self._instance(now, n_events)
 
     def on_abandon(self, job: Job, now: float, parent: int) -> None:
         """Record a dependency-cancelled job."""
@@ -194,8 +204,7 @@ class TraceObserver:
 
     def on_finish(self, job: Job, now: float) -> None:
         """Record the node release of a completed job."""
-        self.tracer.event("engine.release", t=now, job=job.job_id,
-                          size=job.size)
+        self._release(now, job.job_id, job.size)
 
     def on_kill(self, job: Job, now: float) -> None:
         """Record a fault kill and whether the job went back to the queue."""
@@ -218,17 +227,13 @@ class TraceObserver:
 
     def on_start(self, job: Job, now: float) -> None:
         """Record the allocation and the execution mode it was given."""
-        self.tracer.event("engine.allocate", t=now, job=job.job_id,
-                          size=job.size, mode=job.mode.value)
+        self._allocate(now, job.job_id, job.size, job.mode.value)
 
     def on_reserve(self, job: Job, now: float,
                    reservation: "Reservation") -> None:
         """Record the reservation the backfill planner computed."""
-        self.tracer.event(
-            "engine.backfill_reserve", t=now, job=job.job_id, size=job.size,
-            shadow_time=reservation.shadow_time,
-            extra_nodes=reservation.extra_nodes,
-        )
+        self._reserve(now, job.job_id, job.size, reservation.shadow_time,
+                      reservation.extra_nodes)
 
     def on_instance(self, view: "SchedulingView", started) -> None:
         """Close the instance span (left open when the policy raised)."""

@@ -90,7 +90,8 @@ class TestInstrumentedGoldens:
             )
         dark = run_simulation(64, FCFSEasy(), golden_jobs(),
                               faults=GOLDEN_FAULTS, sanitize=False)
-        return lit, dark, read_trace(path), sink.records, prof
+        return (lit, dark, read_trace(path), sink.records, prof,
+                path.read_text(encoding="utf-8").splitlines())
 
     def test_schedule_equals_dark_run(self, runs):
         lit, dark, *_ = runs
@@ -100,7 +101,7 @@ class TestInstrumentedGoldens:
         assert lit.resilience == dark.resilience
 
     def test_scenario_exercises_every_record(self, runs):
-        _, _, records, snapshots, _ = runs
+        _, _, records, snapshots, *_ = runs
         names = {r.get("name") for r in records}
         assert names >= {n for n in SPAN_NAMES if n.startswith("engine.")}
         assert len(snapshots) > 3 and snapshots[-1].get("final") is True
@@ -130,6 +131,15 @@ class TestInstrumentedGoldens:
         records = [{k: v for k, v in r.items() if k != "wall"}
                    for r in runs[2]]
         assert sha(records) == self.TRACE_SHA
+
+    def test_trace_lines_are_json_dumps_bytes(self, runs):
+        """The hash above is over parsed records; this holds the bytes:
+        compiled shapes and the fallback (the fault records' lists and
+        bools) both write exactly what ``json.dumps`` writes."""
+        lines = runs[5]
+        assert len(lines) == len(runs[2])
+        for line in lines:
+            assert line == json.dumps(json.loads(line))
 
     def test_live_snapshot_sequence(self, runs):
         snapshots = [{k: v for k, v in r.items() if k != "wall"}

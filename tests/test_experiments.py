@@ -249,17 +249,22 @@ class TestEvaluationFigures:
             assert set(r.wait_h) == {"ready", "reserved", "backfilled"}
         assert "Fig 8" in fig8.report(rows)
 
-    def test_fig9_structure(self):
-        result = fig9.run(SCALE)
+    @pytest.fixture(scope="class")
+    def fig9_result(self):
+        """One Fig 9 run, the longest of the tiny-scale figures, shared
+        by the tests that only read it."""
+        return fig9.run(SCALE)
+
+    def test_fig9_structure(self, fig9_result):
+        result = fig9_result
         assert len(result.weeks) >= 4
         assert len(result.core_hours) == len(result.weeks)
         for series in result.weekly_wait_h.values():
             assert len(series) == len(result.weeks)
         assert "Fig 9" in fig9.report(result)
 
-    def test_fig9_surge_weeks_have_more_work(self):
-        result = fig9.run(SCALE)
-        ch = result.core_hours
+    def test_fig9_surge_weeks_have_more_work(self, fig9_result):
+        ch = fig9_result.core_hours
         # week 2 is a 1.7x surge in the profile
         assert ch[2] > ch[1]
 

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.profile import Profiler, set_global_profiler
 from repro.obs.trace import (
@@ -103,6 +105,22 @@ class TestTracerEmission:
         record = read_trace(path)[1]
         assert record["size"] == 5 and record["frac"] == 0.5
 
+    def test_closed_tracer_refuses_records(self):
+        sink = io.StringIO()
+        tr = Tracer(sink)
+        sid = tr.begin("open")
+        emit = tr.event_shape("e", job=int)
+        tr.close()
+        written = sink.getvalue()
+        for record in (lambda: tr.event("e", job=1), lambda: tr.begin("s"),
+                       lambda: tr.end(sid), lambda: emit(1),
+                       lambda: tr.begin_shape("s", t=float)(1.0)):
+            with pytest.raises(ValueError, match="closed"):
+                record()
+        tr.flush()
+        tr.close()
+        assert sink.getvalue() == written
+
     def test_invalid_jsonl_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"type": "meta"}\nnot json\n')
@@ -116,6 +134,101 @@ class TestTracerEmission:
         tr.close()
         (root,) = build_span_tree(read_trace(path))
         assert root.wall_end is None and root.duration == 0.0
+
+
+#: quotes, ``%``, escapes, control and non-ASCII characters
+_TEXT = st.text(
+    alphabet=st.sampled_from('ab "\\%/\n\t\x00\x1f\x7f\u00e9\u2028\U0001f600'),
+    max_size=6)
+_SCALARS = st.one_of(
+    st.integers(),
+    st.integers(min_value=2**63, max_value=2**80),
+    st.booleans(),
+    st.none(),
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 1e16, float("nan"), float("inf"),
+                     float("-inf")]),
+    _TEXT,
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.floats().map(np.float64),
+)
+#: field keys, some colliding with a base field or needing escapes
+_KEYS = st.sampled_from(["t", "job", "mode", "pid", "wall", "sid", "type",
+                         'q"u%dte', "\u00e9\n"])
+
+
+def _expected(line, rtype, name, fields, sid, pid):
+    """``json.dumps`` of the record ``line`` should hold, with its own wall."""
+    record = {"type": rtype, "name": name, "sid": sid, "pid": pid,
+              "wall": json.loads(line)["wall"]}
+    if rtype == "event":
+        del record["sid"]
+    record.update(fields)
+    return json.dumps(record, default=lambda value: value.item())
+
+
+class TestTraceBytes:
+    """Every line is byte for byte ``json.dumps`` of its record, on the
+    compiled path and the fallback alike."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(name=st.sampled_from(["engine.release", 'n"a%sme', "\u00e9"]),
+           fields=st.dictionaries(_KEYS, _SCALARS, max_size=5),
+           declared=st.lists(st.sampled_from([int, float, str]),
+                             min_size=5, max_size=5),
+           nested=st.booleans())
+    def test_lines_equal_json_dumps(self, name, fields, declared, nested):
+        sink = io.StringIO()
+        tr = Tracer(sink)
+        pid = tr.begin("outer") if nested else None
+        values = tuple(fields.values())
+        # the value's own class when it has a slot, else a mismatch
+        types = {key: value.__class__
+                 if value.__class__ in (int, float, str) else cls
+                 for (key, value), cls in zip(fields.items(), declared)}
+        emit = tr.event_shape(name, **types)
+        tr.event(name, **fields)
+        sid = tr.begin(name, **fields)
+        tr.end(sid)
+        emit(*values)
+        emit(*values)  # the float memo's hit
+        shape_sid = tr.begin_shape(name, **types)(*values)
+        tr.close()
+        lines = sink.getvalue().splitlines()[1 + nested:]
+        assert len(lines) == 6
+        for line, (rtype, record_sid) in zip(
+                lines, [("event", None), ("begin", sid), ("end", sid),
+                        ("event", None), ("event", None),
+                        ("begin", shape_sid)]):
+            if rtype == "end":
+                assert line == json.dumps({"type": "end", "sid": sid,
+                                           "wall": json.loads(line)["wall"]})
+            else:
+                assert line == _expected(line, rtype, name, fields,
+                                         record_sid, pid)
+
+    @settings(max_examples=200, deadline=None)
+    @given(clocks=st.lists(st.one_of(
+        st.floats(), st.sampled_from([0.0, -0.0, 1.5, float("nan")])),
+        max_size=8))
+    def test_clock_fragment_follows_every_value(self, clocks):
+        """The per-key float memo: equal, sign-flipped and repeated
+        clocks across the records of a span and its events."""
+        sink = io.StringIO()
+        tr = Tracer(sink)
+        emit = tr.event_shape("e", t=float, job=int)
+        for t in clocks:
+            sid = tr.begin("s", t=t)
+            emit(t, 1)
+            tr.end(sid)
+        tr.close()
+        lines = sink.getvalue().splitlines()[1:]
+        for k, t in enumerate(clocks):
+            begin, event = lines[3 * k], lines[3 * k + 1]
+            sid = json.loads(begin)["sid"]
+            assert begin == _expected(begin, "begin", "s", {"t": t}, sid, None)
+            assert event == _expected(event, "event", "e", {"t": t, "job": 1},
+                                      None, sid)
 
 
 class TestGlobalTracer:
