@@ -11,8 +11,8 @@ This package implements the Deep Reinforcement Agent for Scheduling:
   §III-B shared by both agents;
 * :mod:`repro.core.dras_pg` / :mod:`repro.core.dras_dql` — the policy
   gradient and deep Q-learning variants;
-* :mod:`repro.core.decima` — the flat Decima-PG baseline (a policy
-  gradient agent without the hierarchical structure or reservations).
+* :mod:`repro.core.decima` — the flat Decima-PG baseline: DRAS-PG
+  without level 2 (no reservation, no backfilling).
 """
 
 from repro.core.rewards import (

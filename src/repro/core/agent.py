@@ -14,11 +14,13 @@ One scheduling instance proceeds exactly as §III-B describes:
    candidate remains.
 
 Both levels share the same network (trained jointly); after every
-action the agent receives the reward of the scheduling objective, and
-every ``update_every`` scheduling instances it updates the network
-parameters from the collected observations and clears its memory
-(§III-C).  Online operation keeps learning enabled, which is how DRAS
-adapts to workload change without human intervention (§V-D).
+action a learning agent receives the reward of the scheduling
+objective, and every ``update_every`` scheduling instances it updates
+the network parameters from the collected observations and clears its
+memory (§III-C).  Online operation keeps learning enabled, which is how
+DRAS adapts to workload change without human intervention (§V-D).  The
+Decima-PG baseline (:mod:`repro.core.decima`) keeps this cadence and
+replaces the two levels with one.
 """
 
 from __future__ import annotations
@@ -62,8 +64,6 @@ class HierarchicalAgent(BaseScheduler):
         self.learning = True
         self._instances_since_update = 0
         self.updates_done = 0
-        #: rewards collected per scheduling instance (for learning curves)
-        self.instance_rewards: list[float] = []
 
     # -- subclass interface -----------------------------------------------------
     def select(self, window: list[Job], view: SchedulingView, level: int) -> Job:
@@ -109,13 +109,11 @@ class HierarchicalAgent(BaseScheduler):
         """One scheduling instance: level-1 selection, then backfill.
 
         Level 1 starts (or reserves) window picks until a job does not
-        fit; level 2 backfills behind the reservation (§III-A).  Every
-        action's reward is recorded, and the per-instance mean lands in
-        :attr:`instance_rewards`.
+        fit; level 2 backfills behind the reservation (§III-A).  While
+        learning, every selection's reward is attached to its
+        transition; a frozen agent computes no reward.
         """
         selected: list[Job] = []
-        instance_reward = 0.0
-        n_actions = 0
 
         # Level 1: immediate execution or reservation.
         while True:
@@ -123,21 +121,20 @@ class HierarchicalAgent(BaseScheduler):
             if not window:
                 break
             job = self.select(window, view, level=1)
-            if job.size <= view.free_nodes:
+            fits = job.size <= view.free_nodes
+            if fits:
                 view.start(job)
-                selected.append(job)
-                instance_reward += self._after_action(selected, view)
-                n_actions += 1
             else:
                 view.reserve(job)
-                selected.append(job)
-                instance_reward += self._after_action(selected, view)
-                n_actions += 1
+            selected.append(job)
+            self._after_action(selected, view)
+            if not fits:
                 break
 
         # Level 2: backfilling behind the reservation.  The learned
         # selection is the paper's contribution; ``learned_backfill=False``
-        # degrades it to EASY's first-fit rule for ablation.
+        # degrades it to EASY's first-fit rule for ablation, which
+        # records no transition and so takes no reward.
         if view.reservation is not None:
             while True:
                 candidates = view.backfill_candidates()
@@ -148,29 +145,17 @@ class HierarchicalAgent(BaseScheduler):
                     job = self.select(window, view, level=2)
                     view.start(job)
                     selected.append(job)
-                    instance_reward += self._after_action(selected, view)
+                    self._after_action(selected, view)
                 else:
-                    job = candidates[0]
-                    view.start(job)
-                    selected.append(job)
-                    # no transition was recorded for a first-fit pick, so
-                    # only observe the reward (do not attach it)
-                    instance_reward += self.reward_fn(
-                        selected, view.waiting(), view.cluster, view.now
-                    )
-                n_actions += 1
+                    view.start(candidates[0])
 
-        self.instance_rewards.append(
-            instance_reward / n_actions if n_actions else 0.0
-        )
         self._end_instance()
 
-    def _after_action(self, selected: list[Job], view: SchedulingView) -> float:
-        """Compute and record the post-action reward."""
-        reward = self.reward_fn(selected, view.waiting(), view.cluster, view.now)
+    def _after_action(self, selected: list[Job], view: SchedulingView) -> None:
+        """While learning, attach the post-action reward to its transition."""
         if self.learning:
-            self.record_reward(reward)
-        return reward
+            self.record_reward(
+                self.reward_fn(selected, view.waiting(), view.cluster, view.now))
 
     def _end_instance(self) -> None:
         self._instances_since_update += 1

@@ -3,10 +3,13 @@
 Decima (Mao et al., SIGCOMM'19) targets DAG-structured data-processing
 jobs and is not directly applicable to rigid HPC jobs, so the paper
 evaluates a *modified* Decima: the graph neural network is dropped and
-DRAS's state representation is used instead.  The result is a policy
-gradient agent **without** the hierarchical structure — no resource
-reservation, no backfilling.  It therefore serves as the ablation
-baseline isolating the benefit of DRAS's two-level design.
+DRAS's state representation is used instead.  The result is DRAS-PG
+**without** the hierarchical structure — no resource reservation, no
+backfilling.  It therefore serves as the ablation baseline isolating
+the benefit of DRAS's two-level design, and is written as exactly that:
+:class:`~repro.core.dras_pg.DRASPG` with its own one-level
+:meth:`DecimaPG.schedule`, inheriting the network, learner, update
+cadence and persistence.
 
 At each scheduling instance the agent repeatedly picks one *runnable*
 job (jobs larger than the free node count are masked out) until no
@@ -19,125 +22,33 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.config import DRASConfig
-from repro.core.dras_pg import PGCore
-from repro.core.rewards import RewardFunction, make_reward
-from repro.core.state import StateEncoder
-from repro.nn.network import build_dras_network
-from repro.nn.optim import Adam
-from repro.schedulers.base import BaseScheduler
+from repro.core.dras_pg import DRASPG
 from repro.sim.engine import SchedulingView
 
 
-class DecimaPG(BaseScheduler):
-    """Flat policy-gradient scheduler without reservations."""
+class DecimaPG(DRASPG):
+    """DRAS-PG without level 2: runnable picks only, no reservation."""
 
     name = "Decima-PG"
-
-    def __init__(self, config: DRASConfig, reward: RewardFunction | None = None) -> None:
-        self.config = config
-        self.reward_fn = (
-            reward
-            if reward is not None
-            else make_reward(config.objective, **config.reward_kwargs)
-        )
-        self.encoder = StateEncoder(
-            num_nodes=config.num_nodes,
-            window=config.window,
-            time_scale=config.time_scale,
-            normalize=config.normalize_state,
-        )
-        self.rng = np.random.default_rng(config.seed)
-        dims = config.pg_dims
-        self.network = build_dras_network(
-            dims.rows, dims.hidden1, dims.hidden2, dims.outputs, rng=self.rng
-        )
-        self.optimizer = Adam(
-            self.network.parameters(),
-            lr=config.learning_rate,
-            grad_clip=config.grad_clip,
-        )
-        self.core = PGCore(
-            network=self.network,
-            optimizer=self.optimizer,
-            encoder=self.encoder,
-            rng=self.rng,
-            gamma=config.gamma,
-            entropy_coef=config.entropy_coef,
-        )
-        self.learning = True
-        self.updates_done = 0
-        self._instances_since_update = 0
-        self.instance_rewards: list[float] = []
-
-    def train(self) -> "DecimaPG":
-        """Training mode: record transitions and update parameters."""
-        self.learning = True
-        return self
-
-    def eval(self, online_learning: bool = True) -> "DecimaPG":
-        """Evaluation mode; ``online_learning=False`` freezes the policy."""
-        self.learning = online_learning
-        return self
 
     def schedule(self, view: SchedulingView) -> None:
         """One flat scheduling instance: start runnable window picks.
 
-        Decima-PG is the flat baseline (§IV-B): only jobs that fit the
-        free nodes are valid actions, and there is no reservation or
-        backfill level.
+        Only jobs that fit the free nodes are valid actions (§IV-B);
+        the instance ends when no waiting job in the window fits.
         """
         selected = []
-        instance_reward = 0.0
-        n_actions = 0
         while True:
             window = view.window(self.config.window)
-            runnable_mask = np.zeros(self.config.window, dtype=bool)
+            runnable = np.zeros(self.config.window, dtype=bool)
             free = view.free_nodes
-            for i, job in enumerate(window):
-                runnable_mask[i] = job.size <= free
-            if not runnable_mask.any():
+            runnable[:len(window)] = [job.size <= free for job in window]
+            if not runnable.any():
                 break
             action = self.core.act(
-                window, view, record=self.learning, extra_mask=runnable_mask
+                window, view, record=self.learning, extra_mask=runnable
             )
-            job = window[action]
-            view.start(job)
-            selected.append(job)
-            reward = self.reward_fn(selected, view.waiting(), view.cluster, view.now)
-            if self.learning:
-                self.core.record_reward(reward)
-            instance_reward += reward
-            n_actions += 1
-        self.instance_rewards.append(
-            instance_reward / n_actions if n_actions else 0.0
-        )
-        self._instances_since_update += 1
-        if (
-            self.learning
-            and self._instances_since_update >= self.config.update_every
-            and self.core.has_observations()
-        ):
-            self.core.update()
-            self.updates_done += 1
-            self._instances_since_update = 0
-
-    def episode_end(self) -> None:
-        """Flush any pending transitions with a final update."""
-        if self.learning and self.core.has_observations():
-            self.core.update()
-            self.updates_done += 1
-        self._instances_since_update = 0
-
-    def on_simulation_end(self, engine) -> None:  # noqa: ANN001
-        """Engine lifecycle hook: finalize the episode."""
-        self.episode_end()
-
-    # -- persistence -----------------------------------------------------------
-    def state_dict(self) -> dict[str, np.ndarray]:
-        """Network parameters keyed by position-qualified names."""
-        return self.network.state_dict()
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        """Restore network parameters from :meth:`state_dict` output."""
-        self.network.load_state_dict(state)
+            view.start(window[action])
+            selected.append(window[action])
+            self._after_action(selected, view)
+        self._end_instance()

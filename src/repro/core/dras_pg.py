@@ -83,7 +83,7 @@ class _Transition:
 
 @dataclass
 class PGCore:
-    """Shared policy-gradient machinery (used by DRAS-PG and Decima-PG)."""
+    """Policy-gradient machinery of DRAS-PG (and of its subclass Decima-PG)."""
 
     network: Network
     optimizer: Adam

@@ -435,11 +435,19 @@ def _seconds_fmt(v: float) -> str:
 def _summary_tiles(
     manifest: Mapping[str, Any] | None, metrics: Mapping[str, Any] | None
 ) -> str:
+    """Headline tiles: the run's policy, seed and node count from a
+    :class:`~repro.obs.manifest.RunManifest` document, then its metrics
+    — ``metrics`` when given, else the manifest's ``summary``."""
     tiles = []
     if manifest:
-        for key in ("policy", "seed", "num_nodes"):
-            if key in manifest:
-                tiles.append(_tile(key.replace("_", " "), manifest[key]))
+        config = manifest.get("config") or {}
+        for label, source, key in (("policy", config, "policy"),
+                                   ("seed", manifest, "seed"),
+                                   ("nodes", config, "nodes")):
+            if key in source:
+                tiles.append(_tile(label, source[key]))
+        if metrics is None:
+            metrics = manifest.get("summary")
     if metrics:
         for key, label in (
             ("num_jobs", "jobs finished"),

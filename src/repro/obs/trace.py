@@ -289,7 +289,7 @@ class Tracer:
         one and returns its id (close it with :meth:`end`)."""
         return self._shape("begin", name, tuple(types), tuple(types.values()))
 
-    def begin(self, name: str, **fields: Any) -> int:
+    def begin(self, name: str, /, **fields: Any) -> int:
         """Open a span; returns its id.  Close it with :meth:`end`."""
         values = tuple(fields.values())
         return self._shape("begin", name, tuple(fields),
@@ -312,11 +312,11 @@ class Tracer:
         if len(buffer) >= BUFFER_LINES:
             self.flush()
 
-    def span(self, name: str, **fields: Any) -> _profile.Scope:
+    def span(self, name: str, /, **fields: Any) -> _profile.Scope:
         """Context manager opening a span around a ``with`` block."""
         return _profile.Scope(name, fields, tracer=self)
 
-    def event(self, name: str, **fields: Any) -> None:
+    def event(self, name: str, /, **fields: Any) -> None:
         """Record an instantaneous event inside the current span."""
         values = tuple(fields.values())
         self._shape("event", name, tuple(fields),
@@ -431,7 +431,7 @@ def set_global_tracer(tracer: "Tracer | None") -> "Tracer | None":
 _DARK = nullcontext()
 
 
-def span(name: str, **fields: Any) -> ContextManager:
+def span(name: str, /, **fields: Any) -> ContextManager:
     """Enter ``name`` on the process-global profiler and tracer.
 
     The instrumentation idiom of the NN stack and the trainer in one

@@ -9,8 +9,8 @@
 * :class:`KnapsackOptimization` — per-instance 0-1 knapsack solved with
   dynamic programming, pursuing the same objective as DRAS.
 
-The Decima-PG learning baseline lives in :mod:`repro.core.decima` since
-it shares DRAS's networks and state encoding.
+The Decima-PG learning baseline lives in :mod:`repro.core.decima`: it is
+DRAS-PG's one-level subclass, with DRAS's network and state encoding.
 """
 
 from repro.schedulers.base import BaseScheduler

@@ -8,7 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from repro.core import decima, dras_dql, dras_pg
+from repro.core import dras_dql, dras_pg
 from repro.nn.network import build_dras_network
 from repro.sim.cluster import Cluster
 from repro.sim.job import Job
@@ -30,8 +30,7 @@ def float64_agent(agent_cls, config, **kwargs):
     """
     wide = functools.partial(build_dras_network, dtype=np.float64)
     with mock.patch.object(dras_pg, "build_dras_network", wide), \
-            mock.patch.object(dras_dql, "build_dras_network", wide), \
-            mock.patch.object(decima, "build_dras_network", wide):
+            mock.patch.object(dras_dql, "build_dras_network", wide):
         return agent_cls(config, **kwargs)
 
 

@@ -107,12 +107,6 @@ class TestSchedulingBehaviour:
         assert agent.updates_done == 1
         assert agent.core.pending == []
 
-    def test_instance_rewards_collected(self):
-        agent = DRASPG(small_config())
-        jobs = [make_job(size=2, walltime=20.0, submit=float(i)) for i in range(4)]
-        result = run_simulation(8, agent, jobs)
-        assert len(agent.instance_rewards) == result.num_instances
-
 
 class TestFirstFitBackfillAblation:
     def test_first_fit_backfill_matches_easy_choice(self):

@@ -74,9 +74,3 @@ class TestBehaviour:
         ka = a.state_dict()
         kb = b.state_dict()
         assert all(np.allclose(ka[k], kb[k]) for k in ka)
-
-    def test_instance_rewards_tracked(self):
-        agent = DecimaPG(small_config())
-        jobs = [make_job(size=2, walltime=20.0, submit=float(i)) for i in range(4)]
-        result = run_simulation(8, agent, jobs)
-        assert len(agent.instance_rewards) == result.num_instances

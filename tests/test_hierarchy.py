@@ -10,8 +10,11 @@ import pytest
 
 from repro.core.agent import HierarchicalAgent
 from repro.core.config import DRASConfig
+from repro.core.decima import DecimaPG
+from repro.core.dras_dql import DRASDQL
+from repro.core.dras_pg import DRASPG
 from repro.sim.engine import run_simulation
-from repro.sim.job import ExecMode
+from repro.sim.job import ExecMode, JobState
 from tests.conftest import make_job
 
 
@@ -123,16 +126,23 @@ class TestLevelTwo:
         assert big.start_time == pytest.approx(100.0)
 
 
-class TestInstanceRewards:
-    def test_one_entry_per_instance(self):
-        agent = ScriptedAgent(config())
-        jobs = [make_job(size=2, walltime=10.0, submit=float(i), job_id=i + 1)
-                for i in range(3)]
-        result = run_simulation(8, agent, jobs)
-        assert len(agent.instance_rewards) == result.num_instances
+def _no_reward(selected, waiting, cluster, now):
+    raise AssertionError("a frozen agent computes no reward")
 
-    def test_empty_instances_score_zero(self):
-        agent = ScriptedAgent(config())
-        # one job: the completion instance has nothing to schedule
-        run_simulation(8, agent, [make_job(size=2, walltime=10.0, job_id=1)])
-        assert agent.instance_rewards[-1] == 0.0
+
+class TestFrozenAgents:
+    @pytest.mark.parametrize("agent_cls, learned_backfill", [
+        (DRASPG, True), (DRASPG, False), (DRASDQL, True), (DecimaPG, True),
+    ], ids=["pg", "pg-first-fit", "dql", "decima"])
+    def test_computes_no_reward(self, agent_cls, learned_backfill):
+        """Rewards only feed learning, so a frozen agent never asks."""
+        agent = agent_cls(config(learned_backfill=learned_backfill),
+                          reward=_no_reward).eval(online_learning=False)
+        blocker = make_job(size=6, walltime=100.0, submit=0.0, job_id=1)
+        big = make_job(size=8, walltime=10.0, submit=1.0, job_id=2)
+        smalls = [make_job(size=2, walltime=20.0, runtime=10.0,
+                           submit=2.0 + i, job_id=3 + i) for i in range(4)]
+        result = run_simulation(8, agent, [blocker, big, *smalls])
+        assert [j.state for j in result.jobs] == [JobState.FINISHED] * 6
+        # alone in its window and too big, ``big`` is reserved at t = 1
+        assert big.ever_reserved is (agent_cls is not DecimaPG)

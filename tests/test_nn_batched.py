@@ -35,6 +35,7 @@ from hypothesis import strategies as st
 from repro.check import sanitize
 from repro.check.sanitize import SanitizerError
 from repro.core.config import DRASConfig
+from repro.core.decima import DecimaPG
 from repro.core.dras_dql import DRASDQL
 from repro.core.dras_pg import DRASPG
 from repro.core.state import NodeGroups, StateEncoder
@@ -546,6 +547,11 @@ GOLDEN_DIGESTS = {
     # sampled action flipped.
     "dql-b1": "7fc0bfffebcf0113d87b02f52510c29098371d5e5e8098f434d2b9e306f642fd",
     "dql-b10": "a24eec3e8b83682b90774f8aed8504ac24bdbeab071e95ae7b12c584207f91d6",
+    # Decima-PG, pinned while it still kept its own copy of DRAS-PG's
+    # constructor and update cadence: the one-level subclass must train
+    # to the same parameters
+    "decima-b1": "be13dc938a993a9a676abd8dcc65f57cd312f50d2602476e28bea105165123f9",
+    "decima-b10": "38aa172dae3ca58661e6cef9ae3562c13725f1c3cb5110a867a33206699fc23e",
 }
 
 #: the DQL digests of the same seed tree, from when window scoring ran
@@ -678,6 +684,8 @@ class TestBitIdenticalTraining:
             ("pg-b10", DRASPG, 10),
             ("dql-b1", DRASDQL, 1),
             ("dql-b10", DRASDQL, 10),
+            ("decima-b1", DecimaPG, 1),
+            ("decima-b10", DecimaPG, 10),
         ],
     )
     def test_training_reproduces_golden_digest(

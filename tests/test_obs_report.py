@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.obs.analyze import summarize_trace
+from repro.obs.manifest import RunManifest
 from repro.obs.metrics import Timer
 from repro.obs.report import (
     render_report,
@@ -17,6 +18,7 @@ from repro.obs.report import (
 )
 from repro.schedulers.fcfs import FCFSEasy
 from repro.sim.engine import run_simulation
+from repro.sim.metrics import RunMetrics
 from repro.workload.models import ThetaModel
 
 
@@ -119,6 +121,30 @@ class TestRenderReport:
             assert marker not in stripped
         # every chart card ships a table-view twin
         assert html.count("<details") >= len(svgs) - 1
+
+    def test_tiles_read_a_simulate_manifest(self):
+        """A manifest alone tiles its policy, seed, node count and summary,
+        exactly as the run that wrote it tiles them with its metrics."""
+        jobs = ThetaModel.scaled(32).generate(40, np.random.default_rng(0))
+        metrics = RunMetrics.from_result(
+            run_simulation(32, FCFSEasy(), jobs)).as_dict()
+        manifest = RunManifest.create(
+            kind="simulate", seed=5, sha="abc1234", timestamp=False,
+            config={"trace": "t.swf", "nodes": 32, "policy": "fcfs-easy"},
+            summary=metrics).as_dict()
+
+        def tiles(html):
+            return re.findall(r'<div class="label">(.*?)</div>'
+                              r'<div class="value">(.*?)</div>', html)
+
+        shown = tiles(render_report(manifest=manifest))
+        assert [label for label, _ in shown] == [
+            "policy", "seed", "nodes", "jobs finished", "avg wait (s)",
+            "avg slowdown", "utilization", "makespan (s)"]
+        assert shown[:3] == [("policy", "fcfs-easy"), ("seed", "5"),
+                             ("nodes", "32")]
+        assert shown == tiles(render_report(manifest=manifest,
+                                            metrics=metrics))
 
     def test_anomaly_banner(self):
         telemetry = [

@@ -121,6 +121,29 @@ class TestTracerEmission:
         tr.close()
         assert sink.getvalue() == written
 
+    def test_name_field_overrides_record_name(self):
+        """``name`` is positional-only, so a field may be called ``name``;
+        like any field named after a fixed one, it wins in the record."""
+        from repro.obs import span
+
+        sink = io.StringIO()
+        tr = Tracer(sink)
+        tr.event("e", name="job-7")
+        tr.end(tr.begin("b", name="job-8", t=1.0))
+        with tr.span("s", name="job-9"):
+            pass
+        previous = set_global_tracer(tr)
+        try:
+            with span("g", name="job-10"):
+                pass
+        finally:
+            set_global_tracer(previous)
+        tr.close()
+        records = [json.loads(line) for line in sink.getvalue().splitlines()]
+        assert [(r["type"], r["name"]) for r in records if "name" in r] == [
+            ("event", "job-7"), ("begin", "job-8"), ("begin", "job-9"),
+            ("begin", "job-10")]
+
     def test_invalid_jsonl_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"type": "meta"}\nnot json\n')
@@ -154,7 +177,7 @@ _SCALARS = st.one_of(
 )
 #: field keys, some colliding with a base field or needing escapes
 _KEYS = st.sampled_from(["t", "job", "mode", "pid", "wall", "sid", "type",
-                         'q"u%dte', "\u00e9\n"])
+                         "name", 'q"u%dte', "\u00e9\n"])
 
 
 def _expected(line, rtype, name, fields, sid, pid):

@@ -27,7 +27,8 @@ def repro_scheduler_classes() -> set[type]:
     """Every concrete ``BaseScheduler`` subclass defined under ``repro``.
 
     Concrete means no other ``repro`` scheduler subclasses it, which
-    leaves out intermediate bases such as ``HierarchicalAgent``.
+    leaves out intermediate bases such as ``HierarchicalAgent`` and
+    ``DRASPG`` (``DecimaPG``'s base; it runs here through ``AGENTS``).
     """
     found: set[type] = set()
     frontier = [BaseScheduler]
