@@ -17,11 +17,15 @@ fail loud and early instead of producing a silently-corrupt trajectory.
 
 Checked invariants
 ------------------
-* **node conservation** — after every allocate/release/fail/repair:
+* **node conservation** — after every allocate/release/fail/repair,
+  with the cluster's start/finish log placed first:
   ``used + free + down == total``, and every allocation owns its data
   (no view pinning a free list), is strictly increasing and names only
-  nodes marked with its job, together covering every busy node; and the
-  free list is exactly the nodes marked free, ascending;
+  nodes marked with its job, together covering every busy node; the
+  free list is exactly the nodes marked free, ascending; and the
+  accounting every query reads agrees with that placement (free and
+  down counts, running jobs in order with their sizes, each job's
+  release time at its first node);
 * **release index** — after the same mutations: every group of the
   cluster's release-time index covers at least one node, the running
   count ends at the nodes that are not free, and the index, expanded
@@ -75,6 +79,9 @@ _TRUTHY_OFF = ("", "0", "false", "no", "off")
 #: imports this module, so it is mirrored here instead of imported)
 _FREE = -1
 
+#: one ``Cluster._jobs`` value, ``(est_release, size)``
+_RUNNING = np.dtype([("release", np.float64), ("size", np.int64)])
+
 #: test/CLI override: None = follow the environment variable
 _FORCED: bool | None = None
 
@@ -111,23 +118,21 @@ def _fail(invariant: str, detail: str) -> None:
 def check_node_conservation(cluster: "Cluster", context: str = "") -> None:
     """``used + free + down == total`` and the allocation table matches.
 
-    Without faults ``down`` is zero, reducing to the classic
-    ``used + free == total`` conservation law.  ``used`` and ``down``
-    are recounted from the per-node array, so the cluster's cached
-    free/down counts are cross-checked rather than trusted.  Each
-    allocation is checked on its own (``O(N + busy)`` in all).
+    Places the cluster's log first, then checks placement: without
+    faults ``down`` is zero, reducing to the classic ``used + free ==
+    total`` conservation law; ``used`` and ``down`` are recounted from
+    the per-node array; each allocation is checked on its own
+    (``O(N + busy)`` in all); the free list is the free-marked nodes.
+    Then accounting against placement: the free and down counts, the
+    running jobs with their sizes, and each job's release time against
+    ``_avail_at`` at its first node.
     """
+    cluster._place()
     total = cluster.num_nodes
-    free = cluster.available_nodes
+    free = cluster._free.size
     used = int(np.count_nonzero(cluster._job_of >= 0))
     down = int(np.count_nonzero(cluster.down_mask))
     where = f" after {context}" if context else ""
-    if down != cluster.down_nodes:
-        _fail(
-            "node-conservation",
-            f"{down} nodes are marked down but the cached down count is "
-            f"{cluster.down_nodes}{where}",
-        )
     if used + free + down != total:
         _fail(
             "node-conservation",
@@ -139,9 +144,10 @@ def check_node_conservation(cluster: "Cluster", context: str = "") -> None:
     table = cluster._alloc
     views = [job_id for job_id, nodes in table.items() if nodes.base is not None]
     held = np.concatenate([np.empty(0, np.int64), *table.values()])
-    owner = np.repeat(
-        np.fromiter(table, np.int64, len(table)),
-        np.fromiter((nodes.size for nodes in table.values()), np.int64, len(table)))
+    ids = np.fromiter(table, np.int64, len(table))
+    sizes = np.fromiter((nodes.size for nodes in table.values()), np.int64,
+                        len(table))
+    owner = np.repeat(ids, sizes)
     unordered = owner[1:][(owner[1:] == owner[:-1]) & (held[1:] <= held[:-1])]
     misplaced = owner[cluster._job_of[held] != owner]
     for jobs, problem in ((views, "is a view that keeps another array alive"),
@@ -159,8 +165,35 @@ def check_node_conservation(cluster: "Cluster", context: str = "") -> None:
             f"are marked busy{where}",
         )
     if not np.array_equal(cluster._free, np.flatnonzero(cluster._job_of == _FREE)):
-        _fail("node-conservation", f"the free list of {cluster._free.size} "
+        _fail("node-conservation", f"the free list of {free} "
               f"nodes is not the nodes marked free{where}")
+    # accounting, which every query reads, against placement
+    if cluster.available_nodes != free:
+        _fail("node-conservation", f"the free count is "
+              f"{cluster.available_nodes} but {free} nodes are placed "
+              f"free{where}")
+    if down != cluster.down_nodes:
+        _fail(
+            "node-conservation",
+            f"{down} nodes are marked down but the cached down count is "
+            f"{cluster.down_nodes}{where}",
+        )
+    running = cluster._jobs
+    run_ids = np.fromiter(running, np.int64, len(running))
+    accounted = np.fromiter(running.values(), _RUNNING, len(running))
+    run_times, run_sizes = accounted["release"], accounted["size"]
+    if not (np.array_equal(run_ids, ids) and np.array_equal(run_sizes, sizes)):
+        _fail("node-conservation", f"the running jobs and sizes "
+              f"{dict(zip(run_ids.tolist(), run_sizes.tolist()))} are not "
+              f"the placed allocations "
+              f"{dict(zip(ids.tolist(), sizes.tolist()))}{where}")
+    # both sides are copies of the one release time ``allocate`` computed
+    first_at = cluster._avail_at[held[np.cumsum(sizes) - sizes]]
+    late = first_at != run_times  # repro: noqa[float-time-eq]
+    for job_id in ids[late][:1].tolist():
+        _fail("node-conservation", f"job {job_id} releases at "
+              f"{running[job_id][0]} but its first node at "
+              f"{cluster._avail_at[table[job_id][0]]}{where}")
 
 
 def _release_times(cluster: "Cluster", now: float) -> np.ndarray:
@@ -169,6 +202,7 @@ def _release_times(cluster: "Cluster", now: float) -> np.ndarray:
     Mask the non-free nodes, gather their estimated available times,
     clip, sort: the definition the release-time index replaced.
     """
+    cluster._place()
     times = np.maximum(cluster._avail_at[cluster._job_of != _FREE], now)
     times.sort()
     return times

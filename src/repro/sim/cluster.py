@@ -5,8 +5,11 @@ The cluster keeps, for every node, the job occupying it and the node's
 paper encodes each node as a ``[1, 2]`` vector: a binary availability
 flag and the difference between the estimated available time and the
 current time (section III-A).  We store these as NumPy arrays so the
-state encoding, the shadow-time computation and utilization accounting
-are all vectorized.
+state encoding is vectorized.  Only the agents' state encoding, fault
+injection and the sanitizer read which node holds what; a heuristic
+run asks only how many nodes are free and when more come free.  So
+the per-node arrays are brought up to date when they are read, not
+at every start and finish.
 
 Fault support: nodes can be *down* (failed, awaiting repair).  A down
 node is neither free nor occupied by a job; its ``_avail_at`` entry
@@ -25,6 +28,8 @@ of a mask, gather and sort over every busy node.
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 
 from repro.check import sanitize as _san
@@ -40,6 +45,22 @@ class Cluster:
     Nodes are interchangeable (no topology) — allocation picks the
     lowest-indexed free nodes, which matches the level of detail of the
     paper's simulator.
+
+    The state is in two parts.  *Accounting* is kept current by every
+    mutator: the free-node count, each running job's
+    ``(est_release, size)`` in ``_jobs`` (in allocation order) and the
+    release-time index; every query reads accounting only.
+    *Placement* — ``_free``, ``_job_of``, ``_avail_at`` and ``_alloc``
+    — says which nodes.  A start or a finish only appends
+    ``(job id, size)`` or ``(~job id, size)`` to the log
+    ``_log_keys`` / ``_log_sizes`` (two ``array("q")``: 16 B per
+    entry), and :meth:`_place`, the one writer of starts and finishes
+    into placement, replays the log in order before every placement
+    read (:meth:`nodes_of`, :meth:`jobs_on`, :meth:`node_state`,
+    :meth:`node_groups`, :attr:`down_mask`, the fault mutators and the
+    sanitizer).  Replaying a history in one go or one entry at a time
+    places the same nodes, so how often placement is read changes
+    nothing but when the work is done.
 
     Allocation table.  ``_alloc`` maps each running job to its node
     indices: a fresh object owning exactly the job's nodes (``base`` is
@@ -66,15 +87,16 @@ class Cluster:
     All release-time queries read this index only.
 
     Free list.  ``_free`` holds the indices of the free, up nodes in
-    ascending order, i.e. ``np.flatnonzero(_job_of == -1)``.  A start
-    takes its first ``job.size`` entries and keeps the rest; a release
-    merges the job's nodes back (two sorted runs: one timsort merge).
-    Faults and :meth:`reset` rebuild it.  Its length is
-    :attr:`available_nodes`.
+    ascending order, i.e. ``np.flatnonzero(_job_of == -1)``.  A placed
+    start takes its first ``job.size`` entries and keeps the rest; a
+    placed finish merges the job's nodes back (two sorted runs: one
+    timsort merge).  Faults and :meth:`reset` rebuild it.  Once placed,
+    its length is :attr:`available_nodes`.
 
     ``sanitize`` activates node-conservation and release-index checks
     after every mutation (``None`` follows the ``REPRO_SANITIZE`` env
-    var).
+    var); they place first, so a sanitized run places after every
+    mutation.
     """
 
     def __init__(self, num_nodes: int, sanitize: bool | None = None) -> None:
@@ -82,18 +104,14 @@ class Cluster:
             raise ValueError(f"num_nodes must be positive, got {num_nodes}")
         self.num_nodes = int(num_nodes)
         self._sanitize = sanitize
-        #: job id occupying each node; ``-1`` free, ``-2`` down (failed)
-        self._job_of = np.full(self.num_nodes, _FREE, dtype=np.int64)
-        #: estimated available time of each node (0 when free); for a
-        #: down node this is the expected repair time
-        self._avail_at = np.zeros(self.num_nodes, dtype=np.float64)
-        #: free list (see the class docstring)
-        self._free = np.flatnonzero(self._job_of == _FREE)
-        #: job id -> allocated node indices
-        self._alloc: dict[int, np.ndarray] = {}
+        # -- accounting (see the class docstring)
+        #: free, up nodes
+        self._nfree = self.num_nodes
+        #: running job id -> (est_release, size), in allocation order
+        self._jobs: dict[int, tuple[float, int]] = {}
         #: cached count of down nodes, maintained by fail/repair/reset;
-        #: the node-conservation sanitizer recomputes used/down counts,
-        #: so ``used + free + down == total`` cross-checks it
+        #: the node-conservation sanitizer recomputes used/down counts
+        #: from placement, so it cross-checks both counts
         self._down_count = 0
         #: release-time index (see the class docstring); a group holds
         #: at least one node, so ``num_nodes`` slots always suffice
@@ -110,6 +128,20 @@ class Cluster:
         self._lost_node_seconds = 0.0
         #: node index -> time it went down (open down intervals)
         self._down_since: dict[int, float] = {}
+        # -- placement, current as of the last :meth:`_place`
+        #: job id occupying each node; ``-1`` free, ``-2`` down (failed)
+        self._job_of = np.full(self.num_nodes, _FREE, dtype=np.int64)
+        #: estimated available time of each node (0 when free); for a
+        #: down node this is the expected repair time
+        self._avail_at = np.zeros(self.num_nodes, dtype=np.float64)
+        #: free list (see the class docstring)
+        self._free = np.flatnonzero(self._job_of == _FREE)
+        #: job id -> allocated node indices
+        self._alloc: dict[int, np.ndarray] = {}
+        #: starts and finishes not yet placed: ``(job id, size)`` or
+        #: ``(~job id, size)``
+        self._log_keys = array("q")
+        self._log_sizes = array("q")
 
     @property
     def sanitize_active(self) -> bool:
@@ -122,7 +154,7 @@ class Cluster:
     @property
     def available_nodes(self) -> int:
         """Number of currently free (up and unoccupied) nodes."""
-        return len(self._free)
+        return self._nfree
 
     @property
     def used_nodes(self) -> int:
@@ -131,7 +163,7 @@ class Cluster:
         Down nodes are neither used nor available; without faults this
         equals ``num_nodes - available_nodes`` as before.
         """
-        return self.num_nodes - len(self._free) - self._down_count
+        return self.num_nodes - self._nfree - self._down_count
 
     @property
     def down_nodes(self) -> int:
@@ -151,23 +183,26 @@ class Cluster:
     @property
     def down_mask(self) -> np.ndarray:
         """Boolean per-node mask of currently-down nodes (a copy)."""
+        self._place()
         return self._job_of == _DOWN
 
     @property
     def running_job_ids(self) -> list[int]:
         """IDs of all currently running jobs, in allocation order."""
-        return list(self._alloc.keys())
+        return list(self._jobs)
 
     def is_running(self, job_id: int) -> bool:
         """Whether ``job_id`` currently holds an allocation."""
-        return job_id in self._alloc
+        return job_id in self._jobs
 
     def nodes_of(self, job_id: int) -> np.ndarray:
         """Node indices allocated to a running job."""
+        self._place()
         return self._alloc[job_id].copy()
 
     def jobs_on(self, nodes: np.ndarray | list[int]) -> list[int]:
         """Distinct job ids occupying any of ``nodes``, ascending."""
+        self._place()
         ids = np.unique(self._job_of[np.asarray(nodes, dtype=np.int64)])
         return [int(j) for j in ids if j >= 0]
 
@@ -184,6 +219,7 @@ class Cluster:
         0 for free nodes.  A down node reads as busy until its expected
         repair time.
         """
+        self._place()
         busy = self._job_of != _FREE
         remaining = np.where(
             busy, np.maximum(self._avail_at - now, 0.0), 0.0)
@@ -202,13 +238,14 @@ class Cluster:
         node of ``allocations[g]`` has, then the row of node
         ``lone[s]``; a node in neither is free.  ``allocations`` are the
         node-index arrays of the running jobs of ``min_size`` nodes or
-        more — the arrays :meth:`allocate` stored, each a fresh object
-        owning exactly the job's nodes and never written, so *which
-        array* names the allocation (a killed job that restarts
-        elsewhere under its old id is a new one).  Read-only: callers
-        must not write them.  ``lone`` lists
-        every other busy node and every down node, one row each.
+        more — the arrays :meth:`_place` stored, one per start, each a
+        fresh object owning exactly the job's nodes and never written,
+        so *which array* names the allocation (a killed job that
+        restarts elsewhere under its old id is a new one).  Read-only:
+        callers must not write them.  ``lone`` lists every other busy
+        node and every down node, one row each.
         """
+        self._place()
         allocations = [nodes for nodes in self._alloc.values()
                        if nodes.size >= min_size]
         if len(allocations) == self._rel_n:  # every release group is one
@@ -317,7 +354,7 @@ class Cluster:
         ``now`` when the job already fits.
         """
         self._check_size(size)
-        needed = size - len(self._free)
+        needed = size - self._nfree
         if needed <= 0:
             return now
         # the group whose release first brings the running count to
@@ -330,8 +367,8 @@ class Cluster:
         """Expected number of free nodes at time ``when`` (``when >= now``)."""
         if when < now:
             # every release is clipped to ``now``, so none precedes it
-            return len(self._free)
-        return len(self._free) + self._released_by(when)
+            return self._nfree
+        return self._nfree + self._released_by(when)
 
     def reservation_point(self, size: int, now: float) -> tuple[float, int]:
         """``(shadow_time, free_nodes_at(shadow_time))`` in one call.
@@ -345,7 +382,7 @@ class Cluster:
         finds the last group released by the shadow.
         """
         self._check_size(size)
-        free = len(self._free)
+        free = self._nfree
         needed = size - free
         if needed <= 0:
             return now, free + self._released_by(now)
@@ -357,47 +394,74 @@ class Cluster:
         return shadow, free + cum.item(group)
 
     # -- allocation -------------------------------------------------------------
-    def allocate(self, job: Job, now: float) -> np.ndarray:
-        """Assign the lowest-indexed free nodes to ``job``.
+    def allocate(self, job: Job, now: float) -> None:
+        """Start ``job`` on the lowest-indexed free nodes.
 
-        Returns the allocated node indices.  Raises if the job does not
-        fit or is already running.  The job becomes one release group
-        of ``job.size`` nodes at ``now + job.walltime``.
+        Raises if the job does not fit or is already running.  The job
+        becomes one release group of ``job.size`` nodes at
+        ``now + job.walltime``; which nodes it holds is placed when
+        read (:meth:`nodes_of`).
         """
-        if job.job_id in self._alloc:
-            raise RuntimeError(f"job {job.job_id} already allocated")
-        free = self._free
-        if job.size > free.size:
+        job_id, size = job.job_id, job.size
+        if job_id in self._jobs:
+            raise RuntimeError(f"job {job_id} already allocated")
+        if size > self._nfree:
             raise RuntimeError(
-                f"job {job.job_id} needs {job.size} nodes, only {free.size} free"
+                f"job {job_id} needs {size} nodes, only {self._nfree} free"
             )
-        # a copy: a slice would keep the whole free list alive while the
-        # job runs
-        chosen = free[: job.size].copy()
-        self._free = free[job.size:]
         est_release = now + job.walltime
-        self._job_of[chosen] = job.job_id
-        self._avail_at[chosen] = est_release
-        self._alloc[job.job_id] = chosen
-        self._index_add(est_release, job.size, job.job_id)
+        self._nfree -= size
+        self._jobs[job_id] = (est_release, size)
+        self._index_add(est_release, size, job_id)
+        self._log_keys.append(job_id)
+        self._log_sizes.append(size)
         if self.sanitize_active:
-            _san.check_cluster(self, f"allocate(job {job.job_id})")
-        return chosen.copy()
+            _san.check_cluster(self, f"allocate(job {job_id})")
 
-    def _deallocate(self, job_id: int) -> np.ndarray:
+    def _deallocate(self, job_id: int) -> None:
         """Free a running job's nodes and drop its release group."""
         try:
-            nodes = self._alloc.pop(job_id)
+            est_release, size = self._jobs.pop(job_id)
         except KeyError:
             raise RuntimeError(f"job {job_id} is not allocated") from None
-        self._index_remove(float(self._avail_at[nodes[0]]), job_id)
-        self._job_of[nodes] = _FREE
-        self._avail_at[nodes] = 0.0
-        # both runs are ascending and disjoint: timsort merges them
-        free = np.concatenate((self._free, nodes))
-        free.sort(kind="stable")
+        self._index_remove(est_release, job_id)
+        self._nfree += size
+        self._log_keys.append(~job_id)
+        self._log_sizes.append(size)
+
+    def _place(self) -> None:
+        """Replay the logged starts and finishes onto the placement, in order.
+
+        A start takes the lowest-indexed free nodes, a finish merges
+        them back.  A start writes the release time ``_jobs`` holds for
+        its id: its own, unless a later finish of that id in this log
+        frees the nodes again, and then the value is never read.
+        """
+        keys = self._log_keys
+        if not keys:
+            return
+        job_of, avail_at = self._job_of, self._avail_at
+        alloc, jobs = self._alloc, self._jobs
+        free = self._free
+        for key, size in zip(keys, self._log_sizes):
+            if key >= 0:
+                # a copy: a slice would keep the whole free list alive
+                # while the job runs
+                chosen = free[:size].copy()
+                free = free[size:]
+                job_of[chosen] = key
+                avail_at[chosen] = jobs[key][0] if key in jobs else 0.0
+                alloc[key] = chosen
+            else:
+                nodes = alloc.pop(~key)
+                job_of[nodes] = _FREE
+                avail_at[nodes] = 0.0
+                # both runs are ascending and disjoint: timsort merges them
+                free = np.concatenate((free, nodes))
+                free.sort(kind="stable")
         self._free = free
-        return nodes
+        del keys[:]
+        del self._log_sizes[:]
 
     def release(self, job: Job) -> None:
         """Free the nodes held by ``job`` and account its useful work."""
@@ -414,7 +478,9 @@ class Cluster:
         Returns the node indices the job held (so the caller can take a
         failed subset down).
         """
-        nodes = self._deallocate(job.job_id)
+        self._place()
+        nodes = self._alloc.get(job.job_id)
+        self._deallocate(job.job_id)
         if job.start_time is not None:
             self._wasted_node_seconds += job.size * max(0.0, now - job.start_time)
         if self.sanitize_active:
@@ -442,6 +508,7 @@ class Cluster:
             raise ValueError(
                 f"expected_up_at {expected_up_at} precedes now {now}"
             )
+        self._place()
         states = self._job_of[idx]
         if np.any(states != _FREE):
             bad = idx[states != _FREE]
@@ -451,6 +518,7 @@ class Cluster:
         self._job_of[idx] = _DOWN
         self._avail_at[idx] = expected_up_at
         self._free = np.flatnonzero(self._job_of == _FREE)
+        self._nfree -= int(idx.size)
         self._down_count += int(idx.size)
         for node, up_at in zip(idx.tolist(), self._avail_at[idx].tolist()):
             self._down_since[node] = now
@@ -467,6 +535,7 @@ class Cluster:
         idx = np.asarray(nodes, dtype=np.int64)
         if idx.size == 0:
             return
+        self._place()
         states = self._job_of[idx]
         if np.any(states != _DOWN):
             bad = idx[states != _DOWN]
@@ -480,6 +549,7 @@ class Cluster:
         self._job_of[idx] = _FREE
         self._avail_at[idx] = 0.0
         self._free = np.flatnonzero(self._job_of == _FREE)
+        self._nfree += int(idx.size)
         self._down_count -= int(idx.size)
         if self.sanitize_active:
             _san.check_cluster(self, f"repair_nodes({idx.tolist()})")
@@ -494,7 +564,7 @@ class Cluster:
         """
         total = self._used_node_seconds
         if running_jobs is not None and now is not None:
-            for job_id in self._alloc:
+            for job_id in self._jobs:
                 job = running_jobs[job_id]
                 assert job.start_time is not None
                 total += job.size * max(0.0, min(now, job.start_time + job.runtime)
@@ -521,12 +591,16 @@ class Cluster:
     def reset(self) -> None:
         """Return the cluster to the all-idle, all-up initial state.
 
-        The release-time index empties with it.
+        The release-time index and the log empty with it.
         """
+        self._nfree = self.num_nodes
+        self._jobs.clear()
         self._job_of.fill(_FREE)
         self._avail_at.fill(0.0)
         self._free = np.flatnonzero(self._job_of == _FREE)
         self._alloc.clear()
+        del self._log_keys[:]
+        del self._log_sizes[:]
         self._down_count = 0
         self._rel_n = 0
         self._used_node_seconds = 0.0
@@ -537,5 +611,5 @@ class Cluster:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Cluster(nodes={self.num_nodes}, free={self.available_nodes}, "
-            f"running={len(self._alloc)}, down={self.down_nodes})"
+            f"running={len(self._jobs)}, down={self.down_nodes})"
         )

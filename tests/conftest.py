@@ -64,7 +64,11 @@ def with_node_rows(heads: np.ndarray, block: np.ndarray) -> np.ndarray:
 
 
 def alloc_bytes(cluster: Cluster) -> int:
-    """Bytes the allocation table keeps alive: a view counts its base."""
+    """Bytes the allocation table keeps alive: a view counts its base.
+
+    Places the cluster's start/finish log first.
+    """
+    cluster._place()
     return sum((nodes if nodes.base is None else nodes.base).nbytes
                for nodes in cluster._alloc.values())
 

@@ -42,22 +42,27 @@ def make_job(job_id, size=2, submit=0.0, runtime=100.0):
 
 
 class SlicedCluster(Cluster):
-    """A mutant whose allocation table holds slices of the free list.
+    """A mutant whose placement stores slices of the free list.
 
     Same nodes, same counts, same release index: only the stored arrays
     are views, each keeping the whole free list it was cut from alive.
     """
 
-    def allocate(self, job, now):
-        chosen = self._free[:job.size]
-        self._free = self._free[job.size:]
-        self._job_of[chosen] = job.job_id
-        self._avail_at[chosen] = now + job.walltime
-        self._alloc[job.job_id] = chosen
-        self._index_add(now + job.walltime, job.size, job.job_id)
-        if self.sanitize_active:
-            sanitize.check_cluster(self, f"allocate(job {job.job_id})")
-        return chosen.copy()
+    def _place(self):
+        free = self._free
+        for key, size in zip(self._log_keys, self._log_sizes):
+            if key >= 0:
+                chosen, free = free[:size], free[size:]
+                self._job_of[chosen] = key
+                self._avail_at[chosen] = self._jobs.get(key, (0.0,))[0]
+                self._alloc[key] = chosen
+            else:
+                nodes = self._alloc.pop(~key)
+                self._job_of[nodes] = -1
+                self._avail_at[nodes] = 0.0
+                free = np.sort(np.concatenate((free, nodes)), kind="stable")
+        self._free = free
+        del self._log_keys[:], self._log_sizes[:]
 
 
 class TestActivation:
@@ -130,7 +135,7 @@ class TestClusterInvariants:
         job = make_job(1, size=4)
         cluster.allocate(job, 0.0)
         cluster._job_of[7] = 99  # phantom job on a free node
-        # the phantom also desyncs the cached free count, so the
+        # the phantom node is both busy and on the free list, so the
         # conservation sum trips before the allocation-table check
         with pytest.raises(SanitizerError, match="node-conservation"):
             cluster.release(job)
@@ -147,6 +152,7 @@ class TestClusterInvariants:
         cluster.allocate(first, 0.0)
         cluster.allocate(make_job(2, size=2), 1.0)
         cluster.release(first)
+        cluster._place()
         assert cluster._alloc[2].base is not None   # no error, still a view
 
     @pytest.mark.parametrize("tamper, problem", [
@@ -182,6 +188,26 @@ class TestClusterInvariants:
         cluster._free[0] = 4   # one entry names a node of job 2
         with pytest.raises(SanitizerError, match="free list"):
             cluster.release(first)
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_free_count_off_by_one_raises(self, delta):
+        cluster = Cluster(8, sanitize=True)
+        first = make_job(1, size=3)
+        cluster.allocate(first, 0.0)
+        cluster._nfree += delta   # behind the mutators' back
+        with pytest.raises(SanitizerError, match="free count"):
+            cluster.release(first)
+
+    @pytest.mark.parametrize("tamper, problem", [
+        (lambda when, size: (when + 1.0, size), "job 1 releases at 201.0"),
+        (lambda when, size: (when, size + 1), "running jobs and sizes"),
+    ])
+    def test_accounting_off_its_placement_raises(self, tamper, problem):
+        cluster = Cluster(8, sanitize=True)
+        cluster.allocate(make_job(1, size=3), 0.0)
+        cluster._jobs[1] = tamper(*cluster._jobs[1])
+        with pytest.raises(SanitizerError, match=problem):
+            cluster.allocate(make_job(2, size=1), 1.0)
 
     def test_stale_down_count_raises(self):
         cluster = Cluster(8, sanitize=True)

@@ -27,15 +27,15 @@ class TestBasics:
 class TestAllocation:
     def test_allocate_reduces_free(self, cluster):
         job = make_job(size=3)
-        nodes = cluster.allocate(job, now=0.0)
-        assert len(nodes) == 3
+        cluster.allocate(job, now=0.0)
+        assert len(cluster.nodes_of(job.job_id)) == 3
         assert cluster.available_nodes == 5
         assert cluster.is_running(job.job_id)
 
     def test_allocate_picks_lowest_indices(self, cluster):
         job = make_job(size=3)
-        nodes = cluster.allocate(job, now=0.0)
-        assert list(nodes) == [0, 1, 2]
+        cluster.allocate(job, now=0.0)
+        assert list(cluster.nodes_of(job.job_id)) == [0, 1, 2]
 
     def test_allocate_overflow_raises(self, cluster):
         cluster.allocate(make_job(size=6), now=0.0)
@@ -64,7 +64,8 @@ class TestAllocation:
         cluster.allocate(a, now=0.0)
         cluster.release(a)
         b = make_job(size=8)
-        assert len(cluster.allocate(b, now=1.0)) == 8
+        cluster.allocate(b, now=1.0)
+        assert len(cluster.nodes_of(b.job_id)) == 8
 
     def test_table_memory_is_linear_in_busy_nodes(self):
         """A capacity fill: each running job keeps only its own nodes.
@@ -104,11 +105,13 @@ class TestFreeList:
         cluster = Cluster(self.NODES)
         running = []
         for now, (op, size, pick) in enumerate(ops):
+            cluster._place()
             definition = np.flatnonzero(cluster._job_of == -1)
             if op == "allocate" and size <= definition.size:
                 job = make_job(size=size, walltime=50.0 + pick)
-                nodes = cluster.allocate(job, float(now))
-                assert np.array_equal(nodes, definition[:size])
+                cluster.allocate(job, float(now))
+                assert np.array_equal(cluster.nodes_of(job.job_id),
+                                      definition[:size])
                 running.append(job)
             elif op in ("release", "release_killed") and running:
                 job = running.pop(pick % len(running))
@@ -126,9 +129,47 @@ class TestFreeList:
             elif op == "reset":
                 cluster.reset()
                 running.clear()
+            cluster._place()
             assert np.array_equal(cluster._free,
                                   np.flatnonzero(cluster._job_of == -1))
             assert cluster._free.size == cluster.available_nodes
+
+
+class TestPlacementOnRead:
+    """Starts and finishes are logged; placement is caught up when read."""
+
+    def test_queries_read_accounting_only(self):
+        cluster = Cluster(8, sanitize=False)
+        a, b, c = (make_job(size=3, walltime=50.0) for _ in range(3))
+        cluster.allocate(a, now=0.0)
+        cluster.allocate(b, now=1.0)
+        cluster.release(a)
+        cluster.allocate(c, now=2.0)
+        assert cluster.available_nodes == 2
+        assert cluster.running_job_ids == [b.job_id, c.job_id]
+        assert cluster.reservation_point(4, 2.0) == (51.0, 5)
+        assert cluster._alloc == {} and len(cluster._log_keys) == 4
+        # ``a`` started and finished unread, and still decided where
+        # ``b`` and then ``c`` went
+        assert cluster.nodes_of(b.job_id).tolist() == [3, 4, 5]
+        assert cluster.nodes_of(c.job_id).tolist() == [0, 1, 2]
+        assert len(cluster._log_keys) == 0
+
+    def test_log_entry_is_16_bytes(self, cluster):
+        assert cluster._log_keys.itemsize + cluster._log_sizes.itemsize == 16
+
+    def test_easy_run_never_places(self, monkeypatch):
+        from repro.schedulers import FCFSEasy
+        from repro.sim.engine import run_simulation
+
+        placed = []
+        place = Cluster._place
+        monkeypatch.setattr(Cluster, "_place",
+                            lambda self: placed.append(place(self)))
+        jobs = [make_job(size=1 + i % 5, walltime=40.0, runtime=10.0 + i % 7,
+                         submit=float(i)) for i in range(60)]
+        run_simulation(8, FCFSEasy(), jobs, sanitize=False)
+        assert placed == []
 
 
 class TestNodeState:

@@ -141,8 +141,8 @@ class TestClusterFailures:
         cluster.fail_nodes([0, 1], now=0.0, expected_up_at=100.0)
         assert not cluster.can_fit(3)
         job = make_job(size=2, walltime=10.0)
-        nodes = cluster.allocate(job, 0.0)
-        assert set(nodes.tolist()) == {2, 3}
+        cluster.allocate(job, 0.0)
+        assert set(cluster.nodes_of(job.job_id).tolist()) == {2, 3}
 
     def test_release_killed_wastes_partial_work(self):
         cluster = Cluster(4, sanitize=True)

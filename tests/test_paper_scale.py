@@ -26,10 +26,11 @@ from repro.core.config import DRASConfig
 from repro.core.dras_dql import DRASDQL
 from repro.core.dras_pg import DRASPG
 from repro.nn.network import count_parameters
+from repro.sim.cluster import Cluster
 from repro.sim.engine import run_simulation
 from repro.sim.job import JobState
 from repro.workload.models import ThetaModel
-from tests.conftest import make_job
+from tests.conftest import alloc_bytes, make_job
 
 MIB = 2**20
 
@@ -307,21 +308,34 @@ class TestFullSizeWorkload:
         sanitizer_enabled(),
         reason="the sanitizer's cluster checks are O(N) per mutation: "
                "24k of them on 12,076 nodes")
-    def test_cori_fill_memory_is_linear_in_busy_nodes(self):
+    def test_cori_fill_memory_is_linear_in_busy_nodes(self, monkeypatch):
         """Cori's 12,076 nodes filled by one-node jobs within 3 s.
 
         Each running job holds its own node index and nothing else; one
         that kept the free list it was cut from alive would make the
-        fill hold N²/2 indices, a traced peak of 564 MiB.
+        fill hold N²/2 indices, a traced peak of 564 MiB.  FCFS reads no
+        placement, so the fill reads it once, when the machine is full:
+        the whole history is placed then, and the allocation table must
+        keep 8 B per busy node alive, not a free list per job.
         """
         from repro.schedulers import FCFSEasy
 
         n = 12_076
+        allocate = Cluster.allocate
+        kept = []
+
+        def read_placement_when_full(cluster, job, now):
+            allocate(cluster, job, now)
+            if cluster.available_nodes == 0:
+                kept.append(alloc_bytes(cluster))
+
+        monkeypatch.setattr(Cluster, "allocate", read_placement_when_full)
         jobs = [make_job(size=1, walltime=600.0, submit=3.0 * i / n)
                 for i in range(n)]
         result, peak = traced_peak(
             lambda: run_simulation(n, FCFSEasy(), jobs))
         assert all(j.state is JobState.FINISHED for j in result.jobs)
+        assert kept == [8 * n]
         assert peak <= 16 * MIB
 
 

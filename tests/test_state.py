@@ -172,12 +172,14 @@ class TestNodeGroups:
         fc1, agrees = scored
         cluster = Cluster(self.N)
         victim = make_job(size=4, walltime=50.0)
-        first = cluster.allocate(victim, now=0.0)
+        cluster.allocate(victim, now=0.0)
+        first = cluster.nodes_of(victim.job_id)
         old = agrees(cluster, 1.0).nodes[0]
         assert id(old) in fc1._sums
         cluster.release_killed(victim, now=2.0)
         cluster.allocate(make_job(size=6, walltime=80.0), now=2.0)
-        second = cluster.allocate(victim, now=3.0)    # requeue-front, restart
+        cluster.allocate(victim, now=3.0)    # requeue-front, restart
+        second = cluster.nodes_of(victim.job_id)
         assert victim.job_id in cluster.running_job_ids
         assert not set(first) & set(second)
         groups = agrees(cluster, 4.0)

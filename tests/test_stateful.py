@@ -7,6 +7,9 @@ nodes, double releases, lost jobs) that unit tests rarely reach.  The
 cluster machine also scores every state it reaches through
 ``Network.forward(x, shared=)``: the grouped node snapshot and the
 weight-row sums cached per allocation against the plain forward.
+A twin cluster follows the same history but is read only when the
+machine draws a ``peek``: its placement, caught up in one go, must be
+the one the sanitized cluster built one mutation at a time.
 """
 
 import copy
@@ -48,6 +51,12 @@ class ClusterMachine(RuleBasedStateMachine):
     (``blink``), as an agent does that is not asked at every event: what
     they cached must not be served to a later allocation that merely
     resembles the old one.
+
+    ``owner`` models placement as its definition: a start takes the
+    lowest-indexed nodes the model has free.  The sanitized ``cluster``
+    places after every mutation; the unsanitized ``twin`` places only
+    when a kill or a fault needs it or a ``peek`` reads it, and answers
+    every query from accounting alone in between.
     """
 
     GROUP = 2
@@ -57,6 +66,9 @@ class ClusterMachine(RuleBasedStateMachine):
     def __init__(self) -> None:
         super().__init__()
         self.cluster = Cluster(NODES, sanitize=True)
+        self.twin = Cluster(NODES, sanitize=False)
+        #: model placement: job id per node, -1 free, -2 down
+        self.owner = np.full(NODES, -1, dtype=np.int64)
         self.running: dict[int, Job] = {}
         self.killed: list[Job] = []
         self.down: set[int] = set()
@@ -79,17 +91,25 @@ class ClusterMachine(RuleBasedStateMachine):
         job = Job(size=size, walltime=walltime, runtime=walltime,
                   submit_time=self.clock)
         if size <= self.cluster.available_nodes:
-            nodes = self.cluster.allocate(job, self.clock)
-            assert len(nodes) == size
-            job.mark_started(self.clock, ExecMode.READY)
-            self.running[job.job_id] = job
+            self.start(job)
         else:
-            try:
-                self.cluster.allocate(job, self.clock)
-            except RuntimeError:
-                pass
-            else:
-                raise AssertionError("oversubscription accepted")
+            for cluster in (self.cluster, self.twin):
+                try:
+                    cluster.allocate(job, self.clock)
+                except RuntimeError:
+                    pass
+                else:
+                    raise AssertionError("oversubscription accepted")
+
+    def start(self, job: Job) -> None:
+        for cluster in (self.cluster, self.twin):
+            cluster.allocate(job, self.clock)
+        self.owner[self._free_nodes()[:job.size]] = job.job_id
+        job.mark_started(self.clock, ExecMode.READY)
+        self.running[job.job_id] = job
+
+    def vacate(self, job: Job) -> None:
+        self.owner[self.owner == job.job_id] = -1
 
     @precondition(lambda self: self.running)
     @rule(data=st.data())
@@ -97,6 +117,22 @@ class ClusterMachine(RuleBasedStateMachine):
         job_id = data.draw(st.sampled_from(sorted(self.running)))
         job = self.running.pop(job_id)
         self.cluster.release(job)
+        self.twin.release(job)
+        self.vacate(job)
+
+    @rule(data=st.data())
+    def churn(self, data) -> None:
+        """A few small starts and finishes in a row, no read between.
+
+        The twin then places a job that started and finished unread,
+        whose nodes still decided where the jobs after it went.
+        """
+        for _ in range(data.draw(st.integers(2, 6))):
+            if self.running and data.draw(st.booleans()):
+                self.release(data)
+            else:
+                self.allocate(data.draw(st.integers(1, 4)),
+                              data.draw(self.WALLTIMES))
 
     @precondition(lambda self: self.running)
     @rule(data=st.data(), requeue=st.booleans())
@@ -106,6 +142,8 @@ class ClusterMachine(RuleBasedStateMachine):
         held = self.cluster.nodes_of(job_id)
         nodes = self.cluster.release_killed(job, self.clock)
         assert sorted(nodes) == sorted(held)
+        assert np.array_equal(self.twin.release_killed(job, self.clock), nodes)
+        self.vacate(job)
         job.mark_killed(self.clock, requeue=requeue)
         if requeue:
             self.killed.append(job)
@@ -118,20 +156,23 @@ class ClusterMachine(RuleBasedStateMachine):
         job = data.draw(st.sampled_from(
             [j for j in self.killed if j.size <= self.cluster.available_nodes]))
         self.killed.remove(job)
-        self.cluster.allocate(job, self.clock)
-        job.mark_started(self.clock, ExecMode.READY)
-        self.running[job.job_id] = job
+        self.start(job)
 
     def _free_nodes(self) -> list[int]:
-        return np.flatnonzero(self.cluster._job_of == -1).tolist()
+        return np.flatnonzero(self.owner == -1).tolist()
+
+    def fail(self, nodes: list[int], up_at) -> None:
+        for cluster in (self.cluster, self.twin):
+            cluster.fail_nodes(nodes, self.clock, up_at)
+        self.owner[nodes] = -2
+        self.down.update(nodes)
 
     @precondition(lambda self: self.cluster.available_nodes > 0)
     @rule(data=st.data(), delay=WALLTIMES)
     def fail_scalar(self, data, delay: float) -> None:
         nodes = data.draw(st.lists(st.sampled_from(self._free_nodes()),
                                    min_size=1, max_size=4, unique=True))
-        self.cluster.fail_nodes(nodes, self.clock, self.clock + delay)
-        self.down.update(nodes)
+        self.fail(nodes, self.clock + delay)
 
     @precondition(lambda self: self.cluster.available_nodes > 0)
     @rule(data=st.data())
@@ -140,9 +181,7 @@ class ClusterMachine(RuleBasedStateMachine):
                                    min_size=1, max_size=4, unique=True))
         delays = data.draw(st.lists(self.WALLTIMES, min_size=len(nodes),
                                     max_size=len(nodes)))
-        self.cluster.fail_nodes(nodes, self.clock,
-                                self.clock + np.asarray(delays))
-        self.down.update(nodes)
+        self.fail(nodes, self.clock + np.asarray(delays))
 
     @precondition(lambda self: self.down)
     @rule(data=st.data())
@@ -150,12 +189,16 @@ class ClusterMachine(RuleBasedStateMachine):
         """Early or late: ``advance`` may have passed the expected repair."""
         nodes = data.draw(st.lists(st.sampled_from(sorted(self.down)),
                                    min_size=1, unique=True))
-        self.cluster.repair_nodes(nodes, self.clock)
+        for cluster in (self.cluster, self.twin):
+            cluster.repair_nodes(nodes, self.clock)
+        self.owner[nodes] = -1
         self.down.difference_update(nodes)
 
     @rule()
     def reset(self) -> None:
         self.cluster.reset()
+        self.twin.reset()
+        self.owner.fill(-1)
         self.running.clear()
         self.killed.clear()
         self.down.clear()
@@ -168,6 +211,21 @@ class ClusterMachine(RuleBasedStateMachine):
     def blink(self) -> None:
         self.watching = not self.watching
 
+    @rule()
+    def peek(self) -> None:
+        """Read the twin's placement: all its unplaced history at once."""
+        twin, cluster, now = self.twin, self.cluster, self.clock
+        assert np.array_equal(twin.node_state(now), cluster.node_state(now))
+        for got, want in zip(twin.node_groups(now, self.GROUP),
+                             cluster.node_groups(now, self.GROUP)):
+            assert len(got) == len(want)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert list(twin._alloc) == list(cluster._alloc)
+        assert all(np.array_equal(nodes, cluster._alloc[job_id])
+                   for job_id, nodes in twin._alloc.items())
+        assert np.array_equal(twin._free, cluster._free)
+        assert not twin._log_keys
+
     @invariant()
     def accounting_consistent(self) -> None:
         used = sum(j.size for j in self.running.values())
@@ -179,6 +237,44 @@ class ClusterMachine(RuleBasedStateMachine):
         assert set(np.flatnonzero(self.cluster.down_mask)) == self.down
         # each running job keeps its own nodes alive, not a free list
         assert alloc_bytes(self.cluster) == 8 * used
+
+    @invariant()
+    def placement_is_the_model(self) -> None:
+        """Each running job holds the nodes lowest-indexed-free gave it."""
+        for job_id in self.running:
+            assert np.array_equal(self.cluster.nodes_of(job_id),
+                                  np.flatnonzero(self.owner == job_id))
+        assert np.array_equal(self.cluster.down_mask, self.owner == -2)
+
+    @invariant()
+    def twin_answers_from_accounting(self) -> None:
+        """Every query of the unplaced twin is the placed cluster's answer.
+
+        And asking does not place it.
+        """
+        twin, cluster, now = self.twin, self.cluster, self.clock
+        unplaced = len(twin._log_keys)
+        for name in ("available_nodes", "used_nodes", "down_nodes",
+                     "up_nodes", "running_job_ids", "wasted_node_seconds"):
+            assert getattr(twin, name) == getattr(cluster, name)
+        for job_id in self.running:
+            assert twin.is_running(job_id)
+        assert twin.used_node_seconds(self.running, now) \
+            == cluster.used_node_seconds(self.running, now)
+        assert twin.lost_node_seconds(now) == cluster.lost_node_seconds(now)
+        for got, want in zip(twin.release_groups(now),
+                             cluster.release_groups(now)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(twin.estimated_release_times(now),
+                              cluster.estimated_release_times(now))
+        for size in range(1, NODES + 1):
+            assert twin.shadow_time(size, now) == cluster.shadow_time(size, now)
+            assert twin.reservation_point(size, now) \
+                == cluster.reservation_point(size, now)
+        for when in (now - 1.0, now, now + 7.5, now + 1e6):
+            assert twin.free_nodes_at(when, now) \
+                == cluster.free_nodes_at(when, now)
+        assert len(twin._log_keys) == unplaced
 
     @invariant()
     def node_state_consistent(self) -> None:
