@@ -22,8 +22,9 @@ Commands
     arguments, exact float comparisons on simulation timestamps and
     swallowed exceptions (RPR104–RPR106), and report violations.
 ``report``
-    Stitch run artifacts (manifest, training log, trace, profile)
-    into one self-contained HTML report (:mod:`repro.obs.report`).
+    Render a run directory without re-running it: ``DIR/report.html``
+    from the artifacts DIR holds (:mod:`repro.obs.report`) and, for a
+    sweep store, the printed report, re-rendered from its rollup.
 ``trace``
     Trace-file utilities; ``trace summarize <path>`` prints span
     rollups, decision-latency percentiles and event counts
@@ -34,19 +35,27 @@ Commands
     included) into one deterministic rollup
     (:mod:`repro.obs.aggregate`).
 
-``reproduce``, ``simulate`` and ``train`` accept ``--manifest PATH`` to
-write a :class:`~repro.obs.manifest.RunManifest` (seed, git SHA, config,
-workload parameters, summary metrics) alongside their output, and
-``--report PATH`` to emit the HTML report directly.
-They also accept ``--faults SPEC`` to run under seeded fault injection
-(:mod:`repro.sim.faults`; ``reproduce`` only for the ``faultsweep``
-experiment) — see ``docs/resilience.md`` — and ``--live`` /
-``--live-record PATH`` for an in-flight view of the run (a terminal
-progress/ETA line, snapshot shards; :mod:`repro.obs.live`, also via
-the ``REPRO_LIVE`` env var) — see ``docs/observability.md``.  For
-``train``, ``--live-record`` names the training log: one
-``kind="train"`` record per episode, cut back to the checkpoint on
-``--resume``.
+``reproduce``, ``simulate`` and ``train`` accept ``--run-dir DIR`` to
+keep a run's artifacts together under fixed names (``repro sweep
+--store DIR`` is the same layout):
+
+* ``manifest.json``: the :class:`~repro.obs.manifest.RunManifest` (seed,
+  git SHA, config, workload parameters, summary metrics);
+* ``log.jsonl``: with ``--live``, every live snapshot
+  (``repro.live/v1``); for ``train`` the training log, one
+  ``kind="train"`` record per episode, cut back to the checkpoint on
+  ``--resume``;
+* ``trace.jsonl`` (``simulate``): the structured event trace;
+* ``spec.json``, ``shards/``, ``rollup.json`` and ``report.txt``
+  (``reproduce``): the sweep store and the printed report.
+
+``REPRO_TRACE=DIR/trace.jsonl`` and ``REPRO_PROFILE=DIR/profile.json``
+land those files there too.  The run commands also accept ``--faults
+SPEC`` to run under seeded fault injection (:mod:`repro.sim.faults`;
+``reproduce`` only for the ``faultsweep`` experiment) — see
+``docs/resilience.md`` — and ``--live`` for a terminal progress/ETA line
+(:mod:`repro.obs.live`, also via the ``REPRO_LIVE`` env var) — see
+``docs/observability.md``.
 """
 
 from __future__ import annotations
@@ -105,17 +114,23 @@ def parse_faults(spec: str | None):
     return FaultConfig.from_spec(spec)
 
 
+#: the fixed file names of a run directory (``--run-dir DIR``, ``sweep
+#: --store DIR``) besides a sweep store's own
+MANIFEST, LOG, TRACE, PROFILE, REPORT = (
+    "manifest.json", "log.jsonl", "trace.jsonl", "profile.json", "report.txt")
+
+
 @contextlib.contextmanager
 def _live_session(args: argparse.Namespace, install: bool = False,
                   shard: bool = True):
-    """``--live`` / ``--live-record PATH`` → a LiveBus for the block.
+    """``--live`` → a LiveBus for the block.
 
-    Either flag shows the terminal progress/ETA line; ``--live-record
-    PATH`` also appends every snapshot to a JSONL shard (mergeable with
-    ``repro live summarize``) unless ``shard`` is false (``train``
-    writes that shard itself, as its training log).  With neither
-    flag, yields ``None`` so components fall back to the
-    ``REPRO_LIVE`` process-global bus.
+    The bus shows the terminal progress/ETA line and, in a run
+    directory, appends every snapshot to ``DIR/log.jsonl`` (mergeable
+    with ``repro live summarize``) unless ``shard`` is false (``train``
+    writes that log itself, as its training log).  Without ``--live``,
+    yields ``None`` so components fall back to the ``REPRO_LIVE``
+    process-global bus.
 
     ``install`` also makes the bus process-global for the block, so
     every simulation the command runs internally publishes to it.  The
@@ -123,13 +138,13 @@ def _live_session(args: argparse.Namespace, install: bool = False,
     """
     from repro.obs import live as _live
 
-    record = getattr(args, "live_record", None)
-    if not getattr(args, "live", False) and record is None:
+    if not args.live:
         yield None
         return
     bus = _live.LiveBus()
     bus.attach(_live.ProgressSink())
-    if record is not None and shard:
+    if args.run_dir and shard:
+        record = Path(args.run_dir) / LOG
         bus.attach(_live.SnapshotWriter(record))
         print(f"live: recording snapshots to {record}", file=sys.stderr)
     if install:
@@ -140,6 +155,25 @@ def _live_session(args: argparse.Namespace, install: bool = False,
         if install:
             _live.set_global_live_bus(None)
         bus.close()
+
+
+def _run_dir(args: argparse.Namespace) -> Path | None:
+    """``--run-dir DIR``, created, or ``None`` without the flag."""
+    if args.run_dir is None:
+        return None
+    path = Path(args.run_dir)
+    path.mkdir(parents=True, exist_ok=True)
+    return path
+
+
+def _write_manifest(args: argparse.Namespace, **fields) -> None:
+    """Write ``DIR/manifest.json`` (:meth:`RunManifest.create` of
+    ``fields``) when the run has a run directory."""
+    if args.run_dir:
+        from repro.obs.manifest import RunManifest
+
+        RunManifest.create(seed=args.seed, **fields).write(
+            Path(args.run_dir) / MANIFEST)
 
 
 def _print_resilience(result) -> None:
@@ -156,62 +190,13 @@ def _print_resilience(result) -> None:
     print(f"  degraded util   {r.degraded_utilization:.3f}")
 
 
-# -- report assembly helper ----------------------------------------------------
-
-def _emit_report(
-    out: str,
-    title: str,
-    manifest_path: str | None = None,
-    metrics: dict | None = None,
-    telemetry_path: str | None = None,
-    trace_path: str | None = None,
-    profile_path: str | None = None,
-) -> None:
-    """Load whatever artifacts exist and write the HTML report."""
-    from repro.obs.aggregate import read_snapshots
-    from repro.obs.analyze import summarize_trace
-    from repro.obs.report import write_report
-
-    def load(path):
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-
-    path = write_report(
-        out,
-        title=title,
-        manifest=load(manifest_path) if manifest_path else None,
-        metrics=metrics,
-        telemetry=([r for r in read_snapshots(telemetry_path)["records"]
-                    if r.get("kind") == "train"]
-                   if telemetry_path else None),
-        trace=summarize_trace(trace_path) if trace_path else None,
-        profile=load(profile_path) if profile_path else None,
-    )
-    print(f"wrote report to {path}")
-
-
-def _write_artifacts(args: argparse.Namespace, title: str,
-                     manifest: dict | None = None, **report_inputs) -> None:
-    """Post-run step of a run subcommand: ``--manifest``, then ``--report``.
-
-    ``manifest`` holds the :meth:`RunManifest.create` fields (``None``
-    when the run wrote its own); ``report_inputs`` are
-    :func:`_emit_report` keywords.
-    """
-    if args.manifest and manifest is not None:
-        from repro.obs.manifest import RunManifest
-
-        RunManifest.create(seed=args.seed, **manifest).write(args.manifest)
-    if args.report:
-        _emit_report(args.report, title, manifest_path=args.manifest,
-                     **report_inputs)
-
-
 # -- subcommand implementations ------------------------------------------------
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
     """The ``repro reproduce`` driver: one experiment (or all) as an
-    inline sweep — ``pool.run_sweep`` on no workers into a temporary
-    store, rendered like ``repro sweep``; a failing cell is not retried.
+    inline sweep — ``pool.run_sweep`` on no workers into the run
+    directory's store (else a temporary one), rendered like ``repro
+    sweep``; a failing cell is not retried.
     """
     import tempfile
 
@@ -238,25 +223,31 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         print(f"bad sweep spec: {exc}", file=sys.stderr)
         return 2
 
-    # the live bus is installed process-globally so every simulation an
-    # experiment runs internally publishes to it
-    with _live_session(args, install=True) as live, \
-            tempfile.TemporaryDirectory(prefix="repro-reproduce-") as store:
-        bus = live or _live.global_live_bus() or _live.LiveBus()
-        clock = bus.attach(_ExperimentClock(kind))
-        try:
-            result = pool.run_sweep(spec, store, workers=0, live=bus)
-        finally:
-            bus.detach(clock)
-    text = _print_report(args, spec, result.rollup)
+    with contextlib.ExitStack() as stack:
+        store = pool.SweepStore(args.run_dir or stack.enter_context(
+            tempfile.TemporaryDirectory(prefix="repro-reproduce-")))
+        try:  # before the live log lands in the directory
+            store.initialise(spec, resume=False)
+        except pool.SweepError as exc:
+            print(f"reproduce: {exc}", file=sys.stderr)
+            return 2
+        # the live bus is installed process-globally so every simulation
+        # an experiment runs internally publishes to it
+        with _live_session(args, install=True) as live:
+            bus = live or _live.global_live_bus() or _live.LiveBus()
+            clock = bus.attach(_ExperimentClock(kind))
+            try:
+                result = pool.run_sweep(spec, store, workers=0, live=bus)
+            finally:
+                bus.detach(clock)
+    text = _print_report(spec, result.rollup, args.run_dir)
     for key, reason in sorted(result.quarantined.items()):
         print(f"reproduce: cell {key} failed: {reason}", file=sys.stderr)
-    _write_artifacts(
-        args, f"reproduce {args.experiment}",
-        dict(kind="reproduce",
-             config={"experiment": args.experiment, "scale": args.scale,
-                     "sweep": spec.identity()},
-             summary={"report_chars": len(text), "wall_s": clock.wall_s}))
+    _write_manifest(
+        args, kind="reproduce",
+        config={"experiment": args.experiment, "scale": args.scale,
+                "sweep": spec.identity()},
+        summary={"report_chars": len(text), "wall_s": clock.wall_s})
     return 1 if result.quarantined else 0
 
 
@@ -289,15 +280,16 @@ class _ExperimentClock:
               f"{self.wall_s[exp]:.1f} s]", file=sys.stderr)
 
 
-def _print_report(args: argparse.Namespace, spec, rollup) -> str:
+def _print_report(spec, rollup, run_dir: str | None = None) -> str:
     """Render a sweep's rollup with its kind's renderer; print it (and
-    write ``--out``) unless it is empty.  Returns the text."""
+    write ``DIR/report.txt``) unless it is empty.  Returns the text."""
     from repro.experiments import runner
 
     text = runner.TABLE[spec.kind].render(spec, rollup)
     if text:
-        if args.out:
-            Path(args.out).write_text(text + "\n", encoding="utf-8")
+        if run_dir:
+            (Path(run_dir) / REPORT).write_text(text + "\n",
+                                                encoding="utf-8")
         print(text)
     return text
 
@@ -344,29 +336,24 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return 1
     policy = make_policy(args.policy, objective=args.objective, seed=args.seed)
     faults = parse_faults(args.faults)
+    run_dir = _run_dir(args)
     with _live_session(args) as live:
         result = run_simulation(args.nodes, policy, jobs,
-                                trace=args.trace_out, faults=faults,
-                                live=live)
-    metrics = _print_metrics(policy.name, result).as_dict()
+                                trace=run_dir / TRACE if run_dir else None,
+                                faults=faults, live=live)
+    summary = _print_metrics(policy.name, result).as_dict()
     _print_resilience(result)
-    summary = dict(metrics)
     if result.resilience is not None:
         summary["resilience"] = result.resilience.as_dict()
-    _write_artifacts(
-        args, f"simulate {args.policy}",
-        dict(kind="simulate", summary=summary, config={
-            "trace": args.trace,
-            "nodes": args.nodes,
-            "policy": args.policy,
-            "objective": args.objective,
-            "procs_per_node": args.procs_per_node,
-            "max_jobs": args.max_jobs,
-            "faults": faults.as_dict() if faults is not None else None,
-        }),
-        metrics=metrics,
-        trace_path=args.trace_out,
-    )
+    _write_manifest(args, kind="simulate", summary=summary, config={
+        "trace": args.trace,
+        "nodes": args.nodes,
+        "policy": args.policy,
+        "objective": args.objective,
+        "procs_per_node": args.procs_per_node,
+        "max_jobs": args.max_jobs,
+        "faults": faults.as_dict() if faults is not None else None,
+    })
     return 0
 
 
@@ -412,16 +399,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
     base = model.generate(args.train_jobs, rng)
     validation = model.generate(max(50, args.train_jobs // 5), rng)
-    # the training log: --live-record, else (for --report) a sidecar
-    # next to the saved agent
-    log_path = args.live_record
-    if log_path is None and args.report:
-        log_path = args.out + ".live.jsonl"
+    run_dir = _run_dir(args)
     log = None
-    if log_path is not None:
+    if run_dir and args.live:  # the training log of a watched run
         from repro.obs.live import SnapshotWriter
 
-        log = SnapshotWriter(log_path, source="train",
+        log = SnapshotWriter(run_dir / LOG, source="train",
                              resume_at=resume_offset)
     try:
         with _live_session(args, shard=False) as live:
@@ -445,16 +428,15 @@ def cmd_train(args: argparse.Namespace) -> int:
     finally:
         if log is not None:
             log.close()
-            print(f"wrote the training log to {log_path}")
+            print(f"wrote the training log to {log.path}")
     curve = history.validation_curve
     print(f"trained {len(history.episodes)} episodes; validation reward "
           f"{curve[0]:.1f} -> {curve[-1]:.1f} (best {curve.max():.1f})")
     converged = history.converged_at()
     print(f"converged at episode: {converged if converged is not None else 'never'}")
     print(f"checkpoint written to {args.out}")
-    _write_artifacts(
-        args, f"train {args.agent} ({args.system})",
-        dict(kind="train", workload=describe_workload(model), config={
+    _write_manifest(
+        args, kind="train", workload=describe_workload(model), config={
             "system": args.system,
             "agent": args.agent,
             "nodes": args.nodes,
@@ -477,9 +459,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             "validation_last": float(curve[-1]),
             "validation_best": float(curve.max()),
             "converged_at": converged,
-        }),
-        telemetry_path=log_path,
-    )
+        })
     return 0
 
 
@@ -559,19 +539,52 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    """The ``repro report`` driver: stitch artifacts into one HTML file."""
+    """The ``repro report`` driver: render a run directory, running nothing.
+
+    Writes ``DIR/report.html`` from whichever of ``manifest.json``,
+    ``log.jsonl`` (its ``train`` records), ``trace.jsonl`` and
+    ``profile.json`` DIR holds.  A sweep store also prints its report,
+    rendered from ``spec.json`` and ``rollup.json`` by its kind's
+    renderer: the text the run printed, with no cell re-run.
+    """
+    from repro.experiments import pool
+    from repro.obs.aggregate import read_snapshots
+    from repro.obs.analyze import summarize_trace
+    from repro.obs.report import write_report
+
+    run_dir = Path(args.run_dir)
+    store = pool.SweepStore(run_dir)
+
+    def load(path):
+        return json.loads(path.read_text(encoding="utf-8"))
+
+    def artifact(name, read):
+        return read(run_dir / name) if (run_dir / name).exists() else None
+
     try:
-        _emit_report(
-            args.out,
+        if not run_dir.is_dir():
+            raise FileNotFoundError(f"no run directory {run_dir}")
+        sweep = None
+        if store.rollup_path.exists():
+            identity = load(store.spec_path)
+            identity.pop("schema", None)
+            sweep = pool.SweepSpec(**identity), load(store.rollup_path)
+        path = write_report(
+            run_dir / "report.html",
             title=args.title,
-            manifest_path=args.manifest,
-            telemetry_path=args.telemetry,
-            trace_path=args.trace,
-            profile_path=args.profile,
+            manifest=artifact(MANIFEST, load),
+            telemetry=artifact(LOG, lambda p: [
+                r for r in read_snapshots(p)["records"]
+                if r.get("kind") == "train"]),
+            trace=artifact(TRACE, summarize_trace),
+            profile=artifact(PROFILE, load),
         )
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, TypeError, pool.SweepError) as exc:
         print(f"cannot build report: {exc}", file=sys.stderr)
         return 2
+    if sweep is not None:
+        _print_report(*sweep)
+    print(f"wrote report to {path}", file=sys.stderr)
     return 0
 
 
@@ -619,11 +632,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"bad sweep spec: {exc}", file=sys.stderr)
         return 2
 
+    store = pool.SweepStore(args.run_dir)
     try:
+        store.initialise(spec, resume=args.resume)  # before the live log
         with _live_session(args, install=True) as live:
             result = pool.run_sweep(
                 spec,
-                args.store,
+                store,
                 workers=args.workers,
                 resume=args.resume,
                 live=live,
@@ -632,7 +647,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"sweep failed: {exc}", file=sys.stderr)
         return 2
 
-    _print_report(args, spec, result.rollup)
+    _print_report(spec, result.rollup, args.run_dir)
     print(f"sweep: {result.completed}/{result.total} cells complete "
           f"({result.resumed} resumed, {len(result.quarantined)} "
           f"quarantined this run)", file=sys.stderr)
@@ -669,7 +684,7 @@ def cmd_live(args: argparse.Namespace) -> int:
         text = json.dumps(rollup, sort_keys=True, indent=2) + "\n"
         if args.out:
             Path(args.out).write_text(text, encoding="utf-8")
-            print(f"wrote rollup to {args.out}")
+            print(f"wrote rollup to {args.out}", file=sys.stderr)
         if args.json:
             print(text, end="")
     if not args.json:
@@ -679,34 +694,21 @@ def cmd_live(args: argparse.Namespace) -> int:
 
 # -- parser -----------------------------------------------------------------------
 
-def _add_live_args(p: argparse.ArgumentParser,
-                   record_note: str = "") -> None:
-    """Attach the shared ``--live`` / ``--live-record`` flags."""
+def _add_run_args(p: argparse.ArgumentParser, faults_help: str,
+                  holds: str = "",
+                  log: str = "every live snapshot (repro.live/v1)") -> None:
+    """Attach a run command's ``--faults`` and ``--live`` flags and, when
+    ``holds`` names what DIR gets besides its manifest, ``--run-dir``."""
+    p.add_argument("--faults", metavar="SPEC", help=faults_help)
+    if holds:
+        p.add_argument("--run-dir", metavar="DIR",
+                       help=f"keep the run's artifacts in DIR: "
+                            f"manifest.json{holds}; render them with "
+                            f"'repro report DIR'")
     p.add_argument("--live", action="store_true",
-                   help="show a live progress/ETA line while the run "
-                        "executes")
-    p.add_argument("--live-record", metavar="PATH",
-                   help="append every live snapshot to a JSONL shard "
-                        "(repro.live/v1; merge shards with "
-                        "'repro live summarize')" + record_note)
-
-
-def _add_artifact_args(p: argparse.ArgumentParser, *flags: str,
-                       faults_help: str = "", report_note: str = "") -> None:
-    """Attach the shared ``--faults``/``--manifest``/``--report`` flags.
-
-    ``flags`` names which to add, in ``--help`` order; only the fault
-    spec's meaning (and a ``--report`` suffix) differs per subcommand.
-    """
-    helps = {
-        "--faults": faults_help,
-        "--manifest": "write a run manifest (JSON provenance record)",
-        "--report": ("also write a self-contained HTML run report"
-                     + report_note),
-    }
-    for flag in flags:
-        p.add_argument(flag, help=helps[flag],
-                       metavar="SPEC" if flag == "--faults" else "PATH")
+                   help=f"show a live progress/ETA line while the run "
+                        f"executes; in a run directory also write "
+                        f"DIR/log.jsonl: {log}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -721,14 +723,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", default="default",
                    help="tiny | default | paper (default: default)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", help="also write the report to this file")
     p.add_argument("--scaled-overhead", action="store_true",
                    help="overhead experiment: use a scaled network")
-    _add_artifact_args(
-        p, "--faults", "--manifest", "--report",
-        faults_help="fault-process override for the faultsweep "
-                    "experiment, e.g. mtbf=5000,mttr=1800,seed=1")
-    _add_live_args(p)
+    _add_run_args(
+        p, "fault-process override for the faultsweep experiment, e.g. "
+           "mtbf=5000,mttr=1800,seed=1",
+        holds=", report.txt (the printed report) and the sweep store "
+              "(spec.json, shards/, rollup.json); DIR must be new or empty")
     p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser(
@@ -736,9 +737,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="run an experiment grid on worker processes (crash-safe)")
     p.add_argument("kind", choices=("faultsweep", "experiments", "selftest"),
                    help="which grid to expand")
-    p.add_argument("--store", required=True, metavar="DIR",
-                   help="crash-durable result store (per-worker JSONL "
-                        "shards + merged rollup.json)")
+    p.add_argument("--store", dest="run_dir", required=True, metavar="DIR",
+                   help="crash-durable result store (spec.json, per-worker "
+                        "JSONL shards, merged rollup.json) and run "
+                        "directory (report.txt; log.jsonl with --live)")
     p.add_argument("--scale", default="default",
                    help="tiny | default | paper (default: default)")
     p.add_argument("--seed", type=int, default=0,
@@ -759,12 +761,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", action="append", metavar="KEY=VALUE",
                    help="kind-specific knob (JSON value or string); "
                         "repeatable, e.g. --param 'mtbf_grid=[0,2000]'")
-    _add_artifact_args(
-        p, "--faults",
-        faults_help="fault-process override for faultsweep sweeps, "
-                    "e.g. mtbf=5000,mttr=1800,seed=1")
-    p.add_argument("--out", help="also write the rendered report here")
-    _add_live_args(p)
+    _add_run_args(p, "fault-process override for faultsweep sweeps, "
+                     "e.g. mtbf=5000,mttr=1800,seed=1")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("generate", help="synthesize an SWF trace")
@@ -786,16 +784,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--procs-per-node", type=int, default=1)
     p.add_argument("--max-jobs", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    _add_artifact_args(
-        p, "--faults", "--manifest",
-        faults_help="inject seeded faults, e.g. "
-                    "mtbf=5000,mttr=1800,seed=1,requeue=requeue-front "
-                    "(keys: mtbf mttr seed blade_size blade_prob "
-                    "job_kill_mtbf requeue min_repair max_requeues)")
-    p.add_argument("--trace-out", metavar="PATH",
-                   help="write a structured JSONL event trace of the run")
-    _add_artifact_args(p, "--report")
-    _add_live_args(p)
+    _add_run_args(
+        p, "inject seeded faults, e.g. "
+           "mtbf=5000,mttr=1800,seed=1,requeue=requeue-front "
+           "(keys: mtbf mttr seed blade_size blade_prob "
+           "job_kill_mtbf requeue min_repair max_requeues)",
+        holds=" and trace.jsonl (the structured event trace, "
+              "repro.trace/v1)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("train", help="train and checkpoint a DRAS agent")
@@ -810,11 +805,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs-per-set", type=int, default=250)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    _add_artifact_args(
-        p, "--faults",
-        faults_help="train under seeded fault injection, e.g. "
-                    "mtbf=5000,mttr=1800,seed=1 (the fault seed is "
-                    "offset per episode; validation uses the base seed)")
     p.add_argument("--checkpoint", metavar="PATH",
                    help="write a crash-safe resumable training checkpoint "
                         "after every --checkpoint-every episodes")
@@ -825,13 +815,13 @@ def build_parser() -> argparse.ArgumentParser:
                         "checkpoint (other flags must match the original "
                         "run; keeps checkpointing to the same file unless "
                         "--checkpoint overrides it)")
-    _add_artifact_args(
-        p, "--manifest", "--report",
-        report_note=" (writes the training log to <out>.live.jsonl if "
-                    "--live-record is not given)")
-    _add_live_args(p, record_note=": the training log, one record per "
-                                  "episode, cut back to the checkpoint on "
-                                  "--resume")
+    _add_run_args(
+        p, "train under seeded fault injection, e.g. "
+           "mtbf=5000,mttr=1800,seed=1 (the fault seed is offset per "
+           "episode; validation uses the base seed)",
+        holds=" (the agent files go to --out and --checkpoint)",
+        log="the training log, one record per episode, cut back to the "
+            "checkpoint on --resume")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser(
@@ -860,19 +850,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "report",
-        help="stitch run artifacts into one self-contained HTML report",
+        help="render a run directory (--run-dir / sweep --store) without "
+             "re-running it",
     )
-    p.add_argument("--out", required=True, metavar="PATH",
-                   help="output HTML file")
+    p.add_argument("run_dir", metavar="DIR",
+                   help="writes DIR/report.html from its manifest.json, "
+                        "log.jsonl, trace.jsonl and profile.json; a sweep "
+                        "store also prints its report from rollup.json")
     p.add_argument("--title", default="repro run report")
-    p.add_argument("--manifest", metavar="PATH",
-                   help="run manifest JSON (repro.manifest/v1)")
-    p.add_argument("--telemetry", metavar="PATH",
-                   help="training log JSONL (repro.live/v1 train records)")
-    p.add_argument("--trace", metavar="PATH",
-                   help="event trace JSONL (repro.trace/v1)")
-    p.add_argument("--profile", metavar="PATH",
-                   help="profiler output JSON (repro.profile/v1)")
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("trace", help="trace-file utilities")

@@ -279,36 +279,37 @@ class SweepStore:
     def initialise(self, spec: SweepSpec, resume: bool) -> None:
         """Bind the store to ``spec``; guard against mixing sweeps.
 
-        A fresh directory is stamped with the spec identity.  An
+        A new or empty directory is stamped with the spec identity.  An
         existing store must carry the *same* identity digest, and —
         when it already holds shards — requires ``resume=True`` so a
-        stale store is never extended by accident.
+        stale store is never extended by accident.  Any other non-empty
+        directory is refused: it is not this sweep's.
         """
         self.root.mkdir(parents=True, exist_ok=True)
-        self.shards_dir.mkdir(exist_ok=True)
         if self.spec_path.exists():
             existing = json.loads(self.spec_path.read_text(encoding="utf-8"))
             if existing != spec.identity():
                 raise SweepError(
                     f"store {self.root} belongs to a different sweep "
                     f"(its spec.json does not match this spec); "
-                    "use a fresh --store directory"
+                    "use a fresh directory"
                 )
             if self.shard_paths() and not resume:
                 raise SweepError(
                     f"store {self.root} already holds shards; pass "
                     "resume=True (--resume) to continue it or use a "
-                    "fresh --store directory"
+                    "fresh directory"
                 )
+        elif any(self.root.iterdir()):
+            raise SweepError(
+                f"store {self.root} is not empty but holds no spec.json; "
+                "refusing to guess — use a fresh directory"
+            )
         else:
-            if self.shard_paths():
-                raise SweepError(
-                    f"store {self.root} holds shards but no spec.json; "
-                    "refusing to guess — use a fresh --store directory"
-                )
             with atomic_write(self.spec_path) as fh:
                 fh.write(json.dumps(spec.identity(), indent=2,
                                     sort_keys=True) + "\n")
+        self.shards_dir.mkdir(exist_ok=True)
 
     def generation(self) -> int:
         """1 + the highest generation number any existing shard carries."""
@@ -921,7 +922,7 @@ def _forward_live(live: "_live.LiveBus | None", slot: int,
     """Republish one worker snapshot on the parent bus.
 
     The worker's kind is suffixed with its slot (``sim`` from worker 1
-    becomes ``sim_w1``) so a ``--live-record`` shard, merged by
+    becomes ``sim_w1``) so the store's ``log.jsonl`` shard, merged by
     ``repro live summarize``, keeps each worker's snapshots apart while
     the aggregate ``sweep`` kind keeps the overall done/total/ETA view.
     Runs on the parent's own thread, between its ``recv`` calls.

@@ -32,8 +32,7 @@ run is bit-identical to an uninstrumented one (the layer only ever
   histograms, node-utilization timeline reconstruction and manifest
   diffing.
 * :mod:`repro.obs.report` — a dependency-free self-contained HTML run
-  report (inline SVG charts) behind ``python -m repro report`` and the
-  ``--report`` flag of the run commands.
+  report (inline SVG charts) behind ``python -m repro report DIR``.
 
 See ``docs/observability.md`` for usage; what each instrument costs is
 measured by the ``obs.*.overhead_ratio`` metrics of ``BENCHMARK.json``

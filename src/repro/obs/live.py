@@ -29,7 +29,7 @@ the shard header timestamp) lives inside the sink.
 Activate globally with ``REPRO_LIVE`` (``1`` → progress line; any
 other value → a snapshot shard at that path) or per-run with
 ``Engine(live=...)`` / ``run_simulation(..., live=...)`` / ``--live``
-and ``--live-record PATH`` on the CLI.
+(with ``--run-dir DIR``, a shard at ``DIR/log.jsonl``) on the CLI.
 """
 
 from __future__ import annotations
@@ -218,7 +218,7 @@ class ConnectionSink:
     :class:`LiveBus` attaches one of these around its pipe to the pool
     parent, which republishes each record on the parent bus (worker
     kinds suffixed ``_w<slot>``) so one :class:`ProgressSink` ETA line
-    and one ``--live-record`` shard cover every worker of the sweep.
+    and one ``log.jsonl`` shard cover every worker of the sweep.
     Delivery is best-effort — a dead parent must not break the cell
     that is still running (the worker notices the broken pipe on its
     next ``recv`` and exits).

@@ -4,9 +4,8 @@ One call stitches every observability artifact a run leaves behind —
 manifest, summary metrics, the training log, profiler output and
 trace analytics — into a single HTML file with no external assets:
 styles are an inline ``<style>`` block, charts are inline SVG, and the
-file opens offline in any browser.  ``python -m repro report`` is the
-CLI front-end; ``--report`` on ``reproduce``/``simulate``/``train``
-emits one automatically.
+file opens offline in any browser.  ``python -m repro report DIR`` is
+the CLI front-end: it renders a run directory's artifacts.
 
 Chart discipline (kept deliberately boring so the data is the only
 loud thing on the page): 2px lines, thin bars with rounded data-ends

@@ -39,6 +39,15 @@ _FREE = -1
 _DOWN = -2
 
 
+def _distinct(nodes: np.ndarray | list[int]) -> np.ndarray:
+    """``nodes`` as an index array; a repeated node raises ``ValueError``
+    before the caller mutates anything."""
+    idx = np.asarray(nodes, dtype=np.int64)
+    if np.unique(idx).size != idx.size:
+        raise ValueError(f"repeated node in {idx.tolist()}")
+    return idx
+
+
 class Cluster:
     """A pool of ``num_nodes`` identical compute nodes.
 
@@ -500,7 +509,7 @@ class Cluster:
         node is a programming error and raises.  Each node becomes its
         own one-node release group at its expected repair time.
         """
-        idx = np.asarray(nodes, dtype=np.int64)
+        idx = _distinct(nodes)
         if idx.size == 0:
             return
         expected_up_at = np.asarray(expected_up_at, dtype=np.float64)
@@ -532,7 +541,7 @@ class Cluster:
         Their release groups go with them, whether the repair comes
         before or after the expected time.
         """
-        idx = np.asarray(nodes, dtype=np.int64)
+        idx = _distinct(nodes)
         if idx.size == 0:
             return
         self._place()

@@ -234,11 +234,47 @@ class TestReproduce:
         assert rc == 0
         assert "Table I" in capsys.readouterr().out
 
-    def test_reproduce_table3_with_out(self, tmp_path, capsys):
-        out_file = tmp_path / "t3.txt"
-        rc = main(["reproduce", "table3", "--out", str(out_file)])
+    def test_reproduce_table3_with_run_dir(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        rc = main(["reproduce", "table3", "--run-dir", str(run)])
         assert rc == 0
-        assert "21,890,053" in out_file.read_text()
+        assert "21,890,053" in (run / "report.txt").read_text()
+        assert (run / "report.txt").read_text() == capsys.readouterr().out
+        assert {"manifest.json", "spec.json", "shards", "rollup.json"} <= {
+            p.name for p in run.iterdir()}
+
+    def test_report_rerenders_a_run_without_running_a_cell(
+            self, tmp_path, capsys, monkeypatch):
+        from repro.experiments import pool
+
+        run = tmp_path / "run"
+        assert main(["reproduce", "table1", "--scale", "tiny",
+                     "--run-dir", str(run)]) == 0
+        printed = capsys.readouterr().out
+
+        def no_cell(*args, **kwargs):
+            raise AssertionError("repro report ran a cell")
+
+        monkeypatch.setattr(pool, "_execute_cell", no_cell)
+        assert main(["report", str(run)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == (run / "report.txt").read_text() == printed
+        assert "Table I" in captured.out
+        assert f"wrote report to {run / 'report.html'}" in captured.err
+        assert "Manifest" in (run / "report.html").read_text()
+
+    def test_non_empty_run_dir_without_a_store_is_refused(
+            self, tmp_path, capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "notes.txt").write_text("not a sweep\n")
+        rc = main(["reproduce", "table1", "--scale", "tiny",
+                   "--run-dir", str(run)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not empty but holds no spec.json" in captured.err
+        assert [p.name for p in run.iterdir()] == ["notes.txt"]
 
     def test_reproduce_fig2_tiny(self, capsys):
         rc = main(["reproduce", "fig2", "--scale", "tiny"])
@@ -284,46 +320,48 @@ class TestReportAndTrace:
     def _simulated(self, tmp_path, capsys):
         swf = tmp_path / "w.swf"
         main(["generate", "theta", "60", "--nodes", "32", "--out", str(swf)])
-        trace = tmp_path / "trace.jsonl"
-        manifest = tmp_path / "m.json"
+        run = tmp_path / "run"
         rc = main(["simulate", str(swf), "--nodes", "32",
-                   "--trace-out", str(trace), "--manifest", str(manifest)])
+                   "--run-dir", str(run)])
         assert rc == 0
         capsys.readouterr()
-        return trace, manifest
+        return run
 
-    def test_simulate_report_flag(self, tmp_path, capsys):
-        swf = tmp_path / "w.swf"
-        main(["generate", "theta", "60", "--nodes", "32", "--out", str(swf)])
-        report = tmp_path / "run.html"
-        rc = main(["simulate", str(swf), "--nodes", "32",
-                   "--trace-out", str(tmp_path / "t.jsonl"),
-                   "--report", str(report)])
+    def test_simulate_run_dir_then_report(self, tmp_path, capsys):
+        run = self._simulated(tmp_path, capsys)
+        assert sorted(p.name for p in run.iterdir()) == [
+            "manifest.json", "trace.jsonl"]
+        rc = main(["report", str(run)])
         assert rc == 0
-        assert "wrote report" in capsys.readouterr().out
-        html = report.read_text()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "wrote report" in captured.err
+        html = (run / "report.html").read_text()
         assert html.startswith("<!doctype html>")
         assert "<svg" in html  # trace analytics charts made it in
 
     def test_report_stitches_artifacts(self, tmp_path, capsys):
-        trace, manifest = self._simulated(tmp_path, capsys)
-        report = tmp_path / "r.html"
-        rc = main(["report", "--out", str(report), "--title", "stitched",
-                   "--manifest", str(manifest), "--trace", str(trace)])
+        run = self._simulated(tmp_path, capsys)
+        rc = main(["report", str(run), "--title", "stitched"])
         assert rc == 0
-        html = report.read_text()
+        html = (run / "report.html").read_text()
         assert "<title>stitched</title>" in html
         assert "Trace analytics" in html and "Manifest" in html
+        assert "jobs finished" in html  # the manifest summary's tiles
 
     def test_report_missing_artifact_exits_2(self, tmp_path, capsys):
-        rc = main(["report", "--out", str(tmp_path / "r.html"),
-                   "--trace", str(tmp_path / "absent.jsonl")])
+        rc = main(["report", str(tmp_path / "absent")])
         assert rc == 2
+        assert "cannot build report" in capsys.readouterr().err
+        (tmp_path / "torn").mkdir()
+        (tmp_path / "torn" / "manifest.json").write_text("{")
+        assert main(["report", str(tmp_path / "torn")]) == 2
         assert "cannot build report" in capsys.readouterr().err
 
     def test_trace_summarize(self, tmp_path, capsys):
-        trace, _ = self._simulated(tmp_path, capsys)
-        rc = main(["trace", "summarize", str(trace), "--top", "3"])
+        run = self._simulated(tmp_path, capsys)
+        rc = main(["trace", "summarize", str(run / "trace.jsonl"),
+                   "--top", "3"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "engine.instance" in out
@@ -334,28 +372,29 @@ class TestReportAndTrace:
         assert rc == 2
         assert "cannot read trace" in capsys.readouterr().err
 
-    def test_train_report_writes_telemetry_sidecar(self, tmp_path, capsys):
-        ckpt = tmp_path / "agent.npz"
-        report = tmp_path / "train.html"
+    def test_train_run_dir_report_has_telemetry(self, tmp_path, capsys):
+        run = tmp_path / "run"
         rc = main(["train", "--agent", "pg", "--system", "theta",
                    "--nodes", "32", "--window", "6", "--train-jobs", "150",
                    "--sampled", "1", "--real", "1", "--synthetic", "1",
-                   "--jobs-per-set", "50", "--out", str(ckpt),
-                   "--report", str(report)])
+                   "--jobs-per-set", "50", "--out", str(tmp_path / "a.npz"),
+                   "--run-dir", str(run), "--live"])
         assert rc == 0
         out = capsys.readouterr().out
-        sidecar = tmp_path / "agent.npz.live.jsonl"
-        assert f"wrote the training log to {sidecar}" in out
+        log = run / "log.jsonl"
+        assert f"wrote the training log to {log}" in out
         from repro.obs.aggregate import read_snapshots
-        episodes = read_snapshots(sidecar)["records"]
+        episodes = read_snapshots(log)["records"]
         assert [r["seq"] for r in episodes] == [1, 2, 3]
         assert all(r["kind"] == "train" and "grad_norm" in r
                    for r in episodes)
-        assert "Training telemetry" in report.read_text()
+        assert main(["report", str(run)]) == 0
+        html = (run / "report.html").read_text()
+        assert "Training telemetry" in html and "Manifest" in html
 
 
 class TestLiveCLI:
-    """``--live`` / ``--live-record`` and ``repro live summarize``."""
+    """``--live`` (and its ``DIR/log.jsonl``) and ``repro live summarize``."""
 
     def _trace(self, tmp_path, capsys, n=80):
         trace = tmp_path / "trace.swf"
@@ -366,9 +405,10 @@ class TestLiveCLI:
 
     def test_live_record_shard_then_summarize(self, tmp_path, capsys):
         trace = self._trace(tmp_path, capsys)
-        shard = tmp_path / "run.jsonl"
+        shard = tmp_path / "run" / "log.jsonl"
         rc = main(["simulate", str(trace), "--nodes", "32",
-                   "--policy", "fcfs", "--live-record", str(shard)])
+                   "--policy", "fcfs", "--live",
+                   "--run-dir", str(shard.parent)])
         assert rc == 0
         capsys.readouterr()
         import json as _json
@@ -392,9 +432,9 @@ class TestLiveCLI:
 
     def test_live_summarize_json_and_out(self, tmp_path, capsys):
         trace = self._trace(tmp_path, capsys)
-        shard = tmp_path / "run.jsonl"
-        main(["simulate", str(trace), "--nodes", "32",
-              "--live-record", str(shard)])
+        shard = tmp_path / "run" / "log.jsonl"
+        main(["simulate", str(trace), "--nodes", "32", "--live",
+              "--run-dir", str(shard.parent)])
         capsys.readouterr()
         rc = main(["live", "summarize", str(shard), "--json"])
         assert rc == 0
@@ -406,14 +446,21 @@ class TestLiveCLI:
         rc = main(["live", "summarize", str(shard), "--out", str(out)])
         assert rc == 0
         assert _json.loads(out.read_text())["kinds"]["sim"]["snapshots"] >= 1
+        capsys.readouterr()
+        rc = main(["live", "summarize", str(shard), "--json",
+                   "--out", str(out)])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert _json.loads(captured.out) == _json.loads(out.read_text())
+        assert f"wrote rollup to {out}" in captured.err
 
     def test_train_live_record_is_the_resumable_training_log(
             self, tmp_path, capsys):
-        log, ckpt = tmp_path / "live.jsonl", tmp_path / "ck.npz"
+        log, ckpt = tmp_path / "run" / "log.jsonl", tmp_path / "ck.npz"
         train = ["train", "--nodes", "32", "--window", "4",
                  "--train-jobs", "100", "--sampled", "1", "--real", "1",
                  "--jobs-per-set", "50", "--out", str(tmp_path / "tr.npz"),
-                 "--live-record", str(log)]
+                 "--run-dir", str(log.parent), "--live"]
         assert main(train + ["--synthetic", "1",
                              "--checkpoint", str(ckpt)]) == 0
         assert main(train + ["--synthetic", "2", "--resume", str(ckpt)]) == 0
@@ -443,15 +490,16 @@ class TestLiveCLI:
         from repro.obs.manifest import RunManifest
 
         trace = self._trace(tmp_path, capsys)
-        dark, live = tmp_path / "dark.json", tmp_path / "live.json"
+        dark, live = tmp_path / "dark", tmp_path / "live"
         assert main(["simulate", str(trace), "--nodes", "32",
-                     "--manifest", str(dark)]) == 0
+                     "--run-dir", str(dark)]) == 0
         assert main(["simulate", str(trace), "--nodes", "32",
-                     "--manifest", str(live),
-                     "--live-record", str(tmp_path / "s.jsonl")]) == 0
+                     "--run-dir", str(live), "--live"]) == 0
         capsys.readouterr()
-        assert RunManifest.read(dark).stable_digest() == \
-            RunManifest.read(live).stable_digest()
+        assert not (dark / "log.jsonl").exists()
+        assert (live / "log.jsonl").stat().st_size > 0
+        assert RunManifest.read(dark / "manifest.json").stable_digest() == \
+            RunManifest.read(live / "manifest.json").stable_digest()
 
 
 class TestSweepCLI:
@@ -527,3 +575,4 @@ class TestSweepCLI:
         assert rc == 0
         out = capsys.readouterr().out
         assert "FCFS" in out
+        assert (store / "report.txt").read_text() == out

@@ -286,6 +286,22 @@ class TestReleaseIndex:
         assert cluster.reservation_point(3, now=10.0) == (80.0, 6)
         assert cluster.reservation_point(7, now=10.0) == (200.0, 8)
 
+    def test_fail_refuses_a_repeated_node(self, cluster):
+        with pytest.raises(ValueError, match="repeated node"):
+            cluster.fail_nodes([3, 3], 0.0, 5.0)
+        assert (cluster.available_nodes, cluster.down_nodes) == (8, 0)
+        assert cluster.release_groups(0.0)[1].tolist() == []
+
+    def test_repair_refuses_a_repeated_node_before_mutating(self, cluster):
+        cluster.fail_nodes([3, 4], 0.0, 5.0)
+        with pytest.raises(ValueError, match="repeated node"):
+            cluster.repair_nodes([3, 3], 1.0)
+        assert (cluster.available_nodes, cluster.down_nodes) == (6, 2)
+        assert cluster.release_groups(0.0)[1].tolist() == [1, 1]
+        cluster.repair_nodes([3, 4], 1.0)  # node 3's downtime is intact
+        assert (cluster.available_nodes, cluster.down_nodes) == (8, 0)
+        assert cluster.lost_node_seconds() == 2.0
+
     def test_overdue_shadow_group_releases_with_later_overdue_ones(
             self, cluster):
         cluster.allocate(make_job(size=3, walltime=10.0), now=0.0)

@@ -68,15 +68,14 @@ class TestWriterReader:
     def test_lenient_read_skips_garbage(self, tmp_path):
         from repro.cli import main
 
-        path = tmp_path / "t.jsonl"
+        path = tmp_path / "log.jsonl"  # a run directory's training log
         Trainer(_agent(), NODES, telemetry=path).train(_jobsets())
         with path.open("a", encoding="utf-8") as fh:
             fh.write('not json\n[1, 2]\n{"kind": "train", "seq"')
         assert read_snapshots(path)["skipped"] == 3
         assert [r["episode"] for r in _train_rows(path)] == [0, 1]
-        html = tmp_path / "r.html"
-        assert main(["report", "--out", str(html),
-                     "--telemetry", str(path)]) == 0
+        assert main(["report", str(tmp_path)]) == 0
+        html = tmp_path / "report.html"
         assert "Training telemetry" in html.read_text(encoding="utf-8")
 
 
