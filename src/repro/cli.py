@@ -24,16 +24,8 @@ Commands
 ``report``
     Render a run directory without re-running it: ``DIR/report.html``
     from the artifacts DIR holds (:mod:`repro.obs.report`) and, for a
-    sweep store, the printed report, re-rendered from its rollup.
-``trace``
-    Trace-file utilities; ``trace summarize <path>`` prints span
-    rollups, decision-latency percentiles and event counts
-    (:mod:`repro.obs.analyze`).
-``live``
-    Live-snapshot shard utilities; ``live summarize <shards...>``
-    merges per-process ``repro.live/v1`` JSONL shards (training logs
-    included) into one deterministic rollup
-    (:mod:`repro.obs.aggregate`).
+    sweep store, the printed report, re-rendered from its rollup.  It
+    is the one reader of a run's log and trace.
 
 ``reproduce``, ``simulate`` and ``train`` accept ``--run-dir DIR`` to
 keep a run's artifacts together under fixed names (``repro sweep
@@ -126,8 +118,8 @@ def _live_session(args: argparse.Namespace, install: bool = False,
     """``--live`` → a LiveBus for the block.
 
     The bus shows the terminal progress/ETA line and, in a run
-    directory, appends every snapshot to ``DIR/log.jsonl`` (mergeable
-    with ``repro live summarize``) unless ``shard`` is false (``train``
+    directory, appends every snapshot to ``DIR/log.jsonl`` (read back
+    by ``repro report DIR``) unless ``shard`` is false (``train``
     writes that log itself, as its training log).  Without ``--live``,
     yields ``None`` so components fall back to the ``REPRO_LIVE``
     process-global bus.
@@ -379,7 +371,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
     faults = parse_faults(args.faults)
     history = None
-    resume_offset = None
+    resume_after = None
     if args.resume:
         try:
             loaded = load_checkpoint(args.resume)
@@ -388,7 +380,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             return 2
         agent = loaded.agent
         history = TrainingHistory.from_records(loaded.episodes)
-        resume_offset = loaded.telemetry_offset
+        resume_after = loaded.episodes_done
         if faults is None:
             faults = loaded.faults
         print(f"resuming from {args.resume}: "
@@ -405,7 +397,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         from repro.obs.live import SnapshotWriter
 
         log = SnapshotWriter(run_dir / LOG, source="train",
-                             resume_at=resume_offset)
+                             resume_after=resume_after)
     try:
         with _live_session(args, shard=False) as live:
             history = train_with_curriculum(
@@ -422,9 +414,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             )
         # what --checkpoint holds after the last episode: the agent
         # and its training record, so --resume takes this file too
-        save_agent(agent, args.out, history,
-                   telemetry_offset=log.offset() if log is not None else 0,
-                   faults=faults)
+        save_agent(agent, args.out, history, faults=faults)
     finally:
         if log is not None:
             log.close()
@@ -542,14 +532,16 @@ def cmd_report(args: argparse.Namespace) -> int:
     """The ``repro report`` driver: render a run directory, running nothing.
 
     Writes ``DIR/report.html`` from whichever of ``manifest.json``,
-    ``log.jsonl`` (its ``train`` records), ``trace.jsonl`` and
-    ``profile.json`` DIR holds.  A sweep store also prints its report,
-    rendered from ``spec.json`` and ``rollup.json`` by its kind's
-    renderer: the text the run printed, with no cell re-run.
+    ``log.jsonl`` (read once: its ``train`` records and a card per
+    snapshot kind), ``trace.jsonl`` and ``profile.json`` DIR holds.  A
+    sweep store also prints its report, rendered from ``spec.json`` and
+    ``rollup.json`` by its kind's renderer: the text the run printed,
+    with no cell re-run.  A directory holding none of these is refused
+    (exit 2) and nothing is written.
     """
     from repro.experiments import pool
-    from repro.obs.aggregate import read_snapshots
     from repro.obs.analyze import summarize_trace
+    from repro.obs.live import read_log
     from repro.obs.report import write_report
 
     run_dir = Path(args.run_dir)
@@ -564,18 +556,22 @@ def cmd_report(args: argparse.Namespace) -> int:
     try:
         if not run_dir.is_dir():
             raise FileNotFoundError(f"no run directory {run_dir}")
+        readable = (MANIFEST, LOG, TRACE, PROFILE, store.rollup_path.name)
+        if not any((run_dir / name).exists() for name in readable):
+            raise FileNotFoundError(f"nothing to report in {run_dir}: it "
+                                    f"holds none of {', '.join(readable)}")
         sweep = None
         if store.rollup_path.exists():
             identity = load(store.spec_path)
             identity.pop("schema", None)
             sweep = pool.SweepSpec(**identity), load(store.rollup_path)
+        log = artifact(LOG, read_log)
         path = write_report(
             run_dir / "report.html",
             title=args.title,
             manifest=artifact(MANIFEST, load),
-            telemetry=artifact(LOG, lambda p: [
-                r for r in read_snapshots(p)["records"]
-                if r.get("kind") == "train"]),
+            telemetry=log["train"] if log is not None else None,
+            log=log,
             trace=artifact(TRACE, summarize_trace),
             profile=artifact(PROFILE, load),
         )
@@ -656,40 +652,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for key, reason in sorted(result.quarantined.items()):
         print(f"sweep: quarantined {key}: {reason}", file=sys.stderr)
     return 0 if result.completed == result.total else 3
-
-
-def cmd_trace(args: argparse.Namespace) -> int:
-    """The ``repro trace`` driver (currently: ``summarize``)."""
-    from repro.obs.analyze import format_trace_summary, summarize_trace
-
-    try:
-        summary = summarize_trace(args.path)
-    except OSError as exc:
-        print(f"cannot read trace: {exc}", file=sys.stderr)
-        return 2
-    print(format_trace_summary(summary, top=args.top))
-    return 0
-
-
-def cmd_live(args: argparse.Namespace) -> int:
-    """The ``repro live`` driver (currently: ``summarize``)."""
-    from repro.obs.aggregate import format_rollup, merge_shards
-
-    try:
-        rollup = merge_shards(args.shards)
-    except OSError as exc:
-        print(f"cannot read shard: {exc}", file=sys.stderr)
-        return 2
-    if args.json or args.out:
-        text = json.dumps(rollup, sort_keys=True, indent=2) + "\n"
-        if args.out:
-            Path(args.out).write_text(text, encoding="utf-8")
-            print(f"wrote rollup to {args.out}", file=sys.stderr)
-        if args.json:
-            print(text, end="")
-    if not args.json:
-        print(format_rollup(rollup), end="")
-    return 0
 
 
 # -- parser -----------------------------------------------------------------------
@@ -859,32 +821,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "store also prints its report from rollup.json")
     p.add_argument("--title", default="repro run report")
     p.set_defaults(func=cmd_report)
-
-    p = sub.add_parser("trace", help="trace-file utilities")
-    trace_sub = p.add_subparsers(dest="trace_command", required=True)
-    ps = trace_sub.add_parser(
-        "summarize",
-        help="print span rollups, latency percentiles and event counts",
-    )
-    ps.add_argument("path", help="event trace JSONL (repro.trace/v1)")
-    ps.add_argument("--top", type=int, default=10,
-                    help="rollup rows to print (default 10)")
-    ps.set_defaults(func=cmd_trace)
-
-    p = sub.add_parser("live", help="live-snapshot shard utilities")
-    live_sub = p.add_subparsers(dest="live_command", required=True)
-    ps = live_sub.add_parser(
-        "summarize",
-        help="merge per-process snapshot shards into one rollup",
-    )
-    ps.add_argument("shards", nargs="+",
-                    help="JSONL shards (repro.live/v1, training logs "
-                         "included)")
-    ps.add_argument("--json", action="store_true",
-                    help="print the rollup as JSON instead of a summary")
-    ps.add_argument("--out", metavar="PATH",
-                    help="also write the rollup JSON to this file")
-    ps.set_defaults(func=cmd_live)
 
     p = sub.add_parser("evaluate", help="replay a trace under a checkpointed agent")
     p.add_argument("checkpoint")

@@ -12,10 +12,13 @@ would have.  One ``.npz`` holds
 * the PG baseline statistics or the DQL exploration rate (arrays);
 * the RNG stream (``bit_generator.state``) and ``updates_done``
   (``__meta__``);
-* the training record (``__meta__``): the completed episodes, the
-  training log's byte offset (``telemetry_offset``) and the fault
-  config.  A trainer's per-episode checkpoint and ``repro train
-  --out`` fill it; a plain :func:`save_agent` writes it empty.
+* the training record (``__meta__``): the completed episodes and the
+  fault config.  A trainer's per-episode checkpoint and ``repro train
+  --out`` fill it; a plain :func:`save_agent` writes it empty.  Nothing
+  about the training log is stored: ``train --resume`` cuts the log
+  back to the episode count read from it
+  (:class:`~repro.obs.live.SnapshotWriter`), so the file's bytes are a
+  function of the seed whether or not the run was watched.
 
 So ``repro evaluate`` takes a ``--checkpoint`` file and ``train
 --resume`` takes an ``--out`` file: there is one kind of agent file.
@@ -66,7 +69,7 @@ _KINDS = {"pg": DRASPG, "dql": DRASDQL, "decima": DecimaPG}
 
 #: every ``__meta__`` key a file must carry to restore the whole agent
 _META_KEYS = ("format_version", "kind", "config", "rng_state",
-              "updates_done", "episodes", "telemetry_offset", "faults")
+              "updates_done", "episodes", "faults")
 
 
 class CheckpointError(ValueError):
@@ -79,7 +82,6 @@ class LoadedCheckpoint:
 
     agent: object               #: fully restored agent (incl. RNG stream)
     episodes: list[dict] = field(default_factory=list)  #: training record
-    telemetry_offset: int = 0   #: byte offset of the training log
     faults: FaultConfig | None = None  #: fault config active in training
 
     @property
@@ -121,14 +123,13 @@ def agent_arrays(agent) -> dict[str, np.ndarray]:
 
 
 def save_agent(agent, path: str | Path, history=None,
-               telemetry_offset: int = 0,
                faults: FaultConfig | None = None) -> None:
     """Atomically write the complete state of a DRAS/Decima agent.
 
-    ``history`` (a :class:`~repro.rl.trainer.TrainingHistory`),
-    ``telemetry_offset`` and ``faults`` are the training record a
-    resumed run continues from; without them the record is empty.  A
-    crash mid-save never corrupts an existing file at ``path``.
+    ``history`` (a :class:`~repro.rl.trainer.TrainingHistory`) and
+    ``faults`` are the training record a resumed run continues from;
+    without them the record is empty.  A crash mid-save never corrupts
+    an existing file at ``path``.
     """
     arrays = agent_arrays(agent)
     episodes = history.episodes if history is not None else ()
@@ -140,7 +141,6 @@ def save_agent(agent, path: str | Path, history=None,
         "rng_state": agent.rng.bit_generator.state,
         "updates_done": agent.updates_done,
         "episodes": [dataclasses.asdict(e) for e in episodes],
-        "telemetry_offset": int(telemetry_offset),
         "faults": faults.as_dict() if faults is not None else None,
     }, default=int))
     with atomic_write(path, binary=True) as fh:
@@ -232,6 +232,5 @@ def _restore(meta: dict, data) -> LoadedCheckpoint:
     return LoadedCheckpoint(
         agent=agent,
         episodes=list(meta["episodes"]),
-        telemetry_offset=int(meta["telemetry_offset"]),
         faults=FaultConfig.from_dict(faults) if faults is not None else None,
     )

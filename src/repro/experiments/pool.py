@@ -922,9 +922,9 @@ def _forward_live(live: "_live.LiveBus | None", slot: int,
     """Republish one worker snapshot on the parent bus.
 
     The worker's kind is suffixed with its slot (``sim`` from worker 1
-    becomes ``sim_w1``) so the store's ``log.jsonl`` shard, merged by
-    ``repro live summarize``, keeps each worker's snapshots apart while
-    the aggregate ``sweep`` kind keeps the overall done/total/ETA view.
+    becomes ``sim_w1``) so the store's ``log.jsonl``, read by ``repro
+    report DIR``, keeps each worker's snapshots apart while the
+    aggregate ``sweep`` kind keeps the overall done/total/ETA view.
     Runs on the parent's own thread, between its ``recv`` calls.
     """
     if live is None:

@@ -46,7 +46,6 @@ from repro.obs.analyze import (
     TraceSummary,
     decision_latencies,
     diff_manifests,
-    format_trace_summary,
     summarize_trace,
     utilization_timeline,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "decision_latencies",
     "describe_workload",
     "diff_manifests",
-    "format_trace_summary",
     "git_sha",
     "global_profiler",
     "global_tracer",

@@ -18,9 +18,8 @@ module answers *where did the time go* and *what changed*:
   machine-independent);
 * :func:`diff_manifests` — field-level diff of two run manifests for
   regression triage (volatile fields excluded);
-* :func:`summarize_trace` / :func:`format_trace_summary` — one-call
-  triage of a trace file, also exposed as
-  ``python -m repro trace summarize <path>``.
+* :func:`summarize_trace` — one-call triage of a trace file, which
+  ``python -m repro report DIR`` renders as its trace section.
 
 Everything here is read-only post-processing: it parses artifacts that
 already exist and never touches simulator, RNG or network state.  All
@@ -228,7 +227,7 @@ def diff_manifests(
 
 @dataclass(frozen=True)
 class TraceSummary:
-    """Everything ``repro trace summarize`` prints, as data."""
+    """One trace file's triage, as data (``repro report``'s trace section)."""
 
     path: str
     n_records: int
@@ -285,38 +284,3 @@ def summarize_trace(path: str | Path) -> TraceSummary:
         timeline=timeline,
         peak_busy_nodes=max((busy for _, busy in timeline), default=0),
     )
-
-
-def format_trace_summary(summary: TraceSummary, top: int = 10) -> str:
-    """Terminal-friendly rendering of a :class:`TraceSummary`."""
-    lines = [
-        f"trace {summary.path}",
-        f"  records {summary.n_records:,}  spans {summary.n_spans:,} "
-        f"({summary.n_unclosed} unclosed)  events {summary.n_events:,}",
-    ]
-    if summary.sim_time_span is not None:
-        t0, t1 = summary.sim_time_span
-        lines.append(
-            f"  simulated time {t0:,.0f} .. {t1:,.0f} s "
-            f"({(t1 - t0) / 3600:,.2f} h)"
-        )
-    if summary.peak_busy_nodes:
-        lines.append(f"  peak busy nodes {summary.peak_busy_nodes}")
-    if summary.n_spans:
-        lines += ["  " + row
-                  for row in summary.profile.format_table(top).splitlines()]
-    if summary.event_counts:
-        joined = ", ".join(
-            f"{name} x{n}" for name, n in summary.event_counts.items()
-        )
-        lines.append(f"  events: {joined}")
-    hist = summary.decision_histogram
-    if hist.count:
-        p50, p90, p99, longest = (summary.decision_latency(q)
-                                  for q in (0.50, 0.90, 0.99, 1.0))
-        lines.append(
-            f"  decision latency: n={hist.count} mean={1e3 * hist.mean:.3f} ms "
-            f"p50={1e3 * p50:.3f} p90={1e3 * p90:.3f} "
-            f"p99={1e3 * p99:.3f} max={1e3 * longest:.3f}"
-        )
-    return "\n".join(lines)

@@ -92,10 +92,6 @@ class JsonlWriter:
         self._fh.write(json.dumps(record, sort_keys=True) + "\n")
         self._fh.flush()
 
-    def offset(self) -> int:
-        """Current byte length of the log (a valid ``resume_at``)."""
-        return self._fh.tell()
-
     def close(self) -> None:
         """Close the file (idempotent)."""
         self._fh.close()

@@ -15,10 +15,10 @@ The bus fans each snapshot out to attached sinks:
   ``time.perf_counter()`` stamps the bus adds at publish time).
 * :class:`SnapshotWriter` — an append-only JSONL shard
   (``repro.live/v1``), flushed per record so a ``kill -9`` mid-run
-  still leaves a parseable prefix; merged across processes by
-  :mod:`repro.obs.aggregate` (``repro live summarize``).  The training
-  log is the same species: :class:`~repro.rl.trainer.Trainer` appends
-  its per-episode ``train`` record to one directly, not through a bus.
+  still leaves a parseable prefix; :func:`read_log` reads it back for
+  ``repro report DIR``.  The training log is the same species:
+  :class:`~repro.rl.trainer.Trainer` appends its per-episode ``train``
+  record to one directly, not through a bus.
 * :class:`ConnectionSink` — a sweep worker's link to the pool parent,
   which republishes the records on its own bus.
 
@@ -30,17 +30,21 @@ Activate globally with ``REPRO_LIVE`` (``1`` → progress line; any
 other value → a snapshot shard at that path) or per-run with
 ``Engine(live=...)`` / ``run_simulation(..., live=...)`` / ``--live``
 (with ``--run-dir DIR``, a shard at ``DIR/log.jsonl``) on the CLI.
+A ``REPRO_LIVE`` shard meant for ``repro report DIR`` is named
+``DIR/log.jsonl``.
 """
 
 from __future__ import annotations
 
+import json
+import math
 import os
 import sys
 import time
 import warnings
 from typing import Any, Mapping, TextIO
 
-from repro.obs.jsonl import JsonlWriter
+from repro.obs.jsonl import JsonlWriter, read_jsonl
 
 #: schema tag stamped on every snapshot record and shard header
 LIVE_SCHEMA = "repro.live/v1"
@@ -246,22 +250,27 @@ class SnapshotWriter(JsonlWriter):
     sink is where wall-clock reads are allowed).  Every
     snapshot is one sorted-key JSON line, flushed immediately — a
     process killed mid-run leaves a parseable prefix (at worst one
-    truncated final line, which the lenient reader in
-    :mod:`repro.obs.aggregate` skips).  ``resume_at`` cuts an existing
-    shard back to a checkpointed byte offset and appends after it,
-    keeping its header (:class:`~repro.obs.jsonl.JsonlWriter`).
+    truncated final line, which :func:`read_log` skips).
+    ``resume_after`` cuts an existing shard back to its snapshots
+    numbered up to that ``seq`` (a training log to the episodes its
+    checkpoint holds: the trainer numbers them ``seq = episode + 1``)
+    and appends after them, keeping its header
+    (:class:`~repro.obs.jsonl.JsonlWriter`).  The cut is read from the
+    log itself, so nothing about the log's bytes is stored elsewhere.
     """
 
     def __init__(self, path: "str | os.PathLike[str]",
                  source: str | None = None,
-                 resume_at: int | None = None) -> None:
+                 resume_after: int | None = None) -> None:
         self.source = source if source is not None else f"pid{os.getpid()}"
         # sink-confined wall-clock stamp: lets humans correlate shards
         # from different hosts; nothing downstream feeds it back into
         # a simulation
         unix = time.time()
+        cut = None if resume_after is None else _prefix_through(
+            path, resume_after)
         super().__init__(path, LIVE_SCHEMA,
-                         {"source": self.source, "unix": unix}, resume_at)
+                         {"source": self.source, "unix": unix}, cut)
 
     def append(self, record: Mapping[str, Any]) -> None:
         """Append one snapshot record (raises ``ValueError`` once closed)."""
@@ -271,6 +280,89 @@ class SnapshotWriter(JsonlWriter):
         """Bus-sink form of :meth:`append`: a no-op once closed."""
         if not self.closed:
             self.append(record)
+
+
+def _prefix_through(path: "str | os.PathLike[str]", seq: int) -> int:
+    """Byte length of the shard's longest prefix of whole, well-formed
+    lines holding no snapshot numbered past ``seq``.
+
+    A log the checkpoint outlived (an OS crash lost its unsynced tail)
+    is kept whole; a missing log gives 0.
+    """
+    end = 0
+    try:
+        with open(path, "rb") as fh:
+            for line in fh:
+                try:
+                    record = json.loads(line)
+                except ValueError:
+                    break
+                if not (line.endswith(b"\n") and isinstance(record, dict)):
+                    break
+                at = record.get("seq", 0) \
+                    if record.get("type") == "snapshot" else 0
+                if not (isinstance(at, (int, float)) and at <= seq):
+                    break
+                end += len(line)
+    except FileNotFoundError:
+        pass
+    return end
+
+
+def _finite(value: Any) -> bool:
+    """Whether ``value`` is a finite int or float (not a bool)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and math.isfinite(value)
+
+
+def read_log(path: "str | os.PathLike[str]") -> dict[str, Any]:
+    """Leniently read a ``repro.live/v1`` shard once (``repro report``).
+
+    Returns ``{"source", "schema", "skipped", "train", "kinds"}``: the
+    ``meta`` header's source (else the file name) and schema; the count
+    of damaged lines and of snapshots whose ``seq`` is not a finite
+    number; the ``kind="train"`` snapshots in file order (the training
+    log's records); and per kind ``snapshots``, ``sources``, ``last``
+    (the highest-``seq`` snapshot, a later line winning a tie) and
+    ``fields``, the ``{"min", "max"}`` of every finite numeric field
+    besides the bus stamps ``seq`` and ``wall``.
+    """
+    path = os.fspath(path)
+    records, damaged = read_jsonl(path)
+    header = next((r for r in records if r.get("type") == "meta"), {})
+    source = header.get("source", os.path.basename(path))
+    skipped = len(damaged)
+    train: list[dict[str, Any]] = []
+    kinds: dict[str, dict[str, Any]] = {}
+    for record in records:
+        if record.get("type") != "snapshot":
+            continue
+        seq = record.get("seq", 0)
+        if not _finite(seq):
+            skipped += 1
+            continue
+        kind = str(record.get("kind", "?"))
+        if kind == "train":
+            train.append(record)
+        bucket = kinds.setdefault(kind, {"snapshots": 0, "sources": set(),
+                                         "last": record, "fields": {}})
+        bucket["snapshots"] += 1
+        bucket["sources"].add(str(record.get("source", source)))
+        if seq >= bucket["last"].get("seq", 0):
+            bucket["last"] = record
+        fields = bucket["fields"]
+        for name, value in record.items():
+            if name in ("seq", "wall") or not _finite(value):
+                continue
+            stats = fields.setdefault(name, {"min": value, "max": value})
+            stats["min"] = min(stats["min"], value)
+            stats["max"] = max(stats["max"], value)
+    for bucket in kinds.values():
+        bucket["sources"] = sorted(bucket["sources"])
+        bucket["fields"] = dict(sorted(bucket["fields"].items()))
+    return {"source": source, "schema": header.get("schema"),
+            "skipped": skipped, "train": train,
+            "kinds": dict(sorted(kinds.items()))}
 
 
 # -- building a bus from a CLI/env spec ----------------------------------------

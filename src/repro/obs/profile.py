@@ -14,7 +14,8 @@ the ones ``benchmarks/perf/`` attributes wall time to:
   its ``engine.run`` beneath (:mod:`repro.rl.trainer`).
 
 :meth:`Profiler.fold` builds the same tree from a trace's spans, so
-``repro trace summarize`` and a live profile share one table.
+a trace's span card and a live profile share one table in ``repro
+report``.
 
 The contract mirrors the tracer (:mod:`repro.obs.trace`): when no
 profiler is active every instrumented site costs a single ``None``

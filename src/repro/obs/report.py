@@ -1,10 +1,10 @@
 """Self-contained HTML run reports (inline SVG, zero dependencies).
 
 One call stitches every observability artifact a run leaves behind —
-manifest, summary metrics, the training log, profiler output and
-trace analytics — into a single HTML file with no external assets:
-styles are an inline ``<style>`` block, charts are inline SVG, and the
-file opens offline in any browser.  ``python -m repro report DIR`` is
+manifest, summary metrics, the training log, the live log's snapshots
+per kind, profiler output and trace analytics — into a single HTML
+file with no external assets: styles are an inline ``<style>`` block,
+charts are inline SVG, and the file opens offline in any browser.  ``python -m repro report DIR`` is
 the CLI front-end: it renders a run directory's artifacts.
 
 Chart discipline (kept deliberately boring so the data is the only
@@ -570,14 +570,41 @@ def _trace_section(summary: TraceSummary) -> str:
                  ("occupancy changes", len(summary.timeline))],
             ),
         ))
-    meta = _table(
-        ["stat", "value"],
-        [("records", summary.n_records), ("spans", summary.n_spans),
-         ("unclosed spans", summary.n_unclosed),
-         ("events", summary.n_events)],
-    )
-    cards.append(_card("Trace file", "", table=meta))
+    if summary.event_counts:
+        cards.append(_card("Events by name", "", table=_table(
+            ["event", "count"], summary.event_counts.items())))
+    rows: list[tuple[str, Any]] = [
+        ("records", summary.n_records), ("spans", summary.n_spans),
+        ("unclosed spans", summary.n_unclosed), ("events", summary.n_events)]
+    if summary.sim_time_span is not None:
+        t0, t1 = summary.sim_time_span
+        rows.append(("simulated span", f"{t0:,.0f} .. {t1:,.0f} s "
+                                       f"({(t1 - t0) / 3600:,.2f} h)"))
+    cards.append(_card("Trace file", "", table=_table(["stat", "value"],
+                                                      rows)))
     return f'<div class="grid">{"".join(cards)}</div>'
+
+
+def _live_section(log: Mapping[str, Any]) -> str:
+    """One card from :func:`~repro.obs.live.read_log`: per snapshot
+    kind its count, sources, last ``done``/``total`` and the min/max of
+    each numeric field, and the log's skipped lines."""
+    kinds = log["kinds"]
+    table = _table(
+        ["kind", "snapshots", "sources", "done", "total"],
+        [(kind, b["snapshots"], ", ".join(b["sources"]),
+          b["last"].get("done", "—"), b["last"].get("total", "—"))
+         for kind, b in kinds.items()])
+    fields = _table(
+        ["kind", "field", "min", "max"],
+        [(kind, name, stats["min"], stats["max"])
+         for kind, b in kinds.items() for name, stats in b["fields"].items()])
+    return (
+        '<div class="grid"><div class="card">'
+        f'<h3>Snapshots per kind ({_fmt(log["skipped"])} skipped line(s))'
+        f"</h3>{table}<details><summary>Field min / max</summary>{fields}"
+        "</details></div></div>"
+    )
 
 
 def _profile_section(profile: Mapping[str, Any]) -> str:
@@ -609,6 +636,7 @@ def render_report(
     manifest: Mapping[str, Any] | None = None,
     metrics: Mapping[str, Any] | None = None,
     telemetry: Sequence[Mapping[str, Any]] | None = None,
+    log: Mapping[str, Any] | None = None,
     trace: TraceSummary | None = None,
     profile: Mapping[str, Any] | None = None,
 ) -> str:
@@ -617,7 +645,7 @@ def render_report(
     Every argument is optional; sections for absent artifacts are
     omitted entirely.  ``telemetry`` takes the ``kind="train"``
     records of a training log (:class:`~repro.rl.trainer.Trainer`),
-    ``trace`` a
+    ``log`` a :func:`~repro.obs.live.read_log` summary, ``trace`` a
     :class:`~repro.obs.analyze.TraceSummary`, ``profile`` a profiler
     ``as_dict()`` document.
     Returns the full HTML text (write with :func:`write_report`).
@@ -629,6 +657,7 @@ def render_report(
         _summary_tiles(manifest, metrics),
         _section("Training telemetry",
                  _telemetry_section(list(telemetry or []))),
+        _section("Live log", _live_section(log) if log else ""),
         _section("Trace analytics",
                  _trace_section(trace) if trace is not None else ""),
         _section("Profile", _profile_section(profile) if profile else ""),
@@ -653,9 +682,9 @@ def render_report(
 def write_report(path: str | Path, **kwargs: Any) -> Path:
     """Render and write the report; returns the output path.
 
-    ``kwargs`` are :func:`render_report`'s: ``telemetry`` takes the
-    ``train`` records of a training log, read back with
-    :func:`~repro.obs.aggregate.read_snapshots`.
+    ``kwargs`` are :func:`render_report`'s: ``log`` and ``telemetry``
+    come from one :func:`~repro.obs.live.read_log` of a run's
+    ``log.jsonl`` (its summary and its ``train`` records).
     """
     out = Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -129,16 +129,18 @@ class Trainer:
         The training log: a :class:`~repro.obs.live.SnapshotWriter`,
         or a path to create one with source ``"train"``.  The trainer
         appends each episode's record (see ``live``) itself, so a
-        failed write raises out of :meth:`train`, a checkpoint stores
-        the log's byte offset, and a ``nan_grad`` record is on disk
-        before :func:`~repro.rl.telemetry.raise_hard_anomalies` raises.
+        failed write raises out of :meth:`train`, an episode's record
+        is on disk before its checkpoint (a resume cuts the log back to
+        the checkpoint's episodes), and a ``nan_grad`` record is on
+        disk before :func:`~repro.rl.telemetry.raise_hard_anomalies`
+        raises.
         With a log or a live bus bound, the trainer enables the agent's
         cheap learning-signal collectors (gradient-norm tracking on the
         optimizer, policy-entropy capture on the PG core) and samples
         each training episode's queue depth and utilization.
     checkpoint_path:
         When set, the agent file (:func:`repro.core.persistence.save_agent`,
-        with this run's history, log offset and faults as its training
+        with this run's history and faults as its training
         record) is written atomically after every
         ``checkpoint_every``-th completed episode.  Resume by loading
         it (:func:`~repro.core.persistence.load_checkpoint`) and passing
@@ -352,11 +354,8 @@ class Trainer:
     def _write_checkpoint(self, history: TrainingHistory) -> None:
         """Atomically persist a resumable checkpoint of the run so far."""
         assert self.checkpoint_path is not None
-        offset = 0
-        if self.telemetry is not None:
-            offset = self.telemetry.offset()
         save_agent(self.agent, self.checkpoint_path, history,
-                   telemetry_offset=offset, faults=self.faults)
+                   faults=self.faults)
         tracer = _trace.global_tracer()
         if tracer is not None:
             tracer.event("train.checkpoint",

@@ -13,8 +13,8 @@ Four well-established metrics are measured:
 its utilization is job bookkeeping over the arrival span.  The exact
 time-weighted occupancy over any interval is the engine observer
 :class:`~repro.obs.analyze.UtilizationTimeline`
-(``utilization_between``), which ``repro trace summarize`` also replays
-from a trace.
+(``utilization_between``), which ``repro report``'s trace section also
+replays from a trace.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from repro.core.persistence import (
     load_checkpoint,
     save_agent,
 )
-from repro.obs.aggregate import merge_shards
+from repro.obs.live import read_log
 from repro.rl.trainer import Trainer, TrainingHistory
 from repro.sim.faults import FaultConfig
 from repro.workload import ThetaModel
@@ -165,7 +165,7 @@ def main():
         loaded = load_checkpoint(ckpt)
         history = TrainingHistory.from_records(loaded.episodes)
         writer = SnapshotWriter(telemetry, source="train",
-                                resume_at=loaded.telemetry_offset)
+                                resume_after=loaded.episodes_done)
         trainer = Trainer(loaded.agent, NODES, validation_jobs=validation,
                           faults=loaded.faults, telemetry=writer,
                           checkpoint_path=ckpt)
@@ -235,7 +235,7 @@ class TestSigkillResume:
         # all six episodes, each exactly once, numbered on from the cut
         assert [r["episode"] for r in rows] == list(range(6))
         assert all(r["seq"] == r["episode"] + 1 for r in rows)
-        train = merge_shards([telemetry])["kinds"]["train"]
+        train = read_log(telemetry)["kinds"]["train"]
         assert train["sources"] == ["train"]
-        assert train["last"]["train"]["episode"] == 5
-        assert (train["done"], train["total"]) == (6, 6)
+        assert train["last"]["episode"] == 5
+        assert (train["last"]["done"], train["last"]["total"]) == (6, 6)

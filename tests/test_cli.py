@@ -36,6 +36,8 @@ class TestParser:
         ["check", "--baseline", "x"],
         ["check", "--select", "RPR104"],
         ["check", "--ignore", "RPR104"],
+        ["live", "summarize", "log.jsonl"],
+        ["trace", "summarize", "trace.jsonl"],
     ])
     def test_retired_bench_surface_rejected(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -248,7 +250,7 @@ class TestReproduce:
         from repro.experiments import pool
 
         run = tmp_path / "run"
-        assert main(["reproduce", "table1", "--scale", "tiny",
+        assert main(["reproduce", "table1", "--scale", "tiny", "--live",
                      "--run-dir", str(run)]) == 0
         printed = capsys.readouterr().out
 
@@ -261,7 +263,9 @@ class TestReproduce:
         assert captured.out == (run / "report.txt").read_text() == printed
         assert "Table I" in captured.out
         assert f"wrote report to {run / 'report.html'}" in captured.err
-        assert "Manifest" in (run / "report.html").read_text()
+        html = (run / "report.html").read_text()
+        assert "Manifest" in html
+        assert "<h2>Live log</h2>" in html and "<tr><td>sweep</td>" in html
 
     def test_non_empty_run_dir_without_a_store_is_refused(
             self, tmp_path, capsys):
@@ -359,18 +363,92 @@ class TestReportAndTrace:
         assert "cannot build report" in capsys.readouterr().err
 
     def test_trace_summarize(self, tmp_path, capsys):
+        """The report's trace section is the trace's summary."""
         run = self._simulated(tmp_path, capsys)
-        rc = main(["trace", "summarize", str(run / "trace.jsonl"),
-                   "--top", "3"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "engine.instance" in out
-        assert "decision latency" in out
+        assert main(["report", str(run)]) == 0
+        html = (run / "report.html").read_text()
+        assert "engine.instance" in html
+        assert "Scheduler decision latency" in html
+        assert "Events by name" in html and "simulated span" in html
 
     def test_trace_summarize_missing_file_exits_2(self, tmp_path, capsys):
-        rc = main(["trace", "summarize", str(tmp_path / "nope.jsonl")])
+        run = tmp_path / "run"
+        (run / "trace.jsonl").mkdir(parents=True)  # there, but unreadable
+        rc = main(["report", str(run)])
         assert rc == 2
-        assert "cannot read trace" in capsys.readouterr().err
+        assert "cannot build report" in capsys.readouterr().err
+        assert not (run / "report.html").exists()
+
+    def test_report_of_an_empty_directory_exits_2(self, tmp_path, capsys):
+        rc = main(["report", str(tmp_path)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "nothing to report" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_faulted_live_run_report_shows_every_summary_fact(
+            self, tmp_path, capsys):
+        """``report DIR`` shows all that the trace summary and the live
+        rollup printed before the report absorbed them."""
+        from html import escape
+
+        from repro.obs.analyze import summarize_trace
+        from repro.obs.live import read_log
+        from repro.obs.report import _fmt, _seconds_fmt
+
+        swf = tmp_path / "w.swf"
+        main(["generate", "theta", "200", "--nodes", "32", "--out", str(swf)])
+        run = tmp_path / "run"
+        assert main(["simulate", str(swf), "--nodes", "32", "--faults",
+                     "mtbf=20000,mttr=1800,job_kill_mtbf=30000,seed=1",
+                     "--live", "--run-dir", str(run)]) == 0
+        assert main(["report", str(run)]) == 0
+        capsys.readouterr()
+        html = (run / "report.html").read_text()
+
+        def row(*cells):
+            return "<tr>" + "".join(f"<td>{cell}</td>" for cell in cells) \
+                + "</tr>"
+
+        trace = summarize_trace(run / "trace.jsonl")
+        assert trace.n_unclosed == 0 and trace.peak_busy_nodes > 0
+        for stat, value in (("records", trace.n_records),
+                            ("spans", trace.n_spans),
+                            ("unclosed spans", trace.n_unclosed),
+                            ("events", trace.n_events),
+                            ("peak busy nodes", trace.peak_busy_nodes)):
+            assert row(stat, _fmt(value)) in html, stat
+        assert {"engine.node_fail", "engine.job_kill"} <= set(
+            trace.event_counts)
+        for name, count in trace.event_counts.items():
+            assert row(name, _fmt(count)) in html, name
+        t0, t1 = trace.sim_time_span
+        assert row("simulated span", f"{t0:,.0f} .. {t1:,.0f} s "
+                                     f"({(t1 - t0) / 3600:,.2f} h)") in html
+        for entry in trace.profile.as_dict()["flat"][:10]:  # the top spans
+            assert f"<td>{escape(entry['name'])}</td><td>" \
+                f"{_fmt(entry['calls'])}</td>" in html
+        hist = trace.decision_histogram
+        assert row("n", _fmt(hist.count)) + row(
+            "mean", _seconds_fmt(hist.mean)) in html
+        for stat, q in (("p50", 0.50), ("p90", 0.90), ("p99", 0.99),
+                        ("max", 1.0)):
+            assert row(stat, _seconds_fmt(trace.decision_latency(q))) in html
+
+        log = read_log(run / "log.jsonl")
+        assert f"Snapshots per kind ({log['skipped']} skipped line(s))" \
+            in html
+        assert list(log["kinds"]) == ["sim"]
+        for kind, bucket in log["kinds"].items():
+            last = bucket["last"]
+            assert row(kind, _fmt(bucket["snapshots"]),
+                       ", ".join(bucket["sources"]), _fmt(last["done"]),
+                       _fmt(last["total"])) in html
+            assert {"events", "faults", "done"} <= set(bucket["fields"])
+            for name, stats in bucket["fields"].items():
+                assert row(kind, name, _fmt(stats["min"]),
+                           _fmt(stats["max"])) in html, name
 
     def test_train_run_dir_report_has_telemetry(self, tmp_path, capsys):
         run = tmp_path / "run"
@@ -383,8 +461,8 @@ class TestReportAndTrace:
         out = capsys.readouterr().out
         log = run / "log.jsonl"
         assert f"wrote the training log to {log}" in out
-        from repro.obs.aggregate import read_snapshots
-        episodes = read_snapshots(log)["records"]
+        from repro.obs.live import read_log
+        episodes = read_log(log)["train"]
         assert [r["seq"] for r in episodes] == [1, 2, 3]
         assert all(r["kind"] == "train" and "grad_norm" in r
                    for r in episodes)
@@ -394,7 +472,7 @@ class TestReportAndTrace:
 
 
 class TestLiveCLI:
-    """``--live`` (and its ``DIR/log.jsonl``) and ``repro live summarize``."""
+    """``--live``, its ``DIR/log.jsonl`` and the report's Live log card."""
 
     def _trace(self, tmp_path, capsys, n=80):
         trace = tmp_path / "trace.swf"
@@ -417,10 +495,10 @@ class TestLiveCLI:
         assert _json.loads(lines[0])["type"] == "meta"
         assert _json.loads(lines[-1])["final"] is True
 
-        rc = main(["live", "summarize", str(shard)])
+        rc = main(["report", str(shard.parent)])
         assert rc == 0
-        out = capsys.readouterr().out
-        assert "live rollup" in out and "[sim]" in out
+        html = (shard.parent / "report.html").read_text()
+        assert "<h2>Live log</h2>" in html and "<tr><td>sim</td>" in html
 
     def test_live_progress_line_on_stderr(self, tmp_path, capsys):
         trace = self._trace(tmp_path, capsys)
@@ -429,30 +507,6 @@ class TestLiveCLI:
         assert rc == 0
         err = capsys.readouterr().err
         assert "[sim]" in err and "done" in err
-
-    def test_live_summarize_json_and_out(self, tmp_path, capsys):
-        trace = self._trace(tmp_path, capsys)
-        shard = tmp_path / "run" / "log.jsonl"
-        main(["simulate", str(trace), "--nodes", "32", "--live",
-              "--run-dir", str(shard.parent)])
-        capsys.readouterr()
-        rc = main(["live", "summarize", str(shard), "--json"])
-        assert rc == 0
-        import json as _json
-
-        doc = _json.loads(capsys.readouterr().out)
-        assert doc["schema"] == "repro.live-rollup/v1"
-        out = tmp_path / "rollup.json"
-        rc = main(["live", "summarize", str(shard), "--out", str(out)])
-        assert rc == 0
-        assert _json.loads(out.read_text())["kinds"]["sim"]["snapshots"] >= 1
-        capsys.readouterr()
-        rc = main(["live", "summarize", str(shard), "--json",
-                   "--out", str(out)])
-        assert rc == 0
-        captured = capsys.readouterr()
-        assert _json.loads(captured.out) == _json.loads(out.read_text())
-        assert f"wrote rollup to {out}" in captured.err
 
     def test_train_live_record_is_the_resumable_training_log(
             self, tmp_path, capsys):
@@ -477,13 +531,18 @@ class TestLiveCLI:
                     "queue_depth_max", "utilization", "loss", "grad_norm",
                     "episode_wall_s", "instances", "done",
                     "total"} <= row.keys()
-        assert main(["live", "summarize", str(log)]) == 0
-        assert "[train] 4 snapshot(s) from 1 source(s), done 4/4" in \
-            capsys.readouterr().out
+        assert main(["report", str(log.parent)]) == 0
+        assert "<tr><td>train</td><td>4</td><td>train</td><td>4</td>" \
+            "<td>4</td></tr>" in (log.parent / "report.html").read_text()
 
     def test_live_summarize_missing_shard_exits_2(self, tmp_path, capsys):
-        rc = main(["live", "summarize", str(tmp_path / "nope.jsonl")])
+        run = tmp_path / "run"  # a run directory whose log never came
+        run.mkdir()
+        (run / "notes.txt").write_text("no artifacts\n")
+        rc = main(["report", str(run)])
         assert rc == 2
+        assert "nothing to report" in capsys.readouterr().err
+        assert [p.name for p in run.iterdir()] == ["notes.txt"]
 
     def test_manifest_digest_identical_live_vs_dark(self, tmp_path, capsys):
         """Watching a run must not change what the run computed."""

@@ -10,13 +10,13 @@ from repro.obs.analyze import (
     UtilizationTimeline,
     diff_manifests,
     decision_latencies,
-    format_trace_summary,
     summarize_trace,
     utilization_timeline,
 )
 from repro.obs.manifest import RunManifest
 from repro.obs.metrics import TIMER_HIST_EDGES, nearest_rank
 from repro.obs.profile import Profiler
+from repro.obs.report import render_report
 from repro.obs.trace import Tracer, build_span_tree, read_trace
 from repro.schedulers.fcfs import FCFSEasy
 from repro.sim.engine import run_simulation
@@ -101,7 +101,7 @@ class TestLatencyHistogram:
     def test_empty_and_degenerate(self, tmp_path):
         empty = summarize_trace(_latency_trace(tmp_path, []))
         assert empty.decision_histogram.count == 0
-        assert "decision latency" not in format_trace_summary(empty)
+        assert "decision latency" not in render_report(trace=empty)
         single = summarize_trace(_latency_trace(tmp_path, [0.25] * 5))
         assert sum(single.decision_histogram.bins) == 5
         assert sum(1 for c in single.decision_histogram.bins if c) == 1
@@ -126,9 +126,12 @@ class TestLatencyHistogram:
                          if seen >= rank)
             assert TIMER_HIST_EDGES[index - 1] <= summary.decision_latency(q) \
                 < TIMER_HIST_EDGES[index]
-        text = format_trace_summary(summary)
-        assert "n=100 mean=50.500 ms p50=50.000 p90=90.000 p99=99.000 " \
-            "max=100.000" in text
+        html = render_report(trace=summary)
+        assert "".join(f"<tr><td>{stat}</td><td>{value}</td></tr>"
+                       for stat, value in (
+                           ("n", 100), ("mean", "50.5ms"), ("p50", "50ms"),
+                           ("p90", "90ms"), ("p99", "99ms"),
+                           ("max", "100ms"))) in html
 
     def test_decision_latencies_from_engine_trace(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -245,9 +248,13 @@ class TestSummarize:
         assert summary.peak_busy_nodes <= 32
         t0, t1 = summary.sim_time_span
         assert t0 <= t1
-        text = format_trace_summary(summary)
-        assert "engine.instance" in text
-        assert "decision latency" in text
+        html = render_report(trace=summary)
+        assert "engine.instance" in html
+        assert "Scheduler decision latency" in html
+        allocs = summary.event_counts["engine.allocate"]
+        assert f"<tr><td>engine.allocate</td><td>{allocs:,}</td></tr>" in html
+        assert f"<tr><td>simulated span</td><td>{t0:,.0f} .. {t1:,.0f} s " \
+            f"({(t1 - t0) / 3600:,.2f} h)</td></tr>" in html
 
     def test_summarize_tolerates_truncation(self, tmp_path):
         path = tmp_path / "t.jsonl"

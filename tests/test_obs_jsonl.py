@@ -18,7 +18,6 @@ from typing import Any, Callable
 import pytest
 
 from repro.experiments import pool
-from repro.obs.aggregate import read_snapshots
 from repro.obs.jsonl import (
     JsonlWriter,
     atomic_write,
@@ -26,7 +25,7 @@ from repro.obs.jsonl import (
     read_jsonl,
     sha256_hex,
 )
-from repro.obs.live import LIVE_SCHEMA, SnapshotWriter
+from repro.obs.live import LIVE_SCHEMA, SnapshotWriter, read_log
 from repro.obs.trace import TRACE_SCHEMA, Tracer, TraceWarning, read_trace
 
 QUARANTINE = pool._quarantine_record(
@@ -56,8 +55,8 @@ def _write_sweep(path: Path) -> Any:
 
 
 def _read_live(path: Path) -> tuple[int, int]:
-    shard = read_snapshots(path)
-    return len(shard["records"]), shard["skipped"]
+    log = read_log(path)
+    return sum(b["snapshots"] for b in log["kinds"].values()), log["skipped"]
 
 
 def _read_sweep(path: Path) -> tuple[int, int]:
@@ -212,11 +211,11 @@ class TestJsonlWriter:
         path = tmp_path / "log.jsonl"
         with JsonlWriter(path, "s/v1", {"who": "t"}) as log:
             log.write({"n": 1})
-            mark = log.offset()
+            mark = path.stat().st_size  # flushed per record
             log.write({"n": 2})
-            assert log.offset() == path.stat().st_size > mark
+            assert path.stat().st_size > mark
         with JsonlWriter(path, "s/v1", resume_at=mark) as log:
-            assert log.offset() == mark
+            assert path.stat().st_size == mark
             log.write({"n": 3})
         records, skipped = read_jsonl(path)
         assert skipped == []
@@ -227,10 +226,10 @@ class TestJsonlWriter:
         path = tmp_path / "log.jsonl"
         with JsonlWriter(path, "s/v1") as log:
             log.write({"n": 1})
-            mark = log.offset()
+            mark = path.stat().st_size
             log.write({"n": 2})
         with JsonlWriter(path, "s/v1", resume_at=mark + 3) as log:
-            assert log.offset() == mark
+            assert path.stat().st_size == mark
             log.write({"n": 3})
         assert [r.get("n") for r in read_jsonl(path, strict=True)[0]] == [
             None, 1, 3]
@@ -241,7 +240,7 @@ class TestJsonlWriter:
             log.write({"n": 1})
         size = path.stat().st_size
         with JsonlWriter(path, "s/v1", resume_at=size + 50) as log:
-            assert log.offset() == size
+            assert path.stat().st_size == size
             log.write({"n": 2})
         assert b"\x00" not in path.read_bytes()
         assert len(read_jsonl(path, strict=True)[0]) == 3
@@ -271,17 +270,16 @@ class TestJsonlWriter:
 class TestLiveShardResume:
     def test_resume_past_eof_loses_no_episode(self, tmp_path):
         # an OS crash can leave the flushed training log shorter than
-        # the offset the fsynced checkpoint recorded
+        # the fsynced checkpoint: it holds two episodes, the log one
         path = tmp_path / "train.jsonl"
         with SnapshotWriter(path, source="train") as writer:
             writer.append({"kind": "train", "seq": 1, "episode": 0})
-        size = path.stat().st_size
         with SnapshotWriter(path, source="train",
-                            resume_at=size + 50) as writer:
-            writer.append({"kind": "train", "seq": 2, "episode": 1})
-        shard = read_snapshots(path)
-        assert shard["skipped"] == 0
-        assert [r["episode"] for r in shard["records"]] == [0, 1]
+                            resume_after=2) as writer:
+            writer.append({"kind": "train", "seq": 3, "episode": 2})
+        log = read_log(path)
+        assert log["skipped"] == 0
+        assert [r["episode"] for r in log["train"]] == [0, 2]
         assert len(read_jsonl(path, strict=True)[0]) == 3  # one meta header
         assert b"\x00" not in path.read_bytes()
 

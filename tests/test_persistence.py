@@ -209,6 +209,31 @@ def rewrite_meta(path, edit):
     np.savez(path, **arrays)
 
 
+class TestWatchedRunBytes:
+    def test_checkpoint_bytes_do_not_depend_on_the_log(self, tmp_path,
+                                                       monkeypatch):
+        """The same training, logged with wall stamps of different
+        lengths, writes the same agent file: nothing about the log is
+        stored in it."""
+        from repro.rl import trainer as _trainer
+
+        jobs = [make_job(size=2, walltime=20.0, submit=float(i * 5))
+                for i in range(6)]
+        blobs, sizes = [], []
+        for run, clock in enumerate((0.5, 1234.56789012345)):
+            monkeypatch.setattr(_trainer, "_perf_counter", lambda: clock)
+            log = tmp_path / f"log{run}.jsonl"
+            ckpt = tmp_path / f"ck{run}.npz"
+            trainer = Trainer(DRASPG(small_config()), 8, telemetry=log,
+                              checkpoint_path=ckpt)
+            trainer.train([("p", jobs)])
+            trainer.telemetry.close()
+            blobs.append(ckpt.read_bytes())
+            sizes.append(log.stat().st_size)
+        assert sizes[0] != sizes[1]
+        assert blobs[0] == blobs[1]
+
+
 class TestErrors:
     def test_unsupported_type(self, tmp_path):
         from repro.schedulers import FCFSEasy
@@ -261,7 +286,7 @@ class TestDurability:
 
     @pytest.mark.parametrize("member", [
         "format_version", "kind", "config", "rng_state", "updates_done",
-        "episodes", "telemetry_offset", "faults", "adam.t",
+        "episodes", "faults", "adam.t",
         "baseline.counts",
     ])
     def test_incomplete_file_names_what_is_missing(self, member, tmp_path):
@@ -274,6 +299,14 @@ class TestDurability:
             meta if member in meta else arrays).pop(member))
         with pytest.raises(CheckpointError, match=member):
             load_checkpoint(path)
+
+    def test_file_from_before_the_log_cut_moved_still_loads(self, tmp_path):
+        """Agent files once stored the training log's byte offset; the
+        key is ignored now, not refused."""
+        path = tmp_path / "a.npz"
+        save_agent(train_a_little(DRASPG(small_config())), path)
+        rewrite_meta(path, lambda meta, _: meta.update(telemetry_offset=1249))
+        assert load_checkpoint(path).episodes_done == 0
 
     def test_save_is_atomic_no_tmp_left_behind(self, tmp_path):
         path = tmp_path / "deep" / "dir" / "a.npz"   # parents are made

@@ -75,12 +75,10 @@ def test_loaded_checkpoint_roundtrips_whole():
     loaded = LoadedCheckpoint(
         agent=_KINDS["pg"](small_config()),
         episodes=[{"episode": 0, "phase": "train"}],
-        telemetry_offset=128,
         faults=FaultConfig(mtbf=7200.0, seed=1),
     )
     clone = roundtrip(loaded)
     assert clone.episodes == loaded.episodes
     assert clone.episodes_done == 1
-    assert clone.telemetry_offset == 128
     assert clone.faults == loaded.faults
     assert type(clone.agent) is type(loaded.agent)

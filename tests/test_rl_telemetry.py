@@ -9,8 +9,7 @@ import pytest
 from repro.check.sanitize import SanitizerError
 from repro.core.config import DRASConfig
 from repro.core.dras_pg import DRASPG
-from repro.obs.aggregate import read_snapshots
-from repro.obs.live import LIVE_SCHEMA, SnapshotWriter
+from repro.obs.live import LIVE_SCHEMA, SnapshotWriter, read_log
 from repro.rl.telemetry import (
     ANOMALY_NAN_GRAD,
     ANOMALY_REWARD_COLLAPSE,
@@ -39,8 +38,7 @@ def _jobsets(n_sets=2, jobs=30, seed=0):
 
 def _train_rows(path):
     """The ``kind="train"`` records of a training log, in file order."""
-    return [r for r in read_snapshots(path)["records"]
-            if r.get("kind") == "train"]
+    return read_log(path)["train"]
 
 
 class TestWriterReader:
@@ -49,9 +47,9 @@ class TestWriterReader:
         with SnapshotWriter(path, source="train") as writer:
             writer.append({"kind": "train", "seq": 1, "loss": 1.5})
             writer.append({"kind": "train", "seq": 2, "loss": float("nan")})
-        shard = read_snapshots(path)
-        assert shard["schema"] == LIVE_SCHEMA
-        assert shard["source"] == "train"
+        log = read_log(path)
+        assert log["schema"] == LIVE_SCHEMA
+        assert log["source"] == "train"
         rows = _train_rows(path)
         assert [r["seq"] for r in rows] == [1, 2]
         assert math.isnan(rows[1]["loss"])  # NaN survives the round trip
@@ -72,7 +70,7 @@ class TestWriterReader:
         Trainer(_agent(), NODES, telemetry=path).train(_jobsets())
         with path.open("a", encoding="utf-8") as fh:
             fh.write('not json\n[1, 2]\n{"kind": "train", "seq"')
-        assert read_snapshots(path)["skipped"] == 3
+        assert read_log(path)["skipped"] == 3
         assert [r["episode"] for r in _train_rows(path)] == [0, 1]
         assert main(["report", str(tmp_path)]) == 0
         html = tmp_path / "report.html"
