@@ -1,11 +1,12 @@
 """Text Gantt rendering of a simulated schedule.
 
-Turns an :class:`~repro.sim.observers.EventLog` (or a finished
-simulation result) into a node-rows × time-columns character grid — a
-quick way to eyeball packing quality, backfill holes and reservations
-without a plotting stack.  Each job is drawn with a letter cycling
-through the alphabet; execution modes can optionally be distinguished
-by case (backfilled jobs lower-case).
+Turns a finished :class:`~repro.sim.engine.SimulationResult` into a
+node-rows × time-columns character grid — a quick way to eyeball
+packing quality and backfill holes without a plotting stack, and the
+only per-node view of a schedule (``examples/quickstart.py`` step 4
+prints one).  Each job is drawn with a letter cycling through the
+alphabet; execution modes can optionally be distinguished by case
+(backfilled jobs lower-case).
 """
 
 from __future__ import annotations

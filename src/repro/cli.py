@@ -8,7 +8,9 @@ Commands
 ``generate``
     Synthesize a Theta/Cori-like trace and write it as SWF.
 ``simulate``
-    Replay an SWF trace under a named policy and print the metrics.
+    Replay an SWF trace under a named policy and print the metrics.  Bad
+    input (a missing or malformed trace, a bad ``--faults`` spec, a job
+    larger than ``--nodes``) is one ``bad input:`` line and exit 2.
 ``train``
     Train a DRAS/Decima agent with the three-phase curriculum and
     write its agent file (:func:`repro.core.persistence.save_agent`)
@@ -318,21 +320,29 @@ def _print_metrics(name: str, result):
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    from repro.sim.engine import run_simulation
+    from repro.sim.cluster import Cluster
+    from repro.sim.engine import Engine
     from repro.workload import read_swf
 
-    jobs = read_swf(args.trace, procs_per_node=args.procs_per_node,
-                    max_jobs=args.max_jobs)
+    policy = make_policy(args.policy, objective=args.objective, seed=args.seed)
+    try:
+        jobs = read_swf(args.trace, procs_per_node=args.procs_per_node,
+                        max_jobs=args.max_jobs)
+        faults = parse_faults(args.faults)
+        # the engine refuses a job larger than the machine as it is built
+        engine = Engine(Cluster(args.nodes), policy, jobs, faults=faults,
+                        trace=Path(args.run_dir) / TRACE if args.run_dir
+                        else None)
+    except (OSError, ValueError) as exc:
+        print(f"bad input: {exc}", file=sys.stderr)
+        return 2
     if not jobs:
         print("trace contains no usable jobs", file=sys.stderr)
         return 1
-    policy = make_policy(args.policy, objective=args.objective, seed=args.seed)
-    faults = parse_faults(args.faults)
-    run_dir = _run_dir(args)
-    with _live_session(args) as live:
-        result = run_simulation(args.nodes, policy, jobs,
-                                trace=run_dir / TRACE if run_dir else None,
-                                faults=faults, live=live)
+    _run_dir(args)
+    # process-global for the run: the engine finds the bus when it runs
+    with _live_session(args, install=True):
+        result = engine.run()
     summary = _print_metrics(policy.name, result).as_dict()
     _print_resilience(result)
     if result.resilience is not None:

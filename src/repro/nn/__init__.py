@@ -17,14 +17,13 @@ activations ``[B, features]``.
 
 from repro.nn.layers import Conv1x2, Dense, LeakyReLU, Parameter
 from repro.nn.network import Network, build_dras_network, count_parameters
-from repro.nn.optim import SGD, Adam, Optimizer
+from repro.nn.optim import Adam, Optimizer
 from repro.nn.losses import (
     masked_softmax,
     mse_loss,
     policy_gradient_loss,
     sample_from_probs,
 )
-from repro.nn.gradcheck import numeric_gradient, check_gradients
 
 __all__ = [
     "Adam",
@@ -34,13 +33,10 @@ __all__ = [
     "Network",
     "Optimizer",
     "Parameter",
-    "SGD",
     "build_dras_network",
-    "check_gradients",
     "count_parameters",
     "masked_softmax",
     "mse_loss",
-    "numeric_gradient",
     "policy_gradient_loss",
     "sample_from_probs",
 ]

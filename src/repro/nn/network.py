@@ -21,7 +21,8 @@ class Network:
     parameter — the gradient a backward allocates, the moments an
     optimizer's first step allocates, state dicts — takes the value's
     dtype.  The default is single precision, the paper's (TensorFlow's);
-    a wider network is for oracles such as :mod:`repro.nn.gradcheck`.
+    a wider network is for oracles such as the tests' finite-difference
+    gradient check (``tests/gradcheck.py``).
 
     With the sanitizer active (``REPRO_SANITIZE=1``) every tensor
     flowing through ``forward``/``backward`` is checked for NaN/Inf and

@@ -102,31 +102,6 @@ class Optimizer:
         raise NotImplementedError
 
 
-class SGD(Optimizer):
-    """Plain stochastic gradient descent, optionally with momentum."""
-
-    def __init__(
-        self, params: list[Parameter], lr: float = 0.01, momentum: float = 0.0
-    ) -> None:
-        super().__init__(params, lr)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.value) for p in params]
-
-    def step(self) -> None:
-        """One (momentum-)SGD update: ``p -= lr * v``."""
-        for p, v in zip(self.params, self._velocity):
-            direction = p.dense_grad()
-            if self.momentum:
-                v *= self.momentum
-                v += direction
-                direction = v
-            p.value = np.subtract(p.value, self.lr * direction,
-                                  out=_destination(p))
-            p.version += 1
-
-
 class Adam(Optimizer):
     """Adam (Kingma & Ba) — the optimizer the paper uses, lr = 0.001."""
 

@@ -29,8 +29,7 @@ run is bit-identical to an uninstrumented one (the layer only ever
   same inputs are identical minus timestamps.
 * :mod:`repro.obs.analyze` — post-run trace analytics: the span
   forest folded into a profile tree, scheduler decision-latency
-  histograms, node-utilization timeline reconstruction and manifest
-  diffing.
+  histograms and node-utilization timeline reconstruction.
 * :mod:`repro.obs.report` — a dependency-free self-contained HTML run
   report (inline SVG charts) behind ``python -m repro report DIR``.
 
@@ -42,10 +41,8 @@ measured by the ``obs.*.overhead_ratio`` metrics of ``BENCHMARK.json``
 from __future__ import annotations
 
 from repro.obs.analyze import (
-    ManifestDiff,
     TraceSummary,
     decision_latencies,
-    diff_manifests,
     summarize_trace,
     utilization_timeline,
 )
@@ -70,7 +67,6 @@ from repro.obs.trace import (
 
 __all__ = [
     "Counter",
-    "ManifestDiff",
     "MetricsRegistry",
     "Profiler",
     "RunManifest",
@@ -82,7 +78,6 @@ __all__ = [
     "build_span_tree",
     "decision_latencies",
     "describe_workload",
-    "diff_manifests",
     "git_sha",
     "global_profiler",
     "global_tracer",

@@ -1,8 +1,8 @@
-"""Trace analytics: span profiles, latency histograms, timelines, diffs.
+"""Trace analytics: span profiles, latency histograms, timelines.
 
 The consumption half of the tracer (:mod:`repro.obs.trace`): where
 ``read_trace``/``build_span_tree`` reconstruct *what happened*, this
-module answers *where did the time go* and *what changed*:
+module answers *where did the time go*:
 
 * :func:`summarize_trace` folds the span forest into a
   :class:`~repro.obs.profile.Profiler` tree (:meth:`Profiler.fold
@@ -16,8 +16,6 @@ module answers *where did the time go* and *what changed*:
   trace's ``engine.allocate`` / ``engine.release`` / ``engine.job_kill``
   events into (in simulated time, so it is exact and
   machine-independent);
-* :func:`diff_manifests` — field-level diff of two run manifests for
-  regression triage (volatile fields excluded);
 * :func:`summarize_trace` — one-call triage of a trace file, which
   ``python -m repro report DIR`` renders as its trace section.
 
@@ -36,7 +34,6 @@ from typing import Any, Iterable, Mapping
 
 import numpy as np
 
-from repro.obs.manifest import VOLATILE_FIELDS, RunManifest
 from repro.obs.metrics import Timer, nearest_rank
 from repro.obs.profile import Profiler
 from repro.obs.trace import Span, build_span_tree, read_trace
@@ -59,8 +56,8 @@ def decision_latencies(roots: Iterable[Span]) -> list[float]:
 class UtilizationTimeline:
     """Piecewise-constant node-occupancy timeline.
 
-    Records a ``(time, used_nodes)`` step whenever occupancy changes,
-    enabling exact time-weighted utilization over any interval.
+    Records a ``(time, used_nodes)`` step whenever occupancy changes;
+    :meth:`steps` is the exact step function, in simulated time.
     """
 
     def __init__(self, num_nodes: int) -> None:
@@ -91,20 +88,6 @@ class UtilizationTimeline:
     def on_kill(self, job: Any, now: float) -> None:
         """Observer hook: a fault kill also releases the job's nodes."""
         self._record(now, self._used[-1] - job.size)
-
-    def utilization_between(self, t0: float, t1: float) -> float:
-        """Exact time-weighted utilization over ``[t0, t1]``."""
-        if t1 <= t0:
-            raise ValueError("need t1 > t0")
-        times = np.asarray(self._times)
-        used = np.asarray(self._used, dtype=np.float64)
-        # integrate the step function over [t0, t1]
-        edges = np.concatenate([[t0], times[(times > t0) & (times < t1)], [t1]])
-        # value on each sub-interval = last step at or before its left edge
-        idx = np.searchsorted(times, edges[:-1], side="right") - 1
-        idx = np.clip(idx, 0, used.size - 1)
-        integral = float(np.sum(used[idx] * np.diff(edges)))
-        return integral / (self.num_nodes * (t1 - t0))
 
     def steps(self) -> tuple[np.ndarray, np.ndarray]:
         """``(times, used_nodes)`` breakpoints of the step function."""
@@ -147,8 +130,8 @@ def utilization_timeline(
         else:
             continue
         if not runs or t < last:
-            # a trace does not record the machine size, which only
-            # scales utilization_between; the replay reads steps()
+            # a trace does not record the machine size; the replay
+            # reads only steps(), which does not depend on it
             runs.append((float(t), UtilizationTimeline(1)))
         last = float(t)
         getattr(runs[-1][1], hook)(SimpleNamespace(size=int(size)), last)
@@ -158,69 +141,6 @@ def utilization_timeline(
         for t, used in zip(*(a.tolist() for a in replay.steps()))
         if t >= first
     ]
-
-
-# -- manifest diffing ----------------------------------------------------------
-
-@dataclass(frozen=True)
-class ManifestDiff:
-    """One differing field between two manifests.
-
-    ``path`` is the dotted location (e.g. ``"summary.avg_wait"``);
-    missing sides are ``None``.  For numeric pairs :attr:`rel_change`
-    is ``(current - baseline) / |baseline|``.
-    """
-
-    path: str
-    baseline: Any
-    current: Any
-
-    @property
-    def rel_change(self) -> float | None:
-        """Relative numeric change, or ``None`` for non-numeric pairs."""
-        a, b = self.baseline, self.current
-        if (
-            isinstance(a, (int, float)) and isinstance(b, (int, float))
-            and not isinstance(a, bool) and not isinstance(b, bool) and a != 0
-        ):
-            return (b - a) / abs(a)
-        return None
-
-
-def _flatten(value: Any, prefix: str, out: dict[str, Any]) -> None:
-    if isinstance(value, Mapping):
-        for key in sorted(value):
-            _flatten(value[key], f"{prefix}.{key}" if prefix else str(key), out)
-    else:
-        out[prefix] = value
-
-
-def diff_manifests(
-    baseline: RunManifest | Mapping[str, Any],
-    current: RunManifest | Mapping[str, Any],
-) -> list[ManifestDiff]:
-    """Field-level diff of two manifests, volatile fields excluded.
-
-    Accepts :class:`~repro.obs.manifest.RunManifest` objects or their
-    ``as_dict()`` documents.  Returns one entry per dotted path whose
-    value differs (including paths present on only one side), sorted by
-    path — an empty list means the runs had identical inputs and
-    summary metrics.
-    """
-    docs = []
-    for m in (baseline, current):
-        doc = m.as_dict() if isinstance(m, RunManifest) else dict(m)
-        docs.append({k: v for k, v in doc.items() if k not in VOLATILE_FIELDS})
-    flat_a: dict[str, Any] = {}
-    flat_b: dict[str, Any] = {}
-    _flatten(docs[0], "", flat_a)
-    _flatten(docs[1], "", flat_b)
-    diffs = []
-    for path in sorted(set(flat_a) | set(flat_b)):
-        a, b = flat_a.get(path), flat_b.get(path)
-        if a != b:
-            diffs.append(ManifestDiff(path=path, baseline=a, current=b))
-    return diffs
 
 
 # -- one-call trace triage -----------------------------------------------------

@@ -51,8 +51,8 @@ class TrainingHistory:
     """Episode statistics of a training run; no weights.
 
     The trained weights are the agent's own, and the per-episode record
-    of them is the trainer's ``checkpoint_path``.  :meth:`best_episode`
-    names the best-validating episode; its weights are not kept.
+    of them is the trainer's ``checkpoint_path``; the best-validating
+    episode's weights are not kept.
     """
 
     episodes: list[EpisodeStats] = field(default_factory=list)
@@ -65,12 +65,6 @@ class TrainingHistory:
     @property
     def validation_curve(self) -> np.ndarray:
         return np.array([e.validation_reward for e in self.episodes])
-
-    def best_episode(self) -> int:
-        """Index of the episode with the highest validation reward."""
-        if not self.episodes:
-            raise ValueError("no episodes recorded")
-        return int(np.argmax(self.validation_curve))
 
     def converged_at(self, window: int = 5, rel_tol: float = 0.05) -> int | None:
         """First episode where the validation reward plateaus.

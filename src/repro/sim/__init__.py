@@ -41,7 +41,6 @@ from repro.sim.backfill import BackfillPlanner, Reservation
 from repro.sim.faults import FaultConfig, FaultInjector, ResilienceMetrics
 from repro.sim.engine import Engine, SchedulingView, SimulationResult
 from repro.sim.metrics import RunMetrics
-from repro.sim.observers import EventLog, QueueDepthRecorder
 from repro.obs.analyze import UtilizationTimeline
 from repro.sim.profile import ResourceProfile
 
@@ -51,14 +50,12 @@ __all__ = [
     "Engine",
     "Event",
     "EventKind",
-    "EventLog",
     "EventQueue",
     "ExecMode",
     "FaultConfig",
     "FaultInjector",
     "Job",
     "JobState",
-    "QueueDepthRecorder",
     "Reservation",
     "ResilienceMetrics",
     "ResourceProfile",

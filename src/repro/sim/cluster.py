@@ -344,6 +344,7 @@ class Cluster:
         return (np.maximum(self._rel_times[:n], now),
                 np.diff(self._rel_cum[:n], prepend=0))
 
+    # no program calls this; kept while benchmarks/perf/layers.py wraps it
     def estimated_release_times(self, now: float) -> np.ndarray:
         """Sorted estimated release times of busy nodes (>= ``now``).
 
@@ -355,6 +356,7 @@ class Cluster:
         """
         return np.repeat(*self.release_groups(now))
 
+    # no program calls this; kept while benchmarks/perf/layers.py wraps it
     def shadow_time(self, size: int, now: float) -> float:
         """Earliest time at which ``size`` nodes are expected to be free.
 
@@ -372,6 +374,7 @@ class Cluster:
         group = int(cum.searchsorted(needed, side="left"))
         return float(max(self._rel_times.item(group), now))
 
+    # no program calls this; kept while benchmarks/perf/layers.py wraps it
     def free_nodes_at(self, when: float, now: float) -> int:
         """Expected number of free nodes at time ``when`` (``when >= now``)."""
         if when < now:

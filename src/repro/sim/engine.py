@@ -252,8 +252,8 @@ class Engine:
     jobs:
         The jobset to replay.  Jobs must be in the ``PENDING`` state.
     observers:
-        Optional :class:`Observer` subscribers (metric recorders, reward
-        meters, an :class:`~repro.sim.observers.EventLog`).
+        Optional :class:`Observer` subscribers (reward meters, an
+        :class:`~repro.obs.analyze.UtilizationTimeline`).
     max_time:
         Optional simulation-time horizon; events beyond it are dropped
         and still-running jobs are left unfinished in the result.

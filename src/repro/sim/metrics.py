@@ -11,10 +11,9 @@ Four well-established metrics are measured:
 
 :class:`RunMetrics` summarizes a finished :class:`SimulationResult`;
 its utilization is job bookkeeping over the arrival span.  The exact
-time-weighted occupancy over any interval is the engine observer
-:class:`~repro.obs.analyze.UtilizationTimeline`
-(``utilization_between``), which ``repro report``'s trace section also
-replays from a trace.
+occupancy step function is the engine observer
+:class:`~repro.obs.analyze.UtilizationTimeline`, which ``repro
+report``'s trace section also replays from a trace.
 """
 
 from __future__ import annotations

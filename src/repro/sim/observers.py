@@ -11,20 +11,17 @@ its hooks (all optional).  The engine knows no other way to be watched.
   sets; :func:`channel_observers` builds them from an engine's
   ``trace`` / ``profile`` / ``live`` settings and the ``REPRO_TRACE`` /
   ``REPRO_PROFILE`` / ``REPRO_LIVE`` process-globals.
-* The *recorders* capture the time series that the experiments and
-  ad-hoc analyses need: queue depth and a structured event log.  Node
-  occupancy is :class:`~repro.obs.analyze.UtilizationTimeline`, which
-  also replays a trace.
+* Everything else that watches a run implements the same hooks: the
+  reward meter :class:`~repro.rl.meter.RewardMeter`, and the
+  node-occupancy timeline :class:`~repro.obs.analyze.UtilizationTimeline`,
+  which also replays a trace.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Protocol, Sequence
-
-import numpy as np
 
 from repro.obs import live as _live
 from repro.obs import profile as _profile
@@ -338,81 +335,3 @@ def channel_observers(
                  _live.LIVE_SIM_EVERY),
     )
     return [channel for channel in channels if channel is not None]
-
-
-class QueueDepthRecorder:
-    """Samples the wait-queue depth at every scheduling instance."""
-
-    def __init__(self) -> None:
-        self.times: list[float] = []
-        self.depths: list[int] = []
-        self.held: list[int] = []
-
-    def on_instance(self, view: "SchedulingView", started) -> None:
-        """Observer hook: record queue depth at this instance."""
-        self.times.append(view.now)
-        self.depths.append(view.queue_depth)
-        self.held.append(view.held_count)
-
-    @property
-    def max_depth(self) -> int:
-        """Deepest queue observed (0 when no instances ran)."""
-        return max(self.depths, default=0)
-
-    def mean_depth(self) -> float:
-        """Average queue depth over all instances (0 when none ran)."""
-        return float(np.mean(self.depths)) if self.depths else 0.0
-
-    def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(times, depths)`` as numpy arrays, for plotting."""
-        return np.asarray(self.times), np.asarray(self.depths, dtype=np.int64)
-
-
-@dataclass(frozen=True)
-class LoggedEvent:
-    """One start, reservation, finish or kill, as recorded by :class:`EventLog`."""
-
-    time: float
-    kind: str           #: "start" | "reserve" | "finish" | "kill"
-    job_id: int
-    size: int
-    mode: str | None = None
-
-
-@dataclass
-class EventLog:
-    """Structured log of what the policy did and what became of it.
-
-    Every start (with its execution mode) and reservation, plus every
-    finish and fault kill, in engine order.
-    """
-
-    events: list[LoggedEvent] = field(default_factory=list)
-
-    def on_start(self, job: Job, now: float) -> None:
-        """Observer hook: append a ``start`` record."""
-        self.events.append(
-            LoggedEvent(now, "start", job.job_id, job.size,
-                        job.mode.value if job.mode else None)
-        )
-
-    def on_reserve(self, job: Job, now: float,
-                   reservation: "Reservation") -> None:
-        """Observer hook: append a ``reserve`` record."""
-        self.events.append(LoggedEvent(now, "reserve", job.job_id, job.size))
-
-    def on_finish(self, job: Job, now: float) -> None:
-        """Observer hook: append a ``finish`` record."""
-        self.events.append(LoggedEvent(now, "finish", job.job_id, job.size))
-
-    def on_kill(self, job: Job, now: float) -> None:
-        """Observer hook: append a ``kill`` record (fault-aborted job)."""
-        self.events.append(LoggedEvent(now, "kill", job.job_id, job.size))
-
-    def starts(self) -> list[LoggedEvent]:
-        """Only the ``start`` records, in time order."""
-        return [e for e in self.events if e.kind == "start"]
-
-    def finishes(self) -> list[LoggedEvent]:
-        """Only the ``finish`` records, in time order."""
-        return [e for e in self.events if e.kind == "finish"]

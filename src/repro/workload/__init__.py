@@ -31,7 +31,7 @@ from repro.workload.generator import (
     PoissonArrivals,
 )
 from repro.workload.models import CoriModel, ThetaModel, WorkloadModel
-from repro.workload.stats import TraceStats, analyze_trace, fit_model, size_category_shares
+from repro.workload.stats import TraceStats, analyze_trace, fit_model
 from repro.workload.jobsets import (
     normalize_times,
     real_jobsets,
@@ -61,7 +61,6 @@ __all__ = [
     "read_swf_report",
     "real_jobsets",
     "sampled_jobset",
-    "size_category_shares",
     "split_weeks",
     "synthetic_jobsets",
     "three_phase_curriculum",

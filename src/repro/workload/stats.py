@@ -134,29 +134,3 @@ def fit_model(
         priority_threshold=max(1, num_nodes // 8),
         dependency_prob=min(1.0, stats.dependency_prob),
     )
-
-
-def size_category_shares(
-    jobs: list[Job], bounds: list[tuple[int, int]]
-) -> tuple[list[float], list[float]]:
-    """Job-count and core-hour shares per ``(lo, hi)`` size category.
-
-    Jobs above the last bound fold into the final category (Fig 2).
-    """
-    if not bounds:
-        raise ValueError("at least one size category is required")
-    counts = [0] * len(bounds)
-    hours = [0.0] * len(bounds)
-    for job in jobs:
-        for i, (lo, hi) in enumerate(bounds):
-            last = i == len(bounds) - 1
-            if lo <= job.size <= hi or (last and job.size > hi):
-                counts[i] += 1
-                hours[i] += job.core_hours
-                break
-    total_jobs = max(1, sum(counts))
-    total_hours = max(1e-12, sum(hours))
-    return (
-        [c / total_jobs for c in counts],
-        [h / total_hours for h in hours],
-    )

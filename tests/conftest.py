@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -71,6 +72,44 @@ def alloc_bytes(cluster: Cluster) -> int:
     cluster._place()
     return sum((nodes if nodes.base is None else nodes.base).nbytes
                for nodes in cluster._alloc.values())
+
+
+class LoggedEvent(NamedTuple):
+    """One start, reservation, finish or kill, as :class:`EventLog` records it."""
+
+    time: float
+    kind: str           #: "start" | "reserve" | "finish" | "kill"
+    job_id: int
+    size: int
+    mode: str | None = None
+
+
+class EventLog:
+    """Engine observer that probes the hooks: every start (with its
+    execution mode) and reservation, plus every finish and fault kill,
+    in engine order."""
+
+    def __init__(self) -> None:
+        self.events: list[LoggedEvent] = []
+
+    def on_start(self, job: Job, now: float) -> None:
+        self.events.append(LoggedEvent(now, "start", job.job_id, job.size,
+                                       job.mode.value if job.mode else None))
+
+    def on_reserve(self, job: Job, now: float, reservation) -> None:
+        self.events.append(LoggedEvent(now, "reserve", job.job_id, job.size))
+
+    def on_finish(self, job: Job, now: float) -> None:
+        self.events.append(LoggedEvent(now, "finish", job.job_id, job.size))
+
+    def on_kill(self, job: Job, now: float) -> None:
+        self.events.append(LoggedEvent(now, "kill", job.job_id, job.size))
+
+    def starts(self) -> list[LoggedEvent]:
+        return [e for e in self.events if e.kind == "start"]
+
+    def finishes(self) -> list[LoggedEvent]:
+        return [e for e in self.events if e.kind == "finish"]
 
 
 @pytest.fixture

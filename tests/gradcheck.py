@@ -1,8 +1,8 @@
-"""Numerical gradient checking.
+"""Numerical gradient checking: the test suite's oracle for ``repro.nn``.
 
 Hand-written backward passes are the classic source of silent RL bugs;
 these helpers verify every analytic gradient against central finite
-differences.  Used heavily by the test suite.
+differences.  Import them as ``tests.gradcheck``.
 
 The 1e-6 perturbations are below single-precision resolution (float32
 epsilon is 1.2e-7 *relative*), so both helpers need float64 values:

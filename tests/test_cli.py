@@ -91,6 +91,22 @@ class TestGenerateSimulate:
         rc = main(["simulate", str(trace), "--nodes", "8"])
         assert rc == 1
 
+    @pytest.mark.parametrize("trace,extra,message", [
+        ("big.swf", [], "job 1 (size 128) can never fit on a 8-node cluster"),
+        ("big.swf", ["--faults", "mtbf=abc"], "'abc'"),
+        ("missing.swf", [], "No such file or directory"),
+        ("bad.swf", [], "bad.swf:1: expected 18 fields, got 4"),
+    ], ids=["oversized-job", "bad-faults", "missing-trace", "malformed-swf"])
+    def test_bad_input_is_one_line_and_exit_two(self, tmp_path, capsys,
+                                                trace, extra, message):
+        (tmp_path / "big.swf").write_text(
+            "1 0 0 100 128 -1 -1 128 200 -1 1 1 1 1 1 1 -1 -1\n")
+        (tmp_path / "bad.swf").write_text("1 0 0 100\n")
+        rc = main(["simulate", str(tmp_path / trace), "--nodes", "8", *extra])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+
     def test_load_factor(self, tmp_path, capsys):
         a, b = tmp_path / "a.swf", tmp_path / "b.swf"
         main(["generate", "theta", "200", "--nodes", "64", "--out", str(a),

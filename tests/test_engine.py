@@ -6,8 +6,7 @@ from repro.schedulers.fcfs import FCFSEasy
 from repro.sim.cluster import Cluster
 from repro.sim.engine import Engine, SimulationError, run_simulation
 from repro.sim.job import ExecMode, Job, JobState
-from repro.sim.observers import EventLog
-from tests.conftest import make_job
+from tests.conftest import EventLog, make_job
 
 
 def run_fcfs(num_nodes: int, jobs: list[Job], **kwargs):

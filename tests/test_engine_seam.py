@@ -30,9 +30,8 @@ from repro.sim.cluster import Cluster
 from repro.sim.engine import Engine, run_simulation
 from repro.sim.faults import FaultConfig, FaultInjector
 from repro.sim.job import JobState, reset_job_id_counter
-from repro.sim.observers import EventLog, QueueDepthRecorder
 from repro.workload.models import ThetaModel
-from tests.conftest import make_job
+from tests.conftest import EventLog, make_job
 
 REPO = Path(__file__).resolve().parents[1]
 ENGINE_SRC = REPO / "src" / "repro" / "sim" / "engine.py"
@@ -362,13 +361,20 @@ class TestHookOrder:
             def on_reserve(self, job, now, reservation):
                 OnlyReserve.seen += 1
 
-        depth, log = QueueDepthRecorder(), EventLog()
+        class OnlyInstance:
+            def __init__(self):
+                self.held = []
+
+            def on_instance(self, view, started):
+                self.held.append(view.held_count)
+
+        instances, log = OnlyInstance(), EventLog()
         timeline = UtilizationTimeline(4)
-        engine = scripted_engine([OnlyReserve(), depth, log, timeline])
+        engine = scripted_engine([OnlyReserve(), instances, log, timeline])
         result = engine.run()
         assert OnlyReserve.seen == 4
-        assert len(depth.depths) == result.num_instances
-        assert max(depth.held) == 1
+        assert len(instances.held) == result.num_instances
+        assert max(instances.held) == 1
         assert [(e.kind, e.job_id) for e in log.events] == [
             ("start", 1), ("reserve", 2), ("start", 3), ("kill", 3),
             ("reserve", 3), ("start", 3), ("reserve", 2), ("kill", 3),
@@ -376,8 +382,7 @@ class TestHookOrder:
         ]
         times, used = timeline.steps()
         assert used.tolist()[-1] == 0
-        end = float(times[-1])
-        assert timeline.utilization_between(0.0, end) * 4 * end == \
+        assert float(np.sum(np.diff(times) * used[:-1])) == \
             pytest.approx(3 * 100 + 30 + 20 + 400)
 
 

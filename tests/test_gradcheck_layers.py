@@ -14,9 +14,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn.gradcheck import check_gradients, numeric_gradient
 from repro.nn.layers import Conv1x2, Dense, LeakyReLU
 from repro.nn.network import Network, build_dras_network
+from tests.gradcheck import check_gradients, numeric_gradient
 
 
 def quadratic_loss(y: np.ndarray) -> tuple[float, np.ndarray]:

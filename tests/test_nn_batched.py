@@ -40,7 +40,6 @@ from repro.core.dras_dql import DRASDQL
 from repro.core.dras_pg import DRASPG
 from repro.core.state import NodeGroups, StateEncoder
 from repro.nn import layers
-from repro.nn.gradcheck import check_gradients
 from repro.nn.layers import Dense
 from repro.nn.losses import mse_loss, policy_gradient_loss
 from repro.nn.network import build_dras_network
@@ -52,6 +51,7 @@ from repro.sim.cluster import Cluster
 from repro.sim.engine import run_simulation
 from repro.sim.job import Job
 from tests.conftest import float64_agent, with_node_rows
+from tests.gradcheck import check_gradients
 
 # small Table III-shaped stand-in: [B, 12, 2] -> [B, 4]
 ROWS, H1, H2, OUT = 12, 16, 8, 4

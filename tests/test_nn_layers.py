@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn.gradcheck import check_gradients
 from repro.nn.layers import _ROW_BLOCK, Conv1x2, Dense, LeakyReLU, Parameter
 from repro.nn.network import Network
+from tests.gradcheck import check_gradients
 
 
 class TestParameter:

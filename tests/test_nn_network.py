@@ -238,7 +238,7 @@ class TestPrecision:
             assert {data[k].dtype for k in data.files} == {np.dtype(np.float32)}
 
     def test_optimizer_state_follows(self, rng):
-        from repro.nn.optim import SGD, Adam
+        from repro.nn.optim import Adam
 
         for dtype in (np.float32, np.float64):
             net = build_dras_network(6, 5, 4, 3, rng=rng, dtype=dtype)
@@ -249,13 +249,14 @@ class TestPrecision:
             assert {a.dtype for a in [*opt._m, *opt._v, *opt._scratch]} \
                 == {np.dtype(dtype)}
             net.backward(np.ones((2, 3)))   # a sanitized step drops grads
-            SGD(net.parameters(), momentum=0.5).step()
+            opt.step()                      # the moments exist: a second step
             assert {p.value.dtype for p in net.parameters()} == {np.dtype(dtype)}
+            assert {a.dtype for a in [*opt._m, *opt._v]} == {np.dtype(dtype)}
 
     def test_float64_is_named_only_where_something_needs_it(self):
-        """``gradcheck`` (finite differences), ``losses`` (a [B, W] head),
-        ``layers`` (a group sum adds thousands of weight rows) and
-        ``optim`` (a factored gradient's norm, from a [B, B] Gram form).
+        """``losses`` (a [B, W] head), ``layers`` (a group sum adds
+        thousands of weight rows) and ``optim`` (a factored gradient's
+        norm, from a [B, B] Gram form).
 
         Anywhere else under ``repro/nn`` a hard-coded width would be a
         second place that decides precision.
@@ -265,7 +266,7 @@ class TestPrecision:
         nn_dir = pathlib.Path(__file__).parent.parent / "src/repro/nn"
         naming = {path.name for path in nn_dir.glob("*.py")
                   if "float64" in path.read_text(encoding="utf-8")}
-        assert naming == {"gradcheck.py", "layers.py", "losses.py", "optim.py"}
+        assert naming == {"layers.py", "losses.py", "optim.py"}
 
     def test_gradient_reset_and_backward_scratch_are_gone(self):
         """Gradients are written: nothing resets them, nothing stages them."""

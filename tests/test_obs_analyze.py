@@ -1,4 +1,4 @@
-"""Trace analytics: span profiles, histograms, timelines, manifest diffs."""
+"""Trace analytics: span profiles, histograms, timelines."""
 
 import itertools
 import json
@@ -8,12 +8,10 @@ import pytest
 
 from repro.obs.analyze import (
     UtilizationTimeline,
-    diff_manifests,
     decision_latencies,
     summarize_trace,
     utilization_timeline,
 )
-from repro.obs.manifest import RunManifest
 from repro.obs.metrics import TIMER_HIST_EDGES, nearest_rank
 from repro.obs.profile import Profiler
 from repro.obs.report import render_report
@@ -199,35 +197,6 @@ class TestUtilizationTimeline:
         run = [event("engine.allocate", 5.0, 1, 2),
                event("engine.release", 9.0, 1, 2)]
         assert utilization_timeline(run + run) == [(5.0, 2), (9.0, 0)] * 2
-
-
-class TestManifestDiff:
-    def test_identical_minus_volatile(self):
-        a = RunManifest.create(kind="simulate", seed=1, config={"n": 2},
-                               summary={"wait": 3.0})
-        b = RunManifest.create(kind="simulate", seed=1, config={"n": 2},
-                               summary={"wait": 3.0})
-        assert diff_manifests(a, b) == []
-
-    def test_nested_and_one_sided_fields(self):
-        a = RunManifest.create(kind="simulate", seed=1,
-                               config={"n": 2, "only_a": True},
-                               summary={"wait": 4.0})
-        b = RunManifest.create(kind="simulate", seed=1, config={"n": 3},
-                               summary={"wait": 5.0})
-        diffs = {d.path: d for d in diff_manifests(a, b)}
-        assert diffs["config.n"].baseline == 2
-        assert diffs["config.n"].current == 3
-        assert diffs["config.only_a"].current is None
-        assert diffs["summary.wait"].rel_change == pytest.approx(0.25)
-        # non-numeric pairs have no relative change
-        assert diffs["config.only_a"].rel_change is None
-
-    def test_accepts_plain_dicts(self):
-        a = {"seed": 1, "created_unix": 100}
-        b = {"seed": 2, "created_unix": 999}
-        (diff,) = diff_manifests(a, b)
-        assert diff.path == "seed"  # created_unix is volatile, excluded
 
 
 class TestSummarize:

@@ -6,44 +6,17 @@ import pytest
 from repro.obs.analyze import UtilizationTimeline
 from repro.schedulers import FCFSEasy
 from repro.sim.engine import run_simulation
-from repro.sim.observers import EventLog, QueueDepthRecorder
-from tests.conftest import make_job
+from tests.conftest import EventLog, make_job
 
 
 def _jobs():
     return [make_job(size=4, walltime=100.0, submit=float(i * 10)) for i in range(4)]
 
 
-class TestQueueDepthRecorder:
-    def test_samples_every_instance(self):
-        rec = QueueDepthRecorder()
-        result = run_simulation(4, FCFSEasy(), _jobs(), observers=[rec])
-        assert len(rec.depths) == result.num_instances
-
-    def test_depth_grows_under_backlog(self):
-        rec = QueueDepthRecorder()
-        run_simulation(4, FCFSEasy(), _jobs(), observers=[rec])
-        # four whole-system jobs arriving within 30 s: depth reaches 3
-        assert rec.max_depth == 3
-
-    def test_empty_run(self):
-        rec = QueueDepthRecorder()
-        assert rec.max_depth == 0
-        assert rec.mean_depth() == 0.0
-
-    def test_as_arrays(self):
-        rec = QueueDepthRecorder()
-        run_simulation(4, FCFSEasy(), _jobs(), observers=[rec])
-        times, depths = rec.as_arrays()
-        assert times.shape == depths.shape
-        assert np.all(np.diff(times) >= 0)
-
-    def test_held_jobs_counted_separately(self):
-        rec = QueueDepthRecorder()
-        parent = make_job(size=1, walltime=50.0, submit=0.0, job_id=1)
-        child = make_job(size=1, walltime=10.0, submit=0.0, deps=(1,), job_id=2)
-        run_simulation(4, FCFSEasy(), [parent, child], observers=[rec])
-        assert max(rec.held) == 1
+def busy_node_seconds(tl: UtilizationTimeline) -> float:
+    """The integral of the timeline's step function."""
+    times, used = tl.steps()
+    return float(np.sum(np.diff(times) * used[:-1]))
 
 
 class TestUtilizationTimeline:
@@ -56,27 +29,22 @@ class TestUtilizationTimeline:
         job = make_job(size=2, walltime=100.0)
         run_simulation(4, FCFSEasy(), [job], observers=[tl])
         # 2 of 4 nodes busy over [0, 100]
-        assert tl.utilization_between(0.0, 100.0) == pytest.approx(0.5)
+        assert busy_node_seconds(tl) == pytest.approx(200.0)
 
     def test_utilization_sub_interval(self):
         tl = UtilizationTimeline(4)
         job = make_job(size=4, walltime=50.0)
         run_simulation(4, FCFSEasy(), [job], observers=[tl])
-        assert tl.utilization_between(0.0, 50.0) == pytest.approx(1.0)
-        assert tl.utilization_between(50.0, 100.0) == pytest.approx(0.0)
-        assert tl.utilization_between(0.0, 100.0) == pytest.approx(0.5)
+        times, used = tl.steps()
+        assert times.tolist() == [0.0, 50.0]
+        assert used.tolist() == [4, 0]
 
     def test_matches_job_accounting(self):
         tl = UtilizationTimeline(4)
         jobs = _jobs()
-        result = run_simulation(4, FCFSEasy(), jobs, observers=[tl])
-        expected = sum(j.node_seconds for j in jobs) / (4 * result.makespan)
-        assert tl.utilization_between(0.0, result.makespan) == pytest.approx(expected)
-
-    def test_interval_validation(self):
-        tl = UtilizationTimeline(4)
-        with pytest.raises(ValueError):
-            tl.utilization_between(10.0, 10.0)
+        run_simulation(4, FCFSEasy(), jobs, observers=[tl])
+        expected = sum(j.node_seconds for j in jobs)
+        assert busy_node_seconds(tl) == pytest.approx(expected)
 
     def test_steps_monotone(self):
         tl = UtilizationTimeline(4)
@@ -145,10 +113,18 @@ class TestViewReads:
                         return
                     view.start(head[0])
 
-        rec = QueueDepthRecorder()
+        class Depths:
+            def __init__(self):
+                self.seen = []
+
+            def on_instance(self, view, started):
+                self.seen.append((view.queue_depth, view.held_count))
+
+        rec = Depths()
         run_simulation(4, Quiet(), _jobs(), observers=[rec])
         assert copies == []
-        assert rec.max_depth == 3
+        # four whole-system jobs arriving within 30 s: depth reaches 3
+        assert max(depth for depth, _ in rec.seen) == 3
 
     def test_view_counts_match_the_queue(self):
         seen = []

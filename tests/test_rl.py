@@ -71,14 +71,6 @@ class TestTrainingHistory:
         h = self._history([1.0, 2.0, 3.0])
         assert list(h.validation_curve) == [1.0, 2.0, 3.0]
 
-    def test_best_episode(self):
-        h = self._history([1.0, 5.0, 3.0])
-        assert h.best_episode() == 1
-
-    def test_best_requires_episodes(self):
-        with pytest.raises(ValueError):
-            TrainingHistory().best_episode()
-
     def test_convergence_detection(self):
         flat = self._history([1.0, 10.0, 10.1, 10.05, 10.0, 10.02, 10.01])
         assert flat.converged_at(window=3, rel_tol=0.05) == 3
@@ -143,9 +135,8 @@ class TestTrainer:
     def test_train_takes_no_snapshot(self):
         """Memory is constant in episodes: the history keeps statistics
         only, and the trained weights are the agent's own, writable.
-
-        ``best_episode()`` still names the best-validating episode, but
-        no copy of its weights is kept.
+        The best-validating episode can be named, but no copy of its
+        weights is kept.
         """
         agent = DRASPG(small_config())
         taken = self._count_snapshots(agent)
@@ -156,7 +147,6 @@ class TestTrainer:
         assert taken == []
         best = int(np.argmax(history.validation_curve))
         assert 0 < best < 5, "the recipe should peak mid-run"
-        assert history.best_episode() == best
         assert list(vars(history)) == ["episodes"]
         assert all(p.value.flags.writeable
                    for p in agent.network.parameters())

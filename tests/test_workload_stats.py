@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.workload.models import ThetaModel
-from repro.workload.stats import analyze_trace, fit_model, size_category_shares
+from repro.workload.stats import analyze_trace, fit_model
 from tests.conftest import make_job
 
 
@@ -102,29 +102,6 @@ class TestFitModel:
         jobs = fitted.generate(200, np.random.default_rng(3))
         result = run_simulation(64, FCFSEasy(), jobs)
         assert len(result.finished_jobs) == 200
-
-
-class TestSizeCategoryShares:
-    def test_shares(self):
-        jobs = [
-            make_job(size=1, walltime=3600.0),
-            make_job(size=1, walltime=3600.0),
-            make_job(size=10, walltime=3600.0),
-        ]
-        job_shares, hour_shares = size_category_shares(
-            jobs, [(1, 2), (3, 16)]
-        )
-        assert job_shares == pytest.approx([2 / 3, 1 / 3])
-        assert hour_shares == pytest.approx([2 / 12, 10 / 12])
-
-    def test_overflow_folds_into_last(self):
-        jobs = [make_job(size=100, walltime=60.0)]
-        job_shares, _ = size_category_shares(jobs, [(1, 2), (3, 16)])
-        assert job_shares == pytest.approx([0.0, 1.0])
-
-    def test_requires_categories(self):
-        with pytest.raises(ValueError):
-            size_category_shares([], [])
 
 
 class TestCanonicalUnits:
