@@ -55,6 +55,7 @@ SPEC`` to run under seeded fault injection (:mod:`repro.sim.faults`;
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import json
 import sys
@@ -212,7 +213,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     try:
         spec = pool.SweepSpec(kind=kind, scale=args.scale, seed=args.seed,
                               params=params, retries=0)
-        pool.expand_cells(spec)
+        cells = pool.expand_cells(spec)
     except (pool.SweepError, ValueError) as exc:
         print(f"bad sweep spec: {exc}", file=sys.stderr)
         return 2
@@ -229,7 +230,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         # an experiment runs internally publishes to it
         with _live_session(args, install=True) as live:
             bus = live or _live.global_live_bus() or _live.LiveBus()
-            clock = bus.attach(_ExperimentClock(kind))
+            clock = bus.attach(_ExperimentClock(kind, cells))
             try:
                 result = pool.run_sweep(spec, store, workers=0, live=bus)
             finally:
@@ -248,14 +249,16 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
 class _ExperimentClock:
     """Live sink: one ``[<id>: done in <s> s]`` stderr line per experiment.
 
-    An experiment ends with the ``sweep`` snapshot of a cell that names
-    it (``exp``), or — for a kind whose cells do not, the fault sweep —
-    with the final snapshot.  ``wall_s`` keeps the durations.
+    An experiment ends with the ``sweep`` snapshot of its last cell: the
+    cell names it (``exp``), or it is the sweep's own kind.  Its time
+    runs from the previous experiment's end, so it covers all its cells
+    (``reproduce`` runs them in order); ``wall_s`` keeps the durations.
     """
 
-    def __init__(self, kind: str) -> None:
+    def __init__(self, kind: str, cells) -> None:
         self.kind = kind
         self.wall_s: dict[str, float] = {}
+        self._left = collections.Counter(c.get("exp", kind) for c in cells)
         self._since = time.perf_counter()
         self._failed = 0
 
@@ -263,8 +266,9 @@ class _ExperimentClock:
         """Time the experiment ``record`` finishes, if it finishes one."""
         if record.get("kind") != "sweep":
             return
-        exp = record.get("exp", self.kind if record.get("final") else None)
-        if exp is None:
+        exp = record.get("exp", self.kind)
+        self._left[exp] -= 1
+        if self._left[exp]:
             return
         self.wall_s[exp] = round(record["wall"] - self._since, 3)
         self._since = record["wall"]
@@ -274,7 +278,7 @@ class _ExperimentClock:
               f"{self.wall_s[exp]:.1f} s]", file=sys.stderr)
 
 
-def _print_report(spec, rollup, run_dir: str | None = None) -> str:
+def _print_report(spec, rollup, run_dir: str | None) -> str:
     """Render a sweep's rollup with its kind's renderer; print it (and
     write ``DIR/report.txt``) unless it is empty.  Returns the text."""
     from repro.experiments import runner
@@ -466,8 +470,12 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_fit(args: argparse.Namespace) -> int:
     from repro.workload import analyze_trace, fit_model, read_swf, write_swf
 
-    jobs = read_swf(args.trace, procs_per_node=args.procs_per_node,
-                    max_jobs=args.max_jobs)
+    try:
+        jobs = read_swf(args.trace, procs_per_node=args.procs_per_node,
+                        max_jobs=args.max_jobs)
+    except (OSError, ValueError) as exc:
+        print(f"bad input: {exc}", file=sys.stderr)
+        return 2
     if len(jobs) < 2:
         print("trace too small to fit", file=sys.stderr)
         return 1
@@ -490,7 +498,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     from repro.core.persistence import CheckpointError, load_agent
-    from repro.sim.engine import run_simulation
+    from repro.sim.cluster import Cluster
+    from repro.sim.engine import Engine
     from repro.workload import read_swf
 
     try:
@@ -499,13 +508,18 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         print(f"bad agent file: {exc}", file=sys.stderr)
         return 2
     agent.eval(online_learning=not args.frozen)
-    jobs = read_swf(args.trace, procs_per_node=args.procs_per_node,
-                    max_jobs=args.max_jobs)
+    try:
+        jobs = read_swf(args.trace, procs_per_node=args.procs_per_node,
+                        max_jobs=args.max_jobs)
+        # the engine refuses a job larger than the machine as it is built
+        engine = Engine(Cluster(agent.config.num_nodes), agent, jobs)
+    except (OSError, ValueError) as exc:
+        print(f"bad input: {exc}", file=sys.stderr)
+        return 2
     if not jobs:
         print("trace contains no usable jobs", file=sys.stderr)
         return 1
-    result = run_simulation(agent.config.num_nodes, agent, jobs)
-    _print_metrics(agent.name, result)
+    _print_metrics(agent.name, engine.run())
     return 0
 
 
@@ -549,7 +563,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     with no cell re-run.  A directory holding none of these is refused
     (exit 2) and nothing is written.
     """
-    from repro.experiments import pool
+    from repro.experiments import pool, runner
     from repro.obs.analyze import summarize_trace
     from repro.obs.live import read_log
     from repro.obs.report import write_report
@@ -570,11 +584,13 @@ def cmd_report(args: argparse.Namespace) -> int:
         if not any((run_dir / name).exists() for name in readable):
             raise FileNotFoundError(f"nothing to report in {run_dir}: it "
                                     f"holds none of {', '.join(readable)}")
-        sweep = None
+        text = ""
         if store.rollup_path.exists():
             identity = load(store.spec_path)
             identity.pop("schema", None)
-            sweep = pool.SweepSpec(**identity), load(store.rollup_path)
+            spec = pool.SweepSpec(**identity)
+            text = runner.TABLE[spec.kind].render(spec,
+                                                  load(store.rollup_path))
         log = artifact(LOG, read_log)
         path = write_report(
             run_dir / "report.html",
@@ -588,8 +604,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     except (OSError, ValueError, TypeError, pool.SweepError) as exc:
         print(f"cannot build report: {exc}", file=sys.stderr)
         return 2
-    if sweep is not None:
-        _print_report(*sweep)
+    if text:
+        print(text)
     print(f"wrote report to {path}", file=sys.stderr)
     return 0
 

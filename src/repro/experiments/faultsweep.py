@@ -178,10 +178,11 @@ def run_sweep_cell(spec: "SweepSpec", cell: Mapping[str, Any],
     }
 
 
-def result_from_rollup(rollup: Mapping[str, Any]) -> FaultSweepResult:
+def result_from_rollup(spec: "SweepSpec",
+                       rollup: Mapping[str, Any]) -> FaultSweepResult:
     """Rebuild a :class:`FaultSweepResult` from a merged pool rollup.
 
-    Cells come back in the canonical policy-major sweep order (the
+    Cells come back in ``spec``'s canonical policy-major order (the
     rollup stores them sorted by key), so :func:`report` renders the
     same tables a serial run would.  Quarantined cells are simply
     absent — :func:`report` groups by policy, so a policy with no
@@ -189,31 +190,18 @@ def result_from_rollup(rollup: Mapping[str, Any]) -> FaultSweepResult:
     """
     from repro.experiments.pool import cell_key
 
-    records = {r["key"]: r for r in rollup.get("cells", ())}
-    ordered = []
-    sweep = rollup.get("sweep") or {}
-    params = sweep.get("params") or {}
-    policies = list(params.get("policies", POLICY_FACTORIES))
-    grid = [float(m) for m in params.get("mtbf_grid", MTBF_GRID)]
-    system = "theta"
-    num_nodes = 0
-    num_jobs = 0
-    for policy in policies:
-        for mtbf in grid:
-            record = records.get(cell_key({"policy": policy, "mtbf": mtbf}))
-            if record is None:
-                continue
-            summary = record["summary"]
-            system = summary.get("system", system)
-            num_nodes = summary.get("num_nodes", num_nodes)
-            num_jobs = summary.get("num_jobs", num_jobs)
-            resilience = summary.get("resilience")
-            ordered.append(FaultCell(
-                policy=summary["policy"],
-                mtbf=summary["mtbf"],
-                metrics=RunMetrics.from_dict(summary["metrics"]),
-                resilience=(ResilienceMetrics.from_dict(resilience)
-                            if resilience else None),
-            ))
-    return FaultSweepResult(system=system, num_nodes=num_nodes,
-                            num_jobs=num_jobs, cells=tuple(ordered))
+    done = {r["key"]: r["summary"] for r in rollup.get("cells", ())}
+    summaries = [done[key] for key in map(cell_key, sweep_cells(spec))
+                 if key in done]
+    first = summaries[0] if summaries else {}
+    return FaultSweepResult(
+        system=first.get("system", "theta"),
+        num_nodes=first.get("num_nodes", 0),
+        num_jobs=first.get("num_jobs", 0),
+        cells=tuple(FaultCell(
+            policy=summary["policy"],
+            mtbf=summary["mtbf"],
+            metrics=RunMetrics.from_dict(summary["metrics"]),
+            resilience=(ResilienceMetrics.from_dict(summary["resilience"])
+                        if summary["resilience"] else None),
+        ) for summary in summaries))

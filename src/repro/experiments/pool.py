@@ -219,8 +219,6 @@ class StoreScan:
     conflicts: list[dict[str, Any]]
     #: unparseable shard lines (torn tails after a crash), total
     skipped: int
-    #: shard files read
-    shards: int
 
 
 def _open_shard(path: "str | os.PathLike[str]", sweep_digest: str,
@@ -282,8 +280,10 @@ class SweepStore:
         A new or empty directory is stamped with the spec identity.  An
         existing store must carry the *same* identity digest, and —
         when it already holds shards — requires ``resume=True`` so a
-        stale store is never extended by accident.  Any other non-empty
-        directory is refused: it is not this sweep's.
+        stale store is never extended by accident, and may hold no
+        record of a cell the spec does not expand to (the one-cell-per-
+        experiment shape an older ``experiments`` sweep wrote).  Any
+        other non-empty directory is refused: it is not this sweep's.
         """
         self.root.mkdir(parents=True, exist_ok=True)
         if self.spec_path.exists():
@@ -300,6 +300,11 @@ class SweepStore:
                     "resume=True (--resume) to continue it or use a "
                     "fresh directory"
                 )
+            scan = self.scan()
+            if (set(scan.completed) | set(scan.quarantined)) - {
+                    cell_key(c) for c in expand_cells(spec)}:
+                raise SweepError(f"store {self.root} holds cells this sweep "
+                                 "does not expand to; use a fresh directory")
         elif any(self.root.iterdir()):
             raise SweepError(
                 f"store {self.root} is not empty but holds no spec.json; "
@@ -350,9 +355,7 @@ class SweepStore:
         quarantined: dict[str, dict[str, Any]] = {}
         conflicts: dict[str, set[str]] = {}
         skipped = 0
-        shards = 0
         for path in self.shard_paths():
-            shards += 1
             docs, damaged = read_jsonl(path)
             skipped += len(damaged)
             for doc in docs:
@@ -377,8 +380,7 @@ class SweepStore:
             for key, variants in sorted(conflicts.items())
         ]
         return StoreScan(completed=completed, quarantined=quarantined,
-                         conflicts=conflict_rows, skipped=skipped,
-                         shards=shards)
+                         conflicts=conflict_rows, skipped=skipped)
 
 
 def normalise_record(record: Mapping[str, Any]) -> dict[str, Any]:
@@ -533,7 +535,8 @@ def _live_fields(cell: Mapping[str, Any],
                  summary: Mapping[str, Any] | None) -> dict[str, Any]:
     """Flat scalar fields worth echoing into live sweep snapshots."""
     fields: dict[str, Any] = {}
-    for source in (cell, summary or {}):
+    # an ``experiments`` cell carries its experiment's own cell
+    for source in (cell, cell.get("cell") or {}, summary or {}):
         for key in ("policy", "mtbf", "exp", "i"):
             value = source.get(key)
             if isinstance(value, (str, int, float)):
@@ -778,8 +781,11 @@ def run_sweep(
         shard = store.open_shard(generation, "parent" if workers else "w0",
                                  spec.digest())
         try:
-            if workers == 0:
-                _run_inline(spec, shard, queue, settle)
+            if workers == 0:  # the serial reference path
+                while queue:
+                    task = queue.pop(0)
+                    settle(task, _attempt(spec, shard, "w0", task.cell,
+                                          task.derived_seed, task.attempt))
             else:
                 _run_parallel(spec, store, generation, queue, settle,
                               workers, live)
@@ -812,15 +818,6 @@ def _publish_sweep(live: "_live.LiveBus | None", *, done: int, total: int,
     if final:
         record["final"] = True
     live.publish("sweep", record)
-
-
-def _run_inline(spec: SweepSpec, shard: JsonlWriter, queue: list[_Task],
-                settle: Callable[[_Task, tuple], None]) -> None:
-    """The serial reference path: every attempt runs in this process."""
-    while queue:
-        task = queue.pop(0)
-        settle(task, _attempt(spec, shard, "w0", task.cell,
-                              task.derived_seed, task.attempt))
 
 
 def _run_parallel(spec: SweepSpec, store: SweepStore, generation: int,

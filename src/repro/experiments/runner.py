@@ -2,8 +2,9 @@
 
 Each of the paper's tables and figures, and the fault study, is one row
 of :data:`TABLE`, keyed by its experiment id.  Two rows are not paper
-artifacts: ``experiments`` (the whole matrix, one cell per experiment)
-and ``selftest`` (deterministic payload cells with injectable failures,
+artifacts: ``experiments`` (the whole matrix: every selected
+experiment's own cells, each tagged with its experiment) and
+``selftest`` (deterministic payload cells with injectable failures,
 used by the pool's tests and the CI smoke job).
 
 The table is the one dispatch site.  :mod:`repro.experiments.pool`
@@ -11,7 +12,8 @@ expands and runs a sweep's cells through its row, and ``repro sweep``
 and ``repro reproduce`` both render a merged rollup with the row's
 renderer: ``reproduce <id>`` is ``pool.run_sweep`` of kind ``<id>`` on
 no worker processes, and ``reproduce all`` the same for
-``experiments``.
+``experiments``.  Every cell of every experiment is a pool cell: the
+``experiments`` row only tags and forwards them.
 """
 
 from __future__ import annotations
@@ -51,8 +53,8 @@ class Experiment:
     """One row of :data:`TABLE`: how a sweep kind expands, runs, renders.
 
     ``cells(spec)`` lists the cell dicts in canonical order;
-    ``run_cell(spec, cell, derived_seed, attempt)`` runs one cell and
-    returns its JSON-able summary; ``render(spec, rollup)`` turns a
+    ``run_cell(spec, cell, derived_seed, attempt)`` runs one pool cell
+    and returns its JSON-able summary; ``render(spec, rollup)`` turns a
     merged rollup into the printed report (empty for ``selftest``).
     """
 
@@ -60,24 +62,6 @@ class Experiment:
     run_cell: Callable[["SweepSpec", Mapping[str, Any], int, int],
                        dict[str, Any]]
     render: Callable[["SweepSpec", Mapping[str, Any]], str]
-
-
-def run_inline(spec: "SweepSpec") -> str:
-    """Run every cell of ``spec`` in this process; return its report.
-
-    The ``experiments`` kind's cell for one experiment: that
-    experiment's own cells through its own cell function, reduced by
-    its own renderer, with no store (a raising cell raises).
-    """
-    from repro.experiments.pool import cell_key, derive_cell_seed
-
-    row = TABLE[spec.kind]
-    records = []
-    for cell in row.cells(spec):
-        key = cell_key(cell)
-        summary = row.run_cell(spec, cell, derive_cell_seed(spec.seed, key), 1)
-        records.append({"key": key, "cell": cell, "summary": summary})
-    return row.render(spec, {"sweep": spec.identity(), "cells": records})
 
 
 # -- one paper table or figure: one cell holding its report --------------------
@@ -111,8 +95,7 @@ def _the_report(spec: "SweepSpec", rollup: Mapping[str, Any]) -> str:
 
 
 def _render_faultsweep(spec: "SweepSpec", rollup: Mapping[str, Any]) -> str:
-    del spec
-    return faultsweep.report(faultsweep.result_from_rollup(rollup))
+    return faultsweep.report(faultsweep.result_from_rollup(spec, rollup))
 
 
 # -- the whole matrix ----------------------------------------------------------
@@ -127,10 +110,11 @@ NONDETERMINISTIC_EXPERIMENTS: tuple[str, ...] = ("overhead",)
 def sweep_cells(spec: "SweepSpec") -> list[dict[str, Any]]:
     """Expand an ``experiments`` :class:`~repro.experiments.pool.SweepSpec`.
 
-    One cell per experiment id.  ``spec.params["only"]`` selects a
-    subset (and may opt nondeterministic experiments back in); the
-    default is every experiment except
-    :data:`NONDETERMINISTIC_EXPERIMENTS`.
+    Every selected experiment's own cells, in report order, each as
+    ``{"exp": id, "cell": own cell}`` (a malformed param fails here).
+    ``spec.params["only"]`` selects a subset (and may opt
+    nondeterministic experiments back in); the default is every
+    experiment except :data:`NONDETERMINISTIC_EXPERIMENTS`.
     """
     only = spec.params.get("only")
     if only is not None:
@@ -141,45 +125,56 @@ def sweep_cells(spec: "SweepSpec") -> list[dict[str, Any]]:
     else:
         ids = [exp_id for exp_id in EXPERIMENT_IDS
                if exp_id not in NONDETERMINISTIC_EXPERIMENTS]
-    return [{"exp": exp_id} for exp_id in ids]
+    return [{"exp": exp_id, "cell": own} for exp_id in ids
+            for own in TABLE[exp_id].cells(
+                dataclasses.replace(spec, kind=exp_id))]
 
 
 def run_sweep_cell(spec: "SweepSpec", cell: Mapping[str, Any],
                    derived_seed: int, attempt: int) -> dict[str, Any]:
-    """Run one experiment of the matrix: its own sweep, inline."""
-    del derived_seed, attempt  # each experiment seeds from spec.seed
-    exp_id = str(cell["exp"])
-    return {"exp": exp_id,
-            "report": run_inline(dataclasses.replace(spec, kind=exp_id))}
+    """Run one experiment's own cell, seeded as its own sweep seeds it."""
+    from repro.experiments.pool import cell_key, derive_cell_seed
 
-
-def reports_from_rollup(
-    rollup: Mapping[str, Any],
-) -> "tuple[dict[str, str], dict[str, str]]":
-    """Split a merged ``experiments`` rollup into (reports, failures).
-
-    Feed both into :func:`combined_report` together with the expected
-    id list to render the full matrix with quarantined rows.
-    """
-    reports: dict[str, str] = {}
-    for record in rollup.get("cells", ()):
-        summary = record.get("summary") or {}
-        if "exp" in summary and "report" in summary:
-            reports[str(summary["exp"])] = str(summary["report"])
-    failures: dict[str, str] = {}
-    for record in rollup.get("quarantined", ()):
-        exp_id = (record.get("cell") or {}).get("exp")
-        if exp_id is not None:
-            failures[str(exp_id)] = str(
-                record.get("error_type", "unknown failure"))
-    reports = {k: reports[k] for k in EXPERIMENT_IDS if k in reports}
-    return reports, failures
+    del derived_seed  # the experiment's own sweep derives it below
+    own = cell["cell"]
+    return TABLE[cell["exp"]].run_cell(
+        dataclasses.replace(spec, kind=cell["exp"]), own,
+        derive_cell_seed(spec.seed, cell_key(own)), attempt)
 
 
 def _render_matrix(spec: "SweepSpec", rollup: Mapping[str, Any]) -> str:
-    reports, failures = reports_from_rollup(rollup)
-    expected = [cell["exp"] for cell in sweep_cells(spec)]
-    return combined_report(reports, spec.scale, expected=expected,
+    """Render each experiment's cells with its own renderer, combined.
+
+    An experiment with no completed cell is a ``QUARANTINED`` row
+    carrying its first failure's type.  A rollup holding a cell this
+    spec does not expand to (one cell per experiment, as an older
+    matrix stored it) raises ``ValueError``.
+    """
+    from repro.experiments.pool import cell_key
+
+    cells = sweep_cells(spec)
+    done = {r["key"]: r["summary"] for r in rollup.get("cells", ())}
+    failed = {r["key"]: str(r.get("error_type", "unknown failure"))
+              for r in rollup.get("quarantined", ())}
+    if (set(done) | set(failed)) - {cell_key(cell) for cell in cells}:
+        raise ValueError("rollup holds cells this experiments sweep does "
+                         "not expand to")
+    records: dict[str, list[dict[str, Any]]] = {}
+    failures: dict[str, str] = {}
+    for cell in cells:
+        key, exp_id, own = cell_key(cell), cell["exp"], cell["cell"]
+        records.setdefault(exp_id, [])
+        if key in done:
+            records[exp_id].append({"key": cell_key(own),
+                                    "summary": done[key]})
+        elif key in failed:
+            failures.setdefault(exp_id, failed[key])
+    reports = {}
+    for exp_id, own_records in records.items():
+        if own_records:
+            reports[exp_id] = TABLE[exp_id].render(
+                dataclasses.replace(spec, kind=exp_id), {"cells": own_records})
+    return combined_report(reports, spec.scale, expected=list(records),
                            failures=failures)
 
 
@@ -203,13 +198,7 @@ def combined_report(
         + "=" * 64
     )
     failures = dict(failures or {})
-    order = list(expected) if expected is not None else list(reports)
-    for exp_id in reports:
-        if exp_id not in order:
-            order.append(exp_id)
-    for exp_id in failures:
-        if exp_id not in order:
-            order.append(exp_id)
+    order = list(dict.fromkeys([*(expected or ()), *reports, *failures]))
     blocks = [header]
     quarantined = 0
     for exp_id in order:

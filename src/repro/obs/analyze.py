@@ -60,10 +60,7 @@ class UtilizationTimeline:
     :meth:`steps` is the exact step function, in simulated time.
     """
 
-    def __init__(self, num_nodes: int) -> None:
-        if num_nodes <= 0:
-            raise ValueError("num_nodes must be positive")
-        self.num_nodes = num_nodes
+    def __init__(self) -> None:
         self._times: list[float] = [0.0]
         self._used: list[int] = [0]
 
@@ -130,9 +127,7 @@ def utilization_timeline(
         else:
             continue
         if not runs or t < last:
-            # a trace does not record the machine size; the replay
-            # reads only steps(), which does not depend on it
-            runs.append((float(t), UtilizationTimeline(1)))
+            runs.append((float(t), UtilizationTimeline()))
         last = float(t)
         getattr(runs[-1][1], hook)(SimpleNamespace(size=int(size)), last)
     return [

@@ -30,6 +30,11 @@ import numpy as np
 #: allowed dispositions for jobs killed by a fault
 REQUEUE_POLICIES = ("requeue-front", "requeue-back", "abandon")
 
+#: the numeric ``--faults`` keys, each with its parser
+_SPEC_NUMBERS = {"seed": int, "blade_size": int, "max_requeues": int,
+                 **dict.fromkeys(("mtbf", "mttr", "blade_prob",
+                                  "job_kill_mtbf", "min_repair"), float)}
+
 
 @dataclass(frozen=True)
 class FaultConfig:
@@ -154,17 +159,19 @@ class FaultConfig:
             key, _, raw = part.partition("=")
             key = key.strip()
             raw = raw.strip()
+            number = _SPEC_NUMBERS.get(key)
             if key == "requeue":
                 values[key] = raw
-            elif key in ("seed", "blade_size"):
-                values[key] = int(raw)
-            elif key == "max_requeues":
-                values[key] = None if raw.lower() == "none" else int(raw)
-            elif key in ("mtbf", "mttr", "blade_prob", "job_kill_mtbf",
-                         "min_repair"):
-                values[key] = float(raw)
-            else:
+            elif key == "max_requeues" and raw.lower() == "none":
+                values[key] = None
+            elif number is None:
                 raise ValueError(f"unknown --faults key {key!r}")
+            else:
+                try:
+                    values[key] = number(raw)
+                except ValueError:
+                    raise ValueError(f"bad --faults value {key}={raw!r}: "
+                                     "expected a number") from None
         return cls(**values)
 
 

@@ -93,7 +93,8 @@ class TestGenerateSimulate:
 
     @pytest.mark.parametrize("trace,extra,message", [
         ("big.swf", [], "job 1 (size 128) can never fit on a 8-node cluster"),
-        ("big.swf", ["--faults", "mtbf=abc"], "'abc'"),
+        ("big.swf", ["--faults", "mtbf=abc"],
+         "bad --faults value mtbf='abc': expected a number"),
         ("missing.swf", [], "No such file or directory"),
         ("bad.swf", [], "bad.swf:1: expected 18 fields, got 4"),
     ], ids=["oversized-job", "bad-faults", "missing-trace", "malformed-swf"])
@@ -106,6 +107,33 @@ class TestGenerateSimulate:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err
+
+    @pytest.mark.parametrize("command,trace,message", [
+        ("evaluate", "big.swf",
+         "job 1 (size 128) can never fit on a 16-node cluster"),
+        ("evaluate", "bad.swf", "bad.swf:1: expected 18 fields, got 4"),
+        ("fit", "missing.swf", "No such file or directory"),
+        ("fit", "bad.swf", "bad.swf:1: expected 18 fields, got 4"),
+    ], ids=["evaluate-oversized-job", "evaluate-malformed-swf",
+            "fit-missing-trace", "fit-malformed-swf"])
+    def test_evaluate_and_fit_bad_input_is_one_line_and_exit_two(
+            self, tmp_path, capsys, command, trace, message):
+        from repro.core.config import DRASConfig
+        from repro.core.dras_pg import DRASPG
+        from repro.core.persistence import save_agent
+
+        (tmp_path / "big.swf").write_text(
+            "1 0 0 100 128 -1 -1 128 200 -1 1 1 1 1 1 1 -1 -1\n")
+        (tmp_path / "bad.swf").write_text("1 0 0 100\n")
+        agent = tmp_path / "a.npz"
+        save_agent(DRASPG(DRASConfig.scaled(16, window=5)), agent)
+        argv = {"evaluate": ["evaluate", str(agent), str(tmp_path / trace)],
+                "fit": ["fit", str(tmp_path / trace), "--nodes", "8",
+                        "--out", str(tmp_path / "x.swf")]}[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+        assert not (tmp_path / "x.swf").exists()
 
     def test_load_factor(self, tmp_path, capsys):
         a, b = tmp_path / "a.swf", tmp_path / "b.swf"
@@ -629,6 +657,16 @@ class TestSweepCLI:
         assert rc == 2
         assert capsys.readouterr().err.splitlines() == [
             "bad sweep spec: bad --faults entry 'bogus': expected key=value"]
+        assert not store.exists()
+
+    def test_non_numeric_faults_value_names_the_key(self, tmp_path, capsys):
+        store = tmp_path / "s"
+        rc = main(["sweep", "faultsweep", "--scale", "tiny",
+                   "--store", str(store), "--faults", "mtbf=2000,mttr=abc"])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "bad sweep spec: bad --faults value mttr='abc': "
+            "expected a number"]
         assert not store.exists()
 
     def test_quarantined_cell_exits_three(self, tmp_path, capsys):

@@ -369,7 +369,7 @@ class TestHookOrder:
                 self.held.append(view.held_count)
 
         instances, log = OnlyInstance(), EventLog()
-        timeline = UtilizationTimeline(4)
+        timeline = UtilizationTimeline()
         engine = scripted_engine([OnlyReserve(), instances, log, timeline])
         result = engine.run()
         assert OnlyReserve.seen == 4

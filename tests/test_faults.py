@@ -71,6 +71,13 @@ class TestFaultConfig:
         with pytest.raises(ValueError):
             FaultConfig.from_spec("mtbf")
 
+    @pytest.mark.parametrize("key", ["mtbf", "seed", "max_requeues"])
+    def test_from_spec_names_a_non_numeric_key(self, key):
+        with pytest.raises(ValueError) as exc:
+            FaultConfig.from_spec(f"mttr=600,{key}=abc")
+        assert str(exc.value) == (
+            f"bad --faults value {key}='abc': expected a number")
+
     def test_dict_round_trip(self):
         cfg = FaultConfig(mtbf=1000.0, mttr=600.0, seed=9,
                           requeue="requeue-back", max_requeues=3)

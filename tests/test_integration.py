@@ -55,7 +55,7 @@ def all_results(trace):
     out = {}
     for scheduler in _all_schedulers():
         jobs = [j.copy_fresh() for j in trace]
-        timeline = UtilizationTimeline(NODES)
+        timeline = UtilizationTimeline()
         result = run_simulation(NODES, scheduler, jobs, observers=[timeline])
         out[scheduler.name] = (result, timeline)
     return out

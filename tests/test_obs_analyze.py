@@ -169,7 +169,7 @@ class TestUtilizationTimeline:
                              job_kill_mtbf=30000.0, seed=1)
         for nodes, n, run_faults in ((32, 120, None), (64, 300, faults)):
             path = tmp_path / f"t{nodes}.jsonl"
-            observer = UtilizationTimeline(nodes)
+            observer = UtilizationTimeline()
             result = run_simulation(nodes, FCFSEasy(), _jobs(n, nodes),
                                     trace=path, observers=[observer],
                                     faults=run_faults)

@@ -20,19 +20,15 @@ def busy_node_seconds(tl: UtilizationTimeline) -> float:
 
 
 class TestUtilizationTimeline:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            UtilizationTimeline(0)
-
     def test_exact_utilization_single_job(self):
-        tl = UtilizationTimeline(4)
+        tl = UtilizationTimeline()
         job = make_job(size=2, walltime=100.0)
         run_simulation(4, FCFSEasy(), [job], observers=[tl])
         # 2 of 4 nodes busy over [0, 100]
         assert busy_node_seconds(tl) == pytest.approx(200.0)
 
     def test_utilization_sub_interval(self):
-        tl = UtilizationTimeline(4)
+        tl = UtilizationTimeline()
         job = make_job(size=4, walltime=50.0)
         run_simulation(4, FCFSEasy(), [job], observers=[tl])
         times, used = tl.steps()
@@ -40,14 +36,14 @@ class TestUtilizationTimeline:
         assert used.tolist() == [4, 0]
 
     def test_matches_job_accounting(self):
-        tl = UtilizationTimeline(4)
+        tl = UtilizationTimeline()
         jobs = _jobs()
         run_simulation(4, FCFSEasy(), jobs, observers=[tl])
         expected = sum(j.node_seconds for j in jobs)
         assert busy_node_seconds(tl) == pytest.approx(expected)
 
     def test_steps_monotone(self):
-        tl = UtilizationTimeline(4)
+        tl = UtilizationTimeline()
         run_simulation(4, FCFSEasy(), _jobs(), observers=[tl])
         times, used = tl.steps()
         assert np.all(np.diff(times) > 0)

@@ -259,7 +259,7 @@ class TestFaultsweepCells:
         spec = pool.SweepSpec(kind="faultsweep", scale="tiny", seed=0,
                               params=self.GRID)
         result = pool.run_sweep(spec, tmp_path / "fs", workers=2)
-        rebuilt = faultsweep.result_from_rollup(result.rollup)
+        rebuilt = faultsweep.result_from_rollup(spec, result.rollup)
         assert len(rebuilt.cells) == 2
         assert main(["reproduce", "faultsweep", "--scale", "tiny"]) == 0
         serial = capsys.readouterr().out

@@ -5,29 +5,38 @@ import json
 import pytest
 
 from repro.cli import EXPERIMENTS, main
-from repro.experiments import pool
-from repro.experiments.runner import (
-    EXPERIMENT_IDS,
-    combined_report,
-    reports_from_rollup,
-)
+from repro.experiments import faultsweep, pool, runner
+from repro.experiments.runner import EXPERIMENT_IDS, combined_report
+
+RULE = "-" * 64
 
 
-def matrix(tmp_path, only):
-    """The reports of an ``experiments`` sweep of ``only`` at tiny."""
+def blocks(text):
+    """``{id: block body}`` of a combined report (``QUARANTINED`` rows
+    keep their header line as the id)."""
+    out = {}
+    for block in text.split(f"\n{RULE}\n[")[1:]:
+        exp_id, _, body = block.partition(f"\n{RULE}\n")
+        out[exp_id.removesuffix("]")] = body
+    return out
+
+
+def matrix(tmp_path, only, **params):
+    """The per-experiment blocks of an ``experiments`` sweep of ``only``
+    at tiny, rendered from its rollup, and the sweep's result."""
     spec = pool.SweepSpec(kind="experiments", scale="tiny",
-                          params={"only": list(only)})
+                          params={"only": list(only), **params})
     result = pool.run_sweep(spec, tmp_path / "store", workers=0)
-    reports, failures = reports_from_rollup(result.rollup)
-    assert not failures
-    return reports
+    return blocks(runner.TABLE["experiments"].render(spec, result.rollup)), \
+        result
 
 
 class TestRunAll:
     """``reproduce all`` is an ``experiments`` sweep run inline."""
 
     def test_selected_subset(self, tmp_path):
-        reports = matrix(tmp_path, ("table1", "table3"))
+        reports, result = matrix(tmp_path, ("table1", "table3"))
+        assert not result.quarantined
         assert set(reports) == {"table1", "table3"}
         assert "Table I" in reports["table1"]
         assert "21,890,053" in reports["table3"]
@@ -36,6 +45,100 @@ class TestRunAll:
         spec = pool.SweepSpec(kind="experiments", params={"only": ["fig99"]})
         with pytest.raises(ValueError, match="unknown experiment"):
             pool.expand_cells(spec)
+
+    def test_cells_are_each_experiments_own(self):
+        spec = pool.SweepSpec(kind="experiments", scale="tiny",
+                              params={"only": ["faultsweep", "table1"]})
+        own = pool.SweepSpec(kind="faultsweep", scale="tiny",
+                             params=spec.params)
+        assert pool.expand_cells(spec) == (
+            [{"exp": "table1", "cell": {"exp": "table1"}}]
+            + [{"exp": "faultsweep", "cell": cell}
+               for cell in pool.expand_cells(own)])
+
+    def test_raising_faultsweep_cell_quarantines_only_itself(
+            self, tmp_path, monkeypatch):
+        def boom():
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(faultsweep.POLICY_FACTORIES, "SJF", boom)
+        reports, result = matrix(tmp_path, ("table1", "faultsweep"),
+                                 policies=["FCFS", "SJF"],
+                                 mtbf_grid=[0.0, 5000.0])
+        assert sorted(json.loads(key)["cell"]["policy"]
+                      for key in result.quarantined) == ["SJF", "SJF"]
+        assert result.completed == 3
+        assert set(reports) == {"table1", "faultsweep"}
+        assert "Fault sweep: FCFS" in reports["faultsweep"]
+        assert "SJF" not in reports["faultsweep"]
+
+    def test_malformed_faultsweep_param_fails_at_expansion(self, tmp_path,
+                                                           capsys):
+        store = tmp_path / "store"
+        assert main(["sweep", "experiments", "--scale", "tiny",
+                     "--store", str(store),
+                     "--param", 'only=["faultsweep"]',
+                     "--param", 'policies=["Nope"]']) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "bad sweep spec: unknown faultsweep policies ['Nope']")
+        assert not store.exists()
+
+    def test_store_of_one_cell_per_experiment_is_refused(self, tmp_path,
+                                                         capsys):
+        # the shape an experiments store had when each cell was a whole
+        # experiment: resuming it, or re-rendering it, writes nothing
+        spec = pool.SweepSpec(kind="experiments", scale="tiny",
+                              params={"only": ["table1"]})
+        store = pool.SweepStore(tmp_path / "store")
+        store.initialise(spec, resume=False)
+        shard = store.open_shard(1, "w0", spec.digest())
+        old = {"exp": "table1"}
+        shard.write({"type": "cell", "key": pool.cell_key(old), "cell": old,
+                     "status": "ok",
+                     "summary": {"exp": "table1", "report": "Table I"}})
+        shard.close()
+        pool.write_rollup(store, pool.merge_store(store, total=1))
+
+        def files():
+            return {p: p.read_bytes() for p in store.root.rglob("*")
+                    if p.is_file()}
+
+        before = files()
+        assert main(["sweep", "experiments", "--scale", "tiny",
+                     "--store", str(store.root), "--resume",
+                     "--param", 'only=["table1"]']) == 2
+        assert "holds cells this sweep does not expand to" in \
+            capsys.readouterr().err
+        assert main(["report", str(store.root)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "cannot build report: rollup holds cells this experiments sweep")
+        assert files() == before
+
+    def test_reproduce_all_prints_one_line_per_experiment(
+            self, tmp_path, monkeypatch, capsys):
+        # every row but table1 and a two-policy, two-MTBF fault sweep
+        # is a stand-in, so the matrix runs in a fraction of a second
+        for exp_id in EXPERIMENT_IDS:
+            if exp_id not in ("table1", "faultsweep"):
+                monkeypatch.setitem(runner.TABLE, exp_id, runner._report_row(
+                    lambda spec: f"{spec.kind} stand-in"))
+        monkeypatch.setattr(faultsweep, "MTBF_GRID", (0.0, 5000.0))
+        monkeypatch.setattr(faultsweep, "POLICY_FACTORIES", {
+            name: faultsweep.POLICY_FACTORIES[name] for name in ("FCFS",
+                                                                 "SJF")})
+        run = tmp_path / "run"
+        assert main(["reproduce", "all", "--scale", "tiny",
+                     "--run-dir", str(run)]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            f"  [{exp_id}" for exp_id in EXPERIMENT_IDS]
+        assert all(": done in " in line for line in lines)
+        manifest = json.loads((run / "manifest.json").read_text())
+        assert set(manifest["summary"]["wall_s"]) == set(EXPERIMENT_IDS)
 
     def test_progress_callback(self, capsys):
         assert main(["reproduce", "table1"]) == 0
