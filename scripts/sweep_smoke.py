@@ -16,9 +16,8 @@ Exercises the fault-tolerance and determinism contract of
    uninterrupted serial run's.
 3. **Real-grid parity**: a tiny ``faultsweep`` grid run serially and
    on 2 workers must produce byte-identical rollups, and
-   ``repro reproduce faultsweep`` (the same sweep, inline) must print
-   byte for byte the report ``repro sweep faultsweep --workers 2``
-   renders.
+   ``repro reproduce faultsweep`` inline must print byte for byte the
+   report ``repro reproduce faultsweep --workers 2`` renders.
 
 That a worker consumes no ambient RNG, wall-clock or environment state
 is checked in tier-1 by ``tests/test_ambient_perturbation.py``.
@@ -75,10 +74,10 @@ raise SystemExit("victim was not killed")
 
 
 def _sweep_cli(store: Path, *extra: str) -> str:
-    """Run ``repro sweep selftest`` and return the printed digest."""
+    """Run ``repro reproduce selftest`` and return the printed digest."""
     proc = subprocess.run(
-        [sys.executable, "-m", "repro", "sweep", "selftest",
-         "--store", str(store), "--scale", "tiny",
+        [sys.executable, "-m", "repro", "reproduce", "selftest",
+         "--run-dir", str(store), "--scale", "tiny",
          "--seed", str(KR_SEED), "--timeout", str(KR_TIMEOUT),
          "--param", f"cells={KR_CELLS}", "--param", "sleep_s=0.05",
          *extra],
@@ -153,10 +152,10 @@ def check_faultsweep_parity(tmp: Path) -> None:
             check=True, capture_output=True, text=True, env=ENV).stdout
 
     inline = stdout("reproduce", "faultsweep")
-    swept = stdout("sweep", "faultsweep", "--workers", "2",
-                   "--store", str(tmp / "fs-cli"))
-    assert inline and inline == swept, "reproduce != 2-worker sweep report"
-    print("reproduce faultsweep == 2-worker sweep report, byte for byte")
+    swept = stdout("reproduce", "faultsweep", "--workers", "2",
+                   "--run-dir", str(tmp / "fs-cli"))
+    assert inline and inline == swept, "inline != 2-worker report"
+    print("reproduce faultsweep inline == on 2 workers, byte for byte")
 
 
 def main(tmp: Path) -> None:

@@ -3,8 +3,9 @@
 Commands
 --------
 ``reproduce``
-    Regenerate any of the paper's tables/figures and print the report:
-    the ``sweep`` of that experiment's cells, run inline.
+    Regenerate any of the paper's tables/figures (or ``all``) and print
+    the report: a crash-safe sweep of that experiment's cells, inline
+    or on ``--workers N`` processes, resumable with ``--resume``.
 ``generate``
     Synthesize a Theta/Cori-like trace and write it as SWF.
 ``simulate``
@@ -30,8 +31,7 @@ Commands
     is the one reader of a run's log and trace.
 
 ``reproduce``, ``simulate`` and ``train`` accept ``--run-dir DIR`` to
-keep a run's artifacts together under fixed names (``repro sweep
---store DIR`` is the same layout):
+keep a run's artifacts together under fixed names:
 
 * ``manifest.json``: the :class:`~repro.obs.manifest.RunManifest` (seed,
   git SHA, config, workload parameters, summary metrics);
@@ -64,11 +64,19 @@ from pathlib import Path
 
 import numpy as np
 
-EXPERIMENTS = (
-    "table1", "table2", "table3", "table4",
-    "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
-    "faultsweep", "overhead",
-)
+
+class _ExperimentChoices:
+    """What ``reproduce`` accepts: every id of
+    :data:`repro.experiments.runner.EXPERIMENT_IDS` (report order),
+    ``all`` and ``selftest``.  The ids are read when a choice is checked
+    (``in`` iterates) or listed, so building the parser imports no
+    experiment module."""
+
+    def __iter__(self):
+        from repro.experiments.runner import EXPERIMENT_IDS
+
+        return iter((*EXPERIMENT_IDS, "all", "selftest"))
+
 
 POLICIES = (
     "fcfs", "binpacking", "random", "knapsack",
@@ -109,8 +117,8 @@ def parse_faults(spec: str | None):
     return FaultConfig.from_spec(spec)
 
 
-#: the fixed file names of a run directory (``--run-dir DIR``, ``sweep
-#: --store DIR``) besides a sweep store's own
+#: the fixed file names of a run directory (``--run-dir DIR``) besides
+#: a sweep store's own
 MANIFEST, LOG, TRACE, PROFILE, REPORT = (
     "manifest.json", "log.jsonl", "trace.jsonl", "profile.json", "report.txt")
 
@@ -187,32 +195,65 @@ def _print_resilience(result) -> None:
 
 # -- subcommand implementations ------------------------------------------------
 
+def _parse_sweep_params(pairs: "list[str] | None") -> dict:
+    """``--param KEY=VALUE`` pairs → a sweep params dict.
+
+    Values parse as JSON when they can (``--param mtbf_grid=[0,2000]``,
+    ``--param cells=6``) and fall back to plain strings
+    (``--param faults=mtbf=2000,mttr=600``).
+    """
+    params: dict = {}
+    for pair in pairs or ():
+        key, sep, value = pair.partition("=")
+        if not sep or not key:
+            raise ValueError(f"--param wants KEY=VALUE, got {pair!r}")
+        try:
+            params[key] = json.loads(value)
+        except json.JSONDecodeError:
+            params[key] = value
+    return params
+
+
 def cmd_reproduce(args: argparse.Namespace) -> int:
-    """The ``repro reproduce`` driver: one experiment (or all) as an
-    inline sweep — ``pool.run_sweep`` on no workers into the run
-    directory's store (else a temporary one), rendered like ``repro
-    sweep``; a failing cell is not retried.
+    """The ``repro reproduce`` driver, the one front end of
+    :func:`~repro.experiments.pool.run_sweep`.
+
+    One experiment, ``all`` of them or the pool's ``selftest`` runs as
+    a sweep of its cells, inline or on ``--workers N`` processes, into
+    the run directory's store (else a temporary one) and is printed by
+    its kind's renderer.  ``--param`` values override the command's own
+    (``all`` sets ``only`` to every experiment id).  A cell that raises
+    is retried ``--retries`` times (default
+    :data:`~repro.experiments.pool.DEFAULT_RETRIES`), then quarantined.
+
+    Exit 0 when every cell completed; 2 for a bad spec or store (no
+    cell runs); 1 otherwise.
     """
     import tempfile
 
     from repro.experiments import pool, runner
     from repro.obs import live as _live
 
+    if args.resume and not args.run_dir:
+        print("reproduce: --resume needs --run-dir DIR, the run to "
+              "continue", file=sys.stderr)
+        return 2
     if args.faults and args.experiment != "faultsweep":
         print("--faults applies only to the faultsweep experiment",
               file=sys.stderr)
         return 2
     kind = "experiments" if args.experiment == "all" else args.experiment
-    params: dict = {}
-    if args.experiment == "all":
-        params["only"] = list(runner.EXPERIMENT_IDS)
-    if args.experiment in ("all", "overhead"):
-        params["full_size_overhead"] = not args.scaled_overhead
-    if args.faults:
-        params["faults"] = args.faults
     try:
-        spec = pool.SweepSpec(kind=kind, scale=args.scale, seed=args.seed,
-                              params=params, retries=0)
+        params: dict = ({"only": list(runner.EXPERIMENT_IDS)}
+                        if kind == "experiments" else {})
+        params.update(_parse_sweep_params(args.param))
+        if args.faults:
+            params["faults"] = args.faults
+        spec = pool.SweepSpec(
+            kind=kind, scale=args.scale, seed=args.seed, params=params,
+            timeout_s=args.timeout,
+            retries=(pool.DEFAULT_RETRIES if args.retries is None
+                     else args.retries))
         cells = pool.expand_cells(spec)
     except (pool.SweepError, ValueError) as exc:
         print(f"bad sweep spec: {exc}", file=sys.stderr)
@@ -221,38 +262,53 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     with contextlib.ExitStack() as stack:
         store = pool.SweepStore(args.run_dir or stack.enter_context(
             tempfile.TemporaryDirectory(prefix="repro-reproduce-")))
-        try:  # before the live log lands in the directory
-            store.initialise(spec, resume=False)
+        try:
+            store.initialise(spec, resume=args.resume)  # before the live log
+            if args.resume:  # the clock times only the cells run here
+                done = set(store.scan().completed)
+                cells = [c for c in cells if pool.cell_key(c) not in done]
+            # the live bus is installed process-globally so every
+            # simulation an inline cell runs publishes to it
+            with _live_session(args, install=True) as live:
+                bus = live or _live.global_live_bus() or _live.LiveBus()
+                clock = bus.attach(_ExperimentClock(kind, cells))
+                try:
+                    result = pool.run_sweep(spec, store,
+                                            workers=args.workers,
+                                            resume=args.resume, live=bus)
+                finally:
+                    bus.detach(clock)
         except pool.SweepError as exc:
             print(f"reproduce: {exc}", file=sys.stderr)
             return 2
-        # the live bus is installed process-globally so every simulation
-        # an experiment runs internally publishes to it
-        with _live_session(args, install=True) as live:
-            bus = live or _live.global_live_bus() or _live.LiveBus()
-            clock = bus.attach(_ExperimentClock(kind, cells))
-            try:
-                result = pool.run_sweep(spec, store, workers=0, live=bus)
-            finally:
-                bus.detach(clock)
     text = _print_report(spec, result.rollup, args.run_dir)
+    print(f"reproduce: {result.completed}/{result.total} cells complete "
+          f"({result.resumed} resumed, {len(result.quarantined)} "
+          f"quarantined this run), rollup digest {result.digest}",
+          file=sys.stderr)
     for key, reason in sorted(result.quarantined.items()):
-        print(f"reproduce: cell {key} failed: {reason}", file=sys.stderr)
+        print(f"reproduce: quarantined {key}: {reason}", file=sys.stderr)
     _write_manifest(
         args, kind="reproduce",
         config={"experiment": args.experiment, "scale": args.scale,
                 "sweep": spec.identity()},
         summary={"report_chars": len(text), "wall_s": clock.wall_s})
-    return 1 if result.quarantined else 0
+    return 0 if result.completed == result.total else 1
 
 
 class _ExperimentClock:
     """Live sink: one ``[<id>: done in <s> s]`` stderr line per experiment.
 
-    An experiment ends with the ``sweep`` snapshot of its last cell: the
-    cell names it (``exp``), or it is the sweep's own kind.  Its time
-    runs from the previous experiment's end, so it covers all its cells
-    (``reproduce`` runs them in order); ``wall_s`` keeps the durations.
+    ``cells`` are the cells this invocation runs (a resumed run's
+    completed ones left out).  An experiment ends with the ``sweep``
+    snapshot of its last cell: the cell names it (``exp``), or it is
+    the sweep's own kind.  Its time runs from the previous line (or the
+    start), and ``wall_s`` keeps the durations.  Inline, experiments run
+    one after another, so that is all of the experiment's cells; on
+    workers they overlap, and it is the wall time between one
+    experiment finishing and the next (the durations still add up to
+    the run's).  It says ``failed after`` if any of the experiment's
+    cells was quarantined.
     """
 
     def __init__(self, kind: str, cells) -> None:
@@ -260,21 +316,24 @@ class _ExperimentClock:
         self.wall_s: dict[str, float] = {}
         self._left = collections.Counter(c.get("exp", kind) for c in cells)
         self._since = time.perf_counter()
-        self._failed = 0
+        self._quarantined = 0
+        self._failed: set[str] = set()
 
     def on_snapshot(self, record) -> None:
         """Time the experiment ``record`` finishes, if it finishes one."""
         if record.get("kind") != "sweep":
             return
         exp = record.get("exp", self.kind)
+        if record["quarantined"] > self._quarantined:  # this cell failed
+            self._quarantined = record["quarantined"]
+            self._failed.add(exp)
         self._left[exp] -= 1
         if self._left[exp]:
             return
         self.wall_s[exp] = round(record["wall"] - self._since, 3)
         self._since = record["wall"]
-        failed, self._failed = (record["quarantined"] > self._failed,
-                                record["quarantined"])
-        print(f"  [{exp}: {'failed after' if failed else 'done in'} "
+        print(f"  [{exp}: "
+              f"{'failed after' if exp in self._failed else 'done in'} "
               f"{self.wall_s[exp]:.1f} s]", file=sys.stderr)
 
 
@@ -610,76 +669,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_sweep_params(pairs: "list[str] | None") -> dict:
-    """``--param KEY=VALUE`` pairs → a sweep params dict.
-
-    Values parse as JSON when they can (``--param mtbf_grid=[0,2000]``,
-    ``--param cells=6``) and fall back to plain strings
-    (``--param faults=mtbf=2000,mttr=600``).
-    """
-    params: dict = {}
-    for pair in pairs or ():
-        key, sep, value = pair.partition("=")
-        if not sep or not key:
-            raise ValueError(f"--param wants KEY=VALUE, got {pair!r}")
-        try:
-            params[key] = json.loads(value)
-        except json.JSONDecodeError:
-            params[key] = value
-    return params
-
-
-def cmd_sweep(args: argparse.Namespace) -> int:
-    """The ``repro sweep`` driver: fault-tolerant parallel sweeps."""
-    from repro.experiments import pool
-
-    try:
-        params = _parse_sweep_params(args.param)
-        if args.faults:
-            if args.kind != "faultsweep":
-                print("--faults applies only to faultsweep sweeps",
-                      file=sys.stderr)
-                return 2
-            params["faults"] = args.faults
-        spec = pool.SweepSpec(
-            kind=args.kind,
-            scale=args.scale,
-            seed=args.seed,
-            params=params,
-            timeout_s=args.timeout,
-            retries=args.retries,
-        )
-        pool.expand_cells(spec)
-    except (pool.SweepError, ValueError) as exc:
-        print(f"bad sweep spec: {exc}", file=sys.stderr)
-        return 2
-
-    store = pool.SweepStore(args.run_dir)
-    try:
-        store.initialise(spec, resume=args.resume)  # before the live log
-        with _live_session(args, install=True) as live:
-            result = pool.run_sweep(
-                spec,
-                store,
-                workers=args.workers,
-                resume=args.resume,
-                live=live,
-            )
-    except pool.SweepError as exc:
-        print(f"sweep failed: {exc}", file=sys.stderr)
-        return 2
-
-    _print_report(spec, result.rollup, args.run_dir)
-    print(f"sweep: {result.completed}/{result.total} cells complete "
-          f"({result.resumed} resumed, {len(result.quarantined)} "
-          f"quarantined this run)", file=sys.stderr)
-    print(f"sweep: rollup {result.rollup_path} "
-          f"digest {result.digest}", file=sys.stderr)
-    for key, reason in sorted(result.quarantined.items()):
-        print(f"sweep: quarantined {key}: {reason}", file=sys.stderr)
-    return 0 if result.completed == result.total else 3
-
-
 # -- parser -----------------------------------------------------------------------
 
 def _add_run_args(p: argparse.ArgumentParser, faults_help: str,
@@ -706,29 +695,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("reproduce", help="regenerate a paper table/figure")
-    p.add_argument("experiment", choices=EXPERIMENTS + ("all",))
-    p.add_argument("--scale", default="default",
-                   help="tiny | default | paper (default: default)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scaled-overhead", action="store_true",
-                   help="overhead experiment: use a scaled network")
-    _add_run_args(
-        p, "fault-process override for the faultsweep experiment, e.g. "
-           "mtbf=5000,mttr=1800,seed=1",
-        holds=", report.txt (the printed report) and the sweep store "
-              "(spec.json, shards/, rollup.json); DIR must be new or empty")
-    p.set_defaults(func=cmd_reproduce)
-
     p = sub.add_parser(
-        "sweep",
-        help="run an experiment grid on worker processes (crash-safe)")
-    p.add_argument("kind", choices=("faultsweep", "experiments", "selftest"),
-                   help="which grid to expand")
-    p.add_argument("--store", dest="run_dir", required=True, metavar="DIR",
-                   help="crash-durable result store (spec.json, per-worker "
-                        "JSONL shards, merged rollup.json) and run "
-                        "directory (report.txt; log.jsonl with --live)")
+        "reproduce",
+        help="regenerate a paper table/figure (or all): a crash-safe "
+             "sweep of its cells, inline or on worker processes")
+    # set after add_argument, which formats the choices to check them
+    p.add_argument("experiment").choices = _ExperimentChoices()
     p.add_argument("--scale", default="default",
                    help="tiny | default | paper (default: default)")
     p.add_argument("--seed", type=int, default=0,
@@ -737,21 +709,27 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes (default 0: run every cell "
                         "inline in this process)")
     p.add_argument("--resume", action="store_true",
-                   help="continue an interrupted sweep: skip cells the "
-                        "store already holds, retry quarantined ones")
+                   help="continue the interrupted run in --run-dir: skip "
+                        "cells it already holds, retry quarantined ones")
     p.add_argument("--timeout", type=float, default=0.0, metavar="S",
-                   help="per-cell wall-clock budget; a cell attempt "
-                        "running longer is killed and retried "
+                   help="per-cell wall-clock budget on workers; a cell "
+                        "attempt running longer is killed and retried "
                         "(default 0: no parent-side timeout)")
-    p.add_argument("--retries", type=int, default=2, metavar="N",
+    p.add_argument("--retries", type=int, metavar="N",
                    help="retry budget per cell before quarantine "
-                        "(default 2)")
+                        "(default: repro.experiments.pool.DEFAULT_RETRIES)")
     p.add_argument("--param", action="append", metavar="KEY=VALUE",
-                   help="kind-specific knob (JSON value or string); "
-                        "repeatable, e.g. --param 'mtbf_grid=[0,2000]'")
-    _add_run_args(p, "fault-process override for faultsweep sweeps, "
-                     "e.g. mtbf=5000,mttr=1800,seed=1")
-    p.set_defaults(func=cmd_sweep)
+                   help="sweep knob (JSON value or string) overriding the "
+                        "command's own; repeatable, e.g. --param "
+                        "'mtbf_grid=[0,2000]', --param 'only=[\"fig6\"]' "
+                        "with all, --param full_size_overhead=false")
+    _add_run_args(
+        p, "fault-process override for the faultsweep experiment, e.g. "
+           "mtbf=5000,mttr=1800,seed=1",
+        holds=", report.txt (the printed report) and the sweep store "
+              "(spec.json, shards/, rollup.json); DIR must be new or "
+              "empty unless --resume")
+    p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser("generate", help="synthesize an SWF trace")
     p.add_argument("system", choices=("theta", "cori"))
@@ -838,8 +816,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "report",
-        help="render a run directory (--run-dir / sweep --store) without "
-             "re-running it",
+        help="render a run directory (--run-dir) without re-running it",
     )
     p.add_argument("run_dir", metavar="DIR",
                    help="writes DIR/report.html from its manifest.json, "

@@ -40,8 +40,8 @@ every paper experiment id (``fig6``, ``faultsweep``, …), ``experiments``
 (the whole table/figure matrix) and ``selftest`` (deterministic payload
 cells with injectable crash/hang/failure, used by the test suite and
 the CI smoke job).  :func:`expand_cells` and :func:`_execute_cell` look
-the kind up there.  The CLI front ends are ``repro sweep`` and
-``repro reproduce``, which is :func:`run_sweep` with ``workers=0``.
+the kind up there.  The CLI front end is ``repro reproduce``, which
+is :func:`run_sweep` with ``--workers N`` (default 0, inline).
 """
 
 from __future__ import annotations

@@ -8,12 +8,12 @@ experiment's own cells, each tagged with its experiment) and
 used by the pool's tests and the CI smoke job).
 
 The table is the one dispatch site.  :mod:`repro.experiments.pool`
-expands and runs a sweep's cells through its row, and ``repro sweep``
-and ``repro reproduce`` both render a merged rollup with the row's
-renderer: ``reproduce <id>`` is ``pool.run_sweep`` of kind ``<id>`` on
-no worker processes, and ``reproduce all`` the same for
-``experiments``.  Every cell of every experiment is a pool cell: the
-``experiments`` row only tags and forwards them.
+expands and runs a sweep's cells through its row, and ``repro
+reproduce`` renders the merged rollup with the row's renderer:
+``reproduce <id>`` is ``pool.run_sweep`` of kind ``<id>``, inline or on
+``--workers N``, and ``reproduce all`` the same for ``experiments``.
+Every cell of every experiment is a pool cell: the ``experiments`` row
+only tags and forwards them.
 """
 
 from __future__ import annotations
@@ -181,27 +181,26 @@ def _render_matrix(spec: "SweepSpec", rollup: Mapping[str, Any]) -> str:
 def combined_report(
     reports: dict[str, str],
     scale: str,
-    expected: "tuple[str, ...] | list[str] | None" = None,
+    expected: "tuple[str, ...] | list[str]",
     failures: "Mapping[str, str] | None" = None,
 ) -> str:
-    """Assemble individual reports into one document.
+    """Assemble individual reports into one document, in ``expected``
+    order.
 
-    Tolerates missing and failed cells: an experiment named in
-    ``expected`` (or in ``failures``) that has no report renders as a
-    ``QUARANTINED`` row carrying its failure reason — the combined
-    document always covers the full expected matrix instead of raising
-    (or silently shrinking) when a sweep completes with partial
-    results.
+    Tolerates missing and failed cells: an experiment of ``expected``
+    that has no report renders as a ``QUARANTINED`` row carrying its
+    reason from ``failures`` — the combined document always covers the
+    full expected matrix instead of raising (or silently shrinking)
+    when a sweep completes with partial results.
     """
     header = (
         f"DRAS reproduction — full experiment sweep (scale: {scale})\n"
         + "=" * 64
     )
-    failures = dict(failures or {})
-    order = list(dict.fromkeys([*(expected or ()), *reports, *failures]))
+    failures = failures or {}
     blocks = [header]
     quarantined = 0
-    for exp_id in order:
+    for exp_id in expected:
         if exp_id in reports:
             blocks.append(
                 f"\n{'-' * 64}\n[{exp_id}]\n{'-' * 64}\n{reports[exp_id]}")
@@ -214,7 +213,7 @@ def combined_report(
                 "re-run with --resume to retry it)")
     if quarantined:
         blocks.append(
-            f"\n{'=' * 64}\n{quarantined} of {len(order)} experiment(s) "
+            f"\n{'=' * 64}\n{quarantined} of {len(expected)} experiment(s) "
             "quarantined; the report above is partial.")
     return "\n".join(blocks)
 

@@ -17,7 +17,7 @@ activations ``[B, features]``.
 
 from repro.nn.layers import Conv1x2, Dense, LeakyReLU, Parameter
 from repro.nn.network import Network, build_dras_network, count_parameters
-from repro.nn.optim import Adam, Optimizer
+from repro.nn.optim import Adam
 from repro.nn.losses import (
     masked_softmax,
     mse_loss,
@@ -31,7 +31,6 @@ __all__ = [
     "Dense",
     "LeakyReLU",
     "Network",
-    "Optimizer",
     "Parameter",
     "build_dras_network",
     "count_parameters",

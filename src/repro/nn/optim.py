@@ -1,4 +1,4 @@
-"""Optimizers updating :class:`~repro.nn.layers.Parameter` values.
+"""The Adam optimizer updating :class:`~repro.nn.layers.Parameter` values.
 
 A step writes each value in place unless it is read-only — lent to a
 snapshot by :meth:`~repro.nn.network.Network.state_dict` — in which
@@ -84,25 +84,7 @@ def _gradient_blocks(p: Parameter, into: np.ndarray
             yield r * n_out + c, block[(r - a) * w:(end - a) * w]
 
 
-class Optimizer:
-    """Base optimizer over a fixed parameter list."""
-
-    def __init__(self, params: list[Parameter], lr: float) -> None:
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        if not params:
-            raise ValueError("no parameters to optimize")
-        self.params = params
-        # a plain float: a NumPy scalar of a wider type would widen
-        # every product it enters
-        self.lr = float(lr)
-
-    def step(self) -> None:
-        """Apply one update to every parameter from its current grad."""
-        raise NotImplementedError
-
-
-class Adam(Optimizer):
+class Adam:
     """Adam (Kingma & Ba) — the optimizer the paper uses, lr = 0.001."""
 
     def __init__(
@@ -114,9 +96,16 @@ class Adam(Optimizer):
         eps: float = 1e-8,
         grad_clip: float | None = None,
     ) -> None:
-        super().__init__(params, lr)
+        if lr <= 0:
+            raise ValueError(f"learning rate must be positive, got {lr}")
+        if not params:
+            raise ValueError("no parameters to optimize")
         if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
             raise ValueError("betas must be in [0, 1)")
+        self.params = params
+        # a plain float: a NumPy scalar of a wider type would widen
+        # every product it enters
+        self.lr = float(lr)
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps

@@ -2,6 +2,8 @@
 
 import pathlib
 import shlex
+import subprocess
+import sys
 
 import pytest
 
@@ -26,6 +28,14 @@ class TestParser:
     def test_readme_advertises_commands(self):
         assert _readme_commands()  # else the case above is vacuous
 
+    def test_building_the_parser_imports_no_experiment(self):
+        code = ("import sys, repro.cli; repro.cli.build_parser(); "
+                "print('repro.experiments.runner' in sys.modules)")
+        result = subprocess.run([sys.executable, "-c", code],
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "False\n"
+
     @pytest.mark.parametrize("argv", [
         ["bench"],
         ["report", "--out", "x.html", "--bench", "y.json"],
@@ -38,6 +48,7 @@ class TestParser:
         ["check", "--ignore", "RPR104"],
         ["live", "summarize", "log.jsonl"],
         ["trace", "summarize", "trace.jsonl"],
+        ["sweep", "selftest"],
     ])
     def test_retired_bench_surface_rejected(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -330,7 +341,8 @@ class TestReproduce:
         assert "Fig 2" in capsys.readouterr().out
 
     def test_reproduce_overhead_scaled(self, capsys):
-        rc = main(["reproduce", "overhead", "--scaled-overhead"])
+        rc = main(["reproduce", "overhead",
+                   "--param", "full_size_overhead=false"])
         assert rc == 0
         assert "V-E" in capsys.readouterr().out
 
@@ -347,9 +359,9 @@ class TestReproduce:
         assert captured.err.splitlines() == [
             "bad sweep spec: bad --faults entry 'bogus': expected key=value"]
 
-    def test_raising_experiment_runs_once_and_exits_nonzero(
+    def test_raising_experiment_is_retried_and_exits_one(
             self, monkeypatch, capsys):
-        from repro.experiments import table1
+        from repro.experiments import pool, table1
 
         calls = []
 
@@ -359,9 +371,19 @@ class TestReproduce:
 
         monkeypatch.setattr(table1, "run", boom)
         rc = main(["reproduce", "table1"])
-        assert rc != 0
-        assert calls == [1]  # not retried
+        assert rc == 1
+        assert len(calls) == 1 + pool.DEFAULT_RETRIES
         assert "RuntimeError: boom" in capsys.readouterr().err
+
+    def test_resume_without_run_dir_exits_two_and_writes_nothing(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        rc = main(["reproduce", "selftest", "--resume"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--run-dir" in captured.err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestReportAndTrace:
@@ -606,19 +628,21 @@ class TestLiveCLI:
 
 
 class TestSweepCLI:
+    """``reproduce``'s execution options, on the pool's self-test."""
+
     def test_selftest_sweep_exits_zero(self, tmp_path, capsys):
         store = tmp_path / "store"
-        rc = main(["sweep", "selftest", "--store", str(store),
+        rc = main(["reproduce", "selftest", "--run-dir", str(store),
                    "--seed", "7", "--param", "cells=4"])
         assert rc == 0
         err = capsys.readouterr().err
-        assert "sweep: 4/4 cells complete" in err
+        assert "reproduce: 4/4 cells complete" in err
         assert "digest" in err
         assert (store / "rollup.json").exists()
 
     def test_rerun_requires_resume_flag(self, tmp_path, capsys):
         store = tmp_path / "store"
-        args = ["sweep", "selftest", "--store", str(store),
+        args = ["reproduce", "selftest", "--run-dir", str(store),
                 "--param", "cells=2"]
         assert main(args) == 0
         capsys.readouterr()
@@ -630,7 +654,7 @@ class TestSweepCLI:
         assert "(2 resumed" in capsys.readouterr().err
 
     def test_bad_param_exits_two(self, tmp_path, capsys):
-        rc = main(["sweep", "selftest", "--store", str(tmp_path / "s"),
+        rc = main(["reproduce", "selftest", "--run-dir", str(tmp_path / "s"),
                    "--param", "no-equals-sign"])
         assert rc == 2
         assert "bad sweep spec" in capsys.readouterr().err
@@ -638,22 +662,22 @@ class TestSweepCLI:
     def test_nan_timeout_exits_two(self, tmp_path, capsys):
         # a NaN never equals itself, so a store stamped with it could
         # never be resumed
-        rc = main(["sweep", "selftest", "--store", str(tmp_path / "s"),
+        rc = main(["reproduce", "selftest", "--run-dir", str(tmp_path / "s"),
                    "--timeout", "nan"])
         assert rc == 2
         assert "bad sweep spec" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
     def test_faults_rejected_for_non_faultsweep(self, tmp_path, capsys):
-        rc = main(["sweep", "selftest", "--store", str(tmp_path / "s"),
+        rc = main(["reproduce", "selftest", "--run-dir", str(tmp_path / "s"),
                    "--faults", "mtbf=2000,seed=0"])
         assert rc == 2
         assert "faultsweep" in capsys.readouterr().err
 
     def test_malformed_faults_writes_no_shard(self, tmp_path, capsys):
         store = tmp_path / "s"
-        rc = main(["sweep", "faultsweep", "--scale", "tiny",
-                   "--store", str(store), "--faults", "bogus"])
+        rc = main(["reproduce", "faultsweep", "--scale", "tiny",
+                   "--run-dir", str(store), "--faults", "bogus"])
         assert rc == 2
         assert capsys.readouterr().err.splitlines() == [
             "bad sweep spec: bad --faults entry 'bogus': expected key=value"]
@@ -661,27 +685,27 @@ class TestSweepCLI:
 
     def test_non_numeric_faults_value_names_the_key(self, tmp_path, capsys):
         store = tmp_path / "s"
-        rc = main(["sweep", "faultsweep", "--scale", "tiny",
-                   "--store", str(store), "--faults", "mtbf=2000,mttr=abc"])
+        rc = main(["reproduce", "faultsweep", "--scale", "tiny",
+                   "--run-dir", str(store), "--faults", "mtbf=2000,mttr=abc"])
         assert rc == 2
         assert capsys.readouterr().err.splitlines() == [
             "bad sweep spec: bad --faults value mttr='abc': "
             "expected a number"]
         assert not store.exists()
 
-    def test_quarantined_cell_exits_three(self, tmp_path, capsys):
+    def test_quarantined_cell_exits_one(self, tmp_path, capsys):
         store = tmp_path / "store"
-        rc = main(["sweep", "selftest", "--store", str(store),
+        rc = main(["reproduce", "selftest", "--run-dir", str(store),
                    "--param", "cells=3", "--param", "fail=[1]",
                    "--retries", "0"])
-        assert rc == 3
+        assert rc == 1
         err = capsys.readouterr().err
-        assert "sweep: 2/3 cells complete" in err
+        assert "reproduce: 2/3 cells complete" in err
         assert "quarantined" in err and "RuntimeError" in err
 
     def test_faultsweep_sweep_renders_report(self, tmp_path, capsys):
         store = tmp_path / "store"
-        rc = main(["sweep", "faultsweep", "--store", str(store),
+        rc = main(["reproduce", "faultsweep", "--run-dir", str(store),
                    "--workers", "2",
                    "--param", 'policies=["FCFS"]',
                    "--param", "mtbf_grid=[0.0]"])

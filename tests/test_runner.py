@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import EXPERIMENTS, main
+from repro.cli import main
 from repro.experiments import faultsweep, pool, runner
 from repro.experiments.runner import EXPERIMENT_IDS, combined_report
 
@@ -29,6 +29,27 @@ def matrix(tmp_path, only, **params):
     result = pool.run_sweep(spec, tmp_path / "store", workers=0)
     return blocks(runner.TABLE["experiments"].render(spec, result.rollup)), \
         result
+
+
+def boom(*args):
+    raise RuntimeError("boom")
+
+
+def stand_ins(monkeypatch):
+    """Every row but table1 and a two-policy, two-MTBF fault sweep is a
+    stand-in, so the matrix (17 cells) runs in a fraction of a second."""
+    for exp_id in EXPERIMENT_IDS:
+        if exp_id not in ("table1", "faultsweep"):
+            monkeypatch.setitem(runner.TABLE, exp_id, runner._report_row(
+                lambda spec: f"{spec.kind} stand-in"))
+    monkeypatch.setattr(faultsweep, "MTBF_GRID", (0.0, 5000.0))
+    monkeypatch.setattr(faultsweep, "POLICY_FACTORIES", {
+        name: faultsweep.POLICY_FACTORIES[name] for name in ("FCFS", "SJF")})
+
+
+def clock_lines(err):
+    """The ``  [<id>: …]`` lines of a ``reproduce`` run's stderr."""
+    return [line for line in err.splitlines() if line.startswith("  [")]
 
 
 class TestRunAll:
@@ -58,9 +79,6 @@ class TestRunAll:
 
     def test_raising_faultsweep_cell_quarantines_only_itself(
             self, tmp_path, monkeypatch):
-        def boom():
-            raise RuntimeError("boom")
-
         monkeypatch.setitem(faultsweep.POLICY_FACTORIES, "SJF", boom)
         reports, result = matrix(tmp_path, ("table1", "faultsweep"),
                                  policies=["FCFS", "SJF"],
@@ -75,8 +93,8 @@ class TestRunAll:
     def test_malformed_faultsweep_param_fails_at_expansion(self, tmp_path,
                                                            capsys):
         store = tmp_path / "store"
-        assert main(["sweep", "experiments", "--scale", "tiny",
-                     "--store", str(store),
+        assert main(["reproduce", "all", "--scale", "tiny",
+                     "--run-dir", str(store),
                      "--param", 'only=["faultsweep"]',
                      "--param", 'policies=["Nope"]']) == 2
         captured = capsys.readouterr()
@@ -106,8 +124,8 @@ class TestRunAll:
                     if p.is_file()}
 
         before = files()
-        assert main(["sweep", "experiments", "--scale", "tiny",
-                     "--store", str(store.root), "--resume",
+        assert main(["reproduce", "all", "--scale", "tiny",
+                     "--run-dir", str(store.root), "--resume",
                      "--param", 'only=["table1"]']) == 2
         assert "holds cells this sweep does not expand to" in \
             capsys.readouterr().err
@@ -120,36 +138,69 @@ class TestRunAll:
 
     def test_reproduce_all_prints_one_line_per_experiment(
             self, tmp_path, monkeypatch, capsys):
-        # every row but table1 and a two-policy, two-MTBF fault sweep
-        # is a stand-in, so the matrix runs in a fraction of a second
-        for exp_id in EXPERIMENT_IDS:
-            if exp_id not in ("table1", "faultsweep"):
-                monkeypatch.setitem(runner.TABLE, exp_id, runner._report_row(
-                    lambda spec: f"{spec.kind} stand-in"))
-        monkeypatch.setattr(faultsweep, "MTBF_GRID", (0.0, 5000.0))
-        monkeypatch.setattr(faultsweep, "POLICY_FACTORIES", {
-            name: faultsweep.POLICY_FACTORIES[name] for name in ("FCFS",
-                                                                 "SJF")})
+        stand_ins(monkeypatch)
         run = tmp_path / "run"
         assert main(["reproduce", "all", "--scale", "tiny",
                      "--run-dir", str(run)]) == 0
-        lines = capsys.readouterr().err.splitlines()
+        lines = clock_lines(capsys.readouterr().err)
         assert [line.split(":")[0] for line in lines] == [
             f"  [{exp_id}" for exp_id in EXPERIMENT_IDS]
         assert all(": done in " in line for line in lines)
         manifest = json.loads((run / "manifest.json").read_text())
         assert set(manifest["summary"]["wall_s"]) == set(EXPERIMENT_IDS)
 
+    def test_two_workers_print_one_line_per_experiment(
+            self, tmp_path, monkeypatch, capsys):
+        stand_ins(monkeypatch)
+        assert main(["reproduce", "all", "--scale", "tiny",
+                     "--workers", "2"]) == 0
+        lines = clock_lines(capsys.readouterr().err)
+        assert sorted(line.split(":")[0] for line in lines) == sorted(
+            f"  [{exp_id}" for exp_id in EXPERIMENT_IDS)
+        assert all(": done in " in line for line in lines)
+
+    def test_resumed_run_prints_one_line_per_experiment_it_runs(
+            self, tmp_path, monkeypatch, capsys):
+        stand_ins(monkeypatch)
+        monkeypatch.setitem(runner.TABLE, "fig6", runner._report_row(boom))
+        sjf = faultsweep.POLICY_FACTORIES["SJF"]
+        monkeypatch.setitem(faultsweep.POLICY_FACTORIES, "SJF", boom)
+        run = tmp_path / "run"
+        argv = ["reproduce", "all", "--scale", "tiny", "--run-dir", str(run)]
+        assert main(argv) == 1
+        lines = clock_lines(capsys.readouterr().err)
+        assert [line for line in lines if "failed after" in line] == [
+            line for line in lines if line.startswith(("  [fig6:",
+                                                       "  [faultsweep:"))]
+        # the resumed run reruns fig6 and SJF's two fault-sweep cells only
+        monkeypatch.setitem(runner.TABLE, "fig6", runner._report_row(
+            lambda spec: "fig6 stand-in"))
+        monkeypatch.setitem(faultsweep.POLICY_FACTORIES, "SJF", sjf)
+        assert main(argv + ["--resume"]) == 0
+        err = capsys.readouterr().err
+        assert [line.split(":")[0] for line in clock_lines(err)] == [
+            "  [fig6", "  [faultsweep"]
+        assert all(": done in " in line for line in clock_lines(err))
+        assert "(14 resumed, 0 quarantined this run)" in err
+
     def test_progress_callback(self, capsys):
         assert main(["reproduce", "table1"]) == 0
         messages = capsys.readouterr().err.splitlines()
-        assert len(messages) == 1
+        assert len(messages) == 2
         assert messages[0].strip().startswith("[table1")
+        assert messages[1].startswith(
+            "reproduce: 1/1 cells complete (0 resumed, 0 quarantined this "
+            "run), rollup digest ")
 
-    def test_spec_ids_unique_and_complete(self):
+    def test_spec_ids_unique_and_complete(self, capsys):
         ids = list(EXPERIMENT_IDS)
         assert len(ids) == len(set(ids))
-        assert set(ids) == set(EXPERIMENTS) == {
+        # the reproduce parser's choices are these ids, in report order
+        with pytest.raises(SystemExit):
+            main(["reproduce", "--help"])
+        assert "{%s}" % ",".join(ids + ["all", "selftest"]) in \
+            capsys.readouterr().out
+        assert set(ids) == {
             "table1", "table2", "table3", "table4",
             "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
             "faultsweep", "overhead",
@@ -159,15 +210,16 @@ class TestRunAll:
         # reproduce <id> prints, byte for byte, the block a 2-worker
         # sweep of the matrix renders for <id>
         only = ["table1", "table2", "fig2", "fig3", "table3"]  # report order
-        assert main(["sweep", "experiments", "--scale", "tiny",
-                     "--store", str(tmp_path / "store"), "--workers", "2",
+        assert main(["reproduce", "all", "--scale", "tiny",
+                     "--run-dir", str(tmp_path / "store"), "--workers", "2",
                      "--param", "only=" + json.dumps(only)]) == 0
         swept = capsys.readouterr().out
         reports = {}
         for exp_id in only:
             assert main(["reproduce", exp_id, "--scale", "tiny"]) == 0
             reports[exp_id] = capsys.readouterr().out.removesuffix("\n")
-        assert swept == combined_report(reports, "tiny") + "\n"
+        assert swept == combined_report(reports, "tiny", expected=only) \
+            + "\n"
         assert "Table II" in reports["table2"]
         assert "Fig 2" in reports["fig2"]
         assert "Fig 3" in reports["fig3"]
@@ -176,7 +228,7 @@ class TestRunAll:
 class TestCombinedReport:
     def test_contains_all_sections(self):
         reports = {"a": "alpha body", "b": "beta body"}
-        text = combined_report(reports, "tiny")
+        text = combined_report(reports, "tiny", expected=["a", "b"])
         assert "[a]" in text and "[b]" in text
         assert "alpha body" in text and "beta body" in text
         assert "scale: tiny" in text
@@ -195,10 +247,6 @@ class TestCombinedReport:
             failures={"b": "CellTimeout"})
         assert "[b] QUARANTINED — CellTimeout" in text
         assert "--resume" in text
-
-    def test_failure_outside_expected_still_listed(self):
-        text = combined_report({}, "tiny", failures={"c": "ValueError"})
-        assert "[c] QUARANTINED — ValueError" in text
 
     def test_complete_report_has_no_partial_trailer(self):
         text = combined_report({"a": "x", "b": "y"}, "tiny",
