@@ -37,21 +37,18 @@ def evaluate_method(
     scheduler,
     jobs: list[Job],
     num_nodes: int,
-    observers=(),
-    slowdown_bound: float = 0.0,
 ) -> MethodResult:
     """Run one scheduler over a fresh copy of ``jobs`` and summarize."""
     engine = Engine(
         Cluster(num_nodes),
         scheduler,
         [j.copy_fresh() for j in jobs],
-        observers=list(observers),
     )
     result = engine.run()
     return MethodResult(
         name=scheduler.name,
         result=result,
-        metrics=RunMetrics.from_result(result, slowdown_bound=slowdown_bound),
+        metrics=RunMetrics.from_result(result),
         modes=ModeBreakdown.from_jobs(result.jobs),
     )
 
@@ -104,13 +101,12 @@ def kiviat_area(values: dict[str, float]) -> float:
 def starvation_summary(
     results: list[MethodResult],
     large_job_threshold: int,
-    starvation_days: float = 30.0,
 ) -> dict[str, dict[str, float]]:
     """Large-job starvation indicators per method (Fig 7 analysis).
 
     Reports each method's maximum wait (days), the mean wait of large
     jobs versus small jobs (hours) and the count of jobs waiting longer
-    than ``starvation_days``.
+    than 30 days.
     """
     out: dict[str, dict[str, float]] = {}
     for r in results:
@@ -123,7 +119,7 @@ def starvation_summary(
             "large_avg_wait_h": float(np.mean(large)) / 3600.0 if large else 0.0,
             "small_avg_wait_h": float(np.mean(small)) / 3600.0 if small else 0.0,
             "starved_jobs": float(
-                sum(1 for w in waits if w > starvation_days * 86400.0)
+                sum(1 for w in waits if w > 30.0 * 86400.0)
             ),
         }
     return out

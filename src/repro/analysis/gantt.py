@@ -5,8 +5,7 @@ node-rows × time-columns character grid — a quick way to eyeball
 packing quality and backfill holes without a plotting stack, and the
 only per-node view of a schedule (``examples/quickstart.py`` step 4
 prints one).  Each job is drawn with a letter cycling through the
-alphabet; execution modes can optionally be distinguished by case
-(backfilled jobs lower-case).
+alphabet, lower-case when the job was backfilled.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ def render_gantt(
     result: SimulationResult,
     width: int = 78,
     max_rows: int = 32,
-    mark_backfill: bool = True,
 ) -> str:
     """Render the schedule of ``result`` as a character grid.
 
@@ -67,7 +65,7 @@ def render_gantt(
     grid = [["."] * width for _ in range(rows)]
     for j_idx, job in enumerate(sorted(jobs, key=lambda j: j.start_time)):
         glyph = _GLYPHS[j_idx % len(_GLYPHS)]
-        if mark_backfill and job.mode is ExecMode.BACKFILLED:
+        if job.mode is ExecMode.BACKFILLED:
             glyph = glyph.lower()
         c0 = int((job.start_time - t0) / span * (width - 1))
         c1 = max(c0, int((job.end_time - t0) / span * (width - 1)))
@@ -79,8 +77,7 @@ def render_gantt(
 
     header = (
         f"gantt: {len(jobs)} jobs on {num_nodes} nodes, "
-        f"{span / 3600:.1f} h span "
-        f"({'lower-case = backfilled' if mark_backfill else ''})"
+        f"{span / 3600:.1f} h span (lower-case = backfilled)"
     )
     lines = [header]
     for r, row in enumerate(grid):

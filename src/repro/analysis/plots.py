@@ -15,24 +15,18 @@ _BLOCKS = " ▏▎▍▌▋▊▉█"
 _SPARKS = "▁▂▃▄▅▆▇█"
 
 
-def hbar_chart(
-    values: Mapping[str, float],
-    width: int = 40,
-    title: str | None = None,
-    fmt: str = "{:.2f}",
-) -> str:
-    """Horizontal bar chart: one labelled bar per entry.
+def hbar_chart(values: Mapping[str, float]) -> str:
+    """Horizontal bar chart: one labelled bar per entry, 30 columns wide.
 
     Bars scale to the maximum value; sub-character resolution uses
     eighth-block glyphs.
     """
     if not values:
         raise ValueError("nothing to plot")
-    if width <= 0:
-        raise ValueError("width must be positive")
+    width = 30
     vmax = max(values.values())
     label_w = max(len(k) for k in values)
-    lines = [] if title is None else [title]
+    lines = []
     for key, value in values.items():
         if value < 0:
             raise ValueError("hbar_chart requires non-negative values")
@@ -40,7 +34,7 @@ def hbar_chart(
         eighths = int(round(frac * width * 8))
         full, rem = divmod(eighths, 8)
         bar = "█" * full + (_BLOCKS[rem] if rem else "")
-        lines.append(f"{key.ljust(label_w)} | {bar.ljust(width)} {fmt.format(value)}")
+        lines.append(f"{key.ljust(label_w)} | {bar.ljust(width)} {value:.2f}")
     return "\n".join(lines)
 
 
@@ -62,18 +56,17 @@ def sparkline(series: Sequence[float]) -> str:
 
 def line_chart(
     series: Mapping[str, Sequence[float]],
-    height: int = 10,
     title: str | None = None,
 ) -> str:
-    """Multi-series text line chart (one glyph column per x index).
+    """Multi-series text line chart, ten rows high (one glyph column
+    per x index).
 
     Each series gets a distinct marker; collisions show the later
     series' marker.  The y axis is shared and linearly scaled.
     """
     if not series:
         raise ValueError("nothing to plot")
-    if height < 2:
-        raise ValueError("height must be >= 2")
+    height = 10
     markers = "ox+*#@%&"
     lengths = {len(s) for s in series.values()}
     if 0 in lengths:
@@ -101,7 +94,6 @@ def line_chart(
 
 def kiviat_text(
     per_method: Mapping[str, Mapping[str, float]],
-    width: int = 30,
     title: str | None = None,
 ) -> str:
     """Kiviat values rendered as grouped bar rows per metric.
@@ -117,9 +109,6 @@ def kiviat_text(
     for metric in metrics:
         blocks.append(f"\n[{metric}]")
         blocks.append(
-            hbar_chart(
-                {m: vals[metric] for m, vals in per_method.items()},
-                width=width,
-            )
+            hbar_chart({m: vals[metric] for m, vals in per_method.items()})
         )
     return "\n".join(blocks)

@@ -9,16 +9,15 @@ def format_table(
     headers: Sequence[str],
     rows: Sequence[Sequence[object]],
     title: str | None = None,
-    float_fmt: str = "{:.3f}",
 ) -> str:
     """Render an aligned ASCII table.
 
-    Floats are formatted with ``float_fmt``; everything else with
+    Floats get three decimals; everything else is formatted with
     ``str``.  Columns are sized to their widest cell.
     """
     def cell(value: object) -> str:
         if isinstance(value, float):
-            return float_fmt.format(value)
+            return f"{value:.3f}"
         return str(value)
 
     str_rows = [[cell(v) for v in row] for row in rows]

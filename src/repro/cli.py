@@ -259,6 +259,10 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         print(f"bad sweep spec: {exc}", file=sys.stderr)
         return 2
 
+    if args.workers < 0:  # refused before the store writes anything
+        print(f"reproduce: workers must be >= 0, got {args.workers}",
+              file=sys.stderr)
+        return 2
     with contextlib.ExitStack() as stack:
         store = pool.SweepStore(args.run_dir or stack.enter_context(
             tempfile.TemporaryDirectory(prefix="repro-reproduce-")))
@@ -355,9 +359,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
     from repro.workload import CoriModel, ThetaModel, write_swf
 
     factory = ThetaModel if args.system == "theta" else CoriModel
-    model = factory.scaled(args.nodes) if args.nodes else factory.paper()
-    rng = np.random.default_rng(args.seed)
-    jobs = model.generate(args.jobs, rng, load_factor=args.load_factor)
+    try:
+        model = factory.scaled(args.nodes) if args.nodes else factory.paper()
+        rng = np.random.default_rng(args.seed)
+        jobs = model.generate(args.jobs, rng, load_factor=args.load_factor)
+    except ValueError as exc:
+        print(f"bad input: {exc}", file=sys.stderr)
+        return 2
     write_swf(
         jobs, args.out,
         header=f"synthetic {model.name} trace, {args.jobs} jobs, seed {args.seed}",
@@ -436,13 +444,19 @@ def cmd_train(args: argparse.Namespace) -> int:
     from repro.workload import CoriModel, ThetaModel
 
     factory = ThetaModel if args.system == "theta" else CoriModel
-    model = factory.scaled(args.nodes)
     objective = "capability" if args.system == "theta" else "capacity"
-    config = DRASConfig.scaled(
-        args.nodes, objective=objective, window=args.window,
-        time_scale=factory.MAX_RUNTIME, seed=args.seed,
-    )
-    faults = parse_faults(args.faults)
+    try:
+        if args.nodes <= 0:
+            raise ValueError(f"--nodes must be positive, got {args.nodes}")
+        model = factory.scaled(args.nodes)
+        config = DRASConfig.scaled(
+            args.nodes, objective=objective, window=args.window,
+            time_scale=factory.MAX_RUNTIME, seed=args.seed,
+        )
+        faults = parse_faults(args.faults)
+    except ValueError as exc:
+        print(f"bad input: {exc}", file=sys.stderr)
+        return 2
     history = None
     resume_after = None
     if args.resume:

@@ -145,24 +145,23 @@ def make_reward(objective: str, **kwargs: float) -> RewardFunction:
 
 
 def job_value(job: Job, objective: str, waiting: Sequence[Job],
-              cluster: Cluster, now: float,
-              w1: float = 1.0 / 3.0, w2: float = 1.0 / 3.0,
-              w3: float = 1.0 / 3.0) -> float:
+              cluster: Cluster, now: float) -> float:
     """Per-job marginal value under a scheduling objective.
 
     Used by the Optimization (0-1 knapsack) baseline so that it pursues
     *the same objectives* as DRAS (paper section IV-A): under the
     capability objective a job contributes its normalized wait (the
     starvation term), its normalized size (the capability term) and its
-    normalized size again (its utilization contribution); under the
-    capacity objective it contributes the ``1/t_j`` penalty it removes
-    from the queue by leaving it.
+    normalized size again (its utilization contribution), each weighted
+    1/3; under the capacity objective it contributes the ``1/t_j``
+    penalty it removes from the queue by leaving it.
     """
     if objective == "capability":
         t_max = max((j.queued_time(now) for j in waiting), default=0.0)
         starve = job.queued_time(now) / t_max if t_max > 0 else 0.0
         frac = job.size / max(1, cluster.up_nodes)
-        return w1 * starve + w2 * frac + w3 * frac
+        w = 1.0 / 3.0
+        return w * starve + w * frac + w * frac
     if objective == "capacity":
         return 1.0 / max(job.walltime, 1.0)
     raise ValueError(f"unknown objective {objective!r}")

@@ -202,13 +202,13 @@ def trained_agent(
     return copy.deepcopy(_train(kind, system, scale_name, seed))
 
 
-def baseline_schedulers(objective: str, window: int = 100, seed: int = 0) -> list:
+def baseline_schedulers(objective: str, seed: int = 0) -> list:
     """The four non-learning baselines of §IV-A."""
     return [
         FCFSEasy(),
         BinPacking(),
         RandomScheduler(seed=seed),
-        KnapsackOptimization(objective, window=window),
+        KnapsackOptimization(objective),
     ]
 
 

@@ -76,7 +76,6 @@ def report(result: LearningCurves) -> str:
     )
     chart = line_chart(
         {name: list(curve) for name, curve in result.curves.items()},
-        height=10,
         title="validation reward vs episode:",
     )
     return (table + "\n\nlearning curves (validation reward per episode):\n"

@@ -105,7 +105,6 @@ def report(result: AdaptationResult) -> str:
     )
     chart = line_chart(
         {m: list(result.weekly_wait_h[m]) for m in methods},
-        height=10,
         title="weekly average wait (h) per method:",
     )
     return table + "\n\n" + chart

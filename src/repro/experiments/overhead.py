@@ -33,6 +33,9 @@ REALTIME_BUDGET_S = 15.0
 #: share of the nodes running jobs hold in the typical decision
 OCCUPANCY = 0.9
 
+#: decisions per timed parameter update
+_BATCH = 10
+
 
 @dataclass(frozen=True)
 class OverheadResult:
@@ -83,11 +86,11 @@ def decision_states(config: DRASConfig) -> tuple[list[Job], list[SimpleNamespace
     return window, [SimpleNamespace(cluster=c, now=600.0) for c in (busy, apart)]
 
 
-def _measure(agent, decide, loss, rows: int, batch: int, repeats: int) -> OverheadResult:
-    """Time ``decide(window, state)`` on both states and one update of ``batch``."""
+def _measure(agent, decide, loss, rows: int, repeats: int) -> OverheadResult:
+    """Time ``decide(window, state)`` on both states and one update of ``_BATCH``."""
     net, opt = agent.network, agent.optimizer
     window, (typical, worst) = decision_states(agent.config)
-    xb = np.random.default_rng(0).random((batch, rows, 2))
+    xb = np.random.default_rng(0).random((_BATCH, rows, 2))
 
     def update() -> None:
         _, grad = loss(net.forward(xb))
@@ -103,23 +106,23 @@ def _measure(agent, decide, loss, rows: int, batch: int, repeats: int) -> Overhe
     )
 
 
-def measure_pg(config: DRASConfig, batch: int = 10, repeats: int = 3) -> OverheadResult:
+def measure_pg(config: DRASConfig, repeats: int = 3) -> OverheadResult:
     rng = np.random.default_rng(0)
-    masks = np.ones((batch, config.window), dtype=bool)
-    actions = rng.integers(config.window, size=batch)
-    advantages = rng.normal(size=batch)
+    masks = np.ones((_BATCH, config.window), dtype=bool)
+    actions = rng.integers(config.window, size=_BATCH)
+    advantages = rng.normal(size=_BATCH)
     agent = DRASPG(config)
     return _measure(
         agent, agent.core.policy,
         lambda logits: policy_gradient_loss(logits, masks, actions, advantages),
-        config.pg_dims.rows, batch, repeats)
+        config.pg_dims.rows, repeats)
 
 
-def measure_dql(config: DRASConfig, batch: int = 10, repeats: int = 3) -> OverheadResult:
-    targets = np.random.default_rng(0).normal(size=(batch, 1))
+def measure_dql(config: DRASConfig, repeats: int = 3) -> OverheadResult:
+    targets = np.random.default_rng(0).normal(size=(_BATCH, 1))
     agent = DRASDQL(config)
     return _measure(agent, agent.q_values, lambda q: mse_loss(q, targets),
-                    config.dql_dims.rows, batch, repeats)
+                    config.dql_dims.rows, repeats)
 
 
 def run(full_size: bool = True, repeats: int = 3) -> list[OverheadResult]:

@@ -332,7 +332,7 @@ class LeakyReLU(Layer):
     pays for the slope.
     """
 
-    def __init__(self, alpha: float = 0.01) -> None:
+    def __init__(self, alpha: float) -> None:
         if not 0 < alpha <= 1:
             raise ValueError(f"alpha must be in (0, 1], got {alpha}")
         self.alpha = alpha

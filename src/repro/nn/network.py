@@ -219,13 +219,13 @@ def build_dras_network(
     hidden2: int,
     outputs: int,
     rng: np.random.Generator | None = None,
-    leaky_alpha: float = 0.01,
     dtype: np.dtype | type = np.float32,
 ) -> Network:
     """The paper's five-layer DRAS network (§III-B, Table III).
 
     ``input [rows, 2] -> Conv1x2 -> FC(hidden1, no bias) -> leaky ReLU
-    -> FC(hidden2, no bias) -> leaky ReLU -> FC(outputs, bias)``
+    -> FC(hidden2, no bias) -> leaky ReLU -> FC(outputs, bias)``, the
+    leaky ReLU slope 0.01.
 
     For Theta DRAS-PG: ``rows=4460, hidden1=4000, hidden2=1000,
     outputs=50`` giving 21,890,053 trainable parameters, matching
@@ -236,9 +236,9 @@ def build_dras_network(
         [
             Conv1x2(rng=rng),
             Dense(rows, hidden1, bias=False, rng=rng, name="fc1", dtype=dtype),
-            LeakyReLU(leaky_alpha),
+            LeakyReLU(0.01),
             Dense(hidden1, hidden2, bias=False, rng=rng, name="fc2", dtype=dtype),
-            LeakyReLU(leaky_alpha),
+            LeakyReLU(0.01),
             Dense(hidden2, outputs, bias=True, rng=rng, name="out", dtype=dtype),
         ],
         dtype=dtype,

@@ -85,30 +85,30 @@ def _gradient_blocks(p: Parameter, into: np.ndarray
 
 
 class Adam:
-    """Adam (Kingma & Ba) — the optimizer the paper uses, lr = 0.001."""
+    """Adam (Kingma & Ba) — the optimizer the paper uses, lr = 0.001,
+    with the textbook constants ``β1 = 0.9``, ``β2 = 0.999`` and
+    ``ε = 1e-8``."""
+
+    #: plain Python floats, like ``lr``: a NumPy scalar of a wider type
+    #: would widen every product it enters
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
 
     def __init__(
         self,
         params: list[Parameter],
         lr: float = 0.001,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
         grad_clip: float | None = None,
     ) -> None:
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
         if not params:
             raise ValueError("no parameters to optimize")
-        if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
-            raise ValueError("betas must be in [0, 1)")
         self.params = params
         # a plain float: a NumPy scalar of a wider type would widen
         # every product it enters
         self.lr = float(lr)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.grad_clip = grad_clip
         #: when True, :attr:`last_grad_norm` is refreshed on every step
         #: (the global pre-clip gradient L2 norm); off by default so the
@@ -167,8 +167,7 @@ class Adam:
         never shows in a result's dtype — it only makes the pass
         compute wide and round back.  Hence the operands are checked.
         """
-        scalars = {"lr": self.lr, "eps": self.eps, "beta1": self.beta1,
-                   "beta2": self.beta2, "grad_clip": self.grad_clip or 0.0}
+        scalars = {"lr": self.lr, "grad_clip": self.grad_clip or 0.0}
         scratch = {f"scratch {i}": buf for i, buf in enumerate(self._scratch)}
         for p, m, v in zip(self.params, self._m, self._v):
             operands = [*(("gradient", g) for g in _factors(p.grad)),

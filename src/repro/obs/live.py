@@ -367,8 +367,7 @@ def read_log(path: "str | os.PathLike[str]") -> dict[str, Any]:
 
 # -- building a bus from a CLI/env spec ----------------------------------------
 
-def live_from_spec(spec: str, stream: TextIO | None = None,
-                   source: str | None = None) -> LiveBus | None:
+def live_from_spec(spec: str, stream: TextIO | None = None) -> LiveBus | None:
     """Build a :class:`LiveBus` from a ``REPRO_LIVE`` value.
 
     * ``""``, ``"0"``, ``"off"`` → ``None`` (live view disabled);
@@ -388,7 +387,7 @@ def live_from_spec(spec: str, stream: TextIO | None = None,
     try:
         int(value)
     except ValueError:
-        bus.attach(SnapshotWriter(value, source=source))
+        bus.attach(SnapshotWriter(value))
         return bus
     raise ValueError(
         f"live spec {value!r} is a port, but the HTTP view was removed; "

@@ -33,8 +33,8 @@ MANIFEST_SCHEMA = "repro.manifest/v1"
 VOLATILE_FIELDS = frozenset({"created_unix"})
 
 
-def git_sha(cwd: str | Path | None = None) -> str:
-    """The current git commit (short SHA), or ``"unknown"``.
+def git_sha() -> str:
+    """The current directory's git commit (short SHA), or ``"unknown"``.
 
     Never raises: missing ``git``, a non-repo directory and a detached
     environment all degrade to the sentinel so manifests can always be
@@ -43,7 +43,6 @@ def git_sha(cwd: str | Path | None = None) -> str:
     try:
         proc = subprocess.run(
             ["git", "rev-parse", "--short=12", "HEAD"],
-            cwd=str(cwd) if cwd is not None else None,
             capture_output=True,
             text=True,
             timeout=10,

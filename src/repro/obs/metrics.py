@@ -52,16 +52,12 @@ def nearest_rank(q: float, n: int) -> int:
 
 
 class Counter:
-    """A monotonically increasing count."""
+    """A monotonically increasing count; callers add to ``value``."""
 
     __slots__ = ("value",)
 
     def __init__(self) -> None:
         self.value = 0
-
-    def inc(self, n: int = 1) -> None:
-        """Add ``n`` (default 1) to the count."""
-        self.value += n
 
 
 class Timer:

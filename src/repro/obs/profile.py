@@ -257,9 +257,9 @@ class Profiler:
             ],
         }
 
-    def format_table(self, top: int = 20) -> str:
-        """A terminal-friendly hot-path attribution table."""
-        entries = self.flat()[:top]
+    def format_table(self) -> str:
+        """A terminal-friendly hot-path attribution table (20 hottest scopes)."""
+        entries = self.flat()[:20]
         total = self.total_s() or 1.0
         lines = [
             f"{'scope':<28} {'calls':>9} {'cum s':>10} {'self s':>10} "

@@ -139,7 +139,7 @@ def _scale(lo: float, hi: float, a: float, b: float) -> Callable[[float], float]
 def _frame(
     xticks: Sequence[float], yticks: Sequence[float],
     sx: Callable[[float], float], sy: Callable[[float], float],
-    x_fmt: Callable[[float], str], y_fmt: Callable[[float], str],
+    x_fmt: Callable[[float], str],
 ) -> list[str]:
     """Hairline gridlines, baseline and tick labels (recessive chrome)."""
     parts = []
@@ -151,7 +151,7 @@ def _frame(
         )
         parts.append(
             f'<text x="{_ML - 6}" y="{y + 3.5:.1f}" text-anchor="end" '
-            f'fill="var(--muted)">{escape(y_fmt(t))}</text>'
+            f'fill="var(--muted)">{escape(_fmt(t))}</text>'
         )
     base = _H - _MB
     parts.append(
@@ -180,9 +180,7 @@ def _finite_points(
 def svg_line_chart(
     series: Sequence[Series],
     x_fmt: Callable[[float], str] | None = None,
-    y_fmt: Callable[[float], str] | None = None,
     step: bool = False,
-    unit: str = "",
 ) -> str:
     """A one-axis line (or step) chart over up to three series.
 
@@ -192,7 +190,6 @@ def svg_line_chart(
     nothing is plottable (callers then skip the card entirely).
     """
     x_fmt = x_fmt or _fmt
-    y_fmt = y_fmt or _fmt
     plotted = [
         (label, pts)
         for label, pts in ((lbl, _finite_points(p)) for lbl, p in series)
@@ -217,7 +214,7 @@ def svg_line_chart(
         f'<svg viewBox="0 0 {_W} {_H}" role="img" '
         'xmlns="http://www.w3.org/2000/svg">'
     ]
-    parts += _frame(xticks, yticks, sx, sy, x_fmt, y_fmt)
+    parts += _frame(xticks, yticks, sx, sy, x_fmt)
     for i, (label, pts) in enumerate(plotted):
         color = f"var({_SLOT_VARS[i]})"
         coords = [(sx(x), sy(y)) for x, y in pts]
@@ -246,7 +243,7 @@ def svg_line_chart(
         hover = coords if len(coords) <= 200 else coords[:: len(coords) // 200 + 1]
         hov_pts = pts if len(coords) <= 200 else pts[:: len(pts) // 200 + 1]
         for (cx, cy), (x, y) in zip(hover, hov_pts):
-            tip = f"{label} @ {x_fmt(x)}: {y_fmt(y)}{unit}"
+            tip = f"{label} @ {x_fmt(x)}: {_fmt(y)}"
             parts.append(
                 f'<circle cx="{cx:.1f}" cy="{cy:.1f}" r="10" '
                 f'fill="transparent"><title>{escape(tip)}</title></circle>'
@@ -431,13 +428,12 @@ def _seconds_fmt(v: float) -> str:
     return f"{1e3 * v:.3g}ms"
 
 
-def _summary_tiles(
-    manifest: Mapping[str, Any] | None, metrics: Mapping[str, Any] | None
-) -> str:
+def _summary_tiles(manifest: Mapping[str, Any] | None) -> str:
     """Headline tiles: the run's policy, seed and node count from a
-    :class:`~repro.obs.manifest.RunManifest` document, then its metrics
-    — ``metrics`` when given, else the manifest's ``summary``."""
+    :class:`~repro.obs.manifest.RunManifest` document, then the metrics
+    of its ``summary``."""
     tiles = []
+    metrics = None
     if manifest:
         config = manifest.get("config") or {}
         for label, source, key in (("policy", config, "policy"),
@@ -445,8 +441,7 @@ def _summary_tiles(
                                    ("nodes", config, "nodes")):
             if key in source:
                 tiles.append(_tile(label, source[key]))
-        if metrics is None:
-            metrics = manifest.get("summary")
+        metrics = manifest.get("summary")
     if metrics:
         for key, label in (
             ("num_jobs", "jobs finished"),
@@ -634,7 +629,6 @@ def _manifest_section(manifest: Mapping[str, Any]) -> str:
 def render_report(
     title: str = "repro run report",
     manifest: Mapping[str, Any] | None = None,
-    metrics: Mapping[str, Any] | None = None,
     telemetry: Sequence[Mapping[str, Any]] | None = None,
     log: Mapping[str, Any] | None = None,
     trace: TraceSummary | None = None,
@@ -654,7 +648,7 @@ def render_report(
     if manifest and manifest.get("schema"):
         digest = f'schema {manifest["schema"]}'
     sections = [
-        _summary_tiles(manifest, metrics),
+        _summary_tiles(manifest),
         _section("Training telemetry",
                  _telemetry_section(list(telemetry or []))),
         _section("Live log", _live_section(log) if log else ""),

@@ -66,14 +66,14 @@ class TrainingHistory:
     def validation_curve(self) -> np.ndarray:
         return np.array([e.validation_reward for e in self.episodes])
 
-    def converged_at(self, window: int = 5, rel_tol: float = 0.05) -> int | None:
+    def converged_at(self) -> int | None:
         """First episode where the validation reward plateaus.
 
         The curve is considered converged at episode ``i`` when the last
-        ``window`` validation rewards vary by less than ``rel_tol``
-        relative to their mean magnitude.  Returns ``None`` if the curve
-        never converges.
+        five validation rewards vary by at most 5% of their mean
+        magnitude.  Returns ``None`` if the curve never converges.
         """
+        window, rel_tol = 5, 0.05
         curve = self.validation_curve
         for i in range(window - 1, curve.size):
             chunk = curve[i - window + 1 : i + 1]
@@ -304,8 +304,6 @@ class Trainer:
         self,
         jobsets: list[tuple[str, list[Job]]],
         history: TrainingHistory | None = None,
-        stop_on_convergence: bool = False,
-        convergence_window: int = 5,
     ) -> TrainingHistory:
         """Train over ``(phase_name, jobset)`` pairs in order.
 
@@ -341,8 +339,6 @@ class Trainer:
             if self.checkpoint_path is not None \
                     and (episode + 1) % self.checkpoint_every == 0:
                 self._write_checkpoint(history)
-            if stop_on_convergence and history.converged_at(convergence_window):
-                break
         return history
 
     def _write_checkpoint(self, history: TrainingHistory) -> None:

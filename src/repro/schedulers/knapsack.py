@@ -66,23 +66,20 @@ class KnapsackOptimization(BaseScheduler):
     ----------
     objective:
         ``"capability"`` (Eq. 1 values) or ``"capacity"`` (Eq. 2 values).
-    window:
-        Only the ``window`` oldest waiting jobs are considered per
-        instance, bounding the DP cost on deep queues.
+
+    Only the 100 oldest waiting jobs are considered per instance,
+    bounding the DP cost on deep queues.
     """
 
-    def __init__(self, objective: str = "capability", window: int = 100) -> None:
-        if window <= 0:
-            raise ValueError(f"window must be positive, got {window}")
+    def __init__(self, objective: str = "capability") -> None:
         self.objective = objective
-        self.window = window
         self.name = "Optimization"
 
     def schedule(self, view: SchedulingView) -> None:
         capacity = view.free_nodes
         if capacity <= 0:
             return
-        waiting = view.waiting()[: self.window]
+        waiting = view.waiting()[:100]
         candidates: list[Job] = [j for j in waiting if j.size <= capacity]
         if not candidates:
             return

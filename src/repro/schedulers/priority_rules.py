@@ -70,8 +70,8 @@ def smallest_area_first() -> RuleScheduler:
     return RuleScheduler(lambda j, now: j.size * j.walltime, "SAF")
 
 
-def f1_wfp(exponent: float = 3.0) -> RuleScheduler:
-    """WFP-style aging rule: ``-(wait / walltime)^e * size``.
+def f1_wfp() -> RuleScheduler:
+    """WFP-style aging rule: ``-(wait / walltime)^3 * size``.
 
     Jobs gain priority polynomially with their normalized wait, scaled
     by size — a starvation-aware compromise between FCFS and SJF (cf.
@@ -81,9 +81,9 @@ def f1_wfp(exponent: float = 3.0) -> RuleScheduler:
 
     def key(j: Job, now: float) -> float:
         wait = j.queued_time(now)
-        return -((wait / max(j.walltime, 1.0)) ** exponent) * j.size
+        return -((wait / max(j.walltime, 1.0)) ** 3.0) * j.size
 
-    return RuleScheduler(key, f"WFP{exponent:g}")
+    return RuleScheduler(key, "WFP3")
 
 
 def unicef() -> RuleScheduler:

@@ -19,14 +19,8 @@ class RandomScheduler(BaseScheduler):
 
     name = "Random"
 
-    def __init__(
-        self,
-        seed: int | None = 0,
-        rng: np.random.Generator | None = None,
-    ) -> None:
-        # an injected Generator lets callers share one seeded RNG stream
-        # across components; the seed default keeps existing runs stable
-        self._rng = rng if rng is not None else np.random.default_rng(seed)
+    def __init__(self, seed: int | None = 0) -> None:
+        self._rng = np.random.default_rng(seed)
 
     def schedule(self, view: SchedulingView) -> None:
         while True:

@@ -127,31 +127,30 @@ class SchedulingView:
             pool = engine.queue.waiting
         return engine.planner.candidates(pool, self._reservation, engine.now)
 
-    def backfill_first(self, pool: list[Job] | None = None) -> Job | None:
+    def backfill_first(self) -> Job | None:
         """The first legal backfill candidate, or ``None``.
 
-        Equivalent to ``backfill_candidates(pool)[0]`` (with the empty
-        case mapped to ``None``) but stops scanning at the first hit —
-        the fast path for first-fit policies like FCFS/EASY.
+        Equivalent to ``backfill_candidates()[0]`` (with the empty case
+        mapped to ``None``) but stops scanning at the first hit — the
+        fast path for first-fit policies like FCFS/EASY.
         """
         if self._reservation is None:
             raise SimulationError("backfill_first requires a reservation")
         engine = self._engine
-        if pool is None:
-            if engine.cluster.available_nodes < engine.queue.min_size:
-                return None  # no waiting job fits: nothing to scan for
-            # the live list is safe here: first_candidate only scans, and
-            # the scan completes before the caller can start anything
-            pool = engine.queue.peek_waiting()
-        return engine.planner.first_candidate(pool, self._reservation, engine.now)
+        if engine.cluster.available_nodes < engine.queue.min_size:
+            return None  # no waiting job fits: nothing to scan for
+        # the live list is safe here: first_candidate only scans, and
+        # the scan completes before the caller can start anything
+        return engine.planner.first_candidate(
+            engine.queue.peek_waiting(), self._reservation, engine.now)
 
     # -- actions ----------------------------------------------------------------
-    def start(self, job: Job, mode: ExecMode | None = None) -> Job:
+    def start(self, job: Job) -> Job:
         """Start ``job`` now.
 
-        ``mode`` defaults to automatic attribution: ``RESERVED`` if the
-        job ever held a reservation, ``BACKFILLED`` if another job holds
-        the reservation right now, otherwise ``READY``.
+        Its mode is attributed automatically: ``RESERVED`` if the job
+        ever held a reservation, ``BACKFILLED`` if another job holds the
+        reservation right now, otherwise ``READY``.
         """
         if job.state is not JobState.WAITING:
             raise SimulationError(f"job {job.job_id} is not waiting")
@@ -166,13 +165,12 @@ class SchedulingView:
                     f"job {job.job_id} would delay the reservation for "
                     f"job {self._reservation.job_id}"
                 )
-        if mode is None:
-            if job.ever_reserved:
-                mode = ExecMode.RESERVED
-            elif self._reservation is not None:
-                mode = ExecMode.BACKFILLED
-            else:
-                mode = ExecMode.READY
+        if job.ever_reserved:
+            mode = ExecMode.RESERVED
+        elif self._reservation is not None:
+            mode = ExecMode.BACKFILLED
+        else:
+            mode = ExecMode.READY
         self._engine._start_job(job, mode)
         self._started.append(job)
         if self._reserved_job is job:
@@ -254,9 +252,6 @@ class Engine:
     observers:
         Optional :class:`Observer` subscribers (reward meters, an
         :class:`~repro.obs.analyze.UtilizationTimeline`).
-    max_time:
-        Optional simulation-time horizon; events beyond it are dropped
-        and still-running jobs are left unfinished in the result.
     sanitize:
         Activate the runtime invariant checks of
         :mod:`repro.check.sanitize` for this engine and its cluster.
@@ -310,7 +305,6 @@ class Engine:
         scheduler: Scheduler,
         jobs: Iterable[Job],
         observers: Sequence[Observer] = (),
-        max_time: float | None = None,
         sanitize: bool | None = None,
         trace: "Tracer | str | Path | None" = None,
         profile: "Profiler | None" = None,
@@ -333,7 +327,6 @@ class Engine:
         self.planner = BackfillPlanner(cluster, self.queue)
         self.events = EventQueue()
         self.observers = list(observers)
-        self.max_time = max_time
         if max_events is not None and max_events <= 0:
             raise ValueError(f"max_events must be positive, got {max_events}")
         if max_wall_s is not None and max_wall_s <= 0:
@@ -566,7 +559,6 @@ class Engine:
         # loop-invariant reads hoisted out of the event loop (each is
         # consulted once or more per batch)
         events = self.events
-        max_time = self.max_time
         max_events = self.max_events
         max_wall_s = self.max_wall_s
         cluster = self.cluster
@@ -583,9 +575,6 @@ class Engine:
             for handler in self._on_run_begin:
                 handler(self)
             while events and self._jobs_remaining > 0:
-                if max_time is not None \
-                        and events.peek().time > max_time:
-                    break
                 batch = events.pop_simultaneous()
                 events_seen += len(batch)
                 if max_events is not None and events_seen > max_events:

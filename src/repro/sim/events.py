@@ -57,14 +57,13 @@ class Event:
     __slots__ = ("time", "kind", "seq", "job_id", "node", "cancelled")
 
     def __init__(self, time: float, kind: EventKind, seq: int,
-                 job_id: int = -1, node: int = -1,
-                 cancelled: bool = False) -> None:
+                 job_id: int = -1, node: int = -1) -> None:
         self.time = time
         self.kind = kind
         self.seq = seq
         self.job_id = job_id
         self.node = node
-        self.cancelled = cancelled
+        self.cancelled = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Event(time={self.time!r}, kind={self.kind!r}, "

@@ -128,15 +128,10 @@ class Job:
             raise ValueError(f"job {self.job_id} has not finished")
         return self.end_time - self.submit_time
 
-    def slowdown(self, bound: float = 0.0) -> float:
-        """Ratio of response time to actual runtime.
-
-        ``bound`` optionally applies the standard *bounded slowdown*
-        correction (e.g. 10 s) so that very short jobs do not dominate;
-        the paper's plain slowdown corresponds to ``bound=0``.
-        """
-        denom = max(self.runtime, bound)
-        return self.response_time / denom
+    def slowdown(self) -> float:
+        """Ratio of response time to actual runtime (the paper's plain,
+        unbounded slowdown, §IV-E)."""
+        return self.response_time / self.runtime
 
     @property
     def node_seconds(self) -> float:

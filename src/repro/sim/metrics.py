@@ -49,9 +49,7 @@ class RunMetrics:
     total_core_hours: float
 
     @classmethod
-    def from_result(
-        cls, result: SimulationResult, slowdown_bound: float = 0.0
-    ) -> "RunMetrics":
+    def from_result(cls, result: SimulationResult) -> "RunMetrics":
         """Compute all scalar metrics from a finished simulation run."""
         jobs = result.finished_jobs
         if _san.sanitizer_enabled():
@@ -59,7 +57,7 @@ class RunMetrics:
                 _san.check_job_metrics(job)
         waits = [j.wait_time for j in jobs]
         responses = [j.response_time for j in jobs]
-        slowdowns = [j.slowdown(bound=slowdown_bound) for j in jobs]
+        slowdowns = [j.slowdown() for j in jobs]
         used = sum(j.node_seconds for j in jobs)
         elapsed = result.elapsed
         # Utilization is measured over the *arrival span* (first to last
@@ -180,10 +178,10 @@ def _size_label(size: int, bounds: list[int], labels: list[str]) -> str:
     return labels[-1]
 
 
-def weekly_series(jobs: list[Job], origin: float = 0.0) -> dict[str, np.ndarray]:
+def weekly_series(jobs: list[Job]) -> dict[str, np.ndarray]:
     """Per-week total core hours and average wait (Fig 9).
 
-    Jobs are bucketed by submission week relative to ``origin``.
+    Jobs are bucketed by submission week, counted from time 0.
     Returns arrays ``week``, ``core_hours`` and ``avg_wait``.
     """
     finished = [j for j in jobs if j.state is JobState.FINISHED]
@@ -194,7 +192,7 @@ def weekly_series(jobs: list[Job], origin: float = 0.0) -> dict[str, np.ndarray]
             "avg_wait": np.array([]),
         }
     weeks = np.array(
-        [int((j.submit_time - origin) // SECONDS_PER_WEEK) for j in finished]
+        [int(j.submit_time // SECONDS_PER_WEEK) for j in finished]
     )
     n_weeks = int(weeks.max()) + 1
     core_hours = np.zeros(n_weeks)

@@ -16,13 +16,7 @@ Poisson-*sampled* jobsets, chunks of the *real* (or model-generated
 reference) trace, and fully *synthetic* jobsets.
 """
 
-from repro.workload.swf import (
-    SWFParseReport,
-    SWFWarning,
-    read_swf,
-    read_swf_report,
-    write_swf,
-)
+from repro.workload.swf import read_swf, write_swf
 from repro.workload.units import SECONDS_PER_DAY, SECONDS_PER_HOUR
 from repro.workload.generator import (
     CategoricalSizes,
@@ -49,8 +43,6 @@ __all__ = [
     "SECONDS_PER_HOUR",
     "LognormalRuntimes",
     "PoissonArrivals",
-    "SWFParseReport",
-    "SWFWarning",
     "ThetaModel",
     "TraceStats",
     "WorkloadModel",
@@ -58,7 +50,6 @@ __all__ = [
     "fit_model",
     "normalize_times",
     "read_swf",
-    "read_swf_report",
     "real_jobsets",
     "sampled_jobset",
     "split_weeks",

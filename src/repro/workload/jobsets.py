@@ -73,24 +73,22 @@ def sampled_jobset(
     base: list[Job],
     n_jobs: int,
     rng: np.random.Generator,
-    rate: float | None = None,
 ) -> list[Job]:
     """A *sampled* jobset: random jobs + Poisson arrivals (§IV-D).
 
     Jobs are drawn uniformly with replacement from ``base``; arrival
-    times are re-drawn from a Poisson process whose rate defaults to
-    the average arrival rate of ``base``.  Dependencies are dropped —
-    sampled jobs lose their parents.
+    times are re-drawn from a Poisson process at the average arrival
+    rate of ``base``.  Dependencies are dropped — sampled jobs lose
+    their parents.
     """
     if not base:
         raise ValueError("base trace is empty")
     if n_jobs <= 0:
         raise ValueError("n_jobs must be positive")
-    if rate is None:
-        span = max(j.submit_time for j in base) - min(j.submit_time for j in base)
-        if span <= 0 or len(base) < 2:
-            raise ValueError("cannot infer arrival rate from a degenerate trace")
-        rate = (len(base) - 1) / span
+    span = max(j.submit_time for j in base) - min(j.submit_time for j in base)
+    if span <= 0 or len(base) < 2:
+        raise ValueError("cannot infer arrival rate from a degenerate trace")
+    rate = (len(base) - 1) / span
     times = PoissonArrivals(rate).sample(n_jobs, rng)
     picks = rng.integers(len(base), size=n_jobs)
     out: list[Job] = []
@@ -137,13 +135,14 @@ def synthetic_jobsets(
     n_sets: int,
     jobs_per_set: int,
     rng: np.random.Generator,
-    load_factors: tuple[float, ...] = (0.7, 1.0, 1.0, 1.3),
 ) -> list[list[Job]]:
     """Synthetic jobsets spanning a range of load conditions.
 
-    Cycling through ``load_factors`` exposes the agent to under- and
-    over-loaded states that may not occur in the original trace.
+    Cycling through the load factors 0.7, 1.0, 1.0, 1.3 exposes the
+    agent to under- and over-loaded states that may not occur in the
+    original trace.
     """
+    load_factors = (0.7, 1.0, 1.0, 1.3)
     if n_sets <= 0 or jobs_per_set <= 0:
         raise ValueError("n_sets and jobs_per_set must be positive")
     sets = []

@@ -36,6 +36,9 @@ from repro.workload.generator import (
 )
 from repro.workload.units import SECONDS_PER_DAY, SECONDS_PER_HOUR
 
+#: offered load of the Theta and Cori models (above 1: a queue builds)
+UTILIZATION = 1.10
+
 
 @dataclass(frozen=True)
 class WorkloadModel:
@@ -184,16 +187,16 @@ class ThetaModel:
     MAX_RUNTIME = SECONDS_PER_DAY  # max job length: 1 day
 
     @classmethod
-    def paper(cls, utilization: float = 1.10) -> WorkloadModel:
+    def paper(cls) -> WorkloadModel:
         """Full-scale Theta (4,360 user nodes)."""
-        return cls.scaled(cls.PAPER_NODES, utilization=utilization)
+        return cls.scaled(cls.PAPER_NODES)
 
     @classmethod
-    def scaled(cls, num_nodes: int, utilization: float = 1.10) -> WorkloadModel:
+    def scaled(cls, num_nodes: int) -> WorkloadModel:
         """A Theta-like system shrunk to ``num_nodes``.
 
-        ``utilization`` sets the offered load; the arrival rate is
-        derived so that ``rate * E[size] * E[runtime] = utilization * N``.
+        The offered load is :data:`UTILIZATION`; the arrival rate is
+        derived so that ``rate * E[size] * E[runtime] = UTILIZATION * N``.
         """
         sizes = CategoricalSizes.from_dict(_theta_size_mix(num_nodes))
         runtimes = LognormalRuntimes(
@@ -205,7 +208,7 @@ class ThetaModel:
         )
         rng = np.random.default_rng(1234)
         mean_runtime = float(np.mean(runtimes.sample(20_000, rng)[0]))
-        rate = utilization * num_nodes / (sizes.mean() * mean_runtime)
+        rate = UTILIZATION * num_nodes / (sizes.mean() * mean_runtime)
         arrivals = DiurnalArrivals(
             base_rate=rate,
             hourly=DEFAULT_HOURLY_PROFILE,
@@ -229,12 +232,12 @@ class CoriModel:
     MAX_RUNTIME = 7 * SECONDS_PER_DAY  # max job length: 7 days
 
     @classmethod
-    def paper(cls, utilization: float = 1.10) -> WorkloadModel:
+    def paper(cls) -> WorkloadModel:
         """Full-scale Cori (12,076 nodes)."""
-        return cls.scaled(cls.PAPER_NODES, utilization=utilization)
+        return cls.scaled(cls.PAPER_NODES)
 
     @classmethod
-    def scaled(cls, num_nodes: int, utilization: float = 1.10) -> WorkloadModel:
+    def scaled(cls, num_nodes: int) -> WorkloadModel:
         """A Cori-like system shrunk to ``num_nodes`` (see ThetaModel.scaled)."""
         sizes = CategoricalSizes.from_dict(_cori_size_mix(num_nodes))
         runtimes = LognormalRuntimes(
@@ -246,7 +249,7 @@ class CoriModel:
         )
         rng = np.random.default_rng(1234)
         mean_runtime = float(np.mean(runtimes.sample(20_000, rng)[0]))
-        rate = utilization * num_nodes / (sizes.mean() * mean_runtime)
+        rate = UTILIZATION * num_nodes / (sizes.mean() * mean_runtime)
         arrivals = DiurnalArrivals(
             base_rate=rate,
             hourly=DEFAULT_HOURLY_PROFILE,

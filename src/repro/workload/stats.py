@@ -100,18 +100,16 @@ def fit_model(
     jobs: list[Job],
     num_nodes: int,
     name: str = "fitted",
-    max_size_categories: int = 32,
 ) -> WorkloadModel:
     """Estimate a :class:`WorkloadModel` from a trace.
 
-    The empirical size histogram is truncated to its
-    ``max_size_categories`` most frequent sizes (re-normalized); the
-    runtime distribution is a lognormal fit with the trace's cap; the
-    arrival process keeps the trace's hour-of-day and day-of-week
-    shape and its average rate.
+    The empirical size histogram is truncated to its 32 most frequent
+    sizes (re-normalized); the runtime distribution is a lognormal fit
+    with the trace's cap; the arrival process keeps the trace's
+    hour-of-day and day-of-week shape and its average rate.
     """
     stats = analyze_trace(jobs, num_nodes)
-    top = sorted(stats.size_mix.items(), key=lambda kv: -kv[1])[:max_size_categories]
+    top = sorted(stats.size_mix.items(), key=lambda kv: -kv[1])[:32]
     sizes = CategoricalSizes.from_dict(dict(top))
     runtimes = LognormalRuntimes(
         median=stats.runtime_median,

@@ -31,8 +31,6 @@ missing value:
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
@@ -40,65 +38,19 @@ from repro.sim.job import Job
 
 _NUM_FIELDS = 18
 
-#: malformed-line details kept per report (the rest are only counted)
-_MAX_REPORTED_LINES = 20
-
-
-class SWFWarning(UserWarning):
-    """Warning category for tolerated problems in lenient SWF reads."""
-
-
-@dataclass
-class SWFParseReport:
-    """What a :func:`read_swf` pass saw, line by line.
-
-    ``malformed`` holds ``(lineno, reason)`` pairs for lines that could
-    not be parsed at all (too few fields, non-numeric values) — at most
-    ``_MAX_REPORTED_LINES`` are kept, the rest only counted in
-    ``n_malformed``.  ``skipped_records`` counts well-formed records the
-    reader intentionally drops (zero runtime, no processors, negative
-    submit time).
-    """
-
-    path: str
-    total_lines: int = 0
-    comment_lines: int = 0
-    parsed_jobs: int = 0
-    skipped_records: int = 0
-    n_malformed: int = 0
-    malformed: list[tuple[int, str]] = field(default_factory=list)
-
-    def note_malformed(self, lineno: int, reason: str) -> None:
-        """Record one unparseable line (capped detail, full count)."""
-        self.n_malformed += 1
-        if len(self.malformed) < _MAX_REPORTED_LINES:
-            self.malformed.append((lineno, reason))
-
-    def summary(self) -> str:
-        """One-paragraph human-readable digest of the parse."""
-        head = (
-            f"{self.path}: {self.parsed_jobs} jobs from "
-            f"{self.total_lines} lines ({self.comment_lines} comments, "
-            f"{self.skipped_records} records skipped, "
-            f"{self.n_malformed} malformed lines)"
-        )
-        details = "".join(
-            f"\n  line {lineno}: {reason}" for lineno, reason in self.malformed
-        )
-        if self.n_malformed > len(self.malformed):
-            details += f"\n  ... and {self.n_malformed - len(self.malformed)} more"
-        return head + details
-
 
 def read_swf(
     path: str | Path,
     procs_per_node: int = 1,
     max_jobs: int | None = None,
     high_priority_queues: frozenset[int] = frozenset(),
-    keep_dependencies: bool = True,
-    strict: bool = True,
 ) -> list[Job]:
     """Parse an SWF file into a list of :class:`~repro.sim.job.Job`.
+
+    Any unparseable line (too few fields, a non-numeric or non-finite
+    value) raises ``ValueError`` naming ``path:line`` and the reason;
+    well-formed records with zero runtime, no processors or a negative
+    submit time are skipped.
 
     Parameters
     ----------
@@ -109,47 +61,13 @@ def read_swf(
         Stop after this many jobs (useful for taking trace prefixes).
     high_priority_queues:
         SWF queue ids mapped to ``priority=1``.
-    keep_dependencies:
-        Honor field 17 (preceding job number).
-    strict:
-        With ``strict=True`` (default) any unparseable line raises
-        ``ValueError`` with the file/line position.  With
-        ``strict=False`` — for real-world archive logs with damaged
-        lines — malformed lines are skipped, counted, and summarized in
-        a single :class:`SWFWarning`; use :func:`read_swf_report` to
-        get the full :class:`SWFParseReport`.
     """
-    jobs, _report = read_swf_report(
-        path,
-        procs_per_node=procs_per_node,
-        max_jobs=max_jobs,
-        high_priority_queues=high_priority_queues,
-        keep_dependencies=keep_dependencies,
-        strict=strict,
-    )
-    return jobs
-
-
-def read_swf_report(
-    path: str | Path,
-    procs_per_node: int = 1,
-    max_jobs: int | None = None,
-    high_priority_queues: frozenset[int] = frozenset(),
-    keep_dependencies: bool = True,
-    strict: bool = True,
-) -> tuple[list[Job], SWFParseReport]:
-    """:func:`read_swf` plus the :class:`SWFParseReport` of the pass."""
     jobs: list[Job] = []
     seen_ids: set[int] = set()
-    report = SWFParseReport(path=str(path))
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, 1):
-            report.total_lines = lineno
             line = line.strip()
-            if not line:
-                continue
-            if line.startswith(";"):
-                report.comment_lines += 1
+            if not line or line.startswith(";"):
                 continue
             parts = line.split()
             try:
@@ -158,34 +76,24 @@ def read_swf_report(
                         f"expected {_NUM_FIELDS} fields, got {len(parts)}"
                     )
                 job = _parse_record(
-                    parts, procs_per_node, high_priority_queues,
-                    keep_dependencies, seen_ids,
+                    parts, procs_per_node, high_priority_queues, seen_ids,
                 )
             except ValueError as exc:
-                if strict:
-                    raise ValueError(f"{path}:{lineno}: {exc}") from None
-                report.note_malformed(lineno, str(exc))
-                continue
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
             if job is None:
-                report.skipped_records += 1
                 continue
             jobs.append(job)
             seen_ids.add(job.job_id)
-            report.parsed_jobs = len(jobs)
             if max_jobs is not None and len(jobs) >= max_jobs:
                 break
-    report.parsed_jobs = len(jobs)
-    if report.n_malformed and not strict:
-        warnings.warn(report.summary(), SWFWarning, stacklevel=2)
     jobs.sort(key=lambda j: (j.submit_time, j.job_id))
-    return jobs, report
+    return jobs
 
 
 def _parse_record(
     parts: list[str],
     procs_per_node: int,
     high_priority_queues: frozenset[int],
-    keep_dependencies: bool,
     seen_ids: set[int],
 ) -> Job | None:
     job_id = int(parts[0])
@@ -205,7 +113,7 @@ def _parse_record(
     size = max(1, math.ceil(procs / procs_per_node))
 
     deps: tuple[int, ...] = ()
-    if keep_dependencies and preceding > 0 and preceding in seen_ids:
+    if preceding > 0 and preceding in seen_ids:
         deps = (preceding,)
 
     return Job(
@@ -223,7 +131,6 @@ def _parse_record(
 def write_swf(
     jobs: Iterable[Job],
     path: str | Path,
-    procs_per_node: int = 1,
     header: str | None = None,
 ) -> None:
     """Serialize jobs to SWF.
@@ -245,10 +152,10 @@ def write_swf(
                 int(job.submit_time),
                 wait,
                 int(job.runtime),
-                job.size * procs_per_node,   # allocated processors
+                job.size,                    # allocated processors
                 -1,
                 -1,
-                job.size * procs_per_node,   # requested processors
+                job.size,                    # requested processors
                 int(job.walltime),
                 -1,
                 1,                           # status: completed

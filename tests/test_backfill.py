@@ -276,5 +276,3 @@ class TestViewShortcut:
         assert view.backfill_first() is (expected[0] if expected else None)
         # an explicit pool is scanned as given
         assert view.backfill_candidates(pool=waiting[::-1]) == expected[::-1]
-        assert view.backfill_first(pool=waiting[::-1]) is (
-            expected[-1] if expected else None)

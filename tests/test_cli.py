@@ -146,6 +146,24 @@ class TestGenerateSimulate:
         assert err.count("\n") == 1 and message in err
         assert not (tmp_path / "x.swf").exists()
 
+    @pytest.mark.parametrize("argv,message", [
+        (["generate", "theta", "-5", "--nodes", "32"],
+         "n_jobs must be positive"),
+        (["generate", "theta", "10", "--nodes", "32", "--load-factor", "0"],
+         "load_factor must be positive"),
+        (["train", "--nodes", "0"], "--nodes must be positive, got 0"),
+        (["train", "--nodes", "32", "--window", "0"],
+         "window must be positive"),
+    ], ids=["generate-negative-jobs", "generate-zero-load-factor",
+            "train-zero-nodes", "train-zero-window"])
+    def test_generate_and_train_bad_numbers_are_one_line_and_exit_two(
+            self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"bad input: {message}\n"
+        assert not out.exists()
+
     def test_load_factor(self, tmp_path, capsys):
         a, b = tmp_path / "a.swf", tmp_path / "b.swf"
         main(["generate", "theta", "200", "--nodes", "64", "--out", str(a),
@@ -667,6 +685,15 @@ class TestSweepCLI:
         assert rc == 2
         assert "bad sweep spec" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
+
+    def test_negative_workers_writes_nothing(self, tmp_path, capsys):
+        store = tmp_path / "s"
+        rc = main(["reproduce", "selftest", "--run-dir", str(store),
+                   "--workers", "-1"])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "reproduce: workers must be >= 0, got -1"]
+        assert not store.exists()
 
     def test_faults_rejected_for_non_faultsweep(self, tmp_path, capsys):
         rc = main(["reproduce", "selftest", "--run-dir", str(tmp_path / "s"),

@@ -113,14 +113,6 @@ class TestDependencies:
 
 
 class TestEngineControls:
-    def test_max_time_cuts_run(self):
-        a = make_job(size=1, walltime=10.0, submit=0.0)
-        late = make_job(size=1, walltime=10.0, submit=1000.0)
-        result = run_fcfs(4, [a, late], max_time=100.0)
-        assert a.state is JobState.FINISHED
-        assert late.state is JobState.PENDING
-        assert result.makespan <= 100.0
-
     def test_observer_callbacks_fire(self):
         events = []
 

@@ -42,14 +42,6 @@ class TestRunMetrics:
         assert m.avg_wait == 0.0
         assert m.utilization == 0.0
 
-    def test_slowdown_bound_passthrough(self):
-        a = make_job(size=4, walltime=1.0, submit=0.0)
-        b = make_job(size=4, walltime=1.0, submit=0.0)
-        result = _run([a, b])
-        plain = RunMetrics.from_result(result)
-        bounded = RunMetrics.from_result(result, slowdown_bound=10.0)
-        assert bounded.avg_slowdown < plain.avg_slowdown
-
     def test_as_dict_keys(self):
         m = RunMetrics.from_result(_run([make_job()]))
         d = m.as_dict()

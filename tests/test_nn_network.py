@@ -14,7 +14,7 @@ class TestNetwork:
             Network([])
 
     def test_forward_chains_layers(self, rng):
-        net = Network([Dense(3, 2, rng=rng), LeakyReLU(), Dense(2, 1, rng=rng)])
+        net = Network([Dense(3, 2, rng=rng), LeakyReLU(0.01), Dense(2, 1, rng=rng)])
         y = net.forward(rng.normal(size=(4, 3)))
         assert y.shape == (4, 1)
 

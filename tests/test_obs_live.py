@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 
 import numpy as np
 import pytest
@@ -189,11 +190,12 @@ class TestLiveFromSpec:
 
     def test_path_spec_attaches_a_snapshot_writer(self, tmp_path):
         path = tmp_path / "shard.jsonl"
-        bus = live_from_spec(str(path), source="w3")
+        bus = live_from_spec(str(path))
         assert isinstance(bus._sinks[0], SnapshotWriter)
         bus.publish("sim", {"done": 1})
         bus.close()
-        assert json.loads(path.read_text().splitlines()[0])["source"] == "w3"
+        header = json.loads(path.read_text().splitlines()[0])
+        assert header["source"] == f"pid{os.getpid()}"
 
 
 class TestGlobalBus:

@@ -86,5 +86,6 @@ class TestHelpers:
         sha = git_sha()
         assert sha == "unknown" or len(sha) == 12
 
-    def test_git_sha_outside_repo(self, tmp_path):
-        assert git_sha(cwd=tmp_path) == "unknown"
+    def test_git_sha_outside_repo(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert git_sha() == "unknown"

@@ -379,9 +379,9 @@ class TestIndexedQueueAtScale:
         first_candidate = BackfillPlanner.first_candidate
         notify_finished = WaitQueue.notify_finished
 
-        def counted_backfill_first(view, pool=None):
+        def counted_backfill_first(view):
             passes["asked"] += 1
-            return backfill_first(view, pool)
+            return backfill_first(view)
 
         def guarded_first_candidate(planner, jobs, reservation, now):
             passes["scanned"] += 1

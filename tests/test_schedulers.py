@@ -230,10 +230,6 @@ class TestKnapsackOptimization:
         run_simulation(4, KnapsackOptimization("capability"), jobs)
         assert all(j.mode is ExecMode.READY for j in jobs)
 
-    def test_invalid_window(self):
-        with pytest.raises(ValueError):
-            KnapsackOptimization("capability", window=0)
-
     def test_invalid_objective_raises_at_schedule(self):
         sched = KnapsackOptimization("nonsense")
         with pytest.raises(ValueError, match="unknown objective"):

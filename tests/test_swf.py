@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.workload.swf import SWFWarning, read_swf, read_swf_report, write_swf
+from repro.workload.swf import read_swf, write_swf
 from tests.conftest import make_job
 
 
@@ -61,7 +61,8 @@ class TestRead:
     def test_malformed_line_raises(self, tmp_path):
         path = tmp_path / "t.swf"
         path.write_text("1 2 3\n")
-        with pytest.raises(ValueError, match="expected 18 fields"):
+        with pytest.raises(ValueError,
+                           match=r"t\.swf:1: expected 18 fields, got 3$"):
             read_swf(path)
 
     def test_non_numeric_field_raises_with_position(self, tmp_path):
@@ -72,23 +73,20 @@ class TestRead:
 
 
 class TestLenientRead:
-    def test_malformed_lines_skipped_and_counted(self, tmp_path):
+    """Damaged archive lines: records the reader drops are skipped, and
+    any unparseable line stops the read with ``path:line`` and why."""
+
+    def test_malformed_lines_name_path_line_and_reason(self, tmp_path):
         path = tmp_path / "t.swf"
-        path.write_text(
-            "; header\n"
-            + _swf_line(job_id=1) + "\n"
-            + "1 2 3\n"                          # too few fields
-            + _swf_line(job_id="oops") + "\n"    # non-numeric job id
-            + _swf_line(job_id=2) + "\n"
-        )
-        with pytest.warns(SWFWarning, match="2 malformed"):
-            jobs, report = read_swf_report(path, strict=False)
-        assert [j.job_id for j in jobs] == [1, 2]
-        assert report.parsed_jobs == 2
-        assert report.comment_lines == 1
-        assert report.n_malformed == 2
-        assert [lineno for lineno, _ in report.malformed] == [3, 4]
-        assert "expected 18 fields" in report.malformed[0][1]
+        good = "; header\n" + _swf_line(job_id=1) + "\n"
+        path.write_text(good + "1 2 3\n" + _swf_line(job_id=2) + "\n")
+        with pytest.raises(ValueError,
+                           match=r"t\.swf:3: expected 18 fields, got 3$"):
+            read_swf(path)
+        path.write_text(good + _swf_line(job_id="oops") + "\n")
+        with pytest.raises(ValueError,
+                           match=r"t\.swf:3: invalid literal .*'oops'"):
+            read_swf(path)
 
     def test_clean_file_produces_no_warning(self, tmp_path):
         import warnings
@@ -97,16 +95,17 @@ class TestLenientRead:
         path.write_text(_swf_line() + "\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            jobs, report = read_swf_report(path, strict=False)
-        assert len(jobs) == 1 and report.n_malformed == 0
+            jobs = read_swf(path)
+        assert len(jobs) == 1
 
     def test_skipped_records_counted_separately(self, tmp_path):
+        """A dropped record is no error, but its line still counts."""
         path = tmp_path / "t.swf"
         path.write_text(_swf_line(run_time=0) + "\n" + _swf_line(job_id=2) + "\n")
-        jobs, report = read_swf_report(path, strict=False)
-        assert [j.job_id for j in jobs] == [2]
-        assert report.skipped_records == 1
-        assert report.n_malformed == 0
+        assert [j.job_id for j in read_swf(path)] == [2]
+        path.write_text(_swf_line(run_time=0) + "\n" + "x y z\n")
+        with pytest.raises(ValueError, match=r"t\.swf:2: "):
+            read_swf(path)
 
     @pytest.mark.parametrize("fields", [
         dict(submit="nan"),
@@ -118,39 +117,23 @@ class TestLenientRead:
         path = tmp_path / "t.swf"
         path.write_text(_swf_line(job_id=1, **fields) + "\n"
                         + _swf_line(job_id=2) + "\n")
-        with pytest.warns(SWFWarning, match="1 malformed"):
-            jobs, report = read_swf_report(path, strict=False)
-        assert [j.job_id for j in jobs] == [2]
-        assert [lineno for lineno, _ in report.malformed] == [1]
-        assert "must be finite" in report.malformed[0][1]
         with pytest.raises(ValueError, match=r"t\.swf:1: .*must be finite"):
             read_swf(path)
 
-    def test_strict_mode_still_raises_via_report_api(self, tmp_path):
-        path = tmp_path / "t.swf"
-        path.write_text("broken\n")
-        with pytest.raises(ValueError, match="expected 18 fields"):
-            read_swf_report(path, strict=True)
-
     def test_report_detail_capped(self, tmp_path):
-        from repro.workload.swf import _MAX_REPORTED_LINES
-
+        """Many bad lines: the error names the first, and only it."""
         path = tmp_path / "t.swf"
-        bad = _MAX_REPORTED_LINES + 5
-        path.write_text("x y z\n" * bad + _swf_line() + "\n")
-        with pytest.warns(SWFWarning, match="and 5 more"):
-            jobs, report = read_swf_report(path, strict=False)
-        assert len(jobs) == 1
-        assert report.n_malformed == bad
-        assert len(report.malformed) == _MAX_REPORTED_LINES
+        path.write_text(_swf_line() + "\n" + "x y z\n" * 25)
+        with pytest.raises(ValueError) as err:
+            read_swf(path)
+        assert str(err.value) == f"{path}:2: expected 18 fields, got 3"
 
     def test_summary_mentions_path_and_counts(self, tmp_path):
         path = tmp_path / "t.swf"
         path.write_text(_swf_line() + "\nnope\n")
-        with pytest.warns(SWFWarning):
-            _, report = read_swf_report(path, strict=False)
-        text = report.summary()
-        assert "t.swf" in text and "1 jobs" in text and "1 malformed" in text
+        with pytest.raises(ValueError,
+                           match=r"t\.swf:2: expected 18 fields, got 1$"):
+            read_swf(path)
 
     def test_zero_runtime_record_skipped(self, tmp_path):
         path = tmp_path / "t.swf"
@@ -181,14 +164,6 @@ class TestLenientRead:
         path = tmp_path / "t.swf"
         path.write_text(_swf_line(job_id=2, preceding=99) + "\n")
         assert read_swf(path)[0].dependencies == ()
-
-    def test_dependencies_disabled(self, tmp_path):
-        path = tmp_path / "t.swf"
-        path.write_text(
-            _swf_line(job_id=1) + "\n" + _swf_line(job_id=2, preceding=1) + "\n"
-        )
-        jobs = read_swf(path, keep_dependencies=False)
-        assert jobs[1].dependencies == ()
 
     def test_sorted_by_submit_time(self, tmp_path):
         path = tmp_path / "t.swf"

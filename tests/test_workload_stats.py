@@ -90,8 +90,8 @@ class TestFitModel:
 
     def test_category_truncation(self, rng):
         jobs = [make_job(size=s % 50 + 1, submit=float(s)) for s in range(500)]
-        fitted = fit_model(jobs, 64, max_size_categories=8)
-        assert len(fitted.sizes.sizes) <= 8
+        fitted = fit_model(jobs, 64)
+        assert len(fitted.sizes.sizes) == 32  # of the 50 sizes seen
 
     def test_fitted_model_is_usable_end_to_end(self, rng):
         from repro.schedulers import FCFSEasy
