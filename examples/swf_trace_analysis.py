@@ -37,7 +37,12 @@ NODES = 128
 
 
 def main() -> None:
-    workdir = Path(tempfile.mkdtemp(prefix="dras-swf-"))
+    # the SWF files live only as long as the run
+    with tempfile.TemporaryDirectory(prefix="dras-swf-") as workdir:
+        analyse(Path(workdir))
+
+
+def analyse(workdir: Path) -> None:
     rng = np.random.default_rng(5)
 
     # 1. Stand-in for a production log.

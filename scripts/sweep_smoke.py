@@ -13,7 +13,8 @@ Exercises the fault-tolerance and determinism contract of
 2. **Kill-and-resume parity**: a sweep whose *parent* is SIGKILLed
    mid-flight is resumed via the real CLI with a different worker
    count; the merged ``rollup.json`` must be byte-identical to an
-   uninterrupted serial run's.
+   uninterrupted serial run's, and the store must hold one shard per
+   generation (the pool parent is each shard's only writer).
 3. **Real-grid parity**: a tiny ``faultsweep`` grid run serially and
    on 2 workers must produce byte-identical rollups, and
    ``repro reproduce faultsweep`` inline must print byte for byte the
@@ -132,6 +133,8 @@ def check_kill_and_resume(tmp: Path) -> None:
         f"resumed digest diverged: {res_digest} != {ref_digest}"
     assert (store / "rollup.json").read_bytes() \
         == (ref_store / "rollup.json").read_bytes()
+    shards = [p.name for p in pool.SweepStore(store).shard_paths()]
+    assert shards == ["g0001.jsonl", "g0002.jsonl"], shards
     print(f"kill-and-resume rollup byte-identical to serial: "
           f"{ref_digest[:16]}…")
 

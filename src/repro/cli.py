@@ -360,6 +360,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
     factory = ThetaModel if args.system == "theta" else CoriModel
     try:
+        if args.nodes < 0:  # 0: the paper's machine
+            raise ValueError(f"--nodes must be >= 0, got {args.nodes}")
         model = factory.scaled(args.nodes) if args.nodes else factory.paper()
         rng = np.random.default_rng(args.seed)
         jobs = model.generate(args.jobs, rng, load_factor=args.load_factor)
@@ -446,8 +448,16 @@ def cmd_train(args: argparse.Namespace) -> int:
     factory = ThetaModel if args.system == "theta" else CoriModel
     objective = "capability" if args.system == "theta" else "capacity"
     try:
-        if args.nodes <= 0:
-            raise ValueError(f"--nodes must be positive, got {args.nodes}")
+        for flag, value, least in (
+                ("--nodes", args.nodes, 1),
+                ("--train-jobs", args.train_jobs, 1),
+                ("--jobs-per-set", args.jobs_per_set, 1),
+                ("--real", args.real, 1), ("--synthetic", args.synthetic, 1),
+                ("--sampled", args.sampled, 0)):
+            if value < least:
+                raise ValueError(f"{flag} must be "
+                                 f"{'positive' if least else '>= 0'}, "
+                                 f"got {value}")
         model = factory.scaled(args.nodes)
         config = DRASConfig.scaled(
             args.nodes, objective=objective, window=args.window,

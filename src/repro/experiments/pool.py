@@ -14,18 +14,18 @@ on N worker processes and survives every failure mode we can inject:
 * **crashed workers** (segfault, OOM kill, injected ``SIGKILL``) are
   detected through their broken pipe, replaced, and their in-flight
   cell is retried;
-* **a killed parent** loses nothing: results land in crash-durable
-  per-worker JSONL shards (append + flush per cell), so a re-run with
-  ``resume=True`` skips completed cells and converges to the same
-  merged rollup.
+* **a killed parent** loses only the cells in flight: the parent is
+  the store's one writer and appends each settled cell to the
+  generation's crash-durable JSONL shard (append + flush per cell), so
+  a re-run with ``resume=True`` skips the completed cells, reruns the
+  rest and converges to the same merged rollup.
 
 Determinism contract
 --------------------
 The per-cell seed is ``SHA-256(sweep_seed | cell key)`` — a pure
 function of the sweep spec, independent of execution order, worker
-count, retry schedule and crash/resume history.  Cell records carry a
-:class:`~repro.obs.manifest.RunManifest` ``stable_digest`` and the
-merged rollup is canonical JSON over the *sorted* cell set, so::
+count, retry schedule and crash/resume history.  The merged rollup is
+canonical JSON over the *sorted* cell set, so::
 
     same sweep spec  =>  byte-identical rollup
 
@@ -67,7 +67,6 @@ from repro.obs.jsonl import (
     read_jsonl,
     sha256_hex,
 )
-from repro.obs.manifest import RunManifest
 
 #: schema tag of sweep stores (spec file, shard lines)
 SWEEP_SCHEMA = "repro.sweep/v1"
@@ -79,10 +78,10 @@ ROLLUP_SCHEMA = "repro.sweep-rollup/v1"
 DEFAULT_RETRIES = 2
 
 #: shard-record fields that legitimately differ between executions of
-#: the same sweep (which worker ran the cell, on which attempt) and are
-#: therefore stripped before a record enters the merged rollup
+#: the same sweep (on which attempt a cell settled, its error text) and
+#: are therefore stripped before a record enters the merged rollup
 VOLATILE_RECORD_FIELDS = frozenset({
-    "worker", "attempt", "attempts", "error", "error_tb",
+    "attempt", "attempts", "error", "error_tb",
 })
 
 
@@ -221,32 +220,23 @@ class StoreScan:
     skipped: int
 
 
-def _open_shard(path: "str | os.PathLike[str]", sweep_digest: str,
-                label: str) -> JsonlWriter:
-    """A sweep shard: one header, then one flushed line per record.
-
-    Flushing every record pushes the line into the kernel, so a
-    ``SIGKILL`` of the writing process (worker *or* parent) loses at
-    most the line being written — which the lenient scanner skips.
-    """
-    return JsonlWriter(path, SWEEP_SCHEMA,
-                       {"sweep": sweep_digest, "source": label})
-
-
 class SweepStore:
     """One sweep's on-disk state: ``spec.json``, shards, rollup.
 
     Layout::
 
-        <root>/spec.json                   # identity of the sweep
-        <root>/shards/g0001.w0.jsonl       # per-worker, per-generation
-        <root>/shards/g0002.parent.jsonl   # parent quarantine records
-        <root>/rollup.json                 # merged, order-independent
+        <root>/spec.json              # identity of the sweep
+        <root>/shards/g0001.jsonl     # one shard per generation
+        <root>/rollup.json            # merged, order-independent
 
-    A *generation* is one ``run_sweep`` invocation; resume scans every
-    shard of every generation.  Shard files are never reopened or
-    rewritten — each worker (including respawns) gets a fresh file —
-    so a crash can only ever tear the final line of one shard.
+    A *generation* is one ``run_sweep`` invocation; its pool parent is
+    the shard's only writer, workers send their records over their
+    pipes.  Resume scans every shard of every generation, so a store
+    written with one shard per worker (``g0001.w0.jsonl``, whose cell
+    records also embed a ``manifest``) still resumes and merges to the
+    same ``results_digest``.  Shard files are never reopened or
+    rewritten, so a crash can only ever tear the final line of one
+    shard; a killed parent loses the cells it had not yet settled.
     """
 
     def __init__(self, root: "str | os.PathLike[str]") -> None:
@@ -327,17 +317,14 @@ class SweepStore:
                     latest = max(latest, int(head))
         return latest + 1
 
-    def shard_path(self, generation: int, label: str) -> Path:
-        """Path of a new shard for ``label`` in ``generation``."""
-        return self.shards_dir / f"g{generation:04d}.{label}.jsonl"
-
-    def open_shard(self, generation: int, label: str,
-                   sweep_digest: str) -> JsonlWriter:
-        """Open a fresh shard writer (fails if the file already exists)."""
-        path = self.shard_path(generation, label)
+    def open_shard(self, generation: int, sweep_digest: str) -> JsonlWriter:
+        """Open ``generation``'s shard: one header, then one flushed line
+        per record, so a ``SIGKILL`` loses at most the line being
+        written — which :meth:`scan` skips.  Fails if the file exists."""
+        path = self.shards_dir / f"g{generation:04d}.jsonl"
         if path.exists():
             raise SweepError(f"shard {path} already exists")
-        return _open_shard(path, sweep_digest, label)
+        return JsonlWriter(path, SWEEP_SCHEMA, {"sweep": sweep_digest})
 
     def scan(self) -> StoreScan:
         """Leniently read every shard and fold records by cell key.
@@ -389,26 +376,7 @@ def normalise_record(record: Mapping[str, Any]) -> dict[str, Any]:
             if k not in VOLATILE_RECORD_FIELDS}
 
 
-def cell_manifest(spec: SweepSpec, cell: Mapping[str, Any],
-                  derived_seed: int, summary: Mapping[str, Any]) -> RunManifest:
-    """The deterministic provenance manifest of one completed cell.
-
-    ``timestamp=False`` and a fixed ``sha`` keep the manifest — and so
-    its ``stable_digest`` and the rollup bytes — a pure function of
-    (spec, cell, summary), independent of when and where the cell ran.
-    """
-    return RunManifest.create(
-        kind="sweep-cell",
-        seed=derived_seed,
-        config={"sweep": spec.identity(), "cell": dict(cell)},
-        summary=dict(summary),
-        timestamp=False,
-        sha="-",
-    )
-
-
-def merge_store(store: "SweepStore | str | os.PathLike[str]",
-                total: int | None = None) -> dict[str, Any]:
+def merge_store(store: SweepStore, total: int) -> dict[str, Any]:
     """Fold every shard into one deterministic rollup document.
 
     Order-independent: records are keyed and emitted in sorted-key
@@ -416,8 +384,6 @@ def merge_store(store: "SweepStore | str | os.PathLike[str]",
     shard *records* yields byte-identical rollup JSON no matter how
     the work was distributed, interrupted, or resumed.
     """
-    if not isinstance(store, SweepStore):
-        store = SweepStore(store)
     spec_doc = None
     if store.spec_path.exists():
         spec_doc = json.loads(store.spec_path.read_text(encoding="utf-8"))
@@ -425,17 +391,15 @@ def merge_store(store: "SweepStore | str | os.PathLike[str]",
     cells = [scan.completed[key] for key in sorted(scan.completed)]
     quarantined = [scan.quarantined[key] for key in sorted(scan.quarantined)
                    if key not in scan.completed]
-    rollup: dict[str, Any] = {
+    return {
         "schema": ROLLUP_SCHEMA,
         "sweep": spec_doc,
         "cells": cells,
         "quarantined": quarantined,
         "completed": len(cells),
         "conflicts": scan.conflicts,
+        "total": total,
     }
-    if total is not None:
-        rollup["total"] = total
-    return rollup
 
 
 def rollup_digest(rollup: Mapping[str, Any]) -> str:
@@ -454,7 +418,7 @@ def results_digest(rollup: Mapping[str, Any]) -> str:
 
     :func:`rollup_digest` covers the whole document, so it can only
     compare executions of the *same* spec (its identity is embedded in
-    the rollup and in every cell manifest).  This digest strips that
+    the rollup).  This digest strips that
     identity down to what the cells actually produced, so two sweeps
     whose specs differ only in ways that must not affect results — the
     failure-injection knobs of the ``selftest`` kind, a different
@@ -480,7 +444,7 @@ def write_rollup(store: SweepStore, rollup: Mapping[str, Any]) -> Path:
 
 def _execute_cell(spec: SweepSpec, cell: Mapping[str, Any],
                   derived_seed: int, attempt: int) -> dict[str, Any]:
-    """Run one cell attempt and build its durable shard record.
+    """Run one cell attempt and build its shard record.
 
     This is the pool's worker-side entry point into experiment code
     (with :func:`_worker_main` around it in the parallel path).
@@ -492,17 +456,14 @@ def _execute_cell(spec: SweepSpec, cell: Mapping[str, Any],
     cell = dict(cell)
     summary = runner.TABLE[spec.kind].run_cell(spec, cell, derived_seed,
                                                attempt)
-    manifest = cell_manifest(spec, cell, derived_seed, summary)
     return {
         "type": "cell",
         "schema": SWEEP_SCHEMA,
         "key": cell_key(cell),
-        "cell": dict(cell),
+        "cell": cell,
         "derived_seed": derived_seed,
         "status": "ok",
         "summary": dict(summary),
-        "manifest": manifest.as_dict(),
-        "digest": manifest.stable_digest(),
     }
 
 
@@ -550,34 +511,30 @@ def _live_fields(cell: Mapping[str, Any],
     return fields
 
 
-def _attempt(spec: SweepSpec, writer: JsonlWriter, label: str,
-             cell: Mapping[str, Any], derived_seed: int,
+def _attempt(spec: SweepSpec, cell: Mapping[str, Any], derived_seed: int,
              attempt: int) -> tuple:
-    """Run one cell attempt; durably append a success to ``writer``.
+    """Run one cell attempt.
 
     Returns the outcome as the wire message a worker sends its parent:
-    ``("done", live fields)`` or ``("failed", error type, message,
+    ``("done", cell record)`` or ``("failed", error type, message,
     traceback)``.  The parent settles both the same way whether the
     attempt ran in a worker or inline.
     """
     try:
-        record = _execute_cell(spec, cell, derived_seed, attempt)
+        return ("done", _execute_cell(spec, cell, derived_seed, attempt))
     except Exception as exc:
         return ("failed", type(exc).__name__, str(exc),
                 traceback.format_exc())
-    record["worker"] = label
-    record["attempt"] = attempt
-    writer.write(record)
-    return ("done", _live_fields(cell, record["summary"]))
 
 
 # -- worker process ------------------------------------------------------------
 
-def _worker_main(conn: Any, spec: SweepSpec,
-                 shard_path: "str | os.PathLike[str]", label: str) -> None:
+def _worker_main(conn: Any, spec: SweepSpec, label: str) -> None:
     """Worker loop: recv task, run an :func:`_attempt`, send its outcome.
 
-    First resets the process-global observability state inherited
+    The worker opens no file: a completed cell's record goes to the
+    parent in its ``done`` message, and the parent writes it.  First
+    resets the process-global observability state inherited
     across ``fork`` (progress sinks, tracer/profiler file handles must
     not be shared with the parent), then installs a private live bus
     whose only sink forwards snapshots to the parent for aggregation.
@@ -597,7 +554,6 @@ def _worker_main(conn: Any, spec: SweepSpec,
     bus = _live.LiveBus()
     bus.attach(_live.ConnectionSink(conn))
     _live.set_global_live_bus(bus)
-    writer = _open_shard(shard_path, spec.digest(), label)
     parent_pid = os.getppid()
     try:
         while True:
@@ -615,14 +571,11 @@ def _worker_main(conn: Any, spec: SweepSpec,
                 "worker": label, "cell": index, "attempt": attempt,
                 **_live_fields(cell, None),
             })
-            outcome = _attempt(spec, writer, label, cell, derived_seed,
-                               attempt)
             try:
-                conn.send(outcome)
+                conn.send(_attempt(spec, cell, derived_seed, attempt))
             except (OSError, ValueError):
                 break
     finally:
-        writer.close()
         conn.close()
 
 
@@ -665,19 +618,14 @@ class _Task:
 class _Worker:
     """Parent-side handle of one worker process."""
 
-    def __init__(self, ctx: Any, spec: SweepSpec, store: SweepStore,
-                 generation: int, slot: int, spawn_seq: int) -> None:
+    def __init__(self, ctx: Any, spec: SweepSpec, slot: int) -> None:
         self.slot = slot
-        self.label = f"w{slot}" if spawn_seq == 0 else f"w{slot}r{spawn_seq}"
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         self.conn = parent_conn
-        shard = store.shard_path(generation, self.label)
-        if shard.exists():
-            raise SweepError(f"shard {shard} already exists")
         self.process = ctx.Process(
             target=_worker_main,
-            args=(child_conn, spec, os.fspath(shard), self.label),
-            name=f"repro-sweep-{self.label}",
+            args=(child_conn, spec, f"w{slot}"),
+            name=f"repro-sweep-w{slot}",
             daemon=True,
         )
         self.process.start()
@@ -754,15 +702,19 @@ def run_sweep(
     resolved = len(done_keys)
 
     def settle(task: _Task, outcome: tuple) -> None:
-        """Count and publish a success, re-queue a failure, or
-        quarantine it into ``shard`` once its attempts are spent."""
+        """Append a success to ``shard``, re-queue a failure, or
+        quarantine it into ``shard`` once its attempts are spent; then
+        count and publish it."""
         nonlocal resolved
         if outcome[0] == "failed" and task.attempt <= spec.retries:
             task.attempt += 1
             queue.append(task)
             return
         if outcome[0] == "done":
-            fields = outcome[1]
+            record = outcome[1]
+            record["attempt"] = task.attempt
+            shard.write(record)
+            fields = _live_fields(task.cell, record["summary"])
         else:
             _, error_type, error, tb = outcome
             shard.write(_quarantine_record(
@@ -776,19 +728,15 @@ def run_sweep(
                        final=resolved == total)
 
     if pending:
-        # inline, successes and quarantines share the one shard; with
-        # workers, each worker writes its own and quarantines go here
-        shard = store.open_shard(generation, "parent" if workers else "w0",
-                                 spec.digest())
+        shard = store.open_shard(generation, spec.digest())
         try:
             if workers == 0:  # the serial reference path
                 while queue:
                     task = queue.pop(0)
-                    settle(task, _attempt(spec, shard, "w0", task.cell,
-                                          task.derived_seed, task.attempt))
+                    settle(task, _attempt(spec, task.cell, task.derived_seed,
+                                          task.attempt))
             else:
-                _run_parallel(spec, store, generation, queue, settle,
-                              workers, live)
+                _run_parallel(spec, queue, settle, workers, live)
         finally:
             shard.close()
     rollup = merge_store(store, total=total)
@@ -820,28 +768,20 @@ def _publish_sweep(live: "_live.LiveBus | None", *, done: int, total: int,
     live.publish("sweep", record)
 
 
-def _run_parallel(spec: SweepSpec, store: SweepStore, generation: int,
-                  queue: list[_Task], settle: Callable[[_Task, tuple], None],
-                  workers: int, live: "_live.LiveBus | None") -> None:
+def _run_parallel(spec: SweepSpec, queue: list[_Task],
+                  settle: Callable[[_Task, tuple], None], workers: int,
+                  live: "_live.LiveBus | None") -> None:
     """The process-pool path: dispatch attempts, watch workers, settle."""
     ctx = multiprocessing.get_context(
         "fork" if "fork" in multiprocessing.get_all_start_methods()
         else "spawn")
     workers = min(workers, len(queue))
-    spawn_seq = [0] * workers
-
-    def spawn(slot: int) -> _Worker:
-        worker = _Worker(ctx, spec, store, generation, slot,
-                         spawn_seq[slot])
-        spawn_seq[slot] += 1
-        return worker
-
     pool: dict[int, _Worker] = {}
 
     def replace(slot: int) -> None:
         """Respawn the worker in ``slot`` after a kill/crash."""
         if queue or any(w.running is not None for w in pool.values()):
-            pool[slot] = spawn(slot)
+            pool[slot] = _Worker(ctx, spec, slot)
         else:
             del pool[slot]
 
@@ -854,7 +794,7 @@ def _run_parallel(spec: SweepSpec, store: SweepStore, generation: int,
 
     try:
         for slot in range(workers):
-            pool[slot] = spawn(slot)
+            pool[slot] = _Worker(ctx, spec, slot)
         while queue or any(w.running is not None for w in pool.values()):
             now = time.perf_counter()
             # dispatch queued attempts to idle workers

@@ -103,7 +103,7 @@ class RunManifest:
     ----------
     kind:
         What produced this manifest (``"simulate"``, ``"train"``,
-        ``"reproduce"``, ``"sweep-cell"``).
+        ``"reproduce"``).
     seed:
         The run's root seed (``None`` when the run takes no seed).
     git_sha:

@@ -154,8 +154,20 @@ class TestGenerateSimulate:
         (["train", "--nodes", "0"], "--nodes must be positive, got 0"),
         (["train", "--nodes", "32", "--window", "0"],
          "window must be positive"),
+        (["generate", "theta", "10", "--nodes", "-5"],
+         "--nodes must be >= 0, got -5"),
+        (["train", "--train-jobs", "0"],
+         "--train-jobs must be positive, got 0"),
+        (["train", "--jobs-per-set", "0"],
+         "--jobs-per-set must be positive, got 0"),
+        (["train", "--real", "0"], "--real must be positive, got 0"),
+        (["train", "--synthetic", "0"], "--synthetic must be positive, got 0"),
+        (["train", "--sampled", "-1"], "--sampled must be >= 0, got -1"),
     ], ids=["generate-negative-jobs", "generate-zero-load-factor",
-            "train-zero-nodes", "train-zero-window"])
+            "train-zero-nodes", "train-zero-window", "generate-negative-nodes",
+            "train-zero-train-jobs", "train-zero-jobs-per-set",
+            "train-zero-real", "train-zero-synthetic",
+            "train-negative-sampled"])
     def test_generate_and_train_bad_numbers_are_one_line_and_exit_two(
             self, tmp_path, capsys, argv, message):
         out = tmp_path / "out"

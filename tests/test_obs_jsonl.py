@@ -49,7 +49,7 @@ def _write_live(path: Path) -> Any:
 
 
 def _write_sweep(path: Path) -> Any:
-    writer = pool.SweepStore(path.parent.parent).open_shard(1, "w0", "abc123")
+    writer = pool.SweepStore(path.parent.parent).open_shard(1, "abc123")
     writer.write(QUARANTINE)
     return writer
 
@@ -116,8 +116,7 @@ SPECIES = {
     "sweep": Species(
         _write_sweep, lambda w: w.write(QUARANTINE),
         _read_sweep, pool.SWEEP_SCHEMA, 1,
-        '{"schema": "repro.sweep/v1", "source": "w0", "sweep": "abc123", '
-        '"type": "meta"}\n'
+        '{"schema": "repro.sweep/v1", "sweep": "abc123", "type": "meta"}\n'
         '{"attempts": 3, "cell": {"i": 1}, "derived_seed": 5, '
         '"error": "boom", "error_tb": "tb", "error_type": "RuntimeError", '
         '"key": "{\\"i\\":1}", "schema": "repro.sweep/v1", '
@@ -138,7 +137,7 @@ def artifact(species, tmp_path, monkeypatch):
     monkeypatch.setattr(time, "perf_counter", lambda: 1.5)
     shards = tmp_path / "store" / "shards"  # the layout SweepStore scans
     shards.mkdir(parents=True)
-    path = shards / "g0001.w0.jsonl"
+    path = shards / "g0001.jsonl"
     writer = species.write(path)
     yield path, writer
     writer.close()
@@ -332,7 +331,7 @@ class TestDigestAndAtomicWrite:
         spec = pool.SweepSpec(kind="selftest", params={"cells": 1})
         store = pool.SweepStore(tmp_path / "store")
         store.initialise(spec, resume=False)
-        pool.write_rollup(store, pool.merge_store(store))
+        pool.write_rollup(store, pool.merge_store(store, total=1))
         assert replaced == ["manifest.json", "spec.json", "rollup.json"]
         assert RunManifest.read(tmp_path / "manifest.json").kind == "t"
 

@@ -111,7 +111,7 @@ class TestRunAll:
                               params={"only": ["table1"]})
         store = pool.SweepStore(tmp_path / "store")
         store.initialise(spec, resume=False)
-        shard = store.open_shard(1, "w0", spec.digest())
+        shard = store.open_shard(1, spec.digest())
         old = {"exp": "table1"}
         shard.write({"type": "cell", "key": pool.cell_key(old), "cell": old,
                      "status": "ok",
