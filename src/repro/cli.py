@@ -135,11 +135,13 @@ def _live_session(args: argparse.Namespace, install: bool = False,
     yields ``None`` so components fall back to the ``REPRO_LIVE``
     process-global bus.
 
-    ``install`` also makes the bus process-global for the block, so
-    every simulation the command runs internally publishes to it.  The
-    bus is closed (and uninstalled) on the way out, whatever happened.
+    ``install`` also makes the bus the current live channel for the
+    block (:func:`repro.obs.trace.sinks`), so every simulation the
+    command runs internally publishes to it.  The bus is closed on the
+    way out, and the previous channel restored, whatever happened.
     """
     from repro.obs import live as _live
+    from repro.obs.trace import sinks
 
     if not args.live:
         yield None
@@ -150,13 +152,10 @@ def _live_session(args: argparse.Namespace, install: bool = False,
         record = Path(args.run_dir) / LOG
         bus.attach(_live.SnapshotWriter(record))
         print(f"live: recording snapshots to {record}", file=sys.stderr)
-    if install:
-        _live.set_global_live_bus(bus)
     try:
-        yield bus
+        with sinks(live=bus if install else None):
+            yield bus
     finally:
-        if install:
-            _live.set_global_live_bus(None)
         bus.close()
 
 
@@ -233,6 +232,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
 
     from repro.experiments import pool, runner
     from repro.obs import live as _live
+    from repro.obs.trace import channels
 
     if args.resume and not args.run_dir:
         print("reproduce: --resume needs --run-dir DIR, the run to "
@@ -271,10 +271,10 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
             if args.resume:  # the clock times only the cells run here
                 done = set(store.scan().completed)
                 cells = [c for c in cells if pool.cell_key(c) not in done]
-            # the live bus is installed process-globally so every
+            # the live bus is the current live channel, so every
             # simulation an inline cell runs publishes to it
             with _live_session(args, install=True) as live:
-                bus = live or _live.global_live_bus() or _live.LiveBus()
+                bus = live or channels().live or _live.LiveBus()
                 clock = bus.attach(_ExperimentClock(kind, cells))
                 try:
                     result = pool.run_sweep(spec, store,
@@ -345,12 +345,13 @@ def _print_report(spec, rollup, run_dir: str | None) -> str:
     """Render a sweep's rollup with its kind's renderer; print it (and
     write ``DIR/report.txt``) unless it is empty.  Returns the text."""
     from repro.experiments import runner
+    from repro.obs.jsonl import atomic_write
 
     text = runner.TABLE[spec.kind].render(spec, rollup)
     if text:
         if run_dir:
-            (Path(run_dir) / REPORT).write_text(text + "\n",
-                                                encoding="utf-8")
+            with atomic_write(Path(run_dir) / REPORT) as fh:
+                fh.write(text + "\n")
         print(text)
     return text
 
@@ -413,7 +414,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print("trace contains no usable jobs", file=sys.stderr)
         return 1
     _run_dir(args)
-    # process-global for the run: the engine finds the bus when it runs
+    # the current live channel for the run: the engine finds the bus
     with _live_session(args, install=True):
         result = engine.run()
     summary = _print_metrics(policy.name, result).as_dict()
@@ -444,6 +445,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     from repro.rl.curriculum import train_with_curriculum
     from repro.rl.trainer import TrainingHistory
     from repro.workload import CoriModel, ThetaModel
+    from repro.workload.jobsets import arrival_rate, real_jobsets
 
     factory = ThetaModel if args.system == "theta" else CoriModel
     objective = "capability" if args.system == "theta" else "capacity"
@@ -464,6 +466,14 @@ def cmd_train(args: argparse.Namespace) -> int:
             time_scale=factory.MAX_RUNTIME, seed=args.seed,
         )
         faults = parse_faults(args.faults)
+        rng = np.random.default_rng(args.seed)
+        base = model.generate(args.train_jobs, rng)
+        validation = model.generate(max(50, args.train_jobs // 5), rng)
+        # the curriculum's base trace must be sampleable and long enough
+        # to cut into the real jobsets
+        if args.sampled:
+            arrival_rate(base)
+        real_jobsets(base, args.real)
     except ValueError as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return 2
@@ -485,9 +495,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     else:
         agent = make_agent(args.agent, config)
     checkpoint_path = args.checkpoint or args.resume
-    rng = np.random.default_rng(args.seed)
-    base = model.generate(args.train_jobs, rng)
-    validation = model.generate(max(50, args.train_jobs // 5), rng)
     run_dir = _run_dir(args)
     log = None
     if run_dir and args.live:  # the training log of a watched run

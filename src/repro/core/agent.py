@@ -30,6 +30,7 @@ import numpy as np
 from repro.core.config import DRASConfig
 from repro.core.rewards import RewardFunction, make_reward
 from repro.core.state import StateEncoder
+from repro.obs import trace as _trace
 from repro.schedulers.base import BaseScheduler
 from repro.sim.engine import SchedulingView
 from repro.sim.job import Job
@@ -154,8 +155,10 @@ class HierarchicalAgent(BaseScheduler):
     def _after_action(self, selected: list[Job], view: SchedulingView) -> None:
         """While learning, attach the post-action reward to its transition."""
         if self.learning:
-            self.record_reward(
-                self.reward_fn(selected, view.waiting(), view.cluster, view.now))
+            with _trace.span("agent.reward"):
+                reward = self.reward_fn(selected, view.waiting(),
+                                        view.cluster, view.now)
+            self.record_reward(reward)
 
     def _end_instance(self) -> None:
         self._instances_since_update += 1

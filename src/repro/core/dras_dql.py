@@ -31,6 +31,7 @@ from repro.core.state import NodeGroups
 from repro.nn.losses import mse_loss
 from repro.nn.network import build_dras_network
 from repro.nn.optim import Adam
+from repro.obs import trace as _trace
 from repro.sim.engine import SchedulingView
 from repro.sim.job import Job
 
@@ -86,8 +87,9 @@ class DRASDQL(HierarchicalAgent):
         self, window: list[Job], view: SchedulingView
     ) -> tuple[np.ndarray, NodeGroups, np.ndarray]:
         """Q-values of every job in the window: ``(heads, nodes, q)``."""
-        heads, nodes = self.encoder.encode_jobs_batch(
-            window, view.cluster, view.now)
+        with _trace.span("agent.encode"):
+            heads, nodes = self.encoder.encode_jobs_batch(
+                window, view.cluster, view.now)
         return heads, nodes, self.score_window(heads, nodes)
 
     # -- HierarchicalAgent interface -------------------------------------------

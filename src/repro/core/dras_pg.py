@@ -36,6 +36,7 @@ from repro.core.state import NodeGroups, StateEncoder
 from repro.nn.losses import masked_softmax, policy_gradient_loss, sample_from_probs
 from repro.nn.network import Network, build_dras_network
 from repro.nn.optim import Adam
+from repro.obs import trace as _trace
 from repro.sim.engine import SchedulingView
 from repro.sim.job import Job
 
@@ -106,65 +107,42 @@ class PGCore:
     #: until the first update; always-on, the counter is free)
     last_update_batch: int = 0
 
-    def score_window(self, x: np.ndarray, masks: np.ndarray,
-                     shared: NodeGroups) -> np.ndarray:
-        """Masked action probabilities for a batch of windows.
-
-        ``x`` is the ``[B, 2W, 2]`` stack of window job rows, ``masks``
-        the matching ``[B, W]`` validity masks and ``shared`` the node
-        state they are all scored against (the triple
-        :meth:`~repro.core.state.StateEncoder.encode_windows` returns)
-        — the ``[2W + N, 2]`` input of §III-B with the node rows,
-        identical across the batch, passed once and by group.  One
-        network forward scores all ``B`` windows; returns ``[B, W]``
-        probabilities with masked entries at zero.  This is the single
-        inference entry point — per-decision scoring is the ``B = 1``
-        case.
-        """
-        if x.ndim != 3:
-            raise ValueError(f"score_window expects [B, 2W, 2], got {x.shape}")
-        if masks.ndim != 2 or masks.shape[0] != x.shape[0]:
-            raise ValueError(
-                f"mask batch {masks.shape} does not match obs batch {x.shape}"
-            )
-        if not masks.any(axis=1).all():
-            raise ValueError("no valid action in window")
-        logits = self.network.forward(x, shared=shared)
-        return masked_softmax(logits, masks)
-
     def policy(self, window: list[Job], view: SchedulingView,
                extra_mask: np.ndarray | None = None
                ) -> tuple[np.ndarray, NodeGroups, np.ndarray, np.ndarray]:
-        """Action probabilities over the window.
+        """Scores of the window's slots: ``(head, groups, mask, logits)``.
 
-        Returns ``(head, groups, mask, probs)``: the window's ``[2W, 2]``
-        job rows, the node state, the validity mask and the
-        probabilities.  ``extra_mask`` ANDs additional validity
+        ``head`` is the window's ``[2W, 2]`` job rows and ``groups`` the
+        node state — the ``[2W + N, 2]`` input of §III-B with the node
+        rows passed once and by group — scored by one network forward
+        as a batch of one.  ``extra_mask`` ANDs additional validity
         constraints (e.g. Decima-PG's runnable-only rule) into the
-        window mask.  One decision is scored as the batch-of-one case
-        of :meth:`score_window` — there is no separate single-sample
-        network path.
+        window mask.
         """
-        heads, masks, groups = self.encoder.encode_windows(
-            [window], view.cluster, view.now)
+        with _trace.span("agent.encode"):
+            heads, masks, groups = self.encoder.encode_windows(
+                [window], view.cluster, view.now)
         if extra_mask is not None:
             masks = masks & extra_mask[None, :]
-        probs = self.score_window(heads, masks, groups)
-        return heads[0], groups, masks[0], probs[0]
+        logits = self.network.forward(heads, shared=groups)
+        return heads[0], groups, masks[0], logits[0]
 
     def act(self, window: list[Job], view: SchedulingView, record: bool,
             extra_mask: np.ndarray | None = None) -> int:
-        """Pick one window slot (sampled, or argmax when greedy).
+        """Pick one window slot (sampled, or argmax when greedy) from the
+        masked softmax of the :meth:`policy` scores.
 
         With ``record=True`` the transition is kept for the next
         REINFORCE update, as the ``[2W + N, 2]`` input the update's
         plain forward takes.
         """
-        head, groups, mask, probs = self.policy(window, view, extra_mask)
-        if self.greedy:
-            action = int(np.argmax(probs))
-        else:
-            action = sample_from_probs(probs, self.rng)
+        head, groups, mask, logits = self.policy(window, view, extra_mask)
+        with _trace.span("agent.sample"):
+            probs = masked_softmax(logits, mask)
+            if self.greedy:
+                action = int(np.argmax(probs))
+            else:
+                action = sample_from_probs(probs, self.rng)
         if record:
             x = np.concatenate([head, groups.expand(self.encoder.num_nodes)])
             self.pending.append(_Transition(x=x, mask=mask, action=action))

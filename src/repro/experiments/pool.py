@@ -46,6 +46,7 @@ is :func:`run_sweep` with ``--workers N`` (default 0, inline).
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -60,6 +61,7 @@ from typing import Any, Callable, Iterable, Mapping
 
 from repro.experiments import runner
 from repro.obs import live as _live
+from repro.obs import trace as _trace
 from repro.obs.jsonl import (
     JsonlWriter,
     atomic_write,
@@ -533,11 +535,11 @@ def _worker_main(conn: Any, spec: SweepSpec, label: str) -> None:
     """Worker loop: recv task, run an :func:`_attempt`, send its outcome.
 
     The worker opens no file: a completed cell's record goes to the
-    parent in its ``done`` message, and the parent writes it.  First
-    resets the process-global observability state inherited
-    across ``fork`` (progress sinks, tracer/profiler file handles must
-    not be shared with the parent), then installs a private live bus
-    whose only sink forwards snapshots to the parent for aggregation.
+    parent in its ``done`` message, and the parent writes it.  Its
+    channel set is a private live bus alone, whose only sink forwards
+    snapshots to the parent for aggregation: the channels inherited
+    across ``fork`` (progress sinks, tracer/profiler file handles) are
+    not shared with the parent, and no ``REPRO_*`` variable is read.
     A dead parent ends the loop: either as a broken pipe, or — when a
     sibling worker forked after this one still holds an inherited copy
     of the pipe's parent end, so no EOF can arrive — as a change of
@@ -545,17 +547,10 @@ def _worker_main(conn: Any, spec: SweepSpec, label: str) -> None:
     An orphaned worker therefore never outlives its parent by more
     than its in-flight cell plus one poll interval.
     """
-    from repro.obs.profile import set_global_profiler
-    from repro.obs.trace import set_global_tracer
-
-    _live.set_global_live_bus(None)
-    set_global_tracer(None)
-    set_global_profiler(None)
     bus = _live.LiveBus()
     bus.attach(_live.ConnectionSink(conn))
-    _live.set_global_live_bus(bus)
     parent_pid = os.getppid()
-    try:
+    with _trace.sinks(live=bus, inherit=False), contextlib.closing(conn):
         while True:
             try:
                 while not conn.poll(0.5):
@@ -575,8 +570,6 @@ def _worker_main(conn: Any, spec: SweepSpec, label: str) -> None:
                 conn.send(_attempt(spec, cell, derived_seed, attempt))
             except (OSError, ValueError):
                 break
-    finally:
-        conn.close()
 
 
 # -- the orchestrator ----------------------------------------------------------
@@ -693,7 +686,7 @@ def run_sweep(
         for i in range(total) if keys[i] not in done_keys
     ]
     if live is None:
-        live = _live.global_live_bus()
+        live = _trace.channels().live
     generation = store.generation()
     quarantined: dict[str, str] = {}
     # unsettled tasks waiting for their next attempt, first in first out:

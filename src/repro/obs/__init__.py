@@ -6,19 +6,19 @@ all designed around the same contract as the PR 1 sanitizer:
 run is bit-identical to an uninstrumented one (the layer only ever
 *observes* — it never touches simulation or RNG state).
 
-* :mod:`repro.obs.trace` — a near-zero-overhead structured event tracer
-  writing JSONL spans and events.  Activate globally with
-  ``REPRO_TRACE=/path/to/trace.jsonl`` or per-engine with
-  ``Engine(trace=...)``.  The engine emits scheduler-decision spans and
-  allocate/release/backfill events; the NN stack emits
-  forward/backward/optimizer-step spans through
-  :func:`~repro.obs.trace.span`, which also enters the profiler scope
-  of the same name.  Traces survive crashes: the
-  buffered tail is flushed on engine exit and at interpreter exit.
+* :mod:`repro.obs.trace` — a near-zero-overhead JSONL event tracer, and
+  the one process-global channel set (:func:`~repro.obs.trace.channels`:
+  the current tracer, profiler and live bus).  ``REPRO_TRACE=path``,
+  ``REPRO_PROFILE=path`` and ``REPRO_LIVE`` switch a channel on for the
+  process; ``Engine(trace=, profile=, live=)`` make explicit sinks
+  current for one run (:func:`~repro.obs.trace.sinks`).  The engine
+  emits scheduler-decision spans and allocate/release/backfill events;
+  the agents, the NN stack and the trainer enter ``agent.*`` / ``nn.*``
+  / ``train.*`` scopes through :func:`~repro.obs.trace.span`.  Traces
+  survive crashes: the buffered tail is flushed on engine exit and at
+  interpreter exit.
 * :mod:`repro.obs.profile` — a deterministic hierarchical wall-time
   profiler (call counts + cumulative/self seconds per scope path).
-  Activate globally with ``REPRO_PROFILE=/path/to/profile.json`` or
-  per-engine with ``Engine(profile=...)``.
 * :mod:`repro.obs.metrics` — the fixed log-binned duration histogram
   (:class:`~repro.obs.metrics.Timer`) that trace summaries and reports
   bin latencies into, and the engine's two event counters
@@ -48,20 +48,16 @@ from repro.obs.analyze import (
 )
 from repro.obs.manifest import RunManifest, describe_workload, git_sha
 from repro.obs.metrics import Counter, MetricsRegistry, Timer
-from repro.obs.profile import (
-    Profiler,
-    global_profiler,
-    set_global_profiler,
-)
+from repro.obs.profile import Profiler
 from repro.obs.report import render_report, write_report
 from repro.obs.trace import (
     Span,
     Tracer,
     TraceWarning,
     build_span_tree,
-    global_tracer,
+    channels,
     read_trace,
-    set_global_tracer,
+    sinks,
     span,
 )
 
@@ -76,15 +72,13 @@ __all__ = [
     "TraceWarning",
     "Tracer",
     "build_span_tree",
+    "channels",
     "decision_latencies",
     "describe_workload",
     "git_sha",
-    "global_profiler",
-    "global_tracer",
     "read_trace",
     "render_report",
-    "set_global_profiler",
-    "set_global_tracer",
+    "sinks",
     "span",
     "summarize_trace",
     "utilization_timeline",

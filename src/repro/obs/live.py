@@ -27,7 +27,8 @@ Clock discipline: publishers and the bus itself touch only
 the shard header timestamp) lives inside the sink.
 
 Activate globally with ``REPRO_LIVE`` (``1`` → progress line; any
-other value → a snapshot shard at that path) or per-run with
+other value → a snapshot shard at that path; read by
+:func:`repro.obs.trace.channels`) or per-run with
 ``Engine(live=...)`` / ``run_simulation(..., live=...)`` / ``--live``
 (with ``--run-dir DIR``, a shard at ``DIR/log.jsonl``) on the CLI.
 A ``REPRO_LIVE`` shard meant for ``repro report DIR`` is named
@@ -393,44 +394,3 @@ def live_from_spec(spec: str, stream: TextIO | None = None) -> LiveBus | None:
         f"live spec {value!r} is a port, but the HTTP view was removed; "
         "use '1' for the progress line or a file path for a snapshot "
         "shard")
-
-
-# -- global (environment-driven) bus -------------------------------------------
-
-_GLOBAL: LiveBus | None = None
-_GLOBAL_LOADED = False
-
-
-def global_live_bus() -> LiveBus | None:
-    """The process-wide live bus, or ``None`` when the live view is off.
-
-    On first call the ``REPRO_LIVE`` environment variable is consulted
-    (see :func:`live_from_spec` for the accepted values); subsequent
-    calls return the cached result, so the disabled path costs one
-    global lookup and a ``None`` check — the same contract as
-    :func:`repro.obs.trace.global_tracer`.
-    """
-    global _GLOBAL, _GLOBAL_LOADED
-    if not _GLOBAL_LOADED:
-        _GLOBAL_LOADED = True
-        # sanctioned observability gate: selects whether the run is
-        # *watched*; run behaviour and outputs are unchanged by REPRO_LIVE
-        spec = os.environ.get("REPRO_LIVE", "").strip()
-        if spec:
-            _GLOBAL = live_from_spec(spec)
-    return _GLOBAL
-
-
-def set_global_live_bus(bus: LiveBus | None) -> LiveBus | None:
-    """Install (or clear, with ``None``) the global live bus.
-
-    Returns the previous bus so tests can restore it.  Passing a bus
-    bypasses ``REPRO_LIVE``; passing ``None`` disables the global live
-    view until the next explicit install (the environment variable is
-    *not* re-read).
-    """
-    global _GLOBAL, _GLOBAL_LOADED
-    previous = _GLOBAL
-    _GLOBAL = bus
-    _GLOBAL_LOADED = True
-    return previous

@@ -8,6 +8,9 @@ the ones ``benchmarks/perf/`` attributes wall time to:
 * ``engine.run`` / ``engine.instance`` / ``engine.schedule`` — the
   event loop, one scope per simulated timestamp, and the policy call
   inside it (:mod:`repro.sim.engine`);
+* ``agent.encode`` / ``agent.sample`` / ``agent.reward`` — a learned
+  agent's state encoding, action sampling and reward call
+  (:mod:`repro.core`, :mod:`repro.rl.meter`);
 * ``nn.forward`` / ``nn.backward`` / ``nn.adam_step`` — the NN stack
   (:mod:`repro.nn.network`, :mod:`repro.nn.optim`);
 * ``train.episode`` / ``train.validate`` — each trainer engine run, with
@@ -25,11 +28,12 @@ and mutates its own tree, never simulation, RNG or network state.
 Call counts and tree shape are fully deterministic for a fixed
 workload; only the accumulated wall seconds vary between machines.
 
-Activation, like ``REPRO_TRACE`` / ``REPRO_SANITIZE``:
+Activation, like ``REPRO_TRACE`` (:func:`repro.obs.trace.channels`):
 
 * globally, via ``REPRO_PROFILE=/path/to/profile.json`` — the profile
   is written as JSON when the process exits (``atexit``), or
-* per engine, via ``Engine(profile=...)`` with a :class:`Profiler`, or
+* per engine, via ``Engine(profile=...)`` with a :class:`Profiler`,
+  which records every scope of the run, or
 * ad hoc::
 
       profiler = Profiler()
@@ -40,9 +44,7 @@ Activation, like ``REPRO_TRACE`` / ``REPRO_SANITIZE``:
 
 from __future__ import annotations
 
-import atexit
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter as _perf_counter
@@ -314,56 +316,3 @@ class Scope:
             self._tracer.end(self._sid)
         if self._profiler is not None:
             self._profiler.pop()
-
-
-# -- global (environment-driven) profiler --------------------------------------
-
-_GLOBAL: Profiler | None = None
-_GLOBAL_LOADED = False
-
-
-def _write_global_profile(profiler: Profiler, path: str) -> None:
-    """``atexit`` hook: persist the env-activated profile as JSON."""
-    try:
-        profiler.write_json(path)
-    except OSError:  # the destination vanished; nothing sane to do at exit
-        pass
-
-
-def global_profiler() -> "Profiler | None":
-    """The process-wide profiler, or ``None`` when profiling is off.
-
-    On first call the ``REPRO_PROFILE`` environment variable is
-    consulted: a non-empty value activates profiling for every
-    instrumented component in the process and names the JSON file the
-    profile is written to at interpreter exit.  Subsequent calls return
-    the cached result, so the disabled path costs one global lookup and
-    a ``None`` check.
-    """
-    global _GLOBAL, _GLOBAL_LOADED
-    if not _GLOBAL_LOADED:
-        _GLOBAL_LOADED = True
-        # sanctioned observability gate: enables timing collection only;
-        # simulation results are identical with and without REPRO_PROFILE
-        path = os.environ.get("REPRO_PROFILE", "").strip()
-        if path:
-            _GLOBAL = Profiler()
-            atexit.register(_write_global_profile, _GLOBAL, path)
-    return _GLOBAL
-
-
-def set_global_profiler(profiler: "Profiler | None") -> "Profiler | None":
-    """Install (or clear, with ``None``) the global profiler.
-
-    Returns the previous profiler so tests can restore it.  Installing
-    bypasses ``REPRO_PROFILE``; clearing disables global profiling
-    until the next explicit install (the variable is *not* re-read).
-    Unlike the env path, explicitly installed profilers are not written
-    anywhere at exit — the caller owns persistence.
-    """
-    global _GLOBAL, _GLOBAL_LOADED
-    previous = _GLOBAL if _GLOBAL_LOADED else None
-    _GLOBAL = profiler
-    _GLOBAL_LOADED = True
-    return previous
-

@@ -27,6 +27,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.obs.analyze import TraceSummary
+from repro.obs.jsonl import atomic_write
 from repro.obs.metrics import TIMER_HIST_EDGES, Timer
 
 #: a series is ``(label, [(x, y), ...])``; non-finite y's break the line
@@ -678,9 +679,9 @@ def write_report(path: str | Path, **kwargs: Any) -> Path:
 
     ``kwargs`` are :func:`render_report`'s: ``log`` and ``telemetry``
     come from one :func:`~repro.obs.live.read_log` of a run's
-    ``log.jsonl`` (its summary and its ``train`` records).
+    ``log.jsonl`` (its summary and its ``train`` records).  The write
+    is atomic (:func:`~repro.obs.jsonl.atomic_write`).
     """
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(render_report(**kwargs), encoding="utf-8")
-    return out
+    with atomic_write(path) as fh:
+        fh.write(render_report(**kwargs))
+    return Path(path)

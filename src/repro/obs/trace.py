@@ -38,23 +38,19 @@ lines are written out in one batched ``write`` per
 and on :meth:`Tracer.close`.  A closed tracer refuses records with
 :class:`ValueError`.
 
-Activation mirrors the PR 1 sanitizer contract:
-
-* globally, via the ``REPRO_TRACE`` environment variable naming the
-  output path (read once per process; see :func:`global_tracer`), or
-* per engine, via ``Engine(trace=...)`` with a path or a
-  :class:`Tracer`.
+The module also holds the process-global channel set (:class:`Channels`:
+the current tracer, profiler and live bus) that every instrumented site
+reads.  :func:`channels` builds it from ``REPRO_TRACE`` /
+``REPRO_PROFILE`` / ``REPRO_LIVE`` once per process, and :func:`sinks`
+makes explicit sinks current for a block.  ``Engine(trace=...)``, with
+a path or a :class:`Tracer`, is such a block for one run, so the
+policy's ``agent.*`` and ``nn.*`` spans land in the engine's tracer too.
 
 When no tracer is active the instrumented hot paths cost a single
 ``None`` check, and a traced run is bit-identical to an untraced one:
 the tracer only appends to its sink and never reads or mutates
-simulation, RNG or network state.
-
-Reading a trace back::
-
-    records = read_trace("trace.jsonl")
-    roots = build_span_tree(records)
-
+simulation, RNG or network state.  :func:`read_trace` and
+:func:`build_span_tree` read a trace back into a span forest.
 """
 
 from __future__ import annotations
@@ -64,13 +60,15 @@ import itertools
 import json
 import os
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, ContextManager, IO, Iterable
+from typing import (Any, Callable, ContextManager, IO, Iterable, Iterator,
+                    NamedTuple)
 
 from repro.obs import profile as _profile
 from repro.obs.jsonl import read_jsonl
+from repro.obs.live import LiveBus, live_from_spec
 
 #: schema tag stamped into the first record of every trace file
 TRACE_SCHEMA = "repro.trace/v1"
@@ -92,6 +90,9 @@ SPAN_NAMES = frozenset({
     "engine.node_repair",
     "engine.job_kill",
     "engine.job_abandon",
+    "agent.encode",
+    "agent.sample",
+    "agent.reward",
     "nn.forward",
     "nn.backward",
     "nn.adam_step",
@@ -102,12 +103,9 @@ SPAN_NAMES = frozenset({
 
 
 def _json_default(value: Any) -> Any:
-    """Coerce numpy scalars and other non-JSON types to plain Python."""
-    for attr in ("item",):  # numpy scalars expose .item()
-        fn = getattr(value, attr, None)
-        if callable(fn):
-            return fn()
-    return str(value)
+    """Coerce numpy scalars (``.item()``) and other non-JSON types."""
+    item = getattr(value, "item", None)
+    return item() if callable(item) else str(value)
 
 
 # -- record shapes -------------------------------------------------------------
@@ -358,89 +356,92 @@ class Tracer:
         self.close()
 
 
-# -- global (environment-driven) tracer ---------------------------------------
+# -- the process-global channel set --------------------------------------------
 
-_GLOBAL: Tracer | None = None
-_GLOBAL_LOADED = False
-_ATEXIT_REGISTERED = False
+class Channels(NamedTuple):
+    """The current sink of each observability channel (``None``: off)."""
+
+    tracer: Tracer | None = None
+    profiler: _profile.Profiler | None = None
+    live: LiveBus | None = None
 
 
-def _flush_global_tracer() -> None:
-    """``atexit`` hook: persist whatever the global tracer buffered.
+#: what every instrumented site records to; ``None`` until
+#: :func:`channels` first reads the environment
+_CURRENT: Channels | None = None
 
-    Flushes (rather than closes) so late ``atexit`` callbacks that still
-    emit records keep working; the interpreter closes the file handle.
+
+def _persist(env: Channels, profile_path: str) -> None:
+    """``atexit`` hook: write the ``REPRO_PROFILE`` profile and flush (not
+    close: late ``atexit`` callbacks may still emit) the ``REPRO_TRACE``
+    tracer."""
+    if env.tracer is not None:
+        env.tracer.flush()
+    if env.profiler is not None:
+        try:
+            env.profiler.write_json(profile_path)
+        except OSError:  # the destination vanished; nothing sane to do at exit
+            pass
+
+
+def channels() -> Channels:
+    """The current channel set: what every instrumented site records to.
+
+    The first call reads ``REPRO_TRACE`` (a JSONL trace path),
+    ``REPRO_PROFILE`` (the profile's JSON path) and ``REPRO_LIVE`` (a
+    :func:`~repro.obs.live.live_from_spec` spec), once per process; a
+    file channel registers the ``atexit`` hook, so a process that exits
+    or crashes still leaves its trace and profile.
     """
-    if _GLOBAL is not None:
-        _GLOBAL.flush()
+    global _CURRENT
+    if _CURRENT is None:
+        # sanctioned observability gates: they select what is *recorded*;
+        # a run's behaviour and results are unchanged by them
+        env = os.environ.get
+        live = live_from_spec(env("REPRO_LIVE", ""))
+        trace_path = env("REPRO_TRACE", "").strip()
+        profile_path = env("REPRO_PROFILE", "").strip()
+        _CURRENT = Channels(Tracer(trace_path) if trace_path else None,
+                            _profile.Profiler() if profile_path else None,
+                            live)
+        if trace_path or profile_path:
+            atexit.register(_persist, _CURRENT, profile_path)
+    return _CURRENT
 
 
-def _register_atexit_flush() -> None:
-    """Install the global-tracer ``atexit`` flush exactly once."""
-    global _ATEXIT_REGISTERED
-    if not _ATEXIT_REGISTERED:
-        _ATEXIT_REGISTERED = True
-        atexit.register(_flush_global_tracer)
+@contextmanager
+def sinks(tracer: Tracer | None = None,
+          profiler: "_profile.Profiler | None" = None,
+          live: LiveBus | None = None, *,
+          inherit: bool = True) -> Iterator[Channels]:
+    """Make explicit sinks the current channels for a ``with`` block.
 
-
-def global_tracer() -> "Tracer | None":
-    """The process-wide tracer, or ``None`` when tracing is off.
-
-    On first call the ``REPRO_TRACE`` environment variable is consulted:
-    a non-empty value names the JSONL output path and activates tracing
-    for every instrumented component in the process.  Subsequent calls
-    return the cached result, so the disabled path costs one global
-    lookup and a ``None`` check.
-
-    The first activated tracer also registers an ``atexit`` flush, so a
-    process that exits (or crashes out of) a traced run without calling
-    :meth:`Tracer.close` still leaves a parseable trace on disk.
+    Channel by channel, a sink given here wins; a channel given ``None``
+    keeps its current sink, or is off with ``inherit=False`` (which
+    reads no environment variable).  The previous set comes back on any
+    exit.  Yields the set in force inside.
     """
-    global _GLOBAL, _GLOBAL_LOADED
-    if not _GLOBAL_LOADED:
-        _GLOBAL_LOADED = True
-        # sanctioned observability gate: selects whether a trace is
-        # *written*; the traced run's behaviour is unchanged by REPRO_TRACE
-        path = os.environ.get("REPRO_TRACE", "").strip()
-        if path:
-            _GLOBAL = Tracer(path)
-            _register_atexit_flush()
-    return _GLOBAL
+    global _CURRENT
+    previous = channels() if inherit else _CURRENT
+    base = previous if inherit else Channels()
+    _CURRENT = Channels(base.tracer if tracer is None else tracer,
+                        base.profiler if profiler is None else profiler,
+                        base.live if live is None else live)
+    try:
+        yield _CURRENT
+    finally:
+        _CURRENT = previous
 
-
-def set_global_tracer(tracer: "Tracer | None") -> "Tracer | None":
-    """Install (or clear, with ``None``) the global tracer.
-
-    Returns the previous tracer so tests can restore it.  Passing a
-    tracer bypasses the ``REPRO_TRACE`` environment variable; passing
-    ``None`` disables global tracing until the next explicit install
-    (the environment variable is *not* re-read).
-    """
-    global _GLOBAL, _GLOBAL_LOADED
-    previous = _GLOBAL if _GLOBAL_LOADED else None
-    _GLOBAL = tracer
-    _GLOBAL_LOADED = True
-    if tracer is not None:
-        _register_atexit_flush()
-    return previous
-
-
-# -- one span for the globally-instrumented sites ------------------------------
 
 #: shared by every dark :func:`span` (stateless, so reentrant)
 _DARK = nullcontext()
 
 
 def span(name: str, /, **fields: Any) -> ContextManager:
-    """Enter ``name`` on the process-global profiler and tracer.
-
-    The instrumentation idiom of the NN stack and the trainer in one
-    place: a profiler scope around a tracer span carrying ``fields``,
-    each only if its global is active.  With both off the result is one
-    shared null context.
-    """
-    tracer = global_tracer()
-    profiler = _profile.global_profiler()
+    """Enter ``name`` on the current profiler and tracer: a profiler
+    scope around a tracer span carrying ``fields``, each only if its
+    channel is on, else one shared null context."""
+    tracer, profiler, _ = _CURRENT or channels()
     if tracer is None and profiler is None:
         return _DARK
     return _profile.Scope(name, fields, profiler, tracer)
@@ -492,9 +493,6 @@ class TraceWarning(UserWarning):
     """A trace record was skipped during lenient (post-mortem) parsing."""
 
 
-_META_KEYS = frozenset({"type", "name", "sid", "pid", "wall"})
-
-
 def read_trace(path: str | Path, strict: bool = True) -> list[dict[str, Any]]:
     """Parse a JSONL trace file into a list of record dicts.
 
@@ -529,7 +527,7 @@ def build_span_tree(records: Iterable[dict[str, Any]]) -> list[Span]:
             sid = record.get("sid")
             if not isinstance(sid, int):
                 continue
-            fields = {k: v for k, v in record.items() if k not in _META_KEYS}
+            fields = {k: v for k, v in record.items() if k not in _BASE_KEYS}
             span = Span(
                 name=str(record.get("name", "<unnamed>")),
                 sid=sid,

@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.core.rewards import RewardFunction
+from repro.obs import trace as _trace
 from repro.sim.engine import SchedulingView
 from repro.sim.job import Job
 
@@ -30,7 +31,9 @@ class RewardMeter:
         selected = list(started)
         if view.reserved_job is not None:
             selected.append(view.reserved_job)
-        reward = self.reward_fn(selected, view.waiting(), view.cluster, view.now)
+        with _trace.span("agent.reward"):
+            reward = self.reward_fn(selected, view.waiting(), view.cluster,
+                                    view.now)
         self.total += reward
         self.instances += 1
         self.per_instance.append(reward)

@@ -150,11 +150,13 @@ class Trainer:
     live:
         In-flight snapshot publishing (:mod:`repro.obs.live`).  Pass a
         :class:`~repro.obs.live.LiveBus`; ``None`` (the default)
-        follows the process-global bus (``REPRO_LIVE`` env var).  After
-        each completed episode the trainer builds one record,
-        ``kind="train"`` with ``seq = episode + 1`` (its fields are
-        tabled in ``docs/observability.md``, "Training log"), publishes
-        it here and appends it to the ``telemetry`` log.  The cadence
+        follows the current bus (:func:`repro.obs.trace.channels`, the
+        ``REPRO_LIVE`` env var); its engines publish to the current bus,
+        not to this one.  After each completed episode the trainer
+        builds one record, ``kind="train"`` with ``seq = episode + 1``
+        (its fields are tabled in ``docs/observability.md``, "Training
+        log"), publishes it here and appends it to the ``telemetry``
+        log.  The cadence
         is an event count, so an observed run is bit-identical to a
         dark one.
     """
@@ -193,10 +195,10 @@ class Trainer:
 
     @property
     def live_bus(self) -> "_live.LiveBus | None":
-        """The live bus this trainer publishes to (explicit, else global)."""
+        """The live bus this trainer publishes to (explicit, else current)."""
         if self._live_flag is not None:
             return self._live_flag
-        return _live.global_live_bus()
+        return _trace.channels().live
 
     @property
     def _observed(self) -> bool:
@@ -346,7 +348,7 @@ class Trainer:
         assert self.checkpoint_path is not None
         save_agent(self.agent, self.checkpoint_path, history,
                    faults=self.faults)
-        tracer = _trace.global_tracer()
+        tracer = _trace.channels().tracer
         if tracer is not None:
             tracer.event("train.checkpoint",
                          episode=len(history.episodes) - 1,

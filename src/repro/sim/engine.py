@@ -262,20 +262,23 @@ class Engine:
         caller closes it), or a path: each :meth:`run` then opens the
         file afresh and closes it when the run ends, so it always holds
         exactly the latest run.  ``None`` (the default) follows the
-        process-global tracer (``REPRO_TRACE=path`` env var).  Tracing
-        is observe-only: a traced run is bit-identical to an untraced
-        one.
+        current tracer (:func:`repro.obs.trace.channels`, the
+        ``REPRO_TRACE=path`` env var).  An explicit tracer is current
+        for the run, so it also records the policy's ``agent.*`` and
+        ``nn.*`` spans.  Tracing is observe-only: a traced run is
+        bit-identical to an untraced one.
     profile:
         Hierarchical wall-time profiling (:mod:`repro.obs.profile`).
-        Pass a :class:`~repro.obs.profile.Profiler`; ``None`` (the
-        default) follows the process-global profiler
-        (``REPRO_PROFILE=path`` env var).  Profiling is observe-only
-        and bit-identical in simulated time, like tracing.
+        Pass a :class:`~repro.obs.profile.Profiler`, current for the
+        run like an explicit tracer; ``None`` (the default) follows the
+        current profiler (``REPRO_PROFILE=path`` env var).  Profiling
+        is observe-only and bit-identical in simulated time, like
+        tracing.
     live:
         In-flight snapshot publishing (:mod:`repro.obs.live`).  Pass a
-        :class:`~repro.obs.live.LiveBus`; ``None`` (the default)
-        follows the process-global bus (``REPRO_LIVE`` env var).  A
-        ``kind="sim"`` snapshot is published every
+        :class:`~repro.obs.live.LiveBus`, current for the run; ``None``
+        (the default) follows the current bus (``REPRO_LIVE`` env var).
+        A ``kind="sim"`` snapshot is published every
         :data:`~repro.obs.live.LIVE_SIM_EVERY` processed events (a
         count, never a wall-clock timer) plus a final one at
         completion.  Publishing is observe-only: a live-enabled run is
@@ -293,7 +296,7 @@ class Engine:
         Runaway guard: raise :class:`SimulationError` once the run has
         consumed this much wall-clock time.  ``None`` disables it.
 
-    ``trace`` / ``profile`` / ``live`` (or their process-globals) each
+    ``trace`` / ``profile`` / ``live`` (or their current channels) each
     append one subscriber from :mod:`repro.sim.observers` after
     ``observers`` at the top of :meth:`run`; the loop itself only ever
     speaks the :class:`Observer` protocol.
@@ -518,7 +521,18 @@ class Engine:
 
     # -- main loop -----------------------------------------------------------------
     def run(self) -> SimulationResult:
-        """Replay the jobset to completion and return the result."""
+        """Replay the jobset to completion and return the result.
+
+        The engine's ``trace`` / ``profile`` / ``live`` sinks are the
+        current channels for the whole run, so every scope entered
+        inside it (the policy's ``agent.*`` and ``nn.*``) reaches them.
+        """
+        with channel_observers(self._trace, self._profile,
+                               self._live) as channels:
+            return self._replay(channels)
+
+    def _replay(self, channels: list[Observer]) -> SimulationResult:
+        """:meth:`run` with its channel subscribers built."""
         self.cluster.reset()
         self.queue.clear()
         self.events.clear()
@@ -553,8 +567,7 @@ class Engine:
         self._run_sanitize = self.queue._sanitize = sanitize_active
         # the one seam: the channels join the caller's observers as
         # ordinary subscribers, and every hook's handlers resolve here
-        self._bind([*self.observers, *channel_observers(
-            self._trace, self._profile, self._live)])
+        self._bind([*self.observers, *channels])
         on_instance_begin = self._on_instance_begin
         # loop-invariant reads hoisted out of the event loop (each is
         # consulted once or more per batch)

@@ -8,9 +8,12 @@ its hooks (all optional).  The engine knows no other way to be watched.
   :class:`TraceObserver`, :class:`LiveObserver` — turn the hooks into
   the ``engine.*`` profiler scopes, the ``engine.*`` trace records and
   the ``kind="sim"`` live snapshots.  They own those names and field
-  sets; :func:`channel_observers` builds them from an engine's
-  ``trace`` / ``profile`` / ``live`` settings and the ``REPRO_TRACE`` /
-  ``REPRO_PROFILE`` / ``REPRO_LIVE`` process-globals.
+  sets; :func:`channel_observers` builds them for one run from the
+  engine's ``trace`` / ``profile`` / ``live`` settings, each winning
+  over its channel in the process-global set
+  (:func:`repro.obs.trace.channels`, ``REPRO_TRACE`` / ``REPRO_PROFILE``
+  / ``REPRO_LIVE``), and makes those sinks current for the run, so
+  they also see the policy's ``agent.*`` and ``nn.*`` scopes.
 * Everything else that watches a run implements the same hooks: the
   reward meter :class:`~repro.rl.meter.RewardMeter`, and the
   node-occupancy timeline :class:`~repro.obs.analyze.UtilizationTimeline`,
@@ -20,8 +23,9 @@ its hooks (all optional).  The engine knows no other way to be watched.
 from __future__ import annotations
 
 import weakref
+from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Protocol, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Protocol, Sequence
 
 from repro.obs import live as _live
 from repro.obs import profile as _profile
@@ -162,17 +166,14 @@ class TraceObserver:
     """Writes the ``engine.*`` trace records: one span per scheduling
     instance, one event per allocate / release / reserve / fault.
 
-    ``sink`` is a :class:`~repro.obs.trace.Tracer` (borrowed: flushed
-    when the run ends, closed by its owner) or a path (owned: opened
-    here, closed when the run ends).
+    The tracer is flushed when the run ends and closed by its owner.
     """
 
-    __slots__ = ("tracer", "_owns", "_engine", "_span", "_instance",
+    __slots__ = ("tracer", "_engine", "_span", "_instance",
                  "_allocate", "_release", "_reserve")
 
-    def __init__(self, sink: "_trace.Tracer | str | Path") -> None:
-        self._owns = not isinstance(sink, _trace.Tracer)
-        self.tracer = tracer = _trace.Tracer(sink) if self._owns else sink
+    def __init__(self, tracer: "_trace.Tracer") -> None:
+        self.tracer = tracer
         self._engine: "Engine | None" = None
         self._span = -1
         # the per-instance records, compiled once
@@ -237,27 +238,24 @@ class TraceObserver:
         self.tracer.end(self._span)
 
     def on_run_end(self, engine: "Engine", completed: bool) -> None:
-        """Durability: never lose the buffered tail, never leak the sink."""
-        if self._owns:
-            self.tracer.close()
-        else:
-            self.tracer.flush()
+        """Durability: never lose the buffered tail."""
+        self.tracer.flush()
 
 
 class LiveObserver:
     """Publishes ``kind="sim"`` snapshots of the run to a live bus.
 
-    One snapshot every ``every`` processed events plus a final one when
-    the loop completes.  The cadence is an event count — never a
-    wall-clock timer — so the snapshot sequence is a pure function of
-    the run.
+    One snapshot every :data:`~repro.obs.live.LIVE_SIM_EVERY` processed
+    events (read when built) plus a final one when the loop completes.
+    The cadence is an event count — never a wall-clock timer — so the
+    snapshot sequence is a pure function of the run.
     """
 
     __slots__ = ("bus", "every", "_engine", "_events", "_pending")
 
-    def __init__(self, bus: "_live.LiveBus", every: int) -> None:
+    def __init__(self, bus: "_live.LiveBus") -> None:
         self.bus = bus
-        self.every = every
+        self.every = _live.LIVE_SIM_EVERY
         self._engine: "Engine | None" = None
         self._events = 0
         self._pending = 0
@@ -307,31 +305,31 @@ class LiveObserver:
         self.bus.publish("sim", fields)
 
 
-def _channel(subscriber: type, explicit: Any, lookup: Any, *args: Any) -> Any:
-    """``subscriber`` on ``explicit``, else on the process-global
-    ``lookup()`` finds, else ``None``: the channel is off."""
-    target = explicit if explicit is not None else lookup()
-    return None if target is None else subscriber(target, *args)
-
-
+@contextmanager
 def channel_observers(
     trace: "_trace.Tracer | str | Path | None",
     profile: "_profile.Profiler | None",
     live: "_live.LiveBus | None",
-) -> list[Any]:
-    """The subscribers for one run's trace / profile / live settings.
+) -> Iterator[list[Any]]:
+    """Make one run's sinks current and yield their subscribers.
 
-    Each explicit setting wins over its process-global (``REPRO_TRACE``
-    / ``REPRO_PROFILE`` / ``REPRO_LIVE``); a channel that is off either
-    way contributes nothing.  The profiler goes first so its scopes
-    enclose the other subscribers' work.  The live subscriber publishes
-    every :data:`~repro.obs.live.LIVE_SIM_EVERY` events, read here at
-    call time.
+    Each explicit setting wins over its channel for the block
+    (:func:`repro.obs.trace.sinks`), so every scope inside it reaches
+    the run's sinks; a channel off either way contributes nothing.  A
+    trace path is opened here and closed on exit.  The profiler goes
+    first so its scopes enclose the other subscribers' work.
     """
-    channels = (
-        _channel(ProfileObserver, profile, _profile.global_profiler),
-        _channel(TraceObserver, trace, _trace.global_tracer),
-        _channel(LiveObserver, live, _live.global_live_bus,
-                 _live.LIVE_SIM_EVERY),
-    )
-    return [channel for channel in channels if channel is not None]
+    owned = None
+    if trace is not None and not isinstance(trace, _trace.Tracer):
+        owned = trace = _trace.Tracer(trace)
+    try:
+        with _trace.sinks(trace, profile, live) as current:
+            tracer, profiler, bus = current
+            yield [channel for channel in (
+                profiler and ProfileObserver(profiler),
+                tracer and TraceObserver(tracer),
+                bus and LiveObserver(bus),
+            ) if channel is not None]
+    finally:
+        if owned is not None:
+            owned.close()

@@ -69,6 +69,20 @@ def split_weeks(jobs: list[Job], week_seconds: float = SECONDS_PER_WEEK) -> list
     return out
 
 
+def arrival_rate(base: list[Job]) -> float:
+    """The average arrival rate of ``base``, in jobs per second.
+
+    Raises ``ValueError`` for a trace that has no rate: one that is
+    empty, or whose jobs all arrive at one instant.
+    """
+    if not base:
+        raise ValueError("base trace is empty")
+    span = max(j.submit_time for j in base) - min(j.submit_time for j in base)
+    if span <= 0 or len(base) < 2:
+        raise ValueError("cannot infer arrival rate from a degenerate trace")
+    return (len(base) - 1) / span
+
+
 def sampled_jobset(
     base: list[Job],
     n_jobs: int,
@@ -77,18 +91,13 @@ def sampled_jobset(
     """A *sampled* jobset: random jobs + Poisson arrivals (§IV-D).
 
     Jobs are drawn uniformly with replacement from ``base``; arrival
-    times are re-drawn from a Poisson process at the average arrival
-    rate of ``base``.  Dependencies are dropped — sampled jobs lose
-    their parents.
+    times are re-drawn from a Poisson process at the
+    :func:`arrival_rate` of ``base``.  Dependencies are dropped —
+    sampled jobs lose their parents.
     """
-    if not base:
-        raise ValueError("base trace is empty")
+    rate = arrival_rate(base)
     if n_jobs <= 0:
         raise ValueError("n_jobs must be positive")
-    span = max(j.submit_time for j in base) - min(j.submit_time for j in base)
-    if span <= 0 or len(base) < 2:
-        raise ValueError("cannot infer arrival rate from a degenerate trace")
-    rate = (len(base) - 1) / span
     times = PoissonArrivals(rate).sample(n_jobs, rng)
     picks = rng.integers(len(base), size=n_jobs)
     out: list[Job] = []

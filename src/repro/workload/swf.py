@@ -34,6 +34,7 @@ import math
 from pathlib import Path
 from typing import Iterable
 
+from repro.obs.jsonl import atomic_write
 from repro.sim.job import Job
 
 _NUM_FIELDS = 18
@@ -137,8 +138,10 @@ def write_swf(
 
     Post-scheduling fields (wait time) are emitted when available so a
     simulated schedule can round-trip through standard SWF tooling.
+    The file is written atomically: a ``jobs`` iterable that raises
+    leaves any earlier file at ``path`` as it was.
     """
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         if header:
             for line in header.splitlines():
                 fh.write(f"; {line}\n")

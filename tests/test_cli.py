@@ -163,11 +163,15 @@ class TestGenerateSimulate:
         (["train", "--real", "0"], "--real must be positive, got 0"),
         (["train", "--synthetic", "0"], "--synthetic must be positive, got 0"),
         (["train", "--sampled", "-1"], "--sampled must be >= 0, got -1"),
+        (["train", "--nodes", "16", "--window", "5", "--train-jobs", "1"],
+         "cannot infer arrival rate from a degenerate trace"),
+        (["train", "--nodes", "16", "--train-jobs", "2", "--sampled", "0"],
+         "trace yields only 2 non-empty chunks, cannot build 4 real jobsets"),
     ], ids=["generate-negative-jobs", "generate-zero-load-factor",
             "train-zero-nodes", "train-zero-window", "generate-negative-nodes",
             "train-zero-train-jobs", "train-zero-jobs-per-set",
             "train-zero-real", "train-zero-synthetic",
-            "train-negative-sampled"])
+            "train-negative-sampled", "train-one-job", "train-short-trace"])
     def test_generate_and_train_bad_numbers_are_one_line_and_exit_two(
             self, tmp_path, capsys, argv, message):
         out = tmp_path / "out"

@@ -23,7 +23,7 @@ from repro.obs import live as live_mod
 from repro.obs.analyze import UtilizationTimeline
 from repro.obs.live import LiveBus
 from repro.obs.profile import Profiler
-from repro.obs.trace import SPAN_NAMES, Tracer, read_trace, set_global_tracer
+from repro.obs.trace import SPAN_NAMES, Tracer, read_trace, sinks
 from repro.rl.trainer import Trainer
 from repro.schedulers.fcfs import FCFSEasy
 from repro.sim.cluster import Cluster
@@ -114,14 +114,10 @@ class TestInstrumentedGoldens:
         rng = np.random.default_rng(0)
         jobset, validation = model.generate(20, rng), model.generate(20, rng)
         path = tmp_path / "train.jsonl"
-        with Tracer(path) as tracer:
-            previous = set_global_tracer(tracer)
-            try:
-                Trainer(DRASPG(cfg), 32, validation_jobs=validation,
-                        checkpoint_path=tmp_path / "ckpt.npz",
-                        ).train([("phase", jobset)])
-            finally:
-                set_global_tracer(previous)
+        with Tracer(path) as tracer, sinks(tracer):
+            Trainer(DRASPG(cfg), 32, validation_jobs=validation,
+                    checkpoint_path=tmp_path / "ckpt.npz",
+                    ).train([("phase", jobset)])
         names = {r.get("name") for r in runs[2] + read_trace(path)
                  if r["type"] in ("begin", "event")}
         assert names == SPAN_NAMES
@@ -396,8 +392,8 @@ class TestEngineSpeaksOneProtocol:
         "push", "pop", "pop_to", "scope",
         # LiveBus
         "publish",
-        # the process-global lookups
-        "global_tracer", "global_profiler", "global_live_bus",
+        # the process-global channel set
+        "channels", "sinks",
     }
 
     @pytest.fixture(scope="class")

@@ -44,8 +44,8 @@ from repro.nn.layers import Dense
 from repro.nn.losses import mse_loss, policy_gradient_loss
 from repro.nn.network import build_dras_network
 from repro.nn.optim import Adam
-from repro.obs.profile import Profiler, set_global_profiler
-from repro.obs.trace import Tracer, read_trace, set_global_tracer
+from repro.obs.profile import Profiler
+from repro.obs.trace import Tracer, read_trace, sinks
 from repro.rl.trainer import Trainer
 from repro.sim.cluster import Cluster
 from repro.sim.engine import run_simulation
@@ -419,15 +419,8 @@ class TestSharedForward:
         x, shared = np.zeros((5, 2, 2)), singletons(np.zeros((ROWS - 2, 2)))
         path = tmp_path / "trace.jsonl"
         profiler = Profiler()
-        tracer = Tracer(path)
-        old_profiler = set_global_profiler(profiler)
-        old_tracer = set_global_tracer(tracer)
-        try:
+        with Tracer(path) as tracer, sinks(tracer, profiler):
             net.forward(x, shared=shared)
-        finally:
-            set_global_tracer(old_tracer)
-            set_global_profiler(old_profiler)
-            tracer.close()
         spans = [r for r in read_trace(path) if r.get("type") == "begin"
                  and r["name"] == "nn.forward"]
         assert len(spans) == 1

@@ -13,10 +13,10 @@ from repro.obs.live import (
     LiveBus,
     ProgressSink,
     SnapshotWriter,
-    global_live_bus,
     live_from_spec,
-    set_global_live_bus,
 )
+from repro.obs import trace as trace_mod
+from repro.obs.trace import channels, sinks
 from repro.schedulers.fcfs import FCFSEasy
 from repro.sim.engine import run_simulation
 from repro.workload.models import ThetaModel
@@ -201,33 +201,35 @@ class TestLiveFromSpec:
 class TestGlobalBus:
     @pytest.fixture()
     def fresh_global(self, monkeypatch):
-        monkeypatch.setattr(live_mod, "_GLOBAL", None)
-        monkeypatch.setattr(live_mod, "_GLOBAL_LOADED", False)
+        monkeypatch.setattr(trace_mod, "_CURRENT", None)
         yield monkeypatch
 
     def test_unset_env_means_no_bus(self, fresh_global):
         fresh_global.delenv("REPRO_LIVE", raising=False)
-        assert global_live_bus() is None
+        assert channels().live is None
 
     def test_env_spec_builds_and_caches_the_bus(self, fresh_global):
         fresh_global.setenv("REPRO_LIVE", "progress")
-        bus = global_live_bus()
+        bus = channels().live
         assert isinstance(bus._sinks[0], ProgressSink)
-        assert global_live_bus() is bus      # cached, env not re-read
+        assert channels().live is bus      # cached, env not re-read
         bus.close()
-
-    def test_env_port_spec_rejected(self, fresh_global):
-        fresh_global.setenv("REPRO_LIVE", "9099")
-        with pytest.raises(ValueError, match="HTTP view was removed"):
-            global_live_bus()
 
     def test_set_global_returns_previous_and_blocks_env(self, fresh_global):
         fresh_global.setenv("REPRO_LIVE", "progress")
         mine = LiveBus()
-        assert set_global_live_bus(mine) is None
-        assert global_live_bus() is mine
-        assert set_global_live_bus(None) is mine
-        assert global_live_bus() is None     # env is NOT re-read
+        with sinks(live=mine, inherit=False) as current:
+            assert current.live is mine
+            assert channels().live is mine
+            with sinks(inherit=False):
+                assert channels().live is None   # env is NOT re-read
+            assert channels().live is mine
+        assert trace_mod._CURRENT is None      # the previous set is back
+
+    def test_env_port_spec_rejected(self, fresh_global):
+        fresh_global.setenv("REPRO_LIVE", "9099")
+        with pytest.raises(ValueError, match="HTTP view was removed"):
+            channels()
 
 
 class TestEngineIntegration:

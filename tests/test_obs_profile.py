@@ -1,6 +1,7 @@
 """Profiler tree semantics, engine integration, and bit-identity."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,14 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core.config import DRASConfig
+from repro.core.dras_pg import DRASPG
 from repro.nn.network import build_dras_network
 from repro.nn.optim import Adam
-from repro.obs.profile import (
-    PROFILE_SCHEMA,
-    Profiler,
-    global_profiler,
-    set_global_profiler,
-)
+from repro.obs.profile import PROFILE_SCHEMA, Profiler
+from repro.obs.trace import Tracer, channels, read_trace, sinks
 from repro.schedulers.fcfs import FCFSEasy
 from repro.sim.engine import run_simulation
 from repro.workload.models import ThetaModel
@@ -158,31 +157,57 @@ class TestEngineProfiling:
 class TestNNProfiling:
     def test_nn_scopes_recorded(self, rng):
         prof = Profiler()
-        previous = set_global_profiler(prof)
-        try:
+        with sinks(profiler=prof):
             net = build_dras_network(10, 8, 8, 4, rng=rng)
             opt = Adam(net.parameters())
             x = rng.standard_normal((2, 10, 2))
             out = net.forward(x)
             net.backward(np.ones_like(out))
             opt.step()
-        finally:
-            set_global_profiler(previous)
         flat = {e.name: e for e in prof.flat()}
         assert flat["nn.forward"].calls == 1
         assert flat["nn.backward"].calls == 1
         assert flat["nn.adam_step"].calls == 1
 
 
+def frozen_pg_run(**engine_options):
+    """A frozen DRAS-PG agent's run on 16 nodes (also run by a child)."""
+    config = DRASConfig.scaled(16, window=4, hidden1=16, hidden2=8, seed=0,
+                               time_scale=ThetaModel.MAX_RUNTIME)
+    agent = DRASPG(config).eval(online_learning=False)
+    return run_simulation(16, agent, _jobs(n=40, nodes=16), **engine_options)
+
+
 class TestGlobalProfiler:
     def test_set_and_restore(self):
         prof = Profiler()
-        previous = set_global_profiler(prof)
-        try:
-            assert global_profiler() is prof
-        finally:
-            set_global_profiler(previous)
-        assert global_profiler() is previous
+        before = channels()
+        with sinks(profiler=prof):
+            assert channels().profiler is prof
+        assert channels().profiler is before.profiler
+
+    def test_explicit_sinks_see_the_env_route_scopes(self, tmp_path):
+        """``Engine(profile=, trace=)`` are current for the run: the
+        agent's ``nn.forward`` reaches both, and the explicit profile has
+        the scope names and call counts ``REPRO_PROFILE`` records."""
+        out, path = tmp_path / "env.json", tmp_path / "t.jsonl"
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "from tests.test_obs_profile import frozen_pg_run; frozen_pg_run()"],
+            env={**os.environ, "REPRO_PROFILE": str(out),
+                 "PYTHONPATH": f"{REPO / 'src'}{os.pathsep}{REPO}"},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        profiler = Profiler()
+        with Tracer(path) as tracer:
+            frozen_pg_run(profile=profiler, trace=tracer)
+        assert {"nn.forward", "agent.encode", "agent.sample"} <= {
+            r["name"] for r in read_trace(path) if r["type"] == "begin"}
+        explicit = {e.name: e.calls for e in profiler.flat()}
+        assert "nn.forward" in explicit
+        assert explicit == {e["name"]: e["calls"]
+                            for e in json.loads(out.read_text())["flat"]}
 
     def test_env_activation_writes_json_at_exit(self, tmp_path):
         """REPRO_PROFILE profiles a whole process and persists at exit."""

@@ -11,16 +11,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.profile import Profiler, set_global_profiler
+from repro.obs.live import LiveBus
+from repro.obs.profile import Profiler
 from repro.obs.trace import (
     BUFFER_LINES,
     TRACE_SCHEMA,
     Tracer,
     TraceWarning,
     build_span_tree,
-    global_tracer,
+    channels,
     read_trace,
-    set_global_tracer,
+    sinks,
+    span,
 )
 from repro.schedulers.fcfs import FCFSEasy
 from repro.sim.engine import run_simulation
@@ -124,20 +126,14 @@ class TestTracerEmission:
     def test_name_field_overrides_record_name(self):
         """``name`` is positional-only, so a field may be called ``name``;
         like any field named after a fixed one, it wins in the record."""
-        from repro.obs import span
-
         sink = io.StringIO()
         tr = Tracer(sink)
         tr.event("e", name="job-7")
         tr.end(tr.begin("b", name="job-8", t=1.0))
         with tr.span("s", name="job-9"):
             pass
-        previous = set_global_tracer(tr)
-        try:
-            with span("g", name="job-10"):
-                pass
-        finally:
-            set_global_tracer(previous)
+        with sinks(tr), span("g", name="job-10"):
+            pass
         tr.close()
         records = [json.loads(line) for line in sink.getvalue().splitlines()]
         assert [(r["type"], r["name"]) for r in records if "name" in r] == [
@@ -256,31 +252,40 @@ class TestTraceBytes:
 
 class TestGlobalTracer:
     def test_set_and_restore(self):
-        sink = io.StringIO()
-        tr = Tracer(sink)
-        previous = set_global_tracer(tr)
-        try:
-            assert global_tracer() is tr
-        finally:
-            set_global_tracer(previous)
-        assert global_tracer() is previous
+        tr = Tracer(io.StringIO())
+        before = channels()
+        with sinks(tr):
+            assert channels().tracer is tr
+        assert channels().tracer is before.tracer
+
+
+class TestChannels:
+    def test_sinks_replace_channel_by_channel_and_restore(self):
+        """The one way to install sinks: each one given wins for the
+        block, the other channels are kept (or off, ``inherit=False``),
+        and the previous set comes back on any exit."""
+        tracer, profiler, bus = Tracer(io.StringIO()), Profiler(), LiveBus()
+        before = channels()
+        with sinks(profiler=profiler):
+            assert channels() == (before.tracer, profiler, before.live)
+            with pytest.raises(RuntimeError), sinks(tracer, live=bus):
+                assert channels() == (tracer, profiler, bus)
+                raise RuntimeError("boom")
+            assert channels() == (before.tracer, profiler, before.live)
+            with sinks(live=bus, inherit=False):
+                assert channels() == (None, None, bus)
+        assert channels() is before
 
 
 class TestGlobalSpan:
-    """``repro.obs.span``: the one helper the NN stack and trainer use."""
+    """``repro.obs.span``: the one helper the agents, NN stack and trainer use."""
 
     @pytest.fixture
     def globals_(self):
         sink = io.StringIO()
-        tracer, profiler = Tracer(sink), Profiler()
-        state = {"tracer": tracer, "profiler": profiler, "sink": sink}
-        prev_tracer = set_global_tracer(None)
-        prev_profiler = set_global_profiler(None)
-        try:
-            yield state
-        finally:
-            set_global_tracer(prev_tracer)
-            set_global_profiler(prev_profiler)
+        with sinks(inherit=False):
+            yield {"tracer": Tracer(sink), "profiler": Profiler(),
+                   "sink": sink}
 
     def _records(self, globals_):
         globals_["tracer"].flush()
@@ -288,8 +293,6 @@ class TestGlobalSpan:
         return [json.loads(l) for l in lines][1:]
 
     def test_dark_is_one_shared_null_context(self, globals_):
-        from repro.obs import span
-
         first, second = span("nn.forward", layers=3), span("nn.backward")
         assert first is second
         with first:
@@ -297,10 +300,8 @@ class TestGlobalSpan:
                 pass
 
     def test_tracer_only(self, globals_):
-        from repro.obs import span
-
-        set_global_tracer(globals_["tracer"])
-        with span("nn.forward", layers=3, shape=(1, 2)):
+        with sinks(globals_["tracer"]), span("nn.forward", layers=3,
+                                              shape=(1, 2)):
             pass
         begin, end = self._records(globals_)
         assert (begin["type"], begin["name"], begin["layers"],
@@ -309,22 +310,15 @@ class TestGlobalSpan:
         assert globals_["profiler"].roots == []
 
     def test_profiler_only(self, globals_):
-        from repro.obs import span
-
-        set_global_profiler(globals_["profiler"])
-        with span("nn.adam_step", t=1):
+        with sinks(profiler=globals_["profiler"]), span("nn.adam_step", t=1):
             pass
         (root,) = globals_["profiler"].roots
         assert (root.name, root.calls) == ("nn.adam_step", 1)
         assert self._records(globals_) == []
 
     def test_scope_encloses_span_and_unwinds_on_error(self, globals_):
-        from repro.obs import span
-
         tracer, profiler = globals_["tracer"], globals_["profiler"]
-        set_global_tracer(tracer)
-        set_global_profiler(profiler)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError), sinks(tracer, profiler):
             with span("nn.backward", layers=2):
                 # inside: the scope is open and so is the span
                 assert profiler.open_depth == 1
@@ -366,15 +360,9 @@ class TestTrainerSinks:
         trainer = Trainer(DRASPG(config), nodes,
                           validation_jobs=model.generate(30, rng))
         path = tmp_path_factory.mktemp("train") / "t.jsonl"
-        tracer, profiler = Tracer(path), Profiler()
-        prev_tracer = set_global_tracer(tracer)
-        prev_profiler = set_global_profiler(profiler)
-        try:
+        profiler = Profiler()
+        with Tracer(path) as tracer, sinks(tracer, profiler):
             trainer.train(jobsets)
-        finally:
-            set_global_tracer(prev_tracer)
-            set_global_profiler(prev_profiler)
-            tracer.close()
         return build_span_tree(read_trace(path)), profiler
 
     def test_train_scopes_are_profile_roots(self, sinks):
@@ -395,7 +383,8 @@ class TestTrainerSinks:
         shared = folded.keys() & live.keys()
         assert shared == {"train.episode", "train.validate",
                           "engine.instance", "nn.forward", "nn.backward",
-                          "nn.adam_step"}
+                          "nn.adam_step", "agent.encode", "agent.sample",
+                          "agent.reward"}
         assert {name: folded[name] for name in shared} \
             == {name: live[name] for name in shared}
 

@@ -200,3 +200,14 @@ class TestRoundTrip:
         write_swf([make_job(job_id=1)], path, header="line1\nline2")
         text = path.read_text()
         assert text.startswith("; line1\n; line2\n")
+
+    def test_raising_jobs_leave_the_earlier_file(self, tmp_path):
+        """A write cut short by its job iterable is not a shorter trace."""
+        path = tmp_path / "out.swf"
+        write_swf([make_job(job_id=i, submit=float(i)) for i in range(3)], path)
+        before = path.read_bytes()
+        jobs = (make_job(job_id=7) if i == 0 else 1 / 0 for i in range(2))
+        with pytest.raises(ZeroDivisionError):
+            write_swf(jobs, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.swf"]
