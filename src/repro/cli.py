@@ -78,36 +78,6 @@ class _ExperimentChoices:
         return iter((*EXPERIMENT_IDS, "all", "selftest"))
 
 
-POLICIES = (
-    "fcfs", "binpacking", "random", "knapsack",
-    "sjf", "ljf", "saf", "wfp", "unicef", "conservative",
-)
-
-
-def make_policy(name: str, objective: str = "capability", seed: int = 0):
-    """Instantiate a named non-learning policy."""
-    from repro import schedulers as s
-
-    factories = {
-        "fcfs": s.FCFSEasy,
-        "binpacking": s.BinPacking,
-        "random": lambda: s.RandomScheduler(seed=seed),
-        "knapsack": lambda: s.KnapsackOptimization(objective),
-        "sjf": s.sjf,
-        "ljf": s.ljf,
-        "saf": s.smallest_area_first,
-        "wfp": s.f1_wfp,
-        "unicef": s.unicef,
-        "conservative": s.ConservativeBackfill,
-    }
-    try:
-        return factories[name]()
-    except KeyError:
-        raise ValueError(
-            f"unknown policy {name!r}; available: {', '.join(POLICIES)}"
-        ) from None
-
-
 def parse_faults(spec: str | None):
     """``--faults mtbf=...,mttr=...,seed=...`` → :class:`FaultConfig` or None."""
     if spec is None:
@@ -394,11 +364,12 @@ def _print_metrics(name: str, result):
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from repro.schedulers import POLICIES
     from repro.sim.cluster import Cluster
     from repro.sim.engine import Engine
     from repro.workload import read_swf
 
-    policy = make_policy(args.policy, objective=args.objective, seed=args.seed)
+    policy = POLICIES[args.policy](args.objective, args.seed)
     try:
         jobs = read_swf(args.trace, procs_per_node=args.procs_per_node,
                         max_jobs=args.max_jobs)
@@ -434,13 +405,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    from repro.core import AGENTS
     from repro.core.config import DRASConfig
     from repro.core.persistence import (
         CheckpointError,
         load_checkpoint,
         save_agent,
     )
-    from repro.experiments.common import make_agent
     from repro.obs.manifest import describe_workload
     from repro.rl.curriculum import train_with_curriculum
     from repro.rl.trainer import TrainingHistory
@@ -493,7 +464,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         print(f"resuming from {args.resume}: "
               f"{loaded.episodes_done} episodes already done")
     else:
-        agent = make_agent(args.agent, config)
+        agent = AGENTS[args.agent](config)
     checkpoint_path = args.checkpoint or args.resume
     run_dir = _run_dir(args)
     log = None
@@ -720,6 +691,9 @@ def _add_run_args(p: argparse.ArgumentParser, faults_help: str,
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.core import AGENTS
+    from repro.schedulers import POLICIES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="DRAS (IPDPS'21) reproduction toolkit",
@@ -792,7 +766,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train and checkpoint a DRAS agent")
     p.add_argument("--system", choices=("theta", "cori"), default="theta")
-    p.add_argument("--agent", choices=("pg", "dql", "decima"), default="pg")
+    p.add_argument("--agent", choices=AGENTS, default="pg")
     p.add_argument("--nodes", type=int, default=256)
     p.add_argument("--window", type=int, default=16)
     p.add_argument("--train-jobs", type=int, default=2000)

@@ -13,6 +13,10 @@ This package implements the Deep Reinforcement Agent for Scheduling:
   gradient and deep Q-learning variants;
 * :mod:`repro.core.decima` — the flat Decima-PG baseline: DRAS-PG
   without level 2 (no reservation, no backfilling).
+
+:data:`AGENTS` is the one table of these agents by kind: the
+``train --agent`` choices and the ``kind`` an agent file records
+(:mod:`repro.core.persistence`).
 """
 
 from repro.core.rewards import (
@@ -28,7 +32,11 @@ from repro.core.dras_pg import DRASPG
 from repro.core.dras_dql import DRASDQL
 from repro.core.decima import DecimaPG
 
+#: every learning agent by ``train --agent`` kind: ``cls(config)``
+AGENTS = {"pg": DRASPG, "dql": DRASDQL, "decima": DecimaPG}
+
 __all__ = [
+    "AGENTS",
     "CapabilityReward",
     "CapacityReward",
     "DRASConfig",

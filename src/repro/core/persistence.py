@@ -36,7 +36,7 @@ that does not hold the whole agent is refused, not completed from
 defaults: a rebuilt RNG stream or counter would be a different agent.
 
 Pickle-safety contract: every object type an agent file restores (the
-agents of the :data:`_KINDS` registry,
+agents of the :data:`repro.core.AGENTS` table,
 :class:`~repro.sim.faults.FaultConfig`, :class:`LoadedCheckpoint`,
 episode records) crosses serialization — and, for the multiprocessing
 sweep runner, fork — boundaries, so none may capture open file
@@ -55,17 +55,14 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core import AGENTS
 from repro.core.config import DRASConfig
-from repro.core.decima import DecimaPG
-from repro.core.dras_dql import DRASDQL
 from repro.core.dras_pg import DRASPG
 from repro.nn.serialize import savez
 from repro.obs.jsonl import atomic_write
 from repro.sim.faults import FaultConfig
 
 FORMAT_VERSION = 1
-
-_KINDS = {"pg": DRASPG, "dql": DRASDQL, "decima": DecimaPG}
 
 #: every ``__meta__`` key a file must carry to restore the whole agent
 _META_KEYS = ("format_version", "kind", "config", "rng_state",
@@ -91,7 +88,9 @@ class LoadedCheckpoint:
 
 
 def _kind_of(agent) -> str:
-    for kind, cls in _KINDS.items():
+    """The agent's :data:`~repro.core.AGENTS` kind: its exact type's
+    row, since ``DecimaPG`` subclasses ``DRASPG``."""
+    for kind, cls in AGENTS.items():
         if type(agent) is cls:
             return kind
     raise TypeError(f"unsupported agent type {type(agent).__name__}")
@@ -104,7 +103,6 @@ def agent_arrays(agent) -> dict[str, np.ndarray]:
     weights next change: unlike ``state_dict()``, nothing is lent
     read-only, so the next optimizer step still updates in place.
     """
-    kind = _kind_of(agent)
     arrays: dict[str, np.ndarray] = {
         f"net.{k}": p.value
         for k, p in agent.network.named_parameters().items()
@@ -114,10 +112,10 @@ def agent_arrays(agent) -> dict[str, np.ndarray]:
         arrays[f"adam.m.{i}"] = m
         arrays[f"adam.v.{i}"] = v
     arrays["adam.t"] = np.array([adam["t"]], dtype=np.int64)
-    if kind in ("pg", "decima"):
+    if isinstance(agent, DRASPG):
         arrays["baseline.sums"] = agent.core.baseline._sums
         arrays["baseline.counts"] = agent.core.baseline._counts
-    if kind == "dql":
+    else:
         arrays["epsilon"] = np.array([agent.epsilon])
     return arrays
 
@@ -131,11 +129,12 @@ def save_agent(agent, path: str | Path, history=None,
     without them the record is empty.  A crash mid-save never corrupts
     an existing file at ``path``.
     """
+    kind = _kind_of(agent)
     arrays = agent_arrays(agent)
     episodes = history.episodes if history is not None else ()
     arrays["__meta__"] = np.array(json.dumps({
         "format_version": FORMAT_VERSION,
-        "kind": _kind_of(agent),
+        "kind": kind,
         "config": dataclasses.asdict(agent.config),
         # numpy ints coerced to JSON; the setter takes them back as is
         "rng_state": agent.rng.bit_generator.state,
@@ -205,11 +204,11 @@ def _restore(meta: dict, data) -> LoadedCheckpoint:
         )
     kind = meta["kind"]
     try:
-        cls = _KINDS[kind]
+        cls = AGENTS[kind]
     except KeyError:
         raise CheckpointError(
             f"unknown agent kind {kind!r}; expected one of "
-            f"{sorted(_KINDS)}"
+            f"{sorted(AGENTS)}"
         ) from None
     agent = cls(DRASConfig(**meta["config"]))
     agent.network.load_state_dict(
@@ -221,10 +220,10 @@ def _restore(meta: dict, data) -> LoadedCheckpoint:
     opt.load_state_dict({"t": data["adam.t"][0],
                          "m": (data[f"adam.m.{i}"] for i in ids),
                          "v": (data[f"adam.v.{i}"] for i in ids)})
-    if kind in ("pg", "decima"):
+    if isinstance(agent, DRASPG):
         agent.core.baseline._sums = data["baseline.sums"].copy()
         agent.core.baseline._counts = data["baseline.counts"].copy()
-    if kind == "dql":
+    else:
         agent.epsilon = float(data["epsilon"][0])
     agent.rng.bit_generator.state = meta["rng_state"]
     agent.updates_done = int(meta["updates_done"])

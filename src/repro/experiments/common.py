@@ -19,13 +19,11 @@ from functools import lru_cache
 import numpy as np
 
 from repro.analysis.comparison import MethodResult, evaluate_method
+from repro.core import AGENTS
 from repro.core.config import DRASConfig
-from repro.core.decima import DecimaPG
-from repro.core.dras_dql import DRASDQL
-from repro.core.dras_pg import DRASPG
 from repro.rl.curriculum import train_with_curriculum
 from repro.rl.trainer import TrainingHistory
-from repro.schedulers import BinPacking, FCFSEasy, KnapsackOptimization, RandomScheduler
+from repro.schedulers import BASELINES, POLICIES
 from repro.sim.job import Job
 from repro.workload.models import CoriModel, ThetaModel, WorkloadModel
 
@@ -159,24 +157,13 @@ def system_setup(system: str, scale_name: str, seed: int = 0) -> SystemSetup:
     )
 
 
-def make_agent(kind: str, config: DRASConfig):
-    """Build a fresh learning agent: ``pg`` / ``dql`` / ``decima``."""
-    if kind == "pg":
-        return DRASPG(config)
-    if kind == "dql":
-        return DRASDQL(config)
-    if kind == "decima":
-        return DecimaPG(config)
-    raise ValueError(f"unknown agent kind {kind!r}")
-
-
 @lru_cache(maxsize=16)
 def _train(
     kind: str, system: str, scale_name: str, seed: int
 ) -> tuple[object, TrainingHistory]:
     scale = get_scale(scale_name)
     setup = system_setup(system, scale_name, seed)
-    agent = make_agent(kind, setup.config)
+    agent = AGENTS[kind](setup.config)
     history = train_with_curriculum(
         agent,
         setup.model,
@@ -202,16 +189,6 @@ def trained_agent(
     return copy.deepcopy(_train(kind, system, scale_name, seed))
 
 
-def baseline_schedulers(objective: str, seed: int = 0) -> list:
-    """The four non-learning baselines of §IV-A."""
-    return [
-        FCFSEasy(),
-        BinPacking(),
-        RandomScheduler(seed=seed),
-        KnapsackOptimization(objective),
-    ]
-
-
 @lru_cache(maxsize=8)
 def full_comparison(
     system: str, scale_name: str, seed: int = 0
@@ -220,12 +197,13 @@ def full_comparison(
 
     DRAS and Decima agents are trained first, then a copy of each is
     evaluated with online learning enabled (the paper's deployment
-    mode).  Returns ``{method name: MethodResult}`` in the paper's
-    method order.
+    mode).  Returns ``{method name: MethodResult}``; :data:`METHOD_ORDER`
+    is the paper's order of the names.
     """
     setup = system_setup(system, scale_name, seed)
-    methods: list = baseline_schedulers(setup.config.objective, seed=seed)
-    for kind in ("decima", "pg", "dql"):
+    methods: list = [POLICIES[key](setup.config.objective, seed)
+                     for key in BASELINES]
+    for kind in AGENTS:
         agent, _ = trained_agent(kind, system, scale_name, seed)
         agent.eval(online_learning=True)
         methods.append(agent)

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.analysis.tables import format_table
 from repro.experiments.common import system_setup
-from repro.schedulers import BinPacking, ConservativeBackfill, FCFSEasy, sjf
+from repro.schedulers import POLICIES
 from repro.sim.engine import run_simulation
 from repro.sim.faults import FaultConfig, ResilienceMetrics
 from repro.sim.metrics import RunMetrics
@@ -43,13 +43,12 @@ BASE_FAULTS = FaultConfig(mttr=1_800.0, seed=0, requeue="requeue-front")
 #: sweep worker forever (0 disables the guard)
 CELL_MAX_WALL_S = 600.0
 
-#: scheduler factories by column name, in report order
-POLICY_FACTORIES: dict[str, Any] = {
-    "FCFS": FCFSEasy,
-    "BinPacking": BinPacking,
-    "SJF": sjf,
-    "Conservative": ConservativeBackfill,
-}
+#: the sweep's columns in report order: each display name (a cell key
+#: and a ``policies`` param value) with its ``repro.schedulers.POLICIES``
+#: key
+POLICY_COLUMNS: dict[str, str] = {
+    "FCFS": "fcfs", "BinPacking": "binpacking", "SJF": "sjf",
+    "Conservative": "conservative"}
 
 
 @dataclass(frozen=True)
@@ -121,21 +120,26 @@ def _base_faults(spec: "SweepSpec") -> FaultConfig:
 def sweep_cells(spec: "SweepSpec") -> list[dict[str, Any]]:
     """Expand a faultsweep :class:`~repro.experiments.pool.SweepSpec`.
 
-    ``spec.params`` knobs: ``policies`` (subset of
-    :data:`POLICY_FACTORIES` names), ``mtbf_grid`` (replaces
-    :data:`MTBF_GRID`), ``faults`` (a ``FaultConfig`` spec string,
-    parsed here so a malformed one fails before any cell runs),
-    ``max_wall_s`` (per-cell engine budget, default
-    :data:`CELL_MAX_WALL_S`).
+    ``spec.params`` knobs: ``policies`` (a list of
+    :data:`POLICY_COLUMNS` names), ``mtbf_grid`` (a list of MTBFs >= 0
+    replacing :data:`MTBF_GRID`), ``faults`` (a ``FaultConfig`` spec
+    string), ``max_wall_s`` (per-cell engine budget, default
+    :data:`CELL_MAX_WALL_S`).  Each is checked here, so a malformed one
+    fails before any cell runs.
     """
-    policies = list(spec.params.get("policies", POLICY_FACTORIES))
-    unknown = [p for p in policies if p not in POLICY_FACTORIES]
+    policies = spec.list_param("policies", tuple(POLICY_COLUMNS))
+    unknown = [p for p in policies
+               if not isinstance(p, str) or p not in POLICY_COLUMNS]
     if unknown:
         raise ValueError(
             f"unknown faultsweep policies {unknown}; "
-            f"available: {', '.join(POLICY_FACTORIES)}")
+            f"available: {', '.join(POLICY_COLUMNS)}")
     _base_faults(spec)
-    grid = [float(m) for m in spec.params.get("mtbf_grid", MTBF_GRID)]
+    grid = spec.list_param("mtbf_grid", MTBF_GRID)
+    bad = [m for m in grid if type(m) not in (int, float) or not m >= 0]
+    if bad:
+        raise ValueError(f"mtbf_grid values must be numbers >= 0, got {bad}")
+    grid = [float(m) for m in grid]
     return [{"policy": policy, "mtbf": mtbf}
             for policy in policies for mtbf in grid]
 
@@ -157,7 +161,8 @@ def run_sweep_cell(spec: "SweepSpec", cell: Mapping[str, Any],
     faults = dataclasses.replace(_base_faults(spec), mtbf=mtbf)
     max_wall_s = float(spec.params.get("max_wall_s", CELL_MAX_WALL_S))
     setup = system_setup("theta", spec.scale, spec.seed)
-    policy = POLICY_FACTORIES[cell["policy"]]()
+    policy = POLICIES[POLICY_COLUMNS[cell["policy"]]](
+        setup.config.objective, spec.seed)
     result = run_simulation(
         setup.model.num_nodes,
         policy,

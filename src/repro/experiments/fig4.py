@@ -17,7 +17,8 @@ import numpy as np
 
 from repro.analysis.plots import sparkline
 from repro.analysis.tables import format_table
-from repro.experiments.common import get_scale, make_agent, system_setup
+from repro.core.dras_pg import DRASPG
+from repro.experiments.common import get_scale, system_setup
 from repro.rl.curriculum import compare_phase_orders
 
 ORDERS: tuple[tuple[str, ...], ...] = (
@@ -40,7 +41,7 @@ def run(scale: str = "default", seed: int = 0) -> list[OrderingResult]:
     sc = get_scale(scale)
     setup = system_setup("theta", scale, seed)
     histories = compare_phase_orders(
-        lambda: make_agent("pg", setup.config),
+        lambda: DRASPG(setup.config),
         setup.model,
         setup.train_trace,
         setup.validation_trace,

@@ -13,12 +13,10 @@ from dataclasses import dataclass
 
 from repro.analysis.plots import line_chart
 from repro.analysis.tables import format_table
-from repro.experiments.common import (
-    baseline_schedulers,
-    system_setup,
-    trained_agent,
-)
+from repro.core import AGENTS
+from repro.experiments.common import system_setup, trained_agent
 from repro.rl.meter import RewardMeter
+from repro.schedulers import BASELINES, POLICIES
 from repro.sim.cluster import Cluster
 from repro.sim.engine import Engine
 
@@ -45,13 +43,14 @@ def _static_reward(scheduler, jobs, num_nodes, reward_fn) -> float:
 def run(scale: str = "default", seed: int = 0) -> LearningCurves:
     setup = system_setup("theta", scale, seed)
     curves: dict[str, tuple[float, ...]] = {}
-    for kind, label in (("pg", "DRAS-PG"), ("dql", "DRAS-DQL"), ("decima", "Decima-PG")):
-        agent, history = trained_agent(kind, "theta", scale, seed)
-        curves[label] = tuple(float(v) for v in history.validation_curve)
+    for kind, cls in AGENTS.items():
+        history = trained_agent(kind, "theta", scale, seed)[1]
+        curves[cls.name] = tuple(float(v) for v in history.validation_curve)
 
     reward_fn = trained_agent("pg", "theta", scale, seed)[0].reward_fn
     static_rewards = {}
-    for scheduler in baseline_schedulers(setup.config.objective, seed=seed):
+    for key in BASELINES:
+        scheduler = POLICIES[key](setup.config.objective, seed)
         static_rewards[scheduler.name] = _static_reward(
             scheduler, setup.validation_trace, setup.model.num_nodes, reward_fn
         )

@@ -18,7 +18,7 @@ import numpy as np
 from repro.analysis.plots import line_chart
 from repro.analysis.tables import format_table
 from repro.experiments.common import get_scale, system_setup, trained_agent
-from repro.schedulers import FCFSEasy, KnapsackOptimization
+from repro.schedulers import BASELINES, POLICIES
 from repro.sim.cluster import Cluster
 from repro.sim.engine import Engine
 from repro.sim.job import Job
@@ -61,12 +61,12 @@ def run(scale: str = "default", seed: int = 0) -> AdaptationResult:
     profile = SURGE_PROFILE_TINY if scale_obj.name == "tiny" else SURGE_PROFILE
     trace = surge_trace(setup, np.random.default_rng(seed + 7), profile=profile)
 
-    methods = [
-        FCFSEasy(),
-        KnapsackOptimization(setup.config.objective),
-        trained_agent("pg", "theta", scale, seed)[0].eval(online_learning=True),
-        trained_agent("dql", "theta", scale, seed)[0].eval(online_learning=True),
-    ]
+    # FCFS and the knapsack Optimization, the first and last baselines,
+    # against the two DRAS agents learning online
+    methods = [POLICIES[key](setup.config.objective, seed)
+               for key in (BASELINES[0], BASELINES[-1])]
+    methods += [trained_agent(kind, "theta", scale, seed)[0]
+                .eval(online_learning=True) for kind in ("pg", "dql")]
 
     weekly_wait: dict[str, tuple[float, ...]] = {}
     core_hours: tuple[float, ...] = ()

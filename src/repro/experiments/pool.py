@@ -57,7 +57,7 @@ import traceback
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _conn_wait
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.experiments import runner
 from repro.obs import live as _live
@@ -145,6 +145,16 @@ class SweepSpec:
         if not (math.isfinite(self.timeout_s) and self.timeout_s >= 0):
             raise SweepError(f"timeout_s must be finite and >= 0, "
                              f"got {self.timeout_s}")
+
+    def list_param(self, name: str, default: Sequence[Any]) -> list[Any]:
+        """``params[name]``, else ``default``: a non-empty list, or
+        ``ValueError`` (a string or a number is not read as one)."""
+        value = self.params.get(name, default)
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ValueError(
+                f"param {name} must be a non-empty JSON list, "
+                f"got {value!r}")
+        return list(value)
 
     def identity(self) -> dict[str, Any]:
         """The JSON identity document hashed into :meth:`digest`."""

@@ -112,19 +112,17 @@ def sweep_cells(spec: "SweepSpec") -> list[dict[str, Any]]:
 
     Every selected experiment's own cells, in report order, each as
     ``{"exp": id, "cell": own cell}`` (a malformed param fails here).
-    ``spec.params["only"]`` selects a subset (and may opt
-    nondeterministic experiments back in); the default is every
-    experiment except :data:`NONDETERMINISTIC_EXPERIMENTS`.
+    ``spec.params["only"]``, a non-empty list of ids, selects a subset
+    (and may opt nondeterministic experiments back in); the default is
+    every experiment except :data:`NONDETERMINISTIC_EXPERIMENTS`.
     """
-    only = spec.params.get("only")
-    if only is not None:
-        unknown = set(only) - set(EXPERIMENT_IDS)
-        if unknown:
-            raise ValueError(f"unknown experiment ids: {sorted(unknown)}")
-        ids = [exp_id for exp_id in EXPERIMENT_IDS if exp_id in set(only)]
-    else:
-        ids = [exp_id for exp_id in EXPERIMENT_IDS
-               if exp_id not in NONDETERMINISTIC_EXPERIMENTS]
+    only = spec.list_param("only", [
+        exp_id for exp_id in EXPERIMENT_IDS
+        if exp_id not in NONDETERMINISTIC_EXPERIMENTS])
+    unknown = [exp_id for exp_id in only if exp_id not in EXPERIMENT_IDS]
+    if unknown:
+        raise ValueError(f"unknown experiment ids: {unknown}")
+    ids = [exp_id for exp_id in EXPERIMENT_IDS if exp_id in only]
     return [{"exp": exp_id, "cell": own} for exp_id in ids
             for own in TABLE[exp_id].cells(
                 dataclasses.replace(spec, kind=exp_id))]

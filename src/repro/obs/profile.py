@@ -34,12 +34,14 @@ Activation, like ``REPRO_TRACE`` (:func:`repro.obs.trace.channels`):
   is written as JSON when the process exits (``atexit``), or
 * per engine, via ``Engine(profile=...)`` with a :class:`Profiler`,
   which records every scope of the run, or
-* ad hoc::
+* for a block, through the one channel entry point::
 
       profiler = Profiler()
-      with profiler.scope("my.phase"):
+      with sinks(profiler=profiler), span("my.phase"):
           ...
-      print(profiler.format_table())
+      profiler.write_json("profile.json")
+
+  (``sinks`` and ``span`` from :mod:`repro.obs.trace`).
 """
 
 from __future__ import annotations
@@ -130,8 +132,9 @@ class FlatEntry:
 class Profiler:
     """Accumulates a deterministic tree of timed scopes.
 
-    Scopes nest: :meth:`push`/:meth:`pop` (or the :meth:`scope` context
-    manager) attach each entered scope under the innermost open one.
+    Scopes nest: :meth:`push`/:meth:`pop` (or a
+    :func:`repro.obs.trace.span` block while the profiler is current)
+    attach each entered scope under the innermost open one.
     The per-entry cost is two ``perf_counter`` reads, one dict lookup
     and float/int adds — cheap enough for per-instance scoping, but the
     hot paths still gate on ``profiler is None`` so the disabled path
@@ -162,10 +165,6 @@ class Profiler:
             raise ValueError("pop() without a matching push()")
         node, t0 = self._stack.pop()
         node.total_s += _perf_counter() - t0
-
-    def scope(self, name: str) -> Scope:
-        """Context manager timing a ``with`` block as scope ``name``."""
-        return Scope(name, {}, profiler=self)
 
     def fold(self, spans: Iterable[Any]) -> "Profiler":
         """Add recorded spans (a :class:`~repro.obs.trace.Span` forest).
@@ -259,22 +258,6 @@ class Profiler:
             ],
         }
 
-    def format_table(self) -> str:
-        """A terminal-friendly hot-path attribution table (20 hottest scopes)."""
-        entries = self.flat()[:20]
-        total = self.total_s() or 1.0
-        lines = [
-            f"{'scope':<28} {'calls':>9} {'cum s':>10} {'self s':>10} "
-            f"{'self %':>7} {'mean ms':>9}"
-        ]
-        for e in entries:
-            lines.append(
-                f"{e.name:<28} {e.calls:>9,d} {e.cum_s:>10.4f} "
-                f"{e.self_s:>10.4f} {100.0 * e.self_s / total:>6.1f}% "
-                f"{1e3 * e.mean_s:>9.4f}"
-            )
-        return "\n".join(lines)
-
     # -- lifecycle ---------------------------------------------------------
     def write_json(self, path: str | Path) -> Path:
         """Atomically write the profile document as pretty-printed JSON."""
@@ -287,8 +270,8 @@ class Profiler:
 class Scope:
     """One ``with`` block timed on a profiler, traced on a tracer, or both.
 
-    What :meth:`Profiler.scope`, :meth:`repro.obs.trace.Tracer.span` and
-    :func:`repro.obs.trace.span` return.  Entering pushes the profiler
+    What :func:`repro.obs.trace.span` returns when a channel is on.
+    Entering pushes the profiler
     scope, then opens the tracer span carrying ``fields``; leaving closes
     them in reverse order, also when the block raised.
     """
@@ -296,8 +279,8 @@ class Scope:
     __slots__ = ("_name", "_fields", "_profiler", "_tracer", "_sid")
 
     def __init__(self, name: str, fields: dict[str, Any],
-                 profiler: Profiler | None = None,
-                 tracer: "Tracer | None" = None) -> None:
+                 profiler: Profiler | None,
+                 tracer: "Tracer | None") -> None:
         self._name = name
         self._fields = fields
         self._profiler = profiler

@@ -310,10 +310,6 @@ class Tracer:
         if len(buffer) >= BUFFER_LINES:
             self.flush()
 
-    def span(self, name: str, /, **fields: Any) -> _profile.Scope:
-        """Context manager opening a span around a ``with`` block."""
-        return _profile.Scope(name, fields, tracer=self)
-
     def event(self, name: str, /, **fields: Any) -> None:
         """Record an instantaneous event inside the current span."""
         values = tuple(fields.values())

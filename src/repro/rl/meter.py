@@ -19,30 +19,16 @@ from repro.sim.job import Job
 
 
 class RewardMeter:
-    """Accumulates per-instance rewards of an arbitrary policy."""
+    """Accumulates the per-instance rewards of an arbitrary policy."""
 
     def __init__(self, reward_fn: RewardFunction) -> None:
         self.reward_fn = reward_fn
         self.total = 0.0
-        self.instances = 0
-        self.per_instance: list[float] = []
 
     def on_instance(self, view: SchedulingView, started: Sequence[Job]) -> None:
         selected = list(started)
         if view.reserved_job is not None:
             selected.append(view.reserved_job)
         with _trace.span("agent.reward"):
-            reward = self.reward_fn(selected, view.waiting(), view.cluster,
-                                    view.now)
-        self.total += reward
-        self.instances += 1
-        self.per_instance.append(reward)
-
-    @property
-    def average(self) -> float:
-        return self.total / self.instances if self.instances else 0.0
-
-    def reset(self) -> None:
-        self.total = 0.0
-        self.instances = 0
-        self.per_instance.clear()
+            self.total += self.reward_fn(selected, view.waiting(),
+                                         view.cluster, view.now)

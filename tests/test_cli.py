@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from repro.cli import build_parser, main, make_policy
+from repro.cli import build_parser, main
+from repro.schedulers import POLICIES
 
 
 def _readme_commands():
@@ -49,6 +50,7 @@ class TestParser:
         ["live", "summarize", "log.jsonl"],
         ["trace", "summarize", "trace.jsonl"],
         ["sweep", "selftest"],
+        ["simulate", "t.swf", "--nodes", "4", "--policy", "slurm"],
     ])
     def test_retired_bench_surface_rejected(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -57,6 +59,8 @@ class TestParser:
 
 
 class TestMakePolicy:
+    """Each ``simulate --policy`` name builds the scheduler it names."""
+
     @pytest.mark.parametrize(
         "name,expected",
         [("fcfs", "FCFS"), ("binpacking", "BinPacking"), ("random", "Random"),
@@ -64,11 +68,7 @@ class TestMakePolicy:
          ("conservative", "Conservative")],
     )
     def test_known_policies(self, name, expected):
-        assert make_policy(name).name == expected
-
-    def test_unknown_policy(self):
-        with pytest.raises(ValueError, match="unknown policy"):
-            make_policy("slurm")
+        assert POLICIES[name]("capability", 0).name == expected
 
 
 class TestGenerateSimulate:

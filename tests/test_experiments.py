@@ -56,14 +56,6 @@ class TestCommon:
         with pytest.raises(ValueError, match="unknown system"):
             common.system_setup("summit", SCALE, 0)
 
-    def test_make_agent_kinds(self):
-        cfg = common.system_setup("theta", SCALE, 0).config
-        assert common.make_agent("pg", cfg).name == "DRAS-PG"
-        assert common.make_agent("dql", cfg).name == "DRAS-DQL"
-        assert common.make_agent("decima", cfg).name == "Decima-PG"
-        with pytest.raises(ValueError):
-            common.make_agent("sarsa", cfg)
-
     def test_full_comparison_has_all_methods(self):
         results = common.full_comparison("theta", SCALE, 0)
         assert set(results) == set(common.METHOD_ORDER)

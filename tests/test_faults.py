@@ -13,10 +13,9 @@ import json
 import numpy as np
 import pytest
 
-from repro.cli import POLICIES, make_policy
 from repro.core import DRASPG
 from repro.core.config import DRASConfig
-from repro.schedulers import FCFSEasy
+from repro.schedulers import POLICIES, FCFSEasy
 from repro.sim.cluster import Cluster
 from repro.sim.engine import run_simulation
 from repro.sim.faults import FaultConfig, FaultInjector
@@ -189,7 +188,7 @@ class TestDeterminism:
         for run in range(2):
             trace_path = tmp_path / f"run{run}.jsonl"
             result = run_simulation(
-                64, make_policy("fcfs"),
+                64, FCFSEasy(),
                 [j.copy_fresh() for j in jobs],
                 trace=str(trace_path), faults=FAULTS, sanitize=True,
             )
@@ -207,7 +206,7 @@ class TestDeterminism:
         results = []
         for seed in (7, 8):
             cfg = dataclasses.replace(FAULTS, seed=seed)
-            result = run_simulation(64, make_policy("fcfs"),
+            result = run_simulation(64, FCFSEasy(),
                                     [j.copy_fresh() for j in jobs],
                                     faults=cfg)
             results.append(result.resilience.as_dict())
@@ -238,7 +237,7 @@ class TestDeterminism:
             scheduler = DRASPG(DRASConfig(num_nodes=64, window=10,
                                           hidden1=32, hidden2=16))
         else:
-            scheduler = make_policy(policy)
+            scheduler = POLICIES[policy]("capability", 0)
         seen = self._failure_schedule(scheduler, tmp_path / "run.jsonl")
         reference = self._failure_schedule(FCFSEasy(), tmp_path / "ref.jsonl")
         n = min(len(seen), len(reference))
@@ -251,7 +250,8 @@ class TestAllSchedulersUnderFaults:
     def test_policy_completes_faulted_run(self, policy):
         jobs = theta_trace()
         result = run_simulation(
-            64, make_policy(policy), [j.copy_fresh() for j in jobs],
+            64, POLICIES[policy]("capability", 0),
+            [j.copy_fresh() for j in jobs],
             faults=FAULTS, sanitize=True,
         )
         r = result.resilience
@@ -282,7 +282,7 @@ class TestRequeuePolicies:
     def test_abandon_marks_jobs_failed(self):
         cfg = dataclasses.replace(FAULTS, requeue="abandon")
         jobs = theta_trace()
-        result = run_simulation(64, make_policy("fcfs"),
+        result = run_simulation(64, FCFSEasy(),
                                 [j.copy_fresh() for j in jobs],
                                 faults=cfg, sanitize=True)
         r = result.resilience
@@ -296,7 +296,7 @@ class TestRequeuePolicies:
     def test_max_requeues_caps_retries(self):
         cfg = dataclasses.replace(FAULTS, max_requeues=1)
         jobs = theta_trace()
-        result = run_simulation(64, make_policy("fcfs"),
+        result = run_simulation(64, FCFSEasy(),
                                 [j.copy_fresh() for j in jobs],
                                 faults=cfg, sanitize=True)
         assert all(j.times_killed <= 2 for j in result.jobs)
@@ -306,7 +306,7 @@ class TestRequeuePolicies:
     def test_requeue_back_still_finishes_everything(self):
         cfg = dataclasses.replace(FAULTS, requeue="requeue-back")
         jobs = theta_trace()
-        result = run_simulation(64, make_policy("fcfs"),
+        result = run_simulation(64, FCFSEasy(),
                                 [j.copy_fresh() for j in jobs],
                                 faults=cfg, sanitize=True)
         assert all(j.state is JobState.FINISHED for j in result.jobs)
@@ -317,7 +317,7 @@ class TestRequeuePolicies:
         ends = []
         for requeue in ("requeue-front", "requeue-back"):
             cfg = dataclasses.replace(FAULTS, requeue=requeue)
-            result = run_simulation(64, make_policy("fcfs"),
+            result = run_simulation(64, FCFSEasy(),
                                     [j.copy_fresh() for j in jobs],
                                     faults=cfg)
             ends.append([j.end_time for j in result.jobs])
@@ -335,7 +335,7 @@ class TestDependencyCascade:
                          job_id=2)
         filler = [make_job(size=1, walltime=100.0, submit=float(i),
                            job_id=10 + i) for i in range(5)]
-        result = run_simulation(8, make_policy("fcfs"),
+        result = run_simulation(8, FCFSEasy(),
                                 [parent, child] + filler,
                                 faults=cfg, sanitize=True)
         by_id = {j.job_id: j for j in result.jobs}
@@ -346,7 +346,7 @@ class TestDependencyCascade:
     def test_job_kill_mtbf_without_node_faults(self):
         cfg = FaultConfig(job_kill_mtbf=5000.0, seed=3)
         jobs = theta_trace()
-        result = run_simulation(64, make_policy("fcfs"),
+        result = run_simulation(64, FCFSEasy(),
                                 [j.copy_fresh() for j in jobs],
                                 faults=cfg, sanitize=True)
         r = result.resilience
@@ -359,9 +359,9 @@ class TestDependencyCascade:
 class TestNoFaultEquivalence:
     def test_inactive_config_matches_plain_run(self):
         jobs = theta_trace()
-        plain = run_simulation(64, make_policy("fcfs"),
+        plain = run_simulation(64, FCFSEasy(),
                                [j.copy_fresh() for j in jobs])
-        inactive = run_simulation(64, make_policy("fcfs"),
+        inactive = run_simulation(64, FCFSEasy(),
                                   [j.copy_fresh() for j in jobs],
                                   faults=FaultConfig())
         assert inactive.resilience is None

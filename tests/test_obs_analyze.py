@@ -15,7 +15,7 @@ from repro.obs.analyze import (
 from repro.obs.metrics import TIMER_HIST_EDGES, nearest_rank
 from repro.obs.profile import Profiler
 from repro.obs.report import render_report
-from repro.obs.trace import Tracer, build_span_tree, read_trace
+from repro.obs.trace import Tracer, build_span_tree, read_trace, sinks, span
 from repro.schedulers.fcfs import FCFSEasy
 from repro.sim.engine import run_simulation
 from repro.sim.faults import FaultConfig
@@ -53,9 +53,9 @@ class TestRollups:
 
     def test_rollup_counts_and_nesting(self, tmp_path):
         def build(tr):
-            for _ in range(3):
-                with tr.span("outer"):
-                    with tr.span("inner"):
+            with sinks(tr, inherit=False):
+                for _ in range(3):
+                    with span("outer"), span("inner"):
                         pass
 
         profile = Profiler().fold(_trace_roots(tmp_path, build))

@@ -35,8 +35,9 @@ QUARANTINE = pool._quarantine_record(
 
 def _write_trace(path: Path) -> Any:
     tracer = Tracer(path)
-    with tracer.span("instance", t=3600.0, queued=2):
-        tracer.event("start", job=7, nodes=128)
+    sid = tracer.begin("instance", t=3600.0, queued=2)
+    tracer.event("start", job=7, nodes=128)
+    tracer.end(sid)
     tracer.flush()
     return tracer
 

@@ -14,7 +14,7 @@ from repro.core.dras_pg import DRASPG
 from repro.nn.network import build_dras_network
 from repro.nn.optim import Adam
 from repro.obs.profile import PROFILE_SCHEMA, Profiler
-from repro.obs.trace import Tracer, channels, read_trace, sinks
+from repro.obs.trace import Tracer, channels, read_trace, sinks, span
 from repro.schedulers.fcfs import FCFSEasy
 from repro.sim.engine import run_simulation
 from repro.workload.models import ThetaModel
@@ -30,12 +30,13 @@ def _jobs(n=120, nodes=32, seed=0):
 class TestProfilerTree:
     def test_tree_accumulation(self):
         prof = Profiler()
-        for _ in range(3):
-            with prof.scope("outer"):
-                with prof.scope("inner"):
-                    pass
-                with prof.scope("inner"):
-                    pass
+        with sinks(profiler=prof, inherit=False):
+            for _ in range(3):
+                with span("outer"):
+                    with span("inner"):
+                        pass
+                    with span("inner"):
+                        pass
         (outer,) = prof.roots
         assert outer.name == "outer" and outer.calls == 3
         (inner,) = outer.children.values()
@@ -45,11 +46,10 @@ class TestProfilerTree:
 
     def test_same_name_at_distinct_positions(self):
         prof = Profiler()
-        with prof.scope("a"):
-            with prof.scope("x"):
+        with sinks(profiler=prof, inherit=False):
+            with span("a"), span("x"):
                 pass
-        with prof.scope("b"):
-            with prof.scope("x"):
+            with span("b"), span("x"):
                 pass
         assert [r.name for r in prof.roots] == ["a", "b"]
         flat = {e.name: e for e in prof.flat()}
@@ -57,9 +57,8 @@ class TestProfilerTree:
 
     def test_flat_no_double_count_on_recursion(self):
         prof = Profiler()
-        with prof.scope("r"):
-            with prof.scope("r"):
-                pass
+        with sinks(profiler=prof, inherit=False), span("r"), span("r"):
+            pass
         flat = {e.name: e for e in prof.flat()}
         outer_total = prof.roots[0].total_s
         # cum counts only the top-most occurrence; self sums both levels
@@ -89,32 +88,23 @@ class TestProfilerTree:
     def test_scope_exits_on_exception(self):
         prof = Profiler()
         with pytest.raises(RuntimeError):
-            with prof.scope("s"):
+            with sinks(profiler=prof, inherit=False), span("s"):
                 raise RuntimeError("boom")
         assert prof.open_depth == 0
         assert prof.roots[0].total_s >= 0.0
 
-    def test_as_dict_and_format_table(self):
-        prof = Profiler()
-        with prof.scope("engine.run"):
-            with prof.scope("engine.instance"):
-                pass
-        doc = prof.as_dict()
-        assert doc["schema"] == PROFILE_SCHEMA
-        assert doc["roots"][0]["name"] == "engine.run"
-        assert {e["name"] for e in doc["flat"]} == {
-            "engine.run", "engine.instance"}
-        table = prof.format_table()
-        assert "engine.instance" in table and "self %" in table
-
     def test_write_json_round_trip(self, tmp_path):
         prof = Profiler()
-        with prof.scope("a"):
-            pass
+        prof.push("engine.run")
+        prof.push("engine.instance")
+        prof.pop_to(0)
         out = prof.write_json(tmp_path / "p.json")
         doc = json.loads(out.read_text())
         assert doc["schema"] == PROFILE_SCHEMA
+        assert doc["roots"][0]["name"] == "engine.run"
         assert doc["roots"][0]["calls"] == 1
+        assert {e["name"] for e in doc["flat"]} == {
+            "engine.run", "engine.instance"}
 
 
 class TestEngineProfiling:

@@ -51,8 +51,7 @@ class TestTracerEmission:
         with Tracer(path) as tr:
             outer = tr.begin("outer", t=1.0)
             tr.event("boom", job=7)
-            with tr.span("inner", depth=2):
-                pass
+            tr.end(tr.begin("inner", depth=2))
             tr.end(outer)
             tr.event("orphan")  # outside any span: dropped by the builder
 
@@ -130,15 +129,12 @@ class TestTracerEmission:
         tr = Tracer(sink)
         tr.event("e", name="job-7")
         tr.end(tr.begin("b", name="job-8", t=1.0))
-        with tr.span("s", name="job-9"):
-            pass
-        with sinks(tr), span("g", name="job-10"):
+        with sinks(tr), span("g", name="job-9"):
             pass
         tr.close()
         records = [json.loads(line) for line in sink.getvalue().splitlines()]
         assert [(r["type"], r["name"]) for r in records if "name" in r] == [
-            ("event", "job-7"), ("begin", "job-8"), ("begin", "job-9"),
-            ("begin", "job-10")]
+            ("event", "job-7"), ("begin", "job-8"), ("begin", "job-9")]
 
     def test_invalid_jsonl_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -472,8 +468,9 @@ class TestLenientParsing:
     def test_lenient_read_skips_malformed_lines(self, tmp_path):
         path = tmp_path / "t.jsonl"
         with Tracer(path) as tr:
-            with tr.span("ok"):
-                tr.event("e")
+            sid = tr.begin("ok")
+            tr.event("e")
+            tr.end(sid)
         # simulate a crash mid-write: corrupt tail + a stray array line
         with path.open("a", encoding="utf-8") as fh:
             fh.write('[1, 2]\n{"type": "beg')

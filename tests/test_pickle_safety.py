@@ -3,8 +3,8 @@
 No class reachable from :mod:`repro.core.persistence`, the one module
 that reads and writes agent files, may capture an open file handle,
 lock, lambda or live iterator.  These tests are that guard, checked by
-running it: every object type the agent file restores — the three
-agents of the :data:`repro.core.persistence._KINDS` registry,
+running it: every object type the agent file restores — each agent
+of the :data:`repro.core.AGENTS` table, the one map of agent kinds,
 :class:`~repro.sim.faults.FaultConfig`,
 :class:`~repro.core.persistence.LoadedCheckpoint` and the episode
 records — survives ``pickle.dumps``/``loads`` (the exact transport a
@@ -19,8 +19,9 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.core import AGENTS
 from repro.core.config import DRASConfig
-from repro.core.persistence import _KINDS, LoadedCheckpoint
+from repro.core.persistence import LoadedCheckpoint
 from repro.rl.trainer import EpisodeStats
 from repro.sim.faults import FaultConfig
 
@@ -33,9 +34,9 @@ def roundtrip(obj):
     return pickle.loads(pickle.dumps(obj))
 
 
-@pytest.mark.parametrize("kind", sorted(_KINDS))
+@pytest.mark.parametrize("kind", sorted(AGENTS))
 def test_every_registered_agent_roundtrips(kind):
-    agent = _KINDS[kind](small_config())
+    agent = AGENTS[kind](small_config())
     clone = roundtrip(agent)
     assert type(clone) is type(agent)
     assert clone.config == agent.config
@@ -47,9 +48,9 @@ def test_every_registered_agent_roundtrips(kind):
         np.testing.assert_array_equal(copied[name], array)
 
 
-@pytest.mark.parametrize("kind", sorted(_KINDS))
+@pytest.mark.parametrize("kind", sorted(AGENTS))
 def test_agent_rng_stream_continues_after_roundtrip(kind):
-    agent = _KINDS[kind](small_config())
+    agent = AGENTS[kind](small_config())
     clone = roundtrip(agent)
     # both generators continue the *same* stream: a worker resuming
     # from a pickled agent samples exactly what the parent would have
@@ -73,7 +74,7 @@ def test_episode_stats_roundtrip():
 
 def test_loaded_checkpoint_roundtrips_whole():
     loaded = LoadedCheckpoint(
-        agent=_KINDS["pg"](small_config()),
+        agent=AGENTS["pg"](small_config()),
         episodes=[{"episode": 0, "phase": "train"}],
         faults=FaultConfig(mtbf=7200.0, seed=1),
     )

@@ -7,6 +7,7 @@ import pytest
 from repro.cli import main
 from repro.experiments import faultsweep, pool, runner
 from repro.experiments.runner import EXPERIMENT_IDS, combined_report
+from repro.schedulers import POLICIES
 
 RULE = "-" * 64
 
@@ -43,8 +44,8 @@ def stand_ins(monkeypatch):
             monkeypatch.setitem(runner.TABLE, exp_id, runner._report_row(
                 lambda spec: f"{spec.kind} stand-in"))
     monkeypatch.setattr(faultsweep, "MTBF_GRID", (0.0, 5000.0))
-    monkeypatch.setattr(faultsweep, "POLICY_FACTORIES", {
-        name: faultsweep.POLICY_FACTORIES[name] for name in ("FCFS", "SJF")})
+    monkeypatch.setattr(faultsweep, "POLICY_COLUMNS", {
+        name: faultsweep.POLICY_COLUMNS[name] for name in ("FCFS", "SJF")})
 
 
 def clock_lines(err):
@@ -79,7 +80,7 @@ class TestRunAll:
 
     def test_raising_faultsweep_cell_quarantines_only_itself(
             self, tmp_path, monkeypatch):
-        monkeypatch.setitem(faultsweep.POLICY_FACTORIES, "SJF", boom)
+        monkeypatch.setitem(POLICIES, "sjf", boom)
         reports, result = matrix(tmp_path, ("table1", "faultsweep"),
                                  policies=["FCFS", "SJF"],
                                  mtbf_grid=[0.0, 5000.0])
@@ -92,16 +93,32 @@ class TestRunAll:
 
     def test_malformed_faultsweep_param_fails_at_expansion(self, tmp_path,
                                                            capsys):
-        store = tmp_path / "store"
-        assert main(["reproduce", "all", "--scale", "tiny",
-                     "--run-dir", str(store),
-                     "--param", 'only=["faultsweep"]',
-                     "--param", 'policies=["Nope"]']) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(
-            "bad sweep spec: unknown faultsweep policies ['Nope']")
-        assert not store.exists()
+        # a param that must be a list is a non-empty JSON list, never a
+        # string read a character at a time, and every MTBF is >= 0
+        for param, message in (
+                ('policies=["Nope"]',
+                 "unknown faultsweep policies ['Nope']"),
+                ('policies="SJF"',
+                 "param policies must be a non-empty JSON list, got 'SJF'"),
+                ("mtbf_grid=2000",
+                 "param mtbf_grid must be a non-empty JSON list, got 2000"),
+                ('mtbf_grid="25"',
+                 "param mtbf_grid must be a non-empty JSON list, got '25'"),
+                ("mtbf_grid=[]",
+                 "param mtbf_grid must be a non-empty JSON list, got []"),
+                ("mtbf_grid=[-5]",
+                 "mtbf_grid values must be numbers >= 0, got [-5]"),
+                ('only="fig2"',
+                 "param only must be a non-empty JSON list, got 'fig2'")):
+            store = tmp_path / "store"
+            assert main(["reproduce", "all", "--scale", "tiny",
+                         "--run-dir", str(store),
+                         "--param", 'only=["faultsweep"]',
+                         "--param", param]) == 2, param
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"bad sweep spec: {message}")
+            assert not store.exists()
 
     def test_store_of_one_cell_per_experiment_is_refused(self, tmp_path,
                                                          capsys):
@@ -163,8 +180,8 @@ class TestRunAll:
             self, tmp_path, monkeypatch, capsys):
         stand_ins(monkeypatch)
         monkeypatch.setitem(runner.TABLE, "fig6", runner._report_row(boom))
-        sjf = faultsweep.POLICY_FACTORIES["SJF"]
-        monkeypatch.setitem(faultsweep.POLICY_FACTORIES, "SJF", boom)
+        sjf = POLICIES["sjf"]
+        monkeypatch.setitem(POLICIES, "sjf", boom)
         run = tmp_path / "run"
         argv = ["reproduce", "all", "--scale", "tiny", "--run-dir", str(run)]
         assert main(argv) == 1
@@ -175,7 +192,7 @@ class TestRunAll:
         # the resumed run reruns fig6 and SJF's two fault-sweep cells only
         monkeypatch.setitem(runner.TABLE, "fig6", runner._report_row(
             lambda spec: "fig6 stand-in"))
-        monkeypatch.setitem(faultsweep.POLICY_FACTORIES, "SJF", sjf)
+        monkeypatch.setitem(POLICIES, "sjf", sjf)
         assert main(argv + ["--resume"]) == 0
         err = capsys.readouterr().err
         assert [line.split(":")[0] for line in clock_lines(err)] == [

@@ -5,9 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.cli import POLICIES, make_policy
-from repro.core import DRASDQL, DRASPG, DecimaPG, DRASConfig
+from repro.core import AGENTS, DRASConfig
 from repro.schedulers import (
+    POLICIES,
     BaseScheduler,
     BinPacking,
     FCFSEasy,
@@ -19,8 +19,16 @@ from repro.sim.engine import run_simulation
 from repro.sim.job import ExecMode, JobState
 from tests.conftest import make_job
 
-#: the learning schedulers, which no ``make_policy`` name builds
-AGENTS = {"dras-pg": DRASPG, "dras-dql": DRASDQL, "decima-pg": DecimaPG}
+#: every scheduler of the two tables, built fresh; an agent's test id
+#: is its lower-cased ``name``
+BUILDERS = [
+    *(pytest.param(lambda f=factory: f("capability", 0), id=name)
+      for name, factory in POLICIES.items()),
+    *(pytest.param(lambda cls=cls: cls(DRASConfig(
+        num_nodes=8, window=3, hidden1=12, hidden2=6, seed=0,
+        time_scale=100.0)), id=cls.name.lower())
+      for cls in AGENTS.values()),
+]
 
 
 def repro_scheduler_classes() -> set[type]:
@@ -28,7 +36,8 @@ def repro_scheduler_classes() -> set[type]:
 
     Concrete means no other ``repro`` scheduler subclasses it, which
     leaves out intermediate bases such as ``HierarchicalAgent`` and
-    ``DRASPG`` (``DecimaPG``'s base; it runs here through ``AGENTS``).
+    ``DRASPG`` (``DecimaPG``'s base; it runs here through its ``AGENTS``
+    row).
     """
     found: set[type] = set()
     frontier = [BaseScheduler]
@@ -48,17 +57,12 @@ class TestEveryScheduler:
     test exercises."""
 
     def test_every_class_is_reachable(self):
-        built = {type(make_policy(name)) for name in POLICIES}
-        assert repro_scheduler_classes() <= built | set(AGENTS.values())
+        built = {type(param.values[0]()) for param in BUILDERS}
+        assert repro_scheduler_classes() <= built
 
-    @pytest.mark.parametrize("name", [*POLICIES, *AGENTS])
-    def test_runs_a_tiny_simulation(self, name):
-        if name in AGENTS:
-            scheduler = AGENTS[name](DRASConfig(
-                num_nodes=8, window=3, hidden1=12, hidden2=6, seed=0,
-                time_scale=100.0))
-        else:
-            scheduler = make_policy(name)
+    @pytest.mark.parametrize("build", BUILDERS)
+    def test_runs_a_tiny_simulation(self, build):
+        scheduler = build()
         jobs = [make_job(size=1 + i % 4, walltime=20.0, submit=float(3 * i))
                 for i in range(12)]
         result = run_simulation(8, scheduler, jobs)
