@@ -22,10 +22,12 @@ numerically sane training:
   engine's first call, the engine refuses a subscriber with a misspelt
   observer hook, and a test holds the emitted trace record names equal
   to :data:`repro.obs.trace.SPAN_NAMES`.
-* :mod:`repro.check.sanitize` — runtime assertion hooks enabled via the
-  ``REPRO_SANITIZE=1`` environment variable or ``Engine(sanitize=True)``,
-  verifying node conservation, event-time monotonicity, metric
-  non-negativity and NaN/Inf-free network math while a run executes.
+* :mod:`repro.check.sanitize` — runtime assertion hooks, verifying
+  node conservation, event-time monotonicity, metric non-negativity
+  and NaN/Inf-free network math while a run executes.  They follow one
+  process-global decision: ``REPRO_SANITIZE=1``, read once per
+  process, or an explicit ``with sanitizing(True):`` block, which
+  ``Engine(sanitize=True)`` puts around its whole run.
 
 Every name is re-exported lazily (PEP 562).  The simulator imports
 this package on every start to reach :mod:`repro.check.sanitize` and

@@ -2,14 +2,13 @@
 
 Activation
 ----------
-Hooks are compiled into the hot paths but cost a single boolean check
-when inactive.  They activate when either
-
-* the environment variable ``REPRO_SANITIZE`` is set to a truthy value
-  (anything except ``""``, ``"0"``, ``"false"``, ``"no"``, ``"off"``), or
-* the caller opts in explicitly (``Engine(sanitize=True)``,
-  ``run_simulation(..., sanitize=True)``), which also covers the
-  cluster owned by that engine.
+Hooks are compiled into the hot paths and read one process-global
+decision, :func:`sanitizer_enabled`: ``REPRO_SANITIZE``, read once per
+process (on unless ``""``, ``"0"``, ``"false"``, ``"no"``, ``"off"``),
+or an explicit :func:`sanitizing` block, which ``Engine(sanitize=)``
+and ``run_simulation(..., sanitize=)`` put around their whole run, so
+it covers every check the run reaches, the policy's network included.
+Inactive, a hook costs one cached boolean read.
 
 On violation every hook raises :class:`SanitizerError` with a message
 naming the invariant, the offending object and the simulation time —
@@ -64,8 +63,9 @@ from __future__ import annotations
 
 import os
 from collections import Counter
+from contextlib import contextmanager
 from math import inf
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
@@ -82,8 +82,9 @@ _FREE = -1
 #: one ``Cluster._jobs`` value, ``(est_release, size)``
 _RUNNING = np.dtype([("release", np.float64), ("size", np.int64)])
 
-#: test/CLI override: None = follow the environment variable
-_FORCED: bool | None = None
+#: the current decision; ``None`` until :func:`sanitizer_enabled` first
+#: reads the environment
+_ACTIVE: bool | None = None
 
 
 class SanitizerError(RuntimeError):
@@ -91,22 +92,29 @@ class SanitizerError(RuntimeError):
 
 
 def sanitizer_enabled() -> bool:
-    """Is the sanitizer globally active (env var or forced override)?"""
-    if _FORCED is not None:
-        return _FORCED
-    # sanctioned observability gate: toggles extra *assertions*, never
-    # results — a sanitized and an unsanitized run produce identical
-    # traces, so the env read cannot break run-from-config determinism
-    return os.environ.get(
-        "REPRO_SANITIZE", "").strip().lower() not in _TRUTHY_OFF
+    """Is the sanitizer active?  The first call reads ``REPRO_SANITIZE``."""
+    global _ACTIVE
+    if _ACTIVE is None:
+        # sanctioned observability gate: toggles extra *assertions*, never
+        # results — a sanitized and an unsanitized run produce identical
+        # traces, so the env read cannot break run-from-config determinism
+        _ACTIVE = os.environ.get(
+            "REPRO_SANITIZE", "").strip().lower() not in _TRUTHY_OFF
+    return _ACTIVE
 
 
-def force_sanitizer(value: bool | None) -> bool | None:
-    """Override env detection (``None`` restores it); returns the old value."""
-    global _FORCED
-    previous = _FORCED
-    _FORCED = value
-    return previous
+@contextmanager
+def sanitizing(active: bool | None) -> Iterator[bool]:
+    """Make ``active`` the decision for a ``with`` block (``None`` keeps
+    the current one); the previous decision comes back on any exit.
+    Yields the decision in force inside."""
+    global _ACTIVE
+    previous = sanitizer_enabled()
+    _ACTIVE = previous if active is None else bool(active)
+    try:
+        yield _ACTIVE
+    finally:
+        _ACTIVE = previous
 
 
 def _fail(invariant: str, detail: str) -> None:

@@ -114,8 +114,6 @@ class HierarchicalAgent(BaseScheduler):
         learning, every selection's reward is attached to its
         transition; a frozen agent computes no reward.
         """
-        selected: list[Job] = []
-
         # Level 1: immediate execution or reservation.
         while True:
             window = view.window(self.config.window)
@@ -127,8 +125,7 @@ class HierarchicalAgent(BaseScheduler):
                 view.start(job)
             else:
                 view.reserve(job)
-            selected.append(job)
-            self._after_action(selected, view)
+            self._after_action(view)
             if not fits:
                 break
 
@@ -145,18 +142,17 @@ class HierarchicalAgent(BaseScheduler):
                     window = candidates[: self.config.window]
                     job = self.select(window, view, level=2)
                     view.start(job)
-                    selected.append(job)
-                    self._after_action(selected, view)
+                    self._after_action(view)
                 else:
                     view.start(candidates[0])
 
         self._end_instance()
 
-    def _after_action(self, selected: list[Job], view: SchedulingView) -> None:
+    def _after_action(self, view: SchedulingView) -> None:
         """While learning, attach the post-action reward to its transition."""
         if self.learning:
             with _trace.span("agent.reward"):
-                reward = self.reward_fn(selected, view.waiting(),
+                reward = self.reward_fn(view.selected, view.waiting(),
                                         view.cluster, view.now)
             self.record_reward(reward)
 

@@ -37,7 +37,6 @@ class DecimaPG(DRASPG):
         Only jobs that fit the free nodes are valid actions (§IV-B);
         the instance ends when no waiting job in the window fits.
         """
-        selected = []
         while True:
             window = view.window(self.config.window)
             runnable = np.zeros(self.config.window, dtype=bool)
@@ -49,6 +48,5 @@ class DecimaPG(DRASPG):
                 window, view, record=self.learning, extra_mask=runnable
             )
             view.start(window[action])
-            selected.append(window[action])
-            self._after_action(selected, view)
+            self._after_action(view)
         self._end_instance()

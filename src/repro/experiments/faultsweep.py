@@ -19,6 +19,7 @@ reaction to it.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Mapping
 
@@ -117,6 +118,17 @@ def _base_faults(spec: "SweepSpec") -> FaultConfig:
     return dataclasses.replace(base, seed=base.seed + spec.seed)
 
 
+def _max_wall_s(spec: "SweepSpec") -> float:
+    """The per-cell engine budget: ``params["max_wall_s"]``, else
+    :data:`CELL_MAX_WALL_S`; a finite number >= 0, or ``ValueError``."""
+    value = spec.params.get("max_wall_s", CELL_MAX_WALL_S)
+    if type(value) not in (int, float) or not (
+            math.isfinite(value) and value >= 0):
+        raise ValueError(
+            f"param max_wall_s must be a finite number >= 0, got {value!r}")
+    return float(value)
+
+
 def sweep_cells(spec: "SweepSpec") -> list[dict[str, Any]]:
     """Expand a faultsweep :class:`~repro.experiments.pool.SweepSpec`.
 
@@ -135,6 +147,7 @@ def sweep_cells(spec: "SweepSpec") -> list[dict[str, Any]]:
             f"unknown faultsweep policies {unknown}; "
             f"available: {', '.join(POLICY_COLUMNS)}")
     _base_faults(spec)
+    _max_wall_s(spec)
     grid = spec.list_param("mtbf_grid", MTBF_GRID)
     bad = [m for m in grid if type(m) not in (int, float) or not m >= 0]
     if bad:
@@ -159,7 +172,7 @@ def run_sweep_cell(spec: "SweepSpec", cell: Mapping[str, Any],
     del derived_seed, attempt  # deterministic cell; see docstring
     mtbf = float(cell["mtbf"])
     faults = dataclasses.replace(_base_faults(spec), mtbf=mtbf)
-    max_wall_s = float(spec.params.get("max_wall_s", CELL_MAX_WALL_S))
+    max_wall_s = _max_wall_s(spec)
     setup = system_setup("theta", spec.scale, spec.seed)
     policy = POLICIES[POLICY_COLUMNS[cell["policy"]]](
         setup.config.objective, spec.seed)

@@ -26,9 +26,6 @@ class RewardMeter:
         self.total = 0.0
 
     def on_instance(self, view: SchedulingView, started: Sequence[Job]) -> None:
-        selected = list(started)
-        if view.reserved_job is not None:
-            selected.append(view.reserved_job)
         with _trace.span("agent.reward"):
-            self.total += self.reward_fn(selected, view.waiting(),
+            self.total += self.reward_fn(view.selected, view.waiting(),
                                          view.cluster, view.now)

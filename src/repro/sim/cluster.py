@@ -102,17 +102,15 @@ class Cluster:
     timsort merge).  Faults and :meth:`reset` rebuild it.  Once placed,
     its length is :attr:`available_nodes`.
 
-    ``sanitize`` activates node-conservation and release-index checks
-    after every mutation (``None`` follows the ``REPRO_SANITIZE`` env
-    var); they place first, so a sanitized run places after every
-    mutation.
+    With the sanitizer active (:mod:`repro.check.sanitize`), every
+    mutation ends with the node-conservation and release-index checks;
+    they place first, so a sanitized run places after every mutation.
     """
 
-    def __init__(self, num_nodes: int, sanitize: bool | None = None) -> None:
+    def __init__(self, num_nodes: int) -> None:
         if num_nodes <= 0:
             raise ValueError(f"num_nodes must be positive, got {num_nodes}")
         self.num_nodes = int(num_nodes)
-        self._sanitize = sanitize
         # -- accounting (see the class docstring)
         #: free, up nodes
         self._nfree = self.num_nodes
@@ -151,13 +149,6 @@ class Cluster:
         #: ``(~job id, size)``
         self._log_keys = array("q")
         self._log_sizes = array("q")
-
-    @property
-    def sanitize_active(self) -> bool:
-        """Whether invariant checks run (explicit flag, else env var)."""
-        if self._sanitize is not None:
-            return self._sanitize
-        return _san.sanitizer_enabled()
 
     # -- queries -------------------------------------------------------------
     @property
@@ -427,7 +418,7 @@ class Cluster:
         self._index_add(est_release, size, job_id)
         self._log_keys.append(job_id)
         self._log_sizes.append(size)
-        if self.sanitize_active:
+        if _san.sanitizer_enabled():
             _san.check_cluster(self, f"allocate(job {job_id})")
 
     def _deallocate(self, job_id: int) -> None:
@@ -479,7 +470,7 @@ class Cluster:
         """Free the nodes held by ``job`` and account its useful work."""
         self._deallocate(job.job_id)
         self._used_node_seconds += job.node_seconds
-        if self.sanitize_active:
+        if _san.sanitizer_enabled():
             _san.check_cluster(self, f"release(job {job.job_id})")
 
     def release_killed(self, job: Job, now: float) -> np.ndarray:
@@ -495,7 +486,7 @@ class Cluster:
         self._deallocate(job.job_id)
         if job.start_time is not None:
             self._wasted_node_seconds += job.size * max(0.0, now - job.start_time)
-        if self.sanitize_active:
+        if _san.sanitizer_enabled():
             _san.check_cluster(self, f"release_killed(job {job.job_id})")
         return nodes.copy()
 
@@ -535,7 +526,7 @@ class Cluster:
         for node, up_at in zip(idx.tolist(), self._avail_at[idx].tolist()):
             self._down_since[node] = now
             self._index_add(up_at, 1, -1 - node)
-        if self.sanitize_active:
+        if _san.sanitizer_enabled():
             _san.check_cluster(self, f"fail_nodes({idx.tolist()})")
 
     def repair_nodes(self, nodes: np.ndarray | list[int], now: float) -> None:
@@ -563,7 +554,7 @@ class Cluster:
         self._free = np.flatnonzero(self._job_of == _FREE)
         self._nfree += int(idx.size)
         self._down_count -= int(idx.size)
-        if self.sanitize_active:
+        if _san.sanitizer_enabled():
             _san.check_cluster(self, f"repair_nodes({idx.tolist()})")
 
     # -- utilization accounting ----------------------------------------------

@@ -52,11 +52,12 @@ class SimulationError(RuntimeError):
 class SchedulingView:
     """The policy-facing interface of one scheduling instance."""
 
-    __slots__ = ("_engine", "_started", "_reservation", "_reserved_job")
+    __slots__ = ("_engine", "_selected", "_reservation", "_reserved_job")
 
     def __init__(self, engine: "Engine") -> None:
         self._engine = engine
-        self._started: list[Job] = []
+        #: see :attr:`selected`
+        self._selected: list[Job] = []
         self._reservation: Reservation | None = None
         #: job object currently holding the reservation, if any
         self._reserved_job: Job | None = None
@@ -112,9 +113,16 @@ class SchedulingView:
         return self._reserved_job
 
     @property
+    def selected(self) -> list[Job]:
+        """Jobs selected so far during this instance, in action order:
+        each job started and the one reserved (once, if it then starts)."""
+        return list(self._selected)
+
+    @property
     def started(self) -> list[Job]:
         """Jobs started so far during this instance."""
-        return list(self._started)
+        reserved = self._reserved_job
+        return [job for job in self._selected if job is not reserved]
 
     def backfill_candidates(self, pool: list[Job] | None = None) -> list[Job]:
         """Waiting jobs that may legally backfill the active reservation."""
@@ -172,10 +180,11 @@ class SchedulingView:
         else:
             mode = ExecMode.READY
         self._engine._start_job(job, mode)
-        self._started.append(job)
-        if self._reserved_job is job:
+        if self._reserved_job is job:  # selected when it was reserved
             self._reservation = None
             self._reserved_job = None
+        else:
+            self._selected.append(job)
         return job
 
     def reserve(self, job: Job) -> Reservation:
@@ -189,13 +198,14 @@ class SchedulingView:
                 f"job {job.job_id} fits right now; start it instead of reserving"
             )
         reservation = self._engine.planner.reserve(job, self.now)
-        if self._engine.sanitize_active:
+        if _san.sanitizer_enabled():
             _san.check_reservation(job, reservation, self.now,
                                    self._engine._running,
                                    self._engine.cluster)
         job.ever_reserved = True
         self._reservation = reservation
         self._reserved_job = job
+        self._selected.append(job)
         for handler in self._engine._on_reserve:
             handler(job, self.now, reservation)
         return reservation
@@ -253,9 +263,9 @@ class Engine:
         Optional :class:`Observer` subscribers (reward meters, an
         :class:`~repro.obs.analyze.UtilizationTimeline`).
     sanitize:
-        Activate the runtime invariant checks of
-        :mod:`repro.check.sanitize` for this engine and its cluster.
-        ``None`` (the default) follows the ``REPRO_SANITIZE`` env var.
+        The sanitizer decision (:mod:`repro.check.sanitize`) for each
+        whole :meth:`run`, the policy's network checks included;
+        ``None`` (the default) keeps the current one.
     trace:
         Structured-event tracing (:mod:`repro.obs.trace`).  Pass a
         :class:`~repro.obs.trace.Tracer` (flushed when a run ends; the
@@ -317,16 +327,12 @@ class Engine:
         max_wall_s: float | None = None,
     ) -> None:
         self.cluster = cluster
-        self._sanitize_flag = sanitize
-        if sanitize is not None:
-            # an explicit engine flag governs its cluster too
-            cluster._sanitize = sanitize
+        self.sanitize = sanitize
         self._trace = trace
         self._profile = profile
         self._live = live
         self.scheduler = scheduler
         self.queue = WaitQueue()
-        self.queue._sanitize = sanitize
         self.planner = BackfillPlanner(cluster, self.queue)
         self.events = EventQueue()
         self.observers = list(observers)
@@ -356,9 +362,6 @@ class Engine:
         self.metrics = MetricsRegistry()
         self._m_submits = self.metrics.counter("engine.events_submit")
         self._m_finishes = self.metrics.counter("engine.events_finish")
-        #: sanitize decision pinned for the duration of :meth:`run`
-        #: (None outside a run: fall through to flag/env resolution)
-        self._run_sanitize: bool | None = None
 
         for job in jobs:
             if job.state is not JobState.PENDING:
@@ -397,18 +400,9 @@ class Engine:
                 getattr(sub, hook) for sub in subscribers
                 if hasattr(sub, hook)))
 
-    @property
-    def sanitize_active(self) -> bool:
-        """Whether runtime invariant checks run for this engine."""
-        if self._run_sanitize is not None:
-            return self._run_sanitize
-        if self._sanitize_flag is not None:
-            return self._sanitize_flag
-        return _san.sanitizer_enabled()
-
     # -- internal hooks used by the view ----------------------------------------
     def _start_job(self, job: Job, mode: ExecMode) -> None:
-        if self.sanitize_active:
+        if _san.sanitizer_enabled():
             _san.check_job_start(job, self.now, self._running)
         self.queue.remove(job)
         self.cluster.allocate(job, self.now)
@@ -524,11 +518,12 @@ class Engine:
         """Replay the jobset to completion and return the result.
 
         The engine's ``trace`` / ``profile`` / ``live`` sinks are the
-        current channels for the whole run, so every scope entered
-        inside it (the policy's ``agent.*`` and ``nn.*``) reaches them.
+        current channels, and its ``sanitize`` the sanitizer decision,
+        for the whole run: the policy's ``agent.*`` and ``nn.*`` follow
+        them too.
         """
-        with channel_observers(self._trace, self._profile,
-                               self._live) as channels:
+        with _san.sanitizing(self.sanitize), channel_observers(
+                self._trace, self._profile, self._live) as channels:
             return self._replay(channels)
 
     def _replay(self, channels: list[Observer]) -> SimulationResult:
@@ -561,10 +556,7 @@ class Engine:
         if hook is not None:
             hook(self)
 
-        sanitize_active = self.sanitize_active
-        # pin for the run: the per-start/per-reserve hooks consult the
-        # property, and resolving the env var each time is measurable
-        self._run_sanitize = self.queue._sanitize = sanitize_active
+        sanitized = _san.sanitizer_enabled()
         # the one seam: the channels join the caller's observers as
         # ordinary subscribers, and every hook's handlers resolve here
         self._bind([*self.observers, *channels])
@@ -574,13 +566,6 @@ class Engine:
         events = self.events
         max_events = self.max_events
         max_wall_s = self.max_wall_s
-        cluster = self.cluster
-        # pin the cluster's env-var sanitize decision for the run: it is
-        # consulted on every allocate/release, and resolving the env var
-        # each time is measurable; restored in the finally below
-        pin_cluster_sanitize = cluster._sanitize is None
-        if pin_cluster_sanitize:
-            cluster._sanitize = sanitize_active
         events_seen = 0
         wall_start = _perf_counter() if max_wall_s is not None else 0.0
         completed = False
@@ -601,7 +586,7 @@ class Engine:
                         f"exceeded the {max_wall_s}s wall-clock "
                         f"deadline after {events_seen} events", batch[0].time,
                     ))
-                if sanitize_active:
+                if sanitized:
                     _san.check_monotonic_time(self.now, batch[0].time)
                 self.now = batch[0].time
                 for handler in on_instance_begin:
@@ -639,10 +624,6 @@ class Engine:
                     "idle cluster; the policy failed to start any runnable job"
                 )
         finally:
-            if pin_cluster_sanitize:
-                cluster._sanitize = None
-            self._run_sanitize = None
-            self.queue._sanitize = self._sanitize_flag
             # durability: subscribers flush buffered tails and unwind
             # open scopes here, even when the policy raised
             for handler in self._on_run_end:
@@ -721,9 +702,8 @@ def run_simulation(
 ) -> SimulationResult:
     """Convenience wrapper: build a cluster + engine and run it.
 
-    ``sanitize`` governs both; every other keyword (``observers``,
-    ``trace``, ``faults``, ...) is an :class:`Engine` parameter.
+    Every keyword (``sanitize``, ``observers``, ``trace``, ``faults``,
+    ...) is an :class:`Engine` parameter.
     """
-    cluster = Cluster(num_nodes, sanitize=sanitize)
-    return Engine(cluster, scheduler, jobs, sanitize=sanitize,
+    return Engine(Cluster(num_nodes), scheduler, jobs, sanitize=sanitize,
                   **engine_options).run()

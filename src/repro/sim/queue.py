@@ -59,14 +59,10 @@ class WaitQueue:
         #: (one that never finishes never releases)
         self._dependents: dict[int, list[Job]] = {}
         self._open: dict[int, int] = {}
-        #: whether mutators run the ``queue-index`` check; the engine
-        #: pins it for a run, ``None`` follows ``REPRO_SANITIZE``
-        self._sanitize: bool | None = None
 
     def _check(self, op: str, job: Job) -> None:
         """The sanitizer hook every mutator ends with."""
-        active = self._sanitize
-        if _san.sanitizer_enabled() if active is None else active:
+        if _san.sanitizer_enabled():
             _san.check_queue_index(self, f"{op}(job {job.job_id})")
 
     def _enqueue(self, job: Job, front: bool = False) -> None:

@@ -9,6 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from repro.check.sanitize import sanitizing
 from repro.core import dras_dql, dras_pg
 from repro.nn.network import build_dras_network
 from repro.sim.cluster import Cluster
@@ -120,6 +121,21 @@ def rng() -> np.random.Generator:
 @pytest.fixture
 def cluster() -> Cluster:
     return Cluster(8)
+
+
+@pytest.fixture
+def sanitizer_on():
+    """The sanitizer is on for the test, whatever ``REPRO_SANITIZE`` says."""
+    with sanitizing(True):
+        yield
+
+
+@pytest.fixture
+def sanitizer_off():
+    """The sanitizer is off for the test, so it also passes under an
+    ambient ``REPRO_SANITIZE=1``."""
+    with sanitizing(False):
+        yield
 
 
 @pytest.fixture(autouse=True)

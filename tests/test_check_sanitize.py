@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from repro.check import sanitize
-from repro.check.sanitize import SanitizerError
+from repro.check.sanitize import SanitizerError, sanitizing
+from repro.core import DRASConfig, DRASPG
 from repro.nn.layers import LeakyReLU
 from repro.nn.network import build_dras_network
 from repro.nn.optim import Adam
@@ -22,18 +23,13 @@ from repro.workload import ThetaModel
 
 
 @pytest.fixture
-def sanitizer_on():
-    previous = sanitize.force_sanitizer(True)
-    yield
-    sanitize.force_sanitizer(previous)
-
-
-@pytest.fixture
-def sanitizer_off():
-    # force, so the suite also passes under an ambient REPRO_SANITIZE=1
-    previous = sanitize.force_sanitizer(False)
-    yield
-    sanitize.force_sanitizer(previous)
+def env_read(monkeypatch):
+    """``env_read(value)`` sets ``REPRO_SANITIZE`` and drops the cached
+    decision, so the next read is the process's first."""
+    def read(value):
+        monkeypatch.setenv("REPRO_SANITIZE", value)
+        monkeypatch.setattr(sanitize, "_ACTIVE", None)
+    return read
 
 
 def make_job(job_id, size=2, submit=0.0, runtime=100.0):
@@ -65,29 +61,59 @@ class SlicedCluster(Cluster):
         del self._log_keys[:], self._log_sizes[:]
 
 
+class Recorder(FCFSEasy):
+    """FCFS/EASY that records the sanitizer decision at every instance."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen = set()
+
+    def schedule(self, view):
+        self.seen.add(sanitize.sanitizer_enabled())
+        super().schedule(view)
+
+
 class TestActivation:
-    def test_env_var_enables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
+    def test_env_var_enables(self, env_read):
+        env_read("1")
         assert sanitize.sanitizer_enabled()
 
     @pytest.mark.parametrize("value", ["", "0", "false", "no", "off", "False"])
-    def test_falsy_env_values_disable(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_SANITIZE", value)
+    def test_falsy_env_values_disable(self, env_read, value):
+        env_read(value)
         assert not sanitize.sanitizer_enabled()
 
-    def test_force_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
-        previous = sanitize.force_sanitizer(False)
-        try:
-            assert not sanitize.sanitizer_enabled()
-        finally:
-            sanitize.force_sanitizer(previous)
+    def test_env_is_read_once(self, env_read, monkeypatch):
+        env_read("1")
+        assert sanitize.sanitizer_enabled()
+        monkeypatch.setenv("REPRO_SANITIZE", "0")
+        assert sanitize.sanitizer_enabled()
 
-    def test_explicit_cluster_flag_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
-        assert not Cluster(4, sanitize=False).sanitize_active
-        monkeypatch.delenv("REPRO_SANITIZE")
-        assert Cluster(4, sanitize=True).sanitize_active
+    def test_force_overrides_env(self, env_read):
+        """A ``sanitizing`` block beats the environment, nests, and
+        restores the decision before it on any exit."""
+        env_read("1")
+        with sanitizing(False) as inside:
+            assert inside is False and not sanitize.sanitizer_enabled()
+            with sanitizing(None):
+                assert not sanitize.sanitizer_enabled()
+            with pytest.raises(KeyError), sanitizing(True):
+                assert sanitize.sanitizer_enabled()
+                raise KeyError
+            assert not sanitize.sanitizer_enabled()
+        assert sanitize.sanitizer_enabled()
+
+    @pytest.mark.parametrize("env, flag", [("1", False), ("", True)])
+    def test_explicit_run_flag_beats_env(self, env_read, env, flag):
+        """``sanitize=`` is the decision for the whole run, the policy
+        included, and the one before it comes back after."""
+        env_read(env)
+        policy = Recorder()
+        run_simulation(4, policy, [make_job(1, size=4),
+                                   make_job(2, size=4, submit=1.0)],
+                       sanitize=flag)
+        assert policy.seen == {flag}
+        assert sanitize.sanitizer_enabled() is not flag
 
 
 class TestImportWeight:
@@ -113,24 +139,23 @@ class TestImportWeight:
 class TestClusterInvariants:
     def corrupt_cluster(self):
         """Allocate one job, then leak a node behind the table's back."""
-        cluster = Cluster(8, sanitize=True)
-        job = make_job(1, size=4)
-        cluster.allocate(job, 0.0)
+        cluster = Cluster(8)
+        with sanitizing(True):
+            cluster.allocate(make_job(1, size=4), 0.0)
         cluster._job_of[0] = -1
         return cluster
 
-    def test_node_leak_raises_descriptive_error(self):
+    def test_node_leak_raises_descriptive_error(self, sanitizer_on):
         cluster = self.corrupt_cluster()
         with pytest.raises(SanitizerError, match="node-conservation"):
             cluster.allocate(make_job(2, size=1), 1.0)
 
-    def test_corruption_silent_when_disabled(self):
+    def test_corruption_silent_when_disabled(self, sanitizer_off):
         cluster = self.corrupt_cluster()
-        cluster._sanitize = False
         cluster.allocate(make_job(2, size=1), 1.0)  # no error
 
-    def test_env_var_activates_cluster_checks(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
+    def test_env_var_activates_cluster_checks(self, env_read):
+        env_read("1")
         cluster = Cluster(8)
         job = make_job(1, size=4)
         cluster.allocate(job, 0.0)
@@ -140,8 +165,7 @@ class TestClusterInvariants:
         with pytest.raises(SanitizerError, match="node-conservation"):
             cluster.release(job)
 
-    def test_allocation_sliced_from_the_free_list_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
+    def test_allocation_sliced_from_the_free_list_raises(self, sanitizer_on):
         with pytest.raises(SanitizerError, match="job 1 is a view"):
             SlicedCluster(8).allocate(make_job(1, size=3), 0.0)
 
@@ -159,8 +183,8 @@ class TestClusterInvariants:
         (lambda nodes: nodes[::-1].copy(), "not strictly increasing"),
         (lambda nodes: nodes + 4, "marked with another job"),
     ])
-    def test_misshapen_allocation_raises(self, tamper, problem):
-        cluster = Cluster(8, sanitize=True)
+    def test_misshapen_allocation_raises(self, tamper, problem, sanitizer_on):
+        cluster = Cluster(8)
         cluster.allocate(make_job(1, size=3), 0.0)
         cluster.allocate(make_job(2, size=2), 0.0)
         cluster._alloc[1] = tamper(cluster._alloc[1])
@@ -172,16 +196,16 @@ class TestClusterInvariants:
         ("_rel_cum", 1),       # an interior running count: total unchanged
         ("_rel_cum", 3),       # above the next count: a group of -1 nodes
     ])
-    def test_corrupt_release_index_raises(self, column, delta):
-        cluster = Cluster(8, sanitize=True)
+    def test_corrupt_release_index_raises(self, column, delta, sanitizer_on):
+        cluster = Cluster(8)
         cluster.allocate(make_job(1, size=4), 0.0)
         cluster.allocate(make_job(2, size=2), 5.0)
         getattr(cluster, column)[0] += delta  # behind the mutators' back
         with pytest.raises(SanitizerError, match="release-index"):
             cluster.allocate(make_job(3, size=1), 6.0)
 
-    def test_stale_free_list_raises(self):
-        cluster = Cluster(8, sanitize=True)
+    def test_stale_free_list_raises(self, sanitizer_on):
+        cluster = Cluster(8)
         first = make_job(1, size=3)
         cluster.allocate(first, 0.0)
         cluster.allocate(make_job(2, size=2), 0.0)
@@ -190,8 +214,8 @@ class TestClusterInvariants:
             cluster.release(first)
 
     @pytest.mark.parametrize("delta", [-1, 1])
-    def test_free_count_off_by_one_raises(self, delta):
-        cluster = Cluster(8, sanitize=True)
+    def test_free_count_off_by_one_raises(self, delta, sanitizer_on):
+        cluster = Cluster(8)
         first = make_job(1, size=3)
         cluster.allocate(first, 0.0)
         cluster._nfree += delta   # behind the mutators' back
@@ -202,22 +226,23 @@ class TestClusterInvariants:
         (lambda when, size: (when + 1.0, size), "job 1 releases at 201.0"),
         (lambda when, size: (when, size + 1), "running jobs and sizes"),
     ])
-    def test_accounting_off_its_placement_raises(self, tamper, problem):
-        cluster = Cluster(8, sanitize=True)
+    def test_accounting_off_its_placement_raises(self, tamper, problem,
+                                                 sanitizer_on):
+        cluster = Cluster(8)
         cluster.allocate(make_job(1, size=3), 0.0)
         cluster._jobs[1] = tamper(*cluster._jobs[1])
         with pytest.raises(SanitizerError, match=problem):
             cluster.allocate(make_job(2, size=1), 1.0)
 
-    def test_stale_down_count_raises(self):
-        cluster = Cluster(8, sanitize=True)
+    def test_stale_down_count_raises(self, sanitizer_on):
+        cluster = Cluster(8)
         cluster.fail_nodes([0, 1], 0.0, 50.0)
         cluster._down_count -= 1
         with pytest.raises(SanitizerError, match="cached down count"):
             cluster.allocate(make_job(1, size=1), 1.0)
 
-    def test_faulted_sequence_passes_the_oracle(self):
-        cluster = Cluster(8, sanitize=True)
+    def test_faulted_sequence_passes_the_oracle(self, sanitizer_on):
+        cluster = Cluster(8)
         job = make_job(1, size=3)
         cluster.allocate(job, 0.0)
         cluster.fail_nodes([5, 6, 7], 1.0, np.array([40.0, 40.0, 9.0]))
@@ -241,12 +266,12 @@ class TestQueueIndex:
     def queue(self):
         """Two waiting jobs, and one job held on an unfinished parent."""
         queue = WaitQueue()
-        queue._sanitize = True
-        queue.submit(make_job(1, size=4))
-        queue.submit(make_job(2, size=2))
         held = make_job(3, size=1)
         held.dependencies = (1, 1, 99)
-        queue.submit(held)
+        with sanitizing(True):
+            queue.submit(make_job(1, size=4))
+            queue.submit(make_job(2, size=2))
+            queue.submit(held)
         return queue
 
     #: one way to break each index behind the mutators' back
@@ -263,20 +288,19 @@ class TestQueueIndex:
     }
 
     @pytest.mark.parametrize("corrupt", CORRUPTIONS.values(), ids=CORRUPTIONS)
-    def test_corrupt_index_raises(self, corrupt):
+    def test_corrupt_index_raises(self, corrupt, sanitizer_on):
         queue = self.queue()
         corrupt(queue)
         with pytest.raises(SanitizerError, match="queue-index"):
             queue.submit(make_job(4))
 
-    def test_corruption_silent_when_disabled(self):
+    def test_corruption_silent_when_disabled(self, sanitizer_off):
         queue = self.queue()
-        queue._sanitize = False
         queue._census[4] += 1
         queue.submit(make_job(4))  # no error
 
-    def test_env_var_activates_queue_checks(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
+    def test_env_var_activates_queue_checks(self, env_read):
+        env_read("1")
         queue = WaitQueue()
         job = make_job(1)
         queue.submit(job)
@@ -284,7 +308,7 @@ class TestQueueIndex:
         with pytest.raises(SanitizerError, match="queue-index"):
             queue.remove(job)
 
-    def test_every_mutator_passes_the_oracle(self):
+    def test_every_mutator_passes_the_oracle(self, sanitizer_on):
         queue = self.queue()
         first, second = queue.waiting
         queue.remove(first)
@@ -298,12 +322,18 @@ class TestQueueIndex:
         queue.clear()
         sanitize.check_queue_index(queue, "clear")
 
-    def test_engine_flag_governs_its_queue(self, sanitizer_off):
+    def test_engine_flag_governs_its_queue(self, sanitizer_off, monkeypatch):
+        checked = []
+        check = sanitize.check_queue_index
+        monkeypatch.setattr(sanitize, "check_queue_index",
+                            lambda queue, context: checked.append(
+                                check(queue, context)))
         jobs = [make_job(1, size=4), make_job(2, size=4, submit=1.0)]
         engine = Engine(Cluster(4), FCFSEasy(), jobs, sanitize=True)
-        assert engine.queue._sanitize is True
         engine.run()
-        assert engine.queue._sanitize is True
+        assert len(checked) == 4   # two submits, two removes
+        engine.queue.submit(make_job(3))   # outside the run: unchecked
+        assert len(checked) == 4
 
 
 class TestCheckFunctions:
@@ -678,6 +708,28 @@ class TestAdamInvariants:
 
 
 class TestEndToEnd:
+    def test_explicit_flag_checks_the_policy_network(self, sanitizer_off):
+        """``sanitize=True`` reaches the agent's forward as
+        ``REPRO_SANITIZE=1`` does: an fc1 weight written in place without
+        its ``version`` counted is served stale sums, and only the
+        ``shared-forward`` oracle sees it.  ``sanitize=False`` inside a
+        sanitized block runs dark, and the block's decision comes back."""
+        agent = DRASPG(DRASConfig(num_nodes=32, window=3, hidden1=12,
+                                  hidden2=6, seed=0, time_scale=100.0))
+        agent.eval(online_learning=False)
+        jobs = ThetaModel.scaled(32).generate(40, np.random.default_rng(5))
+        run_simulation(32, agent, [j.copy_fresh() for j in jobs])
+        agent.network.layers[1].weight.value += 1.0   # no version bump
+        with pytest.raises(SanitizerError, match="shared-forward"):
+            run_simulation(32, agent, [j.copy_fresh() for j in jobs],
+                           sanitize=True)
+        assert not sanitize.sanitizer_enabled()
+        with sanitizing(True):
+            result = run_simulation(32, agent, [j.copy_fresh() for j in jobs],
+                                    sanitize=False)
+            assert sanitize.sanitizer_enabled()
+        assert len(result.finished_jobs) == 40
+
     def test_sanitized_run_matches_unsanitized(self):
         model = ThetaModel.scaled(32)
         jobs = model.generate(60, np.random.default_rng(5))

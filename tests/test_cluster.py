@@ -138,8 +138,8 @@ class TestFreeList:
 class TestPlacementOnRead:
     """Starts and finishes are logged; placement is caught up when read."""
 
-    def test_queries_read_accounting_only(self):
-        cluster = Cluster(8, sanitize=False)
+    def test_queries_read_accounting_only(self, sanitizer_off):
+        cluster = Cluster(8)
         a, b, c = (make_job(size=3, walltime=50.0) for _ in range(3))
         cluster.allocate(a, now=0.0)
         cluster.allocate(b, now=1.0)

@@ -118,8 +118,8 @@ class TestFaultInjector:
 
 
 class TestClusterFailures:
-    def test_fail_and_repair_accounting(self):
-        cluster = Cluster(8, sanitize=True)
+    def test_fail_and_repair_accounting(self, sanitizer_on):
+        cluster = Cluster(8)
         cluster.fail_nodes([1, 2], now=10.0, expected_up_at=110.0)
         assert cluster.down_nodes == 2
         assert cluster.up_nodes == 6
@@ -130,28 +130,28 @@ class TestClusterFailures:
         assert cluster.down_nodes == 0
         assert cluster.lost_node_seconds() == pytest.approx(200.0)
 
-    def test_cannot_fail_occupied_node(self):
-        cluster = Cluster(4, sanitize=True)
+    def test_cannot_fail_occupied_node(self, sanitizer_on):
+        cluster = Cluster(4)
         job = make_job(size=4, walltime=10.0)
         cluster.allocate(job, 0.0)
         with pytest.raises(RuntimeError, match="non-free"):
             cluster.fail_nodes([0], now=1.0, expected_up_at=2.0)
 
-    def test_cannot_repair_healthy_node(self):
-        cluster = Cluster(4, sanitize=True)
+    def test_cannot_repair_healthy_node(self, sanitizer_on):
+        cluster = Cluster(4)
         with pytest.raises(RuntimeError, match="not down"):
             cluster.repair_nodes([0], now=1.0)
 
-    def test_allocate_avoids_down_nodes(self):
-        cluster = Cluster(4, sanitize=True)
+    def test_allocate_avoids_down_nodes(self, sanitizer_on):
+        cluster = Cluster(4)
         cluster.fail_nodes([0, 1], now=0.0, expected_up_at=100.0)
         assert not cluster.can_fit(3)
         job = make_job(size=2, walltime=10.0)
         cluster.allocate(job, 0.0)
         assert set(cluster.nodes_of(job.job_id).tolist()) == {2, 3}
 
-    def test_release_killed_wastes_partial_work(self):
-        cluster = Cluster(4, sanitize=True)
+    def test_release_killed_wastes_partial_work(self, sanitizer_on):
+        cluster = Cluster(4)
         job = make_job(size=2, walltime=100.0)
         job.state = JobState.WAITING
         from repro.sim.job import ExecMode
@@ -162,8 +162,8 @@ class TestClusterFailures:
         assert cluster.wasted_node_seconds == pytest.approx(60.0)
         assert cluster.used_node_seconds() == 0.0
 
-    def test_reset_clears_fault_state(self):
-        cluster = Cluster(4, sanitize=True)
+    def test_reset_clears_fault_state(self, sanitizer_on):
+        cluster = Cluster(4)
         cluster.fail_nodes([0], now=0.0, expected_up_at=10.0)
         cluster.reset()
         assert cluster.down_nodes == 0

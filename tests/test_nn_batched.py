@@ -33,7 +33,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.check import sanitize
-from repro.check.sanitize import SanitizerError
+from repro.check.sanitize import SanitizerError, sanitizing
 from repro.core.config import DRASConfig
 from repro.core.decima import DecimaPG
 from repro.core.dras_dql import DRASDQL
@@ -286,28 +286,28 @@ class TestSharedForward:
             atol=reassociation_atol(np.float64))
 
     @pytest.mark.parametrize("sanitized", [False, True])
-    def test_backward_after_shared_forward_raises(self, sanitized, monkeypatch):
+    def test_backward_after_shared_forward_raises(self, sanitized):
         """No stale minibatch is differentiated after an inference pass."""
-        monkeypatch.setattr(sanitize, "_FORCED", sanitized)
         net = small_network()
         rng = np.random.default_rng(12)
-        net.forward(rng.normal(size=(3, ROWS, 2)))  # fills the caches
-        out = net.forward(rng.normal(size=(3, 2, 2)),
-                          shared=grouped(rng, ROWS - 2))
-        with pytest.raises(RuntimeError, match="backward called before forward"):
-            net.backward(np.ones_like(out))
+        with sanitizing(sanitized):
+            net.forward(rng.normal(size=(3, ROWS, 2)))  # fills the caches
+            out = net.forward(rng.normal(size=(3, 2, 2)),
+                              shared=grouped(rng, ROWS - 2))
+            with pytest.raises(RuntimeError,
+                               match="backward called before forward"):
+                net.backward(np.ones_like(out))
 
-    def test_sanitized_result_is_the_factored_one(self, monkeypatch):
+    def test_sanitized_result_is_the_factored_one(self, sanitizer_off):
         """The oracle pass checks; it never substitutes its own output."""
         net = small_network()
         rng = np.random.default_rng(13)
         x, shared = rng.normal(size=(5, 2, 2)), grouped(rng, ROWS - 2)
-        monkeypatch.setattr(sanitize, "_FORCED", False)
         dark = net.forward(x, shared=shared)
-        monkeypatch.setattr(sanitize, "_FORCED", True)
-        assert np.array_equal(net.forward(x, shared=shared), dark)
+        with sanitizing(True):
+            assert np.array_equal(net.forward(x, shared=shared), dark)
 
-    def test_sanitizer_catches_wrong_slice(self, monkeypatch):
+    def test_sanitizer_catches_wrong_slice(self, sanitizer_off):
         """A group sum that reads one table row off by a block trips
         ``shared-forward``; dark, nothing checks it."""
         rng = np.random.default_rng(14)
@@ -318,17 +318,16 @@ class TestSharedForward:
             return NodeGroups(np.array([[1.0, 0.0], [0.0, 0.3], [0.0, 0.7]]),
                               (np.arange(16, 40), np.arange(44, 62)), np.arange(0))
 
-        monkeypatch.setattr(sanitize, "_FORCED", False)
         net.forward(x, shared=snapshot())
         blocks = net.layers[1]._blocks
         blocks[1] = blocks[2]               # row 1 holds block 2's sum
         net.forward(x, shared=snapshot())
-        monkeypatch.setattr(sanitize, "_FORCED", True)
-        with pytest.raises(SanitizerError, match="shared-forward"):
+        with sanitizing(True), pytest.raises(SanitizerError,
+                                             match="shared-forward"):
             net.forward(x, shared=snapshot())
 
     @pytest.mark.parametrize("writer", ["adam", "load_state_dict"])
-    def test_result_follows_the_weights(self, writer, monkeypatch):
+    def test_result_follows_the_weights(self, writer, sanitizer_off):
         """Both writers of a weight drop the block table and the sums read
         from it, and so does a call at another ``k``.
 
@@ -336,7 +335,6 @@ class TestSharedForward:
         version alone — keep serving the old ones: dark they return
         stale scores, sanitized they raise.
         """
-        monkeypatch.setattr(sanitize, "_FORCED", False)
         rng = np.random.default_rng(15)
         net = build_dras_network(2 + 62, WIDE, H2, 1, rng=rng, dtype=np.float64)
         fc1 = net.layers[1]
@@ -366,10 +364,9 @@ class TestSharedForward:
             sanitized: a raise."""
             _, off = off_plain(x, shared)
             assert off > 1e-3 and not table_is_of_the_weight(x.shape[1])
-            monkeypatch.setattr(sanitize, "_FORCED", True)
-            with pytest.raises(SanitizerError, match="shared-forward"):
+            with sanitizing(True), pytest.raises(SanitizerError,
+                                                 match="shared-forward"):
                 net.forward(x, shared=shared)
-            monkeypatch.setattr(sanitize, "_FORCED", False)
 
         before, _ = off_plain(x, shared)
         assert len(fc1._sums) == 3 and table_is_of_the_weight(2)
@@ -390,11 +387,10 @@ class TestSharedForward:
         fc1.weight.version = version
         served_stale(x, shared)
 
-    def test_step_after_a_snapshot_rebuilds_the_table(self, monkeypatch):
+    def test_step_after_a_snapshot_rebuilds_the_table(self, sanitizer_off):
         """A step after ``state_dict()`` rebinds fc1's weight to a fresh
         array: the table and sums follow the new version, and the
         frozen two-input forward still equals the plain one."""
-        monkeypatch.setattr(sanitize, "_FORCED", False)
         rng = np.random.default_rng(16)
         net = build_dras_network(2 + 62, WIDE, H2, 1, rng=rng, dtype=np.float64)
         fc1 = net.layers[1]
@@ -682,7 +678,7 @@ class TestBitIdenticalTraining:
         ],
     )
     def test_training_reproduces_golden_digest(
-        self, name, agent_cls, update_every, monkeypatch
+        self, name, agent_cls, update_every, sanitizer_on
     ):
         """Two training episodes end in exactly the golden parameters.
 
@@ -691,13 +687,12 @@ class TestBitIdenticalTraining:
         minibatch path.  The sanitizer is on so any non-finite tensor
         would abort loudly rather than hash differently.
         """
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
         assert _digest(_train(agent_cls, update_every)) == GOLDEN_DIGESTS[name]
 
     @pytest.mark.parametrize("name, update_every",
                              [("dql-b1", 1), ("dql-b10", 10)])
     def test_dql_goldens_moved_by_reassociation_only(
-        self, name, update_every, monkeypatch
+        self, name, update_every, sanitizer_on
     ):
         """Scored the way it once was, DQL trains to the digest of then.
 
@@ -707,7 +702,6 @@ class TestBitIdenticalTraining:
         and the trained states agree to 1e-12 (float32: to the rounding
         of a weight near 1).
         """
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
         grouped = _train(DRASDQL, update_every).state_dict()
         for oracle_cls, digests in ((MaterialisedDQL, MATERIALISED_DQL_DIGESTS),
                                     (PerNodeDQL, PER_NODE_DQL_DIGESTS)):
@@ -733,7 +727,7 @@ class TestBitIdenticalTraining:
         ],
     )
     def test_float32_training_is_pinned_and_near_float64(
-        self, name, agent_cls, update_every, sanitized, monkeypatch
+        self, name, agent_cls, update_every, sanitized
     ):
         """The shipped float32 agents: own digests, bounded from the goldens.
 
@@ -743,14 +737,14 @@ class TestBitIdenticalTraining:
         twin's; and, frozen on the recipe's first jobset, the two make
         the same selections.
         """
-        monkeypatch.setattr(sanitize, "_FORCED", sanitized)
-        narrow = _train(agent_cls, update_every, wide=False)
-        assert _digest(narrow) == FLOAT32_DIGESTS[name]
-        assert {v.dtype for v in narrow.state_dict().values()} \
-            == {np.dtype(np.float32)}
-        wide = _train(agent_cls, update_every)
-        state = wide.state_dict()
-        worst = max(float(np.max(np.abs(value - state[key])))
-                    for key, value in narrow.state_dict().items())
-        assert worst <= FLOAT32_STATE_ATOL
-        assert _picks(narrow) == _picks(wide)
+        with sanitizing(sanitized):
+            narrow = _train(agent_cls, update_every, wide=False)
+            assert _digest(narrow) == FLOAT32_DIGESTS[name]
+            assert {v.dtype for v in narrow.state_dict().values()} \
+                == {np.dtype(np.float32)}
+            wide = _train(agent_cls, update_every)
+            state = wide.state_dict()
+            worst = max(float(np.max(np.abs(value - state[key])))
+                        for key, value in narrow.state_dict().items())
+            assert worst <= FLOAT32_STATE_ATOL
+            assert _picks(narrow) == _picks(wide)

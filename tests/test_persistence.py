@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.check.sanitize import sanitizing
 from repro.core.config import DRASConfig
 from repro.core.decima import DecimaPG
 from repro.core.dras_dql import DRASDQL
@@ -163,8 +164,7 @@ class TestPrecision:
         for old, new in zip(before._m + before._v, after._m + after._v):
             assert new.dtype == np.float32 and np.array_equal(old, new)
 
-    def test_float64_checkpoint_loads_by_rounding(self, cls, tmp_path,
-                                                  monkeypatch):
+    def test_float64_checkpoint_loads_by_rounding(self, cls, tmp_path):
         """A file from before float32 never leaves float64 moments behind.
 
         The agent-file reader used to install the file's arrays as they
@@ -186,8 +186,8 @@ class TestPrecision:
             assert new.dtype == np.float32
             assert np.array_equal(new, old.astype(np.float32))
         # and it trains on, pure, from there
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
-        train_a_little(restored.train())
+        with sanitizing(True):
+            train_a_little(restored.train())
         assert restored.optimizer._t > wide.optimizer._t
 
     def test_file_is_about_half_the_float64_size(self, cls, tmp_path):

@@ -52,6 +52,37 @@ class TestRewardMeter:
         assert len(rewards) == result.num_instances > 0
         assert meter.total == sum(rewards)
 
+    def test_meter_reward_is_the_agents_last_of_each_instance(self):
+        # the meter and a learning agent read one selection list: where
+        # an instance selected anything, the meter's reward for it is
+        # the reward the agent recorded after its last action
+        agent = DRASPG(small_config())
+        metered, last, pairs = [], [None], []
+
+        def reward_fn(*args):
+            metered.append(agent.reward_fn(*args))
+            return metered[-1]
+
+        record = agent.record_reward
+
+        def record_reward(reward):
+            last[0] = reward
+            record(reward)
+
+        agent.record_reward = record_reward
+
+        class Pairs:
+            def on_instance(self, view, started):
+                if view.selected:
+                    pairs.append((metered[-1], last[0]))
+                last[0] = None
+
+        result = run_simulation(16, agent, contended_jobs(3, n=24),
+                                observers=[RewardMeter(reward_fn), Pairs()])
+        assert agent.learning and len(metered) == result.num_instances
+        assert len(pairs) > 5 and None not in {got for _, got in pairs}
+        assert all(meter == got for meter, got in pairs)
+
 
 class TestTrainingHistory:
     def _history(self, curve):

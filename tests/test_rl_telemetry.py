@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.check.sanitize import SanitizerError
+from repro.check.sanitize import SanitizerError, sanitizing
 from repro.core.config import DRASConfig
 from repro.core.dras_pg import DRASPG
 from repro.obs.live import LIVE_SCHEMA, SnapshotWriter, read_log
@@ -99,17 +99,16 @@ class TestAnomalyDetection:
             ANOMALY_UTILIZATION_DROP]
         assert detect_anomalies({"utilization": 0.7}, history) == []
 
-    def test_hard_escalation_only_under_sanitizer(self, monkeypatch):
+    def test_hard_escalation_only_under_sanitizer(self):
         record = {"episode": 3, "phase": "real", "loss": float("nan")}
         flags = [ANOMALY_NAN_GRAD]
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
-        with pytest.raises(SanitizerError, match="episode 3"):
-            raise_hard_anomalies(flags, record)
-        monkeypatch.delenv("REPRO_SANITIZE")
-        raise_hard_anomalies(flags, record)  # no-op when sanitizer off
-        # soft flags never raise, sanitizer or not
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
-        raise_hard_anomalies([ANOMALY_REWARD_COLLAPSE], record)
+        with sanitizing(True):
+            with pytest.raises(SanitizerError, match="episode 3"):
+                raise_hard_anomalies(flags, record)
+            # soft flags never raise, sanitizer or not
+            raise_hard_anomalies([ANOMALY_REWARD_COLLAPSE], record)
+        with sanitizing(False):
+            raise_hard_anomalies(flags, record)  # no-op when sanitizer off
 
 
 class TestTrainerIntegration:
@@ -177,8 +176,8 @@ class TestTrainerIntegration:
             return loss
 
         monkeypatch.setattr(agent.core, "update", poisoned_update)
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
-        with pytest.raises(SanitizerError, match="non-finite"):
+        with sanitizing(True), pytest.raises(SanitizerError,
+                                             match="non-finite"):
             trainer.train(_jobsets())
         episodes = _train_rows(path)
         assert episodes, "the flagged record must be durable"
@@ -197,8 +196,8 @@ class TestTrainerIntegration:
             return loss
 
         monkeypatch.setattr(agent.core, "update", poisoned_update)
-        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-        history = trainer.train(_jobsets())
+        with sanitizing(False):
+            history = trainer.train(_jobsets())
         assert len(history.episodes) == 2  # training ran to completion
         episodes = _train_rows(path)
         assert all(ANOMALY_NAN_GRAD in r["anomalies"] for r in episodes)

@@ -94,7 +94,8 @@ class TestRunAll:
     def test_malformed_faultsweep_param_fails_at_expansion(self, tmp_path,
                                                            capsys):
         # a param that must be a list is a non-empty JSON list, never a
-        # string read a character at a time, and every MTBF is >= 0
+        # string read a character at a time, every MTBF is >= 0, and
+        # the cell budget is a finite number >= 0
         for param, message in (
                 ('policies=["Nope"]',
                  "unknown faultsweep policies ['Nope']"),
@@ -109,7 +110,15 @@ class TestRunAll:
                 ("mtbf_grid=[-5]",
                  "mtbf_grid values must be numbers >= 0, got [-5]"),
                 ('only="fig2"',
-                 "param only must be a non-empty JSON list, got 'fig2'")):
+                 "param only must be a non-empty JSON list, got 'fig2'"),
+                ('max_wall_s="x"',
+                 "param max_wall_s must be a finite number >= 0, got 'x'"),
+                ("max_wall_s=true",
+                 "param max_wall_s must be a finite number >= 0, got True"),
+                ("max_wall_s=-1",
+                 "param max_wall_s must be a finite number >= 0, got -1"),
+                ("max_wall_s=Infinity",
+                 "param max_wall_s must be a finite number >= 0, got inf")):
             store = tmp_path / "store"
             assert main(["reproduce", "all", "--scale", "tiny",
                          "--run-dir", str(store),

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.check import sanitize
 from repro.check.sanitize import check_shared_forward
 from repro.core.config import DRASConfig
 from repro.core.decima import DecimaPG
@@ -231,13 +230,13 @@ class TestNodeGroups:
         assert len(keys[0]) == len(keys[1]) == 2
 
     @pytest.mark.parametrize("agent_cls", [DRASPG, DRASDQL, DecimaPG])
-    def test_one_agent_through_engine_after_engine(self, agent_cls, monkeypatch):
+    def test_one_agent_through_engine_after_engine(self, agent_cls,
+                                                   sanitizer_on):
         """Train, validate, train — kills and requeues included, sanitized.
 
         Every decision of the three runs is checked against the plain
         forward by the sanitizer's oracle.
         """
-        monkeypatch.setattr(sanitize, "_FORCED", True)
         agent = agent_cls(DRASConfig(
             num_nodes=32, window=3, hidden1=12, hidden2=6, seed=0,
             time_scale=100.0, update_every=2))

@@ -25,6 +25,7 @@ from hypothesis.stateful import (
 )
 
 from repro.check import sanitize
+from repro.check.sanitize import sanitizing
 from repro.core.state import StateEncoder
 from repro.nn import layers
 from repro.nn.network import build_dras_network
@@ -65,8 +66,8 @@ class ClusterMachine(RuleBasedStateMachine):
 
     def __init__(self) -> None:
         super().__init__()
-        self.cluster = Cluster(NODES, sanitize=True)
-        self.twin = Cluster(NODES, sanitize=False)
+        self.cluster = Cluster(NODES)
+        self.twin = Cluster(NODES)
         #: model placement: job id per node, -1 free, -2 down
         self.owner = np.full(NODES, -1, dtype=np.int64)
         self.running: dict[int, Job] = {}
@@ -86,6 +87,14 @@ class ClusterMachine(RuleBasedStateMachine):
     def teardown(self) -> None:
         layers.MIN_GROUP_ROWS = self.shipped_group
 
+    def both(self, name: str, *args):
+        """``name(*args)`` on the cluster, sanitized, then on the twin
+        with the sanitizer off: placing only when read is its point."""
+        with sanitizing(True):
+            got = getattr(self.cluster, name)(*args)
+        with sanitizing(False):
+            return got, getattr(self.twin, name)(*args)
+
     @rule(size=st.integers(1, NODES), walltime=WALLTIMES)
     def allocate(self, size: int, walltime: float) -> None:
         job = Job(size=size, walltime=walltime, runtime=walltime,
@@ -93,17 +102,17 @@ class ClusterMachine(RuleBasedStateMachine):
         if size <= self.cluster.available_nodes:
             self.start(job)
         else:
-            for cluster in (self.cluster, self.twin):
+            for cluster, active in ((self.cluster, True), (self.twin, False)):
                 try:
-                    cluster.allocate(job, self.clock)
+                    with sanitizing(active):
+                        cluster.allocate(job, self.clock)
                 except RuntimeError:
                     pass
                 else:
                     raise AssertionError("oversubscription accepted")
 
     def start(self, job: Job) -> None:
-        for cluster in (self.cluster, self.twin):
-            cluster.allocate(job, self.clock)
+        self.both("allocate", job, self.clock)
         self.owner[self._free_nodes()[:job.size]] = job.job_id
         job.mark_started(self.clock, ExecMode.READY)
         self.running[job.job_id] = job
@@ -116,8 +125,7 @@ class ClusterMachine(RuleBasedStateMachine):
     def release(self, data) -> None:
         job_id = data.draw(st.sampled_from(sorted(self.running)))
         job = self.running.pop(job_id)
-        self.cluster.release(job)
-        self.twin.release(job)
+        self.both("release", job)
         self.vacate(job)
 
     @rule(data=st.data())
@@ -140,9 +148,9 @@ class ClusterMachine(RuleBasedStateMachine):
         job_id = data.draw(st.sampled_from(sorted(self.running)))
         job = self.running.pop(job_id)
         held = self.cluster.nodes_of(job_id)
-        nodes = self.cluster.release_killed(job, self.clock)
+        nodes, twin_nodes = self.both("release_killed", job, self.clock)
         assert sorted(nodes) == sorted(held)
-        assert np.array_equal(self.twin.release_killed(job, self.clock), nodes)
+        assert np.array_equal(twin_nodes, nodes)
         self.vacate(job)
         job.mark_killed(self.clock, requeue=requeue)
         if requeue:
@@ -162,8 +170,7 @@ class ClusterMachine(RuleBasedStateMachine):
         return np.flatnonzero(self.owner == -1).tolist()
 
     def fail(self, nodes: list[int], up_at) -> None:
-        for cluster in (self.cluster, self.twin):
-            cluster.fail_nodes(nodes, self.clock, up_at)
+        self.both("fail_nodes", nodes, self.clock, up_at)
         self.owner[nodes] = -2
         self.down.update(nodes)
 
@@ -189,15 +196,13 @@ class ClusterMachine(RuleBasedStateMachine):
         """Early or late: ``advance`` may have passed the expected repair."""
         nodes = data.draw(st.lists(st.sampled_from(sorted(self.down)),
                                    min_size=1, unique=True))
-        for cluster in (self.cluster, self.twin):
-            cluster.repair_nodes(nodes, self.clock)
+        self.both("repair_nodes", nodes, self.clock)
         self.owner[nodes] = -1
         self.down.difference_update(nodes)
 
     @rule()
     def reset(self) -> None:
-        self.cluster.reset()
-        self.twin.reset()
+        self.both("reset")
         self.owner.fill(-1)
         self.running.clear()
         self.killed.clear()
@@ -356,7 +361,6 @@ class WaitQueueMachine(RuleBasedStateMachine):
     def __init__(self) -> None:
         super().__init__()
         self.queue = WaitQueue()
-        self.queue._sanitize = True
         self.waiting: list[Job] = []
         self.held: list[Job] = []
         self.running: list[Job] = []
@@ -364,6 +368,12 @@ class WaitQueueMachine(RuleBasedStateMachine):
         self.dead: set[int] = set()
         self.known: list[int] = []
         self.clock = 0.0
+
+    def mutate(self, name: str, *args, **kwargs):
+        """``name`` on the queue, which ends with its ``queue-index``
+        check (the sanitizer is on for it)."""
+        with sanitizing(True):
+            return getattr(self.queue, name)(*args, **kwargs)
 
     def draw_from(self, data, jobs: list[Job]) -> Job:
         return jobs[data.draw(st.integers(0, len(jobs) - 1))]
@@ -379,7 +389,7 @@ class WaitQueueMachine(RuleBasedStateMachine):
         job = Job(size=size, walltime=10.0, runtime=10.0,
                   submit_time=self.clock, dependencies=deps)
         self.known.append(job.job_id)
-        accepted = self.queue.submit(job)
+        accepted = self.mutate("submit", job)
         assert accepted == self.dead.isdisjoint(deps)
         if not accepted:
             assert job.state is JobState.PENDING
@@ -393,7 +403,7 @@ class WaitQueueMachine(RuleBasedStateMachine):
     @rule(data=st.data())
     def start(self, data) -> None:
         job = self.draw_from(data, self.waiting)
-        self.queue.remove(job)
+        self.mutate("remove", job)
         self.waiting = [j for j in self.waiting if j is not job]
         job.state = JobState.RUNNING
         self.running.append(job)
@@ -405,7 +415,7 @@ class WaitQueueMachine(RuleBasedStateMachine):
         self.running.remove(job)
         job.state = JobState.FINISHED
         self.finished.add(job.job_id)
-        self.queue.notify_finished(job)
+        self.mutate("notify_finished", job)
         released = [j for j in self.held
                     if set(j.dependencies) <= self.finished]
         self.held = [j for j in self.held if j not in released]
@@ -419,7 +429,7 @@ class WaitQueueMachine(RuleBasedStateMachine):
         job = self.draw_from(data, self.running)
         self.running.remove(job)
         job.state = JobState.WAITING
-        self.queue.requeue(job, front=front)
+        self.mutate("requeue", job, front=front)
         if front:
             self.waiting.insert(0, job)
         else:
@@ -432,7 +442,7 @@ class WaitQueueMachine(RuleBasedStateMachine):
         self.running.remove(job)
         job.state = JobState.FAILED
         self.dead.add(job.job_id)
-        doomed = self.queue.notify_failed(job)
+        doomed = self.mutate("notify_failed", job)
         expected: list[Job] = []
         while True:
             newly = [j for j in self.held
