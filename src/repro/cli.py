@@ -9,17 +9,17 @@ Commands
 ``generate``
     Synthesize a Theta/Cori-like trace and write it as SWF.
 ``simulate``
-    Replay an SWF trace under a named policy and print the metrics.  Bad
-    input (a missing or malformed trace, a bad ``--faults`` spec, a job
-    larger than ``--nodes``) is one ``bad input:`` line and exit 2.
+    Replay an SWF trace under a named policy, or under the agent of an
+    agent file (``--agent``, on its node count), and print the metrics.
+    Bad input is one ``bad input:`` line (``bad agent file:`` for a
+    damaged agent file) and exit 2.
+``fit``
+    Fit a workload model to an SWF trace and resample it as SWF.
 ``train``
     Train a DRAS/Decima agent with the three-phase curriculum and
     write its agent file (:func:`repro.core.persistence.save_agent`)
     to ``--out``; ``--checkpoint`` writes the same kind of file after
     every episode, and ``--resume`` continues from either.
-``evaluate``
-    Replay an SWF trace under the agent of an agent file (an ``--out``
-    or a ``--checkpoint``).
 ``check``
     Lint source paths (:mod:`repro.check`) for mutable default
     arguments, exact float comparisons on simulation timestamps and
@@ -369,13 +369,35 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     from repro.sim.engine import Engine
     from repro.workload import read_swf
 
-    policy = POLICIES[args.policy](args.objective, args.seed)
+    if args.agent is None:
+        policy = POLICIES[args.policy](args.objective, args.seed)
+        nodes = args.nodes
+        replay = {"policy": args.policy, "objective": args.objective}
+    else:
+        from repro.core import persistence
+
+        try:
+            policy = persistence.load_agent(args.agent)
+        except persistence.CheckpointError as exc:
+            print(f"bad agent file: {exc}", file=sys.stderr)
+            return 2
+        policy.eval(online_learning=not args.frozen)
+        nodes = policy.config.num_nodes
+        replay = {"agent": persistence.agent_kind(policy),
+                  "agent_file": args.agent, "frozen": args.frozen}
     try:
+        if args.agent is None and args.frozen:
+            raise ValueError("--frozen applies only with --agent")
+        if nodes is None:
+            raise ValueError("--nodes is required with a policy")
+        if args.nodes not in (None, nodes):
+            raise ValueError(f"--nodes {args.nodes} differs from the "
+                             f"agent's {nodes} nodes")
         jobs = read_swf(args.trace, procs_per_node=args.procs_per_node,
                         max_jobs=args.max_jobs)
         faults = parse_faults(args.faults)
         # the engine refuses a job larger than the machine as it is built
-        engine = Engine(Cluster(args.nodes), policy, jobs, faults=faults,
+        engine = Engine(Cluster(nodes), policy, jobs, faults=faults,
                         trace=Path(args.run_dir) / TRACE if args.run_dir
                         else None)
     except (OSError, ValueError) as exc:
@@ -394,9 +416,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         summary["resilience"] = result.resilience.as_dict()
     _write_manifest(args, kind="simulate", summary=summary, config={
         "trace": args.trace,
-        "nodes": args.nodes,
-        "policy": args.policy,
-        "objective": args.objective,
+        "nodes": nodes,
+        **replay,
         "procs_per_node": args.procs_per_node,
         "max_jobs": args.max_jobs,
         "faults": faults.as_dict() if faults is not None else None,
@@ -554,33 +575,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
     write_swf(synthetic, args.out,
               header=f"synthetic trace fitted from {args.trace}")
     print(f"wrote {len(synthetic)} fitted synthetic jobs to {args.out}")
-    return 0
-
-
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    from repro.core.persistence import CheckpointError, load_agent
-    from repro.sim.cluster import Cluster
-    from repro.sim.engine import Engine
-    from repro.workload import read_swf
-
-    try:
-        agent = load_agent(args.checkpoint)
-    except CheckpointError as exc:
-        print(f"bad agent file: {exc}", file=sys.stderr)
-        return 2
-    agent.eval(online_learning=not args.frozen)
-    try:
-        jobs = read_swf(args.trace, procs_per_node=args.procs_per_node,
-                        max_jobs=args.max_jobs)
-        # the engine refuses a job larger than the machine as it is built
-        engine = Engine(Cluster(agent.config.num_nodes), agent, jobs)
-    except (OSError, ValueError) as exc:
-        print(f"bad input: {exc}", file=sys.stderr)
-        return 2
-    if not jobs:
-        print("trace contains no usable jobs", file=sys.stderr)
-        return 1
-    _print_metrics(agent.name, engine.run())
     return 0
 
 
@@ -746,10 +740,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("simulate", help="replay an SWF trace under a policy")
+    p = sub.add_parser(
+        "simulate", help="replay an SWF trace under a policy or an agent")
     p.add_argument("trace")
-    p.add_argument("--nodes", type=int, required=True)
-    p.add_argument("--policy", choices=POLICIES, default="fcfs")
+    p.add_argument("--nodes", type=int,
+                   help="system size (with --agent: the agent's)")
+    replay = p.add_mutually_exclusive_group()
+    replay.add_argument("--policy", choices=POLICIES, default="fcfs")
+    replay.add_argument("--agent", metavar="FILE",
+                        help="replay under the agent of an agent file "
+                             "(train --out or --checkpoint)")
+    p.add_argument("--frozen", action="store_true",
+                   help="with --agent: disable online learning")
     p.add_argument("--objective", choices=("capability", "capacity"),
                    default="capability")
     p.add_argument("--procs-per-node", type=int, default=1)
@@ -829,15 +831,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "store also prints its report from rollup.json")
     p.add_argument("--title", default="repro run report")
     p.set_defaults(func=cmd_report)
-
-    p = sub.add_parser("evaluate", help="replay a trace under a checkpointed agent")
-    p.add_argument("checkpoint")
-    p.add_argument("trace")
-    p.add_argument("--frozen", action="store_true",
-                   help="disable online learning during evaluation")
-    p.add_argument("--procs-per-node", type=int, default=1)
-    p.add_argument("--max-jobs", type=int, default=None)
-    p.set_defaults(func=cmd_evaluate)
 
     return parser
 

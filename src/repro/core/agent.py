@@ -57,7 +57,6 @@ class HierarchicalAgent(BaseScheduler):
             num_nodes=config.num_nodes,
             window=config.window,
             time_scale=config.time_scale,
-            normalize=config.normalize_state,
         )
         self.rng = np.random.default_rng(config.seed)
         #: learning on/off.  Training and online adaptation keep it on;

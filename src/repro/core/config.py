@@ -72,10 +72,7 @@ class DRASConfig:
     #: into an exact FCFS clone (always pick the oldest window slot).
     entropy_coef: float = 0.05
     time_scale: float = 86400.0
-    normalize_state: bool = True
     grad_clip: float | None = 10.0
-    #: draw PG actions greedily instead of stochastically at eval time
-    greedy_eval: bool = False
     #: ablation switch: when False, level-2 uses EASY's first-fit rule
     #: instead of the learned network (isolates the paper's claim that
     #: learned backfilling beats first-fit)

@@ -92,7 +92,6 @@ class PGCore:
     rng: np.random.Generator
     gamma: float = 1.0
     entropy_coef: float = 0.0
-    greedy: bool = False
     baseline: BaselineTracker = field(default_factory=BaselineTracker)
     pending: list[_Transition] = field(default_factory=list)
     losses: list[float] = field(default_factory=list)
@@ -129,8 +128,8 @@ class PGCore:
 
     def act(self, window: list[Job], view: SchedulingView, record: bool,
             extra_mask: np.ndarray | None = None) -> int:
-        """Pick one window slot (sampled, or argmax when greedy) from the
-        masked softmax of the :meth:`policy` scores.
+        """Sample one window slot from the masked softmax of the
+        :meth:`policy` scores.
 
         With ``record=True`` the transition is kept for the next
         REINFORCE update, as the ``[2W + N, 2]`` input the update's
@@ -138,11 +137,7 @@ class PGCore:
         """
         head, groups, mask, logits = self.policy(window, view, extra_mask)
         with _trace.span("agent.sample"):
-            probs = masked_softmax(logits, mask)
-            if self.greedy:
-                action = int(np.argmax(probs))
-            else:
-                action = sample_from_probs(probs, self.rng)
+            action = sample_from_probs(masked_softmax(logits, mask), self.rng)
         if record:
             x = np.concatenate([head, groups.expand(self.encoder.num_nodes)])
             self.pending.append(_Transition(x=x, mask=mask, action=action))
@@ -225,13 +220,11 @@ class DRASPG(HierarchicalAgent):
             rng=self.rng,
             gamma=config.gamma,
             entropy_coef=config.entropy_coef,
-            greedy=False,
         )
 
     # -- HierarchicalAgent interface ----------------------------------------
     def select(self, window: list[Job], view: SchedulingView, level: int) -> Job:
         """Draw one job from the masked policy over the window."""
-        self.core.greedy = self.config.greedy_eval and not self.learning
         action = self.core.act(window, view, record=self.learning)
         return window[action]
 

@@ -20,7 +20,7 @@ would have.  One ``.npz`` holds
   (:class:`~repro.obs.live.SnapshotWriter`), so the file's bytes are a
   function of the seed whether or not the run was watched.
 
-So ``repro evaluate`` takes a ``--checkpoint`` file and ``train
+So ``repro simulate --agent`` takes a ``--checkpoint`` file and ``train
 --resume`` takes an ``--out`` file: there is one kind of agent file.
 
 Durability contract
@@ -68,6 +68,10 @@ FORMAT_VERSION = 1
 _META_KEYS = ("format_version", "kind", "config", "rng_state",
               "updates_done", "episodes", "faults")
 
+#: config keys older files carry, each at the one value the agent has
+#: now; any other value names an agent this build cannot rebuild
+_RETIRED_CONFIG = {"normalize_state": True, "greedy_eval": False}
+
 
 class CheckpointError(ValueError):
     """An agent file is unreadable, truncated, or incomplete."""
@@ -87,7 +91,7 @@ class LoadedCheckpoint:
         return len(self.episodes)
 
 
-def _kind_of(agent) -> str:
+def agent_kind(agent) -> str:
     """The agent's :data:`~repro.core.AGENTS` kind: its exact type's
     row, since ``DecimaPG`` subclasses ``DRASPG``."""
     for kind, cls in AGENTS.items():
@@ -129,7 +133,7 @@ def save_agent(agent, path: str | Path, history=None,
     without them the record is empty.  A crash mid-save never corrupts
     an existing file at ``path``.
     """
-    kind = _kind_of(agent)
+    kind = agent_kind(agent)
     arrays = agent_arrays(agent)
     episodes = history.episodes if history is not None else ()
     arrays["__meta__"] = np.array(json.dumps({
@@ -210,7 +214,14 @@ def _restore(meta: dict, data) -> LoadedCheckpoint:
             f"unknown agent kind {kind!r}; expected one of "
             f"{sorted(AGENTS)}"
         ) from None
-    agent = cls(DRASConfig(**meta["config"]))
+    config = dict(meta["config"])
+    for key, value in _RETIRED_CONFIG.items():
+        saved = config.pop(key, value)
+        if saved != value:
+            raise CheckpointError(
+                f"the agent was saved with {key}={saved!r}, which this "
+                "build no longer supports")
+    agent = cls(DRASConfig(**config))
     agent.network.load_state_dict(
         {k[len("net."):]: data[k] for k in data.files if k.startswith("net.")}
     )

@@ -16,8 +16,7 @@ built only for a transition an agent records to train on.
 
 The paper feeds raw values; raw seconds and node counts differ by
 orders of magnitude, so (like any practical implementation) we
-normalize by the system size and a time scale.  Set ``normalize=False``
-for the paper-literal encoding.
+normalize by the system size and a time scale.
 """
 
 from __future__ import annotations
@@ -72,8 +71,6 @@ class StateEncoder:
         Seconds used to normalize all time features (runtime estimates,
         queued times, node availability horizons).  A natural choice is
         the system's maximum job length.
-    normalize:
-        Disable to reproduce the paper-literal raw encoding.
     """
 
     def __init__(
@@ -81,7 +78,6 @@ class StateEncoder:
         num_nodes: int,
         window: int,
         time_scale: float = 86400.0,
-        normalize: bool = True,
     ) -> None:
         if num_nodes <= 0:
             raise ValueError("num_nodes must be positive")
@@ -92,7 +88,6 @@ class StateEncoder:
         self.num_nodes = num_nodes
         self.window = window
         self.time_scale = time_scale
-        self.normalize = normalize
 
     # -- shapes ---------------------------------------------------------------
     @property
@@ -115,14 +110,10 @@ class StateEncoder:
         current up-node count so a job's relative footprint reflects the
         capacity that actually exists.  Defaults to the static ``N``.
         """
-        size = job.size
-        walltime = job.walltime
-        queued = job.queued_time(now)
-        if self.normalize:
-            size = size / max(1, capacity if capacity is not None
+        size = job.size / max(1, capacity if capacity is not None
                               else self.num_nodes)
-            walltime = walltime / self.time_scale
-            queued = queued / self.time_scale
+        walltime = job.walltime / self.time_scale
+        queued = job.queued_time(now) / self.time_scale
         return np.array(
             [[size, walltime], [float(job.priority), queued]], dtype=np.float64
         )
@@ -130,15 +121,13 @@ class StateEncoder:
     def node_rows(self, cluster: Cluster, now: float) -> np.ndarray:
         """The ``[N, 2]`` node-state matrix."""
         state = cluster.node_state(now)  # freshly allocated per call
-        if self.normalize:
-            state[:, 1] /= self.time_scale
+        state[:, 1] /= self.time_scale
         return state
 
     def node_groups(self, cluster: Cluster, now: float) -> NodeGroups:
         """:meth:`node_rows` by allocation; ``expand`` gives it back."""
         state, allocations, lone = cluster.node_groups(now, _layers.MIN_GROUP_ROWS)
-        if self.normalize:
-            state[:, 1] /= self.time_scale
+        state[:, 1] /= self.time_scale
         return NodeGroups(state, tuple(allocations), lone)
 
     # -- full encodings ----------------------------------------------------------

@@ -10,12 +10,9 @@ objective.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.core.rewards import RewardFunction
 from repro.obs import trace as _trace
 from repro.sim.engine import SchedulingView
-from repro.sim.job import Job
 
 
 class RewardMeter:
@@ -25,7 +22,7 @@ class RewardMeter:
         self.reward_fn = reward_fn
         self.total = 0.0
 
-    def on_instance(self, view: SchedulingView, started: Sequence[Job]) -> None:
+    def on_instance(self, view: SchedulingView) -> None:
         with _trace.span("agent.reward"):
             self.total += self.reward_fn(view.selected, view.waiting(),
                                          view.cluster, view.now)

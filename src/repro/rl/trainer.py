@@ -140,7 +140,7 @@ class Trainer:
         it (:func:`~repro.core.persistence.load_checkpoint`) and passing
         the restored agent and :meth:`TrainingHistory.from_records` of
         its episodes back into :meth:`train` (or ``train --resume`` on
-        the CLI); ``repro evaluate`` reads the same file.
+        the CLI); ``repro simulate --agent`` reads the same file.
     faults:
         Optional :class:`~repro.sim.faults.FaultConfig`: training
         episodes run under fault injection (the fault seed is offset by

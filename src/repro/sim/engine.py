@@ -108,21 +108,10 @@ class SchedulingView:
         return self._reservation
 
     @property
-    def reserved_job(self) -> Job | None:
-        """The job holding this instance's reservation, if any."""
-        return self._reserved_job
-
-    @property
     def selected(self) -> list[Job]:
         """Jobs selected so far during this instance, in action order:
         each job started and the one reserved (once, if it then starts)."""
         return list(self._selected)
-
-    @property
-    def started(self) -> list[Job]:
-        """Jobs started so far during this instance."""
-        reserved = self._reserved_job
-        return [job for job in self._selected if job is not reserved]
 
     def backfill_candidates(self, pool: list[Job] | None = None) -> list[Job]:
         """Waiting jobs that may legally backfill the active reservation."""
@@ -689,7 +678,7 @@ class Engine:
         for handler in self._on_schedule_end:
             handler(view)
         for handler in self._on_instance:
-            handler(view, view.started)
+            handler(view)
 
 
 def run_simulation(

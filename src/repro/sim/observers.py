@@ -25,7 +25,7 @@ from __future__ import annotations
 import weakref
 from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator, Protocol, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Protocol
 
 from repro.obs import live as _live
 from repro.obs import profile as _profile
@@ -94,9 +94,8 @@ class Observer(Protocol):
     def on_schedule_end(self, view: "SchedulingView") -> None:
         """The policy returned (not fired when it raised)."""
 
-    def on_instance(self, view: "SchedulingView",
-                    started: Sequence[Job]) -> None:
-        """The scheduling instance is over; ``started`` lists its starts."""
+    def on_instance(self, view: "SchedulingView") -> None:
+        """The scheduling instance is over."""
 
 
 #: every hook of the protocol, in declaration order; the engine resolves
@@ -152,7 +151,7 @@ class ProfileObserver:
         """Close ``engine.schedule``."""
         self.profiler.pop()
 
-    def on_instance(self, view: "SchedulingView", started) -> None:
+    def on_instance(self, view: "SchedulingView") -> None:
         """Close ``engine.instance``."""
         self.profiler.pop()
 
@@ -233,7 +232,7 @@ class TraceObserver:
         self._reserve(now, job.job_id, job.size, reservation.shadow_time,
                       reservation.extra_nodes)
 
-    def on_instance(self, view: "SchedulingView", started) -> None:
+    def on_instance(self, view: "SchedulingView") -> None:
         """Close the instance span (left open when the policy raised)."""
         self.tracer.end(self._span)
 
@@ -269,7 +268,7 @@ class LiveObserver:
         self._events += n_events
         self._pending += n_events
 
-    def on_instance(self, view: "SchedulingView", started) -> None:
+    def on_instance(self, view: "SchedulingView") -> None:
         """Publish when ``every`` events have passed since the last one."""
         if self._pending >= self.every:
             self._pending = 0

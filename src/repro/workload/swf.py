@@ -51,7 +51,8 @@ def read_swf(
     Any unparseable line (too few fields, a non-numeric or non-finite
     value) raises ``ValueError`` naming ``path:line`` and the reason;
     well-formed records with zero runtime, no processors or a negative
-    submit time are skipped.
+    submit time are skipped.  A ``procs_per_node`` or ``max_jobs`` below
+    1 raises ``ValueError`` before the file is opened.
 
     Parameters
     ----------
@@ -63,6 +64,11 @@ def read_swf(
     high_priority_queues:
         SWF queue ids mapped to ``priority=1``.
     """
+    if procs_per_node < 1:
+        raise ValueError(
+            f"procs_per_node must be positive, got {procs_per_node}")
+    if max_jobs is not None and max_jobs < 1:
+        raise ValueError(f"max_jobs must be positive, got {max_jobs}")
     jobs: list[Job] = []
     seen_ids: set[int] = set()
     with open(path, "r", encoding="utf-8", errors="replace") as fh:

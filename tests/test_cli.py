@@ -20,9 +20,17 @@ def _readme_commands():
             if line.startswith("python -m repro ")]
 
 
+def _command_id(line):
+    """A README command line's test id: its command, and ``simulate-agent``
+    for the agent replay, which would otherwise repeat ``simulate``."""
+    words = line.split()
+    if words[3] == "simulate" and "--agent" in words:
+        return "simulate-agent"
+    return words[3]
+
+
 class TestParser:
-    @pytest.mark.parametrize("line", _readme_commands(),
-                             ids=lambda line: line.split()[3])
+    @pytest.mark.parametrize("line", _readme_commands(), ids=_command_id)
     def test_readme_command_parses(self, line):
         build_parser().parse_args(shlex.split(line, comments=True)[3:])
 
@@ -51,6 +59,8 @@ class TestParser:
         ["trace", "summarize", "trace.jsonl"],
         ["sweep", "selftest"],
         ["simulate", "t.swf", "--nodes", "4", "--policy", "slurm"],
+        ["evaluate", "a.npz", "t.swf"],
+        ["simulate", "t.swf", "--policy", "sjf", "--agent", "a.npz"],
     ])
     def test_retired_bench_surface_rejected(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -108,7 +118,16 @@ class TestGenerateSimulate:
          "bad --faults value mtbf='abc': expected a number"),
         ("missing.swf", [], "No such file or directory"),
         ("bad.swf", [], "bad.swf:1: expected 18 fields, got 4"),
-    ], ids=["oversized-job", "bad-faults", "missing-trace", "malformed-swf"])
+        ("big.swf", ["--procs-per-node", "0"],
+         "procs_per_node must be positive, got 0"),
+        ("big.swf", ["--procs-per-node", "-1"],
+         "procs_per_node must be positive, got -1"),
+        ("big.swf", ["--max-jobs", "0"], "max_jobs must be positive, got 0"),
+        ("big.swf", ["--max-jobs", "-1"], "max_jobs must be positive, got -1"),
+        ("big.swf", ["--frozen"], "--frozen applies only with --agent"),
+    ], ids=["oversized-job", "bad-faults", "missing-trace", "malformed-swf",
+            "zero-procs-per-node", "negative-procs-per-node",
+            "zero-max-jobs", "negative-max-jobs", "frozen-without-agent"])
     def test_bad_input_is_one_line_and_exit_two(self, tmp_path, capsys,
                                                 trace, extra, message):
         (tmp_path / "big.swf").write_text(
@@ -119,16 +138,32 @@ class TestGenerateSimulate:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err
 
-    @pytest.mark.parametrize("command,trace,message", [
-        ("evaluate", "big.swf",
+    @pytest.mark.parametrize("command,trace,extra,message", [
+        ("evaluate", "big.swf", [],
          "job 1 (size 128) can never fit on a 16-node cluster"),
-        ("evaluate", "bad.swf", "bad.swf:1: expected 18 fields, got 4"),
-        ("fit", "missing.swf", "No such file or directory"),
-        ("fit", "bad.swf", "bad.swf:1: expected 18 fields, got 4"),
+        ("evaluate", "bad.swf", [], "bad.swf:1: expected 18 fields, got 4"),
+        ("evaluate", "big.swf", ["--nodes", "8"],
+         "--nodes 8 differs from the agent's 16 nodes"),
+        ("simulate", "big.swf", [], "--nodes is required with a policy"),
+        ("fit", "missing.swf", [], "No such file or directory"),
+        ("fit", "bad.swf", [], "bad.swf:1: expected 18 fields, got 4"),
+        ("fit", "big.swf", ["--procs-per-node", "0"],
+         "procs_per_node must be positive, got 0"),
+        ("fit", "big.swf", ["--procs-per-node", "-1"],
+         "procs_per_node must be positive, got -1"),
+        ("fit", "big.swf", ["--max-jobs", "0"],
+         "max_jobs must be positive, got 0"),
+        ("fit", "big.swf", ["--max-jobs", "-1"],
+         "max_jobs must be positive, got -1"),
     ], ids=["evaluate-oversized-job", "evaluate-malformed-swf",
-            "fit-missing-trace", "fit-malformed-swf"])
+            "evaluate-other-nodes", "policy-without-nodes",
+            "fit-missing-trace", "fit-malformed-swf",
+            "fit-zero-procs-per-node", "fit-negative-procs-per-node",
+            "fit-zero-max-jobs", "fit-negative-max-jobs"])
     def test_evaluate_and_fit_bad_input_is_one_line_and_exit_two(
-            self, tmp_path, capsys, command, trace, message):
+            self, tmp_path, capsys, command, trace, extra, message):
+        """An agent replay (``evaluate``: ``simulate --agent FILE``), a
+        policy replay without ``--nodes``, and ``fit``."""
         from repro.core.config import DRASConfig
         from repro.core.dras_pg import DRASPG
         from repro.core.persistence import save_agent
@@ -138,10 +173,12 @@ class TestGenerateSimulate:
         (tmp_path / "bad.swf").write_text("1 0 0 100\n")
         agent = tmp_path / "a.npz"
         save_agent(DRASPG(DRASConfig.scaled(16, window=5)), agent)
-        argv = {"evaluate": ["evaluate", str(agent), str(tmp_path / trace)],
+        argv = {"evaluate": ["simulate", str(tmp_path / trace),
+                             "--agent", str(agent)],
+                "simulate": ["simulate", str(tmp_path / trace)],
                 "fit": ["fit", str(tmp_path / trace), "--nodes", "8",
                         "--out", str(tmp_path / "x.swf")]}[command]
-        assert main(argv) == 2
+        assert main([*argv, *extra]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err
         assert not (tmp_path / "x.swf").exists()
@@ -210,7 +247,7 @@ class TestTrainEvaluate:
         trace = tmp_path / "test.swf"
         main(["generate", "theta", "80", "--nodes", "32", "--out", str(trace)])
         capsys.readouterr()
-        rc = main(["evaluate", str(ckpt), str(trace), "--frozen"])
+        rc = main(["simulate", str(trace), "--agent", str(ckpt), "--frozen"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "DRAS-DQL" in out and "avg wait" in out
@@ -219,7 +256,8 @@ class TestTrainEvaluate:
     def test_out_and_checkpoint_are_one_kind_of_file(self, tmp_path,
                                                     capsys):
         """``--out`` and the last ``--checkpoint`` are the same file:
-        ``evaluate`` reads either, and ``--resume`` takes ``--out``."""
+        ``simulate --agent`` reads either, and ``--resume`` takes
+        ``--out``."""
         out, ckpt = tmp_path / "tr.npz", tmp_path / "ck.npz"
         train = ["train", "--nodes", "16", "--window", "5",
                  "--train-jobs", "40", "--sampled", "0", "--real", "1",
@@ -233,7 +271,7 @@ class TestTrainEvaluate:
         capsys.readouterr()
         reports = []
         for path in (ckpt, out):
-            assert main(["evaluate", str(path), str(trace)]) == 0
+            assert main(["simulate", str(trace), "--agent", str(path)]) == 0
             reports.append(capsys.readouterr().out)
         assert reports[0] == reports[1]
         assert main(train + ["--synthetic", "2", "--resume", str(out)]) == 0
@@ -249,14 +287,24 @@ class TestTrainEvaluate:
         path = tmp_path / "a.npz"
         save_agent(DRASPG(DRASConfig.scaled(16, window=5)), path)
         path.write_bytes(path.read_bytes()[:-10])
-        argv = {"evaluate": ["evaluate", str(path), str(tmp_path / "e.swf")],
+        argv = {"evaluate": ["simulate", str(tmp_path / "e.swf"),
+                             "--agent", str(path)],
                 "resume": ["train", "--nodes", "16", "--window", "5",
                            "--out", str(tmp_path / "o.npz"),
                            "--resume", str(path)]}[command]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"bad agent file: checkpoint {path} ")
+        assert err.count("\n") == 1
         assert "Traceback" not in err and not (tmp_path / "o.npz").exists()
+
+    def test_missing_agent_file_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "absent.npz"
+        assert main(["simulate", str(tmp_path / "e.swf"),
+                     "--agent", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"bad agent file: checkpoint {path} does not exist; "
+                       "check the path or start from scratch\n")
 
 class TestFit:
     def test_fit_roundtrip(self, tmp_path, capsys):
@@ -549,6 +597,39 @@ class TestReportAndTrace:
             for name, stats in bucket["fields"].items():
                 assert row(kind, name, _fmt(stats["min"]),
                            _fmt(stats["max"])) in html, name
+
+    def test_faulted_agent_replay_report_shows_the_agent(self, tmp_path,
+                                                         capsys):
+        """``simulate --agent`` keeps a run directory as a policy replay
+        does: its report has the manifest tiles, the resilience summary
+        and the agent's own spans in the trace section."""
+        from repro.core.config import DRASConfig
+        from repro.core.dras_pg import DRASPG
+        from repro.core.persistence import save_agent
+        from repro.obs.manifest import RunManifest
+        from repro.obs.report import _tile
+
+        agent, swf, run = (tmp_path / "a.npz", tmp_path / "w.swf",
+                           tmp_path / "run")
+        save_agent(DRASPG(DRASConfig.scaled(16, window=5)), agent)
+        main(["generate", "theta", "60", "--nodes", "16", "--out", str(swf)])
+        assert main(["simulate", str(swf), "--agent", str(agent), "--faults",
+                     "mtbf=20000,mttr=1800,seed=1", "--run-dir",
+                     str(run)]) == 0
+        assert "DRAS-PG:" in capsys.readouterr().out
+        assert main(["report", str(run)]) == 0
+        html = (run / "report.html").read_text()
+        manifest = RunManifest.read(run / "manifest.json")
+        assert manifest.config["agent"] == "pg"
+        assert manifest.config["agent_file"] == str(agent)
+        for label, value in (("nodes", 16), ("jobs finished", 60)):
+            assert _tile(label, value) in html
+        failures = manifest.summary["resilience"]["node_failures"]
+        assert failures > 0
+        assert f"<tr><td>summary.resilience.node_failures</td>" \
+            f"<td>{failures}</td></tr>" in html
+        for span in ("agent.encode", "agent.sample"):
+            assert f"<td>{span}</td><td>" in html, span
 
     def test_train_run_dir_report_has_telemetry(self, tmp_path, capsys):
         run = tmp_path / "run"

@@ -117,14 +117,18 @@ class TestEngineControls:
         events = []
 
         class Spy:
+            def on_schedule_begin(self, view):
+                self.started = 0
+
             def on_start(self, job, now):
+                self.started += 1
                 events.append(("start", job.job_id, now))
 
             def on_finish(self, job, now):
                 events.append(("finish", job.job_id, now))
 
-            def on_instance(self, view, started):
-                events.append(("instance", len(started)))
+            def on_instance(self, view):
+                events.append(("instance", self.started))
 
         job = make_job(size=1, walltime=10.0, job_id=9)
         run_simulation(4, FCFSEasy(), [job], observers=[Spy()])

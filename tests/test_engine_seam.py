@@ -188,6 +188,7 @@ class Recorder:
 
     def __init__(self):
         self.calls = []
+        self.started = []  # this instance's starts, from on_start
 
     def on_run_begin(self, engine):
         self.calls.append(("run_begin",))
@@ -215,10 +216,12 @@ class Recorder:
         self.calls.append(("node_repair", now, node))
 
     def on_schedule_begin(self, view):
+        self.started = []
         self.calls.append(("schedule_begin", view.queue_depth,
                            view.held_count))
 
     def on_start(self, job, now):
+        self.started.append(job.job_id)
         self.calls.append(("start", job.job_id, now, job.mode.value))
 
     def on_reserve(self, job, now, reservation):
@@ -228,8 +231,8 @@ class Recorder:
     def on_schedule_end(self, view):
         self.calls.append(("schedule_end",))
 
-    def on_instance(self, view, started):
-        self.calls.append(("instance", [j.job_id for j in started]))
+    def on_instance(self, view):
+        self.calls.append(("instance", self.started))
 
 
 def scripted_engine(observers, scheduler=None):
@@ -361,7 +364,7 @@ class TestHookOrder:
             def __init__(self):
                 self.held = []
 
-            def on_instance(self, view, started):
+            def on_instance(self, view):
                 self.held.append(view.held_count)
 
         instances, log = OnlyInstance(), EventLog()

@@ -113,7 +113,7 @@ class TestViewReads:
             def __init__(self):
                 self.seen = []
 
-            def on_instance(self, view, started):
+            def on_instance(self, view):
                 self.seen.append((view.queue_depth, view.held_count))
 
         rec = Depths()
@@ -126,7 +126,7 @@ class TestViewReads:
         seen = []
 
         class Probe:
-            def on_instance(self, view, started):
+            def on_instance(self, view):
                 seen.append((view.queue_depth, len(view.waiting()),
                              view.held_count))
 

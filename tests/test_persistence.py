@@ -308,6 +308,26 @@ class TestDurability:
         rewrite_meta(path, lambda meta, _: meta.update(telemetry_offset=1249))
         assert load_checkpoint(path).episodes_done == 0
 
+    def test_file_with_the_retired_config_keys_still_loads(self, tmp_path):
+        """Agent files once stored ``normalize_state`` and ``greedy_eval``,
+        always at the one behaviour the agent has now: such a file loads
+        as the agent it saved, and any other value is refused."""
+        path = tmp_path / "a.npz"
+        agent = train_a_little(DRASPG(small_config()))
+        save_agent(agent, path)
+        rewrite_meta(path, lambda meta, _: meta["config"].update(
+            normalize_state=True, greedy_eval=False))
+        loaded = load_agent(path)
+        assert loaded.config == agent.config
+        saved, got = agent.state_dict(), loaded.state_dict()
+        assert all(np.array_equal(saved[k], got[k]) for k in saved)
+        for key, value in (("normalize_state", False), ("greedy_eval", True)):
+            rewrite_meta(path, lambda meta, _: meta["config"].update(
+                {key: value}))
+            with pytest.raises(CheckpointError, match=f"{key}={value}"):
+                load_agent(path)
+            rewrite_meta(path, lambda meta, _: meta["config"].pop(key))
+
     def test_save_is_atomic_no_tmp_left_behind(self, tmp_path):
         path = tmp_path / "deep" / "dir" / "a.npz"   # parents are made
         save_agent(DRASPG(small_config()), path)

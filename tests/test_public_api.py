@@ -124,8 +124,7 @@ class TestCLIEntry:
         from repro.cli import build_parser
 
         parser = build_parser()
-        # every documented command is registered
-        text = parser.format_help()
-        for command in ("reproduce", "generate", "simulate", "train",
-                        "evaluate", "fit"):
-            assert command in text
+        # every documented command is registered, and no other
+        assert parser.format_usage() == (
+            "usage: repro [-h] {reproduce,generate,simulate,train,fit,check,"
+            "report} ...\n")

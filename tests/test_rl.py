@@ -72,7 +72,7 @@ class TestRewardMeter:
         agent.record_reward = record_reward
 
         class Pairs:
-            def on_instance(self, view, started):
+            def on_instance(self, view):
                 if view.selected:
                     pairs.append((metered[-1], last[0]))
                 last[0] = None

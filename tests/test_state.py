@@ -19,12 +19,7 @@ from tests.conftest import make_job, with_node_rows
 
 @pytest.fixture
 def encoder():
-    return StateEncoder(num_nodes=8, window=3, time_scale=100.0, normalize=True)
-
-
-@pytest.fixture
-def raw_encoder():
-    return StateEncoder(num_nodes=8, window=3, normalize=False)
+    return StateEncoder(num_nodes=8, window=3, time_scale=100.0)
 
 
 class TestValidation:
@@ -51,14 +46,14 @@ class TestShapes:
 
 
 class TestJobBlock:
-    def test_raw_values(self, raw_encoder):
+    def test_feature_layout(self, encoder):
         job = make_job(size=4, walltime=500.0, submit=10.0, priority=1)
-        block = raw_encoder.job_block(job, now=60.0)
+        block = encoder.job_block(job, now=60.0)
         assert block.shape == (2, 2)
-        assert block[0, 0] == 4          # size
-        assert block[0, 1] == 500.0      # estimated runtime
+        assert block[0, 0] == 4 / 8      # size
+        assert block[0, 1] == 500 / 100  # estimated runtime
         assert block[1, 0] == 1.0        # priority
-        assert block[1, 1] == 50.0       # queued time
+        assert block[1, 1] == 50 / 100   # queued time
 
     def test_normalized_values(self, encoder):
         job = make_job(size=4, walltime=50.0, submit=0.0)
