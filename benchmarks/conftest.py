@@ -1,33 +1,14 @@
 """Shared benchmark configuration.
 
 Every benchmark regenerates one table or figure of the paper at the
-``default`` scale (DESIGN.md §5) and writes the rendered report to
-``benchmarks/reports/`` so the regenerated rows/series can be inspected
-after a run.  Expensive intermediates (trained agents, the seven-method
-evaluation) are cached per process by :mod:`repro.experiments.common`,
-mirroring how the paper derives Fig 6, Fig 7, Fig 8 and Table IV from
-the same evaluation runs.
+``default`` scale (DESIGN.md §5) and asserts its shape.  The rendered
+reports come from ``repro reproduce`` alone: the committed reference
+is ``benchmarks/reference/`` (EXPERIMENTS.md names its command).
+Expensive intermediates (trained agents, the seven-method evaluation)
+are cached per process by :mod:`repro.experiments.common`, mirroring
+how the paper derives Fig 6, Fig 7, Fig 8 and Table IV from the same
+evaluation runs.
 """
-
-from __future__ import annotations
-
-from pathlib import Path
-
-import pytest
 
 #: scale used by all benchmarks
 SCALE = "default"
-
-REPORTS_DIR = Path(__file__).parent / "reports"
-
-
-@pytest.fixture(scope="session")
-def report_dir() -> Path:
-    REPORTS_DIR.mkdir(exist_ok=True)
-    return REPORTS_DIR
-
-
-def save_report(report_dir: Path, name: str, text: str) -> None:
-    (report_dir / f"{name}.txt").write_text(text + "\n")
-    print()
-    print(text)

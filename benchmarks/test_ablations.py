@@ -1,107 +1,29 @@
 """Ablation benchmarks for the design choices DESIGN.md calls out.
 
-These go beyond the paper's own evaluation, isolating the effect of:
-
-* the learned level-2 backfilling vs EASY's first-fit rule (the paper
-  argues backfill selection "has the potential for more aggressive
-  optimization", §II-C);
-* the entropy regularizer, without which REINFORCE under Eq. (1)
-  collapses into an exact FCFS clone (DESIGN.md / README note);
-* the window size ``W``, the starvation-alleviation knob of §III-B;
-* EASY vs conservative backfilling on the heuristic side.
+The experiments are :mod:`repro.experiments.ablations`; each test runs
+one of its ablations on Theta and asserts its shape.
 """
 
 import numpy as np
 import pytest
-from conftest import SCALE, save_report
+from conftest import SCALE
 
-from repro.analysis import evaluate_method, format_table
-from repro.core.config import DRASConfig
-from repro.core.dras_pg import DRASPG
-from repro.experiments.common import get_scale, system_setup
-from repro.rl.curriculum import train_with_curriculum
-from repro.schedulers import ConservativeBackfill, FCFSEasy
+from repro.experiments import ablations
 
 
-def _train_variant(setup, scale, seed=0, **config_overrides):
-    import dataclasses
-
-    config = dataclasses.replace(setup.config, **config_overrides)
-    agent = DRASPG(config)
-    train_with_curriculum(
-        agent, setup.model, setup.train_trace, setup.validation_trace,
-        np.random.default_rng(seed),
-        n_sampled=scale.n_sampled, n_real=scale.n_real,
-        n_synthetic=scale.n_synthetic, jobs_per_set=scale.jobs_per_set,
-    )
-    agent.eval(online_learning=True)
-    return agent
-
-
-def test_ablation_learned_backfill(benchmark, report_dir):
+def test_ablation_learned_backfill(benchmark):
     """Learned level-2 selection vs EASY first-fit inside DRAS-PG."""
-    setup = system_setup("theta", SCALE, 0)
-    scale = get_scale(SCALE)
-
-    def run():
-        rows = []
-        for learned in (True, False):
-            agent = _train_variant(setup, scale, learned_backfill=learned)
-            res = evaluate_method(agent, setup.test_trace, setup.model.num_nodes)
-            rows.append((learned, res))
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    table = format_table(
-        ["level-2 policy", "avg wait (h)", "max wait (d)",
-         "backfilled wait (h)", "utilization"],
-        [
-            [
-                "learned" if learned else "first-fit",
-                res.metrics.avg_wait / 3600,
-                res.metrics.max_wait / 86400,
-                res.modes.avg_wait[list(res.modes.avg_wait)[2]] / 3600
-                if res.modes.avg_wait else 0.0,
-                res.metrics.utilization,
-            ]
-            for learned, res in rows
-        ],
-        title="Ablation: learned vs first-fit backfilling (DRAS-PG, theta)",
-    )
-    save_report(report_dir, "ablation_backfill", table)
-    for _, res in rows:
+    rows = benchmark.pedantic(lambda: ablations.learned_backfill(SCALE),
+                              rounds=1, iterations=1)
+    for res in rows.values():
         assert res.metrics.num_jobs > 0
         assert np.isfinite(res.metrics.avg_wait)
 
 
-def test_ablation_entropy_collapse(benchmark, report_dir):
+def test_ablation_entropy_collapse(benchmark):
     """Without the entropy bonus, DRAS-PG degenerates into FCFS."""
-    setup = system_setup("theta", SCALE, 0)
-    scale = get_scale(SCALE)
-
-    def run():
-        out = {}
-        fcfs = evaluate_method(FCFSEasy(), setup.test_trace,
-                               setup.model.num_nodes)
-        out["FCFS"] = fcfs
-        for coef in (0.0, 0.05):
-            agent = _train_variant(setup, scale, entropy_coef=coef)
-            out[f"entropy={coef}"] = evaluate_method(
-                agent, setup.test_trace, setup.model.num_nodes
-            )
-        return out
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
-    table = format_table(
-        ["variant", "avg wait (h)", "max wait (d)"],
-        [
-            [name, r.metrics.avg_wait / 3600, r.metrics.max_wait / 86400]
-            for name, r in results.items()
-        ],
-        title="Ablation: entropy regularization (DRAS-PG, theta)",
-    )
-    save_report(report_dir, "ablation_entropy", table)
-
+    results = benchmark.pedantic(lambda: ablations.entropy(SCALE),
+                                 rounds=1, iterations=1)
     fcfs = results["FCFS"].metrics
     collapsed = results["entropy=0.0"].metrics
     regular = results["entropy=0.05"].metrics
@@ -113,65 +35,18 @@ def test_ablation_entropy_collapse(benchmark, report_dir):
     assert regular.avg_wait < collapsed.avg_wait
 
 
-def test_ablation_window_size(benchmark, report_dir):
+def test_ablation_window_size(benchmark):
     """The window bounds how far DRAS can look past the queue head."""
-    setup = system_setup("theta", SCALE, 0)
-    scale = get_scale(SCALE)
-
-    def run():
-        out = {}
-        for window in (4, 16, 32):
-            agent = _train_variant(setup, scale, window=window)
-            out[window] = evaluate_method(
-                agent, setup.test_trace, setup.model.num_nodes
-            )
-        return out
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
-    table = format_table(
-        ["window W", "avg wait (h)", "max wait (d)", "utilization"],
-        [
-            [w, r.metrics.avg_wait / 3600, r.metrics.max_wait / 86400,
-             r.metrics.utilization]
-            for w, r in results.items()
-        ],
-        title="Ablation: window size (DRAS-PG, theta)",
-    )
-    save_report(report_dir, "ablation_window", table)
+    results = benchmark.pedantic(lambda: ablations.window(SCALE),
+                                 rounds=1, iterations=1)
     for r in results.values():
         assert r.metrics.num_jobs == next(iter(results.values())).metrics.num_jobs
 
 
-def test_ablation_easy_vs_conservative(benchmark, report_dir):
+def test_ablation_easy_vs_conservative(benchmark):
     """Heuristic-side ablation: EASY vs conservative backfilling."""
-    setup = system_setup("theta", SCALE, 0)
-
-    def run():
-        return {
-            s.name: evaluate_method(s, setup.test_trace, setup.model.num_nodes)
-            for s in (FCFSEasy(), ConservativeBackfill())
-        }
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
-    table = format_table(
-        ["policy", "avg wait (h)", "max wait (d)", "backfilled jobs %",
-         "utilization"],
-        [
-            [
-                name,
-                r.metrics.avg_wait / 3600,
-                r.metrics.max_wait / 86400,
-                100 * r.modes.job_share[
-                    [m for m in r.modes.job_share if m.value == "backfilled"][0]
-                ],
-                r.metrics.utilization,
-            ]
-            for name, r in results.items()
-        ],
-        title="Ablation: EASY vs conservative backfilling (theta)",
-    )
-    save_report(report_dir, "ablation_conservative", table)
-
+    results = benchmark.pedantic(
+        lambda: ablations.easy_vs_conservative(SCALE), rounds=1, iterations=1)
     easy = results["FCFS"].metrics
     conservative = results["Conservative"].metrics
     # conservative is stricter: it cannot backfill more aggressively

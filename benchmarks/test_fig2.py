@@ -1,15 +1,13 @@
 """Benchmark: regenerate Fig 2 (job counts / core hours by size)."""
 
 import pytest
-from conftest import SCALE, save_report
+from conftest import SCALE
 
 from repro.experiments import fig2
 
 
-def test_fig2(benchmark, report_dir):
+def test_fig2(benchmark):
     shares = benchmark.pedantic(lambda: fig2.run(SCALE), rounds=1, iterations=1)
-    text = fig2.report(shares)
-    save_report(report_dir, "fig2", text)
 
     for s in shares.values():
         assert sum(s.job_share) == pytest.approx(1.0)

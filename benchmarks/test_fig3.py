@@ -1,14 +1,12 @@
 """Benchmark: regenerate Fig 3 (training-set job patterns)."""
 
-from conftest import SCALE, save_report
+from conftest import SCALE
 
 from repro.experiments import fig3
 
 
-def test_fig3(benchmark, report_dir):
+def test_fig3(benchmark):
     patterns = benchmark.pedantic(lambda: fig3.run(SCALE), rounds=1, iterations=1)
-    text = fig3.report(patterns)
-    save_report(report_dir, "fig3", text)
 
     assert len(patterns.hourly_arrivals) == 24
     assert len(patterns.daily_arrivals) == 7

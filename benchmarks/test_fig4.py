@@ -2,15 +2,13 @@
 
 import math
 
-from conftest import SCALE, save_report
+from conftest import SCALE
 
 from repro.experiments import fig4
 
 
-def test_fig4(benchmark, report_dir):
+def test_fig4(benchmark):
     results = benchmark.pedantic(lambda: fig4.run(SCALE), rounds=1, iterations=1)
-    text = fig4.report(results)
-    save_report(report_dir, "fig4", text)
 
     assert len(results) == 3
     curves = fig4.history_curves(results)

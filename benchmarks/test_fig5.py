@@ -2,15 +2,13 @@
 
 import math
 
-from conftest import SCALE, save_report
+from conftest import SCALE
 
 from repro.experiments import fig5
 
 
-def test_fig5(benchmark, report_dir):
+def test_fig5(benchmark):
     result = benchmark.pedantic(lambda: fig5.run(SCALE), rounds=1, iterations=1)
-    text = fig5.report(result)
-    save_report(report_dir, "fig5", text)
 
     assert set(result.curves) == {"DRAS-PG", "DRAS-DQL", "Decima-PG"}
     assert set(result.static_rewards) == {

@@ -11,17 +11,15 @@ that are robust at the scaled-down setting:
 * Decima-PG fails on user-level metrics.
 """
 
-from conftest import SCALE, save_report
+from conftest import SCALE
 
 from repro.experiments import fig6
 
 
-def test_fig6_theta(benchmark, report_dir):
+def test_fig6_theta(benchmark):
     result = benchmark.pedantic(
         lambda: fig6.run_system("theta", SCALE), rounds=1, iterations=1
     )
-    text = fig6.report({"theta": result})
-    save_report(report_dir, "fig6_theta", text)
 
     raw = result.raw
     # FCFS has the lowest maximum wait (its defining strength, Fig 6)
@@ -46,12 +44,10 @@ def test_fig6_theta(benchmark, report_dir):
     )
 
 
-def test_fig6_cori(benchmark, report_dir):
+def test_fig6_cori(benchmark):
     result = benchmark.pedantic(
         lambda: fig6.run_system("cori", SCALE), rounds=1, iterations=1
     )
-    text = fig6.report({"cori": result})
-    save_report(report_dir, "fig6_cori", text)
 
     raw = result.raw
     # every method processes the identical capacity workload

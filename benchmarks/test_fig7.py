@@ -1,14 +1,12 @@
 """Benchmark: regenerate Fig 7 (wait time by job size — starvation)."""
 
-from conftest import SCALE, save_report
+from conftest import SCALE
 
 from repro.experiments import fig7
 
 
-def test_fig7(benchmark, report_dir):
+def test_fig7(benchmark):
     results = benchmark.pedantic(lambda: fig7.run(SCALE), rounds=1, iterations=1)
-    text = fig7.report(results)
-    save_report(report_dir, "fig7", text)
 
     # reservation-less methods starve jobs far longer than FCFS/DRAS
     for starver in ("BinPacking", "Random", "Decima-PG"):
@@ -16,19 +14,11 @@ def test_fig7(benchmark, report_dir):
     assert results["DRAS-PG"].max_wait_days < 2.0 * results["FCFS"].max_wait_days
 
 
-def test_fig7_starvation_ellipses(benchmark, report_dir):
+def test_fig7_starvation_ellipses(benchmark):
     """The large-vs-small wait gap that the paper circles in Fig 7."""
     summary = benchmark.pedantic(
         lambda: fig7.starvation(SCALE), rounds=1, iterations=1
     )
-    lines = ["Fig 7 starvation indicators (large jobs >= half the system):"]
-    for method, stats in summary.items():
-        lines.append(
-            f"  {method:14s} max wait {stats['max_wait_days']:6.2f} d   "
-            f"large-job wait {stats['large_avg_wait_h']:8.2f} h   "
-            f"small-job wait {stats['small_avg_wait_h']:6.2f} h"
-        )
-    save_report(report_dir, "fig7_starvation", "\n".join(lines))
 
     def gap(method):
         s = summary[method]

@@ -1,14 +1,12 @@
 """Benchmark: regenerate Fig 8 (wait time by execution mode)."""
 
-from conftest import SCALE, save_report
+from conftest import SCALE
 
 from repro.experiments import fig8
 
 
-def test_fig8(benchmark, report_dir):
+def test_fig8(benchmark):
     rows = benchmark.pedantic(lambda: fig8.run(SCALE), rounds=1, iterations=1)
-    text = fig8.report(rows)
-    save_report(report_dir, "fig8", text)
 
     by_method = {r.method: r for r in rows}
     assert set(by_method) == {"FCFS", "DRAS-PG", "DRAS-DQL"}

@@ -1,15 +1,13 @@
 """Benchmark: regenerate Fig 9 (adaptation to workload surges)."""
 
 import numpy as np
-from conftest import SCALE, save_report
+from conftest import SCALE
 
 from repro.experiments import fig9
 
 
-def test_fig9(benchmark, report_dir):
+def test_fig9(benchmark):
     result = benchmark.pedantic(lambda: fig9.run(SCALE), rounds=1, iterations=1)
-    text = fig9.report(result)
-    save_report(report_dir, "fig9", text)
 
     profile = fig9.SURGE_PROFILE
     assert len(result.weeks) >= len(profile) - 1

@@ -11,7 +11,6 @@ forward+backward+Adam step (one parameter update) of the
 
 import numpy as np
 import pytest
-from conftest import save_report
 
 from repro.core.config import DRASConfig
 from repro.core.dras_dql import DRASDQL
@@ -99,10 +98,9 @@ def test_dql_update_latency(benchmark, theta_dql):
     assert benchmark.stats["mean"] < 4.0
 
 
-def test_overhead_report(benchmark, report_dir):
+def test_overhead_report(benchmark):
     results = benchmark.pedantic(
         lambda: overhead.run(full_size=True, repeats=1), rounds=1, iterations=1
     )
-    save_report(report_dir, "overhead", overhead.report(results))
     for r in results:
         assert r.within_budget

@@ -1,14 +1,10 @@
 """Benchmark: regenerate Table I (method feature matrix)."""
 
-from conftest import SCALE, save_report
-
 from repro.experiments import table1
 
 
-def test_table1(benchmark, report_dir):
+def test_table1(benchmark):
     rows = benchmark(table1.run)
-    text = table1.report(rows)
-    save_report(report_dir, "table1", text)
     features = {r.feature: dict(zip(("FCFS", "BinPacking", "Optimization",
                                      "Decima", "DRAS"), r.values))
                 for r in rows}

@@ -1,16 +1,14 @@
 """Benchmark: regenerate Table II (workload summaries)."""
 
-from conftest import SCALE, save_report
+from conftest import SCALE
 
 from repro.experiments import table2
 
 
-def test_table2(benchmark, report_dir):
+def test_table2(benchmark):
     summaries = benchmark.pedantic(
         lambda: table2.run(SCALE), rounds=1, iterations=1
     )
-    text = table2.report(summaries)
-    save_report(report_dir, "table2", text)
 
     theta, cori = summaries["theta"], summaries["cori"]
     # capability vs capacity profile: Cori sees far more, smaller jobs

@@ -5,15 +5,11 @@ trainable-parameter counts are matched digit for digit; the fourth
 (Cori DRAS-DQL) is internally inconsistent in the paper (DESIGN.md §4).
 """
 
-from conftest import save_report
-
 from repro.experiments import table3
 
 
-def test_table3(benchmark, report_dir):
+def test_table3(benchmark):
     rows = benchmark(table3.run)
-    text = table3.report(rows)
-    save_report(report_dir, "table3", text)
 
     by_name = {r.name: r for r in rows}
     assert by_name["theta-pg"].analytic_params == 21_890_053
@@ -26,7 +22,7 @@ def test_table3(benchmark, report_dir):
     assert not by_name["cori-dql"].matches_paper  # documented inconsistency
 
 
-def test_table3_theta_networks_instantiate(benchmark, report_dir):
+def test_table3_theta_networks_instantiate(benchmark):
     """Materialize the full-size Theta networks and count parameters."""
     import numpy as np
 

@@ -1,15 +1,13 @@
 """Benchmark: regenerate Table IV (job distribution by execution mode)."""
 
 import pytest
-from conftest import SCALE, save_report
+from conftest import SCALE
 
 from repro.experiments import table4
 
 
-def test_table4(benchmark, report_dir):
+def test_table4(benchmark):
     rows = benchmark.pedantic(lambda: table4.run(SCALE), rounds=1, iterations=1)
-    text = table4.report(rows)
-    save_report(report_dir, "table4", text)
 
     by_method = {r.method: r for r in rows}
     # shares are percentages summing to 100 in both views

@@ -370,6 +370,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     from repro.workload import read_swf
 
     if args.agent is None:
+        # --objective and --seed are None unless given: an agent file
+        # holds its own, and an agent replay's manifest has no seed
+        args.objective = args.objective or "capability"
+        args.seed = args.seed or 0
         policy = POLICIES[args.policy](args.objective, args.seed)
         nodes = args.nodes
         replay = {"policy": args.policy, "objective": args.objective}
@@ -388,6 +392,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         if args.agent is None and args.frozen:
             raise ValueError("--frozen applies only with --agent")
+        for flag, value in (("--objective", args.objective),
+                            ("--seed", args.seed)):
+            if args.agent is not None and value is not None:
+                raise ValueError(f"{flag} applies only with --policy")
         if nodes is None:
             raise ValueError("--nodes is required with a policy")
         if args.nodes not in (None, nodes):
@@ -753,10 +761,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frozen", action="store_true",
                    help="with --agent: disable online learning")
     p.add_argument("--objective", choices=("capability", "capacity"),
-                   default="capability")
+                   help="with --policy (default capability)")
     p.add_argument("--procs-per-node", type=int, default=1)
     p.add_argument("--max-jobs", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int,
+                   help="with --policy (default 0)")
     _add_run_args(
         p, "inject seeded faults, e.g. "
            "mtbf=5000,mttr=1800,seed=1,requeue=requeue-front "

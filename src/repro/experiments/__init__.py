@@ -1,6 +1,7 @@
 """Experiment harness — one module per table/figure of the paper.
 
-Every paper module exposes ``run(scale=..., seed=...)`` returning a
+Every paper module, and :mod:`~repro.experiments.ablations` (the
+extension ablations), exposes ``run(scale=..., seed=...)`` returning a
 plain result object and ``report(result)`` returning a printable string
 with the same rows/series the paper reports; the fault study
 (:mod:`~repro.experiments.faultsweep`) exposes its sweep cells instead.

@@ -13,7 +13,7 @@ changes what the next one gets.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -159,11 +159,12 @@ def system_setup(system: str, scale_name: str, seed: int = 0) -> SystemSetup:
 
 @lru_cache(maxsize=16)
 def _train(
-    kind: str, system: str, scale_name: str, seed: int
+    kind: str, system: str, scale_name: str, seed: int,
+    overrides: tuple[tuple[str, object], ...],
 ) -> tuple[object, TrainingHistory]:
     scale = get_scale(scale_name)
     setup = system_setup(system, scale_name, seed)
-    agent = AGENTS[kind](setup.config)
+    agent = AGENTS[kind](replace(setup.config, **dict(overrides)))
     history = train_with_curriculum(
         agent,
         setup.model,
@@ -179,14 +180,21 @@ def _train(
 
 
 def trained_agent(
-    kind: str, system: str, scale_name: str, seed: int = 0
+    kind: str, system: str, scale_name: str, seed: int = 0, **overrides
 ) -> tuple[object, TrainingHistory]:
     """A private copy of one agent trained with the three-phase curriculum.
 
-    Training runs once per ``(kind, system, scale, seed)`` in a process;
-    each call returns a deep copy of that agent and its history.
+    ``overrides`` replace fields of the system's :class:`DRASConfig`
+    (an ablation's variant).  Training runs once per ``(kind, system,
+    scale, seed)`` and resulting config in a process: the cache key
+    holds only the overrides that differ from the system's config, so a
+    variant equal to it is the agent every figure shares.  Each call
+    returns a deep copy of the agent and its history.
     """
-    return copy.deepcopy(_train(kind, system, scale_name, seed))
+    base = system_setup(system, scale_name, seed).config
+    changed = tuple(sorted((name, value) for name, value in overrides.items()
+                           if getattr(base, name) != value))
+    return copy.deepcopy(_train(kind, system, scale_name, seed, changed))
 
 
 @lru_cache(maxsize=8)

@@ -1,9 +1,9 @@
 """The experiment table: every sweep kind's cells, cell function, renderer.
 
-Each of the paper's tables and figures, and the fault study, is one row
-of :data:`TABLE`, keyed by its experiment id.  Two rows are not paper
-artifacts: ``experiments`` (the whole matrix: every selected
-experiment's own cells, each tagged with its experiment) and
+Each of the paper's tables and figures, the ablations and the fault
+study is one row of :data:`TABLE`, keyed by its experiment id.  Two
+rows are not experiments: ``experiments`` (the whole matrix: every
+selected experiment's own cells, each tagged with its experiment) and
 ``selftest`` (deterministic payload cells with injectable failures,
 used by the pool's tests and the CI smoke job).
 
@@ -31,6 +31,7 @@ if TYPE_CHECKING:
     from repro.experiments.pool import SweepSpec
 
 from repro.experiments import (
+    ablations,
     faultsweep,
     fig2,
     fig3,
@@ -259,7 +260,8 @@ def run_selftest_cell(spec: "SweepSpec", cell: Mapping[str, Any],
 # -- the table -----------------------------------------------------------------
 
 #: every sweep kind by name: the paper's experiments in report order,
-#: then the whole matrix and the pool's self-test
+#: the ablations, the fault and overhead studies, then the whole matrix
+#: and the pool's self-test
 TABLE: dict[str, Experiment] = {
     "table1": _report_row(lambda spec: table1.report(table1.run())),
     "table2": _scaled(table2),
@@ -273,6 +275,7 @@ TABLE: dict[str, Experiment] = {
     "table4": _scaled(table4),
     "fig8": _scaled(fig8),
     "fig9": _scaled(fig9),
+    "ablations": _scaled(ablations),
     "faultsweep": Experiment(faultsweep.sweep_cells,
                              faultsweep.run_sweep_cell, _render_faultsweep),
     "overhead": _report_row(lambda spec: overhead.report(overhead.run(

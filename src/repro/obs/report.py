@@ -430,7 +430,8 @@ def _seconds_fmt(v: float) -> str:
 
 
 def _summary_tiles(manifest: Mapping[str, Any] | None) -> str:
-    """Headline tiles: the run's policy, seed and node count from a
+    """Headline tiles: the run's scheduler (its policy, or its agent's
+    :data:`~repro.core.AGENTS` kind), seed and node count from a
     :class:`~repro.obs.manifest.RunManifest` document, then the metrics
     of its ``summary``."""
     tiles = []
@@ -438,9 +439,10 @@ def _summary_tiles(manifest: Mapping[str, Any] | None) -> str:
     if manifest:
         config = manifest.get("config") or {}
         for label, source, key in (("policy", config, "policy"),
+                                   ("agent", config, "agent"),
                                    ("seed", manifest, "seed"),
                                    ("nodes", config, "nodes")):
-            if key in source:
+            if source.get(key) is not None:
                 tiles.append(_tile(label, source[key]))
         metrics = manifest.get("summary")
     if metrics:

@@ -144,6 +144,10 @@ class TestGenerateSimulate:
         ("evaluate", "bad.swf", [], "bad.swf:1: expected 18 fields, got 4"),
         ("evaluate", "big.swf", ["--nodes", "8"],
          "--nodes 8 differs from the agent's 16 nodes"),
+        ("evaluate", "big.swf", ["--objective", "capacity"],
+         "--objective applies only with --policy"),
+        ("evaluate", "big.swf", ["--seed", "0"],
+         "--seed applies only with --policy"),
         ("simulate", "big.swf", [], "--nodes is required with a policy"),
         ("fit", "missing.swf", [], "No such file or directory"),
         ("fit", "bad.swf", [], "bad.swf:1: expected 18 fields, got 4"),
@@ -156,7 +160,8 @@ class TestGenerateSimulate:
         ("fit", "big.swf", ["--max-jobs", "-1"],
          "max_jobs must be positive, got -1"),
     ], ids=["evaluate-oversized-job", "evaluate-malformed-swf",
-            "evaluate-other-nodes", "policy-without-nodes",
+            "evaluate-other-nodes", "evaluate-objective", "evaluate-seed",
+            "policy-without-nodes",
             "fit-missing-trace", "fit-malformed-swf",
             "fit-zero-procs-per-node", "fit-negative-procs-per-node",
             "fit-zero-max-jobs", "fit-negative-max-jobs"])
@@ -622,7 +627,8 @@ class TestReportAndTrace:
         manifest = RunManifest.read(run / "manifest.json")
         assert manifest.config["agent"] == "pg"
         assert manifest.config["agent_file"] == str(agent)
-        for label, value in (("nodes", 16), ("jobs finished", 60)):
+        for label, value in (("agent", "pg"), ("nodes", 16),
+                             ("jobs finished", 60)):
             assert _tile(label, value) in html
         failures = manifest.summary["resilience"]["node_failures"]
         assert failures > 0

@@ -6,12 +6,15 @@ consistent output.  The qualitative paper-shape assertions live in
 ``test_reproduction.py``.
 """
 
+import dataclasses
+import functools
 import math
 
 import pytest
 
 from repro.core.persistence import agent_arrays
 from repro.experiments import (
+    ablations,
     common,
     fig2,
     fig3,
@@ -27,6 +30,10 @@ from repro.experiments import (
     table3,
     table4,
 )
+from repro.experiments.pool import SweepSpec
+from repro.experiments.runner import TABLE
+from repro.rl.trainer import TrainingHistory
+from repro.schedulers import FCFSEasy
 
 SCALE = "tiny"
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -259,6 +266,50 @@ class TestEvaluationFigures:
         ch = fig9_result.core_hours
         # week 2 is a 1.7x surge in the profile
         assert ch[2] > ch[1]
+
+
+class TestAblations:
+    def test_each_config_trains_once(self, monkeypatch):
+        """The ablations row trains one DRAS-PG per distinct config, and
+        a variant equal to Theta's own config evaluates the agent
+        ``trained_agent`` hands out (stand-in training and evaluation)."""
+        trained, evaluated = [], []
+
+        def train(agent, *args, **kwargs):
+            agent.training_run = len(trained)
+            trained.append(agent.config)
+            return TrainingHistory()
+
+        setup = common.system_setup("theta", SCALE, 0)
+        result = ablations.evaluate_method(
+            FCFSEasy(), setup.test_trace[:20], setup.model.num_nodes)
+
+        def evaluate(scheduler, jobs, num_nodes):
+            evaluated.append(scheduler)
+            return result
+
+        monkeypatch.setattr(common, "train_with_curriculum", train)
+        # a cache of the test's own, so the stand-in agents stay in it
+        monkeypatch.setattr(common, "_train", functools.lru_cache(
+            maxsize=16)(common._train.__wrapped__))
+        monkeypatch.setattr(ablations, "evaluate_method", evaluate)
+        spec = SweepSpec(kind="ablations", scale=SCALE)
+        report = TABLE["ablations"].run_cell(spec, {"exp": "ablations"},
+                                              0, 1)["report"]
+        assert "Ablation: window size (DRAS-PG, theta)" in report
+
+        base = setup.config
+        assert base.window not in ablations.WINDOWS
+        assert trained == [base] + [
+            dataclasses.replace(base, **{name: value})
+            for name, value in (("learned_backfill", False),
+                                ("entropy_coef", 0.0), ("window", 4),
+                                ("window", 16), ("window", 32))]
+        agent, _ = common.trained_agent("pg", "theta", SCALE, 0)
+        assert len(trained) == 6 and agent.training_run == 0
+        # learned backfill, entropy 0.05 and the three estimate factors
+        assert [s.training_run for s in evaluated
+                if getattr(s, "config", None) == base] == [0] * 5
 
 
 class TestOverhead:

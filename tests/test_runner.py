@@ -38,7 +38,7 @@ def boom(*args):
 
 def stand_ins(monkeypatch):
     """Every row but table1 and a two-policy, two-MTBF fault sweep is a
-    stand-in, so the matrix (17 cells) runs in a fraction of a second."""
+    stand-in, so the matrix (18 cells) runs in a fraction of a second."""
     for exp_id in EXPERIMENT_IDS:
         if exp_id not in ("table1", "faultsweep"):
             monkeypatch.setitem(runner.TABLE, exp_id, runner._report_row(
@@ -207,7 +207,7 @@ class TestRunAll:
         assert [line.split(":")[0] for line in clock_lines(err)] == [
             "  [fig6", "  [faultsweep"]
         assert all(": done in " in line for line in clock_lines(err))
-        assert "(14 resumed, 0 quarantined this run)" in err
+        assert "(15 resumed, 0 quarantined this run)" in err
 
     def test_progress_callback(self, capsys):
         assert main(["reproduce", "table1"]) == 0
@@ -229,7 +229,7 @@ class TestRunAll:
         assert set(ids) == {
             "table1", "table2", "table3", "table4",
             "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
-            "faultsweep", "overhead",
+            "ablations", "faultsweep", "overhead",
         }
 
     def test_workload_experiments_at_tiny(self, tmp_path, capsys):
