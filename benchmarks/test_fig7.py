@@ -17,13 +17,13 @@ def test_fig7(benchmark):
 def test_fig7_starvation_ellipses(benchmark):
     """The large-vs-small wait gap that the paper circles in Fig 7."""
     summary = benchmark.pedantic(
-        lambda: fig7.starvation(SCALE), rounds=1, iterations=1
+        lambda: fig7.run(SCALE), rounds=1, iterations=1
     )
 
     def gap(method):
         s = summary[method]
-        small = max(s["small_avg_wait_h"], 1e-9)
-        return s["large_avg_wait_h"] / small
+        small = max(s.small_wait_h, 1e-9)
+        return s.large_wait_h / small
 
     # the large/small wait gap of reservation-less methods exceeds the
     # reservation-based reference (FCFS) — the paper's second finding

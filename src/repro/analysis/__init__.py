@@ -5,7 +5,6 @@ from repro.analysis.comparison import (
     evaluate_method,
     kiviat_area,
     kiviat_normalize,
-    starvation_summary,
 )
 from repro.analysis.gantt import render_gantt
 from repro.analysis.plots import hbar_chart, kiviat_text, line_chart, sparkline
@@ -32,5 +31,4 @@ __all__ = [
     "line_chart",
     "render_gantt",
     "sparkline",
-    "starvation_summary",
 ]

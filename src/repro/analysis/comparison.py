@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.sim.cluster import Cluster
 from repro.sim.engine import Engine, SimulationResult
-from repro.sim.job import Job, JobState
+from repro.sim.job import Job
 from repro.sim.metrics import ModeBreakdown, RunMetrics
 
 
@@ -97,29 +97,3 @@ def kiviat_area(values: dict[str, float]) -> float:
     angle = 2 * np.pi / n
     return float(0.5 * np.sin(angle) * np.sum(v * np.roll(v, -1)))
 
-
-def starvation_summary(
-    results: list[MethodResult],
-    large_job_threshold: int,
-) -> dict[str, dict[str, float]]:
-    """Large-job starvation indicators per method (Fig 7 analysis).
-
-    Reports each method's maximum wait (days), the mean wait of large
-    jobs versus small jobs (hours) and the count of jobs waiting longer
-    than 30 days.
-    """
-    out: dict[str, dict[str, float]] = {}
-    for r in results:
-        finished = [j for j in r.result.jobs if j.state is JobState.FINISHED]
-        large = [j.wait_time for j in finished if j.size >= large_job_threshold]
-        small = [j.wait_time for j in finished if j.size < large_job_threshold]
-        waits = [j.wait_time for j in finished]
-        out[r.name] = {
-            "max_wait_days": max(waits, default=0.0) / 86400.0,
-            "large_avg_wait_h": float(np.mean(large)) / 3600.0 if large else 0.0,
-            "small_avg_wait_h": float(np.mean(small)) / 3600.0 if small else 0.0,
-            "starved_jobs": float(
-                sum(1 for w in waits if w > 30.0 * 86400.0)
-            ),
-        }
-    return out

@@ -629,6 +629,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     from repro.experiments import pool, runner
     from repro.obs.analyze import summarize_trace
     from repro.obs.live import read_log
+    from repro.obs.manifest import RunManifest
     from repro.obs.report import write_report
 
     run_dir = Path(args.run_dir)
@@ -658,7 +659,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         path = write_report(
             run_dir / "report.html",
             title=args.title,
-            manifest=artifact(MANIFEST, load),
+            manifest=artifact(
+                MANIFEST, lambda path: RunManifest.read(path).as_dict()),
             telemetry=log["train"] if log is not None else None,
             log=log,
             trace=artifact(TRACE, summarize_trace),

@@ -25,12 +25,14 @@ class SizeCategoryShares:
     core_hour_share: tuple[float, ...]
 
 
-def _category_bounds(system: str, num_nodes: int) -> list[tuple[str, int, int]]:
+def size_categories(system: str, num_nodes: int) -> list[tuple[str, int, int]]:
     """(label, lo, hi) size categories, scaled with the system size.
 
     At full scale they reduce to the paper's Theta categories
     (128-511, 512-1023, 1024-2047, 2048-4095, >=4096) and a
     capacity-style split for Cori (1, 2-15, 16-255, 256-1023, >=1024).
+    They are contiguous and the last ends at ``num_nodes``; Fig 2 and
+    Fig 7 both bin job sizes with them through :func:`category_of`.
     """
     if system == "theta":
         fracs = [(128, 511), (512, 1023), (1024, 2047), (2048, 4095), (4096, 4360)]
@@ -54,16 +56,20 @@ def _category_bounds(system: str, num_nodes: int) -> list[tuple[str, int, int]]:
     return fixed
 
 
+def category_of(categories: list[tuple[str, int, int]], size: int) -> int:
+    """Index of the first category whose upper bound is >= ``size``."""
+    return next((i for i, (_, _, hi) in enumerate(categories) if size <= hi),
+                len(categories) - 1)
+
+
 def characterize(system: str, jobs: list[Job], num_nodes: int) -> SizeCategoryShares:
-    cats = _category_bounds(system, num_nodes)
+    cats = size_categories(system, num_nodes)
     counts = [0] * len(cats)
     hours = [0.0] * len(cats)
     for job in jobs:
-        for i, (_, lo, hi) in enumerate(cats):
-            if lo <= job.size <= hi or (i == len(cats) - 1 and job.size > hi):
-                counts[i] += 1
-                hours[i] += job.core_hours
-                break
+        i = category_of(cats, job.size)
+        counts[i] += 1
+        hours[i] += job.core_hours
     total_jobs = max(1, sum(counts))
     total_hours = max(1e-12, sum(hours))
     return SizeCategoryShares(

@@ -12,8 +12,10 @@ reproduce:
 3. under FCFS/DRAS almost all large jobs run via reservation and most
    small jobs via backfilling.
 
-We summarize the scatter as per-size-category wait statistics plus the
-per-mode composition of each category.
+We summarize the scatter as per-size-category wait statistics (Fig 2's
+size categories) plus the per-mode composition of each category, and
+the ellipses as one starvation table: each method's maximum wait and
+the mean waits of large jobs (at least half the system) and of the rest.
 """
 
 from __future__ import annotations
@@ -22,11 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.comparison import starvation_summary
 from repro.analysis.tables import format_table
 from repro.experiments.common import METHOD_ORDER, full_comparison, system_setup
-from repro.sim.job import ExecMode, JobState
-from repro.sim.metrics import wait_by_size_category
+from repro.experiments.fig2 import category_of, size_categories
+from repro.sim.job import ExecMode
 
 
 @dataclass(frozen=True)
@@ -37,49 +38,43 @@ class WaitBySize:
     #: {size category: {mode: job count}}
     mode_mix: dict[str, dict[str, int]]
     max_wait_days: float
+    #: mean wait (h) of the large jobs (>= half the system), the ones the
+    #: paper's ellipses circle, and of the other jobs
+    large_wait_h: float
+    small_wait_h: float
 
 
-def _bounds(num_nodes: int) -> list[int]:
-    """Size-category bounds scaled from the paper's Theta categories."""
-    paper = [511, 1023, 2047, 4095]
-    return sorted({max(1, round(b * num_nodes / 4360)) for b in paper})
+def _mean_h(waits: list[float]) -> float:
+    return float(np.mean(waits)) / 3600.0 if waits else 0.0
 
 
 def run(scale: str = "default", seed: int = 0) -> dict[str, WaitBySize]:
-    setup = system_setup("theta", scale, seed)
-    bounds = _bounds(setup.model.num_nodes)
+    num_nodes = system_setup("theta", scale, seed).model.num_nodes
+    cats = size_categories("theta", num_nodes)
+    large_from = max(2, num_nodes // 2)
     results = full_comparison("theta", scale, seed)
     out: dict[str, WaitBySize] = {}
     for name in METHOD_ORDER:
-        res = results[name]
-        finished = [j for j in res.result.jobs if j.state is JobState.FINISHED]
-        groups = wait_by_size_category(finished, bounds)
-        categories = {}
-        mode_mix: dict[str, dict[str, int]] = {}
-        for label, waits in groups.items():
-            if waits:
-                categories[label] = (
-                    len(waits),
-                    float(np.mean(waits)) / 3600.0,
-                    float(np.max(waits)) / 3600.0,
-                )
-            else:
-                categories[label] = (0, 0.0, 0.0)
-        # mode composition per category
-        from repro.sim.metrics import _size_label, _size_labels  # noqa: PLC0415
-
-        labels = _size_labels(bounds)
-        for label in labels:
-            mode_mix[label] = {m.value: 0 for m in ExecMode}
-        for j in finished:
-            label = _size_label(j.size, bounds, labels)
+        waits: list[list[float]] = [[] for _ in cats]
+        mode_mix = {label: {m.value: 0 for m in ExecMode}
+                    for label, _, _ in cats}
+        large: list[float] = []
+        small: list[float] = []
+        for j in results[name].jobs:
+            i = category_of(cats, j.size)
+            waits[i].append(j.wait_time)
             if j.mode is not None:
-                mode_mix[label][j.mode.value] += 1
+                mode_mix[cats[i][0]][j.mode.value] += 1
+            (large if j.size >= large_from else small).append(j.wait_time)
         out[name] = WaitBySize(
             method=name,
-            categories=categories,
+            categories={
+                label: (len(w), _mean_h(w), max(w, default=0.0) / 3600.0)
+                for (label, _, _), w in zip(cats, waits)},
             mode_mix=mode_mix,
-            max_wait_days=max((j.wait_time for j in finished), default=0.0) / 86400.0,
+            max_wait_days=results[name].metrics.max_wait / 86400.0,
+            large_wait_h=_mean_h(large),
+            small_wait_h=_mean_h(small),
         )
     return out
 
@@ -117,16 +112,17 @@ def report(results: dict[str, WaitBySize]) -> str:
                 f"(max wait {r.max_wait_days:.1f} days)",
             )
         )
+    blocks.append(
+        format_table(
+            ["method", "max wait (d)", "large-job wait (h)",
+             "small-job wait (h)", "large/small"],
+            [[name, f"{r.max_wait_days:.2f}", f"{r.large_wait_h:.2f}",
+              f"{r.small_wait_h:.2f}",
+              f"{r.large_wait_h / r.small_wait_h:.1f}x" if r.small_wait_h
+              else "-"]
+             for name, r in results.items()],
+            title="Fig 7: starvation (large job = at least half the system)",
+        )
+    )
     return "\n\n".join(blocks)
 
-
-def starvation(scale: str = "default") -> dict[str, dict[str, float]]:
-    """The starvation indicators highlighted by the Fig 7 ellipses."""
-    # seed 0 passed as run() passes its seed: the caches key on the
-    # arguments as given, so this reuses the comparison run() made
-    setup = system_setup("theta", scale, 0)
-    results = full_comparison("theta", scale, 0)
-    ordered = [results[name] for name in METHOD_ORDER]
-    return starvation_summary(
-        ordered, large_job_threshold=max(2, setup.model.num_nodes // 2)
-    )

@@ -99,6 +99,21 @@ def _render_faultsweep(spec: "SweepSpec", rollup: Mapping[str, Any]) -> str:
     return faultsweep.report(faultsweep.result_from_rollup(spec, rollup))
 
 
+def _full_size_overhead(spec: "SweepSpec") -> bool:
+    """``params["full_size_overhead"]`` (default true): a JSON boolean,
+    else ``ValueError`` (``"no"`` or ``"false"`` is a string, not false)."""
+    value = spec.params.get("full_size_overhead", True)
+    if not isinstance(value, bool):
+        raise ValueError(f"param full_size_overhead must be a JSON boolean, "
+                         f"got {value!r}")
+    return value
+
+
+def _overhead_cells(spec: "SweepSpec") -> list[dict[str, Any]]:
+    _full_size_overhead(spec)  # a malformed param fails at expansion
+    return [{"exp": spec.kind}]
+
+
 # -- the whole matrix ----------------------------------------------------------
 
 #: experiments excluded from the ``experiments`` kind by default: the
@@ -278,8 +293,10 @@ TABLE: dict[str, Experiment] = {
     "ablations": _scaled(ablations),
     "faultsweep": Experiment(faultsweep.sweep_cells,
                              faultsweep.run_sweep_cell, _render_faultsweep),
-    "overhead": _report_row(lambda spec: overhead.report(overhead.run(
-        full_size=bool(spec.params.get("full_size_overhead", True))))),
+    "overhead": dataclasses.replace(
+        _report_row(lambda spec: overhead.report(overhead.run(
+            full_size=_full_size_overhead(spec)))),
+        cells=_overhead_cells),
     "experiments": Experiment(sweep_cells, run_sweep_cell, _render_matrix),
     "selftest": Experiment(selftest_cells, run_selftest_cell,
                            lambda spec, rollup: ""),

@@ -194,10 +194,11 @@ class RunManifest:
     def read(path: str | Path) -> "RunManifest":
         """Load a manifest previously written with :meth:`write`."""
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        if doc.get("schema") != MANIFEST_SCHEMA:
-            raise ValueError(
-                f"{path}: unknown manifest schema {doc.get('schema')!r}"
-            )
+        schema = doc.get("schema") if isinstance(doc, dict) else None
+        if schema != MANIFEST_SCHEMA:
+            raise ValueError(f"{path}: unknown manifest schema {schema!r}")
+        if "kind" not in doc:
+            raise ValueError(f"{path}: manifest names no kind")
         return RunManifest(
             kind=doc["kind"],
             seed=doc.get("seed"),

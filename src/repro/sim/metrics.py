@@ -144,40 +144,6 @@ class ModeBreakdown:
         return cls(job_share=job_share, core_hour_share=ch_share, avg_wait=avg_wait)
 
 
-def wait_by_size_category(
-    jobs: list[Job], bounds: list[int]
-) -> dict[str, list[float]]:
-    """Wait times grouped into job-size categories (Fig 7).
-
-    ``bounds`` are category upper bounds, e.g. ``[511, 1023, 2047, 4095]``
-    produces categories ``<=511``, ``512-1023``, ..., ``>=4096``.
-    """
-    labels = _size_labels(bounds)
-    groups: dict[str, list[float]] = {label: [] for label in labels}
-    for job in jobs:
-        if job.state is not JobState.FINISHED:
-            continue
-        groups[_size_label(job.size, bounds, labels)].append(job.wait_time)
-    return groups
-
-
-def _size_labels(bounds: list[int]) -> list[str]:
-    labels = []
-    lo = 1
-    for b in bounds:
-        labels.append(f"{lo}-{b}" if lo < b else f"{b}")
-        lo = b + 1
-    labels.append(f">={lo}")
-    return labels
-
-
-def _size_label(size: int, bounds: list[int], labels: list[str]) -> str:
-    for b, label in zip(bounds, labels):
-        if size <= b:
-            return label
-    return labels[-1]
-
-
 def weekly_series(jobs: list[Job]) -> dict[str, np.ndarray]:
     """Per-week total core hours and average wait (Fig 9).
 

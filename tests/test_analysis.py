@@ -1,4 +1,4 @@
-"""Unit tests for analysis helpers (Kiviat, tables, starvation)."""
+"""Unit tests for analysis helpers (Kiviat, tables)."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from repro.analysis.comparison import (
     evaluate_method,
     kiviat_area,
     kiviat_normalize,
-    starvation_summary,
 )
 from repro.analysis.tables import format_table
 from repro.schedulers import BinPacking, FCFSEasy
@@ -86,19 +85,6 @@ class TestKiviatArea:
     def test_requires_three_metrics(self):
         with pytest.raises(ValueError):
             kiviat_area({"a": 1.0, "b": 1.0})
-
-
-class TestStarvationSummary:
-    def test_reports_per_method(self):
-        results = [
-            evaluate_method(FCFSEasy(), _jobs(), 8),
-            evaluate_method(BinPacking(), _jobs(), 8),
-        ]
-        summary = starvation_summary(results, large_job_threshold=4)
-        assert set(summary) == {"FCFS", "BinPacking"}
-        for stats in summary.values():
-            assert stats["max_wait_days"] >= 0
-            assert stats["starved_jobs"] >= 0
 
 
 class TestFormatTable:

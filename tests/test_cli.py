@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import json
 import pathlib
 import shlex
 import subprocess
@@ -514,6 +515,25 @@ class TestReportAndTrace:
         (tmp_path / "torn" / "manifest.json").write_text("{")
         assert main(["report", str(tmp_path / "torn")]) == 2
         assert "cannot build report" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"schema": "repro.manifest/v0", "kind": "simulate"},
+         "unknown manifest schema 'repro.manifest/v0'"),
+        (["repro.manifest/v1"], "unknown manifest schema None"),
+        ({"schema": "repro.manifest/v1"}, "manifest names no kind"),
+    ], ids=["other-schema", "not-an-object", "no-kind"])
+    def test_report_of_a_manifest_of_another_schema_exits_2(
+            self, tmp_path, capsys, doc, message):
+        # the manifest is read through RunManifest.read, which checks
+        # its schema: one line, exit 2, and no report.html
+        (tmp_path / "manifest.json").write_text(json.dumps(doc))
+        assert main(["report", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("cannot build report: ")
+        assert message in captured.err
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "report.html").exists()
 
     def test_trace_summarize(self, tmp_path, capsys):
         """The report's trace section is the trace's summary."""

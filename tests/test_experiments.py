@@ -34,8 +34,22 @@ from repro.experiments.pool import SweepSpec
 from repro.experiments.runner import TABLE
 from repro.rl.trainer import TrainingHistory
 from repro.schedulers import FCFSEasy
+from repro.workload.models import _cori_size_mix, _theta_size_mix
+from tests.test_experiments_md import REFERENCE, report_tables
 
 SCALE = "tiny"
+
+#: the size categories Fig 2 prints and Fig 7 bins by, per (system,
+#: scale); ``default``'s are the committed reference's
+SIZE_LABELS = {
+    ("theta", "tiny"): ["2-8", "9-15", "16-30", "31-60", "61-64"],
+    ("cori", "tiny"): ["1", "2", "3", "4-8", "9-96"],
+    ("theta", "default"): ["8-30", "31-60", "61-120", "121-240", "241-256"],
+    ("cori", "default"): ["1", "2", "3-8", "9-33", "34-384"],
+    ("theta", "paper"): ["128-511", "512-1023", "1024-2047", "2048-4095",
+                         "4096-4360"],
+    ("cori", "paper"): ["1", "2-15", "16-255", "256-1023", "1024-12076"],
+}
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
 
@@ -184,6 +198,35 @@ class TestWorkloadFigures:
         assert afternoon > night
 
 
+class TestSizeCategories:
+    """Fig 2 and Fig 7 bin job sizes through one categorisation."""
+
+    @pytest.mark.parametrize("scale", ["tiny", "default", "paper"])
+    @pytest.mark.parametrize("system", ["theta", "cori"])
+    def test_every_drawable_size_in_exactly_one_category(self, system,
+                                                         scale):
+        nodes = getattr(common.get_scale(scale), f"{system}_nodes")
+        cats = fig2.size_categories(system, nodes)
+        assert all(lo <= hi for _, lo, hi in cats)
+        assert [lo for _, lo, _ in cats[1:]] == \
+            [hi + 1 for _, _, hi in cats[:-1]]
+        assert cats[-1][2] == nodes
+        mix = {"theta": _theta_size_mix, "cori": _cori_size_mix}[system]
+        for size in mix(nodes):
+            holding = [i for i, (_, lo, hi) in enumerate(cats)
+                       if lo <= size <= hi]
+            assert holding == [fig2.category_of(cats, size)], size
+        assert [label for label, _, _ in cats] == SIZE_LABELS[system, scale]
+
+    @pytest.mark.parametrize("system", ["theta", "cori"])
+    def test_default_labels_are_the_committed_fig2s(self, system):
+        tables = report_tables(
+            (REFERENCE / "report.txt").read_text(encoding="utf-8"))
+        grid = tables["fig2", f"Fig 2: job characterization, {system}"]
+        assert list(dict.fromkeys(row for row, _ in grid)) == \
+            SIZE_LABELS[system, "default"]
+
+
 class TestTrainingFigures:
     def test_fig4_structure(self):
         results = fig4.run(SCALE)
@@ -221,10 +264,12 @@ class TestEvaluationFigures:
         for r in results.values():
             total = sum(c[0] for c in r.categories.values())
             assert total > 0
+            assert list(r.categories) == list(r.mode_mix) == \
+                SIZE_LABELS["theta", SCALE]
         assert "Fig 7" in fig7.report(results)
 
     def test_fig7_starvation_summary(self):
-        summary = fig7.starvation(SCALE)
+        summary = fig7.run(SCALE)
         assert set(summary) == set(common.METHOD_ORDER)
 
     def test_table4_structure(self):

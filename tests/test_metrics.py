@@ -9,7 +9,6 @@ from repro.sim.job import ExecMode, JobState
 from repro.sim.metrics import (
     ModeBreakdown,
     RunMetrics,
-    wait_by_size_category,
     weekly_series,
 )
 from tests.conftest import make_job
@@ -70,23 +69,6 @@ class TestModeBreakdown:
 
 
 class TestGroupings:
-    def test_wait_by_size_category(self):
-        jobs = []
-        for size, wait in ((1, 10.0), (2, 20.0), (5, 30.0)):
-            j = make_job(size=size, walltime=50.0, submit=0.0)
-            j.state = JobState.WAITING
-            j.mark_started(wait, ExecMode.READY)
-            j.mark_finished(wait + 50.0)
-            jobs.append(j)
-        groups = wait_by_size_category(jobs, bounds=[2, 4])
-        assert groups["1-2"] == [10.0, 20.0]
-        assert groups[">=5"] == [30.0]
-
-    def test_unfinished_jobs_skipped(self):
-        job = make_job(size=1)
-        groups = wait_by_size_category([job], bounds=[2])
-        assert all(not v for v in groups.values())
-
     def test_weekly_series(self):
         week = 7 * 24 * 3600.0
         jobs = []

@@ -94,39 +94,48 @@ class TestRunAll:
     def test_malformed_faultsweep_param_fails_at_expansion(self, tmp_path,
                                                            capsys):
         # a param that must be a list is a non-empty JSON list, never a
-        # string read a character at a time, every MTBF is >= 0, and
-        # the cell budget is a finite number >= 0
-        for param, message in (
-                ('policies=["Nope"]',
+        # string read a character at a time, every MTBF is >= 0, the
+        # cell budget is a finite number >= 0, and the overhead study's
+        # switch is a JSON boolean, never a string that reads as true
+        for only, param, message in (
+                ("faultsweep", 'policies=["Nope"]',
                  "unknown faultsweep policies ['Nope']"),
-                ('policies="SJF"',
+                ("faultsweep", 'policies="SJF"',
                  "param policies must be a non-empty JSON list, got 'SJF'"),
-                ("mtbf_grid=2000",
+                ("faultsweep", "mtbf_grid=2000",
                  "param mtbf_grid must be a non-empty JSON list, got 2000"),
-                ('mtbf_grid="25"',
+                ("faultsweep", 'mtbf_grid="25"',
                  "param mtbf_grid must be a non-empty JSON list, got '25'"),
-                ("mtbf_grid=[]",
+                ("faultsweep", "mtbf_grid=[]",
                  "param mtbf_grid must be a non-empty JSON list, got []"),
-                ("mtbf_grid=[-5]",
+                ("faultsweep", "mtbf_grid=[-5]",
                  "mtbf_grid values must be numbers >= 0, got [-5]"),
-                ('only="fig2"',
+                ("faultsweep", 'only="fig2"',
                  "param only must be a non-empty JSON list, got 'fig2'"),
-                ('max_wall_s="x"',
+                ("faultsweep", 'max_wall_s="x"',
                  "param max_wall_s must be a finite number >= 0, got 'x'"),
-                ("max_wall_s=true",
+                ("faultsweep", "max_wall_s=true",
                  "param max_wall_s must be a finite number >= 0, got True"),
-                ("max_wall_s=-1",
+                ("faultsweep", "max_wall_s=-1",
                  "param max_wall_s must be a finite number >= 0, got -1"),
-                ("max_wall_s=Infinity",
-                 "param max_wall_s must be a finite number >= 0, got inf")):
+                ("faultsweep", "max_wall_s=Infinity",
+                 "param max_wall_s must be a finite number >= 0, got inf"),
+                ("overhead", "full_size_overhead=no",
+                 "param full_size_overhead must be a JSON boolean, got 'no'"),
+                ("overhead", 'full_size_overhead="false"',
+                 "param full_size_overhead must be a JSON boolean, "
+                 "got 'false'"),
+                ("overhead", "full_size_overhead=0",
+                 "param full_size_overhead must be a JSON boolean, got 0")):
             store = tmp_path / "store"
             assert main(["reproduce", "all", "--scale", "tiny",
                          "--run-dir", str(store),
-                         "--param", 'only=["faultsweep"]',
+                         "--param", f'only=["{only}"]',
                          "--param", param]) == 2, param
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith(f"bad sweep spec: {message}")
+            assert captured.err.count("\n") == 1, captured.err
             assert not store.exists()
 
     def test_store_of_one_cell_per_experiment_is_refused(self, tmp_path,
