@@ -18,8 +18,9 @@ Commands
 ``train``
     Train a DRAS/Decima agent with the three-phase curriculum and
     write its agent file (:func:`repro.core.persistence.save_agent`)
-    to ``--out``; ``--checkpoint`` writes the same kind of file after
-    every episode, and ``--resume`` continues from either.
+    to ``--out`` after every episode; ``--resume`` continues that file
+    (its kind, nodes, window, seed and objective must match the
+    flags).
 ``check``
     Lint source paths (:mod:`repro.check`) for mutable default
     arguments, exact float comparisons on simulation timestamps and
@@ -37,8 +38,8 @@ keep a run's artifacts together under fixed names:
   git SHA, config, workload parameters, summary metrics);
 * ``log.jsonl``: with ``--live``, every live snapshot
   (``repro.live/v1``); for ``train`` the training log, one
-  ``kind="train"`` record per episode, cut back to the checkpoint on
-  ``--resume``;
+  ``kind="train"`` record per episode, cut back to the agent file's
+  episodes on ``--resume``;
 * ``trace.jsonl`` (``simulate``): the structured event trace;
 * ``spec.json``, ``shards/``, ``rollup.json`` and ``report.txt``
   (``reproduce``): the sweep store and the printed report.
@@ -94,21 +95,19 @@ MANIFEST, LOG, TRACE, PROFILE, REPORT = (
 
 
 @contextlib.contextmanager
-def _live_session(args: argparse.Namespace, install: bool = False,
-                  shard: bool = True):
-    """``--live`` → a LiveBus for the block.
+def _live_session(args: argparse.Namespace, shard: bool = True):
+    """``--live`` → a LiveBus, the current live channel for the block.
 
     The bus shows the terminal progress/ETA line and, in a run
     directory, appends every snapshot to ``DIR/log.jsonl`` (read back
     by ``repro report DIR``) unless ``shard`` is false (``train``
-    writes that log itself, as its training log).  Without ``--live``,
-    yields ``None`` so components fall back to the ``REPRO_LIVE``
-    process-global bus.
-
-    ``install`` also makes the bus the current live channel for the
-    block (:func:`repro.obs.trace.sinks`), so every simulation the
-    command runs internally publishes to it.  The bus is closed on the
-    way out, and the previous channel restored, whatever happened.
+    writes that log itself, as its training log).  It is made the
+    current live channel (:func:`repro.obs.trace.sinks`), so every
+    simulation and training episode the command runs publishes to it.
+    Without ``--live``, yields ``None`` and installs nothing, so
+    components follow the ``REPRO_LIVE`` process-global bus.  The bus
+    is closed on the way out, and the previous channel restored,
+    whatever happened.
     """
     from repro.obs import live as _live
     from repro.obs.trace import sinks
@@ -123,7 +122,7 @@ def _live_session(args: argparse.Namespace, install: bool = False,
         bus.attach(_live.SnapshotWriter(record))
         print(f"live: recording snapshots to {record}", file=sys.stderr)
     try:
-        with sinks(live=bus if install else None):
+        with sinks(live=bus):
             yield bus
     finally:
         bus.close()
@@ -243,7 +242,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
                 cells = [c for c in cells if pool.cell_key(c) not in done]
             # the live bus is the current live channel, so every
             # simulation an inline cell runs publishes to it
-            with _live_session(args, install=True) as live:
+            with _live_session(args) as live:
                 bus = live or channels().live or _live.LiveBus()
                 clock = bus.attach(_ExperimentClock(kind, cells))
                 try:
@@ -416,7 +415,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return 1
     _run_dir(args)
     # the current live channel for the run: the engine finds the bus
-    with _live_session(args, install=True):
+    with _live_session(args):
         result = engine.run()
     summary = _print_metrics(policy.name, result).as_dict()
     _print_resilience(result)
@@ -438,8 +437,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     from repro.core.config import DRASConfig
     from repro.core.persistence import (
         CheckpointError,
+        agent_kind,
         load_checkpoint,
-        save_agent,
     )
     from repro.obs.manifest import describe_workload
     from repro.rl.curriculum import train_with_curriculum
@@ -481,20 +480,32 @@ def cmd_train(args: argparse.Namespace) -> int:
     resume_after = None
     if args.resume:
         try:
-            loaded = load_checkpoint(args.resume)
+            loaded = load_checkpoint(args.out)
         except CheckpointError as exc:
             print(f"bad agent file: {exc}", file=sys.stderr)
             return 2
         agent = loaded.agent
+        for flag, key, given, held in (
+                ("--agent", "kind", args.agent, agent_kind(agent)),
+                ("--nodes", "num_nodes", args.nodes, agent.config.num_nodes),
+                ("--window", "window", args.window, agent.config.window),
+                ("--seed", "seed", args.seed, agent.config.seed),
+                ("--system", "objective", objective,
+                 agent.config.objective)):
+            if given != held:
+                shown = getattr(args, flag[2:])
+                print(f"bad input: {flag} {shown} does not match "
+                      f"{args.out}, trained with {key}={held}",
+                      file=sys.stderr)
+                return 2
         history = TrainingHistory.from_records(loaded.episodes)
         resume_after = loaded.episodes_done
         if faults is None:
             faults = loaded.faults
-        print(f"resuming from {args.resume}: "
+        print(f"resuming from {args.out}: "
               f"{loaded.episodes_done} episodes already done")
     else:
         agent = AGENTS[args.agent](config)
-    checkpoint_path = args.checkpoint or args.resume
     run_dir = _run_dir(args)
     log = None
     if run_dir and args.live:  # the training log of a watched run
@@ -503,7 +514,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         log = SnapshotWriter(run_dir / LOG, source="train",
                              resume_after=resume_after)
     try:
-        with _live_session(args, shard=False) as live:
+        with _live_session(args, shard=False):
             history = train_with_curriculum(
                 agent, model, base, validation, rng,
                 n_sampled=args.sampled, n_real=args.real,
@@ -511,14 +522,9 @@ def cmd_train(args: argparse.Namespace) -> int:
                 jobs_per_set=args.jobs_per_set,
                 telemetry=log,
                 faults=faults,
-                checkpoint_path=checkpoint_path,
-                checkpoint_every=args.checkpoint_every,
+                checkpoint_path=args.out,
                 history=history,
-                live=live,
             )
-        # what --checkpoint holds after the last episode: the agent
-        # and its training record, so --resume takes this file too
-        save_agent(agent, args.out, history, faults=faults)
     finally:
         if log is not None:
             log.close()
@@ -545,8 +551,6 @@ def cmd_train(args: argparse.Namespace) -> int:
             "checkpoint": args.out,
             "faults": faults.as_dict() if faults is not None else None,
             "resume": args.resume,
-            "resumable_checkpoint": str(checkpoint_path)
-            if checkpoint_path else None,
         }, summary={
             "episodes": len(history.episodes),
             "validation_first": float(curve[0]),
@@ -759,7 +763,7 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--policy", choices=POLICIES, default="fcfs")
     replay.add_argument("--agent", metavar="FILE",
                         help="replay under the agent of an agent file "
-                             "(train --out or --checkpoint)")
+                             "(train --out)")
     p.add_argument("--frozen", action="store_true",
                    help="with --agent: disable online learning")
     p.add_argument("--objective", choices=("capability", "capacity"),
@@ -788,24 +792,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--synthetic", type=int, default=12)
     p.add_argument("--jobs-per-set", type=int, default=250)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.add_argument("--checkpoint", metavar="PATH",
-                   help="write a crash-safe resumable training checkpoint "
-                        "after every --checkpoint-every episodes")
-    p.add_argument("--checkpoint-every", type=int, default=1, metavar="N",
-                   help="episodes between resumable checkpoints (default 1)")
-    p.add_argument("--resume", metavar="PATH",
-                   help="resume an interrupted run from its resumable "
-                        "checkpoint (other flags must match the original "
-                        "run; keeps checkpointing to the same file unless "
-                        "--checkpoint overrides it)")
+    p.add_argument("--out", required=True, metavar="FILE",
+                   help="the agent file, written atomically after every "
+                        "episode")
+    p.add_argument("--resume", action="store_true",
+                   help="continue the run in --out FILE: skip its "
+                        "episodes and keep writing it.  --agent, --nodes, "
+                        "--window, --seed and --system are checked "
+                        "against FILE; --train-jobs, --sampled, --real "
+                        "and --jobs-per-set are not, and must match the "
+                        "original run (a larger --synthetic extends it)")
     _add_run_args(
         p, "train under seeded fault injection, e.g. "
            "mtbf=5000,mttr=1800,seed=1 (the fault seed is offset per "
            "episode; validation uses the base seed)",
-        holds=" (the agent files go to --out and --checkpoint)",
-        log="the training log, one record per episode, cut back to the "
-            "checkpoint on --resume")
+        holds=" (the agent file goes to --out)",
+        log="the training log, one record per episode, cut back to "
+            "FILE's episodes on --resume")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser(

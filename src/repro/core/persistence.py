@@ -13,15 +13,15 @@ would have.  One ``.npz`` holds
 * the RNG stream (``bit_generator.state``) and ``updates_done``
   (``__meta__``);
 * the training record (``__meta__``): the completed episodes and the
-  fault config.  A trainer's per-episode checkpoint and ``repro train
-  --out`` fill it; a plain :func:`save_agent` writes it empty.  Nothing
+  fault config.  A trainer's per-episode write (``repro train --out``)
+  fills it; a plain :func:`save_agent` writes it empty.  Nothing
   about the training log is stored: ``train --resume`` cuts the log
   back to the episode count read from it
   (:class:`~repro.obs.live.SnapshotWriter`), so the file's bytes are a
   function of the seed whether or not the run was watched.
 
-So ``repro simulate --agent`` takes a ``--checkpoint`` file and ``train
---resume`` takes an ``--out`` file: there is one kind of agent file.
+So ``repro simulate --agent`` replays the file that ``train --out``
+writes and ``train --resume`` continues: there is one kind of agent file.
 
 Durability contract
 -------------------

@@ -4,8 +4,8 @@
   scheduling reward of *any* policy, learned or heuristic, enabling the
   Fig 5 learning-curve comparison;
 * :class:`Trainer` — episodic training: one jobset per episode, a
-  validation run (and, with ``checkpoint_path``, a checkpoint) after
-  each, convergence monitoring, and one model snapshot on return;
+  validation run (and, with ``checkpoint_path``, the agent file) after
+  each, and convergence monitoring;
 * :mod:`repro.rl.curriculum` — the three-phase curriculum and the
   ordering comparison of Fig 4.
 """

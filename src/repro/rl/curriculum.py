@@ -36,20 +36,18 @@ def train_with_curriculum(
     telemetry=None,
     faults=None,
     checkpoint_path=None,
-    checkpoint_every: int = 1,
     history: TrainingHistory | None = None,
-    live=None,
 ) -> TrainingHistory:
     """Train ``agent`` with the three-phase curriculum.
 
     Defaults mirror the Theta setup of §IV-D (9 sampled + 9 real + 82
     synthetic jobsets); experiments scale the counts down via the
-    keyword arguments.  ``telemetry`` (the training log: a
-    :class:`~repro.obs.live.SnapshotWriter` or path), ``faults``
-    (a :class:`~repro.sim.faults.FaultConfig`), ``live`` (a
-    :class:`~repro.obs.live.LiveBus`) and the checkpoint knobs
-    are forwarded to the :class:`~repro.rl.trainer.Trainer`; ``history``
-    resumes a checkpointed run (completed episodes are skipped, so the
+    keyword arguments.  ``telemetry`` (the training log, a
+    :class:`~repro.obs.live.SnapshotWriter`), ``faults`` (a
+    :class:`~repro.sim.faults.FaultConfig`) and ``checkpoint_path``
+    (the agent file) are forwarded to the
+    :class:`~repro.rl.trainer.Trainer`; ``history`` resumes a
+    checkpointed run (completed episodes are skipped, so the
     curriculum must be regenerated with the *same* ``rng`` seed the
     interrupted run used).
     """
@@ -65,8 +63,7 @@ def train_with_curriculum(
     )
     trainer = Trainer(agent, model.num_nodes, validation_jobs=validation_jobs,
                       telemetry=telemetry, faults=faults,
-                      checkpoint_path=checkpoint_path,
-                      checkpoint_every=checkpoint_every, live=live)
+                      checkpoint_path=checkpoint_path)
     return trainer.train(_flatten(phases), history=history)
 
 

@@ -3,10 +3,9 @@
 Training follows §III-C: the network parameters start random, each
 episode replays one jobset from an all-idle initial state, parameters
 update every ten scheduling instances, and the model is kept after
-every episode: on disk, as a checkpoint after every
-``checkpoint_every``-th episode when ``checkpoint_path`` is set, written
-from the live weights without lending them.  An unseen validation
-jobset measures progress; the convergence monitor declares convergence
+every episode: on disk, as the agent file at ``checkpoint_path`` when
+it is set, written from the live weights without lending them.  An
+unseen validation jobset measures progress; the convergence monitor declares convergence
 when the validation reward plateaus.  The trained model is the agent
 itself: ``train()`` takes no snapshot, so every optimizer step updates
 the weights in place.
@@ -120,45 +119,41 @@ class Trainer:
         The unseen jobset scored after every episode (§IV-D uses one
         held-out month).  Without it, validation rewards are NaN.
     telemetry:
-        The training log: a :class:`~repro.obs.live.SnapshotWriter`,
-        or a path to create one with source ``"train"``.  The trainer
-        appends each episode's record (see ``live``) itself, so a
-        failed write raises out of :meth:`train`, an episode's record
-        is on disk before its checkpoint (a resume cuts the log back to
-        the checkpoint's episodes), and a ``nan_grad`` record is on
-        disk before :func:`~repro.rl.telemetry.raise_hard_anomalies`
-        raises.
-        With a log or a live bus bound, the trainer enables the agent's
+        The training log, a :class:`~repro.obs.live.SnapshotWriter`
+        (source ``"train"``).  The trainer appends each episode's
+        record (see below) itself, so a failed write raises out of
+        :meth:`train`, an episode's record is on disk before the agent
+        file is written (a resume cuts the log back to the file's
+        episodes), and a ``nan_grad`` record is on disk before
+        :func:`~repro.rl.telemetry.raise_hard_anomalies` raises.
+        With a log or a current live bus, the trainer enables the agent's
         cheap learning-signal collectors (gradient-norm tracking on the
         optimizer, policy-entropy capture on the PG core) and samples
         each training episode's queue depth and utilization.
     checkpoint_path:
         When set, the agent file (:func:`repro.core.persistence.save_agent`,
         with this run's history and faults as its training
-        record) is written atomically after every
-        ``checkpoint_every``-th completed episode.  Resume by loading
-        it (:func:`~repro.core.persistence.load_checkpoint`) and passing
+        record) is written atomically after every completed episode.
+        Resume by loading it
+        (:func:`~repro.core.persistence.load_checkpoint`) and passing
         the restored agent and :meth:`TrainingHistory.from_records` of
-        its episodes back into :meth:`train` (or ``train --resume`` on
-        the CLI); ``repro simulate --agent`` reads the same file.
+        its episodes back into :meth:`train` (``train --out FILE
+        --resume`` on the CLI); ``repro simulate --agent`` reads the
+        same file.
     faults:
         Optional :class:`~repro.sim.faults.FaultConfig`: training
         episodes run under fault injection (the fault seed is offset by
         the episode index so every episode sees a fresh but
         reproducible fault schedule); validation always replays the
         base seed so scores stay comparable across episodes.
-    live:
-        In-flight snapshot publishing (:mod:`repro.obs.live`).  Pass a
-        :class:`~repro.obs.live.LiveBus`; ``None`` (the default)
-        follows the current bus (:func:`repro.obs.trace.channels`, the
-        ``REPRO_LIVE`` env var); its engines publish to the current bus,
-        not to this one.  After each completed episode the trainer
-        builds one record, ``kind="train"`` with ``seq = episode + 1``
-        (its fields are tabled in ``docs/observability.md``, "Training
-        log"), publishes it here and appends it to the ``telemetry``
-        log.  The cadence
-        is an event count, so an observed run is bit-identical to a
-        dark one.
+
+    After each completed episode the trainer builds one record,
+    ``kind="train"`` with ``seq = episode + 1`` (its fields are tabled
+    in ``docs/observability.md``, "Training log"), publishes it to the
+    current live bus (:func:`repro.obs.trace.channels`, which its
+    episodes' engines publish to as well) and appends it to the
+    ``telemetry`` log.  The cadence is an event count, so an observed
+    run is bit-identical to a dark one.
     """
 
     def __init__(
@@ -166,25 +161,17 @@ class Trainer:
         agent,
         num_nodes: int,
         validation_jobs: list[Job] | None = None,
-        telemetry: "_live.SnapshotWriter | str | Path | None" = None,
+        telemetry: "_live.SnapshotWriter | None" = None,
         checkpoint_path: str | Path | None = None,
-        checkpoint_every: int = 1,
         faults: FaultConfig | None = None,
-        live: "_live.LiveBus | None" = None,
     ) -> None:
-        if checkpoint_every <= 0:
-            raise ValueError("checkpoint_every must be positive")
         self.agent = agent
         self.num_nodes = num_nodes
         self.validation_jobs = validation_jobs
         self.checkpoint_path = (
             Path(checkpoint_path) if checkpoint_path is not None else None
         )
-        self.checkpoint_every = checkpoint_every
         self.faults = faults
-        self._live_flag = live
-        if isinstance(telemetry, (str, Path)):
-            telemetry = _live.SnapshotWriter(telemetry, source="train")
         #: the training log (None: no records are written)
         self.telemetry = telemetry
         self._records: list[dict[str, Any]] = []
@@ -194,16 +181,10 @@ class Trainer:
             self._enable_agent_stats()
 
     @property
-    def live_bus(self) -> "_live.LiveBus | None":
-        """The live bus this trainer publishes to (explicit, else current)."""
-        if self._live_flag is not None:
-            return self._live_flag
-        return _trace.channels().live
-
-    @property
     def _observed(self) -> bool:
         """Whether anything reads the per-episode learning and load stats."""
-        return self.telemetry is not None or self.live_bus is not None
+        return self.telemetry is not None \
+            or _trace.channels().live is not None
 
     def _enable_agent_stats(self) -> None:
         """Turn on the agent-side learning-signal collectors."""
@@ -322,7 +303,7 @@ class Trainer:
                 f"history already has {done} episodes but only "
                 f"{len(jobsets)} jobsets were supplied"
             )
-        live = self.live_bus
+        live = _trace.channels().live
         for phase, jobset in jobsets[done:]:
             episode = len(history.episodes)
             train_reward = self.run_episode(jobset, episode=episode)
@@ -338,8 +319,7 @@ class Trainer:
             ))
             if live is not None or self.telemetry is not None:
                 self._record_episode(live, history.episodes[-1], len(jobsets))
-            if self.checkpoint_path is not None \
-                    and (episode + 1) % self.checkpoint_every == 0:
+            if self.checkpoint_path is not None:
                 self._write_checkpoint(history)
         return history
 

@@ -4,7 +4,7 @@ The paper ranks DRAS against its baselines on identical seeded traces,
 so every output of a seeded run must be a function of its seed and
 config alone.  This file checks that by running one script over each
 seeded entry point — a faulted ``simulate --run-dir``, a 2-episode
-``train --out --checkpoint --run-dir``, one ``selftest`` sweep cell on a pool
+``train --out --run-dir``, one ``selftest`` sweep cell on a pool
 worker (``run_sweep(workers=1)``) and the manifests' ``stable_digest``
 — in two child processes.  The first runs plain.  The second gets a
 different ``PYTHONHASHSEED``, differently seeded and advanced global
@@ -87,10 +87,8 @@ out["train.stdout"] = run(
     "train", "--nodes", "16", "--window", "5", "--train-jobs", "40",
     "--sampled", "0", "--real", "1", "--synthetic", "1",
     "--jobs-per-set", "20", "--faults", FAULTS,
-    "--out", "agent.npz", "--checkpoint", "ckpt.npz",
-    "--run-dir", "train")
+    "--out", "agent.npz", "--run-dir", "train")
 out["train.agent.npz"] = file_sha("agent.npz")
-out["train.ckpt.npz"] = file_sha("ckpt.npz")
 out["train.manifest"] = RunManifest.read("train/manifest.json").stable_digest()
 sweep = pool.run_sweep(
     pool.SweepSpec(kind="selftest", seed=11, params={"cells": 1}),

@@ -85,16 +85,6 @@ class TestInProcessResume:
         with pytest.raises(ValueError, match="episodes"):
             trainer.train(list(jobsets[:1]), history=done)
 
-    def test_checkpoint_every_skips_intermediate_writes(self, tmp_path):
-        cfg, jobsets, validation = small_setup(episodes=3)
-        ckpt = tmp_path / "c.npz"
-        trainer = Trainer(DRASPG(cfg), 32, validation_jobs=validation,
-                          checkpoint_path=ckpt, checkpoint_every=2)
-        trainer.train(list(jobsets))
-        # written after episodes 2 (index 1); episode 3 is not a multiple
-        loaded = load_checkpoint(ckpt)
-        assert loaded.episodes_done == 2
-
     def test_truncated_training_checkpoint_fails_loudly(self, tmp_path):
         cfg, _, _ = small_setup(episodes=1)
         ckpt = tmp_path / "c.npz"
@@ -153,11 +143,14 @@ def main():
     cfg, jobsets, validation = setup()
     if mode == "full":
         trainer = Trainer(DRASPG(cfg), NODES, validation_jobs=validation,
-                          faults=FAULTS, telemetry=telemetry)
+                          faults=FAULTS,
+                          telemetry=SnapshotWriter(telemetry, source="train"))
         history = trainer.train(jobsets)
     elif mode == "victim":
         trainer = KillAfter(DRASPG(cfg), NODES, validation_jobs=validation,
-                            faults=FAULTS, telemetry=telemetry,
+                            faults=FAULTS,
+                            telemetry=SnapshotWriter(telemetry,
+                                                     source="train"),
                             checkpoint_path=ckpt)
         trainer.train(jobsets)  # never returns: SIGKILLed mid-train
         raise SystemExit("victim was not killed")

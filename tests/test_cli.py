@@ -62,6 +62,9 @@ class TestParser:
         ["simulate", "t.swf", "--nodes", "4", "--policy", "slurm"],
         ["evaluate", "a.npz", "t.swf"],
         ["simulate", "t.swf", "--policy", "sjf", "--agent", "a.npz"],
+        ["train", "--out", "a.npz", "--checkpoint", "c.npz"],
+        ["train", "--out", "a.npz", "--checkpoint-every", "2"],
+        ["train", "--out", "a.npz", "--resume", "a.npz"],
     ])
     def test_retired_bench_surface_rejected(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -259,29 +262,64 @@ class TestTrainEvaluate:
         assert "DRAS-DQL" in out and "avg wait" in out
 
 
-    def test_out_and_checkpoint_are_one_kind_of_file(self, tmp_path,
-                                                    capsys):
-        """``--out`` and the last ``--checkpoint`` are the same file:
-        ``simulate --agent`` reads either, and ``--resume`` takes
-        ``--out``."""
-        out, ckpt = tmp_path / "tr.npz", tmp_path / "ck.npz"
-        train = ["train", "--nodes", "16", "--window", "5",
+    # CI runs every kind of repro.core.AGENTS through the same steps
+    @pytest.mark.parametrize("kind", ["pg"])
+    def test_resumed_file_equals_a_straight_run(self, tmp_path, capsys,
+                                                kind):
+        """``--out F`` trained for 2 episodes and continued with
+        ``--out F --resume`` and one more synthetic jobset holds the
+        bytes a straight 3-episode run writes, and replays the same."""
+        resumed, straight = tmp_path / "r.npz", tmp_path / "s.npz"
+        train = ["train", "--agent", kind, "--nodes", "16", "--window", "5",
                  "--train-jobs", "40", "--sampled", "0", "--real", "1",
-                 "--jobs-per-set", "20", "--out", str(out)]
-        assert main(train + ["--synthetic", "1",
-                             "--checkpoint", str(ckpt)]) == 0
-        assert out.read_bytes() == ckpt.read_bytes()
+                 "--jobs-per-set", "20"]
+        assert main(train + ["--synthetic", "1", "--out", str(resumed)]) == 0
+        assert main(train + ["--synthetic", "2", "--out", str(resumed),
+                             "--resume"]) == 0
+        assert "2 episodes already done" in capsys.readouterr().out
+        assert main(train + ["--synthetic", "2", "--out", str(straight)]) == 0
+        assert resumed.read_bytes() == straight.read_bytes()
         trace = tmp_path / "e.swf"
         main(["generate", "theta", "40", "--nodes", "16",
               "--out", str(trace)])
         capsys.readouterr()
         reports = []
-        for path in (ckpt, out):
+        for path in (resumed, straight):
             assert main(["simulate", str(trace), "--agent", str(path)]) == 0
             reports.append(capsys.readouterr().out)
         assert reports[0] == reports[1]
-        assert main(train + ["--synthetic", "2", "--resume", str(out)]) == 0
-        assert "2 episodes already done" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--agent", "dql"), ("--nodes", "32"), ("--window", "6"),
+        ("--seed", "5"), ("--system", "cori")])
+    def test_resume_refuses_flags_the_file_contradicts(
+            self, tmp_path, capsys, flag, value):
+        """One ``bad input:`` line naming the flag and the file's value,
+        exit 2, and neither the file nor the run directory touched."""
+        path, run = tmp_path / "a.npz", tmp_path / "run"
+        flags = {"--agent": "pg", "--nodes": "16", "--window": "5",
+                 "--seed": "0", "--system": "theta", "--train-jobs": "40",
+                 "--sampled": "0", "--real": "1", "--synthetic": "1",
+                 "--jobs-per-set": "20", "--out": str(path),
+                 "--run-dir": str(run)}
+
+        def argv(changed):
+            return ["train", "--live", *(word for pair in
+                                         {**flags, **changed}.items()
+                                         for word in pair)]
+
+        assert main(argv({})) == 0
+        before = {p.name: p.read_bytes() for p in [path, *run.iterdir()]}
+        capsys.readouterr()
+        assert main(argv({flag: value}) + ["--resume"]) == 2
+        err = capsys.readouterr().err
+        held = {"--agent": "kind=pg", "--nodes": "num_nodes=16",
+                "--window": "window=5", "--seed": "seed=0",
+                "--system": "objective=capability"}[flag]
+        assert err == (f"bad input: {flag} {value} does not match {path}, "
+                       f"trained with {held}\n")
+        assert {p.name: p.read_bytes()
+                for p in [path, *run.iterdir()]} == before
 
     @pytest.mark.parametrize("command", ["evaluate", "resume"])
     def test_truncated_agent_file_exits_two(self, tmp_path, capsys,
@@ -293,16 +331,16 @@ class TestTrainEvaluate:
         path = tmp_path / "a.npz"
         save_agent(DRASPG(DRASConfig.scaled(16, window=5)), path)
         path.write_bytes(path.read_bytes()[:-10])
+        truncated = path.read_bytes()
         argv = {"evaluate": ["simulate", str(tmp_path / "e.swf"),
                              "--agent", str(path)],
                 "resume": ["train", "--nodes", "16", "--window", "5",
-                           "--out", str(tmp_path / "o.npz"),
-                           "--resume", str(path)]}[command]
+                           "--out", str(path), "--resume"]}[command]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"bad agent file: checkpoint {path} ")
         assert err.count("\n") == 1
-        assert "Traceback" not in err and not (tmp_path / "o.npz").exists()
+        assert "Traceback" not in err and path.read_bytes() == truncated
 
     def test_missing_agent_file_exits_two(self, tmp_path, capsys):
         path = tmp_path / "absent.npz"
@@ -717,14 +755,13 @@ class TestLiveCLI:
 
     def test_train_live_record_is_the_resumable_training_log(
             self, tmp_path, capsys):
-        log, ckpt = tmp_path / "run" / "log.jsonl", tmp_path / "ck.npz"
+        log = tmp_path / "run" / "log.jsonl"
         train = ["train", "--nodes", "32", "--window", "4",
                  "--train-jobs", "100", "--sampled", "1", "--real", "1",
                  "--jobs-per-set", "50", "--out", str(tmp_path / "tr.npz"),
                  "--run-dir", str(log.parent), "--live"]
-        assert main(train + ["--synthetic", "1",
-                             "--checkpoint", str(ckpt)]) == 0
-        assert main(train + ["--synthetic", "2", "--resume", str(ckpt)]) == 0
+        assert main(train + ["--synthetic", "1"]) == 0
+        assert main(train + ["--synthetic", "2", "--resume"]) == 0
         capsys.readouterr()
         import json as _json
 

@@ -277,9 +277,11 @@ class TestTrainerIntegration:
                 for i in range(8)]
         bus = LiveBus()
         sink = bus.attach(Collector())
-        trainer = Trainer(DRASPG(config), 16, live=bus)
-        trainer.train([("phase", jobs), ("phase", jobs)])
-        assert [r["kind"] for r in sink.records] == ["train", "train"]
-        assert [r["episode"] for r in sink.records] == [0, 1]
-        assert sink.records[0]["done"] == 1 and sink.records[0]["total"] == 2
-        assert sink.records[-1].get("final") is True
+        with sinks(live=bus):
+            Trainer(DRASPG(config), 16).train([("phase", jobs),
+                                               ("phase", jobs)])
+        # beside the "sim" snapshots of each episode's engine
+        train = [r for r in sink.records if r["kind"] == "train"]
+        assert [r["episode"] for r in train] == [0, 1]
+        assert train[0]["done"] == 1 and train[0]["total"] == 2
+        assert train[-1].get("final") is True

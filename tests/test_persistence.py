@@ -18,6 +18,7 @@ from repro.core.persistence import (
     load_checkpoint,
     save_agent,
 )
+from repro.obs.live import SnapshotWriter
 from repro.rl.trainer import Trainer
 from repro.sim.engine import run_simulation
 from tests.conftest import float64_agent, make_job
@@ -224,7 +225,8 @@ class TestWatchedRunBytes:
             monkeypatch.setattr(_trainer, "_perf_counter", lambda: clock)
             log = tmp_path / f"log{run}.jsonl"
             ckpt = tmp_path / f"ck{run}.npz"
-            trainer = Trainer(DRASPG(small_config()), 8, telemetry=log,
+            trainer = Trainer(DRASPG(small_config()), 8,
+                              telemetry=SnapshotWriter(log, source="train"),
                               checkpoint_path=ckpt)
             trainer.train([("p", jobs)])
             trainer.telemetry.close()

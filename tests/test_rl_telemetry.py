@@ -36,6 +36,12 @@ def _jobsets(n_sets=2, jobs=30, seed=0):
     return [("sampled", model.generate(jobs, rng)) for _ in range(n_sets)]
 
 
+def _log(path):
+    """A training log at ``path``, as ``train --run-dir DIR --live``
+    opens one."""
+    return SnapshotWriter(path, source="train")
+
+
 def _train_rows(path):
     """The ``kind="train"`` records of a training log, in file order."""
     return read_log(path)["train"]
@@ -67,7 +73,7 @@ class TestWriterReader:
         from repro.cli import main
 
         path = tmp_path / "log.jsonl"  # a run directory's training log
-        Trainer(_agent(), NODES, telemetry=path).train(_jobsets())
+        Trainer(_agent(), NODES, telemetry=_log(path)).train(_jobsets())
         with path.open("a", encoding="utf-8") as fh:
             fh.write('not json\n[1, 2]\n{"kind": "train", "seq"')
         assert read_log(path)["skipped"] == 3
@@ -114,7 +120,7 @@ class TestAnomalyDetection:
 class TestTrainerIntegration:
     def test_records_written_per_episode(self, tmp_path):
         path = tmp_path / "train.jsonl"
-        trainer = Trainer(_agent(), NODES, telemetry=path)
+        trainer = Trainer(_agent(), NODES, telemetry=_log(path))
         trainer.train(_jobsets())
         episodes = _train_rows(path)
         assert len(episodes) == 2
@@ -139,7 +145,7 @@ class TestTrainerIntegration:
         agent = _agent()
         assert not agent.optimizer.track_grad_norm
         assert not agent.core.collect_stats
-        Trainer(agent, NODES, telemetry=tmp_path / "t.jsonl")
+        Trainer(agent, NODES, telemetry=_log(tmp_path / "t.jsonl"))
         assert agent.optimizer.track_grad_norm
         assert agent.core.collect_stats
 
@@ -156,7 +162,7 @@ class TestTrainerIntegration:
         Trainer(plain, NODES).train(_jobsets(seed=7))
         observed = _agent(seed=7)
         Trainer(observed, NODES,
-                telemetry=tmp_path / "t.jsonl").train(_jobsets(seed=7))
+                telemetry=_log(tmp_path / "t.jsonl")).train(_jobsets(seed=7))
         for key, value in plain.state_dict().items():
             np.testing.assert_array_equal(value, observed.state_dict()[key])
 
@@ -165,7 +171,7 @@ class TestTrainerIntegration:
         the evidence already durable in the training log."""
         path = tmp_path / "train.jsonl"
         agent = _agent()
-        trainer = Trainer(agent, NODES, telemetry=path)
+        trainer = Trainer(agent, NODES, telemetry=_log(path))
         # poison the recorded loss after the first update; the gradient
         # itself stays finite so the Adam-level check does not fire first
         original = agent.core.update
@@ -187,7 +193,7 @@ class TestTrainerIntegration:
             self, tmp_path, monkeypatch):
         path = tmp_path / "train.jsonl"
         agent = _agent()
-        trainer = Trainer(agent, NODES, telemetry=path)
+        trainer = Trainer(agent, NODES, telemetry=_log(path))
         original = agent.core.update
 
         def poisoned_update():
@@ -205,7 +211,7 @@ class TestTrainerIntegration:
     def test_crashed_training_leaves_readable_telemetry(self, tmp_path):
         """Per-record flushing: a crash mid-training loses nothing."""
         path = tmp_path / "train.jsonl"
-        trainer = Trainer(_agent(), NODES, telemetry=path)
+        trainer = Trainer(_agent(), NODES, telemetry=_log(path))
         jobsets = _jobsets(n_sets=3)
         calls = {"n": 0}
         original = trainer.run_episode
@@ -247,7 +253,7 @@ class TestTrainerIntegration:
 
         monkeypatch.setattr(trainer_mod, "Engine", engine)
         path = tmp_path / "t.jsonl"
-        Trainer(_agent(), NODES, telemetry=path).train(_jobsets())
+        Trainer(_agent(), NODES, telemetry=_log(path)).train(_jobsets())
         episodes = _train_rows(path)
         assert len(seen) == len(episodes) == 2     # no validation engine
         for record, depths in zip(episodes, seen):
@@ -258,9 +264,10 @@ class TestTrainerIntegration:
                 depths[-1], min(depths), max(depths))
 
     def test_live_bus_alone_publishes_learning_and_load_stats(self):
-        """Without telemetry, a bound live bus still turns the learning
+        """Without telemetry, a current live bus still turns the learning
         and load collectors on, and training stays bit-identical."""
         from repro.obs.live import LiveBus
+        from repro.obs.trace import sinks
 
         class Sink:
             def __init__(self):
@@ -272,11 +279,13 @@ class TestTrainerIntegration:
         bus = LiveBus()
         sink = bus.attach(Sink())
         watched = _agent()
-        Trainer(watched, NODES, live=bus).train(_jobsets())
+        with sinks(live=bus):
+            Trainer(watched, NODES).train(_jobsets())
         dark = _agent()
         Trainer(dark, NODES).train(_jobsets())
-        assert [r["kind"] for r in sink.records] == ["train", "train"]
-        for record in sink.records:
+        train = [r for r in sink.records if r["kind"] == "train"]
+        assert len(train) == 2
+        for record in train:
             assert math.isfinite(record["grad_norm"])
             assert math.isfinite(record["entropy"])
             assert record["queue_depth"] >= 0
@@ -289,17 +298,21 @@ class TestTrainerIntegration:
         what the bus published, stamped ``kind="train"`` and
         ``seq = episode + 1`` on both."""
         from repro.obs.live import LiveBus
+        from repro.obs.trace import sinks
 
         published = []
 
         class Sink:
             def on_snapshot(self, record):
-                published.append(dict(record))
+                if record["kind"] == "train":  # not the episodes' "sim"
+                    published.append(dict(record))
 
         bus = LiveBus()
         bus.attach(Sink())
         path = tmp_path / "t.jsonl"
-        Trainer(_agent(), NODES, telemetry=path, live=bus).train(_jobsets())
+        with sinks(live=bus):
+            Trainer(_agent(), NODES,
+                    telemetry=_log(path)).train(_jobsets())
         logged = _train_rows(path)
         for row in logged:
             assert row.pop("type") == "snapshot"
