@@ -491,17 +491,23 @@ def cmd_train(args: argparse.Namespace) -> int:
                 ("--window", "window", args.window, agent.config.window),
                 ("--seed", "seed", args.seed, agent.config.seed),
                 ("--system", "objective", objective,
-                 agent.config.objective)):
+                 agent.config.objective),
+                # no --faults: the file's own
+                ("--faults", "faults", faults or loaded.faults,
+                 loaded.faults)):
             if given != held:
                 shown = getattr(args, flag[2:])
+                if key == "faults":  # as a spec --faults reads back
+                    held = "none" if held is None else ",".join(
+                        f"{name}={value}"
+                        for name, value in held.as_dict().items())
                 print(f"bad input: {flag} {shown} does not match "
                       f"{args.out}, trained with {key}={held}",
                       file=sys.stderr)
                 return 2
         history = TrainingHistory.from_records(loaded.episodes)
         resume_after = loaded.episodes_done
-        if faults is None:
-            faults = loaded.faults
+        faults = loaded.faults
         print(f"resuming from {args.out}: "
               f"{loaded.episodes_done} episodes already done")
     else:
@@ -798,9 +804,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", action="store_true",
                    help="continue the run in --out FILE: skip its "
                         "episodes and keep writing it.  --agent, --nodes, "
-                        "--window, --seed and --system are checked "
-                        "against FILE; --train-jobs, --sampled, --real "
-                        "and --jobs-per-set are not, and must match the "
+                        "--window, --seed, --system and a given --faults "
+                        "are checked against FILE (no --faults: FILE's "
+                        "own); --train-jobs, --sampled, --real and "
+                        "--jobs-per-set are not, and must match the "
                         "original run (a larger --synthetic extends it)")
     _add_run_args(
         p, "train under seeded fault injection, e.g. "

@@ -40,8 +40,10 @@ class HierarchicalAgent(BaseScheduler):
     """Base class implementing the two-level loop and training cadence.
 
     Subclasses implement :meth:`select` (choose one job from a window
-    and remember what the update needs) and :meth:`update` (one
-    parameter update from the collected observations).
+    and remember what the update needs), :meth:`update` (one
+    parameter update from the collected observations) and
+    :meth:`learning_stats` (that update's signals, for the trainer's
+    per-episode record).
     """
 
     name = "DRAS"
@@ -76,6 +78,10 @@ class HierarchicalAgent(BaseScheduler):
 
     def record_reward(self, reward: float) -> None:
         """Attach the post-action reward to the pending transition."""
+        raise NotImplementedError
+
+    def learning_stats(self) -> dict[str, float]:
+        """The latest update's learning signals, by record field name."""
         raise NotImplementedError
 
     def episode_end(self) -> None:

@@ -158,6 +158,17 @@ class DRASDQL(HierarchicalAgent):
             self.config.epsilon_min, self.epsilon * self.config.epsilon_decay
         )
 
+    def learning_stats(self) -> dict[str, float]:
+        """The latest update's signals, keyed as DRAS-PG's (a Q-network
+        has no policy entropy: NaN), plus the exploration rate."""
+        return {
+            "loss": float(self.losses[-1]) if self.losses else float("nan"),
+            "grad_norm": self.optimizer.last_grad_norm,
+            "entropy": float("nan"),
+            "update_batch": float(self.last_update_batch),
+            "epsilon": float(self.epsilon),
+        }
+
     def episode_end(self) -> None:
         """Terminate the trailing transition with a zero future value."""
         if self.learning:

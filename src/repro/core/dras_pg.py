@@ -95,11 +95,8 @@ class PGCore:
     baseline: BaselineTracker = field(default_factory=BaselineTracker)
     pending: list[_Transition] = field(default_factory=list)
     losses: list[float] = field(default_factory=list)
-    #: when True, :attr:`last_entropy` is refreshed on every update
-    #: (telemetry support; off by default to keep updates lean)
-    collect_stats: bool = False
     #: mean policy entropy (nats/decision) of the most recent update
-    #: batch; NaN until :attr:`collect_stats` sees an update
+    #: batch; NaN until the first update
     last_entropy: float = float("nan")
     #: transitions stacked into the most recent parameter update — the
     #: minibatch the single backward + Adam step amortized over (0
@@ -189,11 +186,10 @@ class PGCore:
         self.network.backward(grad)
         self.optimizer.step()
         self.losses.append(loss)
-        if self.collect_stats:
-            probs = masked_softmax(logits, masks)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                log_p = np.where(probs > 0, np.log(probs), 0.0)
-            self.last_entropy = float(np.mean(-(probs * log_p).sum(axis=1)))
+        probs = masked_softmax(logits, masks)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_p = np.where(probs > 0, np.log(probs), 0.0)
+        self.last_entropy = float(np.mean(-(probs * log_p).sum(axis=1)))
         return loss
 
 
@@ -238,6 +234,19 @@ class DRASPG(HierarchicalAgent):
 
     def _has_observations(self) -> bool:
         return self.core.has_observations()
+
+    def learning_stats(self) -> dict[str, float]:
+        """The latest update's signals, for the trainer's per-episode
+        record: loss, global pre-clip gradient norm and mean policy
+        entropy (each NaN before the first update) and update minibatch
+        size."""
+        core = self.core
+        return {
+            "loss": float(core.losses[-1]) if core.losses else float("nan"),
+            "grad_norm": self.optimizer.last_grad_norm,
+            "entropy": core.last_entropy,
+            "update_batch": float(core.last_update_batch),
+        }
 
     # -- persistence -----------------------------------------------------------
     def state_dict(self) -> dict[str, np.ndarray]:

@@ -110,12 +110,8 @@ class Adam:
         # every product it enters
         self.lr = float(lr)
         self.grad_clip = grad_clip
-        #: when True, :attr:`last_grad_norm` is refreshed on every step
-        #: (the global pre-clip gradient L2 norm); off by default so the
-        #: training hot path pays nothing for telemetry it does not use
-        self.track_grad_norm = False
-        #: global L2 norm of the gradient at the most recent tracked
-        #: step (NaN until :attr:`track_grad_norm` sees a step)
+        #: global pre-clip L2 norm of the gradient at the most recent
+        #: step (NaN until the first step)
         self.last_grad_norm = float("nan")
         # moments: made by the first step, so a frozen agent holds none
         self._m: list[np.ndarray] | None = None
@@ -211,7 +207,6 @@ class Adam:
         sanitize = _san.sanitizer_enabled()
         if sanitize:
             self._check_dtypes()
-        track = self.track_grad_norm
         sq_norm_sum = 0.0
         grad_clip = self.grad_clip
         b1, b2 = self.beta1, self.beta2
@@ -223,12 +218,10 @@ class Adam:
                 for g in _factors(p.grad):
                     _san.check_finite(f"gradient of {p.name} (Adam step {self._t})", g)
             scale = None
-            if track or grad_clip is not None:
-                norm = _norm(p.grad)
-                if track:
-                    sq_norm_sum += norm * norm
-                if grad_clip is not None and norm > grad_clip:
-                    scale = grad_clip / norm
+            norm = _norm(p.grad)
+            sq_norm_sum += norm * norm
+            if grad_clip is not None and norm > grad_clip:
+                scale = grad_clip / norm
             shape_before = p.value.shape
             new = _destination(p)
             flat_m, flat_v, flat_p, flat_new = (
@@ -265,5 +258,4 @@ class Adam:
                 # a step consumes its gradient: one that no backward
                 # rewrites is missing at the next step, which refuses it
                 p.grad = None
-        if track:
-            self.last_grad_norm = float(np.sqrt(sq_norm_sum))
+        self.last_grad_norm = float(np.sqrt(sq_norm_sum))

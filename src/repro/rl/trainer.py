@@ -112,7 +112,8 @@ class Trainer:
     ----------
     agent:
         An agent exposing ``schedule`` plus ``train`` / ``eval`` mode
-        toggles and ``state_dict`` (DRASPG, DRASDQL, DecimaPG).
+        toggles, ``state_dict`` and ``learning_stats`` (DRASPG,
+        DRASDQL, DecimaPG).
     num_nodes:
         System size for the simulated cluster.
     validation_jobs:
@@ -126,10 +127,6 @@ class Trainer:
         file is written (a resume cuts the log back to the file's
         episodes), and a ``nan_grad`` record is on disk before
         :func:`~repro.rl.telemetry.raise_hard_anomalies` raises.
-        With a log or a current live bus, the trainer enables the agent's
-        cheap learning-signal collectors (gradient-norm tracking on the
-        optimizer, policy-entropy capture on the PG core) and samples
-        each training episode's queue depth and utilization.
     checkpoint_path:
         When set, the agent file (:func:`repro.core.persistence.save_agent`,
         with this run's history and faults as its training
@@ -147,13 +144,16 @@ class Trainer:
         reproducible fault schedule); validation always replays the
         base seed so scores stay comparable across episodes.
 
-    After each completed episode the trainer builds one record,
-    ``kind="train"`` with ``seq = episode + 1`` (its fields are tabled
-    in ``docs/observability.md``, "Training log"), publishes it to the
-    current live bus (:func:`repro.obs.trace.channels`, which its
-    episodes' engines publish to as well) and appends it to the
-    ``telemetry`` log.  The cadence is an event count, so an observed
-    run is bit-identical to a dark one.
+    After every completed episode, watched or not, the trainer builds
+    one record, ``kind="train"`` with ``seq = episode + 1``: the
+    episode's rewards, its queue depth and utilization, and the agent's
+    :meth:`~repro.core.agent.HierarchicalAgent.learning_stats` (its
+    fields are tabled in ``docs/observability.md``, "Training log").
+    The sinks decide only where it goes: the current live bus
+    (:func:`repro.obs.trace.channels`, which its episodes' engines
+    publish to as well), if any, and the ``telemetry`` log, if set.
+    Nothing in the record feeds back into training, so an observed run
+    is bit-identical to a dark one.
     """
 
     def __init__(
@@ -177,57 +177,6 @@ class Trainer:
         self._records: list[dict[str, Any]] = []
         self._episode_load: dict[str, Any] = {}
         self._episode_wall_s = 0.0
-        if self._observed:
-            self._enable_agent_stats()
-
-    @property
-    def _observed(self) -> bool:
-        """Whether anything reads the per-episode learning and load stats."""
-        return self.telemetry is not None \
-            or _trace.channels().live is not None
-
-    def _enable_agent_stats(self) -> None:
-        """Turn on the agent-side learning-signal collectors."""
-        optimizer = getattr(self.agent, "optimizer", None)
-        if optimizer is not None and hasattr(optimizer, "track_grad_norm"):
-            optimizer.track_grad_norm = True
-        core = getattr(self.agent, "core", None)
-        if core is not None and hasattr(core, "collect_stats"):
-            core.collect_stats = True
-
-    def _agent_learning_stats(self) -> dict[str, float]:
-        """Latest loss / grad-norm / entropy / epsilon from the agent.
-
-        Works across all agent families via duck typing: PG agents keep
-        losses, entropy and the update minibatch size on ``agent.core``,
-        DQL keeps losses, epsilon and the minibatch size on the agent
-        itself.  Signals an agent does not produce come back NaN
-        (epsilon is simply omitted)."""
-        agent = self.agent
-        core = getattr(agent, "core", None)
-        losses = getattr(agent, "losses", None)
-        if losses is None and core is not None:
-            losses = getattr(core, "losses", None)
-        stats: dict[str, float] = {
-            "loss": float(losses[-1]) if losses else float("nan"),
-            "grad_norm": float(
-                getattr(getattr(agent, "optimizer", None),
-                        "last_grad_norm", float("nan"))
-            ),
-            "entropy": float(
-                getattr(core, "last_entropy", float("nan"))
-            ) if core is not None else float("nan"),
-        }
-        batch = getattr(agent, "last_update_batch", None)
-        if batch is None and core is not None:
-            batch = getattr(core, "last_update_batch", None)
-        if batch is not None:
-            #: transitions amortized by the last single-Adam-step update
-            stats["update_batch"] = float(batch)
-        epsilon = getattr(agent, "epsilon", None)
-        if epsilon is not None:
-            stats["epsilon"] = float(epsilon)
-        return stats
 
     def _episode_faults(self, episode: int) -> FaultConfig | None:
         """Per-episode fault config: base seed offset by episode index."""
@@ -241,26 +190,25 @@ class Trainer:
         """One training episode; returns the total collected reward."""
         self.agent.train()
         meter = RewardMeter(self.agent.reward_fn)
-        load = _QueueLoad() if self._observed else None
+        load = _QueueLoad()
         engine = Engine(
             Cluster(self.num_nodes),
             self.agent,
             [j.copy_fresh() for j in jobset],
-            observers=[meter] if load is None else [meter, load],
+            observers=[meter, load],
             faults=self._episode_faults(episode),
         )
         start = _perf_counter()
         with _trace.span("train.episode", jobs=len(jobset)):
             result = engine.run()
         self._episode_wall_s = _perf_counter() - start
-        if load is not None:
-            self._episode_load = {
-                "instances": engine.num_instances,
-                "queue_depth": load.last,
-                "queue_depth_min": load.min,
-                "queue_depth_max": load.max,
-                "utilization": RunMetrics.from_result(result).utilization,
-            }
+        self._episode_load = {
+            "instances": engine.num_instances,
+            "queue_depth": load.last,
+            "queue_depth_min": load.min,
+            "queue_depth_max": load.max,
+            "utilization": RunMetrics.from_result(result).utilization,
+        }
         return meter.total
 
     def validate(self) -> float:
@@ -317,8 +265,7 @@ class Trainer:
                 validation_reward=val_reward,
                 updates_done=updates,
             ))
-            if live is not None or self.telemetry is not None:
-                self._record_episode(live, history.episodes[-1], len(jobsets))
+            self._record_episode(live, history.episodes[-1], len(jobsets))
             if self.checkpoint_path is not None:
                 self._write_checkpoint(history)
         return history
@@ -361,7 +308,7 @@ class Trainer:
         }
         if done >= total:
             record["final"] = True
-        record.update(self._agent_learning_stats())
+        record.update(self.agent.learning_stats())
         record.update(self._episode_load)
         flags = _telemetry.detect_anomalies(record, self._records)
         record["anomalies"] = flags

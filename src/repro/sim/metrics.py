@@ -26,8 +26,7 @@ import numpy as np
 from repro.check import sanitize as _san
 from repro.sim.engine import SimulationResult
 from repro.sim.job import ExecMode, Job, JobState
-
-SECONDS_PER_WEEK = 7 * 24 * 3600.0
+from repro.workload.units import SECONDS_PER_WEEK
 
 
 def _mean(values: list[float]) -> float:

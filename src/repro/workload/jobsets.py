@@ -24,8 +24,7 @@ import numpy as np
 from repro.sim.job import Job
 from repro.workload.generator import PoissonArrivals
 from repro.workload.models import WorkloadModel
-
-SECONDS_PER_WEEK = 7 * 24 * 3600.0
+from repro.workload.units import SECONDS_PER_WEEK
 
 
 def normalize_times(jobs: list[Job]) -> list[Job]:

@@ -21,6 +21,8 @@ SECONDS_PER_HOUR = 3600.0
 HOURS_PER_DAY = 24.0
 #: seconds in one day
 SECONDS_PER_DAY = 24 * SECONDS_PER_HOUR
+#: seconds in one week — the span of one real jobset (§IV-D)
+SECONDS_PER_WEEK = 7 * SECONDS_PER_DAY
 
 __all__ = [
     "HOURS_PER_DAY",
@@ -28,4 +30,5 @@ __all__ = [
     "SECONDS_PER_DAY",
     "SECONDS_PER_HOUR",
     "SECONDS_PER_MINUTE",
+    "SECONDS_PER_WEEK",
 ]

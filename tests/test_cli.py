@@ -289,11 +289,22 @@ class TestTrainEvaluate:
             reports.append(capsys.readouterr().out)
         assert reports[0] == reports[1]
 
-    @pytest.mark.parametrize("flag, value", [
-        ("--agent", "dql"), ("--nodes", "32"), ("--window", "6"),
-        ("--seed", "5"), ("--system", "cori")])
+    @pytest.mark.parametrize("flag, value, trained, held", [
+        ("--agent", "dql", {}, "kind=pg"),
+        ("--nodes", "32", {}, "num_nodes=16"),
+        ("--window", "6", {}, "window=5"),
+        ("--seed", "5", {}, "seed=0"),
+        ("--system", "cori", {}, "objective=capability"),
+        ("--faults", "mtbf=90000,mttr=60,seed=9",
+         {"--faults": "mtbf=5000,mttr=1800,seed=1"},
+         "faults=mtbf=5000.0,mttr=1800.0,seed=1,blade_size=4,"
+         "blade_prob=0.25,job_kill_mtbf=0.0,requeue=requeue-front,"
+         "min_repair=60.0,max_requeues=None"),
+        ("--faults", "mtbf=90000,mttr=60,seed=9", {}, "faults=none")],
+        ids=["--agent-dql", "--nodes-32", "--window-6", "--seed-5",
+             "--system-cori", "--faults-other", "--faults-on-fault-free"])
     def test_resume_refuses_flags_the_file_contradicts(
-            self, tmp_path, capsys, flag, value):
+            self, tmp_path, capsys, flag, value, trained, held):
         """One ``bad input:`` line naming the flag and the file's value,
         exit 2, and neither the file nor the run directory touched."""
         path, run = tmp_path / "a.npz", tmp_path / "run"
@@ -301,7 +312,7 @@ class TestTrainEvaluate:
                  "--seed": "0", "--system": "theta", "--train-jobs": "40",
                  "--sampled": "0", "--real": "1", "--synthetic": "1",
                  "--jobs-per-set": "20", "--out": str(path),
-                 "--run-dir": str(run)}
+                 "--run-dir": str(run), **trained}
 
         def argv(changed):
             return ["train", "--live", *(word for pair in
@@ -313,9 +324,6 @@ class TestTrainEvaluate:
         capsys.readouterr()
         assert main(argv({flag: value}) + ["--resume"]) == 2
         err = capsys.readouterr().err
-        held = {"--agent": "kind=pg", "--nodes": "num_nodes=16",
-                "--window": "window=5", "--seed": "seed=0",
-                "--system": "objective=capability"}[flag]
         assert err == (f"bad input: {flag} {value} does not match {path}, "
                        f"trained with {held}\n")
         assert {p.name: p.read_bytes()

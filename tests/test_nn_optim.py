@@ -122,7 +122,6 @@ class TestAdamAgainstTextbook:
         params = [Parameter(f"p{i}", rng.normal(size=shape).astype(dtype))
                   for i, shape in enumerate(shapes)]
         opt = Adam(params, lr=0.01, grad_clip=clip)
-        opt.track_grad_norm = True
         values = [p.value.copy() for p in params]
         m = [np.zeros_like(x) for x in values]
         v = [np.zeros_like(x) for x in values]
@@ -213,7 +212,6 @@ class TestFactoredGradient:
         rng = np.random.default_rng(batch)
         p = Parameter("w", rng.normal(size=(700, 300)).astype(dtype))
         opt = Adam([p], lr=0.01, grad_clip=1.0)
-        opt.track_grad_norm = True
         x, d = (rng.normal(size=(batch, n)).astype(dtype) for n in p.value.shape)
         p.grad = (x, d)
         opt.step()
@@ -231,7 +229,6 @@ class TestFactoredGradient:
         row, d = rng.normal(size=(1, 50)), rng.normal(size=(1, 40))
         p = Parameter("w", np.ones((50, 40)))
         opt = Adam([p], lr=0.01, grad_clip=1.0)
-        opt.track_grad_norm = True
         p.grad = (np.vstack([row, row, row]), np.vstack([d, -d / 3, -2 * d / 3]))
         assert np.abs(p.dense_grad()).max() < 1e-15
         opt.step()

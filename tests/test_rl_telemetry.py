@@ -141,20 +141,34 @@ class TestTrainerIntegration:
         assert first["episode_wall_s"] > 0.0
         assert first["anomalies"] == []
 
-    def test_telemetry_enables_agent_collectors(self, tmp_path):
-        agent = _agent()
-        assert not agent.optimizer.track_grad_norm
-        assert not agent.core.collect_stats
-        Trainer(agent, NODES, telemetry=_log(tmp_path / "t.jsonl"))
-        assert agent.optimizer.track_grad_norm
-        assert agent.core.collect_stats
+    @pytest.mark.parametrize("kind", ["pg", "dql"])
+    def test_bus_made_current_after_the_trainer_gets_the_signals(self, kind):
+        """The record does not depend on what was current when the
+        trainer was built: one built before its bus publishes the same
+        finite learning signals as one built under it."""
+        from repro.core import AGENTS
+        from repro.obs.live import LiveBus
+        from repro.obs.trace import sinks
 
-    def test_telemetry_off_is_default(self):
-        agent = _agent()
-        trainer = Trainer(agent, NODES)
-        trainer.train(_jobsets(n_sets=1))
-        assert trainer.telemetry is None
-        assert not agent.optimizer.track_grad_norm
+        published = []
+
+        class Sink:
+            def on_snapshot(self, record):
+                if record["kind"] == "train":
+                    published.append(dict(record))
+
+        config = DRASConfig.scaled(NODES, window=4,
+                                   time_scale=ThetaModel.MAX_RUNTIME)
+        trainer = Trainer(AGENTS[kind](config), NODES)
+        bus = LiveBus()
+        bus.attach(Sink())
+        with sinks(live=bus):
+            trainer.train(_jobsets(jobs=60))
+        assert len(published) == 2
+        for record in published:
+            assert math.isfinite(record["loss"])
+            assert math.isfinite(record["grad_norm"])
+            assert math.isfinite(record["entropy"]) == (kind == "pg")
 
     def test_telemetry_does_not_perturb_training(self, tmp_path):
         """Telemetry is observe-only: the learned weights are identical."""
@@ -264,8 +278,8 @@ class TestTrainerIntegration:
                 depths[-1], min(depths), max(depths))
 
     def test_live_bus_alone_publishes_learning_and_load_stats(self):
-        """Without telemetry, a current live bus still turns the learning
-        and load collectors on, and training stays bit-identical."""
+        """Without telemetry, a current live bus still gets the learning
+        and load stats, and training stays bit-identical."""
         from repro.obs.live import LiveBus
         from repro.obs.trace import sinks
 

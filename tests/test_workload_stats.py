@@ -108,14 +108,18 @@ class TestCanonicalUnits:
     def test_single_source_of_truth(self):
         """One blessed module defines the time-unit constants."""
         from repro.workload import units
-        from repro.workload import generator, stats
+        from repro.workload import generator, jobsets, stats
         from repro.experiments import fig3
+        from repro.sim import metrics
 
         assert units.SECONDS_PER_HOUR == 3600.0
         assert units.SECONDS_PER_DAY == 86400.0
         assert generator.SECONDS_PER_HOUR is units.SECONDS_PER_HOUR
         assert stats._HOUR is units.SECONDS_PER_HOUR
         assert fig3._DAY is units.SECONDS_PER_DAY
+        assert units.SECONDS_PER_WEEK == 604800.0
+        assert metrics.SECONDS_PER_WEEK is units.SECONDS_PER_WEEK
+        assert jobsets.SECONDS_PER_WEEK is units.SECONDS_PER_WEEK
 
     def test_no_other_module_defines_the_constants(self):
         """Each constant of ``repro.workload.units`` has one definition."""
